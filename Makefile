@@ -6,8 +6,8 @@ BENCH_OUT ?= BENCH_PR10.json
 # refactors but fails the gate if tests are deleted wholesale.
 COVER_MIN ?= 80.0
 
-.PHONY: build test bench bench-compare bench-gate bench-paper faults faults-ingest check vet-vectorized \
-	vet-telemetry vet-pruning vet-cache vet-concurrency vet-adaptive vet-join vet-ingest ci-fast ci-race ci cover
+.PHONY: build test bench bench-build bench-compare bench-gate bench-paper faults faults-ingest check vet-vectorized \
+	vet-telemetry vet-pruning vet-cache vet-concurrency vet-join vet-ingest ci-fast ci-race ci cover
 
 build:
 	$(GO) build ./...
@@ -176,32 +176,6 @@ vet-concurrency:
 	fi
 	@echo "vet-concurrency: scan work flows through the shared node-wide scheduler"
 
-# vet-adaptive guards the single-decision-point invariant (DESIGN.md §8):
-# every pushdown-vs-raw choice — static mode, plan-time advice, per-split
-# adaptive pricing, mid-stream flips — is made by the policy module. A
-# SplitDecision constructed anywhere else in the OCS connector, or a
-# revival of the old Monitor.AdvisePushdown entry point, is a second
-# decision path and fails the gate. `// vet-adaptive:allow <reason>`
-# annotates the rare legitimate exception.
-vet-adaptive:
-	@bad=$$(grep -n 'SplitDecision{' internal/connector/ocs/*.go 2>/dev/null \
-		| grep -v '_test.go' | grep -v 'policy.go' | grep -v 'vet-adaptive:allow'); \
-	if [ -n "$$bad" ]; then \
-		echo "vet-adaptive: pushdown decision constructed outside the policy module"; \
-		echo "(route through ocs.Policy or annotate // vet-adaptive:allow <reason>):"; \
-		echo "$$bad"; \
-		exit 1; \
-	fi
-	@bad=$$(grep -rn '\.AdvisePushdown(' --include='*.go' --exclude='*_test.go' internal cmd 2>/dev/null \
-		| grep -v 'vet-adaptive:allow'); \
-	if [ -n "$$bad" ]; then \
-		echo "vet-adaptive: Monitor.AdvisePushdown is retired; plan-time advice comes from"; \
-		echo "Policy.AdvisePlanPushdown (or annotate // vet-adaptive:allow <reason>):"; \
-		echo "$$bad"; \
-		exit 1; \
-	fi
-	@echo "vet-adaptive: all pushdown decisions flow through the policy module"
-
 # vet-join guards the vectorized join hot path: the hash-join probe, the
 # engine-side bloom probe and the bloom membership kernels must stay
 # columnar — gather-list construction and vector batch tests, never a
@@ -236,11 +210,20 @@ vet-ingest:
 	fi
 	@echo "vet-ingest: all catalog registrations flow through the ingest package"
 
-# check is the verification gate: vet (plus the vectorized hot-path,
-# telemetry-manifest, pruning, caching, shared-scheduler,
-# adaptive-decision, join hot-path and ingest single-writer guards) and the full suite under
-# the race detector (the streaming RPC and parallel scanner are
-# concurrency-heavy), then the fault-injection matrix.
+# bench-build compiles and tests the repo's benchmark, which is a Go
+# module of its own (bench/, see BENCHMARK.json) that imports internal/
+# packages: root `go build ./... && go test ./...` never sees it, so an
+# API rename that breaks it would otherwise surface only in the benchmark
+# pipeline.
+bench-build:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
+# check is the verification gate: vet (plus the seven grep guards:
+# vectorized hot path, telemetry manifest, pruning, caching, shared
+# scheduler, join hot path, ingest single writer), the benchmark module's
+# build, and the full suite under the race detector (the streaming RPC and
+# parallel scanner are concurrency-heavy), then the fault-injection matrix.
 check:
 	$(GO) vet ./...
 	$(MAKE) vet-vectorized
@@ -248,9 +231,9 @@ check:
 	$(MAKE) vet-pruning
 	$(MAKE) vet-cache
 	$(MAKE) vet-concurrency
-	$(MAKE) vet-adaptive
 	$(MAKE) vet-join
 	$(MAKE) vet-ingest
+	$(MAKE) bench-build
 	$(GO) test -race ./...
 	$(MAKE) faults
 
@@ -272,9 +255,9 @@ ci-fast:
 	$(MAKE) vet-pruning
 	$(MAKE) vet-cache
 	$(MAKE) vet-concurrency
-	$(MAKE) vet-adaptive
 	$(MAKE) vet-join
 	$(MAKE) vet-ingest
+	$(MAKE) bench-build
 
 # ci-race is the CI race lane: the full suite under the race detector.
 ci-race:

@@ -107,9 +107,8 @@ func main() {
 	conn := ocsconn.New("ocs", ms, ocsCli)
 	conn.SetTableCacheEntries(*metaCacheTables)
 	eng.AddConnector(conn)
-	eng.AddEventListener(conn.Monitor())
+	eng.AddEventListener(conn.Policy())
 	if *profile || *metricsListen != "" {
-		conn.Monitor().SetMetrics(eng.Metrics)
 		conn.SetMetrics(eng.Metrics)
 	}
 	if *ingestMode {

@@ -39,17 +39,11 @@ func main() {
 
 	// OCS connector with full pushdown.
 	session := engine.NewSession().Set(ocsconn.SessionPushdown, "filter_project_agg")
-	ocsRes, err := cluster.Engine.Execute(context.Background(), dataset.Query, session)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ocsRes := run(cluster.Engine, dataset.Query, session)
 
 	// Hive connector: same query, S3 Select path (filter-only).
 	hiveQuery := strings.Replace(dataset.Query, "FROM lineitem", "FROM hive.lineitem", 1)
-	hiveRes, err := cluster.Engine.Execute(context.Background(), hiveQuery, engine.NewSession())
-	if err != nil {
-		log.Fatal(err)
-	}
+	hiveRes := run(cluster.Engine, hiveQuery, engine.NewSession())
 
 	fmt.Println("TPC-H Q1 result (OCS connector, aggregation pushed into storage):")
 	printQ1(ocsRes)
@@ -67,6 +61,19 @@ func main() {
 		log.Fatalf("connectors disagree: %d vs %d rows", hiveRes.Page.NumRows(), ocsRes.Page.NumRows())
 	}
 	fmt.Println("\nBoth connectors return identical Q1 aggregates; OCS moves a fraction of the bytes.")
+}
+
+// run submits one query and waits for its result.
+func run(eng *engine.Engine, sql string, session *engine.Session) *engine.Result {
+	q, err := eng.Submit(context.Background(), sql, engine.WithSession(session))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := q.Result()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }
 
 func printQ1(res *engine.Result) {

@@ -84,9 +84,10 @@ func (c *TableCache) Get(schema, name string) (*metastore.Table, error) {
 		e := el.Value.(*tableEntry)
 		if c.src.Version(schema, name) == e.version {
 			c.ll.MoveToFront(el)
+			t := e.table // store rewrites the entry in place under mu
 			c.mu.Unlock()
 			c.hit()
-			return e.table, nil
+			return t, nil
 		}
 		// Stale: the table was re-registered (or dropped) since this entry
 		// was read. Drop it and fall through to a coalesced reload.

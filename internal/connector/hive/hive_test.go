@@ -86,7 +86,7 @@ func setup(t *testing.T) (*engine.Engine, *objstore.Client) {
 
 func TestFilterPushdownViaSelect(t *testing.T) {
 	e, _ := setup(t)
-	res, err := e.Execute(context.Background(), "SELECT id, v FROM t WHERE id >= 190", nil)
+	res, err := execute(context.Background(), e, "SELECT id, v FROM t WHERE id >= 190", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFilterPushdownViaSelect(t *testing.T) {
 func TestNoPushdownFullTransfer(t *testing.T) {
 	e, _ := setup(t)
 	session := engine.NewSession().Set(SessionSelectPushdown, "false")
-	res, err := e.Execute(context.Background(), "SELECT id, v FROM t WHERE id >= 190", session)
+	res, err := execute(context.Background(), e, "SELECT id, v FROM t WHERE id >= 190", session)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,11 @@ func TestPushdownEqualsNoPushdown(t *testing.T) {
 	}
 	off := engine.NewSession().Set(SessionSelectPushdown, "false")
 	for _, q := range queries {
-		with, err := e.Execute(context.Background(), q, nil)
+		with, err := execute(context.Background(), e, q, nil)
 		if err != nil {
 			t.Fatalf("%s (pushdown): %v", q, err)
 		}
-		without, err := e.Execute(context.Background(), q, off)
+		without, err := execute(context.Background(), e, q, off)
 		if err != nil {
 			t.Fatalf("%s (no pushdown): %v", q, err)
 		}
@@ -184,7 +184,7 @@ func TestAggregationStaysOnCompute(t *testing.T) {
 	// The Hive connector must never absorb aggregation — it runs engine
 	// side over select results.
 	e, _ := setup(t)
-	res, err := e.Execute(context.Background(), "SELECT g, min(v) AS m FROM t WHERE id >= 100 GROUP BY g ORDER BY g", nil)
+	res, err := execute(context.Background(), e, "SELECT g, min(v) AS m FROM t WHERE id >= 100 GROUP BY g ORDER BY g", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,20 @@ func TestAggregationStaysOnCompute(t *testing.T) {
 
 func TestHandleString(t *testing.T) {
 	e, _ := setup(t)
-	res, err := e.Execute(context.Background(), "SELECT v FROM t WHERE v > 1.0", nil)
+	res, err := execute(context.Background(), e, "SELECT v FROM t WHERE v > 1.0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.PlanText == "" {
 		t.Error("plan text empty")
 	}
+}
+
+// execute submits one query and blocks for its result.
+func execute(ctx context.Context, e *engine.Engine, sql string, session *engine.Session) (*engine.Result, error) {
+	q, err := e.Submit(ctx, sql, engine.WithSession(session))
+	if err != nil {
+		return nil, err
+	}
+	return q.Result()
 }

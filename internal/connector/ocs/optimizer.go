@@ -82,7 +82,7 @@ func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan
 	// failing (e.g. a flaky storage node), auto mode falls back to plain
 	// scans rather than keep routing work into a broken path. This is the
 	// plan-time half of the adaptive policy; the per-split half runs at
-	// schedule time through Connector.DecideSplit.
+	// schedule time inside Connector.CreatePageSource.
 	if mode.Auto && o.conn != nil && o.conn.policy != nil && !o.conn.policy.AdvisePlanPushdown() {
 		return root, nil
 	}

@@ -33,7 +33,6 @@ type Connector struct {
 	meta    *metastore.Metastore
 	tables  *cache.TableCache
 	client  *ocsserver.Client
-	monitor *Monitor
 	policy  *Policy
 	// ingester, when attached, enables the write path (engine.Ingest)
 	// on this catalog.
@@ -45,26 +44,21 @@ type Connector struct {
 // through a versioned cache sized at cache.DefaultTableCacheEntries;
 // resize with SetTableCacheEntries.
 func New(catalog string, meta *metastore.Metastore, client *ocsserver.Client) *Connector {
-	c := &Connector{
+	return &Connector{
 		catalog: catalog,
 		meta:    meta,
 		tables:  cache.NewTableCache(meta, cache.DefaultTableCacheEntries),
 		client:  client,
-		monitor: NewMonitor(64),
 		policy:  NewPolicy(costmodel.Default()),
 	}
-	c.monitor.policy = c.policy
-	return c
 }
 
 // Name implements engine.Connector.
 func (c *Connector) Name() string { return c.catalog }
 
-// Monitor returns the connector's pushdown monitor (register it with the
-// engine via AddEventListener).
-func (c *Connector) Monitor() *Monitor { return c.monitor }
-
-// Policy returns the connector's adaptive pushdown policy.
+// Policy returns the connector's adaptive pushdown policy. Register it
+// with the engine via AddEventListener: completed queries feed its
+// plan-time advice.
 func (c *Connector) Policy() *Policy { return c.policy }
 
 // SetTableCacheEntries resizes the table-metadata cache (0 disables
@@ -115,45 +109,46 @@ func (c *Connector) PlanOptimizer() engine.ConnectorPlanOptimizer {
 }
 
 // CreatePageSource implements engine.Connector: the paper's
-// PageSourceProvider. With a pushdown spec it reconstructs the extracted
-// operators as a Substrait plan, ships it to OCS over RPC and
-// deserializes the Arrow result; without one it uses the raw-scan path
-// (whole-object GET with local scanning). When pushdown execution fails
-// transiently even after the client's retries, the source degrades to
-// the raw-scan path too — the paper's no-pushdown configuration — and
-// records the fallback in the scan stats.
+// PageSourceProvider, and the connector's one per-split decision point —
+// it asks the policy (decide, policy.go) and opens the split on the path
+// the policy picked.
 func (c *Connector) CreatePageSource(ctx context.Context, handle plan.TableHandle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
 	h, ok := handle.(*Handle)
 	if !ok {
 		return nil, fmt.Errorf("ocs: foreign handle %T", handle)
 	}
-	if h.Push == nil || h.Push.Empty() {
-		return c.rawSource(ctx, h, split, stats)
-	}
-	return c.pushdownSource(ctx, h, split, stats)
+	pushdown, reason := c.decide(h, stats)
+	return c.openSplit(ctx, h, split, pushdown, reason, stats)
 }
 
-// CreatePageSourceDecided implements engine.AdaptiveConnector: it opens
-// the split on the path DecideSplit selected. A raw decision on a
-// pushdown handle runs the pushed operators locally over a whole-object
-// GET (the replay path), so the residual plan sees the same schema
-// either way.
-func (c *Connector) CreatePageSourceDecided(ctx context.Context, handle plan.TableHandle, split engine.Split, dec engine.SplitDecision, stats *engine.ScanStats) (exec.Operator, error) {
-	h, ok := handle.(*Handle)
-	if !ok {
-		return nil, fmt.Errorf("ocs: foreign handle %T", handle)
-	}
+// OpenSplit opens one split on a caller-chosen path, bypassing the policy
+// (and its decision counters): tests use it to force the pushdown stream
+// or the local replay deterministically. It is not part of the SPI.
+func (c *Connector) OpenSplit(ctx context.Context, h *Handle, split engine.Split, pushdown bool, stats *engine.ScanStats) (exec.Operator, error) {
+	return c.openSplit(ctx, h, split, pushdown, "forced", stats)
+}
+
+// openSplit is the three-way opener. Without a pushdown spec the split is
+// the paper's no-pushdown configuration (whole-object GET, local scan).
+// With one, pushdown reconstructs the extracted operators as a Substrait
+// plan, ships it to OCS over RPC and deserializes the Arrow result — and
+// degrades to the local replay, recorded as a fallback, when execution
+// fails transiently even after the client's retries — while !pushdown
+// replays the pushed operators locally over a whole-object GET, so the
+// residual plan sees the same schema either way. reason labels the
+// decision on the split's span.
+func (c *Connector) openSplit(ctx context.Context, h *Handle, split engine.Split, pushdown bool, reason string, stats *engine.ScanStats) (exec.Operator, error) {
 	if h.Push == nil || h.Push.Empty() {
 		return c.rawSource(ctx, h, split, stats)
 	}
-	if !dec.Pushdown {
-		return c.adaptiveRawSource(ctx, h, split, stats)
+	if !pushdown {
+		return c.replaySource(ctx, h, split, stats, 0, causeAdaptive, reason)
 	}
-	return c.pushdownSource(ctx, h, split, stats)
+	return c.pushdownSource(ctx, h, split, reason, stats)
 }
 
 // pushdownSource opens the in-storage execution path for one split.
-func (c *Connector) pushdownSource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
+func (c *Connector) pushdownSource(ctx context.Context, h *Handle, split engine.Split, reason string, stats *engine.ScanStats) (exec.Operator, error) {
 	// The scan span covers this split's whole pushdown lifetime; its
 	// children are the Table-3 stages (Substrait generation, stream open)
 	// and its accumulated durations the per-chunk transfer waits and
@@ -161,6 +156,7 @@ func (c *Connector) pushdownSource(ctx context.Context, h *Handle, split engine.
 	// closed.
 	ctx, scanSpan := telemetry.StartSpan(ctx, "connector.scan")
 	scanSpan.SetAttr("object", split.Object)
+	scanSpan.SetAttr("decision", reason)
 
 	// Translate the extracted operators into Substrait IR (timed for
 	// Table 3).
@@ -197,7 +193,7 @@ func (c *Connector) pushdownSource(ctx context.Context, h *Handle, split engine.
 			scanSpan.Event("bloom-rejected", err.Error())
 			scanSpan.End()
 			stats.AddJoinBloomRejected()
-			src, serr := c.pushdownSource(ctx, h.withoutBloom(), split, stats)
+			src, serr := c.pushdownSource(ctx, h.withoutBloom(), split, reason, stats)
 			if serr != nil {
 				return nil, serr
 			}
@@ -205,7 +201,7 @@ func (c *Connector) pushdownSource(ctx context.Context, h *Handle, split engine.
 		}
 		if retry.Transient(err) && ctx.Err() == nil {
 			scanSpan.Event("pushdown-fallback", err.Error())
-			src, ferr := c.fallbackSource(ctx, h, split, stats, 0)
+			src, ferr := c.replaySource(ctx, h, split, stats, 0, causeFallback, "")
 			scanSpan.End()
 			return src, ferr
 		}
@@ -275,7 +271,7 @@ func (s *streamSource) Next() (*column.Page, error) {
 	// replay skips the rows already delivered). The replay is built before
 	// the stream is released so a replay failure just keeps streaming.
 	if s.rowsDelivered > 0 && s.conn.policy.ShouldFlip(s.h, s.rowsDelivered) {
-		if fb, err := s.conn.adaptiveReplaySource(s.ctx, s.h, s.split, s.stats, s.rowsDelivered); err == nil {
+		if fb, err := s.conn.replaySource(s.ctx, s.h, s.split, s.stats, s.rowsDelivered, causeAdaptive, ""); err == nil {
 			s.rs.Close()
 			s.done = true
 			s.fb = fb
@@ -352,7 +348,7 @@ func (s *streamSource) tryFallback(cause error) (exec.Operator, bool) {
 	s.rs.Close()
 	s.done = true
 	s.span.Event("pushdown-fallback", cause.Error())
-	fb, err := s.conn.fallbackSource(s.ctx, s.h, s.split, s.stats, s.rowsDelivered)
+	fb, err := s.conn.replaySource(s.ctx, s.h, s.split, s.stats, s.rowsDelivered, causeFallback, "")
 	if err != nil {
 		s.span.End()
 		return nil, false // surface the original stream error instead
@@ -447,44 +443,46 @@ func (c *Connector) rawSource(ctx context.Context, h *Handle, split engine.Split
 	}), nil
 }
 
-// fallbackSource is the graceful-degradation path: pushdown execution
-// failed after retries, so the connector replays the pushed operators
-// locally over a whole-object GET. The degradation is recorded in the
-// scan stats so the overhead breakdown still adds up.
-func (c *Connector) fallbackSource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats, skipRows int64) (exec.Operator, error) {
-	return c.localReplaySource(ctx, h, split, stats, skipRows, "connector.fallback_scan", true)
-}
+// replayCause is why a split with pushed operators is served by the local
+// replay instead of storage; its value is the replay span's name.
+type replayCause string
 
-// adaptiveRawSource serves a split the adaptive policy priced off the
-// pushdown path at schedule time: same local replay, but not a failure —
-// no fallback is recorded.
-func (c *Connector) adaptiveRawSource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
-	return c.localReplaySource(ctx, h, split, stats, 0, "connector.adaptive_raw_scan", false)
-}
+const (
+	// causeFallback: pushdown execution failed after retries (at stream
+	// open or mid-stream). The graceful-degradation path; the split is
+	// recorded as a fallback so the overhead breakdown still adds up.
+	causeFallback replayCause = "connector.fallback_scan"
+	// causeAdaptive: the policy priced the split off the pushdown path,
+	// at schedule time or by flipping it mid-stream. Not a failure.
+	causeAdaptive replayCause = "connector.adaptive_raw_scan"
+)
 
-// adaptiveReplaySource resumes a split mid-stream after an adaptive
-// flip, skipping the rows the abandoned stream already delivered.
-func (c *Connector) adaptiveReplaySource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats, skipRows int64) (exec.Operator, error) {
-	return c.localReplaySource(ctx, h, split, stats, skipRows, "connector.adaptive_raw_scan", false)
-}
-
-// localReplaySource is the shared raw-with-pushdown path: the connector
-// fetches the whole object (the GET path is served even when a node's
-// computational unit is down) and replays the pushed operators locally
-// with the storage node's own compiler (ocsserver.ExecuteLocalStream),
-// producing bit-identical pages. The replay streams — the residual plan
-// pulls pages as the local scan produces them, the same overlap the raw
-// no-pushdown path gets, instead of materializing the whole split before
-// the first page. skipRows drops rows a dead or abandoned stream already
-// delivered; callers only pass a nonzero skip when the pushed pipeline
-// is order-deterministic. The full object counts as bytes moved, and the
-// local replay's CPU is charged as compute-side deserialize work;
-// markFallback additionally records the split as a pushdown failure.
-func (c *Connector) localReplaySource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats, skipRows int64, spanName string, markFallback bool) (exec.Operator, error) {
+// replaySource is the one local replay: the connector fetches the whole
+// object (the GET path is served even when a node's computational unit is
+// down) and replays the pushed operators locally with the storage node's
+// own compiler (ocsserver.ExecuteLocalStream), producing bit-identical
+// pages. The replay streams — the residual plan pulls pages as the local
+// scan produces them, the same overlap the raw no-pushdown path gets,
+// instead of materializing the whole split before the first page — and
+// its span stays open until the stream is exhausted or closed, so traces
+// attribute the scan and not just the GET. skipRows drops rows a dead or
+// abandoned stream already delivered; callers only pass a nonzero skip
+// when the pushed pipeline is order-deterministic. The full object counts
+// as bytes moved, and the local replay's CPU is charged as compute-side
+// deserialize work. reason, when set, labels a schedule-time decision.
+func (c *Connector) replaySource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats, skipRows int64, cause replayCause, reason string) (src exec.Operator, err error) {
 	start := time.Now()
-	ctx, sp := telemetry.StartSpan(ctx, spanName)
-	defer sp.End()
+	ctx, sp := telemetry.StartSpan(ctx, string(cause))
+	// On success the span passes to the stream, which ends it.
+	defer func() {
+		if err != nil {
+			sp.End()
+		}
+	}()
 	sp.SetAttr("object", split.Object)
+	if reason != "" {
+		sp.SetAttr("decision", reason)
+	}
 	data, work, err := c.client.Get(ctx, h.Table.Bucket, split.Object)
 	if err != nil {
 		return nil, fmt.Errorf("ocs: fallback get %s/%s: %w", h.Table.Bucket, split.Object, err)
@@ -492,7 +490,7 @@ func (c *Connector) localReplaySource(ctx context.Context, h *Handle, split engi
 	stats.AddTransfer(time.Since(start))
 	stats.AddBytesMoved(int64(len(data)))
 	stats.AddStorageWork(work)
-	if markFallback {
+	if cause == causeFallback {
 		stats.AddFallback()
 	}
 
@@ -507,7 +505,7 @@ func (c *Connector) localReplaySource(ctx context.Context, h *Handle, split engi
 		return nil, fmt.Errorf("ocs: fallback scan %s/%s: %w", h.Table.Bucket, split.Object, err)
 	}
 	return &replayStream{
-		schema: h.ScanSchema(), ls: ls, conn: c, h: h,
+		schema: h.ScanSchema(), ls: ls, conn: c, h: h, span: sp,
 		stats: stats, skipRows: skipRows, object: split.Object,
 	}, nil
 }
@@ -523,6 +521,7 @@ type replayStream struct {
 	ls       *ocsserver.LocalStream
 	conn     *Connector
 	h        *Handle
+	span     *telemetry.Span
 	stats    *engine.ScanStats
 	object   string
 	skipRows int64
@@ -580,6 +579,7 @@ func (r *replayStream) finish(complete bool) {
 	if complete {
 		r.conn.policy.ObserveSplit(r.h, r.rows)
 	}
+	r.span.End()
 }
 
 // BuildSubstrait reconstructs the handle's pushdown spec as a Substrait

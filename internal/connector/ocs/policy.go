@@ -9,15 +9,13 @@ import (
 	"prestocs/internal/costmodel"
 	"prestocs/internal/engine"
 	"prestocs/internal/expr"
-	"prestocs/internal/plan"
 	"prestocs/internal/telemetry"
 )
 
-// This file is the connector's single pushdown decision point. The
-// vet-adaptive gate bans constructing engine.SplitDecision anywhere else
-// in the connector, so plan-time advice (AdvisePlanPushdown), per-split
-// pricing (DecideSplit) and mid-stream flips (ShouldFlip) cannot drift
-// apart across files.
+// This file is the connector's single pushdown decision point: plan-time
+// advice (AdvisePlanPushdown), per-split pricing (decide, called only by
+// CreatePageSource) and mid-stream flips (ShouldFlip) live side by side
+// here so they cannot drift apart across files.
 
 // Policy defaults.
 const (
@@ -52,9 +50,10 @@ type shapeHistory struct {
 // Policy prices pushdown vs raw scan per split from three inputs: the
 // cost model's hardware profile (Table 1), the observed per-shape
 // selectivity history, and the live storage-load signal piggybacked on
-// stream RPC frames. It replaces the query-global success-rate heuristic
-// the Monitor used to expose (AdvisePushdown) — that advice survives as
-// AdvisePlanPushdown, fed by the Monitor's completion events.
+// stream RPC frames. It is also the connector's engine.EventListener:
+// completed queries feed the success rate behind AdvisePlanPushdown. (The
+// per-query history itself — what was pushed, fallbacks, pruned splits —
+// is the engine's ProcessList.Recent.)
 type Policy struct {
 	params costmodel.Params
 
@@ -91,10 +90,10 @@ func (p *Policy) metricsReg() *telemetry.Registry {
 	return p.metrics
 }
 
-// AdvisePlanPushdown is the plan-time feedback loop folded in from the
-// Monitor: once enough queries have run, a low success rate (e.g. a
-// flaky storage node failing pushdown executions) advises auto mode to
-// plan plain scans until reliability recovers.
+// AdvisePlanPushdown is the plan-time feedback loop: once enough queries
+// have run, a low success rate (e.g. a flaky storage node failing
+// pushdown executions) advises auto mode to plan plain scans until
+// reliability recovers.
 func (p *Policy) AdvisePlanPushdown() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -104,12 +103,12 @@ func (p *Policy) AdvisePlanPushdown() bool {
 	return 2*p.successes >= p.queries
 }
 
-// queryCompleted feeds one finished query's outcome; the Monitor calls
-// it from its EventListener hook.
-func (p *Policy) queryCompleted(succeeded bool) {
+// QueryCompleted implements engine.EventListener: one finished query's
+// outcome feeds the success rate AdvisePlanPushdown reads.
+func (p *Policy) QueryCompleted(ev engine.QueryEvent) {
 	p.mu.Lock()
 	p.queries++
-	if succeeded {
+	if ev.Err == nil {
 		p.successes++
 	}
 	p.mu.Unlock()
@@ -211,17 +210,18 @@ func (p *Policy) touchLocked(key string) *shapeHistory {
 	return sh
 }
 
-// decide prices one split both ways and picks the cheaper path.
-func (p *Policy) decide(h *Handle) engine.SplitDecision {
-	sel, source := p.selectivity(h)
+// decide prices one split both ways and picks the cheaper path; reason
+// names where the selectivity estimate came from.
+func (p *Policy) decide(h *Handle) (pushdown bool, reason string) {
+	sel, reason := p.selectivity(h)
 	pushCost, rawCost := p.price(h, sel, p.loadPerWorker())
-	dec := engine.SplitDecision{Pushdown: pushCost <= rawCost, Reason: source}
+	pushdown = pushCost <= rawCost
 	choice := "raw"
-	if dec.Pushdown {
+	if pushdown {
 		choice = "pushdown"
 	}
 	p.metricsReg().Counter(telemetry.MetricPushdownDecisions, "choice", choice).Inc()
-	return dec
+	return pushdown, reason
 }
 
 // ShouldFlip reprices an in-flight pushdown stream against what it has
@@ -402,20 +402,19 @@ func exprShape(e expr.Expr) string {
 	}
 }
 
-// DecideSplit implements engine.AdaptiveConnector: the one per-split
-// decision point. Static pushdown modes (and pushdown-free plans) pass
-// through unchanged so the paper's fixed configurations stay exactly
-// reproducible; auto-mode handles carry AdaptiveParams and are priced
-// against history and live load.
-func (c *Connector) DecideSplit(handle plan.TableHandle, split engine.Split, stats *engine.ScanStats) engine.SplitDecision {
-	h, ok := handle.(*Handle)
-	if !ok || h.Push == nil || h.Push.Empty() {
-		return engine.SplitDecision{Pushdown: false, Reason: "no-pushdown"}
+// decide is the one per-split decision, made inside CreatePageSource.
+// Static pushdown modes (and pushdown-free plans) pass through unchanged
+// so the paper's fixed configurations stay exactly reproducible;
+// auto-mode handles carry AdaptiveParams and are priced against history
+// and live load, and only those choices are counted in the scan stats.
+func (c *Connector) decide(h *Handle, stats *engine.ScanStats) (pushdown bool, reason string) {
+	if h.Push == nil || h.Push.Empty() {
+		return false, "no-pushdown"
 	}
 	if h.Adaptive == nil {
-		return engine.SplitDecision{Pushdown: true, Reason: "static"}
+		return true, "static"
 	}
-	dec := c.policy.decide(h)
-	stats.AddSplitDecision(dec.Pushdown)
-	return dec
+	pushdown, reason = c.policy.decide(h)
+	stats.AddSplitDecision(pushdown)
+	return pushdown, reason
 }

@@ -1,6 +1,7 @@
 package ocs
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -49,8 +50,8 @@ func TestPolicyDecideTracksSelectivity(t *testing.T) {
 
 	// Selective shape, idle storage: pushdown ships almost nothing.
 	p.ObserveSplit(h, 10_000) // 1% survive
-	if dec := p.decide(h); !dec.Pushdown {
-		t.Errorf("selective shape on idle storage priced raw (%s)", dec.Reason)
+	if pushdown, reason := p.decide(h); !pushdown {
+		t.Errorf("selective shape on idle storage priced raw (%s)", reason)
 	}
 
 	// Non-selective shape: the pushed filter keeps everything, so raw
@@ -58,8 +59,8 @@ func TestPolicyDecideTracksSelectivity(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		p.ObserveSplit(h, 1_000_000)
 	}
-	if dec := p.decide(h); dec.Pushdown {
-		t.Errorf("non-selective shape priced pushdown (%s)", dec.Reason)
+	if pushdown, reason := p.decide(h); pushdown {
+		t.Errorf("non-selective shape priced pushdown (%s)", reason)
 	}
 }
 
@@ -166,18 +167,18 @@ func TestPolicyAdvisePlanPushdown(t *testing.T) {
 	if !p.AdvisePlanPushdown() {
 		t.Error("no history must advise pushdown")
 	}
-	p.queryCompleted(true)
-	p.queryCompleted(false)
-	p.queryCompleted(false)
+	p.QueryCompleted(engine.QueryEvent{})
+	p.QueryCompleted(engine.QueryEvent{Err: errors.New("storage fault")})
+	p.QueryCompleted(engine.QueryEvent{Err: errors.New("storage fault")})
 	if !p.AdvisePlanPushdown() {
 		t.Error("under 4 queries must still advise pushdown")
 	}
-	p.queryCompleted(false)
+	p.QueryCompleted(engine.QueryEvent{Err: errors.New("storage fault")})
 	if p.AdvisePlanPushdown() {
 		t.Error("1/4 success rate must advise against pushdown")
 	}
 	for i := 0; i < 6; i++ {
-		p.queryCompleted(true)
+		p.QueryCompleted(engine.QueryEvent{})
 	}
 	if !p.AdvisePlanPushdown() {
 		t.Error("recovered success rate must re-enable pushdown")
@@ -205,7 +206,7 @@ func TestPolicyConcurrentObservers(t *testing.T) {
 				p.ObserveFallback(hg)
 				p.decide(hg)
 				p.ShouldFlip(hg, int64(i)*1000)
-				p.queryCompleted(i%3 == 0)
+				p.QueryCompleted(engine.QueryEvent{})
 				p.AdvisePlanPushdown()
 			}
 		}(g)
@@ -216,13 +217,10 @@ func TestPolicyConcurrentObservers(t *testing.T) {
 	}
 }
 
-// TestMonitorConcurrentWraparound races QueryCompleted calls through a
-// tiny ring: the window must wrap without loss of lifetime totals and
-// the policy must see every completion.
-func TestMonitorConcurrentWraparound(t *testing.T) {
-	m := NewMonitor(4)
+// TestPolicyConcurrentQueryCompleted races the listener hook: every
+// completion must be counted, successes and failures alike.
+func TestPolicyConcurrentQueryCompleted(t *testing.T) {
 	p := NewPolicy(costmodel.Default())
-	m.policy = p
 	var wg sync.WaitGroup
 	const goroutines, each = 8, 50
 	for g := 0; g < goroutines; g++ {
@@ -234,20 +232,11 @@ func TestMonitorConcurrentWraparound(t *testing.T) {
 				if (g+i)%2 == 1 {
 					ev.Err = fmt.Errorf("boom %d/%d", g, i)
 				}
-				m.QueryCompleted(ev)
+				p.QueryCompleted(ev)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if total := m.Total(); total != goroutines*each {
-		t.Errorf("lifetime total = %d, want %d", total, goroutines*each)
-	}
-	if got := len(m.Window()); got != 4 {
-		t.Errorf("window holds %d records, want 4", got)
-	}
-	if rate := m.SuccessRate(); rate != 0.5 {
-		t.Errorf("success rate = %v, want 0.5", rate)
-	}
 	p.mu.Lock()
 	queries, successes := p.queries, p.successes
 	p.mu.Unlock()

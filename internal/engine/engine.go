@@ -151,20 +151,6 @@ func (e *Engine) Submit(ctx context.Context, sql string, opts ...SubmitOption) (
 	return q, nil
 }
 
-// Execute runs one SQL query under the session (nil for defaults) and
-// blocks for its result.
-//
-// Deprecated: Execute is a thin shim over Submit for callers that do not
-// need the query handle; new code should use Submit, which adds
-// admission control, live status and kill.
-func (e *Engine) Execute(ctx context.Context, sql string, session *Session) (*Result, error) {
-	q, err := e.Submit(ctx, sql, WithSession(session))
-	if err != nil {
-		return nil, err
-	}
-	return q.Result()
-}
-
 // runQuery executes one admitted query end to end: parse, analyze,
 // optimize, connector optimization, then distributed execution. It is
 // the body behind the Query handle; q.ctx governs cancellation.
@@ -556,16 +542,7 @@ func (e *Engine) startLeafStage(ctx context.Context, chain []plan.Node, scan *pl
 			// sources that hold external resources (e.g. an open OCS
 			// result stream) even when the pipeline stops early.
 			runSplit := func(split Split) bool {
-				// Adaptive connectors price pushdown vs raw scan per split
-				// at schedule time; the engine just routes the decision.
-				var source exec.Operator
-				var err error
-				if ac, ok := conn.(AdaptiveConnector); ok {
-					dec := ac.DecideSplit(scan.Handle, split, &stats.Scan)
-					source, err = ac.CreatePageSourceDecided(ctx, scan.Handle, split, dec, &stats.Scan)
-				} else {
-					source, err = conn.CreatePageSource(ctx, scan.Handle, split, &stats.Scan)
-				}
+				source, err := conn.CreatePageSource(ctx, scan.Handle, split, &stats.Scan)
 				if err != nil {
 					fail(err)
 					return false
@@ -793,5 +770,3 @@ func (r *rename) Next() (*column.Page, error) {
 	}
 	return &column.Page{Schema: r.schema, Vectors: page.Vectors}, nil
 }
-
-var _ = describePushdown // referenced by logging-oriented callers

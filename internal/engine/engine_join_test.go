@@ -153,7 +153,7 @@ func expectedJoinRows(total, min int) []string {
 
 func TestJoinBroadcastEndToEnd(t *testing.T) {
 	e, _ := newJoinEngine(20) // 60 probe rows, 30 build rows
-	res, err := e.Execute(context.Background(),
+	res, err := execute(context.Background(), e,
 		"SELECT l.orderkey, o.prio FROM l JOIN o ON l.orderkey = o.orderkey WHERE l.orderkey > 10", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestJoinPartitionedOverBroadcastThreshold(t *testing.T) {
 	e, _ := newJoinEngine(20)
 	e.Cost.BroadcastJoinMaxRows = 4 // build side (30 rows) exceeds this
 	e.Cost.BroadcastJoinMaxBytes = 1 << 30
-	res, err := e.Execute(context.Background(),
+	res, err := execute(context.Background(), e,
 		"SELECT l.orderkey, o.prio FROM l JOIN o ON l.orderkey = o.orderkey WHERE l.orderkey > 10", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestJoinPartitionedOverBroadcastThreshold(t *testing.T) {
 
 func TestJoinWithAggregationAbove(t *testing.T) {
 	e, _ := newJoinEngine(20)
-	res, err := e.Execute(context.Background(),
+	res, err := execute(context.Background(), e,
 		"SELECT o.prio AS p, count(*) AS c, sum(l.qty) AS s FROM l JOIN o ON l.orderkey = o.orderkey GROUP BY o.prio ORDER BY p", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestJoinCrossTableResidualFilter(t *testing.T) {
 	e, _ := newJoinEngine(10) // 30 probe rows, build 0..28 even
 	// qty > orderkey is false on every matched row (qty == orderkey), so
 	// the mixed conjunct must filter above the join and yield nothing.
-	res, err := e.Execute(context.Background(),
+	res, err := execute(context.Background(), e,
 		"SELECT l.orderkey, o.prio FROM l JOIN o ON l.orderkey = o.orderkey WHERE l.qty > o.orderkey", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestJoinCrossTableResidualFilter(t *testing.T) {
 func TestJoinBuildSideKillFailsQuery(t *testing.T) {
 	e, conn := newJoinEngine(10)
 	conn.failOn = "o/obj0"
-	_, err := e.Execute(context.Background(),
+	_, err := execute(context.Background(), e,
 		"SELECT l.orderkey, o.prio FROM l JOIN o ON l.orderkey = o.orderkey", nil)
 	if err == nil || !strings.Contains(err.Error(), "injected connection kill") {
 		t.Fatalf("err = %v, want injected build-side failure", err)
@@ -269,7 +269,7 @@ func TestJoinBuildSideKillFailsQuery(t *testing.T) {
 func TestJoinProbeSideKillFailsQuery(t *testing.T) {
 	e, conn := newJoinEngine(10)
 	conn.failOn = "l/obj1"
-	_, err := e.Execute(context.Background(),
+	_, err := execute(context.Background(), e,
 		"SELECT l.orderkey, o.prio FROM l JOIN o ON l.orderkey = o.orderkey", nil)
 	if err == nil || !strings.Contains(err.Error(), "injected connection kill") {
 		t.Fatalf("err = %v, want injected probe-side failure", err)
@@ -279,7 +279,7 @@ func TestJoinProbeSideKillFailsQuery(t *testing.T) {
 func TestJoinSessionBloomOffStillCorrect(t *testing.T) {
 	e, _ := newJoinEngine(10)
 	session := NewSession().Set(SessionJoinBloom, "off")
-	res, err := e.Execute(context.Background(),
+	res, err := execute(context.Background(), e,
 		"SELECT l.orderkey, o.prio FROM l JOIN o ON l.orderkey = o.orderkey WHERE l.orderkey > 4", session)
 	if err != nil {
 		t.Fatal(err)

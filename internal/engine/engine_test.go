@@ -136,7 +136,7 @@ func newTestEngine(objects, rows int) (*Engine, *memConnector) {
 
 func TestSimpleProjection(t *testing.T) {
 	e, _ := newTestEngine(2, 10)
-	res, err := e.Execute(context.Background(), "SELECT id, v FROM t WHERE id < 5", nil)
+	res, err := execute(context.Background(), e, "SELECT id, v FROM t WHERE id < 5", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSimpleProjection(t *testing.T) {
 
 func TestAggregationAcrossSplits(t *testing.T) {
 	e, _ := newTestEngine(4, 30) // 120 rows, groups a/b/c 40 each
-	res, err := e.Execute(context.Background(), "SELECT g, count(*) AS c, sum(v) AS s, avg(v) AS a FROM t GROUP BY g ORDER BY g", nil)
+	res, err := execute(context.Background(), e, "SELECT g, count(*) AS c, sum(v) AS s, avg(v) AS a FROM t GROUP BY g ORDER BY g", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestAggregationAcrossSplits(t *testing.T) {
 
 func TestGlobalAggregateEmptyInput(t *testing.T) {
 	e, _ := newTestEngine(2, 10)
-	res, err := e.Execute(context.Background(), "SELECT count(*) AS c, sum(v) AS s FROM t WHERE id > 1000", nil)
+	res, err := execute(context.Background(), e, "SELECT count(*) AS c, sum(v) AS s FROM t WHERE id > 1000", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestGlobalAggregateEmptyInput(t *testing.T) {
 
 func TestTopNAcrossSplits(t *testing.T) {
 	e, _ := newTestEngine(3, 20)
-	res, err := e.Execute(context.Background(), "SELECT id FROM t ORDER BY id DESC LIMIT 5", nil)
+	res, err := execute(context.Background(), e, "SELECT id FROM t ORDER BY id DESC LIMIT 5", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestTopNAcrossSplits(t *testing.T) {
 
 func TestLimitWithoutOrder(t *testing.T) {
 	e, _ := newTestEngine(3, 20)
-	res, err := e.Execute(context.Background(), "SELECT id FROM t LIMIT 7", nil)
+	res, err := execute(context.Background(), e, "SELECT id FROM t LIMIT 7", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestLimitWithoutOrder(t *testing.T) {
 
 func TestExpressionsAndAliases(t *testing.T) {
 	e, _ := newTestEngine(1, 10)
-	res, err := e.Execute(context.Background(), "SELECT id % 3 AS bucket, v * 2 AS dbl FROM t WHERE v >= 1.0", nil)
+	res, err := execute(context.Background(), e, "SELECT id % 3 AS bucket, v * 2 AS dbl FROM t WHERE v >= 1.0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,24 +242,24 @@ func TestExpressionsAndAliases(t *testing.T) {
 func TestErrorsPropagate(t *testing.T) {
 	e, conn := newTestEngine(3, 5)
 	conn.failOn = "obj1"
-	if _, err := e.Execute(context.Background(), "SELECT id FROM t", nil); err == nil {
+	if _, err := execute(context.Background(), e, "SELECT id FROM t", nil); err == nil {
 		t.Error("injected split failure not propagated")
 	}
 	conn.failOn = ""
-	if _, err := e.Execute(context.Background(), "SELECT nope FROM t", nil); err == nil {
+	if _, err := execute(context.Background(), e, "SELECT nope FROM t", nil); err == nil {
 		t.Error("unknown column accepted")
 	}
-	if _, err := e.Execute(context.Background(), "SELECT id FROM missing_table", nil); err == nil {
+	if _, err := execute(context.Background(), e, "SELECT id FROM missing_table", nil); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if _, err := e.Execute(context.Background(), "SELEC id FROM t", nil); err == nil {
+	if _, err := execute(context.Background(), e, "SELEC id FROM t", nil); err == nil {
 		t.Error("syntax error accepted")
 	}
-	if _, err := e.Execute(context.Background(), "SELECT id FROM other.t", nil); err == nil {
+	if _, err := execute(context.Background(), e, "SELECT id FROM other.t", nil); err == nil {
 		t.Error("unknown catalog accepted")
 	}
 	// Division by zero at runtime.
-	if _, err := e.Execute(context.Background(), "SELECT id / 0 FROM t", nil); err == nil {
+	if _, err := execute(context.Background(), e, "SELECT id / 0 FROM t", nil); err == nil {
 		t.Error("division by zero accepted")
 	}
 }
@@ -279,10 +279,10 @@ func TestEventListener(t *testing.T) {
 	e, _ := newTestEngine(1, 5)
 	l := &recordingListener{}
 	e.AddEventListener(l)
-	if _, err := e.Execute(context.Background(), "SELECT id FROM t", nil); err != nil {
+	if _, err := execute(context.Background(), e, "SELECT id FROM t", nil); err != nil {
 		t.Fatal(err)
 	}
-	e.Execute(context.Background(), "SELECT id FROM t WHERE id / 0 = 1", nil) // runtime error event
+	execute(context.Background(), e, "SELECT id FROM t WHERE id / 0 = 1", nil) // runtime error event
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.events) != 2 {
@@ -305,7 +305,7 @@ func TestSessionProperties(t *testing.T) {
 
 func TestColumnPruningReachesConnector(t *testing.T) {
 	e, _ := newTestEngine(1, 10)
-	res, err := e.Execute(context.Background(), "SELECT v FROM t", nil)
+	res, err := execute(context.Background(), e, "SELECT v FROM t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := e.Execute(context.Background(), "SELECT g, count(*) AS c FROM t GROUP BY g", nil)
+			res, err := execute(context.Background(), e, "SELECT g, count(*) AS c FROM t GROUP BY g", nil)
 			if err != nil {
 				errs <- err
 				return
@@ -344,7 +344,7 @@ func TestConcurrentQueries(t *testing.T) {
 
 func TestMinMaxAggregates(t *testing.T) {
 	e, _ := newTestEngine(2, 10)
-	res, err := e.Execute(context.Background(), "SELECT min(id) AS lo, max(id) AS hi, min(g) AS gl FROM t", nil)
+	res, err := execute(context.Background(), e, "SELECT min(id) AS lo, max(id) AS hi, min(g) AS gl FROM t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestFastFailStopsRemainingSplits(t *testing.T) {
 	e, conn := newTestEngine(64, 4)
 	conn.failOn = "obj0"
 	conn.sourceDelay = 2 * time.Millisecond
-	_, err := e.Execute(context.Background(), "SELECT sum(v) AS s FROM t", nil)
+	_, err := execute(context.Background(), e, "SELECT sum(v) AS s FROM t", nil)
 	if err == nil || !strings.Contains(err.Error(), "injected failure") {
 		t.Fatalf("err = %v", err)
 	}
@@ -374,7 +374,7 @@ func TestEngineClosesEverySource(t *testing.T) {
 	// A limit satisfied early abandons sources mid-stream; the engine must
 	// still Close every source it created (streams hold connections).
 	e, conn := newTestEngine(8, 16)
-	res, err := e.Execute(context.Background(), "SELECT id FROM t LIMIT 3", nil)
+	res, err := execute(context.Background(), e, "SELECT id FROM t LIMIT 3", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,10 +389,19 @@ func TestEngineClosesEverySource(t *testing.T) {
 	conn.created.Store(0)
 	conn.closed.Store(0)
 	conn.failOn = "obj3"
-	if _, err := e.Execute(context.Background(), "SELECT sum(v) AS s FROM t", nil); err == nil {
+	if _, err := execute(context.Background(), e, "SELECT sum(v) AS s FROM t", nil); err == nil {
 		t.Fatal("expected injected failure")
 	}
 	if created, closed := conn.created.Load(), conn.closed.Load(); created != closed {
 		t.Errorf("after failure: created %d sources, closed %d", created, closed)
 	}
+}
+
+// execute submits one query and blocks for its result.
+func execute(ctx context.Context, e *Engine, sql string, session *Session) (*Result, error) {
+	q, err := e.Submit(ctx, sql, WithSession(session))
+	if err != nil {
+		return nil, err
+	}
+	return q.Result()
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"prestocs/internal/rpc"
@@ -273,8 +274,8 @@ func writeQueryTable(w http.ResponseWriter, infos []QueryInfo) {
 	if len(infos) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "%-8s %-9s %4s %12s %10s %12s  %s\n",
-		"id", "state", "prio", "elapsed", "rows", "bytes", "sql")
+	fmt.Fprintf(w, "%-8s %-9s %4s %12s %10s %12s %-32s %4s %6s  %s\n",
+		"id", "state", "prio", "elapsed", "rows", "bytes", "pushed", "fb", "pruned", "sql")
 	for _, in := range infos {
 		sql := in.SQL
 		if len(sql) > 60 {
@@ -284,7 +285,12 @@ func writeQueryTable(w http.ResponseWriter, infos []QueryInfo) {
 		if in.Error != "" {
 			status = sql + "  [" + in.Error + "]"
 		}
-		fmt.Fprintf(w, "%-8s %-9s %4d %11.1fms %10d %12d  %s\n",
-			in.ID, in.State, in.Priority, in.Elapsed, in.Rows, in.BytesMoved, status)
+		pushed := "-"
+		if len(in.Pushed) > 0 {
+			pushed = strings.Join(in.Pushed, "+")
+		}
+		fmt.Fprintf(w, "%-8s %-9s %4d %11.1fms %10d %12d %-32s %4d %6d  %s\n",
+			in.ID, in.State, in.Priority, in.Elapsed, in.Rows, in.BytesMoved,
+			pushed, in.FallbackSplits, in.SplitsPruned, status)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -50,6 +51,28 @@ func TestSubmitHandleLifecycle(t *testing.T) {
 	recent := e.Processes().Recent()
 	if len(recent) != 1 || recent[0].ID != q.ID() {
 		t.Errorf("recent = %v, want the finished query", recent)
+	}
+}
+
+// TestProcessListRecentRing: the finished-query history keeps the newest
+// recentKeep queries, oldest first, however many have run.
+func TestProcessListRecentRing(t *testing.T) {
+	e, _ := newTestEngine(1, 4)
+	const total = recentKeep + 5
+	sql := func(i int) string { return fmt.Sprintf("SELECT id FROM t LIMIT %d", i) }
+	for i := 1; i <= total; i++ {
+		if _, err := execute(context.Background(), e, sql(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recent := e.Processes().Recent()
+	if len(recent) != recentKeep {
+		t.Fatalf("recent holds %d queries, want %d", len(recent), recentKeep)
+	}
+	for i, r := range recent {
+		if want := sql(total - recentKeep + 1 + i); r.SQL != want || r.State != "done" {
+			t.Errorf("recent[%d] = %q (%s), want %q (done)", i, r.SQL, r.State, want)
+		}
 	}
 }
 

@@ -125,7 +125,9 @@ func (q *Query) Kill() {
 }
 
 // QueryInfo is a point-in-time snapshot of one query for the process
-// list (and its /debug/queries rendering).
+// list (and its /debug/queries rendering). The finished-query ring of
+// these (ProcessList.Recent) is the paper's "pushdown history": Pushed,
+// FallbackSplits and SplitsPruned are filled once the query is done.
 type QueryInfo struct {
 	ID          string    `json:"id"`
 	SQL         string    `json:"sql"`
@@ -137,6 +139,15 @@ type QueryInfo struct {
 	Rows        int64     `json:"rows"`
 	BytesMoved  int64     `json:"bytes_moved"`
 	Error       string    `json:"error,omitempty"`
+	// Pushed lists the operator kinds the connector absorbed.
+	Pushed []string `json:"pushed,omitempty"`
+	// FallbackSplits counts splits that degraded from pushdown to the
+	// raw-scan path: nonzero on a successful query means it succeeded
+	// despite pushdown failures.
+	FallbackSplits int64 `json:"fallback_splits,omitempty"`
+	// SplitsPruned counts splits dropped before scheduling because
+	// per-object statistics proved the pushed-down filter false.
+	SplitsPruned int64 `json:"splits_pruned,omitempty"`
 }
 
 // Status snapshots the query: state, elapsed time and the live rows and
@@ -159,6 +170,10 @@ func (q *Query) Status() QueryInfo {
 		if q.err != nil {
 			info.Error = q.err.Error()
 		}
+		scan := q.stats.Scan.Snapshot()
+		info.Pushed = q.stats.PushedDown
+		info.FallbackSplits = scan.FallbackSplits
+		info.SplitsPruned = scan.SplitsPruned
 	}
 	return info
 }

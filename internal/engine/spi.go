@@ -8,7 +8,6 @@ package engine
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,8 +53,8 @@ type ScanStats struct {
 	// metastore's per-object statistics proved the pushed-down filter
 	// false for the whole object (zone-map split pruning).
 	SplitsPruned int64
-	// PushdownSplits and RawSplits count per-split scheduling decisions
-	// made by an adaptive connector (AdaptiveConnector.DecideSplit).
+	// PushdownSplits and RawSplits count the per-split pushdown-vs-raw
+	// choices an adaptive connector made inside CreatePageSource.
 	PushdownSplits int64
 	RawSplits      int64
 	// AdaptiveFlips counts splits that started pushed down and switched
@@ -220,11 +219,13 @@ type Connector interface {
 	// PlanOptimizer returns the connector's local optimizer (nil for
 	// connectors without pushdown logic beyond projection).
 	PlanOptimizer() ConnectorPlanOptimizer
-	// CreatePageSource opens one split for reading. The returned
-	// operator yields pages in handle.ScanSchema() order; connector
-	// metrics go into stats. The context covers the whole life of the
-	// source: cancelling it must make pending and future Next calls
-	// return promptly.
+	// CreatePageSource is the one way the engine opens a split. How the
+	// split is served — in storage, raw, or priced per split against
+	// runtime history — is the connector's business; whichever path it
+	// picks yields pages in handle.ScanSchema() order and records its
+	// metrics (including the choice) in stats. The context covers the
+	// whole life of the source: cancelling it must make pending and
+	// future Next calls return promptly.
 	CreatePageSource(ctx context.Context, handle plan.TableHandle, split Split, stats *ScanStats) (exec.Operator, error)
 }
 
@@ -237,30 +238,6 @@ type SplitSource interface {
 	// splits whose object statistics prove the handle's pushed-down
 	// filter false, and records the count via stats.AddSplitsPruned.
 	SplitsWithStats(handle plan.TableHandle, stats *ScanStats) ([]Split, error)
-}
-
-// SplitDecision is an adaptive connector's verdict for one split.
-type SplitDecision struct {
-	// Pushdown selects in-storage execution; false selects the raw
-	// object scan with local evaluation.
-	Pushdown bool
-	// Reason is a short human-readable label for traces and debugging
-	// ("history", "load", "prior", ...).
-	Reason string
-}
-
-// AdaptiveConnector is an optional Connector extension: connectors that
-// price pushdown vs raw scan per split at schedule time implement it,
-// and the engine routes split scheduling through it so every decision is
-// made (and counted) in one place. DecideSplit must be cheap — it runs
-// once per split on the worker goroutines.
-type AdaptiveConnector interface {
-	// DecideSplit prices one split against observed selectivity history
-	// and live storage load.
-	DecideSplit(handle plan.TableHandle, split Split, stats *ScanStats) SplitDecision
-	// CreatePageSourceDecided opens the split on the path the decision
-	// selected. Contract matches CreatePageSource otherwise.
-	CreatePageSourceDecided(ctx context.Context, handle plan.TableHandle, split Split, dec SplitDecision, stats *ScanStats) (exec.Operator, error)
 }
 
 // QueryStats is the engine's per-query report; the harness and Table 3
@@ -310,12 +287,4 @@ type QueryEvent struct {
 // EventListener observes completed queries.
 type EventListener interface {
 	QueryCompleted(QueryEvent)
-}
-
-// describePushdown renders the pushdown list for logs.
-func describePushdown(ops []string) string {
-	if len(ops) == 0 {
-		return "none"
-	}
-	return strings.Join(ops, "+")
 }

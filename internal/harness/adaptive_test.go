@@ -144,7 +144,7 @@ func TestAdaptiveLoadSignalPropagates(t *testing.T) {
 			defer wg.Done()
 			session := engine.NewSession().Set(ocsconn.SessionPushdown, "filter")
 			for i := 0; i < 3; i++ {
-				if _, err := c.Engine.Execute(context.Background(), heavy, session); err != nil {
+				if _, err := execute(context.Background(), c.Engine, heavy, session); err != nil {
 					t.Error(err)
 					return
 				}
@@ -195,8 +195,7 @@ func TestAdaptiveFlipKilledConnectionReplay(t *testing.T) {
 	h := adaptiveHandle(t, c, 9) // keeps every row: worst case for pushdown
 	split := engine.Split{Object: d.Table.Objects[0], Index: 0}
 	var stats engine.ScanStats
-	src, err := c.OCSConn.CreatePageSourceDecided(context.Background(), h, split,
-		engine.SplitDecision{Pushdown: true}, &stats)
+	src, err := c.OCSConn.OpenSplit(context.Background(), h, split, true, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +223,7 @@ func TestAdaptiveFlipKilledConnectionReplay(t *testing.T) {
 
 	// The raw decision path over the same split is the reference order.
 	var rawStats engine.ScanStats
-	raw, err := c.OCSConn.CreatePageSourceDecided(context.Background(), adaptiveHandle(t, c, 9), split,
-		engine.SplitDecision{Pushdown: false}, &rawStats)
+	raw, err := c.OCSConn.OpenSplit(context.Background(), adaptiveHandle(t, c, 9), split, false, &rawStats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,6 +292,149 @@ func TestAdaptiveFlipKilledConnectionReplay(t *testing.T) {
 	}
 	if scan.FallbackSplits == 0 {
 		t.Errorf("killed connection produced no fallback replay")
+	}
+}
+
+// TestCreatePageSourceIsTheDecisionPoint: the SPI method itself asks the
+// policy, so whoever opens an auto-mode split through it gets the priced
+// path and the choice counted — there is no second, policy-free way in.
+// History priced raw opens the local replay, history priced pushdown
+// streams, a static handle moves neither counter, and all three deliver
+// the same rows in the same order.
+func TestCreatePageSourceIsTheDecisionPoint(t *testing.T) {
+	c := testCluster(t)
+	d := smallLaghos(t, compress.None)
+	if err := c.Load(d); err != nil {
+		t.Fatal(err)
+	}
+	split := engine.Split{Object: d.Table.Objects[0], Index: 0}
+	object, _, err := c.OCSCli.Get(context.Background(), d.Table.Bucket, split.Object)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(h *ocsconn.Handle) ([]string, engine.ScanStats) {
+		t.Helper()
+		var stats engine.ScanStats
+		src, err := c.OCSConn.CreatePageSource(context.Background(), h, split, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for {
+			page, err := src.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if page == nil {
+				return rows, stats.Snapshot()
+			}
+			rows = collectColumn(t, page, rows)
+		}
+	}
+	policy := c.OCSConn.Policy()
+	seed := func(h *ocsconn.Handle, rowsKept int64) {
+		for i := 0; i < 40; i++ {
+			policy.ObserveSplit(h, rowsKept)
+		}
+	}
+
+	static := adaptiveHandle(t, c, 9)
+	static.Adaptive = nil
+	want, scan := open(static)
+	if scan.PushdownSplits != 0 || scan.RawSplits != 0 {
+		t.Errorf("static handle counted a decision: pushdown=%d raw=%d", scan.PushdownSplits, scan.RawSplits)
+	}
+
+	// The filter keeps every row and storage is saturated: raw wins, and
+	// the whole object crosses the wire for the local replay.
+	h := adaptiveHandle(t, c, 9)
+	seed(h, d.Table.RowCount/int64(len(d.Table.Objects)))
+	saturate(policy)
+	raw, scan := open(h)
+	if scan.RawSplits != 1 || scan.PushdownSplits != 0 {
+		t.Errorf("priced raw: decisions pushdown=%d raw=%d, want 0/1", scan.PushdownSplits, scan.RawSplits)
+	}
+	if scan.BytesMoved != int64(len(object)) {
+		t.Errorf("priced raw: moved %d bytes, want the whole object (%d)", scan.BytesMoved, len(object))
+	}
+
+	// Idle storage and a history of near-empty results: pushdown wins.
+	drain(policy)
+	seed(h, 1)
+	pushed, scan := open(adaptiveHandle(t, c, 9))
+	if scan.PushdownSplits != 1 || scan.RawSplits != 0 {
+		t.Errorf("priced pushdown: decisions pushdown=%d raw=%d, want 1/0", scan.PushdownSplits, scan.RawSplits)
+	}
+	if scan.StorageWork.RowsProcessed == 0 {
+		t.Error("priced pushdown: no storage-side work recorded")
+	}
+
+	for name, got := range map[string][]string{"raw": raw, "pushdown": pushed} {
+		if len(got) != len(want) {
+			t.Fatalf("%s path delivered %d rows, static path %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s path row %d = %s, static path = %s", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestReplaySpanCoversTheReplay pins the replay span's lifetime on the
+// tracer ring: the replay streams lazily, so its span must still be open
+// when the opener returns and be delivered exactly once when the stream
+// is exhausted or closed — whichever comes first, however often.
+func TestReplaySpanCoversTheReplay(t *testing.T) {
+	c := testCluster(t)
+	d := smallLaghos(t, compress.None)
+	if err := c.Load(d); err != nil {
+		t.Fatal(err)
+	}
+	tracer := telemetry.NewTracer(0)
+	ctx := telemetry.WithTracer(context.Background(), tracer)
+	split := engine.Split{Object: d.Table.Objects[0], Index: 0}
+	finished := func() int {
+		n := 0
+		for _, sp := range tracer.Spans() {
+			if sp.Name == "connector.adaptive_raw_scan" {
+				if sp.Attrs["decision"] != "forced" || sp.Attrs["object"] != split.Object {
+					t.Errorf("replay span attrs = %v", sp.Attrs)
+				}
+				n++
+			}
+		}
+		return n
+	}
+	for i, end := range []string{"exhaust", "close"} {
+		var stats engine.ScanStats
+		src, err := c.OCSConn.OpenSplit(ctx, adaptiveHandle(t, c, 9), split, false, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closer := src.(interface{ Close() error })
+		if got := finished(); got != i {
+			t.Fatalf("%s: %d replay spans finished when the opener returned, want %d", end, got, i)
+		}
+		page, err := src.Next()
+		if err != nil || page == nil {
+			t.Fatalf("%s: first page = %v, %v", end, page, err)
+		}
+		if got := finished(); got != i {
+			t.Fatalf("%s: replay span finished mid-stream", end)
+		}
+		if end == "exhaust" {
+			for page != nil {
+				if page, err = src.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		closer.Close()
+		closer.Close()
+		if got := finished(); got != i+1 {
+			t.Fatalf("%s: %d replay spans finished after the stream ended, want %d", end, got, i+1)
+		}
 	}
 }
 
@@ -415,7 +556,7 @@ func BenchmarkAdaptiveSweep(b *testing.B) {
 						return
 					default:
 					}
-					if _, err := c.Engine.Execute(context.Background(), heavy, session); err != nil {
+					if _, err := execute(context.Background(), c.Engine, heavy, session); err != nil {
 						return
 					}
 				}

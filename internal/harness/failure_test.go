@@ -128,11 +128,11 @@ func TestMultiNodeCluster(t *testing.T) {
 		t.Errorf("placement not spread: %d/3 nodes populated", populated)
 	}
 	// Full pushdown across nodes returns the same answer as none.
-	baseline, err := c.Engine.Execute(context.Background(), d.Query, engine.NewSession().Set(ocsconn.SessionPushdown, "none"))
+	baseline, err := execute(context.Background(), c.Engine, d.Query, engine.NewSession().Set(ocsconn.SessionPushdown, "none"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := c.Engine.Execute(context.Background(), d.Query, engine.NewSession().Set(ocsconn.SessionPushdown, "all"))
+	full, err := execute(context.Background(), c.Engine, d.Query, engine.NewSession().Set(ocsconn.SessionPushdown, "all"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -257,4 +258,13 @@ func TestHiveVsOCSFilterAblation(t *testing.T) {
 		t.Errorf("CSV path (%v) should cost more than Arrow path (%v)",
 			hiveCell.Modeled.Total, ocsCell.Modeled.Total)
 	}
+}
+
+// execute submits one query and blocks for its result.
+func execute(ctx context.Context, e *engine.Engine, sql string, session *engine.Session) (*engine.Result, error) {
+	q, err := e.Submit(ctx, sql, engine.WithSession(session))
+	if err != nil {
+		return nil, err
+	}
+	return q.Result()
 }

@@ -130,8 +130,8 @@ func scanPinnedHandle(t *testing.T, c *Cluster, h *ocsconn.Handle) []string {
 	var out []string
 	var stats engine.ScanStats
 	for i, key := range h.Table.Objects {
-		src, err := c.OCSConn.CreatePageSourceDecided(context.Background(), h,
-			engine.Split{Object: key, Index: i}, engine.SplitDecision{}, &stats)
+		src, err := c.OCSConn.OpenSplit(context.Background(), h,
+			engine.Split{Object: key, Index: i}, false, &stats)
 		if err != nil {
 			t.Fatalf("open pinned split %s: %v", key, err)
 		}
@@ -191,7 +191,7 @@ func TestIngestQ3EndToEndWithConcurrentCompaction(t *testing.T) {
 
 	runQ3 := func(label string) {
 		t.Helper()
-		res, err := c.Engine.Execute(context.Background(), workload.TPCHQ3Query, engine.NewSession())
+		res, err := execute(context.Background(), c.Engine, workload.TPCHQ3Query, engine.NewSession())
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -449,7 +449,7 @@ func TestIngestKilledConnectionFault(t *testing.T) {
 	if tbl.RowCount != 96 || len(tbl.Objects) != 2 {
 		t.Errorf("after recovery: %d rows in %d objects", tbl.RowCount, len(tbl.Objects))
 	}
-	res, err := c.Engine.Execute(ctx, "SELECT COUNT(*) AS n FROM orders", engine.NewSession())
+	res, err := execute(ctx, c.Engine, "SELECT COUNT(*) AS n FROM orders", engine.NewSession())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestCompactionKilledConnectionMidRun(t *testing.T) {
 	}
 	countRows := func(label string) int64 {
 		t.Helper()
-		res, err := c.Engine.Execute(ctx, "SELECT COUNT(*) AS n FROM orders", engine.NewSession())
+		res, err := execute(ctx, c.Engine, "SELECT COUNT(*) AS n FROM orders", engine.NewSession())
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

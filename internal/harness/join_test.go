@@ -144,7 +144,7 @@ func TestJoinQ3DifferentialAcrossModes(t *testing.T) {
 	run := func(label string, session *engine.Session) *engine.Result {
 		t.Helper()
 		c.FlushNodeCaches()
-		res, err := c.Engine.Execute(context.Background(), workload.TPCHQ3Query, session)
+		res, err := execute(context.Background(), c.Engine, workload.TPCHQ3Query, session)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -214,7 +214,7 @@ func TestJoinBloomRejectedFallbackEngineSide(t *testing.T) {
 		}
 	}
 
-	res, err := c.Engine.Execute(context.Background(), workload.TPCHQ3Query, engine.NewSession())
+	res, err := execute(context.Background(), c.Engine, workload.TPCHQ3Query, engine.NewSession())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +287,7 @@ func TestJoinBloomProbeFlipMidStream(t *testing.T) {
 
 	split := engine.Split{Object: d.Table.Objects[0], Index: 0}
 	var stats engine.ScanStats
-	src, err := c.OCSConn.CreatePageSourceDecided(context.Background(), bloomHandle(), split,
-		engine.SplitDecision{Pushdown: true}, &stats)
+	src, err := c.OCSConn.OpenSplit(context.Background(), bloomHandle(), split, true, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +314,7 @@ func TestJoinBloomProbeFlipMidStream(t *testing.T) {
 	// Raw decision over the same handle shape evaluates the identical
 	// plan — bloom included — locally, and is the reference order.
 	var rawStats engine.ScanStats
-	raw, err := c.OCSConn.CreatePageSourceDecided(context.Background(), bloomHandle(), split,
-		engine.SplitDecision{Pushdown: false}, &rawStats)
+	raw, err := c.OCSConn.OpenSplit(context.Background(), bloomHandle(), split, false, &rawStats)
 	if err != nil {
 		t.Fatal(err)
 	}

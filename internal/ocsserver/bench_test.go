@@ -73,7 +73,7 @@ func BenchmarkPruneSweep(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					read := &substrait.ReadRel{Bucket: "b", Object: "sweep", BaseSchema: sweepSchema()}
 					plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})
-					pages, _, err := executeLocalPool(store, plan, 1, mode.noPrune, nil)
+					pages, _, err := execute(store, plan, openOpts{scanPool: 1, noPrune: mode.noPrune})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -130,7 +130,7 @@ func BenchmarkHotCache(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		var decoded int64
 		for i := 0; i < b.N; i++ {
-			pages, stats, err := ExecuteLocalPool(store, newPlan(), 1)
+			pages, stats, err := ExecuteLocalCached(store, newPlan(), 1, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

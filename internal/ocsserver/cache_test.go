@@ -51,7 +51,7 @@ func TestCacheDifferentialExecution(t *testing.T) {
 		if trial%5 == 0 {
 			pool = 4
 		}
-		uncached, _, errU := ExecuteLocalPool(store, plan, pool)
+		uncached, _, errU := ExecuteLocalCached(store, plan, pool, nil)
 		cold, _, errC := ExecuteLocalCached(store, plan, pool, caches)
 		warm, _, errW := ExecuteLocalCached(store, plan, pool, caches)
 		if (errU == nil) != (errC == nil) || (errU == nil) != (errW == nil) {
@@ -110,7 +110,7 @@ func TestCacheInvalidationOnRePut(t *testing.T) {
 	// Overwrite with all-2s. The generation key changes, so the warm
 	// cache must not serve any v1 footer or page.
 	store.Put("b", "o", constObject(t, 2, 64))
-	uncached, _, err := ExecuteLocalPool(store, plan, 1)
+	uncached, _, err := ExecuteLocalCached(store, plan, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

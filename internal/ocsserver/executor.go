@@ -27,38 +27,49 @@ import (
 	"prestocs/internal/types"
 )
 
-// execEnv carries the shared state of one local plan execution: the
-// operator meter, the work-stats sink (guarded by mu because the parallel
-// scanner merges reader I/O from several goroutines), the scan-pool size
-// and the cleanup hooks that stop scanner workers when the pipeline is
-// drained or abandoned.
-type execEnv struct {
-	meter    exec.Meter
-	mu       sync.Mutex
-	stats    objstore.WorkStats
+// openOpts are the inputs of one local plan execution beyond the store
+// and the plan. The zero value is the in-process default: uncached, no
+// telemetry, cost-model scan pool, an ephemeral scheduler.
+type openOpts struct {
+	// scanPool sizes the row-group scan pool; <= 0 selects the cost-model
+	// storage-node core count, 1 forces the sequential scanner.
 	scanPool int
-	closers  []func()
 
-	// sched is the fair-share scan scheduler this execution submits its
-	// row-group tasks to: the node's shared scheduler for RPC queries, or
-	// an ephemeral one owned by runEnv for in-process entry points.
+	// sched is the fair-share scan scheduler the execution submits its
+	// row-group tasks to: the node's shared scheduler for RPC queries. Nil
+	// gives the execution an ephemeral one that its LocalStream owns and
+	// closes (in-process callers have no node to share one with).
 	sched *scanScheduler
-	// ownSched marks an ephemeral scheduler that runEnv must close.
-	ownSched bool
 
 	// noPrune disables statistics-driven row-group pruning; the
 	// differential property tests compare pruned runs against it.
 	noPrune bool
 
 	// caches holds the node's footer and hot-page caches; nil runs fully
-	// uncached (in-process ExecuteLocal callers and the connector's
-	// fallback replay, which must not touch node caches it cannot see).
+	// uncached (in-process callers and the connector's replay, which must
+	// not touch node caches it cannot see).
 	caches *cache.Storage
 
 	// ctx carries the ambient tracer, span and metrics registry of the
 	// request this execution serves; nil means no telemetry (in-process
-	// ExecuteLocal callers).
+	// callers).
 	ctx context.Context
+}
+
+// execEnv carries the shared state of one local plan execution: its
+// inputs, the operator meter, the work-stats sink (guarded by mu because
+// the parallel scanner merges reader I/O from several goroutines) and the
+// cleanup hooks that stop scanner workers when the pipeline is drained or
+// abandoned.
+type execEnv struct {
+	openOpts
+	meter   exec.Meter
+	mu      sync.Mutex
+	stats   objstore.WorkStats
+	closers []func()
+
+	// ownSched marks an ephemeral scheduler the stream's teardown closes.
+	ownSched bool
 }
 
 // context returns the env's request context, never nil.
@@ -69,11 +80,16 @@ func (env *execEnv) context() context.Context {
 	return env.ctx
 }
 
-func newExecEnv(scanPool int) *execEnv {
-	if scanPool <= 0 {
-		scanPool = costmodel.StorageScanParallelism()
+func newExecEnv(o openOpts) *execEnv {
+	env := &execEnv{openOpts: o}
+	if env.scanPool <= 0 {
+		env.scanPool = costmodel.StorageScanParallelism()
 	}
-	return &execEnv{scanPool: scanPool}
+	if env.sched == nil {
+		env.sched = newScanScheduler() // vet-concurrency:allow in-process entry point; no node-wide scheduler exists to share
+		env.ownSched = true
+	}
+	return env
 }
 
 // addStatsDelta merges one row group's reader I/O into the shared sink.
@@ -276,7 +292,7 @@ func compileRead(store *objstore.Store, read *substrait.ReadRel, pruneWith expr.
 	// scheduler (in-process entry points, the connector's replay paths) has
 	// neither concern, so it only pays the per-task handoff when it buys
 	// real parallelism.
-	if env.sched != nil && len(groups) > 1 && (!env.ownSched || env.scanPool > 1) {
+	if len(groups) > 1 && (!env.ownSched || env.scanPool > 1) {
 		return parallelScan(env, data, r.Meta(), objKey, groups, cols, twoTouch, outSchema), nil
 	}
 
@@ -357,68 +373,66 @@ func recordPrune(env *execEnv, object string, pruned []int, bytesSkipped int64) 
 	sp.End()
 }
 
-// ExecuteLocal runs a plan against a local store and returns the result
-// pages plus storage-side work stats. This is the storage node's embedded
-// SQL engine entry point; it is exported for direct (in-process) use by
-// tests and the quickstart example. The row-group scan pool defaults to
-// the cost-model storage-node core count.
-func ExecuteLocal(store *objstore.Store, plan *substrait.Plan) ([]*column.Page, *objstore.WorkStats, error) {
-	return ExecuteLocalPool(store, plan, 0)
-}
-
-// ExecuteLocalPool is ExecuteLocal with an explicit row-group scan pool
-// size; pool <= 0 selects the cost-model default, pool == 1 forces the
-// sequential scanner. It runs fully uncached — the connector's fallback
-// replay depends on this to bypass (never corrupt) node caches it has no
-// view of.
-func ExecuteLocalPool(store *objstore.Store, plan *substrait.Plan, pool int) ([]*column.Page, *objstore.WorkStats, error) {
-	return executeLocalPool(store, plan, pool, false, nil)
-}
-
-// ExecuteLocalCached is ExecuteLocalPool with an explicit cache bundle,
-// the entry point for cache-aware in-process callers (tests and
-// BenchmarkHotCache); a nil bundle is the uncached path.
-func ExecuteLocalCached(store *objstore.Store, plan *substrait.Plan, pool int, caches *cache.Storage) ([]*column.Page, *objstore.WorkStats, error) {
-	if _, err := plan.Validate(); err != nil {
-		return nil, nil, err
-	}
-	env := newExecEnv(pool)
-	env.caches = caches
-	return runEnv(store, plan, env)
-}
-
-// LocalStream is a lazily-drained ExecuteLocal: the compiled pipeline is
-// pulled page by page instead of materialized up front, so a consumer —
-// the connector's local replay path — overlaps residual execution with
-// the scan exactly like the raw no-pushdown path does. The final nil
+// LocalStream is one local plan execution, pulled page by page: the
+// storage node's RPC handler streams it to the wire, the connector's
+// local replay overlaps residual execution with it exactly like the raw
+// no-pushdown path does, and ExecuteLocalCached drains it. The final nil
 // page (or Close, when the consumer abandons the stream) tears down the
-// scan workers and the ephemeral scheduler; Work is valid after either.
+// scan workers and, when the stream owns it, the ephemeral scheduler;
+// Work is valid after either.
 type LocalStream struct {
-	op   exec.Operator
-	env  *execEnv
-	done bool
-	work *objstore.WorkStats
+	op         exec.Operator
+	env        *execEnv
+	planSchema *types.Schema
+	done       bool
+	work       *objstore.WorkStats
 }
 
-// ExecuteLocalStream compiles a plan against a local store and returns
-// the result stream. Like ExecuteLocalPool it runs fully uncached — the
-// connector's replay paths depend on this to bypass (never corrupt) node
-// caches they have no view of. pool <= 0 selects the cost-model default.
-func ExecuteLocalStream(store *objstore.Store, plan *substrait.Plan, pool int) (*LocalStream, error) {
-	if _, err := plan.Validate(); err != nil {
-		return nil, err
+// open is the single way a plan is run against a local store: it
+// validates the plan, builds the execution env and compiles the pipeline.
+// A plan that fails validation is reported with rpc.CodeInvalid.
+func open(store *objstore.Store, plan *substrait.Plan, o openOpts) (*LocalStream, error) {
+	planSchema, err := plan.Validate()
+	if err != nil {
+		return nil, rpc.WithCode(err, rpc.CodeInvalid)
 	}
-	env := newExecEnv(pool)
-	env.sched = newScanScheduler() // vet-concurrency:allow in-process entry point; no node-wide scheduler exists to share
-	env.ownSched = true
-	s := &LocalStream{env: env}
-	op, err := compilePlan(store, plan, env)
+	s := &LocalStream{env: newExecEnv(o), planSchema: planSchema}
+	op, err := compilePlan(store, plan, s.env)
 	if err != nil {
 		s.teardown()
 		return nil, err
 	}
 	s.op = op
 	return s, nil
+}
+
+// ExecuteLocalStream opens a plan against a local store fully uncached —
+// the connector's replay paths depend on this to bypass (never corrupt)
+// node caches they have no view of. pool <= 0 selects the cost-model
+// default.
+func ExecuteLocalStream(store *objstore.Store, plan *substrait.Plan, pool int) (*LocalStream, error) {
+	return open(store, plan, openOpts{scanPool: pool})
+}
+
+// ExecuteLocalCached runs a plan to completion with an explicit cache
+// bundle and returns the result pages plus storage-side work stats: the
+// entry point for in-process callers (tests, the layer benchmarks); a nil
+// bundle is the uncached path, pool as for ExecuteLocalStream.
+func ExecuteLocalCached(store *objstore.Store, plan *substrait.Plan, pool int, caches *cache.Storage) ([]*column.Page, *objstore.WorkStats, error) {
+	return execute(store, plan, openOpts{scanPool: pool, caches: caches})
+}
+
+// execute is open + drain.
+func execute(store *objstore.Store, plan *substrait.Plan, o openOpts) ([]*column.Page, *objstore.WorkStats, error) {
+	s, err := open(store, plan, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	pages, err := exec.Drain(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pages, s.Work(), nil
 }
 
 // Schema implements exec.Operator.
@@ -455,43 +469,8 @@ func (s *LocalStream) teardown() {
 	}
 	s.done = true
 	s.env.close()
-	s.env.sched.close()
+	if s.env.ownSched {
+		s.env.sched.close()
+	}
 	s.work = s.env.finish()
-}
-
-// executeLocalPool is the shared implementation; noPrune disables
-// statistics-driven row-group pruning so differential tests (and the
-// selectivity-sweep benchmark) can compare against the full scan.
-func executeLocalPool(store *objstore.Store, plan *substrait.Plan, pool int, noPrune bool, caches *cache.Storage) ([]*column.Page, *objstore.WorkStats, error) {
-	if _, err := plan.Validate(); err != nil {
-		return nil, nil, err
-	}
-	env := newExecEnv(pool)
-	env.noPrune = noPrune
-	env.caches = caches
-	return runEnv(store, plan, env)
-}
-
-// runEnv compiles and drains a validated plan under a prepared env. An
-// env with no scheduler (in-process entry points, which have no node to
-// share one with) gets an ephemeral one for the duration of the run.
-func runEnv(store *objstore.Store, plan *substrait.Plan, env *execEnv) ([]*column.Page, *objstore.WorkStats, error) {
-	if env.sched == nil {
-		env.sched = newScanScheduler() // vet-concurrency:allow in-process entry point; no node-wide scheduler exists to share
-		env.ownSched = true
-	}
-	if env.ownSched {
-		defer env.sched.close()
-	}
-	op, err := compilePlan(store, plan, env)
-	if err != nil {
-		env.close()
-		return nil, nil, err
-	}
-	pages, err := exec.Drain(op)
-	env.close()
-	if err != nil {
-		return nil, nil, err
-	}
-	return pages, env.finish(), nil
 }

@@ -157,7 +157,7 @@ const DefaultMaxBloomBytes = 256 << 10
 // plan. The error is CodeInvalid — not transient — so the connector
 // retries without the filter instead of falling back off pushdown
 // entirely. Only the RPC path enforces the cap: local replay
-// (ExecuteLocal*) runs whatever the engine already committed to.
+// (ExecuteLocalStream) runs whatever the engine already committed to.
 func (n *StorageNode) checkBloomSize(plan *substrait.Plan) error {
 	limit := n.MaxBloomBytes
 	if limit == 0 {
@@ -200,26 +200,14 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 	if err != nil {
 		return nil, rpc.WithCode(fmt.Errorf("node %d: invalid plan: %w", n.ID, err), rpc.CodeInvalid)
 	}
-	// Partial aggregation changes the output schema (it is still keys +
-	// one column per measure, same names/kinds for our function set), so
-	// the first page's schema is authoritative once a page exists; the
-	// validated plan schema covers the zero-page case.
-	planSchema, err := plan.Validate()
-	if err != nil {
-		return nil, rpc.WithCode(fmt.Errorf("node %d: %w", n.ID, err), rpc.CodeInvalid)
-	}
 	if err := n.checkBloomSize(plan); err != nil {
 		return nil, err
 	}
-	env := newExecEnv(n.ScanPool)
-	env.ctx = ctx
-	env.caches = n.Caches
-	env.sched = n.sched
-	defer env.close()
-	op, err := compilePlan(n.store, plan, env)
+	ls, err := open(n.store, plan, openOpts{scanPool: n.ScanPool, sched: n.sched, caches: n.Caches, ctx: ctx})
 	if err != nil {
 		return nil, fmt.Errorf("node %d: %w", n.ID, err)
 	}
+	defer ls.Close()
 
 	buf := arrowlite.GetBuf()
 	defer arrowlite.PutBuf(buf)
@@ -255,7 +243,7 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("node %d: %w", n.ID, err)
 		}
-		page, err := op.Next()
+		page, err := ls.Next()
 		if err != nil {
 			return nil, fmt.Errorf("node %d: %w", n.ID, err)
 		}
@@ -289,16 +277,19 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 			return nil, err
 		}
 	}
+	// Partial aggregation changes the output schema (it is still keys +
+	// one column per measure, same names/kinds for our function set), so
+	// the first page's schema is authoritative once a page exists; the
+	// validated plan schema covers the zero-page case.
 	if !sentSchema {
-		if err := sendSchema(planSchema); err != nil {
+		if err := sendSchema(ls.planSchema); err != nil {
 			return nil, err
 		}
 	}
-	env.close()
-	// Refresh the load word once more so the end frame carries the
-	// post-scan backlog (this query's queue is gone by now).
+	// The drained stream has released its scan queue: refresh the load
+	// word once more so the end frame carries the post-scan backlog.
 	rpc.SetStreamLoad(ctx, n.loadSignal(backlog))
-	st := env.finish()
+	st := ls.Work()
 	span.SetAttr("bytes_read", fmt.Sprint(st.BytesRead))
 	span.SetAttr("rows_processed", fmt.Sprint(st.RowsProcessed))
 	e := protowire.NewEncoder()

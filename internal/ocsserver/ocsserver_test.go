@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"prestocs/internal/cache"
 	"prestocs/internal/column"
 	"prestocs/internal/compress"
 	"prestocs/internal/exec"
@@ -57,7 +58,7 @@ func filterPlan(t *testing.T, bucket, object string) *substrait.Plan {
 func TestExecuteLocalFilter(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "o", meshObject(t, compress.None))
-	pages, stats, err := ExecuteLocal(store, filterPlan(t, "b", "o"))
+	pages, stats, err := ExecuteLocalCached(store, filterPlan(t, "b", "o"), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +80,14 @@ func TestExecuteLocalRowGroupPruning(t *testing.T) {
 	store.Put("b", "o", meshObject(t, compress.None))
 	// x BETWEEN 0.5 AND 1.0 hits row groups 0 (rows 0-63) and 1 (64-127)
 	// only; groups 2,3 must be pruned, reducing BytesRead.
-	_, statsPruned, err := ExecuteLocal(store, filterPlan(t, "b", "o"))
+	_, statsPruned, err := ExecuteLocalCached(store, filterPlan(t, "b", "o"), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An always-true filter reads everything.
 	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
 	cond, _ := expr.NewCompare(expr.Ge, expr.Col(1, "x", types.Float64), expr.Lit(types.FloatValue(-1)))
-	_, statsFull, err := ExecuteLocal(store, substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond}))
+	_, statsFull, err := ExecuteLocalCached(store, substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond}), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestExecuteLocalAggregatePartial(t *testing.T) {
 			{Func: substrait.AggCountStar, Arg: -1, Name: "cnt"},
 		},
 	}
-	pages, stats, err := ExecuteLocal(store, substrait.NewPlan(agg))
+	pages, stats, err := ExecuteLocalCached(store, substrait.NewPlan(agg), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestExecuteLocalTopNAndProject(t *testing.T) {
 		Input: &substrait.SortRel{Input: proj, Keys: []substrait.SortKey{{Column: 1, Descending: true}}},
 		Count: 5,
 	}
-	pages, _, err := ExecuteLocal(store, substrait.NewPlan(topn))
+	pages, _, err := ExecuteLocalCached(store, substrait.NewPlan(topn), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestExecuteLocalBareFetch(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "o", meshObject(t, compress.None))
 	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
-	pages, _, err := ExecuteLocal(store, substrait.NewPlan(&substrait.FetchRel{Input: read, Count: 7}))
+	pages, _, err := ExecuteLocalCached(store, substrait.NewPlan(&substrait.FetchRel{Input: read, Count: 7}), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +179,10 @@ func TestExecuteLocalBareFetch(t *testing.T) {
 func TestExecuteLocalErrors(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "corrupt", []byte("nope"))
-	if _, _, err := ExecuteLocal(store, filterPlan(t, "b", "missing")); err == nil {
+	if _, _, err := ExecuteLocalCached(store, filterPlan(t, "b", "missing"), 0, nil); err == nil {
 		t.Error("missing object accepted")
 	}
-	if _, _, err := ExecuteLocal(store, filterPlan(t, "b", "corrupt")); err == nil {
+	if _, _, err := ExecuteLocalCached(store, filterPlan(t, "b", "corrupt"), 0, nil); err == nil {
 		t.Error("corrupt object accepted")
 	}
 	// Schema mismatch between plan and object.
@@ -189,7 +190,7 @@ func TestExecuteLocalErrors(t *testing.T) {
 	wrongSchema := types.NewSchema(types.Column{Name: "other", Type: types.Int64})
 	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: wrongSchema}
 	cond, _ := expr.NewCompare(expr.Gt, expr.Col(0, "other", types.Int64), expr.Lit(types.IntValue(0)))
-	if _, _, err := ExecuteLocal(store, substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})); err == nil {
+	if _, _, err := ExecuteLocalCached(store, substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond}), 0, nil); err == nil {
 		t.Error("schema mismatch accepted")
 	}
 }
@@ -350,5 +351,55 @@ func TestFrontendRejectsGarbagePlan(t *testing.T) {
 	_, err = raw.rpc.Call(context.Background(), MethodExecute, []byte{0xde, 0xad})
 	if err == nil || !strings.Contains(err.Error(), "rejecting plan") {
 		t.Errorf("garbage plan error = %v", err)
+	}
+}
+
+// TestNodeRPCEqualsExecuteLocalCached pins the single-open contract: the
+// node's RPC handler and the in-process entry point run the same env +
+// pipeline, so for one plan they return the same pages and the same work
+// stats — including what the caches save: the in-process side gets a cache
+// bundle of its own and sees the plans in the same order, so the second
+// plan hits warm footers and pages on both sides. Pool 1 keeps the float
+// work-unit sums in file order.
+func TestNodeRPCEqualsExecuteLocalCached(t *testing.T) {
+	cluster, err := StartClusterWith(1, ClusterConfig{ScanPool: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewClient(cluster.Addr)
+	defer func() {
+		cli.Close()
+		cluster.Shutdown()
+	}()
+	if err := cli.Put(context.Background(), "b", "o", meshObject(t, compress.Gzip)); err != nil {
+		t.Fatal(err)
+	}
+	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
+	plans := []*substrait.Plan{
+		filterPlan(t, "b", "o"),
+		substrait.NewPlan(&substrait.AggregateRel{
+			Input:     read,
+			GroupKeys: []int{0},
+			Measures:  []substrait.Measure{{Func: substrait.AggSum, Arg: 2, Name: "sum_e"}},
+		}),
+	}
+	node := cluster.Nodes[0]
+	caches := cache.NewStorage(cache.DefaultFooterCacheBytes, cache.DefaultPageCacheBytes)
+	for _, plan := range plans {
+		name := plan.String()
+		res, err := cli.Execute(context.Background(), plan)
+		if err != nil {
+			t.Fatalf("%s: rpc: %v", name, err)
+		}
+		pages, work, err := ExecuteLocalCached(node.Store(), plan, 1, caches)
+		if err != nil {
+			t.Fatalf("%s: in-process: %v", name, err)
+		}
+		if got, want := renderPages(res.Pages), renderPages(pages); got != want {
+			t.Errorf("%s: rpc pages differ from in-process pages\nrpc:\n%s\nin-process:\n%s", name, got, want)
+		}
+		if res.Stats != *work {
+			t.Errorf("%s: rpc work %+v, in-process work %+v", name, res.Stats, *work)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"prestocs/internal/column"
-	"prestocs/internal/exec"
 	"prestocs/internal/expr"
 	"prestocs/internal/objstore"
 	"prestocs/internal/parquetlite"
@@ -175,8 +174,8 @@ func TestPruneDifferentialProperty(t *testing.T) {
 		if trial%5 == 0 {
 			pool = 4
 		}
-		pruned, _, errP := executeLocalPool(store, plan, pool, false, nil)
-		full, _, errF := executeLocalPool(store, plan, pool, true, nil)
+		pruned, _, errP := execute(store, plan, openOpts{scanPool: pool})
+		full, _, errF := execute(store, plan, openOpts{scanPool: pool, noPrune: true})
 		if (errP == nil) != (errF == nil) {
 			t.Fatalf("trial %d (%s): pruned err=%v full err=%v", trial, pred.String(), errP, errF)
 		}
@@ -203,11 +202,11 @@ func TestPruneDifferentialWithProjection(t *testing.T) {
 	}
 	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: pruneSchema(), Projection: []int{1, 0}}
 	plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})
-	pruned, _, err := executeLocalPool(store, plan, 1, false, nil)
+	pruned, _, err := execute(store, plan, openOpts{scanPool: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := executeLocalPool(store, plan, 1, true, nil)
+	full, _, err := execute(store, plan, openOpts{scanPool: 1, noPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,19 +247,9 @@ func TestPruneCountersAndTrace(t *testing.T) {
 	}
 	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: pruneSchema()}
 	plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})
-	if _, err := plan.Validate(); err != nil {
+	if _, _, err := execute(store, plan, openOpts{scanPool: 1, ctx: ctx}); err != nil {
 		t.Fatal(err)
 	}
-	env := newExecEnv(1)
-	env.ctx = ctx
-	op, err := compilePlan(store, plan, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exec.Drain(op); err != nil {
-		t.Fatal(err)
-	}
-	env.close()
 	root.End()
 
 	if got := reg.CounterValue(telemetry.MetricScanRowGroupsPruned); got != 11 {

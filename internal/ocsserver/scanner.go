@@ -40,7 +40,7 @@ type scanSlot struct {
 //     re-parsed); readers carry per-instance I/O counters, so sharing one
 //     across workers would race. Deltas merge into env.stats per row
 //     group, keeping partial stats correct on early stop.
-//   - env.close() (run by the executor or node handler after the drain)
+//   - env.close() (run by the LocalStream teardown after the drain)
 //     closes the queue: pending tasks are dropped and in-flight ones
 //     waited out, bounding wasted work after abandonment to at most the
 //     scheduler's worker count.

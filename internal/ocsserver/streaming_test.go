@@ -344,11 +344,11 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 		store.Put("b", "o", meshObject(t, codec))
 		for _, cfg := range configs {
 			t.Run(fmt.Sprintf("%s/%s", codec, cfg.name), func(t *testing.T) {
-				seqPages, _, err := ExecuteLocalPool(store, cfg.plan(t), 1)
+				seqPages, _, err := ExecuteLocalCached(store, cfg.plan(t), 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				parPages, _, err := ExecuteLocalPool(store, cfg.plan(t), 8)
+				parPages, _, err := ExecuteLocalCached(store, cfg.plan(t), 8, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -372,11 +372,11 @@ func TestParallelScanStatsComplete(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "o", meshObject(t, compress.Snappy))
 	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
-	_, seqStats, err := ExecuteLocalPool(store, substrait.NewPlan(read), 1)
+	_, seqStats, err := ExecuteLocalCached(store, substrait.NewPlan(read), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, parStats, err := ExecuteLocalPool(store, substrait.NewPlan(read), 4)
+	_, parStats, err := ExecuteLocalCached(store, substrait.NewPlan(read), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

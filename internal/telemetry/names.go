@@ -102,12 +102,6 @@ const (
 	MetricJoinBloomPushdown = "engine_join_bloom_splits_total"
 	MetricJoinBloomRejected = "engine_join_bloom_rejected_total"
 
-	// Connector pushdown monitor (window-independent lifetime totals).
-	MetricMonitorQueries      = "ocs_monitor_queries_total"
-	MetricMonitorSuccesses    = "ocs_monitor_successes_total"
-	MetricMonitorFallbacks    = "ocs_monitor_fallback_splits_total"
-	MetricMonitorSplitsPruned = "ocs_monitor_splits_pruned_total"
-
 	// Adaptive pushdown policy (connector side). Decisions counts per-split
 	// choices (labels: choice=pushdown|raw); flips counts mid-stream
 	// switches from pushdown to the local resume path; the shape histogram
