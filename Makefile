@@ -6,7 +6,7 @@ BENCH_OUT ?= BENCH_PR10.json
 # refactors but fails the gate if tests are deleted wholesale.
 COVER_MIN ?= 80.0
 
-.PHONY: build test bench bench-build bench-compare bench-gate bench-paper faults faults-ingest check vet-vectorized \
+.PHONY: build test bench bench-build bench-compare bench-gate bench-paper faults faults-ingest fuzz-smoke check vet-vectorized \
 	vet-telemetry vet-pruning vet-cache vet-concurrency vet-join vet-ingest ci-fast ci-race ci cover
 
 build:
@@ -77,6 +77,15 @@ faults:
 faults-ingest:
 	$(GO) test -race -count=2 -run 'Ingest|Compact|Snapshot' \
 		./internal/ingest/... ./internal/metastore/... ./internal/harness/...
+
+# fuzz-smoke runs each native fuzz target for ten seconds: the decoders
+# of bytes this program did not produce (Snappy blocks off disk, Arrow
+# batches off the wire) may reject their input but must never panic or
+# size an allocation from a length the input cannot back. `go test -fuzz`
+# takes one target and one package per run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSnappyDecode$$' -fuzztime 10s ./internal/compress/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/arrowlite/
 
 # vet-vectorized guards the vectorized hot path: per-row expression
 # evaluation (expr.EvalRow) must not reappear in the operator library or
@@ -223,7 +232,8 @@ bench-build:
 # vectorized hot path, telemetry manifest, pruning, caching, shared
 # scheduler, join hot path, ingest single writer), the benchmark module's
 # build, and the full suite under the race detector (the streaming RPC and
-# parallel scanner are concurrency-heavy), then the fault-injection matrix.
+# parallel scanner are concurrency-heavy), then the fault-injection matrix
+# and ten seconds of each fuzz target.
 check:
 	$(GO) vet ./...
 	$(MAKE) vet-vectorized
@@ -236,6 +246,7 @@ check:
 	$(MAKE) bench-build
 	$(GO) test -race ./...
 	$(MAKE) faults
+	$(MAKE) fuzz-smoke
 
 # ci-fast is the quick CI lane: formatting, compilation and every static
 # gate — everything that fails in seconds. The GitHub workflow calls this
@@ -264,8 +275,8 @@ ci-race:
 	$(GO) test -race ./...
 
 # ci mirrors the GitHub workflow end to end: fast gates, race suite,
-# fault-injection matrix.
-ci: ci-fast ci-race faults
+# fault-injection matrix, fuzz smoke.
+ci: ci-fast ci-race faults fuzz-smoke
 
 # cover enforces a combined statement-coverage floor over the packages
 # that implement statistics pruning and the write path; see COVER_MIN

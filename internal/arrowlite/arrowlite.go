@@ -272,50 +272,55 @@ func decodeBatch(b []byte, schema *types.Schema) (*column.Page, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
-	page := column.NewPage(schema)
+	page := &column.Page{Schema: schema, Vectors: make([]*column.Vector, schema.Len())}
 	for ci, col := range schema.Columns {
 		if len(b) < 4 {
 			return nil, ErrCorrupt
 		}
 		bmLen := int(binary.LittleEndian.Uint32(b))
 		b = b[4:]
+		// The bitmap must be present and cover n rows: this is what bounds
+		// n by the bytes that actually arrived before anything is sized
+		// from it.
 		if len(b) < bmLen || bmLen < (n+7)/8 {
 			return nil, ErrCorrupt
 		}
-		// Read validity bits in place instead of unpacking to a []bool.
-		bm := b[:bmLen]
-		valid := func(i int) bool { return bm[i/8]&(1<<(uint(i)%8)) != 0 }
+		// Expand the validity bitmap once, then fill the typed slice
+		// directly — no types.Value per cell. NULL cells get the zero
+		// payload whatever the sender had under them.
+		vec := &column.Vector{Kind: col.Type, Nulls: decodeNulls(b[:bmLen], n)}
 		b = b[bmLen:]
-		vec := page.Vectors[ci]
 		switch col.Type {
 		case types.Int64, types.Date:
 			if len(b) < 8*n {
 				return nil, ErrCorrupt
 			}
-			for i := 0; i < n; i++ {
-				x := int64(binary.LittleEndian.Uint64(b[8*i:]))
-				appendMaybeNull(vec, valid(i), types.Value{Kind: col.Type, I: x})
+			vec.Ints = make([]int64, n)
+			for i := range vec.Ints {
+				vec.Ints[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 			}
+			zeroNulls(vec.Ints, vec.Nulls)
 			b = b[8*n:]
 		case types.Float64:
 			if len(b) < 8*n {
 				return nil, ErrCorrupt
 			}
-			for i := 0; i < n; i++ {
-				x := math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-				appendMaybeNull(vec, valid(i), types.FloatValue(x))
+			vec.Floats = make([]float64, n)
+			for i := range vec.Floats {
+				vec.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 			}
+			zeroNulls(vec.Floats, vec.Nulls)
 			b = b[8*n:]
 		case types.Bool:
 			bb := (n + 7) / 8
 			if len(b) < bb {
 				return nil, ErrCorrupt
 			}
-			vals := b[:bb]
-			for i := 0; i < n; i++ {
-				x := vals[i/8]&(1<<(uint(i)%8)) != 0
-				appendMaybeNull(vec, valid(i), types.BoolValue(x))
+			vec.Bools = make([]bool, n)
+			for i := range vec.Bools {
+				vec.Bools[i] = b[i/8]&(1<<(uint(i)%8)) != 0
 			}
+			zeroNulls(vec.Bools, vec.Nulls)
 			b = b[bb:]
 		case types.String:
 			// Offsets (n+1 x u32) read on the fly, no materialized slice.
@@ -329,21 +334,25 @@ func decodeBatch(b []byte, schema *types.Schema) (*column.Page, error) {
 			if len(b) < total {
 				return nil, ErrCorrupt
 			}
-			data := b[:total]
+			// One copy out of the (possibly pooled) message for the whole
+			// column; the values are substrings of it.
+			data := string(b[:total])
 			b = b[total:]
+			vec.Strings = make([]string, n)
 			prev := binary.LittleEndian.Uint32(offs)
-			for i := 0; i < n; i++ {
+			for i := range vec.Strings {
 				cur := binary.LittleEndian.Uint32(offs[4*(i+1):])
 				if prev > cur || int(cur) > total {
 					return nil, ErrCorrupt
 				}
-				s := string(data[prev:cur])
-				appendMaybeNull(vec, valid(i), types.StringValue(s))
+				vec.Strings[i] = data[prev:cur]
 				prev = cur
 			}
+			zeroNulls(vec.Strings, vec.Nulls)
 		default:
 			return nil, fmt.Errorf("arrowlite: unsupported kind %v", col.Type)
 		}
+		page.Vectors[ci] = vec
 	}
 	if len(b) != 0 {
 		return nil, ErrCorrupt
@@ -351,12 +360,36 @@ func decodeBatch(b []byte, schema *types.Schema) (*column.Page, error) {
 	return page, nil
 }
 
-func appendMaybeNull(vec *column.Vector, valid bool, v types.Value) {
-	if !valid {
-		vec.Append(types.NullValue(vec.Kind))
-		return
+// decodeNulls expands the first n bits of an LSB-first validity bitmap
+// (1 = valid) into a NULL mask, or nil when every row is valid. Fully
+// valid bytes — the common case — are skipped eight rows at a time.
+func decodeNulls(bm []byte, n int) []bool {
+	var nulls []bool
+	for base := 0; base < n; base += 8 {
+		bits := bm[base/8]
+		if bits == 0xff {
+			continue
+		}
+		for i := base; i < base+8 && i < n; i++ {
+			if bits&(1<<(uint(i)%8)) == 0 {
+				if nulls == nil {
+					nulls = make([]bool, n)
+				}
+				nulls[i] = true
+			}
+		}
 	}
-	vec.Append(v)
+	return nulls
+}
+
+// zeroNulls resets the payload under every NULL cell.
+func zeroNulls[T any](vals []T, nulls []bool) {
+	var zero T
+	for i, null := range nulls {
+		if null {
+			vals[i] = zero
+		}
+	}
 }
 
 // Reader consumes an arrowlite stream.

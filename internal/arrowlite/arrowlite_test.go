@@ -240,3 +240,101 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDecodeBatchNulls: the bulk decoder expands the validity bitmap once
+// per column. A column with no NULLs carries no mask at all, NULL cells
+// get the zero payload whatever bytes the sender had under them, and a row
+// count that is not a multiple of eight reads its last bitmap byte
+// partially.
+func TestDecodeBatchNulls(t *testing.T) {
+	schema := allKindsSchema()
+	const n = 21
+	p := column.NewPage(schema)
+	for i := 0; i < n; i++ {
+		p.AppendRow(types.IntValue(int64(i+1)), types.FloatValue(float64(i)+0.5), types.StringValue("s"),
+			types.BoolValue(true), types.DateValue(int64(100+i)))
+	}
+	// NULLs at 0, 8 and 20 in every column but the date, with junk left
+	// under them as an expression kernel might.
+	for _, v := range p.Vectors[:4] {
+		v.Nulls = make([]bool, n)
+		for _, i := range []int{0, 8, 20} {
+			v.Nulls[i] = true
+		}
+	}
+	msg, err := AppendBatch(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeBatchMsg(msg, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pagesEqual(t, p, got)
+	if got.Vectors[4].Nulls != nil {
+		t.Error("all-valid column decoded with a NULL mask")
+	}
+	for _, i := range []int{0, 8, 20} {
+		if got.Vectors[0].Ints[i] != 0 || got.Vectors[1].Floats[i] != 0 ||
+			got.Vectors[2].Strings[i] != "" || got.Vectors[3].Bools[i] {
+			t.Errorf("row %d: NULL cell kept a non-zero payload", i)
+		}
+	}
+	// Decoded values must not alias the message: it may be a pooled buffer.
+	for i := range msg {
+		msg[i] = 0xAA
+	}
+	pagesEqual(t, p, got)
+}
+
+// TestDecodeBatchHostileRowCount: a row count the message cannot back is
+// rejected before anything is sized from it.
+func TestDecodeBatchHostileRowCount(t *testing.T) {
+	schema := allKindsSchema()
+	msg := []byte{0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x00, 0xff}
+	if _, err := DecodeBatchMsg(msg, schema); err == nil {
+		t.Fatal("4G-row batch of 9 bytes accepted")
+	}
+	if n := testing.AllocsPerRun(10, func() { _, _ = DecodeBatchMsg(msg, schema) }); n > 2 {
+		t.Errorf("hostile row count cost %v allocations before being rejected", n)
+	}
+}
+
+// FuzzDecodeBatch feeds the batch decoder arbitrary bytes against the
+// all-kinds schema: it may reject them but must not panic, and a batch it
+// accepts has no more rows than its validity bitmaps could cover and
+// survives a re-encode.
+func FuzzDecodeBatch(f *testing.F) {
+	schema := allKindsSchema()
+	msg, _ := AppendBatch(nil, samplePage())
+	f.Add(msg)
+	for cut := 0; cut < len(msg); cut += 5 {
+		f.Add(msg[:cut])
+	}
+	empty, _ := AppendBatch(nil, column.NewPage(schema))
+	f.Add(empty)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x00, 0xff})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		page, err := DecodeBatchMsg(in, schema)
+		if err != nil {
+			return
+		}
+		if page.NumRows() > 8*len(in) {
+			t.Fatalf("%d bytes decoded to %d rows", len(in), page.NumRows())
+		}
+		for _, v := range page.Vectors {
+			if v.Len() != page.NumRows() || (v.Nulls != nil && len(v.Nulls) != v.Len()) {
+				t.Fatal("ragged page")
+			}
+		}
+		again, err := AppendBatch(nil, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeBatchMsg(again, schema)
+		if err != nil {
+			t.Fatalf("re-encoded batch rejected: %v", err)
+		}
+		pagesEqual(t, page, back)
+	})
+}

@@ -115,7 +115,7 @@ func Decode(c Codec, src []byte) ([]byte, error) {
 		copy(out, src)
 		return out, nil
 	case Snappy:
-		return snappyDecode(src)
+		return snappyDecode(nil, src)
 	case Gzip:
 		r, err := gzip.NewReader(bytes.NewReader(src))
 		if err != nil {
@@ -143,24 +143,14 @@ func Decode(c Codec, src []byte) ([]byte, error) {
 // DecodeAppend decompresses src and appends the output to dst, returning
 // the extended slice. Passing a pooled dst with spare capacity lets hot
 // decode paths (parquetlite page reads) avoid a fresh allocation per
-// chunk. Snappy with an empty dst falls back to the direct decoder, which
-// sizes its output exactly from the stored length.
+// chunk: every codec, Snappy included, decodes straight into that
+// capacity and allocates only when the output does not fit.
 func DecodeAppend(c Codec, src, dst []byte) ([]byte, error) {
 	switch c {
 	case None:
 		return append(dst, src...), nil
 	case Snappy:
-		if len(dst) == 0 {
-			// The block decoder sizes its output exactly from the stored
-			// uncompressed length; re-copying into dst would cost more
-			// than the allocation it saves.
-			return snappyDecode(src)
-		}
-		out, err := snappyDecode(src)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, out...), nil
+		return snappyDecode(dst, src)
 	case Gzip:
 		r, err := gzip.NewReader(bytes.NewReader(src))
 		if err != nil {

@@ -147,102 +147,132 @@ func appendCopy(dst []byte, offset, length int) []byte {
 	return dst
 }
 
-// snappyDecode expands a Snappy block.
-func snappyDecode(src []byte) ([]byte, error) {
+// snappyMaxExpansion bounds what a block can decode to: the densest
+// element is a 3-byte copy2 producing 64 bytes (21.3×), so a declared
+// length above 22 × the encoded size cannot be honest and is rejected
+// before anything is allocated for it.
+const snappyMaxExpansion = 22
+
+// snappyDecode expands a Snappy block, appending the output to dst. The
+// output region is sized once from the block header (into dst's spare
+// capacity when it fits) and written by index: literals and
+// non-overlapping matches are one copy each, overlapping matches
+// (offset < length) replicate their pattern by doubling.
+func snappyDecode(dst, src []byte) ([]byte, error) {
 	uLen, n := binary.Uvarint(src)
 	if n <= 0 {
 		return nil, ErrCorrupt
 	}
-	if uLen > 1<<32 {
-		return nil, errors.New("compress: snappy block too large")
-	}
 	src = src[n:]
-	dst := make([]byte, 0, uLen)
-	for len(src) > 0 {
-		tag := src[0]
+	if uLen > snappyMaxExpansion*uint64(len(src)) {
+		return nil, ErrCorrupt
+	}
+	base := len(dst)
+	if uint64(cap(dst)-base) < uLen {
+		grown := make([]byte, base+int(uLen))
+		copy(grown, dst)
+		dst = grown
+	} else {
+		dst = dst[:base+int(uLen)]
+	}
+	out := dst[base:]
+
+	d, s := 0, 0 // write position in out, read position in src
+	for s < len(src) {
+		tag := src[s]
+		var length, offset int
 		switch tag & 0x03 {
 		case tagLiteral:
-			length := int(tag >> 2)
-			var extra int
-			switch length {
-			case 60:
-				extra = 1
-			case 61:
-				extra = 2
-			case 62:
-				extra = 3
-			case 63:
-				extra = 4
-			}
-			if extra > 0 {
-				if len(src) < 1+extra {
+			x := uint32(tag >> 2)
+			switch {
+			case x < 60:
+				s++
+			case x == 60:
+				if len(src)-s < 2 {
 					return nil, ErrCorrupt
 				}
-				length = 0
-				for b := extra - 1; b >= 0; b-- {
-					length = length<<8 | int(src[1+b])
+				x = uint32(src[s+1])
+				s += 2
+			case x == 61:
+				if len(src)-s < 3 {
+					return nil, ErrCorrupt
 				}
+				x = uint32(binary.LittleEndian.Uint16(src[s+1:]))
+				s += 3
+			case x == 62:
+				if len(src)-s < 4 {
+					return nil, ErrCorrupt
+				}
+				x = uint32(src[s+1]) | uint32(src[s+2])<<8 | uint32(src[s+3])<<16
+				s += 4
+			default:
+				if len(src)-s < 5 {
+					return nil, ErrCorrupt
+				}
+				x = binary.LittleEndian.Uint32(src[s+1:])
+				s += 5
 			}
-			length++
-			src = src[1+extra:]
-			if len(src) < length {
+			// The literal is x+1 bytes; compare before adding so a 2^32-1
+			// length cannot wrap.
+			if uint64(x) >= uint64(len(src)-s) || uint64(x) >= uint64(len(out)-d) {
 				return nil, ErrCorrupt
 			}
-			dst = append(dst, src[:length]...)
-			src = src[length:]
+			length = int(x) + 1
+			if length <= 16 && len(src)-s >= 16 && len(out)-d >= 16 {
+				// Short literal with room on both sides: one fixed
+				// 16-byte move; the bytes past length are overwritten by
+				// the elements that follow.
+				*(*[16]byte)(out[d:]) = *(*[16]byte)(src[s:])
+			} else {
+				copy(out[d:d+length], src[s:])
+			}
+			d += length
+			s += length
+			continue
 		case tagCopy1:
-			if len(src) < 2 {
+			if len(src)-s < 2 {
 				return nil, ErrCorrupt
 			}
-			length := int(tag>>2&0x07) + 4
-			offset := int(tag>>5)<<8 | int(src[1])
-			src = src[2:]
-			var err error
-			dst, err = expandCopy(dst, offset, length)
-			if err != nil {
-				return nil, err
-			}
+			length = int(tag>>2&0x07) + 4
+			offset = int(tag>>5)<<8 | int(src[s+1])
+			s += 2
 		case tagCopy2:
-			if len(src) < 3 {
+			if len(src)-s < 3 {
 				return nil, ErrCorrupt
 			}
-			length := int(tag>>2) + 1
-			offset := int(binary.LittleEndian.Uint16(src[1:3]))
-			src = src[3:]
-			var err error
-			dst, err = expandCopy(dst, offset, length)
-			if err != nil {
-				return nil, err
-			}
+			length = int(tag>>2) + 1
+			offset = int(binary.LittleEndian.Uint16(src[s+1:]))
+			s += 3
 		case tagCopy4:
-			if len(src) < 5 {
+			if len(src)-s < 5 {
 				return nil, ErrCorrupt
 			}
-			length := int(tag>>2) + 1
-			offset := int(binary.LittleEndian.Uint32(src[1:5]))
-			src = src[5:]
-			var err error
-			dst, err = expandCopy(dst, offset, length)
-			if err != nil {
-				return nil, err
-			}
+			length = int(tag>>2) + 1
+			offset = int(binary.LittleEndian.Uint32(src[s+1:]))
+			s += 5
+		}
+		if offset <= 0 || offset > d || length > len(out)-d {
+			return nil, ErrCorrupt
+		}
+		if length <= 16 && offset >= 8 && len(out)-d >= 16 {
+			// Short match: two fixed 8-byte moves. With offset >= 8 the
+			// second word's source is either old output or what the first
+			// move just wrote, which is what a byte-wise copy would read.
+			pos := d - offset
+			*(*[8]byte)(out[d:]) = *(*[8]byte)(out[pos:])
+			*(*[8]byte)(out[d+8:]) = *(*[8]byte)(out[pos+8:])
+			d += length
+			continue
+		}
+		// The source out[d-offset:d] never overlaps the destination, which
+		// starts at d. When offset < length each pass appends what is there
+		// so far, doubling the replicated pattern until length is covered.
+		for end := d + length; d < end; {
+			d += copy(out[d:end], out[d-offset:d])
 		}
 	}
-	if uint64(len(dst)) != uLen {
+	if d != len(out) {
 		return nil, ErrCorrupt
-	}
-	return dst, nil
-}
-
-// expandCopy appends length bytes starting offset bytes back in dst;
-// overlapping copies (offset < length) replicate, per the format.
-func expandCopy(dst []byte, offset, length int) ([]byte, error) {
-	if offset <= 0 || offset > len(dst) {
-		return nil, ErrCorrupt
-	}
-	pos := len(dst) - offset
-	for i := 0; i < length; i++ {
-		dst = append(dst, dst[pos+i])
 	}
 	return dst, nil
 }

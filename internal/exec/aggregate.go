@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"prestocs/internal/column"
@@ -32,11 +30,10 @@ const (
 // measure. Output rows are ordered by first appearance of the group,
 // making results deterministic for tests.
 //
-// The implementation is columnar: group keys are encoded with a
-// collision-proof length-prefixed binary layout (fixed 8-byte words for
-// numeric kinds, uvarint-length-prefixed bytes for strings) and mapped to
-// dense group ids; measures accumulate into flat per-group arrays with
-// the per-measure function/type dispatch hoisted out of the row loop.
+// The implementation is columnar: a keyTable maps each page's key columns
+// to dense group ids (first appearance = lowest id); measures accumulate
+// into flat per-group arrays with the per-measure function/type dispatch
+// hoisted out of the row loop.
 type HashAggregate struct {
 	input    Operator
 	keys     []int
@@ -80,7 +77,10 @@ func NewHashAggregate(input Operator, keys []int, measures []substrait.Measure, 
 			return nil, err
 		}
 		if mode == AggFinal && (m.Func == substrait.AggCount || m.Func == substrait.AggCountStar) {
-			outKind = types.Int64
+			// Partial counts merge by integer summation.
+			if inKind != types.Int64 {
+				return nil, fmt.Errorf("exec: final %s over a %s state column", m.Func, inKind)
+			}
 		}
 		cols = append(cols, types.Column{Name: m.Name, Type: outKind})
 	}
@@ -120,24 +120,47 @@ type accumulator struct {
 	mmBools   []bool
 }
 
-// grow extends the per-group arrays to n groups.
+// grow extends the per-group arrays this measure uses to n groups: counts
+// always except for min/max, one sum array by kind, one min/max array by
+// kind.
 func (acc *accumulator) grow(n int) {
-	for len(acc.counts) < n {
-		acc.counts = append(acc.counts, 0)
-		acc.isums = append(acc.isums, 0)
-		acc.fsums = append(acc.fsums, 0)
-		acc.mmSet = append(acc.mmSet, false)
-		acc.mmInts = append(acc.mmInts, 0)
-		acc.mmFloats = append(acc.mmFloats, 0)
-		acc.mmStrings = append(acc.mmStrings, "")
-		acc.mmBools = append(acc.mmBools, false)
+	switch acc.fn {
+	case substrait.AggMin, substrait.AggMax:
+		acc.mmSet = growTo(acc.mmSet, n)
+		switch acc.kind {
+		case types.Int64, types.Date:
+			acc.mmInts = growTo(acc.mmInts, n)
+		case types.Float64:
+			acc.mmFloats = growTo(acc.mmFloats, n)
+		case types.String:
+			acc.mmStrings = growTo(acc.mmStrings, n)
+		case types.Bool:
+			acc.mmBools = growTo(acc.mmBools, n)
+		}
+	case substrait.AggSum:
+		acc.counts = growTo(acc.counts, n)
+		if acc.kind == types.Int64 {
+			acc.isums = growTo(acc.isums, n)
+		} else {
+			acc.fsums = growTo(acc.fsums, n)
+		}
+	default:
+		acc.counts = growTo(acc.counts, n)
 	}
+}
+
+// growTo extends s with zero values to length n.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // accumulate folds one page into the state. groupIDs[i] is row i's dense
 // group id. The function/kind dispatch happens once per page, not per
 // row; the inner loops touch raw column buffers only.
-func (acc *accumulator) accumulate(page *column.Page, groupIDs []int) error {
+func (acc *accumulator) accumulate(page *column.Page, groupIDs []int32) error {
 	switch acc.fn {
 	case substrait.AggCountStar:
 		for _, g := range groupIDs {
@@ -197,7 +220,7 @@ func (acc *accumulator) accumulate(page *column.Page, groupIDs []int) error {
 	return nil
 }
 
-func (acc *accumulator) minMax(page *column.Page, groupIDs []int, isMin bool) {
+func (acc *accumulator) minMax(page *column.Page, groupIDs []int32, isMin bool) {
 	vec := page.Vectors[acc.col]
 	nulls := vec.Nulls
 	// Ties keep the incumbent (strict comparison), matching types.Compare
@@ -255,47 +278,6 @@ func (acc *accumulator) minMax(page *column.Page, groupIDs []int, isMin bool) {
 	}
 }
 
-// encodeGroupKey appends row's key values to buf with a collision-proof
-// binary layout: a null byte per key (0 = NULL, payload omitted), then
-// fixed 8-byte words for numeric kinds, one byte for booleans, and a
-// uvarint length prefix plus raw bytes for strings. Delimiter-free and
-// injective for a fixed key schema — string values containing "\x00" or
-// "\x01" cannot collide (the previous delimiter-joined String() encoding
-// could).
-func encodeGroupKey(buf []byte, page *column.Page, keys []int, row int) []byte {
-	for _, k := range keys {
-		vec := page.Vectors[k]
-		if vec.Nulls != nil && vec.Nulls[row] {
-			buf = append(buf, 0)
-			continue
-		}
-		buf = append(buf, 1)
-		switch vec.Kind {
-		case types.Int64, types.Date:
-			buf = binary.BigEndian.AppendUint64(buf, uint64(vec.Ints[row]))
-		case types.Float64:
-			f := vec.Floats[row]
-			if math.IsNaN(f) {
-				// Canonicalize NaN payloads so every NaN lands in one
-				// group, like the formatted-key encoding did.
-				f = math.NaN()
-			}
-			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
-		case types.String:
-			s := vec.Strings[row]
-			buf = binary.AppendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
-		case types.Bool:
-			if vec.Bools[row] {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
-		}
-	}
-	return buf
-}
-
 // Next implements Operator: it drains the input on first call and emits
 // the grouped result as one page.
 func (a *HashAggregate) Next() (*column.Page, error) {
@@ -305,11 +287,13 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 	a.done = true
 
 	in := a.input.Schema()
-	ids := make(map[string]int)
+	keyKinds := make([]types.Kind, len(a.keys))
 	keyVecs := make([]*column.Vector, len(a.keys))
 	for ki, k := range a.keys {
-		keyVecs[ki] = column.NewVector(in.Columns[k].Type)
+		keyKinds[ki] = in.Columns[k].Type
+		keyVecs[ki] = column.NewVector(keyKinds[ki])
 	}
+	groups := newKeyTable(keyKinds)
 	accs := make([]*accumulator, len(a.measures))
 	for mi, m := range a.measures {
 		acc := &accumulator{fn: m.Func, col: m.Arg}
@@ -323,8 +307,8 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 		accs[mi] = acc
 	}
 
-	var keyBuf []byte
-	var groupIDs []int
+	var scratch keyScratch
+	var groupIDs []int32
 	numGroups := 0
 	for {
 		page, err := a.input.Next()
@@ -336,10 +320,7 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 		}
 		n := page.NumRows()
 		a.meter.charge(n, float64(len(a.keys))+2*float64(len(a.measures)))
-		if cap(groupIDs) < n {
-			groupIDs = make([]int, n)
-		}
-		groupIDs = groupIDs[:n]
+		groupIDs = resize(groupIDs, n)
 		if len(a.keys) == 0 {
 			// Global aggregation: one implicit group.
 			if n > 0 && numGroups == 0 {
@@ -349,18 +330,13 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 				groupIDs[i] = 0
 			}
 		} else {
-			for i := 0; i < n; i++ {
-				keyBuf = encodeGroupKey(keyBuf[:0], page, a.keys, i)
-				id, ok := ids[string(keyBuf)]
-				if !ok {
-					id = numGroups
-					numGroups++
-					ids[string(keyBuf)] = id
-					for ki, k := range a.keys {
-						keyVecs[ki].Append(page.Vectors[k].Value(i))
-					}
+			groups.assign(&scratch, page, a.keys, groupIDs)
+			numGroups = groups.len()
+			if len(scratch.fresh) > 0 {
+				// The rows that opened a group carry its key values.
+				for ki, k := range a.keys {
+					keyVecs[ki].AppendVector(page.Vectors[k].Gather(scratch.fresh))
 				}
-				groupIDs[i] = id
 			}
 		}
 		for _, acc := range accs {
@@ -429,10 +405,10 @@ func (a *HashAggregate) finalValue(acc *accumulator, m substrait.Measure, outKin
 			}
 			return types.NullValue(outKind)
 		}
-		if outKind == types.Int64 {
+		if acc.kind == types.Int64 {
 			return types.IntValue(acc.isums[g])
 		}
-		return types.FloatValue(acc.fsums[g] + float64(acc.isums[g]))
+		return types.FloatValue(acc.fsums[g])
 	case substrait.AggMin, substrait.AggMax:
 		if !acc.mmSet[g] {
 			return types.NullValue(outKind)
@@ -609,7 +585,10 @@ func log2ish(n int) float64 {
 }
 
 // TopN keeps the n smallest rows under the sort keys, emitting them in
-// sorted order. It bounds memory at n rows regardless of input size.
+// sorted order; ties go to the row that arrived first, exactly as a
+// stable Sort followed by Limit would break them. A page contributes at
+// most n rows to the buffer (bounded-heap selection, rows·log n), so
+// memory is bounded at 3n rows however large a single page is.
 type TopN struct {
 	input Operator
 	keys  []SortSpec
@@ -671,6 +650,12 @@ func (t *TopN) Next() (*column.Page, error) {
 			break
 		}
 		t.meter.charge(page.NumRows(), log2ish(int(t.n))*float64(len(t.keys)))
+		if int64(page.NumRows()) > t.n {
+			// Only the page's own n smallest can reach the output. They go
+			// into the buffer in row order, so buffer position still means
+			// arrival order and the stable cut breaks ties as before.
+			page = page.Gather(smallestRows(newSortKeyCols(page, t.keys), page.NumRows(), int(t.n)))
+		}
 		buf.AppendPage(page)
 		if int64(buf.NumRows()) >= 2*t.n {
 			cut()
@@ -678,4 +663,54 @@ func (t *TopN) Next() (*column.Page, error) {
 	}
 	cut()
 	return buf, nil
+}
+
+// smallestRows returns, in ascending order, the n rows (n < rows) that
+// come first under the total order (sort keys, row ordinal). It streams
+// the rows through a max-heap of the n best so far: a row that does not
+// beat the heap's worst costs one comparison, one that does costs about
+// log n (the hole left by the evicted worst sinks to a leaf along the
+// larger children, then the new row rises from there — it usually stays
+// near the bottom).
+func smallestRows(kc *sortKeyCols, rows, n int) []int {
+	// after reports whether row a sorts after row b.
+	after := func(a, b int) bool {
+		c := kc.compare(a, b)
+		return c > 0 || (c == 0 && a > b)
+	}
+	heap := make([]int, 0, n) // heap[0] is the worst row kept
+	// rise places row at hole i or at whichever ancestor it outranks.
+	rise := func(i, row int) {
+		for i > 0 {
+			parent := (i - 1) / 2
+			if !after(row, heap[parent]) {
+				break
+			}
+			heap[i] = heap[parent]
+			i = parent
+		}
+		heap[i] = row
+	}
+	for row := 0; row < rows; row++ {
+		if len(heap) < n {
+			heap = append(heap, row)
+			rise(len(heap)-1, row)
+			continue
+		}
+		// A later row never wins a tie, so it must compare strictly less.
+		if kc.compare(row, heap[0]) >= 0 {
+			continue
+		}
+		hole := 0
+		for child := 1; child < n; child = 2*hole + 1 {
+			if r := child + 1; r < n && after(heap[r], heap[child]) {
+				child = r
+			}
+			heap[hole] = heap[child]
+			hole = child
+		}
+		rise(hole, row)
+	}
+	sort.Ints(heap)
+	return heap
 }

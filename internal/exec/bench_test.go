@@ -131,6 +131,120 @@ func BenchmarkTopN(b *testing.B) {
 	}
 }
 
+// BenchmarkTopNOneLargePage is Q3's shape: the final aggregate hands
+// Top-N its ~38k groups as a single page and the query keeps 10.
+func BenchmarkTopNOneLargePage(b *testing.B) {
+	schema, pages := benchPages(1, 38000)
+	for i := range pages[0].Vectors[1].Floats {
+		pages[0].Vectors[1].Floats[i] = float64((i * 7919) % 38000) // hash order, not sorted
+	}
+	b.SetBytes(38000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		topn, _ := NewTopN(NewPageSource(schema, pages), []SortSpec{{Column: 1, Descending: true}}, 10, nil)
+		if _, err := Drain(topn); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// q3Pages is the join/aggregate input at Q3's shape: rows (orderkey Int64,
+// orderdate Date, revenue Float64) in 4096-row pages, every orderkey
+// appearing `repeat` times, not clustered.
+func q3Pages(keys, repeat int) (*types.Schema, []*column.Page) {
+	schema := types.NewSchema(
+		types.Column{Name: "orderkey", Type: types.Int64},
+		types.Column{Name: "orderdate", Type: types.Date},
+		types.Column{Name: "revenue", Type: types.Float64},
+	)
+	var pages []*column.Page
+	page := column.NewPage(schema)
+	for r := 0; r < keys*repeat; r++ {
+		k := (r * 7919) % keys
+		page.AppendRow(types.IntValue(int64(k)), types.DateValue(int64(8000+k%2400)), types.FloatValue(float64(r)))
+		if page.NumRows() == 4096 {
+			pages = append(pages, page)
+			page = column.NewPage(schema)
+		}
+	}
+	if page.NumRows() > 0 {
+		pages = append(pages, page)
+	}
+	return schema, pages
+}
+
+// BenchmarkHashAggregateHighCardinality is Q3's final aggregate: ~38k
+// groups keyed by (Int64, Date), about three rows each.
+func BenchmarkHashAggregateHighCardinality(b *testing.B) {
+	schema, pages := q3Pages(38000, 3)
+	measures := []substrait.Measure{{Func: substrait.AggSum, Arg: 2, Name: "revenue"}}
+	b.SetBytes(38000 * 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg, _ := NewHashAggregate(NewPageSource(schema, pages), []int{0, 1}, measures, AggSingle, nil)
+		if _, err := Drain(agg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHashAggregateStringKeys keys the aggregate by two short
+// strings. groups=4 is Q1's shape (returnflag, linestatus) — the case the
+// map[string] index served from Go's no-hash path for maps of at most
+// eight entries; groups=64 is the first size where a map has to hash.
+func BenchmarkHashAggregateStringKeys(b *testing.B) {
+	schema := types.NewSchema(
+		types.Column{Name: "returnflag", Type: types.String},
+		types.Column{Name: "linestatus", Type: types.String},
+		types.Column{Name: "quantity", Type: types.Float64},
+	)
+	measures := []substrait.Measure{
+		{Func: substrait.AggSum, Arg: 2, Name: "sum_qty"},
+		{Func: substrait.AggCountStar, Arg: -1, Name: "count_order"},
+	}
+	for _, groups := range []int{4, 64} {
+		flags := []string{"A", "N", "R", "B", "C", "D", "E", "G"}
+		pages := make([]*column.Page, 16)
+		for p := range pages {
+			page := column.NewPage(schema)
+			for r := 0; r < 4096; r++ {
+				g := (r*31 + p) % groups
+				page.AppendRow(types.StringValue(flags[g%8]), types.StringValue(flags[g/8]), types.FloatValue(float64(r%50)))
+			}
+			pages[p] = page
+		}
+		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
+			b.SetBytes(16 * 4096)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				agg, _ := NewHashAggregate(NewPageSource(schema, pages), []int{0, 1}, measures, AggSingle, nil)
+				if _, err := Drain(agg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkJoinBuildProbe is Q3's join: build 16k unique Int64 keys, probe
+// 64k rows of which a quarter find a match.
+func BenchmarkJoinBuildProbe(b *testing.B) {
+	schema, build := q3Pages(16384, 1)
+	_, probe := q3Pages(65536, 1)
+	b.SetBytes(16384 + 65536)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		table, err := BuildJoinTable(NewPageSource(schema, build), []int{0}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		j, _ := NewHashJoinProbe(NewPageSource(schema, probe), table, []int{0}, nil)
+		if _, err := Drain(j); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSort(b *testing.B) {
 	schema, pages := benchPages(8, 4096)
 	b.SetBytes(int64(8 * 4096))

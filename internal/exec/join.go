@@ -1,9 +1,9 @@
 // Hash inner equi-join: a fully-drained columnar build side indexed by
-// the same collision-proof length-prefixed key encoding the hash
-// aggregate uses, probed vectorized page-at-a-time. Rows whose key
-// contains NULL never join (SQL semantics): they are dropped from the
-// build index at build time, and a NULL probe key encodes to a value no
-// indexed key can equal, so lookups miss without a special case.
+// the same keyTable the hash aggregate groups with, probed vectorized
+// page-at-a-time. Rows whose key contains NULL never join (SQL
+// semantics): they are dropped from the build index at build time, and a
+// NULL probe key is a key no indexed row has, so lookups miss without a
+// special case.
 //
 // The probe path is guarded by `make vet-join`: no per-row value
 // accessors, no scalar expression evaluation — matching is gather-list
@@ -22,12 +22,16 @@ import (
 // JoinTable is the immutable result of draining a join's build side:
 // dense build rows (NULL-key rows removed) plus the key index. Safe for
 // concurrent probing once built (broadcast joins probe from every leaf
-// worker).
+// worker, each with its own keyScratch).
 type JoinTable struct {
 	schema *types.Schema
 	keys   []int
 	rows   *column.Page
-	index  map[string][]int32
+	// index maps a key to its id; the build rows holding key id are
+	// head[id], next[head[id]], … until -1, in insertion order.
+	index *keyTable
+	head  []int32
+	next  []int32
 	// inputRows counts drained rows before NULL-key rejection.
 	inputRows int64
 }
@@ -43,13 +47,18 @@ func BuildJoinTable(input Operator, keys []int, meter *Meter) (*JoinTable, error
 			return nil, fmt.Errorf("exec: join build key %d out of range", k)
 		}
 	}
+	kinds := make([]types.Kind, len(keys))
+	for i, k := range keys {
+		kinds[i] = schema.Columns[k].Type
+	}
 	t := &JoinTable{
 		schema: schema,
 		keys:   keys,
 		rows:   column.NewPage(schema),
-		index:  make(map[string][]int32),
+		index:  newKeyTable(kinds),
 	}
-	var keyBuf []byte
+	var scratch keyScratch
+	var rowKeys []int32 // key id of every indexed build row
 	var live []int
 	for {
 		page, err := input.Next()
@@ -93,13 +102,22 @@ func BuildJoinTable(input Operator, keys []int, meter *Meter) (*JoinTable, error
 			dense = page.FilterSel(live)
 		}
 
-		base := t.rows.NumRows()
 		t.rows.AppendPage(dense)
-		m := dense.NumRows()
-		for row := 0; row < m; row++ {
-			keyBuf = encodeGroupKey(keyBuf[:0], dense, keys, row)
-			t.index[string(keyBuf)] = append(t.index[string(keyBuf)], int32(base+row))
-		}
+		base := len(rowKeys)
+		rowKeys = append(rowKeys, make([]int32, dense.NumRows())...)
+		t.index.assign(&scratch, dense, keys, rowKeys[base:])
+	}
+	// Chain each key's rows back to front, so that walking a chain from
+	// its head yields them in insertion order.
+	t.head = make([]int32, t.index.len())
+	for i := range t.head {
+		t.head[i] = -1
+	}
+	t.next = make([]int32, len(rowKeys))
+	for row := len(rowKeys) - 1; row >= 0; row-- {
+		id := rowKeys[row]
+		t.next[row] = t.head[id]
+		t.head[id] = int32(row)
 	}
 	return t, nil
 }
@@ -143,7 +161,8 @@ type HashJoinProbe struct {
 
 	probeIdx []int
 	buildIdx []int
-	keyBuf   []byte
+	keyIDs   []int32
+	scratch  keyScratch
 }
 
 // NewHashJoinProbe validates key arity/types and builds the combined
@@ -189,7 +208,7 @@ func (j *HashJoinProbe) Next() (*column.Page, error) {
 			return nil, nil
 		}
 		n := page.NumRows()
-		if n == 0 || len(j.table.index) == 0 {
+		if n == 0 || j.table.index.len() == 0 {
 			if n > 0 {
 				j.meter.charge(n, float64(len(j.keys)))
 			}
@@ -201,13 +220,13 @@ func (j *HashJoinProbe) Next() (*column.Page, error) {
 		// per join match.
 		j.probeIdx = j.probeIdx[:0]
 		j.buildIdx = j.buildIdx[:0]
-		for row := 0; row < n; row++ {
-			j.keyBuf = encodeGroupKey(j.keyBuf[:0], page, j.keys, row)
-			matches, ok := j.table.index[string(j.keyBuf)]
-			if !ok {
+		j.keyIDs = resize(j.keyIDs, n)
+		j.table.index.find(&j.scratch, page, j.keys, j.keyIDs)
+		for row, id := range j.keyIDs {
+			if id < 0 {
 				continue
 			}
-			for _, b := range matches {
+			for b := j.table.head[id]; b >= 0; b = j.table.next[b] {
 				j.probeIdx = append(j.probeIdx, row)
 				j.buildIdx = append(j.buildIdx, int(b))
 			}

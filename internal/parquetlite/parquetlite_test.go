@@ -1,6 +1,7 @@
 package parquetlite
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -288,6 +289,34 @@ func TestCorruptFiles(t *testing.T) {
 	}
 	if _, err := r2.ReadColumn(0, 0); err == nil {
 		t.Error("corrupt chunk read succeeded")
+	}
+}
+
+// TestChunkLengthMustMatchFooter: a chunk whose Snappy header declares a
+// different decoded length than the footer's UncompressedSize is corrupt,
+// even when the block itself is a valid stream.
+func TestChunkLengthMustMatchFooter(t *testing.T) {
+	page := buildPage(32, 3)
+	for _, codec := range compress.Codecs() {
+		data, _ := WritePages(testSchema(), WriterOptions{Codec: codec}, page)
+		r, err := NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ReadColumn(0, 0); err != nil {
+			t.Fatalf("%s: honest footer: %v", codec, err)
+		}
+		lying := *r.Meta()
+		lying.RowGroups = append([]RowGroupMeta(nil), lying.RowGroups...)
+		lying.RowGroups[0].Chunks = append([]ChunkMeta(nil), lying.RowGroups[0].Chunks...)
+		lying.RowGroups[0].Chunks[0].UncompressedSize++
+		r2, err := NewReaderWithMeta(data, &lying)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r2.ReadColumn(0, 0); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decoded length disagrees with the footer, got %v", codec, err)
+		}
 	}
 }
 

@@ -124,7 +124,13 @@ func (r *Reader) ReadColumn(rowGroup, col int) (*column.Vector, error) {
 		}
 	}
 	r.BytesDecompressed += int64(len(raw))
-	vec, err := decodeChunk(raw, r.meta.Schema.Columns[col].Type, ch.Encoding)
+	// A chunk that decompresses to another length than the footer records
+	// is not the chunk the footer describes.
+	var vec *column.Vector
+	err := ErrCorrupt
+	if int64(len(raw)) == ch.UncompressedSize {
+		vec, err = decodeChunk(raw, r.meta.Schema.Columns[col].Type, ch.Encoding)
+	}
 	if scratch != nil {
 		if cap(raw) > cap(*scratch) {
 			*scratch = raw[:0]
