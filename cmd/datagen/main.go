@@ -70,14 +70,14 @@ func main() {
 		if err != nil {
 			log.Fatalf("datagen: generating %s: %v", name, err)
 		}
-		if err := d.UploadOCS(context.Background(), ocsCli); err != nil {
+		if err := d.Upload(context.Background(), ocsCli); err != nil {
 			log.Fatalf("datagen: uploading %s to OCS: %v", name, err)
 		}
 		if err := d.Register(ms, "ocs"); err != nil {
 			log.Fatal(err)
 		}
 		if objCli != nil {
-			if err := d.UploadObjStore(context.Background(), objCli); err != nil {
+			if err := d.Upload(context.Background(), objCli); err != nil {
 				log.Fatalf("datagen: uploading %s to object store: %v", name, err)
 			}
 			if err := d.Register(ms, "hive"); err != nil {

@@ -194,10 +194,10 @@ func (c *Cluster) Close() {
 // both catalogs.
 func (c *Cluster) Load(d *workload.Dataset) error {
 	ctx := context.Background()
-	if err := d.UploadOCS(ctx, c.OCSCli); err != nil {
+	if err := d.Upload(ctx, c.OCSCli); err != nil {
 		return err
 	}
-	if err := d.UploadObjStore(ctx, c.ObjCli); err != nil {
+	if err := d.Upload(ctx, c.ObjCli); err != nil {
 		return err
 	}
 	if err := d.Register(c.Meta, CatalogOCS); err != nil {

@@ -155,9 +155,9 @@ func TestMixedTrafficNoStarvation(t *testing.T) {
 	}
 }
 
-// BenchmarkMixedTraffic archives the mixed-traffic latency profile:
-// small-query p50/p99 while 4 heavy no-pushdown scans run concurrently.
-// benchjson picks the custom metrics up alongside ns/op.
+// BenchmarkMixedTraffic reports the mixed-traffic latency profile:
+// small-query p50/p99 while 4 heavy no-pushdown scans run concurrently,
+// as custom metrics alongside ns/op.
 func BenchmarkMixedTraffic(b *testing.B) {
 	c, heavy, small := mixedCluster(b)
 	b.ResetTimer()

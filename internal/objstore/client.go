@@ -9,18 +9,29 @@ import (
 	"prestocs/internal/column"
 	"prestocs/internal/expr"
 	"prestocs/internal/protowire"
+	"prestocs/internal/retry"
 	"prestocs/internal/rpc"
 	"prestocs/internal/substrait"
 	"prestocs/internal/types"
 )
 
-// Client talks to an object store server over RPC.
+// Client is the one client of the object protocol. It speaks to anything
+// that mounts the object methods — a Server, an OCS storage node or the OCS
+// frontend (ocsserver.Client embeds it). Put, Get, List and Delete are
+// idempotent end to end, so every call runs under the retry policy:
+// transient transport failures (peer unreachable, connection killed
+// mid-call) are retried, everything else surfaces at once.
 type Client struct {
-	rpc *rpc.Client
+	rpc   *rpc.Client
+	retry retry.Policy
 }
 
-// NewClient wraps an RPC client.
-func NewClient(addr string) *Client { return &Client{rpc: rpc.Dial(addr)} }
+// NewClient dials an object server with the default retry policy.
+func NewClient(addr string) *Client { return NewClientOver(rpc.Dial(addr), retry.Default()) }
+
+// NewClientOver builds a client on an existing connection pool and retry
+// policy, for callers that share both with other methods of the same peer.
+func NewClientOver(c *rpc.Client, p retry.Policy) *Client { return &Client{rpc: c, retry: p} }
 
 // Close releases connections.
 func (c *Client) Close() error { return c.rpc.Close() }
@@ -28,67 +39,35 @@ func (c *Client) Close() error { return c.rpc.Close() }
 // Meter exposes the transport meter (data-movement accounting).
 func (c *Client) Meter() *rpc.Meter { return &c.rpc.Meter }
 
-// Put uploads an object.
+// Put uploads an object, overwriting any previous image.
 func (c *Client) Put(ctx context.Context, bucket, key string, data []byte) error {
-	e := protowire.NewEncoder()
-	e.String(1, bucket)
-	e.String(2, key)
-	e.Bytes(3, data)
-	_, err := c.rpc.Call(ctx, MethodPut, e.Encoded())
+	_, err := c.retry.Call(ctx, c.rpc, MethodPut, EncodeRef(Ref{Bucket: bucket, Key: key, Data: data}))
 	return err
 }
 
 // Get downloads a whole object, returning the data and storage-side work
 // stats.
 func (c *Client) Get(ctx context.Context, bucket, key string) ([]byte, WorkStats, error) {
-	e := protowire.NewEncoder()
-	e.String(1, bucket)
-	e.String(2, key)
-	resp, err := c.rpc.Call(ctx, MethodGet, e.Encoded())
+	resp, err := c.retry.Call(ctx, c.rpc, MethodGet, EncodeRef(Ref{Bucket: bucket, Key: key}))
 	if err != nil {
 		return nil, WorkStats{}, err
 	}
-	return decodeDataStats(resp)
+	return DecodeDataStats(resp)
 }
 
-// Delete removes an object.
+// Delete removes an object; deleting a missing key succeeds.
 func (c *Client) Delete(ctx context.Context, bucket, key string) error {
-	e := protowire.NewEncoder()
-	e.String(1, bucket)
-	e.String(2, key)
-	_, err := c.rpc.Call(ctx, MethodDelete, e.Encoded())
+	_, err := c.retry.Call(ctx, c.rpc, MethodDelete, EncodeRef(Ref{Bucket: bucket, Key: key}))
 	return err
 }
 
-// List returns sorted keys with the prefix.
+// List returns the sorted keys of a bucket that start with prefix.
 func (c *Client) List(ctx context.Context, bucket, prefix string) ([]string, error) {
-	e := protowire.NewEncoder()
-	e.String(1, bucket)
-	e.String(2, prefix)
-	resp, err := c.rpc.Call(ctx, MethodList, e.Encoded())
+	resp, err := c.retry.Call(ctx, c.rpc, MethodList, EncodeRef(Ref{Bucket: bucket, Key: prefix}))
 	if err != nil {
 		return nil, err
 	}
-	d := protowire.NewDecoder(resp)
-	var keys []string
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		if f == 1 {
-			k, err := d.String()
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, k)
-			continue
-		}
-		if err := d.Skip(ty); err != nil {
-			return nil, err
-		}
-	}
-	return keys, nil
+	return DecodeKeys(resp)
 }
 
 // Select runs the S3 Select-like path: project columns (by name; empty =
@@ -106,39 +85,11 @@ func (c *Client) Select(ctx context.Context, bucket, key string, columns []strin
 			return nil, WorkStats{}, err
 		}
 	}
-	resp, err := c.rpc.Call(ctx, MethodSelect, e.Encoded())
+	resp, err := c.retry.Call(ctx, c.rpc, MethodSelect, e.Encoded())
 	if err != nil {
 		return nil, WorkStats{}, err
 	}
-	return decodeDataStats(resp)
-}
-
-func decodeDataStats(resp []byte) ([]byte, WorkStats, error) {
-	d := protowire.NewDecoder(resp)
-	var data []byte
-	var st WorkStats
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return nil, st, err
-		}
-		switch f {
-		case 1:
-			data, err = d.Bytes()
-		case 2:
-			var m *protowire.Decoder
-			m, err = d.Message()
-			if err == nil {
-				st, err = decodeStats(m)
-			}
-		default:
-			err = d.Skip(ty)
-		}
-		if err != nil {
-			return nil, st, err
-		}
-	}
-	return data, st, nil
+	return DecodeDataStats(resp)
 }
 
 // ParseSelectCSV converts a Select response body into a columnar page.

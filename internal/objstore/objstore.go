@@ -19,6 +19,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"prestocs/internal/rpc"
 )
 
 // Store is the in-memory bucket/object map shared by server methods.
@@ -66,17 +68,8 @@ func (s *Store) Put(bucket, key string, data []byte) {
 
 // Get fetches an object.
 func (s *Store) Get(bucket, key string) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, ok := s.buckets[bucket]
-	if !ok {
-		return nil, fmt.Errorf("objstore: no such bucket %q", bucket)
-	}
-	data, ok := b[key]
-	if !ok {
-		return nil, fmt.Errorf("objstore: no such object %q/%q", bucket, key)
-	}
-	return data, nil
+	data, _, err := s.GetVersioned(bucket, key)
+	return data, err
 }
 
 // Delete removes an object (no error if absent, like S3).
@@ -91,6 +84,17 @@ func (s *Store) Delete(bucket, key string) {
 	}
 }
 
+// errNoBucket is the one not-found rule's bucket half: a lookup in a bucket
+// no Put has created. Like errNoObject it carries rpc.CodeNotFound, so
+// every handler that returns a Store error answers NotFound on the wire.
+func errNoBucket(bucket string) error {
+	return rpc.WithCode(fmt.Errorf("objstore: no such bucket %q", bucket), rpc.CodeNotFound)
+}
+
+func errNoObject(bucket, key string) error {
+	return rpc.WithCode(fmt.Errorf("objstore: no such object %q/%q", bucket, key), rpc.CodeNotFound)
+}
+
 // GetVersioned fetches an object together with its generation, the
 // version cache keys embed. The generation changes on every Put, so two
 // equal generations imply byte-identical content.
@@ -99,11 +103,11 @@ func (s *Store) GetVersioned(bucket, key string) ([]byte, uint64, error) {
 	defer s.mu.RUnlock()
 	b, ok := s.buckets[bucket]
 	if !ok {
-		return nil, 0, fmt.Errorf("objstore: no such bucket %q", bucket)
+		return nil, 0, errNoBucket(bucket)
 	}
 	data, ok := b[key]
 	if !ok {
-		return nil, 0, fmt.Errorf("objstore: no such object %q/%q", bucket, key)
+		return nil, 0, errNoObject(bucket, key)
 	}
 	return data, s.gens[genKey(bucket, key)], nil
 }
@@ -114,7 +118,7 @@ func (s *Store) List(bucket, prefix string) ([]string, error) {
 	defer s.mu.RUnlock()
 	b, ok := s.buckets[bucket]
 	if !ok {
-		return nil, fmt.Errorf("objstore: no such bucket %q", bucket)
+		return nil, errNoBucket(bucket)
 	}
 	var keys []string
 	for k := range b {

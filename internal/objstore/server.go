@@ -17,15 +17,6 @@ import (
 	"prestocs/internal/types"
 )
 
-// RPC method names exposed by the object store server.
-const (
-	MethodGet    = "obj.Get"
-	MethodPut    = "obj.Put"
-	MethodList   = "obj.List"
-	MethodDelete = "obj.Delete"
-	MethodSelect = "obj.Select"
-)
-
 // Server exposes a Store over RPC.
 type Server struct {
 	store *Store
@@ -40,10 +31,7 @@ type Server struct {
 // NewServer wraps a store.
 func NewServer(store *Store) *Server {
 	s := &Server{store: store, rpc: rpc.NewServer()}
-	s.rpc.Register(MethodGet, s.handleGet)
-	s.rpc.Register(MethodPut, s.handlePut)
-	s.rpc.Register(MethodList, s.handleList)
-	s.rpc.Register(MethodDelete, s.handleDelete)
+	Mount(s.rpc, store, nil)
 	s.rpc.Register(MethodSelect, s.handleSelect)
 	return s
 }
@@ -60,134 +48,6 @@ func (s *Server) Close() error { return s.rpc.Close() }
 
 // Meter exposes the transport meter.
 func (s *Server) Meter() *rpc.Meter { return &s.rpc.Meter }
-
-func encodeStats(e *protowire.Encoder, field int, st WorkStats) {
-	e.Message(field, func(m *protowire.Encoder) {
-		m.Int64(1, st.BytesRead)
-		m.Int64(2, st.BytesDecompressed)
-		m.Double(3, st.CPUUnits)
-		m.Int64(4, st.RowsProcessed)
-	})
-}
-
-func decodeStats(d *protowire.Decoder) (WorkStats, error) {
-	var st WorkStats
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return st, err
-		}
-		switch f {
-		case 1:
-			st.BytesRead, err = d.Int64()
-		case 2:
-			st.BytesDecompressed, err = d.Int64()
-		case 3:
-			st.CPUUnits, err = d.Double()
-		case 4:
-			st.RowsProcessed, err = d.Int64()
-		default:
-			err = d.Skip(ty)
-		}
-		if err != nil {
-			return st, err
-		}
-	}
-	return st, nil
-}
-
-func (s *Server) handleGet(_ context.Context, payload []byte) ([]byte, error) {
-	bucket, key, err := decodeBucketKey(payload)
-	if err != nil {
-		return nil, err
-	}
-	data, err := s.store.Get(bucket, key)
-	if err != nil {
-		return nil, rpc.WithCode(err, rpc.CodeNotFound)
-	}
-	e := protowire.NewEncoder()
-	e.Bytes(1, data)
-	encodeStats(e, 2, WorkStats{BytesRead: int64(len(data))})
-	return e.Encoded(), nil
-}
-
-func (s *Server) handlePut(_ context.Context, payload []byte) ([]byte, error) {
-	d := protowire.NewDecoder(payload)
-	var bucket, key string
-	var data []byte
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		switch f {
-		case 1:
-			bucket, err = d.String()
-		case 2:
-			key, err = d.String()
-		case 3:
-			data, err = d.Bytes()
-		default:
-			err = d.Skip(ty)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if bucket == "" || key == "" {
-		return nil, fmt.Errorf("objstore: put requires bucket and key")
-	}
-	s.store.Put(bucket, key, data)
-	return nil, nil
-}
-
-func (s *Server) handleList(_ context.Context, payload []byte) ([]byte, error) {
-	bucket, prefix, err := decodeBucketKey(payload)
-	if err != nil {
-		return nil, err
-	}
-	keys, err := s.store.List(bucket, prefix)
-	if err != nil {
-		return nil, err
-	}
-	e := protowire.NewEncoder()
-	for _, k := range keys {
-		e.String(1, k)
-	}
-	return e.Encoded(), nil
-}
-
-func (s *Server) handleDelete(_ context.Context, payload []byte) ([]byte, error) {
-	bucket, key, err := decodeBucketKey(payload)
-	if err != nil {
-		return nil, err
-	}
-	s.store.Delete(bucket, key)
-	return nil, nil
-}
-
-func decodeBucketKey(payload []byte) (string, string, error) {
-	d := protowire.NewDecoder(payload)
-	var bucket, key string
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return "", "", err
-		}
-		switch f {
-		case 1:
-			bucket, err = d.String()
-		case 2:
-			key, err = d.String()
-		default:
-			err = d.Skip(ty)
-		}
-		if err != nil {
-			return "", "", err
-		}
-	}
-	return bucket, key, nil
-}
 
 // handleSelect implements the S3 Select-like path: WHERE + projection over
 // one parquetlite object, CSV out. Predicate column ordinals reference the
@@ -226,7 +86,7 @@ func (s *Server) handleSelect(_ context.Context, payload []byte) ([]byte, error)
 	}
 	data, err := s.store.Get(bucket, key)
 	if err != nil {
-		return nil, rpc.WithCode(err, rpc.CodeNotFound)
+		return nil, err
 	}
 	r, err := parquetlite.NewReader(data)
 	if err != nil {
@@ -318,10 +178,7 @@ func (s *Server) handleSelect(_ context.Context, payload []byte) ([]byte, error)
 	st.BytesDecompressed = r.BytesDecompressed
 	st.CPUUnits += float64(r.BytesDecompressed) * compress.DecompressCostPerByte(r.Meta().Codec)
 
-	e := protowire.NewEncoder()
-	e.Bytes(1, buf.Bytes())
-	encodeStats(e, 2, st)
-	return e.Encoded(), nil
+	return EncodeDataStats(buf.Bytes(), st), nil
 }
 
 // readSparse materializes only the needed columns of a row group, placing

@@ -24,7 +24,13 @@ import (
 // in-flight work and discards the connection. Transient failures —
 // unreachable frontend, connection killed before the first result chunk
 // — are retried under the client's retry policy.
+//
+// The object operations (Put, Get, List, Delete, and Close and Meter) are
+// those of the embedded object client, built over this client's connection
+// pool and retry policy: the frontend serves the object protocol like any
+// object server. (It does not serve obj.Select; Select answers NotFound.)
 type Client struct {
+	*objstore.Client
 	rpc       *rpc.Client
 	retry     retry.Policy
 	chunkRows int
@@ -65,15 +71,9 @@ func NewClient(addr string, opts ...Option) *Client {
 	for _, opt := range opts {
 		opt(c)
 	}
+	c.Client = objstore.NewClientOver(c.rpc, c.retry)
 	return c
 }
-
-// Close releases connections.
-func (c *Client) Close() error { return c.rpc.Close() }
-
-// Meter exposes the transport meter; the harness reads it as compute ↔
-// OCS data movement.
-func (c *Client) Meter() *rpc.Meter { return &c.rpc.Meter }
 
 // IdleConns reports pooled connections; tests use it to check that
 // cancelled streams discard rather than pool their connection.
@@ -227,45 +227,30 @@ func (rs *ResultStream) Next() (*column.Page, error) {
 // it as the arrow_deserialize stage of the scan span.
 func (rs *ResultStream) DecodeTime() time.Duration { return rs.decode }
 
+// decodeTrailer reads the end-frame trailer: the node's WorkStats message
+// in field 1.
 func (rs *ResultStream) decodeTrailer() error {
-	_, stats, err := decodeBytesStats(rs.cs.Trailer(), 0, 1)
-	if err != nil {
-		return err
-	}
-	rs.stats = stats
-	return nil
-}
-
-// decodeBytesStats decodes a protowire message holding an optional bytes
-// field and an optional WorkStats sub-message; the stream trailer and the
-// Get response share this shape (with different field numbers), so both
-// decode through here.
-func decodeBytesStats(payload []byte, dataField, statsField int) ([]byte, objstore.WorkStats, error) {
-	d := protowire.NewDecoder(payload)
-	var data []byte
-	var stats objstore.WorkStats
+	d := protowire.NewDecoder(rs.cs.Trailer())
 	for !d.Done() {
 		f, ty, err := d.Next()
 		if err != nil {
-			return nil, stats, err
+			return err
 		}
-		switch f {
-		case dataField:
-			data, err = d.Bytes()
-		case statsField:
-			var m *protowire.Decoder
-			m, err = d.Message()
-			if err == nil {
-				stats, err = decodeWorkStats(m)
+		if f != 1 {
+			if err := d.Skip(ty); err != nil {
+				return err
 			}
-		default:
-			err = d.Skip(ty)
+			continue
 		}
+		msg, err := d.Bytes()
 		if err != nil {
-			return nil, stats, err
+			return err
+		}
+		if rs.stats, err = objstore.DecodeStats(msg); err != nil {
+			return err
 		}
 	}
-	return data, stats, nil
+	return nil
 }
 
 // Stats returns the storage-side work stats; final after Next returned
@@ -327,95 +312,6 @@ func (c *Client) Execute(ctx context.Context, plan *substrait.Plan) (*Result, er
 		pages = append(pages, page)
 	}
 	return &Result{Schema: rs.Schema(), Pages: pages, Stats: rs.Stats(), ArrowBytes: rs.ArrowBytes()}, nil
-}
-
-// Put uploads an object through the frontend, retrying transient
-// transport failures.
-func (c *Client) Put(ctx context.Context, bucket, key string, data []byte) error {
-	e := protowire.NewEncoder()
-	e.String(1, bucket)
-	e.String(2, key)
-	e.Bytes(3, data)
-	payload := e.Encoded()
-	return c.retry.Do(ctx, func() error {
-		_, err := c.rpc.Call(ctx, MethodPut, payload)
-		return err
-	})
-}
-
-// Delete removes an object. Idempotent end to end — deleting a missing
-// key succeeds — so the compactor's garbage collection can retry safely
-// across killed connections.
-func (c *Client) Delete(ctx context.Context, bucket, key string) error {
-	e := protowire.NewEncoder()
-	e.String(1, bucket)
-	e.String(2, key)
-	payload := e.Encoded()
-	return c.retry.Do(ctx, func() error {
-		_, err := c.rpc.Call(ctx, MethodDelete, payload)
-		return err
-	})
-}
-
-// Get downloads a whole object (the no-pushdown path).
-func (c *Client) Get(ctx context.Context, bucket, key string) ([]byte, objstore.WorkStats, error) {
-	e := protowire.NewEncoder()
-	e.String(1, bucket)
-	e.String(2, key)
-	payload := e.Encoded()
-	var data []byte
-	var stats objstore.WorkStats
-	err := c.retry.Do(ctx, func() error {
-		resp, err := c.rpc.Call(ctx, MethodGet, payload)
-		if err != nil {
-			return err
-		}
-		data, stats, err = decodeBytesStats(resp, 1, 2)
-		return err
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	return data, stats, nil
-}
-
-// List returns all keys with the prefix across storage nodes.
-func (c *Client) List(ctx context.Context, bucket, prefix string) ([]string, error) {
-	e := protowire.NewEncoder()
-	e.String(1, bucket)
-	e.String(2, prefix)
-	payload := e.Encoded()
-	var keys []string
-	err := c.retry.Do(ctx, func() error {
-		resp, err := c.rpc.Call(ctx, MethodList, payload)
-		if err != nil {
-			return err
-		}
-		keys = keys[:0]
-		d := protowire.NewDecoder(resp)
-		for !d.Done() {
-			f, ty, err := d.Next()
-			if err != nil {
-				return err
-			}
-			if f != 1 {
-				if err := d.Skip(ty); err != nil {
-					return err
-				}
-				continue
-			}
-			k, err := d.String()
-			if err != nil {
-				return err
-			}
-			keys = append(keys, k)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return keys, nil
 }
 
 // Cluster bundles an in-process OCS deployment: storage nodes plus a

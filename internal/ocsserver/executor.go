@@ -230,7 +230,7 @@ func compileRel(store *objstore.Store, rel substrait.Rel, env *execEnv) (exec.Op
 func compileRead(store *objstore.Store, read *substrait.ReadRel, pruneWith expr.Expr, env *execEnv) (exec.Operator, error) {
 	data, ver, err := store.GetVersioned(read.Bucket, read.Object)
 	if err != nil {
-		return nil, rpc.WithCode(err, rpc.CodeNotFound)
+		return nil, err // the store's lookup errors carry rpc.CodeNotFound
 	}
 	// The object key embeds the store generation, so footers and pages
 	// cached for an earlier version of a re-put object can never be hit.

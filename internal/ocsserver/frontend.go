@@ -2,32 +2,31 @@ package ocsserver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sync"
+	"slices"
+	"sort"
 
-	"prestocs/internal/protowire"
+	"prestocs/internal/objstore"
 	"prestocs/internal/retry"
 	"prestocs/internal/rpc"
 	"prestocs/internal/substrait"
 	"prestocs/internal/telemetry"
 )
 
-// RPC methods exposed by the frontend (application-facing).
-const (
-	MethodExecute = "ocs.Execute"
-	MethodPut     = "ocs.Put"
-	MethodGet     = "ocs.Get"
-	MethodList    = "ocs.List"
-	MethodDelete  = "ocs.Delete"
-)
+// MethodExecute is the application-facing execute method; the object
+// methods the frontend routes are objstore.Method*.
+const MethodExecute = "ocs.Execute"
 
 // Frontend is the OCS entry point: it accepts Substrait plans, resolves
 // which storage node holds the target object and forwards the plan for
 // in-storage execution; results stream back in Arrow format. It also
-// routes object management (PUT/GET/LIST) so applications see one
-// endpoint, as in the paper's hierarchical design. Node calls inherit
+// routes the object protocol (PUT/GET/LIST/DELETE) so applications see
+// one endpoint, as in the paper's hierarchical design: it adds placement
+// and nothing else — request bytes reach the owning node unchanged and
+// the node's response comes back unchanged. Node calls inherit
 // the caller's context deadline and are retried on transient failure —
 // for Execute only until the first chunk has been forwarded, since the
 // client cannot be handed a restarted stream mid-flight.
@@ -50,9 +49,6 @@ type Frontend struct {
 	// in request headers. Both are optional and must be set before Listen.
 	Metrics *telemetry.Registry
 	Tracer  *telemetry.Tracer
-
-	mu        sync.RWMutex
-	placement map[string]int // "bucket/key" -> node index
 }
 
 // NewFrontend connects to the given storage-node addresses. A frontend
@@ -62,15 +58,15 @@ func NewFrontend(nodeAddrs []string) (*Frontend, error) {
 	if len(nodeAddrs) == 0 {
 		return nil, fmt.Errorf("ocs: frontend requires at least one storage node")
 	}
-	f := &Frontend{rpc: rpc.NewServer(), placement: make(map[string]int), Retry: retry.Default()}
+	f := &Frontend{rpc: rpc.NewServer(), Retry: retry.Default()}
 	for _, addr := range nodeAddrs {
 		f.nodes = append(f.nodes, rpc.Dial(addr))
 	}
 	f.rpc.RegisterStream(MethodExecute, f.handleExecute)
-	f.rpc.Register(MethodPut, f.handlePut)
-	f.rpc.Register(MethodGet, f.handleGet)
-	f.rpc.Register(MethodList, f.handleList)
-	f.rpc.Register(MethodDelete, f.handleDelete)
+	for _, method := range []string{objstore.MethodPut, objstore.MethodGet, objstore.MethodDelete} {
+		f.rpc.Register(method, f.route(method))
+	}
+	f.rpc.Register(objstore.MethodList, f.handleList)
 	return f, nil
 }
 
@@ -96,22 +92,11 @@ func (f *Frontend) Close() error {
 // NumNodes returns the number of attached storage nodes.
 func (f *Frontend) NumNodes() int { return len(f.nodes) }
 
+// nodeFor places an object: the FNV-1a hash of "bucket/key" over the nodes.
 func (f *Frontend) nodeFor(bucket, key string) int {
-	f.mu.RLock()
-	idx, ok := f.placement[bucket+"/"+key]
-	f.mu.RUnlock()
-	if ok {
-		return idx
-	}
 	h := fnv.New32a()
 	h.Write([]byte(bucket + "/" + key))
-	return int(h.Sum32()) % len(f.nodes)
-}
-
-func (f *Frontend) recordPlacement(bucket, key string, node int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.placement[bucket+"/"+key] = node
+	return int(h.Sum32() % uint32(len(f.nodes)))
 }
 
 // handleExecute validates the plan, routes it to the node holding the
@@ -182,134 +167,50 @@ func (f *Frontend) handleExecute(ctx context.Context, payload []byte, send func(
 	return trailer, nil
 }
 
-func (f *Frontend) handlePut(ctx context.Context, payload []byte) ([]byte, error) {
-	if len(f.nodes) == 0 {
-		return nil, fmt.Errorf("ocs: frontend has no storage nodes")
-	}
-	bucket, key, err := peekBucketKey(payload)
-	if err != nil {
-		return nil, err
-	}
-	node := f.nodeFor(bucket, key)
-	err = f.Retry.Do(ctx, func() error {
-		_, err := f.nodes[node].Call(ctx, NodeMethodPut, payload)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	f.recordPlacement(bucket, key, node)
-	return nil, nil
-}
-
-func (f *Frontend) handleGet(ctx context.Context, payload []byte) ([]byte, error) {
-	bucket, key, err := peekBucketKey(payload)
-	if err != nil {
-		return nil, err
-	}
-	node := f.nodeFor(bucket, key)
-	var resp []byte
-	err = f.Retry.Do(ctx, func() error {
-		var err error
-		resp, err = f.nodes[node].Call(ctx, NodeMethodGet, payload)
-		return err
-	})
-	return resp, err
-}
-
-// handleDelete routes a physical object delete to the owning node and
-// forgets its placement entry. Deletes are idempotent end to end (the
-// store treats a missing key as success), so the retry policy is safe.
-func (f *Frontend) handleDelete(ctx context.Context, payload []byte) ([]byte, error) {
-	bucket, key, err := peekBucketKey(payload)
-	if err != nil {
-		return nil, err
-	}
-	node := f.nodeFor(bucket, key)
-	err = f.Retry.Do(ctx, func() error {
-		_, err := f.nodes[node].Call(ctx, NodeMethodDelete, payload)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	delete(f.placement, bucket+"/"+key)
-	f.mu.Unlock()
-	return nil, nil
-}
-
-// handleList merges listings from every node.
-func (f *Frontend) handleList(ctx context.Context, payload []byte) ([]byte, error) {
-	merged := map[string]bool{}
-	for _, n := range f.nodes {
-		var resp []byte
-		err := f.Retry.Do(ctx, func() error {
-			var err error
-			resp, err = n.Call(ctx, NodeMethodList, payload)
-			return err
-		})
+// route is the handler of a keyed object method (Put, Get, Delete): the
+// request goes, unchanged, to the node its bucket/key hashes to, under the
+// fan-out retry policy — every object method is idempotent (Put
+// overwrites, Delete of a missing key succeeds), so a call whose connection
+// died mid-flight is safe to repeat.
+func (f *Frontend) route(method string) rpc.Handler {
+	return func(ctx context.Context, payload []byte) ([]byte, error) {
+		ref, err := objstore.DecodeRef(payload, true)
 		if err != nil {
 			return nil, err
 		}
-		d := protowire.NewDecoder(resp)
-		for !d.Done() {
-			field, ty, err := d.Next()
-			if err != nil {
-				return nil, err
-			}
-			if field != 1 {
-				if err := d.Skip(ty); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			k, err := d.String()
-			if err != nil {
-				return nil, err
-			}
-			merged[k] = true
-		}
+		return f.Retry.Call(ctx, f.nodes[f.nodeFor(ref.Bucket, ref.Key)], method, payload)
 	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	// Sorted for determinism.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	e := protowire.NewEncoder()
-	for _, k := range keys {
-		e.String(1, k)
-	}
-	return e.Encoded(), nil
 }
 
-func peekBucketKey(payload []byte) (string, string, error) {
-	d := protowire.NewDecoder(payload)
-	var bucket, key string
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return "", "", err
-		}
-		switch f {
-		case 1:
-			bucket, err = d.String()
-		case 2:
-			key, err = d.String()
-		default:
-			err = d.Skip(ty)
-		}
-		if err != nil {
-			return "", "", rpc.WithCode(err, rpc.CodeInvalid)
-		}
+// handleList merges the listings of every node. A bucket exists on a node
+// only once an object of it hashed there, so a node answering NotFound
+// holds none of the bucket's keys; the bucket is missing only when every
+// node says so.
+func (f *Frontend) handleList(ctx context.Context, payload []byte) ([]byte, error) {
+	ref, err := objstore.DecodeRef(payload, false)
+	if err != nil {
+		return nil, err
 	}
-	if bucket == "" || key == "" {
-		return "", "", rpc.WithCode(fmt.Errorf("ocs: request requires bucket and key"), rpc.CodeInvalid)
+	var keys []string
+	found := false
+	for _, n := range f.nodes {
+		resp, err := f.Retry.Call(ctx, n, objstore.MethodList, payload)
+		if errors.Is(err, rpc.ErrNotFound) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		found = true
+		part, err := objstore.DecodeKeys(resp)
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, part...)
 	}
-	return bucket, key, nil
+	if !found {
+		return nil, rpc.WithCode(fmt.Errorf("ocs: no such bucket %q", ref.Bucket), rpc.CodeNotFound)
+	}
+	sort.Strings(keys)
+	return objstore.EncodeKeys(slices.Compact(keys)), nil
 }

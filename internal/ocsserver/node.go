@@ -16,19 +16,15 @@ import (
 	"prestocs/internal/types"
 )
 
-// RPC methods exposed by a storage node (frontend-facing).
-const (
-	NodeMethodExecute = "ocsnode.Execute"
-	NodeMethodPut     = "ocsnode.Put"
-	NodeMethodGet     = "ocsnode.Get"
-	NodeMethodList    = "ocsnode.List"
-	NodeMethodDelete  = "ocsnode.Delete"
-)
+// NodeMethodExecute is the one method a storage node adds to the object
+// protocol (objstore.Method*), which it serves with objstore's handlers.
+const NodeMethodExecute = "ocsnode.Execute"
 
-// StorageNode holds objects and executes Substrait plans with the
-// embedded SQL engine. In the paper this is the resource-constrained
-// 16-core node; the cost model prices the WorkStats it reports with that
-// profile.
+// StorageNode is an object store that can also execute a Substrait plan
+// over an object it holds, with the embedded SQL engine, and that caches
+// the footers and pages those plans read. In the paper this is the
+// resource-constrained 16-core node; the cost model prices the WorkStats
+// it reports with that profile.
 type StorageNode struct {
 	ID    int
 	store *objstore.Store
@@ -108,10 +104,11 @@ func NewStorageNode(id int) *StorageNode {
 		sched:  newScanScheduler(), // vet-concurrency:allow the node-wide scheduler, shared by every query
 	}
 	n.rpc.RegisterStream(NodeMethodExecute, n.handleExecute)
-	n.rpc.Register(NodeMethodPut, n.handlePut)
-	n.rpc.Register(NodeMethodGet, n.handleGet)
-	n.rpc.Register(NodeMethodList, n.handleList)
-	n.rpc.Register(NodeMethodDelete, n.handleDelete)
+	// An overwritten or deleted object releases its cached footers and
+	// pages at once. The store generation in every cache key already makes
+	// a stale hit impossible; this frees the budget early. Caches is read
+	// per call because callers may replace it before the first query.
+	objstore.Mount(n.rpc, n.store, func(bucket, key string) { n.Caches.InvalidateObject(bucket, key) })
 	return n
 }
 
@@ -293,167 +290,6 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 	span.SetAttr("bytes_read", fmt.Sprint(st.BytesRead))
 	span.SetAttr("rows_processed", fmt.Sprint(st.RowsProcessed))
 	e := protowire.NewEncoder()
-	encodeWorkStats(e, 1, *st)
-	return e.Encoded(), nil
-}
-
-func encodeWorkStats(e *protowire.Encoder, field int, st objstore.WorkStats) {
-	e.Message(field, func(m *protowire.Encoder) {
-		m.Int64(1, st.BytesRead)
-		m.Int64(2, st.BytesDecompressed)
-		m.Double(3, st.CPUUnits)
-		m.Int64(4, st.RowsProcessed)
-	})
-}
-
-func decodeWorkStats(d *protowire.Decoder) (objstore.WorkStats, error) {
-	var st objstore.WorkStats
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return st, err
-		}
-		switch f {
-		case 1:
-			st.BytesRead, err = d.Int64()
-		case 2:
-			st.BytesDecompressed, err = d.Int64()
-		case 3:
-			st.CPUUnits, err = d.Double()
-		case 4:
-			st.RowsProcessed, err = d.Int64()
-		default:
-			err = d.Skip(ty)
-		}
-		if err != nil {
-			return st, err
-		}
-	}
-	return st, nil
-}
-
-// handleDelete removes an object from the store and drops its cached
-// footers and pages. Idempotent: deleting a missing key succeeds, so
-// frontend retries after a killed connection are safe.
-func (n *StorageNode) handleDelete(_ context.Context, payload []byte) ([]byte, error) {
-	d := protowire.NewDecoder(payload)
-	var bucket, key string
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		switch f {
-		case 1:
-			bucket, err = d.String()
-		case 2:
-			key, err = d.String()
-		default:
-			err = d.Skip(ty)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if bucket == "" || key == "" {
-		return nil, fmt.Errorf("node %d: delete requires bucket and key", n.ID)
-	}
-	n.store.Delete(bucket, key)
-	n.Caches.InvalidateObject(bucket, key)
-	return nil, nil
-}
-
-func (n *StorageNode) handlePut(_ context.Context, payload []byte) ([]byte, error) {
-	d := protowire.NewDecoder(payload)
-	var bucket, key string
-	var data []byte
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		switch f {
-		case 1:
-			bucket, err = d.String()
-		case 2:
-			key, err = d.String()
-		case 3:
-			data, err = d.Bytes()
-		default:
-			err = d.Skip(ty)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if bucket == "" || key == "" {
-		return nil, fmt.Errorf("node %d: put requires bucket and key", n.ID)
-	}
-	n.store.Put(bucket, key, data)
-	// Release cached footers/pages of the overwritten object early. The
-	// store generation in every cache key already makes stale hits
-	// impossible; this just frees the budget immediately.
-	n.Caches.InvalidateObject(bucket, key)
-	return nil, nil
-}
-
-func (n *StorageNode) handleGet(_ context.Context, payload []byte) ([]byte, error) {
-	d := protowire.NewDecoder(payload)
-	var bucket, key string
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		switch f {
-		case 1:
-			bucket, err = d.String()
-		case 2:
-			key, err = d.String()
-		default:
-			err = d.Skip(ty)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	data, err := n.store.Get(bucket, key)
-	if err != nil {
-		return nil, rpc.WithCode(err, rpc.CodeNotFound)
-	}
-	e := protowire.NewEncoder()
-	e.Bytes(1, data)
-	encodeWorkStats(e, 2, objstore.WorkStats{BytesRead: int64(len(data))})
-	return e.Encoded(), nil
-}
-
-func (n *StorageNode) handleList(_ context.Context, payload []byte) ([]byte, error) {
-	d := protowire.NewDecoder(payload)
-	var bucket, prefix string
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		switch f {
-		case 1:
-			bucket, err = d.String()
-		case 2:
-			prefix, err = d.String()
-		default:
-			err = d.Skip(ty)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	keys, err := n.store.List(bucket, prefix)
-	if err != nil {
-		return nil, err
-	}
-	e := protowire.NewEncoder()
-	for _, k := range keys {
-		e.String(1, k)
-	}
+	e.Bytes(1, objstore.EncodeStats(*st))
 	return e.Encoded(), nil
 }

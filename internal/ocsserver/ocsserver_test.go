@@ -2,6 +2,7 @@ package ocsserver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"prestocs/internal/expr"
 	"prestocs/internal/objstore"
 	"prestocs/internal/parquetlite"
+	"prestocs/internal/rpc"
 	"prestocs/internal/substrait"
 	"prestocs/internal/types"
 )
@@ -267,6 +269,28 @@ func TestClusterMultiNodePlacement(t *testing.T) {
 	data, st, err := cli.Get(context.Background(), "lanl", "part-003.pql")
 	if err != nil || len(data) == 0 || st.BytesRead != int64(len(data)) {
 		t.Errorf("routed Get failed: %d bytes, %v", len(data), err)
+	}
+}
+
+// TestShardedListOfSparseBucket is the regression test for List on more
+// than one node: a bucket exists on a node only once one of its objects
+// hashed there, so with a single object every other node answers NotFound.
+// The merged listing must treat those as empty — and be NotFound itself
+// only when no node has seen the bucket.
+func TestShardedListOfSparseBucket(t *testing.T) {
+	ctx := context.Background()
+	for _, nodes := range []int{2, 3} {
+		_, cli := startCluster(t, nodes)
+		if err := cli.Put(ctx, "sparse", "only.pql", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		keys, err := cli.List(ctx, "sparse", "")
+		if err != nil || len(keys) != 1 || keys[0] != "only.pql" {
+			t.Errorf("%d nodes: List = %v, %v; want [only.pql]", nodes, keys, err)
+		}
+		if _, err := cli.List(ctx, "never-put", ""); !errors.Is(err, rpc.ErrNotFound) {
+			t.Errorf("%d nodes: List of a bucket no node has seen: %v, want %v", nodes, err, rpc.ErrNotFound)
+		}
 	}
 }
 

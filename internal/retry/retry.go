@@ -143,6 +143,19 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 	}
 }
 
+// Call is Do around one unary RPC: method is called on c until it answers
+// or fails in a way a retry cannot heal. Use it only for idempotent
+// methods — an attempt whose connection died may have been applied.
+func (p Policy) Call(ctx context.Context, c *rpc.Client, method string, payload []byte) ([]byte, error) {
+	var resp []byte
+	err := p.Do(ctx, func() error {
+		var err error
+		resp, err = c.Call(ctx, method, payload)
+		return err
+	})
+	return resp, err
+}
+
 // Transient reports whether err looks like a failure that a retry (or a
 // pushdown fallback) could heal: the peer is unreachable or died
 // mid-call. Context errors, shutdown, and remote logic errors (invalid

@@ -21,8 +21,6 @@ import (
 	"prestocs/internal/compress"
 	"prestocs/internal/ingest"
 	"prestocs/internal/metastore"
-	"prestocs/internal/objstore"
-	"prestocs/internal/ocsserver"
 	"prestocs/internal/parquetlite"
 	"prestocs/internal/types"
 )
@@ -79,20 +77,11 @@ func (d *Dataset) Register(ms *metastore.Metastore, catalog string) error {
 	return ingest.RegisterTable(ms, &t)
 }
 
-// UploadOCS stores every object through an OCS frontend.
-func (d *Dataset) UploadOCS(ctx context.Context, cli *ocsserver.Client) error {
+// Upload stores every object through w: the OCS frontend, a plain object
+// store, or anything else that takes a Put.
+func (d *Dataset) Upload(ctx context.Context, w ingest.ObjectWriter) error {
 	for _, key := range d.Table.Objects {
-		if err := cli.Put(ctx, d.Table.Bucket, key, d.Objects[key]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// UploadObjStore stores every object in a plain object store.
-func (d *Dataset) UploadObjStore(ctx context.Context, cli *objstore.Client) error {
-	for _, key := range d.Table.Objects {
-		if err := cli.Put(ctx, d.Table.Bucket, key, d.Objects[key]); err != nil {
+		if err := w.Put(ctx, d.Table.Bucket, key, d.Objects[key]); err != nil {
 			return err
 		}
 	}
