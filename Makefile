@@ -18,9 +18,11 @@ test:
 # kernels, filter selectivity sweep, hash aggregation, sort/top-N), the
 # zone-map pruning selectivity sweep, the hot-page cache comparison, the
 # tracing-overhead comparison, the mixed-traffic latency profile, the
-# adaptive-pushdown sweep, the join bloom-pushdown sweep and the
-# ingest-throughput sweep, and prints `go test -bench` output: numbers to
-# read while working on one layer, archived nowhere. The repo's benchmark
+# adaptive-pushdown sweep, the join bloom-pushdown sweep, the
+# ingest-throughput sweep and the write path's three steps (one commit's
+# rows, the same batch as a page, one 16-object compaction; allocs/op
+# included), and prints `go test -bench` output: numbers to read while
+# working on one layer, archived nowhere. The repo's benchmark
 # — calibrated, end to end and per layer, gated by BENCHMARK.json — is
 # bench/ (`go run -C bench .`); the end-to-end paper sweeps live under
 # bench-paper.
@@ -28,6 +30,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./internal/exec/
 	$(GO) test -bench='PruneSweep|HotCache' -benchmem -run '^$$' ./internal/ocsserver/
 	$(GO) test -bench='TracingOverhead|MixedTraffic|AdaptiveSweep|JoinBloomSweep|IngestThroughput' -benchmem -run '^$$' ./internal/harness/
+	$(GO) test -bench='BuilderAppendRows|BuilderAppendPage|CompactMerge' -benchmem -run '^$$' ./internal/ingest/
 
 # bench-paper regenerates the paper-evaluation benchmarks (full in-process
 # topology per iteration; slow).
@@ -55,17 +58,20 @@ faults-ingest:
 		./internal/ingest/... ./internal/metastore/... ./internal/harness/...
 
 # fuzz-smoke runs each native fuzz target for ten seconds: the decoders
-# of bytes this program did not produce (Snappy blocks off disk, Arrow
-# batches off the wire, object-protocol requests from any client and
-# responses from any server) may reject their input but must never panic
-# or size an allocation from a length the input cannot back. `go test
-# -fuzz` takes one target and one package per run.
+# of bytes this program did not produce (Snappy blocks and parquetlite
+# footers and chunks off disk, Arrow batches off the wire,
+# object-protocol requests from any client and responses from any
+# server) may reject their input but must never panic or size an
+# allocation from a length the input cannot back. `go test -fuzz` takes
+# one target and one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnappyDecode$$' -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/arrowlite/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRef$$' -fuzztime 10s ./internal/objstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDataStats$$' -fuzztime 10s ./internal/objstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKeys$$' -fuzztime 10s ./internal/objstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzNewReader$$' -fuzztime 10s ./internal/parquetlite/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadColumn$$' -fuzztime 10s ./internal/parquetlite/
 
 # vet-vectorized guards the vectorized hot path: per-row expression
 # evaluation (expr.EvalRow) must not reappear in the operator library or

@@ -204,18 +204,27 @@ func (v *Vector) Gather(indices []int) *Vector {
 // Slice returns rows [from, to) as a new vector sharing no storage.
 func (v *Vector) Slice(from, to int) *Vector {
 	out := NewVector(v.Kind)
+	out.AppendVector(v.Window(from, to))
+	return out
+}
+
+// Window returns rows [from, to) as a vector sharing v's storage: the
+// write path encodes and counts a row group where it lies in a larger
+// page. The result must be treated as read-only.
+func (v *Vector) Window(from, to int) *Vector {
+	out := &Vector{Kind: v.Kind}
 	if v.Nulls != nil {
-		out.Nulls = append(make([]bool, 0, to-from), v.Nulls[from:to]...)
+		out.Nulls = v.Nulls[from:to:to]
 	}
 	switch v.Kind {
 	case types.Int64, types.Date:
-		out.Ints = append(make([]int64, 0, to-from), v.Ints[from:to]...)
+		out.Ints = v.Ints[from:to:to]
 	case types.Float64:
-		out.Floats = append(make([]float64, 0, to-from), v.Floats[from:to]...)
+		out.Floats = v.Floats[from:to:to]
 	case types.String:
-		out.Strings = append(make([]string, 0, to-from), v.Strings[from:to]...)
+		out.Strings = v.Strings[from:to:to]
 	case types.Bool:
-		out.Bools = append(make([]bool, 0, to-from), v.Bools[from:to]...)
+		out.Bools = v.Bools[from:to:to]
 	}
 	return out
 }

@@ -19,53 +19,58 @@ import (
 )
 
 // ObjectBuilder accumulates rows into one parquetlite object while
-// tracking, in the same pass, everything the metastore needs to make
-// the object prunable the moment it is registered: per-column min/max
-// and null counts come from the file footer, and exact distinct-value
-// counts come from the builder's own tracking (footers do not carry
-// NDV). This is the single writer implementation: engine ingest, the
-// compactor and the workload generators all produce objects through it.
+// tracking everything the metastore needs to make the object prunable
+// the moment it is registered: per-column min/max and null counts come
+// from the file footer, and exact distinct-value counts come from the
+// builder's own typed sets (footers do not carry NDV). A row is
+// transposed once, into the writer's pending row group; a page is taken
+// column at a time and never boxed into rows. This is the single writer
+// implementation: engine ingest, the compactor and the workload
+// generators all produce objects through it.
 type ObjectBuilder struct {
 	schema   *types.Schema
 	w        *parquetlite.Writer
 	rows     int64
 	raw      int64
-	distinct []map[string]bool
+	distinct DistinctSets
 }
 
 // NewObjectBuilder starts an object with the given schema.
 func NewObjectBuilder(schema *types.Schema, opts parquetlite.WriterOptions) *ObjectBuilder {
-	b := &ObjectBuilder{
+	return &ObjectBuilder{
 		schema:   schema,
 		w:        parquetlite.NewWriter(schema, opts),
-		distinct: make([]map[string]bool, schema.Len()),
+		distinct: NewDistinctSets(schema),
 	}
-	for i := range b.distinct {
-		b.distinct[i] = make(map[string]bool)
-	}
-	return b
 }
 
-// AppendRow buffers one row.
+// AppendRow buffers one row; the row that fills a row group has the
+// group encoded.
 func (b *ObjectBuilder) AppendRow(vals ...types.Value) error {
 	if len(vals) != b.schema.Len() {
 		return fmt.Errorf("ingest: row has %d values, schema has %d columns", len(vals), b.schema.Len())
 	}
-	for i, v := range vals {
-		if !v.Null {
-			b.distinct[i][v.String()] = true
-		}
+	for _, v := range vals {
 		b.raw += rawSize(v)
 	}
+	b.distinct.addRow(vals)
 	b.rows++
 	return b.w.WriteRow(vals...)
 }
 
-// AppendPage buffers all rows of a page.
+// AppendPage appends all rows of a page.
 func (b *ObjectBuilder) AppendPage(p *column.Page) error {
-	for i := 0; i < p.NumRows(); i++ {
-		if err := b.AppendRow(p.Row(i)...); err != nil {
-			return err
+	if err := b.w.WritePage(p); err != nil {
+		return err
+	}
+	b.distinct.addPage(p)
+	b.rows += int64(p.NumRows())
+	for _, vec := range p.Vectors {
+		b.raw += 8 * int64(vec.Len())
+		for i, s := range vec.Strings {
+			if !vec.IsNull(i) {
+				b.raw += int64(len(s))
+			}
 		}
 	}
 	return nil
@@ -78,14 +83,13 @@ func (b *ObjectBuilder) Rows() int64 { return b.rows }
 // (for flush thresholds and reporting).
 func (b *ObjectBuilder) RawBytes() int64 { return b.raw }
 
-// MergeDistinctInto folds this object's distinct-value sets into
-// table-wide sets, so callers building many objects (the workload
-// generators) can compute exact table-level NDV.
-func (b *ObjectBuilder) MergeDistinctInto(global []map[string]bool) {
-	for i, set := range b.distinct {
-		for v := range set {
-			global[i][v] = true
-		}
+// MergeDistinctInto folds this object's distinct-value sets, which count
+// every row appended so far, into table-wide sets, so callers building
+// many objects (the workload generators) can compute exact table-level
+// NDV.
+func (b *ObjectBuilder) MergeDistinctInto(global DistinctSets) {
+	for i := range b.distinct {
+		global[i].merge(&b.distinct[i])
 	}
 }
 
@@ -120,7 +124,7 @@ func (b *ObjectBuilder) Seal() (SealedObject, error) {
 			Max:       st.Max,
 			NullCount: st.NullCount,
 			NumValues: st.NumValues,
-			NDV:       int64(len(b.distinct[ci])),
+			NDV:       b.distinct.Count(ci),
 		}
 	}
 	return SealedObject{Image: img, Rows: b.rows, Bytes: int64(len(img)), Stats: stats}, nil

@@ -1,9 +1,13 @@
 package ingest
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -130,20 +134,25 @@ func (c *Compactor) candidates(t *metastore.Table) []string {
 // clustering key, writes the merged object under a fresh key and
 // commits the swap.
 func (c *Compactor) merge(ctx context.Context, t *metastore.Table, cands []string, schema, name string) (string, int64, error) {
-	page := column.NewPage(t.Columns)
 	allCols := make([]int, t.Columns.Len())
 	for i := range allCols {
 		allCols[i] = i
 	}
-	for _, key := range cands {
+	readers := make([]*parquetlite.Reader, len(cands))
+	rows := 0
+	for i, key := range cands {
 		img, _, err := c.store.Get(ctx, t.Bucket, key)
 		if err != nil {
 			return "", 0, fmt.Errorf("ingest: compaction read %s/%s: %w", t.Bucket, key, err)
 		}
-		r, err := parquetlite.NewReader(img)
-		if err != nil {
+		if readers[i], err = parquetlite.NewReader(img); err != nil {
 			return "", 0, err
 		}
+		rows += int(readers[i].NumRows())
+	}
+	page := column.NewPage(t.Columns)
+	page.Reserve(rows)
+	for _, r := range readers {
 		pages, err := r.ReadAll(allCols)
 		if err != nil {
 			return "", 0, err
@@ -152,10 +161,16 @@ func (c *Compactor) merge(ctx context.Context, t *metastore.Table, cands []strin
 			page.AppendPage(p)
 		}
 	}
-	sorted := c.resort(t, page)
-	builder := NewObjectBuilder(t.Columns, parquetlite.WriterOptions{Codec: t.Codec, RowGroupSize: 4096})
-	if err := builder.AppendPage(sorted); err != nil {
-		return "", 0, err
+	// One output row group is gathered and appended at a time, so the
+	// sorted rows never exist as a second whole copy.
+	const groupRows = 4096
+	builder := NewObjectBuilder(t.Columns, parquetlite.WriterOptions{Codec: t.Codec, RowGroupSize: groupRows})
+	order := clusterOrder(page, t.Columns.IndexOf(c.clusterColumn(t)))
+	for from := 0; from < len(order); from += groupRows {
+		group := page.Gather(order[from:min(from+groupRows, len(order))])
+		if err := builder.AppendPage(group); err != nil {
+			return "", 0, err
+		}
 	}
 	sealed, err := builder.Seal()
 	if err != nil {
@@ -172,50 +187,100 @@ func (c *Compactor) merge(ctx context.Context, t *metastore.Table, cands []strin
 	return out, sealed.Bytes, nil
 }
 
-// resort orders the merged rows by the clustering key so the output
-// object's zone map covers a tight range instead of the union of its
+// clusterColumn names the column merged objects are sorted on, so that
+// their zone maps cover a tight range instead of the union of their
 // sources.
-func (c *Compactor) resort(t *metastore.Table, page *column.Page) *column.Page {
-	col := c.opts.ClusterBy
-	if col == "" {
-		if len(t.DisjointKeys) > 0 {
-			col = t.DisjointKeys[0]
-		} else {
-			col = t.Columns.Columns[0].Name
-		}
+func (c *Compactor) clusterColumn(t *metastore.Table) string {
+	switch {
+	case c.opts.ClusterBy != "":
+		return c.opts.ClusterBy
+	case len(t.DisjointKeys) > 0:
+		return t.DisjointKeys[0]
+	default:
+		return t.Columns.Columns[0].Name
 	}
-	ci := t.Columns.IndexOf(col)
+}
+
+// sortEntry is one non-NULL row of the cluster column: a 64-bit key whose
+// unsigned order is the column's order (for a string, its first eight
+// bytes), and the row's ordinal in the merged input.
+type sortEntry struct {
+	key uint64
+	row int
+}
+
+// clusterOrder returns the page's row ordinals sorted by column ci: NULLs
+// first, then types.Compare's order on the value (for floats the total
+// order in which -0 equals +0 and every NaN is equal and greatest), ties
+// in input order — the order a stable sort under types.Compare gives.
+// When ci is not a column of the page the rows stay in input order.
+// Every compaction input is in ingest order, not cluster order, so there
+// is one typed sort and no merge of sorted runs.
+func clusterOrder(page *column.Page, ci int) []int {
+	n := page.NumRows()
+	order := make([]int, 0, n)
 	if ci < 0 {
-		return page
+		for i := 0; i < n; i++ {
+			order = append(order, i)
+		}
+		return order
 	}
 	vec := page.Vectors[ci]
-	idx := make([]int, page.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		na, nb := vec.IsNull(idx[a]), vec.IsNull(idx[b])
-		if na || nb {
-			return na && !nb // NULLs first, stable among themselves
+	ents := make([]sortEntry, 0, n)
+	for i := 0; i < n; i++ {
+		if vec.IsNull(i) {
+			order = append(order, i)
+			continue
 		}
-		return types.Compare(vec.Value(idx[a]), vec.Value(idx[b])) < 0
+		var key uint64
+		switch vec.Kind {
+		case types.Int64, types.Date:
+			key = uint64(vec.Ints[i]) ^ 1<<63
+		case types.Float64:
+			switch f := vec.Floats[i]; {
+			case f != f:
+				key = math.MaxUint64
+			case f >= 0: // -0 gets +0's key
+				key = math.Float64bits(f) | 1<<63
+			default:
+				key = ^math.Float64bits(f)
+			}
+		case types.Bool:
+			if vec.Bools[i] {
+				key = 1
+			}
+		case types.String:
+			var head [8]byte
+			copy(head[:], vec.Strings[i])
+			key = binary.BigEndian.Uint64(head[:])
+		}
+		ents = append(ents, sortEntry{key, i})
+	}
+	strs := vec.Strings
+	slices.SortFunc(ents, func(a, b sortEntry) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		if strs != nil {
+			if c := strings.Compare(strs[a.row], strs[b.row]); c != 0 {
+				return c
+			}
+		}
+		return a.row - b.row
 	})
-	return page.Gather(idx)
+	for _, e := range ents {
+		order = append(order, e.row)
+	}
+	return order
 }
 
 // collectGarbage physically deletes tombstoned objects no outstanding
-// pin can reference. Delete failures are swallowed: the object already
-// left the live set, so a leftover is an invisible orphan retried by
-// no one — acceptable, and logged by the storage layer.
+// pin can reference. A tombstone is dropped only once its object is gone
+// from storage; one whose delete failed is retried by the next run.
 func (c *Compactor) collectGarbage(ctx context.Context, schema, name string) int {
-	reaped := c.meta.ReapTombstones(schema, name)
-	n := 0
-	for _, ts := range reaped {
-		if err := c.store.Delete(ctx, ts.Bucket, ts.Key); err == nil {
-			n++
-		}
-	}
-	return n
+	return c.meta.ReapTombstones(schema, name, func(ts metastore.Tombstone) error {
+		return c.store.Delete(ctx, ts.Bucket, ts.Key)
+	})
 }
 
 // Start launches a background loop compacting the table every interval

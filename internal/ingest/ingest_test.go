@@ -16,12 +16,14 @@ import (
 
 // fakeStore is an in-memory CompactorStore with injectable Put failures
 // (the killed-ingest scenario: the object never reaches storage, so the
-// commit must not happen either).
+// commit must not happen either) and Delete failures (the next
+// failDeletes calls fail and delete nothing).
 type fakeStore struct {
-	mu      sync.Mutex
-	objects map[string][]byte
-	failPut error
-	deletes int
+	mu          sync.Mutex
+	objects     map[string][]byte
+	failPut     error
+	failDeletes int
+	deletes     int
 }
 
 func newFakeStore() *fakeStore { return &fakeStore{objects: make(map[string][]byte)} }
@@ -49,6 +51,10 @@ func (s *fakeStore) Get(_ context.Context, bucket, key string) ([]byte, objstore
 func (s *fakeStore) Delete(_ context.Context, bucket, key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.failDeletes > 0 {
+		s.failDeletes--
+		return fmt.Errorf("fakeStore: delete %s/%s: connection killed", bucket, key)
+	}
 	delete(s.objects, bucket+"/"+key)
 	s.deletes++
 	return nil
@@ -335,6 +341,53 @@ func TestCompactSnapshotDefersPhysicalDelete(t *testing.T) {
 	}
 }
 
+// A tombstone whose physical delete fails must not be lost: the next runs
+// retry it until the object is gone, and a pinned snapshot still defers
+// the reap however many deletes failed before.
+func TestCompactFailedDeleteIsRetried(t *testing.T) {
+	ing, ms, store := newTestIngester(t, 2)
+	ctx := context.Background()
+	objectsBefore := store.count()
+	if _, err := ing.Append(ctx, "default", "events", [][]types.Value{
+		intRow(1, "a"), intRow(2, "b"), intRow(3, "c"), intRow(4, "d"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, pin, err := ms.GetPinned("default", "events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := NewCompactor(ms, store, CompactorOptions{})
+	run := func() CompactionResult {
+		t.Helper()
+		res, err := comp.RunOnce(ctx, "default", "events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	store.failDeletes = 2
+	if res := run(); len(res.Merged) != 2 || res.Reclaimed != 0 || store.failDeletes != 2 {
+		t.Fatalf("under a pin: %+v, %d failing deletes left (none may be tried)", res, store.failDeletes)
+	}
+	pin.Release()
+	// Both deletes fail: nothing reclaimed, both tombstones kept.
+	if res := run(); res.Reclaimed != 0 || ms.TombstoneCount("default", "events") != 2 {
+		t.Fatalf("failing deletes: reclaimed %d, %d tombstones", res.Reclaimed, ms.TombstoneCount("default", "events"))
+	}
+	// The store recovers: the retry reclaims both.
+	if res := run(); res.Reclaimed != 2 {
+		t.Fatalf("retry reclaimed %d, want 2", res.Reclaimed)
+	}
+	if n := ms.TombstoneCount("default", "events"); n != 0 {
+		t.Errorf("%d tombstones left", n)
+	}
+	// Only the merged object is left: the two sources are not leaked.
+	if got := store.count(); got != objectsBefore+1 {
+		t.Errorf("store has %d objects, want %d", got, objectsBefore+1)
+	}
+}
+
 func TestCompactSkipsLargeObjects(t *testing.T) {
 	ing, ms, store := newTestIngester(t, 4)
 	ctx := context.Background()
@@ -434,12 +487,22 @@ func TestIngestBuilderRawBytesAndDistinctMerge(t *testing.T) {
 	if got := a.RawBytes(); got != 18 {
 		t.Errorf("RawBytes = %d, want 18", got)
 	}
-	global := []map[string]bool{make(map[string]bool), make(map[string]bool)}
+	// Both rows are still in their writer's pending row group:
+	// MergeDistinctInto counts rows that no group has taken yet.
+	global := NewDistinctSets(eventSchema())
 	a.MergeDistinctInto(global)
 	b.MergeDistinctInto(global)
 	// Both rows share id=1; names differ.
-	if len(global[0]) != 1 || len(global[1]) != 2 {
-		t.Errorf("merged distincts = %d, %d", len(global[0]), len(global[1]))
+	if global.Count(0) != 1 || global.Count(1) != 2 {
+		t.Errorf("merged distincts = %d, %d", global.Count(0), global.Count(1))
+	}
+	// Merging again after Seal changes nothing.
+	if _, err := a.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	a.MergeDistinctInto(global)
+	if global.Count(0) != 1 || global.Count(1) != 2 {
+		t.Errorf("after Seal: merged distincts = %d, %d", global.Count(0), global.Count(1))
 	}
 }
 

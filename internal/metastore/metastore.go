@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -164,7 +165,9 @@ func (m *Metastore) Drop(schema, name string) {
 	delete(m.tables, key)
 }
 
-// Save persists the catalog as JSON.
+// Save persists the catalog as JSON, replacing path atomically: a crash
+// or a full disk at any point leaves either the previous catalog or the
+// new one at path, never a torn file.
 func (m *Metastore) Save(path string) error {
 	m.mu.RLock()
 	tables := make([]*Table, 0, len(m.tables))
@@ -177,7 +180,40 @@ func (m *Metastore) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	return writeFileAtomic(path, data)
+}
+
+// writeFileAtomic writes data to a temporary file beside path, makes it
+// durable, renames it over path and makes the rename durable.
+func writeFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Load reads a catalog saved by Save.

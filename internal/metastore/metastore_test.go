@@ -1,6 +1,9 @@
 package metastore
 
 import (
+	"bytes"
+	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -103,6 +106,78 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Error("loading absent file succeeded")
+	}
+}
+
+// Save replaces the catalog by rename, so at every instant the path holds
+// one complete catalog: a reader that opened the file before a Save keeps
+// reading the whole previous catalog (an in-place rewrite would truncate
+// it under the reader), a torn temporary left by a crashed Save is never
+// what Load reads, and a Save that fails leaves the previous catalog and
+// no temporary behind.
+func TestSaveReplacesCatalogAtomically(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "catalog.json")
+	m := New()
+	if err := m.Register(sampleTable()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	previous, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+
+	// A Save that died after writing half of its temporary file.
+	torn := filepath.Join(dir, "catalog.json.tmp-crashed")
+	if err := os.WriteFile(torn, previous[:len(previous)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m2, err := Load(path); err != nil || len(m2.List()) != 1 {
+		t.Fatalf("Load beside a torn temporary: %v", err)
+	}
+
+	second := sampleTable()
+	second.Name = "laghos2"
+	if err := m.Register(second); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if seen, err := io.ReadAll(reader); err != nil || !bytes.Equal(seen, previous) {
+		t.Errorf("a reader of the previous catalog saw %d bytes (err %v), want the %d it opened", len(seen), err, len(previous))
+	}
+	if m2, err := Load(path); err != nil || len(m2.List()) != 2 {
+		t.Fatalf("Load after the second Save: %v", err)
+	}
+
+	// A Save whose rename fails (the target is a non-empty directory).
+	blocked := filepath.Join(dir, "blocked.json")
+	if err := os.MkdirAll(filepath.Join(blocked, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Save(blocked); err == nil {
+		t.Error("Save over a directory succeeded")
+	}
+	if m2, err := Load(path); err != nil || len(m2.List()) != 2 {
+		t.Fatalf("Load after a failed Save: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if n := e.Name(); n != "catalog.json" && n != "catalog.json.tmp-crashed" && n != "blocked.json" {
+			t.Errorf("Save left %s behind", n)
+		}
 	}
 }
 

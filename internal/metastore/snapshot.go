@@ -272,26 +272,39 @@ func objectRows(t *Table, key string) int64 {
 	return st[t.Columns.Columns[0].Name].NumValues
 }
 
-// ReapTombstones pops and returns every tombstone of the table that no
-// outstanding pin can still reference — i.e. whose RemovedAt version is
-// at or below every pinned version. The caller deletes the returned
-// objects from storage; an object whose physical delete fails is merely
-// an invisible orphan (it left the live set at commit time), so the pop
-// is safe even if deletion is best-effort.
-func (m *Metastore) ReapTombstones(schema, name string) []Tombstone {
+// ReapTombstones passes to del, in key order, every tombstone of the
+// table that no outstanding pin can still reference — i.e. whose
+// RemovedAt version is at or below every pinned version — and drops those
+// del returned nil for. A tombstone whose physical delete fails stays and
+// is offered again by the next call, so no object is leaked by one failed
+// delete. del runs without the metastore's lock held. Returns the number
+// dropped.
+func (m *Metastore) ReapTombstones(schema, name string, del func(Tombstone) error) int {
 	key := strings.ToLower(schema + "." + name)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	all := m.tombstones[key]
-	if len(all) == 0 {
-		return nil
-	}
+	m.mu.RLock()
 	minPinned, pinned := m.minPinnedLocked(key)
-	var reap, keep []Tombstone
-	for _, ts := range all {
+	var reap []Tombstone
+	for _, ts := range m.tombstones[key] {
 		if !pinned || ts.RemovedAt <= minPinned {
 			reap = append(reap, ts)
-		} else {
+		}
+	}
+	m.mu.RUnlock()
+	sort.Slice(reap, func(i, j int) bool { return reap[i].Key < reap[j].Key })
+	gone := make(map[Tombstone]bool, len(reap))
+	for _, ts := range reap {
+		if del(ts) == nil {
+			gone[ts] = true
+		}
+	}
+	if len(gone) == 0 {
+		return 0
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	keep := m.tombstones[key][:0]
+	for _, ts := range m.tombstones[key] {
+		if !gone[ts] {
 			keep = append(keep, ts)
 		}
 	}
@@ -300,8 +313,7 @@ func (m *Metastore) ReapTombstones(schema, name string) []Tombstone {
 	} else {
 		m.tombstones[key] = keep
 	}
-	sort.Slice(reap, func(i, j int) bool { return reap[i].Key < reap[j].Key })
-	return reap
+	return len(gone)
 }
 
 // TombstoneCount reports how many objects of the table await physical

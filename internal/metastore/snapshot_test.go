@@ -167,7 +167,7 @@ func TestSnapshotPinDefersReap(t *testing.T) {
 	}
 
 	// The pin predates the removal, so nothing reaps.
-	if got := m.ReapTombstones("default", "events"); len(got) != 0 {
+	if got := reapAll(m); len(got) != 0 {
 		t.Fatalf("reaped %v while pinned", got)
 	}
 	if got := m.TombstoneCount("default", "events"); got != 2 {
@@ -179,7 +179,7 @@ func TestSnapshotPinDefersReap(t *testing.T) {
 	if m.PinnedCount() != 0 {
 		t.Errorf("PinnedCount after release = %d", m.PinnedCount())
 	}
-	reaped := m.ReapTombstones("default", "events")
+	reaped := reapAll(m)
 	if len(reaped) != 2 || reaped[0].Key != "events-part-000.pql" || reaped[1].Key != "events-part-001.pql" {
 		t.Errorf("reaped = %v", reaped)
 	}
@@ -188,6 +188,46 @@ func TestSnapshotPinDefersReap(t *testing.T) {
 	}
 	if m.TombstoneCount("default", "events") != 0 {
 		t.Error("tombstones remain after reap")
+	}
+}
+
+// reapAll reaps the events table with a delete that always succeeds and
+// returns what was offered.
+func reapAll(m *Metastore) []Tombstone {
+	var got []Tombstone
+	m.ReapTombstones("default", "events", func(ts Tombstone) error {
+		got = append(got, ts)
+		return nil
+	})
+	return got
+}
+
+// A tombstone whose physical delete fails must survive the reap and be
+// offered again, while its neighbour that was deleted is dropped.
+func TestSnapshotReapKeepsTombstoneWhoseDeleteFailed(t *testing.T) {
+	m := New()
+	if err := m.Register(snapshotTable()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CommitObjects("default", "events",
+		[]ObjectAdd{addFor("events-compact-000002.pql", 0, 199, 200, 7000)},
+		[]string{"events-part-000.pql", "events-part-001.pql"}); err != nil {
+		t.Fatal(err)
+	}
+	n := m.ReapTombstones("default", "events", func(ts Tombstone) error {
+		if ts.Key == "events-part-000.pql" {
+			return fmt.Errorf("store unreachable")
+		}
+		return nil
+	})
+	if n != 1 || m.TombstoneCount("default", "events") != 1 {
+		t.Fatalf("dropped %d, %d left; want 1 and 1", n, m.TombstoneCount("default", "events"))
+	}
+	if got := reapAll(m); len(got) != 1 || got[0].Key != "events-part-000.pql" {
+		t.Errorf("second reap offered %v", got)
+	}
+	if m.TombstoneCount("default", "events") != 0 {
+		t.Error("tombstone remains after its delete succeeded")
 	}
 }
 
@@ -208,7 +248,7 @@ func TestSnapshotPinAfterRemovalReaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pin.Release()
-	if got := m.ReapTombstones("default", "events"); len(got) != 1 {
+	if got := reapAll(m); len(got) != 1 {
 		t.Errorf("reaped %d tombstones, want 1", len(got))
 	}
 }

@@ -1,6 +1,7 @@
 package parquetlite
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 
@@ -13,127 +14,172 @@ import (
 // 1 = valid) followed by an encoding-specific payload for the valid and
 // invalid slots alike (NULL slots carry the zero value, as in Arrow).
 
-func packValidity(vec *column.Vector) []byte {
-	n := vec.Len()
-	out := make([]byte, (n+7)/8)
+// appendValidity appends the n-row validity bitmap for nulls (nil means no
+// NULLs) to buf.
+func appendValidity(buf []byte, nulls []bool, n int) []byte {
+	at := len(buf)
+	buf = append(buf, make([]byte, (n+7)/8)...)
+	bits := buf[at:]
 	for i := 0; i < n; i++ {
-		if !vec.IsNull(i) {
-			out[i/8] |= 1 << (uint(i) % 8)
-		}
-	}
-	return out
-}
-
-// chooseEncoding picks an encoding for the vector: dictionary for strings
-// with few distinct values, RLE for integer columns with long runs, plain
-// otherwise.
-func chooseEncoding(vec *column.Vector) Encoding {
-	n := vec.Len()
-	if n == 0 {
-		return Plain
-	}
-	switch vec.Kind {
-	case types.String:
-		distinct := map[string]bool{}
-		for _, s := range vec.Strings {
-			distinct[s] = true
-			if len(distinct) > n/4+1 {
-				return Plain
-			}
-		}
-		return Dict
-	case types.Int64, types.Date:
-		runs := 1
-		for i := 1; i < n; i++ {
-			if vec.Ints[i] != vec.Ints[i-1] {
-				runs++
-			}
-		}
-		if runs*4 <= n {
-			return RLE
-		}
-		return Plain
-	default:
-		return Plain
-	}
-}
-
-// encodeChunk serializes the vector with the chosen encoding; the result
-// is the pre-compression chunk body.
-func encodeChunk(vec *column.Vector, enc Encoding) []byte {
-	n := vec.Len()
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	validity := packValidity(vec)
-	buf = append(buf, validity...)
-
-	switch enc {
-	case Plain:
-		switch vec.Kind {
-		case types.Int64, types.Date:
-			for _, x := range vec.Ints {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
-			}
-		case types.Float64:
-			for _, x := range vec.Floats {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-			}
-		case types.Bool:
-			bits := make([]byte, (n+7)/8)
-			for i, b := range vec.Bools {
-				if b {
-					bits[i/8] |= 1 << (uint(i) % 8)
-				}
-			}
-			buf = append(buf, bits...)
-		case types.String:
-			off := uint32(0)
-			buf = binary.LittleEndian.AppendUint32(buf, off)
-			for _, s := range vec.Strings {
-				off += uint32(len(s))
-				buf = binary.LittleEndian.AppendUint32(buf, off)
-			}
-			for _, s := range vec.Strings {
-				buf = append(buf, s...)
-			}
-		}
-	case Dict:
-		// Dictionary of distinct strings in first-seen order, then u32
-		// indices per row.
-		index := map[string]uint32{}
-		var dict []string
-		ids := make([]uint32, n)
-		for i, s := range vec.Strings {
-			id, ok := index[s]
-			if !ok {
-				id = uint32(len(dict))
-				index[s] = id
-				dict = append(dict, s)
-			}
-			ids[i] = id
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dict)))
-		for _, s := range dict {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-			buf = append(buf, s...)
-		}
-		for _, id := range ids {
-			buf = binary.LittleEndian.AppendUint32(buf, id)
-		}
-	case RLE:
-		// (varint runLength, fixed64 value) pairs.
-		i := 0
-		for i < n {
-			j := i + 1
-			for j < n && vec.Ints[j] == vec.Ints[i] {
-				j++
-			}
-			buf = binary.AppendUvarint(buf, uint64(j-i))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(vec.Ints[i]))
-			i = j
+		if nulls == nil || !nulls[i] {
+			bits[i/8] |= 1 << (uint(i) % 8)
 		}
 	}
 	return buf
+}
+
+// minMax returns the least and the greatest non-NULL value and the number
+// of NULLs.
+func minMax[T cmp.Ordered](vals []T, nulls []bool) (lo, hi T, nullCount int64) {
+	seen := false
+	for i, x := range vals {
+		switch {
+		case nulls != nil && nulls[i]:
+			nullCount++
+		case !seen:
+			lo, hi, seen = x, x, true
+		case x < lo:
+			lo = x
+		case x > hi:
+			hi = x
+		}
+	}
+	return lo, hi, nullCount
+}
+
+// buildDict numbers the distinct strings in first-seen order (NULL slots
+// count with the string they hold). It returns nil when there are more
+// than n/4+1 of them, where a dictionary stops paying.
+func buildDict(strs []string) (dict []string, ids []uint32) {
+	index := make(map[string]uint32)
+	ids = make([]uint32, len(strs))
+	for i, s := range strs {
+		id, ok := index[s]
+		if !ok {
+			if len(dict) > len(strs)/4 {
+				return nil, nil
+			}
+			id = uint32(len(dict))
+			index[s] = id
+			dict = append(dict, s)
+		}
+		ids[i] = id
+	}
+	return dict, ids
+}
+
+// encodeChunk serializes the vector into dst[:0] (the writer's scratch,
+// sized by the chunks before) — the pre-compression chunk body — and
+// returns it with the encoding it chose and the chunk's statistics, all
+// from typed loops over the vector's payload slice: dictionary for
+// strings with few distinct values, RLE for integer columns with long
+// runs, plain otherwise. Min and max are the first least and first
+// greatest value under types.Compare's order.
+func encodeChunk(dst []byte, vec *column.Vector) (Encoding, Stats, []byte) {
+	n := vec.Len()
+	st := Stats{Min: types.NullValue(vec.Kind), Max: types.NullValue(vec.Kind), NumValues: int64(n)}
+	buf := appendValidity(binary.LittleEndian.AppendUint32(dst[:0], uint32(n)), vec.Nulls, n)
+	enc := Plain
+	switch vec.Kind {
+	case types.Int64, types.Date:
+		ints := vec.Ints
+		lo, hi, nulls := minMax(ints, vec.Nulls)
+		if st.NullCount = nulls; nulls < int64(n) {
+			st.Min, st.Max = types.Value{Kind: vec.Kind, I: lo}, types.Value{Kind: vec.Kind, I: hi}
+		}
+		runs := 0
+		for i, x := range ints {
+			if i == 0 || x != ints[i-1] {
+				runs++
+			}
+		}
+		if n > 0 && runs*4 <= n {
+			// (varint runLength, fixed64 value) pairs.
+			enc = RLE
+			for i := 0; i < n; {
+				j := i + 1
+				for j < n && ints[j] == ints[i] {
+					j++
+				}
+				buf = binary.AppendUvarint(buf, uint64(j-i))
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(ints[i]))
+				i = j
+			}
+			break
+		}
+		for _, x := range ints {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
+		}
+	case types.Float64:
+		var lo, hi float64
+		seen := false
+		for i, x := range vec.Floats {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+			switch {
+			case vec.IsNull(i):
+				st.NullCount++
+			case !seen:
+				lo, hi, seen = x, x, true
+			case types.CompareFloat(x, lo) < 0:
+				lo = x
+			case types.CompareFloat(x, hi) > 0:
+				hi = x
+			}
+		}
+		if seen {
+			st.Min, st.Max = types.FloatValue(lo), types.FloatValue(hi)
+		}
+	case types.Bool:
+		at := len(buf)
+		buf = append(buf, make([]byte, (n+7)/8)...)
+		var anyFalse, anyTrue bool
+		for i, b := range vec.Bools {
+			if b {
+				buf[at+i/8] |= 1 << (uint(i) % 8)
+			}
+			switch {
+			case vec.IsNull(i):
+				st.NullCount++
+			case b:
+				anyTrue = true
+			default:
+				anyFalse = true
+			}
+		}
+		if anyFalse || anyTrue {
+			st.Min, st.Max = types.BoolValue(!anyFalse), types.BoolValue(anyTrue)
+		}
+	case types.String:
+		strs := vec.Strings
+		lo, hi, nulls := minMax(strs, vec.Nulls)
+		if st.NullCount = nulls; nulls < int64(n) {
+			st.Min, st.Max = types.StringValue(lo), types.StringValue(hi)
+		}
+		if dict, ids := buildDict(strs); dict != nil {
+			// The dictionary, then a u32 index per row.
+			enc = Dict
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dict)))
+			for _, s := range dict {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+				buf = append(buf, s...)
+			}
+			for _, id := range ids {
+				buf = binary.LittleEndian.AppendUint32(buf, id)
+			}
+			break
+		}
+		// n+1 u32 end offsets, then the bytes.
+		off := uint32(0)
+		buf = binary.LittleEndian.AppendUint32(buf, off)
+		for _, s := range strs {
+			off += uint32(len(s))
+			buf = binary.LittleEndian.AppendUint32(buf, off)
+		}
+		for _, s := range strs {
+			buf = append(buf, s...)
+		}
+	}
+	return enc, st, buf
 }
 
 // decodeChunk reverses encodeChunk.
@@ -224,6 +270,11 @@ func decodeChunk(data []byte, kind types.Kind, enc Encoding) (*column.Vector, er
 		}
 		dictLen := int(binary.LittleEndian.Uint32(data))
 		data = data[4:]
+		// Every entry has a 4-byte length: a count the remaining bytes
+		// cannot hold is rejected before it sizes the dictionary.
+		if dictLen > len(data)/4 {
+			return nil, ErrCorrupt
+		}
 		dict := make([]string, dictLen)
 		for i := range dict {
 			if len(data) < 4 {
@@ -252,22 +303,20 @@ func decodeChunk(data []byte, kind types.Kind, enc Encoding) (*column.Vector, er
 		if kind != types.Int64 && kind != types.Date {
 			return nil, ErrCorrupt
 		}
+		// Runs expand, so n is not bounded by the payload's length: walk
+		// the runs once to see that they add up to n before allocating it.
+		for rest, left := data, uint64(n); left > 0; {
+			run, sz := binary.Uvarint(rest)
+			if sz <= 0 || len(rest) < sz+8 || run == 0 || run > left {
+				return nil, ErrCorrupt
+			}
+			rest, left = rest[sz+8:], left-run
+		}
 		vec.Ints = make([]int64, n)
-		i := 0
-		for i < n {
+		for i := 0; i < n; {
 			run, sz := binary.Uvarint(data)
-			if sz <= 0 {
-				return nil, ErrCorrupt
-			}
-			data = data[sz:]
-			if len(data) < 8 {
-				return nil, ErrCorrupt
-			}
-			v := int64(binary.LittleEndian.Uint64(data))
-			data = data[8:]
-			if run == 0 || i+int(run) > n {
-				return nil, ErrCorrupt
-			}
+			v := int64(binary.LittleEndian.Uint64(data[sz:]))
+			data = data[sz+8:]
 			for k := i; k < i+int(run); k++ {
 				vec.Ints[k] = v
 			}
@@ -300,27 +349,4 @@ func zeroNullSlots(vec *column.Vector) {
 			vec.Bools[i] = false
 		}
 	}
-}
-
-// computeStats scans the vector for chunk statistics.
-func computeStats(vec *column.Vector) Stats {
-	st := Stats{
-		Min:       types.NullValue(vec.Kind),
-		Max:       types.NullValue(vec.Kind),
-		NumValues: int64(vec.Len()),
-	}
-	for i := 0; i < vec.Len(); i++ {
-		v := vec.Value(i)
-		if v.Null {
-			st.NullCount++
-			continue
-		}
-		if st.Min.Null || types.Compare(v, st.Min) < 0 {
-			st.Min = v
-		}
-		if st.Max.Null || types.Compare(v, st.Max) > 0 {
-			st.Max = v
-		}
-	}
-	return st
 }

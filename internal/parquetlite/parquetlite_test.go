@@ -177,7 +177,7 @@ func TestEncodingSelection(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		iv.Append(types.IntValue(int64(i / 250)))
 	}
-	if got := chooseEncoding(iv); got != RLE {
+	if got, _, _ := encodeChunk(nil, iv); got != RLE {
 		t.Errorf("run-heavy ints encoding = %v, want rle", got)
 	}
 	// Few distinct strings -> Dict.
@@ -185,7 +185,7 @@ func TestEncodingSelection(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sv.Append(types.StringValue([]string{"x", "y"}[i%2]))
 	}
-	if got := chooseEncoding(sv); got != Dict {
+	if got, _, _ := encodeChunk(nil, sv); got != Dict {
 		t.Errorf("low-cardinality strings encoding = %v, want dict", got)
 	}
 	// Mostly-unique ints -> Plain.
@@ -193,7 +193,7 @@ func TestEncodingSelection(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		uv.Append(types.IntValue(int64(i)))
 	}
-	if got := chooseEncoding(uv); got != Plain {
+	if got, _, _ := encodeChunk(nil, uv); got != Plain {
 		t.Errorf("unique ints encoding = %v, want plain", got)
 	}
 }

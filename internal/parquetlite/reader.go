@@ -61,7 +61,7 @@ func NewReader(data []byte) (*Reader, error) {
 			return nil, ErrCorrupt
 		}
 		for _, ch := range rg.Chunks {
-			if ch.Offset < int64(len(Magic)) || ch.Offset+ch.CompressedSize > int64(footerStart) {
+			if ch.Offset < int64(len(Magic)) || ch.CompressedSize < 0 || ch.CompressedSize > int64(footerStart)-ch.Offset {
 				return nil, ErrCorrupt
 			}
 		}

@@ -17,12 +17,14 @@ type WriterOptions struct {
 	RowGroupSize int
 }
 
-// Writer accumulates rows and produces a parquetlite file image.
+// Writer cuts the rows and pages it is given into row groups and
+// produces a parquetlite file image.
 type Writer struct {
 	schema  *types.Schema
 	opts    WriterOptions
 	buf     []byte
-	pending *column.Page
+	pending *column.Page // the rows after the last whole group
+	scratch []byte       // one chunk body before compression, reused
 	meta    FileMeta
 }
 
@@ -41,60 +43,93 @@ func NewWriter(schema *types.Schema, opts WriterOptions) *Writer {
 	return w
 }
 
-// WriteRow buffers one row.
+// WriteRow appends one row to the pending group, which is encoded when
+// this row fills it.
 func (w *Writer) WriteRow(vals ...types.Value) error {
 	if len(vals) != w.schema.Len() {
 		return fmt.Errorf("parquetlite: row has %d values, schema has %d columns", len(vals), w.schema.Len())
 	}
 	w.pending.AppendRow(vals...)
 	if w.pending.NumRows() >= w.opts.RowGroupSize {
-		return w.flushGroup()
+		return w.flushPending()
 	}
 	return nil
 }
 
-// WritePage buffers all rows of a page (schema must match by arity/kind).
+// WritePage appends all rows of a page whose vectors match the schema in
+// arity and kind. A stretch of the page that fills a whole row group is
+// encoded where it lies; only the rows around such stretches are copied,
+// into the pending group.
 func (w *Writer) WritePage(p *column.Page) error {
-	for i := 0; i < p.NumRows(); i++ {
-		if err := w.WriteRow(p.Row(i)...); err != nil {
-			return err
+	if len(p.Vectors) != w.schema.Len() {
+		return fmt.Errorf("parquetlite: page has %d columns, schema has %d", len(p.Vectors), w.schema.Len())
+	}
+	for i, c := range w.schema.Columns {
+		if p.Vectors[i].Kind != c.Type {
+			return fmt.Errorf("parquetlite: column %s is %s, page vector is %s", c.Name, c.Type, p.Vectors[i].Kind)
 		}
 	}
+	size := w.opts.RowGroupSize
+	for from, n := 0, p.NumRows(); from < n; {
+		held := w.pending.NumRows()
+		if held == 0 && n-from >= size {
+			if err := w.writeGroup(p, from, from+size); err != nil {
+				return err
+			}
+			from += size
+			continue
+		}
+		to := min(n, from+size-held)
+		for i, vec := range p.Vectors {
+			w.pending.Vectors[i].AppendVector(vec.Window(from, to))
+		}
+		if held+to-from == size {
+			if err := w.flushPending(); err != nil {
+				return err
+			}
+		}
+		from = to
+	}
 	return nil
 }
 
-func (w *Writer) flushGroup() error {
-	n := w.pending.NumRows()
-	if n == 0 {
+func (w *Writer) flushPending() error {
+	p := w.pending
+	if p.NumRows() == 0 {
 		return nil
 	}
-	rg := RowGroupMeta{NumRows: int64(n)}
-	for _, vec := range w.pending.Vectors {
-		enc := chooseEncoding(vec)
-		raw := encodeChunk(vec, enc)
+	w.pending = column.NewPage(w.schema)
+	return w.writeGroup(p, 0, p.NumRows())
+}
+
+// writeGroup encodes rows [from, to) of p as one row group.
+func (w *Writer) writeGroup(p *column.Page, from, to int) error {
+	rg := RowGroupMeta{NumRows: int64(to - from), Chunks: make([]ChunkMeta, len(p.Vectors))}
+	for i, vec := range p.Vectors {
+		enc, stats, raw := encodeChunk(w.scratch, vec.Window(from, to))
+		w.scratch = raw
 		comp, err := compress.Encode(w.opts.Codec, raw)
 		if err != nil {
 			return err
 		}
-		rg.Chunks = append(rg.Chunks, ChunkMeta{
+		rg.Chunks[i] = ChunkMeta{
 			Offset:           int64(len(w.buf)),
 			CompressedSize:   int64(len(comp)),
 			UncompressedSize: int64(len(raw)),
 			Encoding:         enc,
-			Stats:            computeStats(vec),
-		})
+			Stats:            stats,
+		}
 		w.buf = append(w.buf, comp...)
 	}
 	w.meta.RowGroups = append(w.meta.RowGroups, rg)
-	w.meta.NumRows += int64(n)
-	w.pending = column.NewPage(w.schema)
+	w.meta.NumRows += rg.NumRows
 	return nil
 }
 
 // Finish flushes pending rows, appends the footer and returns the
 // complete file image. The writer must not be reused afterwards.
 func (w *Writer) Finish() ([]byte, error) {
-	if err := w.flushGroup(); err != nil {
+	if err := w.flushPending(); err != nil {
 		return nil, err
 	}
 	footer, err := encodeFooter(&w.meta)

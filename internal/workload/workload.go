@@ -101,10 +101,7 @@ func build(name, bucket string, cfg Config, schema *types.Schema,
 		Objects: make(map[string][]byte, cfg.Files),
 		Query:   query,
 	}
-	ndv := make([]map[string]bool, schema.Len())
-	for i := range ndv {
-		ndv[i] = make(map[string]bool)
-	}
+	ndv := ingest.NewDistinctSets(schema)
 	var keys []string
 	var sealed []ingest.SealedObject
 	for f := 0; f < cfg.Files; f++ {
@@ -130,7 +127,7 @@ func build(name, bucket string, cfg Config, schema *types.Schema,
 	}
 	exactNDV := make(map[string]int64, schema.Len())
 	for c, col := range schema.Columns {
-		exactNDV[col.Name] = int64(len(ndv[c]))
+		exactNDV[col.Name] = ndv.Count(c)
 	}
 	t, err := ingest.AssembleTable(ingest.TableSpec{
 		Schema:       "default",
