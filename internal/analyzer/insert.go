@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"prestocs/internal/column"
 	"prestocs/internal/expr"
 	"prestocs/internal/sqlparser"
 	"prestocs/internal/types"
@@ -37,9 +36,7 @@ func AnalyzeInsert(stmt *sqlparser.InsertStmt, schema *types.Schema) ([][]types.
 		}
 	}
 
-	// Constant folding happens against an empty row: VALUES expressions
-	// may not reference columns.
-	empty := column.NewPage(types.NewSchema())
+	// VALUES expressions are constants: they may not reference columns.
 	rows := make([][]types.Value, 0, len(stmt.Rows))
 	for ri, tuple := range stmt.Rows {
 		if len(tuple) != len(target) {
@@ -54,7 +51,7 @@ func AnalyzeInsert(stmt *sqlparser.InsertStmt, schema *types.Schema) ([][]types.
 			if err != nil {
 				return nil, fmt.Errorf("analyzer: VALUES tuple %d: %w", ri+1, err)
 			}
-			v, err := expr.EvalRow(e, empty, 0)
+			v, err := expr.EvalConst(e)
 			if err != nil {
 				return nil, fmt.Errorf("analyzer: VALUES tuple %d: %w", ri+1, err)
 			}

@@ -144,48 +144,27 @@ func (c *Connector) PlanOptimizer() engine.ConnectorPlanOptimizer { return &loca
 
 type localOptimizer struct{}
 
-// Optimize absorbs Filter-above-scan into the handle when the session
-// enables select pushdown.
+// Optimize absorbs, in every scan-rooted branch, the Filter directly above
+// the scan into the handle when the session enables select pushdown. Both
+// sides of a join qualify: each filters its own objects.
 func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan.Node, error) {
-	useSelect := session.Get(SessionSelectPushdown) != "false"
-	if !useSelect {
+	if session.Get(SessionSelectPushdown) == "false" {
 		return root, nil
 	}
-	return rewrite(root, func(n plan.Node) (plan.Node, bool) {
-		filter, ok := n.(*plan.Filter)
-		if !ok {
-			return nil, false
-		}
-		scan, ok := filter.Input.(*plan.TableScan)
-		if !ok {
-			return nil, false
-		}
+	return plan.MapBranches(root, func(branch plan.Node) (plan.Node, error) {
+		spine, end := plan.Spine(branch)
+		scan := end.(*plan.TableScan)
 		h, ok := scan.Handle.(*Handle)
-		if !ok || h.Filter != nil {
-			return nil, false
+		if !ok || h.Filter != nil || len(spine) == 0 {
+			return branch, nil
+		}
+		filter, ok := spine[len(spine)-1].(*plan.Filter)
+		if !ok {
+			return branch, nil
 		}
 		newHandle := &Handle{Table: h.Table, Projection: h.Projection, Filter: filter.Condition, UseSelect: true}
-		return &plan.TableScan{Catalog: scan.Catalog, Table: scan.Table, Handle: newHandle}, true
+		return plan.Stack(spine[:len(spine)-1], &plan.TableScan{Catalog: scan.Catalog, Table: scan.Table, Handle: newHandle})
 	})
-}
-
-// rewrite walks the linear chain and replaces the first node fn matches.
-func rewrite(root plan.Node, fn func(plan.Node) (plan.Node, bool)) (plan.Node, error) {
-	if replacement, ok := fn(root); ok {
-		return replacement, nil
-	}
-	kids := root.Children()
-	if len(kids) == 0 {
-		return root, nil
-	}
-	newChild, err := rewrite(kids[0], fn)
-	if err != nil {
-		return nil, err
-	}
-	if newChild == kids[0] {
-		return root, nil
-	}
-	return plan.ReplaceChild(root, newChild)
 }
 
 // CreatePageSource implements engine.Connector.

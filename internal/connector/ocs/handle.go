@@ -243,42 +243,16 @@ func (h *Handle) ScanSchema() *types.Schema {
 		schema = schema.Project(h.Push.OutputCols)
 	}
 	if h.Push.Project != nil {
-		schema = projectSchema(h.Push.Project)
+		schema = plan.ProjectSchema(h.Push.Project.Expressions, h.Push.Project.Names)
 	}
 	if h.Push.Agg != nil {
-		schema = aggSchema(schema, h.Push.Agg)
+		// Storage nodes always produce partial aggregates.
+		schema = plan.AggregateSchema(schema, h.Push.Agg.Keys, h.Push.Agg.Measures, plan.AggPartial)
 	}
 	if h.Push.FinalProject != nil {
-		schema = projectSchema(h.Push.FinalProject)
+		schema = plan.ProjectSchema(h.Push.FinalProject.Expressions, h.Push.FinalProject.Names)
 	}
 	return schema
-}
-
-func projectSchema(p *ProjectSpec) *types.Schema {
-	cols := make([]types.Column, len(p.Expressions))
-	for i, e := range p.Expressions {
-		cols[i] = types.Column{Name: p.Names[i], Type: e.Type()}
-	}
-	return types.NewSchema(cols...)
-}
-
-func aggSchema(in *types.Schema, a *AggSpec) *types.Schema {
-	var cols []types.Column
-	for _, k := range a.Keys {
-		cols = append(cols, in.Columns[k])
-	}
-	for _, m := range a.Measures {
-		inKind := types.Int64
-		if m.Func != substrait.AggCountStar {
-			inKind = in.Columns[m.Arg].Type
-		}
-		outKind, err := m.Func.ResultKind(inKind)
-		if err != nil {
-			outKind = types.Unknown
-		}
-		cols = append(cols, types.Column{Name: m.Name, Type: outKind})
-	}
-	return types.NewSchema(cols...)
 }
 
 // WithProjection implements plan.ProjectableHandle.

@@ -1,7 +1,6 @@
 package ocs
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 
@@ -9,7 +8,6 @@ import (
 	"prestocs/internal/expr"
 	"prestocs/internal/metastore"
 	"prestocs/internal/plan"
-	"prestocs/internal/substrait"
 	"prestocs/internal/types"
 )
 
@@ -20,59 +18,13 @@ type localOptimizer struct {
 	conn *Connector
 }
 
-// optimizeJoin applies the extractor to each branch of a join plan
-// independently. The probe branch is already rooted at its Exchange, so
-// it goes straight back through Optimize; the build branch gets a
-// synthetic Exchange (stripped after) so the same bottom-up walk sees a
-// normal [Exchange, …, Scan] leaf chain. Filters in either branch push
-// into their scan handles; the probe scan's schema (and with it the
-// join-key ordinals) is preserved because a filter-only leaf never
-// triggers output narrowing. The above-join chain is left untouched —
-// cross-table operators cannot execute inside one object's storage node.
-func (o *localOptimizer) optimizeJoin(root plan.Node, session *engine.Session) (plan.Node, error) {
-	var above []plan.Node
-	n := root
-	for {
-		j, ok := n.(*plan.Join)
-		if !ok {
-			kids := n.Children()
-			if len(kids) != 1 {
-				return root, nil // unexpected shape: leave untouched
-			}
-			above = append(above, n)
-			n = kids[0]
-			continue
-		}
-		probe, err := o.Optimize(j.Probe, session)
-		if err != nil {
-			return nil, err
-		}
-		buildRoot, err := o.Optimize(&plan.Exchange{Input: j.Build}, session)
-		if err != nil {
-			return nil, err
-		}
-		build := buildRoot
-		if ex, ok := buildRoot.(*plan.Exchange); ok {
-			build = ex.Input
-		}
-		var node plan.Node = &plan.Join{
-			Probe: probe, Build: build,
-			ProbeKeys: j.ProbeKeys, BuildKeys: j.BuildKeys, Strategy: j.Strategy,
-		}
-		for i := len(above) - 1; i >= 0; i-- {
-			next, err := plan.ReplaceChild(above[i], node)
-			if err != nil {
-				return nil, err
-			}
-			node = next
-		}
-		return node, nil
-	}
-}
-
-// Optimize walks the plan bottom-up from the TableScan, absorbing
-// pushdown-eligible operators into a modified scan handle, exactly the
-// flow of §3.4 step (1).
+// Optimize runs the Operator Extractor over every scan-rooted branch of
+// the plan. A join's inputs are each an [Exchange, Filter…, Scan] branch,
+// so their filters push into their own scan handles, and the probe scan's
+// schema (and with it the join-key ordinals) is preserved because a
+// filter-only leaf never triggers output narrowing. Nodes above a join
+// are left untouched — cross-table operators cannot execute inside one
+// object's storage node.
 func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan.Node, error) {
 	mode, err := ParseMode(session.Get(SessionPushdown))
 	if err != nil {
@@ -86,28 +38,22 @@ func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan
 	if mode.Auto && o.conn != nil && o.conn.policy != nil && !o.conn.policy.AdvisePlanPushdown() {
 		return root, nil
 	}
-	if plan.FindJoin(root) != nil {
-		return o.optimizeJoin(root, session)
-	}
-	chain, err := flatten(root)
-	if err != nil || chain == nil {
-		return root, nil
-	}
-	scanIdx := len(chain) - 1
-	scan, ok := chain[scanIdx].(*plan.TableScan)
-	if !ok {
-		return root, nil
-	}
+	return plan.MapBranches(root, func(branch plan.Node) (plan.Node, error) {
+		return extract(branch, mode, session)
+	})
+}
+
+// extract walks one branch bottom-up from its TableScan, absorbing
+// pushdown-eligible operators into a modified scan handle, exactly the
+// flow of §3.4 step (1). chain is the branch's spine, root first; the
+// leaf stage is what lies below its Exchange.
+func extract(branch plan.Node, mode Mode, session *engine.Session) (plan.Node, error) {
+	chain, end := plan.Spine(branch)
+	scan := end.(*plan.TableScan)
 	handle, ok := scan.Handle.(*Handle)
 	if !ok {
-		return root, nil
+		return branch, nil
 	}
-
-	analyzer := newSelectivityAnalyzer(handle.Table, session)
-	push := &Pushdown{}
-	absorbed := scanIdx // nodes chain[absorbed..scanIdx-1] removed (none yet)
-
-	// exchangeIdx bounds the leaf stage.
 	exchangeIdx := -1
 	for i, n := range chain {
 		if _, ok := n.(*plan.Exchange); ok {
@@ -115,10 +61,12 @@ func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan
 		}
 	}
 	if exchangeIdx < 0 {
-		return root, nil
+		return branch, nil
 	}
 
-	schema := handle.baseScanSchema()
+	analyzer := newSelectivityAnalyzer(handle.Table, session)
+	push := &Pushdown{}
+	absorbed := len(chain) // nodes chain[absorbed:] removed (none yet)
 
 	// Structural walk: collect the absorbable leaf sequence
 	// (filter-above-scan, then projections, then one partial aggregate).
@@ -130,9 +78,9 @@ func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan
 		schema *types.Schema
 	}
 	var seq []leafCandidate
-	walkSchema := schema
+	walkSchema := handle.baseScanSchema()
 structWalk:
-	for i := scanIdx - 1; i > exchangeIdx; i-- {
+	for i := len(chain) - 1; i > exchangeIdx; i-- {
 		switch t := chain[i].(type) {
 		case *plan.Filter:
 			if len(seq) > 0 {
@@ -144,7 +92,7 @@ structWalk:
 				break structWalk
 			}
 			seq = append(seq, leafCandidate{index: i, kind: "project", schema: walkSchema})
-			walkSchema = projectSchema(&ProjectSpec{Expressions: t.Expressions, Names: t.Names})
+			walkSchema = t.OutputSchema()
 		case *plan.Aggregate:
 			if t.Step != plan.AggPartial {
 				break structWalk
@@ -153,7 +101,7 @@ structWalk:
 				break structWalk
 			}
 			seq = append(seq, leafCandidate{index: i, kind: "agg", schema: walkSchema})
-			walkSchema = aggSchema(walkSchema, &AggSpec{Keys: t.Keys, Measures: t.Measures})
+			walkSchema = t.OutputSchema()
 		case *plan.Limit:
 			// The replicated leaf-side LIMIT (no ordering): each split
 			// may return at most Count rows, so pushing it is always
@@ -263,167 +211,40 @@ structWalk:
 							finalAbsorbedTo = j
 						}
 					}
-					_ = aggFinal
 				}
 			}
 		}
 	}
 
 	if push.Empty() {
-		return root, nil
+		return branch, nil
 	}
 
-	// Rebuild: nodes above the absorptions, with the new scan at the
-	// bottom.
-	var kept []plan.Node
+	// Keep everything above the absorptions; the new scan goes below.
+	kept := chain[:absorbed]
 	if finalAbsorbedTo >= 0 {
 		// Everything above chain[finalAbsorbedTo] (exclusive) is kept,
 		// then residual TopN, then Exchange, then scan.
-		kept = append(kept, chain[:finalAbsorbedTo]...)
-		kept = append(kept, residualTopN, &plan.Exchange{})
-	} else {
-		kept = append(kept, chain[:exchangeIdx+1]...)
-		// Leaf nodes not absorbed: chain[exchangeIdx+1 : absorbed].
-		kept = append(kept, chain[exchangeIdx+1:absorbed]...)
+		kept = append(append([]plan.Node(nil), chain[:finalAbsorbedTo]...), residualTopN, chain[exchangeIdx])
 	}
 
 	// With a filter-only pushdown, columns referenced solely by the
 	// pushed predicate are consumed in-storage: narrow the returned rows
-	// to what the residual plan needs and remap residual ordinals.
+	// to what the residual leaf stage needs and remap its ordinals.
 	if push.Filter != nil && push.Project == nil && push.Agg == nil {
-		if err := narrowFilterOutput(handle, push, kept, exchangeIdx); err != nil {
+		cols, leaf, err := plan.NarrowColumns(kept[exchangeIdx+1:], handle.baseScanSchema().Len())
+		if err != nil {
 			return nil, err
 		}
+		push.OutputCols = cols
+		kept = append(append([]plan.Node(nil), kept[:exchangeIdx+1]...), leaf...)
 	}
 
 	newHandle := &Handle{Table: handle.Table, Projection: handle.Projection, Push: push, pin: handle.pin}
 	if mode.Auto {
 		newHandle.Adaptive = adaptiveParams(session)
 	}
-	kept = append(kept, &plan.TableScan{Catalog: scan.Catalog, Table: scan.Table, Handle: newHandle})
-	return rebuild(kept)
-}
-
-// narrowFilterOutput computes Push.OutputCols for a filter-only pushdown
-// and rewrites the residual leaf nodes in kept (in place) to the narrowed
-// ordinals. kept is root-first; residual leaf nodes occupy the tail after
-// the Exchange at index exchangeIdx.
-func narrowFilterOutput(handle *Handle, push *Pushdown, kept []plan.Node, exchangeIdx int) error {
-	scanSchema := handle.baseScanSchema()
-	// Residual leaf nodes sit after the exchange in kept, highest first.
-	leafStart := exchangeIdx + 1
-	if leafStart > len(kept) {
-		return nil
-	}
-	needed := map[int]bool{}
-	rebuilderAt := -1
-	for i := len(kept) - 1; i >= leafStart; i-- { // bottom-up
-		switch t := kept[i].(type) {
-		case *plan.Filter:
-			for _, c := range expr.ReferencedColumns(t.Condition) {
-				needed[c] = true
-			}
-		case *plan.Project:
-			for _, e := range t.Expressions {
-				for _, c := range expr.ReferencedColumns(e) {
-					needed[c] = true
-				}
-			}
-			rebuilderAt = i
-		case *plan.Aggregate:
-			for _, k := range t.Keys {
-				needed[k] = true
-			}
-			for _, m := range t.Measures {
-				if m.Arg >= 0 {
-					needed[m.Arg] = true
-				}
-			}
-			rebuilderAt = i
-		}
-		if rebuilderAt >= 0 {
-			break
-		}
-	}
-	if rebuilderAt < 0 || len(needed) >= scanSchema.Len() {
-		return nil // nothing to narrow (or every column still needed)
-	}
-	var cols []int
-	for i := 0; i < scanSchema.Len(); i++ {
-		if needed[i] {
-			cols = append(cols, i)
-		}
-	}
-	mapping := make(map[int]int, len(cols))
-	for newIdx, oldIdx := range cols {
-		mapping[oldIdx] = newIdx
-	}
-	// Remap residual nodes from the bottom up to the rebuilder.
-	for i := len(kept) - 1; i >= rebuilderAt; i-- {
-		switch t := kept[i].(type) {
-		case *plan.Filter:
-			cond, err := expr.Remap(t.Condition, mapping)
-			if err != nil {
-				return err
-			}
-			kept[i] = &plan.Filter{Condition: cond}
-		case *plan.Project:
-			exprs := make([]expr.Expr, len(t.Expressions))
-			for j, e := range t.Expressions {
-				re, err := expr.Remap(e, mapping)
-				if err != nil {
-					return err
-				}
-				exprs[j] = re
-			}
-			kept[i] = &plan.Project{Expressions: exprs, Names: t.Names}
-		case *plan.Aggregate:
-			keys := make([]int, len(t.Keys))
-			for j, k := range t.Keys {
-				keys[j] = mapping[k]
-			}
-			measures := append([]substrait.Measure(nil), t.Measures...)
-			for j := range measures {
-				if measures[j].Arg >= 0 {
-					measures[j].Arg = mapping[measures[j].Arg]
-				}
-			}
-			kept[i] = &plan.Aggregate{Keys: keys, Measures: measures, Step: t.Step}
-		}
-	}
-	push.OutputCols = cols
-	return nil
-}
-
-// flatten returns the linear chain root-first, or nil for non-linear
-// plans.
-func flatten(root plan.Node) ([]plan.Node, error) {
-	var chain []plan.Node
-	n := root
-	for {
-		chain = append(chain, n)
-		kids := n.Children()
-		if len(kids) == 0 {
-			return chain, nil
-		}
-		if len(kids) != 1 {
-			return nil, fmt.Errorf("ocs: non-linear plan")
-		}
-		n = kids[0]
-	}
-}
-
-// rebuild reconstructs a root-first chain.
-func rebuild(chain []plan.Node) (plan.Node, error) {
-	node := chain[len(chain)-1]
-	for i := len(chain) - 2; i >= 0; i-- {
-		next, err := plan.ReplaceChild(chain[i], node)
-		if err != nil {
-			return nil, err
-		}
-		node = next
-	}
-	return node, nil
+	return plan.Stack(kept, &plan.TableScan{Catalog: scan.Catalog, Table: scan.Table, Handle: newHandle})
 }
 
 // selectivityAnalyzer implements the paper's §4 estimation rules over
@@ -577,13 +398,6 @@ func (a *selectivityAnalyzer) rangeProbability(schema *types.Schema, col *expr.C
 		return 0
 	}
 	return p
-}
-
-// ShouldPushFilter applies the threshold: push when the estimated
-// reduction (1 - selectivity) clears it.
-func (a *selectivityAnalyzer) ShouldPushFilter(pred expr.Expr, schema *types.Schema) bool {
-	sel := a.EstimateFilterSelectivity(pred, schema)
-	return 1-sel >= a.threshold
 }
 
 // ShouldPushProject pushes projections only when they shrink the row

@@ -630,12 +630,8 @@ func BuildSubstrait(h *Handle, object string) (*substrait.Plan, error) {
 		rel = &substrait.ProjectRel{Input: rel, Expressions: p.FinalProject.Expressions, Names: p.FinalProject.Names}
 	}
 	if p.TopN != nil {
-		keys := make([]substrait.SortKey, len(p.TopN.Keys))
-		for i, k := range p.TopN.Keys {
-			keys[i] = substrait.SortKey{Column: k.Column, Descending: k.Descending}
-		}
 		rel = &substrait.FetchRel{
-			Input: &substrait.SortRel{Input: rel, Keys: keys},
+			Input: &substrait.SortRel{Input: rel, Keys: p.TopN.Keys},
 			Count: p.TopN.Count,
 		}
 	}

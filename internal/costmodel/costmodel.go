@@ -74,9 +74,9 @@ type Params struct {
 	IngestOverhead float64
 	// BroadcastJoinMaxRows / BroadcastJoinMaxBytes bound the join build
 	// side that may be replicated to every leaf worker. A build side
-	// exceeding either bound costs more to copy per worker than the
-	// repartitioned probe saves, so the engine falls back to the
-	// partitioned strategy (probe on the final stage).
+	// exceeding either bound costs more to copy per worker than probing
+	// in parallel saves, so the engine falls back to the final-stage
+	// strategy (one probe on the coordinator).
 	BroadcastJoinMaxRows  int64
 	BroadcastJoinMaxBytes int64
 }

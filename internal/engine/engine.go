@@ -34,7 +34,7 @@ type Engine struct {
 	Workers int
 
 	// Cost parameterizes engine-side planning decisions, currently the
-	// broadcast-vs-partitioned join strategy. The zero value falls back
+	// broadcast-vs-final-stage join strategy. The zero value falls back
 	// to costmodel.Default() thresholds.
 	Cost costmodel.Params
 
@@ -205,12 +205,9 @@ func (e *Engine) runQuery(q *Query) (*Result, error) {
 	}
 	stats.GlobalOpt = time.Since(start)
 
-	// 4. Connector-specific (local) optimization. For joins, the probe
-	// side's connector drives local optimization and pushdown reporting.
+	// 4. Connector-specific (local) optimization, driven by the connector
+	// of the first scan — a join's probe side.
 	scan := plan.FindScan(optimized)
-	if join := plan.FindJoin(optimized); join != nil {
-		scan = plan.FindScan(join.Probe)
-	}
 	if scan == nil {
 		return fail(fmt.Errorf("engine: plan has no table scan"))
 	}
@@ -231,13 +228,9 @@ func (e *Engine) runQuery(q *Query) (*Result, error) {
 	stats.ConnectorOpt = time.Since(start)
 	stats.PlanText = plan.Format(optimized)
 
-	// 5-6. Split generation, scheduling, execution.
-	scan = plan.FindScan(optimized)
-	join := plan.FindJoin(optimized)
-	if join != nil {
-		scan = plan.FindScan(join.Probe)
-	}
-	if scan == nil {
+	// 5-6. Split generation, scheduling, execution. Pushdown reporting
+	// reads the (probe) scan the connector optimizer left behind.
+	if scan = plan.FindScan(optimized); scan == nil {
 		return fail(fmt.Errorf("engine: optimized plan lost its scan"))
 	}
 	if ph, ok := scan.Handle.(PushdownReporter); ok {
@@ -247,13 +240,7 @@ func (e *Engine) runQuery(q *Query) (*Result, error) {
 	start = time.Now()
 	q.setState(StateRunning)
 	execCtx, execSpan := telemetry.StartSpan(ctx, "engine.execution")
-	var page *column.Page
-	var schema *types.Schema
-	if join != nil {
-		page, schema, err = e.runJoin(execCtx, optimized, join, scan, conn, session, stats)
-	} else {
-		page, schema, err = e.run(execCtx, optimized, scan, conn, stats)
-	}
+	page, schema, err := e.run(execCtx, optimized, session, stats)
 	execSpan.End()
 	stats.Execution = time.Since(start)
 	stats.Total = time.Since(startTotal)
@@ -280,66 +267,66 @@ type PushdownReporter interface {
 	PushedOperators() []string
 }
 
-// run executes a single-table physical plan: leaf stage per split on
-// the worker pool, final stage on the coordinator, pipelined through a
-// channel.
-func (e *Engine) run(ctx context.Context, root plan.Node, scan *plan.TableScan, conn Connector, stats *QueryStats) (*column.Page, *types.Schema, error) {
-	leafChain, finalChain, err := splitAtExchange(root)
+// run executes an optimized plan with the one stage sequence: a leaf
+// stage per split on the worker pool, the final stage on the coordinator,
+// pipelined through a channel. The final-stage spine ends at an Exchange
+// or at a Join; a Join first runs its build stage, adds its probe hook
+// and hands back its probe branch as the leaf stage to start.
+func (e *Engine) run(ctx context.Context, root plan.Node, session *Session, stats *QueryStats) (*column.Page, *types.Schema, error) {
+	final, end := plan.Spine(root)
+	var branch plan.Node
+	for i, n := range final {
+		if _, ok := n.(*plan.Exchange); ok {
+			final, branch = final[:i], n
+			break
+		}
+	}
+	var probe joinProbe
+	join, _ := end.(*plan.Join)
+	if branch == nil {
+		if join == nil {
+			return nil, nil, fmt.Errorf("engine: plan has no exchange")
+		}
+		var err error
+		if probe, err = e.buildJoin(ctx, join, session, stats); err != nil {
+			return nil, nil, err
+		}
+		branch = join.Probe
+	}
+	stage, exchangeSchema, err := e.startLeafStage(ctx, branch, stats, probe.inLeaf)
 	if err != nil {
 		return nil, nil, err
 	}
-	stage, nsplits, err := e.startLeafStage(ctx, leafChain, scan, conn, stats, nil)
-	if err != nil {
-		return nil, nil, err
+	if probe.inLeaf != nil {
+		exchangeSchema = join.OutputSchema() // workers ship joined rows
 	}
-	stats.Splits = nsplits
-	exchangeSchema := leafOutputSchema(leafChain, scan)
-	return e.finishFinalStage(stage, exchangeSchema, finalChain, nil, stats)
+	return e.finishFinalStage(stage, exchangeSchema, final, probe.inFinal, stats)
 }
 
-// runJoin executes a plan containing one inner equi-join. The build
-// side runs first as its own leaf stage and is indexed into a hash
-// table on the coordinator. Strategy then picks where the probe
-// happens: broadcast replicates the (small) table into every leaf
-// worker so probing parallelizes with the scan; partitioned keeps the
-// table on the coordinator and probes the exchange stream in the final
-// stage. When the build side has a single key and the probe branch is
-// filter-only over a BloomJoinHandle, a bloom filter over the build
-// keys is pushed into the probe scan so storage drops non-matching rows
-// before they cross the network.
-func (e *Engine) runJoin(ctx context.Context, root plan.Node, join *plan.Join, probeScan *plan.TableScan, probeConn Connector, session *Session, stats *QueryStats) (*column.Page, *types.Schema, error) {
-	above, err := chainToJoin(root)
-	if err != nil {
-		return nil, nil, err
-	}
-	probeLeaf, probeFinal, err := splitAtExchange(join.Probe)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(probeFinal) > 0 {
-		return nil, nil, fmt.Errorf("engine: join probe has operators above its exchange")
-	}
+// joinProbe is what a Join adds to the stage sequence: the probe over
+// the built table, placed by strategy. Broadcast replicates the (small,
+// read-only) table into every leaf worker so probing parallelizes with
+// the scan (inLeaf); final-stage keeps the table on the coordinator and
+// probes the exchange stream (inFinal). Exactly one is set.
+type joinProbe struct {
+	inLeaf  func(exec.Operator, *exec.Meter) (exec.Operator, error)
+	inFinal func(exec.Operator) (exec.Operator, error)
+}
 
-	// Build stage: run the whole build branch on the worker pool, drain
-	// it into the hash table. BuildJoinTable returns a truncated table
-	// without error when workers failed, so the stage error wins.
-	buildScan := plan.FindScan(join.Build)
-	if buildScan == nil {
-		return nil, nil, fmt.Errorf("engine: join build side has no scan")
-	}
-	buildConn, err := e.connector(buildScan.Handle.ConnectorName())
+// buildJoin runs the build branch as its own leaf stage and drains it
+// into a hash table on the coordinator, picks the probe strategy, and —
+// when the join has a single key and the probe branch is filter-only over
+// a BloomJoinHandle — pushes a bloom filter over the build keys into the
+// probe scan so storage drops non-matching rows before they cross the
+// network.
+func (e *Engine) buildJoin(ctx context.Context, join *plan.Join, session *Session, stats *QueryStats) (joinProbe, error) {
+	// BuildJoinTable returns a truncated table without error when workers
+	// failed, so the stage error wins.
+	buildStage, buildSchema, err := e.startLeafStage(ctx, join.Build, stats, nil)
 	if err != nil {
-		return nil, nil, err
+		return joinProbe{}, err
 	}
-	buildChain, err := branchChain(join.Build)
-	if err != nil {
-		return nil, nil, err
-	}
-	buildStage, buildSplits, err := e.startLeafStage(ctx, buildChain, buildScan, buildConn, stats, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	buildSrc := exec.NewFuncSource(leafOutputSchema(buildChain, buildScan), func() (*column.Page, error) {
+	buildSrc := exec.NewFuncSource(buildSchema, func() (*column.Page, error) {
 		page, ok := <-buildStage.Pages
 		if !ok {
 			return nil, nil
@@ -349,119 +336,55 @@ func (e *Engine) runJoin(ctx context.Context, root plan.Node, join *plan.Join, p
 	table, err := exec.BuildJoinTable(buildSrc, join.BuildKeys, &stats.FinalMeter)
 	buildStage.Drain()
 	if werr := buildStage.Err(); werr != nil {
-		return nil, nil, werr
+		return joinProbe{}, werr
 	}
 	if err != nil {
-		return nil, nil, err
+		return joinProbe{}, err
 	}
 	stats.JoinBuildRows = int64(table.Rows())
 
-	strategy := join.Strategy
-	if strategy == plan.JoinAuto {
-		if e.Cost.BroadcastJoin(int64(table.Rows()), table.Bytes()) {
-			strategy = plan.JoinBroadcast
-		} else {
-			strategy = plan.JoinPartitioned
+	// Bloom pushdown into the probe scan. A filter-only probe branch
+	// keeps scan-schema ordinals intact, so the join key ordinal maps
+	// straight onto the handle.
+	_, probeLeaf, probeScan, err := leafBranch(join.Probe)
+	if err != nil {
+		return joinProbe{}, err
+	}
+	filterOnly := true
+	for _, n := range probeLeaf {
+		if _, ok := n.(*plan.Filter); !ok {
+			filterOnly = false
 		}
 	}
-
-	// Bloom pushdown into the probe scan. Filter-only probe branches
-	// keep scan-schema ordinals intact, so the join key ordinal maps
-	// straight onto the handle.
-	if len(join.BuildKeys) == 1 && session.Get(SessionJoinBloom) != "off" && filterOnly(probeLeaf) {
-		if bh, ok := probeScan.Handle.(plan.BloomJoinHandle); ok {
-			if f, err := table.BuildBloom(bloom.DefaultBitsPerKey); err == nil {
-				if nh, ok := bh.WithJoinBloom(join.ProbeKeys[0], f, int64(table.Rows())); ok {
-					probeScan.Handle = nh
-					if ph, ok := nh.(PushdownReporter); ok {
-						stats.PushedDown = ph.PushedOperators()
-						stats.UsedPushdown = len(stats.PushedDown) > 0
-					}
+	if bh, ok := probeScan.Handle.(plan.BloomJoinHandle); ok && filterOnly && len(join.BuildKeys) == 1 && session.Get(SessionJoinBloom) != "off" {
+		if f, err := table.BuildBloom(bloom.DefaultBitsPerKey); err == nil {
+			if nh, ok := bh.WithJoinBloom(join.ProbeKeys[0], f, int64(table.Rows())); ok {
+				probeScan.Handle = nh
+				if ph, ok := nh.(PushdownReporter); ok {
+					stats.PushedDown = ph.PushedOperators()
+					stats.UsedPushdown = len(stats.PushedDown) > 0
 				}
 			}
 		}
 	}
 
-	// Probe stage.
-	var wrap func(exec.Operator, *exec.Meter) (exec.Operator, error)
-	var extra func(exec.Operator) (exec.Operator, error)
-	var exchangeSchema *types.Schema
-	switch strategy {
-	case plan.JoinBroadcast:
+	strategy := join.Strategy
+	if strategy == plan.JoinAuto {
+		strategy = plan.JoinFinalStage
+		if e.Cost.BroadcastJoin(int64(table.Rows()), table.Bytes()) {
+			strategy = plan.JoinBroadcast
+		}
+	}
+	if strategy == plan.JoinBroadcast {
 		stats.JoinStrategy = "broadcast"
-		// The table is read-only after build; every worker probes it.
-		wrap = func(op exec.Operator, meter *exec.Meter) (exec.Operator, error) {
+		return joinProbe{inLeaf: func(op exec.Operator, meter *exec.Meter) (exec.Operator, error) {
 			return exec.NewHashJoinProbe(op, table, join.ProbeKeys, meter)
-		}
-		exchangeSchema = join.OutputSchema()
-	default:
-		stats.JoinStrategy = "partitioned"
-		extra = func(src exec.Operator) (exec.Operator, error) {
-			return exec.NewHashJoinProbe(src, table, join.ProbeKeys, &stats.FinalMeter)
-		}
-		exchangeSchema = leafOutputSchema(probeLeaf, probeScan)
+		}}, nil
 	}
-	probeStage, probeSplits, err := e.startLeafStage(ctx, probeLeaf, probeScan, probeConn, stats, wrap)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.Splits = probeSplits + buildSplits
-	return e.finishFinalStage(probeStage, exchangeSchema, above, extra, stats)
-}
-
-// chainToJoin returns the single-child spine strictly above the plan's
-// join, bottom-up.
-func chainToJoin(root plan.Node) ([]plan.Node, error) {
-	var above []plan.Node
-	n := root
-	for {
-		if _, ok := n.(*plan.Join); ok {
-			break
-		}
-		kids := n.Children()
-		if len(kids) != 1 {
-			return nil, fmt.Errorf("engine: unsupported plan shape above join (%T)", n)
-		}
-		above = append(above, n)
-		n = kids[0]
-	}
-	for i, j := 0, len(above)-1; i < j; i, j = i+1, j-1 {
-		above[i], above[j] = above[j], above[i]
-	}
-	return above, nil
-}
-
-// branchChain returns an exchange-free join branch's nodes strictly
-// above its scan, bottom-up.
-func branchChain(root plan.Node) ([]plan.Node, error) {
-	var chain []plan.Node
-	n := root
-	for {
-		if _, ok := n.(*plan.TableScan); ok {
-			break
-		}
-		kids := n.Children()
-		if len(kids) != 1 {
-			return nil, fmt.Errorf("engine: non-linear join branch (%T)", n)
-		}
-		chain = append(chain, n)
-		n = kids[0]
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return chain, nil
-}
-
-// filterOnly reports whether every node in the chain is a Filter (the
-// shape under which scan-schema column ordinals survive unchanged).
-func filterOnly(chain []plan.Node) bool {
-	for _, n := range chain {
-		if _, ok := n.(*plan.Filter); !ok {
-			return false
-		}
-	}
-	return true
+	stats.JoinStrategy = "final-stage"
+	return joinProbe{inFinal: func(src exec.Operator) (exec.Operator, error) {
+		return exec.NewHashJoinProbe(src, table, join.ProbeKeys, &stats.FinalMeter)
+	}}, nil
 }
 
 // leafStage is one scan's distributed fan-out in flight: Pages streams
@@ -483,22 +406,44 @@ func (ls *leafStage) Drain() {
 	}
 }
 
-// startLeafStage launches the worker pool over the scan's splits,
-// compiling chain (bottom-up, exchange-free) onto each split's page
-// source. wrap, when set, is applied per worker on top of the compiled
-// pipeline — the broadcast hash join probes inside the workers this way.
-// Worker operator time lands in stats.LeafMeter.
-func (e *Engine) startLeafStage(ctx context.Context, chain []plan.Node, scan *plan.TableScan, conn Connector, stats *QueryStats, wrap func(exec.Operator, *exec.Meter) (exec.Operator, error)) (*leafStage, int, error) {
+// leafBranch takes an Exchange-rooted branch apart: the Exchange, the
+// leaf-stage nodes below it (root first) and the scan they end on.
+func leafBranch(branch plan.Node) (*plan.Exchange, []plan.Node, *plan.TableScan, error) {
+	spine, end := plan.Spine(branch)
+	if scan, ok := end.(*plan.TableScan); ok && len(spine) > 0 {
+		if exchange, ok := spine[0].(*plan.Exchange); ok {
+			return exchange, spine[1:], scan, nil
+		}
+	}
+	return nil, nil, nil, fmt.Errorf("engine: leaf stage must be an exchange over a scan, not %T over %T", branch, end)
+}
+
+// startLeafStage launches the worker pool over the splits of an
+// Exchange-rooted branch's scan, compiling the branch's leaf nodes onto
+// each split's page source, and returns the stage with the schema of the
+// pages it feeds the exchange. wrap, when set, is applied per worker on
+// top of the compiled pipeline — the broadcast hash join probes inside
+// the workers this way. Worker operator time lands in stats.LeafMeter and
+// the split count adds to stats.Splits.
+func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *QueryStats, wrap func(exec.Operator, *exec.Meter) (exec.Operator, error)) (*leafStage, *types.Schema, error) {
+	exchange, chain, scan, err := leafBranch(branch)
+	if err != nil {
+		return nil, nil, err
+	}
+	conn, err := e.connector(scan.Handle.ConnectorName())
+	if err != nil {
+		return nil, nil, err
+	}
 	var splits []Split
-	var err error
 	if ss, ok := conn.(SplitSource); ok {
 		splits, err = ss.SplitsWithStats(scan.Handle, &stats.Scan)
 	} else {
 		splits, err = conn.Splits(scan.Handle)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
+	stats.Splits += len(splits)
 
 	workers := e.Workers
 	if workers <= 0 {
@@ -607,12 +552,13 @@ func (e *Engine) startLeafStage(ctx context.Context, chain []plan.Node, scan *pl
 		Pages:  pageCh,
 		failed: &failed,
 		errFn:  func() error { return workerErr },
-	}, len(splits), nil
+	}, exchange.OutputSchema(), nil
 }
 
 // finishFinalStage consumes a leaf stage's exchange output through the
-// final chain on the coordinator. extra, when set, is inserted between
-// the exchange and the final chain (the partitioned hash join probe).
+// final chain (root first) on the coordinator. extra, when set, is
+// inserted between the exchange and the final chain (the final-stage
+// hash join probe).
 func (e *Engine) finishFinalStage(stage *leafStage, exchangeSchema *types.Schema, finalChain []plan.Node, extra func(exec.Operator) (exec.Operator, error), stats *QueryStats) (*column.Page, *types.Schema, error) {
 	source := exec.Operator(exec.NewFuncSource(exchangeSchema, func() (*column.Page, error) {
 		page, ok := <-stage.Pages
@@ -654,63 +600,12 @@ func closeSource(source exec.Operator) {
 	}
 }
 
-// splitAtExchange returns the node chains below and above the Exchange,
-// each ordered bottom-up (scan side first) and excluding the scan and the
-// exchange themselves.
-func splitAtExchange(root plan.Node) (leaf, final []plan.Node, err error) {
-	var chain []plan.Node
-	n := root
-	for {
-		chain = append(chain, n)
-		kids := n.Children()
-		if len(kids) == 0 {
-			break
-		}
-		if len(kids) > 1 {
-			return nil, nil, fmt.Errorf("engine: non-linear plan")
-		}
-		n = kids[0]
-	}
-	// chain is root-first; find exchange and scan.
-	exchangeIdx := -1
-	for i, node := range chain {
-		if _, ok := node.(*plan.Exchange); ok {
-			exchangeIdx = i
-			break
-		}
-	}
-	if exchangeIdx < 0 {
-		return nil, nil, fmt.Errorf("engine: plan has no exchange")
-	}
-	if _, ok := chain[len(chain)-1].(*plan.TableScan); !ok {
-		return nil, nil, fmt.Errorf("engine: plan leaf is not a scan")
-	}
-	// Leaf: nodes strictly between scan and exchange, bottom-up.
-	for i := len(chain) - 2; i > exchangeIdx; i-- {
-		leaf = append(leaf, chain[i])
-	}
-	// Final: nodes strictly above exchange, bottom-up.
-	for i := exchangeIdx - 1; i >= 0; i-- {
-		final = append(final, chain[i])
-	}
-	return leaf, final, nil
-}
-
-// leafOutputSchema computes the schema pages have when they reach the
-// exchange.
-func leafOutputSchema(leafChain []plan.Node, scan *plan.TableScan) *types.Schema {
-	if len(leafChain) == 0 {
-		return scan.Handle.ScanSchema()
-	}
-	return leafChain[len(leafChain)-1].OutputSchema()
-}
-
-// compileChain lowers a bottom-up node chain onto a source operator.
+// compileChain lowers a root-first node chain onto a source operator.
 func compileChain(chain []plan.Node, source exec.Operator, meter *exec.Meter) (exec.Operator, error) {
 	op := source
 	var err error
-	for _, node := range chain {
-		switch t := node.(type) {
+	for i := len(chain) - 1; i >= 0; i-- {
+		switch t := chain[i].(type) {
 		case *plan.Filter:
 			op, err = exec.NewFilter(op, t.Condition, meter)
 		case *plan.Project:
@@ -725,15 +620,15 @@ func compileChain(chain []plan.Node, source exec.Operator, meter *exec.Meter) (e
 			}
 			op, err = exec.NewHashAggregate(op, t.Keys, t.Measures, mode, meter)
 		case *plan.Sort:
-			op, err = exec.NewSort(op, plan.SortSpecs(t.Keys), meter)
+			op, err = exec.NewSort(op, t.Keys, meter)
 		case *plan.TopN:
-			op, err = exec.NewTopN(op, plan.SortSpecs(t.Keys), t.Count, meter)
+			op, err = exec.NewTopN(op, t.Keys, t.Count, meter)
 		case *plan.Limit:
 			op = exec.NewLimit(op, t.Count)
 		case *plan.Output:
-			op, err = newRename(op, t.Names)
+			op = &rename{input: op, schema: t.OutputSchema()}
 		default:
-			return nil, fmt.Errorf("engine: cannot compile %T", node)
+			return nil, fmt.Errorf("engine: cannot compile %T", t)
 		}
 		if err != nil {
 			return nil, err
@@ -746,19 +641,6 @@ func compileChain(chain []plan.Node, source exec.Operator, meter *exec.Meter) (e
 type rename struct {
 	input  exec.Operator
 	schema *types.Schema
-}
-
-func newRename(input exec.Operator, names []string) (exec.Operator, error) {
-	in := input.Schema()
-	cols := make([]types.Column, in.Len())
-	for i, c := range in.Columns {
-		name := c.Name
-		if i < len(names) && names[i] != "" {
-			name = names[i]
-		}
-		cols[i] = types.Column{Name: name, Type: c.Type}
-	}
-	return &rename{input: input, schema: types.NewSchema(cols...)}, nil
 }
 
 func (r *rename) Schema() *types.Schema { return r.schema }

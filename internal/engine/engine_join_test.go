@@ -179,7 +179,7 @@ func TestJoinBroadcastEndToEnd(t *testing.T) {
 	}
 }
 
-func TestJoinPartitionedOverBroadcastThreshold(t *testing.T) {
+func TestJoinFinalStageOverBroadcastThreshold(t *testing.T) {
 	e, _ := newJoinEngine(20)
 	e.Cost.BroadcastJoinMaxRows = 4 // build side (30 rows) exceeds this
 	e.Cost.BroadcastJoinMaxBytes = 1 << 30
@@ -188,8 +188,8 @@ func TestJoinPartitionedOverBroadcastThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.JoinStrategy != "partitioned" {
-		t.Errorf("strategy = %q, want partitioned", res.Stats.JoinStrategy)
+	if res.Stats.JoinStrategy != "final-stage" {
+		t.Errorf("strategy = %q, want final-stage", res.Stats.JoinStrategy)
 	}
 	got := joinRows(res.Page)
 	want := expectedJoinRows(60, 10)

@@ -264,7 +264,7 @@ type QueryStats struct {
 	UsedPushdown bool
 
 	// Join execution (zero values for single-table queries).
-	// JoinStrategy is "broadcast" or "partitioned"; JoinBuildRows the
+	// JoinStrategy is "broadcast" or "final-stage"; JoinBuildRows the
 	// rows indexed from the build side.
 	JoinStrategy  string
 	JoinBuildRows int64

@@ -429,11 +429,9 @@ func (a *HashAggregate) finalValue(acc *accumulator, m substrait.Measure, outKin
 	return types.NullValue(outKind)
 }
 
-// SortSpec orders rows by column ordinal.
-type SortSpec struct {
-	Column     int
-	Descending bool
-}
+// SortSpec orders rows by column ordinal: the plan's and the Substrait
+// IR's sort key, so neither converts on the way in.
+type SortSpec = substrait.SortKey
 
 // sortKeyCols is the typed view of a page's sort-key columns, extracted
 // once so each comparison reads raw buffers instead of boxing two

@@ -424,11 +424,14 @@ func Eval(e Expr, page *column.Page) (*column.Vector, error) {
 	return evalVec(e, page, nil)
 }
 
-// EvalRow evaluates the expression for a single row.
-func EvalRow(e Expr, page *column.Page, row int) (types.Value, error) {
-	return evalRow(e, page, row)
+// EvalConst evaluates a column-free expression (a VALUES item); a column
+// reference is an error, there being no row to read it from.
+func EvalConst(e Expr) (types.Value, error) {
+	return evalRow(e, column.NewPage(types.NewSchema()), 0)
 }
 
+// evalRow evaluates the expression for a single row. It is unexported so
+// that no operator outside this package can evaluate row by row.
 func evalRow(e Expr, page *column.Page, i int) (types.Value, error) {
 	switch t := e.(type) {
 	case *ColumnRef:

@@ -122,7 +122,7 @@ func TestEvalRowMatchesEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		v, err := EvalRow(e, p, i)
+		v, err := evalRow(e, p, i)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,8 +34,7 @@ import (
 )
 
 // ColRange describes the values one column may take in a row satisfying
-// a predicate. The zero ColRange admits nothing; Unconstrained() admits
-// everything.
+// a predicate. The zero ColRange admits nothing.
 type ColRange struct {
 	// Lo and Hi bound the non-NULL values; a Null or zero Value means
 	// unbounded on that side. Bounds are inclusive unless the matching
@@ -48,11 +47,6 @@ type ColRange struct {
 	// NonNullOK reports that a satisfying row may hold a non-NULL value
 	// (inside [Lo, Hi]).
 	NonNullOK bool
-}
-
-// Unconstrained returns the range admitting every value including NULL.
-func Unconstrained() ColRange {
-	return ColRange{NullOK: true, NonNullOK: true}
 }
 
 // Empty reports that no value at all satisfies the range.

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"prestocs/internal/bloom"
@@ -387,5 +389,44 @@ func BenchmarkJoinBloomSweep(b *testing.B) {
 			b.ReportMetric(storageRows/n, "storage-rows/op")
 			b.ReportMetric(buildRows/n, "build-rows/op")
 		})
+	}
+}
+
+// TestJoinHiveMatchesOCS runs the join shapes — a conjunct on the probe
+// side, on the build side, on both, and Q3 — over the hive catalog and
+// over the ocs catalog: the same rows either way. Each connector absorbs
+// the Filter directly above each of the two scans.
+func TestJoinHiveMatchesOCS(t *testing.T) {
+	c, err := StartCluster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	line, ords := q3Datasets(t)
+	for _, d := range []*workload.Dataset{line, ords} {
+		if err := c.Load(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const from = "FROM %[1]s.lineitem AS l JOIN %[1]s.orders AS o ON l.orderkey = o.orderkey "
+	shapes := map[string]string{
+		"probe conjunct": "SELECT l.orderkey AS k, l.quantity AS q, o.orderdate AS d " + from + "WHERE l.quantity < 10",
+		"build conjunct": "SELECT l.orderkey AS k, l.quantity AS q, o.orderdate AS d " + from + "WHERE o.orderdate < DATE '1993-01-01'",
+		"both conjuncts": "SELECT l.orderkey AS k, l.quantity AS q, o.orderdate AS d " + from + "WHERE l.quantity < 10 AND o.orderdate < DATE '1993-01-01'",
+		"q3":             strings.Replace(workload.TPCHQ3Query, "FROM lineitem AS l JOIN orders AS o ON l.orderkey = o.orderkey ", from, 1),
+	}
+	for name, sql := range shapes {
+		rows := map[string][]string{}
+		for _, catalog := range []string{CatalogOCS, CatalogHive} {
+			res, err := execute(context.Background(), c.Engine, fmt.Sprintf(sql, catalog), nil)
+			if err != nil {
+				t.Fatalf("%s over %s: %v", name, catalog, err)
+			}
+			if res.Page.NumRows() == 0 {
+				t.Fatalf("%s over %s: no rows", name, catalog)
+			}
+			rows[catalog] = rowMultisetPage(res.Page)
+		}
+		assertRowsEqual(t, name, rows[CatalogHive], rows[CatalogOCS])
 	}
 }

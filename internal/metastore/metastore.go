@@ -273,35 +273,3 @@ func StatsFromObjects(schema *types.Schema, images [][]byte) (rowCount, totalByt
 	}
 	return rowCount, totalBytes, colStats, nil
 }
-
-// ObjectStatsFromImages computes per-object column statistics (the
-// zone maps split pruning consumes) by reading each object's footer.
-// keys and images are parallel slices; the result is keyed by object
-// key, then column name.
-func ObjectStatsFromImages(schema *types.Schema, keys []string, images [][]byte) (map[string]map[string]ColumnStats, error) {
-	if len(keys) != len(images) {
-		return nil, fmt.Errorf("metastore: %d keys for %d images", len(keys), len(images))
-	}
-	out := make(map[string]map[string]ColumnStats, len(keys))
-	for i, img := range images {
-		r, err := parquetlite.NewReader(img)
-		if err != nil {
-			return nil, err
-		}
-		if !r.Schema().Equal(schema) {
-			return nil, fmt.Errorf("metastore: object schema %s does not match table %s", r.Schema(), schema)
-		}
-		per := make(map[string]ColumnStats, schema.Len())
-		for ci, c := range schema.Columns {
-			st := r.ColumnStats(ci)
-			per[c.Name] = ColumnStats{
-				Min:       st.Min,
-				Max:       st.Max,
-				NullCount: st.NullCount,
-				NumValues: st.NumValues,
-			}
-		}
-		out[keys[i]] = per
-	}
-	return out, nil
-}

@@ -39,11 +39,6 @@ type Client struct {
 // Option configures a Client.
 type Option func(*Client)
 
-// WithDialTimeout bounds connection establishment to the frontend.
-func WithDialTimeout(d time.Duration) Option {
-	return func(c *Client) { c.rpc.DialTimeout = d }
-}
-
 // WithRetryPolicy replaces the default transient-failure retry policy.
 // retry.None() disables retries.
 func WithRetryPolicy(p retry.Policy) Option {

@@ -195,11 +195,7 @@ func compileRel(store *objstore.Store, rel substrait.Rel, env *execEnv) (exec.Op
 		if err != nil {
 			return nil, err
 		}
-		keys := make([]exec.SortSpec, len(t.Keys))
-		for i, k := range t.Keys {
-			keys[i] = exec.SortSpec{Column: k.Column, Descending: k.Descending}
-		}
-		return exec.NewSort(input, keys, &env.meter)
+		return exec.NewSort(input, t.Keys, &env.meter)
 	case *substrait.FetchRel:
 		// Sort+Fetch compiles to TopN; bare Fetch to Limit.
 		if sortRel, ok := t.Input.(*substrait.SortRel); ok {
@@ -207,11 +203,7 @@ func compileRel(store *objstore.Store, rel substrait.Rel, env *execEnv) (exec.Op
 			if err != nil {
 				return nil, err
 			}
-			keys := make([]exec.SortSpec, len(sortRel.Keys))
-			for i, k := range sortRel.Keys {
-				keys[i] = exec.SortSpec{Column: k.Column, Descending: k.Descending}
-			}
-			return exec.NewTopN(input, keys, t.Offset+t.Count, &env.meter)
+			return exec.NewTopN(input, sortRel.Keys, t.Offset+t.Count, &env.meter)
 		}
 		input, err := compileRel(store, t.Input, env)
 		if err != nil {

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"prestocs/internal/bloom"
-	"prestocs/internal/exec"
 	"prestocs/internal/expr"
 	"prestocs/internal/substrait"
 	"prestocs/internal/types"
@@ -57,7 +56,8 @@ type BloomJoinHandle interface {
 type Node interface {
 	// OutputSchema is the node's result schema.
 	OutputSchema() *types.Schema
-	// Children returns input nodes (len 0 or 1 in this engine).
+	// Children returns input nodes: none for a TableScan, probe then build
+	// for a Join, one for everything else.
 	Children() []Node
 	// Describe renders a one-line summary.
 	Describe() string
@@ -104,10 +104,15 @@ type Project struct {
 }
 
 // OutputSchema implements Node.
-func (n *Project) OutputSchema() *types.Schema {
-	cols := make([]types.Column, len(n.Expressions))
-	for i, e := range n.Expressions {
-		cols[i] = types.Column{Name: n.Names[i], Type: e.Type()}
+func (n *Project) OutputSchema() *types.Schema { return ProjectSchema(n.Expressions, n.Names) }
+
+// ProjectSchema is the schema a projection of exprs named names produces;
+// connectors that execute an absorbed Project derive their scan schema
+// with it.
+func ProjectSchema(exprs []expr.Expr, names []string) *types.Schema {
+	cols := make([]types.Column, len(exprs))
+	for i, e := range exprs {
+		cols[i] = types.Column{Name: names[i], Type: e.Type()}
 	}
 	return types.NewSchema(cols...)
 }
@@ -145,15 +150,21 @@ type Aggregate struct {
 
 // OutputSchema implements Node.
 func (n *Aggregate) OutputSchema() *types.Schema {
-	in := n.Input.OutputSchema()
+	return AggregateSchema(n.Input.OutputSchema(), n.Keys, n.Measures, n.Step)
+}
+
+// AggregateSchema is the schema an aggregation over in produces: keys
+// then measures. A final step reads its measures' kinds off the partial
+// state columns.
+func AggregateSchema(in *types.Schema, keys []int, measures []substrait.Measure, step AggStep) *types.Schema {
 	var cols []types.Column
-	for _, k := range n.Keys {
+	for _, k := range keys {
 		cols = append(cols, in.Columns[k])
 	}
-	for i, m := range n.Measures {
+	for i, m := range measures {
 		inKind := types.Int64
-		if n.Step == AggFinal {
-			inKind = in.Columns[len(n.Keys)+i].Type
+		if step == AggFinal {
+			inKind = in.Columns[len(keys)+i].Type
 		} else if m.Func != substrait.AggCountStar {
 			inKind = in.Columns[m.Arg].Type
 		}
@@ -178,11 +189,9 @@ func (n *Aggregate) Describe() string {
 	return fmt.Sprintf("Aggregate(%s)[keys=%d, %s]", n.Step, len(n.Keys), strings.Join(parts, ","))
 }
 
-// SortKey orders by an output ordinal.
-type SortKey struct {
-	Column     int
-	Descending bool
-}
+// SortKey orders by an output ordinal; the plan, the Substrait IR and the
+// operator library share one definition.
+type SortKey = substrait.SortKey
 
 // Sort fully orders the input.
 type Sort struct {
@@ -249,13 +258,13 @@ const (
 	// JoinBroadcast replicates the built hash table to every leaf worker,
 	// probing inside the leaf stage.
 	JoinBroadcast
-	// JoinPartitioned probes on the coordinator's final stage (this
-	// engine's single-coordinator stand-in for a repartitioned join).
-	JoinPartitioned
+	// JoinFinalStage keeps the built table on the coordinator and probes
+	// the exchange stream in the final stage.
+	JoinFinalStage
 )
 
 func (s JoinStrategy) String() string {
-	return [...]string{"AUTO", "BROADCAST", "PARTITIONED"}[s]
+	return [...]string{"AUTO", "BROADCAST", "FINAL_STAGE"}[s]
 }
 
 // Join is an inner hash equi-join. The build side is fully drained into a
@@ -354,15 +363,13 @@ func Walk(n Node, fn func(Node)) {
 	}
 }
 
-// FindScan returns the unique TableScan of the tree (nil when absent).
+// FindScan returns the first TableScan in Walk order — the only scan of
+// a single-table plan, the probe scan of a join (nil when absent).
 func FindScan(root Node) *TableScan {
-	var scan *TableScan
-	Walk(root, func(n Node) {
-		if s, ok := n.(*TableScan); ok {
-			scan = s
-		}
-	})
-	return scan
+	if scans := FindScans(root); len(scans) > 0 {
+		return scans[0]
+	}
+	return nil
 }
 
 // FindScans returns every TableScan in the tree, in Walk (top-down,
@@ -387,38 +394,4 @@ func FindJoin(root Node) *Join {
 		}
 	})
 	return join
-}
-
-// ReplaceChild returns a structural copy of parent with its single input
-// replaced. It is the primitive connector optimizers use to rewrite trees.
-func ReplaceChild(parent Node, newChild Node) (Node, error) {
-	switch t := parent.(type) {
-	case *Filter:
-		return &Filter{Input: newChild, Condition: t.Condition}, nil
-	case *Project:
-		return &Project{Input: newChild, Expressions: t.Expressions, Names: t.Names}, nil
-	case *Aggregate:
-		return &Aggregate{Input: newChild, Keys: t.Keys, Measures: t.Measures, Step: t.Step}, nil
-	case *Sort:
-		return &Sort{Input: newChild, Keys: t.Keys}, nil
-	case *TopN:
-		return &TopN{Input: newChild, Keys: t.Keys, Count: t.Count, Partial: t.Partial}, nil
-	case *Limit:
-		return &Limit{Input: newChild, Count: t.Count}, nil
-	case *Exchange:
-		return &Exchange{Input: newChild}, nil
-	case *Output:
-		return &Output{Input: newChild, Names: t.Names}, nil
-	default:
-		return nil, fmt.Errorf("plan: cannot replace child of %T", parent)
-	}
-}
-
-// SortSpecs converts plan sort keys to exec sort specs.
-func SortSpecs(keys []SortKey) []exec.SortSpec {
-	out := make([]exec.SortSpec, len(keys))
-	for i, k := range keys {
-		out[i] = exec.SortSpec{Column: k.Column, Descending: k.Descending}
-	}
-	return out
 }

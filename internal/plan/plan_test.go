@@ -138,7 +138,7 @@ func TestReplaceChild(t *testing.T) {
 		&Output{Input: scan, Names: []string{"a", "b", "g"}},
 	}
 	for _, n := range nodes {
-		replaced, err := ReplaceChild(n, scan2)
+		replaced, err := withChildren(n, scan2)
 		if err != nil {
 			t.Fatalf("%T: %v", n, err)
 		}
@@ -150,8 +150,19 @@ func TestReplaceChild(t *testing.T) {
 			t.Errorf("%T: original mutated", n)
 		}
 	}
-	if _, err := ReplaceChild(scan, scan2); err == nil {
+	if _, err := withChildren(scan, scan2); err == nil {
 		t.Error("replacing child of a scan must fail")
+	}
+	join := &Join{Probe: scan, Build: scan, ProbeKeys: []int{0}, BuildKeys: []int{0}}
+	replaced, err := withChildren(join, scan2, scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kids := replaced.Children(); kids[0] != Node(scan2) || kids[1] != Node(scan) {
+		t.Error("join inputs not replaced")
+	}
+	if _, err := withChildren(join, scan2); err == nil {
+		t.Error("a join must get two inputs")
 	}
 }
 
@@ -184,12 +195,5 @@ func TestDescribeForms(t *testing.T) {
 	}
 	if AggSingle.String() != "SINGLE" || AggFinal.String() != "FINAL" {
 		t.Error("step strings wrong")
-	}
-}
-
-func TestSortSpecs(t *testing.T) {
-	specs := SortSpecs([]SortKey{{Column: 2, Descending: true}, {Column: 0}})
-	if len(specs) != 2 || specs[0].Column != 2 || !specs[0].Descending || specs[1].Descending {
-		t.Errorf("SortSpecs = %+v", specs)
 	}
 }

@@ -92,7 +92,7 @@ const (
 	MetricQuerySplitsPruned = "engine_query_splits_pruned_total"
 	// Join execution: queries that ran a hash join, the build-side rows
 	// indexed across them, and the per-query split of broadcast vs
-	// partitioned probe strategies (labels: strategy).
+	// final-stage probe strategies (labels: strategy).
 	MetricQueryJoins         = "engine_join_queries_total"
 	MetricJoinBuildRows      = "engine_join_build_rows_total"
 	MetricJoinStrategyChosen = "engine_join_strategy_total"
