@@ -5,7 +5,7 @@ GO ?= go
 # refactors but fails the gate if tests are deleted wholesale.
 COVER_MIN ?= 80.0
 
-.PHONY: build test bench bench-build bench-paper faults faults-ingest fuzz-smoke check \
+.PHONY: build test bench bench-build bench-paper faults faults-ingest fuzz-smoke determinism check \
 	vet-telemetry vet-pruning vet-cache vet-concurrency vet-join vet-ingest ci-fast ci-race ci cover
 
 build:
@@ -57,16 +57,27 @@ faults-ingest:
 	$(GO) test -race -count=2 -run 'Ingest|Compact|Snapshot' \
 		./internal/ingest/... ./internal/metastore/... ./internal/harness/...
 
+# determinism repeats, at one, two and four cores, the tests that hold an
+# answer to be a function of the snapshot alone — the same bytes, rows in
+# the same order — across runs, worker counts, pushdown modes, bloom
+# on/off, probe placement and catalog: random queries against no
+# pushdown, every join shape against a row-at-a-time reference, and
+# ORDER BY … LIMIT over keys that tie across splits. The final stage folds
+# leaf output in split order (DESIGN.md §9), so none of them carries a
+# tolerance; a failure here is an arrival-order dependence.
+determinism:
+	$(GO) test -cpu 1,2,4 -count=3 -run 'TestQuickPushdownSoundness|TestJoinDifferentialAcrossConfigurations|TestTopNTieOrderAcrossSplits' ./internal/harness/
+
 # fuzz-smoke runs each native fuzz target for ten seconds: the decoders
 # of bytes this program did not produce (Snappy blocks and parquetlite
-# footers and chunks off disk, Arrow batches off the wire,
-# object-protocol requests from any client and responses from any
-# server) may reject their input but must never panic or size an
-# allocation from a length the input cannot back; and SQL text from any
-# client goes through parse, analyze and both optimizers in every
-# pushdown mode, where each step may reject it, none may panic, and a
-# plan that comes out keeps the structural invariants. `go test -fuzz`
-# takes one target and one package per run.
+# footers and chunks off disk, Arrow batches and Substrait plans — the
+# bloom filter's carrier — off the wire, object-protocol requests from
+# any client and responses from any server) may reject their input but
+# must never panic or size an allocation from a length the input cannot
+# back; and SQL text from any client goes through parse, analyze and both
+# optimizers in every pushdown mode, where each step may reject it, none
+# may panic, and a plan that comes out keeps the structural invariants.
+# `go test -fuzz` takes one target and one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnappyDecode$$' -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/arrowlite/
@@ -76,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNewReader$$' -fuzztime 10s ./internal/parquetlite/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadColumn$$' -fuzztime 10s ./internal/parquetlite/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanPipeline$$' -fuzztime 10s ./internal/optimizer/
+	$(GO) test -run '^$$' -fuzz '^FuzzSubstraitUnmarshal$$' -fuzztime 10s ./internal/optimizer/
 
 # vet-telemetry keeps the metric-name manifest honest: every Metric* const
 # declared in internal/telemetry/names.go must have a registration site in
@@ -209,8 +221,8 @@ bench-build:
 # telemetry manifest, pruning, caching, shared scheduler, join hot path,
 # ingest single writer), the benchmark module's
 # build, and the full suite under the race detector (the streaming RPC and
-# parallel scanner are concurrency-heavy), then the fault-injection matrix
-# and ten seconds of each fuzz target.
+# parallel scanner are concurrency-heavy), then the fault-injection matrix,
+# ten seconds of each fuzz target and the determinism lane.
 check:
 	$(GO) vet ./...
 	$(MAKE) vet-telemetry
@@ -223,9 +235,10 @@ check:
 	$(GO) test -race ./...
 	$(MAKE) faults
 	$(MAKE) fuzz-smoke
+	$(MAKE) determinism
 
-# ci-fast is the quick CI lane: formatting, compilation and every static
-# gate — everything that fails in seconds. The GitHub workflow calls this
+# ci-fast is the quick CI lane: formatting, compilation, every static
+# gate and the determinism lane — everything that fails in seconds. The GitHub workflow calls this
 # exact target so CI and local runs cannot drift.
 ci-fast:
 	@unformatted=$$(gofmt -l .); \
@@ -244,6 +257,7 @@ ci-fast:
 	$(MAKE) vet-join
 	$(MAKE) vet-ingest
 	$(MAKE) bench-build
+	$(MAKE) determinism
 
 # ci-race is the CI race lane: the full suite under the race detector.
 ci-race:

@@ -26,7 +26,7 @@ import (
 type Filter struct {
 	bits []byte
 	k    int
-	m    uint64 // number of bits, multiple of 8
+	m    uint64 // number of bits, a whole number of 64-bit words
 }
 
 // DefaultBitsPerKey (10 bits/key, ~1% false positives at k=7) matches
@@ -44,7 +44,7 @@ func New(expectedKeys, bitsPerKey int) *Filter {
 	if nbits < 64 {
 		nbits = 64
 	}
-	nbits = (nbits + 7) &^ 7
+	nbits = (nbits + 63) &^ 63
 	// k = ln2 * bits-per-key is the optimal hash count.
 	k := int(float64(bitsPerKey) * 0.69)
 	if k < 1 {
@@ -57,10 +57,15 @@ func New(expectedKeys, bitsPerKey int) *Filter {
 }
 
 // FromBits reconstructs a filter from its wire form (the storage-node
-// side of the pushdown).
+// side of the pushdown) over bits itself — nothing is copied or sized from
+// the input. New only ever produces whole 64-bit words, so anything else
+// did not come from it.
 func FromBits(bits []byte, numHash int) (*Filter, error) {
 	if len(bits) == 0 {
 		return nil, fmt.Errorf("bloom: empty bit array")
+	}
+	if len(bits)%8 != 0 {
+		return nil, fmt.Errorf("bloom: bit array of %d bytes is not a whole number of words", len(bits))
 	}
 	if numHash < 1 || numHash > 16 {
 		return nil, fmt.Errorf("bloom: bad hash count %d", numHash)

@@ -108,7 +108,8 @@ type TopNSpec struct {
 // filter is conservative (false positives only), so the engine's hash
 // join stays the correctness authority.
 type BloomSpec struct {
-	// Column is the join-key ordinal over the scan output schema.
+	// Column is the join-key ordinal over the scan output schema (the
+	// projected one: the join's ProbeKeys[0]).
 	Column int
 	Filter *bloom.Filter
 	// EstSelectivity estimates the fraction of probe rows the filter

@@ -20,11 +20,14 @@ type localOptimizer struct {
 
 // Optimize runs the Operator Extractor over every scan-rooted branch of
 // the plan. A join's inputs are each an [Exchange, Filter…, Scan] branch,
-// so their filters push into their own scan handles, and the probe scan's
-// schema (and with it the join-key ordinals) is preserved because a
-// filter-only leaf never triggers output narrowing. Nodes above a join
-// are left untouched — cross-table operators cannot execute inside one
-// object's storage node.
+// so their filters push into their own scan handles. Each scan's schema —
+// already projected by the global optimizer to what the plan reads, the
+// join keys included — is preserved, and the join-key ordinals with it,
+// because a filter-only leaf never triggers output narrowing: a column
+// only the branch's own filter reads is still returned (consuming it in
+// storage would take an extractor that sees across the join). Nodes above
+// a join are left untouched — cross-table operators cannot execute inside
+// one object's storage node.
 func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan.Node, error) {
 	mode, err := ParseMode(session.Get(SessionPushdown))
 	if err != nil {

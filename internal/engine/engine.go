@@ -326,13 +326,7 @@ func (e *Engine) buildJoin(ctx context.Context, join *plan.Join, session *Sessio
 	if err != nil {
 		return joinProbe{}, err
 	}
-	buildSrc := exec.NewFuncSource(buildSchema, func() (*column.Page, error) {
-		page, ok := <-buildStage.Pages
-		if !ok {
-			return nil, nil
-		}
-		return page, nil
-	})
+	buildSrc := exec.NewFuncSource(buildSchema, buildStage.Next)
 	table, err := exec.BuildJoinTable(buildSrc, join.BuildKeys, &stats.FinalMeter)
 	buildStage.Drain()
 	if werr := buildStage.Err(); werr != nil {
@@ -344,8 +338,9 @@ func (e *Engine) buildJoin(ctx context.Context, join *plan.Join, session *Sessio
 	stats.JoinBuildRows = int64(table.Rows())
 
 	// Bloom pushdown into the probe scan. A filter-only probe branch
-	// keeps scan-schema ordinals intact, so the join key ordinal maps
-	// straight onto the handle.
+	// passes the scan's schema through — projected to what the plan reads
+	// (plan.NarrowJoin), keys included — so ProbeKeys[0] is the key's
+	// ordinal over the handle's ScanSchema.
 	_, probeLeaf, probeScan, err := leafBranch(join.Probe)
 	if err != nil {
 		return joinProbe{}, err
@@ -387,24 +382,51 @@ func (e *Engine) buildJoin(ctx context.Context, join *plan.Join, session *Sessio
 	}}, nil
 }
 
-// leafStage is one scan's distributed fan-out in flight: Pages streams
-// worker output and closes when every split is done (or the stage
-// failed). Err is valid only after Pages closes.
+// leafStage is one scan's distributed fan-out in flight, consumed in
+// split order: every split's pages go to that split's own queue, and Next
+// drains queue 0 to its close, then queue 1, and so on. What the final
+// stage (or the join build) folds is therefore a function of the snapshot
+// alone — not of which worker finished first — so float sums and the
+// ORDER BY … LIMIT tie-break (split, row ordinal) are byte-identical
+// across runs, worker counts and pushdown modes. Err is valid only after
+// Next has returned nil.
 type leafStage struct {
-	Pages  chan *column.Page
-	failed *atomic.Bool
+	queues []chan *column.Page // one per split, closed by whoever retires the split
+	next   int                 // the lowest split not yet drained
+	window chan struct{}       // a token per split workers may start ahead of next
+	done   chan struct{}       // closed once every worker has exited
 	errFn  func() error
 }
 
-// Err returns the first worker error; call only after Pages has closed.
+// Next returns the stage's next page in (split, emission) order, or nil
+// once every split is drained and every worker has exited. It never
+// deadlocks: workers take splits in index order, so the lowest undrained
+// split is either running or the next one a free worker starts.
+func (ls *leafStage) Next() (*column.Page, error) {
+	for ls.next < len(ls.queues) {
+		if page, ok := <-ls.queues[ls.next]; ok {
+			return page, nil
+		}
+		ls.next++
+		ls.window <- struct{}{}
+	}
+	<-ls.done
+	return nil, nil
+}
+
+// Err returns the first worker error; call only after Next returned nil.
 func (ls *leafStage) Err() error { return ls.errFn() }
 
 // Drain discards any unconsumed pages (and so unblocks workers) until
-// Pages closes.
+// every split is retired.
 func (ls *leafStage) Drain() {
-	for range ls.Pages {
+	for page, _ := ls.Next(); page != nil; page, _ = ls.Next() {
 	}
 }
+
+// splitQueuePages bounds one split's queue: with the window of two splits
+// per worker, a stage buffers at most 2 × workers × splitQueuePages pages.
+const splitQueuePages = 2
 
 // leafBranch takes an Exchange-rooted branch apart: the Exchange, the
 // leaf-stage nodes below it (root first) and the scan they end on.
@@ -456,13 +478,23 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 		workers = 1
 	}
 
-	splitCh := make(chan Split, len(splits))
-	for _, s := range splits {
-		splitCh <- s
+	// Workers take splits in index order and retire each into its own
+	// queue; the window keeps them from running further ahead of the
+	// consumer than it can buffer (the consumer refills it split by split).
+	splitCh := make(chan int, len(splits))
+	queues := make([]chan *column.Page, len(splits))
+	for i := range splits {
+		splitCh <- i
+		queues[i] = make(chan *column.Page, splitQueuePages)
 	}
 	close(splitCh)
+	// Sized so the consumer's refill never blocks, even for splits a
+	// failed stage retires without ever starting them.
+	window := make(chan struct{}, len(splits)+workers*2)
+	for i := 0; i < workers*2; i++ {
+		window <- struct{}{}
+	}
 
-	pageCh := make(chan *column.Page, workers*2)
 	var workerErr error
 	var errOnce sync.Once
 	var failed atomic.Bool
@@ -483,11 +515,13 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 				stats.LeafMeter.Add(meter)
 				meterMu.Unlock()
 			}()
-			// runSplit processes one split; the deferred close releases
-			// sources that hold external resources (e.g. an open OCS
-			// result stream) even when the pipeline stops early.
-			runSplit := func(split Split) bool {
-				source, err := conn.CreatePageSource(ctx, scan.Handle, split, &stats.Scan)
+			// runSplit processes one split into its queue; the deferred
+			// calls close the queue and release sources that hold external
+			// resources (e.g. an open OCS result stream) even when the
+			// pipeline stops early.
+			runSplit := func(i int) bool {
+				defer close(queues[i])
+				source, err := conn.CreatePageSource(ctx, scan.Handle, splits[i], &stats.Scan)
 				if err != nil {
 					fail(err)
 					return false
@@ -519,14 +553,20 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 						return false
 					}
 					select {
-					case pageCh <- page:
+					case queues[i] <- page:
 					case <-ctx.Done():
 						fail(ctx.Err())
 						return false
 					}
 				}
 			}
-			for split := range splitCh {
+			for {
+				select {
+				case <-window:
+				case <-ctx.Done():
+					fail(ctx.Err())
+					return
+				}
 				// Fast-fail: once any worker errors or the query context
 				// ends, remaining splits are pointless work — the query
 				// is already doomed.
@@ -537,20 +577,27 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 					fail(err)
 					return
 				}
-				if !runSplit(split) {
+				i, ok := <-splitCh
+				if !ok || !runSplit(i) {
 					return
 				}
 			}
 		}()
 	}
+	done := make(chan struct{})
 	go func() {
 		wg.Wait()
-		close(pageCh)
+		// Splits a failed or cancelled stage never started.
+		for i := range splitCh {
+			close(queues[i])
+		}
+		close(done)
 	}()
 
 	return &leafStage{
-		Pages:  pageCh,
-		failed: &failed,
+		queues: queues,
+		window: window,
+		done:   done,
 		errFn:  func() error { return workerErr },
 	}, exchange.OutputSchema(), nil
 }
@@ -560,13 +607,7 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 // inserted between the exchange and the final chain (the final-stage
 // hash join probe).
 func (e *Engine) finishFinalStage(stage *leafStage, exchangeSchema *types.Schema, finalChain []plan.Node, extra func(exec.Operator) (exec.Operator, error), stats *QueryStats) (*column.Page, *types.Schema, error) {
-	source := exec.Operator(exec.NewFuncSource(exchangeSchema, func() (*column.Page, error) {
-		page, ok := <-stage.Pages
-		if !ok {
-			return nil, nil
-		}
-		return page, nil
-	}))
+	source := exec.Operator(exec.NewFuncSource(exchangeSchema, stage.Next))
 	var err error
 	if extra != nil {
 		if source, err = extra(source); err != nil {

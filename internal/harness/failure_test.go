@@ -148,14 +148,7 @@ func TestMultiNodeCluster(t *testing.T) {
 }
 
 func rowMultisetPage(p *column.Page) []string {
-	out := make([]string, p.NumRows())
-	for i := range out {
-		s := ""
-		for _, v := range p.Row(i) {
-			s += v.String() + "|"
-		}
-		out[i] = s
-	}
+	out := orderedRows(p)
 	sort.Strings(out)
 	return out
 }

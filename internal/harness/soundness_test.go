@@ -11,7 +11,6 @@ import (
 	ocsconn "prestocs/internal/connector/ocs"
 	"prestocs/internal/engine"
 	"prestocs/internal/metastore"
-	"prestocs/internal/parquetlite"
 	"prestocs/internal/types"
 	"prestocs/internal/workload"
 )
@@ -28,8 +27,7 @@ func randomDataset(t *testing.T, c *Cluster, rnd *rand.Rand) *metastore.Table {
 	)
 	files := 3
 	rows := 200
-	var objects []string
-	var images [][]byte
+	var pages []*column.Page
 	ndvSets := make([]map[string]bool, schema.Len())
 	for i := range ndvSets {
 		ndvSets[i] = map[string]bool{}
@@ -51,17 +49,9 @@ func randomDataset(t *testing.T, c *Cluster, rnd *rand.Rand) *metastore.Table {
 				ndvSets[i][v.String()] = true
 			}
 		}
-		img, err := parquetlite.WritePages(schema, parquetlite.WriterOptions{RowGroupSize: 64}, page)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := fmt.Sprintf("rand-%d.pql", f)
-		objects = append(objects, key)
-		images = append(images, img)
-		if err := c.OCSCli.Put(context.Background(), "rand", key, img); err != nil {
-			t.Fatal(err)
-		}
+		pages = append(pages, page)
 	}
+	objects, images := putObjects(t, c, "rand", 64, pages)
 	rowCount, total, colStats, err := metastore.StatsFromObjects(schema, images)
 	if err != nil {
 		t.Fatal(err)

@@ -11,14 +11,33 @@ import (
 	"prestocs/internal/telemetry"
 )
 
-// collectTrace merges the spans of one trace across every component
-// tracer — exactly what /debug/traces does in a real deployment.
-func collectTrace(c *Cluster, id telemetry.TraceID) []telemetry.SpanView {
-	var all []telemetry.SpanView
-	for _, tr := range c.Tracers {
-		all = append(all, tr.TraceSpans(id)...)
+// closedTrace merges the spans of one trace across every component
+// tracer — exactly what /debug/traces does in a real deployment — once
+// the trace's tree has closed. A span reaches its tracer when it ends,
+// and the server side of a stream ends its spans a moment after the
+// client has read the last frame; so right after a query returns, a child
+// (node.execute) can be on record before its parent (the node's
+// rpc.server span). Poll until no span is missing its parent.
+func closedTrace(c *Cluster, id telemetry.TraceID) []telemetry.SpanView {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var spans []telemetry.SpanView
+		for _, tr := range c.Tracers {
+			spans = append(spans, tr.TraceSpans(id)...)
+		}
+		recorded := map[telemetry.SpanID]bool{0: true}
+		for _, v := range spans {
+			recorded[v.ID] = true
+		}
+		open := false
+		for _, v := range spans {
+			open = open || !recorded[v.Parent]
+		}
+		if !open || time.Now().After(deadline) {
+			return spans
+		}
+		time.Sleep(time.Millisecond)
 	}
-	return all
 }
 
 // TestQueryProducesConnectedTrace is the tentpole acceptance test: one
@@ -45,7 +64,7 @@ func TestQueryProducesConnectedTrace(t *testing.T) {
 		t.Fatal("query stats carry no trace ID")
 	}
 
-	spans := collectTrace(c, cell.Stats.TraceID)
+	spans := closedTrace(c, cell.Stats.TraceID)
 	byID := map[telemetry.SpanID]telemetry.SpanView{}
 	for _, v := range spans {
 		byID[v.ID] = v

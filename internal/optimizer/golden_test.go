@@ -36,6 +36,18 @@ const (
 		`ON l.orderkey = o.orderkey WHERE l.quantity < 10 AND o.orderdate < DATE '1993-01-01'`
 )
 
+// What ISSUE 21's narrowing must get right beyond those: a conjunct over
+// both sides stays above the join and keeps its columns alive on each; a
+// select list that reads every column leaves the plan as it was.
+const (
+	joinCrossResidual = `SELECT l.orderkey AS k, o.orderpriority AS p FROM ocs.lineitem AS l JOIN ocs.orders AS o ` +
+		`ON l.orderkey = o.orderkey WHERE l.shipdate > o.orderdate`
+	joinSelectAll = `SELECT * FROM ocs.lineitem AS l JOIN ocs.orders AS o ON l.orderkey = o.orderkey`
+)
+
+// q3Hive is Q3 over the baseline catalog.
+var q3Hive = strings.Replace(workload.TPCHQ3Query, "FROM lineitem AS l JOIN orders AS o", "FROM hive.lineitem AS l JOIN hive.orders AS o", 1)
+
 // planQueries is the planner's query table (the queries.go idiom): every
 // plan shape the engine runs, each planned under every pushdown mode.
 var planQueries = []struct{ name, sql string }{
@@ -50,6 +62,9 @@ var planQueries = []struct{ name, sql string }{
 	{"join_probe_conjunct", fmt.Sprintf(joinProbeConjunct, "ocs")},
 	{"join_build_conjunct", fmt.Sprintf(joinBuildConjunct, "ocs")},
 	{"join_both_conjuncts", fmt.Sprintf(joinBothConjuncts, "ocs")},
+	{"join_cross_residual", joinCrossResidual},
+	{"join_select_all", joinSelectAll},
+	{"tpch_q3_hive", q3Hive},
 }
 
 var planModes = []string{"none", "filter", "filter_project", "filter_agg", "all", "auto"}
@@ -144,9 +159,9 @@ func describePlan(root plan.Node) (string, error) {
 	})
 	sb.WriteString("\n")
 	for i, scan := range plan.FindScans(root) {
-		h := scan.Handle.(*ocs.Handle)
-		fmt.Fprintf(&sb, "scan %d %s.%s pushed=%v schema=%s", i, scan.Catalog, scan.Table, h.PushedOperators(), h.ScanSchema())
-		if h.Push != nil {
+		fmt.Fprintf(&sb, "scan %d %s.%s pushed=%v schema=%s", i, scan.Catalog, scan.Table,
+			scan.Handle.(engine.PushdownReporter).PushedOperators(), scan.Handle.ScanSchema())
+		if h, ok := scan.Handle.(*ocs.Handle); ok && h.Push != nil {
 			ir, err := ocs.BuildSubstrait(h, h.Table.Objects[0])
 			if err != nil {
 				return "", err
@@ -164,8 +179,10 @@ func describePlan(root plan.Node) (string, error) {
 
 // TestGoldenPlans pins the planner's output for every (query, pushdown
 // mode). The golden file was generated at d3ebe12, the commit before the
-// plan toolkit; the one difference since is the Exchange line above a
-// join's build branch.
+// plan toolkit; the differences since are the Exchange line above a
+// join's build branch (PR 19) and, in the join rows only, both scans
+// projected to what the plan reads of them (PR 21: cols=N, the scan
+// schemas, the ordinals above the join, the Substrait digests).
 func TestGoldenPlans(t *testing.T) {
 	f := newPlanFixture(t)
 	var sb strings.Builder

@@ -2,10 +2,13 @@
 // the phase the paper's Figure 3 labels "Logical Optimization". Rules:
 //
 //  1. FuseSortLimit: Limit(Sort(x)) → TopN, the form OCS can execute.
-//  2. PruneColumns: push column projection into the table scan handle so
+//  2. NarrowJoin: a join's two scans read only the columns the plan above
+//     the join reads, plus the join keys and what each side's own filters
+//     test.
+//  3. PruneColumns: push column projection into the table scan handle so
 //     storage reads only referenced columns (object storage's selective
 //     column retrieval, §2.2).
-//  3. AddExchange: decompose the plan into a distributed leaf stage (per
+//  4. AddExchange: decompose the plan into a distributed leaf stage (per
 //     split, on workers) and a final stage (coordinator) — Aggregate
 //     splits into partial+final, TopN and Limit replicate, Sort stays
 //     final. The connector's local optimizer then runs on the leaf stage.
@@ -17,17 +20,20 @@ import (
 	"prestocs/internal/plan"
 )
 
-// Optimize applies the global rules in order: FuseSortLimit to the tree,
-// then PruneColumns and AddExchange to every scan-rooted branch. A join
-// is not a separate path: each of its inputs is a branch, so both scans
-// sit under an Exchange — the probe side is the distributed stage the
-// connector pushes filters (and later the build side's bloom) into, the
-// build side runs as a leaf stage too and is drained into the hash table
-// before any probe split — and everything above the join (cross-side
-// filters, aggregation, ordering) stays on the final stage.
+// Optimize applies the global rules in order: FuseSortLimit and NarrowJoin
+// to the tree, then PruneColumns and AddExchange to every scan-rooted
+// branch. A join is not a separate path: each of its inputs is a branch,
+// so both scans sit under an Exchange — the probe side is the distributed
+// stage the connector pushes filters (and later the build side's bloom)
+// into, the build side runs as a leaf stage too and is drained into the
+// hash table before any probe split — and everything above the join
+// (cross-side filters, aggregation, ordering) stays on the final stage.
 func Optimize(root plan.Node) (plan.Node, error) {
 	root, err := fuseSortLimit(root)
 	if err != nil {
+		return nil, err
+	}
+	if root, err = narrowJoin(root); err != nil {
 		return nil, err
 	}
 	return plan.MapBranches(root, func(branch plan.Node) (plan.Node, error) {
@@ -55,6 +61,24 @@ func fuseSortLimit(root plan.Node) (plan.Node, error) {
 		out = append(out, spine[i])
 	}
 	return plan.Stack(out, end)
+}
+
+// narrowJoin projects both scans of a join plan down to what the plan
+// reads of them (plan.NarrowJoin). The projection lands in the scan
+// handles, so both inputs stay [Filter…] → TableScan branches: the
+// connector still pushes their filters, and the bloom key the engine hands
+// the probe scan is ProbeKeys[0] over the projected scan schema.
+func narrowJoin(root plan.Node) (plan.Node, error) {
+	spine, end := plan.Spine(root)
+	join, ok := end.(*plan.Join)
+	if !ok {
+		return root, nil
+	}
+	spine, join, err := plan.NarrowJoin(spine, join)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Stack(spine, join)
 }
 
 // pruneColumns narrows the branch's scan to the columns referenced by the

@@ -101,8 +101,118 @@ func withChildren(parent Node, kids ...Node) (Node, error) {
 // column stays visible) or every column read.
 func NarrowColumns(nodes []Node, width int) (cols []int, narrowed []Node, err error) {
 	needed := map[int]bool{}
-	rebuilder := -1
-	for i := len(nodes) - 1; i >= 0 && rebuilder < 0; i-- {
+	rebuilder := readColumns(nodes, needed)
+	if rebuilder < 0 || len(needed) >= width {
+		return nil, nodes, nil
+	}
+	cols, mapping := keepColumns(needed, width)
+	narrowed, err = remapNodes(nodes, rebuilder, mapping)
+	return cols, narrowed, err
+}
+
+// NarrowJoin carries the rule through a Join: spine is the root-first run
+// of nodes above join. What the spine reads of the join's output up to
+// its first rebuilder, plus both sides' keys (kept even when nothing
+// above reads them), is split by side at the probe width; each side — a
+// [Filter…] → TableScan branch — adds what its own filters read, its scan
+// becomes WithProjection of that, and its filters, the join's keys and
+// the spine are remapped onto the narrowed schemas. A side that is not
+// such a branch, or whose handle cannot project, keeps every column while
+// the other is still narrowed. When neither side narrows — no rebuilder
+// above the join, an ordering node below it, every column read — spine
+// and join come back as they were.
+func NarrowJoin(spine []Node, join *Join) ([]Node, *Join, error) {
+	needed := map[int]bool{}
+	rebuilder := readColumns(spine, needed)
+	if rebuilder < 0 {
+		return spine, join, nil
+	}
+	probeWidth := join.Probe.OutputSchema().Len()
+	for _, k := range join.ProbeKeys {
+		needed[k] = true
+	}
+	for _, k := range join.BuildKeys {
+		needed[probeWidth+k] = true
+	}
+	probe, probeCols, err := narrowSide(join.Probe, needed, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	build, buildCols, err := narrowSide(join.Build, needed, probeWidth)
+	if err != nil {
+		return nil, nil, err
+	}
+	if probe == join.Probe && build == join.Build {
+		return spine, join, nil
+	}
+	mapping := make(map[int]int, len(probeCols)+len(buildCols))
+	for i, c := range probeCols {
+		mapping[c] = i
+	}
+	for i, c := range buildCols {
+		mapping[probeWidth+c] = len(probeCols) + i
+	}
+	narrowed := &Join{
+		Probe: probe, Build: build, Strategy: join.Strategy,
+		ProbeKeys: make([]int, len(join.ProbeKeys)), BuildKeys: make([]int, len(join.BuildKeys)),
+	}
+	for i, k := range join.ProbeKeys {
+		narrowed.ProbeKeys[i] = mapping[k]
+	}
+	for i, k := range join.BuildKeys {
+		narrowed.BuildKeys[i] = mapping[probeWidth+k] - len(probeCols)
+	}
+	spine, err = remapNodes(spine, rebuilder, mapping)
+	return spine, narrowed, err
+}
+
+// narrowSide narrows one join input to the join-output ordinals in needed
+// that fall on it (the side starts at offset) plus what its own filters
+// read, and returns it with the side ordinals it kept, ascending. A side
+// that cannot or need not narrow comes back itself, with every ordinal.
+func narrowSide(side Node, needed map[int]bool, offset int) (Node, []int, error) {
+	width := side.OutputSchema().Len()
+	filters, end := Spine(side)
+	keep := map[int]bool{}
+	readColumns(filters, keep)
+	for c := 0; c < width; c++ {
+		if needed[offset+c] {
+			keep[c] = true
+		}
+	}
+	scan, narrowable := end.(*TableScan)
+	for _, n := range filters {
+		if _, ok := n.(*Filter); !ok {
+			narrowable = false
+		}
+	}
+	var projectable ProjectableHandle
+	if narrowable {
+		projectable, _ = scan.Handle.(ProjectableHandle)
+	}
+	if projectable == nil || len(keep) >= width {
+		all := make([]int, width)
+		for c := range all {
+			all[c] = c
+		}
+		return side, all, nil
+	}
+	cols, mapping := keepColumns(keep, width)
+	filters, err := remapNodes(filters, 0, mapping)
+	if err != nil {
+		return nil, nil, err
+	}
+	narrowed, err := Stack(filters, &TableScan{Catalog: scan.Catalog, Table: scan.Table, Handle: projectable.WithProjection(cols)})
+	return narrowed, cols, err
+}
+
+// readColumns is the rule's needed-set walk: it adds to needed the input
+// ordinals nodes (root first) reference, bottom-up to the first schema
+// rebuilder, and returns that rebuilder's index. It returns -1 when there
+// is none, or when a Sort or TopN sits below it — those order by input
+// ordinals the rule does not rewrite, so their input must keep its shape.
+func readColumns(nodes []Node, needed map[int]bool) (rebuilder int) {
+	for i := len(nodes) - 1; i >= 0; i-- {
 		switch t := nodes[i].(type) {
 		case *Filter:
 			for _, c := range expr.ReferencedColumns(t.Condition) {
@@ -114,7 +224,7 @@ func NarrowColumns(nodes []Node, width int) (cols []int, narrowed []Node, err er
 					needed[c] = true
 				}
 			}
-			rebuilder = i
+			return i
 		case *Aggregate:
 			for _, k := range t.Keys {
 				needed[k] = true
@@ -124,38 +234,49 @@ func NarrowColumns(nodes []Node, width int) (cols []int, narrowed []Node, err er
 					needed[m.Arg] = true
 				}
 			}
-			rebuilder = i
+			return i
 		case *Sort, *TopN:
-			return nil, nodes, nil // orders by input ordinals this rule does not rewrite
+			return -1
 		}
 	}
-	if rebuilder < 0 || len(needed) >= width {
-		return nil, nodes, nil
-	}
-	mapping := make(map[int]int, len(needed))
+	return -1
+}
+
+// keepColumns lists the needed ordinals below width, ascending, and maps
+// each to its position in that list.
+func keepColumns(needed map[int]bool, width int) (cols []int, mapping map[int]int) {
+	mapping = make(map[int]int, len(needed))
 	for c := 0; c < width; c++ {
 		if needed[c] {
 			mapping[c] = len(cols)
 			cols = append(cols, c)
 		}
 	}
-	narrowed = append([]Node(nil), nodes...)
-	for i := rebuilder; i < len(nodes); i++ {
+	return cols, mapping
+}
+
+// remapNodes is the rule's rewrite: a copy of nodes in which every node
+// from index from down addresses its input through mapping. Nodes above
+// from (beyond a rebuilder) are shared, not copied.
+func remapNodes(nodes []Node, from int, mapping map[int]int) ([]Node, error) {
+	remapped := append([]Node(nil), nodes...)
+	for i := from; i < len(nodes); i++ {
 		switch t := nodes[i].(type) {
 		case *Filter:
 			cond, err := expr.Remap(t.Condition, mapping)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			narrowed[i] = &Filter{Condition: cond}
+			remapped[i] = &Filter{Condition: cond}
 		case *Project:
 			exprs := make([]expr.Expr, len(t.Expressions))
 			for j, e := range t.Expressions {
+				var err error
 				if exprs[j], err = expr.Remap(e, mapping); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
-			narrowed[i] = &Project{Expressions: exprs, Names: t.Names}
+			remapped[i] = &Project{Expressions: exprs, Names: t.Names}
 		case *Aggregate:
 			keys := make([]int, len(t.Keys))
 			for j, k := range t.Keys {
@@ -167,8 +288,8 @@ func NarrowColumns(nodes []Node, width int) (cols []int, narrowed []Node, err er
 					measures[j].Arg = mapping[measures[j].Arg]
 				}
 			}
-			narrowed[i] = &Aggregate{Keys: keys, Measures: measures, Step: t.Step}
+			remapped[i] = &Aggregate{Keys: keys, Measures: measures, Step: t.Step}
 		}
 	}
-	return cols, narrowed, nil
+	return remapped, nil
 }

@@ -119,10 +119,21 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// MaxDepth bounds how deep messages may nest. Decoders built on this
+// package recurse once per nesting level, and a level costs an attacker
+// three bytes: without a bound a few megabytes of input exhaust the
+// goroutine stack, which is fatal rather than an error. Real plans nest a
+// handful of relations and one level per operand of an expression.
+const MaxDepth = 10_000
+
+// ErrTooDeep reports a message nested beyond MaxDepth.
+var ErrTooDeep = errors.New("protowire: message nesting too deep")
+
 // Decoder walks the fields of an encoded message.
 type Decoder struct {
-	buf []byte
-	pos int
+	buf   []byte
+	pos   int
+	depth int // nesting level of this message; 0 for NewDecoder's
 }
 
 // NewDecoder wraps an encoded message.
@@ -215,13 +226,17 @@ func (d *Decoder) String() (string, error) {
 	return string(b), err
 }
 
-// Message reads a length-delimited payload and returns a sub-decoder.
+// Message reads a length-delimited payload and returns a sub-decoder,
+// or ErrTooDeep past MaxDepth levels of nesting.
 func (d *Decoder) Message() (*Decoder, error) {
+	if d.depth >= MaxDepth {
+		return nil, ErrTooDeep
+	}
 	b, err := d.Bytes()
 	if err != nil {
 		return nil, err
 	}
-	return NewDecoder(b), nil
+	return &Decoder{buf: b, depth: d.depth + 1}, nil
 }
 
 // Skip discards the payload of a field with the given wire type, enabling

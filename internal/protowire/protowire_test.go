@@ -97,6 +97,37 @@ func TestNestedMessage(t *testing.T) {
 	}
 }
 
+func TestMessageNestingIsBounded(t *testing.T) {
+	nest := func(levels int) []byte {
+		var msg []byte
+		for i := 0; i < levels; i++ {
+			e := NewEncoder()
+			e.Bytes(1, msg)
+			msg = e.Encoded()
+		}
+		return msg
+	}
+	descend := func(msg []byte) (levels int, err error) {
+		d := NewDecoder(msg)
+		for !d.Done() {
+			if _, _, err = d.Next(); err != nil {
+				return levels, err
+			}
+			if d, err = d.Message(); err != nil {
+				return levels, err
+			}
+			levels++
+		}
+		return levels, nil
+	}
+	if levels, err := descend(nest(MaxDepth)); err != nil || levels != MaxDepth {
+		t.Errorf("%d levels: descended %d, %v", MaxDepth, levels, err)
+	}
+	if levels, err := descend(nest(MaxDepth + 1)); err != ErrTooDeep || levels != MaxDepth {
+		t.Errorf("%d levels: descended %d, %v; want %v at level %d", MaxDepth+1, levels, err, ErrTooDeep, MaxDepth)
+	}
+}
+
 func TestSkipUnknownFields(t *testing.T) {
 	e := NewEncoder()
 	e.Uint64(1, 5)

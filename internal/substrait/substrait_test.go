@@ -1,11 +1,14 @@
 package substrait
 
 import (
+	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"prestocs/internal/expr"
+	"prestocs/internal/protowire"
 	"prestocs/internal/types"
 )
 
@@ -278,6 +281,25 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	// An empty message decodes to a plan with no root -> validation error.
 	if _, err := Unmarshal(nil); err == nil {
 		t.Error("empty plan accepted")
+	}
+}
+
+// TestUnmarshalRejectsDeepNesting: three bytes buy one level of decoder
+// recursion, so 21 MB of nested FilterRels used to overflow the goroutine
+// stack of whichever storage node received them — fatal, not an error.
+func TestUnmarshalRejectsDeepNesting(t *testing.T) {
+	const depth = 200_000
+	sizes := make([]int, depth+1) // sizes[i]: a relation nested i deep
+	for i := 1; i <= depth; i++ {
+		sizes[i] = 3 + len(binary.AppendUvarint(nil, uint64(sizes[i-1]))) + sizes[i-1]
+	}
+	msg := binary.AppendUvarint([]byte{2<<3 | 2}, uint64(sizes[depth])) // Plan.Root
+	for i := depth; i >= 1; i-- {
+		msg = append(msg, 1<<3|0, relFilter, 7<<3|2) // kind = filter; input = …
+		msg = binary.AppendUvarint(msg, uint64(sizes[i-1]))
+	}
+	if _, err := Unmarshal(msg); !errors.Is(err, protowire.ErrTooDeep) {
+		t.Errorf("a plan nested %d deep: %v, want %v", depth, err, protowire.ErrTooDeep)
 	}
 }
 
