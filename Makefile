@@ -15,7 +15,8 @@ test:
 	$(GO) test ./...
 
 # bench runs the kernel/operator microbenchmarks (vectorized expression
-# kernels, filter selectivity sweep, hash aggregation, sort/top-N), the
+# kernels, filter selectivity sweep, hash aggregation, sort/top-N, and
+# Laghos's and Q1's whole leaf pipelines over resident pages), the
 # zone-map pruning selectivity sweep, the hot-page cache comparison, the
 # tracing-overhead comparison, the mixed-traffic latency profile, the
 # adaptive-pushdown sweep, the join bloom-pushdown sweep, the
@@ -70,13 +71,16 @@ determinism:
 
 # fuzz-smoke runs each native fuzz target for ten seconds: the decoders
 # of bytes this program did not produce (Snappy blocks and parquetlite
-# footers and chunks off disk, Arrow batches and Substrait plans — the
-# bloom filter's carrier — off the wire, object-protocol requests from
-# any client and responses from any server) may reject their input but
-# must never panic or size an allocation from a length the input cannot
-# back; and SQL text from any client goes through parse, analyze and both
-# optimizers in every pushdown mode, where each step may reject it, none
-# may panic, and a plan that comes out keeps the structural invariants.
+# footers and chunks off disk, rpc frames, protowire messages, Arrow
+# batches and Substrait plans — the bloom filter's carrier — off the
+# wire, object-protocol requests from any client and responses from any
+# server) may reject their input but must never panic or size an
+# allocation from a length the input cannot back; SQL text from any
+# client goes through parse, analyze and both optimizers in every pushdown
+# mode, where each step may reject it, none may panic, and a plan that
+# comes out keeps the structural invariants; and the selection kernels
+# answer as the row-at-a-time evaluator does on any column, literal,
+# operator and selection.
 # `go test -fuzz` takes one target and one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnappyDecode$$' -fuzztime 10s ./internal/compress/
@@ -88,6 +92,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadColumn$$' -fuzztime 10s ./internal/parquetlite/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanPipeline$$' -fuzztime 10s ./internal/optimizer/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubstraitUnmarshal$$' -fuzztime 10s ./internal/optimizer/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s ./internal/protowire/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/rpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzSelectionKernels$$' -fuzztime 10s ./internal/expr/
 
 # vet-telemetry keeps the metric-name manifest honest: every Metric* const
 # declared in internal/telemetry/names.go must have a registration site in

@@ -189,33 +189,46 @@ func (f *Filter) AddVector(vec *column.Vector) error {
 // TestVector filters sel (or all rows when sel is nil) down to the rows
 // whose value might be in the filter, appending survivors to out. NULL
 // key values never pass: an inner equi-join cannot match them. The kind
-// dispatch is hoisted out of the row loop (one kernel per kind).
+// dispatch is hoisted out of the row loop (one kernel per kind); what is
+// left in it, beside the hashing, is the choice between a position and
+// the selection's row at it.
 func (f *Filter) TestVector(vec *column.Vector, sel []int, out []int) ([]int, error) {
 	nulls := vec.Nulls
-	if sel == nil {
-		sel = allRows(vec.Len())
+	n := vec.Len()
+	if sel != nil {
+		n = len(sel)
+	}
+	rowAt := func(i int) int {
+		if sel != nil {
+			return sel[i]
+		}
+		return i
 	}
 	switch vec.Kind {
 	case types.Int64, types.Date:
-		for _, row := range sel {
+		for i := 0; i < n; i++ {
+			row := rowAt(i)
 			if (nulls == nil || !nulls[row]) && f.TestHash(HashInt64(vec.Ints[row])) {
 				out = append(out, row)
 			}
 		}
 	case types.Float64:
-		for _, row := range sel {
+		for i := 0; i < n; i++ {
+			row := rowAt(i)
 			if (nulls == nil || !nulls[row]) && f.TestHash(HashFloat64(vec.Floats[row])) {
 				out = append(out, row)
 			}
 		}
 	case types.String:
-		for _, row := range sel {
+		for i := 0; i < n; i++ {
+			row := rowAt(i)
 			if (nulls == nil || !nulls[row]) && f.TestHash(HashString(vec.Strings[row])) {
 				out = append(out, row)
 			}
 		}
 	case types.Bool:
-		for _, row := range sel {
+		for i := 0; i < n; i++ {
+			row := rowAt(i)
 			if (nulls == nil || !nulls[row]) && f.TestHash(HashBool(vec.Bools[row])) {
 				out = append(out, row)
 			}
@@ -224,12 +237,4 @@ func (f *Filter) TestVector(vec *column.Vector, sel []int, out []int) ([]int, er
 		return nil, fmt.Errorf("bloom: unsupported key kind %s", vec.Kind)
 	}
 	return out, nil
-}
-
-func allRows(n int) []int {
-	sel := make([]int, n)
-	for i := range sel {
-		sel[i] = i
-	}
-	return sel
 }

@@ -184,3 +184,48 @@ func TestFromBitsValidatesWithoutCopying(t *testing.T) {
 		t.Errorf("FromBits allocates %.0f times for a %d-byte input, want the header only", allocs, len(bits))
 	}
 }
+
+// TestNilSelectionIsEveryRow: TestVector under a nil selection answers as
+// under the selection that lists every row, appends after what out already
+// holds, and — the page-sized identity selection it used to build being
+// gone — allocates nothing when out has room.
+func TestNilSelectionIsEveryRow(t *testing.T) {
+	bools := column.NewVector(types.Bool)
+	for _, v := range []types.Value{types.BoolValue(true), types.BoolValue(false), types.NullValue(types.Bool)} {
+		bools.Append(v)
+	}
+	for _, vec := range append(keyVectors(), bools) {
+		// Half of the values are members, so both outcomes occur.
+		f := New(vec.Len(), DefaultBitsPerKey)
+		if err := f.AddVector(vec.Window(0, vec.Len()/2)); err != nil {
+			t.Fatal(err)
+		}
+		every := make([]int, vec.Len())
+		for i := range every {
+			every[i] = i
+		}
+		want, err := f.TestVector(vec, every, []int{-7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.TestVector(vec, nil, []int{-7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || got[0] != -7 {
+			t.Fatalf("%s: nil selection kept %v, every-row selection %v", vec.Kind, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: nil selection kept %v, every-row selection %v", vec.Kind, got, want)
+			}
+		}
+		if len(got) == 1 || len(got) == 1+vec.Len() {
+			t.Errorf("%s: %d of %d rows pass; the case is meant to have members and non-members", vec.Kind, len(got)-1, vec.Len())
+		}
+		out := make([]int, 0, vec.Len())
+		if allocs := testing.AllocsPerRun(20, func() { f.TestVector(vec, nil, out) }); allocs != 0 {
+			t.Errorf("%s: TestVector under a nil selection allocates %.0f times per call", vec.Kind, allocs)
+		}
+	}
+}

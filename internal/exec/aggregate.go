@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -33,7 +34,9 @@ const (
 // The implementation is columnar: a keyTable maps each page's key columns
 // to dense group ids (first appearance = lowest id); measures accumulate
 // into flat per-group arrays with the per-measure function/type dispatch
-// hoisted out of the row loop.
+// hoisted out of the row loop. Under a SelSource (Filter, BloomProbe) the
+// key table and the accumulators read the input page's columns through
+// the selection: the page of surviving rows is never built.
 type HashAggregate struct {
 	input    Operator
 	keys     []int
@@ -157,10 +160,12 @@ func growTo[T any](s []T, n int) []T {
 	return append(s, make([]T, n-len(s))...)
 }
 
-// accumulate folds one page into the state. groupIDs[i] is row i's dense
-// group id. The function/kind dispatch happens once per page, not per
-// row; the inner loops touch raw column buffers only.
-func (acc *accumulator) accumulate(page *column.Page, groupIDs []int32) error {
+// accumulate folds the rows of page that sel names (nil: every row) into
+// the state; groupIDs[i] is the dense group id of the i-th of them. The
+// function/kind dispatch happens once per page, not per row; the inner
+// loops touch raw column buffers only, and come in two forms — over every
+// row, and through a selection — so that neither pays for the other.
+func (acc *accumulator) accumulate(page *column.Page, sel []int, groupIDs []int32) error {
 	switch acc.fn {
 	case substrait.AggCountStar:
 		for _, g := range groupIDs {
@@ -168,114 +173,162 @@ func (acc *accumulator) accumulate(page *column.Page, groupIDs []int32) error {
 		}
 	case substrait.AggCount:
 		nulls := page.Vectors[acc.col].Nulls
-		if nulls == nil {
+		switch {
+		case nulls == nil:
 			for _, g := range groupIDs {
 				acc.counts[g]++
 			}
-			return nil
-		}
-		for i, g := range groupIDs {
-			if !nulls[i] {
-				acc.counts[g]++
+		case sel == nil:
+			for i, g := range groupIDs {
+				if !nulls[i] {
+					acc.counts[g]++
+				}
+			}
+		default:
+			for i, g := range groupIDs {
+				if !nulls[sel[i]] {
+					acc.counts[g]++
+				}
 			}
 		}
 	case substrait.AggSum:
 		vec := page.Vectors[acc.col]
-		nulls := vec.Nulls
 		switch vec.Kind {
 		case types.Int64:
-			for i, g := range groupIDs {
-				if nulls != nil && nulls[i] {
-					continue
-				}
-				acc.isums[g] += vec.Ints[i]
-				acc.counts[g]++
-			}
+			sumInto(acc.isums, acc.counts, vec.Ints, vec.Nulls, sel, groupIDs)
 		case types.Float64:
-			for i, g := range groupIDs {
-				if nulls != nil && nulls[i] {
-					continue
-				}
-				acc.fsums[g] += vec.Floats[i]
-				acc.counts[g]++
-			}
-		case types.Date:
-			// Date sums accumulate as day counts in the float state,
-			// matching the row-wise AsFloat path.
-			for i, g := range groupIDs {
-				if nulls != nil && nulls[i] {
-					continue
-				}
-				acc.fsums[g] += float64(vec.Ints[i])
-				acc.counts[g]++
-			}
+			sumInto(acc.fsums, acc.counts, vec.Floats, vec.Nulls, sel, groupIDs)
 		default:
 			return fmt.Errorf("exec: SUM over %s", vec.Kind)
 		}
 	case substrait.AggMin, substrait.AggMax:
-		acc.minMax(page, groupIDs, acc.fn == substrait.AggMin)
+		vec := page.Vectors[acc.col]
+		isMin := acc.fn == substrait.AggMin
+		switch vec.Kind {
+		case types.Int64, types.Date:
+			minMaxInto(acc.mmInts, acc.mmSet, vec.Ints, vec.Nulls, sel, groupIDs, isMin)
+		case types.Float64:
+			minMaxInto(acc.mmFloats, acc.mmSet, vec.Floats, vec.Nulls, sel, groupIDs, isMin)
+		case types.String:
+			minMaxInto(acc.mmStrings, acc.mmSet, vec.Strings, vec.Nulls, sel, groupIDs, isMin)
+		case types.Bool:
+			for i, g := range groupIDs {
+				row := i
+				if sel != nil {
+					row = sel[i]
+				}
+				if vec.Nulls != nil && vec.Nulls[row] {
+					continue
+				}
+				v := vec.Bools[row]
+				if !acc.mmSet[g] || (isMin && !v && acc.mmBools[g]) || (!isMin && v && !acc.mmBools[g]) {
+					acc.mmBools[g] = v
+					acc.mmSet[g] = true
+				}
+			}
+		}
 	default:
 		return fmt.Errorf("exec: unsupported aggregate %q", acc.fn)
 	}
 	return nil
 }
 
-func (acc *accumulator) minMax(page *column.Page, groupIDs []int32, isMin bool) {
-	vec := page.Vectors[acc.col]
-	nulls := vec.Nulls
-	// Ties keep the incumbent (strict comparison), matching types.Compare
-	// semantics of the row-wise path.
-	switch vec.Kind {
-	case types.Int64, types.Date:
-		for i, g := range groupIDs {
-			if nulls != nil && nulls[i] {
-				continue
-			}
-			v := vec.Ints[i]
-			if !acc.mmSet[g] || (isMin && v < acc.mmInts[g]) || (!isMin && v > acc.mmInts[g]) {
-				acc.mmInts[g] = v
-				acc.mmSet[g] = true
-			}
-		}
-	case types.Float64:
-		for i, g := range groupIDs {
-			if nulls != nil && nulls[i] {
-				continue
-			}
-			v := vec.Floats[i]
-			if !acc.mmSet[g] {
-				acc.mmFloats[g] = v
-				acc.mmSet[g] = true
-				continue
-			}
-			c := types.CompareFloat(v, acc.mmFloats[g])
-			if (isMin && c < 0) || (!isMin && c > 0) {
-				acc.mmFloats[g] = v
-			}
-		}
-	case types.String:
-		for i, g := range groupIDs {
-			if nulls != nil && nulls[i] {
-				continue
-			}
-			v := vec.Strings[i]
-			if !acc.mmSet[g] || (isMin && v < acc.mmStrings[g]) || (!isMin && v > acc.mmStrings[g]) {
-				acc.mmStrings[g] = v
-				acc.mmSet[g] = true
-			}
-		}
-	case types.Bool:
-		for i, g := range groupIDs {
-			if nulls != nil && nulls[i] {
-				continue
-			}
-			v := vec.Bools[i]
-			if !acc.mmSet[g] || (isMin && !v && acc.mmBools[g]) || (!isMin && v && !acc.mmBools[g]) {
-				acc.mmBools[g] = v
-				acc.mmSet[g] = true
-			}
+// sumInto adds vals' non-NULL entries under sel (nil: all of them) to
+// their groups' sums and counts; ids[i] is the group of the i-th.
+func sumInto[T int64 | float64](sums []T, counts []int64, vals []T, nulls []bool, sel []int, ids []int32) {
+	add := func(g int32, row int) {
+		if nulls == nil || !nulls[row] {
+			sums[g] += vals[row]
+			counts[g]++
 		}
 	}
+	if sel == nil {
+		for i, g := range ids {
+			add(g, i)
+		}
+		return
+	}
+	for i, g := range ids {
+		add(g, sel[i])
+	}
+}
+
+// minMaxInto folds vals' non-NULL entries under sel (nil: all of them)
+// into their groups' minima (isMin) or maxima; set marks the groups that
+// have one. Ties keep the incumbent. The order is types.Compare's, which
+// for floats means NaN after everything else and equal to itself — the
+// two self-comparisons below, which are constant for the other kinds.
+func minMaxInto[T cmp.Ordered](best []T, set []bool, vals []T, nulls []bool, sel []int, ids []int32, isMin bool) {
+	fold := func(g int32, row int) {
+		if nulls != nil && nulls[row] {
+			return
+		}
+		v, cur := vals[row], best[g]
+		if !set[g] ||
+			(isMin && (v < cur || (cur != cur && v == v))) ||
+			(!isMin && (v > cur || (v != v && cur == cur))) {
+			best[g] = v
+			set[g] = true
+		}
+	}
+	if sel == nil {
+		for i, g := range ids {
+			fold(g, i)
+		}
+		return
+	}
+	for i, g := range ids {
+		fold(g, sel[i])
+	}
+}
+
+// emit turns the state of the first n groups into the measure's output
+// column, of kind outKind: the per-group arrays become the column's
+// buffer as they are, and a group that saw no value is NULL — or 0 when
+// zeroIfEmpty, which is how merged partial counts come out.
+func (acc *accumulator) emit(outKind types.Kind, n int, zeroIfEmpty bool) *column.Vector {
+	vec := column.NewVector(outKind)
+	switch acc.fn {
+	case substrait.AggCount, substrait.AggCountStar:
+		vec.Ints = acc.counts[:n]
+	case substrait.AggSum:
+		if acc.kind == types.Int64 {
+			vec.Ints = acc.isums[:n]
+		} else {
+			vec.Floats = acc.fsums[:n]
+		}
+		if !zeroIfEmpty {
+			vec.Nulls = nullsWhere(acc.counts[:n], 0)
+		}
+	default: // min, max
+		switch acc.kind {
+		case types.Int64, types.Date:
+			vec.Ints = acc.mmInts[:n]
+		case types.Float64:
+			vec.Floats = acc.mmFloats[:n]
+		case types.String:
+			vec.Strings = acc.mmStrings[:n]
+		case types.Bool:
+			vec.Bools = acc.mmBools[:n]
+		}
+		vec.Nulls = nullsWhere(acc.mmSet[:n], false)
+	}
+	return vec
+}
+
+// nullsWhere returns the null mask that marks the entries of state equal
+// to empty, or nil when there is none.
+func nullsWhere[T comparable](state []T, empty T) []bool {
+	var nulls []bool
+	for g, s := range state {
+		if s == empty {
+			if nulls == nil {
+				nulls = make([]bool, len(state))
+			}
+			nulls[g] = true
+		}
+	}
+	return nulls
 }
 
 // Next implements Operator: it drains the input on first call and emits
@@ -311,14 +364,16 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 	var groupIDs []int32
 	numGroups := 0
 	for {
-		page, err := a.input.Next()
+		// sel is the source's until the next pull: it is read here and in
+		// the calls below, and not kept.
+		page, sel, err := nextSel(a.input)
 		if err != nil {
 			return nil, err
 		}
 		if page == nil {
 			break
 		}
-		n := page.NumRows()
+		n := liveRows(page, sel)
 		a.meter.charge(n, float64(len(a.keys))+2*float64(len(a.measures)))
 		groupIDs = resize(groupIDs, n)
 		if len(a.keys) == 0 {
@@ -330,7 +385,7 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 				groupIDs[i] = 0
 			}
 		} else {
-			groups.assign(&scratch, page, a.keys, groupIDs)
+			groups.assign(&scratch, page, a.keys, sel, groupIDs)
 			numGroups = groups.len()
 			if len(scratch.fresh) > 0 {
 				// The rows that opened a group carry its key values.
@@ -341,7 +396,7 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 		}
 		for _, acc := range accs {
 			acc.grow(numGroups)
-			if err := acc.accumulate(page, groupIDs); err != nil {
+			if err := acc.accumulate(page, sel, groupIDs); err != nil {
 				return nil, err
 			}
 		}
@@ -370,13 +425,10 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 		out.Vectors[ki] = keyVecs[ki]
 	}
 	for mi, m := range a.measures {
-		outKind := a.schema.Columns[len(a.keys)+mi].Type
-		vec := column.NewVector(outKind)
-		vec.Reserve(numGroups)
-		for g := 0; g < numGroups; g++ {
-			vec.Append(a.finalValue(accs[mi], m, outKind, g))
-		}
-		out.Vectors[len(a.keys)+mi] = vec
+		// SQL: SUM over a group with no value is NULL; a COUNT merged from
+		// partial counts is 0.
+		mergedCount := a.mode == AggFinal && (m.Func == substrait.AggCount || m.Func == substrait.AggCountStar)
+		out.Vectors[len(a.keys)+mi] = accs[mi].emit(a.schema.Columns[len(a.keys)+mi].Type, numGroups, mergedCount)
 	}
 	return out, nil
 }
@@ -391,42 +443,6 @@ func mergeFunc(f substrait.AggFunc) substrait.AggFunc {
 	default:
 		return f
 	}
-}
-
-func (a *HashAggregate) finalValue(acc *accumulator, m substrait.Measure, outKind types.Kind, g int) types.Value {
-	switch acc.fn {
-	case substrait.AggCount, substrait.AggCountStar:
-		return types.IntValue(acc.counts[g])
-	case substrait.AggSum:
-		if acc.counts[g] == 0 {
-			// SQL: SUM over empty group is NULL; COUNT merges emit 0.
-			if a.mode == AggFinal && (m.Func == substrait.AggCount || m.Func == substrait.AggCountStar) {
-				return types.IntValue(0)
-			}
-			return types.NullValue(outKind)
-		}
-		if acc.kind == types.Int64 {
-			return types.IntValue(acc.isums[g])
-		}
-		return types.FloatValue(acc.fsums[g])
-	case substrait.AggMin, substrait.AggMax:
-		if !acc.mmSet[g] {
-			return types.NullValue(outKind)
-		}
-		switch acc.kind {
-		case types.Int64:
-			return types.IntValue(acc.mmInts[g])
-		case types.Date:
-			return types.DateValue(acc.mmInts[g])
-		case types.Float64:
-			return types.FloatValue(acc.mmFloats[g])
-		case types.String:
-			return types.StringValue(acc.mmStrings[g])
-		case types.Bool:
-			return types.BoolValue(acc.mmBools[g])
-		}
-	}
-	return types.NullValue(outKind)
 }
 
 // SortSpec orders rows by column ordinal: the plan's and the Substrait

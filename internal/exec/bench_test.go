@@ -6,8 +6,10 @@ import (
 
 	"prestocs/internal/column"
 	"prestocs/internal/expr"
+	"prestocs/internal/parquetlite"
 	"prestocs/internal/substrait"
 	"prestocs/internal/types"
+	"prestocs/internal/workload"
 )
 
 func benchPages(pages, rows int) (*types.Schema, []*column.Page) {
@@ -255,4 +257,115 @@ func BenchmarkSort(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// residentPages decodes the given columns of every object of a generated
+// table: what a leaf pipeline reads once the page cache is warm.
+func residentPages(b *testing.B, d *workload.Dataset, cols []int) (*types.Schema, []*column.Page) {
+	b.Helper()
+	var pages []*column.Page
+	for _, key := range d.Table.Objects {
+		r, err := parquetlite.NewReader(d.Objects[key])
+		if err != nil {
+			b.Fatal(err)
+		}
+		rgs, err := r.ReadAll(cols)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pages = append(pages, rgs...)
+	}
+	return pages[0].Schema, pages
+}
+
+func mustExpr[T expr.Expr](e T, err error) expr.Expr {
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// BenchmarkLeafPipeline is the suite's two heaviest leaf pipelines —
+// filter → partial aggregate for Laghos, filter → project → partial
+// aggregate for TPC-H Q1 — over resident pages of the generated tables at
+// a quarter of the benchmark's scale: the plans of plans.golden's
+// `laghos [all]` and `tpch_q1 [all]` below the exchange, which is the code
+// a storage node runs under ocs.pushdown=all and the engine under none.
+func BenchmarkLeafPipeline(b *testing.B) {
+	lit := func(f float64) expr.Expr { return expr.Lit(types.FloatValue(f)) }
+
+	b.Run("laghos", func(b *testing.B) {
+		d, err := workload.Laghos(workload.Config{Files: 8, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		schema, pages := residentPages(b, d, []int{0, 1, 2, 3, 4}) // vertex_id, x, y, z, e
+		var conjuncts []expr.Expr
+		for c := 1; c <= 3; c++ {
+			conjuncts = append(conjuncts, mustExpr(expr.NewBetween(expr.Col(c, schema.Columns[c].Name, types.Float64), lit(0.8), lit(3.2))))
+		}
+		pred := expr.AndAll(conjuncts)
+		measures := []substrait.Measure{
+			{Func: substrait.AggMin, Arg: 0, Name: "$agg0"},
+			{Func: substrait.AggMin, Arg: 1, Name: "$agg1"},
+			{Func: substrait.AggMin, Arg: 2, Name: "$agg2"},
+			{Func: substrait.AggMin, Arg: 3, Name: "$agg3"},
+			{Func: substrait.AggSum, Arg: 4, Name: "$agg4"},
+			{Func: substrait.AggCount, Arg: 4, Name: "$agg5"},
+		}
+		b.SetBytes(int64(len(pages) * 4096))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f, _ := NewFilter(NewPageSource(schema, pages), pred, nil)
+			agg, err := NewHashAggregate(f, []int{0}, measures, AggPartial, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Drain(agg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("q1", func(b *testing.B) {
+		d, err := workload.TPCH(workload.Config{Files: 2, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// quantity, extendedprice, discount, tax, returnflag, linestatus, shipdate
+		schema, pages := residentPages(b, d, []int{1, 2, 3, 4, 5, 6, 7})
+		col := func(i int) expr.Expr { return expr.Col(i, schema.Columns[i].Name, schema.Columns[i].Type) }
+		pred := mustExpr(expr.NewCompare(expr.Le, col(6), expr.Lit(types.DateValue(10471))))
+		one := expr.Lit(types.IntValue(1))
+		discPrice := func() expr.Expr {
+			return mustExpr(expr.NewArith(expr.Mul, col(1), mustExpr(expr.NewArith(expr.Sub, one, col(2)))))
+		}
+		charge := mustExpr(expr.NewArith(expr.Mul, discPrice(), mustExpr(expr.NewArith(expr.Add, one, col(3)))))
+		exprs := []expr.Expr{col(4), col(5), col(0), col(1), discPrice(), charge, col(0), col(1), col(2), col(2)}
+		names := []string{"returnflag", "linestatus", "$arg0", "$arg1", "$arg2", "$arg3", "$arg4", "$arg5", "$arg6", "$arg7"}
+		var measures []substrait.Measure
+		for i, fn := range []substrait.AggFunc{substrait.AggSum, substrait.AggSum, substrait.AggSum, substrait.AggSum,
+			substrait.AggCount, substrait.AggCount, substrait.AggSum, substrait.AggCount} {
+			measures = append(measures, substrait.Measure{Func: fn, Arg: 2 + i, Name: fmt.Sprintf("$agg%d", i)})
+		}
+		measures = append(measures, substrait.Measure{Func: substrait.AggCountStar, Arg: -1, Name: "$agg8"})
+		b.SetBytes(int64(len(pages) * 4096))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f, _ := NewFilter(NewPageSource(schema, pages), pred, nil)
+			p, err := NewProject(f, exprs, names, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			agg, err := NewHashAggregate(p, []int{0, 1}, measures, AggPartial, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Drain(agg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

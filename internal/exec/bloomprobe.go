@@ -15,7 +15,6 @@ import (
 // or aggregate materializes survivors only once.
 type BloomProbe struct {
 	input  Operator
-	selIn  SelSource
 	filter *bloom.Filter
 	col    int
 	meter  *Meter
@@ -37,8 +36,7 @@ func NewBloomProbe(input Operator, col int, filter *bloom.Filter, meter *Meter, 
 	default:
 		return nil, fmt.Errorf("exec: bloom probe over %s column", schema.Columns[col].Type)
 	}
-	selIn, _ := input.(SelSource)
-	return &BloomProbe{input: input, selIn: selIn, filter: filter, col: col, meter: meter, observe: observe}, nil
+	return &BloomProbe{input: input, filter: filter, col: col, meter: meter, observe: observe}, nil
 }
 
 // Schema implements Operator.
@@ -47,21 +45,11 @@ func (b *BloomProbe) Schema() *types.Schema { return b.input.Schema() }
 // NextSel implements SelSource.
 func (b *BloomProbe) NextSel() (*column.Page, []int, error) {
 	for {
-		var page *column.Page
-		var sel []int
-		var err error
-		if b.selIn != nil {
-			page, sel, err = b.selIn.NextSel()
-		} else {
-			page, err = b.input.Next()
-		}
+		page, sel, err := nextSel(b.input)
 		if err != nil || page == nil {
 			return nil, nil, err
 		}
-		tested := page.NumRows()
-		if sel != nil {
-			tested = len(sel)
-		}
+		tested := liveRows(page, sel)
 		out, err := b.filter.TestVector(page.Vectors[b.col], sel, b.selBuf[:0])
 		if err != nil {
 			return nil, nil, err

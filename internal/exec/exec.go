@@ -93,16 +93,39 @@ func (s *FuncSource) Schema() *types.Schema { return s.schema }
 func (s *FuncSource) Next() (*column.Page, error) { return s.fn() }
 
 // SelSource is an Operator that can hand pages over with a pending
-// selection vector instead of materializing the surviving rows. Filter
-// implements it; selection-aware consumers (a chained Filter, Project)
-// detect it and defer materialization to the operator boundary that
-// actually needs dense pages (aggregation, sort, the network).
+// selection vector instead of materializing the surviving rows. Filter and
+// BloomProbe implement it; the consumers that read through a selection (a
+// chained Filter or BloomProbe, Project, HashAggregate) detect it, so
+// between a scan and its group-by no filtered page is ever built. Dense
+// pages are materialized only at an operator boundary that needs them
+// (sort, top-N, join, the network).
 type SelSource interface {
 	Operator
 	// NextSel returns the next page plus the selection of live rows.
 	// A nil selection means every row is live. Pages with an empty
 	// selection are never returned; exhaustion is (nil, nil, nil).
+	// The selection is valid until the next call only — a source may reuse
+	// its buffer — so a consumer reads it before it pulls again and never
+	// keeps it.
 	NextSel() (*column.Page, []int, error)
+}
+
+// nextSel pulls the next page and its selection from in: through NextSel
+// when in is a SelSource, else a page with every row live.
+func nextSel(in Operator) (*column.Page, []int, error) {
+	if sel, ok := in.(SelSource); ok {
+		return sel.NextSel()
+	}
+	page, err := in.Next()
+	return page, nil, err
+}
+
+// liveRows is the number of rows of page that sel (nil: all) names.
+func liveRows(page *column.Page, sel []int) int {
+	if sel != nil {
+		return len(sel)
+	}
+	return page.NumRows()
 }
 
 // Filter drops rows not satisfying the predicate. It evaluates the
@@ -111,9 +134,11 @@ type SelSource interface {
 // over surviving rows only.
 type Filter struct {
 	input Operator
-	selIn SelSource // non-nil when the input can defer materialization
 	pred  expr.Expr
 	meter *Meter
+	// selBuf holds the selection NextSel hands out, one page after the
+	// other: it is the consumer's until the next call, as SelSource says.
+	selBuf []int
 }
 
 // NewFilter validates the predicate against the input schema.
@@ -121,8 +146,7 @@ func NewFilter(input Operator, pred expr.Expr, meter *Meter) (*Filter, error) {
 	if pred.Type() != types.Bool {
 		return nil, fmt.Errorf("exec: filter predicate has type %s", pred.Type())
 	}
-	selIn, _ := input.(SelSource)
-	return &Filter{input: input, selIn: selIn, pred: pred, meter: meter}, nil
+	return &Filter{input: input, pred: pred, meter: meter}, nil
 }
 
 // Schema implements Operator.
@@ -132,26 +156,19 @@ func (f *Filter) Schema() *types.Schema { return f.input.Schema() }
 // the predicate folded into the selection vector.
 func (f *Filter) NextSel() (*column.Page, []int, error) {
 	for {
-		var page *column.Page
-		var sel []int
-		var err error
-		if f.selIn != nil {
-			page, sel, err = f.selIn.NextSel()
-		} else {
-			page, err = f.input.Next()
-		}
+		page, sel, err := nextSel(f.input)
 		if err != nil || page == nil {
 			return nil, nil, err
 		}
-		out, err := expr.EvalSelectionOver(f.pred, page, sel)
+		live := liveRows(page, sel)
+		if cap(f.selBuf) < live {
+			f.selBuf = make([]int, live)
+		}
+		out, err := expr.EvalSelectionInto(f.pred, page, sel, f.selBuf)
 		if err != nil {
 			return nil, nil, err
 		}
-		if sel == nil {
-			f.meter.charge(page.NumRows(), f.pred.Cost())
-		} else {
-			f.meter.charge(len(sel), f.pred.Cost())
-		}
+		f.meter.charge(live, f.pred.Cost())
 		if len(out) == page.NumRows() {
 			// Every row survived: report "all live" so downstream
 			// evaluation stays zero-copy.
@@ -180,11 +197,12 @@ func (f *Filter) Next() (*column.Page, error) {
 
 // Project evaluates expressions into a new schema. When the input is a
 // SelSource (a Filter), expressions are evaluated only over the surviving
-// rows — the filtered page is never materialized.
+// rows — the filtered page is never materialized: each column the list
+// reads is gathered once, and a subexpression the list repeats is
+// evaluated once (expr.Projection).
 type Project struct {
 	input  Operator
-	selIn  SelSource
-	exprs  []expr.Expr
+	proj   *expr.Projection
 	schema *types.Schema
 	meter  *Meter
 	cost   float64
@@ -204,11 +222,13 @@ func NewProject(input Operator, exprs []expr.Expr, names []string, meter *Meter)
 		cols[i] = types.Column{Name: names[i], Type: e.Type()}
 		cost += e.Cost()
 	}
-	selIn, _ := input.(SelSource)
+	proj, err := expr.NewProjection(exprs, input.Schema())
+	if err != nil {
+		return nil, err
+	}
 	return &Project{
 		input:  input,
-		selIn:  selIn,
-		exprs:  exprs,
+		proj:   proj,
 		schema: types.NewSchema(cols...),
 		meter:  meter,
 		cost:   cost,
@@ -220,31 +240,16 @@ func (p *Project) Schema() *types.Schema { return p.schema }
 
 // Next implements Operator.
 func (p *Project) Next() (*column.Page, error) {
-	var page *column.Page
-	var sel []int
-	var err error
-	if p.selIn != nil {
-		page, sel, err = p.selIn.NextSel()
-	} else {
-		page, err = p.input.Next()
-	}
+	page, sel, err := nextSel(p.input)
 	if err != nil || page == nil {
 		return nil, err
 	}
-	out := &column.Page{Schema: p.schema, Vectors: make([]*column.Vector, len(p.exprs))}
-	for i, e := range p.exprs {
-		vec, err := expr.EvalOver(e, page, sel)
-		if err != nil {
-			return nil, err
-		}
-		out.Vectors[i] = vec
+	vecs, err := p.proj.Eval(page, sel)
+	if err != nil {
+		return nil, err
 	}
-	rows := page.NumRows()
-	if sel != nil {
-		rows = len(sel)
-	}
-	p.meter.charge(rows, p.cost)
-	return out, nil
+	p.meter.charge(liveRows(page, sel), p.cost)
+	return &column.Page{Schema: p.schema, Vectors: vecs}, nil
 }
 
 // Limit stops after n rows.

@@ -105,7 +105,7 @@ func BuildJoinTable(input Operator, keys []int, meter *Meter) (*JoinTable, error
 		t.rows.AppendPage(dense)
 		base := len(rowKeys)
 		rowKeys = append(rowKeys, make([]int32, dense.NumRows())...)
-		t.index.assign(&scratch, dense, keys, rowKeys[base:])
+		t.index.assign(&scratch, dense, keys, nil, rowKeys[base:])
 	}
 	// Chain each key's rows back to front, so that walking a chain from
 	// its head yields them in insertion order.

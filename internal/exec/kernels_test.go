@@ -201,7 +201,7 @@ func TestKeyTableMatchesReference(t *testing.T) {
 			var buf []byte
 			for _, p := range pages {
 				ids := make([]int32, p.NumRows())
-				table.assign(&sc, p, cols, ids)
+				table.assign(&sc, p, cols, nil, ids)
 				var fresh []int
 				for row, id := range ids {
 					buf = encodeGroupKey(buf[:0], p, cols, row)

@@ -112,19 +112,24 @@ func (t *keyTable) len() int { return len(t.hashes) }
 // up, large enough to amortize the per-column kind dispatch.
 const keyChunk = 256
 
-// assign sets ids[i] to the id of row i's key, adding keys the table has
-// not seen. cols are the key columns' ordinals in page, kinds matching the
-// table's. sc.fresh lists the rows that added a key.
-func (t *keyTable) assign(sc *keyScratch, page *column.Page, cols []int, ids []int32) {
+// assign sets ids[i] to the id of the key of the i-th row of sel (nil:
+// of row i), adding keys the table has not seen. cols are the key
+// columns' ordinals in page, kinds matching the table's. sc.fresh lists
+// the page rows that added a key.
+func (t *keyTable) assign(sc *keyScratch, page *column.Page, cols []int, sel []int, ids []int32) {
 	sc.fresh = sc.fresh[:0]
 	for from := 0; from < len(ids); from += keyChunk {
 		to := min(from+keyChunk, len(ids))
-		t.load(sc, page, cols, from, to)
+		t.load(sc, page, cols, sel, from, to)
 		for i := range ids[from:to] {
 			id := t.lookup(sc, i)
 			if id < 0 {
 				id = t.insert(sc, i)
-				sc.fresh = append(sc.fresh, from+i)
+				row := from + i
+				if sel != nil {
+					row = sel[row]
+				}
+				sc.fresh = append(sc.fresh, row)
 			}
 			ids[from+i] = id
 		}
@@ -136,7 +141,7 @@ func (t *keyTable) assign(sc *keyScratch, page *column.Page, cols []int, ids []i
 func (t *keyTable) find(sc *keyScratch, page *column.Page, cols []int, ids []int32) {
 	for from := 0; from < len(ids); from += keyChunk {
 		to := min(from+keyChunk, len(ids))
-		t.load(sc, page, cols, from, to)
+		t.load(sc, page, cols, nil, from, to)
 		for i := range ids[from:to] {
 			ids[from+i] = t.lookup(sc, i)
 		}
@@ -214,15 +219,16 @@ func (t *keyTable) place(h uint64, id int32) {
 	t.slots[slot] = h&^math.MaxUint32 | uint64(id+1)
 }
 
-// load writes the keys of rows [from, to) into sc in the table's layout
-// and hashes them. The word layout is filled a column at a time, so the
-// kind dispatch happens once per column per chunk.
-func (t *keyTable) load(sc *keyScratch, page *column.Page, cols []int, from, to int) {
+// load writes the keys of positions [from, to) — rows sel[from:to], or
+// rows [from, to) themselves when sel is nil — into sc in the table's
+// layout and hashes them. The word layout is filled a column at a time,
+// so the kind dispatch happens once per column per chunk.
+func (t *keyTable) load(sc *keyScratch, page *column.Page, cols []int, sel []int, from, to int) {
 	n := to - from
 	sc.hashes = resize(sc.hashes, n)
 	w := t.width
 	if w == 0 {
-		t.loadBytes(sc, page, cols, from, to)
+		t.loadBytes(sc, page, cols, sel, from, to)
 		return
 	}
 	sc.words = resize(sc.words, n*w)
@@ -233,29 +239,31 @@ func (t *keyTable) load(sc *keyScratch, page *column.Page, cols []int, from, to 
 	for c, col := range cols {
 		vec := page.Vectors[col]
 		dst := words[1+c:]
-		switch vec.Kind {
-		case types.Int64, types.Date:
-			for i, v := range vec.Ints[from:to] {
-				dst[i*w] = uint64(v)
-			}
-		case types.Float64:
-			for i, f := range vec.Floats[from:to] {
-				if f != f {
-					f = math.NaN() // one key for every NaN payload
+		if sel != nil {
+			loadWordsSel(dst, w, vec, sel[from:to])
+		} else {
+			switch vec.Kind {
+			case types.Int64, types.Date:
+				for i, v := range vec.Ints[from:to] {
+					dst[i*w] = uint64(v)
 				}
-				dst[i*w] = math.Float64bits(f)
-			}
-		case types.Bool:
-			for i, b := range vec.Bools[from:to] {
-				dst[i*w] = 0
-				if b {
-					dst[i*w] = 1
+			case types.Float64:
+				for i, f := range vec.Floats[from:to] {
+					dst[i*w] = floatKeyWord(f)
+				}
+			case types.Bool:
+				for i, b := range vec.Bools[from:to] {
+					dst[i*w] = boolKeyWord(b)
 				}
 			}
 		}
 		if vec.Nulls != nil {
-			for i, null := range vec.Nulls[from:to] {
-				if null {
+			for i := 0; i < n; i++ {
+				row := from + i
+				if sel != nil {
+					row = sel[row]
+				}
+				if vec.Nulls[row] {
 					dst[i*w] = 0
 					words[i*w] |= 1 << uint(c)
 				}
@@ -271,10 +279,48 @@ func (t *keyTable) load(sc *keyScratch, page *column.Page, cols []int, from, to 
 	}
 }
 
-func (t *keyTable) loadBytes(sc *keyScratch, page *column.Page, cols []int, from, to int) {
+// loadWordsSel is load's column loop read through a selection.
+func loadWordsSel(dst []uint64, w int, vec *column.Vector, rows []int) {
+	switch vec.Kind {
+	case types.Int64, types.Date:
+		for i, row := range rows {
+			dst[i*w] = uint64(vec.Ints[row])
+		}
+	case types.Float64:
+		for i, row := range rows {
+			dst[i*w] = floatKeyWord(vec.Floats[row])
+		}
+	case types.Bool:
+		for i, row := range rows {
+			dst[i*w] = boolKeyWord(vec.Bools[row])
+		}
+	}
+}
+
+// floatKeyWord is a float's key word: its bits, with one pattern for
+// every NaN payload.
+func floatKeyWord(f float64) uint64 {
+	if f != f {
+		f = math.NaN()
+	}
+	return math.Float64bits(f)
+}
+
+func boolKeyWord(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (t *keyTable) loadBytes(sc *keyScratch, page *column.Page, cols []int, sel []int, from, to int) {
 	sc.ends = resize(sc.ends, to-from)
 	buf := sc.bytes[:0]
-	for i := from; i < to; i++ {
+	for pos := from; pos < to; pos++ {
+		i := pos
+		if sel != nil {
+			i = sel[pos]
+		}
 		start := len(buf)
 		for _, col := range cols {
 			vec := page.Vectors[col]
@@ -287,25 +333,17 @@ func (t *keyTable) loadBytes(sc *keyScratch, page *column.Page, cols []int, from
 			case types.Int64, types.Date:
 				buf = binary.LittleEndian.AppendUint64(buf, uint64(vec.Ints[i]))
 			case types.Float64:
-				f := vec.Floats[i]
-				if f != f {
-					f = math.NaN()
-				}
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+				buf = binary.LittleEndian.AppendUint64(buf, floatKeyWord(vec.Floats[i]))
 			case types.String:
 				s := vec.Strings[i]
 				buf = binary.AppendUvarint(buf, uint64(len(s)))
 				buf = append(buf, s...)
 			case types.Bool:
-				b := byte(0)
-				if vec.Bools[i] {
-					b = 1
-				}
-				buf = append(buf, b)
+				buf = append(buf, byte(boolKeyWord(vec.Bools[i])))
 			}
 		}
-		sc.ends[i-from] = len(buf)
-		sc.hashes[i-from] = hashBytes(buf[start:])
+		sc.ends[pos-from] = len(buf)
+		sc.hashes[pos-from] = hashBytes(buf[start:])
 	}
 	sc.bytes = buf
 }

@@ -132,8 +132,8 @@ func TestChainedFiltersSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f2.selIn == nil {
-		t.Fatal("chained filter did not detect its SelSource input")
+	if _, ok := Operator(f1).(SelSource); !ok {
+		t.Fatal("a filter must be a SelSource for the filter above it to pull selections from")
 	}
 	out, err := DrainToPage(f2)
 	if err != nil {

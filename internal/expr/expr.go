@@ -260,27 +260,30 @@ func (n *IsNull) Cost() float64 { return n.E.Cost() + 0.5 }
 // Walk calls fn for every node in the expression tree, pre-order.
 func Walk(e Expr, fn func(Expr)) {
 	fn(e)
+	for _, c := range children(e) {
+		Walk(c, fn)
+	}
+}
+
+// children lists a node's operands, left to right.
+func children(e Expr) []Expr {
 	switch t := e.(type) {
 	case *Arith:
-		Walk(t.L, fn)
-		Walk(t.R, fn)
+		return []Expr{t.L, t.R}
 	case *Compare:
-		Walk(t.L, fn)
-		Walk(t.R, fn)
+		return []Expr{t.L, t.R}
 	case *Logic:
-		Walk(t.L, fn)
-		Walk(t.R, fn)
+		return []Expr{t.L, t.R}
 	case *Not:
-		Walk(t.E, fn)
+		return []Expr{t.E}
 	case *Between:
-		Walk(t.E, fn)
-		Walk(t.Lo, fn)
-		Walk(t.Hi, fn)
+		return []Expr{t.E, t.Lo, t.Hi}
 	case *Cast:
-		Walk(t.E, fn)
+		return []Expr{t.E}
 	case *IsNull:
-		Walk(t.E, fn)
+		return []Expr{t.E}
 	}
+	return nil
 }
 
 // ReferencedColumns returns the sorted set of input ordinals the expression
@@ -638,23 +641,27 @@ func FoldConstants(e Expr) Expr {
 
 func evalRowConst(e Expr, p *column.Page) (types.Value, error) { return evalRow(e, p, 0) }
 
-func foldChildren(e Expr) Expr {
+func foldChildren(e Expr) Expr { return mapChildren(e, FoldConstants) }
+
+// mapChildren returns a copy of e with every direct child replaced by
+// f(child); a leaf, or a node of a kind this package does not know, is
+// returned as it is.
+func mapChildren(e Expr, f func(Expr) Expr) Expr {
 	switch t := e.(type) {
 	case *Arith:
-		a := &Arith{Op: t.Op, L: FoldConstants(t.L), R: FoldConstants(t.R), kind: t.kind}
-		return a
+		return &Arith{Op: t.Op, L: f(t.L), R: f(t.R), kind: t.kind}
 	case *Compare:
-		return &Compare{Op: t.Op, L: FoldConstants(t.L), R: FoldConstants(t.R)}
+		return &Compare{Op: t.Op, L: f(t.L), R: f(t.R)}
 	case *Logic:
-		return &Logic{Op: t.Op, L: FoldConstants(t.L), R: FoldConstants(t.R)}
+		return &Logic{Op: t.Op, L: f(t.L), R: f(t.R)}
 	case *Not:
-		return &Not{E: FoldConstants(t.E)}
+		return &Not{E: f(t.E)}
 	case *Between:
-		return &Between{E: FoldConstants(t.E), Lo: FoldConstants(t.Lo), Hi: FoldConstants(t.Hi)}
+		return &Between{E: f(t.E), Lo: f(t.Lo), Hi: f(t.Hi)}
 	case *Cast:
-		return &Cast{E: FoldConstants(t.E), To: t.To}
+		return &Cast{E: f(t.E), To: t.To}
 	case *IsNull:
-		return &IsNull{E: FoldConstants(t.E), Negate: t.Negate}
+		return &IsNull{E: f(t.E), Negate: t.Negate}
 	default:
 		return e
 	}

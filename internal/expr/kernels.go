@@ -6,7 +6,16 @@ package expr
 // Bools) with null-bitmap propagation. Predicates additionally evaluate
 // through selection vectors (sorted row-index slices), so AND evaluates
 // its right side only over rows the left side kept and OR only over rows
-// the left side rejected.
+// the left side rejected. A comparison or BETWEEN of a column against
+// literals (selkernels.go) reads the column where it lies, under the
+// incoming selection, and writes the outgoing one: no operand is gathered
+// and no bool vector is built.
+//
+// Selections obey two rules every producer and consumer relies on: nil
+// means every row of the page, so a predicate that rejects every row
+// returns an empty selection that is not nil; and the selection a caller
+// passes in is only read — the result is new storage, or the buffer the
+// caller gave for it (EvalSelectionInto).
 //
 // Null propagation rules (matching the row-wise evaluator exactly):
 //   - arithmetic and comparison: NULL if either operand is NULL;
@@ -17,8 +26,9 @@ package expr
 // Value buffers at NULL positions hold unspecified data; consumers must
 // check the null bitmap first (types.Value extraction already does).
 //
-// Any node without a kernel (Cast, future extensions) falls back to the
-// row-wise evalRow transparently, per row of the active selection.
+// Any node without a kernel (a Cast that can fail, future extensions)
+// falls back to the row-wise evalRow transparently, per row of the active
+// selection.
 
 import (
 	"fmt"
@@ -63,19 +73,25 @@ func EvalOver(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
 // the rows where it is true (SQL WHERE semantics: NULL counts as false).
 // AND/OR short-circuit through selections as described above.
 func EvalSelection(e Expr, page *column.Page) ([]int, error) {
-	if e.Type() != types.Bool {
-		return nil, fmt.Errorf("expr: predicate has type %s", e.Type())
-	}
-	return evalSel(e, page, nil)
+	return EvalSelectionInto(e, page, nil, nil)
 }
 
 // EvalSelectionOver is EvalSelection restricted to a base selection; the
 // result is a subsequence of sel (nil means all rows).
 func EvalSelectionOver(e Expr, page *column.Page, sel []int) ([]int, error) {
+	return EvalSelectionInto(e, page, sel, nil)
+}
+
+// EvalSelectionInto is EvalSelectionOver with storage for the result: it
+// is written over buf when buf has the capacity for it, which lets a
+// caller that is done with one page's selection before it asks for the
+// next keep one buffer for all of them. buf's contents and length are
+// ignored; it may not overlap sel, which is only read.
+func EvalSelectionInto(e Expr, page *column.Page, sel, buf []int) ([]int, error) {
 	if e.Type() != types.Bool {
 		return nil, fmt.Errorf("expr: predicate has type %s", e.Type())
 	}
-	return evalSel(e, page, sel)
+	return evalSel(e, page, sel, buf)
 }
 
 func selLen(page *column.Page, sel []int) int {
@@ -93,21 +109,47 @@ func identitySel(n int) []int {
 	return sel
 }
 
+// selBuf returns n entries to write a selection into: buf's storage when
+// it is large enough, else fresh. It is never nil, whatever n is: a
+// selection cut from it that keeps no row must not read as "every row".
+func selBuf(buf []int, n int) []int {
+	if buf != nil && cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]int, n)
+}
+
 // evalSel evaluates a predicate into the subset of sel where it holds.
-func evalSel(e Expr, page *column.Page, sel []int) ([]int, error) {
-	if t, ok := e.(*Logic); ok {
-		left, err := evalSel(t.L, page, sel)
+// The result is written over buf when it fits there, else allocated; buf
+// may be sel itself — every loop that narrows a selection writes entry k
+// only after it has read entry i >= k — which is how the right side of an
+// AND narrows what the left side produced, where it lies.
+func evalSel(e Expr, page *column.Page, sel, buf []int) ([]int, error) {
+	switch t := e.(type) {
+	case *Compare:
+		if out, ok := selCompare(t, page, sel, buf); ok {
+			return out, nil
+		}
+	case *Between:
+		if out, ok := selBetween(t, page, sel, buf); ok {
+			return out, nil
+		}
+	case *Logic:
+		if t.Op == And {
+			left, err := evalSel(t.L, page, sel, buf)
+			if err != nil || len(left) == 0 {
+				return left, err
+			}
+			return evalSel(t.R, page, left, left)
+		}
+		// OR: the right side only needs to run over rows the left side
+		// rejected; merged output stays sorted. sel is read again once the
+		// left side is known, and buf may be sel, so the left side gets
+		// storage of its own.
+		left, err := evalSel(t.L, page, sel, nil)
 		if err != nil {
 			return nil, err
 		}
-		if t.Op == And {
-			if len(left) == 0 {
-				return left, nil
-			}
-			return evalSel(t.R, page, left)
-		}
-		// OR: the right side only needs to run over rows the left side
-		// rejected; merged output stays sorted.
 		base := sel
 		if base == nil {
 			base = identitySel(page.NumRows())
@@ -116,7 +158,7 @@ func evalSel(e Expr, page *column.Page, sel []int) ([]int, error) {
 		if len(rest) == 0 {
 			return left, nil
 		}
-		right, err := evalSel(t.R, page, rest)
+		right, err := evalSel(t.R, page, rest, rest)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +169,7 @@ func evalSel(e Expr, page *column.Page, sel []int) ([]int, error) {
 		return nil, err
 	}
 	n := v.Len()
-	out := make([]int, 0, n)
+	out := selBuf(buf, n)[:0]
 	if sel == nil {
 		for i := 0; i < n; i++ {
 			if v.Bools[i] && (v.Nulls == nil || !v.Nulls[i]) {
@@ -258,11 +300,59 @@ func evalVec(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
 			out.Bools[i] = isNull != t.Negate
 		}
 		return out, nil
+	case *Cast:
+		if !castCannotFail(t.E.Type(), t.To) {
+			return fallbackVec(e, page, sel, n)
+		}
+		v, err := evalVec(t.E, page, sel)
+		if err != nil {
+			return nil, err
+		}
+		return castVec(v, t.To, n), nil
 	default:
 		// Transparent row-wise fallback for nodes without kernels
-		// (Cast, unknown extensions).
+		// (unknown extensions).
 		return fallbackVec(e, page, sel, n)
 	}
+}
+
+// castCannotFail reports whether types.Coerce converts every value of
+// kind from to kind to: the same kind, Int64 either way with Float64 and
+// Int64 either way with Date. Those casts have a kernel; the others
+// (parsing a string as a date, pairs with no conversion) can fail on a
+// row and stay row-wise, where the failing row reports itself.
+func castCannotFail(from, to types.Kind) bool {
+	switch {
+	case from == to:
+		return true
+	case from == types.Int64:
+		return to == types.Float64 || to == types.Date
+	case from == types.Float64, from == types.Date:
+		return to == types.Int64
+	}
+	return false
+}
+
+// castVec converts v, n rows of a kind castCannotFail accepts, to kind to.
+// NULL stays NULL; whole buffers are shared where the representation is
+// the same.
+func castVec(v *column.Vector, to types.Kind, n int) *column.Vector {
+	if v.Kind == to {
+		return v
+	}
+	out := &column.Vector{Kind: to, Nulls: v.Nulls}
+	switch {
+	case to == types.Float64:
+		out.Floats = floatsOf(v, n)
+	case v.Kind == types.Float64:
+		out.Ints = make([]int64, n)
+		for i, f := range v.Floats {
+			out.Ints[i] = int64(f)
+		}
+	default: // Int64 and Date are both day or plain counts in Ints
+		out.Ints = v.Ints
+	}
+	return out
 }
 
 func evalOperand(e Expr, page *column.Page, sel []int) (operand, error) {
@@ -401,10 +491,11 @@ func mirror(op CmpOp) CmpOp {
 }
 
 // cmpOrd covers the kinds whose comparison lowers to Go operators
-// directly; floats go through types.CompareFloat for NaN totality.
+// directly. Floats join them (selOrd) against a scalar that is not NaN,
+// which is why cmpVS writes > and >= as negations: see selkernels.go.
 type cmpOrd interface{ ~int64 | ~string }
 
-func cmpVS[T cmpOrd](op CmpOp, xs []T, s T, out []bool) {
+func cmpVS[T selOrd](op CmpOp, xs []T, s T, out []bool) {
 	switch op {
 	case Eq:
 		for i, x := range xs {
@@ -424,11 +515,11 @@ func cmpVS[T cmpOrd](op CmpOp, xs []T, s T, out []bool) {
 		}
 	case Gt:
 		for i, x := range xs {
-			out[i] = x > s
+			out[i] = !(x <= s)
 		}
 	case Ge:
 		for i, x := range xs {
-			out[i] = x >= s
+			out[i] = !(x < s)
 		}
 	}
 }
@@ -463,14 +554,20 @@ func cmpVV[T cmpOrd](op CmpOp, xs, ys []T, out []bool) {
 }
 
 func cmpFloatVS(op CmpOp, xs []float64, s float64, out []bool) {
+	if s == s {
+		cmpVS(op, xs, s, out)
+		return
+	}
+	accept := cmpAccept(op)
 	for i, x := range xs {
-		out[i] = cmpHolds(op, types.CompareFloat(x, s))
+		out[i] = accept[types.CompareFloat(x, s)+1]
 	}
 }
 
 func cmpFloatVV(op CmpOp, xs, ys []float64, out []bool) {
+	accept := cmpAccept(op)
 	for i, x := range xs {
-		out[i] = cmpHolds(op, types.CompareFloat(x, ys[i]))
+		out[i] = accept[types.CompareFloat(x, ys[i])+1]
 	}
 }
 

@@ -435,26 +435,64 @@ func TestSelectionShortCircuitSkipsRightErrors(t *testing.T) {
 	}
 }
 
-// TestFallbackCast exercises the evalRow fallback inside evalVec for a node
-// without a dedicated kernel (Cast), including over a selection.
-func TestFallbackCast(t *testing.T) {
+// TestCastKernelsMatchRowWise covers every cast types.Coerce cannot fail
+// on — those have a kernel — over all rows and over a selection, NULLs
+// staying NULL.
+func TestCastKernelsMatchRowWise(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	page := randomKernelPage(r, 40)
-	c := &Cast{E: Col(0, "i", types.Int64), To: types.Float64}
-	checkEvalDifferential(t, c, page)
-
-	sel := randomSel(r, page.NumRows())
-	vec, err := EvalOver(c, page, sel)
+	for c, col := range kernelSchema.Columns {
+		for _, to := range []types.Kind{types.Int64, types.Float64, types.String, types.Bool, types.Date} {
+			cast := &Cast{E: Col(c, col.Name, col.Type), To: to}
+			if !castCannotFail(col.Type, to) {
+				continue
+			}
+			checkEvalDifferential(t, cast, page)
+			sel := randomSel(r, page.NumRows())
+			vec, err := EvalOver(cast, page, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vec.Kind != to || vec.Len() != len(sel) {
+				t.Fatalf("%s over a selection: %d rows of %s, want %d of %s", cast, vec.Len(), vec.Kind, len(sel), to)
+			}
+			for j, i := range sel {
+				w, err := evalRow(cast, page, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := vec.Value(j); !sameValue(got, w) {
+					t.Fatalf("%s slot %d: %s, want %s", cast, j, got, w)
+				}
+			}
+		}
+	}
+	// A sum of doubles divided by a count, as the avg rewrite casts them.
+	avg, err := NewArith(Div, &Cast{E: Col(1, "f", types.Float64), To: types.Float64},
+		&Cast{E: Lit(types.IntValue(4)), To: types.Float64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, i := range sel {
-		w, err := evalRow(c, page, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := vec.Value(j); !sameValue(got, w) {
-			t.Fatalf("cast slot %d: %s, want %s", j, got, w)
-		}
+	checkEvalDifferential(t, avg, page)
+}
+
+// TestFallbackCast exercises the evalRow fallback inside evalVec, which a
+// cast that can fail still takes: parsing a string as a date reports the
+// row that does not parse, and only when that row is selected.
+func TestFallbackCast(t *testing.T) {
+	dates := column.NewPage(types.NewSchema(types.Column{Name: "s", Type: types.String}))
+	dates.AppendRow(types.StringValue("1995-03-04"))
+	dates.AppendRow(types.StringValue("not a date"))
+	dates.AppendRow(types.NullValue(types.String))
+	parse := &Cast{E: Col(0, "s", types.String), To: types.Date}
+	if _, err := Eval(parse, dates); err == nil {
+		t.Error("casting 'not a date' to DATE must fail")
+	}
+	vec, err := EvalOver(parse, dates, []int{0, 2})
+	if err != nil {
+		t.Fatalf("the row that does not parse is not selected: %v", err)
+	}
+	if want, _ := types.DateFromString("1995-03-04"); vec.Value(0) != want || !vec.IsNull(1) {
+		t.Errorf("parsed %s, %s; want %s, NULL", vec.Value(0), vec.Value(1), want)
 	}
 }

@@ -76,3 +76,31 @@ func BenchmarkPrunedRead(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeChunk is the cold scan's inner loop on the two chunk
+// shapes the benchmark's tables are made of: plain floats with no NULLs
+// (every lineitem and laghos measure) and a run-length-encoded integer
+// (deepwater's timestep).
+func BenchmarkDecodeChunk(b *testing.B) {
+	const n = 131072
+	floats := column.NewVector(types.Float64)
+	runs := column.NewVector(types.Int64)
+	for i := 0; i < n; i++ {
+		floats.Floats = append(floats.Floats, float64(i)*0.37)
+		runs.Ints = append(runs.Ints, int64(i/4096))
+	}
+	for _, c := range []struct {
+		name string
+		vec  *column.Vector
+	}{{"plain_float64", floats}, {"rle_int64", runs}} {
+		enc, _, body := encodeChunk(nil, c.vec)
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeChunk(body, c.vec.Kind, enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

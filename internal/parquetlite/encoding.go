@@ -200,14 +200,7 @@ func decodeChunk(data []byte, kind types.Kind, enc Encoding) (*column.Vector, er
 	// payload slices directly: this is the scan path that feeds the
 	// vectorized kernels, so it must not box a types.Value per cell.
 	vec := column.NewVector(kind)
-	for i := 0; i < n; i++ {
-		if validity[i/8]&(1<<(uint(i)%8)) == 0 {
-			if vec.Nulls == nil {
-				vec.Nulls = make([]bool, n)
-			}
-			vec.Nulls[i] = true
-		}
-	}
+	vec.Nulls = decodeValidity(validity, n)
 
 	switch enc {
 	case Plain:
@@ -217,16 +210,16 @@ func decodeChunk(data []byte, kind types.Kind, enc Encoding) (*column.Vector, er
 				return nil, ErrCorrupt
 			}
 			vec.Ints = make([]int64, n)
-			for i := range vec.Ints {
-				vec.Ints[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+			for i, src := 0, data[:8*n]; len(src) >= 8; i, src = i+1, src[8:] {
+				vec.Ints[i] = int64(binary.LittleEndian.Uint64(src))
 			}
 		case types.Float64:
 			if len(data) < 8*n {
 				return nil, ErrCorrupt
 			}
 			vec.Floats = make([]float64, n)
-			for i := range vec.Floats {
-				vec.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			for i, src := 0, data[:8*n]; len(src) >= 8; i, src = i+1, src[8:] {
+				vec.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
 			}
 		case types.Bool:
 			if len(data) < (n+7)/8 {
@@ -317,8 +310,9 @@ func decodeChunk(data []byte, kind types.Kind, enc Encoding) (*column.Vector, er
 			run, sz := binary.Uvarint(data)
 			v := int64(binary.LittleEndian.Uint64(data[sz:]))
 			data = data[sz+8:]
-			for k := i; k < i+int(run); k++ {
-				vec.Ints[k] = v
+			dst := vec.Ints[i : i+int(run)]
+			for k := range dst {
+				dst[k] = v
 			}
 			i += int(run)
 		}
@@ -327,6 +321,37 @@ func decodeChunk(data []byte, kind types.Kind, enc Encoding) (*column.Vector, er
 	}
 	zeroNullSlots(vec)
 	return vec, nil
+}
+
+// decodeValidity expands an n-row validity bitmap (LSB-first, 1 = valid)
+// into a null mask, or into nil when every row is valid — which costs a
+// chunk without NULLs n/64 comparisons and no allocation. Bits past n are
+// ignored.
+func decodeValidity(validity []byte, n int) []bool {
+	tail := byte(1)<<(uint(n)%8) - 1 // the last partial byte's rows
+	if allOnes(validity[:n/8]) && (tail == 0 || validity[n/8]&tail == tail) {
+		return nil
+	}
+	nulls := make([]bool, n)
+	for i := range nulls {
+		nulls[i] = validity[i/8]&(1<<(uint(i)%8)) == 0
+	}
+	return nulls
+}
+
+// allOnes reports whether every bit of b is set, eight bytes at a time.
+func allOnes(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != math.MaxUint64 {
+			return false
+		}
+	}
+	for _, x := range b {
+		if x != 0xFF {
+			return false
+		}
+	}
+	return true
 }
 
 // zeroNullSlots normalizes the payload under NULL slots to the zero value,

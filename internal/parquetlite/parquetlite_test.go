@@ -427,3 +427,64 @@ func TestQuickPruningSound(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestValidityBitmapScan holds the chunk decoder's bitmap scan — a word,
+// then a byte, then the last partial byte's low bits at a time — to the
+// row-by-row reading of it, at every chunk length around the word and
+// byte boundaries and with the single NULL at every position, the last
+// partial byte's among them. A chunk without NULLs decodes to no null
+// mask at all, whatever the bits past its last row say.
+func TestValidityBitmapScan(t *testing.T) {
+	decode := func(vec *column.Vector) *column.Vector {
+		t.Helper()
+		enc, _, body := encodeChunk(nil, vec)
+		out, err := decodeChunk(body, vec.Kind, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, n := range []int{1, 7, 8, 9, 63, 64, 65, 71, 72, 73, 130} {
+		vec := column.NewVector(types.Float64)
+		for i := 0; i < n; i++ {
+			vec.Append(types.FloatValue(float64(i) + 0.5))
+		}
+		if out := decode(vec); out.Nulls != nil {
+			t.Fatalf("%d rows, no NULL: decoded with a null mask", n)
+		}
+		for null := 0; null < n; null++ {
+			vec.Nulls = make([]bool, n)
+			vec.Nulls[null] = true
+			out := decode(vec)
+			if out.Nulls == nil {
+				t.Fatalf("%d rows, NULL at %d (byte %d, bit %d): decoded without a null mask", n, null, null/8, null%8)
+			}
+			for i, isNull := range out.Nulls {
+				if isNull != (i == null) {
+					t.Fatalf("%d rows, NULL at %d: row %d decoded NULL=%v", n, null, i, isNull)
+				}
+			}
+			if out.Floats[null] != 0 {
+				t.Fatalf("%d rows, NULL at %d: payload under the NULL is %v, want 0", n, null, out.Floats[null])
+			}
+		}
+	}
+
+	// A NULL in the last partial byte: 13 rows, row 11 is bit 3 of byte 1.
+	nulls := make([]bool, 13)
+	nulls[11] = true
+	bitmap := appendValidity(nil, nulls, 13)
+	if got := decodeValidity(bitmap, 13); got == nil || !got[11] {
+		t.Errorf("NULL in the last partial byte: mask %v", got)
+	}
+	// Set bits past the last row are not rows.
+	bitmap = appendValidity(nil, nil, 13)
+	bitmap[1] |= 0xE0
+	if got := decodeValidity(bitmap, 13); got != nil {
+		t.Errorf("bits past the last row read as rows: mask %v", got)
+	}
+	bitmap[1] = 0xE0 // rows 8..12 NULL, padding set
+	if got := decodeValidity(bitmap, 13); got == nil || !got[8] || !got[12] || got[7] {
+		t.Errorf("NULLs in the last partial byte under set padding bits: mask %v", got)
+	}
+}

@@ -191,6 +191,14 @@ func splitRequest(payload []byte) (time.Time, telemetry.TraceID, telemetry.SpanI
 	return deadline, trace, parent, payload[reqHeaderSize:], nil
 }
 
+// frameReadStep is how much of a frame readFrame allocates on the word of
+// the length prefix alone. Beyond it the buffer doubles only once what has
+// arrived fills it, so a peer that claims a gigabyte and sends four bytes
+// costs a megabyte, and one frame never holds more than twice its bytes
+// received (plus this). Frames up to the step — the result chunks and
+// whole objects of ordinary traffic — are read into one exact allocation.
+const frameReadStep = 1 << 20
+
 // readFrame reads one frame. total reports bytes consumed from r even on
 // error, so callers can keep their meters truthful and distinguish "the
 // peer vanished before answering" (total == 0) from a mid-frame failure.
@@ -204,14 +212,22 @@ func readFrame(r io.Reader) (kind byte, method string, payload []byte, total int
 	if frameLen < 5 || frameLen > maxFrameLimit.Load() {
 		return 0, "", nil, 4, fmt.Errorf("rpc: bad frame length %d", frameLen)
 	}
-	body := make([]byte, frameLen)
+	body := make([]byte, min(frameLen, frameReadStep))
 	n, err = io.ReadFull(r, body)
+	for err == nil && uint32(len(body)) < frameLen {
+		grown := make([]byte, min(frameLen, 2*uint32(len(body))))
+		copy(grown, body)
+		var more int
+		more, err = io.ReadFull(r, grown[len(body):])
+		n += more
+		body = grown
+	}
 	if err != nil {
 		return 0, "", nil, int64(4 + n), err
 	}
 	kind = body[0]
 	mLen := binary.LittleEndian.Uint32(body[1:5])
-	if 5+mLen > frameLen {
+	if mLen > frameLen-5 {
 		return 0, "", nil, int64(4 + frameLen), fmt.Errorf("rpc: bad method length %d", mLen)
 	}
 	method = string(body[5 : 5+mLen])
