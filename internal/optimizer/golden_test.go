@@ -127,8 +127,10 @@ func (f *planFixture) planFor(sql, mode string) (analyzed, optimized plan.Node, 
 }
 
 // describePlan renders what the golden file pins for one (query, mode):
-// the optimized tree, and per scan the pushed operators, the scan schema
-// and a digest of the Substrait plan for split 0.
+// the optimized tree, and per scan the pushed operators, the scan schema,
+// the two extractor outputs only the per-split policy reads (the estimated
+// selectivity and the adaptive flag) and a digest of the Substrait plan
+// for split 0.
 func describePlan(root plan.Node) (string, error) {
 	var sb strings.Builder
 	sb.WriteString(plan.Format(root))
@@ -170,7 +172,8 @@ func describePlan(root plan.Node) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			fmt.Fprintf(&sb, " substrait=%dB:%x", len(wire), sha256.Sum256(wire))
+			fmt.Fprintf(&sb, " est=%g adaptive=%t substrait=%dB:%x",
+				h.Push.EstSelectivity, h.Adaptive != nil, len(wire), sha256.Sum256(wire))
 		}
 		sb.WriteString("\n")
 	}
