@@ -6,7 +6,7 @@ GO ?= go
 COVER_MIN ?= 80.0
 
 .PHONY: build test bench bench-build bench-paper faults faults-ingest fuzz-smoke determinism check \
-	vet-telemetry vet-pruning vet-cache vet-concurrency vet-join vet-ingest ci-fast ci-race ci cover
+	gates vet-telemetry vet-pruning vet-cache vet-concurrency vet-join vet-ingest ci-fast ci-race ci cover
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectionKernels$$' -fuzztime 10s ./internal/expr/
 
+# gates is the one list of the grep guards (telemetry manifest, pruning,
+# caching, shared scheduler, join hot path, ingest single writer): check
+# and ci-fast both depend on it, so adding or retiring a gate is one edit.
+gates: vet-telemetry vet-pruning vet-cache vet-concurrency vet-join vet-ingest
+
 # vet-telemetry keeps the metric-name manifest honest: every Metric* const
 # declared in internal/telemetry/names.go must have a registration site in
 # non-test code outside that package. Instrumentation cannot be deleted —
@@ -117,8 +122,9 @@ vet-telemetry:
 # executor and the OCS connector must decode only row groups that
 # survived statistics pruning. Any ReadAll/ReadRowGroup call site in
 # those packages needs an explicit `// vet-pruning:allow <reason>`
-# annotation, reserved for paths that genuinely cannot prune (the raw
-# no-pushdown scan and the post-prune keep-list iterations).
+# annotation, reserved for paths that genuinely cannot prune (the
+# post-prune keep-list iterations). The no-pushdown whole-object scan is
+# engine.ScanWholeObject, outside both packages.
 vet-pruning:
 	@bad=$$(grep -n 'ReadAll(\|ReadRowGroup(' internal/ocsserver/*.go internal/connector/ocs/*.go 2>/dev/null \
 		| grep -v '_test.go' | grep -v 'vet-pruning:allow'); \
@@ -135,8 +141,9 @@ vet-pruning:
 # Direct metastore Get calls in the connectors/engine and direct
 # parquetlite.NewReader footer decodes in the storage executor or the OCS
 # connector need an explicit `// vet-cache:allow <reason>` annotation,
-# reserved for paths that genuinely must bypass the caches (the
-# engine-side raw fallback scan, cold utility paths).
+# reserved for paths that genuinely must bypass the caches (cold utility
+# paths; the engine-side whole-object scan, engine.ScanWholeObject, has no
+# node cache in reach and lives outside these packages).
 vet-cache:
 	@bad=$$(grep -n 'meta\.Get(\|metastore\.Get(' internal/connector/ocs/*.go internal/connector/hive/*.go internal/engine/*.go 2>/dev/null \
 		| grep -v '_test.go' | grep -v 'vet-cache:allow'); \
@@ -224,20 +231,13 @@ bench-build:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# check is the verification gate: vet (plus the six grep guards:
-# telemetry manifest, pruning, caching, shared scheduler, join hot path,
-# ingest single writer), the benchmark module's
+# check is the verification gate: vet (plus the grep guards, see gates),
+# the benchmark module's
 # build, and the full suite under the race detector (the streaming RPC and
 # parallel scanner are concurrency-heavy), then the fault-injection matrix,
 # ten seconds of each fuzz target and the determinism lane.
-check:
+check: gates
 	$(GO) vet ./...
-	$(MAKE) vet-telemetry
-	$(MAKE) vet-pruning
-	$(MAKE) vet-cache
-	$(MAKE) vet-concurrency
-	$(MAKE) vet-join
-	$(MAKE) vet-ingest
 	$(MAKE) bench-build
 	$(GO) test -race ./...
 	$(MAKE) faults
@@ -247,7 +247,7 @@ check:
 # ci-fast is the quick CI lane: formatting, compilation, every static
 # gate and the determinism lane — everything that fails in seconds. The GitHub workflow calls this
 # exact target so CI and local runs cannot drift.
-ci-fast:
+ci-fast: gates
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt: these files need formatting:"; \
@@ -257,12 +257,6 @@ ci-fast:
 	@echo "gofmt: clean"
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(MAKE) vet-telemetry
-	$(MAKE) vet-pruning
-	$(MAKE) vet-cache
-	$(MAKE) vet-concurrency
-	$(MAKE) vet-join
-	$(MAKE) vet-ingest
 	$(MAKE) bench-build
 	$(MAKE) determinism
 

@@ -20,7 +20,6 @@ import (
 	"prestocs/internal/expr"
 	"prestocs/internal/metastore"
 	"prestocs/internal/objstore"
-	"prestocs/internal/parquetlite"
 	"prestocs/internal/plan"
 	"prestocs/internal/telemetry"
 	"prestocs/internal/types"
@@ -176,7 +175,7 @@ func (c *Connector) CreatePageSource(ctx context.Context, handle plan.TableHandl
 	if h.Filter != nil || (h.UseSelect && h.Projection != nil) {
 		return c.selectSource(ctx, h, split, stats)
 	}
-	return c.getSource(ctx, h, split, stats)
+	return engine.ScanWholeObject(ctx, c.client, h.Table.Bucket, split.Object, h.Table.Columns, h.Projection, stats)
 }
 
 // selectSource uses the S3 Select-like path: storage-side filter +
@@ -226,45 +225,4 @@ func (c *Connector) selectSource(ctx context.Context, h *Handle, split engine.Sp
 		return nil, fmt.Errorf("hive: select returned schema %s, want %s", page.Schema, scanSchema)
 	}
 	return exec.NewPageSource(scanSchema, []*column.Page{page}), nil
-}
-
-// getSource transfers the whole object and scans it locally (the
-// no-pushdown baseline).
-func (c *Connector) getSource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
-	start := time.Now()
-	data, work, err := c.client.Get(ctx, h.Table.Bucket, split.Object)
-	if err != nil {
-		return nil, fmt.Errorf("hive: get %s/%s: %w", h.Table.Bucket, split.Object, err)
-	}
-	stats.AddTransfer(time.Since(start))
-	stats.AddBytesMoved(int64(len(data)))
-	stats.AddStorageWork(work)
-
-	reader, err := parquetlite.NewReader(data)
-	if err != nil {
-		return nil, err
-	}
-	cols := h.Projection
-	if cols == nil {
-		cols = make([]int, h.Table.Columns.Len())
-		for i := range cols {
-			cols[i] = i
-		}
-	}
-	scanSchema := h.ScanSchema()
-	rg := 0
-	return exec.NewFuncSource(scanSchema, func() (*column.Page, error) {
-		if rg >= len(reader.Meta().RowGroups) {
-			return nil, nil
-		}
-		page, err := reader.ReadRowGroup(rg, cols)
-		rg++
-		if err != nil {
-			return nil, err
-		}
-		// Local parquet decode + page building on the compute node
-		// (1.5 ingest units/cell).
-		stats.AddDeserialize(float64(page.NumRows())*float64(len(cols))*1.5, int64(page.NumRows()))
-		return page, nil
-	}), nil
 }

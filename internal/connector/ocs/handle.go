@@ -17,6 +17,7 @@ package ocs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"prestocs/internal/bloom"
@@ -37,16 +38,6 @@ const (
 	// ratio (0..1) an operator must achieve for "auto" pushdown. Default
 	// 0.5.
 	SessionSelectivityThreshold = "ocs.selectivity_threshold"
-	// SessionComplexityCap is the maximum expression cost (expr.Cost
-	// units) "auto" will push for projections. Default 25.
-	SessionComplexityCap = "ocs.complexity_cap"
-	// SessionAdaptiveLoadCutoff is the storage-backlog EWMA at or above
-	// which auto mode considers flipping an in-flight pushdown stream to
-	// the local resume path. Default 4.
-	SessionAdaptiveLoadCutoff = "ocs.adaptive.load_cutoff"
-	// SessionAdaptiveFlipMargin is how many times cheaper the raw path
-	// must price before auto mode flips mid-stream. Default 1.5.
-	SessionAdaptiveFlipMargin = "ocs.adaptive.flip_margin"
 )
 
 // Mode is a parsed pushdown configuration.
@@ -125,8 +116,9 @@ type Pushdown struct {
 	// OutputCols narrows the rows returned after a pushed filter to the
 	// columns the residual plan still needs (ordinals over the projected
 	// scan schema): columns referenced only by the pushed filter are
-	// consumed in-storage and never cross the network. Ignored when
-	// Project or Agg is set (they define the output themselves).
+	// consumed in-storage and never cross the network. Project and Agg
+	// define the output themselves, and the extractor — the one writer —
+	// sets this on a filter-only pushdown alone: readers ask narrows().
 	OutputCols []int
 	// Project is the pre-aggregation expression projection.
 	Project *ProjectSpec
@@ -137,7 +129,7 @@ type Pushdown struct {
 	TopN         *TopNSpec
 	// Limit is a bare LIMIT (no ordering) pushed per split: each storage
 	// node returns at most Limit rows and the engine's residual Limit
-	// truncates the union — always sound. -1 when absent.
+	// truncates the union — always sound. 0 when absent.
 	Limit int64
 	// EstSelectivity is the Selectivity Analyzer's plan-time estimate of
 	// the fraction of scanned rows the pushed pipeline keeps (0 when the
@@ -150,8 +142,12 @@ type Pushdown struct {
 	Bloom *BloomSpec
 }
 
-// Operators lists the pushed operator kinds in order.
+// Operators lists the pushed operator kinds in order; a nil Pushdown
+// pushes nothing.
 func (p *Pushdown) Operators() []string {
+	if p == nil {
+		return nil
+	}
 	var ops []string
 	if p.Filter != nil {
 		ops = append(ops, "filter")
@@ -177,7 +173,11 @@ func (p *Pushdown) Operators() []string {
 	return ops
 }
 
-// Empty reports whether nothing is pushed.
+// narrows reports whether the scan returns a column subset of the rows the
+// pushed filter kept; OutputCols says why this is the whole test.
+func (p *Pushdown) narrows() bool { return p.OutputCols != nil }
+
+// Empty reports whether nothing is pushed (true of a nil Pushdown).
 func (p *Pushdown) Empty() bool { return len(p.Operators()) == 0 }
 
 // OrderDeterministic reports whether the pushed pipeline's output order
@@ -189,17 +189,6 @@ func (p *Pushdown) Empty() bool { return len(p.Operators()) == 0 }
 // skipping rows already delivered.
 func (p *Pushdown) OrderDeterministic() bool { return p.Agg == nil && p.TopN == nil }
 
-// AdaptiveParams are the auto-mode knobs for mid-stream repricing,
-// parsed from session properties by the optimizer. A nil AdaptiveParams
-// on a handle means the pushdown choice is static for the query.
-type AdaptiveParams struct {
-	// LoadCutoff is the storage-backlog EWMA below which flips are not
-	// considered.
-	LoadCutoff float64
-	// FlipMargin is the raw-vs-pushdown price ratio required to flip.
-	FlipMargin float64
-}
-
 // Handle is the OCS connector's table handle: table metadata, column
 // projection and the pushdown spec.
 type Handle struct {
@@ -207,8 +196,9 @@ type Handle struct {
 	Projection []int // base-schema ordinals; nil = all
 	Push       *Pushdown
 	// Adaptive is set (auto mode only) when the per-split policy may
-	// override the planned pushdown and flip mid-stream.
-	Adaptive *AdaptiveParams
+	// override the planned pushdown and flip mid-stream; otherwise the
+	// pushdown choice is static for the query.
+	Adaptive bool
 	// pin holds the metastore snapshot this handle's Table was read at;
 	// every copy the optimizer or join machinery makes shares it, and the
 	// engine releases it exactly once when the query finishes. Nil for
@@ -240,7 +230,7 @@ func (h *Handle) ScanSchema() *types.Schema {
 	if h.Push == nil {
 		return schema
 	}
-	if h.Push.OutputCols != nil && h.Push.Project == nil && h.Push.Agg == nil {
+	if h.Push.narrows() {
 		schema = schema.Project(h.Push.OutputCols)
 	}
 	if h.Push.Project != nil {
@@ -256,9 +246,19 @@ func (h *Handle) ScanSchema() *types.Schema {
 	return schema
 }
 
+// clone returns a copy of the handle for the caller to change one field
+// of. The copy shares everything else — the snapshot pin included, which
+// is released once for all copies.
+func (h *Handle) clone() *Handle {
+	c := *h
+	return &c
+}
+
 // WithProjection implements plan.ProjectableHandle.
 func (h *Handle) WithProjection(cols []int) plan.TableHandle {
-	return &Handle{Table: h.Table, Projection: cols, Push: h.Push, Adaptive: h.Adaptive, pin: h.pin}
+	c := h.clone()
+	c.Projection = cols
+	return c
 }
 
 // WithJoinBloom implements plan.BloomJoinHandle: a copy of the handle
@@ -279,37 +279,26 @@ func (h *Handle) WithJoinBloom(column int, filter *bloom.Filter, buildKeys int64
 	est := 0.0
 	name := h.ScanSchema().Columns[column].Name
 	if cs, ok := h.Table.Stats(name); ok && cs.NDV > 0 {
-		est = float64(buildKeys) / float64(cs.NDV)
-		if est > 1 {
-			est = 1
-		}
+		est = min(float64(buildKeys)/float64(cs.NDV), 1)
 	}
-	var push Pushdown
-	if h.Push != nil {
-		push = *h.Push
-	}
-	push.Bloom = &BloomSpec{Column: column, Filter: filter, EstSelectivity: est}
-	return &Handle{Table: h.Table, Projection: h.Projection, Push: &push, Adaptive: h.Adaptive, pin: h.pin}, true
+	return h.withBloom(&BloomSpec{Column: column, Filter: filter, EstSelectivity: est}), true
 }
 
-// withoutBloom returns the handle with the bloom spec stripped — the
-// retry shape after a storage node rejects the filter.
-func (h *Handle) withoutBloom() *Handle {
-	if h.Push == nil || h.Push.Bloom == nil {
-		return h
+// withBloom returns a copy of the handle whose pushdown carries spec in
+// place of the bloom filter it had; nil strips it — the retry shape after
+// a storage node refuses the filter.
+func (h *Handle) withBloom(spec *BloomSpec) *Handle {
+	c := h.clone()
+	c.Push = &Pushdown{}
+	if h.Push != nil {
+		*c.Push = *h.Push
 	}
-	push := *h.Push
-	push.Bloom = nil
-	return &Handle{Table: h.Table, Projection: h.Projection, Push: &push, Adaptive: h.Adaptive, pin: h.pin}
+	c.Push.Bloom = spec
+	return c
 }
 
 // PushedOperators implements engine.PushdownReporter.
-func (h *Handle) PushedOperators() []string {
-	if h.Push == nil {
-		return nil
-	}
-	return h.Push.Operators()
-}
+func (h *Handle) PushedOperators() []string { return h.Push.Operators() }
 
 // String implements fmt.Stringer.
 func (h *Handle) String() string {
@@ -317,7 +306,7 @@ func (h *Handle) String() string {
 	if h.Projection != nil {
 		parts = append(parts, fmt.Sprintf("cols=%d", len(h.Projection)))
 	}
-	if h.Push != nil && !h.Push.Empty() {
+	if !h.Push.Empty() {
 		parts = append(parts, "pushdown="+strings.Join(h.Push.Operators(), "+"))
 	}
 	return "ocs:" + strings.Join(parts, ", ")
@@ -327,20 +316,11 @@ func (h *Handle) String() string {
 // declared split-disjoint in the table metadata (its values never span
 // objects), which makes per-split aggregation complete.
 func keysSplitDisjoint(table *metastore.Table, schema *types.Schema, keys []int) bool {
-	if len(keys) == 0 {
-		return false // global aggregates always need a final merge
-	}
-	declared := map[string]bool{}
-	for _, name := range table.DisjointKeys {
-		declared[strings.ToLower(name)] = true
-	}
 	for _, k := range keys {
-		if k < 0 || k >= schema.Len() {
-			return false
-		}
-		if !declared[strings.ToLower(schema.Columns[k].Name)] {
+		declared := func(name string) bool { return strings.EqualFold(name, schema.Columns[k].Name) }
+		if k < 0 || k >= schema.Len() || !slices.ContainsFunc(table.DisjointKeys, declared) {
 			return false
 		}
 	}
-	return true
+	return len(keys) > 0 // global aggregates always need a final merge
 }

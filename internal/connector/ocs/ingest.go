@@ -13,10 +13,6 @@ import (
 // into parquetlite objects committed with fresh zone maps.
 func (c *Connector) AttachIngester(ing *ingest.Ingester) { c.ingester = ing }
 
-// Ingester returns the attached ingester (nil when the catalog is
-// read-only).
-func (c *Connector) Ingester() *ingest.Ingester { return c.ingester }
-
 // IngestRows implements engine.IngestConnector. Rows are flushed before
 // returning, so an INSERT is durable and visible to new queries the
 // moment the statement completes — the statement's time-to-queryable

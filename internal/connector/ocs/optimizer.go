@@ -2,6 +2,7 @@ package ocs
 
 import (
 	"math"
+	"slices"
 	"strconv"
 
 	"prestocs/internal/engine"
@@ -46,131 +47,182 @@ func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan
 	})
 }
 
-// extract walks one branch bottom-up from its TableScan, absorbing
-// pushdown-eligible operators into a modified scan handle, exactly the
-// flow of §3.4 step (1). chain is the branch's spine, root first; the
-// leaf stage is what lies below its Exchange.
+// extract absorbs one branch's pushdown-eligible operators into a modified
+// scan handle — §3.4 step (1) — in three steps over the leaf stage (what
+// lies below the branch's Exchange): candidates lists what storage could
+// run, prefix decides how much of it is pushed, materialise writes that
+// into the Pushdown. chain is the branch's spine, root first.
 func extract(branch plan.Node, mode Mode, session *engine.Session) (plan.Node, error) {
 	chain, end := plan.Spine(branch)
 	scan := end.(*plan.TableScan)
-	handle, ok := scan.Handle.(*Handle)
-	if !ok {
+	handle, ours := scan.Handle.(*Handle)
+	exchange := slices.IndexFunc(chain, func(n plan.Node) bool { _, ok := n.(*plan.Exchange); return ok })
+	if !ours || exchange < 0 {
+		return branch, nil // a foreign scan, or no leaf stage to extract from
+	}
+	analyzer := newSelectivityAnalyzer(handle.Table, mode, session)
+	stage, base := chain[exchange+1:], handle.baseScanSchema()
+	seq := candidates(stage, base)
+	n, est := analyzer.prefix(seq)
+	push := materialise(handle.Table, seq[:n], est)
+
+	// What stays in the engine: everything down to the Exchange, and the
+	// part of the leaf stage the prefix did not reach.
+	above, leaf := chain[:exchange+1], stage[:len(stage)-n]
+	if len(leaf) == 0 {
+		above = analyzer.absorbFinal(above, push)
+	}
+	if push.Empty() {
 		return branch, nil
 	}
-	exchangeIdx := -1
-	for i, n := range chain {
-		if _, ok := n.(*plan.Exchange); ok {
-			exchangeIdx = i
+	// With a filter-only pushdown, columns referenced solely by the
+	// pushed predicate are consumed in-storage: narrow the returned rows
+	// to what the residual leaf stage needs and remap its ordinals. This
+	// is the one writer of OutputCols (see Pushdown.narrows).
+	if push.Filter != nil && push.Project == nil && push.Agg == nil {
+		cols, narrowed, err := plan.NarrowColumns(leaf, base.Len())
+		if err != nil {
+			return nil, err
 		}
+		push.OutputCols, leaf = cols, narrowed
 	}
-	if exchangeIdx < 0 {
-		return branch, nil
-	}
+	pushed := handle.clone()
+	pushed.Push, pushed.Adaptive = push, mode.Auto
+	kept := append(append([]plan.Node(nil), above...), leaf...)
+	return plan.Stack(kept, &plan.TableScan{Catalog: scan.Catalog, Table: scan.Table, Handle: pushed})
+}
 
-	analyzer := newSelectivityAnalyzer(handle.Table, session)
-	push := &Pushdown{}
-	absorbed := len(chain) // nodes chain[absorbed:] removed (none yet)
+// candidate is one leaf-stage node storage could execute, with the schema
+// of the rows it reads (the space its ordinals address).
+type candidate struct {
+	node  plan.Node
+	input *types.Schema
+}
 
-	// Structural walk: collect the absorbable leaf sequence
-	// (filter-above-scan, then projections, then one partial aggregate).
-	// Pushed operators must be a contiguous prefix because each executes
-	// on its predecessor's output inside storage.
-	type leafCandidate struct {
-		index  int
-		kind   string // "filter", "project", "agg"
-		schema *types.Schema
-	}
-	var seq []leafCandidate
-	walkSchema := handle.baseScanSchema()
-structWalk:
-	for i := len(chain) - 1; i > exchangeIdx; i-- {
-		switch t := chain[i].(type) {
-		case *plan.Filter:
-			if len(seq) > 0 {
-				break structWalk
-			}
-			seq = append(seq, leafCandidate{index: i, kind: "filter", schema: walkSchema})
-		case *plan.Project:
-			if len(seq) > 0 && seq[len(seq)-1].kind == "agg" {
-				break structWalk
-			}
-			seq = append(seq, leafCandidate{index: i, kind: "project", schema: walkSchema})
-			walkSchema = t.OutputSchema()
-		case *plan.Aggregate:
-			if t.Step != plan.AggPartial {
-				break structWalk
-			}
-			if len(seq) > 0 && seq[len(seq)-1].kind == "agg" {
-				break structWalk
-			}
-			seq = append(seq, leafCandidate{index: i, kind: "agg", schema: walkSchema})
-			walkSchema = t.OutputSchema()
-		case *plan.Limit:
-			// The replicated leaf-side LIMIT (no ordering): each split
-			// may return at most Count rows, so pushing it is always
-			// sound; the residual final Limit truncates the union.
-			seq = append(seq, leafCandidate{index: i, kind: "limit", schema: walkSchema})
-		default:
-			break structWalk
+// candidates is the structural walk: bottom-up from the scan (whose schema
+// is input), stage's nodes for as long as they come in the order
+// BuildSubstrait runs them — a filter, a projection, a partial aggregate, a
+// bare limit, each at most once. What is pushed is a prefix of this
+// sequence: each operator executes on its predecessor's output in storage.
+func candidates(stage []plan.Node, input *types.Schema) []candidate {
+	var seq []candidate
+	last := 0
+	for i := len(stage) - 1; i >= 0; i-- {
+		order := pipelineOrder(stage[i])
+		if order <= last {
+			break
 		}
+		seq = append(seq, candidate{node: stage[i], input: input})
+		input, last = stage[i].OutputSchema(), order
 	}
+	return seq
+}
 
-	// Decide the prefix length.
-	prefix := 0
-	if mode.Auto {
-		// Longest prefix whose cumulative estimated reduction clears the
-		// threshold. A projection is only worth pushing on its own merits
-		// (width reduction + complexity cap), but is carried along when a
-		// later aggregation justifies the whole prefix.
-		rows := float64(handle.Table.RowCount)
-		est := rows
-		best := -1
-		bestEst := rows
-		for idx, cand := range seq {
-			node := chain[cand.index]
-			switch cand.kind {
-			case "filter":
-				est *= analyzer.EstimateFilterSelectivity(node.(*plan.Filter).Condition, cand.schema)
-			case "agg":
-				groups := analyzer.EstimateGroups(node.(*plan.Aggregate).Keys, cand.schema)
-				if groups < est {
-					est = groups
-				}
-			case "project":
-				p := node.(*plan.Project)
-				if !analyzer.ShouldPushProject(p.Expressions, cand.schema) {
-					continue // not a cut point by itself
-				}
-			case "limit":
-				if count := float64(node.(*plan.Limit).Count); count < est {
-					est = count
-				}
-			}
-			if rows > 0 && 1-est/rows >= analyzer.threshold {
-				best = idx
-				bestEst = est
-			}
+// pipelineOrder is a node's position in the pushed pipeline, 0 for a node
+// storage does not run in the leaf stage. The replicated leaf-side Limit
+// (no ordering) comes last: each split may return at most Count rows, so
+// pushing it is always sound; the residual final Limit truncates the union.
+func pipelineOrder(n plan.Node) int {
+	switch t := n.(type) {
+	case *plan.Filter:
+		return 1
+	case *plan.Project:
+		return 2
+	case *plan.Aggregate:
+		if t.Step == plan.AggPartial {
+			return 3
 		}
-		prefix = best + 1
-		if prefix > 0 && rows > 0 {
-			push.EstSelectivity = bestEst / rows
+	case *plan.Limit:
+		return 4
+	}
+	return 0
+}
+
+// verdict is what the prefix step says of one candidate.
+type verdict int
+
+const (
+	stop  verdict = iota // the prefix ends below this candidate
+	carry                // pushed only if a later candidate is cut
+	cut                  // the prefix may end here
+)
+
+// prefix decides how many leading candidates are pushed: up to the last
+// one judged a cut before the first stop. In auto mode it also returns the
+// estimated fraction of the table's rows that leaves the prefix; static
+// modes make no estimate.
+func (a *selectivityAnalyzer) prefix(seq []candidate) (n int, estSelectivity float64) {
+	rows := float64(a.table.RowCount)
+	est, cutEst := rows, rows
+	for i, c := range seq {
+		var v verdict
+		if v, est = a.judge(c, est); v == stop {
+			break
 		}
-	} else {
-		for _, cand := range seq {
-			ok := (cand.kind == "filter" && mode.Filter) ||
-				(cand.kind == "project" && mode.Project) ||
-				(cand.kind == "agg" && mode.Agg) ||
-				(cand.kind == "limit" && mode.TopN)
-			if !ok {
-				break
-			}
-			prefix++
+		if v == cut {
+			n, cutEst = i+1, est
 		}
 	}
+	if a.mode.Auto && n > 0 {
+		estSelectivity = cutEst / rows
+	}
+	return n, estSelectivity
+}
 
-	// Materialize the chosen prefix into the pushdown spec.
-	for _, cand := range seq[:prefix] {
-		switch t := chain[cand.index].(type) {
+// judge is the one verdict function, asked of every candidate and of the
+// final-stage TopN. A static mode cuts where its flag allows the operator
+// and stops at the first it does not. Auto mode never stops: it cuts where
+// the cumulative estimate — est rows reach the candidate, the returned
+// count leaves it — clears the reduction threshold, inclusively, and
+// carries the rest: a projection is a cut only on its own merits
+// (ShouldPushProject) but rides along when a later aggregate cuts.
+func (a *selectivityAnalyzer) judge(c candidate, est float64) (verdict, float64) {
+	if !a.mode.Auto {
+		if a.mode.allows(c.node) {
+			return cut, est
+		}
+		return stop, est
+	}
+	switch t := c.node.(type) {
+	case *plan.Filter:
+		est *= a.EstimateFilterSelectivity(t.Condition, c.input)
+	case *plan.Project:
+		if !a.ShouldPushProject(t.Expressions, c.input) {
+			return carry, est
+		}
+	case *plan.Aggregate:
+		est = math.Min(est, a.EstimateGroups(t.Keys, c.input))
+	case *plan.Limit:
+		est = math.Min(est, float64(t.Count))
+	case *plan.TopN:
+		est = float64(t.Count) // the explicit LIMIT is the output cardinality
+	}
+	if rows := float64(a.table.RowCount); rows > 0 && 1-est/rows >= a.threshold {
+		return cut, est
+	}
+	return carry, est
+}
+
+// allows reports whether a static mode pushes the node's kind.
+func (m Mode) allows(n plan.Node) bool {
+	switch n.(type) {
+	case *plan.Filter:
+		return m.Filter
+	case *plan.Project:
+		return m.Project
+	case *plan.Aggregate:
+		return m.Agg
+	case *plan.Limit, *plan.TopN:
+		return m.TopN
+	}
+	return false
+}
+
+// materialise writes the chosen prefix and its estimate into the spec.
+func materialise(table *metastore.Table, prefix []candidate, est float64) *Pushdown {
+	push := &Pushdown{EstSelectivity: est}
+	for _, c := range prefix {
+		switch t := c.node.(type) {
 		case *plan.Filter:
 			push.Filter = t.Condition
 		case *plan.Project:
@@ -179,114 +231,74 @@ structWalk:
 			push.Agg = &AggSpec{
 				Keys:     t.Keys,
 				Measures: t.Measures,
-				Complete: keysSplitDisjoint(handle.Table, cand.schema, t.Keys),
+				Complete: keysSplitDisjoint(table, c.input, t.Keys),
 			}
 		case *plan.Limit:
 			push.Limit = t.Count
 		}
-		absorbed = cand.index
 	}
+	return push
+}
 
-	// Optional full-chain absorption above the exchange: AggFinal
-	// [→ Project] → TopN collapses into the scan when per-split
-	// aggregation is complete, leaving only a residual re-merge TopN.
-	finalAbsorbedTo := -1 // index in chain up to which final nodes are absorbed
-	var residualTopN *plan.TopN
-	if push.Agg != nil && push.Agg.Complete &&
-		(mode.TopN || mode.Auto) {
-		i := exchangeIdx - 1
-		if i >= 0 {
-			if aggFinal, ok := chain[i].(*plan.Aggregate); ok && aggFinal.Step == plan.AggFinal {
-				j := i - 1
-				var fproj *ProjectSpec
-				if j >= 0 {
-					if p, ok := chain[j].(*plan.Project); ok {
-						fproj = &ProjectSpec{Expressions: p.Expressions, Names: p.Names}
-						j--
-					}
-				}
-				if j >= 0 {
-					if topn, ok := chain[j].(*plan.TopN); ok && !topn.Partial {
-						if mode.TopN || analyzer.ShouldPushTopN(topn.Count) {
-							push.FinalProject = fproj
-							push.TopN = &TopNSpec{Keys: topn.Keys, Count: topn.Count}
-							residualTopN = &plan.TopN{Keys: topn.Keys, Count: topn.Count}
-							finalAbsorbedTo = j
-						}
-					}
-				}
-			}
+// absorbFinal is the optional absorption above the exchange: when the
+// pushed aggregate is complete per split, AggFinal [→ Project] → TopN
+// collapses into the scan and only a residual re-merge TopN stays in its
+// place. above is the chain down to and including the Exchange; it comes
+// back rewritten, or as it was.
+func (a *selectivityAnalyzer) absorbFinal(above []plan.Node, push *Pushdown) []plan.Node {
+	if push.Agg == nil || !push.Agg.Complete {
+		return above
+	}
+	at := func(i int) plan.Node {
+		if i < 0 {
+			return nil
 		}
+		return above[i]
 	}
-
-	if push.Empty() {
-		return branch, nil
+	i := len(above) - 2 // directly above the Exchange
+	if final, ok := at(i).(*plan.Aggregate); !ok || final.Step != plan.AggFinal {
+		return above
 	}
-
-	// Keep everything above the absorptions; the new scan goes below.
-	kept := chain[:absorbed]
-	if finalAbsorbedTo >= 0 {
-		// Everything above chain[finalAbsorbedTo] (exclusive) is kept,
-		// then residual TopN, then Exchange, then scan.
-		kept = append(append([]plan.Node(nil), chain[:finalAbsorbedTo]...), residualTopN, chain[exchangeIdx])
+	i--
+	project, _ := at(i).(*plan.Project)
+	if project != nil {
+		i--
 	}
-
-	// With a filter-only pushdown, columns referenced solely by the
-	// pushed predicate are consumed in-storage: narrow the returned rows
-	// to what the residual leaf stage needs and remap its ordinals.
-	if push.Filter != nil && push.Project == nil && push.Agg == nil {
-		cols, leaf, err := plan.NarrowColumns(kept[exchangeIdx+1:], handle.baseScanSchema().Len())
-		if err != nil {
-			return nil, err
-		}
-		push.OutputCols = cols
-		kept = append(append([]plan.Node(nil), kept[:exchangeIdx+1]...), leaf...)
+	topn, ok := at(i).(*plan.TopN)
+	if !ok || topn.Partial {
+		return above
 	}
-
-	newHandle := &Handle{Table: handle.Table, Projection: handle.Projection, Push: push, pin: handle.pin}
-	if mode.Auto {
-		newHandle.Adaptive = adaptiveParams(session)
+	if v, _ := a.judge(candidate{node: topn}, 0); v != cut {
+		return above
 	}
-	return plan.Stack(kept, &plan.TableScan{Catalog: scan.Catalog, Table: scan.Table, Handle: newHandle})
+	if project != nil {
+		push.FinalProject = &ProjectSpec{Expressions: project.Expressions, Names: project.Names}
+	}
+	push.TopN = &TopNSpec{Keys: topn.Keys, Count: topn.Count}
+	residual := &plan.TopN{Keys: topn.Keys, Count: topn.Count}
+	return append(append([]plan.Node(nil), above[:i]...), residual, above[len(above)-1])
 }
 
 // selectivityAnalyzer implements the paper's §4 estimation rules over
-// metastore statistics.
+// metastore statistics, and the pushdown verdicts built on them.
 type selectivityAnalyzer struct {
 	table     *metastore.Table
+	mode      Mode
 	threshold float64 // minimum data-reduction ratio to push (auto mode)
-	costCap   float64 // maximum projection expression cost (auto mode)
 }
 
-func newSelectivityAnalyzer(table *metastore.Table, session *engine.Session) *selectivityAnalyzer {
-	a := &selectivityAnalyzer{table: table, threshold: 0.5, costCap: 25}
+// projectCostCap is the most expression cost (expr.Cost units) auto mode
+// pushes in one projection.
+const projectCostCap = 25
+
+func newSelectivityAnalyzer(table *metastore.Table, mode Mode, session *engine.Session) *selectivityAnalyzer {
+	a := &selectivityAnalyzer{table: table, mode: mode, threshold: 0.5}
 	if v := session.Get(SessionSelectivityThreshold); v != "" {
 		if f, err := strconv.ParseFloat(v, 64); err == nil && f >= 0 && f <= 1 {
 			a.threshold = f
 		}
 	}
-	if v := session.Get(SessionComplexityCap); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			a.costCap = f
-		}
-	}
 	return a
-}
-
-// adaptiveParams reads the auto-mode repricing knobs from the session.
-func adaptiveParams(session *engine.Session) *AdaptiveParams {
-	p := &AdaptiveParams{LoadCutoff: DefaultLoadCutoff, FlipMargin: DefaultFlipMargin}
-	if v := session.Get(SessionAdaptiveLoadCutoff); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f >= 0 {
-			p.LoadCutoff = f
-		}
-	}
-	if v := session.Get(SessionAdaptiveFlipMargin); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f >= 1 {
-			p.FlipMargin = f
-		}
-	}
-	return p
 }
 
 // EstimateFilterSelectivity returns the estimated fraction of rows a
@@ -308,68 +320,47 @@ func (a *selectivityAnalyzer) EstimateFilterSelectivity(pred expr.Expr, schema *
 		col, okC := t.E.(*expr.ColumnRef)
 		lo, okL := t.Lo.(*expr.Literal)
 		hi, okH := t.Hi.(*expr.Literal)
-		if !okC || !okL || !okH {
+		st, ok := a.boundedStats(schema, col)
+		if !okC || !okL || !okH || !ok {
 			return 0.33
 		}
-		return a.rangeProbability(schema, col, lo.Value, hi.Value)
+		return math.Max(0, a.cdf(st, hi.Value)-a.cdf(st, lo.Value))
 	case *expr.Compare:
-		col, okC := t.L.(*expr.ColumnRef)
-		lit, okL := t.R.(*expr.Literal)
-		op := t.Op
-		if !okC || !okL {
-			col, okC = t.R.(*expr.ColumnRef)
-			lit, okL = t.L.(*expr.Literal)
-			if !okC || !okL {
-				return 0.33
-			}
-			op = mirrorCmp(op)
-		}
-		st, ok := a.columnStats(schema, col)
-		if !ok || st.Min.Null || st.Max.Null || lit.Value.Null {
+		col, op, lit, ok := t.ColumnLiteral()
+		if !ok {
 			return 0.33
+		}
+		st, ok := a.boundedStats(schema, col)
+		if !ok || lit.Null {
+			return 0.33
+		}
+		eq := 0.1 // equality keeps one value's share of the rows
+		if st.NDV > 0 {
+			eq = 1 / float64(st.NDV)
 		}
 		switch op {
 		case expr.Eq:
-			if st.NDV > 0 {
-				return 1 / float64(st.NDV)
-			}
-			return 0.1
+			return eq
 		case expr.Ne:
-			if st.NDV > 0 {
-				return 1 - 1/float64(st.NDV)
-			}
-			return 0.9
+			return 1 - eq
 		case expr.Lt, expr.Le:
-			return a.cdf(st, lit.Value)
-		case expr.Gt, expr.Ge:
-			return 1 - a.cdf(st, lit.Value)
+			return a.cdf(st, lit)
+		default: // Gt, Ge
+			return 1 - a.cdf(st, lit)
 		}
-		return 0.33
 	default:
 		return 0.33
 	}
 }
 
-func mirrorCmp(op expr.CmpOp) expr.CmpOp {
-	switch op {
-	case expr.Lt:
-		return expr.Gt
-	case expr.Le:
-		return expr.Ge
-	case expr.Gt:
-		return expr.Lt
-	case expr.Ge:
-		return expr.Le
-	default:
-		return op
-	}
-}
-
-func (a *selectivityAnalyzer) columnStats(schema *types.Schema, col *expr.ColumnRef) (metastore.ColumnStats, bool) {
-	if col.Index < 0 || col.Index >= schema.Len() {
+// boundedStats returns the statistics of the column col names in schema
+// when they record both its minimum and its maximum.
+func (a *selectivityAnalyzer) boundedStats(schema *types.Schema, col *expr.ColumnRef) (metastore.ColumnStats, bool) {
+	if col == nil || col.Index < 0 || col.Index >= schema.Len() {
 		return metastore.ColumnStats{}, false
 	}
-	return a.table.Stats(schema.Columns[col.Index].Name)
+	st, ok := a.table.Stats(schema.Columns[col.Index].Name)
+	return st, ok && !st.Min.Null && !st.Max.Null
 }
 
 // cdf evaluates the normal-approximation CDF at v for a column with the
@@ -391,18 +382,6 @@ func (a *selectivityAnalyzer) cdf(st metastore.ColumnStats, v types.Value) float
 	return 0.5 * (1 + math.Erf(z))
 }
 
-func (a *selectivityAnalyzer) rangeProbability(schema *types.Schema, col *expr.ColumnRef, lo, hi types.Value) float64 {
-	st, ok := a.columnStats(schema, col)
-	if !ok || st.Min.Null || st.Max.Null {
-		return 0.33
-	}
-	p := a.cdf(st, hi) - a.cdf(st, lo)
-	if p < 0 {
-		return 0
-	}
-	return p
-}
-
 // ShouldPushProject pushes projections only when they shrink the row
 // width enough and stay under the complexity cap — expression-heavy
 // projections that don't reduce bytes are kept on the (faster) compute
@@ -412,7 +391,7 @@ func (a *selectivityAnalyzer) ShouldPushProject(exprs []expr.Expr, schema *types
 	for _, e := range exprs {
 		cost += e.Cost()
 	}
-	if cost > a.costCap {
+	if cost > projectCostCap {
 		return false
 	}
 	widthIn := float64(schema.Len())
@@ -423,41 +402,18 @@ func (a *selectivityAnalyzer) ShouldPushProject(exprs []expr.Expr, schema *types
 	return 1-widthOut/widthIn >= a.threshold
 }
 
-// ShouldPushAgg estimates output cardinality as rowCount / NDV(keys) per
-// the paper and pushes when the reduction clears the threshold.
-func (a *selectivityAnalyzer) ShouldPushAgg(keys []int, schema *types.Schema) bool {
-	rows := float64(a.table.RowCount)
-	if rows == 0 {
-		return false
-	}
-	groups := a.EstimateGroups(keys, schema)
-	return 1-groups/rows >= a.threshold
-}
-
 // EstimateGroups multiplies key NDVs (capped at the row count).
 func (a *selectivityAnalyzer) EstimateGroups(keys []int, schema *types.Schema) float64 {
-	groups := 1.0
+	rows, groups := float64(a.table.RowCount), 1.0
 	for _, k := range keys {
 		if k < 0 || k >= schema.Len() {
-			return float64(a.table.RowCount)
+			return rows
 		}
 		st, ok := a.table.Stats(schema.Columns[k].Name)
 		if !ok || st.NDV <= 0 {
-			return float64(a.table.RowCount)
+			return rows
 		}
 		groups *= float64(st.NDV)
 	}
-	if rows := float64(a.table.RowCount); groups > rows {
-		return rows
-	}
-	return groups
-}
-
-// ShouldPushTopN uses the explicit LIMIT as the output cardinality.
-func (a *selectivityAnalyzer) ShouldPushTopN(count int64) bool {
-	rows := float64(a.table.RowCount)
-	if rows == 0 {
-		return false
-	}
-	return 1-float64(count)/rows >= a.threshold
+	return math.Min(groups, rows)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"prestocs/internal/cache"
@@ -18,7 +17,6 @@ import (
 	"prestocs/internal/metastore"
 	"prestocs/internal/objstore"
 	"prestocs/internal/ocsserver"
-	"prestocs/internal/parquetlite"
 	"prestocs/internal/plan"
 	"prestocs/internal/retry"
 	"prestocs/internal/rpc"
@@ -90,17 +88,10 @@ func (c *Connector) TableHandle(schema, table string) (plan.TableHandle, error) 
 	return &Handle{Table: t, pin: pin}, nil
 }
 
-// Splits implements engine.Connector: one split per object.
+// Splits implements engine.Connector. The engine asks SplitsWithStats
+// (splitprune.go), which this is without the pruning counter.
 func (c *Connector) Splits(handle plan.TableHandle) ([]engine.Split, error) {
-	h, ok := handle.(*Handle)
-	if !ok {
-		return nil, fmt.Errorf("ocs: foreign handle %T", handle)
-	}
-	splits := make([]engine.Split, len(h.Table.Objects))
-	for i, obj := range h.Table.Objects {
-		splits[i] = engine.Split{Object: obj, Index: i}
-	}
-	return splits, nil
+	return c.SplitsWithStats(handle, nil)
 }
 
 // PlanOptimizer implements engine.Connector.
@@ -109,15 +100,21 @@ func (c *Connector) PlanOptimizer() engine.ConnectorPlanOptimizer {
 }
 
 // CreatePageSource implements engine.Connector: the paper's
-// PageSourceProvider, and the connector's one per-split decision point —
-// it asks the policy (decide, policy.go) and opens the split on the path
-// the policy picked.
+// PageSourceProvider, and the connector's one per-split decision point.
+// Static pushdown modes (and pushdown-free plans) pass through unchanged,
+// so the paper's fixed configurations stay exactly reproducible; auto-mode
+// handles are marked Adaptive and priced by the policy against history and
+// live load (decide, policy.go), and only those choices are counted.
 func (c *Connector) CreatePageSource(ctx context.Context, handle plan.TableHandle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
 	h, ok := handle.(*Handle)
 	if !ok {
 		return nil, fmt.Errorf("ocs: foreign handle %T", handle)
 	}
-	pushdown, reason := c.decide(h, stats)
+	pushdown, reason := true, "static"
+	if h.Adaptive && !h.Push.Empty() {
+		pushdown, reason = c.policy.decide(h)
+		stats.AddSplitDecision(pushdown)
+	}
 	return c.openSplit(ctx, h, split, pushdown, reason, stats)
 }
 
@@ -138,8 +135,8 @@ func (c *Connector) OpenSplit(ctx context.Context, h *Handle, split engine.Split
 // residual plan sees the same schema either way. reason labels the
 // decision on the split's span.
 func (c *Connector) openSplit(ctx context.Context, h *Handle, split engine.Split, pushdown bool, reason string, stats *engine.ScanStats) (exec.Operator, error) {
-	if h.Push == nil || h.Push.Empty() {
-		return c.rawSource(ctx, h, split, stats)
+	if h.Push.Empty() {
+		return engine.ScanWholeObject(ctx, c.client.Client, h.Table.Bucket, split.Object, h.Table.Columns, h.Projection, stats)
 	}
 	if !pushdown {
 		return c.replaySource(ctx, h, split, stats, 0, causeAdaptive, reason)
@@ -148,64 +145,54 @@ func (c *Connector) openSplit(ctx context.Context, h *Handle, split engine.Split
 }
 
 // pushdownSource opens the in-storage execution path for one split.
-func (c *Connector) pushdownSource(ctx context.Context, h *Handle, split engine.Split, reason string, stats *engine.ScanStats) (exec.Operator, error) {
+func (c *Connector) pushdownSource(ctx context.Context, h *Handle, split engine.Split, reason string, stats *engine.ScanStats) (src exec.Operator, err error) {
 	// The scan span covers this split's whole pushdown lifetime; its
 	// children are the Table-3 stages (Substrait generation, stream open)
 	// and its accumulated durations the per-chunk transfer waits and
-	// Arrow deserialize time. It ends when the source is exhausted or
-	// closed.
+	// Arrow deserialize time. On success it passes to the stream, which
+	// ends it when the source is exhausted or closed.
 	ctx, scanSpan := telemetry.StartSpan(ctx, "connector.scan")
+	defer func() {
+		if err != nil {
+			scanSpan.End()
+		}
+	}()
 	scanSpan.SetAttr("object", split.Object)
 	scanSpan.SetAttr("decision", reason)
-
-	// Translate the extracted operators into Substrait IR (timed for
-	// Table 3).
-	start := time.Now()
-	_, genSpan := telemetry.StartSpan(ctx, "connector.substrait_gen")
-	irPlan, err := BuildSubstrait(h, split.Object)
+	irPlan, err := generatePlan(ctx, h, split.Object, stats)
 	if err != nil {
-		genSpan.End()
-		scanSpan.End()
 		return nil, err
 	}
-	if _, err := irPlan.Validate(); err != nil {
-		genSpan.End()
-		scanSpan.End()
-		return nil, fmt.Errorf("ocs: generated invalid Substrait plan: %w", err)
-	}
-	genSpan.End()
-	stats.AddSubstraitGen(time.Since(start))
 
 	// Open the result stream: residual operators start consuming batch 1
 	// while the storage node is still scanning later row groups. Transfer
 	// time is charged only while blocked waiting on storage (stream open
 	// plus per-batch waits), so the Table 3 breakdown keeps its meaning
 	// under overlap.
-	start = time.Now()
+	start := time.Now()
 	openCtx, openSpan := telemetry.StartSpan(ctx, "connector.stream_open")
 	rs, err := c.client.ExecuteStream(openCtx, irPlan)
 	openSpan.End()
-	if err != nil {
-		if h.Push.Bloom != nil && bloomRejected(err) && ctx.Err() == nil {
-			// The node refused the filter (size cap), not the plan: retry
-			// the same split without the bloom and re-apply it engine-side,
-			// so the join still probes a pre-filtered stream.
-			scanSpan.Event("bloom-rejected", err.Error())
-			scanSpan.End()
-			stats.AddJoinBloomRejected()
-			src, serr := c.pushdownSource(ctx, h.withoutBloom(), split, reason, stats)
-			if serr != nil {
-				return nil, serr
-			}
-			return exec.NewBloomProbe(src, h.Push.Bloom.Column, h.Push.Bloom.Filter, nil, nil)
-		}
-		if retry.Transient(err) && ctx.Err() == nil {
-			scanSpan.Event("pushdown-fallback", err.Error())
-			src, ferr := c.replaySource(ctx, h, split, stats, 0, causeFallback, "")
-			scanSpan.End()
-			return src, ferr
-		}
+	live := ctx.Err() == nil // else the failure is this query's own cancellation
+	switch {
+	case err == nil:
+	case live && h.Push.Bloom != nil && errors.Is(err, rpc.ErrOverLimit):
+		// The node refused the filter (its size cap), not the plan: retry
+		// the same split without the bloom and re-apply it engine-side,
+		// so the join still probes a pre-filtered stream. Any other
+		// refusal — an invalid plan is a connector bug — must not retry.
+		scanSpan.Event("bloom-rejected", err.Error())
 		scanSpan.End()
+		stats.AddJoinBloomRejected()
+		if src, err = c.pushdownSource(ctx, h.withBloom(nil), split, reason, stats); err != nil {
+			return nil, err
+		}
+		return exec.NewBloomProbe(src, h.Push.Bloom.Column, h.Push.Bloom.Filter, nil, nil)
+	case live && retry.Transient(err):
+		scanSpan.Event("pushdown-fallback", err.Error())
+		defer scanSpan.End()
+		return c.replaySource(ctx, h, split, stats, 0, causeFallback, "")
+	default:
 		return nil, fmt.Errorf("ocs: executing pushdown for %s: %w", split.Object, err)
 	}
 	if h.Push.Bloom != nil {
@@ -214,16 +201,34 @@ func (c *Connector) pushdownSource(ctx context.Context, h *Handle, split engine.
 	stats.AddTransfer(time.Since(start))
 	return &streamSource{
 		ctx: ctx, conn: c, h: h, split: split, span: scanSpan,
-		rs: rs, schema: h.ScanSchema(), stats: stats, object: split.Object,
+		rs: rs, schema: h.ScanSchema(), stats: stats,
 	}, nil
 }
 
-// bloomRejected classifies a stream-open failure as the storage node
-// refusing the attached bloom filter: a permanent invalid-plan code
-// whose message names the filter. Plain invalid-plan errors (a
-// connector bug) must not retry.
-func bloomRejected(err error) bool {
-	return errors.Is(err, rpc.ErrInvalid) && strings.Contains(err.Error(), "bloom")
+// generatePlan translates the extracted operators into Substrait IR and
+// validates it (timed for Table 3).
+func generatePlan(ctx context.Context, h *Handle, object string, stats *engine.ScanStats) (*substrait.Plan, error) {
+	start := time.Now()
+	_, span := telemetry.StartSpan(ctx, "connector.substrait_gen")
+	defer span.End()
+	irPlan, err := BuildSubstrait(h, object)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := irPlan.Validate(); err != nil {
+		return nil, fmt.Errorf("ocs: generated invalid Substrait plan: %w", err)
+	}
+	stats.AddSubstraitGen(time.Since(start))
+	return irPlan, nil
+}
+
+// present re-labels a result page under the handle's scan schema (names
+// may differ in case only) after checking that its width is that schema's.
+func present(page *column.Page, schema *types.Schema) (*column.Page, error) {
+	if page.NumCols() != schema.Len() {
+		return nil, fmt.Errorf("ocs: result has %d columns, scan schema %s", page.NumCols(), schema)
+	}
+	return &column.Page{Schema: schema, Vectors: page.Vectors}, nil
 }
 
 // streamSource adapts an OCS result stream to an exec.Operator. It
@@ -244,7 +249,6 @@ type streamSource struct {
 	schema        *types.Schema
 	stats         *engine.ScanStats
 	span          *telemetry.Span
-	object        string
 	prevBytes     int64
 	prevDecode    time.Duration
 	rowsDelivered int64
@@ -267,25 +271,18 @@ func (s *streamSource) Next() (*column.Page, error) {
 	}
 	// Adaptive mid-stream flip: with storage saturated and the delivered
 	// rows already pricing the pushdown out, abandon the stream and resume
-	// on the local replay path (order-deterministic pipelines only; the
-	// replay skips the rows already delivered). The replay is built before
-	// the stream is released so a replay failure just keeps streaming.
-	if s.rowsDelivered > 0 && s.conn.policy.ShouldFlip(s.h, s.rowsDelivered) {
-		if fb, err := s.conn.replaySource(s.ctx, s.h, s.split, s.stats, s.rowsDelivered, causeAdaptive, ""); err == nil {
-			s.rs.Close()
-			s.done = true
-			s.fb = fb
-			s.stats.AddAdaptiveFlip()
-			s.conn.policy.noteFlip()
-			s.span.Event("adaptive-flip", fmt.Sprintf("after %d rows", s.rowsDelivered))
-			return s.fb.Next()
-		}
+	// on the local replay path (order-deterministic pipelines only). A
+	// replay that cannot be built just keeps streaming.
+	if s.rowsDelivered > 0 && s.conn.policy.ShouldFlip(s.h, s.rowsDelivered) &&
+		s.resume(causeAdaptive, "adaptive-flip", fmt.Sprintf("after %d rows", s.rowsDelivered)) {
+		s.stats.AddAdaptiveFlip()
+		s.conn.policy.noteFlip()
+		return s.Next()
 	}
 	start := time.Now()
 	page, err := s.rs.Next()
-	stats := s.stats
 	wall := time.Since(start)
-	stats.AddTransfer(wall)
+	s.stats.AddTransfer(wall)
 	// Split the wait between the wire and the decoder for the span: the
 	// stats charge the whole wall as transfer (established Table-3
 	// semantics), the span separates the deserialize share.
@@ -299,62 +296,58 @@ func (s *streamSource) Next() (*column.Page, error) {
 	s.conn.policy.ObserveLoad(s.rs.Load())
 	if err == io.EOF {
 		s.done = true
-		stats.AddStorageWork(s.rs.Stats())
+		s.stats.AddStorageWork(s.rs.Stats())
 		s.conn.policy.ObserveSplit(s.h, s.rowsDelivered)
 		s.span.End()
 		return nil, nil
 	}
 	if err != nil {
-		if fb, ok := s.tryFallback(err); ok {
-			s.fb = fb
-			return s.fb.Next()
+		if s.canFallBack(err) && s.resume(causeFallback, "pushdown-fallback", err.Error()) {
+			s.conn.policy.ObserveFallback(s.h)
+			return s.Next()
 		}
 		s.done = true
 		s.span.Event("error", err.Error())
 		s.span.End()
-		return nil, fmt.Errorf("ocs: pushdown stream for %s: %w", s.object, err)
+		return nil, fmt.Errorf("ocs: pushdown stream for %s: %w", s.split.Object, err)
 	}
-	if page.NumCols() != s.schema.Len() {
+	if page, err = present(page, s.schema); err != nil {
 		s.done = true
 		s.rs.Close()
-		return nil, fmt.Errorf("ocs: result has %d columns, scan schema %s", page.NumCols(), s.schema)
+		return nil, err
 	}
 	// Arrow deserialization into engine pages: columnar buffer adoption
 	// plus validity expansion (1.5 ingest units/cell, half the CSV text
 	// parse cost).
 	rows := int64(page.NumRows())
-	stats.AddDeserialize(float64(rows)*float64(s.schema.Len())*1.5, rows)
+	s.stats.AddDeserialize(float64(rows)*float64(s.schema.Len())*1.5, rows)
 	s.rowsDelivered += rows
-	// Present pages under the handle's scan schema (names may differ in
-	// case only).
-	return &column.Page{Schema: s.schema, Vectors: page.Vectors}, nil
+	return page, nil
 }
 
-// tryFallback decides whether a mid-stream failure can be absorbed by
-// the raw-scan path. Requirements: the failure is transient (not a plan
-// error, not our own cancellation) and either no rows have been
-// delivered yet or the pushed pipeline is order-deterministic, so the
-// local replay can skip exactly the rows the engine already consumed.
-func (s *streamSource) tryFallback(cause error) (exec.Operator, bool) {
-	if s.ctx != nil && s.ctx.Err() != nil {
-		return nil, false
-	}
-	if !retry.Transient(cause) {
-		return nil, false
-	}
-	if s.rowsDelivered > 0 && !s.h.Push.OrderDeterministic() {
-		return nil, false
-	}
-	s.rs.Close()
-	s.done = true
-	s.span.Event("pushdown-fallback", cause.Error())
-	fb, err := s.conn.replaySource(s.ctx, s.h, s.split, s.stats, s.rowsDelivered, causeFallback, "")
+// canFallBack decides whether a mid-stream failure can be absorbed by the
+// local replay: the failure is transient (not a plan error, not our own
+// cancellation) and either no rows have been delivered yet or the pushed
+// pipeline is order-deterministic, so the replay can skip exactly the rows
+// the engine already consumed.
+func (s *streamSource) canFallBack(cause error) bool {
+	return s.ctx.Err() == nil && retry.Transient(cause) &&
+		(s.rowsDelivered == 0 || s.h.Push.OrderDeterministic())
+}
+
+// resume abandons the stream for the local replay, which skips the rows
+// already delivered, and records why on the scan span. The replay is built
+// before the stream is released: when it cannot be, nothing has changed
+// and the caller carries on with the stream (or with its error).
+func (s *streamSource) resume(cause replayCause, event, detail string) bool {
+	fb, err := s.conn.replaySource(s.ctx, s.h, s.split, s.stats, s.rowsDelivered, cause, "")
 	if err != nil {
-		s.span.End()
-		return nil, false // surface the original stream error instead
+		return false
 	}
-	s.conn.policy.ObserveFallback(s.h)
-	return fb, true
+	s.span.Event(event, detail)
+	s.rs.Close()
+	s.done, s.fb = true, fb
+	return true
 }
 
 func (s *streamSource) accountBytes() {
@@ -385,10 +378,7 @@ func (s *streamSource) Close() error {
 	if s.fb != nil {
 		fb := s.fb
 		s.fb = nil
-		if c, ok := fb.(interface{ Close() error }); ok {
-			return c.Close()
-		}
-		return nil
+		return exec.Close(fb)
 	}
 	if !s.done {
 		s.done = true
@@ -400,47 +390,6 @@ func (s *streamSource) Close() error {
 		return s.rs.Close()
 	}
 	return nil
-}
-
-// rawSource is the no-pushdown path: full object transfer, local scan.
-func (c *Connector) rawSource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
-	start := time.Now()
-	getCtx, sp := telemetry.StartSpan(ctx, "connector.raw_get")
-	sp.SetAttr("object", split.Object)
-	data, work, err := c.client.Get(getCtx, h.Table.Bucket, split.Object)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("ocs: get %s/%s: %w", h.Table.Bucket, split.Object, err)
-	}
-	stats.AddTransfer(time.Since(start))
-	stats.AddBytesMoved(int64(len(data)))
-	stats.AddStorageWork(work)
-
-	reader, err := parquetlite.NewReader(data) // vet-cache:allow raw path runs engine-side, no node footer cache in reach
-	if err != nil {
-		return nil, err
-	}
-	cols := h.Projection
-	if cols == nil {
-		cols = make([]int, h.Table.Columns.Len())
-		for i := range cols {
-			cols[i] = i
-		}
-	}
-	scanSchema := h.baseScanSchema()
-	rg := 0
-	return exec.NewFuncSource(scanSchema, func() (*column.Page, error) {
-		if rg >= len(reader.Meta().RowGroups) {
-			return nil, nil
-		}
-		page, err := reader.ReadRowGroup(rg, cols) // vet-pruning:allow raw path pushes no predicate to prune with
-		rg++
-		if err != nil {
-			return nil, err
-		}
-		stats.AddDeserialize(float64(page.NumRows())*float64(len(cols))*1.5, int64(page.NumRows()))
-		return page, nil
-	}), nil
 }
 
 // replayCause is why a split with pushed operators is served by the local
@@ -598,16 +547,22 @@ func BuildSubstrait(h *Handle, object string) (*substrait.Plan, error) {
 	}
 	if p.Bloom != nil {
 		// Above the filter (preserving the filter-on-read pruning fusion)
-		// and below any column narrowing, so the key ordinal is still in
-		// projected-base-schema space.
+		// and below any column narrowing, so the key ordinal — given over
+		// the scan output schema — maps back to projected-base-schema
+		// space. WithJoinBloom declines schema-rebuilding pushdowns, so
+		// OutputCols is the only mapping in play.
+		column := p.Bloom.Column
+		if p.narrows() {
+			column = p.OutputCols[column]
+		}
 		rel = &substrait.BloomFilterRel{
 			Input:   rel,
-			Column:  bloomBaseColumn(h),
+			Column:  column,
 			NumHash: p.Bloom.Filter.NumHash(),
 			Bits:    p.Bloom.Filter.Bits(),
 		}
 	}
-	if p.OutputCols != nil && p.Project == nil && p.Agg == nil {
+	if p.narrows() {
 		// Drop columns only the pushed filter needed: a plain column
 		// projection executed in-storage after the filter.
 		scanSchema := h.baseScanSchema()
@@ -639,16 +594,4 @@ func BuildSubstrait(h *Handle, object string) (*substrait.Plan, error) {
 		rel = &substrait.FetchRel{Input: rel, Count: p.Limit}
 	}
 	return substrait.NewPlan(rel), nil
-}
-
-// bloomBaseColumn maps the bloom key ordinal (scan output schema) down
-// to the pipeline position the BloomFilterRel occupies, below any
-// OutputCols narrowing. WithJoinBloom declines schema-rebuilding
-// pushdowns, so OutputCols is the only mapping in play.
-func bloomBaseColumn(h *Handle) int {
-	col := h.Push.Bloom.Column
-	if h.Push.OutputCols != nil && h.Push.Project == nil && h.Push.Agg == nil {
-		return h.Push.OutputCols[col]
-	}
-	return col
 }

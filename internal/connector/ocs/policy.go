@@ -2,6 +2,7 @@ package ocs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -13,7 +14,7 @@ import (
 )
 
 // This file is the connector's single pushdown decision point: plan-time
-// advice (AdvisePlanPushdown), per-split pricing (decide, called only by
+// advice (AdvisePlanPushdown), per-split pricing (decide, asked only by
 // CreatePageSource) and mid-stream flips (ShouldFlip) live side by side
 // here so they cannot drift apart across files.
 
@@ -29,14 +30,14 @@ const (
 	// stream chunk) into the running load estimate. Load moves faster
 	// than selectivity, so it gets the heavier weight.
 	loadEWMAAlpha = 0.4
-	// DefaultLoadCutoff is the storage-backlog EWMA below which mid-query
+	// flipLoadCutoff is the storage-backlog EWMA below which mid-query
 	// flips are not considered: repricing an already-flowing stream is
 	// only worth it when storage is visibly saturated.
-	DefaultLoadCutoff = 4
-	// DefaultFlipMargin is how many times cheaper the raw path must price
-	// before an in-flight pushdown stream is abandoned mid-query; the
-	// flip repeats the object GET, so it needs clear headroom.
-	DefaultFlipMargin = 1.5
+	flipLoadCutoff = 4
+	// flipMargin is how many times cheaper the raw path must price before
+	// an in-flight pushdown stream is abandoned mid-query; the flip repeats
+	// the object GET, so it needs clear headroom.
+	flipMargin = 1.5
 )
 
 // shapeHistory is the observed runtime behavior of one (table,
@@ -137,13 +138,10 @@ func (p *Policy) LoadEWMA() float64 {
 // observe too, so history is warm when a session switches to auto.
 func (p *Policy) ObserveSplit(h *Handle, rowsDelivered int64) {
 	rowsIn := rowsPerSplit(h)
-	if rowsIn <= 0 || h.Push == nil || h.Push.Empty() {
+	if rowsIn <= 0 || h.Push.Empty() {
 		return
 	}
-	sel := float64(rowsDelivered) / rowsIn
-	if sel > 1 {
-		sel = 1
-	}
+	sel := min(float64(rowsDelivered)/rowsIn, 1)
 	key := predicateShape(h)
 	p.mu.Lock()
 	sh := p.touchLocked(key)
@@ -190,11 +188,8 @@ func (p *Policy) Shapes() int {
 // p.mu.
 func (p *Policy) touchLocked(key string) *shapeHistory {
 	if sh, ok := p.shapes[key]; ok {
-		for i, k := range p.order {
-			if k == key {
-				p.order = append(p.order[:i], p.order[i+1:]...)
-				break
-			}
+		if i := slices.Index(p.order, key); i >= 0 {
+			p.order = slices.Delete(p.order, i, i+1)
 		}
 		p.order = append(p.order, key)
 		return sh
@@ -214,7 +209,7 @@ func (p *Policy) touchLocked(key string) *shapeHistory {
 // names where the selectivity estimate came from.
 func (p *Policy) decide(h *Handle) (pushdown bool, reason string) {
 	sel, reason := p.selectivity(h)
-	pushCost, rawCost := p.price(h, sel, p.loadPerWorker())
+	pushCost, rawCost := p.price(h, sel, loadPerWorker(p.LoadEWMA()))
 	pushdown = pushCost <= rawCost
 	choice := "raw"
 	if pushdown {
@@ -231,7 +226,7 @@ func (p *Policy) decide(h *Handle) (pushdown bool, reason string) {
 // needs saturated storage (load cutoff) and clear pricing headroom
 // (flip margin) before triggering.
 func (p *Policy) ShouldFlip(h *Handle, rowsDelivered int64) bool {
-	if h.Adaptive == nil || h.Push == nil || h.Push.Empty() {
+	if !h.Adaptive || h.Push.Empty() {
 		return false
 	}
 	if !h.Push.OrderDeterministic() || rowsDelivered <= 0 {
@@ -241,21 +236,16 @@ func (p *Policy) ShouldFlip(h *Handle, rowsDelivered int64) bool {
 	if rowsIn <= 0 {
 		return false
 	}
-	p.mu.Lock()
-	load := p.loadEWMA
-	p.mu.Unlock()
-	if load < h.Adaptive.LoadCutoff {
+	load := p.LoadEWMA()
+	if load < flipLoadCutoff {
 		return false
 	}
 	// Rows delivered so far is a lower bound on the split's selectivity;
 	// with storage saturated and even the lower bound pricing pushdown
 	// out, the stream is not worth finishing.
-	sel := float64(rowsDelivered) / rowsIn
-	if sel > 1 {
-		sel = 1
-	}
-	pushCost, rawCost := p.price(h, sel, p.loadPerWorkerAt(load))
-	return rawCost.Seconds()*h.Adaptive.FlipMargin < pushCost.Seconds()
+	sel := min(float64(rowsDelivered)/rowsIn, 1)
+	pushCost, rawCost := p.price(h, sel, loadPerWorker(load))
+	return rawCost.Seconds()*flipMargin < pushCost.Seconds()
 }
 
 // noteFlip counts one executed mid-stream flip.
@@ -270,14 +260,9 @@ func (p *Policy) noteFlip() {
 // no scaling because the shape key already includes the bloom marker,
 // so bloom-filtered splits accumulate their own observations.
 func (p *Policy) selectivity(h *Handle) (float64, string) {
-	p.mu.Lock()
-	sh, ok := p.shapes[predicateShape(h)]
-	if ok && sh.samples > 0 {
-		sel := sh.selectivity
-		p.mu.Unlock()
+	if sel, ok := p.ShapeSelectivity(h); ok {
 		return sel, "history"
 	}
-	p.mu.Unlock()
 	sel, source := 0.5, "default"
 	if h.Push != nil && h.Push.EstSelectivity > 0 {
 		sel, source = h.Push.EstSelectivity, "prior"
@@ -289,22 +274,11 @@ func (p *Policy) selectivity(h *Handle) (float64, string) {
 	return sel, source
 }
 
-// loadPerWorker converts the backlog EWMA into queueing depth per
-// storage scan worker: 0 = idle, 1 = every worker has one task waiting
-// behind its current one, and so on.
-func (p *Policy) loadPerWorker() float64 {
-	p.mu.Lock()
-	load := p.loadEWMA
-	p.mu.Unlock()
-	return p.loadPerWorkerAt(load)
-}
-
-func (p *Policy) loadPerWorkerAt(load float64) float64 {
-	workers := costmodel.StorageScanParallelism()
-	if workers < 1 {
-		workers = 1
-	}
-	return load / float64(workers)
+// loadPerWorker converts a backlog EWMA into queueing depth per storage
+// scan worker: 0 = idle, 1 = every worker has one task waiting behind its
+// current one, and so on.
+func loadPerWorker(load float64) float64 {
+	return load / float64(costmodel.StorageScanParallelism())
 }
 
 // price models one split both ways with the cost-model hardware profile
@@ -315,7 +289,7 @@ func (p *Policy) loadPerWorkerAt(load float64) float64 {
 // cores. This is PushdownDB's pricing argument with live inputs.
 func (p *Policy) price(h *Handle, sel, loadPerWorker float64) (pushCost, rawCost time.Duration) {
 	rowsIn := rowsPerSplit(h)
-	objBytes := bytesPerSplit(h)
+	objBytes := perSplit(h, h.Table.TotalBytes)
 	widthIn := float64(h.baseScanSchema().Len())
 	widthOut := float64(h.ScanSchema().Len())
 	scanUnits := rowsIn * widthIn * 2.0 // decode + predicate per cell
@@ -343,21 +317,11 @@ func (p *Policy) price(h *Handle, sel, loadPerWorker float64) (pushCost, rawCost
 }
 
 // rowsPerSplit estimates the rows one split (object) holds.
-func rowsPerSplit(h *Handle) float64 {
-	n := len(h.Table.Objects)
-	if n == 0 {
-		n = 1
-	}
-	return float64(h.Table.RowCount) / float64(n)
-}
+func rowsPerSplit(h *Handle) float64 { return perSplit(h, h.Table.RowCount) }
 
-// bytesPerSplit estimates the stored bytes one split holds.
-func bytesPerSplit(h *Handle) float64 {
-	n := len(h.Table.Objects)
-	if n == 0 {
-		n = 1
-	}
-	return float64(h.Table.TotalBytes) / float64(n)
+// perSplit is a table total's even share for one of its objects.
+func perSplit(h *Handle, total int64) float64 {
+	return float64(total) / float64(max(len(h.Table.Objects), 1))
 }
 
 // predicateShape keys the history: table identity, pushed operator set
@@ -365,28 +329,21 @@ func bytesPerSplit(h *Handle) float64 {
 // column ordinals, literals erased — `x < 10` and `x < 90` share a
 // shape, so one sweep warms the other's history).
 func predicateShape(h *Handle) string {
-	var b strings.Builder
-	b.WriteString(h.Table.QualifiedName())
+	shape := h.Table.QualifiedName()
 	if h.Push != nil {
-		b.WriteString("|")
-		b.WriteString(strings.Join(h.Push.Operators(), "+"))
+		shape += "|" + strings.Join(h.Push.Operators(), "+")
 		if h.Push.Filter != nil {
-			b.WriteString("|")
-			b.WriteString(exprShape(h.Push.Filter))
+			shape += "|" + exprShape(h.Push.Filter)
 		}
 	}
-	return b.String()
+	return shape
 }
 
 // exprShape renders an expression's structure with literals erased.
 func exprShape(e expr.Expr) string {
 	switch t := e.(type) {
 	case *expr.Logic:
-		op := "or"
-		if t.Op == expr.And {
-			op = "and"
-		}
-		return "(" + exprShape(t.L) + " " + op + " " + exprShape(t.R) + ")"
+		return "(" + exprShape(t.L) + " " + strings.ToLower(t.Op.String()) + " " + exprShape(t.R) + ")"
 	case *expr.Not:
 		return "not(" + exprShape(t.E) + ")"
 	case *expr.Between:
@@ -400,21 +357,4 @@ func exprShape(e expr.Expr) string {
 	default:
 		return fmt.Sprintf("%T", e)
 	}
-}
-
-// decide is the one per-split decision, made inside CreatePageSource.
-// Static pushdown modes (and pushdown-free plans) pass through unchanged
-// so the paper's fixed configurations stay exactly reproducible;
-// auto-mode handles carry AdaptiveParams and are priced against history
-// and live load, and only those choices are counted in the scan stats.
-func (c *Connector) decide(h *Handle, stats *engine.ScanStats) (pushdown bool, reason string) {
-	if h.Push == nil || h.Push.Empty() {
-		return false, "no-pushdown"
-	}
-	if h.Adaptive == nil {
-		return true, "static"
-	}
-	pushdown, reason = c.policy.decide(h)
-	stats.AddSplitDecision(pushdown)
-	return pushdown, reason
 }

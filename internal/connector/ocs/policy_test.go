@@ -46,7 +46,7 @@ func policyHandle(t *testing.T, threshold float64) *Handle {
 func TestPolicyDecideTracksSelectivity(t *testing.T) {
 	p := NewPolicy(costmodel.Default())
 	h := policyHandle(t, 10)
-	h.Adaptive = &AdaptiveParams{LoadCutoff: DefaultLoadCutoff, FlipMargin: DefaultFlipMargin}
+	h.Adaptive = true
 
 	// Selective shape, idle storage: pushdown ships almost nothing.
 	p.ObserveSplit(h, 10_000) // 1% survive
@@ -131,7 +131,7 @@ func TestPolicyShapeHistoryEviction(t *testing.T) {
 func TestPolicyShouldFlipNeedsLoadAndMargin(t *testing.T) {
 	p := NewPolicy(costmodel.Default())
 	h := policyHandle(t, 10)
-	h.Adaptive = &AdaptiveParams{LoadCutoff: 4, FlipMargin: 1.5}
+	h.Adaptive = true
 
 	// Idle storage: never flip, whatever the stream has delivered.
 	if p.ShouldFlip(h, 900_000) {
@@ -151,11 +151,11 @@ func TestPolicyShouldFlipNeedsLoadAndMargin(t *testing.T) {
 		t.Error("flipped a selective stream")
 	}
 	// Static handles and order-breaking pipelines never flip.
-	h.Adaptive = nil
+	h.Adaptive = false
 	if p.ShouldFlip(h, 900_000) {
 		t.Error("flipped a static handle")
 	}
-	h.Adaptive = &AdaptiveParams{LoadCutoff: 4, FlipMargin: 1.5}
+	h.Adaptive = true
 	h.Push.Agg = &AggSpec{Keys: []int{0}}
 	if p.ShouldFlip(h, 900_000) {
 		t.Error("flipped an order-nondeterministic pipeline")
@@ -191,7 +191,7 @@ func TestPolicyConcurrentObservers(t *testing.T) {
 	p := NewPolicy(costmodel.Default())
 	p.maxShapes = 4
 	h := policyHandle(t, 10)
-	h.Adaptive = &AdaptiveParams{LoadCutoff: 4, FlipMargin: 1.5}
+	h.Adaptive = true
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

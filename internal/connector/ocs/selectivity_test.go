@@ -7,6 +7,7 @@ import (
 	"prestocs/internal/engine"
 	"prestocs/internal/expr"
 	"prestocs/internal/metastore"
+	"prestocs/internal/plan"
 	"prestocs/internal/substrait"
 	"prestocs/internal/types"
 )
@@ -28,7 +29,7 @@ func statsTable() *metastore.Table {
 
 func analyzerFor(t *testing.T) (*selectivityAnalyzer, *types.Schema) {
 	t.Helper()
-	return newSelectivityAnalyzer(statsTable(), engine.NewSession()), statsTable().Columns
+	return newSelectivityAnalyzer(statsTable(), Mode{Auto: true}, engine.NewSession()), statsTable().Columns
 }
 
 func TestRangeSelectivityNormalApproximation(t *testing.T) {
@@ -119,48 +120,57 @@ func TestUnknownStatsFallBack(t *testing.T) {
 	}
 }
 
+// TestGroupAndTopNEstimates holds the auto-mode verdicts on an aggregate
+// and on the final-stage TopN: judge returns the rows that leave the
+// candidate and cuts where the reduction clears the threshold.
 func TestGroupAndTopNEstimates(t *testing.T) {
 	a, schema := analyzerFor(t)
+	const rows = 10000
+	agg := func(keys ...int) candidate {
+		return candidate{node: &plan.Aggregate{Keys: keys, Step: plan.AggPartial}, input: schema}
+	}
+	topN := func(count int64) candidate { return candidate{node: &plan.TopN{Count: count}} }
 	// 100 groups out of 10000 rows: 99% reduction → push.
-	if !a.ShouldPushAgg([]int{1}, schema) {
-		t.Error("aggregation with 100 NDV should be pushed")
+	if v, est := a.judge(agg(1), rows); v != cut || est != 100 {
+		t.Errorf("aggregation with 100 NDV = (%v, %v), want a cut at 100 rows", v, est)
 	}
 	// 5000 groups: exactly 50% reduction — the threshold is inclusive.
-	if !a.ShouldPushAgg([]int{0}, schema) {
+	if v, _ := a.judge(agg(0), rows); v != cut {
 		t.Error("50% reduction should clear the inclusive 0.5 threshold")
 	}
-	// A stricter threshold rejects it.
-	strict := newSelectivityAnalyzer(statsTable(),
+	// A stricter threshold rejects it — carried, never a stop in auto mode.
+	strict := newSelectivityAnalyzer(statsTable(), Mode{Auto: true},
 		engine.NewSession().Set(SessionSelectivityThreshold, "0.9"))
-	if strict.ShouldPushAgg([]int{0}, schema) {
-		t.Error("50% reduction must not clear a 0.9 threshold")
+	if v, _ := strict.judge(agg(0), rows); v != carry {
+		t.Errorf("50%% reduction against a 0.9 threshold = %v, want carry", v)
 	}
-	if g := a.EstimateGroups([]int{0, 1}, schema); g != 10000 {
+	// Fewer rows reaching the aggregate than it has groups: the estimate
+	// does not grow.
+	if _, est := a.judge(agg(0), 40); est != 40 {
+		t.Errorf("aggregate over 40 rows leaves %v rows", est)
+	}
+	if g := a.EstimateGroups([]int{0, 1}, schema); g != rows {
 		t.Errorf("group product must cap at row count: %v", g)
 	}
-	if !a.ShouldPushTopN(100) {
+	if v, _ := a.judge(topN(100), 0); v != cut {
 		t.Error("top-100 of 10000 should be pushed")
 	}
-	if a.ShouldPushTopN(9000) {
+	if v, _ := a.judge(topN(9000), 0); v != carry {
 		t.Error("top-9000 of 10000 should not be pushed")
 	}
 }
 
 func TestThresholdSessionOverrides(t *testing.T) {
-	session := engine.NewSession().
-		Set(SessionSelectivityThreshold, "0.95").
-		Set(SessionComplexityCap, "2")
-	a := newSelectivityAnalyzer(statsTable(), session)
-	if a.threshold != 0.95 || a.costCap != 2 {
-		t.Errorf("overrides not applied: %+v", a)
+	session := engine.NewSession().Set(SessionSelectivityThreshold, "0.95")
+	if a := newSelectivityAnalyzer(statsTable(), Mode{Auto: true}, session); a.threshold != 0.95 {
+		t.Errorf("override not applied: %+v", a)
 	}
-	// Invalid values keep defaults.
-	bad := engine.NewSession().
-		Set(SessionSelectivityThreshold, "nope").
-		Set(SessionComplexityCap, "-3")
-	a = newSelectivityAnalyzer(statsTable(), bad)
-	if a.threshold != 0.5 || a.costCap != 25 {
-		t.Errorf("invalid overrides accepted: %+v", a)
+	// Invalid values keep the default.
+	for _, bad := range []string{"nope", "-0.1", "1.5"} {
+		session := engine.NewSession().Set(SessionSelectivityThreshold, bad)
+		if a := newSelectivityAnalyzer(statsTable(), Mode{Auto: true}, session); a.threshold != 0.5 {
+			t.Errorf("invalid threshold %q accepted: %+v", bad, a)
+		}
 	}
 }
 
@@ -175,11 +185,11 @@ func TestBuildSubstraitOutputCols(t *testing.T) {
 			OutputCols: []int{1}, // only g crosses back
 		},
 	}
-	plan, err := BuildSubstrait(h, "obj")
+	ir, err := BuildSubstrait(h, "obj")
 	if err != nil {
 		t.Fatal(err)
 	}
-	schema, err := plan.Validate()
+	schema, err := ir.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +197,7 @@ func TestBuildSubstraitOutputCols(t *testing.T) {
 		t.Errorf("narrowed schema = %s", schema)
 	}
 	// Round-trips through the wire format.
-	data, err := substrait.Marshal(plan)
+	data, err := substrait.Marshal(ir)
 	if err != nil {
 		t.Fatal(err)
 	}

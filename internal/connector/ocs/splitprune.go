@@ -5,12 +5,14 @@ import (
 
 	"prestocs/internal/engine"
 	"prestocs/internal/expr"
+	"prestocs/internal/metastore"
 	"prestocs/internal/plan"
+	"prestocs/internal/types"
 )
 
-// SplitsWithStats implements engine.SplitSource: split generation with
-// zone-map pruning. When the handle carries a pushed-down filter and the
-// metastore recorded per-object column statistics, objects whose stats
+// SplitsWithStats implements engine.SplitSource: one split per object,
+// with zone-map pruning. When the handle carries a pushed-down filter and
+// the metastore recorded per-object column statistics, objects whose stats
 // prove the filter false are dropped before they are ever scheduled —
 // the first of the three pruning levels (split, row group, chunk page
 // all share the same expr range analysis). Missing statistics — an
@@ -21,40 +23,30 @@ func (c *Connector) SplitsWithStats(handle plan.TableHandle, stats *engine.ScanS
 	if !ok {
 		return nil, fmt.Errorf("ocs: foreign handle %T", handle)
 	}
-	if h.Push == nil || h.Push.Filter == nil || len(h.Table.ObjectStats) == 0 {
-		return c.Splits(handle)
+	var ranges expr.Ranges // unconstrained: every object may match
+	if h.Push != nil && len(h.Table.ObjectStats) > 0 {
+		ranges = expr.AnalyzeRanges(h.Push.Filter)
 	}
-	ranges := expr.AnalyzeRanges(h.Push.Filter)
-	if !ranges.Constrained() {
-		return c.Splits(handle)
-	}
-	var splits []engine.Split
-	var pruned int64
+	base := h.baseScanSchema()
+	splits := make([]engine.Split, 0, len(h.Table.Objects))
 	for i, obj := range h.Table.Objects {
-		if objectMayMatch(h, obj, ranges) {
+		if objectMayMatch(h.Table.ObjectStats[obj], base, ranges) {
 			splits = append(splits, engine.Split{Object: obj, Index: i})
-			continue
 		}
-		pruned++
 	}
-	if pruned > 0 && stats != nil {
-		stats.AddSplitsPruned(pruned)
+	if pruned := len(h.Table.Objects) - len(splits); pruned > 0 && stats != nil {
+		stats.AddSplitsPruned(int64(pruned))
 	}
 	return splits, nil
 }
 
-// objectMayMatch tests one object's column statistics against the
-// filter's range analysis; any gap in the statistics keeps the object.
-// Filter ordinals refer to the projected base scan schema, whose column
-// names key the per-object stats.
-func objectMayMatch(h *Handle, obj string, ranges expr.Ranges) bool {
+// objectMayMatch tests one object's column statistics (nil when the
+// object has none) against the filter's range analysis; any gap in the
+// statistics keeps the object. Filter ordinals refer to the projected base
+// scan schema, whose column names key the per-object stats.
+func objectMayMatch(objStats map[string]metastore.ColumnStats, base *types.Schema, ranges expr.Ranges) bool {
 	if ranges.Never {
 		return false
-	}
-	base := h.baseScanSchema()
-	objStats, ok := h.Table.ObjectStats[obj]
-	if !ok {
-		return true
 	}
 	for col, cr := range ranges.Cols {
 		if col < 0 || col >= base.Len() {

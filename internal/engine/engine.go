@@ -526,7 +526,7 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 					fail(err)
 					return false
 				}
-				defer closeSource(source)
+				defer exec.Close(source)
 				pipeline, err := compileChain(chain, source, &meter)
 				if err != nil {
 					fail(err)
@@ -630,15 +630,6 @@ func (e *Engine) finishFinalStage(stage *leafStage, exchangeSchema *types.Schema
 		return nil, nil, err
 	}
 	return result, result.Schema, nil
-}
-
-// closeSource releases a page source that holds external resources.
-// Operators are pull-based with no mandatory lifecycle, so sources that
-// need cleanup (streaming connectors) expose an optional Close.
-func closeSource(source exec.Operator) {
-	if c, ok := source.(interface{ Close() error }); ok {
-		c.Close()
-	}
 }
 
 // compileChain lowers a root-first node chain onto a source operator.

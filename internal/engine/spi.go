@@ -8,13 +8,17 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
+	"prestocs/internal/column"
 	"prestocs/internal/exec"
 	"prestocs/internal/objstore"
+	"prestocs/internal/parquetlite"
 	"prestocs/internal/plan"
 	"prestocs/internal/telemetry"
+	"prestocs/internal/types"
 )
 
 // Split is one schedulable unit of a table scan (one object).
@@ -180,6 +184,53 @@ func (s *ScanStats) Snapshot() ScanStats {
 		JoinBloomSplits:   s.JoinBloomSplits,
 		JoinBloomRejected: s.JoinBloomRejected,
 	}
+}
+
+// ScanWholeObject is the no-pushdown scan of one split, the same for every
+// connector: the whole object crosses the network in one GET and is decoded
+// here, a row group per page, with nothing to prune by. columns is the
+// object's schema and projection the ordinals to read (nil = all). The GET
+// is charged as transfer, bytes moved and storage work; the local parquet
+// decode and page building as 1.5 ingest units per cell.
+func ScanWholeObject(ctx context.Context, client *objstore.Client, bucket, object string, columns *types.Schema, projection []int, stats *ScanStats) (exec.Operator, error) {
+	start := time.Now()
+	getCtx, sp := telemetry.StartSpan(ctx, "connector.raw_get")
+	sp.SetAttr("object", object)
+	data, work, err := client.Get(getCtx, bucket, object)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("engine: get %s/%s: %w", bucket, object, err)
+	}
+	stats.AddTransfer(time.Since(start))
+	stats.AddBytesMoved(int64(len(data)))
+	stats.AddStorageWork(work)
+
+	reader, err := parquetlite.NewReader(data)
+	if err != nil {
+		return nil, err
+	}
+	schema, cols := columns, projection
+	if cols != nil {
+		schema = columns.Project(cols)
+	} else {
+		cols = make([]int, columns.Len())
+		for i := range cols {
+			cols[i] = i
+		}
+	}
+	rg := 0
+	return exec.NewFuncSource(schema, func() (*column.Page, error) {
+		if rg >= len(reader.Meta().RowGroups) {
+			return nil, nil
+		}
+		page, err := reader.ReadRowGroup(rg, cols)
+		rg++
+		if err != nil {
+			return nil, err
+		}
+		stats.AddDeserialize(float64(page.NumRows())*float64(len(cols))*1.5, int64(page.NumRows()))
+		return page, nil
+	}), nil
 }
 
 // Session carries per-query configuration, notably connector session

@@ -49,6 +49,16 @@ type Operator interface {
 	Next() (*column.Page, error)
 }
 
+// Close releases an operator that holds external resources. Operators are
+// pull-based with no mandatory lifecycle, so those that need cleanup
+// (streaming page sources, and what wraps them) expose an optional Close.
+func Close(op Operator) error {
+	if c, ok := op.(interface{ Close() error }); ok {
+		return c.Close()
+	}
+	return nil
+}
+
 // PageSource replays a fixed set of pages (used for tests and as the
 // bridge from storage readers and deserialized Arrow results).
 type PageSource struct {

@@ -144,6 +144,23 @@ func (op CmpOp) Negate() CmpOp {
 	}
 }
 
+// Mirror flips the operator across its operands: l OP r holds exactly
+// when r OP.Mirror() l does. Eq and Ne are symmetric.
+func (op CmpOp) Mirror() CmpOp {
+	switch op {
+	case Lt:
+		return Gt
+	case Le:
+		return Ge
+	case Gt:
+		return Lt
+	case Ge:
+		return Le
+	default:
+		return op
+	}
+}
+
 // Compare is a binary comparison yielding BOOLEAN.
 type Compare struct {
 	Op   CmpOp
@@ -164,6 +181,22 @@ func NewCompare(op CmpOp, l, r Expr) (*Compare, error) {
 func (c *Compare) Type() types.Kind { return types.Bool }
 func (c *Compare) String() string   { return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R) }
 func (c *Compare) Cost() float64    { return c.L.Cost() + c.R.Cost() + 1 }
+
+// ColumnLiteral reads a comparison between a column and a literal, written
+// either way round, as column OP literal: `5 < x` comes back as (x, >, 5).
+// ok is false for any other pair of operands.
+func (c *Compare) ColumnLiteral() (col *ColumnRef, op CmpOp, lit types.Value, ok bool) {
+	l, r, op := c.L, c.R, c.Op
+	if _, literalFirst := l.(*Literal); literalFirst {
+		l, r, op = r, l, op.Mirror()
+	}
+	col, okCol := l.(*ColumnRef)
+	right, okLit := r.(*Literal)
+	if !okCol || !okLit {
+		return nil, 0, types.Value{}, false
+	}
+	return col, op, right.Value, true
+}
 
 // LogicOp enumerates boolean connectives.
 type LogicOp uint8
@@ -311,80 +344,27 @@ func ReferencedColumns(e Expr) []int {
 // through mapping (old index -> new index). Unmapped references are an
 // error.
 func Remap(e Expr, mapping map[int]int) (Expr, error) {
-	switch t := e.(type) {
-	case *ColumnRef:
-		ni, ok := mapping[t.Index]
+	var err error
+	var remap func(Expr) Expr
+	remap = func(e Expr) Expr {
+		ref, ok := e.(*ColumnRef)
 		if !ok {
-			return nil, fmt.Errorf("expr: column %s (#%d) not available after remap", t.Name, t.Index)
+			return mapChildren(e, remap)
 		}
-		return &ColumnRef{Index: ni, Name: t.Name, Kind: t.Kind}, nil
-	case *Literal:
-		return t, nil
-	case *Arith:
-		l, err := Remap(t.L, mapping)
-		if err != nil {
-			return nil, err
+		ni, ok := mapping[ref.Index]
+		if !ok {
+			if err == nil {
+				err = fmt.Errorf("expr: column %s (#%d) not available after remap", ref.Name, ref.Index)
+			}
+			return ref
 		}
-		r, err := Remap(t.R, mapping)
-		if err != nil {
-			return nil, err
-		}
-		return &Arith{Op: t.Op, L: l, R: r, kind: t.kind}, nil
-	case *Compare:
-		l, err := Remap(t.L, mapping)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Remap(t.R, mapping)
-		if err != nil {
-			return nil, err
-		}
-		return &Compare{Op: t.Op, L: l, R: r}, nil
-	case *Logic:
-		l, err := Remap(t.L, mapping)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Remap(t.R, mapping)
-		if err != nil {
-			return nil, err
-		}
-		return &Logic{Op: t.Op, L: l, R: r}, nil
-	case *Not:
-		inner, err := Remap(t.E, mapping)
-		if err != nil {
-			return nil, err
-		}
-		return &Not{E: inner}, nil
-	case *Between:
-		ee, err := Remap(t.E, mapping)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := Remap(t.Lo, mapping)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := Remap(t.Hi, mapping)
-		if err != nil {
-			return nil, err
-		}
-		return &Between{E: ee, Lo: lo, Hi: hi}, nil
-	case *Cast:
-		inner, err := Remap(t.E, mapping)
-		if err != nil {
-			return nil, err
-		}
-		return &Cast{E: inner, To: t.To}, nil
-	case *IsNull:
-		inner, err := Remap(t.E, mapping)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNull{E: inner, Negate: t.Negate}, nil
-	default:
-		return nil, fmt.Errorf("expr: Remap: unknown node %T", e)
+		return &ColumnRef{Index: ni, Name: ref.Name, Kind: ref.Kind}
 	}
+	out := remap(e)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Conjuncts splits a predicate on top-level ANDs.

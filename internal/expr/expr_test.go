@@ -294,6 +294,43 @@ func TestCmpOpNegate(t *testing.T) {
 	}
 }
 
+// TestCmpOpMirror: l OP r and r OP.Mirror() l agree on every ordering of
+// two values, and mirroring twice is the identity.
+func TestCmpOpMirror(t *testing.T) {
+	for _, op := range []CmpOp{Eq, Ne, Lt, Le, Gt, Ge} {
+		if op.Mirror().Mirror() != op {
+			t.Errorf("double mirror of %v = %v", op, op.Mirror().Mirror())
+		}
+		for _, c := range []int{-1, 0, 1} { // compare(l, r); compare(r, l) is -c
+			if cmpHolds(op, c) != cmpHolds(op.Mirror(), -c) {
+				t.Errorf("%v with compare(l, r) = %d disagrees with its mirror", op, c)
+			}
+		}
+	}
+}
+
+// TestCompareColumnLiteral: either operand order reads as column OP
+// literal; anything else is refused.
+func TestCompareColumnLiteral(t *testing.T) {
+	a, five := Col(3, "a", types.Int64), Lit(types.IntValue(5))
+	for _, op := range []CmpOp{Eq, Ne, Lt, Le, Gt, Ge} {
+		col, got, lit, ok := (&Compare{Op: op, L: a, R: five}).ColumnLiteral()
+		if !ok || col != a || got != op || lit.I != 5 {
+			t.Errorf("a %v 5 = (%v, %v, %v, %v)", op, col, got, lit, ok)
+		}
+		col, got, lit, ok = (&Compare{Op: op, L: five, R: a}).ColumnLiteral()
+		if !ok || col != a || got != op.Mirror() || lit.I != 5 {
+			t.Errorf("5 %v a = (%v, %v, %v, %v), want a %v 5", op, col, got, lit, ok, op.Mirror())
+		}
+	}
+	sum, _ := NewArith(Add, a, five)
+	for _, c := range []*Compare{{Op: Lt, L: a, R: a}, {Op: Lt, L: five, R: five}, {Op: Lt, L: sum, R: five}, {Op: Lt, L: five, R: sum}} {
+		if _, _, _, ok := c.ColumnLiteral(); ok {
+			t.Errorf("%s read as column OP literal", c)
+		}
+	}
+}
+
 // Property: for random int rows, (a < k) evaluated via the tree matches
 // direct computation, and NOT(a < k) is its complement on non-null rows.
 func TestQuickComparePredicate(t *testing.T) {

@@ -473,23 +473,6 @@ func floatsOf(v *column.Vector, n int) []float64 {
 	return out
 }
 
-// mirror flips a comparison so scalar-vs-vector reuses the
-// vector-vs-scalar loops: s < x  ⇔  x > s.
-func mirror(op CmpOp) CmpOp {
-	switch op {
-	case Lt:
-		return Gt
-	case Le:
-		return Ge
-	case Gt:
-		return Lt
-	case Ge:
-		return Le
-	default:
-		return op // Eq, Ne are symmetric
-	}
-}
-
 // cmpOrd covers the kinds whose comparison lowers to Go operators
 // directly. Floats join them (selOrd) against a scalar that is not NaN,
 // which is why cmpVS writes > and >= as negations: see selkernels.go.
@@ -589,8 +572,9 @@ func kernelCompare(op CmpOp, l, r operand, n int) (*column.Vector, error) {
 		return broadcast(types.BoolValue(cmpHolds(op, types.Compare(l.val, r.val))), n), nil
 	}
 	if l.isScalar() {
+		// s < x ⇔ x > s: scalar-vs-vector reuses the vector-vs-scalar loops.
 		l, r = r, l
-		op = mirror(op)
+		op = op.Mirror()
 	}
 	out := column.NewVector(types.Bool)
 	out.Bools = make([]bool, n)

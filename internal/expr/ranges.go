@@ -168,38 +168,31 @@ func analyzeRanges(e Expr) (map[int]ColRange, bool) {
 
 // analyzeCompare handles col OP lit (either operand order).
 func analyzeCompare(t *Compare) (map[int]ColRange, bool) {
-	col, okCol := t.L.(*ColumnRef)
-	lit, okLit := t.R.(*Literal)
-	op := t.Op
-	if !okCol || !okLit {
-		col, okCol = t.R.(*ColumnRef)
-		lit, okLit = t.L.(*Literal)
-		if !okCol || !okLit {
-			return nil, false
-		}
-		op = mirrorOp(op)
+	col, op, lit, ok := t.ColumnLiteral()
+	if !ok {
+		return nil, false
 	}
-	if lit.Value.Null {
+	if lit.Null {
 		// col OP NULL is NULL for every row: nothing satisfies.
 		return nil, true
 	}
-	if !comparableKinds(col.Kind, lit.Value.Kind) {
+	if !comparableKinds(col.Kind, lit.Kind) {
 		return nil, false
 	}
 	cr := ColRange{NonNullOK: true}
 	switch op {
 	case Eq:
-		cr.Lo, cr.Hi = lit.Value, lit.Value
+		cr.Lo, cr.Hi = lit, lit
 	case Ne:
 		// No interval constraint, but NULLs still cannot satisfy.
 	case Lt:
-		cr.Hi, cr.HiOpen = lit.Value, true
+		cr.Hi, cr.HiOpen = lit, true
 	case Le:
-		cr.Hi = lit.Value
+		cr.Hi = lit
 	case Gt:
-		cr.Lo, cr.LoOpen = lit.Value, true
+		cr.Lo, cr.LoOpen = lit, true
 	case Ge:
-		cr.Lo = lit.Value
+		cr.Lo = lit
 	}
 	return map[int]ColRange{col.Index: cr}, false
 }
@@ -406,23 +399,6 @@ func looserBound(av types.Value, aOpen bool, bv types.Value, bOpen bool, hi bool
 		return av, aOpen
 	}
 	return bv, bOpen
-}
-
-// mirrorOp flips an operator across its operands: lit OP col holds
-// exactly when col mirrorOp(OP) lit does.
-func mirrorOp(op CmpOp) CmpOp {
-	switch op {
-	case Lt:
-		return Gt
-	case Le:
-		return Ge
-	case Gt:
-		return Lt
-	case Ge:
-		return Le
-	default:
-		return op
-	}
 }
 
 // MayMatch reports whether a chunk of values with the given statistics

@@ -59,20 +59,16 @@ func nonNullLiteral(e Expr) (types.Value, bool) {
 // selCompare is the selection kernel of column-vs-literal (either way
 // round) and column-vs-column comparisons.
 func selCompare(t *Compare, page *column.Page, sel, buf []int) ([]int, bool) {
-	op, l, r := t.Op, t.L, t.R
-	if _, ok := l.(*Literal); ok {
-		l, r = r, l
-		op = mirror(op)
-	}
-	col := pageColumn(l, page)
-	if col == nil {
-		return nil, false
-	}
-	if other := pageColumn(r, page); other != nil {
-		return selCompareColumns(op, col, other, sel, buf)
-	}
-	v, ok := nonNullLiteral(r)
+	ref, op, v, ok := t.ColumnLiteral()
 	if !ok {
+		l, r := pageColumn(t.L, page), pageColumn(t.R, page)
+		if l == nil || r == nil {
+			return nil, false
+		}
+		return selCompareColumns(t.Op, l, r, sel, buf)
+	}
+	col := pageColumn(ref, page)
+	if col == nil || v.Null {
 		return nil, false
 	}
 	var out []int

@@ -171,10 +171,7 @@ func adaptiveHandle(t *testing.T, c *Cluster, cut float64) *ocsconn.Handle {
 		t.Fatal(err)
 	}
 	h.Push = &ocsconn.Pushdown{Filter: cmp}
-	h.Adaptive = &ocsconn.AdaptiveParams{
-		LoadCutoff: ocsconn.DefaultLoadCutoff,
-		FlipMargin: ocsconn.DefaultFlipMargin,
-	}
+	h.Adaptive = true
 	return h
 }
 
@@ -339,7 +336,7 @@ func TestCreatePageSourceIsTheDecisionPoint(t *testing.T) {
 	}
 
 	static := adaptiveHandle(t, c, 9)
-	static.Adaptive = nil
+	static.Adaptive = false
 	want, scan := open(static)
 	if scan.PushdownSplits != 0 || scan.RawSplits != 0 {
 		t.Errorf("static handle counted a decision: pushdown=%d raw=%d", scan.PushdownSplits, scan.RawSplits)

@@ -201,7 +201,7 @@ func TestJoinQ3DifferentialAcrossModes(t *testing.T) {
 
 // TestJoinBloomRejectedFallbackEngineSide caps the storage nodes' bloom
 // budget below any real filter: every probe split's pushdown is rejected
-// with CodeInvalid, the connector retries the split without the bloom and
+// with CodeOverLimit, the connector retries the split without the bloom and
 // applies it engine-side, and the answer is still exactly the reference.
 func TestJoinBloomRejectedFallbackEngineSide(t *testing.T) {
 	c, err := StartClusterWith(1, Config{Telemetry: true, MaxBloomBytes: 8})
@@ -271,10 +271,7 @@ func TestJoinBloomProbeFlipMidStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.Push = &ocsconn.Pushdown{Filter: cmp}
-		h.Adaptive = &ocsconn.AdaptiveParams{
-			LoadCutoff: ocsconn.DefaultLoadCutoff,
-			FlipMargin: ocsconn.DefaultFlipMargin,
-		}
+		h.Adaptive = true
 		keys := int64(2 * 4096)
 		f := bloom.New(int(keys), bloom.DefaultBitsPerKey)
 		for k := int64(0); k < keys; k++ {

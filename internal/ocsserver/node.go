@@ -151,9 +151,9 @@ func (n *StorageNode) Close() error {
 const DefaultMaxBloomBytes = 256 << 10
 
 // checkBloomSize enforces MaxBloomBytes on every BloomFilterRel in the
-// plan. The error is CodeInvalid — not transient — so the connector
-// retries without the filter instead of falling back off pushdown
-// entirely. Only the RPC path enforces the cap: local replay
+// plan. The error is CodeOverLimit — not transient, and not the plan's
+// fault — so the connector retries without the filter instead of falling
+// back off pushdown entirely. Only the RPC path enforces the cap: local replay
 // (ExecuteLocalStream) runs whatever the engine already committed to.
 func (n *StorageNode) checkBloomSize(plan *substrait.Plan) error {
 	limit := n.MaxBloomBytes
@@ -166,7 +166,7 @@ func (n *StorageNode) checkBloomSize(plan *substrait.Plan) error {
 	var reject error
 	substrait.WalkRels(plan.Root, func(r substrait.Rel) {
 		if b, ok := r.(*substrait.BloomFilterRel); ok && len(b.Bits) > limit && reject == nil {
-			reject = rpc.WithCode(fmt.Errorf("node %d: bloom filter %d bytes exceeds cap %d", n.ID, len(b.Bits), limit), rpc.CodeInvalid)
+			reject = rpc.WithCode(fmt.Errorf("node %d: bloom filter %d bytes exceeds cap %d", n.ID, len(b.Bits), limit), rpc.CodeOverLimit)
 		}
 	})
 	return reject

@@ -173,7 +173,7 @@ func describePlan(root plan.Node) (string, error) {
 				return "", err
 			}
 			fmt.Fprintf(&sb, " est=%g adaptive=%t substrait=%dB:%x",
-				h.Push.EstSelectivity, h.Adaptive != nil, len(wire), sha256.Sum256(wire))
+				h.Push.EstSelectivity, h.Adaptive, len(wire), sha256.Sum256(wire))
 		}
 		sb.WriteString("\n")
 	}

@@ -32,6 +32,10 @@ const (
 	// budget. Retryable with backoff — the condition heals as queries
 	// drain.
 	CodeOverloaded
+	// CodeOverLimit marks a well-formed request one part of which exceeds
+	// a size cap the peer enforces (a storage node's bloom-filter cap).
+	// Never retryable as sent; the caller may resend it without that part.
+	CodeOverLimit
 
 	codeMax
 )
@@ -52,6 +56,8 @@ func (c Code) String() string {
 		return "deadline-exceeded"
 	case CodeOverloaded:
 		return "overloaded"
+	case CodeOverLimit:
+		return "over-limit"
 	default:
 		return fmt.Sprintf("code(%d)", uint8(c))
 	}
@@ -68,6 +74,9 @@ var (
 	// (or the local engine) shed the request past its concurrency or
 	// memory budget. Callers back off and retry, or surface the rejection.
 	ErrOverloaded = errors.New("rpc: overloaded")
+	// ErrOverLimit is the size-cap refusal: the peer understood the request
+	// and declined one part of it for its size, not the request itself.
+	ErrOverLimit = errors.New("rpc: over limit")
 )
 
 // ErrFrameTooLarge marks a frame rejected on the send side for exceeding
@@ -98,6 +107,8 @@ func (c Code) sentinel() error {
 		return context.DeadlineExceeded
 	case CodeOverloaded:
 		return ErrOverloaded
+	case CodeOverLimit:
+		return ErrOverLimit
 	}
 	return nil
 }
@@ -157,6 +168,8 @@ func ErrorCode(err error) Code {
 		return CodeInvalid
 	case errors.Is(err, ErrOverloaded):
 		return CodeOverloaded
+	case errors.Is(err, ErrOverLimit):
+		return CodeOverLimit
 	}
 	return CodeUnknown
 }
