@@ -20,9 +20,11 @@ test:
 # zone-map pruning selectivity sweep, the hot-page cache comparison, the
 # tracing-overhead comparison, the mixed-traffic latency profile, the
 # adaptive-pushdown sweep, the join bloom-pushdown sweep, the
-# ingest-throughput sweep and the write path's three steps (one commit's
-# rows, the same batch as a page, one 16-object compaction; allocs/op
-# included), and prints `go test -bench` output: numbers to read while
+# ingest-throughput sweep and the write path's steps (one commit's rows,
+# the same batch as a page, one 16-object compaction, the compaction's
+# cluster sort over three key kinds, and the writer encoding 16 whole
+# row groups on every core; allocs/op included), and prints
+# `go test -bench` output: numbers to read while
 # working on one layer, archived nowhere. The repo's benchmark
 # — calibrated, end to end and per layer, gated by BENCHMARK.json — is
 # bench/ (`go run -C bench .`); the end-to-end paper sweeps live under
@@ -31,7 +33,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./internal/exec/
 	$(GO) test -bench='PruneSweep|HotCache' -benchmem -run '^$$' ./internal/ocsserver/
 	$(GO) test -bench='TracingOverhead|MixedTraffic|AdaptiveSweep|JoinBloomSweep|IngestThroughput' -benchmem -run '^$$' ./internal/harness/
-	$(GO) test -bench='BuilderAppendRows|BuilderAppendPage|CompactMerge' -benchmem -run '^$$' ./internal/ingest/
+	$(GO) test -bench='BuilderAppendRows|BuilderAppendPage|CompactMerge|ClusterOrder' -benchmem -run '^$$' ./internal/ingest/
+	$(GO) test -bench='WritePage' -benchmem -run '^$$' ./internal/parquetlite/
 
 # bench-paper regenerates the paper-evaluation benchmarks (full in-process
 # topology per iteration; slow).
@@ -65,9 +68,14 @@ faults-ingest:
 # pushdown, every join shape against a row-at-a-time reference, and
 # ORDER BY … LIMIT over keys that tie across splits. The final stage folds
 # leaf output in split order (DESIGN.md §9), so none of them carries a
-# tolerance; a failure here is an arrival-order dependence.
+# tolerance; a failure here is an arrival-order dependence. The same rule
+# holds for the write path: the writer encodes whole row groups on
+# GOMAXPROCS workers (DESIGN.md §10), and the writer, builder and
+# compaction differentials must produce the row-wise reference's bytes at
+# every core count.
 determinism:
 	$(GO) test -cpu 1,2,4 -count=3 -run 'TestQuickPushdownSoundness|TestJoinDifferentialAcrossConfigurations|TestTopNTieOrderAcrossSplits' ./internal/harness/
+	$(GO) test -cpu 1,2,4 -count=3 -run 'TestWriterMatchesRowWiseReference|TestBuilderMatchesRowWiseReference|TestCompactMatchesBoxedStableSort' ./internal/parquetlite/ ./internal/ingest/
 
 # fuzz-smoke runs each native fuzz target for ten seconds: the decoders
 # of bytes this program did not produce (Snappy blocks and parquetlite

@@ -70,18 +70,23 @@ func ParseCodec(name string) (Codec, error) {
 // Codecs lists all supported codecs in the order the paper sweeps them.
 func Codecs() []Codec { return []Codec{None, Snappy, Gzip, Zstd} }
 
-// Encode compresses src with the codec.
-func Encode(c Codec, src []byte) ([]byte, error) {
+// Encode compresses src with the codec into a fresh buffer.
+func Encode(c Codec, src []byte) ([]byte, error) { return EncodeAppend(c, nil, src) }
+
+// EncodeAppend compresses src with the codec and appends the output to
+// dst, returning the extended slice. It mirrors DecodeAppend: a writer
+// that passes the same buffer for every chunk (parquetlite appends each
+// chunk straight onto its file image) allocates only when the buffer
+// grows.
+func EncodeAppend(c Codec, dst, src []byte) ([]byte, error) {
 	switch c {
 	case None:
-		out := make([]byte, len(src))
-		copy(out, src)
-		return out, nil
+		return append(dst, src...), nil
 	case Snappy:
-		return snappyEncode(src), nil
+		return snappyEncode(dst, src), nil
 	case Gzip:
-		var buf bytes.Buffer
-		w := gzip.NewWriter(&buf)
+		buf := bytes.NewBuffer(dst)
+		w := gzip.NewWriter(buf)
 		if _, err := w.Write(src); err != nil {
 			return nil, err
 		}
@@ -90,8 +95,8 @@ func Encode(c Codec, src []byte) ([]byte, error) {
 		}
 		return buf.Bytes(), nil
 	case Zstd:
-		var buf bytes.Buffer
-		w, err := flate.NewWriter(&buf, flate.BestCompression)
+		buf := bytes.NewBuffer(dst)
+		w, err := flate.NewWriter(buf, flate.BestCompression)
 		if err != nil {
 			return nil, err
 		}

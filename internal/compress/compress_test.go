@@ -144,6 +144,28 @@ func TestSnappyDecodeAppend(t *testing.T) {
 	}
 }
 
+// TestEncodeAppend: every codec appends after what dst holds exactly the
+// bytes Encode returns, into dst's spare capacity when they fit.
+func TestEncodeAppend(t *testing.T) {
+	for name, data := range sampleInputs() {
+		for _, c := range Codecs() {
+			want, err := Encode(c, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			roomy := make([]byte, 3, 3+len(data)+16) // room for Snappy's worst case
+			copy(roomy, "pre")
+			got, err := EncodeAppend(c, roomy, data)
+			if err != nil || !bytes.Equal(got, append([]byte("pre"), want...)) {
+				t.Fatalf("%s/%s: append into spare capacity: %v", c, name, err)
+			}
+			if (c == None || c == Snappy) && &got[0] != &roomy[0] {
+				t.Errorf("%s/%s: output fit dst's capacity but was reallocated", c, name)
+			}
+		}
+	}
+}
+
 // TestSnappyDecodeHandBuilt pins the decoder against streams the greedy
 // encoder never emits: every copy form at short and long offsets,
 // overlapping runs at each small offset, and multi-byte literal lengths.

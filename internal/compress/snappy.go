@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // This file implements the Snappy block format from scratch:
@@ -37,11 +38,11 @@ const (
 	hashTableSize   = 1 << hashTableBits
 )
 
-// snappyEncode compresses src into a fresh buffer using a greedy LZ77
-// matcher with a 16k-entry hash table, mirroring the reference encoder's
-// fast path.
-func snappyEncode(src []byte) []byte {
-	dst := make([]byte, 0, len(src)/2+16)
+// snappyEncode compresses src, appending the block to dst, using a greedy
+// LZ77 matcher with a 16k-entry hash table, mirroring the reference
+// encoder's fast path.
+func snappyEncode(dst, src []byte) []byte {
+	dst = slices.Grow(dst, len(src)/2+16)
 	dst = appendUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
 		return dst

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -82,6 +83,35 @@ func BenchmarkBuilderAppendPage(b *testing.B) {
 		if benchSealed, err = builder.Seal(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var benchOrder []int
+
+// BenchmarkClusterOrder is one compaction's sort: 65,536 rows keyed by an
+// integer uniform in [0, 4096) (the radix sort's two passes), by a float
+// (up to eight passes) and by strings that share an 8-byte prefix (one
+// run of tied keys, sorted by comparison).
+func BenchmarkClusterOrder(b *testing.B) {
+	const n = benchBatchRows * benchBatches
+	rnd := rand.New(rand.NewSource(1))
+	ints, floats, strs := column.NewVector(types.Int64), column.NewVector(types.Float64), column.NewVector(types.String)
+	for i := 0; i < n; i++ {
+		ints.Ints = append(ints.Ints, rnd.Int63n(4096))
+		floats.Floats = append(floats.Floats, rnd.NormFloat64()*100)
+		strs.Strings = append(strs.Strings, fmt.Sprintf("sensor-%05d", rnd.Intn(n)))
+	}
+	for _, key := range []struct {
+		name string
+		vec  *column.Vector
+	}{{"int4096", ints}, {"float", floats}, {"prefixed_string", strs}} {
+		page := &column.Page{Vectors: []*column.Vector{key.vec}}
+		b.Run(key.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchOrder = clusterOrder(page, 0)
+			}
+		})
 	}
 }
 

@@ -58,12 +58,23 @@ func (b *ObjectBuilder) AppendRow(vals ...types.Value) error {
 	return b.w.WriteRow(vals...)
 }
 
-// AppendPage appends all rows of a page.
+// AppendPage appends all rows of a page. The distinct values are counted
+// on a goroutine of their own while the writer encodes: both only read
+// the page, and nothing else is shared.
 func (b *ObjectBuilder) AppendPage(p *column.Page) error {
-	if err := b.w.WritePage(p); err != nil {
+	if err := parquetlite.CheckPage(b.schema, p); err != nil {
 		return err
 	}
-	b.distinct.addPage(p)
+	counted := make(chan struct{})
+	go func() {
+		defer close(counted)
+		b.distinct.addPage(p)
+	}()
+	err := b.w.WritePage(p)
+	<-counted
+	if err != nil {
+		return err
+	}
 	b.rows += int64(p.NumRows())
 	for _, vec := range p.Vectors {
 		b.raw += 8 * int64(vec.Len())

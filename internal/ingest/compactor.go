@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -93,9 +92,14 @@ func (c *Compactor) RunOnce(ctx context.Context, schema, name string) (Compactio
 	if err != nil {
 		return res, err
 	}
+	cluster := c.clusterColumn(t)
+	ci := t.Columns.IndexOf(cluster)
+	if ci < 0 {
+		return res, fmt.Errorf("ingest: cluster column %q is not a column of %s.%s", cluster, schema, name)
+	}
 	cands := c.candidates(t)
 	if len(cands) >= 2 {
-		out, outBytes, err := c.merge(ctx, t, cands, schema, name)
+		out, outBytes, err := c.merge(ctx, t, cands, ci, schema, name)
 		if err != nil {
 			return res, err
 		}
@@ -130,47 +134,31 @@ func (c *Compactor) candidates(t *metastore.Table) []string {
 	return out
 }
 
-// merge reads the candidate objects, re-sorts their union by the
-// clustering key, writes the merged object under a fresh key and
-// commits the swap.
-func (c *Compactor) merge(ctx context.Context, t *metastore.Table, cands []string, schema, name string) (string, int64, error) {
-	allCols := make([]int, t.Columns.Len())
-	for i := range allCols {
-		allCols[i] = i
+// merge reads the candidate objects, re-sorts their union by column ci,
+// writes the merged object under a fresh key and commits the swap.
+func (c *Compactor) merge(ctx context.Context, t *metastore.Table, cands []string, ci int, schema, name string) (string, int64, error) {
+	sources, err := c.readSources(ctx, t, cands)
+	if err != nil {
+		return "", 0, err
 	}
-	readers := make([]*parquetlite.Reader, len(cands))
 	rows := 0
-	for i, key := range cands {
-		img, _, err := c.store.Get(ctx, t.Bucket, key)
-		if err != nil {
-			return "", 0, fmt.Errorf("ingest: compaction read %s/%s: %w", t.Bucket, key, err)
+	for _, pages := range sources {
+		for _, p := range pages {
+			rows += p.NumRows()
 		}
-		if readers[i], err = parquetlite.NewReader(img); err != nil {
-			return "", 0, err
-		}
-		rows += int(readers[i].NumRows())
 	}
 	page := column.NewPage(t.Columns)
 	page.Reserve(rows)
-	for _, r := range readers {
-		pages, err := r.ReadAll(allCols)
-		if err != nil {
-			return "", 0, err
-		}
+	for _, pages := range sources {
 		for _, p := range pages {
 			page.AppendPage(p)
 		}
 	}
-	// One output row group is gathered and appended at a time, so the
-	// sorted rows never exist as a second whole copy.
-	const groupRows = 4096
-	builder := NewObjectBuilder(t.Columns, parquetlite.WriterOptions{Codec: t.Codec, RowGroupSize: groupRows})
-	order := clusterOrder(page, t.Columns.IndexOf(c.clusterColumn(t)))
-	for from := 0; from < len(order); from += groupRows {
-		group := page.Gather(order[from:min(from+groupRows, len(order))])
-		if err := builder.AppendPage(group); err != nil {
-			return "", 0, err
-		}
+	// The sorted page is gathered whole, so the writer sees every output
+	// row group at once and encodes them on all cores.
+	builder := NewObjectBuilder(t.Columns, parquetlite.WriterOptions{Codec: t.Codec, RowGroupSize: 4096})
+	if err := builder.AppendPage(page.Gather(clusterOrder(page, ci))); err != nil {
+		return "", 0, err
 	}
 	sealed, err := builder.Seal()
 	if err != nil {
@@ -182,9 +170,49 @@ func (c *Compactor) merge(ctx context.Context, t *metastore.Table, cands []strin
 	}
 	add := metastore.ObjectAdd{Key: out, Bytes: sealed.Bytes, Rows: sealed.Rows, Stats: sealed.Stats}
 	if _, err := c.meta.CommitObjects(schema, name, []metastore.ObjectAdd{add}, cands); err != nil {
+		// The commit was refused (a candidate was removed meanwhile), so no
+		// catalog entry or tombstone will ever name the output: delete it
+		// now. If this delete fails too, the object is an orphan.
+		_ = c.store.Delete(ctx, t.Bucket, out)
 		return "", 0, err
 	}
 	return out, sealed.Bytes, nil
+}
+
+// readSources fetches and decodes the candidates concurrently, one
+// goroutine each (at most MaxMerge), and returns each one's pages in
+// candidate order. The first failure in candidate order is returned.
+func (c *Compactor) readSources(ctx context.Context, t *metastore.Table, cands []string) ([][]*column.Page, error) {
+	allCols := make([]int, t.Columns.Len())
+	for i := range allCols {
+		allCols[i] = i
+	}
+	sources := make([][]*column.Page, len(cands))
+	errs := make([]error, len(cands))
+	var wg sync.WaitGroup
+	for i, key := range cands {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			img, _, err := c.store.Get(ctx, t.Bucket, key)
+			if err != nil {
+				errs[i] = fmt.Errorf("ingest: compaction read %s/%s: %w", t.Bucket, key, err)
+				return
+			}
+			r, err := parquetlite.NewReader(img)
+			if err == nil {
+				sources[i], err = r.ReadAll(allCols)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return sources, nil
 }
 
 // clusterColumn names the column merged objects are sorted on, so that
@@ -213,18 +241,12 @@ type sortEntry struct {
 // first, then types.Compare's order on the value (for floats the total
 // order in which -0 equals +0 and every NaN is equal and greatest), ties
 // in input order — the order a stable sort under types.Compare gives.
-// When ci is not a column of the page the rows stay in input order.
 // Every compaction input is in ingest order, not cluster order, so there
-// is one typed sort and no merge of sorted runs.
+// is one sort and no merge of sorted runs: a radix sort on the keys, and
+// for strings a comparison sort of each run whose first eight bytes tie.
 func clusterOrder(page *column.Page, ci int) []int {
 	n := page.NumRows()
 	order := make([]int, 0, n)
-	if ci < 0 {
-		for i := 0; i < n; i++ {
-			order = append(order, i)
-		}
-		return order
-	}
 	vec := page.Vectors[ci]
 	ents := make([]sortEntry, 0, n)
 	for i := 0; i < n; i++ {
@@ -256,22 +278,74 @@ func clusterOrder(page *column.Page, ci int) []int {
 		}
 		ents = append(ents, sortEntry{key, i})
 	}
-	strs := vec.Strings
-	slices.SortFunc(ents, func(a, b sortEntry) int {
-		if a.key != b.key {
-			return cmp.Compare(a.key, b.key)
-		}
-		if strs != nil {
-			if c := strings.Compare(strs[a.row], strs[b.row]); c != 0 {
-				return c
-			}
-		}
-		return a.row - b.row
-	})
+	ents = radixSort(ents, make([]sortEntry, len(ents)))
+	if vec.Kind == types.String {
+		sortHeadRuns(ents, vec.Strings)
+	}
 	for _, e := range ents {
 		order = append(order, e.row)
 	}
 	return order
+}
+
+// radixSort sorts ents by key, stably, and returns the sorted slice,
+// which is either ents or tmp (as long as ents). It is an LSD radix sort:
+// one pass counts all eight key bytes, then each byte, lowest first,
+// scatters the entries by its value — except a byte that is the same in
+// every key, which would leave the order as it is and gets no pass. A
+// cluster key in [0, 4096), say, takes two passes.
+func radixSort(ents, tmp []sortEntry) []sortEntry {
+	var counts [8][256]int
+	for _, e := range ents {
+		k := e.key // unrolled: a loop over the eight bytes shifts by a variable and is slower
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	for b := range counts {
+		c := &counts[b]
+		if len(ents) == 0 || c[byte(ents[0].key>>(8*b))] == len(ents) {
+			continue
+		}
+		at := 0
+		for v, k := range c {
+			c[v], at = at, at+k
+		}
+		for _, e := range ents {
+			d := byte(e.key >> (8 * b))
+			tmp[c[d]] = e
+			c[d]++
+		}
+		ents, tmp = tmp, ents
+	}
+	return ents
+}
+
+// sortHeadRuns finishes a string column's order: after radixSort, each
+// run of entries whose keys (first eight bytes) tie is sorted by the full
+// string, ties by row, which is the input order the radix sort kept.
+func sortHeadRuns(ents []sortEntry, strs []string) {
+	byString := func(a, b sortEntry) int {
+		if c := strings.Compare(strs[a.row], strs[b.row]); c != 0 {
+			return c
+		}
+		return a.row - b.row
+	}
+	for lo := 0; lo < len(ents); {
+		hi := lo + 1
+		for hi < len(ents) && ents[hi].key == ents[lo].key {
+			hi++
+		}
+		if run := ents[lo:hi]; !slices.IsSortedFunc(run, byString) {
+			slices.SortFunc(run, byString)
+		}
+		lo = hi
+	}
 }
 
 // collectGarbage physically deletes tombstoned objects no outstanding

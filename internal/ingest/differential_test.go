@@ -2,10 +2,12 @@ package ingest
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -223,6 +225,33 @@ func TestBuilderMatchesRowWiseReference(t *testing.T) {
 	}
 }
 
+// TestRadixSortMatchesStableSort: radixSort orders (key, row) entries as a
+// stable comparison sort on the key does — for keys that all tie, keys
+// that differ only in the top byte or only in byte 0 (one scatter pass,
+// the other seven skipped), and random keys.
+func TestRadixSortMatchesStableSort(t *testing.T) {
+	rnd := rand.New(rand.NewSource(26))
+	keys := map[string]func() uint64{
+		"equal":    func() uint64 { return 0x0123456789abcdef },
+		"top byte": func() uint64 { return uint64(rnd.Intn(256))<<56 | 0x42 },
+		"byte 0":   func() uint64 { return 0x42<<56 | uint64(rnd.Intn(256)) },
+		"random":   func() uint64 { return rnd.Uint64() >> (8 * rnd.Intn(8)) },
+	}
+	for name, key := range keys {
+		for _, n := range []int{0, 1, 2, 255, 256, 4097, 65536} {
+			ents := make([]sortEntry, n)
+			for i := range ents {
+				ents[i] = sortEntry{key(), i}
+			}
+			want := slices.Clone(ents)
+			slices.SortStableFunc(want, func(a, b sortEntry) int { return cmp.Compare(a.key, b.key) })
+			if got := radixSort(ents, make([]sortEntry, n)); !slices.Equal(got, want) {
+				t.Fatalf("%s keys, n=%d: radix order differs from the stable sort's", name, n)
+			}
+		}
+	}
+}
+
 // TestCompactMatchesBoxedStableSort: with each kind as the cluster key,
 // NULL keys, duplicate keys, both zeros and several NaNs, the compacted
 // object is the image of the boxed stable sort — NULLs first, ties and
@@ -240,8 +269,11 @@ func TestCompactMatchesBoxedStableSort(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := 700*3 + rnd.Intn(700)
-			if trial == 0 {
+			switch trial {
+			case 0:
 				n = 4096 + 700 // the output has a second row group
+			case 1:
+				n = 3*4096 + 1000 // three whole groups, encoded by several workers, and a remainder
 			}
 			rows := randomRows(rnd, n)
 			if _, err := ing.Append(ctx, "default", "t", rows); err != nil {

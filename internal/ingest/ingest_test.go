@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,14 +17,15 @@ import (
 
 // fakeStore is an in-memory CompactorStore with injectable Put failures
 // (the killed-ingest scenario: the object never reaches storage, so the
-// commit must not happen either) and Delete failures (the next
-// failDeletes calls fail and delete nothing).
+// commit must not happen either), Delete failures (the next failDeletes
+// calls fail and delete nothing) and a hook every Get runs first.
 type fakeStore struct {
 	mu          sync.Mutex
 	objects     map[string][]byte
 	failPut     error
 	failDeletes int
 	deletes     int
+	onGet       func()
 }
 
 func newFakeStore() *fakeStore { return &fakeStore{objects: make(map[string][]byte)} }
@@ -41,6 +43,9 @@ func (s *fakeStore) Put(_ context.Context, bucket, key string, data []byte) erro
 func (s *fakeStore) Get(_ context.Context, bucket, key string) ([]byte, objstore.WorkStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.onGet != nil {
+		s.onGet()
+	}
 	data, ok := s.objects[bucket+"/"+key]
 	if !ok {
 		return nil, objstore.WorkStats{}, fmt.Errorf("fakeStore: no object %s/%s", bucket, key)
@@ -406,6 +411,55 @@ func TestCompactSkipsLargeObjects(t *testing.T) {
 	}
 	if len(res.Merged) != 0 || res.Output != "" {
 		t.Errorf("merged large objects: %+v", res)
+	}
+}
+
+// A compaction whose commit is refused — a candidate was removed between
+// the compactor's read and its commit — deletes the object it stored, so
+// nothing is left that no catalog entry or tombstone names.
+func TestCompactRefusedCommitDeletesOutput(t *testing.T) {
+	ing, ms, store := newTestIngester(t, 2)
+	ctx := context.Background()
+	if _, err := ing.Append(ctx, "default", "events", [][]types.Value{
+		intRow(1, "a"), intRow(2, "b"), intRow(3, "c"), intRow(4, "d"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := ms.Get("default", "events")
+	before := store.count()
+	var once sync.Once
+	store.onGet = func() {
+		once.Do(func() {
+			if _, err := ms.CommitObjects("default", "events", nil, tbl.Objects[:1]); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if _, err := NewCompactor(ms, store, CompactorOptions{}).RunOnce(ctx, "default", "events"); err == nil {
+		t.Fatal("compaction over a removed candidate committed")
+	}
+	if got := store.count(); got != before {
+		t.Errorf("store has %d objects after the refused commit, want %d", got, before)
+	}
+}
+
+// A ClusterBy that names no column fails the run before anything is
+// read or written, instead of leaving the output unclustered.
+func TestCompactUnknownClusterColumnFails(t *testing.T) {
+	ing, ms, store := newTestIngester(t, 2)
+	ctx := context.Background()
+	if _, err := ing.Append(ctx, "default", "events", [][]types.Value{
+		intRow(1, "a"), intRow(2, "b"), intRow(3, "c"), intRow(4, "d"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before, version := store.count(), ms.Version("default", "events")
+	_, err := NewCompactor(ms, store, CompactorOptions{ClusterBy: "nope"}).RunOnce(ctx, "default", "events")
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("RunOnce = %v, want an error naming the column", err)
+	}
+	if store.count() != before || ms.Version("default", "events") != version {
+		t.Errorf("failed run changed the store (%d objects, want %d) or the catalog", store.count(), before)
 	}
 }
 

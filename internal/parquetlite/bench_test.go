@@ -43,6 +43,27 @@ func BenchmarkWrite(b *testing.B) {
 	}
 }
 
+var benchImage []byte
+
+// BenchmarkWritePage is a compaction's write: one page of 16 whole
+// 4096-row Snappy groups, which the writer encodes on every core.
+func BenchmarkWritePage(b *testing.B) {
+	const group = 4096
+	schema, page := benchPage(16 * group)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := NewWriter(schema, WriterOptions{Codec: compress.Snappy, RowGroupSize: group})
+		if err := w.WritePage(page); err != nil {
+			b.Fatal(err)
+		}
+		var err error
+		if benchImage, err = w.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkReadAll(b *testing.B) {
 	schema, page := benchPage(10000)
 	data, err := WritePages(schema, WriterOptions{Codec: compress.Snappy, RowGroupSize: 2048}, page)

@@ -256,18 +256,27 @@ func randomPage(rnd *rand.Rand, n int) *column.Page {
 // TestWriterMatchesRowWiseReference: the typed, columnar writer produces
 // byte for byte the image the row-wise writer did — chunk bodies,
 // encodings, offsets and footer statistics — however the rows are cut
-// into pages.
+// into pages. The last trials cut them so that a page first completes a
+// pending group, then holds nine whole groups — the ones WritePage hands
+// to its workers — and then a remainder.
 func TestWriterMatchesRowWiseReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(18))
 	const group = 64
 	sizes := []int{0, 1, group - 1, group, group + 1, 2 * group, 3*group + 5, 300}
-	for trial := 0; trial < 240; trial++ {
+	for trial := 0; trial < 244; trial++ {
 		codec := compress.Codecs()[trial%2] // None and Snappy; the codec sees the same bytes either way
 		opts := WriterOptions{Codec: codec, RowGroupSize: group}
 		ref := newRefWriter(testSchema(), opts)
 		w := NewWriter(testSchema(), opts)
-		for pages := 1 + rnd.Intn(3); pages > 0; pages-- {
-			p := randomPage(rnd, sizes[rnd.Intn(len(sizes))])
+		cuts := []int{group/2 + 1, 9*group + group/2 + 1, 3 * group}
+		if trial < 240 {
+			cuts = cuts[:0]
+			for pages := 1 + rnd.Intn(3); pages > 0; pages-- {
+				cuts = append(cuts, sizes[rnd.Intn(len(sizes))])
+			}
+		}
+		for _, n := range cuts {
+			p := randomPage(rnd, n)
 			for i := 0; i < p.NumRows(); i++ {
 				ref.writeRow(p.Row(i)...)
 			}
