@@ -5,7 +5,7 @@ GO ?= go
 # refactors but fails the gate if tests are deleted wholesale.
 COVER_MIN ?= 80.0
 
-.PHONY: build test bench bench-build bench-paper faults faults-ingest fuzz-smoke determinism check \
+.PHONY: build test loc bench bench-build bench-paper faults faults-ingest fuzz-smoke determinism check \
 	gates vet-telemetry vet-pruning vet-cache vet-concurrency vet-join vet-ingest ci-fast ci-race ci cover
 
 build:
@@ -13,6 +13,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# loc prints the line counts simplicity work is measured by: non-test Go
+# outside bench/, Go tests outside bench/, and everything under bench/.
+loc:
+	@echo "non-test: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "bench:    $$(find ./bench -name '*.go' | xargs cat | wc -l)"
 
 # bench runs the kernel/operator microbenchmarks (vectorized expression
 # kernels, filter selectivity sweep, hash aggregation, sort/top-N, and
@@ -128,11 +135,13 @@ vet-telemetry:
 
 # vet-pruning guards the zone-map invariant: scan paths in the storage
 # executor and the OCS connector must decode only row groups that
-# survived statistics pruning. Any ReadAll/ReadRowGroup call site in
-# those packages needs an explicit `// vet-pruning:allow <reason>`
-# annotation, reserved for paths that genuinely cannot prune (the
-# post-prune keep-list iterations). The no-pushdown whole-object scan is
-# engine.ScanWholeObject, outside both packages.
+# survived statistics pruning. It forbids calls to the two whole-row-group
+# decoders, `ReadAll(` and `ReadRowGroup(`, in the non-test files of
+# internal/ocsserver and internal/connector/ocs, unless the line carries
+# `// vet-pruning:allow <reason>` (none does today). The per-chunk
+# `ReadColumn` the scan paths call over the post-prune keep list is not
+# matched. The no-pushdown whole-object scan is engine.ScanWholeObject,
+# outside both packages.
 vet-pruning:
 	@bad=$$(grep -n 'ReadAll(\|ReadRowGroup(' internal/ocsserver/*.go internal/connector/ocs/*.go 2>/dev/null \
 		| grep -v '_test.go' | grep -v 'vet-pruning:allow'); \

@@ -16,6 +16,7 @@ package analyzer
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"prestocs/internal/expr"
@@ -34,107 +35,39 @@ type Resolver interface {
 }
 
 // Analyze builds a logical plan for the statement. defaultCatalog is used
-// for unqualified table names.
+// for unqualified table names. The steps run in order, each over the plan
+// the previous one built: FROM (scopes, join, WHERE), the select list,
+// the aggregate, ORDER BY/LIMIT, and the output.
 func Analyze(stmt *sqlparser.SelectStmt, resolver Resolver, defaultCatalog string) (plan.Node, error) {
-	if len(stmt.Joins) > 1 {
-		return nil, fmt.Errorf("analyzer: at most one JOIN per query is supported")
-	}
 	a := &analysis{stmt: stmt}
-
-	resolveRef := func(ref sqlparser.TableRef) (string, *plan.TableScan, error) {
-		catalog := ref.Name.Schema
-		if catalog == "" {
-			catalog = defaultCatalog
-		}
-		handle, err := resolver.ResolveTable(catalog, ref.Name.Table)
-		if err != nil {
-			return "", nil, err
-		}
-		return catalog, &plan.TableScan{Catalog: catalog, Table: ref.Name.Table, Handle: handle}, nil
-	}
-
-	_, leftScan, err := resolveRef(stmt.From)
+	root, err := a.from(resolver, defaultCatalog)
 	if err != nil {
 		return nil, err
 	}
-	a.scopes = append(a.scopes, scope{
-		alias:  stmt.From.Alias,
-		table:  stmt.From.Name.Table,
-		schema: leftScan.Handle.ScanSchema(),
-		offset: 0,
-	})
-
-	var root plan.Node
-	if len(stmt.Joins) == 1 {
-		_, rightScan, err := resolveRef(stmt.Joins[0].Table)
-		if err != nil {
-			return nil, err
-		}
-		a.scopes = append(a.scopes, scope{
-			alias:  stmt.Joins[0].Table.Alias,
-			table:  stmt.Joins[0].Table.Name.Table,
-			schema: rightScan.Handle.ScanSchema(),
-			offset: a.scopes[0].schema.Len(),
-		})
-		a.baseSchema = combineSchemas(a.scopes[0].schema, a.scopes[1].schema)
-		root, err = a.buildJoin(leftScan, rightScan)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		a.baseSchema = leftScan.Handle.ScanSchema()
-		root = leftScan
-		// WHERE.
-		if stmt.Where != nil {
-			cond, err := a.resolveWhere()
-			if err != nil {
-				return nil, err
-			}
-			root = &plan.Filter{Input: root, Condition: cond}
-		}
+	items, names, err := a.selectList()
+	if err != nil {
+		return nil, err
 	}
-
-	hasAgg := len(stmt.GroupBy) > 0
-	for _, item := range stmt.Items {
-		if containsAggregate(item.Expr) {
-			hasAgg = true
-		}
+	if root, err = a.aggregate(root, items, names); err != nil {
+		return nil, err
 	}
-
-	var outNames []string
-	if hasAgg {
-		root, outNames, err = a.buildAggregation(root)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		root, outNames, err = a.buildProjection(root)
-		if err != nil {
-			return nil, err
-		}
+	if root, err = a.orderLimit(root, names); err != nil {
+		return nil, err
 	}
-
-	// ORDER BY against the projected output.
-	if len(stmt.OrderBy) > 0 {
-		keys, err := a.resolveOrderBy(root.OutputSchema(), outNames)
-		if err != nil {
-			return nil, err
-		}
-		root = &plan.Sort{Input: root, Keys: keys}
-	}
-	if stmt.Limit >= 0 {
-		root = &plan.Limit{Input: root, Count: stmt.Limit}
-	}
-	return &plan.Output{Input: root, Names: outNames}, nil
+	return &plan.Output{Input: root, Names: names}, nil
 }
 
 type analysis struct {
-	stmt       *sqlparser.SelectStmt
-	baseSchema *types.Schema
-	// scopes are the FROM-clause tables in source order; with a join the
-	// baseSchema is their column concatenation and each scope records its
-	// ordinal offset into it.
+	stmt *sqlparser.SelectStmt
+	// base is the column list every expression resolves against: the
+	// FROM-clause tables' columns concatenated in source order, each
+	// scope recording its ordinal offset into it.
+	base   []types.Column
 	scopes []scope
+	// measures are the aggregates the select list registered, in first-use
+	// order; measure i is referenced as ordinal len(base)+i until
+	// aggregate remaps it onto the Aggregate's output.
+	measures []measure
 }
 
 // scope is one FROM-clause table visible to name resolution.
@@ -155,17 +88,56 @@ func (s scope) matches(qualifier string) bool {
 	return strings.EqualFold(s.table, qualifier)
 }
 
-func combineSchemas(l, r *types.Schema) *types.Schema {
-	cols := make([]types.Column, 0, l.Len()+r.Len())
-	cols = append(cols, l.Columns...)
-	cols = append(cols, r.Columns...)
-	return types.NewSchema(cols...)
+// measure is one aggregate computation; avg arrives as a sum and a count.
+type measure struct {
+	fn   substrait.AggFunc
+	arg  expr.Expr // nil for count(*)
+	text string    // arg's rendering, the dedup key beside fn
 }
 
-// resolveWhere resolves the WHERE clause against the base schema and
+// from resolves the FROM clause into scopes and plans the scan below the
+// select list: one table filtered by WHERE, or a join with WHERE routed
+// by scope.
+func (a *analysis) from(resolver Resolver, defaultCatalog string) (plan.Node, error) {
+	if len(a.stmt.Joins) > 1 {
+		return nil, fmt.Errorf("analyzer: at most one JOIN per query is supported")
+	}
+	refs := []sqlparser.TableRef{a.stmt.From}
+	if len(a.stmt.Joins) == 1 {
+		refs = append(refs, a.stmt.Joins[0].Table)
+	}
+	var scans []*plan.TableScan
+	for _, ref := range refs {
+		catalog := ref.Name.Schema
+		if catalog == "" {
+			catalog = defaultCatalog
+		}
+		handle, err := resolver.ResolveTable(catalog, ref.Name.Table)
+		if err != nil {
+			return nil, err
+		}
+		schema := handle.ScanSchema()
+		a.scopes = append(a.scopes, scope{alias: ref.Alias, table: ref.Name.Table, schema: schema, offset: len(a.base)})
+		a.base = append(a.base, schema.Columns...)
+		scans = append(scans, &plan.TableScan{Catalog: catalog, Table: ref.Name.Table, Handle: handle})
+	}
+	if len(scans) == 2 {
+		return a.join(scans[0], scans[1])
+	}
+	if a.stmt.Where == nil {
+		return scans[0], nil
+	}
+	cond, err := a.resolveWhere()
+	if err != nil {
+		return nil, err
+	}
+	return &plan.Filter{Input: scans[0], Condition: cond}, nil
+}
+
+// resolveWhere resolves the WHERE clause against the base columns and
 // type-checks it to boolean.
 func (a *analysis) resolveWhere() (expr.Expr, error) {
-	cond, err := a.resolveScalar(a.stmt.Where, a.baseSchema)
+	cond, err := a.resolveScalar(a.stmt.Where, nil)
 	if err != nil {
 		return nil, fmt.Errorf("analyzer: WHERE: %w", err)
 	}
@@ -176,16 +148,16 @@ func (a *analysis) resolveWhere() (expr.Expr, error) {
 	return cond, nil
 }
 
-// buildJoin plans `FROM left JOIN right ON ...` with the WHERE clause
+// join plans `FROM left JOIN right ON ...` with the WHERE clause
 // split by scope: conjuncts touching only one table become a Filter
 // directly above that table's scan (so connector pushdown sees them),
 // mixed conjuncts filter above the join. The ON clause must be a
 // conjunction of equality comparisons between one column from each side.
-func (a *analysis) buildJoin(probe, build *plan.TableScan) (plan.Node, error) {
-	leftWidth := a.scopes[0].schema.Len()
+func (a *analysis) join(probe, build *plan.TableScan) (plan.Node, error) {
+	leftWidth := a.scopes[1].offset
 
 	// ON: extract positionally-paired equi-keys.
-	on, err := a.resolveScalar(a.stmt.Joins[0].On, a.baseSchema)
+	on, err := a.resolveScalar(a.stmt.Joins[0].On, nil)
 	if err != nil {
 		return nil, fmt.Errorf("analyzer: ON: %w", err)
 	}
@@ -220,8 +192,8 @@ func (a *analysis) buildJoin(probe, build *plan.TableScan) (plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		buildRemap := make(map[int]int, a.scopes[1].schema.Len())
-		for i := 0; i < a.scopes[1].schema.Len(); i++ {
+		buildRemap := make(map[int]int, len(a.base)-leftWidth)
+		for i := 0; i < len(a.base)-leftWidth; i++ {
 			buildRemap[leftWidth+i] = i
 		}
 		for _, c := range expr.Conjuncts(cond) {
@@ -270,311 +242,170 @@ func (a *analysis) buildJoin(probe, build *plan.TableScan) (plan.Node, error) {
 	return root, nil
 }
 
-// buildProjection handles non-aggregate selects.
-func (a *analysis) buildProjection(input plan.Node) (plan.Node, []string, error) {
+// selectList resolves every select item against the base columns in one
+// pass. `*` expands to every base column in order; an aggregate call
+// registers its measures and resolves to placeholder refs (aggregateRef).
+func (a *analysis) selectList() ([]expr.Expr, []string, error) {
 	var exprs []expr.Expr
 	var names []string
 	for _, item := range a.stmt.Items {
-		// `SELECT *` expands to every base-schema column in order.
 		if _, isStar := item.Expr.(*sqlparser.Star); isStar {
-			for i, c := range a.baseSchema.Columns {
+			for i, c := range a.base {
 				exprs = append(exprs, expr.Col(i, c.Name, c.Type))
 				names = append(names, c.Name)
 			}
 			continue
 		}
-		e, err := a.resolveScalar(item.Expr, a.baseSchema)
+		e, err := a.resolveScalar(item.Expr, &a.measures)
 		if err != nil {
 			return nil, nil, err
 		}
-		exprs = append(exprs, expr.FoldConstants(e))
+		exprs = append(exprs, e)
 		names = append(names, itemName(item))
 	}
-	return &plan.Project{Input: input, Expressions: exprs, Names: names}, names, nil
+	return exprs, names, nil
 }
 
-// aggKey dedups measures by function + argument text.
-type aggKey struct {
-	fn  substrait.AggFunc
-	arg string
+// aggregateRef resolves an aggregate call in the select list. The
+// argument is resolved with no measure list, so a nested aggregate is an
+// error. The call becomes a ref to its measure, and avg becomes
+// CAST(sum AS DOUBLE) / CAST(count AS DOUBLE) over two.
+func (a *analysis) aggregateRef(call *sqlparser.FuncCall, measures *[]measure) (expr.Expr, error) {
+	fn, ok := aggFuncName(call.Name)
+	if !ok {
+		return nil, fmt.Errorf("analyzer: unknown function %q", call.Name)
+	}
+	if len(call.Args) != 1 {
+		return nil, fmt.Errorf("analyzer: %s takes one argument", call.Name)
+	}
+	if _, isStar := call.Args[0].(*sqlparser.Star); isStar {
+		if fn != "count" {
+			return nil, fmt.Errorf("analyzer: %s(*) is not valid", call.Name)
+		}
+		return a.measureRef(measures, substrait.AggCountStar, nil), nil
+	}
+	arg, err := a.resolveScalar(call.Args[0], nil)
+	if err != nil {
+		return nil, err
+	}
+	arg = expr.FoldConstants(arg)
+	if fn == "avg" {
+		if !arg.Type().Numeric() {
+			return nil, fmt.Errorf("analyzer: avg over %s", arg.Type())
+		}
+		sum := a.measureRef(measures, substrait.AggSum, arg)
+		count := a.measureRef(measures, substrait.AggCount, arg)
+		return expr.NewArith(expr.Div,
+			&expr.Cast{E: sum, To: types.Float64},
+			&expr.Cast{E: count, To: types.Float64})
+	}
+	if _, err := substrait.AggFunc(fn).ResultKind(arg.Type()); err != nil {
+		return nil, err
+	}
+	return a.measureRef(measures, substrait.AggFunc(fn), arg), nil
 }
 
-// buildAggregation handles aggregate selects: optional pre-projection,
-// single-step Aggregate, then the final projection computing the select
-// list (including avg division) over keys+measures.
-func (a *analysis) buildAggregation(input plan.Node) (plan.Node, []string, error) {
-	// Resolve group keys against the base schema; they must be columns.
+// measureRef registers fn(arg) in measures unless the same function over
+// the same argument text is already there, and returns the placeholder
+// ref for it: ordinal len(base)+i, named $agg<i>, of the measure's result
+// kind.
+func (a *analysis) measureRef(measures *[]measure, fn substrait.AggFunc, arg expr.Expr) *expr.ColumnRef {
+	m := measure{fn: fn, arg: arg}
+	inKind := types.Int64
+	if arg != nil {
+		m.text, inKind = arg.String(), arg.Type()
+	}
+	i := slices.IndexFunc(*measures, func(o measure) bool { return o.fn == m.fn && o.text == m.text })
+	if i < 0 {
+		i = len(*measures)
+		*measures = append(*measures, m)
+	}
+	kind, _ := fn.ResultKind(inKind) // Unknown on error, as in plan.AggregateSchema
+	return expr.Col(len(a.base)+i, fmt.Sprintf("$agg%d", i), kind)
+}
+
+// aggregate puts the resolved select list over root. A query with no
+// measure and no GROUP BY is one Project of the folded items. Otherwise
+// it plans a single-step Aggregate — behind a pre-projection when some
+// measure argument is not a bare column — and a final Project: the select
+// list remapped onto the Aggregate's output, group-key ordinals to
+// 0..k-1 and measure placeholders len(base)+i to k+i.
+func (a *analysis) aggregate(root plan.Node, items []expr.Expr, names []string) (plan.Node, error) {
+	if len(a.measures) == 0 && len(a.stmt.GroupBy) == 0 {
+		for i, e := range items {
+			items[i] = expr.FoldConstants(e)
+		}
+		return &plan.Project{Input: root, Expressions: items, Names: names}, nil
+	}
 	var keyCols []*expr.ColumnRef
 	for _, g := range a.stmt.GroupBy {
-		e, err := a.resolveScalar(g, a.baseSchema)
+		e, err := a.resolveScalar(g, nil)
 		if err != nil {
-			return nil, nil, fmt.Errorf("analyzer: GROUP BY: %w", err)
+			return nil, fmt.Errorf("analyzer: GROUP BY: %w", err)
 		}
 		col, ok := e.(*expr.ColumnRef)
 		if !ok {
-			return nil, nil, fmt.Errorf("analyzer: GROUP BY supports columns only, got %s", e)
+			return nil, fmt.Errorf("analyzer: GROUP BY supports columns only, got %s", e)
 		}
 		keyCols = append(keyCols, col)
 	}
 
-	// Collect aggregate calls and their argument expressions.
-	type pendingAgg struct {
-		fn  substrait.AggFunc
-		arg expr.Expr // nil for count(*)
+	agg := &plan.Aggregate{Input: root, Step: plan.AggSingle}
+	var pre *plan.Project
+	if slices.ContainsFunc(a.measures, func(m measure) bool {
+		_, col := m.arg.(*expr.ColumnRef)
+		return m.arg != nil && !col
+	}) {
+		pre = &plan.Project{Input: root}
+		agg.Input = pre
 	}
-	var pending []pendingAgg
-	measureOf := map[aggKey]int{} // -> measure index
-
-	addAgg := func(fn substrait.AggFunc, arg expr.Expr) int {
-		key := aggKey{fn: fn, arg: ""}
-		if arg != nil {
-			key.arg = arg.String()
+	// place returns the Aggregate-input ordinal of a key or measure
+	// argument: its base ordinal when the Aggregate reads root directly,
+	// else the pre-projection column it is appended as.
+	place := func(e expr.Expr, name string) int {
+		if pre == nil {
+			return e.(*expr.ColumnRef).Index
 		}
-		if idx, ok := measureOf[key]; ok {
-			return idx
-		}
-		idx := len(pending)
-		measureOf[key] = idx
-		pending = append(pending, pendingAgg{fn: fn, arg: arg})
-		return idx
-	}
-
-	// First pass over select items: register measures (with avg split
-	// into sum+count).
-	type itemPlan struct {
-		node sqlparser.Node
-		name string
-	}
-	items := make([]itemPlan, len(a.stmt.Items))
-	for i, item := range a.stmt.Items {
-		items[i] = itemPlan{node: item.Expr, name: itemName(item)}
-		if err := a.registerAggs(item.Expr, addAgg); err != nil {
-			return nil, nil, err
-		}
+		pre.Expressions = append(pre.Expressions, e)
+		pre.Names = append(pre.Names, name)
+		return len(pre.Expressions) - 1
 	}
 
-	// Decide whether a pre-aggregation projection is needed: any measure
-	// argument that is not a bare column.
-	needsProject := false
-	for _, p := range pending {
-		if p.arg == nil {
-			continue
+	final := make(map[int]int, len(keyCols)+len(a.measures))
+	for i, k := range keyCols {
+		if _, dup := final[k.Index]; !dup {
+			final[k.Index] = i
 		}
-		if _, ok := p.arg.(*expr.ColumnRef); !ok {
-			needsProject = true
+		agg.Keys = append(agg.Keys, place(k, k.Name))
+	}
+	for i, m := range a.measures {
+		final[len(a.base)+i] = len(keyCols) + i
+		sm := substrait.Measure{Func: m.fn, Arg: -1, Name: fmt.Sprintf("$agg%d", i)}
+		if m.arg != nil {
+			sm.Arg = place(m.arg, fmt.Sprintf("$arg%d", i))
 		}
+		agg.Measures = append(agg.Measures, sm)
 	}
 
-	var aggInput plan.Node
-	var keys []int
-	var measures []substrait.Measure
-	if needsProject {
-		// Pre-project: group keys first, then one column per measure arg.
-		var pexprs []expr.Expr
-		var pnames []string
-		for _, k := range keyCols {
-			pexprs = append(pexprs, k)
-			pnames = append(pnames, k.Name)
-		}
-		for i, p := range pending {
-			if p.arg == nil {
-				continue
+	for i, e := range items {
+		for _, idx := range expr.ReferencedColumns(e) {
+			if _, ok := final[idx]; !ok {
+				return nil, fmt.Errorf("analyzer: column %q must appear in GROUP BY or inside an aggregate", a.base[idx].Name)
 			}
-			pexprs = append(pexprs, p.arg)
-			pnames = append(pnames, fmt.Sprintf("$arg%d", i))
 		}
-		aggInput = &plan.Project{Input: input, Expressions: pexprs, Names: pnames}
-		for i := range keyCols {
-			keys = append(keys, i)
-		}
-		argPos := len(keyCols)
-		for i, p := range pending {
-			m := substrait.Measure{Func: p.fn, Arg: -1, Name: fmt.Sprintf("$agg%d", i)}
-			if p.arg != nil {
-				m.Arg = argPos
-				argPos++
-			}
-			measures = append(measures, m)
-		}
-	} else {
-		aggInput = input
-		for _, k := range keyCols {
-			keys = append(keys, k.Index)
-		}
-		for i, p := range pending {
-			m := substrait.Measure{Func: p.fn, Arg: -1, Name: fmt.Sprintf("$agg%d", i)}
-			if p.arg != nil {
-				m.Arg = p.arg.(*expr.ColumnRef).Index
-			}
-			measures = append(measures, m)
+		var err error
+		if items[i], err = expr.Remap(e, final); err != nil {
+			return nil, err
 		}
 	}
-	if len(keys) == 0 && len(measures) == 0 {
-		return nil, nil, fmt.Errorf("analyzer: aggregation without keys or measures")
-	}
-	agg := &plan.Aggregate{Input: aggInput, Keys: keys, Measures: measures, Step: plan.AggSingle}
-	aggSchema := agg.OutputSchema()
-
-	// Final projection: rewrite each select item over keys+measures.
-	var fexprs []expr.Expr
-	var fnames []string
-	for _, item := range items {
-		e, err := a.rewriteOverAgg(item.node, aggSchema, keyCols, measureOf, len(keyCols))
-		if err != nil {
-			return nil, nil, err
-		}
-		fexprs = append(fexprs, e)
-		fnames = append(fnames, item.name)
-	}
-	final := &plan.Project{Input: agg, Expressions: fexprs, Names: fnames}
-	return final, fnames, nil
+	return &plan.Project{Input: agg, Expressions: items, Names: names}, nil
 }
 
-// registerAggs walks a select item registering aggregate measures.
-func (a *analysis) registerAggs(node sqlparser.Node, addAgg func(substrait.AggFunc, expr.Expr) int) error {
-	switch t := node.(type) {
-	case *sqlparser.FuncCall:
-		fn, ok := aggFuncName(t.Name)
-		if !ok {
-			return fmt.Errorf("analyzer: unknown function %q", t.Name)
-		}
-		if len(t.Args) != 1 {
-			return fmt.Errorf("analyzer: %s takes one argument", t.Name)
-		}
-		if _, isStar := t.Args[0].(*sqlparser.Star); isStar {
-			if fn != "count" {
-				return fmt.Errorf("analyzer: %s(*) is not valid", t.Name)
-			}
-			addAgg(substrait.AggCountStar, nil)
-			return nil
-		}
-		arg, err := a.resolveScalar(t.Args[0], a.baseSchema)
-		if err != nil {
-			return err
-		}
-		arg = expr.FoldConstants(arg)
-		if fn == "avg" {
-			if !arg.Type().Numeric() {
-				return fmt.Errorf("analyzer: avg over %s", arg.Type())
-			}
-			addAgg(substrait.AggSum, arg)
-			addAgg(substrait.AggCount, arg)
-			return nil
-		}
-		if _, err := substrait.AggFunc(fn).ResultKind(arg.Type()); err != nil {
-			return err
-		}
-		addAgg(substrait.AggFunc(fn), arg)
-		return nil
-	case *sqlparser.Binary:
-		if err := a.registerAggs(t.L, addAgg); err != nil {
-			return err
-		}
-		return a.registerAggs(t.R, addAgg)
-	case *sqlparser.Unary:
-		return a.registerAggs(t.E, addAgg)
-	case *sqlparser.CastNode:
-		return a.registerAggs(t.E, addAgg)
-	default:
-		return nil
-	}
-}
-
-// rewriteOverAgg converts a select-item AST into an expression over the
-// aggregate output schema (keys then measures).
-func (a *analysis) rewriteOverAgg(node sqlparser.Node, aggSchema *types.Schema, keyCols []*expr.ColumnRef, measureOf map[aggKey]int, numKeys int) (expr.Expr, error) {
-	switch t := node.(type) {
-	case *sqlparser.FuncCall:
-		fn, ok := aggFuncName(t.Name)
-		if !ok {
-			return nil, fmt.Errorf("analyzer: unknown function %q", t.Name)
-		}
-		if _, isStar := t.Args[0].(*sqlparser.Star); isStar {
-			idx := measureOf[aggKey{fn: substrait.AggCountStar}]
-			return colOverAgg(aggSchema, numKeys+idx), nil
-		}
-		arg, err := a.resolveScalar(t.Args[0], a.baseSchema)
-		if err != nil {
-			return nil, err
-		}
-		arg = expr.FoldConstants(arg)
-		argText := arg.String()
-		if fn == "avg" {
-			sumIdx := measureOf[aggKey{fn: substrait.AggSum, arg: argText}]
-			cntIdx := measureOf[aggKey{fn: substrait.AggCount, arg: argText}]
-			sumCol := colOverAgg(aggSchema, numKeys+sumIdx)
-			cntCol := colOverAgg(aggSchema, numKeys+cntIdx)
-			// avg = CAST(sum AS DOUBLE) / CAST(count AS DOUBLE).
-			return expr.NewArith(expr.Div,
-				&expr.Cast{E: sumCol, To: types.Float64},
-				&expr.Cast{E: cntCol, To: types.Float64})
-		}
-		idx, ok := measureOf[aggKey{fn: substrait.AggFunc(fn), arg: argText}]
-		if !ok {
-			return nil, fmt.Errorf("analyzer: internal: measure %s(%s) not registered", fn, argText)
-		}
-		return colOverAgg(aggSchema, numKeys+idx), nil
-	case *sqlparser.Ident:
-		// Match by resolved base-schema ordinal, not by name: with a join
-		// in scope, two tables can both have the column and only the
-		// qualifier disambiguates which one was grouped on.
-		ref, err := a.resolveScalar(t, a.baseSchema)
-		if err != nil {
-			return nil, err
-		}
-		col, ok := ref.(*expr.ColumnRef)
-		if !ok {
-			return nil, fmt.Errorf("analyzer: internal: ident %s resolved to %T", t, ref)
-		}
-		for i, k := range keyCols {
-			if k.Index == col.Index {
-				return colOverAgg(aggSchema, i), nil
-			}
-		}
-		return nil, fmt.Errorf("analyzer: column %q must appear in GROUP BY or inside an aggregate", t.String())
-	case *sqlparser.Binary:
-		l, err := a.rewriteOverAgg(t.L, aggSchema, keyCols, measureOf, numKeys)
-		if err != nil {
-			return nil, err
-		}
-		r, err := a.rewriteOverAgg(t.R, aggSchema, keyCols, measureOf, numKeys)
-		if err != nil {
-			return nil, err
-		}
-		return combineBinary(t.Op, l, r)
-	case *sqlparser.Unary:
-		inner, err := a.rewriteOverAgg(t.E, aggSchema, keyCols, measureOf, numKeys)
-		if err != nil {
-			return nil, err
-		}
-		return combineUnary(t.Op, inner)
-	case *sqlparser.CastNode:
-		inner, err := a.rewriteOverAgg(t.E, aggSchema, keyCols, measureOf, numKeys)
-		if err != nil {
-			return nil, err
-		}
-		kind, err := types.ParseKind(t.TypeName)
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Cast{E: inner, To: kind}, nil
-	case *sqlparser.NumberLit, *sqlparser.StringLit, *sqlparser.BoolLit, *sqlparser.NullLit, *sqlparser.DateLit, *sqlparser.IntervalLit:
-		return a.resolveScalar(node, types.NewSchema())
-	default:
-		return nil, fmt.Errorf("analyzer: unsupported expression %T in aggregate select", node)
-	}
-}
-
-func colOverAgg(schema *types.Schema, ordinal int) *expr.ColumnRef {
-	c := schema.Columns[ordinal]
-	return expr.Col(ordinal, c.Name, c.Type)
-}
-
-// resolveOrderBy maps each ORDER BY expression to an output ordinal: a
-// select alias, a select-item name or a bare 1-based position.
-func (a *analysis) resolveOrderBy(outSchema *types.Schema, outNames []string) ([]plan.SortKey, error) {
+// orderLimit adds ORDER BY, resolved against the output names (a select
+// alias, a select-item name or a bare 1-based position), and LIMIT.
+func (a *analysis) orderLimit(root plan.Node, names []string) (plan.Node, error) {
 	byName := map[string]int{}
-	for i, n := range outNames {
+	for i, n := range names {
 		byName[strings.ToLower(n)] = i
 	}
 	var keys []plan.SortKey
@@ -592,7 +423,7 @@ func (a *analysis) resolveOrderBy(outSchema *types.Schema, outNames []string) ([
 			}
 		case *sqlparser.NumberLit:
 			var n int
-			if _, err := fmt.Sscanf(t.Text, "%d", &n); err == nil && n >= 1 && n <= outSchema.Len() {
+			if _, err := fmt.Sscanf(t.Text, "%d", &n); err == nil && n >= 1 && n <= len(names) {
 				ordinal = n - 1
 			}
 		}
@@ -601,32 +432,27 @@ func (a *analysis) resolveOrderBy(outSchema *types.Schema, outNames []string) ([
 		}
 		keys = append(keys, plan.SortKey{Column: ordinal, Descending: item.Desc})
 	}
-	return keys, nil
+	if len(keys) > 0 {
+		root = &plan.Sort{Input: root, Keys: keys}
+	}
+	if a.stmt.Limit >= 0 {
+		root = &plan.Limit{Input: root, Count: a.stmt.Limit}
+	}
+	return root, nil
 }
 
-// resolveScalar converts a non-aggregate AST expression against a schema.
-func (a *analysis) resolveScalar(node sqlparser.Node, schema *types.Schema) (expr.Expr, error) {
+// resolveScalar converts an AST expression against the base columns.
+// measures is the aggregate hook: nil where an aggregate is not allowed,
+// else the list an aggregate call registers its measures in (see
+// aggregateRef).
+func (a *analysis) resolveScalar(node sqlparser.Node, measures *[]measure) (expr.Expr, error) {
 	switch t := node.(type) {
 	case *sqlparser.Ident:
-		// Against the base schema, resolution is scope-aware: qualifiers
-		// select a FROM-clause table and unqualified names must be
-		// unambiguous across them. Derived schemas (aggregate outputs)
-		// have a single namespace.
-		if schema == a.baseSchema && len(a.scopes) > 0 {
-			idx, err := a.resolveInScopes(t)
-			if err != nil {
-				return nil, err
-			}
-			return expr.Col(idx, schema.Columns[idx].Name, schema.Columns[idx].Type), nil
+		idx, err := a.resolveInScopes(t)
+		if err != nil {
+			return nil, err
 		}
-		if t.Qualifier != "" {
-			return nil, fmt.Errorf("analyzer: qualified column %s not allowed here", t)
-		}
-		idx := indexIn(schema, t.Name)
-		if idx < 0 {
-			return nil, fmt.Errorf("analyzer: unknown column %q", t.Name)
-		}
-		return expr.Col(idx, schema.Columns[idx].Name, schema.Columns[idx].Type), nil
+		return expr.Col(idx, a.base[idx].Name, a.base[idx].Type), nil
 	case *sqlparser.NumberLit:
 		if strings.ContainsAny(t.Text, ".eE") {
 			v, err := types.ParseValue(t.Text, types.Float64)
@@ -656,31 +482,31 @@ func (a *analysis) resolveScalar(node sqlparser.Node, schema *types.Schema) (exp
 		// Interval-days participate in date arithmetic as plain integers.
 		return expr.Lit(types.IntValue(t.Days)), nil
 	case *sqlparser.Binary:
-		l, err := a.resolveScalar(t.L, schema)
+		l, err := a.resolveScalar(t.L, measures)
 		if err != nil {
 			return nil, err
 		}
-		r, err := a.resolveScalar(t.R, schema)
+		r, err := a.resolveScalar(t.R, measures)
 		if err != nil {
 			return nil, err
 		}
 		return combineBinary(t.Op, l, r)
 	case *sqlparser.Unary:
-		inner, err := a.resolveScalar(t.E, schema)
+		inner, err := a.resolveScalar(t.E, measures)
 		if err != nil {
 			return nil, err
 		}
 		return combineUnary(t.Op, inner)
 	case *sqlparser.BetweenNode:
-		e, err := a.resolveScalar(t.E, schema)
+		e, err := a.resolveScalar(t.E, measures)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := a.resolveScalar(t.Lo, schema)
+		lo, err := a.resolveScalar(t.Lo, measures)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := a.resolveScalar(t.Hi, schema)
+		hi, err := a.resolveScalar(t.Hi, measures)
 		if err != nil {
 			return nil, err
 		}
@@ -693,13 +519,13 @@ func (a *analysis) resolveScalar(node sqlparser.Node, schema *types.Schema) (exp
 		}
 		return b, nil
 	case *sqlparser.IsNullNode:
-		e, err := a.resolveScalar(t.E, schema)
+		e, err := a.resolveScalar(t.E, measures)
 		if err != nil {
 			return nil, err
 		}
 		return &expr.IsNull{E: e, Negate: t.Negate}, nil
 	case *sqlparser.CastNode:
-		e, err := a.resolveScalar(t.E, schema)
+		e, err := a.resolveScalar(t.E, measures)
 		if err != nil {
 			return nil, err
 		}
@@ -709,7 +535,10 @@ func (a *analysis) resolveScalar(node sqlparser.Node, schema *types.Schema) (exp
 		}
 		return &expr.Cast{E: e, To: kind}, nil
 	case *sqlparser.FuncCall:
-		return nil, fmt.Errorf("analyzer: aggregate %q not allowed here", t.Name)
+		if measures == nil {
+			return nil, fmt.Errorf("analyzer: aggregate %q not allowed here", t.Name)
+		}
+		return a.aggregateRef(t, measures)
 	case *sqlparser.Star:
 		return nil, fmt.Errorf("analyzer: * not allowed here")
 	default:
@@ -806,24 +635,6 @@ func combineUnary(op string, e expr.Expr) (expr.Expr, error) {
 		return expr.NewArith(expr.Sub, expr.Lit(types.IntValue(0)), e)
 	default:
 		return nil, fmt.Errorf("analyzer: unknown unary %q", op)
-	}
-}
-
-func containsAggregate(node sqlparser.Node) bool {
-	switch t := node.(type) {
-	case *sqlparser.FuncCall:
-		_, ok := aggFuncName(t.Name)
-		return ok
-	case *sqlparser.Binary:
-		return containsAggregate(t.L) || containsAggregate(t.R)
-	case *sqlparser.Unary:
-		return containsAggregate(t.E)
-	case *sqlparser.BetweenNode:
-		return containsAggregate(t.E) || containsAggregate(t.Lo) || containsAggregate(t.Hi)
-	case *sqlparser.CastNode:
-		return containsAggregate(t.E)
-	default:
-		return false
 	}
 }
 

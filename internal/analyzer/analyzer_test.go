@@ -121,17 +121,53 @@ func TestAvgDecomposition(t *testing.T) {
 	}
 }
 
-func TestSharedAggregateDeduped(t *testing.T) {
-	// sum(e) and avg(e) share the sum measure.
-	root := analyze(t, "SELECT sum(e) AS s, avg(e) AS a, count(e) AS c FROM mesh")
+// finalProject returns the aggregate query's Aggregate and the Project
+// that computes its select list.
+func finalProject(t *testing.T, root plan.Node) (*plan.Aggregate, *plan.Project) {
+	t.Helper()
 	var agg *plan.Aggregate
 	plan.Walk(root, func(n plan.Node) {
 		if a, ok := n.(*plan.Aggregate); ok {
 			agg = a
 		}
 	})
+	proj, ok := root.(*plan.Output).Input.(*plan.Project)
+	if agg == nil || !ok || proj.Input != agg {
+		t.Fatalf("want Output → Project → Aggregate:\n%s", plan.Format(root))
+	}
+	return agg, proj
+}
+
+func TestSharedAggregateDeduped(t *testing.T) {
+	// avg(e) is sum(e) and count(e); beside both it adds no measure, and
+	// each item reads the shared ones.
+	agg, proj := finalProject(t, analyze(t, "SELECT sum(e) AS s, avg(e) AS a, count(e) AS c FROM mesh"))
+	if len(agg.Measures) != 2 || agg.Measures[0].Func != "sum" || agg.Measures[1].Func != "count" {
+		t.Fatalf("measures should dedupe to sum+count, got %+v", agg.Measures)
+	}
+	want := []string{"$agg0", "(CAST($agg0 AS DOUBLE) / CAST($agg1 AS DOUBLE))", "$agg1"}
+	for i, e := range proj.Expressions {
+		if e.String() != want[i] {
+			t.Errorf("item %d = %s, want %s", i, e, want[i])
+		}
+	}
+	if refs := expr.ReferencedColumns(proj.Expressions[1]); fmt.Sprint(refs) != "[0 1]" {
+		t.Errorf("avg reads ordinals %v, want [0 1]", refs)
+	}
+}
+
+func TestSameAggregateTwiceInOneItem(t *testing.T) {
+	agg, proj := finalProject(t, analyze(t, "SELECT vertex_id, max(x * 2) - max(x * 2) / sum(e) AS d FROM mesh GROUP BY vertex_id"))
 	if len(agg.Measures) != 2 {
-		t.Errorf("measures should dedupe to sum+count, got %+v", agg.Measures)
+		t.Fatalf("measures = %+v, want max and sum once each", agg.Measures)
+	}
+	if refs := expr.ReferencedColumns(proj.Expressions[1]); fmt.Sprint(refs) != "[1 2]" {
+		t.Errorf("item reads ordinals %v, want [1 2] (key at 0)", refs)
+	}
+	// x*2 is not a bare column, so a pre-projection computes it once per
+	// measure that reads it.
+	if pre, ok := agg.Input.(*plan.Project); !ok || len(pre.Expressions) != 3 {
+		t.Errorf("aggregate input = %s, want a pre-projection of key, x*2 and e", agg.Input.Describe())
 	}
 }
 
@@ -239,24 +275,35 @@ func TestDefaultCatalog(t *testing.T) {
 }
 
 func TestAnalyzerErrors(t *testing.T) {
-	cases := []string{
-		"SELECT nope FROM mesh",
-		"SELECT x FROM nosuch",
-		"SELECT x FROM other.mesh",
-		"SELECT x FROM mesh WHERE e",                         // non-boolean WHERE
-		"SELECT sum(returnflag) AS s FROM tpch.lineitem",     // sum over varchar
-		"SELECT x FROM mesh GROUP BY x + 1",                  // non-column group key
-		"SELECT x, min(e) AS m FROM mesh GROUP BY vertex_id", // x not grouped
-		"SELECT stddev(x) AS s FROM mesh",                    // unknown function
-		"SELECT min(x, e) AS m FROM mesh",                    // arity
-		"SELECT avg(returnflag) AS a FROM tpch.lineitem",     // avg over varchar
-		"SELECT sum(*) AS s FROM mesh",                       // * outside count
-		"SELECT x FROM mesh ORDER BY nope",
-		"SELECT x FROM mesh WHERE x + 1",   // non-bool predicate
-		"SELECT x FROM mesh WHERE x = 'a'", // type mismatch
+	cases := []struct{ sql, want string }{
+		{"SELECT nope FROM mesh", "unknown column"},
+		{"SELECT x FROM nosuch", ""},
+		{"SELECT x FROM other.mesh", ""},
+		{"SELECT x FROM mesh WHERE e", ""},                                                // non-boolean WHERE
+		{"SELECT sum(returnflag) AS s FROM tpch.lineitem", ""},                            // sum over varchar
+		{"SELECT x FROM mesh GROUP BY x + 1", "columns only"},                             // non-column group key
+		{"SELECT x, min(e) AS m FROM mesh GROUP BY vertex_id", "must appear in GROUP BY"}, // x not grouped
+		{"SELECT stddev(x) AS s FROM mesh", "unknown function"},
+		{"SELECT min(x, e) AS m FROM mesh", "one argument"},
+		{"SELECT avg(returnflag) AS a FROM tpch.lineitem", "avg over"},
+		{"SELECT sum(*) AS s FROM mesh", "is not valid"},
+		{"SELECT x FROM mesh ORDER BY nope", ""},
+		{"SELECT x FROM mesh WHERE x + 1", ""},   // non-bool predicate
+		{"SELECT x FROM mesh WHERE x = 'a'", ""}, // type mismatch
+		// An aggregate's argument and every clause but the select list
+		// resolve with no measure list, so an aggregate there is refused.
+		{"SELECT sum(max(x)) AS s FROM mesh", `aggregate "max" not allowed`},
+		{"SELECT x FROM mesh WHERE sum(e) > 1", `aggregate "sum" not allowed`},
+		{"SELECT count(*) AS n FROM mesh GROUP BY max(x)", `aggregate "max" not allowed`},
+		{"SELECT a.x FROM mesh AS a JOIN mesh AS b ON a.vertex_id = min(b.vertex_id)", `aggregate "min" not allowed`},
+		// A base column under arithmetic with an aggregate is still a
+		// column outside GROUP BY.
+		{"SELECT x + sum(e) AS s FROM mesh", `column "x" must appear in GROUP BY`},
 	}
-	for _, sql := range cases {
-		analyzeErr(t, sql)
+	for _, c := range cases {
+		if err := analyzeErr(t, c.sql); !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Analyze(%q) = %v, want an error containing %q", c.sql, err, c.want)
+		}
 	}
 }
 

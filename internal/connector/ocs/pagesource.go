@@ -9,7 +9,6 @@ import (
 
 	"prestocs/internal/cache"
 	"prestocs/internal/column"
-	"prestocs/internal/costmodel"
 	"prestocs/internal/engine"
 	"prestocs/internal/exec"
 	"prestocs/internal/expr"
@@ -47,7 +46,7 @@ func New(catalog string, meta *metastore.Metastore, client *ocsserver.Client) *C
 		meta:    meta,
 		tables:  cache.NewTableCache(meta, cache.DefaultTableCacheEntries),
 		client:  client,
-		policy:  NewPolicy(costmodel.Default()),
+		policy:  NewPolicy(),
 	}
 }
 
@@ -303,7 +302,6 @@ func (s *streamSource) Next() (*column.Page, error) {
 	}
 	if err != nil {
 		if s.canFallBack(err) && s.resume(causeFallback, "pushdown-fallback", err.Error()) {
-			s.conn.policy.ObserveFallback(s.h)
 			return s.Next()
 		}
 		s.done = true

@@ -45,7 +45,6 @@ const (
 type shapeHistory struct {
 	selectivity float64 // EWMA of output rows / input rows per split
 	samples     int64
-	fallbacks   int64
 }
 
 // Policy prices pushdown vs raw scan per split from three inputs: the
@@ -68,10 +67,10 @@ type Policy struct {
 	metrics   *telemetry.Registry
 }
 
-// NewPolicy creates a policy pricing with the given hardware profile.
-func NewPolicy(params costmodel.Params) *Policy {
+// NewPolicy creates a policy pricing with the default hardware profile.
+func NewPolicy() *Policy {
 	return &Policy{
-		params:    params,
+		params:    costmodel.Default(),
 		shapes:    make(map[string]*shapeHistory),
 		maxShapes: defaultMaxShapes,
 	}
@@ -156,15 +155,6 @@ func (p *Policy) ObserveSplit(h *Handle, rowsDelivered int64) {
 	reg.Histogram(telemetry.MetricPushdownShapeSelectivity, "shape", key).Observe(int64(sel * 100))
 }
 
-// ObserveFallback records that a split of this shape degraded from
-// pushdown to the raw path.
-func (p *Policy) ObserveFallback(h *Handle) {
-	key := predicateShape(h)
-	p.mu.Lock()
-	p.touchLocked(key).fallbacks++
-	p.mu.Unlock()
-}
-
 // ShapeSelectivity returns the observed selectivity EWMA for the
 // handle's shape and whether any samples exist.
 func (p *Policy) ShapeSelectivity(h *Handle) (float64, bool) {
@@ -174,13 +164,6 @@ func (p *Policy) ShapeSelectivity(h *Handle) (float64, bool) {
 		return sh.selectivity, true
 	}
 	return 0, false
-}
-
-// Shapes returns the number of retained shape histories.
-func (p *Policy) Shapes() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.shapes)
 }
 
 // touchLocked returns the history for key, creating it (and evicting the

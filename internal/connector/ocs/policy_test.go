@@ -44,7 +44,7 @@ func policyHandle(t *testing.T, threshold float64) *Handle {
 }
 
 func TestPolicyDecideTracksSelectivity(t *testing.T) {
-	p := NewPolicy(costmodel.Default())
+	p := NewPolicy()
 	h := policyHandle(t, 10)
 	h.Adaptive = true
 
@@ -65,7 +65,7 @@ func TestPolicyDecideTracksSelectivity(t *testing.T) {
 }
 
 func TestPolicyPlannerPriorUsedWithoutHistory(t *testing.T) {
-	p := NewPolicy(costmodel.Default())
+	p := NewPolicy()
 	h := policyHandle(t, 10)
 	h.Push.EstSelectivity = 0.01
 	sel, source := p.selectivity(h)
@@ -95,7 +95,7 @@ func TestPredicateShapeErasesLiterals(t *testing.T) {
 }
 
 func TestPolicyShapeHistoryEviction(t *testing.T) {
-	p := NewPolicy(costmodel.Default())
+	p := NewPolicy()
 	p.maxShapes = 8
 	mk := func(i int) *Handle {
 		h := policyHandle(t, 10)
@@ -108,7 +108,7 @@ func TestPolicyShapeHistoryEviction(t *testing.T) {
 	for i := 1; i < 20; i++ {
 		p.ObserveSplit(mk(i), 1000)
 	}
-	if n := p.Shapes(); n != 8 {
+	if n := len(p.shapes); n != 8 {
 		t.Fatalf("retained %d shapes, want 8", n)
 	}
 	if _, ok := p.ShapeSelectivity(first); ok {
@@ -129,7 +129,7 @@ func TestPolicyShapeHistoryEviction(t *testing.T) {
 }
 
 func TestPolicyShouldFlipNeedsLoadAndMargin(t *testing.T) {
-	p := NewPolicy(costmodel.Default())
+	p := NewPolicy()
 	h := policyHandle(t, 10)
 	h.Adaptive = true
 
@@ -163,7 +163,7 @@ func TestPolicyShouldFlipNeedsLoadAndMargin(t *testing.T) {
 }
 
 func TestPolicyAdvisePlanPushdown(t *testing.T) {
-	p := NewPolicy(costmodel.Default())
+	p := NewPolicy()
 	if !p.AdvisePlanPushdown() {
 		t.Error("no history must advise pushdown")
 	}
@@ -188,7 +188,7 @@ func TestPolicyAdvisePlanPushdown(t *testing.T) {
 // TestPolicyConcurrentObservers races every policy entry point; run
 // under -race it proves the shared state is lock-protected.
 func TestPolicyConcurrentObservers(t *testing.T) {
-	p := NewPolicy(costmodel.Default())
+	p := NewPolicy()
 	p.maxShapes = 4
 	h := policyHandle(t, 10)
 	h.Adaptive = true
@@ -203,7 +203,6 @@ func TestPolicyConcurrentObservers(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				p.ObserveLoad(uint32(i % 50))
 				p.ObserveSplit(hg, int64(i)*1000)
-				p.ObserveFallback(hg)
 				p.decide(hg)
 				p.ShouldFlip(hg, int64(i)*1000)
 				p.QueryCompleted(engine.QueryEvent{})
@@ -212,7 +211,7 @@ func TestPolicyConcurrentObservers(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := p.Shapes(); n > 4 {
+	if n := len(p.shapes); n > 4 {
 		t.Errorf("retained %d shapes, cap 4", n)
 	}
 }
@@ -220,7 +219,7 @@ func TestPolicyConcurrentObservers(t *testing.T) {
 // TestPolicyConcurrentQueryCompleted races the listener hook: every
 // completion must be counted, successes and failures alike.
 func TestPolicyConcurrentQueryCompleted(t *testing.T) {
-	p := NewPolicy(costmodel.Default())
+	p := NewPolicy()
 	var wg sync.WaitGroup
 	const goroutines, each = 8, 50
 	for g := 0; g < goroutines; g++ {

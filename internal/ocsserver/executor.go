@@ -328,7 +328,7 @@ func (env *execEnv) readGroup(r *parquetlite.Reader, objKey string, rg int, cols
 				continue
 			}
 		}
-		vec, err := r.ReadColumn(rg, c) // vet-pruning:allow rg comes from the post-prune keep list
+		vec, err := r.ReadColumn(rg, c)
 		if err != nil {
 			return nil, err
 		}

@@ -76,6 +76,20 @@ var hiveJoins = []string{
 	fmt.Sprintf(joinBothConjuncts, "hive"),
 }
 
+// analyzerShapes seed FuzzPlanPipeline with what the analyzer's single
+// resolve pass must still reject (nested aggregates, aggregates outside
+// the select list, ungrouped columns under an aggregate) and must still
+// share (avg beside its sum and count, one aggregate used twice).
+var analyzerShapes = []string{
+	`SELECT sum(max(x)) AS s FROM laghos`,
+	`SELECT vertex_id FROM laghos WHERE sum(e) > 1`,
+	`SELECT count(*) AS n FROM laghos GROUP BY sum(e)`,
+	`SELECT l.orderkey AS k FROM ocs.lineitem AS l JOIN ocs.orders AS o ON l.orderkey = max(o.orderkey)`,
+	`SELECT x + sum(e) AS s FROM laghos`,
+	`SELECT vertex_id, avg(e) AS a, sum(e) AS s, count(e) AS c FROM laghos GROUP BY vertex_id`,
+	`SELECT sum(e) / sum(e) + max(x * 2) - max(x * 2) AS r FROM laghos WHERE x < 2.0`,
+}
+
 func TestOptimizedPlanInvariants(t *testing.T) {
 	f := newPlanFixture(t)
 	sqls := append([]string(nil), hiveJoins...)
@@ -104,7 +118,7 @@ func FuzzPlanPipeline(f *testing.F) {
 	for _, q := range planQueries {
 		f.Add(q.sql)
 	}
-	for _, sql := range hiveJoins {
+	for _, sql := range append(hiveJoins, analyzerShapes...) {
 		f.Add(sql)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
