@@ -52,13 +52,15 @@ bench-paper:
 # killed connections, black-holed links, dead compute units, cancelled
 # and deadline-bounded queries, cache-invalidation races, the
 # mixed-traffic load scenarios (starvation, slow readers, killed clients
-# mid-stream), and the write-path scenarios (killed ingest, compaction
-# racing queries, snapshot-pinned scans) (DESIGN.md §5b, §7, §10).
+# mid-stream), the connector's refusal handling (the bloom cap's one
+# retry, the adaptive policy's flip) and the write-path scenarios (killed
+# ingest, compaction racing queries, snapshot-pinned scans) (DESIGN.md
+# §5b, §7, §10).
 faults:
 	$(GO) test -race -count=2 -run 'Fault|Kill|Cancel|Retry|Fallback|Deadline|Blackhole|ComputeUnit|CacheInvalidation|Starvation|SlowClient|Backpressure|Overloaded|Flip|Ingest|Compact|Snapshot' \
 		./internal/rpc/... ./internal/retry/... ./internal/faultnet/... \
 		./internal/ocsserver/... ./internal/harness/... ./internal/engine/... \
-		./internal/ingest/... ./internal/metastore/...
+		./internal/connector/... ./internal/ingest/... ./internal/metastore/...
 
 # faults-ingest is the CI ingest lane: only the write-path scenarios —
 # streaming ingestion (killed connections, dropped batches), background

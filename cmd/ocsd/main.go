@@ -34,7 +34,7 @@ func main() {
 	footerCacheBytes := flag.Int64("footer-cache-bytes", cache.DefaultFooterCacheBytes, "per-node decoded-footer cache budget (0 disables)")
 	pageCacheBytes := flag.Int64("page-cache-bytes", cache.DefaultPageCacheBytes, "per-node hot-page cache budget (0 disables)")
 	scanPool := flag.Int("scan-pool", 0, "per-node scan-scheduler workers (0 = storage-node core count)")
-	streamWindow := flag.Int("stream-window", 0, "per-stream credit window in chunks (0 = default, negative disables backpressure)")
+	streamWindow := flag.Int("stream-window", 0, "per-stream credit window in chunks (0 = default)")
 	flag.Parse()
 
 	if *nodes <= 0 {

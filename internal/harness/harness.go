@@ -68,7 +68,7 @@ type Config struct {
 	// (0 = the cost-model storage-node core count).
 	ScanPool int
 	// StreamWindow sets the per-stream credit window on the OCS nodes
-	// and frontend (0 = rpc.DefaultStreamWindow, negative disables).
+	// and frontend (0 = rpc.DefaultStreamWindow).
 	StreamWindow int
 	// MaxBloomBytes caps pushed join bloom filters on the storage nodes
 	// (0 = ocsserver.DefaultMaxBloomBytes, negative disables).

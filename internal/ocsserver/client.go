@@ -74,9 +74,8 @@ func NewClient(addr string, opts ...Option) *Client {
 // cancelled streams discard rather than pool their connection.
 func (c *Client) IdleConns() int { return c.rpc.IdleConns() }
 
-// Execute request envelope fields. They are disjoint from Plan's
-// top-level fields (1: version string, 2: root rel) so a bare marshalled
-// plan — the pre-envelope wire format — is still recognized and served.
+// Execute request envelope fields. The plan travels in field 7, beside
+// the client's chunk-rows preference in field 8.
 const (
 	execReqPlanField      = 7
 	execReqChunkRowsField = 8
@@ -94,33 +93,32 @@ func encodeExecuteRequest(planBytes []byte, chunkRows int) []byte {
 }
 
 // decodeExecuteRequest splits an ocs.Execute payload into plan bytes and
-// the requested chunk rows. Payloads without the envelope field are
-// treated as a bare plan.
-func decodeExecuteRequest(payload []byte) (planBytes []byte, chunkRows int) {
+// the requested chunk rows. A payload that does not decode, or carries no
+// plan field, is an error.
+func decodeExecuteRequest(payload []byte) (planBytes []byte, chunkRows int, err error) {
 	d := protowire.NewDecoder(payload)
-	var plan []byte
 	var rows int64
 	for !d.Done() {
 		f, ty, err := d.Next()
 		if err != nil {
-			return payload, 0
+			return nil, 0, err
 		}
 		switch f {
 		case execReqPlanField:
-			plan, err = d.Bytes()
+			planBytes, err = d.Bytes()
 		case execReqChunkRowsField:
 			rows, err = d.Int64()
 		default:
 			err = d.Skip(ty)
 		}
 		if err != nil {
-			return payload, 0
+			return nil, 0, err
 		}
 	}
-	if plan == nil {
-		return payload, 0
+	if planBytes == nil {
+		return nil, 0, fmt.Errorf("execute request carries no plan (field %d)", execReqPlanField)
 	}
-	return plan, int(rows)
+	return planBytes, int(rows), nil
 }
 
 // Result is a decoded in-storage execution result.
@@ -338,7 +336,7 @@ type ClusterConfig struct {
 	// cost-model storage-node core count).
 	ScanPool int
 	// StreamWindow sets the per-stream credit window on every node and
-	// the frontend (0 = rpc.DefaultStreamWindow, negative disables).
+	// the frontend (0 = rpc.DefaultStreamWindow).
 	StreamWindow int
 	// MaxBloomBytes caps pushed bloom-filter sizes on every node
 	// (0 = DefaultMaxBloomBytes, negative disables the cap).

@@ -27,9 +27,9 @@ const MethodExecute = "ocs.Execute"
 // one endpoint, as in the paper's hierarchical design: it adds placement
 // and nothing else — request bytes reach the owning node unchanged and
 // the node's response comes back unchanged. Node calls inherit
-// the caller's context deadline and are retried on transient failure —
-// for Execute only until the first chunk has been forwarded, since the
-// client cannot be handed a restarted stream mid-flight.
+// the caller's context deadline and are retried on transient failure
+// until the first chunk has been forwarded, since the client cannot be
+// handed a restarted stream mid-flight.
 type Frontend struct {
 	rpc   *rpc.Server
 	nodes []*rpc.Client
@@ -38,7 +38,7 @@ type Frontend struct {
 	Retry retry.Policy
 
 	// StreamWindow bounds unacknowledged chunks per proxied stream toward
-	// the application (0 = rpc.DefaultStreamWindow, negative disables).
+	// the application (0 = rpc.DefaultStreamWindow).
 	// With the node-side window this chains backpressure end-to-end: a
 	// slow application reader stalls the frontend, which stops crediting
 	// the node, which pauses the scan. Set before Listen.
@@ -64,7 +64,7 @@ func NewFrontend(nodeAddrs []string) (*Frontend, error) {
 	}
 	f.rpc.RegisterStream(MethodExecute, f.handleExecute)
 	for _, method := range []string{objstore.MethodPut, objstore.MethodGet, objstore.MethodDelete} {
-		f.rpc.Register(method, f.route(method))
+		f.rpc.RegisterStream(method, f.route(method))
 	}
 	f.rpc.Register(objstore.MethodList, f.handleList)
 	return f, nil
@@ -99,16 +99,14 @@ func (f *Frontend) nodeFor(bucket, key string) int {
 	return int(h.Sum32() % uint32(len(f.nodes)))
 }
 
-// handleExecute validates the plan, routes it to the node holding the
-// object named by its ReadRel and proxies the node's result stream chunk
-// by chunk — the frontend never buffers more than one chunk, so bytes
-// reach the engine while the node is still scanning. Failures before the
-// first chunk reaches the client are retried; after that the stream
-// cannot be transparently restarted, so the error propagates and the
-// client (or the connector's fallback) takes over.
+// handleExecute validates the plan and forwards it to the node holding
+// the object named by its ReadRel.
 func (f *Frontend) handleExecute(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
-	planBytes, _ := decodeExecuteRequest(payload)
-	plan, err := substrait.Unmarshal(planBytes)
+	planBytes, _, err := decodeExecuteRequest(payload)
+	var plan *substrait.Plan
+	if err == nil {
+		plan, err = substrait.Unmarshal(planBytes)
+	}
 	if err != nil {
 		return nil, rpc.WithCode(fmt.Errorf("ocs: rejecting plan: %w", err), rpc.CodeInvalid)
 	}
@@ -121,14 +119,38 @@ func (f *Frontend) handleExecute(ctx context.Context, payload []byte, send func(
 	if read == nil {
 		return nil, rpc.WithCode(fmt.Errorf("ocs: plan has no read relation"), rpc.CodeInvalid)
 	}
-	node := f.nodeFor(read.Bucket, read.Object)
+	return f.forward(ctx, f.nodeFor(read.Bucket, read.Object), NodeMethodExecute, payload, send)
+}
+
+// route is the handler of a keyed object method (Put, Get, Delete): the
+// request goes, unchanged, to the node its bucket/key hashes to. Every
+// object method is idempotent (Put overwrites, Delete of a missing key
+// succeeds), so a call whose connection died mid-flight is safe to repeat.
+func (f *Frontend) route(method string) rpc.StreamHandler {
+	return func(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
+		ref, err := objstore.DecodeRef(payload, true)
+		if err != nil {
+			return nil, err
+		}
+		return f.forward(ctx, f.nodeFor(ref.Bucket, ref.Key), method, payload, send)
+	}
+}
+
+// forward makes one call to a node and relays its answer: chunks through
+// send as they arrive — the frontend never buffers more than one, so bytes
+// reach the engine while the node is still scanning — and the trailer as
+// the return value, with the node's load word passed through on every
+// frame. Failures are retried under the fan-out policy until the first
+// chunk has been relayed; after that the call cannot be transparently
+// restarted, so the error propagates and the client (or the connector's
+// fallback) takes over.
+func (f *Frontend) forward(ctx context.Context, node int, method string, payload []byte, send func([]byte) error) ([]byte, error) {
 	ctx, span := telemetry.StartSpan(ctx, "frontend.forward")
 	defer span.End()
 	span.SetAttr("node", fmt.Sprintf("node%d", node))
-	span.SetAttr("object", read.Bucket+"/"+read.Object)
 	var trailer []byte
-	err = f.Retry.Do(ctx, func() error {
-		st, err := f.nodes[node].Stream(ctx, NodeMethodExecute, payload)
+	err := f.Retry.Do(ctx, func() error {
+		st, err := f.nodes[node].Stream(ctx, method, payload)
 		if err != nil {
 			return err
 		}
@@ -136,24 +158,19 @@ func (f *Frontend) handleExecute(ctx context.Context, payload []byte, send func(
 		forwarded := false
 		for {
 			chunk, err := st.Recv()
+			rpc.SetStreamLoad(ctx, st.Load())
 			if err == io.EOF {
-				// Pass the node's final load word through so the end frame
-				// toward the application carries it too.
-				rpc.SetStreamLoad(ctx, st.Load())
 				trailer = st.Trailer()
 				return nil
 			}
 			if err != nil {
 				if forwarded {
-					// The client has already seen part of this stream;
+					// The client has already seen part of this call;
 					// restarting would duplicate chunks.
 					return retry.Permanent(err)
 				}
 				return err
 			}
-			// Relay the node's load word onto the outgoing chunk: the
-			// frontend is a pure proxy for the storage-load signal.
-			rpc.SetStreamLoad(ctx, st.Load())
 			if err := send(chunk); err != nil {
 				// Our own downstream died; nothing to retry.
 				return retry.Permanent(err)
@@ -161,25 +178,7 @@ func (f *Frontend) handleExecute(ctx context.Context, payload []byte, send func(
 			forwarded = true
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return trailer, nil
-}
-
-// route is the handler of a keyed object method (Put, Get, Delete): the
-// request goes, unchanged, to the node its bucket/key hashes to, under the
-// fan-out retry policy — every object method is idempotent (Put
-// overwrites, Delete of a missing key succeeds), so a call whose connection
-// died mid-flight is safe to repeat.
-func (f *Frontend) route(method string) rpc.Handler {
-	return func(ctx context.Context, payload []byte) ([]byte, error) {
-		ref, err := objstore.DecodeRef(payload, true)
-		if err != nil {
-			return nil, err
-		}
-		return f.Retry.Call(ctx, f.nodes[f.nodeFor(ref.Bucket, ref.Key)], method, payload)
-	}
+	return trailer, err
 }
 
 // handleList merges the listings of every node. A bucket exists on a node

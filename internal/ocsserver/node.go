@@ -42,8 +42,7 @@ type StorageNode struct {
 	// StreamWindow bounds unacknowledged stream chunks per query (the
 	// credit window): a slow reader stalls the producer after this many
 	// chunks instead of buffering the scan in node memory. 0 selects
-	// rpc.DefaultStreamWindow, negative disables backpressure. Set
-	// before Listen.
+	// rpc.DefaultStreamWindow. Set before Listen.
 	StreamWindow int
 
 	// Metrics receives transport, chunk-throughput and scan-pool metrics;
@@ -189,11 +188,14 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 	chunksSent := n.Metrics.Counter(telemetry.MetricNodeChunksSent, "node", n.nodeLabel())
 	chunkBytes := n.Metrics.Counter(telemetry.MetricNodeChunkBytes, "node", n.nodeLabel())
 	backlog := n.Metrics.Gauge(telemetry.MetricNodeSchedBacklog, "node", n.nodeLabel())
-	planBytes, chunkRows := decodeExecuteRequest(payload)
+	planBytes, chunkRows, err := decodeExecuteRequest(payload)
 	if chunkRows <= 0 {
 		chunkRows = n.ChunkRows
 	}
-	plan, err := substrait.Unmarshal(planBytes)
+	var plan *substrait.Plan
+	if err == nil {
+		plan, err = substrait.Unmarshal(planBytes)
+	}
 	if err != nil {
 		return nil, rpc.WithCode(fmt.Errorf("node %d: invalid plan: %w", n.ID, err), rpc.CodeInvalid)
 	}

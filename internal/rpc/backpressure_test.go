@@ -16,6 +16,7 @@ import (
 // client wired to a metrics registry.
 func startWindowServer(t *testing.T, window int, sent *atomic.Int64) (*Server, *Client, *telemetry.Registry) {
 	t.Helper()
+	checkGoroutines(t)
 	reg := telemetry.NewRegistry()
 	s := NewServer()
 	s.StreamWindow = window
@@ -92,6 +93,7 @@ func TestStreamBackpressureWindow(t *testing.T) {
 // must observe a send error promptly (credits will never arrive) instead
 // of waiting forever, and the inflight gauge must drain.
 func TestStreamBackpressureKilledClientReleasesProducer(t *testing.T) {
+	checkGoroutines(t)
 	const window = 1
 	var sent atomic.Int64
 	done := make(chan error, 1)
@@ -143,35 +145,55 @@ func TestStreamBackpressureKilledClientReleasesProducer(t *testing.T) {
 	})
 }
 
-// TestStreamWindowDisabled checks that a negative StreamWindow restores
-// the unbounded pre-credit behavior: the producer finishes a large stream
-// without waiting for a single credit.
-func TestStreamWindowDisabled(t *testing.T) {
-	var sent atomic.Int64
-	_, c, reg := startWindowServer(t, -1, &sent)
-
-	st, err := c.Stream(context.Background(), "flood", []byte{64})
+// TestStreamCreditReadDeadline: a producer waiting on a full window is
+// bounded by the request deadline. When it expires before the client
+// sends a byte, send reports context.DeadlineExceeded and the connection
+// is still clean: the handler's error frame goes out as the call's
+// terminal frame.
+func TestStreamCreditReadDeadline(t *testing.T) {
+	checkGoroutines(t)
+	released := make(chan error, 1)
+	s := NewServer()
+	s.StreamWindow = 1
+	s.RegisterStream("stuck", func(_ context.Context, _ []byte, send func([]byte) error) ([]byte, error) {
+		err := send([]byte("a"))
+		if err == nil {
+			err = send([]byte("b"))
+		}
+		released <- err
+		return nil, err
+	})
+	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Producer runs to completion with zero Recv calls.
-	waitUntil(t, 2*time.Second, func() bool { return sent.Load() == 64 })
-	for {
-		if _, err := st.Recv(); err != nil {
-			if err != io.EOF {
-				t.Fatal(err)
-			}
-			break
+	defer s.Close()
+	c := Dial(addr)
+	defer c.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	st, err := c.Stream(ctx, "stuck", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// No Recv: the window of one stays full and no credit ever arrives.
+	select {
+	case err := <-released:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("send past the deadline = %v, want context.DeadlineExceeded", err)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("producer still waiting for a credit 5s past the deadline")
 	}
-	if v := reg.CounterValue(telemetry.MetricRPCStreamStalls); v != 0 {
-		t.Errorf("stalls = %d with flow control disabled, want 0", v)
-	}
+	waitUntil(t, time.Second, func() bool { return s.Meter.Calls() == 1 })
 }
 
 // TestOverloadedCodeRoundTrip checks the new stable code crosses the wire
 // and matches ErrOverloaded under errors.Is on the client side.
 func TestOverloadedCodeRoundTrip(t *testing.T) {
+	checkGoroutines(t)
 	s := NewServer()
 	s.Register("shed", func(_ context.Context, _ []byte) ([]byte, error) {
 		return nil, WithCode(errors.New("admission queue full"), CodeOverloaded)

@@ -14,6 +14,7 @@ import (
 // a small pause, "coded" fails with a tagged error.
 func startBlocking(t *testing.T) (*Server, *Client) {
 	t.Helper()
+	checkGoroutines(t)
 	s := NewServer()
 	s.Register("block", func(ctx context.Context, p []byte) ([]byte, error) {
 		<-ctx.Done()
@@ -166,6 +167,7 @@ func TestUnknownMethodIsNotFound(t *testing.T) {
 }
 
 func TestDialFailureIsUnavailable(t *testing.T) {
+	checkGoroutines(t)
 	c := Dial("127.0.0.1:1")
 	defer c.Close()
 	_, err := c.Call(context.Background(), "echo", nil)
@@ -221,6 +223,7 @@ func TestDecodeRemoteErrorBadCode(t *testing.T) {
 }
 
 func TestServerCloseUnblocksHandlers(t *testing.T) {
+	checkGoroutines(t)
 	s := NewServer()
 	entered := make(chan struct{})
 	s.Register("block", func(ctx context.Context, p []byte) ([]byte, error) {

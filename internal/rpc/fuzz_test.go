@@ -19,10 +19,15 @@ func FuzzReadFrame(f *testing.F) {
 	if _, err := writeRequest(&good, "ocs.Execute", time.Unix(1, 0), 7, 9, []byte("plan")); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := writeStreamFrame(&good, frameChunk, 3, []byte("batch")); err != nil {
+	load := []byte{3, 0, 0, 0}
+	if _, err := writeFrame(&good, frameChunk, "", load, []byte("batch")); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := writeFrame(&good, frameError, "", errorPayload(ErrOverloaded)); err != nil {
+	good.Write(creditFrame)
+	if _, err := writeFrame(&good, frameEnd, "", load, []byte("trailer")); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := writeFrame(&good, frameError, "", nil, errorPayload(ErrOverloaded)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())

@@ -1,30 +1,36 @@
 // Package rpc implements the framed TCP RPC transport that stands in for
 // gRPC (see DESIGN.md §2). A server registers named methods; a client
-// dials and issues unary calls. Every frame that crosses the wire is
-// metered, which is how the experiment harness measures data movement
-// between the compute and storage layers.
+// dials and calls them. Every frame that crosses the wire is metered,
+// which is how the experiment harness measures data movement between the
+// compute and storage layers.
 //
 // Frame layout (little-endian):
 //
 //	u32 frameLen | u8 kind | u32 methodLen | method | payload
 //
-// kind 0 = request, 1 = response-ok, 2 = response-error (payload is one
-// code byte followed by the error message), 3 = stream-chunk, 4 =
-// stream-end (payload is the stream trailer). A request payload begins
-// with a fixed header — u64 deadline (unix microseconds, 0 = none), u64
-// trace ID and u64 parent span ID (0 = no trace) — that the server turns
-// into the handler's context deadline and trace context; the caller's
-// payload follows. Chunk and end payloads begin with a u32 server-load
-// hint (published by the handler via SetStreamLoad, surfaced by
-// ClientStream.Load) followed by the chunk bytes or stream trailer, so
-// load feedback piggybacks on data frames instead of costing extra
-// round trips. Responses echo an empty method name. A unary call is one
-// request frame answered by one ok/error frame; a streaming call is one
-// request frame answered by any number of chunk frames terminated by an
-// end frame — or by an error frame, which is valid mid-stream and aborts
-// the stream. A single TCP connection carries sequential calls; the
-// client pools connections for concurrency. Every frame is metered
-// individually, so the harness sees streamed bytes as they flow.
+// kind 0 = request, 2 = error (payload is one code byte followed by the
+// error message), 3 = chunk, 4 = end (payload is the call's trailer), 5 =
+// credit (empty). A request payload begins with a fixed header — u64
+// deadline (unix microseconds, 0 = none), u64 trace ID and u64 parent span
+// ID (0 = no trace) — that the server turns into the handler's context
+// deadline and trace context; the caller's payload follows. Chunk and end
+// payloads begin with a u32 server-load hint (published by the handler via
+// SetStreamLoad, surfaced by ClientStream.Load) followed by the chunk bytes
+// or trailer, so load feedback piggybacks on data frames instead of
+// costing extra round trips. Responses echo an empty method name.
+//
+// There is one call type: a request frame answered by any number of chunk
+// frames and then one terminal frame — an end frame, or an error frame,
+// which is valid mid-stream. A unary call is a call whose handler sends no
+// chunks; its reply is the end frame's trailer. The client answers every
+// chunk with a credit frame, and the server's producer keeps at most
+// StreamWindow chunks unacknowledged: with the window full, its send reads
+// the credits off the connection itself. Calls on one connection are
+// sequential, so each connection is served on one goroutine that owns
+// every read and write on it. The client pools connections for
+// concurrency; a call that ended in a terminal frame returns its
+// connection to the pool. Every frame is metered individually, so the
+// harness sees streamed bytes as they flow.
 //
 // Cancellation: Call and Stream take a context. While a call is in
 // flight a watchdog goroutine waits on ctx.Done and poisons the
@@ -49,15 +55,14 @@ import (
 
 const (
 	frameRequest = 0
-	frameOK      = 1
 	frameError   = 2
 	frameChunk   = 3
 	frameEnd     = 4
-	// frameCredit flows client -> server during a streaming call: one
-	// empty credit frame per chunk frame consumed. The server holds at
-	// most StreamWindow unacknowledged chunks in flight, so a slow Recv
-	// caller pauses the producer instead of ballooning socket buffers
-	// and storage-node memory.
+	// frameCredit flows client -> server during a call: one empty credit
+	// frame per chunk frame consumed. The server holds at most
+	// StreamWindow unacknowledged chunks in flight, so a slow Recv caller
+	// pauses the producer instead of ballooning socket buffers and
+	// storage-node memory.
 	frameCredit   = 5
 	maxFrameBytes = 1 << 30
 
@@ -65,7 +70,14 @@ const (
 	// deadline (0 = none), u64 trace ID and u64 parent span ID (0 = no
 	// trace).
 	reqHeaderSize = 24
+	// streamLoadSize prefixes every chunk and end frame payload: a u32
+	// server-load hint the client surfaces via ClientStream.Load.
+	streamLoadSize = 4
 )
+
+// creditFrame is the whole wire form of a credit: frame length 5, kind
+// frameCredit, an empty method and no payload.
+var creditFrame = []byte{5, 0, 0, 0, frameCredit, 0, 0, 0, 0}
 
 // maxFrameLimit is the enforced frame-length ceiling, an atomic so tests
 // can exercise the oversize path without allocating gigabyte payloads
@@ -77,9 +89,10 @@ func init() { maxFrameLimit.Store(maxFrameBytes) }
 // ErrShutdown reports use of a closed client or server.
 var ErrShutdown = errors.New("rpc: connection shut down")
 
-// Handler processes one request payload and returns the response payload.
-// The context carries the caller's deadline (propagated in the frame
-// header) and is cancelled when the server shuts down.
+// Handler serves one unary call: it receives the request payload and
+// returns the reply, which travels as the end frame's trailer. The context
+// carries the caller's deadline (propagated in the frame header) and is
+// cancelled when the server shuts down.
 type Handler func(ctx context.Context, payload []byte) ([]byte, error)
 
 // Meter accumulates transport byte counts. Both client and server update
@@ -105,75 +118,46 @@ func (m *Meter) Reset() {
 	m.calls.Store(0)
 }
 
-// writeFrame ships one frame. Oversized frames are rejected before any
-// byte hits the wire — writing a frame the peer's readFrame would refuse
-// poisons the connection with a confusing remote "bad frame length", so
-// the clear error happens on the sending side and the connection stays
-// usable. On partial header or payload writes the bytes actually written
-// are still returned, so transport meters never undercount.
-func writeFrame(w io.Writer, kind byte, method string, payload []byte) (int64, error) {
-	frameLen := 1 + 4 + len(method) + len(payload)
+// writeFrame ships one frame. head — a request's header or a response's
+// load word — rides in the frame-header buffer, so the payload goes out
+// uncopied. Oversized frames are rejected before any byte hits the wire —
+// writing a frame the peer's readFrame would refuse poisons the
+// connection with a confusing remote "bad frame length", so the clear
+// error happens on the sending side and the connection stays usable. On a
+// partial write the bytes actually written are still returned, so
+// transport meters never undercount.
+func writeFrame(w io.Writer, kind byte, method string, head, payload []byte) (int64, error) {
+	frameLen := 1 + 4 + len(method) + len(head) + len(payload)
 	if uint64(frameLen) > uint64(maxFrameLimit.Load()) {
 		return 0, oversizeError(frameLen)
 	}
-	hdr := make([]byte, 0, 9+len(method))
+	hdr := make([]byte, 0, 9+len(method)+len(head))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(frameLen))
 	hdr = append(hdr, kind)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(method)))
 	hdr = append(hdr, method...)
+	hdr = append(hdr, head...)
 	n, err := w.Write(hdr)
-	if err != nil {
+	if err != nil || len(payload) == 0 {
 		return int64(n), err
 	}
 	pn, err := w.Write(payload)
-	if err != nil {
-		return int64(n + pn), err
-	}
-	return int64(4 + frameLen), nil
-}
-
-// streamLoadSize prefixes every chunk and end frame payload: a u32
-// server-load hint the client surfaces via ClientStream.Load.
-const streamLoadSize = 4
-
-// writeStreamFrame ships one chunk or end frame, prefixing the payload
-// with the u32 load hint without copying the payload (the prefix rides
-// in the header buffer; method is always empty on response frames).
-func writeStreamFrame(w io.Writer, kind byte, load uint32, payload []byte) (int64, error) {
-	frameLen := 1 + 4 + streamLoadSize + len(payload)
-	if uint64(frameLen) > uint64(maxFrameLimit.Load()) {
-		return 0, oversizeError(frameLen)
-	}
-	hdr := make([]byte, 0, 9+streamLoadSize)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(frameLen))
-	hdr = append(hdr, kind)
-	hdr = binary.LittleEndian.AppendUint32(hdr, 0) // empty method
-	hdr = binary.LittleEndian.AppendUint32(hdr, load)
-	n, err := w.Write(hdr)
-	if err != nil {
-		return int64(n), err
-	}
-	pn, err := w.Write(payload)
-	if err != nil {
-		return int64(n + pn), err
-	}
-	return int64(4 + frameLen), nil
+	return int64(n + pn), err
 }
 
 // writeRequest sends a request frame whose payload is prefixed with the
 // caller's deadline and trace context so the server can honor both on
 // its side of the wire.
 func writeRequest(w io.Writer, method string, deadline time.Time, trace telemetry.TraceID, parent telemetry.SpanID, payload []byte) (int64, error) {
-	body := make([]byte, 0, reqHeaderSize+len(payload))
 	var micros uint64
 	if !deadline.IsZero() {
 		micros = uint64(deadline.UnixMicro())
 	}
-	body = binary.LittleEndian.AppendUint64(body, micros)
-	body = binary.LittleEndian.AppendUint64(body, uint64(trace))
-	body = binary.LittleEndian.AppendUint64(body, uint64(parent))
-	body = append(body, payload...)
-	return writeFrame(w, frameRequest, method, body)
+	head := make([]byte, 0, reqHeaderSize)
+	head = binary.LittleEndian.AppendUint64(head, micros)
+	head = binary.LittleEndian.AppendUint64(head, uint64(trace))
+	head = binary.LittleEndian.AppendUint64(head, uint64(parent))
+	return writeFrame(w, frameRequest, method, head, payload)
 }
 
 // splitRequest strips the deadline + trace prefix from a request payload.
@@ -235,19 +219,18 @@ func readFrame(r io.Reader) (kind byte, method string, payload []byte, total int
 	return kind, method, payload, int64(4 + frameLen), nil
 }
 
-// DefaultStreamWindow is the per-stream chunk credit window when
+// DefaultStreamWindow is the per-call chunk credit window when
 // Server.StreamWindow is zero: the producer keeps at most this many
-// chunks sent-but-unacknowledged before pausing.
+// chunks sent-but-unacknowledged before reading credits.
 const DefaultStreamWindow = 8
 
 // Server dispatches incoming calls to registered handlers.
 type Server struct {
 	Meter Meter
 
-	// StreamWindow bounds the chunks a streaming handler may have in
-	// flight (sent but not yet credited by the client's Recv). Zero
-	// selects DefaultStreamWindow; negative disables flow control. Set
-	// before Listen.
+	// StreamWindow bounds the chunks a handler may have in flight (sent
+	// but not yet credited by the client's Recv). Zero selects
+	// DefaultStreamWindow. Set before Listen.
 	StreamWindow int
 
 	// Metrics, when set, receives per-method server latency and byte
@@ -259,12 +242,11 @@ type Server struct {
 	// caller's trace. Set before Listen.
 	Tracer *telemetry.Tracer
 
-	mu       sync.RWMutex
-	handlers map[string]Handler
-	streams  map[string]StreamHandler
-	ln       net.Listener
-	wg       sync.WaitGroup
-	closed   atomic.Bool
+	mu      sync.RWMutex
+	methods map[string]StreamHandler
+	ln      net.Listener
+	wg      sync.WaitGroup
+	closed  atomic.Bool
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -277,8 +259,7 @@ type Server struct {
 func NewServer() *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		handlers:   make(map[string]Handler),
-		streams:    make(map[string]StreamHandler),
+		methods:    make(map[string]StreamHandler),
 		conns:      make(map[net.Conn]bool),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -299,12 +280,12 @@ func (s *Server) trackConn(conn net.Conn, add bool) bool {
 	return true
 }
 
-// Register installs a handler for a method name. Registering after Serve
-// has started is safe.
+// Register installs a unary handler for a method name: a call that sends
+// no chunks. Registering after Serve has started is safe.
 func (s *Server) Register(method string, h Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handlers[method] = h
+	s.RegisterStream(method, func(ctx context.Context, payload []byte, _ func([]byte) error) ([]byte, error) {
+		return h(ctx, payload)
+	})
 }
 
 // Listen binds to addr ("127.0.0.1:0" for an ephemeral port) and starts
@@ -344,40 +325,18 @@ func (s *Server) requestContext(deadline time.Time) (context.Context, context.Ca
 	return context.WithCancel(s.baseCtx)
 }
 
-// streamWindow resolves the effective per-stream credit window.
-func (s *Server) streamWindow() int {
-	switch {
-	case s.StreamWindow > 0:
-		return s.StreamWindow
-	case s.StreamWindow < 0:
-		return 0 // flow control disabled
-	default:
-		return DefaultStreamWindow
-	}
-}
-
-// serveConn is the per-connection reader loop, and it owns every read on
-// conn. Unary calls are served inline (the protocol is sequential, so
-// nothing else arrives while a handler runs). A streaming call is served
-// in its own goroutine so this loop can keep reading the client's credit
-// frames and route them to the stream's flow-control window; the next
-// request is not dispatched until the active stream has fully finished.
+// serveConn serves one connection's calls, in order, on this goroutine:
+// it reads a request, runs its handler — whose send reads the client's
+// credits off the connection when the window is full — and writes the
+// terminal frame, then reads the next request. Credits that arrive after a
+// call's terminal frame (in flight when it crossed them on the wire) are
+// skipped.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	if !s.trackConn(conn, true) {
 		return // server already closed
 	}
 	defer s.trackConn(conn, false)
-	var cur *streamFlow
-	defer func() {
-		if cur != nil {
-			// The conn reader is going away (client gone or server
-			// closing): wake a producer blocked on the window and wait for
-			// the stream goroutine to let go of the conn.
-			cur.breakFlow()
-			<-cur.finished
-		}
-	}()
 	for {
 		kind, method, payload, n, err := readFrame(conn)
 		s.Meter.received.Add(n)
@@ -385,91 +344,44 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		if kind == frameCredit {
-			// One chunk consumed by the client's Recv. Credits for an
-			// already-finished stream (in flight when the terminal frame
-			// crossed them on the wire) are harmless no-ops.
-			if cur != nil {
-				cur.credit()
-			}
 			continue
 		}
 		s.Metrics.Counter(telemetry.MetricRPCServerRecvBytes, "method", method).Add(n)
-		if kind != frameRequest {
+		if kind != frameRequest || !s.serve(conn, method, payload) {
 			return
 		}
-		if cur != nil {
-			// The client's next request orders after our terminal frame on
-			// the wire, so this wait is immediate in practice.
-			<-cur.finished
-			usable := cur.usable
-			cur = nil
-			if !usable {
-				return
-			}
-		}
-		deadline, trace, parent, body, err := splitRequest(payload)
-		if err != nil {
-			return
-		}
-		ctx, cancel := s.requestContext(deadline)
-		span := s.Tracer.StartRemote(trace, parent, "rpc.server "+method)
-		if span != nil {
-			ctx = telemetry.WithSpan(telemetry.WithTracer(ctx, s.Tracer), span)
-		}
-		if s.Metrics != nil {
-			ctx = telemetry.WithRegistry(ctx, s.Metrics)
-		}
-		start := time.Now()
-		s.mu.RLock()
-		h, ok := s.handlers[method]
-		sh, sok := s.streams[method]
-		s.mu.RUnlock()
-		if sok {
-			flow := newStreamFlow(s.streamWindow(),
-				s.Metrics.Gauge(telemetry.MetricRPCStreamInflight),
-				s.Metrics.Counter(telemetry.MetricRPCStreamStalls))
-			cur = flow
-			ctx = withStreamLoad(ctx, &flow.load)
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.serveStream(ctx, conn, sh, body, method, flow)
-				cancel()
-				s.observe(method, start)
-				span.End()
-			}()
-			continue
-		}
-		var respKind byte
-		var resp []byte
-		if !ok {
-			respKind = frameError
-			resp = errorPayload(WithCode(fmt.Errorf("unknown method %q", method), CodeNotFound))
-		} else if out, herr := h(ctx, body); herr != nil {
-			respKind = frameError
-			resp = errorPayload(herr)
-			span.Event("error", herr.Error())
-		} else {
-			respKind = frameOK
-			resp = out
-		}
-		cancel()
-		sent, err := writeFrame(conn, respKind, "", resp)
-		if err != nil && errors.Is(err, ErrFrameTooLarge) {
-			// Nothing hit the wire; tell the client instead of wedging it.
-			s.Metrics.Counter(telemetry.MetricRPCOversizeFrames).Inc()
-			span.Event("oversize-response", err.Error())
-			sent, err = writeFrame(conn, frameError, "", errorPayload(err))
-		}
-		s.Meter.sent.Add(sent)
-		s.observe(method, start)
-		span.End()
-		if err != nil {
-			return
-		}
-		s.Metrics.Counter(telemetry.MetricRPCServerSentBytes, "method", method).Add(sent)
-		s.Meter.calls.Add(1)
 	}
+}
+
+// serve runs one call and reports whether conn can carry the next.
+func (s *Server) serve(conn net.Conn, method string, payload []byte) bool {
+	deadline, trace, parent, body, err := splitRequest(payload)
+	if err != nil {
+		return false
+	}
+	ctx, cancel := s.requestContext(deadline)
+	defer cancel()
+	span := s.Tracer.StartRemote(trace, parent, "rpc.server "+method)
+	defer span.End()
+	if span != nil {
+		ctx = telemetry.WithSpan(telemetry.WithTracer(ctx, s.Tracer), span)
+	}
+	if s.Metrics != nil {
+		ctx = telemetry.WithRegistry(ctx, s.Metrics)
+	}
+	defer s.observe(method, time.Now())
+	call := s.newCall(conn, method, deadline)
+	ctx = withStreamLoad(ctx, &call.load)
+	s.mu.RLock()
+	h, ok := s.methods[method]
+	s.mu.RUnlock()
+	var trailer []byte
+	if ok {
+		trailer, err = h(ctx, body, call.send)
+	} else {
+		err = WithCode(fmt.Errorf("unknown method %q", method), CodeNotFound)
+	}
+	return call.finish(span, trailer, err)
 }
 
 // observe records one served request's latency.
@@ -500,7 +412,7 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Client issues unary calls to one server, pooling TCP connections.
+// Client issues calls to one server, pooling TCP connections.
 type Client struct {
 	Meter Meter
 
@@ -529,8 +441,8 @@ func (c *Client) Addr() string { return c.addr }
 
 // getConn hands out a connection and reports whether it came from the
 // idle pool. A pooled connection may have been closed by the peer while
-// idle; callers that fail on one before reading any response bytes may
-// safely retry once on a fresh connection (fresh == true skips the
+// idle; a call that fails on one before reading any response bytes may
+// safely be replayed once on a fresh connection (fresh == true skips the
 // pool). Fresh conns bypass any poisoned deadline; pooled ones have
 // theirs cleared here, since a bounded drain may have left a read
 // deadline behind.
@@ -633,107 +545,24 @@ func callError(ctx context.Context, method, op string, err error) error {
 	return &TransportError{Method: method, Op: op, Err: err}
 }
 
-// Call performs one unary RPC, honoring ctx for dialing, sending and
-// awaiting the response. The ctx deadline and trace context travel in
-// the frame header so the server bounds its handler with the same
-// deadline and extends the same trace. A stale pooled connection (the
-// peer closed it while idle) that fails before any response bytes were
-// read is transparently redialed once — the request is not yet
-// observable as executed, so the retry is safe even for non-idempotent
-// methods.
+// Call performs one unary call: it opens the call, expects the end frame
+// with no chunk before it, and returns the trailer. The ctx deadline and
+// trace context travel in the frame header so the server bounds its
+// handler with the same deadline and extends the same trace. A stale
+// pooled connection is redialed once, as for Stream.
 func (c *Client) Call(ctx context.Context, method string, payload []byte) ([]byte, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx, span := telemetry.StartSpan(ctx, "rpc.call "+method)
-	defer span.End()
-	start := time.Now()
-	resp, err := c.callOnce(ctx, method, payload, false)
-	if rd, ok := err.(*redialableError); ok {
-		span.Event("redial", rd.err.Error())
-		c.Metrics.Counter(telemetry.MetricRPCPoolRedials).Inc()
-		resp, err = c.callOnce(ctx, method, payload, true)
-	}
-	if re, ok := err.(*redialableError); ok {
-		err = re.err // second attempt exhausted; surface the real failure
-	}
-	h := c.Metrics.Histogram(telemetry.MetricRPCClientLatency, "method", method)
-	h.ObserveDuration(time.Since(start))
-	if err != nil {
-		span.Event("error", err.Error())
-		c.Metrics.Counter(telemetry.MetricRPCClientErrors, "method", method).Inc()
-	}
-	return resp, err
-}
-
-// redialableError wraps a failure on a stale pooled connection that
-// happened before any response bytes were read: Call retries exactly
-// once on a fresh connection.
-type redialableError struct{ err error }
-
-func (e *redialableError) Error() string { return e.err.Error() }
-func (e *redialableError) Unwrap() error { return e.err }
-
-// callOnce runs one attempt of a unary call on one connection.
-func (c *Client) callOnce(ctx context.Context, method string, payload []byte, fresh bool) ([]byte, error) {
-	conn, pooled, err := c.getConn(ctx, fresh)
+	st, err := c.open(ctx, "rpc.call ", method, payload)
 	if err != nil {
 		return nil, err
 	}
-	release := watchConn(ctx, conn)
-	deadline, _ := ctx.Deadline()
-	trace, parent := telemetry.Inject(ctx)
-	sent, err := writeRequest(conn, method, deadline, trace, parent, payload)
-	c.Meter.sent.Add(sent)
-	c.Metrics.Counter(telemetry.MetricRPCClientSentBytes, "method", method).Add(sent)
-	if err != nil {
-		release()
-		if errors.Is(err, ErrFrameTooLarge) {
-			// Rejected before any byte hit the wire: the conn is clean.
-			c.Metrics.Counter(telemetry.MetricRPCOversizeFrames).Inc()
-			c.putConn(conn)
-			return nil, err
-		}
-		c.discard(conn)
-		err = callError(ctx, method, "send", err)
-		if pooled && ctx.Err() == nil {
-			return nil, &redialableError{err: err}
+	if _, err := st.Recv(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("rpc: %s answered a unary call with a chunk", method)
+			st.fail(err)
 		}
 		return nil, err
 	}
-	kind, _, resp, n, err := readFrame(conn)
-	c.Meter.received.Add(n)
-	c.Metrics.Counter(telemetry.MetricRPCClientRecvBytes, "method", method).Add(n)
-	if err != nil {
-		release()
-		c.discard(conn)
-		cerr := callError(ctx, method, "recv", err)
-		if n == 0 && pooled && ctx.Err() == nil {
-			// The peer hung up without a single response byte: the
-			// request was never processed on a live connection.
-			return nil, &redialableError{err: cerr}
-		}
-		return nil, cerr
-	}
-	c.Meter.calls.Add(1)
-	if release() != nil {
-		// The watchdog may have poisoned the deadline after the response
-		// landed; the response is good but the conn is not poolable.
-		c.discard(conn)
-	} else {
-		c.putConn(conn)
-	}
-	switch kind {
-	case frameOK:
-		return resp, nil
-	case frameError:
-		return nil, decodeRemoteError(method, resp)
-	default:
-		return nil, fmt.Errorf("rpc: unexpected frame kind %d", kind)
-	}
+	return st.Trailer(), nil
 }
 
 // Close tears down pooled connections.

@@ -5,12 +5,36 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
+
+// checkGoroutines fails the test unless, once its cleanups have closed
+// every client and server it started, the goroutine count settles back to
+// what it was when checkGoroutines was called, within a second. Call it
+// before starting any server or client, so its cleanup runs last.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				stacks := make([]byte, 1<<16)
+				t.Errorf("%d goroutines after close, %d before:\n%s",
+					runtime.NumGoroutine(), before, stacks[:runtime.Stack(stacks, true)])
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+}
 
 func startEcho(t *testing.T) (*Server, *Client) {
 	t.Helper()
+	checkGoroutines(t)
 	s := NewServer()
 	s.Register("echo", func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
 	s.Register("fail", func(_ context.Context, p []byte) ([]byte, error) { return nil, errors.New("boom") })
@@ -146,6 +170,7 @@ func TestClientAfterClose(t *testing.T) {
 }
 
 func TestServerCloseIdempotent(t *testing.T) {
+	checkGoroutines(t)
 	s := NewServer()
 	if _, err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -159,6 +184,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 }
 
 func TestDialBadAddress(t *testing.T) {
+	checkGoroutines(t)
 	c := Dial("127.0.0.1:1") // nothing listens on port 1
 	if _, err := c.Call(context.Background(), "echo", nil); err == nil {
 		t.Error("call to dead address succeeded")
@@ -181,6 +207,7 @@ func TestConnectionReuse(t *testing.T) {
 }
 
 func TestRegisterAfterListen(t *testing.T) {
+	checkGoroutines(t)
 	s := NewServer()
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {

@@ -7,290 +7,253 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
+	"os"
 	"sync/atomic"
 	"time"
 
 	"prestocs/internal/telemetry"
 )
 
-// StreamHandler serves one server-streaming call. It receives the request
-// payload and a send function that ships one chunk frame to the client.
-// Returning nil ends the stream cleanly with the returned trailer payload;
-// returning an error aborts the stream with an error frame, which is valid
-// even after chunks have been sent. If send itself fails the handler should
-// stop and return; the connection is already dead (except for oversized
-// chunks, which are rejected before touching the wire — returning the send
-// error then reaches the client as a clean error frame). The context
-// carries the caller's deadline and is cancelled on server shutdown;
-// handlers should check it between chunks.
+// StreamHandler serves one call. It receives the request payload and a
+// send function that ships one chunk frame to the client. Returning nil
+// ends the call cleanly with the returned trailer payload; returning an
+// error ends it with an error frame, which is valid even after chunks
+// have been sent. If send itself fails the handler should stop and
+// return; the connection is already dead, except for two clean refusals
+// that leave it usable: an oversized chunk (rejected before touching the
+// wire) and a request deadline that expired while the window was full
+// (context.DeadlineExceeded). Returning the send error then reaches the
+// client as an error frame. The context carries the caller's deadline and
+// is cancelled on server shutdown; handlers should check it between
+// chunks. send must be called from one goroutine at a time.
 type StreamHandler func(ctx context.Context, payload []byte, send func(chunk []byte) error) (trailer []byte, err error)
 
-// RegisterStream installs a streaming handler for a method name. A method
-// is either unary or streaming, not both; a streaming registration shadows
-// any unary handler with the same name.
+// RegisterStream installs a handler for a method name, replacing any
+// handler the name had.
 func (s *Server) RegisterStream(method string, h StreamHandler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.streams[method] = h
+	s.methods[method] = h
 }
 
-// streamFlow is the flow-control state shared between one streaming
-// call's producer goroutine and the per-connection reader that feeds it
-// credits. All conn writes for the stream happen in the producer; the
-// reader only routes credits in and, on conn death, breaks the flow.
-type streamFlow struct {
-	window   int // max unacked chunks in flight; 0 = unlimited
-	inflight *telemetry.Gauge
-	stalls   *telemetry.Counter
+// serverCall is the send side of the call a connection is serving: its
+// load word and its credit window. It lives on the connection's goroutine,
+// which owns every read on the connection, so send may read credits off
+// it directly.
+type serverCall struct {
+	s        *Server
+	conn     net.Conn
+	deadline time.Time // the request deadline; zero = none
+	window   int
+	inflight int  // chunks sent and not yet credited
+	broken   bool // a write or credit read failed: conn is unusable
 
-	// load is the server-load hint stamped onto every outgoing chunk and
-	// end frame. The streaming handler updates it through SetStreamLoad;
-	// the producer reads it at frame-write time.
+	// load is the server-load hint stamped onto every chunk and end frame.
+	// The handler updates it through SetStreamLoad.
 	load atomic.Uint32
 
-	mu    sync.Mutex
-	sent  int64
-	acked int64
-	done  bool
-
-	notify   chan struct{} // cap 1, poked per credit
-	broken   chan struct{} // closed when the conn reader dies
-	breakOne sync.Once
-	finished chan struct{} // closed once the producer is done writing conn
-	usable   bool          // read after <-finished: conn good for more calls
+	sentBytes     *telemetry.Counter
+	inflightGauge *telemetry.Gauge
+	stalls        *telemetry.Counter
 }
 
-func newStreamFlow(window int, inflight *telemetry.Gauge, stalls *telemetry.Counter) *streamFlow {
-	return &streamFlow{
-		window:   window,
-		inflight: inflight,
-		stalls:   stalls,
-		notify:   make(chan struct{}, 1),
-		broken:   make(chan struct{}),
-		finished: make(chan struct{}),
+func (s *Server) newCall(conn net.Conn, method string, deadline time.Time) *serverCall {
+	window := s.StreamWindow
+	if window <= 0 {
+		window = DefaultStreamWindow
+	}
+	return &serverCall{
+		s: s, conn: conn, deadline: deadline, window: window,
+		sentBytes:     s.Metrics.Counter(telemetry.MetricRPCServerSentBytes, "method", method),
+		inflightGauge: s.Metrics.Gauge(telemetry.MetricRPCStreamInflight),
+		stalls:        s.Metrics.Counter(telemetry.MetricRPCStreamStalls),
 	}
 }
 
-// credit acknowledges one chunk consumed by the client's Recv.
-func (f *streamFlow) credit() {
-	f.mu.Lock()
-	if f.done {
-		f.mu.Unlock()
-		return
-	}
-	f.acked++
-	f.inflight.Add(-1)
-	f.mu.Unlock()
-	select {
-	case f.notify <- struct{}{}:
-	default:
-	}
-}
-
-// noteSent records one chunk shipped to the client.
-func (f *streamFlow) noteSent() {
-	f.mu.Lock()
-	f.sent++
-	f.inflight.Add(1)
-	f.mu.Unlock()
-}
-
-// saturated reports whether the credit window is full.
-func (f *streamFlow) saturated() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.sent-f.acked >= int64(f.window)
-}
-
-// errFlowBroken reports that the client connection died while the
-// producer was paused on the window; no terminal frame can land.
+// errFlowBroken reports that the client connection failed while the
+// producer was reading credits; no terminal frame can land.
 var errFlowBroken = errors.New("rpc: stream flow broken: client connection lost")
 
-// wait blocks until the window has room, the context fires, or the conn
-// reader dies. A ctx error leaves the connection clean (nothing was
-// written); errFlowBroken means the conn is already dead.
-func (f *streamFlow) wait(ctx context.Context) error {
-	if f.window <= 0 {
-		return nil
+// send ships one chunk. Backpressure point: with the credit window full
+// it first reads credits, so a slow Recv caller pauses the producer here
+// instead of the chunks piling up in the socket.
+func (c *serverCall) send(chunk []byte) error {
+	if c.broken {
+		return errFlowBroken
 	}
-	stalled := false
-	for f.saturated() {
-		if !stalled {
-			stalled = true
-			f.stalls.Inc()
-		}
-		select {
-		case <-f.notify:
-		case <-f.broken:
-			return errFlowBroken
-		case <-ctx.Done():
-			return ctx.Err()
+	if c.inflight >= c.window {
+		if err := c.awaitCredit(); err != nil {
+			return err
 		}
 	}
+	if err := c.write(frameChunk, chunk); err != nil {
+		return err
+	}
+	c.inflight++
+	c.inflightGauge.Add(1)
 	return nil
 }
 
-// breakFlow marks the client connection dead, waking a blocked wait.
-func (f *streamFlow) breakFlow() {
-	f.breakOne.Do(func() { close(f.broken) })
+// awaitCredit reads the credit the full window waits for, bounded by the
+// request deadline. A deadline that expires before any byte of the frame
+// arrives leaves the connection clean and is reported as
+// context.DeadlineExceeded; any other failure breaks the flow.
+func (c *serverCall) awaitCredit() error {
+	c.stalls.Inc()
+	if !c.deadline.IsZero() {
+		c.conn.SetReadDeadline(c.deadline)
+		defer c.conn.SetReadDeadline(time.Time{})
+	}
+	kind, _, _, n, err := readFrame(c.conn)
+	c.s.Meter.received.Add(n)
+	if err != nil && n == 0 && errors.Is(err, os.ErrDeadlineExceeded) {
+		return context.DeadlineExceeded
+	}
+	if err != nil || kind != frameCredit {
+		c.broken = true
+		return errFlowBroken
+	}
+	c.inflight--
+	c.inflightGauge.Add(-1)
+	return nil
 }
 
-// finish retires the flow: residual unacked chunks leave the inflight
-// gauge (their credits may never arrive) and late credits become no-ops.
-func (f *streamFlow) finish(usable bool) {
-	f.mu.Lock()
-	f.done = true
-	f.inflight.Add(-(f.sent - f.acked))
-	f.mu.Unlock()
-	f.usable = usable
-	close(f.finished)
+// write ships one response frame; chunk and end frames carry the load
+// word. An oversized frame never touches the wire and leaves the
+// connection usable; any other write failure breaks it.
+func (c *serverCall) write(kind byte, payload []byte) error {
+	var head []byte
+	if kind != frameError {
+		head = binary.LittleEndian.AppendUint32(make([]byte, 0, streamLoadSize), c.load.Load())
+	}
+	n, err := writeFrame(c.conn, kind, "", head, payload)
+	c.s.Meter.sent.Add(n)
+	c.sentBytes.Add(n)
+	if errors.Is(err, ErrFrameTooLarge) {
+		c.s.Metrics.Counter(telemetry.MetricRPCOversizeFrames).Inc()
+	} else if err != nil {
+		c.broken = true
+	}
+	return err
 }
 
-// streamLoadKey carries the active stream's load word through the
-// handler context.
+// finish ends the call with its terminal frame — the end frame carrying
+// the trailer, or an error frame — and reports whether the connection can
+// carry the next call. A trailer over the frame limit becomes an error
+// frame. Chunks still uncredited leave the inflight gauge; serveConn skips
+// their credits.
+func (c *serverCall) finish(span *telemetry.Span, trailer []byte, err error) bool {
+	c.inflightGauge.Add(-int64(c.inflight))
+	if c.broken {
+		return false
+	}
+	if err == nil {
+		if err = c.write(frameEnd, trailer); err != nil && !errors.Is(err, ErrFrameTooLarge) {
+			return false
+		}
+	}
+	if err != nil {
+		span.Event("error", err.Error())
+		if c.write(frameError, errorPayload(err)) != nil {
+			return false
+		}
+	}
+	c.s.Meter.calls.Add(1)
+	return true
+}
+
+// streamLoadKey carries the active call's load word through the handler
+// context.
 type streamLoadKey struct{}
 
 func withStreamLoad(ctx context.Context, load *atomic.Uint32) context.Context {
 	return context.WithValue(ctx, streamLoadKey{}, load)
 }
 
-// SetStreamLoad publishes a server-load hint on the current streaming
-// call: the value is stamped into every subsequent chunk frame and the
-// end frame, so the client observes server-side backlog with zero extra
-// round trips or frames. Outside a streaming handler it is a no-op.
+// SetStreamLoad publishes a server-load hint on the current call: the
+// value is stamped into every subsequent chunk frame and the end frame,
+// so the client observes server-side backlog with zero extra round trips
+// or frames. Outside a handler it is a no-op.
 func SetStreamLoad(ctx context.Context, load uint32) {
 	if w, ok := ctx.Value(streamLoadKey{}).(*atomic.Uint32); ok {
 		w.Store(load)
 	}
 }
 
-// serveStream runs one streaming call's producer side. It always finishes
-// flow before returning; flow.usable reports whether the connection can
-// carry further calls (false once a write failed mid-stream, since the
-// client can no longer tell frames apart reliably). On an unusable conn
-// it also closes conn so the reader loop, which may be blocked in
-// readFrame, unwedges promptly.
-func (s *Server) serveStream(ctx context.Context, conn net.Conn, h StreamHandler, payload []byte, method string, flow *streamFlow) {
-	sendErr := false
-	sentBytes := s.Metrics.Counter(telemetry.MetricRPCServerSentBytes, "method", method)
-	send := func(chunk []byte) error {
-		// Backpressure point: with a full credit window the producer
-		// pauses here until the client's Recv catches up (or the stream
-		// dies), instead of buffering into the socket unboundedly.
-		if err := flow.wait(ctx); err != nil {
-			if errors.Is(err, errFlowBroken) {
-				sendErr = true
-			}
-			return err
-		}
-		n, err := writeStreamFrame(conn, frameChunk, flow.load.Load(), chunk)
-		s.Meter.sent.Add(n)
-		sentBytes.Add(n)
-		if err != nil {
-			if errors.Is(err, ErrFrameTooLarge) {
-				// Nothing hit the wire: the stream can still end with a
-				// clean error frame instead of poisoning the connection.
-				s.Metrics.Counter(telemetry.MetricRPCOversizeFrames).Inc()
-				return err
-			}
-			sendErr = true
-			return err
-		}
-		flow.noteSent()
-		return nil
-	}
-	trailer, herr := h(ctx, payload, send)
-	if sendErr {
-		conn.Close()
-		flow.finish(false)
-		return
-	}
-	var n int64
-	var err error
-	if herr != nil {
-		n, err = writeFrame(conn, frameError, "", errorPayload(herr))
-	} else {
-		n, err = writeStreamFrame(conn, frameEnd, flow.load.Load(), trailer)
-	}
-	s.Meter.sent.Add(n)
-	if err != nil {
-		conn.Close()
-		flow.finish(false)
-		return
-	}
-	sentBytes.Add(n)
-	s.Meter.calls.Add(1)
-	flow.finish(true)
-}
-
-// ClientStream is the receive side of a server-streaming call. Recv
-// returns chunks in order and io.EOF after the end frame; the trailer is
-// then available via Trailer. Close releases the connection and is safe
-// to call at any point, including after EOF.
+// ClientStream is the receive side of a call. Recv returns chunks in
+// order and io.EOF after the end frame; the trailer is then available via
+// Trailer. Close releases the connection and is safe to call at any
+// point, including after EOF.
 type ClientStream struct {
-	c        *Client
-	ctx      context.Context
-	release  func() error
-	conn     net.Conn
-	method   string
-	payload  []byte // original request payload, kept for one stale-pool redial
-	span     *telemetry.Span
-	start    time.Time
-	trailer  []byte
-	pooled   bool // conn came from the idle pool
-	redialed bool // the one redial budget is spent
-	gotAny   bool // at least one response frame arrived
-	load     uint32
-	done     bool
-	err      error
+	c       *Client
+	ctx     context.Context
+	release func() error
+	conn    net.Conn
+	method  string
+	payload []byte // the request payload, kept for one stale-pool replay
+	span    *telemetry.Span
+	start   time.Time
+	trailer []byte
+	// replayable: conn came from the idle pool and no response byte has
+	// arrived on it, so a failure may be a stale connection.
+	replayable bool
+	load       uint32
+	done       bool
+	err        error
 }
 
-// Stream opens a server-streaming call. The returned stream must be
-// drained to EOF or Closed, or the underlying connection leaks. The ctx
-// governs the whole stream: its deadline travels to the server, and
-// cancelling it wakes a blocked Recv and discards the connection. Like
-// Call, a stale pooled connection that fails before any response bytes
-// arrive is redialed once — on open here, or on the first Recv.
+// Stream opens a call whose chunks the caller receives one Recv at a
+// time. The returned stream must be drained to EOF or Closed, or the
+// underlying connection leaks. The ctx governs the whole stream: its
+// deadline travels to the server, and cancelling it wakes a blocked Recv
+// and discards the connection. A stale pooled connection (the peer closed
+// it while idle) that fails before any response bytes arrive is redialed
+// once — on open here, or on the first Recv. The request is not yet
+// observable as executed, so the replay is safe even for non-idempotent
+// methods.
 func (c *Client) Stream(ctx context.Context, method string, payload []byte) (*ClientStream, error) {
+	return c.open(ctx, "rpc.stream ", method, payload)
+}
+
+// open starts a call under a client span named spanPrefix+method.
+func (c *Client) open(ctx context.Context, spanPrefix, method string, payload []byte) (*ClientStream, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ctx, span := telemetry.StartSpan(ctx, "rpc.stream "+method)
+	ctx, span := telemetry.StartSpan(ctx, spanPrefix+method)
 	st := &ClientStream{c: c, ctx: ctx, method: method, payload: payload, span: span, start: time.Now()}
-	if err := st.open(false); err != nil {
-		if rd, ok := err.(*redialableError); ok {
-			span.Event("redial", rd.err.Error())
-			c.Metrics.Counter(telemetry.MetricRPCPoolRedials).Inc()
-			err = st.open(true)
-		}
-		if rd, ok := err.(*redialableError); ok {
-			err = rd.err
-		}
-		if err != nil {
-			span.Event("error", err.Error())
-			span.End()
-			st.observeLatency()
-			c.Metrics.Counter(telemetry.MetricRPCClientErrors, "method", method).Inc()
-			return nil, err
-		}
+	if err := st.redial(st.send(false)); err != nil {
+		st.fail(err)
+		return nil, err
 	}
 	return st, nil
 }
 
-// observeLatency records the stream's whole-call latency, open to
-// terminal frame (or failure), in the same per-method histogram unary
-// calls use.
-func (st *ClientStream) observeLatency() {
-	st.c.Metrics.Histogram(telemetry.MetricRPCClientLatency, "method", st.method).
-		ObserveDuration(time.Since(st.start))
+// redialableError wraps a failure on a stale pooled connection that
+// happened before any response bytes were read: the call is replayed
+// exactly once on a fresh connection.
+type redialableError struct{ err error }
+
+func (e *redialableError) Error() string { return e.err.Error() }
+func (e *redialableError) Unwrap() error { return e.err }
+
+// redial answers a *redialableError by shipping the request again on a
+// fresh connection; any other error it returns as it is.
+func (st *ClientStream) redial(err error) error {
+	rd, ok := err.(*redialableError)
+	if !ok {
+		return err
+	}
+	st.span.Event("redial", rd.err.Error())
+	st.c.Metrics.Counter(telemetry.MetricRPCPoolRedials).Inc()
+	return st.send(true)
 }
 
-// open establishes one connection and ships the request frame.
-func (st *ClientStream) open(fresh bool) error {
+// send takes a connection and ships the request frame on it.
+func (st *ClientStream) send(fresh bool) error {
 	c := st.c
 	conn, pooled, err := c.getConn(st.ctx, fresh)
 	if err != nil {
@@ -305,20 +268,27 @@ func (st *ClientStream) open(fresh bool) error {
 	if err != nil {
 		release()
 		if errors.Is(err, ErrFrameTooLarge) {
+			// Rejected before any byte hit the wire: the conn is clean.
 			c.Metrics.Counter(telemetry.MetricRPCOversizeFrames).Inc()
 			c.putConn(conn)
 			return err
 		}
 		c.discard(conn)
-		cerr := callError(st.ctx, st.method, "send", err)
+		err = callError(st.ctx, st.method, "send", err)
 		if pooled && st.ctx.Err() == nil {
-			return &redialableError{err: cerr}
+			return &redialableError{err: err}
 		}
-		return cerr
+		return err
 	}
-	st.conn, st.release, st.pooled = conn, release, pooled
-	st.redialed = st.redialed || fresh
+	st.conn, st.release, st.replayable = conn, release, pooled
 	return nil
+}
+
+// observeLatency records the call's latency, open to terminal frame (or
+// failure), in the per-method histogram.
+func (st *ClientStream) observeLatency() {
+	st.c.Metrics.Histogram(telemetry.MetricRPCClientLatency, "method", st.method).
+		ObserveDuration(time.Since(st.start))
 }
 
 // Recv returns the next chunk, io.EOF on clean end of stream, or an error.
@@ -334,86 +304,82 @@ func (st *ClientStream) Recv() ([]byte, error) {
 	st.c.Meter.received.Add(n)
 	st.c.Metrics.Counter(telemetry.MetricRPCClientRecvBytes, "method", st.method).Add(n)
 	if err != nil {
-		if n == 0 && !st.gotAny && st.pooled && !st.redialed && st.ctx.Err() == nil {
-			// The pooled connection was stale: the peer hung up without a
-			// single response byte, so the request was never executed.
-			// Replay it once on a fresh connection.
+		err = callError(st.ctx, st.method, "recv", err)
+		if n == 0 && st.replayable && st.ctx.Err() == nil {
+			// The peer hung up without a single response byte: the
+			// request never ran.
 			st.release()
 			st.c.discard(st.conn)
-			st.span.Event("redial", err.Error())
-			st.c.Metrics.Counter(telemetry.MetricRPCPoolRedials).Inc()
-			if oerr := st.open(true); oerr != nil {
-				if rd, ok := oerr.(*redialableError); ok {
-					oerr = rd.err
-				}
-				st.conn = nil
-				st.fail(oerr)
-				return nil, st.err
+			st.conn = nil
+			if err = st.redial(&redialableError{err: err}); err == nil {
+				return st.Recv()
 			}
-			return st.Recv()
 		}
-		st.fail(callError(st.ctx, st.method, "recv", err))
+		st.fail(err)
+		return nil, err
+	}
+	st.replayable = false
+	if k == frameError {
+		st.end(decodeRemoteError(st.method, payload))
 		return nil, st.err
 	}
-	st.gotAny = true
-	switch k {
-	case frameChunk:
-		if len(payload) < streamLoadSize {
-			st.fail(fmt.Errorf("rpc: chunk frame missing load prefix in %s stream", st.method))
-			return nil, st.err
-		}
-		st.load = binary.LittleEndian.Uint32(payload[:streamLoadSize])
-		payload = payload[streamLoadSize:]
-		// Flow-control credit: acknowledge the chunk only once it is in
-		// hand, which is what makes a slow Recv caller slow the producer.
-		// A failed credit write means the conn is dying; the chunk is
-		// still good and the next Recv surfaces the failure.
-		cn, _ := writeFrame(st.conn, frameCredit, "", nil)
-		st.c.Meter.sent.Add(cn)
-		st.c.Metrics.Counter(telemetry.MetricRPCClientSentBytes, "method", st.method).Add(cn)
-		return payload, nil
-	case frameEnd:
-		if len(payload) < streamLoadSize {
-			st.fail(fmt.Errorf("rpc: end frame missing load prefix in %s stream", st.method))
-			return nil, st.err
-		}
-		st.load = binary.LittleEndian.Uint32(payload[:streamLoadSize])
-		payload = payload[streamLoadSize:]
+	if (k != frameChunk && k != frameEnd) || len(payload) < streamLoadSize {
+		st.fail(fmt.Errorf("rpc: bad frame (kind %d, %d bytes) in %s call", k, len(payload), st.method))
+		return nil, st.err
+	}
+	st.load = binary.LittleEndian.Uint32(payload[:streamLoadSize])
+	payload = payload[streamLoadSize:]
+	if k == frameEnd {
 		st.trailer = payload
-		st.done = true
-		st.c.Meter.calls.Add(1)
-		st.span.End()
-		st.observeLatency()
-		if st.release() != nil {
-			// Context fired while the end frame was in flight; the conn
-			// deadline may be poisoned, so it cannot rejoin the pool.
-			st.c.discard(st.conn)
-		} else {
-			st.c.putConn(st.conn)
-		}
-		st.conn = nil
+		st.end(nil)
 		return nil, io.EOF
-	case frameError:
-		st.fail(decodeRemoteError(st.method, payload))
-		return nil, st.err
-	default:
-		st.fail(fmt.Errorf("rpc: unexpected frame kind %d in %s stream", k, st.method))
-		return nil, st.err
 	}
+	// Flow-control credit: acknowledge the chunk only once it is in hand,
+	// which is what makes a slow Recv caller slow the producer. A failed
+	// credit write means the conn is dying; the chunk is still good and
+	// the next Recv surfaces the failure.
+	cn, _ := st.conn.Write(creditFrame)
+	st.c.Meter.sent.Add(int64(cn))
+	st.c.Metrics.Counter(telemetry.MetricRPCClientSentBytes, "method", st.method).Add(int64(cn))
+	return payload, nil
 }
 
+// end retires the call at its terminal frame, an end frame (err == nil)
+// or an error frame: the connection is in step again, so it rejoins the
+// pool unless the context fired meanwhile and may have poisoned its
+// deadline.
+func (st *ClientStream) end(err error) {
+	st.c.Meter.calls.Add(1)
+	if st.release() != nil {
+		st.c.discard(st.conn)
+	} else {
+		st.c.putConn(st.conn)
+	}
+	st.conn = nil
+	st.finish(err)
+}
+
+// fail retires the call on a failure that leaves the connection out of
+// step, discarding it.
 func (st *ClientStream) fail(err error) {
-	st.err = err
-	st.done = true
-	st.span.Event("error", err.Error())
-	st.span.End()
-	st.observeLatency()
-	st.c.Metrics.Counter(telemetry.MetricRPCClientErrors, "method", st.method).Inc()
 	if st.conn != nil {
 		st.release()
 		st.c.discard(st.conn)
 		st.conn = nil
 	}
+	st.finish(err)
+}
+
+// finish records the call's outcome.
+func (st *ClientStream) finish(err error) {
+	st.err = err
+	st.done = true
+	if err != nil {
+		st.span.Event("error", err.Error())
+		st.c.Metrics.Counter(telemetry.MetricRPCClientErrors, "method", st.method).Inc()
+	}
+	st.span.End()
+	st.observeLatency()
 }
 
 // Trailer returns the end-frame payload. Valid only after Recv returned

@@ -10,10 +10,13 @@ import (
 	"net"
 	"sync"
 	"testing"
+
+	"prestocs/internal/telemetry"
 )
 
 func startStreamServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
+	checkGoroutines(t)
 	s := NewServer()
 	// Streams n chunks "chunk-0".."chunk-(n-1)" where n = payload[0],
 	// then ends with trailer "done".
@@ -275,10 +278,59 @@ func TestStreamConcurrent(t *testing.T) {
 	}
 }
 
+// TestErrorReplyKeepsConnection: an error frame ends a call as an end
+// frame does, so the connection goes back to the pool and the next call
+// reuses it instead of dialing — after a unary call and after a stream
+// that failed behind its chunks.
+func TestErrorReplyKeepsConnection(t *testing.T) {
+	cases := []struct {
+		name, okMethod string
+		start          func(*testing.T) (*Server, *Client)
+		fail           func(*Client) error
+	}{
+		{"unary", "echo", startEcho, func(c *Client) error {
+			_, err := c.Call(context.Background(), "fail", nil)
+			return err
+		}},
+		{"stream", "unary", startStreamServer, func(c *Client) error {
+			st, err := c.Stream(context.Background(), "midfail", nil)
+			if err != nil {
+				return err
+			}
+			for {
+				if _, err := st.Recv(); err != nil {
+					return err
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c := tc.start(t)
+			c.Metrics = telemetry.NewRegistry()
+			var remote *RemoteError
+			if err := tc.fail(c); !errors.As(err, &remote) {
+				t.Fatalf("err = %v, want a RemoteError", err)
+			}
+			if n := c.IdleConns(); n != 1 {
+				t.Errorf("idle = %d after an error reply, want 1", n)
+			}
+			dials := c.Metrics.CounterValue(telemetry.MetricRPCPoolDials)
+			if _, err := c.Call(context.Background(), tc.okMethod, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Metrics.CounterValue(telemetry.MetricRPCPoolDials); got != dials {
+				t.Errorf("dials %d -> %d: the call after an error reply did not reuse the connection", dials, got)
+			}
+		})
+	}
+}
+
 // fakeStreamServer accepts one connection, reads the request frame and
 // writes the given raw bytes, simulating a malformed or dying peer.
 func fakeStreamServer(t *testing.T, raw func(conn net.Conn)) string {
 	t.Helper()
+	checkGoroutines(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +352,7 @@ func fakeStreamServer(t *testing.T, raw func(conn net.Conn)) string {
 
 func TestStreamPeerDiesMidStream(t *testing.T) {
 	addr := fakeStreamServer(t, func(conn net.Conn) {
-		writeFrame(conn, frameChunk, "", []byte("only-chunk"))
+		writeFrame(conn, frameChunk, "", nil, []byte("only-chunk"))
 		// Close without end frame: the peer died mid-stream.
 	})
 	c := Dial(addr)
@@ -340,7 +392,7 @@ func TestStreamTruncatedChunkFrame(t *testing.T) {
 
 func TestStreamGarbageFrameKind(t *testing.T) {
 	addr := fakeStreamServer(t, func(conn net.Conn) {
-		writeFrame(conn, 9, "", []byte("wat"))
+		writeFrame(conn, 9, "", nil, []byte("wat"))
 	})
 	c := Dial(addr)
 	defer c.Close()
@@ -356,6 +408,7 @@ func TestStreamGarbageFrameKind(t *testing.T) {
 func TestServeStreamHandlerSendAfterClientGone(t *testing.T) {
 	// A handler that keeps sending after the client hangs up must get a
 	// send error and the server must survive.
+	checkGoroutines(t)
 	s := NewServer()
 	sent := make(chan error, 1)
 	s.RegisterStream("forever", func(_ context.Context, p []byte, send func([]byte) error) ([]byte, error) {

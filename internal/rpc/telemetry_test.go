@@ -30,6 +30,7 @@ func restartServer(t *testing.T, s *Server, addr string) *Server {
 // failure happens before any response bytes, so Call transparently
 // redials once and the call succeeds.
 func TestCallRedialsStalePooledConn(t *testing.T) {
+	checkGoroutines(t)
 	s := NewServer()
 	s.Register("echo", func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
 	addr, err := s.Listen("127.0.0.1:0")
@@ -63,6 +64,7 @@ func TestCallRedialsStalePooledConn(t *testing.T) {
 // TestCallRedialBudgetIsOne: when the redial target is also dead the
 // second failure surfaces as a real transport error, not another retry.
 func TestCallRedialBudgetIsOne(t *testing.T) {
+	checkGoroutines(t)
 	s := NewServer()
 	s.Register("echo", func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
 	addr, err := s.Listen("127.0.0.1:0")
@@ -148,10 +150,51 @@ func TestOversizeResponseBecomesRemoteError(t *testing.T) {
 	}
 }
 
+// TestOversizeTrailerBecomesRemoteError: a trailer over the limit, after
+// a chunk has gone out, ends the call with a clean invalid-request error
+// frame — a size refusal no retry can heal — and the connection carries
+// the next call.
+func TestOversizeTrailerBecomesRemoteError(t *testing.T) {
+	setFrameLimit(t, 256)
+	checkGoroutines(t)
+	s := NewServer()
+	s.RegisterStream("bigtrailer", func(_ context.Context, _ []byte, send func([]byte) error) ([]byte, error) {
+		if err := send([]byte("chunk")); err != nil {
+			return nil, err
+		}
+		return bytes.Repeat([]byte{3}, 512), nil
+	})
+	s.Register("echo", func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := Dial(addr)
+	defer c.Close()
+
+	st, err := c.Stream(context.Background(), "bigtrailer", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = st.Recv()
+	var remote *RemoteError
+	if !errors.As(err, &remote) || remote.Code != CodeInvalid {
+		t.Fatalf("err = %T %v, want a RemoteError with CodeInvalid", err, err)
+	}
+	if resp, err := c.Call(context.Background(), "echo", []byte("next")); err != nil || string(resp) != "next" {
+		t.Fatalf("call after oversize trailer: %q, %v", resp, err)
+	}
+}
+
 // TestTracePropagatesAcrossWire: the trace and parent span IDs travel in
 // the request frame header, so the server's span joins the client's
 // trace with the rpc.call span as its parent.
 func TestTracePropagatesAcrossWire(t *testing.T) {
+	checkGoroutines(t)
 	s := NewServer()
 	s.Tracer = telemetry.NewTracer(0)
 	s.Register("echo", func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
