@@ -26,8 +26,8 @@ loc:
 # Laghos's and Q1's whole leaf pipelines over resident pages), the
 # zone-map pruning selectivity sweep, the hot-page cache comparison, the
 # tracing-overhead comparison, the mixed-traffic latency profile, the
-# adaptive-pushdown sweep, the join bloom-pushdown sweep, the
-# ingest-throughput sweep and the write path's steps (one commit's rows,
+# join bloom-pushdown sweep, the ingest-throughput sweep and the write
+# path's steps (one commit's rows,
 # the same batch as a page, one 16-object compaction, the compaction's
 # cluster sort over three key kinds, and the writer encoding 16 whole
 # row groups on every core; allocs/op included), and prints
@@ -39,7 +39,7 @@ loc:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./internal/exec/
 	$(GO) test -bench='PruneSweep|HotCache' -benchmem -run '^$$' ./internal/ocsserver/
-	$(GO) test -bench='TracingOverhead|MixedTraffic|AdaptiveSweep|JoinBloomSweep|IngestThroughput' -benchmem -run '^$$' ./internal/harness/
+	$(GO) test -bench='TracingOverhead|MixedTraffic|JoinBloomSweep|IngestThroughput' -benchmem -run '^$$' ./internal/harness/
 	$(GO) test -bench='BuilderAppendRows|BuilderAppendPage|CompactMerge|ClusterOrder' -benchmem -run '^$$' ./internal/ingest/
 	$(GO) test -bench='WritePage' -benchmem -run '^$$' ./internal/parquetlite/
 
@@ -53,11 +53,12 @@ bench-paper:
 # and deadline-bounded queries, cache-invalidation races, the
 # mixed-traffic load scenarios (starvation, slow readers, killed clients
 # mid-stream), the connector's refusal handling (the bloom cap's one
-# retry, the adaptive policy's flip) and the write-path scenarios (killed
-# ingest, compaction racing queries, snapshot-pinned scans) (DESIGN.md
-# §5b, §7, §10).
+# retry) and its mid-stream resume on the local replay, plain and with a
+# pushed bloom filter, and the write-path scenarios (killed ingest,
+# compaction racing queries, snapshot-pinned scans) (DESIGN.md §5b, §7,
+# §10).
 faults:
-	$(GO) test -race -count=2 -run 'Fault|Kill|Cancel|Retry|Fallback|Deadline|Blackhole|ComputeUnit|CacheInvalidation|Starvation|SlowClient|Backpressure|Overloaded|Flip|Ingest|Compact|Snapshot' \
+	$(GO) test -race -count=2 -run 'Fault|Kill|Cancel|Retry|Fallback|Deadline|Blackhole|ComputeUnit|CacheInvalidation|Starvation|SlowClient|Backpressure|Overloaded|Ingest|Compact|Snapshot' \
 		./internal/rpc/... ./internal/retry/... ./internal/faultnet/... \
 		./internal/ocsserver/... ./internal/harness/... ./internal/engine/... \
 		./internal/connector/... ./internal/ingest/... ./internal/metastore/...

@@ -57,7 +57,7 @@ func main() {
 	catalogPath := flag.String("catalog", "catalog.json", "catalog JSON written by datagen")
 	ocsAddr := flag.String("ocs", "", "OCS frontend address (required)")
 	objAddr := flag.String("objstore", "", "plain object store address (optional, enables hive catalog)")
-	pushdown := flag.String("pushdown", "all", "ocs pushdown mode: always/all, never/none, filter, ..., or auto (per-split adaptive: selectivity history + storage-load feedback decide pushdown vs raw per split)")
+	pushdown := flag.String("pushdown", "all", "ocs pushdown mode: always/all, never/none, filter, ..., or auto (the Selectivity Analyzer decides at plan time from table statistics)")
 	explain := flag.Bool("explain", false, "print the optimized plan before results")
 	profile := flag.Bool("profile", false, "print a per-query trace profile after each statement")
 	metaCacheTables := flag.Int("meta-cache-tables", cache.DefaultTableCacheEntries, "table-metadata cache entries per catalog (0 disables)")
@@ -107,7 +107,6 @@ func main() {
 	conn := ocsconn.New("ocs", ms, ocsCli)
 	conn.SetTableCacheEntries(*metaCacheTables)
 	eng.AddConnector(conn)
-	eng.AddEventListener(conn.Policy())
 	if *profile || *metricsListen != "" {
 		conn.SetMetrics(eng.Metrics)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"prestocs/internal/engine"
 	"prestocs/internal/expr"
 	"prestocs/internal/plan"
 	"prestocs/internal/substrait"
@@ -177,7 +176,7 @@ func TestPrefixPerMode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := newSelectivityAnalyzer(statsTable(), mode, engine.NewSession())
+			a := &selectivityAnalyzer{table: statsTable(), mode: mode, threshold: 0.5}
 			n, est := a.prefix(seq)
 			if n != tc.want[i] {
 				t.Errorf("%s [%s]: prefix = %d of %d candidates, want %d", tc.name, name, n, len(seq), tc.want[i])
@@ -228,7 +227,7 @@ func TestAbsorbFinalPerMode(t *testing.T) {
 		}
 		for i, name := range sixModes {
 			mode, _ := ParseMode(name)
-			a := newSelectivityAnalyzer(table, mode, engine.NewSession())
+			a := &selectivityAnalyzer{table: table, mode: mode, threshold: 0.5}
 			n, _ := a.prefix(f.seq)
 			push := materialise(table, f.seq[:n], 0)
 			kept := above

@@ -10,9 +10,7 @@
 //     PageSourceProvider and ships them to OCS over the RPC layer;
 //   - deserializes Arrow results back into engine pages and leaves
 //     residual operators (final aggregation, re-merged Top-N) to the
-//     engine;
-//   - reports per-query pushdown metrics through an EventListener with a
-//     sliding-window history.
+//     engine.
 package ocs
 
 import (
@@ -103,10 +101,6 @@ type BloomSpec struct {
 	// projected one: the join's ProbeKeys[0]).
 	Column int
 	Filter *bloom.Filter
-	// EstSelectivity estimates the fraction of probe rows the filter
-	// keeps (build keys over probe NDV); 0 when unknown. The adaptive
-	// policy folds it into its pricing prior.
-	EstSelectivity float64
 }
 
 // Pushdown is the Operator Extractor's output: the operators absorbed
@@ -133,8 +127,7 @@ type Pushdown struct {
 	Limit int64
 	// EstSelectivity is the Selectivity Analyzer's plan-time estimate of
 	// the fraction of scanned rows the pushed pipeline keeps (0 when the
-	// planner produced no estimate). The adaptive policy uses it as the
-	// pricing prior until runtime history accumulates for the shape.
+	// planner produced no estimate; static modes make none).
 	EstSelectivity float64
 	// Bloom is a join build-side semi-filter, evaluated right after the
 	// pushed filter. Set by the engine (via WithJoinBloom) after the
@@ -195,10 +188,6 @@ type Handle struct {
 	Table      *metastore.Table
 	Projection []int // base-schema ordinals; nil = all
 	Push       *Pushdown
-	// Adaptive is set (auto mode only) when the per-split policy may
-	// override the planned pushdown and flip mid-stream; otherwise the
-	// pushdown choice is static for the query.
-	Adaptive bool
 	// pin holds the metastore snapshot this handle's Table was read at;
 	// every copy the optimizer or join machinery makes shares it, and the
 	// engine releases it exactly once when the query finishes. Nil for
@@ -266,9 +255,8 @@ func (h *Handle) WithProjection(cols []int) plan.TableHandle {
 // after the pushed filter. It declines when the pushed pipeline
 // rebuilds rows (project/agg/top-N/limit) — a join probe branch never
 // carries those, but a foreign plan shape must not silently mis-map the
-// key ordinal. The selectivity prior is build keys over the probe
-// column's NDV from table statistics.
-func (h *Handle) WithJoinBloom(column int, filter *bloom.Filter, buildKeys int64) (plan.TableHandle, bool) {
+// key ordinal.
+func (h *Handle) WithJoinBloom(column int, filter *bloom.Filter, _ int64) (plan.TableHandle, bool) {
 	if filter == nil || column < 0 || column >= h.ScanSchema().Len() {
 		return nil, false
 	}
@@ -276,12 +264,7 @@ func (h *Handle) WithJoinBloom(column int, filter *bloom.Filter, buildKeys int64
 		h.Push.FinalProject != nil || h.Push.TopN != nil || h.Push.Limit > 0) {
 		return nil, false
 	}
-	est := 0.0
-	name := h.ScanSchema().Columns[column].Name
-	if cs, ok := h.Table.Stats(name); ok && cs.NDV > 0 {
-		est = min(float64(buildKeys)/float64(cs.NDV), 1)
-	}
-	return h.withBloom(&BloomSpec{Column: column, Filter: filter, EstSelectivity: est}), true
+	return h.withBloom(&BloomSpec{Column: column, Filter: filter}), true
 }
 
 // withBloom returns a copy of the handle whose pushdown carries spec in

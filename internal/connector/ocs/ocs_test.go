@@ -88,7 +88,6 @@ func setup(t *testing.T) (*engine.Engine, *Connector) {
 	e.DefaultCatalog = "ocs"
 	e.Workers = 2
 	e.AddConnector(conn)
-	e.AddEventListener(conn.Policy())
 	return e, conn
 }
 
@@ -352,33 +351,6 @@ func TestBareLimitPushdown(t *testing.T) {
 	}
 	if res2.Page.NumRows() != 7 {
 		t.Errorf("filter-mode rows = %d", res2.Page.NumRows())
-	}
-}
-
-func TestAutoFallsBackAfterFailures(t *testing.T) {
-	e, conn := setup(t)
-	// Record a failing history: 5 queries, 4 failed.
-	conn.Policy().QueryCompleted(engine.QueryEvent{})
-	for i := 0; i < 4; i++ {
-		conn.Policy().QueryCompleted(engine.QueryEvent{Err: fmt.Errorf("storage fault %d", i)})
-	}
-	if conn.Policy().AdvisePlanPushdown() {
-		t.Fatal("policy should advise against pushdown")
-	}
-	res, err := execute(context.Background(), e, laghosQuery, session("auto"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Stats.PushedDown) != 0 {
-		t.Errorf("auto pushed %v despite failing history", res.Stats.PushedDown)
-	}
-	// Forced mode ignores the advice.
-	res, err = execute(context.Background(), e, laghosQuery, session("all"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Stats.PushedDown) == 0 {
-		t.Error("forced mode must still push")
 	}
 }
 

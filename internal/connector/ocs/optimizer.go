@@ -1,6 +1,7 @@
 package ocs
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strconv"
@@ -34,17 +35,26 @@ func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan
 	if err != nil {
 		return nil, err
 	}
-	// History feedback: when recent pushdown executions have mostly been
-	// failing (e.g. a flaky storage node), auto mode falls back to plain
-	// scans rather than keep routing work into a broken path. This is the
-	// plan-time half of the adaptive policy; the per-split half runs at
-	// schedule time inside Connector.CreatePageSource.
-	if mode.Auto && o.conn != nil && o.conn.policy != nil && !o.conn.policy.AdvisePlanPushdown() {
-		return root, nil
+	threshold, err := parseThreshold(session.Get(SessionSelectivityThreshold))
+	if err != nil {
+		return nil, err
 	}
 	return plan.MapBranches(root, func(branch plan.Node) (plan.Node, error) {
-		return extract(branch, mode, session)
+		return extract(branch, mode, threshold)
 	})
+}
+
+// parseThreshold interprets the SessionSelectivityThreshold property: a
+// data-reduction ratio in [0, 1], 0.5 when unset.
+func parseThreshold(s string) (float64, error) {
+	if s == "" {
+		return 0.5, nil
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(f >= 0 && f <= 1) {
+		return 0, fmt.Errorf("ocs: %s must be a number in [0, 1], got %q", SessionSelectivityThreshold, s)
+	}
+	return f, nil
 }
 
 // extract absorbs one branch's pushdown-eligible operators into a modified
@@ -52,7 +62,7 @@ func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan
 // lies below the branch's Exchange): candidates lists what storage could
 // run, prefix decides how much of it is pushed, materialise writes that
 // into the Pushdown. chain is the branch's spine, root first.
-func extract(branch plan.Node, mode Mode, session *engine.Session) (plan.Node, error) {
+func extract(branch plan.Node, mode Mode, threshold float64) (plan.Node, error) {
 	chain, end := plan.Spine(branch)
 	scan := end.(*plan.TableScan)
 	handle, ours := scan.Handle.(*Handle)
@@ -60,7 +70,7 @@ func extract(branch plan.Node, mode Mode, session *engine.Session) (plan.Node, e
 	if !ours || exchange < 0 {
 		return branch, nil // a foreign scan, or no leaf stage to extract from
 	}
-	analyzer := newSelectivityAnalyzer(handle.Table, mode, session)
+	analyzer := &selectivityAnalyzer{table: handle.Table, mode: mode, threshold: threshold}
 	stage, base := chain[exchange+1:], handle.baseScanSchema()
 	seq := candidates(stage, base)
 	n, est := analyzer.prefix(seq)
@@ -87,7 +97,7 @@ func extract(branch plan.Node, mode Mode, session *engine.Session) (plan.Node, e
 		push.OutputCols, leaf = cols, narrowed
 	}
 	pushed := handle.clone()
-	pushed.Push, pushed.Adaptive = push, mode.Auto
+	pushed.Push = push
 	kept := append(append([]plan.Node(nil), above...), leaf...)
 	return plan.Stack(kept, &plan.TableScan{Catalog: scan.Catalog, Table: scan.Table, Handle: pushed})
 }
@@ -290,16 +300,6 @@ type selectivityAnalyzer struct {
 // projectCostCap is the most expression cost (expr.Cost units) auto mode
 // pushes in one projection.
 const projectCostCap = 25
-
-func newSelectivityAnalyzer(table *metastore.Table, mode Mode, session *engine.Session) *selectivityAnalyzer {
-	a := &selectivityAnalyzer{table: table, mode: mode, threshold: 0.5}
-	if v := session.Get(SessionSelectivityThreshold); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f >= 0 && f <= 1 {
-			a.threshold = f
-		}
-	}
-	return a
-}
 
 // EstimateFilterSelectivity returns the estimated fraction of rows a
 // predicate keeps, assuming normally distributed values between the

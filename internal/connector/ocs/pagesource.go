@@ -30,7 +30,6 @@ type Connector struct {
 	meta    *metastore.Metastore
 	tables  *cache.TableCache
 	client  *ocsserver.Client
-	policy  *Policy
 	// ingester, when attached, enables the write path (engine.Ingest)
 	// on this catalog.
 	ingester *ingest.Ingester
@@ -46,17 +45,11 @@ func New(catalog string, meta *metastore.Metastore, client *ocsserver.Client) *C
 		meta:    meta,
 		tables:  cache.NewTableCache(meta, cache.DefaultTableCacheEntries),
 		client:  client,
-		policy:  NewPolicy(),
 	}
 }
 
 // Name implements engine.Connector.
 func (c *Connector) Name() string { return c.catalog }
-
-// Policy returns the connector's adaptive pushdown policy. Register it
-// with the engine via AddEventListener: completed queries feed its
-// plan-time advice.
-func (c *Connector) Policy() *Policy { return c.policy }
 
 // SetTableCacheEntries resizes the table-metadata cache (0 disables
 // caching). Call before serving queries.
@@ -64,12 +57,10 @@ func (c *Connector) SetTableCacheEntries(n int) {
 	c.tables = cache.NewTableCache(c.meta, n)
 }
 
-// SetMetrics binds the table-metadata cache counters and the adaptive
-// policy's decision/flip/load series to a registry; call before serving
-// queries.
+// SetMetrics binds the table-metadata cache counters to a registry; call
+// before serving queries.
 func (c *Connector) SetMetrics(reg *telemetry.Registry) {
 	c.tables.Instrument(reg, "catalog", c.catalog)
-	c.policy.SetMetrics(reg)
 }
 
 // TableHandle implements engine.Connector; lookups go through the
@@ -99,52 +90,25 @@ func (c *Connector) PlanOptimizer() engine.ConnectorPlanOptimizer {
 }
 
 // CreatePageSource implements engine.Connector: the paper's
-// PageSourceProvider, and the connector's one per-split decision point.
-// Static pushdown modes (and pushdown-free plans) pass through unchanged,
-// so the paper's fixed configurations stay exactly reproducible; auto-mode
-// handles are marked Adaptive and priced by the policy against history and
-// live load (decide, policy.go), and only those choices are counted.
+// PageSourceProvider. What a split runs was decided at plan time, in every
+// mode: without a pushdown spec the split is the paper's no-pushdown
+// configuration (whole-object GET, local scan); with one, the extracted
+// operators go to OCS as a Substrait plan and the Arrow result comes back
+// (pushdownSource), degrading to the local replay, recorded as a fallback,
+// when execution fails transiently even after the client's retries.
 func (c *Connector) CreatePageSource(ctx context.Context, handle plan.TableHandle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
 	h, ok := handle.(*Handle)
 	if !ok {
 		return nil, fmt.Errorf("ocs: foreign handle %T", handle)
 	}
-	pushdown, reason := true, "static"
-	if h.Adaptive && !h.Push.Empty() {
-		pushdown, reason = c.policy.decide(h)
-		stats.AddSplitDecision(pushdown)
-	}
-	return c.openSplit(ctx, h, split, pushdown, reason, stats)
-}
-
-// OpenSplit opens one split on a caller-chosen path, bypassing the policy
-// (and its decision counters): tests use it to force the pushdown stream
-// or the local replay deterministically. It is not part of the SPI.
-func (c *Connector) OpenSplit(ctx context.Context, h *Handle, split engine.Split, pushdown bool, stats *engine.ScanStats) (exec.Operator, error) {
-	return c.openSplit(ctx, h, split, pushdown, "forced", stats)
-}
-
-// openSplit is the three-way opener. Without a pushdown spec the split is
-// the paper's no-pushdown configuration (whole-object GET, local scan).
-// With one, pushdown reconstructs the extracted operators as a Substrait
-// plan, ships it to OCS over RPC and deserializes the Arrow result — and
-// degrades to the local replay, recorded as a fallback, when execution
-// fails transiently even after the client's retries — while !pushdown
-// replays the pushed operators locally over a whole-object GET, so the
-// residual plan sees the same schema either way. reason labels the
-// decision on the split's span.
-func (c *Connector) openSplit(ctx context.Context, h *Handle, split engine.Split, pushdown bool, reason string, stats *engine.ScanStats) (exec.Operator, error) {
 	if h.Push.Empty() {
 		return engine.ScanWholeObject(ctx, c.client.Client, h.Table.Bucket, split.Object, h.Table.Columns, h.Projection, stats)
 	}
-	if !pushdown {
-		return c.replaySource(ctx, h, split, stats, 0, causeAdaptive, reason)
-	}
-	return c.pushdownSource(ctx, h, split, reason, stats)
+	return c.pushdownSource(ctx, h, split, stats)
 }
 
 // pushdownSource opens the in-storage execution path for one split.
-func (c *Connector) pushdownSource(ctx context.Context, h *Handle, split engine.Split, reason string, stats *engine.ScanStats) (src exec.Operator, err error) {
+func (c *Connector) pushdownSource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats) (src exec.Operator, err error) {
 	// The scan span covers this split's whole pushdown lifetime; its
 	// children are the Table-3 stages (Substrait generation, stream open)
 	// and its accumulated durations the per-chunk transfer waits and
@@ -157,7 +121,6 @@ func (c *Connector) pushdownSource(ctx context.Context, h *Handle, split engine.
 		}
 	}()
 	scanSpan.SetAttr("object", split.Object)
-	scanSpan.SetAttr("decision", reason)
 	irPlan, err := generatePlan(ctx, h, split.Object, stats)
 	if err != nil {
 		return nil, err
@@ -183,14 +146,14 @@ func (c *Connector) pushdownSource(ctx context.Context, h *Handle, split engine.
 		scanSpan.Event("bloom-rejected", err.Error())
 		scanSpan.End()
 		stats.AddJoinBloomRejected()
-		if src, err = c.pushdownSource(ctx, h.withBloom(nil), split, reason, stats); err != nil {
+		if src, err = c.pushdownSource(ctx, h.withBloom(nil), split, stats); err != nil {
 			return nil, err
 		}
 		return exec.NewBloomProbe(src, h.Push.Bloom.Column, h.Push.Bloom.Filter, nil, nil)
 	case live && retry.Transient(err):
 		scanSpan.Event("pushdown-fallback", err.Error())
 		defer scanSpan.End()
-		return c.replaySource(ctx, h, split, stats, 0, causeFallback, "")
+		return c.replaySource(ctx, h, split, stats, 0)
 	default:
 		return nil, fmt.Errorf("ocs: executing pushdown for %s: %w", split.Object, err)
 	}
@@ -268,16 +231,6 @@ func (s *streamSource) Next() (*column.Page, error) {
 	if s.done {
 		return nil, nil
 	}
-	// Adaptive mid-stream flip: with storage saturated and the delivered
-	// rows already pricing the pushdown out, abandon the stream and resume
-	// on the local replay path (order-deterministic pipelines only). A
-	// replay that cannot be built just keeps streaming.
-	if s.rowsDelivered > 0 && s.conn.policy.ShouldFlip(s.h, s.rowsDelivered) &&
-		s.resume(causeAdaptive, "adaptive-flip", fmt.Sprintf("after %d rows", s.rowsDelivered)) {
-		s.stats.AddAdaptiveFlip()
-		s.conn.policy.noteFlip()
-		return s.Next()
-	}
 	start := time.Now()
 	page, err := s.rs.Next()
 	wall := time.Since(start)
@@ -290,18 +243,14 @@ func (s *streamSource) Next() (*column.Page, error) {
 	s.span.AddDuration("transfer_wait", wall-decode)
 	s.span.AddDuration("arrow_deserialize", decode)
 	s.accountBytes()
-	// Every frame carries the node's scan backlog: feed the policy's
-	// storage-load estimate.
-	s.conn.policy.ObserveLoad(s.rs.Load())
 	if err == io.EOF {
 		s.done = true
 		s.stats.AddStorageWork(s.rs.Stats())
-		s.conn.policy.ObserveSplit(s.h, s.rowsDelivered)
 		s.span.End()
 		return nil, nil
 	}
 	if err != nil {
-		if s.canFallBack(err) && s.resume(causeFallback, "pushdown-fallback", err.Error()) {
+		if s.canFallBack(err) && s.resume(err) {
 			return s.Next()
 		}
 		s.done = true
@@ -333,16 +282,16 @@ func (s *streamSource) canFallBack(cause error) bool {
 		(s.rowsDelivered == 0 || s.h.Push.OrderDeterministic())
 }
 
-// resume abandons the stream for the local replay, which skips the rows
-// already delivered, and records why on the scan span. The replay is built
-// before the stream is released: when it cannot be, nothing has changed
-// and the caller carries on with the stream (or with its error).
-func (s *streamSource) resume(cause replayCause, event, detail string) bool {
-	fb, err := s.conn.replaySource(s.ctx, s.h, s.split, s.stats, s.rowsDelivered, cause, "")
+// resume abandons the stream after cause for the local replay, which skips
+// the rows already delivered, and records the fallback on the scan span.
+// The replay is built before the stream is released: when it cannot be,
+// nothing has changed and the caller returns the stream's error.
+func (s *streamSource) resume(cause error) bool {
+	fb, err := s.conn.replaySource(s.ctx, s.h, s.split, s.stats, s.rowsDelivered)
 	if err != nil {
 		return false
 	}
-	s.span.Event(event, detail)
+	s.span.Event("pushdown-fallback", cause.Error())
 	s.rs.Close()
 	s.done, s.fb = true, fb
 	return true
@@ -390,36 +339,24 @@ func (s *streamSource) Close() error {
 	return nil
 }
 
-// replayCause is why a split with pushed operators is served by the local
-// replay instead of storage; its value is the replay span's name.
-type replayCause string
-
-const (
-	// causeFallback: pushdown execution failed after retries (at stream
-	// open or mid-stream). The graceful-degradation path; the split is
-	// recorded as a fallback so the overhead breakdown still adds up.
-	causeFallback replayCause = "connector.fallback_scan"
-	// causeAdaptive: the policy priced the split off the pushdown path,
-	// at schedule time or by flipping it mid-stream. Not a failure.
-	causeAdaptive replayCause = "connector.adaptive_raw_scan"
-)
-
-// replaySource is the one local replay: the connector fetches the whole
-// object (the GET path is served even when a node's computational unit is
-// down) and replays the pushed operators locally with the storage node's
-// own compiler (ocsserver.ExecuteLocalStream), producing bit-identical
+// replaySource is the fallback for a split whose pushdown execution failed
+// after retries, at stream open or mid-stream: the connector fetches the
+// whole object (the GET path is served even when a node's computational
+// unit is down) and replays the pushed operators locally with the storage
+// node's own compiler (ocsserver.ExecuteLocalStream), producing bit-identical
 // pages. The replay streams — the residual plan pulls pages as the local
 // scan produces them, the same overlap the raw no-pushdown path gets,
 // instead of materializing the whole split before the first page — and
 // its span stays open until the stream is exhausted or closed, so traces
-// attribute the scan and not just the GET. skipRows drops rows a dead or
-// abandoned stream already delivered; callers only pass a nonzero skip
-// when the pushed pipeline is order-deterministic. The full object counts
+// attribute the scan and not just the GET. skipRows drops rows a dead
+// stream already delivered; callers only pass a nonzero skip when the
+// pushed pipeline is order-deterministic. The split is recorded as a
+// fallback so the overhead breakdown still adds up: the full object counts
 // as bytes moved, and the local replay's CPU is charged as compute-side
-// deserialize work. reason, when set, labels a schedule-time decision.
-func (c *Connector) replaySource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats, skipRows int64, cause replayCause, reason string) (src exec.Operator, err error) {
+// deserialize work.
+func (c *Connector) replaySource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats, skipRows int64) (src exec.Operator, err error) {
 	start := time.Now()
-	ctx, sp := telemetry.StartSpan(ctx, string(cause))
+	ctx, sp := telemetry.StartSpan(ctx, "connector.fallback_scan")
 	// On success the span passes to the stream, which ends it.
 	defer func() {
 		if err != nil {
@@ -427,9 +364,6 @@ func (c *Connector) replaySource(ctx context.Context, h *Handle, split engine.Sp
 		}
 	}()
 	sp.SetAttr("object", split.Object)
-	if reason != "" {
-		sp.SetAttr("decision", reason)
-	}
 	data, work, err := c.client.Get(ctx, h.Table.Bucket, split.Object)
 	if err != nil {
 		return nil, fmt.Errorf("ocs: fallback get %s/%s: %w", h.Table.Bucket, split.Object, err)
@@ -437,9 +371,7 @@ func (c *Connector) replaySource(ctx context.Context, h *Handle, split engine.Sp
 	stats.AddTransfer(time.Since(start))
 	stats.AddBytesMoved(int64(len(data)))
 	stats.AddStorageWork(work)
-	if cause == causeFallback {
-		stats.AddFallback()
-	}
+	stats.AddFallback()
 
 	irPlan, err := BuildSubstrait(h, split.Object)
 	if err != nil {
@@ -452,27 +384,22 @@ func (c *Connector) replaySource(ctx context.Context, h *Handle, split engine.Sp
 		return nil, fmt.Errorf("ocs: fallback scan %s/%s: %w", h.Table.Bucket, split.Object, err)
 	}
 	return &replayStream{
-		schema: h.ScanSchema(), ls: ls, conn: c, h: h, span: sp,
+		schema: h.ScanSchema(), ls: ls, span: sp,
 		stats: stats, skipRows: skipRows, object: split.Object,
 	}, nil
 }
 
 // replayStream adapts a lazily-drained local execution to the page-source
 // contract: per-page skip accounting for mid-stream resume, schema
-// normalization, and the end-of-stream bookkeeping the eager path did up
-// front — replay CPU charged as compute-side work and the split's full
-// output fed to the policy as a selectivity observation (only on a
-// complete drain; an abandoned replay has not seen the whole split).
+// normalization, and the end-of-stream bookkeeping — replay CPU charged as
+// compute-side work.
 type replayStream struct {
 	schema   *types.Schema
 	ls       *ocsserver.LocalStream
-	conn     *Connector
-	h        *Handle
 	span     *telemetry.Span
 	stats    *engine.ScanStats
 	object   string
 	skipRows int64
-	rows     int64
 	finished bool
 }
 
@@ -482,15 +409,14 @@ func (r *replayStream) Next() (*column.Page, error) {
 	for {
 		page, err := r.ls.Next()
 		if err != nil {
-			r.finish(false)
+			r.finish()
 			return nil, fmt.Errorf("ocs: fallback scan %s: %w", r.object, err)
 		}
 		if page == nil {
-			r.finish(true)
+			r.finish()
 			return nil, nil
 		}
 		rows := int64(page.NumRows())
-		r.rows += rows
 		if r.skipRows >= rows {
 			r.skipRows -= rows
 			continue
@@ -500,7 +426,7 @@ func (r *replayStream) Next() (*column.Page, error) {
 			r.skipRows = 0
 		}
 		if page.NumCols() != r.schema.Len() {
-			r.finish(false)
+			r.finish()
 			return nil, fmt.Errorf("ocs: fallback result has %d columns, scan schema %s", page.NumCols(), r.schema)
 		}
 		r.stats.AddDeserialize(0, int64(page.NumRows()))
@@ -510,11 +436,11 @@ func (r *replayStream) Next() (*column.Page, error) {
 
 // Close releases the local execution when the pipeline stops early.
 func (r *replayStream) Close() error {
-	r.finish(false)
+	r.finish()
 	return nil
 }
 
-func (r *replayStream) finish(complete bool) {
+func (r *replayStream) finish() {
 	if r.finished {
 		return
 	}
@@ -523,9 +449,6 @@ func (r *replayStream) finish(complete bool) {
 	// The replay ran on engine cores, not in storage: charge its CPU as
 	// compute-side work.
 	r.stats.AddDeserialize(r.ls.Work().CPUUnits, 0)
-	if complete {
-		r.conn.policy.ObserveSplit(r.h, r.rows)
-	}
 	r.span.End()
 }
 

@@ -1,10 +1,11 @@
 package ocs
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
-	"prestocs/internal/engine"
 	"prestocs/internal/expr"
 	"prestocs/internal/metastore"
 	"prestocs/internal/plan"
@@ -29,7 +30,7 @@ func statsTable() *metastore.Table {
 
 func analyzerFor(t *testing.T) (*selectivityAnalyzer, *types.Schema) {
 	t.Helper()
-	return newSelectivityAnalyzer(statsTable(), Mode{Auto: true}, engine.NewSession()), statsTable().Columns
+	return &selectivityAnalyzer{table: statsTable(), mode: Mode{Auto: true}, threshold: 0.5}, statsTable().Columns
 }
 
 func TestRangeSelectivityNormalApproximation(t *testing.T) {
@@ -139,8 +140,7 @@ func TestGroupAndTopNEstimates(t *testing.T) {
 		t.Error("50% reduction should clear the inclusive 0.5 threshold")
 	}
 	// A stricter threshold rejects it — carried, never a stop in auto mode.
-	strict := newSelectivityAnalyzer(statsTable(), Mode{Auto: true},
-		engine.NewSession().Set(SessionSelectivityThreshold, "0.9"))
+	strict := &selectivityAnalyzer{table: statsTable(), mode: Mode{Auto: true}, threshold: 0.9}
 	if v, _ := strict.judge(agg(0), rows); v != carry {
 		t.Errorf("50%% reduction against a 0.9 threshold = %v, want carry", v)
 	}
@@ -161,15 +161,19 @@ func TestGroupAndTopNEstimates(t *testing.T) {
 }
 
 func TestThresholdSessionOverrides(t *testing.T) {
-	session := engine.NewSession().Set(SessionSelectivityThreshold, "0.95")
-	if a := newSelectivityAnalyzer(statsTable(), Mode{Auto: true}, session); a.threshold != 0.95 {
-		t.Errorf("override not applied: %+v", a)
+	for v, want := range map[string]float64{"": 0.5, "0.95": 0.95, "0": 0, "1": 1} {
+		if got, err := parseThreshold(v); err != nil || got != want {
+			t.Errorf("threshold %q = %v, %v; want %v", v, got, err, want)
+		}
 	}
-	// Invalid values keep the default.
-	for _, bad := range []string{"nope", "-0.1", "1.5"} {
-		session := engine.NewSession().Set(SessionSelectivityThreshold, bad)
-		if a := newSelectivityAnalyzer(statsTable(), Mode{Auto: true}, session); a.threshold != 0.5 {
-			t.Errorf("invalid threshold %q accepted: %+v", bad, a)
+	// An invalid value fails the query, naming the property, as a bad
+	// ocs.pushdown does.
+	e, _ := setup(t)
+	for _, bad := range []string{"nope", "-0.1", "1.5", "NaN"} {
+		s := session("auto").Set(SessionSelectivityThreshold, bad)
+		_, err := execute(context.Background(), e, laghosQuery, s)
+		if err == nil || !strings.Contains(err.Error(), SessionSelectivityThreshold) {
+			t.Errorf("threshold %q: error = %v, want one naming %s", bad, err, SessionSelectivityThreshold)
 		}
 	}
 }

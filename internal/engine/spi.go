@@ -57,14 +57,6 @@ type ScanStats struct {
 	// metastore's per-object statistics proved the pushed-down filter
 	// false for the whole object (zone-map split pruning).
 	SplitsPruned int64
-	// PushdownSplits and RawSplits count the per-split pushdown-vs-raw
-	// choices an adaptive connector made inside CreatePageSource.
-	PushdownSplits int64
-	RawSplits      int64
-	// AdaptiveFlips counts splits that started pushed down and switched
-	// mid-stream to the local resume path because the adaptive policy
-	// repriced them against live selectivity and storage load.
-	AdaptiveFlips int64
 	// JoinBloomSplits counts probe splits that shipped a join build-side
 	// bloom filter into storage; JoinBloomRejected counts splits where
 	// the node refused the filter (size cap) and the scan retried without
@@ -131,24 +123,6 @@ func (s *ScanStats) AddSplitsPruned(n int64) {
 	s.SplitsPruned += n
 }
 
-// AddSplitDecision records one adaptive per-split choice.
-func (s *ScanStats) AddSplitDecision(pushdown bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if pushdown {
-		s.PushdownSplits++
-	} else {
-		s.RawSplits++
-	}
-}
-
-// AddAdaptiveFlip records one mid-stream pushdown→raw switch.
-func (s *ScanStats) AddAdaptiveFlip() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.AdaptiveFlips++
-}
-
 // AddJoinBloomSplit records one probe split opened with a bloom filter
 // pushed into storage.
 func (s *ScanStats) AddJoinBloomSplit() {
@@ -178,9 +152,6 @@ func (s *ScanStats) Snapshot() ScanStats {
 		ResultRows:        s.ResultRows,
 		FallbackSplits:    s.FallbackSplits,
 		SplitsPruned:      s.SplitsPruned,
-		PushdownSplits:    s.PushdownSplits,
-		RawSplits:         s.RawSplits,
-		AdaptiveFlips:     s.AdaptiveFlips,
 		JoinBloomSplits:   s.JoinBloomSplits,
 		JoinBloomRejected: s.JoinBloomRejected,
 	}

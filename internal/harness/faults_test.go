@@ -20,6 +20,7 @@ import (
 // through a fault proxy sitting in front of the frontend.
 func proxiedCluster(t *testing.T, storageNodes int) (*Cluster, *faultnet.Proxy) {
 	t.Helper()
+	checkGoroutines(t)
 	ocsCluster, err := ocsserver.StartCluster(storageNodes)
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +39,7 @@ func proxiedCluster(t *testing.T, storageNodes int) (*Cluster, *faultnet.Proxy) 
 // storage node, so node-side faults can be injected per node.
 func nodeProxiedCluster(t *testing.T, storageNodes int) (*Cluster, []*faultnet.Proxy) {
 	t.Helper()
+	checkGoroutines(t)
 	ocsCluster := &ocsserver.Cluster{}
 	var proxies []*faultnet.Proxy
 	var proxyAddrs []string
@@ -73,7 +75,9 @@ func nodeProxiedCluster(t *testing.T, storageNodes int) (*Cluster, []*faultnet.P
 
 // clusterAround assembles the harness topology on top of an existing OCS
 // cluster, dialing the frontend at dialAddr (possibly a proxy); cliOpts
-// configure the OCS client (chunk coalescing, metrics, ...).
+// configure the OCS client (chunk coalescing, metrics, ...). Callers call
+// checkGoroutines before starting that cluster, so the leak check's
+// baseline predates every goroutine the test starts.
 func clusterAround(t *testing.T, ocsCluster *ocsserver.Cluster, dialAddr string, cliOpts ...ocsserver.Option) *Cluster {
 	t.Helper()
 	c := &Cluster{Meta: metastore.New(), OCS: ocsCluster}
@@ -88,7 +92,6 @@ func clusterAround(t *testing.T, ocsCluster *ocsserver.Cluster, dialAddr string,
 	c.Engine.DefaultCatalog = CatalogOCS
 	c.OCSConn = ocsconn.New(CatalogOCS, c.Meta, c.OCSCli)
 	c.Engine.AddConnector(c.OCSConn)
-	c.Engine.AddEventListener(c.OCSConn.Policy())
 	t.Cleanup(c.Close)
 	return c
 }

@@ -57,9 +57,8 @@ type Cluster struct {
 type Config struct {
 	// Telemetry threads one shared metrics registry and per-component
 	// tracers through the engine, the OCS cluster, the client transport
-	// and the connector's pushdown policy, so a query produces a single
-	// connected trace and every layer counts into the same /metrics
-	// series.
+	// and the connector, so a query produces a single connected trace and
+	// every layer counts into the same /metrics series.
 	Telemetry bool
 	// Admission installs engine admission budgets (zero value keeps the
 	// engine fully permissive).
@@ -128,7 +127,6 @@ func StartClusterWith(storageNodes int, cfg Config) (*Cluster, error) {
 	c.Engine.AddConnector(c.OCSConn)
 	hiveConn := hive.New(CatalogHive, c.Meta, c.ObjCli)
 	c.Engine.AddConnector(hiveConn)
-	c.Engine.AddEventListener(c.OCSConn.Policy())
 	if cfg.Telemetry {
 		c.Engine.Metrics = c.Metrics
 		c.Engine.Tracer = telemetry.NewTracer(0)

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"context"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"prestocs/internal/compress"
 	ocsconn "prestocs/internal/connector/ocs"
@@ -11,8 +13,30 @@ import (
 	"prestocs/internal/workload"
 )
 
+// checkGoroutines fails the test unless, once its cleanups have closed
+// every cluster, client and proxy it started, the goroutine count settles
+// back to what it was when checkGoroutines was called, within a second.
+// Call it before starting anything, so its cleanup runs last.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				stacks := make([]byte, 1<<20)
+				t.Errorf("%d goroutines after close, %d before:\n%s",
+					runtime.NumGoroutine(), before, stacks[:runtime.Stack(stacks, true)])
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+}
+
 func testCluster(t *testing.T) *Cluster {
 	t.Helper()
+	checkGoroutines(t)
 	c, err := StartCluster(1)
 	if err != nil {
 		t.Fatal(err)

@@ -130,8 +130,8 @@ func scanPinnedHandle(t *testing.T, c *Cluster, h *ocsconn.Handle) []string {
 	var out []string
 	var stats engine.ScanStats
 	for i, key := range h.Table.Objects {
-		src, err := c.OCSConn.OpenSplit(context.Background(), h,
-			engine.Split{Object: key, Index: i}, false, &stats)
+		src, err := c.OCSConn.CreatePageSource(context.Background(), h,
+			engine.Split{Object: key, Index: i}, &stats)
 		if err != nil {
 			t.Fatalf("open pinned split %s: %v", key, err)
 		}

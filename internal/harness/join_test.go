@@ -235,21 +235,17 @@ func TestJoinBloomRejectedFallbackEngineSide(t *testing.T) {
 	}
 }
 
-// TestJoinBloomProbeFlipMidStream rides a bloom-carrying probe pushdown
-// stream into a mid-query adaptive flip: the storage-load spike lands
-// after the first page, the connector abandons the remote stream and
-// replays locally, and the replayed plan must evaluate the same
-// BloomFilterRel — so the delivered sequence equals the raw decision
-// path's, row for row, with the delivered prefix skipped exactly once.
-func TestJoinBloomProbeFlipMidStream(t *testing.T) {
-	c, err := StartCluster(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+// TestJoinBloomProbeKilledMidStream severs a bloom-carrying probe
+// pushdown stream after its first page: the connector replays locally,
+// and the replayed plan must evaluate the same BloomFilterRel — so the
+// delivered sequence equals the unfaulted stream's, row for row, with the
+// delivered prefix skipped exactly once.
+func TestJoinBloomProbeKilledMidStream(t *testing.T) {
+	c, proxy := killableCluster(t)
 	// Many small row groups: the stream yields multiple chunks, so the
-	// spike can land strictly mid-stream.
-	d, err := workload.TPCH(workload.Config{Files: 2, RowsPerFile: 4096, RowGroupSize: 512, Seed: 43, Codec: compress.None})
+	// kill lands strictly mid-stream.
+	const rowsPerFile = 4096
+	d, err := workload.TPCH(workload.Config{Files: 2, RowsPerFile: rowsPerFile, RowGroupSize: 512, Seed: 43, Codec: compress.None})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,85 +253,36 @@ func TestJoinBloomProbeFlipMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A keep-everything filter plus a bloom over every orderkey: worst
-	// case for pushdown, so the saturated policy is certain to flip.
-	bloomHandle := func() *ocsconn.Handle {
-		th, err := c.OCSConn.TableHandle(CatalogOCS, "lineitem")
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := th.(*ocsconn.Handle)
-		cmp, err := expr.NewCompare(expr.Lt, expr.Col(1, "quantity", types.Float64),
-			expr.Lit(types.FloatValue(1e9)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Push = &ocsconn.Pushdown{Filter: cmp}
-		h.Adaptive = true
-		keys := int64(2 * 4096)
-		f := bloom.New(int(keys), bloom.DefaultBitsPerKey)
-		for k := int64(0); k < keys; k++ {
-			f.AddHash(bloom.HashInt64(k))
-		}
-		nh, ok := h.WithJoinBloom(0, f, keys)
-		if !ok {
-			t.Fatal("WithJoinBloom declined a filter-only handle")
-		}
-		return nh.(*ocsconn.Handle)
+	// A keep-everything filter plus a bloom over the even orderkeys: the
+	// stream is long, and only the bloom thins it.
+	th, err := c.OCSConn.TableHandle(CatalogOCS, "lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := th.(*ocsconn.Handle)
+	cmp, err := expr.NewCompare(expr.Lt, expr.Col(1, "quantity", types.Float64),
+		expr.Lit(types.FloatValue(1e9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Push = &ocsconn.Pushdown{Filter: cmp}
+	keys := int64(2 * rowsPerFile)
+	f := bloom.New(int(keys/2), bloom.DefaultBitsPerKey)
+	for k := int64(0); k < keys; k += 2 {
+		f.AddHash(bloom.HashInt64(k))
+	}
+	bloomed, ok := h.WithJoinBloom(0, f, keys/2)
+	if !ok {
+		t.Fatal("WithJoinBloom declined a filter-only handle")
 	}
 
 	split := engine.Split{Object: d.Table.Objects[0], Index: 0}
-	var stats engine.ScanStats
-	src, err := c.OCSConn.OpenSplit(context.Background(), bloomHandle(), split, true, &stats)
-	if err != nil {
-		t.Fatal(err)
+	want, _ := readSplit(t, c, proxy, bloomed.(*ocsconn.Handle), split, false)
+	if len(want) >= rowsPerFile {
+		t.Fatalf("the bloom kept %d of %d rows; the test needs it to drop some", len(want), rowsPerFile)
 	}
-	first, err := src.Next()
-	if err != nil || first == nil {
-		t.Fatalf("first page: %v", err)
-	}
-	got := collectColumn(t, first, nil)
-	saturate(c.OCSConn.Policy())
-	for {
-		page, err := src.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if page == nil {
-			break
-		}
-		got = collectColumn(t, page, got)
-	}
-	if flips := stats.Snapshot().AdaptiveFlips; flips != 1 {
-		t.Fatalf("adaptive flips = %d, want 1", flips)
-	}
-
-	// Raw decision over the same handle shape evaluates the identical
-	// plan — bloom included — locally, and is the reference order.
-	var rawStats engine.ScanStats
-	raw, err := c.OCSConn.OpenSplit(context.Background(), bloomHandle(), split, false, &rawStats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref []string
-	for {
-		page, err := raw.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if page == nil {
-			break
-		}
-		ref = collectColumn(t, page, ref)
-	}
-	if len(got) != len(ref) {
-		t.Fatalf("flipped stream delivered %d rows, raw path %d", len(got), len(ref))
-	}
-	for i := range got {
-		if got[i] != ref[i] {
-			t.Fatalf("row %d: flipped stream = %s, raw path = %s", i, got[i], ref[i])
-		}
-	}
+	got, fallbacks := readSplit(t, c, proxy, bloomed.(*ocsconn.Handle), split, true)
+	requireResumed(t, proxy, got, want, fallbacks)
 }
 
 func q3Arms() []struct{ Name, Bloom string } {

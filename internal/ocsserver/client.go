@@ -141,7 +141,6 @@ type ResultStream struct {
 	stats  objstore.WorkStats
 	bytes  int64
 	decode time.Duration
-	load   uint32
 	done   bool
 }
 
@@ -176,7 +175,7 @@ func (c *Client) ExecuteStream(ctx context.Context, plan *substrait.Plan) (*Resu
 			cs.Close()
 			return retry.Permanent(err)
 		}
-		rs = &ResultStream{cs: cs, schema: schema, bytes: int64(len(first)), load: cs.Load()}
+		rs = &ResultStream{cs: cs, schema: schema, bytes: int64(len(first))}
 		return nil
 	})
 	if err != nil {
@@ -197,7 +196,6 @@ func (rs *ResultStream) Next() (*column.Page, error) {
 	chunk, err := rs.cs.Recv()
 	if err == io.EOF {
 		rs.done = true
-		rs.load = rs.cs.Load()
 		if terr := rs.decodeTrailer(); terr != nil {
 			return nil, terr
 		}
@@ -207,7 +205,6 @@ func (rs *ResultStream) Next() (*column.Page, error) {
 		rs.done = true
 		return nil, err
 	}
-	rs.load = rs.cs.Load()
 	rs.bytes += int64(len(chunk))
 	start := time.Now()
 	page, err := arrowlite.DecodeBatchMsg(chunk, rs.schema)
@@ -249,12 +246,6 @@ func (rs *ResultStream) decodeTrailer() error {
 // Stats returns the storage-side work stats; final after Next returned
 // io.EOF.
 func (rs *ResultStream) Stats() objstore.WorkStats { return rs.stats }
-
-// Load returns the storage node's scan backlog as carried by the most
-// recent stream frame: the number of row-group tasks queued or running
-// on the node-wide scheduler. It is the live storage-load signal the
-// connector's adaptive pushdown policy feeds on.
-func (rs *ResultStream) Load() uint32 { return rs.load }
 
 // ArrowBytes returns the Arrow payload bytes received so far.
 func (rs *ResultStream) ArrowBytes() int64 { return rs.bytes }

@@ -278,11 +278,10 @@ func compileRead(store *objstore.Store, read *substrait.ReadRel, pruneWith expr.
 
 	// Multi-group scans on a node's shared scheduler always go through it —
 	// even at ScanPool=1, where there is no intra-scan parallelism, the
-	// scheduler is what round-robins concurrent queries fairly and what the
-	// node's storage-load signal (scheduler backlog) is sampled from; an
-	// inline scan would be invisible to both. An env that owns an ephemeral
+	// scheduler is what round-robins concurrent queries fairly, and an
+	// inline scan would be invisible to it. An env that owns an ephemeral
 	// scheduler (in-process entry points, the connector's replay paths) has
-	// neither concern, so it only pays the per-task handoff when it buys
+	// no such concern, so it only pays the per-task handoff when it buys
 	// real parallelism.
 	if len(groups) > 1 && (!env.ownSched || env.scanPool > 1) {
 		return parallelScan(env, data, r.Meta(), objKey, groups, cols, twoTouch, outSchema), nil

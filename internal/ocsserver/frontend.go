@@ -139,11 +139,10 @@ func (f *Frontend) route(method string) rpc.StreamHandler {
 // forward makes one call to a node and relays its answer: chunks through
 // send as they arrive — the frontend never buffers more than one, so bytes
 // reach the engine while the node is still scanning — and the trailer as
-// the return value, with the node's load word passed through on every
-// frame. Failures are retried under the fan-out policy until the first
-// chunk has been relayed; after that the call cannot be transparently
-// restarted, so the error propagates and the client (or the connector's
-// fallback) takes over.
+// the return value. Failures are retried under the fan-out policy until
+// the first chunk has been relayed; after that the call cannot be
+// transparently restarted, so the error propagates and the client (or the
+// connector's fallback) takes over.
 func (f *Frontend) forward(ctx context.Context, node int, method string, payload []byte, send func([]byte) error) ([]byte, error) {
 	ctx, span := telemetry.StartSpan(ctx, "frontend.forward")
 	defer span.End()
@@ -158,7 +157,6 @@ func (f *Frontend) forward(ctx context.Context, node int, method string, payload
 		forwarded := false
 		for {
 			chunk, err := st.Recv()
-			rpc.SetStreamLoad(ctx, st.Load())
 			if err == io.EOF {
 				trailer = st.Trailer()
 				return nil

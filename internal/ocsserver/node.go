@@ -126,14 +126,6 @@ func (n *StorageNode) Listen(addr string) (string, error) {
 // nodeLabel is the metric label value identifying this node.
 func (n *StorageNode) nodeLabel() string { return fmt.Sprintf("node%d", n.ID) }
 
-// loadSignal samples the node-wide scan backlog for stamping onto
-// outgoing stream frames and mirrors it on the /metrics gauge.
-func (n *StorageNode) loadSignal(gauge *telemetry.Gauge) uint32 {
-	backlog := n.sched.backlog()
-	gauge.Set(int64(backlog))
-	return uint32(backlog)
-}
-
 // Close shuts the node down: the RPC server first (draining in-flight
 // handlers, whose scan queues empty through the scheduler), then the
 // scan workers.
@@ -187,7 +179,6 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 	span.SetAttr("node", n.nodeLabel())
 	chunksSent := n.Metrics.Counter(telemetry.MetricNodeChunksSent, "node", n.nodeLabel())
 	chunkBytes := n.Metrics.Counter(telemetry.MetricNodeChunkBytes, "node", n.nodeLabel())
-	backlog := n.Metrics.Gauge(telemetry.MetricNodeSchedBacklog, "node", n.nodeLabel())
 	planBytes, chunkRows, err := decodeExecuteRequest(payload)
 	if chunkRows <= 0 {
 		chunkRows = n.ChunkRows
@@ -220,7 +211,6 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 		sentSchema = true
 		chunksSent.Inc()
 		chunkBytes.Add(int64(len(msg)))
-		rpc.SetStreamLoad(ctx, n.loadSignal(backlog))
 		return send(msg)
 	}
 	sendBatch := func(page *column.Page) error {
@@ -231,7 +221,6 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 		*buf = msg
 		chunksSent.Inc()
 		chunkBytes.Add(int64(len(msg)))
-		rpc.SetStreamLoad(ctx, n.loadSignal(backlog))
 		return send(msg)
 	}
 
@@ -285,9 +274,6 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 			return nil, err
 		}
 	}
-	// The drained stream has released its scan queue: refresh the load
-	// word once more so the end frame carries the post-scan backlog.
-	rpc.SetStreamLoad(ctx, n.loadSignal(backlog))
 	st := ls.Work()
 	span.SetAttr("bytes_read", fmt.Sprint(st.BytesRead))
 	span.SetAttr("rows_processed", fmt.Sprint(st.RowsProcessed))

@@ -126,28 +126,6 @@ func (s *scanScheduler) nextLocked() *schedQueue {
 	return nil
 }
 
-// backlog reports the node-wide scan backlog: row-group tasks queued or
-// in flight across every registered query, plus one unit per concurrent
-// scan beyond the first. The queue-depth term captures bursts within a
-// scan; the live-scan term captures multiprogramming pressure that the
-// instantaneous queue misses (workers drain tiny row groups faster than
-// handlers get rescheduled, so pending+inflight alone reads zero even on
-// a contended node). The sum is the storage-load signal stamped onto
-// outgoing stream frames (rpc.SetStreamLoad), which the connector's
-// adaptive pushdown policy reads on the other side.
-func (s *scanScheduler) backlog() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0
-	for _, q := range s.queues {
-		total += len(q.pending) + q.inflight
-	}
-	if overlap := len(s.queues) - 1; overlap > 0 {
-		total += overlap
-	}
-	return total
-}
-
 // close stops the workers and fails every still-pending task, so no
 // consumer is left blocked on an unfilled slot. Idempotent.
 func (s *scanScheduler) close() {

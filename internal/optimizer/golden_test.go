@@ -128,9 +128,8 @@ func (f *planFixture) planFor(sql, mode string) (analyzed, optimized plan.Node, 
 
 // describePlan renders what the golden file pins for one (query, mode):
 // the optimized tree, and per scan the pushed operators, the scan schema,
-// the two extractor outputs only the per-split policy reads (the estimated
-// selectivity and the adaptive flag) and a digest of the Substrait plan
-// for split 0.
+// the Selectivity Analyzer's estimated selectivity (auto mode only) and a
+// digest of the Substrait plan for split 0.
 func describePlan(root plan.Node) (string, error) {
 	var sb strings.Builder
 	sb.WriteString(plan.Format(root))
@@ -172,8 +171,8 @@ func describePlan(root plan.Node) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			fmt.Fprintf(&sb, " est=%g adaptive=%t substrait=%dB:%x",
-				h.Push.EstSelectivity, h.Adaptive, len(wire), sha256.Sum256(wire))
+			fmt.Fprintf(&sb, " est=%g substrait=%dB:%x",
+				h.Push.EstSelectivity, len(wire), sha256.Sum256(wire))
 		}
 		sb.WriteString("\n")
 	}
@@ -185,7 +184,9 @@ func describePlan(root plan.Node) (string, error) {
 // plan toolkit; the differences since are the Exchange line above a
 // join's build branch (PR 19) and, in the join rows only, both scans
 // projected to what the plan reads of them (PR 21: cols=N, the scan
-// schemas, the ordinals above the join, the Substrait digests).
+// schemas, the ordinals above the join, the Substrait digests). The ocs
+// scan lines have since lost their adaptive=… flag: with no per-split
+// policy, an auto plan carries its whole decision.
 func TestGoldenPlans(t *testing.T) {
 	f := newPlanFixture(t)
 	var sb strings.Builder

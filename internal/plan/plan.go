@@ -43,8 +43,8 @@ type ProjectableHandle interface {
 // build side's bloom filter inside the storage scan. WithJoinBloom
 // returns a new handle whose scan drops rows the filter proves absent
 // from the build side; column is the key ordinal over ScanSchema and
-// buildKeys the distinct-key count behind the filter (the connector's
-// selectivity prior). ok=false declines the filter — e.g. when pushed
+// buildKeys the distinct-key count behind the filter, for a handle that
+// prices the filter's selectivity. ok=false declines the filter — e.g. when pushed
 // operators rebuild the schema and the key ordinal cannot be mapped —
 // and the engine keeps the filter on its side instead.
 type BloomJoinHandle interface {

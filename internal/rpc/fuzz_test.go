@@ -19,12 +19,14 @@ func FuzzReadFrame(f *testing.F) {
 	if _, err := writeRequest(&good, "ocs.Execute", time.Unix(1, 0), 7, 9, []byte("plan")); err != nil {
 		f.Fatal(err)
 	}
-	load := []byte{3, 0, 0, 0}
-	if _, err := writeFrame(&good, frameChunk, "", load, []byte("batch")); err != nil {
+	if _, err := writeFrame(&good, frameChunk, "", nil, []byte("batch")); err != nil {
 		f.Fatal(err)
 	}
 	good.Write(creditFrame)
-	if _, err := writeFrame(&good, frameEnd, "", load, []byte("trailer")); err != nil {
+	if _, err := writeFrame(&good, frameEnd, "", nil, []byte("trailer")); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := writeFrame(&good, frameEnd, "", nil, nil); err != nil { // a unary call's empty reply
 		f.Fatal(err)
 	}
 	if _, err := writeFrame(&good, frameError, "", nil, errorPayload(ErrOverloaded)); err != nil {

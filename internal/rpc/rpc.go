@@ -14,10 +14,8 @@
 // deadline (unix microseconds, 0 = none), u64 trace ID and u64 parent span
 // ID (0 = no trace) — that the server turns into the handler's context
 // deadline and trace context; the caller's payload follows. Chunk and end
-// payloads begin with a u32 server-load hint (published by the handler via
-// SetStreamLoad, surfaced by ClientStream.Load) followed by the chunk bytes
-// or trailer, so load feedback piggybacks on data frames instead of
-// costing extra round trips. Responses echo an empty method name.
+// payloads are the handler's bytes as they are. Responses echo an empty
+// method name.
 //
 // There is one call type: a request frame answered by any number of chunk
 // frames and then one terminal frame — an end frame, or an error frame,
@@ -70,9 +68,6 @@ const (
 	// deadline (0 = none), u64 trace ID and u64 parent span ID (0 = no
 	// trace).
 	reqHeaderSize = 24
-	// streamLoadSize prefixes every chunk and end frame payload: a u32
-	// server-load hint the client surfaces via ClientStream.Load.
-	streamLoadSize = 4
 )
 
 // creditFrame is the whole wire form of a credit: frame length 5, kind
@@ -118,8 +113,8 @@ func (m *Meter) Reset() {
 	m.calls.Store(0)
 }
 
-// writeFrame ships one frame. head — a request's header or a response's
-// load word — rides in the frame-header buffer, so the payload goes out
+// writeFrame ships one frame. head — a request's header — rides in the
+// frame-header buffer, so the payload goes out
 // uncopied. Oversized frames are rejected before any byte hits the wire —
 // writing a frame the peer's readFrame would refuse poisons the
 // connection with a confusing remote "bad frame length", so the clear
@@ -371,7 +366,6 @@ func (s *Server) serve(conn net.Conn, method string, payload []byte) bool {
 	}
 	defer s.observe(method, time.Now())
 	call := s.newCall(conn, method, deadline)
-	ctx = withStreamLoad(ctx, &call.load)
 	s.mu.RLock()
 	h, ok := s.methods[method]
 	s.mu.RUnlock()

@@ -2,13 +2,11 @@ package rpc
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"prestocs/internal/telemetry"
@@ -36,8 +34,8 @@ func (s *Server) RegisterStream(method string, h StreamHandler) {
 	s.methods[method] = h
 }
 
-// serverCall is the send side of the call a connection is serving: its
-// load word and its credit window. It lives on the connection's goroutine,
+// serverCall is the send side of the call a connection is serving and its
+// credit window. It lives on the connection's goroutine,
 // which owns every read on the connection, so send may read credits off
 // it directly.
 type serverCall struct {
@@ -47,10 +45,6 @@ type serverCall struct {
 	window   int
 	inflight int  // chunks sent and not yet credited
 	broken   bool // a write or credit read failed: conn is unusable
-
-	// load is the server-load hint stamped onto every chunk and end frame.
-	// The handler updates it through SetStreamLoad.
-	load atomic.Uint32
 
 	sentBytes     *telemetry.Counter
 	inflightGauge *telemetry.Gauge
@@ -118,15 +112,11 @@ func (c *serverCall) awaitCredit() error {
 	return nil
 }
 
-// write ships one response frame; chunk and end frames carry the load
-// word. An oversized frame never touches the wire and leaves the
-// connection usable; any other write failure breaks it.
+// write ships one response frame. An oversized frame never touches the
+// wire and leaves the connection usable; any other write failure breaks
+// it.
 func (c *serverCall) write(kind byte, payload []byte) error {
-	var head []byte
-	if kind != frameError {
-		head = binary.LittleEndian.AppendUint32(make([]byte, 0, streamLoadSize), c.load.Load())
-	}
-	n, err := writeFrame(c.conn, kind, "", head, payload)
+	n, err := writeFrame(c.conn, kind, "", nil, payload)
 	c.s.Meter.sent.Add(n)
 	c.sentBytes.Add(n)
 	if errors.Is(err, ErrFrameTooLarge) {
@@ -162,24 +152,6 @@ func (c *serverCall) finish(span *telemetry.Span, trailer []byte, err error) boo
 	return true
 }
 
-// streamLoadKey carries the active call's load word through the handler
-// context.
-type streamLoadKey struct{}
-
-func withStreamLoad(ctx context.Context, load *atomic.Uint32) context.Context {
-	return context.WithValue(ctx, streamLoadKey{}, load)
-}
-
-// SetStreamLoad publishes a server-load hint on the current call: the
-// value is stamped into every subsequent chunk frame and the end frame,
-// so the client observes server-side backlog with zero extra round trips
-// or frames. Outside a handler it is a no-op.
-func SetStreamLoad(ctx context.Context, load uint32) {
-	if w, ok := ctx.Value(streamLoadKey{}).(*atomic.Uint32); ok {
-		w.Store(load)
-	}
-}
-
 // ClientStream is the receive side of a call. Recv returns chunks in
 // order and io.EOF after the end frame; the trailer is then available via
 // Trailer. Close releases the connection and is safe to call at any
@@ -197,7 +169,6 @@ type ClientStream struct {
 	// replayable: conn came from the idle pool and no response byte has
 	// arrived on it, so a failure may be a stale connection.
 	replayable bool
-	load       uint32
 	done       bool
 	err        error
 }
@@ -323,12 +294,10 @@ func (st *ClientStream) Recv() ([]byte, error) {
 		st.end(decodeRemoteError(st.method, payload))
 		return nil, st.err
 	}
-	if (k != frameChunk && k != frameEnd) || len(payload) < streamLoadSize {
+	if k != frameChunk && k != frameEnd {
 		st.fail(fmt.Errorf("rpc: bad frame (kind %d, %d bytes) in %s call", k, len(payload), st.method))
 		return nil, st.err
 	}
-	st.load = binary.LittleEndian.Uint32(payload[:streamLoadSize])
-	payload = payload[streamLoadSize:]
 	if k == frameEnd {
 		st.trailer = payload
 		st.end(nil)
@@ -385,12 +354,6 @@ func (st *ClientStream) finish(err error) {
 // Trailer returns the end-frame payload. Valid only after Recv returned
 // io.EOF.
 func (st *ClientStream) Trailer() []byte { return st.trailer }
-
-// Load returns the server-load hint carried by the most recent chunk or
-// end frame (zero before the first frame arrives). Servers publish it
-// with SetStreamLoad; it piggybacks on data frames, so it is as fresh as
-// the stream is active.
-func (st *ClientStream) Load() uint32 { return st.load }
 
 // TryDrain attempts to consume the remainder of the stream within the
 // given budget so the trailer (and its stats) are not lost on early

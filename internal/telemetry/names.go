@@ -55,11 +55,6 @@ const (
 	// those groups would have read.
 	MetricScanRowGroupsPruned = "ocs_scan_rowgroups_pruned_total"
 	MetricScanBytesSkipped    = "ocs_scan_bytes_skipped_total"
-	// MetricNodeSchedBacklog gauges the node-wide scan backlog (queued +
-	// in-flight row-group tasks across all queries) sampled when stream
-	// frames leave the node; the same value rides the frames as the
-	// storage-load signal for adaptive pushdown.
-	MetricNodeSchedBacklog = "ocs_node_sched_backlog"
 	// Join bloom-filter evaluation on the storage node: probe rows hashed
 	// against a pushed build-side filter, and the subset it proved absent
 	// from the build (dropped before leaving the node).
@@ -101,17 +96,6 @@ const (
 	// filter (size cap) and the scan retried without it.
 	MetricJoinBloomPushdown = "engine_join_bloom_splits_total"
 	MetricJoinBloomRejected = "engine_join_bloom_rejected_total"
-
-	// Adaptive pushdown policy (connector side). Decisions counts per-split
-	// choices (labels: choice=pushdown|raw); flips counts mid-stream
-	// switches from pushdown to the local resume path; the shape histogram
-	// tracks observed per-(table, predicate-shape) selectivity in percent
-	// (labels: shape); the load gauge mirrors the most recent storage
-	// backlog word observed on stream frames.
-	MetricPushdownDecisions        = "ocs_pushdown_decisions_total"
-	MetricPushdownFlips            = "ocs_pushdown_flips_total"
-	MetricPushdownShapeSelectivity = "ocs_pushdown_shape_selectivity_pct"
-	MetricStorageLoad              = "ocs_storage_load_backlog"
 
 	// Engine-side table-metadata cache (labels: catalog). Hit ratios are
 	// lifetime percentages (0-100).
