@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"fmt"
 	"os"
 	"strings"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"prestocs/internal/column"
-	"prestocs/internal/metastore"
 	"prestocs/internal/parquetlite"
 	"prestocs/internal/telemetry"
 	"prestocs/internal/types"
@@ -120,151 +118,6 @@ func TestSingleflightCoalesces(t *testing.T) {
 		if v != 42 {
 			t.Fatalf("caller %d got %d", i, v)
 		}
-	}
-}
-
-// fakeSource is a TableSource with instrumented call counts.
-type fakeSource struct {
-	mu       sync.Mutex
-	tables   map[string]*metastore.Table
-	versions map[string]uint64
-	gets     atomic.Int64
-}
-
-func newFakeSource() *fakeSource {
-	return &fakeSource{tables: map[string]*metastore.Table{}, versions: map[string]uint64{}}
-}
-
-func (s *fakeSource) register(t *metastore.Table) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := strings.ToLower(t.Schema + "." + t.Name)
-	s.versions[key]++
-	s.tables[key] = t
-}
-
-func (s *fakeSource) Get(schema, name string) (*metastore.Table, error) {
-	s.gets.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[strings.ToLower(schema+"."+name)]
-	if !ok {
-		return nil, fmt.Errorf("no such table %s.%s", schema, name)
-	}
-	return t, nil
-}
-
-func (s *fakeSource) Version(schema, name string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.versions[strings.ToLower(schema+"."+name)]
-}
-
-func testTable(name string, rows int64) *metastore.Table {
-	return &metastore.Table{
-		Schema:   "s",
-		Name:     name,
-		Columns:  types.NewSchema(types.Column{Name: "x", Type: types.Int64}),
-		Bucket:   "b",
-		Objects:  []string{"o"},
-		RowCount: rows,
-	}
-}
-
-func TestTableCacheHitMissInvalidate(t *testing.T) {
-	src := newFakeSource()
-	src.register(testTable("t", 1))
-	reg := telemetry.NewRegistry()
-	c := NewTableCache(src, 8)
-	c.Instrument(reg, "catalog", "test")
-
-	for i := 0; i < 3; i++ {
-		tbl, err := c.Get("s", "t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tbl.RowCount != 1 {
-			t.Fatalf("RowCount = %d", tbl.RowCount)
-		}
-	}
-	if got := src.gets.Load(); got != 1 {
-		t.Fatalf("source Gets = %d after 3 cached reads, want 1", got)
-	}
-	if h := reg.CounterValue(telemetry.MetricMetaCacheHits, "catalog", "test"); h != 2 {
-		t.Errorf("hits counter = %d, want 2", h)
-	}
-
-	// Re-registration bumps the version: next Get must see the new table.
-	src.register(testTable("t", 2))
-	tbl, err := c.Get("s", "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.RowCount != 2 {
-		t.Fatalf("RowCount after re-registration = %d, want 2", tbl.RowCount)
-	}
-	if inv := reg.CounterValue(telemetry.MetricMetaCacheInvalidations, "catalog", "test"); inv != 1 {
-		t.Errorf("invalidations counter = %d, want 1", inv)
-	}
-	if ratio := reg.GaugeValue(telemetry.MetricMetaCacheHitRatio, "catalog", "test"); ratio != 50 {
-		t.Errorf("hit ratio = %d%%, want 50%% (2 hits / 2 misses)", ratio)
-	}
-}
-
-func TestTableCachePassthroughWhenDisabled(t *testing.T) {
-	src := newFakeSource()
-	src.register(testTable("t", 1))
-	c := NewTableCache(src, 0)
-	for i := 0; i < 3; i++ {
-		if _, err := c.Get("s", "t"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := src.gets.Load(); got != 3 {
-		t.Fatalf("disabled cache intercepted reads: source Gets = %d, want 3", got)
-	}
-	if c.Len() != 0 {
-		t.Errorf("disabled cache stored %d entries", c.Len())
-	}
-}
-
-func TestTableCacheEntryBound(t *testing.T) {
-	src := newFakeSource()
-	for i := 0; i < 5; i++ {
-		src.register(testTable(fmt.Sprintf("t%d", i), int64(i)))
-	}
-	c := NewTableCache(src, 3)
-	for i := 0; i < 5; i++ {
-		if _, err := c.Get("s", fmt.Sprintf("t%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Len() != 3 {
-		t.Fatalf("cache holds %d entries past the bound of 3", c.Len())
-	}
-	// t0 and t1 were evicted; reading t0 again must hit the source.
-	before := src.gets.Load()
-	if _, err := c.Get("s", "t0"); err != nil {
-		t.Fatal(err)
-	}
-	if src.gets.Load() != before+1 {
-		t.Error("evicted entry served from cache")
-	}
-}
-
-func TestTableCacheErrorNotCached(t *testing.T) {
-	src := newFakeSource()
-	c := NewTableCache(src, 8)
-	if _, err := c.Get("s", "missing"); err == nil {
-		t.Fatal("expected lookup error")
-	}
-	src.register(testTable("missing", 7))
-	tbl, err := c.Get("s", "missing")
-	if err != nil {
-		t.Fatalf("error was cached: %v", err)
-	}
-	if tbl.RowCount != 7 {
-		t.Fatalf("RowCount = %d", tbl.RowCount)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"prestocs/internal/cache"
 	"prestocs/internal/column"
 	"prestocs/internal/engine"
 	"prestocs/internal/exec"
@@ -21,7 +20,6 @@ import (
 	"prestocs/internal/metastore"
 	"prestocs/internal/objstore"
 	"prestocs/internal/plan"
-	"prestocs/internal/telemetry"
 	"prestocs/internal/types"
 )
 
@@ -33,32 +31,12 @@ const SessionSelectPushdown = "hive.select_pushdown"
 type Connector struct {
 	catalog string
 	meta    *metastore.Metastore
-	tables  *cache.TableCache
 	client  *objstore.Client
 }
 
 // New creates a connector bound to a metastore and object store endpoint.
-// Table metadata is served through the same versioned cache as the OCS
-// connector (the baseline engine benefits from metadata caching too).
 func New(catalog string, meta *metastore.Metastore, client *objstore.Client) *Connector {
-	return &Connector{
-		catalog: catalog,
-		meta:    meta,
-		tables:  cache.NewTableCache(meta, cache.DefaultTableCacheEntries),
-		client:  client,
-	}
-}
-
-// SetTableCacheEntries resizes the table-metadata cache (0 disables
-// caching). Call before serving queries.
-func (c *Connector) SetTableCacheEntries(n int) {
-	c.tables = cache.NewTableCache(c.meta, n)
-}
-
-// SetMetrics binds the table-metadata cache counters to a registry; call
-// before serving queries.
-func (c *Connector) SetMetrics(reg *telemetry.Registry) {
-	c.tables.Instrument(reg, "catalog", c.catalog)
+	return &Connector{catalog: catalog, meta: meta, client: client}
 }
 
 // Name implements engine.Connector.
@@ -114,10 +92,9 @@ func (h *Handle) String() string {
 	return "hive:" + strings.Join(parts, ", ")
 }
 
-// TableHandle implements engine.Connector; lookups go through the
-// versioned metadata cache.
+// TableHandle implements engine.Connector.
 func (c *Connector) TableHandle(schema, table string) (plan.TableHandle, error) {
-	t, err := c.tables.Get(schema, table)
+	t, err := c.meta.Get(schema, table)
 	if err != nil {
 		return nil, err
 	}

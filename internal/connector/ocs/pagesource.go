@@ -7,7 +7,6 @@ import (
 	"io"
 	"time"
 
-	"prestocs/internal/cache"
 	"prestocs/internal/column"
 	"prestocs/internal/engine"
 	"prestocs/internal/exec"
@@ -28,7 +27,6 @@ import (
 type Connector struct {
 	catalog string
 	meta    *metastore.Metastore
-	tables  *cache.TableCache
 	client  *ocsserver.Client
 	// ingester, when attached, enables the write path (engine.Ingest)
 	// on this catalog.
@@ -36,42 +34,19 @@ type Connector struct {
 }
 
 // New creates a connector bound to a metastore and an OCS frontend.
-// Table metadata (definitions, schemas, per-object stats) is served
-// through a versioned cache sized at cache.DefaultTableCacheEntries;
-// resize with SetTableCacheEntries.
 func New(catalog string, meta *metastore.Metastore, client *ocsserver.Client) *Connector {
-	return &Connector{
-		catalog: catalog,
-		meta:    meta,
-		tables:  cache.NewTableCache(meta, cache.DefaultTableCacheEntries),
-		client:  client,
-	}
+	return &Connector{catalog: catalog, meta: meta, client: client}
 }
 
 // Name implements engine.Connector.
 func (c *Connector) Name() string { return c.catalog }
 
-// SetTableCacheEntries resizes the table-metadata cache (0 disables
-// caching). Call before serving queries.
-func (c *Connector) SetTableCacheEntries(n int) {
-	c.tables = cache.NewTableCache(c.meta, n)
-}
-
-// SetMetrics binds the table-metadata cache counters to a registry; call
-// before serving queries.
-func (c *Connector) SetMetrics(reg *telemetry.Registry) {
-	c.tables.Instrument(reg, "catalog", c.catalog)
-}
-
-// TableHandle implements engine.Connector; lookups go through the
-// versioned metadata cache, so N concurrent queries for a hot table cost
-// one metastore round trip plus N cheap version checks. The handle
-// additionally pins the metastore snapshot it resolved, freezing the
-// object set a racing ingest or compaction could otherwise mutate out
-// from under the scan; the engine releases the pin when the query
-// finishes (see Handle.ReleaseSnapshot).
+// TableHandle implements engine.Connector. The handle pins the metastore
+// snapshot it resolved, freezing the object set a racing ingest or
+// compaction could otherwise mutate out from under the scan; the engine
+// releases the pin when the query finishes (see Handle.ReleaseSnapshot).
 func (c *Connector) TableHandle(schema, table string) (plan.TableHandle, error) {
-	t, pin, err := c.tables.GetPinned(schema, table)
+	t, pin, err := c.meta.GetPinned(schema, table)
 	if err != nil {
 		return nil, err
 	}

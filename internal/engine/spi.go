@@ -160,9 +160,10 @@ func (s *ScanStats) Snapshot() ScanStats {
 // ScanWholeObject is the no-pushdown scan of one split, the same for every
 // connector: the whole object crosses the network in one GET and is decoded
 // here, a row group per page, with nothing to prune by. columns is the
-// object's schema and projection the ordinals to read (nil = all). The GET
-// is charged as transfer, bytes moved and storage work; the local parquet
-// decode and page building as 1.5 ingest units per cell.
+// table's schema, which the object's stored schema must equal, and
+// projection the ordinals to read (nil = all). The GET is charged as
+// transfer, bytes moved and storage work; the local parquet decode and
+// page building as 1.5 ingest units per cell.
 func ScanWholeObject(ctx context.Context, client *objstore.Client, bucket, object string, columns *types.Schema, projection []int, stats *ScanStats) (exec.Operator, error) {
 	start := time.Now()
 	getCtx, sp := telemetry.StartSpan(ctx, "connector.raw_get")
@@ -179,6 +180,9 @@ func ScanWholeObject(ctx context.Context, client *objstore.Client, bucket, objec
 	reader, err := parquetlite.NewReader(data)
 	if err != nil {
 		return nil, err
+	}
+	if !reader.Schema().Equal(columns) {
+		return nil, fmt.Errorf("engine: %s/%s: object schema %s does not match table schema %s", bucket, object, reader.Schema(), columns)
 	}
 	schema, cols := columns, projection
 	if cols != nil {
@@ -242,12 +246,12 @@ type Connector interface {
 	// connectors without pushdown logic beyond projection).
 	PlanOptimizer() ConnectorPlanOptimizer
 	// CreatePageSource is the one way the engine opens a split. How the
-	// split is served — in storage, raw, or priced per split against
-	// runtime history — is the connector's business; whichever path it
-	// picks yields pages in handle.ScanSchema() order and records its
-	// metrics (including the choice) in stats. The context covers the
-	// whole life of the source: cancelling it must make pending and
-	// future Next calls return promptly.
+	// split is served — in storage or raw, as the handle's plan-time
+	// pushdown decided — is the connector's business; whichever path it
+	// takes yields pages in handle.ScanSchema() order and records its
+	// metrics in stats. The context covers the whole life of the source:
+	// cancelling it must make pending and future Next calls return
+	// promptly.
 	CreatePageSource(ctx context.Context, handle plan.TableHandle, split Split, stats *ScanStats) (exec.Operator, error)
 }
 

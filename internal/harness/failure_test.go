@@ -8,6 +8,7 @@ import (
 
 	"prestocs/internal/column"
 	"prestocs/internal/compress"
+	"prestocs/internal/connector/hive"
 	ocsconn "prestocs/internal/connector/ocs"
 	"prestocs/internal/engine"
 	"prestocs/internal/workload"
@@ -87,20 +88,32 @@ func TestDeadStorageNodeFailsQuery(t *testing.T) {
 }
 
 func TestSchemaDriftFailsQuery(t *testing.T) {
-	// Catalog says one schema, object stores another: the OCS embedded
-	// engine must reject the plan instead of misinterpreting columns.
+	// Catalog says one schema, object stores another: every scan path —
+	// the OCS embedded engine and the engine-side whole-object scan alike
+	// — must fail the query instead of misinterpreting columns.
 	c := testCluster(t)
 	d := smallDeepWater(t, compress.None)
 	if err := c.Load(d); err != nil {
 		t.Fatal(err)
 	}
 	other := smallLaghos(t, compress.None)
-	// Replace a deepwater object with a laghos object (different schema).
-	if err := c.OCSCli.Put(context.Background(), d.Table.Bucket, d.Table.Objects[0], other.Objects[other.Table.Objects[0]]); err != nil {
+	// Replace a deepwater object with a laghos object (different schema)
+	// in both stores.
+	ctx, img := context.Background(), other.Objects[other.Table.Objects[0]]
+	if err := c.OCSCli.Put(ctx, d.Table.Bucket, d.Table.Objects[0], img); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run("drift", d.Query, engine.NewSession()); err == nil {
-		t.Error("schema drift went undetected")
+	if err := c.ObjCli.Put(ctx, d.Table.Bucket, d.Table.Objects[0], img); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"none", "filter", "all", "auto"} {
+		if _, err := c.Run(mode, d.Query, engine.NewSession().Set(ocsconn.SessionPushdown, mode)); err == nil {
+			t.Errorf("ocs pushdown %s: schema drift went undetected", mode)
+		}
+	}
+	q := strings.Replace(d.Query, "FROM deepwater", "FROM hive.deepwater", 1)
+	if _, err := c.Run("hive", q, engine.NewSession().Set(hive.SessionSelectPushdown, "false")); err == nil {
+		t.Error("hive whole-object scan: schema drift went undetected")
 	}
 }
 

@@ -74,14 +74,13 @@ func nodeProxiedCluster(t *testing.T, storageNodes int) (*Cluster, []*faultnet.P
 }
 
 // clusterAround assembles the harness topology on top of an existing OCS
-// cluster, dialing the frontend at dialAddr (possibly a proxy); cliOpts
-// configure the OCS client (chunk coalescing, metrics, ...). Callers call
-// checkGoroutines before starting that cluster, so the leak check's
+// cluster, dialing the frontend at dialAddr (possibly a proxy). Callers
+// call checkGoroutines before starting that cluster, so the leak check's
 // baseline predates every goroutine the test starts.
-func clusterAround(t *testing.T, ocsCluster *ocsserver.Cluster, dialAddr string, cliOpts ...ocsserver.Option) *Cluster {
+func clusterAround(t *testing.T, ocsCluster *ocsserver.Cluster, dialAddr string) *Cluster {
 	t.Helper()
 	c := &Cluster{Meta: metastore.New(), OCS: ocsCluster}
-	c.OCSCli = ocsserver.NewClient(dialAddr, cliOpts...)
+	c.OCSCli = ocsserver.NewClient(dialAddr)
 	c.ObjSrv = objstore.NewServer(objstore.NewStore())
 	objAddr, err := c.ObjSrv.Listen("127.0.0.1:0")
 	if err != nil {

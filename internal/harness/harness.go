@@ -125,8 +125,7 @@ func StartClusterWith(storageNodes int, cfg Config) (*Cluster, error) {
 	c.Engine.SetAdmission(cfg.Admission)
 	c.OCSConn = ocsconn.New(CatalogOCS, c.Meta, c.OCSCli)
 	c.Engine.AddConnector(c.OCSConn)
-	hiveConn := hive.New(CatalogHive, c.Meta, c.ObjCli)
-	c.Engine.AddConnector(hiveConn)
+	c.Engine.AddConnector(hive.New(CatalogHive, c.Meta, c.ObjCli))
 	if cfg.Telemetry {
 		c.Engine.Metrics = c.Metrics
 		c.Engine.Tracer = telemetry.NewTracer(0)
@@ -134,8 +133,6 @@ func StartClusterWith(storageNodes int, cfg Config) (*Cluster, error) {
 		for label, tr := range ocsCluster.Tracers {
 			c.Tracers[label] = tr
 		}
-		c.OCSConn.SetMetrics(c.Metrics)
-		hiveConn.SetMetrics(c.Metrics)
 	}
 	return c, nil
 }

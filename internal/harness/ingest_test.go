@@ -159,7 +159,7 @@ func scanPinnedHandle(t *testing.T, c *Cluster, h *ocsconn.Handle) []string {
 // TestIngestQ3EndToEndWithConcurrentCompaction is the PR's acceptance
 // test: both Q3 tables are built entirely through the ingest path — SQL
 // INSERT statements through engine.Ingest, no datagen pre-load — and the
-// Q3-shaped join, with split pruning and the metadata caches active and
+// Q3-shaped join, with split pruning and the node caches active and
 // a compactor racing the queries, returns exactly the row-at-a-time
 // reference answer before, during and after compaction.
 func TestIngestQ3EndToEndWithConcurrentCompaction(t *testing.T) {
@@ -418,7 +418,15 @@ func TestIngestKilledConnectionFault(t *testing.T) {
 	// killed ingest leaves at worst an invisible orphan, never a table
 	// version pointing at missing data.
 	proxy.SetBlackhole(true)
-	versionBefore := c.Meta.Version(CatalogOCS, d.Table.Name)
+	version := func() uint64 {
+		_, pin, err := c.Meta.GetPinned(CatalogOCS, d.Table.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pin.Release()
+		return pin.Version()
+	}
+	versionBefore := version()
 	if _, err := ing.Append(ctx, CatalogOCS, d.Table.Name, rows[64:96]); err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +436,7 @@ func TestIngestKilledConnectionFault(t *testing.T) {
 	}
 	cancel()
 	proxy.SetBlackhole(false)
-	if got := c.Meta.Version(CatalogOCS, d.Table.Name); got != versionBefore {
+	if got := version(); got != versionBefore {
 		t.Errorf("killed ingest moved the table version %d → %d", versionBefore, got)
 	}
 	tbl, _ = c.Meta.Get(CatalogOCS, d.Table.Name)

@@ -19,12 +19,12 @@ import (
 	"prestocs/internal/workload"
 )
 
-// killableCluster starts a one-node cluster behind a fault proxy, with
-// small stream chunks and a one-chunk credit window: each chunk costs a
-// full credit round trip, so the proxy forwards the schema and the first
-// chunks individually, and a kill armed once the client holds a page
-// severs the connection mid-stream — the resume path, not the open-retry
-// path a kill at open would take.
+// killableCluster starts a one-node cluster behind a fault proxy, with a
+// one-chunk credit window: each chunk (one row group) costs a full credit
+// round trip, so the proxy forwards the schema and the first chunks
+// individually, and a kill armed once the client holds a page severs the
+// connection mid-stream — the resume path, not the open-retry path a kill
+// at open would take.
 func killableCluster(t *testing.T) (*Cluster, *faultnet.Proxy) {
 	t.Helper()
 	checkGoroutines(t)
@@ -38,7 +38,7 @@ func killableCluster(t *testing.T) (*Cluster, *faultnet.Proxy) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { proxy.Close() })
-	return clusterAround(t, ocsCluster, proxy.Addr(), ocsserver.WithChunkRows(512)), proxy
+	return clusterAround(t, ocsCluster, proxy.Addr()), proxy
 }
 
 // laghosFilterHandle builds a filter-pushdown handle over the loaded

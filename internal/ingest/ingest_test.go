@@ -93,6 +93,18 @@ func newTestIngester(t *testing.T, flushRows int) (*Ingester, *metastore.Metasto
 	return ing, ms, store
 }
 
+// tableVersion reads the events table's registration version through a
+// snapshot pin, released at once.
+func tableVersion(t *testing.T, ms *metastore.Metastore) uint64 {
+	t.Helper()
+	_, pin, err := ms.GetPinned("default", "events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Release()
+	return pin.Version()
+}
+
 func intRow(id int64, name string) []types.Value {
 	return []types.Value{types.IntValue(id), types.StringValue(name)}
 }
@@ -204,8 +216,8 @@ func TestIngestKilledBeforeCommitLeavesTableUnchanged(t *testing.T) {
 	if len(tbl.Objects) != 0 || tbl.RowCount != 0 {
 		t.Errorf("table changed by killed ingest: %d objects, %d rows", len(tbl.Objects), tbl.RowCount)
 	}
-	if ms.Version("default", "events") != 1 {
-		t.Errorf("version = %d", ms.Version("default", "events"))
+	if v := tableVersion(t, ms); v != 1 {
+		t.Errorf("version = %d", v)
 	}
 
 	// The store recovers; fresh appends work, the dropped batch is gone.
@@ -453,12 +465,12 @@ func TestCompactUnknownClusterColumnFails(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	before, version := store.count(), ms.Version("default", "events")
+	before, version := store.count(), tableVersion(t, ms)
 	_, err := NewCompactor(ms, store, CompactorOptions{ClusterBy: "nope"}).RunOnce(ctx, "default", "events")
 	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
 		t.Fatalf("RunOnce = %v, want an error naming the column", err)
 	}
-	if store.count() != before || ms.Version("default", "events") != version {
+	if store.count() != before || tableVersion(t, ms) != version {
 		t.Errorf("failed run changed the store (%d objects, want %d) or the catalog", store.count(), before)
 	}
 }

@@ -84,10 +84,11 @@ type Metastore struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	// versions counts registration changes per table key. Register,
-	// CommitObjects and Drop bump it, so a cached table definition
-	// (internal/cache) detects staleness with one Version call instead of
-	// a full re-read. Versions survive drops: re-registering a dropped
-	// table continues its counter.
+	// CommitObjects and Drop bump it; a snapshot pin records the version
+	// it was taken at, and tombstones the version that removed them, so
+	// reaping can tell which removed objects a pinned scan may still read.
+	// Versions survive drops: re-registering a dropped table continues
+	// its counter.
 	versions map[string]uint64
 	// pins refcounts outstanding snapshot pins per table key and pinned
 	// version; tombstones at versions above a live pin are not reaped.
@@ -122,15 +123,6 @@ func (m *Metastore) Register(t *Table) error {
 	return nil
 }
 
-// Version returns the table's registration version (0 when the table was
-// never registered). It is the cheap staleness check the metadata cache
-// performs on every hit.
-func (m *Metastore) Version(schema, name string) uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.versions[strings.ToLower(schema+"."+name)]
-}
-
 // Get looks a table up by schema and name (case-insensitive).
 func (m *Metastore) Get(schema, name string) (*Table, error) {
 	m.mu.RLock()
@@ -154,7 +146,7 @@ func (m *Metastore) List() []string {
 	return out
 }
 
-// Drop removes a table, bumping its version so cached entries invalidate.
+// Drop removes a table, bumping its version.
 func (m *Metastore) Drop(schema, name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

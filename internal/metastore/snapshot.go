@@ -5,8 +5,7 @@
 //
 //   - CommitObjects: an atomic object-set transition (add new objects,
 //     remove compacted ones, merge stats) that produces a fresh *Table
-//     and bumps the version exactly once, so the PR 6 caches invalidate
-//     on the next hit.
+//     and bumps the version exactly once.
 //   - Pins: a query pins the (table, version) pair it planned against.
 //     While any pin at version < W exists, objects removed at version W
 //     must stay in storage, because a pinned scan may still fetch them.

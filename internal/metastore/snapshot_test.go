@@ -58,7 +58,15 @@ func TestSnapshotCommitAppend(t *testing.T) {
 	if err := m.Register(snapshotTable()); err != nil {
 		t.Fatal(err)
 	}
-	v0 := m.Version("default", "events")
+	version := func() uint64 {
+		_, pin, err := m.GetPinned("default", "events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pin.Release()
+		return pin.Version()
+	}
+	v0 := version()
 	old, _ := m.Get("default", "events")
 
 	next, err := m.CommitObjects("default", "events",
@@ -66,7 +74,7 @@ func TestSnapshotCommitAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Version("default", "events"); got != v0+1 {
+	if got := version(); got != v0+1 {
 		t.Errorf("version = %d, want %d", got, v0+1)
 	}
 	if len(next.Objects) != 3 || next.RowCount != 300 || next.TotalBytes != 12300 {

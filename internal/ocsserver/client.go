@@ -31,9 +31,8 @@ import (
 // object server. (It does not serve obj.Select; Select answers NotFound.)
 type Client struct {
 	*objstore.Client
-	rpc       *rpc.Client
-	retry     retry.Policy
-	chunkRows int
+	rpc   *rpc.Client
+	retry retry.Policy
 }
 
 // Option configures a Client.
@@ -43,12 +42,6 @@ type Option func(*Client)
 // retry.None() disables retries.
 func WithRetryPolicy(p retry.Policy) Option {
 	return func(c *Client) { c.retry = p }
-}
-
-// WithChunkRows asks storage nodes to coalesce result chunks to at least
-// n rows for this client's queries; 0 keeps the node's own default.
-func WithChunkRows(n int) Option {
-	return func(c *Client) { c.chunkRows = n }
 }
 
 // WithMetrics attaches a metrics registry to the client's transport, so
@@ -74,53 +67,6 @@ func NewClient(addr string, opts ...Option) *Client {
 // cancelled streams discard rather than pool their connection.
 func (c *Client) IdleConns() int { return c.rpc.IdleConns() }
 
-// Execute request envelope fields. The plan travels in field 7, beside
-// the client's chunk-rows preference in field 8.
-const (
-	execReqPlanField      = 7
-	execReqChunkRowsField = 8
-)
-
-// encodeExecuteRequest wraps a marshalled plan and the client's
-// chunk-rows preference into an ocs.Execute payload.
-func encodeExecuteRequest(planBytes []byte, chunkRows int) []byte {
-	e := protowire.NewEncoder()
-	e.Bytes(execReqPlanField, planBytes)
-	if chunkRows > 0 {
-		e.Int64(execReqChunkRowsField, int64(chunkRows))
-	}
-	return e.Encoded()
-}
-
-// decodeExecuteRequest splits an ocs.Execute payload into plan bytes and
-// the requested chunk rows. A payload that does not decode, or carries no
-// plan field, is an error.
-func decodeExecuteRequest(payload []byte) (planBytes []byte, chunkRows int, err error) {
-	d := protowire.NewDecoder(payload)
-	var rows int64
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return nil, 0, err
-		}
-		switch f {
-		case execReqPlanField:
-			planBytes, err = d.Bytes()
-		case execReqChunkRowsField:
-			rows, err = d.Int64()
-		default:
-			err = d.Skip(ty)
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	if planBytes == nil {
-		return nil, 0, fmt.Errorf("execute request carries no plan (field %d)", execReqPlanField)
-	}
-	return planBytes, int(rows), nil
-}
-
 // Result is a decoded in-storage execution result.
 type Result struct {
 	Schema *types.Schema
@@ -144,17 +90,16 @@ type ResultStream struct {
 	done   bool
 }
 
-// ExecuteStream marshals the plan, ships it to OCS and returns the result
-// stream. The caller must drain it to io.EOF or Close it. Opening the
-// stream — up to and including the schema chunk — is retried on transient
-// failure; once the schema has landed, failures surface to the caller,
-// who decides between retry and fallback.
+// ExecuteStream marshals the plan, ships it to OCS as the request payload
+// and returns the result stream. The caller must drain it to io.EOF or
+// Close it. Opening the stream — up to and including the schema chunk — is
+// retried on transient failure; once the schema has landed, failures
+// surface to the caller, who decides between retry and fallback.
 func (c *Client) ExecuteStream(ctx context.Context, plan *substrait.Plan) (*ResultStream, error) {
-	planBytes, err := substrait.Marshal(plan)
+	payload, err := substrait.Marshal(plan)
 	if err != nil {
 		return nil, err
 	}
-	payload := encodeExecuteRequest(planBytes, c.chunkRows)
 	var rs *ResultStream
 	err = c.retry.Do(ctx, func() error {
 		cs, err := c.rpc.Stream(ctx, MethodExecute, payload)

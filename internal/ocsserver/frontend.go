@@ -102,11 +102,7 @@ func (f *Frontend) nodeFor(bucket, key string) int {
 // handleExecute validates the plan and forwards it to the node holding
 // the object named by its ReadRel.
 func (f *Frontend) handleExecute(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
-	planBytes, _, err := decodeExecuteRequest(payload)
-	var plan *substrait.Plan
-	if err == nil {
-		plan, err = substrait.Unmarshal(planBytes)
-	}
+	plan, err := substrait.Unmarshal(payload)
 	if err != nil {
 		return nil, rpc.WithCode(fmt.Errorf("ocs: rejecting plan: %w", err), rpc.CodeInvalid)
 	}

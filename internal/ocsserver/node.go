@@ -34,11 +34,6 @@ type StorageNode struct {
 	// cost-model storage-node core count, 1 forces sequential scans.
 	// Set before the first query.
 	ScanPool int
-	// ChunkRows coalesces result pages until a stream chunk carries at
-	// least this many rows; 0 streams one Arrow batch per row group.
-	// Clients may override per query via the execute-request envelope.
-	// Set before the first query.
-	ChunkRows int
 	// StreamWindow bounds unacknowledged stream chunks per query (the
 	// credit window): a slow reader stalls the producer after this many
 	// chunks instead of buffering the scan in node memory. 0 selects
@@ -179,14 +174,7 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 	span.SetAttr("node", n.nodeLabel())
 	chunksSent := n.Metrics.Counter(telemetry.MetricNodeChunksSent, "node", n.nodeLabel())
 	chunkBytes := n.Metrics.Counter(telemetry.MetricNodeChunkBytes, "node", n.nodeLabel())
-	planBytes, chunkRows, err := decodeExecuteRequest(payload)
-	if chunkRows <= 0 {
-		chunkRows = n.ChunkRows
-	}
-	var plan *substrait.Plan
-	if err == nil {
-		plan, err = substrait.Unmarshal(planBytes)
-	}
+	plan, err := substrait.Unmarshal(payload)
 	if err != nil {
 		return nil, rpc.WithCode(fmt.Errorf("node %d: invalid plan: %w", n.ID, err), rpc.CodeInvalid)
 	}
@@ -224,7 +212,6 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 		return send(msg)
 	}
 
-	var staged *column.Page // coalescing buffer when chunkRows > 0
 	for {
 		// A cancelled caller stops the scan between pages; the stream
 		// error frame carries the context verdict back.
@@ -243,25 +230,7 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 				return nil, err
 			}
 		}
-		if chunkRows > 0 {
-			if staged == nil {
-				staged = column.NewPage(page.Schema)
-				// Pages after a selective filter are small; reserve the
-				// chunk up front so coalescing appends never regrow.
-				staged.Reserve(chunkRows)
-			}
-			staged.AppendPage(page)
-			if staged.NumRows() < chunkRows {
-				continue
-			}
-			page, staged = staged, nil
-		}
 		if err := sendBatch(page); err != nil {
-			return nil, err
-		}
-	}
-	if staged != nil && staged.NumRows() > 0 {
-		if err := sendBatch(staged); err != nil {
 			return nil, err
 		}
 	}

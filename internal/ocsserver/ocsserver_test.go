@@ -378,32 +378,6 @@ func TestFrontendRejectsGarbagePlan(t *testing.T) {
 	}
 }
 
-// TestExecuteRefusesBarePlan: an Execute payload is the request envelope.
-// A bare marshalled plan, which has no plan field, is refused as invalid
-// by the frontend and by the node alike.
-func TestExecuteRefusesBarePlan(t *testing.T) {
-	cluster, err := StartCluster(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Shutdown()
-	bare, err := substrait.Marshal(filterPlan(t, "b", "o"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, target := range []struct{ addr, method string }{
-		{cluster.Addr, MethodExecute},
-		{cluster.NodeAddr[0], NodeMethodExecute},
-	} {
-		c := rpc.Dial(target.addr)
-		_, err := c.Call(context.Background(), target.method, bare)
-		c.Close()
-		if !errors.Is(err, rpc.ErrInvalid) {
-			t.Errorf("%s with a bare plan: %v, want %v", target.method, err, rpc.ErrInvalid)
-		}
-	}
-}
-
 // TestNodeRPCEqualsExecuteLocalCached pins the single-open contract: the
 // node's RPC handler and the in-process entry point run the same env +
 // pipeline, so for one plan they return the same pages and the same work

@@ -57,35 +57,6 @@ func TestExecuteStreamIncremental(t *testing.T) {
 	}
 }
 
-func TestExecuteStreamChunkRowsCoalescing(t *testing.T) {
-	cluster, cli := startCluster(t, 1)
-	cluster.Nodes[0].ChunkRows = 1000 // larger than the object: one chunk
-	if err := cli.Put(context.Background(), "b", "o", meshObject(t, compress.None)); err != nil {
-		t.Fatal(err)
-	}
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
-	rs, err := cli.ExecuteStream(context.Background(), substrait.NewPlan(read))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	var pages, rows int
-	for {
-		p, err := rs.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		pages++
-		rows += p.NumRows()
-	}
-	if pages != 1 || rows != 200 {
-		t.Errorf("coalesced stream = %d pages / %d rows, want 1 / 200", pages, rows)
-	}
-}
-
 func TestExecuteStreamAbandonReleasesCleanly(t *testing.T) {
 	_, cli := startCluster(t, 1)
 	if err := cli.Put(context.Background(), "b", "o", meshObject(t, compress.None)); err != nil {

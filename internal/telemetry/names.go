@@ -97,14 +97,8 @@ const (
 	MetricJoinBloomPushdown = "engine_join_bloom_splits_total"
 	MetricJoinBloomRejected = "engine_join_bloom_rejected_total"
 
-	// Engine-side table-metadata cache (labels: catalog). Hit ratios are
+	// Storage-node decoded-footer cache (labels: node). Hit ratios are
 	// lifetime percentages (0-100).
-	MetricMetaCacheHits          = "cache_meta_hits_total"
-	MetricMetaCacheMisses        = "cache_meta_misses_total"
-	MetricMetaCacheInvalidations = "cache_meta_invalidations_total"
-	MetricMetaCacheHitRatio      = "cache_meta_hit_ratio_pct"
-
-	// Storage-node decoded-footer cache (labels: node).
 	MetricFooterCacheHits      = "ocs_cache_footer_hits_total"
 	MetricFooterCacheMisses    = "ocs_cache_footer_misses_total"
 	MetricFooterCacheEvictions = "ocs_cache_footer_evictions_total"
