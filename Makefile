@@ -96,9 +96,11 @@ determinism:
 # allocation from a length the input cannot back; SQL text from any
 # client goes through parse, analyze and both optimizers in every pushdown
 # mode, where each step may reject it, none may panic, and a plan that
-# comes out keeps the structural invariants; and the selection kernels
-# answer as the row-at-a-time evaluator does on any column, literal,
-# operator and selection.
+# comes out keeps the structural invariants; and the comparison kernels
+# answer as the test oracle (the row-at-a-time evaluator in
+# internal/expr/oracle_test.go) does, in a predicate and in value
+# context, on any column, literal or computed operand, operator and
+# selection.
 # `go test -fuzz` takes one target and one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnappyDecode$$' -fuzztime 10s ./internal/compress/
@@ -274,9 +276,11 @@ ci-fast: gates
 ci-race:
 	$(GO) test -race ./...
 
-# ci mirrors the GitHub workflow end to end: fast gates, race suite,
-# fault-injection matrix, fuzz smoke.
-ci: ci-fast ci-race faults fuzz-smoke
+# ci runs what the GitHub workflow's jobs run: ci-fast (formatting, build,
+# vet, the grep gates, bench-build and the determinism lane), ci-race,
+# faults (whose scenarios include faults-ingest's, so that lane is not
+# run a second time), fuzz-smoke and cover (the coverage floor).
+ci: ci-fast ci-race faults fuzz-smoke cover
 
 # cover enforces a combined statement-coverage floor over the packages
 # that implement statistics pruning and the write path; see COVER_MIN

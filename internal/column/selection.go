@@ -42,15 +42,6 @@ func KeepToSel(keep []bool, base []int) []int {
 	return sel
 }
 
-// SelToMask converts a selection vector into an n-row keep mask.
-func SelToMask(sel []int, n int) []bool {
-	keep := make([]bool, n)
-	for _, i := range sel {
-		keep[i] = true
-	}
-	return keep
-}
-
 // MergeSel merges two sorted selection vectors into one sorted vector.
 // The inputs must be disjoint (as produced by OR short-circuiting, where
 // the right side is only evaluated over rows the left side rejected).

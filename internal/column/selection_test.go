@@ -36,7 +36,10 @@ func TestKeepSelRoundTrip(t *testing.T) {
 		if len(sel) != CountKeep(keep) {
 			t.Fatalf("len(sel) = %d, CountKeep = %d", len(sel), CountKeep(keep))
 		}
-		back := SelToMask(sel, n)
+		back := make([]bool, n)
+		for _, i := range sel {
+			back[i] = true
+		}
 		if !reflect.DeepEqual(back, keep) {
 			t.Fatalf("round trip mismatch: %v -> %v -> %v", keep, sel, back)
 		}

@@ -134,7 +134,6 @@ func (e *Engine) Submit(ctx context.Context, sql string, opts ...SubmitOption) (
 	q := &Query{
 		sql:      sql,
 		session:  o.session,
-		priority: o.priority,
 		memory:   o.memory,
 		eng:      e,
 		submit:   time.Now(),

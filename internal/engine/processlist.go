@@ -51,7 +51,7 @@ type ProcessList struct {
 	nextID     int64
 	all        map[string]*Query // queued + admitted, until finish
 	running    map[string]*Query
-	waiting    []*Query // priority desc, FIFO within a priority
+	waiting    []*Query // FIFO
 	memoryUsed int64
 	recent     []QueryInfo // ring of the last finished queries
 }
@@ -109,20 +109,13 @@ func (pl *ProcessList) admit(q *Query) error {
 		return overloaded("admission queue full (%d running, %d queued)", len(pl.running), len(pl.waiting))
 	}
 	pl.all[q.id] = q
-	// Keep the wait list priority-ordered, FIFO within a priority.
-	idx := sort.Search(len(pl.waiting), func(i int) bool {
-		return pl.waiting[i].priority < q.priority
-	})
-	pl.waiting = append(pl.waiting, nil)
-	copy(pl.waiting[idx+1:], pl.waiting[idx:])
-	pl.waiting[idx] = q
+	pl.waiting = append(pl.waiting, q)
 	m.Gauge(telemetry.MetricAdmissionQueued).Add(1)
 	return nil
 }
 
 // canStartLocked reports whether q fits the budgets right now. A query
-// never jumps ahead of an equal-or-higher-priority waiter, so the queue
-// drains fairly; a strictly higher priority may overtake.
+// never jumps ahead of a waiter, so the queue drains in arrival order.
 func (pl *ProcessList) canStartLocked(q *Query) bool {
 	cfg := pl.cfg
 	if cfg.MaxConcurrent > 0 && len(pl.running) >= cfg.MaxConcurrent {
@@ -131,7 +124,7 @@ func (pl *ProcessList) canStartLocked(q *Query) bool {
 	if cfg.MemoryBudget > 0 && pl.memoryUsed+q.memory > cfg.MemoryBudget {
 		return false
 	}
-	if len(pl.waiting) > 0 && pl.waiting[0].priority >= q.priority {
+	if len(pl.waiting) > 0 {
 		return false
 	}
 	return true
@@ -274,8 +267,8 @@ func writeQueryTable(w http.ResponseWriter, infos []QueryInfo) {
 	if len(infos) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "%-8s %-9s %4s %12s %10s %12s %-32s %4s %6s  %s\n",
-		"id", "state", "prio", "elapsed", "rows", "bytes", "pushed", "fb", "pruned", "sql")
+	fmt.Fprintf(w, "%-8s %-9s %12s %10s %12s %-32s %4s %6s  %s\n",
+		"id", "state", "elapsed", "rows", "bytes", "pushed", "fb", "pruned", "sql")
 	for _, in := range infos {
 		sql := in.SQL
 		if len(sql) > 60 {
@@ -289,8 +282,8 @@ func writeQueryTable(w http.ResponseWriter, infos []QueryInfo) {
 		if len(in.Pushed) > 0 {
 			pushed = strings.Join(in.Pushed, "+")
 		}
-		fmt.Fprintf(w, "%-8s %-9s %4d %11.1fms %10d %12d %-32s %4d %6d  %s\n",
-			in.ID, in.State, in.Priority, in.Elapsed, in.Rows, in.BytesMoved,
+		fmt.Fprintf(w, "%-8s %-9s %11.1fms %10d %12d %-32s %4d %6d  %s\n",
+			in.ID, in.State, in.Elapsed, in.Rows, in.BytesMoved,
 			pushed, in.FallbackSplits, in.SplitsPruned, status)
 	}
 }

@@ -185,41 +185,6 @@ func TestKillQueuedQueryCancelsWithoutRunning(t *testing.T) {
 	}
 }
 
-func TestPriorityAdmitsHighFirst(t *testing.T) {
-	e, _ := slowEngine(2, 20*time.Millisecond)
-	e.SetAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueued: 8})
-	q1, err := e.Submit(context.Background(), "SELECT count(*) AS c FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, q1, StateQueued, false)
-	low, err := e.Submit(context.Background(), "SELECT count(*) AS c FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	high, err := e.Submit(context.Background(), "SELECT count(*) AS c FROM t", WithPriority(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := high.Result(); err != nil {
-		t.Fatal(err)
-	}
-	// Serial execution (MaxConcurrent 1): when high finished, low must
-	// not have finished — it was behind in the queue despite arriving
-	// first.
-	select {
-	case <-low.Done():
-		t.Error("low-priority query finished before the high-priority one")
-	default:
-	}
-	if _, err := low.Result(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q1.Result(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestProcessListKillUnknownID(t *testing.T) {
 	e, _ := newTestEngine(1, 5)
 	if err := e.Processes().Kill("q-999"); err == nil {

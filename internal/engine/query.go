@@ -46,20 +46,13 @@ func (s QueryState) String() string {
 type SubmitOption func(*submitOpts)
 
 type submitOpts struct {
-	session  *Session
-	priority int
-	memory   int64
+	session *Session
+	memory  int64
 }
 
 // WithSession attaches a session (nil keeps the default session).
 func WithSession(s *Session) SubmitOption {
 	return func(o *submitOpts) { o.session = s }
-}
-
-// WithPriority sets the admission priority; higher values are admitted
-// ahead of lower ones when queries queue for a slot. Default 0.
-func WithPriority(p int) SubmitOption {
-	return func(o *submitOpts) { o.priority = p }
 }
 
 // WithMemoryBudget reserves the given bytes against the engine's memory
@@ -74,11 +67,10 @@ func WithMemoryBudget(bytes int64) SubmitOption {
 // use: Status and Kill may be called from any goroutine while Result
 // blocks in another.
 type Query struct {
-	id       string
-	sql      string
-	session  *Session
-	priority int
-	memory   int64
+	id      string
+	sql     string
+	session *Session
+	memory  int64
 
 	eng    *Engine
 	ctx    context.Context
@@ -132,7 +124,6 @@ type QueryInfo struct {
 	ID          string    `json:"id"`
 	SQL         string    `json:"sql"`
 	State       string    `json:"state"`
-	Priority    int       `json:"priority,omitempty"`
 	MemoryBytes int64     `json:"memory_bytes"`
 	Submitted   time.Time `json:"submitted"`
 	Elapsed     float64   `json:"elapsed_ms"`
@@ -158,7 +149,6 @@ func (q *Query) Status() QueryInfo {
 		ID:          q.id,
 		SQL:         q.sql,
 		State:       q.State().String(),
-		Priority:    q.priority,
 		MemoryBytes: q.memory,
 		Submitted:   q.submit,
 		Elapsed:     float64(time.Since(q.submit).Microseconds()) / 1000,

@@ -272,7 +272,7 @@ func TestFilterSelectionValidUntilNextCall(t *testing.T) {
 
 // TestProjectUnderSelectionMatchesPerExpression: Project over a Filter —
 // columns gathered once, a repeated subexpression evaluated once — equals
-// one EvalOver per expression over the filter's selection; and a division
+// a one-entry projection per expression over the filter's selection; and a division
 // by zero is reported exactly when the row it sits on survives the filter.
 func TestProjectUnderSelectionMatchesPerExpression(t *testing.T) {
 	rnd := rand.New(rand.NewSource(31))
@@ -306,9 +306,15 @@ func TestProjectUnderSelectionMatchesPerExpression(t *testing.T) {
 		}
 		want := &column.Page{Schema: proj.Schema(), Vectors: make([]*column.Vector, len(exprs))}
 		for c, e := range exprs {
-			if want.Vectors[c], err = expr.EvalOver(e, page, sel); err != nil {
+			one, err := expr.NewProjection([]expr.Expr{e}, page.Schema)
+			if err != nil {
 				t.Fatal(err)
 			}
+			vecs, err := one.Eval(page, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Vectors[c] = vecs[0]
 		}
 		got, err := proj.Next()
 		if err != nil {

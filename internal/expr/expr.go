@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"strings"
 
-	"prestocs/internal/column"
 	"prestocs/internal/types"
 )
 
@@ -397,109 +396,6 @@ func Format(exprs []Expr) string {
 	return strings.Join(parts, ", ")
 }
 
-// Eval evaluates the expression over every row of the page, returning a
-// result vector of e.Type(). Evaluation is vectorized: typed kernels
-// (kernels.go) process whole column buffers with null-bitmap propagation,
-// falling back to the row-wise evalRow for nodes without kernels. The
-// result may share buffers with the page (a bare column reference is zero
-// copy); vectors are immutable by convention.
-func Eval(e Expr, page *column.Page) (*column.Vector, error) {
-	return evalVec(e, page, nil)
-}
-
-// EvalConst evaluates a column-free expression (a VALUES item); a column
-// reference is an error, there being no row to read it from.
-func EvalConst(e Expr) (types.Value, error) {
-	return evalRow(e, column.NewPage(types.NewSchema()), 0)
-}
-
-// evalRow evaluates the expression for a single row. It is unexported so
-// that no operator outside this package can evaluate row by row.
-func evalRow(e Expr, page *column.Page, i int) (types.Value, error) {
-	switch t := e.(type) {
-	case *ColumnRef:
-		if t.Index < 0 || t.Index >= page.NumCols() {
-			return types.Value{}, fmt.Errorf("expr: column ordinal %d out of range (%d cols)", t.Index, page.NumCols())
-		}
-		return page.Vectors[t.Index].Value(i), nil
-	case *Literal:
-		return t.Value, nil
-	case *Arith:
-		l, err := evalRow(t.L, page, i)
-		if err != nil {
-			return types.Value{}, err
-		}
-		r, err := evalRow(t.R, page, i)
-		if err != nil {
-			return types.Value{}, err
-		}
-		return evalArith(t, l, r)
-	case *Compare:
-		l, err := evalRow(t.L, page, i)
-		if err != nil {
-			return types.Value{}, err
-		}
-		r, err := evalRow(t.R, page, i)
-		if err != nil {
-			return types.Value{}, err
-		}
-		if l.Null || r.Null {
-			return types.NullValue(types.Bool), nil
-		}
-		return types.BoolValue(cmpHolds(t.Op, types.Compare(l, r))), nil
-	case *Logic:
-		l, err := evalRow(t.L, page, i)
-		if err != nil {
-			return types.Value{}, err
-		}
-		r, err := evalRow(t.R, page, i)
-		if err != nil {
-			return types.Value{}, err
-		}
-		return evalLogic(t.Op, l, r), nil
-	case *Not:
-		v, err := evalRow(t.E, page, i)
-		if err != nil {
-			return types.Value{}, err
-		}
-		if v.Null {
-			return v, nil
-		}
-		return types.BoolValue(!v.B), nil
-	case *Between:
-		v, err := evalRow(t.E, page, i)
-		if err != nil {
-			return types.Value{}, err
-		}
-		lo, err := evalRow(t.Lo, page, i)
-		if err != nil {
-			return types.Value{}, err
-		}
-		hi, err := evalRow(t.Hi, page, i)
-		if err != nil {
-			return types.Value{}, err
-		}
-		if v.Null || lo.Null || hi.Null {
-			return types.NullValue(types.Bool), nil
-		}
-		return types.BoolValue(types.Compare(v, lo) >= 0 && types.Compare(v, hi) <= 0), nil
-	case *Cast:
-		v, err := evalRow(t.E, page, i)
-		if err != nil {
-			return types.Value{}, err
-		}
-		return types.Coerce(v, t.To)
-	case *IsNull:
-		v, err := evalRow(t.E, page, i)
-		if err != nil {
-			return types.Value{}, err
-		}
-		return types.BoolValue(v.Null != t.Negate), nil
-	default:
-		return types.Value{}, fmt.Errorf("expr: eval: unknown node %T", e)
-	}
-}
-
 func evalArith(t *Arith, l, r types.Value) (types.Value, error) {
 	if l.Null || r.Null {
 		return types.NullValue(t.kind), nil
@@ -563,42 +459,6 @@ func cmpHolds(op CmpOp, c int) bool {
 	return false
 }
 
-// evalLogic implements SQL three-valued AND/OR.
-func evalLogic(op LogicOp, l, r types.Value) types.Value {
-	if op == And {
-		switch {
-		case !l.Null && !l.B, !r.Null && !r.B:
-			return types.BoolValue(false)
-		case l.Null || r.Null:
-			return types.NullValue(types.Bool)
-		default:
-			return types.BoolValue(true)
-		}
-	}
-	switch {
-	case !l.Null && l.B, !r.Null && r.B:
-		return types.BoolValue(true)
-	case l.Null || r.Null:
-		return types.NullValue(types.Bool)
-	default:
-		return types.BoolValue(false)
-	}
-}
-
-// EvalPredicate evaluates a boolean expression into a keep-mask; NULL
-// results are treated as false (SQL WHERE semantics). It evaluates
-// through the selection-vector path, so AND/OR short-circuit: rows
-// already rejected by the left side never evaluate the right side (and
-// never surface its runtime errors). Callers that want the selection
-// directly should use EvalSelection.
-func EvalPredicate(e Expr, page *column.Page) ([]bool, error) {
-	sel, err := EvalSelection(e, page)
-	if err != nil {
-		return nil, err
-	}
-	return column.SelToMask(sel, page.NumRows()), nil
-}
-
 // FoldConstants rewrites constant subtrees into literals. Errors during
 // constant evaluation (e.g. division by zero) leave the subtree unfolded so
 // runtime semantics are preserved.
@@ -610,16 +470,12 @@ func FoldConstants(e Expr) Expr {
 	if len(ReferencedColumns(folded)) > 0 {
 		return folded
 	}
-	empty := column.NewPage(types.NewSchema())
-	// Evaluate against a synthetic single-row page with no columns.
-	v, err := evalRowConst(folded, empty)
+	v, err := EvalConst(folded)
 	if err != nil {
 		return folded
 	}
 	return Lit(v)
 }
-
-func evalRowConst(e Expr, p *column.Page) (types.Value, error) { return evalRow(e, p, 0) }
 
 func foldChildren(e Expr) Expr { return mapChildren(e, FoldConstants) }
 

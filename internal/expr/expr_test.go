@@ -23,6 +23,20 @@ func page2(t *testing.T) *column.Page {
 	return p
 }
 
+// keepMask is e's selection over every row of page as a keep-mask: NULL,
+// like FALSE, does not keep a row.
+func keepMask(e Expr, page *column.Page) ([]bool, error) {
+	sel, err := EvalSelection(e, page)
+	if err != nil {
+		return nil, err
+	}
+	keep := make([]bool, page.NumRows())
+	for _, i := range sel {
+		keep[i] = true
+	}
+	return keep, nil
+}
+
 func mustArith(t *testing.T, op ArithOp, l, r Expr) *Arith {
 	t.Helper()
 	a, err := NewArith(op, l, r)
@@ -50,7 +64,7 @@ func TestArithEval(t *testing.T) {
 	if sum.Type() != types.Float64 {
 		t.Fatalf("type = %v", sum.Type())
 	}
-	v, err := Eval(sum, p)
+	v, err := evalVec(sum, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +76,7 @@ func TestArithEval(t *testing.T) {
 	}
 
 	mod := mustArith(t, Mod, a, Lit(types.IntValue(2)))
-	mv, err := Eval(mod, p)
+	mv, err := evalVec(mod, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +97,15 @@ func TestArithTypeErrors(t *testing.T) {
 func TestDivisionByZero(t *testing.T) {
 	p := page2(t)
 	d := mustArith(t, Div, Col(0, "a", types.Int64), Lit(types.IntValue(0)))
-	if _, err := Eval(d, p); err == nil {
+	if _, err := evalVec(d, p, nil); err == nil {
 		t.Error("int division by zero must error")
 	}
 	fd := mustArith(t, Div, Col(1, "x", types.Float64), Lit(types.FloatValue(0)))
-	if _, err := Eval(fd, p); err == nil {
+	if _, err := evalVec(fd, p, nil); err == nil {
 		t.Error("float division by zero must error")
 	}
 	m := mustArith(t, Mod, Col(0, "a", types.Int64), Lit(types.IntValue(0)))
-	if _, err := Eval(m, p); err == nil {
+	if _, err := evalVec(m, p, nil); err == nil {
 		t.Error("modulo by zero must error")
 	}
 }
@@ -99,7 +113,7 @@ func TestDivisionByZero(t *testing.T) {
 func TestCompareEvalAndNulls(t *testing.T) {
 	p := page2(t)
 	c := mustCmp(t, Gt, Col(0, "a", types.Int64), Lit(types.IntValue(1)))
-	keep, err := EvalPredicate(c, p)
+	keep, err := keepMask(c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +125,7 @@ func TestCompareEvalAndNulls(t *testing.T) {
 	}
 	// Cross-type numeric comparison.
 	cx := mustCmp(t, Lt, Col(0, "a", types.Int64), Col(1, "x", types.Float64))
-	if _, err := Eval(cx, p); err != nil {
+	if _, err := evalVec(cx, p, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewCompare(Eq, Col(2, "s", types.String), Lit(types.IntValue(1))); err == nil {
@@ -143,7 +157,7 @@ func TestLogicThreeValued(t *testing.T) {
 func TestNotAndIsNull(t *testing.T) {
 	p := page2(t)
 	isn := &IsNull{E: Col(0, "a", types.Int64)}
-	v, err := Eval(isn, p)
+	v, err := evalVec(isn, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +165,7 @@ func TestNotAndIsNull(t *testing.T) {
 		t.Errorf("IS NULL = %v", v.Bools)
 	}
 	notNull := &IsNull{E: Col(0, "a", types.Int64), Negate: true}
-	v2, _ := Eval(notNull, p)
+	v2, _ := evalVec(notNull, p, nil)
 	if !v2.Bools[0] || v2.Bools[3] {
 		t.Errorf("IS NOT NULL = %v", v2.Bools)
 	}
@@ -159,7 +173,7 @@ func TestNotAndIsNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3, _ := Eval(n, p)
+	v3, _ := evalVec(n, p, nil)
 	if !v3.Bools[0] {
 		t.Error("NOT (a IS NULL) wrong")
 	}
@@ -174,7 +188,7 @@ func TestBetween(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep, err := EvalPredicate(b, p)
+	keep, err := keepMask(b, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +206,7 @@ func TestBetween(t *testing.T) {
 func TestCast(t *testing.T) {
 	p := page2(t)
 	c := &Cast{E: Col(1, "x", types.Float64), To: types.Int64}
-	v, err := Eval(c, p)
+	v, err := evalVec(c, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,12 +358,12 @@ func TestQuickComparePredicate(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		keep, err := EvalPredicate(lt, p)
+		keep, err := keepMask(lt, p)
 		if err != nil {
 			return false
 		}
 		not, _ := NewNot(lt)
-		inv, err := EvalPredicate(not, p)
+		inv, err := keepMask(not, p)
 		if err != nil {
 			return false
 		}

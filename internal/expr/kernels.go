@@ -1,15 +1,22 @@
 package expr
 
-// Vectorized execution kernels. The batch evaluator walks the expression
-// tree once per page instead of once per row: every node is lowered to a
-// typed kernel that processes whole column buffers (Ints/Floats/Strings/
-// Bools) with null-bitmap propagation. Predicates additionally evaluate
-// through selection vectors (sorted row-index slices), so AND evaluates
-// its right side only over rows the left side kept and OR only over rows
-// the left side rejected. A comparison or BETWEEN of a column against
-// literals (selkernels.go) reads the column where it lies, under the
-// incoming selection, and writes the outgoing one: no operand is gathered
-// and no bool vector is built.
+// The evaluator. It walks the expression tree once per page instead of
+// once per row: every node is lowered to a typed kernel that processes
+// whole column buffers (Ints/Floats/Strings/Bools) with null-bitmap
+// propagation. There is no row-at-a-time path; the interpreter the tests
+// hold these kernels to lives in oracle_test.go.
+//
+// An expression is evaluated in one of two contexts. In value context
+// (evalVec) the result is a dense vector aligned with the selection. In
+// a predicate (evalSel) the result is the selection's rows where the
+// predicate is TRUE, so AND evaluates its right side only over rows the
+// left side kept and OR only over rows the left side rejected. Every
+// comparison and BETWEEN, in either context, runs one kernel family
+// (selkernels.go): in a predicate whose operands are columns and
+// literals, the kernel reads the columns where they lie, under the
+// incoming selection; otherwise the operands are evaluated densely, and
+// the kernel's kept positions become the TRUE entries of a bool vector
+// (value context) or, through it, the rows of the selection (predicate).
 //
 // Selections obey two rules every producer and consumer relies on: nil
 // means every row of the page, so a predicate that rejects every row
@@ -17,7 +24,7 @@ package expr
 // passes in is only read — the result is new storage, or the buffer the
 // caller gave for it (EvalSelectionInto).
 //
-// Null propagation rules (matching the row-wise evaluator exactly):
+// Null propagation rules (SQL's, and the oracle's):
 //   - arithmetic and comparison: NULL if either operand is NULL;
 //   - BETWEEN: NULL if the tested value or either bound is NULL;
 //   - AND/OR: SQL three-valued logic;
@@ -25,10 +32,6 @@ package expr
 //   - IS [NOT] NULL: never NULL.
 // Value buffers at NULL positions hold unspecified data; consumers must
 // check the null bitmap first (types.Value extraction already does).
-//
-// Any node without a kernel (a Cast that can fail, future extensions)
-// falls back to the row-wise evalRow transparently, per row of the active
-// selection.
 
 import (
 	"fmt"
@@ -37,8 +40,9 @@ import (
 	"prestocs/internal/types"
 )
 
-// operand is an evaluated kernel input: either a dense vector aligned
-// with the active selection, or a scalar (from a Literal).
+// operand is a kernel input: a vector or a scalar (from a Literal). A
+// vector is either dense, aligned with the active selection, or a page
+// column read in place, indexed by the selection's rows.
 type operand struct {
 	vec *column.Vector // nil when scalar
 	val types.Value
@@ -61,14 +65,6 @@ func (o operand) nulls() []bool {
 	return nil
 }
 
-// EvalOver evaluates the expression over the rows named by sel (nil means
-// every row of the page), returning a dense vector with len(sel) rows
-// aligned with the selection. This is the batch entry point used by the
-// exec operators; Eval is EvalOver with a nil selection.
-func EvalOver(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
-	return evalVec(e, page, sel)
-}
-
 // EvalSelection evaluates a boolean predicate into a selection vector of
 // the rows where it is true (SQL WHERE semantics: NULL counts as false).
 // AND/OR short-circuit through selections as described above.
@@ -76,22 +72,28 @@ func EvalSelection(e Expr, page *column.Page) ([]int, error) {
 	return EvalSelectionInto(e, page, nil, nil)
 }
 
-// EvalSelectionOver is EvalSelection restricted to a base selection; the
-// result is a subsequence of sel (nil means all rows).
-func EvalSelectionOver(e Expr, page *column.Page, sel []int) ([]int, error) {
-	return EvalSelectionInto(e, page, sel, nil)
-}
-
-// EvalSelectionInto is EvalSelectionOver with storage for the result: it
-// is written over buf when buf has the capacity for it, which lets a
-// caller that is done with one page's selection before it asks for the
-// next keep one buffer for all of them. buf's contents and length are
-// ignored; it may not overlap sel, which is only read.
+// EvalSelectionInto is EvalSelection restricted to a base selection sel
+// (nil: every row), whose subsequence it returns, with storage for the
+// result: it is written over buf when buf has the capacity for it, which
+// lets a caller that is done with one page's selection before it asks
+// for the next keep one buffer for all of them. buf's contents and length
+// are ignored; it may not overlap sel, which is only read.
 func EvalSelectionInto(e Expr, page *column.Page, sel, buf []int) ([]int, error) {
 	if e.Type() != types.Bool {
 		return nil, fmt.Errorf("expr: predicate has type %s", e.Type())
 	}
 	return evalSel(e, page, sel, buf)
+}
+
+// EvalConst evaluates a column-free expression (a VALUES item) as evalVec
+// does, over a page without columns and a selection of one row; a column
+// reference is an error, there being no column to read it from.
+func EvalConst(e Expr) (types.Value, error) {
+	v, err := evalVec(e, column.NewPage(types.NewSchema()), []int{0})
+	if err != nil {
+		return types.Value{}, err
+	}
+	return v.Value(0), nil
 }
 
 func selLen(page *column.Page, sel []int) int {
@@ -119,6 +121,21 @@ func selBuf(buf []int, n int) []int {
 	return make([]int, n)
 }
 
+// inPlace returns e as an operand a kernel reads where it lies — a column
+// of the page or a literal's value — and false for anything else,
+// including a column the page does not have.
+func inPlace(e Expr, page *column.Page) (operand, bool) {
+	switch t := e.(type) {
+	case *Literal:
+		return operand{val: t.Value}, true
+	case *ColumnRef:
+		if t.Index >= 0 && t.Index < page.NumCols() {
+			return operand{vec: page.Vectors[t.Index]}, true
+		}
+	}
+	return operand{}, false
+}
+
 // evalSel evaluates a predicate into the subset of sel where it holds.
 // The result is written over buf when it fits there, else allocated; buf
 // may be sel itself — every loop that narrows a selection writes entry k
@@ -127,12 +144,17 @@ func selBuf(buf []int, n int) []int {
 func evalSel(e Expr, page *column.Page, sel, buf []int) ([]int, error) {
 	switch t := e.(type) {
 	case *Compare:
-		if out, ok := selCompare(t, page, sel, buf); ok {
-			return out, nil
+		l, okL := inPlace(t.L, page)
+		r, okR := inPlace(t.R, page)
+		if okL && okR {
+			return selCompare(t.Op, l, r, page.NumRows(), sel, buf)
 		}
 	case *Between:
-		if out, ok := selBetween(t, page, sel, buf); ok {
-			return out, nil
+		v, okV := inPlace(t.E, page)
+		lo, okLo := inPlace(t.Lo, page)
+		hi, okHi := inPlace(t.Hi, page)
+		if okV && okLo && okHi {
+			return selBetween(v, lo, hi, page.NumRows(), sel, buf)
 		}
 	case *Logic:
 		if t.Op == And {
@@ -164,6 +186,9 @@ func evalSel(e Expr, page *column.Page, sel, buf []int) ([]int, error) {
 		}
 		return column.MergeSel(left, right), nil
 	}
+	// Anything else, a comparison with a computed operand included, is
+	// evaluated in value context, densely over sel, and its TRUE positions
+	// are mapped back to the rows of sel they stand for.
 	v, err := evalVec(e, page, sel)
 	if err != nil {
 		return nil, err
@@ -182,6 +207,43 @@ func evalSel(e Expr, page *column.Page, sel, buf []int) ([]int, error) {
 		if v.Bools[i] && (v.Nulls == nil || !v.Nulls[i]) {
 			out = append(out, row)
 		}
+	}
+	return out, nil
+}
+
+// compareVec is a Compare or Between in value context: its operands are
+// evaluated densely over sel, and the comparison kernel runs over their
+// positions. The result is TRUE where the kernel keeps a position, NULL
+// where an operand is NULL, and FALSE elsewhere.
+func compareVec(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
+	n := selLen(page, sel)
+	var ops [3]operand
+	var nulls []bool
+	for i, c := range children(e) {
+		o, err := evalOperand(c, page, sel)
+		if err != nil {
+			return nil, err
+		}
+		ops[i] = o
+		if o.scalarNull() {
+			nulls = allNullVec(types.Bool, n).Nulls
+		} else {
+			nulls = orNulls(nulls, o.nulls(), n)
+		}
+	}
+	var pos []int
+	var err error
+	if c, ok := e.(*Compare); ok {
+		pos, err = selCompare(c.Op, ops[0], ops[1], n, nil, nil)
+	} else {
+		pos, err = selBetween(ops[0], ops[1], ops[2], n, nil, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := &column.Vector{Kind: types.Bool, Bools: make([]bool, n), Nulls: nulls}
+	for _, p := range pos {
+		out.Bools[p] = true
 	}
 	return out, nil
 }
@@ -212,20 +274,12 @@ func evalVec(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
 			return nil, err
 		}
 		return kernelArith(t, l, r, n)
-	case *Compare:
-		l, err := evalOperand(t.L, page, sel)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalOperand(t.R, page, sel)
-		if err != nil {
-			return nil, err
-		}
-		return kernelCompare(t.Op, l, r, n)
+	case *Compare, *Between:
+		return compareVec(e, page, sel)
 	case *Logic:
 		// Value context evaluates both sides (errors on either side
-		// surface exactly as in the row-wise evaluator); only the
-		// selection path short-circuits.
+		// surface exactly as in the oracle); only the selection path
+		// short-circuits.
 		l, err := evalVec(t.L, page, sel)
 		if err != nil {
 			return nil, err
@@ -246,37 +300,6 @@ func evalVec(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
 			out.Bools[i] = !b
 		}
 		out.Nulls = v.Nulls
-		return out, nil
-	case *Between:
-		ev, err := evalOperand(t.E, page, sel)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := evalOperand(t.Lo, page, sel)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := evalOperand(t.Hi, page, sel)
-		if err != nil {
-			return nil, err
-		}
-		// NULL if value or either bound is NULL — combine the raw bounds
-		// checks and OR the null masks (each side already carries the
-		// tested value's nulls).
-		ge, err := kernelCompare(Ge, ev, lo, n)
-		if err != nil {
-			return nil, err
-		}
-		le, err := kernelCompare(Le, ev, hi, n)
-		if err != nil {
-			return nil, err
-		}
-		out := column.NewVector(types.Bool)
-		out.Bools = make([]bool, n)
-		for i := range out.Bools {
-			out.Bools[i] = ge.Bools[i] && le.Bools[i]
-		}
-		out.Nulls = orNulls(ge.Nulls, le.Nulls, n)
 		return out, nil
 	case *IsNull:
 		if lit, ok := t.E.(*Literal); ok {
@@ -301,18 +324,27 @@ func evalVec(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
 		}
 		return out, nil
 	case *Cast:
-		if !castCannotFail(t.E.Type(), t.To) {
-			return fallbackVec(e, page, sel, n)
-		}
 		v, err := evalVec(t.E, page, sel)
 		if err != nil {
 			return nil, err
 		}
-		return castVec(v, t.To, n), nil
+		if castCannotFail(t.E.Type(), t.To) {
+			return castVec(v, t.To, n), nil
+		}
+		// A cast that can fail converts row by row; only the selected rows
+		// are in v, so only they can fail.
+		out := column.NewVector(t.To)
+		out.Reserve(n)
+		for i := 0; i < n; i++ {
+			c, err := types.Coerce(v.Value(i), t.To)
+			if err != nil {
+				return nil, err
+			}
+			out.Append(c)
+		}
+		return out, nil
 	default:
-		// Transparent row-wise fallback for nodes without kernels
-		// (unknown extensions).
-		return fallbackVec(e, page, sel, n)
+		return nil, fmt.Errorf("expr: eval: unknown node %T", e)
 	}
 }
 
@@ -320,7 +352,7 @@ func evalVec(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
 // kind from to kind to: the same kind, Int64 either way with Float64 and
 // Int64 either way with Date. Those casts have a kernel; the others
 // (parsing a string as a date, pairs with no conversion) can fail on a
-// row and stay row-wise, where the failing row reports itself.
+// row, which then reports itself.
 func castCannotFail(from, to types.Kind) bool {
 	switch {
 	case from == to:
@@ -343,7 +375,7 @@ func castVec(v *column.Vector, to types.Kind, n int) *column.Vector {
 	out := &column.Vector{Kind: to, Nulls: v.Nulls}
 	switch {
 	case to == types.Float64:
-		out.Floats = floatsOf(v, n)
+		out.Floats = floatsOf(v)
 	case v.Kind == types.Float64:
 		out.Ints = make([]int64, n)
 		for i, f := range v.Floats {
@@ -364,29 +396,6 @@ func evalOperand(e Expr, page *column.Page, sel []int) (operand, error) {
 		return operand{}, err
 	}
 	return operand{vec: v}, nil
-}
-
-func fallbackVec(e Expr, page *column.Page, sel []int, n int) (*column.Vector, error) {
-	out := column.NewVector(e.Type())
-	out.Reserve(n)
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			v, err := evalRow(e, page, i)
-			if err != nil {
-				return nil, err
-			}
-			out.Append(v)
-		}
-		return out, nil
-	}
-	for _, row := range sel {
-		v, err := evalRow(e, page, row)
-		if err != nil {
-			return nil, err
-		}
-		out.Append(v)
-	}
-	return out, nil
 }
 
 // broadcast materializes a scalar as an n-row vector.
@@ -460,161 +469,17 @@ func orNulls(a, b []bool, n int) []bool {
 
 func isIntKind(k types.Kind) bool { return k == types.Int64 || k == types.Date }
 
-// floatsOf returns the operand's values as a float64 slice, converting
+// floatsOf returns the vector's values as a float64 slice, converting
 // integer buffers (one pass, one allocation) when needed.
-func floatsOf(v *column.Vector, n int) []float64 {
+func floatsOf(v *column.Vector) []float64 {
 	if v.Kind == types.Float64 {
 		return v.Floats
 	}
-	out := make([]float64, n)
+	out := make([]float64, len(v.Ints))
 	for i, x := range v.Ints {
 		out[i] = float64(x)
 	}
 	return out
-}
-
-// cmpOrd covers the kinds whose comparison lowers to Go operators
-// directly. Floats join them (selOrd) against a scalar that is not NaN,
-// which is why cmpVS writes > and >= as negations: see selkernels.go.
-type cmpOrd interface{ ~int64 | ~string }
-
-func cmpVS[T selOrd](op CmpOp, xs []T, s T, out []bool) {
-	switch op {
-	case Eq:
-		for i, x := range xs {
-			out[i] = x == s
-		}
-	case Ne:
-		for i, x := range xs {
-			out[i] = x != s
-		}
-	case Lt:
-		for i, x := range xs {
-			out[i] = x < s
-		}
-	case Le:
-		for i, x := range xs {
-			out[i] = x <= s
-		}
-	case Gt:
-		for i, x := range xs {
-			out[i] = !(x <= s)
-		}
-	case Ge:
-		for i, x := range xs {
-			out[i] = !(x < s)
-		}
-	}
-}
-
-func cmpVV[T cmpOrd](op CmpOp, xs, ys []T, out []bool) {
-	switch op {
-	case Eq:
-		for i, x := range xs {
-			out[i] = x == ys[i]
-		}
-	case Ne:
-		for i, x := range xs {
-			out[i] = x != ys[i]
-		}
-	case Lt:
-		for i, x := range xs {
-			out[i] = x < ys[i]
-		}
-	case Le:
-		for i, x := range xs {
-			out[i] = x <= ys[i]
-		}
-	case Gt:
-		for i, x := range xs {
-			out[i] = x > ys[i]
-		}
-	case Ge:
-		for i, x := range xs {
-			out[i] = x >= ys[i]
-		}
-	}
-}
-
-func cmpFloatVS(op CmpOp, xs []float64, s float64, out []bool) {
-	if s == s {
-		cmpVS(op, xs, s, out)
-		return
-	}
-	accept := cmpAccept(op)
-	for i, x := range xs {
-		out[i] = accept[types.CompareFloat(x, s)+1]
-	}
-}
-
-func cmpFloatVV(op CmpOp, xs, ys []float64, out []bool) {
-	accept := cmpAccept(op)
-	for i, x := range xs {
-		out[i] = accept[types.CompareFloat(x, ys[i])+1]
-	}
-}
-
-func boolsToInts(bs []bool) []int64 {
-	out := make([]int64, len(bs))
-	for i, b := range bs {
-		if b {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
-func kernelCompare(op CmpOp, l, r operand, n int) (*column.Vector, error) {
-	if l.scalarNull() || r.scalarNull() {
-		return allNullVec(types.Bool, n), nil
-	}
-	if l.isScalar() && r.isScalar() {
-		return broadcast(types.BoolValue(cmpHolds(op, types.Compare(l.val, r.val))), n), nil
-	}
-	if l.isScalar() {
-		// s < x ⇔ x > s: scalar-vs-vector reuses the vector-vs-scalar loops.
-		l, r = r, l
-		op = op.Mirror()
-	}
-	out := column.NewVector(types.Bool)
-	out.Bools = make([]bool, n)
-	lk, rk := l.kind(), r.kind()
-	switch {
-	case isIntKind(lk) && isIntKind(rk):
-		if r.isScalar() {
-			cmpVS(op, l.vec.Ints, r.val.I, out.Bools)
-		} else {
-			cmpVV(op, l.vec.Ints, r.vec.Ints, out.Bools)
-		}
-	case lk.Numeric() && rk.Numeric():
-		xs := floatsOf(l.vec, n)
-		if r.isScalar() {
-			cmpFloatVS(op, xs, r.val.AsFloat(), out.Bools)
-		} else {
-			cmpFloatVV(op, xs, floatsOf(r.vec, n), out.Bools)
-		}
-	case lk == types.String && rk == types.String:
-		if r.isScalar() {
-			cmpVS(op, l.vec.Strings, r.val.S, out.Bools)
-		} else {
-			cmpVV(op, l.vec.Strings, r.vec.Strings, out.Bools)
-		}
-	case lk == types.Bool && rk == types.Bool:
-		xs := boolsToInts(l.vec.Bools)
-		if r.isScalar() {
-			var s int64
-			if r.val.B {
-				s = 1
-			}
-			cmpVS(op, xs, s, out.Bools)
-		} else {
-			cmpVV(op, xs, boolsToInts(r.vec.Bools), out.Bools)
-		}
-	default:
-		return nil, fmt.Errorf("expr: cannot compare %s to %s", lk, rk)
-	}
-	out.Nulls = orNulls(l.nulls(), r.nulls(), n)
-	return out, nil
 }
 
 type number interface{ ~int64 | ~float64 }
@@ -623,7 +488,7 @@ var errDivZero = fmt.Errorf("expr: division by zero")
 var errModZero = fmt.Errorf("expr: modulo by zero")
 
 // arithVS computes xs op s. Division by zero is an error unless the row
-// is NULL (the row-wise evaluator checks nulls before the divisor).
+// is NULL (SQL checks nulls before the divisor).
 func arithVS[T number](op ArithOp, xs []T, s T, out []T, nulls []bool) error {
 	switch op {
 	case Add:
@@ -707,7 +572,7 @@ func arithVV[T number](op ArithOp, xs, ys, out []T, nulls []bool) error {
 }
 
 // firstNonNullErr returns err if any of the n rows is non-NULL (a NULL
-// row never evaluates its divisor row-wise).
+// row never evaluates its divisor).
 func firstNonNullErr(n int, nulls []bool, err error) error {
 	if nulls == nil {
 		if n > 0 {
@@ -778,11 +643,11 @@ func kernelArith(t *Arith, l, r operand, n int) (*column.Vector, error) {
 		out.Floats = make([]float64, n)
 		switch {
 		case l.isScalar():
-			err = arithSV(t.Op, l.val.AsFloat(), floatsOf(r.vec, n), out.Floats, nulls)
+			err = arithSV(t.Op, l.val.AsFloat(), floatsOf(r.vec), out.Floats, nulls)
 		case r.isScalar():
-			err = arithVS(t.Op, floatsOf(l.vec, n), r.val.AsFloat(), out.Floats, nulls)
+			err = arithVS(t.Op, floatsOf(l.vec), r.val.AsFloat(), out.Floats, nulls)
 		default:
-			err = arithVV(t.Op, floatsOf(l.vec, n), floatsOf(r.vec, n), out.Floats, nulls)
+			err = arithVV(t.Op, floatsOf(l.vec), floatsOf(r.vec), out.Floats, nulls)
 		}
 	} else {
 		out.Ints = make([]int64, n)

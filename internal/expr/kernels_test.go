@@ -12,7 +12,7 @@ import (
 )
 
 // Differential property tests: the vectorized kernels (kernels.go) must be
-// observationally identical to the row-at-a-time interpreter (evalRow) on
+// observationally identical to the oracle (evalRow, oracle_test.go) on
 // randomized pages covering every kind, NULLs, NaN/Inf floats and
 // adversarial strings. Divisors are always non-zero literals so neither
 // path errors (the selection path may legally skip errors on rejected
@@ -197,7 +197,7 @@ func sameValue(a, b types.Value) bool {
 	return types.Compare(a, b) == 0
 }
 
-// rowWise evaluates e over every row of page via the interpreter.
+// rowWise evaluates e over every row of page via the oracle.
 func rowWise(t *testing.T, e Expr, page *column.Page) []types.Value {
 	t.Helper()
 	out := make([]types.Value, page.NumRows())
@@ -214,16 +214,16 @@ func rowWise(t *testing.T, e Expr, page *column.Page) []types.Value {
 func checkEvalDifferential(t *testing.T, e Expr, page *column.Page) {
 	t.Helper()
 	want := rowWise(t, e, page)
-	vec, err := Eval(e, page)
+	vec, err := evalVec(e, page, nil)
 	if err != nil {
-		t.Fatalf("Eval(%s): %v", e, err)
+		t.Fatalf("evalVec(%s): %v", e, err)
 	}
 	if vec.Len() != page.NumRows() {
-		t.Fatalf("Eval(%s): %d rows, want %d", e, vec.Len(), page.NumRows())
+		t.Fatalf("evalVec(%s): %d rows, want %d", e, vec.Len(), page.NumRows())
 	}
 	for i, w := range want {
 		if got := vec.Value(i); !sameValue(got, w) {
-			t.Fatalf("Eval(%s) row %d: vectorized %s, row-wise %s", e, i, got, w)
+			t.Fatalf("evalVec(%s) row %d: vectorized %s, row-wise %s", e, i, got, w)
 		}
 	}
 }
@@ -257,12 +257,12 @@ func checkSelectionDifferential(t *testing.T, r *rand.Rand, e Expr, page *column
 			expectOver = append(expectOver, i)
 		}
 	}
-	over, err := EvalSelectionOver(e, page, base)
+	over, err := EvalSelectionInto(e, page, base, nil)
 	if err != nil {
-		t.Fatalf("EvalSelectionOver(%s): %v", e, err)
+		t.Fatalf("EvalSelectionInto(%s): %v", e, err)
 	}
 	if fmt.Sprint(over) != fmt.Sprint(expectOver) {
-		t.Fatalf("EvalSelectionOver(%s, %v) = %v, row-wise %v", e, base, over, expectOver)
+		t.Fatalf("EvalSelectionInto(%s, %v) = %v, row-wise %v", e, base, over, expectOver)
 	}
 }
 
@@ -299,13 +299,13 @@ func TestVectorizedArithmeticMatchesRowWise(t *testing.T) {
 		}
 		checkEvalDifferential(t, e, page)
 
-		// EvalOver must compact to exactly the selected rows (a nil
+		// evalVec must compact to exactly the selected rows (a nil
 		// selection means every row).
 		want := rowWise(t, e, page)
 		sel := randomSel(r, page.NumRows())
-		vec, err := EvalOver(e, page, sel)
+		vec, err := evalVec(e, page, sel)
 		if err != nil {
-			t.Fatalf("EvalOver(%s): %v", e, err)
+			t.Fatalf("evalVec(%s): %v", e, err)
 		}
 		if sel == nil {
 			sel = make([]int, page.NumRows())
@@ -314,18 +314,18 @@ func TestVectorizedArithmeticMatchesRowWise(t *testing.T) {
 			}
 		}
 		if vec.Len() != len(sel) {
-			t.Fatalf("EvalOver(%s): %d rows, want %d", e, vec.Len(), len(sel))
+			t.Fatalf("evalVec(%s): %d rows, want %d", e, vec.Len(), len(sel))
 		}
 		for j, i := range sel {
 			if got := vec.Value(j); !sameValue(got, want[i]) {
-				t.Fatalf("EvalOver(%s) slot %d (row %d): %s, row-wise %s", e, j, i, got, want[i])
+				t.Fatalf("evalVec(%s) slot %d (row %d): %s, row-wise %s", e, j, i, got, want[i])
 			}
 		}
 	}
 }
 
 // TestLogicThreeValuedTable pins the AND/OR/NOT truth tables over the full
-// {TRUE, FALSE, NULL}² domain against the row-wise interpreter, covering
+// {TRUE, FALSE, NULL}² domain against the oracle, covering
 // the NULL-propagation rules the kernels implement directly.
 func TestLogicThreeValuedTable(t *testing.T) {
 	schema := types.NewSchema(
@@ -376,7 +376,7 @@ func TestCompareNullSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Eval(cmp, page)
+	v, err := evalVec(cmp, page, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestCompareNullSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err = Eval(bt, page)
+	v, err = evalVec(bt, page, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,9 +401,9 @@ func TestCompareNullSemantics(t *testing.T) {
 }
 
 // TestSelectionShortCircuitSkipsRightErrors documents the one intentional
-// divergence from the interpreter: the selection path evaluates the right
-// side of AND only over rows surviving the left side, so an error confined
-// to rejected rows does not surface. Value-context Eval still reports it.
+// divergence from the oracle: the selection path evaluates the right side
+// of AND only over rows surviving the left side, so an error confined to
+// rejected rows does not surface. Value context still reports it.
 func TestSelectionShortCircuitSkipsRightErrors(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "i", Type: types.Int64})
 	page := column.NewPage(schema)
@@ -430,8 +430,8 @@ func TestSelectionShortCircuitSkipsRightErrors(t *testing.T) {
 	if len(sel) != 0 {
 		t.Fatalf("sel = %v, want empty", sel)
 	}
-	if _, err := Eval(pred, page); err == nil {
-		t.Fatal("value-context Eval must still surface the division by zero")
+	if _, err := evalVec(pred, page, nil); err == nil {
+		t.Fatal("value context must still surface the division by zero")
 	}
 }
 
@@ -449,7 +449,7 @@ func TestCastKernelsMatchRowWise(t *testing.T) {
 			}
 			checkEvalDifferential(t, cast, page)
 			sel := randomSel(r, page.NumRows())
-			vec, err := EvalOver(cast, page, sel)
+			vec, err := evalVec(cast, page, sel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -476,8 +476,8 @@ func TestCastKernelsMatchRowWise(t *testing.T) {
 	checkEvalDifferential(t, avg, page)
 }
 
-// TestFallbackCast exercises the evalRow fallback inside evalVec, which a
-// cast that can fail still takes: parsing a string as a date reports the
+// TestFallbackCast covers a cast that can fail, which evalVec converts row
+// by row over its child's vector: parsing a string as a date reports the
 // row that does not parse, and only when that row is selected.
 func TestFallbackCast(t *testing.T) {
 	dates := column.NewPage(types.NewSchema(types.Column{Name: "s", Type: types.String}))
@@ -485,14 +485,73 @@ func TestFallbackCast(t *testing.T) {
 	dates.AppendRow(types.StringValue("not a date"))
 	dates.AppendRow(types.NullValue(types.String))
 	parse := &Cast{E: Col(0, "s", types.String), To: types.Date}
-	if _, err := Eval(parse, dates); err == nil {
+	if _, err := evalVec(parse, dates, nil); err == nil {
 		t.Error("casting 'not a date' to DATE must fail")
 	}
-	vec, err := EvalOver(parse, dates, []int{0, 2})
+	vec, err := evalVec(parse, dates, []int{0, 2})
 	if err != nil {
 		t.Fatalf("the row that does not parse is not selected: %v", err)
 	}
 	if want, _ := types.DateFromString("1995-03-04"); vec.Value(0) != want || !vec.IsNull(1) {
 		t.Errorf("parsed %s, %s; want %s, NULL", vec.Value(0), vec.Value(1), want)
+	}
+}
+
+// unknownNode is an Expr kind the evaluator has no case for.
+type unknownNode struct{}
+
+func (unknownNode) Type() types.Kind { return types.Bool }
+func (unknownNode) String() string   { return "unknown" }
+func (unknownNode) Cost() float64    { return 0 }
+
+// TestUnknownNodeErrors: a node kind the evaluator does not know is an
+// error in both contexts, not a panic and not a silent answer.
+func TestUnknownNodeErrors(t *testing.T) {
+	page := randomKernelPage(rand.New(rand.NewSource(5)), 4)
+	if _, err := evalVec(unknownNode{}, page, nil); err == nil {
+		t.Error("evalVec of an unknown node must fail")
+	}
+	if _, err := EvalSelection(unknownNode{}, page); err == nil {
+		t.Error("EvalSelection of an unknown node must fail")
+	}
+}
+
+// TestInPlaceKernelsAllocateNothing: a comparison or BETWEEN of a column
+// against literals of its class, read in place under a selection and
+// written into a caller's buffer, allocates nothing — the shape of every
+// pushed-down and residual filter.
+func TestInPlaceKernelsAllocateNothing(t *testing.T) {
+	page := randomKernelPage(rand.New(rand.NewSource(6)), 256)
+	sel := randomSel(rand.New(rand.NewSource(7)), page.NumRows())
+	buf := make([]int, page.NumRows())
+	i, f, s, d := Col(0, "i", types.Int64), Col(1, "f", types.Float64), Col(2, "s", types.String), Col(4, "d", types.Date)
+	preds := []Expr{
+		mustCmp(t, Lt, i, Lit(types.IntValue(2))),
+		mustCmp(t, Ge, Lit(types.FloatValue(0.5)), f),
+		mustCmp(t, Ne, s, Lit(types.StringValue("a"))),
+		mustCmp(t, Le, d, Lit(types.DateValue(3))),
+	}
+	for _, bounds := range [][3]Expr{
+		{i, Lit(types.IntValue(-2)), Lit(types.IntValue(2))},
+		{f, Lit(types.IntValue(-1)), Lit(types.FloatValue(1.5))},
+		{s, Lit(types.StringValue("a")), Lit(types.StringValue("b"))},
+	} {
+		bt, err := NewBetween(bounds[0], bounds[1], bounds[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds = append(preds, bt)
+	}
+	for _, e := range preds {
+		for _, base := range [][]int{nil, sel} {
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := EvalSelectionInto(e, page, base, buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s under a %d-row selection: %.0f allocations, want 0", e, len(base), allocs)
+			}
+		}
 	}
 }

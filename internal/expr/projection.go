@@ -11,8 +11,8 @@ import (
 )
 
 // Projection is a list of expressions prepared for evaluation together,
-// page after page, over the rows of a selection. It does two things a
-// loop of EvalOver calls cannot:
+// page after page, over the rows of a selection. It does two things
+// evaluating each expression on its own cannot:
 //
 //   - each input column the list reads is gathered through the selection
 //     once per page, into a dense page every expression is then evaluated
@@ -123,7 +123,7 @@ func NewProjection(exprs []Expr, in *types.Schema) (*Projection, error) {
 
 // Eval evaluates the list over the rows of page named by sel (nil: every
 // row) and returns one dense vector per expression, aligned with the
-// selection as EvalOver's is. Vectors may share buffers with the page and
+// selection. Vectors may share buffers with the page and
 // with each other.
 func (p *Projection) Eval(page *column.Page, sel []int) ([]*column.Vector, error) {
 	out := make([]*column.Vector, len(p.exprs))

@@ -27,7 +27,7 @@ func (p *Projection) sharedSteps() int {
 	return n
 }
 
-// checkProjection holds Eval to one EvalOver per expression.
+// checkProjection holds Eval to one evalVec per expression.
 func checkProjection(t *testing.T, exprs []Expr, page *column.Page, sel []int) {
 	t.Helper()
 	got, err := mustProjection(t, exprs, page.Schema).Eval(page, sel)
@@ -35,7 +35,7 @@ func checkProjection(t *testing.T, exprs []Expr, page *column.Page, sel []int) {
 		t.Fatalf("Eval(%s): %v", Format(exprs), err)
 	}
 	for i, e := range exprs {
-		want, err := EvalOver(e, page, sel)
+		want, err := evalVec(e, page, sel)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -267,7 +267,7 @@ func TestAnalyzeRangesSoundness(t *testing.T) {
 	}
 	for trial := 0; trial < 2000; trial++ {
 		pred := randPredicate(rng, 3)
-		keep, err := EvalPredicate(pred, page)
+		keep, err := keepMask(pred, page)
 		if err != nil {
 			continue // ill-typed tree; the analyzer need not handle it
 		}

@@ -1,26 +1,35 @@
 package expr
 
-// Selection kernels: a Compare or Between that tests a column against
-// non-NULL literals (or against another column of the same class) loops
-// once over the column's buffer under the incoming selection and writes
-// the surviving rows straight into the outgoing one. Nothing is gathered,
-// no bool vector is built and the operator is chosen outside the loop.
+// Comparison kernels: the one kernel family behind every Compare and
+// Between, in a predicate and in value context alike. A kernel takes
+// operands — vectors or scalars — and a selection, loops once under it,
+// and writes the positions where the comparison holds, no operand being
+// NULL, straight into the outgoing selection. Kinds are dispatched once,
+// outside the loop: integers (Int64 and Date) as integers, any other mix
+// of numerics as floats, strings, booleans.
 //
-// The loops are branch-free: every row is stored at out[k] and k advances
-// by the comparison's 0 or 1, so a predicate that keeps a third of its
-// rows costs the same per row as one that keeps all of them.
+// In a predicate over columns and literals the vectors are page columns
+// read where they lie, sel holding page rows; nothing is gathered and no
+// bool vector is built. Otherwise the operands are dense, evaluated over
+// the caller's selection, and the kernel runs with sel nil over their
+// positions (compareVec turns them into a bool vector).
+//
+// The vector-vs-scalar loops are branch-free: every row is stored at
+// out[k] and k advances by the comparison's 0 or 1, so a predicate that
+// keeps a third of its rows costs the same per row as one that keeps all
+// of them. The operator is chosen outside the loop.
 //
 // Floats follow types.CompareFloat's total order (NaN equal to itself and
-// after everything else) without calling it: against a literal that is not
-// NaN, `x > s` under that order is `!(x <= s)` and `x >= s` is `!(x < s)`,
-// the other four operators are IEEE's own, and for integers and strings
-// the negated forms are the plain ones. A NaN literal has no kernel.
-// Shapes without a kernel report !ok and take evalVec's general route.
+// after everything else). Against a scalar that is not NaN the loops do
+// not call it: `x > s` under that order is `!(x <= s)` and `x >= s` is
+// `!(x < s)`, the other four operators are IEEE's own, and for integers
+// and strings the negated forms are the plain ones. A NaN scalar, and two
+// float vectors, go through the three-way loop with types.CompareFloat.
 
 import (
 	"cmp"
+	"fmt"
 
-	"prestocs/internal/column"
 	"prestocs/internal/types"
 )
 
@@ -37,106 +46,92 @@ func b2i(b bool) int {
 	return 0
 }
 
-// pageColumn returns the vector e names when e is a reference to a column
-// the page has, else nil.
-func pageColumn(e Expr, page *column.Page) *column.Vector {
-	ref, ok := e.(*ColumnRef)
-	if !ok || ref.Index < 0 || ref.Index >= page.NumCols() {
-		return nil
+// selCompare keeps the rows of sel (nil: the rows 0..n-1) where `l op r`
+// holds and neither side is NULL. The result is written over buf when it
+// fits, and buf may be sel.
+func selCompare(op CmpOp, l, r operand, n int, sel, buf []int) ([]int, error) {
+	if l.scalarNull() || r.scalarNull() {
+		return selBuf(buf, 0), nil
 	}
-	return page.Vectors[ref.Index]
-}
-
-// nonNullLiteral returns e's value when e is a literal other than NULL.
-func nonNullLiteral(e Expr) (types.Value, bool) {
-	lit, ok := e.(*Literal)
-	if !ok || lit.Value.Null {
-		return types.Value{}, false
-	}
-	return lit.Value, true
-}
-
-// selCompare is the selection kernel of column-vs-literal (either way
-// round) and column-vs-column comparisons.
-func selCompare(t *Compare, page *column.Page, sel, buf []int) ([]int, bool) {
-	ref, op, v, ok := t.ColumnLiteral()
-	if !ok {
-		l, r := pageColumn(t.L, page), pageColumn(t.R, page)
-		if l == nil || r == nil {
-			return nil, false
+	if l.isScalar() {
+		if r.isScalar() {
+			if !cmpHolds(op, types.Compare(l.val, r.val)) {
+				return selBuf(buf, 0), nil
+			}
+			if sel == nil {
+				sel = identitySel(n)
+			}
+			out := selBuf(buf, len(sel))
+			copy(out, sel)
+			return out, nil
 		}
-		return selCompareColumns(t.Op, l, r, sel, buf)
-	}
-	col := pageColumn(ref, page)
-	if col == nil || v.Null {
-		return nil, false
+		// s < x ⇔ x > s: the scalar, if any, is on the right.
+		l, r, op = r, l, op.Mirror()
 	}
 	var out []int
-	switch {
-	case isIntKind(col.Kind) && isIntKind(v.Kind):
-		out = selCmpVS(op, col.Ints, v.I, sel, buf)
-	case col.Kind == types.Float64 && v.Kind.Numeric():
-		s := v.AsFloat()
-		if s != s {
-			return nil, false
+	xs := l.vec
+	switch lk, rk := l.kind(), r.kind(); {
+	case isIntKind(lk) && isIntKind(rk):
+		if r.isScalar() {
+			out = selCmpVS(op, xs.Ints, r.val.I, sel, buf)
+		} else {
+			out = selCmp3(op, xs.Ints, r.vec.Ints, 0, cmp.Compare[int64], sel, buf)
 		}
-		out = selCmpVS(op, col.Floats, s, sel, buf)
-	case col.Kind == types.String && v.Kind == types.String:
-		out = selCmpVS(op, col.Strings, v.S, sel, buf)
-	case col.Kind == types.Bool && v.Kind == types.Bool:
-		out = selCmp3(op, col.Bools, nil, v.B, compareBool, sel, buf)
+	case lk.Numeric() && rk.Numeric():
+		fs := floatsOf(xs)
+		if !r.isScalar() {
+			out = selCmp3(op, fs, floatsOf(r.vec), 0, types.CompareFloat, sel, buf)
+		} else if s := r.val.AsFloat(); s == s {
+			out = selCmpVS(op, fs, s, sel, buf)
+		} else { // NaN
+			out = selCmp3(op, fs, nil, s, types.CompareFloat, sel, buf)
+		}
+	case lk == types.String && rk == types.String:
+		if r.isScalar() {
+			out = selCmpVS(op, xs.Strings, r.val.S, sel, buf)
+		} else {
+			out = selCmp3(op, xs.Strings, r.vec.Strings, "", cmp.Compare[string], sel, buf)
+		}
+	case lk == types.Bool && rk == types.Bool:
+		var ys []bool
+		if !r.isScalar() {
+			ys = r.vec.Bools
+		}
+		out = selCmp3(op, xs.Bools, ys, r.val.B, compareBool, sel, buf)
 	default:
-		// An integer column against a float literal compares as floats;
-		// kernelCompare converts the column.
-		return nil, false
+		return nil, fmt.Errorf("expr: cannot compare %s to %s", lk, rk)
 	}
-	return dropNullRows(out, col.Nulls), true
+	return dropNullRows(dropNullRows(out, xs.Nulls), r.nulls()), nil
 }
 
-func selCompareColumns(op CmpOp, l, r *column.Vector, sel, buf []int) ([]int, bool) {
-	var out []int
-	switch {
-	case isIntKind(l.Kind) && isIntKind(r.Kind):
-		out = selCmp3(op, l.Ints, r.Ints, 0, cmp.Compare[int64], sel, buf)
-	case l.Kind == types.Float64 && r.Kind == types.Float64:
-		out = selCmp3(op, l.Floats, r.Floats, 0, types.CompareFloat, sel, buf)
-	case l.Kind == types.String && r.Kind == types.String:
-		out = selCmp3(op, l.Strings, r.Strings, "", cmp.Compare[string], sel, buf)
-	case l.Kind == types.Bool && r.Kind == types.Bool:
-		out = selCmp3(op, l.Bools, r.Bools, false, compareBool, sel, buf)
-	default:
-		return nil, false
-	}
-	return dropNullRows(dropNullRows(out, l.Nulls), r.Nulls), true
-}
-
-// selBetween is the selection kernel of `column BETWEEN literal AND
-// literal` where all three are integers, or the column is a float and the
-// bounds numeric, or all three are strings.
-func selBetween(t *Between, page *column.Page, sel, buf []int) ([]int, bool) {
-	col := pageColumn(t.E, page)
-	lo, okLo := nonNullLiteral(t.Lo)
-	hi, okHi := nonNullLiteral(t.Hi)
-	if col == nil || !okLo || !okHi {
-		return nil, false
-	}
-	var out []int
-	switch {
-	case isIntKind(col.Kind) && isIntKind(lo.Kind) && isIntKind(hi.Kind):
-		out = selRange(col.Ints, lo.I, hi.I, sel, buf)
-	case col.Kind == types.Float64 && lo.Kind.Numeric() && hi.Kind.Numeric():
-		l, h := lo.AsFloat(), hi.AsFloat()
-		if l != l || h != h {
-			return nil, false
+// selBetween keeps the rows of sel (nil: the rows 0..n-1) where
+// lo <= e <= hi holds and no operand is NULL. A vector tested against two
+// scalar bounds of its class loops once; any other shape narrows by
+// e >= lo, then by e <= hi.
+func selBetween(e, lo, hi operand, n int, sel, buf []int) ([]int, error) {
+	if !e.isScalar() && lo.isScalar() && hi.isScalar() && !lo.val.Null && !hi.val.Null {
+		var out []int
+		switch k, lk, hk := e.vec.Kind, lo.val.Kind, hi.val.Kind; {
+		case isIntKind(k) && isIntKind(lk) && isIntKind(hk):
+			out = selRange(e.vec.Ints, lo.val.I, hi.val.I, sel, buf)
+		case k == types.Float64 && lk.Numeric() && hk.Numeric():
+			l, h := lo.val.AsFloat(), hi.val.AsFloat()
+			if l == l && h == h {
+				// A NaN row fails `x <= h`, as it does under the total order.
+				out = selRange(e.vec.Floats, l, h, sel, buf)
+			}
+		case k == types.String && lk == types.String && hk == types.String:
+			out = selRange(e.vec.Strings, lo.val.S, hi.val.S, sel, buf)
 		}
-		// A NaN row fails `x <= h`, as it does under the total order.
-		out = selRange(col.Floats, l, h, sel, buf)
-	case col.Kind == types.String && lo.Kind == types.String && hi.Kind == types.String:
-		out = selRange(col.Strings, lo.S, hi.S, sel, buf)
-	default:
-		return nil, false
+		if out != nil {
+			return dropNullRows(out, e.vec.Nulls), nil
+		}
 	}
-	return dropNullRows(out, col.Nulls), true
+	out, err := selCompare(Ge, e, lo, n, sel, buf)
+	if err != nil || len(out) == 0 {
+		return out, err
+	}
+	return selCompare(Le, e, hi, n, out, out)
 }
 
 // dropNullRows removes, in place, the rows whose null flag is set. The

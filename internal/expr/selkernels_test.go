@@ -11,13 +11,14 @@ import (
 	"prestocs/internal/types"
 )
 
-// The selection kernels (selkernels.go) against the row-at-a-time
-// interpreter: every operator, over every kind and every mix of kinds a
-// comparison accepts, against literals from the edges of each kind's
+// The comparison kernels (selkernels.go) against the oracle
+// (oracle_test.go): every operator, over every kind and every mix of kinds
+// a comparison accepts, against literals from the edges of each kind's
 // domain, over columns with NULLs, with NaNs and with one repeated value,
-// under a nil, a sparse, an empty and a full selection — the selection
-// evalSel returns is, row for row, the rows of the incoming one where the
-// interpreter says TRUE.
+// read in place and through a computed operand, under a nil, a sparse, an
+// empty and a full selection — the selection evalSel returns is, row for
+// row, the rows of the incoming one where the oracle says TRUE, and the
+// vector evalVec returns is the oracle's value at each selected row.
 
 // selKernelSchema has two columns of every kind (the second for
 // column-vs-column), plus one-valued columns without a null mask.
@@ -115,10 +116,23 @@ func edgeLiterals(k types.Kind) []types.Value {
 	return append(out, types.NullValue(k))
 }
 
+// computed is an operand evalSel cannot read in place: a cast of ref — to
+// DOUBLE for an integer, to BIGINT for a date, to its own kind otherwise.
+func computed(ref *ColumnRef) Expr {
+	switch ref.Kind {
+	case types.Int64:
+		return &Cast{E: ref, To: types.Float64}
+	case types.Date:
+		return &Cast{E: ref, To: types.Int64}
+	}
+	return &Cast{E: ref, To: ref.Kind}
+}
+
 // selKernelPredicates is the whole grid of simple predicates over the
-// test page: Compare both ways round against every literal, Compare of
-// every pair of columns that may be compared, Between over every pair of
-// bounds (which covers reversed and equal ones).
+// test page: Compare both ways round against every literal, and of a
+// computed operand against every literal, Compare of every pair of
+// columns that may be compared, Between over every pair of bounds (which
+// covers reversed and equal ones).
 func selKernelPredicates(t *testing.T) []Expr {
 	t.Helper()
 	var preds []Expr
@@ -128,7 +142,8 @@ func selKernelPredicates(t *testing.T) []Expr {
 		lits := edgeLiterals(col.Type)
 		for op := Eq; op <= Ge; op++ {
 			for _, v := range lits {
-				preds = append(preds, mustCmp(t, op, ref, Lit(v)), mustCmp(t, op, Lit(v), ref))
+				preds = append(preds, mustCmp(t, op, ref, Lit(v)), mustCmp(t, op, Lit(v), ref),
+					mustCmp(t, op, computed(ref), Lit(v)))
 			}
 			for c2, col2 := range cols {
 				if other := Col(c2, col2.Name, col2.Type); c2 != c {
@@ -166,10 +181,11 @@ func testSelections(rows int) map[string][]int {
 	return map[string][]int{"nil": nil, "sparse": sparse, "empty": {}, "full": full}
 }
 
-// checkSelection holds evalSel's answer for e under sel to the
-// interpreter's, and holds it to the selection contract: never nil, the
-// incoming selection untouched, and the same answer when it is written
-// into a caller's buffer.
+// checkSelection holds evalSel's answer for e under sel to the oracle's,
+// and holds it to the selection contract: never nil, the incoming
+// selection untouched, and the same answer when it is written into a
+// caller's buffer. It holds evalVec's value-context vector over sel to
+// the oracle too, value and NULL at every selected row.
 func checkSelection(t *testing.T, e Expr, page *column.Page, name string, sel []int) {
 	t.Helper()
 	want := []int{}
@@ -177,7 +193,14 @@ func checkSelection(t *testing.T, e Expr, page *column.Page, name string, sel []
 	if sel == nil {
 		rows = testSelections(page.NumRows())["full"]
 	}
-	for _, row := range rows {
+	vec, err := evalVec(e, page, sel)
+	if err != nil {
+		t.Fatalf("evalVec(%s) under %s selection: %v", e, name, err)
+	}
+	if vec.Len() != len(rows) {
+		t.Fatalf("evalVec(%s) under %s selection: %d rows, want %d", e, name, vec.Len(), len(rows))
+	}
+	for k, row := range rows {
 		v, err := evalRow(e, page, row)
 		if err != nil {
 			t.Fatalf("evalRow(%s, row %d): %v", e, row, err)
@@ -185,17 +208,20 @@ func checkSelection(t *testing.T, e Expr, page *column.Page, name string, sel []
 		if !v.Null && v.B {
 			want = append(want, row)
 		}
+		if got := vec.Value(k); !sameValue(got, v) {
+			t.Fatalf("evalVec(%s) under %s selection, row %d: %s, oracle %s", e, name, row, got, v)
+		}
 	}
 	before := slices.Clone(sel)
-	got, err := EvalSelectionOver(e, page, sel)
+	got, err := EvalSelectionInto(e, page, sel, nil)
 	if err != nil {
-		t.Fatalf("EvalSelectionOver(%s) under %s selection: %v", e, name, err)
+		t.Fatalf("EvalSelectionInto(%s) under %s selection: %v", e, name, err)
 	}
 	if got == nil {
-		t.Fatalf("EvalSelectionOver(%s) under %s selection is nil, which means every row; want %v", e, name, want)
+		t.Fatalf("EvalSelectionInto(%s) under %s selection is nil, which means every row; want %v", e, name, want)
 	}
 	if !slices.Equal(got, want) {
-		t.Fatalf("EvalSelectionOver(%s) under %s selection = %v, row-wise %v", e, name, got, want)
+		t.Fatalf("EvalSelectionInto(%s) under %s selection = %v, oracle %v", e, name, got, want)
 	}
 	buf := make([]int, page.NumRows())
 	into, err := EvalSelectionInto(e, page, sel, buf)
@@ -203,11 +229,27 @@ func checkSelection(t *testing.T, e Expr, page *column.Page, name string, sel []
 		t.Fatal(err)
 	}
 	if into == nil || !slices.Equal(into, want) {
-		t.Fatalf("EvalSelectionInto(%s) under %s selection = %v, row-wise %v", e, name, into, want)
+		t.Fatalf("EvalSelectionInto(%s) under %s selection = %v, oracle %v", e, name, into, want)
 	}
 	if !slices.Equal(sel, before) {
-		t.Fatalf("EvalSelectionOver(%s) wrote to the %s selection it was given: %v, was %v", e, name, sel, before)
+		t.Fatalf("EvalSelectionInto(%s) wrote to the %s selection it was given: %v, was %v", e, name, sel, before)
 	}
+}
+
+// servedInPlace reports whether evalSel runs e's kernel over page columns
+// and literals where they lie, with no dense evaluation.
+func servedInPlace(e Expr, page *column.Page) bool {
+	switch e.(type) {
+	case *Compare, *Between:
+	default:
+		return false
+	}
+	for _, c := range children(e) {
+		if _, ok := inPlace(c, page); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 func TestSelectionKernelsMatchRowWise(t *testing.T) {
@@ -215,25 +257,19 @@ func TestSelectionKernelsMatchRowWise(t *testing.T) {
 	page := selKernelPage(r, 96)
 	preds := selKernelPredicates(t)
 	sels := testSelections(page.NumRows())
-	kernel := 0
+	inPlaceCount := 0
 	for _, e := range preds {
-		switch c := e.(type) {
-		case *Compare:
-			if _, ok := selCompare(c, page, nil, nil); ok {
-				kernel++
-			}
-		case *Between:
-			if _, ok := selBetween(c, page, nil, nil); ok {
-				kernel++
-			}
+		if servedInPlace(e, page) {
+			inPlaceCount++
 		}
 		for name, sel := range sels {
 			checkSelection(t, e, page, name, sel)
 		}
 	}
-	// The grid is there for the kernels: most of it must reach one.
-	if kernel*2 < len(preds) {
-		t.Errorf("%d of %d predicates have a selection kernel", kernel, len(preds))
+	// The grid is there for the kernels that read columns where they lie:
+	// most of it must be served that way.
+	if inPlaceCount*2 < len(preds) {
+		t.Errorf("%d of %d predicates are served in place", inPlaceCount, len(preds))
 	}
 
 	// AND, OR and NOT nests of them: AND narrows the left side's selection
@@ -327,12 +363,17 @@ func TestSelectionKernelIntegerBounds(t *testing.T) {
 }
 
 // FuzzSelectionKernels builds a column, a predicate over it and a
-// selection from the input bytes and holds evalSel to the interpreter.
+// selection from the input bytes and holds evalSel and evalVec to the
+// oracle.
 func FuzzSelectionKernels(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 5, 6, 9, 0xff, 0xf0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 3, 3, 3})
 	f.Add([]byte{2, 0, 1, 2, 'a', 'b', 0, 0xff, 'z'})
 	f.Add([]byte{7, 3, 200, 100, 1, 0, 1, 1, 0})
+	f.Add([]byte{20, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 9})
+	f.Add([]byte{26, 4, 0, 1, 0, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{30, 1, 1, 1, 3, 0, 0, 0, 0, 0, 0, 0, 7, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe})
+	f.Add([]byte{32, 5, 0, 3, 0, 2, 'a', 'b', 1, 'a', 6, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, page, sel := fuzzSelectionCase(data)
 		if e == nil {
@@ -345,13 +386,17 @@ func FuzzSelectionKernels(f *testing.F) {
 // fuzzSelectionCase reads, in order: the column's kind and the predicate's
 // shape, the operator, the literals' positions among the column's own
 // values, a selection mask seed, then the column's values (with NULLs).
+// The shapes are: column OP literal, literal OP column, column OP column,
+// column BETWEEN literal AND literal, a numeric column OP a DOUBLE literal
+// near one of its values, a numeric column against NaN, and a computed
+// operand (the grid's computed) against a literal or the other column.
 func fuzzSelectionCase(data []byte) (Expr, *column.Page, []int) {
 	if len(data) < 5 {
 		return nil, nil, nil
 	}
 	kinds := []types.Kind{types.Int64, types.Float64, types.String, types.Bool, types.Date}
 	kind := kinds[int(data[0])%len(kinds)]
-	shape := int(data[0]) / len(kinds) % 4
+	shape := int(data[0]) / len(kinds) % 7
 	op := CmpOp(data[1] % 6)
 	pickLo, pickHi, selSeed := int(data[2]), int(data[3]), data[4]
 	data = data[5:]
@@ -392,6 +437,7 @@ func fuzzSelectionCase(data []byte) (Expr, *column.Page, []int) {
 	}
 	lo, hi := vals[pickLo%len(vals)], vals[pickHi%len(vals)]
 	c, c2 := Col(0, "c", kind), Col(1, "c2", kind)
+	numeric := kind.Numeric()
 	var e Expr
 	switch shape {
 	case 0:
@@ -400,11 +446,34 @@ func fuzzSelectionCase(data []byte) (Expr, *column.Page, []int) {
 		e = &Compare{Op: op, L: Lit(lo), R: c}
 	case 2:
 		e = &Compare{Op: op, L: c, R: c2}
-	default:
+	case 3:
 		if kind == types.Bool {
 			return nil, nil, nil
 		}
 		e = &Between{E: c, Lo: Lit(lo), Hi: Lit(hi)}
+	case 4:
+		if !numeric {
+			return nil, nil, nil
+		}
+		f := types.NullValue(types.Float64)
+		if !lo.Null {
+			f = types.FloatValue(lo.AsFloat() + float64(pickHi%3-1)/2)
+		}
+		e = &Compare{Op: op, L: c, R: Lit(f)}
+	case 5:
+		if !numeric {
+			return nil, nil, nil
+		}
+		e = &Compare{Op: op, L: c, R: Lit(types.FloatValue(math.NaN()))}
+		if pickHi%2 == 1 {
+			e = &Compare{Op: op, L: e.(*Compare).R, R: c}
+		}
+	default:
+		var other Expr = Lit(lo)
+		if pickHi%2 == 1 {
+			other = c2
+		}
+		e = &Compare{Op: op, L: computed(c), R: other}
 	}
 	var sel []int
 	if selSeed != 0 {
