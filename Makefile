@@ -228,7 +228,7 @@ vet-ingest:
 		| grep -v '^internal/ingest/' | grep -v '^internal/metastore/' | grep -v 'vet-ingest:allow'); \
 	if [ -n "$$bad" ]; then \
 		echo "vet-ingest: metastore.Table assembled outside the ingest package (route through"; \
-		echo "ingest.AssembleTable/RegisterTable or annotate // vet-ingest:allow <reason>):"; \
+		echo "ingest.AssembleTable or annotate // vet-ingest:allow <reason>):"; \
 		echo "$$bad"; \
 		exit 1; \
 	fi
@@ -256,9 +256,9 @@ check: gates
 	$(MAKE) fuzz-smoke
 	$(MAKE) determinism
 
-# ci-fast is the quick CI lane: formatting, compilation, every static
-# gate and the determinism lane — everything that fails in seconds. The GitHub workflow calls this
-# exact target so CI and local runs cannot drift.
+# ci-fast is the quick CI lane: formatting, compilation, vet and every
+# static gate — everything that fails in seconds. The GitHub workflow's
+# first job calls this exact target so CI and local runs cannot drift.
 ci-fast: gates
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -269,18 +269,17 @@ ci-fast: gates
 	@echo "gofmt: clean"
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(MAKE) bench-build
-	$(MAKE) determinism
 
 # ci-race is the CI race lane: the full suite under the race detector.
 ci-race:
 	$(GO) test -race ./...
 
-# ci runs what the GitHub workflow's jobs run: ci-fast (formatting, build,
-# vet, the grep gates, bench-build and the determinism lane), ci-race,
-# faults (whose scenarios include faults-ingest's, so that lane is not
-# run a second time), fuzz-smoke and cover (the coverage floor).
-ci: ci-fast ci-race faults fuzz-smoke cover
+# ci runs what the GitHub workflow's jobs run, each once: ci-fast
+# (formatting, build, vet and the grep gates), ci-race, faults (whose
+# scenarios include faults-ingest's, so that lane is not run a second
+# time), fuzz-smoke, determinism, bench-build and cover (the coverage
+# floor).
+ci: ci-fast ci-race faults fuzz-smoke determinism bench-build cover
 
 # cover enforces a combined statement-coverage floor over the packages
 # that implement statistics pruning and the write path; see COVER_MIN

@@ -9,6 +9,7 @@ import (
 	"prestocs/internal/column"
 	"prestocs/internal/compress"
 	"prestocs/internal/engine"
+	"prestocs/internal/ingest"
 	"prestocs/internal/metastore"
 	"prestocs/internal/objstore"
 	"prestocs/internal/parquetlite"
@@ -34,8 +35,8 @@ func setup(t *testing.T) (*engine.Engine, *objstore.Client) {
 		srv.Close()
 	})
 
-	var objects []string
-	var images [][]byte
+	var keys []string
+	var objs []ingest.SealedObject
 	n := 0
 	for o := 0; o < 4; o++ {
 		p := column.NewPage(schema)
@@ -47,33 +48,29 @@ func setup(t *testing.T) (*engine.Engine, *objstore.Client) {
 			)
 			n++
 		}
-		img, err := parquetlite.WritePages(schema, parquetlite.WriterOptions{Codec: compress.Snappy, RowGroupSize: 16}, p)
+		b := ingest.NewObjectBuilder(schema, parquetlite.WriterOptions{Codec: compress.Snappy, RowGroupSize: 16})
+		if err := b.AppendPage(p); err != nil {
+			t.Fatal(err)
+		}
+		sealed, err := b.Seal()
 		if err != nil {
 			t.Fatal(err)
 		}
 		key := fmt.Sprintf("part-%d.pql", o)
-		if err := cli.Put(context.Background(), "data", key, img); err != nil {
+		if err := cli.Put(context.Background(), "data", key, sealed.Image); err != nil {
 			t.Fatal(err)
 		}
-		objects = append(objects, key)
-		images = append(images, img)
+		keys, objs = append(keys, key), append(objs, sealed)
 	}
 
-	rows, bytes, colStats, err := metastore.StatsFromObjects(schema, images)
+	tbl, err := ingest.AssembleTable(ingest.TableSpec{
+		Schema: "hive", Name: "t", Bucket: "data", Columns: schema, Codec: compress.Snappy,
+	}, keys, objs, map[string]int64{"id": 100, "v": 100, "g": 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ms := metastore.New()
-	stats := map[string]metastore.ColumnStats{}
-	for name, cs := range colStats {
-		cs.NDV = 100
-		stats[name] = cs
-	}
-	if err := ms.Register(&metastore.Table{
-		Schema: "hive", Name: "t", Columns: schema,
-		Bucket: "data", Objects: objects, Codec: compress.Snappy,
-		RowCount: rows, TotalBytes: bytes, ColumnStats: stats,
-	}); err != nil {
+	if err := ms.Register(tbl); err != nil {
 		t.Fatal(err)
 	}
 

@@ -10,6 +10,7 @@ import (
 	"prestocs/internal/column"
 	"prestocs/internal/compress"
 	"prestocs/internal/engine"
+	"prestocs/internal/ingest"
 	"prestocs/internal/metastore"
 	"prestocs/internal/ocsserver"
 	"prestocs/internal/parquetlite"
@@ -37,8 +38,8 @@ func setup(t *testing.T) (*engine.Engine, *Connector) {
 		cluster.Shutdown()
 	})
 
-	var objects []string
-	var images [][]byte
+	var keys []string
+	var objs []ingest.SealedObject
 	n := 0
 	for o := 0; o < 4; o++ {
 		p := column.NewPage(schema)
@@ -51,35 +52,30 @@ func setup(t *testing.T) (*engine.Engine, *Connector) {
 			)
 			n++
 		}
-		img, err := parquetlite.WritePages(schema, parquetlite.WriterOptions{Codec: compress.None, RowGroupSize: 32}, p)
+		b := ingest.NewObjectBuilder(schema, parquetlite.WriterOptions{Codec: compress.None, RowGroupSize: 32})
+		if err := b.AppendPage(p); err != nil {
+			t.Fatal(err)
+		}
+		sealed, err := b.Seal()
 		if err != nil {
 			t.Fatal(err)
 		}
 		key := fmt.Sprintf("part-%d.pql", o)
-		if err := cli.Put(context.Background(), "lanl", key, img); err != nil {
+		if err := cli.Put(context.Background(), "lanl", key, sealed.Image); err != nil {
 			t.Fatal(err)
 		}
-		objects = append(objects, key)
-		images = append(images, img)
+		keys, objs = append(keys, key), append(objs, sealed)
 	}
 
-	rows, bytes, colStats, err := metastore.StatsFromObjects(schema, images)
+	tbl, err := ingest.AssembleTable(ingest.TableSpec{
+		Schema: "ocs", Name: "mesh", Bucket: "lanl", Columns: schema, Codec: compress.None,
+		DisjointKeys: []string{"vertex_id"},
+	}, keys, objs, map[string]int64{"vertex_id": 80, "x": 100, "e": 240, "rowid": 240})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := map[string]metastore.ColumnStats{}
-	ndv := map[string]int64{"vertex_id": 80, "x": 100, "e": 240, "rowid": 240}
-	for name, cs := range colStats {
-		cs.NDV = ndv[name]
-		stats[name] = cs
-	}
 	ms := metastore.New()
-	if err := ms.Register(&metastore.Table{
-		Schema: "ocs", Name: "mesh", Columns: schema,
-		Bucket: "lanl", Objects: objects, Codec: compress.None,
-		RowCount: rows, TotalBytes: bytes, ColumnStats: stats,
-		DisjointKeys: []string{"vertex_id"},
-	}); err != nil {
+	if err := ms.Register(tbl); err != nil {
 		t.Fatal(err)
 	}
 

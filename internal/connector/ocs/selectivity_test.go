@@ -22,8 +22,8 @@ func statsTable() *metastore.Table {
 		),
 		RowCount: 10000,
 		ColumnStats: map[string]metastore.ColumnStats{
-			"v": {Min: types.FloatValue(0), Max: types.FloatValue(100), NDV: 5000},
-			"g": {Min: types.IntValue(0), Max: types.IntValue(99), NDV: 100},
+			"v": {ZoneMap: expr.ZoneMap{Min: types.FloatValue(0), Max: types.FloatValue(100)}, NDV: 5000},
+			"g": {ZoneMap: expr.ZoneMap{Min: types.IntValue(0), Max: types.IntValue(99)}, NDV: 100},
 		},
 	}
 }

@@ -5,9 +5,7 @@ import (
 
 	"prestocs/internal/engine"
 	"prestocs/internal/expr"
-	"prestocs/internal/metastore"
 	"prestocs/internal/plan"
-	"prestocs/internal/types"
 )
 
 // SplitsWithStats implements engine.SplitSource: one split per object,
@@ -30,7 +28,16 @@ func (c *Connector) SplitsWithStats(handle plan.TableHandle, stats *engine.ScanS
 	base := h.baseScanSchema()
 	splits := make([]engine.Split, 0, len(h.Table.Objects))
 	for i, obj := range h.Table.Objects {
-		if objectMayMatch(h.Table.ObjectStats[obj], base, ranges) {
+		// Filter ordinals refer to the projected base scan schema, whose
+		// column names key the per-object stats. A column without stats,
+		// or whose value count was not recorded, keeps the object.
+		if ranges.MayMatch(func(col int) (expr.ZoneMap, bool) {
+			if col < 0 || col >= base.Len() {
+				return expr.ZoneMap{}, false
+			}
+			cs, ok := h.Table.ObjectStats[obj][base.Columns[col].Name]
+			return cs.ZoneMap, ok && cs.NumValues > 0
+		}) {
 			splits = append(splits, engine.Split{Object: obj, Index: i})
 		}
 	}
@@ -38,30 +45,4 @@ func (c *Connector) SplitsWithStats(handle plan.TableHandle, stats *engine.ScanS
 		stats.AddSplitsPruned(int64(pruned))
 	}
 	return splits, nil
-}
-
-// objectMayMatch tests one object's column statistics (nil when the
-// object has none) against the filter's range analysis; any gap in the
-// statistics keeps the object. Filter ordinals refer to the projected base
-// scan schema, whose column names key the per-object stats.
-func objectMayMatch(objStats map[string]metastore.ColumnStats, base *types.Schema, ranges expr.Ranges) bool {
-	if ranges.Never {
-		return false
-	}
-	for col, cr := range ranges.Cols {
-		if col < 0 || col >= base.Len() {
-			continue
-		}
-		cs, ok := objStats[base.Columns[col].Name]
-		if !ok || cs.NumValues == 0 {
-			// Stats absent or written without value counts: keep.
-			continue
-		}
-		hasNull := cs.NullCount > 0
-		hasNonNull := cs.NumValues > cs.NullCount
-		if !cr.MayMatch(cs.Min, cs.Max, hasNull, hasNonNull) {
-			return false
-		}
-	}
-	return true
 }

@@ -20,21 +20,19 @@ func splitPruneTable() *metastore.Table {
 	objStats := map[string]map[string]metastore.ColumnStats{}
 	for i := 0; i < 3; i++ {
 		obj := []string{"obj-0", "obj-1", "obj-2"}[i]
-		vStats := metastore.ColumnStats{
-			Min: types.FloatValue(0), Max: types.FloatValue(1), NumValues: 100,
-		}
+		vStats := expr.ZoneMap{Min: types.FloatValue(0), Max: types.FloatValue(1), NumValues: 100}
 		if i == 1 {
-			vStats = metastore.ColumnStats{
+			vStats = expr.ZoneMap{
 				Min: types.NullValue(types.Float64), Max: types.NullValue(types.Float64),
 				NullCount: 100, NumValues: 100,
 			}
 		}
 		objStats[obj] = map[string]metastore.ColumnStats{
-			"id": {
+			"id": {ZoneMap: expr.ZoneMap{
 				Min: types.IntValue(int64(i * 100)), Max: types.IntValue(int64(i*100 + 99)),
 				NumValues: 100,
-			},
-			"v": vStats,
+			}},
+			"v": {ZoneMap: vStats},
 		}
 	}
 	return &metastore.Table{

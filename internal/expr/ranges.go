@@ -429,3 +429,49 @@ func (cr ColRange) MayMatch(min, max types.Value, hasNull, hasNonNull bool) bool
 	}
 	return true
 }
+
+// ZoneMap is the min/max/null profile of a run of values — a column
+// chunk, a whole object, a table — and the one statistics type every
+// pruning level tests: parquetlite footers store it per chunk and the
+// metastore per object and per table. Min and max bound the non-NULL
+// values (NULL when there are none); NumValues counts NULLs too.
+type ZoneMap struct {
+	Min       types.Value `json:"min"`
+	Max       types.Value `json:"max"`
+	NullCount int64       `json:"null_count"`
+	// NumValues is zero when the count was not recorded, so a zone map
+	// with rows behind it and no values is unknown, not empty.
+	NumValues int64 `json:"num_values,omitempty"`
+}
+
+// Merge widens z to cover o as well: counts add, and the bounds become
+// the least min and greatest max under types.Compare (the first seen
+// wins a tie).
+func (z *ZoneMap) Merge(o ZoneMap) {
+	z.NullCount += o.NullCount
+	z.NumValues += o.NumValues
+	if !o.Min.Null && (z.Min.Null || types.Compare(o.Min, z.Min) < 0) {
+		z.Min = o.Min
+	}
+	if !o.Max.Null && (z.Max.Null || types.Compare(o.Max, z.Max) > 0) {
+		z.Max = o.Max
+	}
+}
+
+// MayMatch tests zone maps against the ranges: false only when some
+// constrained column's zone map proves no row can satisfy the predicate.
+// zone looks a column's zone map up by input ordinal and reports
+// ok=false when the caller knows nothing about that column, which keeps
+// it.
+func (r Ranges) MayMatch(zone func(col int) (ZoneMap, bool)) bool {
+	if r.Never {
+		return false
+	}
+	for col, cr := range r.Cols {
+		z, ok := zone(col)
+		if ok && !cr.MayMatch(z.Min, z.Max, z.NullCount > 0, z.NumValues > z.NullCount) {
+			return false
+		}
+	}
+	return true
+}

@@ -300,3 +300,51 @@ func TestAnalyzeRangesSoundness(t *testing.T) {
 		}
 	}
 }
+
+// TestZoneMapMerge: counts add, all-NULL parts leave the bounds alone,
+// the bounds follow types.Compare (NaN is the greatest float) and the
+// first of two equal bounds is kept.
+func TestZoneMapMerge(t *testing.T) {
+	nan := types.FloatValue(math.NaN())
+	z := ZoneMap{Min: types.NullValue(types.Float64), Max: types.NullValue(types.Float64)}
+	for _, part := range []ZoneMap{
+		{Min: types.FloatValue(0), Max: types.FloatValue(5), NullCount: 2, NumValues: 10},
+		{Min: types.NullValue(types.Float64), Max: types.NullValue(types.Float64), NullCount: 3, NumValues: 3},
+		{Min: types.FloatValue(math.Copysign(0, -1)), Max: nan, NumValues: 4},
+		{Min: types.FloatValue(1), Max: types.FloatValue(2), NullCount: 1, NumValues: 2},
+	} {
+		z.Merge(part)
+	}
+	if z.Min.Null || z.Min.F != 0 || math.Signbit(z.Min.F) || z.Max.Null || !math.IsNaN(z.Max.F) || z.NullCount != 6 || z.NumValues != 19 {
+		t.Errorf("merged = %+v, want [+0, NaN] with 6 NULLs of 19 values", z)
+	}
+	empty := ZoneMap{Min: types.NullValue(types.Int64), Max: types.NullValue(types.Int64)}
+	empty.Merge(ZoneMap{Min: types.NullValue(types.Int64), Max: types.NullValue(types.Int64), NullCount: 4, NumValues: 4})
+	if !empty.Min.Null || !empty.Max.Null || empty.NullCount != 4 {
+		t.Errorf("all-NULL merge = %+v, want NULL bounds and 4 NULLs", empty)
+	}
+}
+
+// TestRangesMayMatch: a zone map that refutes one constrained column
+// prunes, an unknown column (ok=false) keeps, and Never prunes before
+// any lookup.
+func TestRangesMayMatch(t *testing.T) {
+	r := AnalyzeRanges(AndAll([]Expr{cmpOp(Gt, col(0, types.Int64), lit(types.IntValue(10))), cmpOp(Lt, col(1, types.Int64), lit(types.IntValue(3)))}))
+	zones := map[int]ZoneMap{
+		0: {Min: types.IntValue(0), Max: types.IntValue(50), NumValues: 8},
+		1: {Min: types.IntValue(5), Max: types.IntValue(9), NumValues: 8},
+	}
+	known := func(col int) (ZoneMap, bool) { z, ok := zones[col]; return z, ok }
+	if r.MayMatch(known) {
+		t.Error("c1 in [5, 9] did not refute c1 < 3")
+	}
+	delete(zones, 1)
+	if !r.MayMatch(known) {
+		t.Error("an unknown c1 pruned")
+	}
+	lookups := 0
+	never := AnalyzeRanges(lit(types.BoolValue(false)))
+	if never.MayMatch(func(int) (ZoneMap, bool) { lookups++; return ZoneMap{}, false }) || lookups != 0 {
+		t.Errorf("WHERE false kept, or looked up %d columns", lookups)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	ocsconn "prestocs/internal/connector/ocs"
 	"prestocs/internal/costmodel"
 	"prestocs/internal/engine"
+	"prestocs/internal/ingest"
 	"prestocs/internal/metastore"
 	"prestocs/internal/parquetlite"
 	"prestocs/internal/types"
@@ -192,22 +193,43 @@ func TestJoinDifferentialAcrossConfigurations(t *testing.T) {
 	}
 }
 
-// putObjects seals each page as one object of bucket on the OCS cluster,
-// in row groups of rowGroup rows, and returns the keys and the images.
-func putObjects(t *testing.T, c *Cluster, bucket string, rowGroup int, pages []*column.Page) (objects []string, images [][]byte) {
+// putTable seals each page as one object of spec's bucket, in row
+// groups of rowGroup rows, stores it on the OCS cluster and registers the
+// table ingest.AssembleTable makes of the objects, with exact NDV — the
+// path the workload generators take.
+func putTable(t *testing.T, c *Cluster, spec ingest.TableSpec, rowGroup int, pages []*column.Page) *metastore.Table {
 	t.Helper()
+	distinct := ingest.NewDistinctSets(spec.Columns)
+	var keys []string
+	var objs []ingest.SealedObject
 	for i, page := range pages {
-		img, err := parquetlite.WritePages(page.Schema, parquetlite.WriterOptions{RowGroupSize: rowGroup}, page)
+		b := ingest.NewObjectBuilder(spec.Columns, parquetlite.WriterOptions{RowGroupSize: rowGroup})
+		if err := b.AppendPage(page); err != nil {
+			t.Fatal(err)
+		}
+		b.MergeDistinctInto(distinct)
+		sealed, err := b.Seal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := fmt.Sprintf("%s-%d.pql", bucket, i)
-		if err := c.OCSCli.Put(context.Background(), bucket, key, img); err != nil {
+		key := fmt.Sprintf("%s-%d.pql", spec.Bucket, i)
+		if err := c.OCSCli.Put(context.Background(), spec.Bucket, key, sealed.Image); err != nil {
 			t.Fatal(err)
 		}
-		objects, images = append(objects, key), append(images, img)
+		keys, objs = append(keys, key), append(objs, sealed)
 	}
-	return objects, images
+	ndv := make(map[string]int64, spec.Columns.Len())
+	for i, col := range spec.Columns.Columns {
+		ndv[col.Name] = distinct.Count(i)
+	}
+	tbl, err := ingest.AssembleTable(spec, keys, objs, ndv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Meta.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	return tbl
 }
 
 // tieTable registers ocs.tietbl: four objects of three row groups each,
@@ -236,17 +258,7 @@ func tieTable(t *testing.T, c *Cluster) [][]types.Value {
 		}
 		pages = append(pages, page)
 	}
-	objects, images := putObjects(t, c, "tie", 32, pages)
-	rowCount, total, stats, err := metastore.StatsFromObjects(schema, images)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Meta.Register(&metastore.Table{
-		Schema: CatalogOCS, Name: "tietbl", Columns: schema, Bucket: "tie", Objects: objects,
-		RowCount: rowCount, TotalBytes: total, ColumnStats: stats,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	putTable(t, c, ingest.TableSpec{Schema: CatalogOCS, Name: "tietbl", Bucket: "tie", Columns: schema}, 32, pages)
 	return rows
 }
 

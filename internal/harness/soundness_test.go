@@ -10,6 +10,7 @@ import (
 	"prestocs/internal/compress"
 	ocsconn "prestocs/internal/connector/ocs"
 	"prestocs/internal/engine"
+	"prestocs/internal/ingest"
 	"prestocs/internal/metastore"
 	"prestocs/internal/types"
 	"prestocs/internal/workload"
@@ -28,10 +29,6 @@ func randomDataset(t *testing.T, c *Cluster, rnd *rand.Rand) *metastore.Table {
 	files := 3
 	rows := 200
 	var pages []*column.Page
-	ndvSets := make([]map[string]bool, schema.Len())
-	for i := range ndvSets {
-		ndvSets[i] = map[string]bool{}
-	}
 	for f := 0; f < files; f++ {
 		page := column.NewPage(schema)
 		for r := 0; r < rows; r++ {
@@ -45,33 +42,12 @@ func randomDataset(t *testing.T, c *Cluster, rnd *rand.Rand) *metastore.Table {
 				vals[1] = types.NullValue(types.Int64)
 			}
 			page.AppendRow(vals...)
-			for i, v := range vals {
-				ndvSets[i][v.String()] = true
-			}
 		}
 		pages = append(pages, page)
 	}
-	objects, images := putObjects(t, c, "rand", 64, pages)
-	rowCount, total, colStats, err := metastore.StatsFromObjects(schema, images)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := map[string]metastore.ColumnStats{}
-	for i, col := range schema.Columns {
-		cs := colStats[col.Name]
-		cs.NDV = int64(len(ndvSets[i]))
-		stats[col.Name] = cs
-	}
-	tbl := &metastore.Table{
-		Schema: CatalogOCS, Name: "randtbl", Columns: schema,
-		Bucket: "rand", Objects: objects,
-		RowCount: rowCount, TotalBytes: total, ColumnStats: stats,
-		DisjointKeys: []string{"k"},
-	}
-	if err := c.Meta.Register(tbl); err != nil {
-		t.Fatal(err)
-	}
-	return tbl
+	return putTable(t, c, ingest.TableSpec{
+		Schema: CatalogOCS, Name: "randtbl", Bucket: "rand", Columns: schema, DisjointKeys: []string{"k"},
+	}, 64, pages)
 }
 
 // randomQuery composes a random-but-valid SQL query over the table.

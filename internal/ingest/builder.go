@@ -13,6 +13,7 @@ import (
 
 	"prestocs/internal/column"
 	"prestocs/internal/compress"
+	"prestocs/internal/expr"
 	"prestocs/internal/metastore"
 	"prestocs/internal/parquetlite"
 	"prestocs/internal/types"
@@ -129,14 +130,7 @@ func (b *ObjectBuilder) Seal() (SealedObject, error) {
 	}
 	stats := make(map[string]metastore.ColumnStats, b.schema.Len())
 	for ci, c := range b.schema.Columns {
-		st := r.ColumnStats(ci)
-		stats[c.Name] = metastore.ColumnStats{
-			Min:       st.Min,
-			Max:       st.Max,
-			NullCount: st.NullCount,
-			NumValues: st.NumValues,
-			NDV:       b.distinct.Count(ci),
-		}
+		stats[c.Name] = metastore.ColumnStats{ZoneMap: r.ColumnStats(ci), NDV: b.distinct.Count(ci)}
 	}
 	return SealedObject{Image: img, Rows: b.rows, Bytes: int64(len(img)), Stats: stats}, nil
 }
@@ -162,17 +156,18 @@ type TableSpec struct {
 }
 
 // AssembleTable builds a registerable catalog entry from sealed
-// objects: per-object zone maps, per-object sizes, and table-level
-// column stats merged across objects. exactNDV overrides the table
-// NDV per column (the generators track distincts across all objects);
-// when nil, NDV falls back to the sum of per-object NDVs capped at the
-// value count — an overestimate when values span objects, but safe for
-// selectivity purposes. keys and objs are parallel.
+// objects: metastore.NextTable adds them to an empty table, exactly as
+// CommitObjects would, so a table assembled here and one committed
+// object by object carry the same totals and statistics. exactNDV
+// overrides the table NDV per column (the generators track distincts
+// across all objects); without it NDV is the sum of per-object NDVs
+// capped at the value count — an overestimate when values span objects,
+// but safe for selectivity purposes. keys and objs are parallel.
 func AssembleTable(spec TableSpec, keys []string, objs []SealedObject, exactNDV map[string]int64) (*metastore.Table, error) {
 	if len(keys) != len(objs) {
 		return nil, fmt.Errorf("ingest: %d keys for %d sealed objects", len(keys), len(objs))
 	}
-	t := &metastore.Table{
+	empty := &metastore.Table{
 		Schema:       spec.Schema,
 		Name:         spec.Name,
 		Columns:      spec.Columns,
@@ -180,47 +175,20 @@ func AssembleTable(spec TableSpec, keys []string, objs []SealedObject, exactNDV 
 		Codec:        spec.Codec,
 		DisjointKeys: spec.DisjointKeys,
 		ColumnStats:  make(map[string]metastore.ColumnStats, spec.Columns.Len()),
-		ObjectStats:  make(map[string]map[string]metastore.ColumnStats, len(keys)),
-		ObjectBytes:  make(map[string]int64, len(keys)),
-	}
-	for i, key := range keys {
-		t.Objects = append(t.Objects, key)
-		t.ObjectStats[key] = objs[i].Stats
-		t.ObjectBytes[key] = objs[i].Bytes
-		t.RowCount += objs[i].Rows
-		t.TotalBytes += objs[i].Bytes
 	}
 	for _, c := range spec.Columns.Columns {
-		merged := metastore.ColumnStats{
-			Min: types.NullValue(c.Type),
-			Max: types.NullValue(c.Type),
+		empty.ColumnStats[c.Name] = metastore.ColumnStats{ZoneMap: expr.ZoneMap{Min: types.NullValue(c.Type), Max: types.NullValue(c.Type)}}
+	}
+	adds := make([]metastore.ObjectAdd, len(objs))
+	for i, o := range objs {
+		adds[i] = metastore.ObjectAdd{Key: keys[i], Bytes: o.Bytes, Rows: o.Rows, Stats: o.Stats}
+	}
+	t := metastore.NextTable(empty, adds, nil)
+	for name, n := range exactNDV {
+		if cs, ok := t.ColumnStats[name]; ok {
+			cs.NDV = min(n, cs.NumValues)
+			t.ColumnStats[name] = cs
 		}
-		for i := range objs {
-			st := objs[i].Stats[c.Name]
-			merged.NullCount += st.NullCount
-			merged.NumValues += st.NumValues
-			if !st.Min.Null && (merged.Min.Null || types.Compare(st.Min, merged.Min) < 0) {
-				merged.Min = st.Min
-			}
-			if !st.Max.Null && (merged.Max.Null || types.Compare(st.Max, merged.Max) > 0) {
-				merged.Max = st.Max
-			}
-			merged.NDV += st.NDV
-		}
-		if n, ok := exactNDV[c.Name]; ok {
-			merged.NDV = n
-		}
-		if merged.NDV > merged.NumValues {
-			merged.NDV = merged.NumValues
-		}
-		t.ColumnStats[c.Name] = merged
 	}
 	return t, nil
-}
-
-// RegisterTable installs an assembled table in the metastore. It exists
-// so callers outside this package register catalogs through the ingest
-// path (the vet-ingest gate bans direct registration elsewhere).
-func RegisterTable(ms *metastore.Metastore, t *metastore.Table) error {
-	return ms.Register(t)
 }

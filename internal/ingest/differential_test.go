@@ -69,9 +69,7 @@ func (b *refBuilder) seal(t *testing.T) SealedObject {
 	}
 	stats := make(map[string]metastore.ColumnStats, b.schema.Len())
 	for ci, c := range b.schema.Columns {
-		st := r.ColumnStats(ci)
-		stats[c.Name] = metastore.ColumnStats{Min: st.Min, Max: st.Max, NullCount: st.NullCount,
-			NumValues: st.NumValues, NDV: int64(len(b.distinct[ci]))}
+		stats[c.Name] = metastore.ColumnStats{ZoneMap: r.ColumnStats(ci), NDV: int64(len(b.distinct[ci]))}
 	}
 	return SealedObject{Image: img, Rows: int64(b.page.NumRows()), Bytes: int64(len(img)), Stats: stats}
 }

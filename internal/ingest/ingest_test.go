@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -608,7 +609,65 @@ func TestIngestAssembleTableExactNDVOverride(t *testing.T) {
 	if tbl.RowCount != 8 || len(tbl.Objects) != 2 {
 		t.Errorf("assembled table = %d rows, %d objects", tbl.RowCount, len(tbl.Objects))
 	}
-	if err := RegisterTable(metastore.New(), tbl); err != nil {
-		t.Errorf("RegisterTable: %v", err)
+	if err := metastore.New().Register(tbl); err != nil {
+		t.Errorf("Register: %v", err)
+	}
+}
+
+// TestAssembledTableMatchesCommittedTable: the same sealed objects give
+// the same table whether AssembleTable builds it in one go or they are
+// committed to an empty table — in one commit or one commit each —
+// rows, bytes, objects, zone maps and NDV alike.
+func TestAssembledTableMatchesCommittedTable(t *testing.T) {
+	var keys []string
+	var objs []SealedObject
+	var adds []metastore.ObjectAdd
+	for o := int64(0); o < 3; o++ {
+		b := NewObjectBuilder(eventSchema(), parquetlite.WriterOptions{RowGroupSize: 4})
+		for i := int64(0); i < 10; i++ {
+			row := intRow(o*7+i%5, fmt.Sprintf("n%d", (o+i)%4))
+			if o == 2 || i%3 == 0 {
+				row[1] = types.NullValue(types.String) // object 2's names are all NULL
+			}
+			if err := b.AppendRow(row...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sealed, err := b.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := fmt.Sprintf("events-%06d.pql", o)
+		keys, objs = append(keys, key), append(objs, sealed)
+		adds = append(adds, metastore.ObjectAdd{Key: key, Bytes: sealed.Bytes, Rows: sealed.Rows, Stats: sealed.Stats})
+	}
+	want, err := AssembleTable(eventSpec(), keys, objs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, commits := range [][][]metastore.ObjectAdd{{adds}, {adds[:1], adds[1:2], adds[2:]}} {
+		_, ms, _ := newTestIngester(t, 100) // CreateTable(eventSpec())
+		var got *metastore.Table
+		for _, c := range commits {
+			if got, err = ms.CommitObjects("default", "events", c, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got.RowCount != want.RowCount || got.TotalBytes != want.TotalBytes {
+			t.Errorf("%d commits: rows %d bytes %d, assembled %d and %d", len(commits), got.RowCount, got.TotalBytes, want.RowCount, want.TotalBytes)
+		}
+		for _, f := range []struct {
+			name      string
+			got, want any
+		}{
+			{"Objects", got.Objects, want.Objects},
+			{"ObjectStats", got.ObjectStats, want.ObjectStats},
+			{"ObjectBytes", got.ObjectBytes, want.ObjectBytes},
+			{"ColumnStats", got.ColumnStats, want.ColumnStats},
+		} {
+			if !reflect.DeepEqual(f.got, f.want) {
+				t.Errorf("%d commits: %s = %+v, assembled %+v", len(commits), f.name, f.got, f.want)
+			}
+		}
 	}
 }

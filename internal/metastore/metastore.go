@@ -16,23 +16,30 @@ import (
 	"sync"
 
 	"prestocs/internal/compress"
-	"prestocs/internal/parquetlite"
+	"prestocs/internal/expr"
 	"prestocs/internal/types"
 )
 
 // ColumnStats describes one column of a table (or of one object, when
-// held in Table.ObjectStats).
+// held in Table.ObjectStats): its zone map plus a distinct-value count.
 type ColumnStats struct {
-	Min       types.Value `json:"min"`
-	Max       types.Value `json:"max"`
-	NullCount int64       `json:"null_count"`
+	expr.ZoneMap
 	// NDV is the number of distinct values (exact when computed by the
 	// generator, else an estimate).
 	NDV int64 `json:"ndv"`
-	// NumValues is the number of stored values including NULLs; zero
-	// means the count was not recorded, so consumers must treat the
-	// stats as unreliable rather than as proof of emptiness.
-	NumValues int64 `json:"num_values,omitempty"`
+}
+
+// MarshalJSON keeps the catalog's key order, ndv between null_count and
+// num_values, which the embedded ZoneMap alone would move to the end
+// (TestCatalogFormatIsPinned holds the bytes).
+func (cs ColumnStats) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Min       types.Value `json:"min"`
+		Max       types.Value `json:"max"`
+		NullCount int64       `json:"null_count"`
+		NDV       int64       `json:"ndv"`
+		NumValues int64       `json:"num_values,omitempty"`
+	}{cs.Min, cs.Max, cs.NullCount, cs.NDV, cs.NumValues})
 }
 
 // Table is a catalog entry.
@@ -225,43 +232,4 @@ func Load(path string) (*Metastore, error) {
 		}
 	}
 	return m, nil
-}
-
-// StatsFromObjects aggregates table statistics by reading the footers of
-// object images. NDV is estimated per column by merging chunk-level
-// min/max heuristics; callers that know exact NDVs (the data generators)
-// should overwrite them.
-func StatsFromObjects(schema *types.Schema, images [][]byte) (rowCount, totalBytes int64, colStats map[string]ColumnStats, err error) {
-	colStats = make(map[string]ColumnStats, schema.Len())
-	for _, c := range schema.Columns {
-		colStats[c.Name] = ColumnStats{
-			Min: types.NullValue(c.Type),
-			Max: types.NullValue(c.Type),
-		}
-	}
-	for _, img := range images {
-		r, rerr := parquetlite.NewReader(img)
-		if rerr != nil {
-			return 0, 0, nil, rerr
-		}
-		if !r.Schema().Equal(schema) {
-			return 0, 0, nil, fmt.Errorf("metastore: object schema %s does not match table %s", r.Schema(), schema)
-		}
-		rowCount += r.NumRows()
-		totalBytes += int64(len(img))
-		for ci, c := range schema.Columns {
-			st := r.ColumnStats(ci)
-			agg := colStats[c.Name]
-			agg.NullCount += st.NullCount
-			agg.NumValues += st.NumValues
-			if !st.Min.Null && (agg.Min.Null || types.Compare(st.Min, agg.Min) < 0) {
-				agg.Min = st.Min
-			}
-			if !st.Max.Null && (agg.Max.Null || types.Compare(st.Max, agg.Max) > 0) {
-				agg.Max = st.Max
-			}
-			colStats[c.Name] = agg
-		}
-	}
-	return rowCount, totalBytes, colStats, nil
 }

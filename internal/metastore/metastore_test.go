@@ -5,11 +5,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
-	"prestocs/internal/column"
 	"prestocs/internal/compress"
-	"prestocs/internal/parquetlite"
+	"prestocs/internal/expr"
 	"prestocs/internal/types"
 )
 
@@ -26,8 +26,8 @@ func sampleTable() *Table {
 		Codec:    compress.Snappy,
 		RowCount: 1000,
 		ColumnStats: map[string]ColumnStats{
-			"vertex_id": {Min: types.IntValue(0), Max: types.IntValue(499), NDV: 500},
-			"x":         {Min: types.FloatValue(0), Max: types.FloatValue(4), NDV: 900},
+			"vertex_id": {ZoneMap: expr.ZoneMap{Min: types.IntValue(0), Max: types.IntValue(499)}, NDV: 500},
+			"x":         {ZoneMap: expr.ZoneMap{Min: types.FloatValue(0), Max: types.FloatValue(4)}, NDV: 900},
 		},
 	}
 }
@@ -109,6 +109,66 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCatalogFormatIsPinned: testdata/catalog.json is a catalog as Save
+// writes it, with every column-stats field and the per-object stats and
+// sizes set. It loads to the table it describes and saves back byte for
+// byte, so a JSON key renamed, dropped or reordered by a change to the
+// stats types fails here, not against a catalog already on disk.
+func TestCatalogFormatIsPinned(t *testing.T) {
+	stats := func(min, max types.Value, nulls, ndv, values int64) ColumnStats {
+		return ColumnStats{ZoneMap: expr.ZoneMap{Min: min, Max: max, NullCount: nulls, NumValues: values}, NDV: ndv}
+	}
+	noTag := types.NullValue(types.String)
+	want := &Table{
+		Schema: "ocs", Name: "events",
+		Columns: types.NewSchema(
+			types.Column{Name: "id", Type: types.Int64},
+			types.Column{Name: "tag", Type: types.String},
+		),
+		Bucket: "ev", Objects: []string{"ev-000001.pql", "ev-000002.pql"},
+		Codec: compress.Snappy, RowCount: 7, TotalBytes: 900,
+		ColumnStats: map[string]ColumnStats{
+			"id":  stats(types.IntValue(-3), types.IntValue(40), 1, 6, 7),
+			"tag": stats(types.StringValue("a"), types.StringValue("z"), 2, 3, 7),
+		},
+		ObjectStats: map[string]map[string]ColumnStats{
+			"ev-000001.pql": {
+				"id":  stats(types.IntValue(-3), types.IntValue(9), 1, 3, 4),
+				"tag": stats(types.StringValue("a"), types.StringValue("m"), 2, 2, 4),
+			},
+			"ev-000002.pql": {
+				"id":  stats(types.IntValue(12), types.IntValue(40), 0, 3, 3),
+				"tag": stats(noTag, noTag, 3, 0, 3),
+			},
+		},
+		ObjectBytes:  map[string]int64{"ev-000001.pql": 500, "ev-000002.pql": 400},
+		DisjointKeys: []string{"id"},
+	}
+	const pinned = "testdata/catalog.json"
+	m, err := Load(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Get("ocs", "events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("loaded %+v\nwant %+v", got, want)
+	}
+	path := filepath.Join(t.TempDir(), "catalog.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orig, err := os.ReadFile(pinned); err != nil || !bytes.Equal(saved, orig) {
+		t.Errorf("Save wrote\n%s\nwant %s (err %v)", saved, pinned, err)
+	}
+}
+
 // Save replaces the catalog by rename, so at every instant the path holds
 // one complete catalog: a reader that opened the file before a Save keeps
 // reading the whole previous catalog (an in-place rewrite would truncate
@@ -178,44 +238,5 @@ func TestSaveReplacesCatalogAtomically(t *testing.T) {
 		if n := e.Name(); n != "catalog.json" && n != "catalog.json.tmp-crashed" && n != "blocked.json" {
 			t.Errorf("Save left %s behind", n)
 		}
-	}
-}
-
-func TestStatsFromObjects(t *testing.T) {
-	schema := types.NewSchema(
-		types.Column{Name: "a", Type: types.Int64},
-		types.Column{Name: "b", Type: types.Float64},
-	)
-	mk := func(lo, hi int) []byte {
-		p := column.NewPage(schema)
-		for i := lo; i <= hi; i++ {
-			p.AppendRow(types.IntValue(int64(i)), types.FloatValue(float64(i)*1.5))
-		}
-		img, err := parquetlite.WritePages(schema, parquetlite.WriterOptions{RowGroupSize: 16}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return img
-	}
-	rows, bytes, stats, err := StatsFromObjects(schema, [][]byte{mk(0, 49), mk(50, 99)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows != 100 || bytes <= 0 {
-		t.Errorf("rows=%d bytes=%d", rows, bytes)
-	}
-	if stats["a"].Min.I != 0 || stats["a"].Max.I != 99 {
-		t.Errorf("a stats = %+v", stats["a"])
-	}
-	if stats["b"].Max.F != 99*1.5 {
-		t.Errorf("b stats = %+v", stats["b"])
-	}
-	// Mismatched schema rejected.
-	other := types.NewSchema(types.Column{Name: "z", Type: types.Int64})
-	if _, _, _, err := StatsFromObjects(other, [][]byte{mk(0, 1)}); err == nil {
-		t.Error("schema mismatch accepted")
-	}
-	if _, _, _, err := StatsFromObjects(schema, [][]byte{[]byte("junk")}); err == nil {
-		t.Error("corrupt object accepted")
 	}
 }

@@ -19,8 +19,6 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-
-	"prestocs/internal/types"
 )
 
 // ObjectAdd describes one new object entering a table's live set.
@@ -160,7 +158,7 @@ func (m *Metastore) CommitObjects(schema, name string, adds []ObjectAdd, removes
 		}
 	}
 
-	next := m.buildNextTable(old, adds, removes)
+	next := NextTable(old, adds, removes)
 	newVersion := m.versions[key] + 1
 	m.versions[key] = newVersion
 	m.tables[key] = next
@@ -175,9 +173,12 @@ func (m *Metastore) CommitObjects(schema, name string, adds []ObjectAdd, removes
 	return next, nil
 }
 
-// buildNextTable assembles the successor table value for CommitObjects.
-// Caller holds m.mu.
-func (m *Metastore) buildNextTable(old *Table, adds []ObjectAdd, removes []string) *Table {
+// NextTable derives the table that results from adding adds to old's
+// live objects and removing removes from them, leaving old untouched. It
+// is the one place a table's objects, rows, bytes and column statistics
+// are derived: CommitObjects applies it to the live table, and
+// ingest.AssembleTable to an empty one.
+func NextTable(old *Table, adds []ObjectAdd, removes []string) *Table {
 	removed := make(map[string]bool, len(removes))
 	for _, r := range removes {
 		removed[r] = true
@@ -231,20 +232,12 @@ func (m *Metastore) buildNextTable(old *Table, adds []ObjectAdd, removes []strin
 	// at the value count), while rewrites (compaction) keep it — merging
 	// objects does not change the value distribution.
 	for name, oldCS := range old.ColumnStats {
-		merged := ColumnStats{Min: oldCS.Min, Max: oldCS.Max, NDV: oldCS.NDV}
+		merged := ColumnStats{NDV: oldCS.NDV}
+		merged.Min, merged.Max = oldCS.Min, oldCS.Max
 		merged.Min.Null, merged.Max.Null = true, true
 		for _, key := range next.Objects {
-			st, ok := next.ObjectStats[key][name]
-			if !ok {
-				continue
-			}
-			merged.NullCount += st.NullCount
-			merged.NumValues += st.NumValues
-			if !st.Min.Null && (merged.Min.Null || types.Compare(st.Min, merged.Min) < 0) {
-				merged.Min = st.Min
-			}
-			if !st.Max.Null && (merged.Max.Null || types.Compare(st.Max, merged.Max) > 0) {
-				merged.Max = st.Max
+			if st, ok := next.ObjectStats[key][name]; ok {
+				merged.Merge(st.ZoneMap)
 			}
 		}
 		if len(removes) == 0 {

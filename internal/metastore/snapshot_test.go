@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"prestocs/internal/expr"
 	"prestocs/internal/types"
 )
 
@@ -23,20 +24,20 @@ func snapshotTable() *Table {
 		Objects: []string{"events-part-000.pql", "events-part-001.pql"},
 		ObjectStats: map[string]map[string]ColumnStats{
 			"events-part-000.pql": {
-				"id": {Min: types.IntValue(0), Max: types.IntValue(99), NumValues: 100, NDV: 100},
-				"v":  {Min: types.FloatValue(0), Max: types.FloatValue(1), NumValues: 100, NDV: 90},
+				"id": {ZoneMap: expr.ZoneMap{Min: types.IntValue(0), Max: types.IntValue(99), NumValues: 100}, NDV: 100},
+				"v":  {ZoneMap: expr.ZoneMap{Min: types.FloatValue(0), Max: types.FloatValue(1), NumValues: 100}, NDV: 90},
 			},
 			"events-part-001.pql": {
-				"id": {Min: types.IntValue(100), Max: types.IntValue(199), NumValues: 100, NDV: 100},
-				"v":  {Min: types.FloatValue(1), Max: types.FloatValue(2), NumValues: 100, NDV: 90},
+				"id": {ZoneMap: expr.ZoneMap{Min: types.IntValue(100), Max: types.IntValue(199), NumValues: 100}, NDV: 100},
+				"v":  {ZoneMap: expr.ZoneMap{Min: types.FloatValue(1), Max: types.FloatValue(2), NumValues: 100}, NDV: 90},
 			},
 		},
 		ObjectBytes: map[string]int64{"events-part-000.pql": 4000, "events-part-001.pql": 4100},
 		RowCount:    200,
 		TotalBytes:  8100,
 		ColumnStats: map[string]ColumnStats{
-			"id": {Min: types.IntValue(0), Max: types.IntValue(199), NumValues: 200, NDV: 200},
-			"v":  {Min: types.FloatValue(0), Max: types.FloatValue(2), NumValues: 200, NDV: 180},
+			"id": {ZoneMap: expr.ZoneMap{Min: types.IntValue(0), Max: types.IntValue(199), NumValues: 200}, NDV: 200},
+			"v":  {ZoneMap: expr.ZoneMap{Min: types.FloatValue(0), Max: types.FloatValue(2), NumValues: 200}, NDV: 180},
 		},
 	}
 }
@@ -47,8 +48,8 @@ func addFor(key string, lo, hi int64, rows int64, bytes int64) ObjectAdd {
 		Bytes: bytes,
 		Rows:  rows,
 		Stats: map[string]ColumnStats{
-			"id": {Min: types.IntValue(lo), Max: types.IntValue(hi), NumValues: rows, NDV: rows},
-			"v":  {Min: types.FloatValue(0), Max: types.FloatValue(3), NumValues: rows, NDV: rows / 2},
+			"id": {ZoneMap: expr.ZoneMap{Min: types.IntValue(lo), Max: types.IntValue(hi), NumValues: rows}, NDV: rows},
+			"v":  {ZoneMap: expr.ZoneMap{Min: types.FloatValue(0), Max: types.FloatValue(3), NumValues: rows}, NDV: rows / 2},
 		},
 	}
 }
@@ -108,8 +109,8 @@ func TestSnapshotCommitRewrite(t *testing.T) {
 		Bytes: 7000,
 		Rows:  200,
 		Stats: map[string]ColumnStats{
-			"id": {Min: types.IntValue(0), Max: types.IntValue(199), NumValues: 200, NDV: 200},
-			"v":  {Min: types.FloatValue(0), Max: types.FloatValue(2), NumValues: 200, NDV: 150},
+			"id": {ZoneMap: expr.ZoneMap{Min: types.IntValue(0), Max: types.IntValue(199), NumValues: 200}, NDV: 200},
+			"v":  {ZoneMap: expr.ZoneMap{Min: types.FloatValue(0), Max: types.FloatValue(2), NumValues: 200}, NDV: 150},
 		},
 	}
 	next, err := m.CommitObjects("default", "events",

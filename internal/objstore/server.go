@@ -132,7 +132,8 @@ func (s *Server) handleSelect(_ context.Context, payload []byte) ([]byte, error)
 		return nil, err
 	}
 
-	for _, rg := range r.PruneRowGroups(pred) {
+	keep, _, _ := r.PruneRowGroupsRanges(expr.AnalyzeRanges(pred), nil)
+	for _, rg := range keep {
 		// Materialize the needed columns in full-schema positions so
 		// predicate ordinals resolve; untouched columns stay nil and are
 		// never read from media.

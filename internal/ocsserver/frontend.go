@@ -89,9 +89,6 @@ func (f *Frontend) Close() error {
 	return f.rpc.Close()
 }
 
-// NumNodes returns the number of attached storage nodes.
-func (f *Frontend) NumNodes() int { return len(f.nodes) }
-
 // nodeFor places an object: the FNV-1a hash of "bucket/key" over the nodes.
 func (f *Frontend) nodeFor(bucket, key string) int {
 	h := fnv.New32a()

@@ -90,7 +90,7 @@ func BenchmarkPrunedRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, _ := NewReader(data)
-		for _, rg := range r.PruneRowGroups(pred) {
+		for _, rg := range keepGroups(r, pred) {
 			if _, err := r.ReadRowGroup(rg, []int{0, 1}); err != nil {
 				b.Fatal(err)
 			}

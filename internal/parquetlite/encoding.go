@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"prestocs/internal/column"
+	"prestocs/internal/expr"
 	"prestocs/internal/types"
 )
 
@@ -75,9 +76,9 @@ func buildDict(strs []string) (dict []string, ids []uint32) {
 // strings with few distinct values, RLE for integer columns with long
 // runs, plain otherwise. Min and max are the first least and first
 // greatest value under types.Compare's order.
-func encodeChunk(dst []byte, vec *column.Vector) (Encoding, Stats, []byte) {
+func encodeChunk(dst []byte, vec *column.Vector) (Encoding, expr.ZoneMap, []byte) {
 	n := vec.Len()
-	st := Stats{Min: types.NullValue(vec.Kind), Max: types.NullValue(vec.Kind), NumValues: int64(n)}
+	st := expr.ZoneMap{Min: types.NullValue(vec.Kind), Max: types.NullValue(vec.Kind), NumValues: int64(n)}
 	buf := appendValidity(binary.LittleEndian.AppendUint32(dst[:0], uint32(n)), vec.Nulls, n)
 	enc := Plain
 	switch vec.Kind {

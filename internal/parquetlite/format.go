@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"prestocs/internal/compress"
+	"prestocs/internal/expr"
 	"prestocs/internal/protowire"
 	"prestocs/internal/types"
 )
@@ -60,21 +61,13 @@ func (e Encoding) String() string {
 	}
 }
 
-// Stats summarizes one column chunk.
-type Stats struct {
-	Min       types.Value // NULL when the chunk is all-NULL or empty
-	Max       types.Value
-	NullCount int64
-	NumValues int64
-}
-
 // ChunkMeta describes one column chunk inside a row group.
 type ChunkMeta struct {
 	Offset           int64
 	CompressedSize   int64
 	UncompressedSize int64
 	Encoding         Encoding
-	Stats            Stats
+	Stats            expr.ZoneMap
 }
 
 // RowGroupMeta describes one row group.

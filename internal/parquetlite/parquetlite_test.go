@@ -218,7 +218,7 @@ func TestRowGroupPruning(t *testing.T) {
 
 	check := func(name string, pred expr.Expr, want []int) {
 		t.Helper()
-		got := r.PruneRowGroups(pred)
+		got := keepGroups(r, pred)
 		if len(got) != len(want) {
 			t.Errorf("%s: pruned to %v, want %v", name, got, want)
 			return
@@ -411,7 +411,7 @@ func TestQuickPruningSound(t *testing.T) {
 			return false
 		}
 		kept := map[int]bool{}
-		for _, rg := range r.PruneRowGroups(pred) {
+		for _, rg := range keepGroups(r, pred) {
 			kept[rg] = true
 		}
 		// Every row group containing a matching value must be kept.

@@ -54,6 +54,12 @@ func vCol() *expr.ColumnRef  { return &expr.ColumnRef{Index: 1, Name: "v", Kind:
 
 func intLit(v int64) *expr.Literal { return &expr.Literal{Value: types.IntValue(v)} }
 
+// keepGroups lists the row groups PruneRowGroupsRanges keeps for pred.
+func keepGroups(r *Reader, pred expr.Expr) []int {
+	keep, _, _ := r.PruneRowGroupsRanges(expr.AnalyzeRanges(pred), nil)
+	return keep
+}
+
 func groupsEqual(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -85,7 +91,7 @@ func TestPruneBoundaryEquality(t *testing.T) {
 		{"between-edges", &expr.Between{E: idCol(), Lo: intLit(13), Hi: intLit(20)}, []int{1, 2}},
 	}
 	for _, tc := range cases {
-		got := r.PruneRowGroups(tc.pred)
+		got := keepGroups(r, tc.pred)
 		if !groupsEqual(got, tc.want) {
 			t.Errorf("%s: kept %v want %v", tc.name, got, tc.want)
 		}
@@ -96,17 +102,17 @@ func TestPruneAllNullChunk(t *testing.T) {
 	r := buildPruneFile(t)
 	// Any ordinary comparison on v rejects NULLs, so the all-NULL group 0
 	// is pruned; the mixed group 2 survives.
-	got := r.PruneRowGroups(&expr.Compare{Op: expr.Ge, L: vCol(), R: &expr.Literal{Value: types.FloatValue(0)}})
+	got := keepGroups(r, &expr.Compare{Op: expr.Ge, L: vCol(), R: &expr.Literal{Value: types.FloatValue(0)}})
 	if !groupsEqual(got, []int{1, 2, 3}) {
 		t.Errorf("v >= 0 kept %v, want [1 2 3] (all-NULL group pruned)", got)
 	}
 	// IS NULL keeps only groups that contain NULLs.
-	got = r.PruneRowGroups(&expr.IsNull{E: vCol()})
+	got = keepGroups(r, &expr.IsNull{E: vCol()})
 	if !groupsEqual(got, []int{0, 2}) {
 		t.Errorf("v IS NULL kept %v, want [0 2]", got)
 	}
 	// IS NOT NULL prunes the all-NULL group but keeps mixed ones.
-	got = r.PruneRowGroups(&expr.IsNull{E: vCol(), Negate: true})
+	got = keepGroups(r, &expr.IsNull{E: vCol(), Negate: true})
 	if !groupsEqual(got, []int{1, 2, 3}) {
 		t.Errorf("v IS NOT NULL kept %v, want [1 2 3]", got)
 	}
@@ -117,15 +123,15 @@ func TestPruneColumnWithoutStats(t *testing.T) {
 	// Erase the stats of the id chunks, as if the footer had been written
 	// without them: pruning on id must keep every group.
 	for g := range r.meta.RowGroups {
-		r.meta.RowGroups[g].Chunks[0].Stats = Stats{}
+		r.meta.RowGroups[g].Chunks[0].Stats = expr.ZoneMap{}
 	}
-	got := r.PruneRowGroups(&expr.Compare{Op: expr.Eq, L: idCol(), R: intLit(999)})
+	got := keepGroups(r, &expr.Compare{Op: expr.Eq, L: idCol(), R: intLit(999)})
 	if !groupsEqual(got, []int{0, 1, 2, 3}) {
 		t.Errorf("missing stats pruned groups: kept %v", got)
 	}
 	// A predicate on a column ordinal outside the schema also keeps all.
 	wide := &expr.Compare{Op: expr.Eq, L: &expr.ColumnRef{Index: 9, Name: "ghost", Kind: types.Int64}, R: intLit(1)}
-	got = r.PruneRowGroups(wide)
+	got = keepGroups(r, wide)
 	if !groupsEqual(got, []int{0, 1, 2, 3}) {
 		t.Errorf("out-of-schema column pruned groups: kept %v", got)
 	}

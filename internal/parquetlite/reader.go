@@ -175,21 +175,6 @@ func (r *Reader) ReadAll(cols []int) ([]*column.Page, error) {
 	return pages, nil
 }
 
-// PruneRowGroups returns the row groups that may contain rows matching
-// the predicate, using chunk min/max/null statistics via the expr range
-// analyzer (zone-map skipping). A nil predicate keeps everything.
-func (r *Reader) PruneRowGroups(pred expr.Expr) []int {
-	if pred == nil {
-		keep := make([]int, len(r.meta.RowGroups))
-		for i := range keep {
-			keep[i] = i
-		}
-		return keep
-	}
-	keep, _, _ := r.PruneRowGroupsRanges(expr.AnalyzeRanges(pred), nil)
-	return keep
-}
-
 // PruneRowGroupsRanges prunes with a precomputed range analysis, so one
 // analysis can be shared across files and row groups. cols lists the
 // schema ordinals the scan would decode (nil means every column); it is
@@ -199,8 +184,16 @@ func (r *Reader) PruneRowGroups(pred expr.Expr) []int {
 // ordinals, and the bytes skipped.
 func (r *Reader) PruneRowGroupsRanges(ranges expr.Ranges, cols []int) (keep, pruned []int, bytesSkipped int64) {
 	keep = make([]int, 0, len(r.meta.RowGroups))
-	for i := range r.meta.RowGroups {
-		if r.rowGroupMayMatch(i, ranges) {
+	for i, group := range r.meta.RowGroups {
+		// A column outside the schema, or a chunk whose stats were never
+		// recorded (no values counted over rows present), keeps the group.
+		if ranges.MayMatch(func(col int) (expr.ZoneMap, bool) {
+			if col < 0 || col >= len(group.Chunks) {
+				return expr.ZoneMap{}, false
+			}
+			st := group.Chunks[col].Stats
+			return st, st.NumValues > 0 || group.NumRows == 0
+		}) {
 			keep = append(keep, i)
 			continue
 		}
@@ -208,33 +201,6 @@ func (r *Reader) PruneRowGroupsRanges(ranges expr.Ranges, cols []int) (keep, pru
 		bytesSkipped += r.rowGroupBytes(i, cols)
 	}
 	return keep, pruned, bytesSkipped
-}
-
-// rowGroupMayMatch tests one row group's chunk statistics against the
-// derived ranges. Conservative on every unknown: a column outside the
-// schema, or a chunk whose stats were never recorded, keeps the group.
-func (r *Reader) rowGroupMayMatch(rg int, ranges expr.Ranges) bool {
-	if ranges.Never {
-		return false
-	}
-	group := r.meta.RowGroups[rg]
-	for col, cr := range ranges.Cols {
-		if col < 0 || col >= len(group.Chunks) {
-			continue
-		}
-		st := group.Chunks[col].Stats
-		if st.NumValues == 0 && group.NumRows > 0 {
-			// Stats absent (e.g. footer written without them): never prune
-			// on a chunk we know nothing about.
-			continue
-		}
-		hasNull := st.NullCount > 0
-		hasNonNull := st.NumValues > st.NullCount
-		if !cr.MayMatch(st.Min, st.Max, hasNull, hasNonNull) {
-			return false
-		}
-	}
-	return true
 }
 
 // rowGroupBytes sums the compressed size of the projected chunks of one
@@ -256,35 +222,13 @@ func (r *Reader) rowGroupBytes(rg int, cols []int) int64 {
 	return n
 }
 
-func (r *Reader) chunkStats(rg, col int) *Stats {
-	if rg < 0 || rg >= len(r.meta.RowGroups) {
-		return nil
+// ColumnStats merges the chunk zone maps of one column across all row
+// groups: the object's zone map for that column.
+func (r *Reader) ColumnStats(col int) expr.ZoneMap {
+	kind := r.meta.Schema.Columns[col].Type
+	z := expr.ZoneMap{Min: types.NullValue(kind), Max: types.NullValue(kind)}
+	for _, group := range r.meta.RowGroups {
+		z.Merge(group.Chunks[col].Stats)
 	}
-	chunks := r.meta.RowGroups[rg].Chunks
-	if col < 0 || col >= len(chunks) {
-		return nil
-	}
-	return &chunks[col].Stats
-}
-
-// ColumnStats aggregates chunk statistics across all row groups for one
-// column: global min/max, null count and value count. Used when
-// registering tables in the metastore.
-func (r *Reader) ColumnStats(col int) Stats {
-	agg := Stats{
-		Min: types.NullValue(r.meta.Schema.Columns[col].Type),
-		Max: types.NullValue(r.meta.Schema.Columns[col].Type),
-	}
-	for rg := range r.meta.RowGroups {
-		st := r.chunkStats(rg, col)
-		agg.NullCount += st.NullCount
-		agg.NumValues += st.NumValues
-		if !st.Min.Null && (agg.Min.Null || types.Compare(st.Min, agg.Min) < 0) {
-			agg.Min = st.Min
-		}
-		if !st.Max.Null && (agg.Max.Null || types.Compare(st.Max, agg.Max) > 0) {
-			agg.Max = st.Max
-		}
-	}
-	return agg
+	return z
 }

@@ -10,6 +10,7 @@ import (
 
 	"prestocs/internal/column"
 	"prestocs/internal/compress"
+	"prestocs/internal/expr"
 	"prestocs/internal/types"
 )
 
@@ -189,8 +190,8 @@ func refEncodeChunk(vec *column.Vector, enc Encoding) []byte {
 	return buf
 }
 
-func refComputeStats(vec *column.Vector) Stats {
-	st := Stats{
+func refComputeStats(vec *column.Vector) expr.ZoneMap {
+	st := expr.ZoneMap{
 		Min:       types.NullValue(vec.Kind),
 		Max:       types.NullValue(vec.Kind),
 		NumValues: int64(vec.Len()),

@@ -258,19 +258,6 @@ func (t *Tracer) TraceSpans(id TraceID) []SpanView {
 	return out
 }
 
-// TraceIDs returns the distinct trace IDs retained, most recent last.
-func (t *Tracer) TraceIDs() []TraceID {
-	seen := map[TraceID]bool{}
-	var out []TraceID
-	for _, v := range t.Spans() {
-		if !seen[v.Trace] {
-			seen[v.Trace] = true
-			out = append(out, v.Trace)
-		}
-	}
-	return out
-}
-
 // Total reports the lifetime completed-span count (spans may have been
 // evicted from the ring).
 func (t *Tracer) Total() int64 {

@@ -237,7 +237,8 @@ func (v Value) String() string {
 // Compare orders two values of the same kind: -1, 0 or +1. NULLs sort
 // before all non-NULL values (NULLS FIRST), matching the engine's sort
 // semantics. Comparing values of different kinds panics, except that
-// Int64 and Float64 compare numerically.
+// numeric kinds compare numerically: Int64 and Date exactly, as the
+// integers they hold, and either against Float64 as floats.
 func Compare(a, b Value) int {
 	if a.Null || b.Null {
 		switch {
@@ -250,10 +251,13 @@ func Compare(a, b Value) int {
 		}
 	}
 	if a.Kind != b.Kind {
-		if a.Kind.Numeric() && b.Kind.Numeric() {
+		switch {
+		case !a.Kind.Numeric() || !b.Kind.Numeric():
+			panic(fmt.Sprintf("types: comparing %s to %s", a.Kind, b.Kind))
+		case a.Kind == Float64 || b.Kind == Float64:
 			return compareFloat(a.AsFloat(), b.AsFloat())
 		}
-		panic(fmt.Sprintf("types: comparing %s to %s", a.Kind, b.Kind))
+		// Int64 against Date: their integers compare below.
 	}
 	switch a.Kind {
 	case Int64, Date:

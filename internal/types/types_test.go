@@ -129,6 +129,19 @@ func TestCompareSameKind(t *testing.T) {
 	}
 }
 
+// TestCompareIntAgainstDate: Int64 and Date compare as the integers they
+// hold, exactly — past 2^53, where float64 would merge neighbours — as the
+// comparison kernels do; against Float64 either compares as a float.
+func TestCompareIntAgainstDate(t *testing.T) {
+	big := int64(1)<<62 + 1
+	if Compare(IntValue(big), Value{Kind: Date, I: big - 1}) != 1 || Compare(Value{Kind: Date, I: big}, IntValue(big)) != 0 {
+		t.Error("Int64 against Date is not exact")
+	}
+	if Compare(Value{Kind: Date, I: 2}, FloatValue(2.5)) != -1 {
+		t.Error("Date against Float64 is not numeric")
+	}
+}
+
 func TestCompareNulls(t *testing.T) {
 	n := NullValue(Int64)
 	if Compare(n, IntValue(0)) != -1 {

@@ -68,13 +68,12 @@ type Dataset struct {
 	TotalRawBytes int64
 }
 
-// Register installs the table under the given catalog name, through
-// the ingest path's registration helper (the vet-ingest gate bans
-// assembling catalog entries anywhere else).
+// Register installs the table, assembled by ingest.AssembleTable, under
+// the given catalog name.
 func (d *Dataset) Register(ms *metastore.Metastore, catalog string) error {
 	t := *d.Table
 	t.Schema = catalog
-	return ingest.RegisterTable(ms, &t)
+	return ms.Register(&t)
 }
 
 // Upload stores every object through w: the OCS frontend, a plain object
