@@ -15,11 +15,15 @@ test:
 	$(GO) test ./...
 
 # loc prints the line counts simplicity work is measured by: non-test Go
-# outside bench/, Go tests outside bench/, and everything under bench/.
+# outside bench/, Go tests outside bench/, and everything under bench/;
+# then the exported top-level funcs, methods and types in non-test Go
+# outside bench/ (a declaration starting a line, `func` or `type`, whose
+# name is capitalised).
 loc:
 	@echo "non-test: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "bench:    $$(find ./bench -name '*.go' | xargs cat | wc -l)"
+	@echo "exported: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | grep -cE '^func (\([^)]*\) )?[A-Z]|^type [A-Z]')"
 
 # bench runs the kernel/operator microbenchmarks (vectorized expression
 # kernels, filter selectivity sweep, hash aggregation, sort/top-N, and
@@ -74,9 +78,9 @@ faults-ingest:
 # determinism repeats, at one, two and four cores, the tests that hold an
 # answer to be a function of the snapshot alone — the same bytes, rows in
 # the same order — across runs, worker counts, pushdown modes, bloom
-# on/off, probe placement and catalog: random queries against no
-# pushdown, every join shape against a row-at-a-time reference, and
-# ORDER BY … LIMIT over keys that tie across splits. The final stage folds
+# on/off and catalog: random queries against no pushdown, every join
+# shape against a row-at-a-time reference, and ORDER BY … LIMIT over keys
+# that tie across splits. The final stage folds
 # leaf output in split order (DESIGN.md §9), so none of them carries a
 # tolerance; a failure here is an arrival-order dependence. The same rule
 # holds for the write path: the writer encodes whole row groups on

@@ -180,7 +180,7 @@ func (a *selectivityAnalyzer) prefix(seq []candidate) (n int, estSelectivity flo
 }
 
 // judge is the one verdict function, asked of every candidate and of the
-// final-stage TopN. A static mode cuts where its flag allows the operator
+// final stage's TopN. A static mode cuts where its flag allows the operator
 // and stops at the first it does not. Auto mode never stops: it cuts where
 // the cumulative estimate — est rows reach the candidate, the returned
 // count leaves it — clears the reduction threshold, inclusively, and

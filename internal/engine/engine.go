@@ -11,7 +11,6 @@ import (
 	"prestocs/internal/analyzer"
 	"prestocs/internal/bloom"
 	"prestocs/internal/column"
-	"prestocs/internal/costmodel"
 	"prestocs/internal/exec"
 	"prestocs/internal/optimizer"
 	"prestocs/internal/plan"
@@ -32,11 +31,6 @@ type Engine struct {
 	// Workers is the leaf-stage parallelism (like Presto task
 	// concurrency). Defaults to GOMAXPROCS.
 	Workers int
-
-	// Cost parameterizes engine-side planning decisions, currently the
-	// broadcast-vs-final-stage join strategy. The zero value falls back
-	// to costmodel.Default() thresholds.
-	Cost costmodel.Params
 
 	// Tracer, when set, gives every query a root span with one child per
 	// coordinator stage; the trace continues across RPC boundaries into
@@ -234,7 +228,6 @@ func (e *Engine) runQuery(q *Query) (*Result, error) {
 	}
 	if ph, ok := scan.Handle.(PushdownReporter); ok {
 		stats.PushedDown = ph.PushedOperators()
-		stats.UsedPushdown = len(stats.PushedDown) > 0
 	}
 	start = time.Now()
 	q.setState(StateRunning)
@@ -268,9 +261,10 @@ type PushdownReporter interface {
 
 // run executes an optimized plan with the one stage sequence: a leaf
 // stage per split on the worker pool, the final stage on the coordinator,
-// pipelined through a channel. The final-stage spine ends at an Exchange
-// or at a Join; a Join first runs its build stage, adds its probe hook
-// and hands back its probe branch as the leaf stage to start.
+// pipelined through a channel. The final stage's spine ends at an
+// Exchange or at a Join; a Join first runs its build stage and hands back
+// its probe branch as the leaf stage to start, with the probe as a hook
+// every leaf worker runs on top of its pipeline.
 func (e *Engine) run(ctx context.Context, root plan.Node, session *Session, stats *QueryStats) (*column.Page, *types.Schema, error) {
 	final, end := plan.Spine(root)
 	var branch plan.Node
@@ -280,7 +274,7 @@ func (e *Engine) run(ctx context.Context, root plan.Node, session *Session, stat
 			break
 		}
 	}
-	var probe joinProbe
+	var probe leafHook
 	join, _ := end.(*plan.Join)
 	if branch == nil {
 		if join == nil {
@@ -292,48 +286,44 @@ func (e *Engine) run(ctx context.Context, root plan.Node, session *Session, stat
 		}
 		branch = join.Probe
 	}
-	stage, exchangeSchema, err := e.startLeafStage(ctx, branch, stats, probe.inLeaf)
+	stage, exchangeSchema, err := e.startLeafStage(ctx, branch, stats, probe)
 	if err != nil {
 		return nil, nil, err
 	}
-	if probe.inLeaf != nil {
+	if probe != nil {
 		exchangeSchema = join.OutputSchema() // workers ship joined rows
 	}
-	return e.finishFinalStage(stage, exchangeSchema, final, probe.inFinal, stats)
+	return e.finishFinalStage(stage, exchangeSchema, final, stats)
 }
 
-// joinProbe is what a Join adds to the stage sequence: the probe over
-// the built table, placed by strategy. Broadcast replicates the (small,
-// read-only) table into every leaf worker so probing parallelizes with
-// the scan (inLeaf); final-stage keeps the table on the coordinator and
-// probes the exchange stream (inFinal). Exactly one is set.
-type joinProbe struct {
-	inLeaf  func(exec.Operator, *exec.Meter) (exec.Operator, error)
-	inFinal func(exec.Operator) (exec.Operator, error)
-}
+// leafHook wraps a leaf worker's compiled pipeline; the hash join's probe
+// is the one hook.
+type leafHook func(exec.Operator, *exec.Meter) (exec.Operator, error)
 
 // buildJoin runs the build branch as its own leaf stage and drains it
-// into a hash table on the coordinator, picks the probe strategy, and —
-// when the join has a single key and the probe branch is filter-only over
-// a BloomJoinHandle — pushes a bloom filter over the build keys into the
-// probe scan so storage drops non-matching rows before they cross the
-// network.
-func (e *Engine) buildJoin(ctx context.Context, join *plan.Join, session *Session, stats *QueryStats) (joinProbe, error) {
+// into a hash table on the coordinator, pushes — when the join has a
+// single key and the probe branch is filter-only over a BloomJoinHandle —
+// a bloom filter over the build keys into the probe scan so storage drops
+// non-matching rows before they cross the network, and returns the probe
+// for the leaf workers. The table is read-only once built, so every
+// worker probes the same one: nothing is copied per worker.
+func (e *Engine) buildJoin(ctx context.Context, join *plan.Join, session *Session, stats *QueryStats) (leafHook, error) {
 	// BuildJoinTable returns a truncated table without error when workers
 	// failed, so the stage error wins.
 	buildStage, buildSchema, err := e.startLeafStage(ctx, join.Build, stats, nil)
 	if err != nil {
-		return joinProbe{}, err
+		return nil, err
 	}
 	buildSrc := exec.NewFuncSource(buildSchema, buildStage.Next)
 	table, err := exec.BuildJoinTable(buildSrc, join.BuildKeys, &stats.FinalMeter)
 	buildStage.Drain()
 	if werr := buildStage.Err(); werr != nil {
-		return joinProbe{}, werr
+		return nil, werr
 	}
 	if err != nil {
-		return joinProbe{}, err
+		return nil, err
 	}
+	stats.Join = true
 	stats.JoinBuildRows = int64(table.Rows())
 
 	// Bloom pushdown into the probe scan. A filter-only probe branch
@@ -342,7 +332,7 @@ func (e *Engine) buildJoin(ctx context.Context, join *plan.Join, session *Sessio
 	// ordinal over the handle's ScanSchema.
 	_, probeLeaf, probeScan, err := leafBranch(join.Probe)
 	if err != nil {
-		return joinProbe{}, err
+		return nil, err
 	}
 	filterOnly := true
 	for _, n := range probeLeaf {
@@ -356,29 +346,13 @@ func (e *Engine) buildJoin(ctx context.Context, join *plan.Join, session *Sessio
 				probeScan.Handle = nh
 				if ph, ok := nh.(PushdownReporter); ok {
 					stats.PushedDown = ph.PushedOperators()
-					stats.UsedPushdown = len(stats.PushedDown) > 0
 				}
 			}
 		}
 	}
-
-	strategy := join.Strategy
-	if strategy == plan.JoinAuto {
-		strategy = plan.JoinFinalStage
-		if e.Cost.BroadcastJoin(int64(table.Rows()), table.Bytes()) {
-			strategy = plan.JoinBroadcast
-		}
-	}
-	if strategy == plan.JoinBroadcast {
-		stats.JoinStrategy = "broadcast"
-		return joinProbe{inLeaf: func(op exec.Operator, meter *exec.Meter) (exec.Operator, error) {
-			return exec.NewHashJoinProbe(op, table, join.ProbeKeys, meter)
-		}}, nil
-	}
-	stats.JoinStrategy = "final-stage"
-	return joinProbe{inFinal: func(src exec.Operator) (exec.Operator, error) {
-		return exec.NewHashJoinProbe(src, table, join.ProbeKeys, &stats.FinalMeter)
-	}}, nil
+	return func(op exec.Operator, meter *exec.Meter) (exec.Operator, error) {
+		return exec.NewHashJoinProbe(op, table, join.ProbeKeys, meter)
+	}, nil
 }
 
 // leafStage is one scan's distributed fan-out in flight, consumed in
@@ -443,10 +417,10 @@ func leafBranch(branch plan.Node) (*plan.Exchange, []plan.Node, *plan.TableScan,
 // Exchange-rooted branch's scan, compiling the branch's leaf nodes onto
 // each split's page source, and returns the stage with the schema of the
 // pages it feeds the exchange. wrap, when set, is applied per worker on
-// top of the compiled pipeline — the broadcast hash join probes inside
-// the workers this way. Worker operator time lands in stats.LeafMeter and
-// the split count adds to stats.Splits.
-func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *QueryStats, wrap func(exec.Operator, *exec.Meter) (exec.Operator, error)) (*leafStage, *types.Schema, error) {
+// top of the compiled pipeline — the hash join probes inside the workers
+// this way. Worker operator time lands in stats.LeafMeter and the split
+// count adds to stats.Splits.
+func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *QueryStats, wrap leafHook) (*leafStage, *types.Schema, error) {
 	exchange, chain, scan, err := leafBranch(branch)
 	if err != nil {
 		return nil, nil, err
@@ -602,18 +576,9 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 }
 
 // finishFinalStage consumes a leaf stage's exchange output through the
-// final chain (root first) on the coordinator. extra, when set, is
-// inserted between the exchange and the final chain (the final-stage
-// hash join probe).
-func (e *Engine) finishFinalStage(stage *leafStage, exchangeSchema *types.Schema, finalChain []plan.Node, extra func(exec.Operator) (exec.Operator, error), stats *QueryStats) (*column.Page, *types.Schema, error) {
-	source := exec.Operator(exec.NewFuncSource(exchangeSchema, stage.Next))
-	var err error
-	if extra != nil {
-		if source, err = extra(source); err != nil {
-			stage.Drain()
-			return nil, nil, err
-		}
-	}
+// final chain (root first) on the coordinator.
+func (e *Engine) finishFinalStage(stage *leafStage, exchangeSchema *types.Schema, finalChain []plan.Node, stats *QueryStats) (*column.Page, *types.Schema, error) {
+	source := exec.NewFuncSource(exchangeSchema, stage.Next)
 	finalOp, err := compileChain(finalChain, source, &stats.FinalMeter)
 	if err != nil {
 		// Drain workers before returning so goroutines do not leak.

@@ -30,11 +30,10 @@ func (e *Engine) observeQuery(qspan *telemetry.Span, stats *QueryStats, err erro
 		if scan.SplitsPruned > 0 {
 			qspan.SetAttr("splits_pruned", fmt.Sprint(scan.SplitsPruned))
 		}
-		if stats.UsedPushdown {
+		if len(stats.PushedDown) > 0 {
 			qspan.SetAttr("pushdown", strings.Join(stats.PushedDown, ","))
 		}
-		if stats.JoinStrategy != "" {
-			qspan.SetAttr("join_strategy", stats.JoinStrategy)
+		if stats.Join {
 			qspan.SetAttr("join_build_rows", fmt.Sprint(stats.JoinBuildRows))
 		}
 		if err != nil {
@@ -55,12 +54,11 @@ func (e *Engine) observeQuery(qspan *telemetry.Span, stats *QueryStats, err erro
 	reg.Counter(telemetry.MetricQueryFallbacks).Add(scan.FallbackSplits)
 	reg.Counter(telemetry.MetricQuerySplitsPruned).Add(scan.SplitsPruned)
 	reg.Counter(telemetry.MetricQueryResultRows).Add(int64(stats.ResultRows))
-	if stats.UsedPushdown {
+	if len(stats.PushedDown) > 0 {
 		reg.Counter(telemetry.MetricQueryPushdown).Inc()
 	}
-	if stats.JoinStrategy != "" {
+	if stats.Join {
 		reg.Counter(telemetry.MetricQueryJoins).Inc()
-		reg.Counter(telemetry.MetricJoinStrategyChosen, "strategy", stats.JoinStrategy).Inc()
 		reg.Counter(telemetry.MetricJoinBuildRows).Add(stats.JoinBuildRows)
 	}
 	reg.Counter(telemetry.MetricJoinBloomPushdown).Add(scan.JoinBloomSplits)

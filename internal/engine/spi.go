@@ -283,16 +283,15 @@ type QueryStats struct {
 	LeafMeter  exec.Meter
 	FinalMeter exec.Meter
 
-	Splits       int
-	ResultRows   int
-	PlanText     string
-	PushedDown   []string // operator kinds absorbed by the connector
-	UsedPushdown bool
+	Splits     int
+	ResultRows int
+	PlanText   string
+	PushedDown []string // operator kinds absorbed by the connector
 
-	// Join execution (zero values for single-table queries).
-	// JoinStrategy is "broadcast" or "final-stage"; JoinBuildRows the
-	// rows indexed from the build side.
-	JoinStrategy  string
+	// Join execution (zero values for single-table queries): Join marks
+	// a query that built a join table, JoinBuildRows the rows indexed
+	// from its build side.
+	Join          bool
 	JoinBuildRows int64
 
 	// TraceID identifies the query's trace when the engine has a tracer

@@ -21,8 +21,8 @@ import (
 
 // JoinTable is the immutable result of draining a join's build side:
 // dense build rows (NULL-key rows removed) plus the key index. Safe for
-// concurrent probing once built (broadcast joins probe from every leaf
-// worker, each with its own keyScratch).
+// concurrent probing once built: every leaf worker probes the one table,
+// each with its own keyScratch.
 type JoinTable struct {
 	schema *types.Schema
 	keys   []int
@@ -32,8 +32,6 @@ type JoinTable struct {
 	index *keyTable
 	head  []int32
 	next  []int32
-	// inputRows counts drained rows before NULL-key rejection.
-	inputRows int64
 }
 
 // BuildJoinTable drains input and indexes it by the key columns.
@@ -72,7 +70,6 @@ func BuildJoinTable(input Operator, keys []int, meter *Meter) (*JoinTable, error
 		if n == 0 {
 			continue
 		}
-		t.inputRows += int64(n)
 		meter.charge(n, float64(len(keys))+1)
 
 		// Columnar NULL-key rejection: a row with any NULL key cannot
@@ -127,14 +124,6 @@ func (t *JoinTable) Schema() *types.Schema { return t.schema }
 
 // Rows returns the indexed (non-NULL-key) row count.
 func (t *JoinTable) Rows() int { return t.rows.NumRows() }
-
-// InputRows returns rows drained from the build side before NULL-key
-// rejection.
-func (t *JoinTable) InputRows() int64 { return t.inputRows }
-
-// Bytes returns the columnar size of the indexed rows (the quantity the
-// cost model's broadcast threshold prices).
-func (t *JoinTable) Bytes() int64 { return t.rows.ByteSize() }
 
 // BuildBloom constructs a bloom filter over the first key column's
 // values — the filter the engine pushes into the probe-side OCS scan.

@@ -348,7 +348,7 @@ func TestHashJoinEmitsProbeThenBuildOrder(t *testing.T) {
 }
 
 // TestJoinTableConcurrentProbes probes one built table from several
-// goroutines at once, as broadcast-join leaf workers do; under -race this
+// goroutines at once, as the join's leaf workers do; under -race this
 // checks that probing writes nothing shared.
 func TestJoinTableConcurrentProbes(t *testing.T) {
 	schema := types.NewSchema(

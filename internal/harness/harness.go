@@ -39,11 +39,6 @@ type Cluster struct {
 	ObjSrv  *objstore.Server
 	ObjCli  *objstore.Client
 	OCSConn *ocsconn.Connector
-	Params  costmodel.Params
-
-	// Pushdown is the default ocs.pushdown mode applied by RunCtx (from
-	// Config.Pushdown; empty = leave sessions untouched).
-	Pushdown string
 
 	// Metrics is the shared registry every layer writes into, and Tracers
 	// maps component labels ("engine", "frontend", "node0", ...) to their
@@ -63,19 +58,9 @@ type Config struct {
 	// Admission installs engine admission budgets (zero value keeps the
 	// engine fully permissive).
 	Admission engine.AdmissionConfig
-	// ScanPool sizes each storage node's scan-scheduler worker pool
-	// (0 = the cost-model storage-node core count).
-	ScanPool int
-	// StreamWindow sets the per-stream credit window on the OCS nodes
-	// and frontend (0 = rpc.DefaultStreamWindow).
-	StreamWindow int
 	// MaxBloomBytes caps pushed join bloom filters on the storage nodes
 	// (0 = ocsserver.DefaultMaxBloomBytes, negative disables).
 	MaxBloomBytes int
-	// Pushdown, when non-empty, is the default ocs.pushdown session mode
-	// RunCtx applies to sessions that don't set one: "always", "never",
-	// "auto", or any other ParseMode value.
-	Pushdown string
 }
 
 // StartCluster launches the topology with the given storage-node count.
@@ -85,20 +70,13 @@ func StartCluster(storageNodes int) (*Cluster, error) {
 
 // StartClusterWith is StartCluster with feature configuration.
 func StartClusterWith(storageNodes int, cfg Config) (*Cluster, error) {
-	if cfg.Pushdown != "" {
-		if _, err := ocsconn.ParseMode(cfg.Pushdown); err != nil {
-			return nil, err
-		}
-	}
-	c := &Cluster{Meta: metastore.New(), Params: costmodel.Default(), Pushdown: cfg.Pushdown}
+	c := &Cluster{Meta: metastore.New()}
 
 	var ocsCfg ocsserver.ClusterConfig
 	if cfg.Telemetry {
 		c.Metrics = telemetry.NewRegistry()
 		ocsCfg = ocsserver.ClusterConfig{Metrics: c.Metrics, Tracing: true}
 	}
-	ocsCfg.ScanPool = cfg.ScanPool
-	ocsCfg.StreamWindow = cfg.StreamWindow
 	ocsCfg.MaxBloomBytes = cfg.MaxBloomBytes
 	ocsCluster, err := ocsserver.StartClusterWith(storageNodes, ocsCfg)
 	if err != nil {
@@ -231,12 +209,6 @@ func (c *Cluster) Run(label, query string, session *engine.Session) (*Cell, erro
 // inherit footers or pages a previous cell decoded. Tests that exercise
 // warm-cache behavior call Engine.Submit directly.
 func (c *Cluster) RunCtx(ctx context.Context, label, query string, session *engine.Session) (*Cell, error) {
-	if session == nil {
-		session = engine.NewSession()
-	}
-	if c.Pushdown != "" && session.Get(ocsconn.SessionPushdown) == "" {
-		session.Set(ocsconn.SessionPushdown, c.Pushdown)
-	}
 	c.FlushNodeCaches()
 	start := time.Now()
 	var res *engine.Result
@@ -260,7 +232,7 @@ func (c *Cluster) RunCtx(ctx context.Context, label, query string, session *engi
 	return &Cell{
 		Label:      label,
 		Wall:       wall,
-		Modeled:    c.Params.Model(measured),
+		Modeled:    costmodel.Default().Model(measured),
 		BytesMoved: scan.BytesMoved,
 		Rows:       res.Page.NumRows(),
 		Pushed:     res.Stats.PushedDown,

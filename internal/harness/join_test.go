@@ -177,9 +177,6 @@ func TestJoinQ3DifferentialAcrossModes(t *testing.T) {
 		t.Errorf("bloom-on moved %d bytes, not below bloom-off %d",
 			onScan.BytesMoved, offScan.BytesMoved)
 	}
-	if bloomOn.Stats.JoinStrategy != "broadcast" {
-		t.Errorf("strategy = %q, want broadcast at this scale", bloomOn.Stats.JoinStrategy)
-	}
 
 	// Decisions and storage-side work are on /metrics.
 	if n := c.Metrics.CounterValue(telemetry.MetricJoinBloomPushdown); int(n) != q3Config.Files {
@@ -187,9 +184,6 @@ func TestJoinQ3DifferentialAcrossModes(t *testing.T) {
 	}
 	if n := c.Metrics.CounterValue(telemetry.MetricQueryJoins); n < 3 {
 		t.Errorf("%s = %d, want ≥ 3", telemetry.MetricQueryJoins, n)
-	}
-	if n := c.Metrics.CounterValue(telemetry.MetricJoinStrategyChosen, "strategy", "broadcast"); n == 0 {
-		t.Errorf("%s{strategy=broadcast} = 0", telemetry.MetricJoinStrategyChosen)
 	}
 	if n := c.Metrics.CounterValue(telemetry.MetricStorageBloomRowsTested); n == 0 {
 		t.Errorf("%s = 0, want > 0", telemetry.MetricStorageBloomRowsTested)

@@ -113,7 +113,7 @@ func addExchange(branch plan.Node) (plan.Node, error) {
 	above, leaf := spine[:cut], spine[cut:]
 	// The next node up runs on both sides when it can be split: one half
 	// per split, the other re-merging the union right above the exchange.
-	// Anything else (Sort, Output) is final-stage only.
+	// Anything else (Sort, Output) runs in the final stage only.
 	boundary := []plan.Node{&plan.Exchange{}}
 	split := func(finalHalf, leafHalf plan.Node) {
 		above, boundary = spine[:cut-1], []plan.Node{finalHalf, &plan.Exchange{}, leafHalf}

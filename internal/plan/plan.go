@@ -248,25 +248,6 @@ func (n *Limit) Children() []Node { return []Node{n.Input} }
 // Describe implements Node.
 func (n *Limit) Describe() string { return fmt.Sprintf("Limit[%d]", n.Count) }
 
-// JoinStrategy is how a hash join distributes its build side.
-type JoinStrategy uint8
-
-const (
-	// JoinAuto defers the choice to the engine, which measures the built
-	// table and applies the cost model's broadcast threshold.
-	JoinAuto JoinStrategy = iota
-	// JoinBroadcast replicates the built hash table to every leaf worker,
-	// probing inside the leaf stage.
-	JoinBroadcast
-	// JoinFinalStage keeps the built table on the coordinator and probes
-	// the exchange stream in the final stage.
-	JoinFinalStage
-)
-
-func (s JoinStrategy) String() string {
-	return [...]string{"AUTO", "BROADCAST", "FINAL_STAGE"}[s]
-}
-
 // Join is an inner hash equi-join. The build side is fully drained into a
 // hash table keyed by BuildKeys before the probe side streams; output is
 // the probe columns followed by the build columns. ProbeKeys index the
@@ -278,7 +259,6 @@ type Join struct {
 	// ProbeKeys/BuildKeys are equi-key ordinals, positionally paired.
 	ProbeKeys []int
 	BuildKeys []int
-	Strategy  JoinStrategy
 }
 
 // OutputSchema implements Node: probe columns then build columns.
@@ -295,7 +275,7 @@ func (n *Join) Children() []Node { return []Node{n.Probe, n.Build} }
 
 // Describe implements Node.
 func (n *Join) Describe() string {
-	return fmt.Sprintf("Join(INNER,%s)[probe=%v build=%v]", n.Strategy, n.ProbeKeys, n.BuildKeys)
+	return fmt.Sprintf("Join(INNER)[probe=%v build=%v]", n.ProbeKeys, n.BuildKeys)
 }
 
 // Exchange marks the leaf/final stage boundary: everything below runs per

@@ -85,7 +85,7 @@ func withChildren(parent Node, kids ...Node) (Node, error) {
 	case *Output:
 		return &Output{Input: kids[0], Names: t.Names}, nil
 	case *Join:
-		return &Join{Probe: kids[0], Build: kids[1], ProbeKeys: t.ProbeKeys, BuildKeys: t.BuildKeys, Strategy: t.Strategy}, nil
+		return &Join{Probe: kids[0], Build: kids[1], ProbeKeys: t.ProbeKeys, BuildKeys: t.BuildKeys}, nil
 	default:
 		return nil, fmt.Errorf("plan: cannot replace inputs of %T", parent)
 	}
@@ -153,7 +153,7 @@ func NarrowJoin(spine []Node, join *Join) ([]Node, *Join, error) {
 		mapping[probeWidth+c] = len(probeCols) + i
 	}
 	narrowed := &Join{
-		Probe: probe, Build: build, Strategy: join.Strategy,
+		Probe: probe, Build: build,
 		ProbeKeys: make([]int, len(join.ProbeKeys)), BuildKeys: make([]int, len(join.BuildKeys)),
 	}
 	for i, k := range join.ProbeKeys {

@@ -85,12 +85,10 @@ const (
 	// MetricQuerySplitsPruned counts splits dropped before scheduling by
 	// per-object statistics (zone-map split pruning).
 	MetricQuerySplitsPruned = "engine_query_splits_pruned_total"
-	// Join execution: queries that ran a hash join, the build-side rows
-	// indexed across them, and the per-query split of broadcast vs
-	// final-stage probe strategies (labels: strategy).
-	MetricQueryJoins         = "engine_join_queries_total"
-	MetricJoinBuildRows      = "engine_join_build_rows_total"
-	MetricJoinStrategyChosen = "engine_join_strategy_total"
+	// Join execution: queries that ran a hash join and the build-side
+	// rows indexed across them.
+	MetricQueryJoins    = "engine_join_queries_total"
+	MetricJoinBuildRows = "engine_join_build_rows_total"
 	// Bloom pushdown accounting: probe splits that carried a build-side
 	// bloom filter into storage, and splits where the node rejected the
 	// filter (size cap) and the scan retried without it.
