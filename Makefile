@@ -26,7 +26,8 @@ loc:
 	@echo "exported: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | grep -cE '^func (\([^)]*\) )?[A-Z]|^type [A-Z]')"
 
 # bench runs the kernel/operator microbenchmarks (vectorized expression
-# kernels, filter selectivity sweep, hash aggregation, sort/top-N, and
+# kernels, filter selectivity sweep, hash aggregation — string keys
+# plain and in dictionary form among it —, sort/top-N, and
 # Laghos's and Q1's whole leaf pipelines over resident pages), the
 # zone-map pruning selectivity sweep, the hot-page cache comparison, the
 # tracing-overhead comparison, the mixed-traffic latency profile, the
@@ -79,8 +80,10 @@ faults-ingest:
 # answer to be a function of the snapshot alone — the same bytes, rows in
 # the same order — across runs, worker counts, pushdown modes, bloom
 # on/off and catalog: random queries against no pushdown, every join
-# shape against a row-at-a-time reference, and ORDER BY … LIMIT over keys
-# that tie across splits. The final stage folds
+# shape against a row-at-a-time reference, ORDER BY … LIMIT over keys
+# that tie across splits, and string grouping, predicates and joins over
+# dictionary-encoded chunks that number their strings differently
+# against hive.'s plain strings, caches cold and warm. The final stage folds
 # leaf output in split order (DESIGN.md §9), so none of them carries a
 # tolerance; a failure here is an arrival-order dependence. The same rule
 # holds for the write path: the writer encodes whole row groups on
@@ -88,7 +91,7 @@ faults-ingest:
 # compaction differentials must produce the row-wise reference's bytes at
 # every core count.
 determinism:
-	$(GO) test -cpu 1,2,4 -count=3 -run 'TestQuickPushdownSoundness|TestJoinDifferentialAcrossConfigurations|TestTopNTieOrderAcrossSplits' ./internal/harness/
+	$(GO) test -cpu 1,2,4 -count=3 -run 'TestQuickPushdownSoundness|TestJoinDifferentialAcrossConfigurations|TestTopNTieOrderAcrossSplits|TestDictionaryVectorsDifferential' ./internal/harness/
 	$(GO) test -cpu 1,2,4 -count=3 -run 'TestWriterMatchesRowWiseReference|TestBuilderMatchesRowWiseReference|TestCompactMatchesBoxedStableSort' ./internal/parquetlite/ ./internal/ingest/
 
 # fuzz-smoke runs each native fuzz target for ten seconds: the decoders

@@ -245,6 +245,22 @@ func AppendBatch(dst []byte, page *column.Page) ([]byte, error) {
 			// Offsets (n+1 x u32) then concatenated bytes.
 			off := uint32(0)
 			dst = binary.LittleEndian.AppendUint32(dst, off)
+			if v.Dict != nil {
+				// Straight from the codes, the bytes a plain vector would
+				// send: a NULL row's string is empty.
+				for i, c := range v.Codes {
+					if !v.IsNull(i) {
+						off += uint32(len(v.Dict[c]))
+					}
+					dst = binary.LittleEndian.AppendUint32(dst, off)
+				}
+				for i, c := range v.Codes {
+					if !v.IsNull(i) {
+						dst = append(dst, v.Dict[c]...)
+					}
+				}
+				break
+			}
 			for _, s := range v.Strings {
 				off += uint32(len(s))
 				dst = binary.LittleEndian.AppendUint32(dst, off)

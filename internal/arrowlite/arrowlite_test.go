@@ -63,6 +63,31 @@ func TestRoundTripSingleBatch(t *testing.T) {
 	pagesEqual(t, p, pages[0])
 }
 
+// TestAppendBatchDictionaryForm: a page whose string column is in
+// dictionary form — its NULL row coded to a non-empty entry — goes on the
+// wire as the very bytes of its plain form.
+func TestAppendBatchDictionaryForm(t *testing.T) {
+	plain := samplePage() // "alpha", "", NULL, "omega"
+	dict := &column.Page{Schema: plain.Schema, Vectors: append([]*column.Vector(nil), plain.Vectors...)}
+	dict.Vectors[2] = &column.Vector{
+		Kind:  types.String,
+		Nulls: plain.Vectors[2].Nulls,
+		Dict:  []string{"omega", "", "alpha", "never sent"},
+		Codes: []int32{2, 1, 3, 0},
+	}
+	want, err := AppendBatch(nil, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AppendBatch(nil, dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("dictionary form encodes to\n%x\nplain form to\n%x", got, want)
+	}
+}
+
 func TestRoundTripMultipleBatches(t *testing.T) {
 	p := samplePage()
 	data, err := Serialize(p.Schema, []*column.Page{p, p, p})

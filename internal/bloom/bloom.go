@@ -16,6 +16,7 @@ package bloom
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"prestocs/internal/column"
 	"prestocs/internal/types"
@@ -82,11 +83,13 @@ func (f *Filter) NumHash() int { return f.k }
 // SizeBytes returns the wire size of the bit array.
 func (f *Filter) SizeBytes() int { return len(f.bits) }
 
-// AddHash sets the k bits derived from a value hash.
+// AddHash sets the k bits derived from a value hash. A probe's bit is
+// the high word of h1·m, which lies in [0, m) like h1 mod m without a
+// division.
 func (f *Filter) AddHash(h uint64) {
 	h1, h2 := h, h>>33|h<<31|1 // h2 forced odd so probes cover the array
 	for i := 0; i < f.k; i++ {
-		bit := h1 % f.m
+		bit, _ := bits.Mul64(h1, f.m)
 		f.bits[bit>>3] |= 1 << (bit & 7)
 		h1 += h2
 	}
@@ -96,7 +99,7 @@ func (f *Filter) AddHash(h uint64) {
 func (f *Filter) TestHash(h uint64) bool {
 	h1, h2 := h, h>>33|h<<31|1
 	for i := 0; i < f.k; i++ {
-		bit := h1 % f.m
+		bit, _ := bits.Mul64(h1, f.m)
 		if f.bits[bit>>3]&(1<<(bit&7)) == 0 {
 			return false
 		}
@@ -152,9 +155,24 @@ func HashBool(v bool) uint64 {
 }
 
 // AddVector hashes every non-null value of a key vector into the
-// filter, vectorized per kind.
+// filter, vectorized per kind. A vector in dictionary form adds each Dict
+// entry that a non-null row uses, once.
 func (f *Filter) AddVector(vec *column.Vector) error {
 	nulls := vec.Nulls
+	if vec.Dict != nil {
+		used := make([]bool, len(vec.Dict))
+		for i, c := range vec.Codes {
+			if nulls == nil || !nulls[i] {
+				used[c] = true
+			}
+		}
+		for c, s := range vec.Dict {
+			if used[c] {
+				f.AddHash(HashString(s))
+			}
+		}
+		return nil
+	}
 	switch vec.Kind {
 	case types.Int64, types.Date:
 		for i, v := range vec.Ints {
@@ -191,7 +209,8 @@ func (f *Filter) AddVector(vec *column.Vector) error {
 // key values never pass: an inner equi-join cannot match them. The kind
 // dispatch is hoisted out of the row loop (one kernel per kind); what is
 // left in it, beside the hashing, is the choice between a position and
-// the selection's row at it.
+// the selection's row at it. A vector in dictionary form tests each Dict
+// entry once and its rows by code.
 func (f *Filter) TestVector(vec *column.Vector, sel []int, out []int) ([]int, error) {
 	nulls := vec.Nulls
 	n := vec.Len()
@@ -220,6 +239,19 @@ func (f *Filter) TestVector(vec *column.Vector, sel []int, out []int) ([]int, er
 			}
 		}
 	case types.String:
+		if vec.Dict != nil {
+			pass := make([]bool, len(vec.Dict))
+			for c, s := range vec.Dict {
+				pass[c] = f.TestHash(HashString(s))
+			}
+			for i := 0; i < n; i++ {
+				row := rowAt(i)
+				if (nulls == nil || !nulls[row]) && pass[vec.Codes[row]] {
+					out = append(out, row)
+				}
+			}
+			break
+		}
 		for i := 0; i < n; i++ {
 			row := rowAt(i)
 			if (nulls == nil || !nulls[row]) && f.TestHash(HashString(vec.Strings[row])) {

@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -123,6 +124,42 @@ func TestEngineAndStorageSidesAgree(t *testing.T) {
 	}
 	if _, err := f.TestVector(&column.Vector{Kind: types.Unknown}, nil, nil); err == nil {
 		t.Error("TestVector accepted an unsupported key kind")
+	}
+}
+
+// TestDictionaryVectorsAgreeWithPlain: a string key vector in dictionary
+// form — its NULL row coded to an entry no other row holds, one entry no
+// row uses — sets exactly the bits its plain form sets, and keeps the
+// same rows under every selection.
+func TestDictionaryVectorsAgreeWithPlain(t *testing.T) {
+	plain := keyVectors()[3] // "", "a", "1-URGENT", "tag0", "\x00", NULL
+	dict := &column.Vector{
+		Kind:  types.String,
+		Nulls: plain.Nulls,
+		Dict:  []string{"tag0", "unused", "", "\x00", "null row", "a", "1-URGENT"},
+		Codes: []int32{2, 5, 6, 0, 3, 4},
+	}
+	fromPlain, fromDict := New(8, DefaultBitsPerKey), New(8, DefaultBitsPerKey)
+	if err := fromPlain.AddVector(plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := fromDict.AddVector(dict); err != nil {
+		t.Fatal(err)
+	}
+	if string(fromPlain.Bits()) != string(fromDict.Bits()) {
+		t.Fatal("the dictionary form set other bits than the plain form")
+	}
+	// A filter holding one key passes other rows by false positive only.
+	one := New(1, DefaultBitsPerKey)
+	one.AddHash(HashString("a"))
+	for _, f := range []*Filter{fromPlain, one} {
+		for _, sel := range [][]int{nil, {5, 1, 3}, {}} {
+			want, _ := f.TestVector(plain, sel, nil)
+			got, err := f.TestVector(dict, sel, nil)
+			if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("selection %v: dictionary form kept %v (%v), plain form %v", sel, got, err, want)
+			}
+		}
 	}
 }
 

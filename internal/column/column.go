@@ -7,6 +7,7 @@ package column
 
 import (
 	"fmt"
+	"slices"
 
 	"prestocs/internal/types"
 )
@@ -14,14 +15,73 @@ import (
 // Vector is one column of a Page: a typed value buffer plus a validity
 // slice. Only the buffer matching Kind is populated. Nulls is nil when the
 // vector contains no NULLs.
+//
+// A String vector comes in one of two forms. Plain, Strings holds a Go
+// string per row. In dictionary form (Dict != nil) row i is
+// Dict[Codes[i]] and Strings is nil: a parquetlite Dict chunk decodes to
+// it, and Gather, Filter, Window, Slice and AppendVector from a vector
+// sharing the same Dict move codes, never strings. A code means nothing
+// outside its own Dict — vectors decoded from two chunks number the same
+// string differently — so codes are only compared, hashed or copied
+// between vectors that share one Dict; anything else reads the rows
+// through StringSlice. The code under a NULL row is any valid index; the
+// row reads as "" wherever it is materialized. Dict is shared and
+// read-only.
 type Vector struct {
 	Kind  types.Kind
 	Nulls []bool // len == Len() when present; true marks NULL
 
 	Ints    []int64   // Int64, Date
 	Floats  []float64 // Float64
-	Strings []string  // String
+	Strings []string  // String, plain form
 	Bools   []bool    // Bool
+
+	Codes []int32  // String, dictionary form: one index into Dict per row
+	Dict  []string // String, dictionary form: the distinct values, shared
+}
+
+// StringSlice returns a String vector's rows as plain strings: Strings
+// itself for a plain vector, a new slice with "" under NULL rows for one
+// in dictionary form. It is the one place a dictionary is decoded, for
+// the readers that need a string per row (sorting, string min/max, the
+// write path); the result must be treated as read-only.
+func (v *Vector) StringSlice() []string {
+	if v.Dict == nil {
+		return v.Strings
+	}
+	return v.appendDecoded(nil)
+}
+
+// appendDecoded appends the rows of a vector in dictionary form to dst as
+// strings, "" under NULL rows.
+func (v *Vector) appendDecoded(dst []string) []string {
+	at := len(dst)
+	dst = slices.Grow(dst, len(v.Codes))[:at+len(v.Codes)]
+	out := dst[at:]
+	for i, c := range v.Codes {
+		out[i] = v.Dict[c]
+	}
+	for i, isNull := range v.Nulls {
+		if isNull {
+			out[i] = ""
+		}
+	}
+	return dst
+}
+
+// materialize turns a vector the caller owns from dictionary form into
+// plain form, once, before rows that do not share its Dict are added.
+func (v *Vector) materialize() {
+	if v.Dict != nil {
+		v.Strings = v.StringSlice()
+		v.Codes, v.Dict = nil, nil
+	}
+}
+
+// SameDict reports whether two dictionaries are one shared slice: the
+// only case in which their codes may be compared or copied between them.
+func SameDict(a, b []string) bool {
+	return (a == nil) == (b == nil) && len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // NewVector allocates an empty vector of the given kind.
@@ -35,6 +95,9 @@ func (v *Vector) Len() int {
 	case types.Float64:
 		return len(v.Floats)
 	case types.String:
+		if v.Dict != nil {
+			return len(v.Codes)
+		}
 		return len(v.Strings)
 	case types.Bool:
 		return len(v.Bools)
@@ -69,6 +132,9 @@ func (v *Vector) Value(i int) types.Value {
 	case types.Float64:
 		return types.FloatValue(v.Floats[i])
 	case types.String:
+		if v.Dict != nil {
+			return types.StringValue(v.Dict[v.Codes[i]])
+		}
 		return types.StringValue(v.Strings[i])
 	case types.Bool:
 		return types.BoolValue(v.Bools[i])
@@ -88,6 +154,7 @@ func (v *Vector) Append(val types.Value) {
 		!(v.Kind == types.Int64 && val.Kind == types.Date) {
 		panic(fmt.Sprintf("column: append %s to %s vector", val.Kind, v.Kind))
 	}
+	v.materialize()
 	v.extendNulls(false)
 	switch v.Kind {
 	case types.Int64, types.Date:
@@ -102,6 +169,7 @@ func (v *Vector) Append(val types.Value) {
 }
 
 func (v *Vector) appendNull() {
+	v.materialize()
 	if v.Nulls == nil {
 		v.Nulls = make([]bool, v.Len())
 	}
@@ -124,12 +192,21 @@ func (v *Vector) extendNulls(isNull bool) {
 	}
 }
 
-// AppendVector appends all rows of src (same kind) to v.
+// AppendVector appends all rows of src (same kind) to v. Codes are
+// appended as codes when v shares src's Dict, or is empty and was not
+// reserved for strings; otherwise v is materialized, once, and src's
+// rows are appended as strings.
 func (v *Vector) AppendVector(src *Vector) {
 	if src.Kind != v.Kind {
 		panic(fmt.Sprintf("column: append %s vector to %s vector", src.Kind, v.Kind))
 	}
 	n := src.Len()
+	switch {
+	case src.Dict != nil && v.Len() == 0 && cap(v.Strings) == 0:
+		v.Strings, v.Dict = nil, src.Dict
+	case !SameDict(v.Dict, src.Dict):
+		v.materialize()
+	}
 	if src.Nulls != nil || v.Nulls != nil {
 		if v.Nulls == nil {
 			v.Nulls = make([]bool, v.Len())
@@ -146,7 +223,14 @@ func (v *Vector) AppendVector(src *Vector) {
 	case types.Float64:
 		v.Floats = append(v.Floats, src.Floats...)
 	case types.String:
-		v.Strings = append(v.Strings, src.Strings...)
+		switch {
+		case v.Dict != nil:
+			v.Codes = append(v.Codes, src.Codes...)
+		case src.Dict != nil:
+			v.Strings = src.appendDecoded(v.Strings)
+		default:
+			v.Strings = append(v.Strings, src.Strings...)
+		}
 	case types.Bool:
 		v.Bools = append(v.Bools, src.Bools...)
 	}
@@ -188,6 +272,14 @@ func (v *Vector) Gather(indices []int) *Vector {
 			out.Floats[o] = v.Floats[i]
 		}
 	case types.String:
+		if v.Dict != nil {
+			out.Dict = v.Dict
+			out.Codes = make([]int32, n)
+			for o, i := range indices {
+				out.Codes[o] = v.Codes[i]
+			}
+			break
+		}
 		out.Strings = make([]string, n)
 		for o, i := range indices {
 			out.Strings[o] = v.Strings[i]
@@ -222,6 +314,10 @@ func (v *Vector) Window(from, to int) *Vector {
 	case types.Float64:
 		out.Floats = v.Floats[from:to:to]
 	case types.String:
+		if v.Dict != nil {
+			out.Codes, out.Dict = v.Codes[from:to:to], v.Dict
+			break
+		}
 		out.Strings = v.Strings[from:to:to]
 	case types.Bool:
 		out.Bools = v.Bools[from:to:to]
@@ -230,7 +326,8 @@ func (v *Vector) Window(from, to int) *Vector {
 }
 
 // ByteSize estimates the in-memory footprint of the vector's data, used
-// for data-movement accounting.
+// for data-movement accounting and to charge the page cache: a vector in
+// dictionary form counts its codes and its Dict once.
 func (v *Vector) ByteSize() int64 {
 	var n int64
 	switch v.Kind {
@@ -239,6 +336,10 @@ func (v *Vector) ByteSize() int64 {
 	case types.Float64:
 		n = int64(len(v.Floats)) * 8
 	case types.String:
+		n = int64(len(v.Codes)) * 4
+		for _, s := range v.Dict {
+			n += int64(len(s)) + 4
+		}
 		for _, s := range v.Strings {
 			n += int64(len(s)) + 4
 		}

@@ -1,6 +1,7 @@
 package column
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -225,5 +226,93 @@ func TestQuickSliceIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// dictVec is a String vector in dictionary form: rows "b", NULL (coded to
+// "x", which must never show), "a", "b", "c".
+func dictVec() *Vector {
+	return &Vector{
+		Kind:  types.String,
+		Nulls: []bool{false, true, false, false, false},
+		Dict:  []string{"b", "x", "a", "c"},
+		Codes: []int32{0, 1, 2, 0, 3},
+	}
+}
+
+func rowsOf(v *Vector) []string {
+	out := make([]string, v.Len())
+	for i := range out {
+		if val := v.Value(i); val.Null {
+			out[i] = "NULL"
+		} else {
+			out[i] = val.S
+		}
+	}
+	return out
+}
+
+// TestDictVector holds the dictionary form to the plain form's rows
+// through every operation that moves codes (Gather, Filter, Window,
+// Slice, AppendVector from the same Dict) and every one that has to
+// materialize (StringSlice, Append, AppendVector from another Dict or a
+// plain vector), and checks which form each one leaves behind.
+func TestDictVector(t *testing.T) {
+	same := func(name string, v *Vector, dict bool, want ...string) {
+		t.Helper()
+		if got := rowsOf(v); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: rows %q, want %q", name, got, want)
+		}
+		if (v.Dict != nil) != dict {
+			t.Errorf("%s: dictionary form %v, want %v", name, v.Dict != nil, dict)
+		}
+	}
+	v := dictVec()
+	same("decoded", v, true, "b", "NULL", "a", "b", "c")
+	if got := v.StringSlice(); fmt.Sprint(got) != fmt.Sprint([]string{"b", "", "a", "b", "c"}) {
+		t.Errorf("StringSlice = %q: NULL rows must read as the empty string", got)
+	}
+	same("Gather", v.Gather([]int{4, 1, 0, 0}), true, "c", "NULL", "b", "b")
+	same("Filter", v.Filter([]bool{true, false, true, false, true}), true, "b", "a", "c")
+	same("Window", v.Window(1, 4), true, "NULL", "a", "b")
+	same("Slice", v.Slice(2, 5), true, "a", "b", "c")
+	if g := v.Gather([]int{0}); !SameDict(g.Dict, v.Dict) {
+		t.Error("Gather copied the dictionary instead of sharing it")
+	}
+
+	shared := NewVector(types.String)
+	shared.AppendVector(v.Window(0, 2))
+	shared.AppendVector(v.Gather([]int{4}))
+	same("AppendVector, one Dict", shared, true, "b", "NULL", "c")
+
+	other := dictVec()
+	other.Dict = []string{"q", "r", "s", "t"} // same codes, other strings
+	mixed := NewVector(types.String)
+	mixed.AppendVector(v.Window(0, 2))
+	mixed.AppendVector(other)
+	same("AppendVector, two Dicts", mixed, false, "b", "NULL", "q", "NULL", "s", "q", "t")
+	mixed.AppendVector(v.Window(2, 3))
+	same("AppendVector after materializing", mixed, false, "b", "NULL", "q", "NULL", "s", "q", "t", "a")
+
+	plain := NewVector(types.String)
+	plain.Append(types.StringValue("p"))
+	plain.AppendVector(v.Window(3, 5))
+	same("AppendVector onto plain", plain, false, "p", "b", "c")
+	reserved := NewVector(types.String)
+	reserved.Reserve(8)
+	reserved.AppendVector(v.Window(0, 1))
+	same("AppendVector onto a reserved vector", reserved, false, "b")
+
+	appended := v.Slice(0, 2)
+	appended.Append(types.StringValue("z"))
+	appended.Append(types.NullValue(types.String))
+	same("Append", appended, false, "b", "NULL", "z", "NULL")
+	appendedNull := v.Slice(0, 1)
+	appendedNull.Append(types.NullValue(types.String))
+	same("Append NULL", appendedNull, false, "b", "NULL")
+
+	// Five 4-byte codes, plus each entry once (its bytes and 4).
+	if got, want := v.ByteSize(), int64(5*4+4*(1+4)+5); got != want {
+		t.Errorf("ByteSize = %d, want %d", got, want)
 	}
 }

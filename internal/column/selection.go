@@ -98,6 +98,10 @@ func (v *Vector) Reserve(n int) {
 	case types.Float64:
 		v.Floats = growCap(v.Floats, n)
 	case types.String:
+		if v.Dict != nil {
+			v.Codes = growCap(v.Codes, n)
+			break
+		}
 		v.Strings = growCap(v.Strings, n)
 	case types.Bool:
 		v.Bools = growCap(v.Bools, n)

@@ -210,7 +210,7 @@ func (acc *accumulator) accumulate(page *column.Page, sel []int, groupIDs []int3
 		case types.Float64:
 			minMaxInto(acc.mmFloats, acc.mmSet, vec.Floats, vec.Nulls, sel, groupIDs, isMin)
 		case types.String:
-			minMaxInto(acc.mmStrings, acc.mmSet, vec.Strings, vec.Nulls, sel, groupIDs, isMin)
+			minMaxInto(acc.mmStrings, acc.mmSet, vec.StringSlice(), vec.Nulls, sel, groupIDs, isMin)
 		case types.Bool:
 			for i, g := range groupIDs {
 				row := i
@@ -476,7 +476,7 @@ func newSortKeyCols(p *column.Page, keys []SortSpec) *sortKeyCols {
 			nulls: v.Nulls,
 			ints:  v.Ints,
 			flts:  v.Floats,
-			strs:  v.Strings,
+			strs:  v.StringSlice(),
 			bools: v.Bools,
 		}
 	}

@@ -193,7 +193,10 @@ func BenchmarkHashAggregateHighCardinality(b *testing.B) {
 // BenchmarkHashAggregateStringKeys keys the aggregate by two short
 // strings. groups=4 is Q1's shape (returnflag, linestatus) — the case the
 // map[string] index served from Go's no-hash path for maps of at most
-// eight entries; groups=64 is the first size where a map has to hash.
+// eight entries; groups=64 is the first size where a map has to hash. The
+// dict/ cases hold the same pages with both key columns in dictionary
+// form, each page numbering its strings in its own order, as pages
+// decoded from Dict chunks arrive at a storage node's aggregate.
 func BenchmarkHashAggregateStringKeys(b *testing.B) {
 	schema := types.NewSchema(
 		types.Column{Name: "returnflag", Type: types.String},
@@ -215,16 +218,22 @@ func BenchmarkHashAggregateStringKeys(b *testing.B) {
 			}
 			pages[p] = page
 		}
-		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
-			b.SetBytes(16 * 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agg, _ := NewHashAggregate(NewPageSource(schema, pages), []int{0, 1}, measures, AggSingle, nil)
-				if _, err := Drain(agg); err != nil {
-					b.Fatal(err)
-				}
+		for _, dict := range []bool{false, true} {
+			name, in := fmt.Sprintf("groups=%d", groups), pages
+			if dict {
+				name, in = "dict/"+name, dictPages(pages)
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.SetBytes(16 * 4096)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					agg, _ := NewHashAggregate(NewPageSource(schema, in), []int{0, 1}, measures, AggSingle, nil)
+					if _, err := Drain(agg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -43,7 +44,8 @@ func requireIdentical(t *testing.T, what string, got, want *column.Page) {
 
 // randomKeyValue draws from a small domain per kind, so keys collide
 // often: NULLs, NaNs with different payloads, both zeros, strings that
-// contain the old encodings' delimiters.
+// contain the old encodings' delimiters and, past a domain of 8, strings
+// of eight bytes and more (interned rather than packed into a key word).
 func randomKeyValue(rnd *rand.Rand, kind types.Kind, domain int) types.Value {
 	if rnd.Intn(8) == 0 {
 		return types.NullValue(kind)
@@ -68,8 +70,47 @@ func randomKeyValue(rnd *rand.Rand, kind types.Kind, domain int) types.Value {
 	case types.Bool:
 		return types.BoolValue(rnd.Intn(2) == 0)
 	default:
-		return types.StringValue([]string{"", "a", "a\x00", "\x00a", "NULL", "ab", "b", "\x01"}[rnd.Intn(min(domain, 8))])
+		return types.StringValue([]string{"", "a", "a\x00", "\x00a", "NULL", "ab", "b", "\x01",
+			"1234567", "12345678", "123456789", "a string of more than eight bytes"}[rnd.Intn(min(domain, 12))])
 	}
+}
+
+// dictPages returns the pages with every String column in dictionary form,
+// as parquetlite decodes a Dict chunk: each page's column numbers its
+// strings in its own order (first appearance, or last on every other
+// page), so a code means something different on each page, and a NULL row
+// gets an entry no other row uses.
+func dictPages(pages []*column.Page) []*column.Page {
+	out := make([]*column.Page, len(pages))
+	for pi, p := range pages {
+		q := &column.Page{Schema: p.Schema, Vectors: slices.Clone(p.Vectors)}
+		for c, v := range p.Vectors {
+			if v.Kind != types.String {
+				continue
+			}
+			d := &column.Vector{Kind: types.String, Nulls: v.Nulls, Dict: []string{"null row"}, Codes: make([]int32, v.Len())}
+			index := map[string]int32{}
+			for k := range v.Strings {
+				i := k
+				if pi%2 == 1 {
+					i = len(v.Strings) - 1 - k
+				}
+				if v.IsNull(i) {
+					continue
+				}
+				code, ok := index[v.Strings[i]]
+				if !ok {
+					code = int32(len(d.Dict))
+					index[v.Strings[i]] = code
+					d.Dict = append(d.Dict, v.Strings[i])
+				}
+				d.Codes[i] = code
+			}
+			q.Vectors[c] = d
+		}
+		out[pi] = q
+	}
+	return out
 }
 
 func randomKeyPages(rnd *rand.Rand, schema *types.Schema, domain int, pageRows ...int) []*column.Page {
@@ -155,7 +196,7 @@ func encodeGroupKey(buf []byte, page *column.Page, keys []int, row int) []byte {
 			}
 			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
 		case types.String:
-			s := vec.Strings[row]
+			s := vec.Value(row).S
 			buf = binary.AppendUvarint(buf, uint64(len(s)))
 			buf = append(buf, s...)
 		case types.Bool:
@@ -179,68 +220,110 @@ func TestKeyTableMatchesReference(t *testing.T) {
 		types.Column{Name: "ord", Type: types.Int64},
 	)
 	colSets := [][]int{
-		{0}, {2}, {3}, {4}, // one column of each layout-relevant kind
-		{0, 1}, {0, 1, 2, 3}, // word layout
-		{4, 4}, {0, 4}, {4, 2, 3, 1, 0}, // byte layout
+		{0}, {2}, {3}, {4}, // one column of each kind
+		{0, 1}, {0, 1, 2, 3}, // fixed-width columns only
+		{4, 4}, {0, 4}, {4, 2, 3, 1, 0}, // with interned strings
 		{5}, // all distinct: grows the table many times
 	}
 	for _, cols := range colSets {
 		for _, domain := range []int{2, 40} {
-			rnd := rand.New(rand.NewSource(int64(len(cols)*100 + domain)))
-			pages := randomKeyPages(rnd, schema, domain, 1, 4096, 17, 3000, 0, 2500)
-			probes := randomKeyPages(rnd, schema, domain+1, 2000)
-			name := fmt.Sprintf("cols=%v domain=%d", cols, domain)
-
-			kinds := make([]types.Kind, len(cols))
-			for i, c := range cols {
-				kinds[i] = schema.Columns[c].Type
-			}
-			table := newKeyTable(kinds)
-			ref := map[string]int32{}
-			var sc keyScratch
-			var buf []byte
-			for _, p := range pages {
-				ids := make([]int32, p.NumRows())
-				table.assign(&sc, p, cols, nil, ids)
-				var fresh []int
-				for row, id := range ids {
-					buf = encodeGroupKey(buf[:0], p, cols, row)
-					want, ok := ref[string(buf)]
-					if !ok {
-						want = int32(len(ref))
-						ref[string(buf)] = want
-						fresh = append(fresh, row)
-					}
-					if id != want {
-						t.Fatalf("%s: row %v got group %d, reference %d", name, p.Row(row), id, want)
-					}
+			for _, dict := range []bool{false, true} {
+				rnd := rand.New(rand.NewSource(int64(len(cols)*100 + domain)))
+				pages := randomKeyPages(rnd, schema, domain, 1, 4096, 17, 3000, 0, 2500)
+				probes := randomKeyPages(rnd, schema, domain+1, 2000, 300)
+				if dict {
+					// The last probe page is the first build page again, so
+					// find meets a Dict whose remap assign cached.
+					pages, probes = dictPages(pages), dictPages(probes)
+					probes = append(probes, pages[1])
 				}
-				if fmt.Sprint(sc.fresh) != fmt.Sprint(fresh) {
-					t.Fatalf("%s: rows opening a group: %v, reference %v", name, sc.fresh, fresh)
-				}
-			}
-			if table.len() != len(ref) {
-				t.Fatalf("%s: %d keys, reference %d", name, table.len(), len(ref))
-			}
-			// find on the finished table: same ids, -1 for keys never added.
-			for _, p := range probes {
-				ids := make([]int32, p.NumRows())
-				table.find(&sc, p, cols, ids)
-				for row, id := range ids {
-					buf = encodeGroupKey(buf[:0], p, cols, row)
-					want, ok := ref[string(buf)]
-					if !ok {
-						want = -1
-					}
-					if id != want {
-						t.Fatalf("%s: find %v = %d, reference %d", name, p.Row(row), id, want)
-					}
-				}
-			}
-			if table.len() != len(ref) {
-				t.Fatalf("%s: find added keys", name)
+				name := fmt.Sprintf("cols=%v domain=%d dict=%v", cols, domain, dict)
+				checkKeyTable(t, name, schema, cols, pages, probes)
 			}
 		}
+	}
+}
+
+// checkKeyTable assigns the pages' keys and then finds the probes' in one
+// table, with one scratch, and holds every id to a map of encoded keys.
+func checkKeyTable(t *testing.T, name string, schema *types.Schema, cols []int, pages, probes []*column.Page) {
+	t.Helper()
+	kinds := make([]types.Kind, len(cols))
+	for i, c := range cols {
+		kinds[i] = schema.Columns[c].Type
+	}
+	table := newKeyTable(kinds)
+	ref := map[string]int32{}
+	var sc keyScratch
+	var buf []byte
+	for _, p := range pages {
+		ids := make([]int32, p.NumRows())
+		table.assign(&sc, p, cols, nil, ids)
+		var fresh []int
+		for row, id := range ids {
+			buf = encodeGroupKey(buf[:0], p, cols, row)
+			want, ok := ref[string(buf)]
+			if !ok {
+				want = int32(len(ref))
+				ref[string(buf)] = want
+				fresh = append(fresh, row)
+			}
+			if id != want {
+				t.Fatalf("%s: row %v got group %d, reference %d", name, p.Row(row), id, want)
+			}
+		}
+		if fmt.Sprint(sc.fresh) != fmt.Sprint(fresh) {
+			t.Fatalf("%s: rows opening a group: %v, reference %v", name, sc.fresh, fresh)
+		}
+	}
+	if table.len() != len(ref) {
+		t.Fatalf("%s: %d keys, reference %d", name, table.len(), len(ref))
+	}
+	// find on the finished table: same ids, -1 for keys never added.
+	for _, p := range probes {
+		ids := make([]int32, p.NumRows())
+		table.find(&sc, p, cols, ids)
+		for row, id := range ids {
+			buf = encodeGroupKey(buf[:0], p, cols, row)
+			want, ok := ref[string(buf)]
+			if !ok {
+				want = -1
+			}
+			if id != want {
+				t.Fatalf("%s: find %v = %d, reference %d", name, p.Row(row), id, want)
+			}
+		}
+	}
+	if table.len() != len(ref) {
+		t.Fatalf("%s: find added keys", name)
+	}
+}
+
+// TestKeyTableDictRemapAfterFind: a remap that find cached for a Dict
+// holds absent entries; assign over the same Dict must intern them rather
+// than reuse it.
+func TestKeyTableDictRemapAfterFind(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "s", Type: types.String})
+	page := func(dict []string, codes ...int32) *column.Page {
+		return &column.Page{Schema: schema, Vectors: []*column.Vector{{Kind: types.String, Dict: dict, Codes: codes}}}
+	}
+	long := "a string of more than eight bytes"
+	a := page([]string{"y", "x"}, 1, 0, 1)
+	b := page([]string{long, "z", "y"}, 2, 1, 0, 0)
+	table := newKeyTable([]types.Kind{types.String})
+	var sc keyScratch
+	ids := make([]int32, 4)
+	table.assign(&sc, a, []int{0}, nil, ids[:3])
+	if want := []int32{0, 1, 0}; !slices.Equal(ids[:3], want) {
+		t.Fatalf("assign = %v, want %v", ids[:3], want)
+	}
+	table.find(&sc, b, []int{0}, ids)
+	if want := []int32{1, -1, -1, -1}; !slices.Equal(ids, want) {
+		t.Fatalf("find = %v, want %v", ids, want)
+	}
+	table.assign(&sc, b, []int{0}, nil, ids)
+	if want := []int32{1, 2, 3, 3}; !slices.Equal(ids, want) || !slices.Equal(sc.fresh, []int{1, 2}) {
+		t.Fatalf("assign after find = %v opened by rows %v, want %v opened by rows [1 2]", ids, sc.fresh, want)
 	}
 }
 
@@ -348,8 +431,10 @@ func TestHashJoinEmitsProbeThenBuildOrder(t *testing.T) {
 }
 
 // TestJoinTableConcurrentProbes probes one built table from several
-// goroutines at once, as the join's leaf workers do; under -race this
-// checks that probing writes nothing shared.
+// goroutines at once, as the join's leaf workers do, with the probe's
+// string keys plain and in dictionary form; under -race this checks that
+// probing writes nothing shared (a Dict's remap lives in each worker's
+// scratch).
 func TestJoinTableConcurrentProbes(t *testing.T) {
 	schema := types.NewSchema(
 		types.Column{Name: "i", Type: types.Int64},
@@ -364,25 +449,30 @@ func TestJoinTableConcurrentProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func() (*column.Page, error) {
+		run := func(probe []*column.Page) (*column.Page, error) {
 			j, err := NewHashJoinProbe(NewPageSource(schema, probe), table, keys, nil)
 			if err != nil {
 				return nil, err
 			}
 			return DrainToPage(j)
 		}
-		want, err := run()
+		want, err := run(probe)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
 		outs := make([]*column.Page, 4)
 		errs := make([]error, 4)
+		dict := dictPages(probe)
 		for w := range outs {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				outs[w], errs[w] = run()
+				if w%2 == 0 {
+					outs[w], errs[w] = run(probe)
+				} else {
+					outs[w], errs[w] = run(dict)
+				}
 			}(w)
 		}
 		wg.Wait()

@@ -6,7 +6,9 @@ package expr
 // and writes the positions where the comparison holds, no operand being
 // NULL, straight into the outgoing selection. Kinds are dispatched once,
 // outside the loop: integers (Int64 and Date) as integers, any other mix
-// of numerics as floats, strings, booleans.
+// of numerics as floats, strings, booleans. A string column in dictionary
+// form tested against literals is tested once per Dict entry, and its rows
+// are kept by code (selCodes).
 //
 // In a predicate over columns and literals the vectors are page columns
 // read where they lie, sel holding page rows; nothing is gathered and no
@@ -87,10 +89,13 @@ func selCompare(op CmpOp, l, r operand, n int, sel, buf []int) ([]int, error) {
 			out = selCmp3(op, fs, nil, s, types.CompareFloat, sel, buf)
 		}
 	case lk == types.String && rk == types.String:
-		if r.isScalar() {
-			out = selCmpVS(op, xs.Strings, r.val.S, sel, buf)
-		} else {
-			out = selCmp3(op, xs.Strings, r.vec.Strings, "", cmp.Compare[string], sel, buf)
+		switch s := r.val.S; {
+		case r.isScalar() && xs.Dict != nil:
+			out = selCodes(xs.Codes, dictPass(xs.Dict, func(d string) bool { return cmpHolds(op, cmp.Compare(d, s)) }), sel, buf)
+		case r.isScalar():
+			out = selCmpVS(op, xs.Strings, s, sel, buf)
+		default:
+			out = selCmp3(op, xs.StringSlice(), r.vec.StringSlice(), "", cmp.Compare[string], sel, buf)
 		}
 	case lk == types.Bool && rk == types.Bool:
 		var ys []bool
@@ -120,6 +125,9 @@ func selBetween(e, lo, hi operand, n int, sel, buf []int) ([]int, error) {
 				// A NaN row fails `x <= h`, as it does under the total order.
 				out = selRange(e.vec.Floats, l, h, sel, buf)
 			}
+		case k == types.String && lk == types.String && hk == types.String && e.vec.Dict != nil:
+			l, h := lo.val.S, hi.val.S
+			out = selCodes(e.vec.Codes, dictPass(e.vec.Dict, func(d string) bool { return l <= d && d <= h }), sel, buf)
 		case k == types.String && lk == types.String && hk == types.String:
 			out = selRange(e.vec.Strings, lo.val.S, hi.val.S, sel, buf)
 		}
@@ -166,6 +174,35 @@ func selRange[T selOrd](xs []T, lo, hi T, sel, buf []int) []int {
 		x := xs[row]
 		out[k] = row
 		k += b2i(x >= lo) & b2i(x <= hi)
+	}
+	return out[:k]
+}
+
+// dictPass evaluates a comparison against literals once per entry of a
+// dictionary-form vector's Dict: the table selCodes reads rows' codes in.
+func dictPass(dict []string, holds func(string) bool) []bool {
+	pass := make([]bool, len(dict))
+	for i, d := range dict {
+		pass[i] = holds(d)
+	}
+	return pass
+}
+
+// selCodes keeps the rows of sel (nil: every row) whose code pass accepts.
+func selCodes(codes []int32, pass []bool, sel, buf []int) []int {
+	k := 0
+	if sel == nil {
+		out := selBuf(buf, len(codes))
+		for i, c := range codes {
+			out[k] = i
+			k += b2i(pass[c])
+		}
+		return out[:k]
+	}
+	out := selBuf(buf, len(sel))
+	for _, row := range sel {
+		out[k] = row
+		k += b2i(pass[codes[row]])
 	}
 	return out[:k]
 }

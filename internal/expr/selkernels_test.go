@@ -362,6 +362,68 @@ func TestSelectionKernelIntegerBounds(t *testing.T) {
 	}
 }
 
+// dictForm returns v, a plain String vector, in dictionary form as a Dict
+// chunk decodes it: its distinct strings numbered in order of first
+// appearance (of last appearance when reverse is set, so that two columns
+// number the same strings differently), and every NULL row coded to an
+// entry of its own, "\xffnull", which no comparison may see.
+func dictForm(v *column.Vector, reverse bool) *column.Vector {
+	out := &column.Vector{Kind: types.String, Nulls: v.Nulls, Dict: []string{"\xffnull"}, Codes: make([]int32, v.Len())}
+	index := map[string]int32{}
+	for k := range v.Strings {
+		i := k
+		if reverse {
+			i = len(v.Strings) - 1 - k
+		}
+		if v.IsNull(i) {
+			continue
+		}
+		c, ok := index[v.Strings[i]]
+		if !ok {
+			c = int32(len(out.Dict))
+			index[v.Strings[i]] = c
+			out.Dict = append(out.Dict, v.Strings[i])
+		}
+		out.Codes[i] = c
+	}
+	return out
+}
+
+// TestSelectionKernelsOnDictionaryColumns runs the grid's string
+// predicates, IS NULL and an IN list (an OR of equalities, which is how
+// SQL's IN reads here) over the test page with both string columns in
+// dictionary form, numbered differently: every answer must be the
+// oracle's, which reads each row's string.
+func TestSelectionKernelsOnDictionaryColumns(t *testing.T) {
+	page := selKernelPage(rand.New(rand.NewSource(22)), 96)
+	s, s2 := selKernelSchema.IndexOf("s"), selKernelSchema.IndexOf("s2")
+	page.Vectors[s] = dictForm(page.Vectors[s], false)
+	page.Vectors[s2] = dictForm(page.Vectors[s2], true)
+	sref := Col(s, "s", types.String)
+	preds := []Expr{&IsNull{E: sref}, &IsNull{E: sref, Negate: true}}
+	in := Expr(mustCmp(t, Eq, sref, Lit(types.StringValue("a"))))
+	for _, v := range []string{"zz", "", "nope"} {
+		var err error
+		if in, err = NewLogic(Or, in, mustCmp(t, Eq, sref, Lit(types.StringValue(v)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	preds = append(preds, in)
+	for _, e := range selKernelPredicates(t) {
+		for _, c := range ReferencedColumns(e) {
+			if c == s || c == s2 {
+				preds = append(preds, e)
+				break
+			}
+		}
+	}
+	for _, e := range preds {
+		for name, sel := range testSelections(page.NumRows()) {
+			checkSelection(t, e, page, name, sel)
+		}
+	}
+}
+
 // FuzzSelectionKernels builds a column, a predicate over it and a
 // selection from the input bytes and holds evalSel and evalVec to the
 // oracle.
@@ -374,6 +436,13 @@ func FuzzSelectionKernels(f *testing.F) {
 	f.Add([]byte{26, 4, 0, 1, 0, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1})
 	f.Add([]byte{30, 1, 1, 1, 3, 0, 0, 0, 0, 0, 0, 0, 7, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe})
 	f.Add([]byte{32, 5, 0, 3, 0, 2, 'a', 'b', 1, 'a', 6, 0})
+	// String columns in dictionary form: column op literal, literal op
+	// column, column op column, BETWEEN and a computed operand.
+	f.Add([]byte{37, 0, 1, 0, 3, 1, 'b', 2, 'a', 'b', 6, 1, 'b', 0})
+	f.Add([]byte{42, 2, 0, 2, 0, 1, 'z', 6, 1, 'a', 1, 'z'})
+	f.Add([]byte{47, 1, 0, 0, 5, 1, 'a', 1, 'b', 6, 1, 'a', 2, 'b', 'a'})
+	f.Add([]byte{52, 0, 1, 3, 0, 1, 'c', 1, 'a', 6, 2, 'b', 'b', 1, 'c'})
+	f.Add([]byte{67, 4, 2, 0, 1, 1, 'q', 1, 'p', 6, 1, 'q'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, page, sel := fuzzSelectionCase(data)
 		if e == nil {
@@ -390,6 +459,8 @@ func FuzzSelectionKernels(f *testing.F) {
 // column BETWEEN literal AND literal, a numeric column OP a DOUBLE literal
 // near one of its values, a numeric column against NaN, and a computed
 // operand (the grid's computed) against a literal or the other column.
+// A first byte of 35 or more (odd multiples) puts string columns in
+// dictionary form, numbered differently.
 func fuzzSelectionCase(data []byte) (Expr, *column.Page, []int) {
 	if len(data) < 5 {
 		return nil, nil, nil
@@ -397,6 +468,7 @@ func fuzzSelectionCase(data []byte) (Expr, *column.Page, []int) {
 	kinds := []types.Kind{types.Int64, types.Float64, types.String, types.Bool, types.Date}
 	kind := kinds[int(data[0])%len(kinds)]
 	shape := int(data[0]) / len(kinds) % 7
+	dict := int(data[0])/(len(kinds)*7)%2 == 1
 	op := CmpOp(data[1] % 6)
 	pickLo, pickHi, selSeed := int(data[2]), int(data[3]), data[4]
 	data = data[5:]
@@ -434,6 +506,10 @@ func fuzzSelectionCase(data []byte) (Expr, *column.Page, []int) {
 	}
 	for i, v := range vals {
 		page.AppendRow(v, vals[(i+1)%len(vals)])
+	}
+	if dict && kind == types.String {
+		page.Vectors[0] = dictForm(page.Vectors[0], false)
+		page.Vectors[1] = dictForm(page.Vectors[1], true)
 	}
 	lo, hi := vals[pickLo%len(vals)], vals[pickHi%len(vals)]
 	c, c2 := Col(0, "c", kind), Col(1, "c2", kind)

@@ -196,7 +196,23 @@ func TestJoinDifferentialAcrossConfigurations(t *testing.T) {
 // path the workload generators take.
 func putTable(t *testing.T, c *Cluster, spec ingest.TableSpec, rowGroup int, pages []*column.Page) *metastore.Table {
 	t.Helper()
+	d := sealDataset(t, spec, rowGroup, pages)
+	if err := d.Upload(context.Background(), c.OCSCli); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Register(c.Meta, spec.Schema); err != nil {
+		t.Fatal(err)
+	}
+	return d.Table
+}
+
+// sealDataset seals each page as one object of spec's bucket, in row
+// groups of rowGroup rows, and assembles the table of the objects with
+// exact NDV, ready for Cluster.Load or an upload of its own.
+func sealDataset(t *testing.T, spec ingest.TableSpec, rowGroup int, pages []*column.Page) *workload.Dataset {
+	t.Helper()
 	distinct := ingest.NewDistinctSets(spec.Columns)
+	d := &workload.Dataset{Name: spec.Name, Objects: map[string][]byte{}}
 	var keys []string
 	var objs []ingest.SealedObject
 	for i, page := range pages {
@@ -210,9 +226,7 @@ func putTable(t *testing.T, c *Cluster, spec ingest.TableSpec, rowGroup int, pag
 			t.Fatal(err)
 		}
 		key := fmt.Sprintf("%s-%d.pql", spec.Bucket, i)
-		if err := c.OCSCli.Put(context.Background(), spec.Bucket, key, sealed.Image); err != nil {
-			t.Fatal(err)
-		}
+		d.Objects[key] = sealed.Image
 		keys, objs = append(keys, key), append(objs, sealed)
 	}
 	ndv := make(map[string]int64, spec.Columns.Len())
@@ -223,10 +237,8 @@ func putTable(t *testing.T, c *Cluster, spec ingest.TableSpec, rowGroup int, pag
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Meta.Register(tbl); err != nil {
-		t.Fatal(err)
-	}
-	return tbl
+	d.Table = tbl
+	return d
 }
 
 // tieTable registers ocs.tietbl: four objects of three row groups each,

@@ -79,7 +79,7 @@ func (b *ObjectBuilder) AppendPage(p *column.Page) error {
 	b.rows += int64(p.NumRows())
 	for _, vec := range p.Vectors {
 		b.raw += 8 * int64(vec.Len())
-		for i, s := range vec.Strings {
+		for i, s := range vec.StringSlice() {
 			if !vec.IsNull(i) {
 				b.raw += int64(len(s))
 			}

@@ -248,6 +248,10 @@ func clusterOrder(page *column.Page, ci int) []int {
 	n := page.NumRows()
 	order := make([]int, 0, n)
 	vec := page.Vectors[ci]
+	var strs []string
+	if vec.Kind == types.String {
+		strs = vec.StringSlice()
+	}
 	ents := make([]sortEntry, 0, n)
 	for i := 0; i < n; i++ {
 		if vec.IsNull(i) {
@@ -273,14 +277,14 @@ func clusterOrder(page *column.Page, ci int) []int {
 			}
 		case types.String:
 			var head [8]byte
-			copy(head[:], vec.Strings[i])
+			copy(head[:], strs[i])
 			key = binary.BigEndian.Uint64(head[:])
 		}
 		ents = append(ents, sortEntry{key, i})
 	}
 	ents = radixSort(ents, make([]sortEntry, len(ents)))
 	if vec.Kind == types.String {
-		sortHeadRuns(ents, vec.Strings)
+		sortHeadRuns(ents, strs)
 	}
 	for _, e := range ents {
 		order = append(order, e.row)

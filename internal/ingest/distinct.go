@@ -64,11 +64,15 @@ func (d DistinctSets) addRow(vals []types.Value) {
 func (d DistinctSets) addPage(p *column.Page) {
 	for c, vec := range p.Vectors {
 		s := &d[c]
+		var strs []string
+		if vec.Kind == types.String {
+			strs = vec.StringSlice()
+		}
 		for i, n := 0, vec.Len(); i < n; i++ {
 			switch {
 			case vec.IsNull(i):
 			case vec.Kind == types.String:
-				s.add(maphash.String(stringSeed, vec.Strings[i]), vec.Strings[i])
+				s.add(maphash.String(stringSeed, strs[i]), strs[i])
 			case vec.Kind == types.Float64:
 				s.add(floatWord(vec.Floats[i]), "")
 			case vec.Kind == types.Bool:

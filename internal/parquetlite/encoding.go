@@ -151,7 +151,7 @@ func encodeChunk(dst []byte, vec *column.Vector) (Encoding, expr.ZoneMap, []byte
 			st.Min, st.Max = types.BoolValue(!anyFalse), types.BoolValue(anyTrue)
 		}
 	case types.String:
-		strs := vec.Strings
+		strs := vec.StringSlice()
 		lo, hi, nulls := minMax(strs, vec.Nulls)
 		if st.NullCount = nulls; nulls < int64(n) {
 			st.Min, st.Max = types.StringValue(lo), types.StringValue(hi)
@@ -285,13 +285,16 @@ func decodeChunk(data []byte, kind types.Kind, enc Encoding) (*column.Vector, er
 		if len(data) < 4*n {
 			return nil, ErrCorrupt
 		}
-		vec.Strings = make([]string, n)
-		for i := range vec.Strings {
+		// The vector keeps the chunk's numbering: codes plus the shared
+		// dictionary, not a string per row (column.Vector's dictionary form).
+		vec.Dict = dict
+		vec.Codes = make([]int32, n)
+		for i := range vec.Codes {
 			id := binary.LittleEndian.Uint32(data[4*i:])
 			if int(id) >= dictLen {
 				return nil, ErrCorrupt
 			}
-			vec.Strings[i] = dict[id]
+			vec.Codes[i] = int32(id)
 		}
 	case RLE:
 		if kind != types.Int64 && kind != types.Date {
@@ -358,7 +361,8 @@ func allOnes(b []byte) bool {
 // zeroNullSlots normalizes the payload under NULL slots to the zero value,
 // matching vectors built with Append. Nothing reads those slots, but the
 // invariant keeps decoded vectors bit-identical regardless of what the
-// writer stored there.
+// writer stored there. A dictionary-form vector keeps the code it read:
+// its NULL rows read as "" wherever they are materialized.
 func zeroNullSlots(vec *column.Vector) {
 	for i, isNull := range vec.Nulls {
 		if !isNull {
@@ -370,7 +374,9 @@ func zeroNullSlots(vec *column.Vector) {
 		case types.Float64:
 			vec.Floats[i] = 0
 		case types.String:
-			vec.Strings[i] = ""
+			if vec.Dict == nil {
+				vec.Strings[i] = ""
+			}
 		case types.Bool:
 			vec.Bools[i] = false
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"prestocs/internal/column"
@@ -101,12 +102,36 @@ func FuzzNewReader(f *testing.F) {
 	})
 }
 
+// dictRowStrings decodes a Dict chunk body a row at a time into a string
+// per row, "" under NULL rows — the decoder's old output, which a vector
+// in dictionary form must materialize to. The body has already decoded.
+func dictRowStrings(body []byte) []string {
+	n := int(binary.LittleEndian.Uint32(body))
+	validity := body[4 : 4+(n+7)/8]
+	data := body[4+(n+7)/8:]
+	dict := make([]string, binary.LittleEndian.Uint32(data))
+	data = data[4:]
+	for i := range dict {
+		sl := int(binary.LittleEndian.Uint32(data))
+		dict[i], data = string(data[4:4+sl]), data[4+sl:]
+	}
+	out := make([]string, n)
+	for i := range out {
+		if validity[i/8]&(1<<(uint(i)%8)) != 0 {
+			out[i] = dict[binary.LittleEndian.Uint32(data[4*i:])]
+		}
+	}
+	return out
+}
+
 // FuzzReadColumn feeds one chunk body, seeded from the writer's chunk
 // bodies of every kind and encoding, through ReadColumn behind an honest
 // footer: a body may be rejected, but never by a panic and never after
 // sizing an allocation from a count its bytes cannot back (the 8-byte
 // seed asks for a 4-billion-entry dictionary), and a body that decodes
-// must encode and decode to the same vector again.
+// must encode and decode to the same vector again. A Dict body decodes to
+// a vector in dictionary form whose every code indexes its Dict and whose
+// rows materialize to the strings a row-at-a-time decode gives.
 func FuzzReadColumn(f *testing.F) {
 	page := randomPage(rand.New(rand.NewSource(2)), 90)
 	for _, vec := range page.Vectors {
@@ -150,6 +175,19 @@ func FuzzReadColumn(f *testing.F) {
 		}
 		if vec.Len() > 8*len(body) || (vec.Nulls != nil && len(vec.Nulls) != vec.Len()) {
 			t.Fatalf("a %d-byte chunk decoded to %d rows, %d NULL flags", len(body), vec.Len(), len(vec.Nulls))
+		}
+		if (vec.Dict != nil) != (k == types.String && Encoding(encoding%3) == Dict) {
+			t.Fatalf("%s chunk with encoding %d decoded to dictionary form %v", k, encoding%3, vec.Dict != nil)
+		}
+		if vec.Dict != nil {
+			for i, c := range vec.Codes {
+				if c < 0 || int(c) >= len(vec.Dict) {
+					t.Fatalf("row %d: code %d outside a %d-entry dictionary", i, c, len(vec.Dict))
+				}
+			}
+			if got, want := vec.StringSlice(), dictRowStrings(body); !slices.Equal(got, want) {
+				t.Fatalf("dictionary vector materializes to %q, row-at-a-time decode %q", got, want)
+			}
 		}
 		enc, _, again := encodeChunk(nil, vec)
 		back, err := decodeChunk(again, k, enc)

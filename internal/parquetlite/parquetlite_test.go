@@ -1,8 +1,11 @@
 package parquetlite
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -195,6 +198,43 @@ func TestEncodingSelection(t *testing.T) {
 	}
 	if got, _, _ := encodeChunk(nil, uv); got != Plain {
 		t.Errorf("unique ints encoding = %v, want plain", got)
+	}
+}
+
+// TestDictChunkDecodesToCodes: a Dict chunk decodes to a vector in
+// dictionary form — one code per row, a NULL row included, over the
+// chunk's own dictionary in first-seen order — that encodes back to the
+// same bytes; a string chunk that fell back to plain decodes plain.
+func TestDictChunkDecodesToCodes(t *testing.T) {
+	sv := column.NewVector(types.String)
+	for i := 0; i < 100; i++ {
+		v := types.StringValue([]string{"y", "x", "z"}[i%3])
+		if i == 7 {
+			v = types.NullValue(types.String)
+		}
+		sv.Append(v)
+	}
+	enc, _, body := encodeChunk(nil, sv)
+	vec, err := decodeChunk(body, types.String, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc != Dict || vec.Dict == nil || len(vec.Codes) != 100 || fmt.Sprint(vec.Dict) != "[y x z ]" {
+		t.Fatalf("encoding %v decoded to dictionary form %v: %d codes over %q", enc, vec.Dict != nil, len(vec.Codes), vec.Dict)
+	}
+	if !slices.Equal(vec.StringSlice(), sv.Strings) || !slices.Equal(vec.Nulls, sv.Nulls) {
+		t.Fatal("dictionary vector does not read as the written rows")
+	}
+	if _, _, again := encodeChunk(nil, vec); !bytes.Equal(again, body) {
+		t.Fatal("a decoded dictionary vector re-encodes to other bytes")
+	}
+	unique := column.NewVector(types.String)
+	for i := 0; i < 100; i++ {
+		unique.Append(types.StringValue(fmt.Sprint(i)))
+	}
+	enc, _, body = encodeChunk(nil, unique)
+	if vec, err = decodeChunk(body, types.String, enc); err != nil || enc != Plain || vec.Dict != nil {
+		t.Fatalf("unique strings: encoding %v, dictionary form %v, %v", enc, vec.Dict != nil, err)
 	}
 }
 
