@@ -97,8 +97,8 @@ determinism:
 # fuzz-smoke runs each native fuzz target for ten seconds: the decoders
 # of bytes this program did not produce (Snappy blocks and parquetlite
 # footers and chunks off disk, rpc frames, protowire messages, Arrow
-# batches and Substrait plans — the bloom filter's carrier — off the
-# wire, object-protocol requests from any client and responses from any
+# batches, object-end chunks and Substrait plans — the bloom filter's
+# carrier — off the wire, object-protocol requests from any client and responses from any
 # server) may reject their input but must never panic or size an
 # allocation from a length the input cannot back; SQL text from any
 # client goes through parse, analyze and both optimizers in every pushdown
@@ -121,6 +121,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSubstraitUnmarshal$$' -fuzztime 10s ./internal/optimizer/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s ./internal/protowire/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/rpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeObjectEnd$$' -fuzztime 10s ./internal/ocsserver/
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectionKernels$$' -fuzztime 10s ./internal/expr/
 
 # gates is the one list of the grep guards (telemetry manifest, pruning,

@@ -143,8 +143,15 @@ func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan
 	})
 }
 
-// CreatePageSource implements engine.Connector.
-func (c *Connector) CreatePageSource(ctx context.Context, handle plan.TableHandle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
+// CreatePageSources implements engine.Connector: every split is its own
+// request.
+func (c *Connector) CreatePageSources(ctx context.Context, handle plan.TableHandle, splits []engine.Split, stats *engine.ScanStats) ([]exec.Operator, error) {
+	return engine.OpenEach(ctx, handle, splits, stats, c.openSplit)
+}
+
+// openSplit opens one split: an S3 Select-like request when the handle
+// filters or narrows, else the whole-object GET.
+func (c *Connector) openSplit(ctx context.Context, handle plan.TableHandle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
 	h, ok := handle.(*Handle)
 	if !ok {
 		return nil, fmt.Errorf("hive: foreign handle %T", handle)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"prestocs/internal/column"
@@ -64,91 +65,135 @@ func (c *Connector) PlanOptimizer() engine.ConnectorPlanOptimizer {
 	return &localOptimizer{conn: c}
 }
 
-// CreatePageSource implements engine.Connector: the paper's
+// CreatePageSources implements engine.Connector: the paper's
 // PageSourceProvider. What a split runs was decided at plan time, in every
-// mode: without a pushdown spec the split is the paper's no-pushdown
-// configuration (whole-object GET, local scan); with one, the extracted
-// operators go to OCS as a Substrait plan and the Arrow result comes back
-// (pushdownSource), degrading to the local replay, recorded as a fallback,
-// when execution fails transiently even after the client's retries.
-func (c *Connector) CreatePageSource(ctx context.Context, handle plan.TableHandle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
+// mode: without a pushdown spec each split is the paper's no-pushdown
+// configuration (whole-object GET, local scan), opened one by one; with
+// one, the extracted operators go to OCS as one Substrait plan listing
+// every split's object, and one Arrow result stream comes back, cut into
+// one source per object at the object's end (requestGroup). Either way
+// the first split opens now.
+func (c *Connector) CreatePageSources(ctx context.Context, handle plan.TableHandle, splits []engine.Split, stats *engine.ScanStats) ([]exec.Operator, error) {
 	h, ok := handle.(*Handle)
 	if !ok {
 		return nil, fmt.Errorf("ocs: foreign handle %T", handle)
 	}
 	if h.Push.Empty() {
-		return engine.ScanWholeObject(ctx, c.client.Client, h.Table.Bucket, split.Object, h.Table.Columns, h.Projection, stats)
+		return engine.OpenEach(ctx, h, splits, stats, func(ctx context.Context, _ plan.TableHandle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
+			return engine.ScanWholeObject(ctx, c.client.Client, h.Table.Bucket, split.Object, h.Table.Columns, h.Projection, stats)
+		})
 	}
-	return c.pushdownSource(ctx, h, split, stats)
-}
-
-// pushdownSource opens the in-storage execution path for one split.
-func (c *Connector) pushdownSource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats) (src exec.Operator, err error) {
-	// The scan span covers this split's whole pushdown lifetime; its
-	// children are the Table-3 stages (Substrait generation, stream open)
-	// and its accumulated durations the per-chunk transfer waits and
-	// Arrow deserialize time. On success it passes to the stream, which
-	// ends it when the source is exhausted or closed.
-	ctx, scanSpan := telemetry.StartSpan(ctx, "connector.scan")
-	defer func() {
-		if err != nil {
-			scanSpan.End()
-		}
-	}()
-	scanSpan.SetAttr("object", split.Object)
-	irPlan, err := generatePlan(ctx, h, split.Object, stats)
-	if err != nil {
-		return nil, err
+	g := &requestGroup{ctx: ctx, conn: c, h: h, schema: h.ScanSchema(), splits: splits, stats: stats}
+	sources := make([]exec.Operator, len(splits))
+	for k := range splits {
+		sources[k] = &objectSource{g: g, k: k}
 	}
-
-	// Open the result stream: residual operators start consuming batch 1
-	// while the storage node is still scanning later row groups. Transfer
-	// time is charged only while blocked waiting on storage (stream open
-	// plus per-batch waits), so the Table 3 breakdown keeps its meaning
-	// under overlap.
-	start := time.Now()
-	openCtx, openSpan := telemetry.StartSpan(ctx, "connector.stream_open")
-	rs, err := c.client.ExecuteStream(openCtx, irPlan)
-	openSpan.End()
-	live := ctx.Err() == nil // else the failure is this query's own cancellation
-	switch {
-	case err == nil:
-	case live && h.Push.Bloom != nil && errors.Is(err, rpc.ErrOverLimit):
-		// The node refused the filter (its size cap), not the plan: retry
-		// the same split without the bloom and re-apply it engine-side,
-		// so the join still probes a pre-filtered stream. Any other
-		// refusal — an invalid plan is a connector bug — must not retry.
-		scanSpan.Event("bloom-rejected", err.Error())
-		scanSpan.End()
-		stats.AddJoinBloomRejected()
-		if src, err = c.pushdownSource(ctx, h.withBloom(nil), split, stats); err != nil {
+	if len(sources) > 0 {
+		if err := sources[0].(*objectSource).start(); err != nil {
 			return nil, err
 		}
-		return exec.NewBloomProbe(src, h.Push.Bloom.Column, h.Push.Bloom.Filter, nil, nil)
-	case live && retry.Transient(err):
-		scanSpan.Event("pushdown-fallback", err.Error())
-		defer scanSpan.End()
-		return c.replaySource(ctx, h, split, stats, 0)
-	default:
-		return nil, fmt.Errorf("ocs: executing pushdown for %s: %w", split.Object, err)
 	}
-	if h.Push.Bloom != nil {
-		stats.AddJoinBloomSplit()
-	}
-	stats.AddTransfer(time.Since(start))
-	return &streamSource{
-		ctx: ctx, conn: c, h: h, split: split, span: scanSpan,
-		rs: rs, schema: h.ScanSchema(), stats: stats,
-	}, nil
+	return sources, nil
 }
 
-// generatePlan translates the extracted operators into Substrait IR and
-// validates it (timed for Table 3).
-func generatePlan(ctx context.Context, h *Handle, object string, stats *engine.ScanStats) (*substrait.Plan, error) {
+// requestGroup is one leaf worker's share of a pushdown scan, served by
+// one ocs.Execute request whose plan lists every split's object in order:
+// one plan encode, one bloom filter on the wire, one stream. Its sources
+// read the stream one after the other, each up to its object's end. When
+// the stream breaks in object k, object k replays locally (streamPart.
+// resume) and the objects after it reopen one request, lazily, once the
+// next of them starts; an early Close drains object k to its end within a
+// small budget or abandons the stream in the same way.
+type requestGroup struct {
+	ctx    context.Context
+	conn   *Connector
+	h      *Handle // without its bloom once storage refused the filter
+	schema *types.Schema
+	splits []engine.Split
+	stats  *engine.ScanStats
+	// probe is the join filter storage refused, re-applied engine-side to
+	// every object served after the refusal (nil otherwise).
+	probe *BloomSpec
+
+	rs         *ocsserver.ResultStream // the open request, or nil
+	at         int                     // the split rs's current object is
+	prevBytes  int64
+	prevDecode time.Duration
+}
+
+// open starts the request for splits k onward, under split k's scan span.
+// A refusal of the join filter (the node's size cap) reopens without it;
+// any other failure is returned, and the caller decides between the
+// replay and the query error.
+func (g *requestGroup) open(ctx context.Context, k int, span *telemetry.Span) error {
+	objects := make([]string, len(g.splits)-k)
+	for i, split := range g.splits[k:] {
+		objects[i] = split.Object
+	}
+	irPlan, err := generatePlan(ctx, g.h, objects, g.stats)
+	if err != nil {
+		return err
+	}
+	// Transfer time is charged only while blocked waiting on storage
+	// (stream open plus per-batch waits), so the Table 3 breakdown keeps
+	// its meaning while residual operators overlap the scan.
+	start := time.Now()
+	openCtx, openSpan := telemetry.StartSpan(ctx, "connector.stream_open")
+	openSpan.SetAttr("objects", strconv.Itoa(len(objects)))
+	rs, err := g.conn.client.ExecuteStream(openCtx, irPlan)
+	openSpan.End()
+	if err == nil {
+		g.stats.AddTransfer(time.Since(start))
+		g.rs, g.at, g.prevBytes, g.prevDecode = rs, k, 0, 0
+		return nil
+	}
+	if g.h.Push.Bloom != nil && ctx.Err() == nil && errors.Is(err, rpc.ErrOverLimit) {
+		// The node refused the filter (its size cap), not the plan: reopen
+		// without the bloom and re-apply it engine-side, so the join still
+		// probes a pre-filtered stream. Any other refusal — an invalid
+		// plan is a connector bug — must not retry.
+		span.Event("bloom-rejected", err.Error())
+		for range objects {
+			g.stats.AddJoinBloomRejected()
+		}
+		g.probe, g.h = g.h.Push.Bloom, g.h.withBloom(nil)
+		return g.open(ctx, k, span)
+	}
+	return err
+}
+
+// ended retires the stream's current object; the stream is released once
+// its last object has ended.
+func (g *requestGroup) ended() {
+	g.stats.AddStorageWork(g.rs.Stats())
+	g.at++
+	if g.at == len(g.splits) {
+		g.abandon()
+	}
+}
+
+// abandon releases the stream; the next split to start reopens one.
+func (g *requestGroup) abandon() {
+	if g.rs != nil {
+		g.rs.Close()
+		g.rs = nil
+	}
+}
+
+func (g *requestGroup) accountBytes() {
+	if b := g.rs.ArrowBytes(); b > g.prevBytes {
+		g.stats.AddBytesMoved(b - g.prevBytes)
+		g.prevBytes = b
+	}
+}
+
+// generatePlan translates the extracted operators into Substrait IR over
+// the given objects and validates it (timed for Table 3).
+func generatePlan(ctx context.Context, h *Handle, objects []string, stats *engine.ScanStats) (*substrait.Plan, error) {
 	start := time.Now()
 	_, span := telemetry.StartSpan(ctx, "connector.substrait_gen")
 	defer span.End()
-	irPlan, err := BuildSubstrait(h, object)
+	irPlan, err := BuildSubstrait(h, objects...)
 	if err != nil {
 		return nil, err
 	}
@@ -168,149 +213,234 @@ func present(page *column.Page, schema *types.Schema) (*column.Page, error) {
 	return &column.Page{Schema: schema, Vectors: page.Vectors}, nil
 }
 
-// streamSource adapts an OCS result stream to an exec.Operator. It
-// accounts bytes moved, transfer-blocked time, deserialize work and
-// storage-side stats incrementally as chunks land, and implements Close
-// so the engine can release the stream when a pipeline stops early.
-// When the stream dies transiently mid-flight it degrades to the
-// raw-scan fallback, replaying the pushed operators locally and skipping
-// the rows already delivered (sound only while the pushed pipeline is
-// order-deterministic).
-type streamSource struct {
-	ctx   context.Context
-	conn  *Connector
-	h     *Handle
-	split engine.Split
+// objectSource is split k of a requestGroup; it starts on its first Next
+// (split 0 at once). Under its own connector.scan span it serves its
+// object's slice of the group's stream, which the sources before it,
+// consumed in order, have left at object k; with no stream open it opens
+// one for splits k onward. When that request cannot be opened for a
+// transient reason even after the client's retries, it serves the
+// object's local replay instead, recorded as a fallback. After a bloom
+// refusal, what it serves passes through the engine-side probe.
+type objectSource struct {
+	g      *requestGroup
+	k      int
+	src    exec.Operator
+	closed bool
+}
 
-	rs            *ocsserver.ResultStream
-	schema        *types.Schema
-	stats         *engine.ScanStats
-	span          *telemetry.Span
-	prevBytes     int64
-	prevDecode    time.Duration
+func (o *objectSource) Schema() *types.Schema { return o.g.schema }
+
+func (o *objectSource) start() error {
+	g := o.g
+	split := g.splits[o.k]
+	// The scan span covers this split's whole pushdown lifetime; its
+	// children are the Table-3 stages of a request the split opens
+	// (Substrait generation, stream open) and its accumulated durations
+	// the split's transfer waits and Arrow deserialize time. It passes to
+	// the streamPart, which ends it at the object's end or on Close.
+	ctx, span := telemetry.StartSpan(g.ctx, "connector.scan")
+	span.SetAttr("object", split.Object)
+	var src exec.Operator
+	if g.rs == nil {
+		if err := g.open(ctx, o.k, span); err != nil {
+			if ctx.Err() != nil || !retry.Transient(err) {
+				span.End()
+				return fmt.Errorf("ocs: executing pushdown for %s: %w", split.Object, err)
+			}
+			span.Event("pushdown-fallback", err.Error())
+			fb, err := g.conn.replaySource(ctx, g.h, split, g.stats, 0)
+			span.End()
+			if err != nil {
+				return err
+			}
+			src = fb
+		}
+	}
+	if src == nil {
+		if g.h.Push.Bloom != nil {
+			g.stats.AddJoinBloomSplit()
+		}
+		src = &streamPart{g: g, k: o.k, ctx: ctx, span: span}
+	}
+	if g.probe != nil {
+		probe, err := exec.NewBloomProbe(src, g.probe.Column, g.probe.Filter, nil, nil)
+		if err != nil {
+			exec.Close(src)
+			return err
+		}
+		src = probe
+	}
+	o.src = src
+	return nil
+}
+
+func (o *objectSource) Next() (*column.Page, error) {
+	if o.closed {
+		return nil, nil
+	}
+	if o.src == nil {
+		if err := o.start(); err != nil {
+			o.closed = true
+			return nil, err
+		}
+	}
+	return o.src.Next()
+}
+
+// Close releases what the source serves. A source closed before it
+// started belongs to a worker that is quitting, so the rest of the
+// group's stream is not wanted either.
+func (o *objectSource) Close() error {
+	if o.closed {
+		return nil
+	}
+	o.closed = true
+	if o.src == nil {
+		o.g.abandon()
+		return nil
+	}
+	return exec.Close(o.src)
+}
+
+// streamPart is one object's slice of its group's result stream, adapted
+// to an exec.Operator: pages up to the object's end. It accounts bytes
+// moved, transfer-blocked time, deserialize work and storage-side stats
+// incrementally as chunks land, and implements Close so the engine can
+// release the object when a pipeline stops early. When the stream dies
+// transiently mid-object it degrades to the raw-scan fallback, replaying
+// the pushed operators over this object locally and skipping the rows
+// already delivered (sound only while the pushed pipeline is
+// order-deterministic).
+type streamPart struct {
+	g    *requestGroup
+	k    int
+	ctx  context.Context
+	span *telemetry.Span
+
 	rowsDelivered int64
 	fb            exec.Operator
 	done          bool
 }
 
-func (s *streamSource) Schema() *types.Schema { return s.schema }
+func (p *streamPart) Schema() *types.Schema { return p.g.schema }
 
-func (s *streamSource) Next() (*column.Page, error) {
-	if s.fb != nil {
-		page, err := s.fb.Next()
+func (p *streamPart) Next() (*column.Page, error) {
+	if p.fb != nil {
+		page, err := p.fb.Next()
 		if page == nil {
-			s.span.End()
+			p.span.End()
 		}
 		return page, err
 	}
-	if s.done {
+	if p.done {
 		return nil, nil
 	}
+	g := p.g
 	start := time.Now()
-	page, err := s.rs.Next()
+	page, err := g.rs.Next()
 	wall := time.Since(start)
-	s.stats.AddTransfer(wall)
+	g.stats.AddTransfer(wall)
 	// Split the wait between the wire and the decoder for the span: the
 	// stats charge the whole wall as transfer (established Table-3
 	// semantics), the span separates the deserialize share.
-	decode := s.rs.DecodeTime() - s.prevDecode
-	s.prevDecode = s.rs.DecodeTime()
-	s.span.AddDuration("transfer_wait", wall-decode)
-	s.span.AddDuration("arrow_deserialize", decode)
-	s.accountBytes()
+	decode := g.rs.DecodeTime() - g.prevDecode
+	g.prevDecode = g.rs.DecodeTime()
+	p.span.AddDuration("transfer_wait", wall-decode)
+	p.span.AddDuration("arrow_deserialize", decode)
+	g.accountBytes()
 	if err == io.EOF {
-		s.done = true
-		s.stats.AddStorageWork(s.rs.Stats())
-		s.span.End()
+		p.done = true
+		g.ended()
+		p.span.End()
 		return nil, nil
 	}
 	if err != nil {
-		if s.canFallBack(err) && s.resume(err) {
-			return s.Next()
+		if p.canFallBack(err) && p.resume(err) {
+			return p.Next()
 		}
-		s.done = true
-		s.span.Event("error", err.Error())
-		s.span.End()
-		return nil, fmt.Errorf("ocs: pushdown stream for %s: %w", s.split.Object, err)
+		p.done = true
+		g.abandon()
+		p.span.Event("error", err.Error())
+		p.span.End()
+		return nil, fmt.Errorf("ocs: pushdown stream for %s: %w", g.splits[p.k].Object, err)
 	}
-	if page, err = present(page, s.schema); err != nil {
-		s.done = true
-		s.rs.Close()
+	if page, err = present(page, g.schema); err != nil {
+		p.done = true
+		g.abandon()
+		p.span.End()
 		return nil, err
 	}
 	// Arrow deserialization into engine pages: columnar buffer adoption
 	// plus validity expansion (1.5 ingest units/cell, half the CSV text
 	// parse cost).
 	rows := int64(page.NumRows())
-	s.stats.AddDeserialize(float64(rows)*float64(s.schema.Len())*1.5, rows)
-	s.rowsDelivered += rows
+	g.stats.AddDeserialize(float64(rows)*float64(g.schema.Len())*1.5, rows)
+	p.rowsDelivered += rows
 	return page, nil
 }
 
 // canFallBack decides whether a mid-stream failure can be absorbed by the
 // local replay: the failure is transient (not a plan error, not our own
-// cancellation) and either no rows have been delivered yet or the pushed
-// pipeline is order-deterministic, so the replay can skip exactly the rows
-// the engine already consumed.
-func (s *streamSource) canFallBack(cause error) bool {
-	return s.ctx.Err() == nil && retry.Transient(cause) &&
-		(s.rowsDelivered == 0 || s.h.Push.OrderDeterministic())
+// cancellation) and either no rows of this object have been delivered yet
+// or the pushed pipeline is order-deterministic, so the replay can skip
+// exactly the rows the engine already consumed.
+func (p *streamPart) canFallBack(cause error) bool {
+	return p.ctx.Err() == nil && retry.Transient(cause) &&
+		(p.rowsDelivered == 0 || p.g.h.Push.OrderDeterministic())
 }
 
-// resume abandons the stream after cause for the local replay, which skips
-// the rows already delivered, and records the fallback on the scan span.
+// resume abandons the stream after cause for the local replay of this
+// object, which skips the rows already delivered, and records the
+// fallback on the scan span; the objects after this one reopen a request.
 // The replay is built before the stream is released: when it cannot be,
 // nothing has changed and the caller returns the stream's error.
-func (s *streamSource) resume(cause error) bool {
-	fb, err := s.conn.replaySource(s.ctx, s.h, s.split, s.stats, s.rowsDelivered)
+func (p *streamPart) resume(cause error) bool {
+	fb, err := p.g.conn.replaySource(p.ctx, p.g.h, p.g.splits[p.k], p.g.stats, p.rowsDelivered)
 	if err != nil {
 		return false
 	}
-	s.span.Event("pushdown-fallback", cause.Error())
-	s.rs.Close()
-	s.done, s.fb = true, fb
+	p.span.Event("pushdown-fallback", cause.Error())
+	p.g.abandon()
+	p.done, p.fb = true, fb
 	return true
 }
 
-func (s *streamSource) accountBytes() {
-	b := s.rs.ArrowBytes()
-	if b > s.prevBytes {
-		s.stats.AddBytesMoved(b - s.prevBytes)
-		s.prevBytes = b
-	}
-}
-
 // Bounds for the early-stop drain in Close: enough to consume a few
-// in-flight chunks plus the end frame when the node has already
-// finished, small enough that an actively producing stream is abandoned
-// quickly.
+// in-flight chunks plus the object's end when the node has already
+// finished it, small enough that an actively producing stream is
+// abandoned quickly.
 const (
 	closeDrainChunks  = 32
 	closeDrainTimeout = 50 * time.Millisecond
 )
 
-// Close releases the stream when a pipeline stops early (a satisfied
+// Close releases the object when a pipeline stops early (a satisfied
 // LIMIT). An active fallback operator is closed in place of the — then
-// already dead — remote stream. Otherwise Close first attempts a bounded
-// drain so the trailer's storage-side stats are flushed into the scan
-// stats instead of silently dropped, then accounts bytes received but
-// not consumed, keeping the movement meters truthful.
-func (s *streamSource) Close() error {
-	defer s.span.End()
-	if s.fb != nil {
-		fb := s.fb
-		s.fb = nil
+// already abandoned — stream. Otherwise Close first attempts a bounded
+// drain to the object's end, so its storage-side stats are flushed into
+// the scan stats instead of silently dropped and the stream stays usable
+// for the next object; failing that it abandons the stream. Either way it
+// accounts the bytes received, keeping the movement meters truthful.
+func (p *streamPart) Close() error {
+	defer p.span.End()
+	if p.fb != nil {
+		fb := p.fb
+		p.fb = nil
 		return exec.Close(fb)
 	}
-	if !s.done {
-		s.done = true
-		if s.rs.TryDrain(closeDrainChunks, closeDrainTimeout) {
-			s.stats.AddStorageWork(s.rs.Stats())
-			s.span.Event("drained-on-close", "")
-		}
-		s.accountBytes()
-		return s.rs.Close()
+	if p.done {
+		return nil
 	}
+	p.done = true
+	g := p.g
+	drained := g.rs.TryDrain(closeDrainChunks, closeDrainTimeout)
+	g.accountBytes()
+	if !drained {
+		g.abandon()
+		return nil
+	}
+	p.span.Event("drained-on-close", "")
+	g.ended()
 	return nil
 }
 
@@ -354,7 +484,7 @@ func (c *Connector) replaySource(ctx context.Context, h *Handle, split engine.Sp
 	}
 	local := objstore.NewStore()
 	local.Put(h.Table.Bucket, split.Object, data)
-	ls, err := ocsserver.ExecuteLocalStream(local, irPlan, 0)
+	ls, err := ocsserver.ExecuteLocalStream(local, irPlan, split.Object, 0)
 	if err != nil {
 		return nil, fmt.Errorf("ocs: fallback scan %s/%s: %w", h.Table.Bucket, split.Object, err)
 	}
@@ -428,12 +558,13 @@ func (r *replayStream) finish() {
 }
 
 // BuildSubstrait reconstructs the handle's pushdown spec as a Substrait
-// plan over one object — the connector's SQL→Substrait translation
-// (§3.4 step 3). Exported for the overhead breakdown benchmark.
-func BuildSubstrait(h *Handle, object string) (*substrait.Plan, error) {
+// plan over the given objects, in order — the connector's SQL→Substrait
+// translation (§3.4 step 3). Exported for the overhead breakdown
+// benchmark.
+func BuildSubstrait(h *Handle, objects ...string) (*substrait.Plan, error) {
 	var rel substrait.Rel = &substrait.ReadRel{
 		Bucket:     h.Table.Bucket,
-		Object:     object,
+		Objects:    objects,
 		BaseSchema: h.Table.Columns,
 		Projection: h.Projection,
 	}

@@ -77,7 +77,7 @@ func TestBloomRetryOnlyOnTheCapRefusal(t *testing.T) {
 		client, plans := refusingFrontend(t, tc.refusal)
 		conn := New("ocs", metastore.New(), client)
 		var stats engine.ScanStats
-		_, err := conn.CreatePageSource(context.Background(), bloomedHandle(t), engine.Split{Object: "obj"}, &stats)
+		_, err := conn.CreatePageSources(context.Background(), bloomedHandle(t), []engine.Split{{Object: "obj"}}, &stats)
 		// Either way the stub serves nothing, so the split fails — as an
 		// invalid plan, never degraded to the local replay.
 		if !errors.Is(err, rpc.ErrInvalid) {

@@ -364,24 +364,26 @@ func (e *Engine) buildJoin(ctx context.Context, join *plan.Join, session *Sessio
 // across runs, worker counts and pushdown modes. Err is valid only after
 // Next has returned nil.
 type leafStage struct {
-	queues []chan *column.Page // one per split, closed by whoever retires the split
-	next   int                 // the lowest split not yet drained
-	window chan struct{}       // a token per split workers may start ahead of next
-	done   chan struct{}       // closed once every worker has exited
-	errFn  func() error
+	queues  []chan *column.Page // one per split, closed by its worker
+	drained []chan struct{}     // one per split, closed once Next is past it
+	next    int                 // the lowest split not yet drained
+	done    chan struct{}       // closed once every worker has exited
+	errFn   func() error
 }
 
 // Next returns the stage's next page in (split, emission) order, or nil
 // once every split is drained and every worker has exited. It never
-// deadlocks: workers take splits in index order, so the lowest undrained
-// split is either running or the next one a free worker starts.
+// deadlocks: split j waits only for split j − 2W to be drained, so the
+// lowest undrained split can always start, and its worker (which runs its
+// splits in index order) has already retired its earlier ones, which lie
+// below it.
 func (ls *leafStage) Next() (*column.Page, error) {
 	for ls.next < len(ls.queues) {
 		if page, ok := <-ls.queues[ls.next]; ok {
 			return page, nil
 		}
+		close(ls.drained[ls.next])
 		ls.next++
-		ls.window <- struct{}{}
 	}
 	<-ls.done
 	return nil, nil
@@ -397,8 +399,9 @@ func (ls *leafStage) Drain() {
 	}
 }
 
-// splitQueuePages bounds one split's queue: with the window of two splits
-// per worker, a stage buffers at most 2 × workers × splitQueuePages pages.
+// splitQueuePages bounds one split's queue: with at most two splits per
+// worker started ahead of the consumer, a stage buffers at most
+// 2 × workers × splitQueuePages pages.
 const splitQueuePages = 2
 
 // leafBranch takes an Exchange-rooted branch apart: the Exchange, the
@@ -416,10 +419,12 @@ func leafBranch(branch plan.Node) (*plan.Exchange, []plan.Node, *plan.TableScan,
 // startLeafStage launches the worker pool over the splits of an
 // Exchange-rooted branch's scan, compiling the branch's leaf nodes onto
 // each split's page source, and returns the stage with the schema of the
-// pages it feeds the exchange. wrap, when set, is applied per worker on
-// top of the compiled pipeline — the hash join probes inside the workers
-// this way. Worker operator time lands in stats.LeafMeter and the split
-// count adds to stats.Splits.
+// pages it feeds the exchange. Worker w of W takes splits w, w+W, … in
+// that order and opens them with one CreatePageSources call, so a
+// connector can serve a worker's share as one request. wrap, when set, is
+// applied per split on top of the compiled pipeline — the hash join
+// probes inside the workers this way. Worker operator time lands in
+// stats.LeafMeter and the split count adds to stats.Splits.
 func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *QueryStats, wrap leafHook) (*leafStage, *types.Schema, error) {
 	exchange, chain, scan, err := leafBranch(branch)
 	if err != nil {
@@ -440,32 +445,17 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 	}
 	stats.Splits += len(splits)
 
-	workers := e.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(splits) {
-		workers = len(splits)
-	}
-	if workers == 0 {
-		workers = 1
-	}
+	workers := max(e.Workers, 1)
+	workers = min(workers, len(splits))
 
-	// Workers take splits in index order and retire each into its own
-	// queue; the window keeps them from running further ahead of the
-	// consumer than it can buffer (the consumer refills it split by split).
-	splitCh := make(chan int, len(splits))
+	// Every split retires into its own queue. Split j may start only once
+	// split j − 2W has been drained: a per-split gate that keeps workers
+	// from running further ahead of the consumer than it can buffer.
 	queues := make([]chan *column.Page, len(splits))
+	drained := make([]chan struct{}, len(splits))
 	for i := range splits {
-		splitCh <- i
 		queues[i] = make(chan *column.Page, splitQueuePages)
-	}
-	close(splitCh)
-	// Sized so the consumer's refill never blocks, even for splits a
-	// failed stage retires without ever starting them.
-	window := make(chan struct{}, len(splits)+workers*2)
-	for i := 0; i < workers*2; i++ {
-		window <- struct{}{}
+		drained[i] = make(chan struct{})
 	}
 
 	var workerErr error
@@ -488,17 +478,28 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 				stats.LeafMeter.Add(meter)
 				meterMu.Unlock()
 			}()
-			// runSplit processes one split into its queue; the deferred
-			// calls close the queue and release sources that hold external
-			// resources (e.g. an open OCS result stream) even when the
-			// pipeline stops early.
-			runSplit := func(i int) bool {
-				defer close(queues[i])
-				source, err := conn.CreatePageSource(ctx, scan.Handle, splits[i], &stats.Scan)
-				if err != nil {
-					fail(err)
-					return false
+			var mine []Split
+			for i := w; i < len(splits); i += workers {
+				mine = append(mine, splits[i])
+			}
+			// On any exit, the splits not run retire unstarted: their
+			// sources close (releasing, e.g., an open OCS result stream)
+			// and their queues close so the consumer moves past them.
+			var sources []exec.Operator
+			ran := 0
+			defer func() {
+				for k := ran; k < len(mine); k++ {
+					if k < len(sources) {
+						exec.Close(sources[k])
+					}
+					close(queues[w+k*workers])
 				}
+			}()
+			// runSplit processes one split into its queue; the deferred
+			// calls close the queue and release the source even when the
+			// pipeline stops early.
+			runSplit := func(i int, source exec.Operator) bool {
+				defer close(queues[i])
 				defer exec.Close(source)
 				pipeline, err := compileChain(chain, source, &meter)
 				if err != nil {
@@ -533,12 +534,24 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 					}
 				}
 			}
-			for {
-				select {
-				case <-window:
-				case <-ctx.Done():
-					fail(ctx.Err())
-					return
+			var err error
+			if sources, err = conn.CreatePageSources(ctx, scan.Handle, mine, &stats.Scan); err != nil {
+				fail(err)
+				return
+			}
+			if len(sources) != len(mine) {
+				fail(fmt.Errorf("engine: %s opened %d sources for %d splits", conn.Name(), len(sources), len(mine)))
+				return
+			}
+			for k := range mine {
+				i := w + k*workers
+				if i >= 2*workers {
+					select {
+					case <-drained[i-2*workers]:
+					case <-ctx.Done():
+						fail(ctx.Err())
+						return
+					}
 				}
 				// Fast-fail: once any worker errors or the query context
 				// ends, remaining splits are pointless work — the query
@@ -550,8 +563,8 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 					fail(err)
 					return
 				}
-				i, ok := <-splitCh
-				if !ok || !runSplit(i) {
+				ran++
+				if !runSplit(i, sources[k]) {
 					return
 				}
 			}
@@ -560,18 +573,14 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 	done := make(chan struct{})
 	go func() {
 		wg.Wait()
-		// Splits a failed or cancelled stage never started.
-		for i := range splitCh {
-			close(queues[i])
-		}
 		close(done)
 	}()
 
 	return &leafStage{
-		queues: queues,
-		window: window,
-		done:   done,
-		errFn:  func() error { return workerErr },
+		queues:  queues,
+		drained: drained,
+		done:    done,
+		errFn:   func() error { return workerErr },
 	}, exchange.OutputSchema(), nil
 }
 

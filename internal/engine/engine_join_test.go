@@ -64,7 +64,10 @@ func (c *joinConnector) Splits(handle plan.TableHandle) ([]Split, error) {
 	return out, nil
 }
 func (c *joinConnector) PlanOptimizer() ConnectorPlanOptimizer { return nil }
-func (c *joinConnector) CreatePageSource(_ context.Context, handle plan.TableHandle, split Split, stats *ScanStats) (exec.Operator, error) {
+func (c *joinConnector) CreatePageSources(ctx context.Context, handle plan.TableHandle, splits []Split, stats *ScanStats) ([]exec.Operator, error) {
+	return OpenEach(ctx, handle, splits, stats, c.openSplit)
+}
+func (c *joinConnector) openSplit(_ context.Context, handle plan.TableHandle, split Split, stats *ScanStats) (exec.Operator, error) {
 	h := handle.(*joinTestHandle)
 	if split.Object == c.failOn {
 		return nil, errors.New("join: injected connection kill")

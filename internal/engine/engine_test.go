@@ -68,7 +68,10 @@ func (c *memConnector) Splits(handle plan.TableHandle) ([]Split, error) {
 	return out, nil
 }
 func (c *memConnector) PlanOptimizer() ConnectorPlanOptimizer { return nil }
-func (c *memConnector) CreatePageSource(_ context.Context, handle plan.TableHandle, split Split, stats *ScanStats) (exec.Operator, error) {
+func (c *memConnector) CreatePageSources(ctx context.Context, handle plan.TableHandle, splits []Split, stats *ScanStats) ([]exec.Operator, error) {
+	return OpenEach(ctx, handle, splits, stats, c.openSplit)
+}
+func (c *memConnector) openSplit(_ context.Context, handle plan.TableHandle, split Split, stats *ScanStats) (exec.Operator, error) {
 	h := handle.(*memHandle)
 	if split.Object == c.failOn {
 		return nil, errors.New("mem: injected failure")

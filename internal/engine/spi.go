@@ -30,7 +30,7 @@ type Split struct {
 }
 
 // ScanStats accumulates connector-side metrics for one query. Connectors
-// update it from CreatePageSource; it is safe for concurrent use.
+// update it from their page sources; it is safe for concurrent use.
 type ScanStats struct {
 	mu sync.Mutex
 	// BytesMoved is payload bytes that crossed the compute/storage
@@ -245,14 +245,77 @@ type Connector interface {
 	// PlanOptimizer returns the connector's local optimizer (nil for
 	// connectors without pushdown logic beyond projection).
 	PlanOptimizer() ConnectorPlanOptimizer
-	// CreatePageSource is the one way the engine opens a split. How the
-	// split is served — in storage or raw, as the handle's plan-time
-	// pushdown decided — is the connector's business; whichever path it
-	// takes yields pages in handle.ScanSchema() order and records its
-	// metrics in stats. The context covers the whole life of the source:
-	// cancelling it must make pending and future Next calls return
-	// promptly.
-	CreatePageSource(ctx context.Context, handle plan.TableHandle, split Split, stats *ScanStats) (exec.Operator, error)
+	// CreatePageSources is the one way the engine opens splits: one leaf
+	// worker's share of a scan, in the order the worker runs them. It
+	// returns one source per split, in that order. The caller consumes
+	// them one after the other — it calls source i+1's Next only once
+	// source i has returned nil or been closed — and closes every one,
+	// run or not. How the splits are served — in storage or raw, one
+	// request per split or one for them all, as the handle's plan-time
+	// pushdown decided — is the connector's business; every source yields
+	// pages in handle.ScanSchema() order and records its metrics in
+	// stats. The context covers the whole life of the sources: cancelling
+	// it must make pending and future Next calls return promptly.
+	CreatePageSources(ctx context.Context, handle plan.TableHandle, splits []Split, stats *ScanStats) ([]exec.Operator, error)
+}
+
+// OpenEach is CreatePageSources for a connector that opens its splits one
+// by one with open, under the same contract: the first split opens now,
+// so an error opening it is returned here, and each later split opens on
+// its source's first Next.
+func OpenEach(ctx context.Context, handle plan.TableHandle, splits []Split, stats *ScanStats, open func(context.Context, plan.TableHandle, Split, *ScanStats) (exec.Operator, error)) ([]exec.Operator, error) {
+	sources := make([]exec.Operator, len(splits))
+	for i, split := range splits {
+		sources[i] = &lazySource{schema: handle.ScanSchema(), open: func() (exec.Operator, error) {
+			return open(ctx, handle, split, stats)
+		}}
+	}
+	if len(sources) > 0 {
+		if err := sources[0].(*lazySource).start(); err != nil {
+			return nil, err
+		}
+	}
+	return sources, nil
+}
+
+// lazySource is one split of OpenEach: it opens on its first Next, and
+// Close releases what it opened (nothing if it never did).
+type lazySource struct {
+	schema *types.Schema
+	open   func() (exec.Operator, error)
+	src    exec.Operator
+	closed bool
+}
+
+func (s *lazySource) Schema() *types.Schema { return s.schema }
+
+func (s *lazySource) start() error {
+	src, err := s.open()
+	if err != nil {
+		return err
+	}
+	s.src = src
+	return nil
+}
+
+func (s *lazySource) Next() (*column.Page, error) {
+	if s.closed {
+		return nil, nil
+	}
+	if s.src == nil {
+		if err := s.start(); err != nil {
+			return nil, err
+		}
+	}
+	return s.src.Next()
+}
+
+func (s *lazySource) Close() error {
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	return exec.Close(s.src)
 }
 
 // SplitSource is an optional Connector extension: connectors that can

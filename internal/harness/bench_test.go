@@ -68,7 +68,7 @@ func BenchmarkStreamingVsBuffered(b *testing.B) {
 		c := benchCluster(b, dw)
 		scan := &substrait.ReadRel{
 			Bucket:     dw.Table.Bucket,
-			Object:     dw.Table.Objects[0],
+			Objects:    dw.Table.Objects[:1],
 			BaseSchema: dw.Table.Columns,
 		}
 		plan := substrait.NewPlan(scan)
@@ -121,7 +121,7 @@ func BenchmarkStreamingVsBuffered(b *testing.B) {
 		c := benchCluster(b, dw)
 		scan := &substrait.ReadRel{
 			Bucket:     dw.Table.Bucket,
-			Object:     dw.Table.Objects[0],
+			Objects:    dw.Table.Objects[:1],
 			BaseSchema: dw.Table.Columns,
 		}
 		plan := substrait.NewPlan(scan)

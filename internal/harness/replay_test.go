@@ -14,6 +14,7 @@ import (
 	"prestocs/internal/expr"
 	"prestocs/internal/faultnet"
 	"prestocs/internal/ocsserver"
+	"prestocs/internal/substrait"
 	"prestocs/internal/telemetry"
 	"prestocs/internal/types"
 	"prestocs/internal/workload"
@@ -58,6 +59,16 @@ func laghosFilterHandle(t *testing.T, c *Cluster, cut float64) *ocsconn.Handle {
 	return h
 }
 
+// openSplit opens one split through the connector, as a one-split share
+// of a scan.
+func openSplit(ctx context.Context, c *Cluster, h *ocsconn.Handle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
+	srcs, err := c.OCSConn.CreatePageSources(ctx, h, []engine.Split{split}, stats)
+	if err != nil {
+		return nil, err
+	}
+	return srcs[0], nil
+}
+
 // readSplit opens one split through the connector's page source and
 // returns column 0 of every row it delivers, in order, and the split's
 // fallback count. With kill set, the connection under the stream is
@@ -65,7 +76,7 @@ func laghosFilterHandle(t *testing.T, c *Cluster, cut float64) *ocsconn.Handle {
 func readSplit(t *testing.T, c *Cluster, proxy *faultnet.Proxy, h *ocsconn.Handle, split engine.Split, kill bool) ([]string, int64) {
 	t.Helper()
 	var stats engine.ScanStats
-	src, err := c.OCSConn.CreatePageSource(context.Background(), h, split, &stats)
+	src, err := openSplit(context.Background(), c, h, split, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +205,7 @@ func TestReplaySpanCoversTheReplay(t *testing.T) {
 	}
 	for i, end := range []string{"exhaust", "close"} {
 		var stats engine.ScanStats
-		src, err := c.OCSConn.CreatePageSource(ctx, laghosFilterHandle(t, c, 9), split, &stats)
+		src, err := openSplit(ctx, c, laghosFilterHandle(t, c, 9), split, &stats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,4 +247,128 @@ func collectColumn(t *testing.T, page *column.Page, dst []string) []string {
 		dst = append(dst, fmt.Sprint(vec.Value(i)))
 	}
 	return dst
+}
+
+// groupedKillCase is one killed-connection scenario over a grouped
+// stream: four objects in one ocs.Execute request, the connection severed
+// after the response bytes that carry what keep reports true for.
+type groupedKillCase struct {
+	name string
+	push func(t *testing.T, c *Cluster) *ocsconn.Handle
+	// keep reports, before source k's (pages+1)-th Next, whether the
+	// connection must still carry the next chunk; the first false arms
+	// the kill at the bytes received so far.
+	keep func(k, pages int) bool
+}
+
+// laghosAggHandle pushes a partial aggregate over laghos: count(*) and
+// sum(x) per vertex_id, whose output order is the hash table's, not the
+// scan's.
+func laghosAggHandle(t *testing.T, c *Cluster) *ocsconn.Handle {
+	t.Helper()
+	th, err := c.OCSConn.TableHandle(CatalogOCS, "laghos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := th.(*ocsconn.Handle)
+	h.Push = &ocsconn.Pushdown{Agg: &ocsconn.AggSpec{Keys: []int{0}, Measures: []substrait.Measure{
+		{Func: substrait.AggCountStar, Arg: -1, Name: "n"},
+		{Func: substrait.AggSum, Arg: 1, Name: "sx"},
+	}}}
+	return h
+}
+
+// readGrouped opens splits as one worker's share on a fresh client (so
+// its first ocs.Execute connection is born for this read) and reads the
+// sources in order. It returns every row rendered whole, the fallback
+// count, the ocs.Execute streams the client opened, and the ocs.Execute
+// response bytes received when keep first reported false (-1 if never).
+func readGrouped(t *testing.T, c *Cluster, addr string, h *ocsconn.Handle, splits []engine.Split, keep func(k, pages int) bool) ([]string, int64, int64, int64) {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	cli := ocsserver.NewClient(addr, ocsserver.WithMetrics(reg))
+	defer cli.Close()
+	conn := ocsconn.New(CatalogOCS, c.Meta, cli)
+	var stats engine.ScanStats
+	srcs, err := conn.CreatePageSources(context.Background(), h, splits, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	cut := int64(-1)
+	for k, src := range srcs {
+		for pages := 0; ; pages++ {
+			if cut < 0 && !keep(k, pages) {
+				cut = reg.CounterValue(telemetry.MetricRPCClientRecvBytes, "method", ocsserver.MethodExecute)
+			}
+			p, err := src.Next()
+			if err != nil {
+				t.Fatalf("source %d: %v", k, err)
+			}
+			if p == nil {
+				break
+			}
+			for r := 0; r < p.NumRows(); r++ {
+				rows = append(rows, fmt.Sprint(p.Row(r)))
+			}
+		}
+		exec.Close(src)
+	}
+	return rows, stats.Snapshot().FallbackSplits, reg.HistogramCount(telemetry.MetricRPCClientLatency, "method", ocsserver.MethodExecute), cut
+}
+
+// TestKilledGroupedStreamReplaysOneObject severs a grouped stream — four
+// objects in one ocs.Execute request — at an object boundary, mid-object
+// under a filter-only (order-deterministic) pushdown, and mid-object under
+// a pushed aggregate before any of the object's rows is delivered. Each
+// time the object the break lands in replays locally (the one fallback),
+// the objects after it ride one reopened request (two ocs.Execute streams
+// in all), and the rows are those of the unfaulted read, byte for byte.
+func TestKilledGroupedStreamReplaysOneObject(t *testing.T) {
+	d, err := workload.Laghos(workload.Config{Files: 4, RowsPerFile: 2048, RowGroupSize: 512, Seed: 5, Codec: compress.None})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filter := func(t *testing.T, c *Cluster) *ocsconn.Handle { return laghosFilterHandle(t, c, 9) }
+	for _, tc := range []groupedKillCase{
+		// The break lands after object 0's end chunk, before object 1's
+		// first batch.
+		{"object-boundary", filter, func(k, _ int) bool { return k < 1 }},
+		// Object 1 has delivered one page.
+		{"mid-object-filter", filter, func(k, pages int) bool { return k < 1 || pages < 1 }},
+		// Object 1's one partial-aggregate batch is lost.
+		{"mid-object-aggregate", laghosAggHandle, func(k, _ int) bool { return k < 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, proxy := killableCluster(t)
+			if err := c.Load(d); err != nil {
+				t.Fatal(err)
+			}
+			h := tc.push(t, c)
+			var splits []engine.Split
+			for i, o := range d.Table.Objects {
+				splits = append(splits, engine.Split{Object: o, Index: i})
+			}
+			want, fallbacks, streams, cut := readGrouped(t, c, proxy.Addr(), h, splits, tc.keep)
+			if fallbacks != 0 || streams != 1 || cut <= 0 {
+				t.Fatalf("unfaulted read: %d fallbacks, %d streams, cut at %d bytes; want 0, 1 and a cut", fallbacks, streams, cut)
+			}
+			// The proxy counts a connection's response bytes from its
+			// birth, and a fresh client's first ocs.Execute connection
+			// carries nothing else: the kill drops the first chunk past
+			// the cut.
+			proxy.KillOnce(cut + 1)
+			got, fallbacks, streams, _ := readGrouped(t, c, proxy.Addr(), h, splits, func(int, int) bool { return true })
+			if proxy.Killed() != 1 {
+				t.Fatalf("killed connections = %d, want 1", proxy.Killed())
+			}
+			if fallbacks != 1 {
+				t.Errorf("fallback splits = %d, want exactly the object the break landed in", fallbacks)
+			}
+			if streams != 2 {
+				t.Errorf("ocs.Execute streams = %d, want the broken one and one reopened for the objects after the break", streams)
+			}
+			assertRowsEqual(t, tc.name, got, want)
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -42,9 +43,11 @@ func closedTrace(c *Cluster, id telemetry.TraceID) []telemetry.SpanView {
 
 // TestQueryProducesConnectedTrace is the tentpole acceptance test: one
 // query through the full in-process cluster (engine, rpc client, OCS
-// frontend, storage nodes, scan pool) yields a single connected trace,
-// the engine stage spans account for the query wall time, and the root
-// span's Table-3 stage totals equal ScanStats exactly.
+// frontend, storage nodes, scan pool) yields a single connected trace
+// whose spans hang in the order and under the parents their layers give
+// them — one connector.scan per split, one stream open and one
+// ocs.Execute stream per request — and the root span's Table-3 stage
+// totals equal ScanStats exactly.
 func TestQueryProducesConnectedTrace(t *testing.T) {
 	c, err := StartClusterWith(2, Config{Telemetry: true})
 	if err != nil {
@@ -106,18 +109,58 @@ func TestQueryProducesConnectedTrace(t *testing.T) {
 		t.Errorf("connector.scan spans = %d, want one per split (%d)",
 			names["connector.scan"], cell.Stats.Splits)
 	}
-
-	// The engine stage spans are sequential children of the root; their
-	// sum must account for the query wall time within 5%.
-	var stages time.Duration
-	for _, v := range spans {
-		if v.Parent == root.ID && strings.HasPrefix(v.Name, "engine.") {
-			stages += v.Duration()
+	// One ocs.Execute request per leaf worker with splits to run.
+	requests := min(c.Engine.Workers, cell.Stats.Splits)
+	for _, name := range []string{"connector.substrait_gen", "connector.stream_open", "rpc.stream ocs.Execute"} {
+		if names[name] != requests {
+			t.Errorf("%s spans = %d, want one per request (%d)", name, names[name], requests)
 		}
 	}
-	wall := root.Duration()
-	if gap := wall - stages; gap < 0 || gap > wall/20+time.Millisecond {
-		t.Errorf("stage spans sum to %v of %v wall (gap %v), want within 5%%", stages, wall, wall-stages)
+
+	// Structure, not time shares: the engine stages are the root's
+	// children in order, each ending before the next starts; every span
+	// below them hangs where its layer puts it, and starts no earlier
+	// than its parent.
+	var stages []telemetry.SpanView
+	for _, v := range spans {
+		if v.Parent == root.ID {
+			stages = append(stages, v)
+		}
+	}
+	sort.Slice(stages, func(i, j int) bool { return stages[i].Start.Before(stages[j].Start) })
+	var order []string
+	for i, v := range stages {
+		order = append(order, v.Name)
+		if i > 0 && v.Start.Before(stages[i-1].End) {
+			t.Errorf("stage %s starts before %s ends", v.Name, stages[i-1].Name)
+		}
+	}
+	if got := strings.Join(order, " "); got != "engine.parse_analyze engine.global_opt engine.connector_opt engine.execution" {
+		t.Fatalf("root's children = %s", got)
+	}
+	parentOf := map[string]string{
+		"connector.scan":             "engine.execution",
+		"connector.substrait_gen":    "connector.scan",
+		"connector.stream_open":      "connector.scan",
+		"rpc.stream ocs.Execute":     "connector.stream_open",
+		"rpc.server ocs.Execute":     "rpc.stream ocs.Execute",
+		"frontend.forward":           "rpc.server ocs.Execute",
+		"rpc.stream ocsnode.Execute": "frontend.forward",
+		"rpc.server ocsnode.Execute": "rpc.stream ocsnode.Execute",
+		"node.execute":               "rpc.server ocsnode.Execute",
+	}
+	for _, v := range spans {
+		want, ok := parentOf[v.Name]
+		if !ok {
+			continue
+		}
+		parent := byID[v.Parent]
+		if parent.Name != want {
+			t.Errorf("span %q has parent %q, want %q", v.Name, parent.Name, want)
+		}
+		if v.Start.Before(parent.Start) {
+			t.Errorf("span %q starts before its parent %q", v.Name, parent.Name)
+		}
 	}
 
 	// Table-3 exact match: the root span carries the same stage totals

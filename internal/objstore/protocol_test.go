@@ -230,7 +230,7 @@ func testMutationDropsNodeCaches(t *testing.T, srv objectServer, cli *objstore.C
 		t.Fatal(err)
 	}
 	plan := substrait.NewPlan(&substrait.FilterRel{
-		Input:     &substrait.ReadRel{Bucket: bucket, Object: key, BaseSchema: schema},
+		Input:     &substrait.ReadRel{Bucket: bucket, Objects: []string{key}, BaseSchema: schema},
 		Condition: cond,
 	})
 

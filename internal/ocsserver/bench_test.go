@@ -71,7 +71,7 @@ func BenchmarkPruneSweep(b *testing.B) {
 			b.Run(fmt.Sprintf("sel=%g%%/%s", sel*100, mode.name), func(b *testing.B) {
 				var rows int
 				for i := 0; i < b.N; i++ {
-					read := &substrait.ReadRel{Bucket: "b", Object: "sweep", BaseSchema: sweepSchema()}
+					read := &substrait.ReadRel{Bucket: "b", Objects: []string{"sweep"}, BaseSchema: sweepSchema()}
 					plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})
 					pages, _, err := execute(store, plan, openOpts{scanPool: 1, noPrune: mode.noPrune})
 					if err != nil {
@@ -123,7 +123,7 @@ func BenchmarkHotCache(b *testing.B) {
 		b.Fatal(err)
 	}
 	newPlan := func() *substrait.Plan {
-		read := &substrait.ReadRel{Bucket: "b", Object: "hot", BaseSchema: sweepSchema()}
+		read := &substrait.ReadRel{Bucket: "b", Objects: []string{"hot"}, BaseSchema: sweepSchema()}
 		return substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})
 	}
 

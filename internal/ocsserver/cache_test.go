@@ -45,7 +45,7 @@ func TestCacheDifferentialExecution(t *testing.T) {
 
 	for trial := 0; trial < 100; trial++ {
 		pred := randPrunePredicate(rng, 3)
-		read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: pruneSchema()}
+		read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: pruneSchema()}
 		plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: pred})
 		pool := 1
 		if trial%5 == 0 {
@@ -87,7 +87,7 @@ func TestCacheInvalidationOnRePut(t *testing.T) {
 	store.Put("b", "o", constObject(t, 1, 64))
 	caches := cache.NewStorage(1<<20, 8<<20)
 
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: types.NewSchema(types.Column{Name: "x", Type: types.Int64})}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: types.NewSchema(types.Column{Name: "x", Type: types.Int64})}
 	cond, err := expr.NewCompare(expr.Ge, expr.Col(0, "x", types.Int64), expr.Lit(types.IntValue(0)))
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"prestocs/internal/arrowlite"
 	"prestocs/internal/column"
 	"prestocs/internal/objstore"
-	"prestocs/internal/protowire"
 	"prestocs/internal/retry"
 	"prestocs/internal/rpc"
 	"prestocs/internal/substrait"
@@ -77,29 +76,34 @@ type Result struct {
 	ArrowBytes int64
 }
 
-// ResultStream is an incremental in-storage execution result: the schema
-// is available as soon as the first chunk lands, pages arrive one Next
-// call at a time while the storage node is still scanning, and the work
-// stats become available once Next returns io.EOF.
+// ResultStream is an incremental in-storage execution result over the
+// objects the plan lists: the schema is available as soon as the first
+// chunk lands, then each object's pages arrive one Next call at a time
+// while the storage node is still scanning, each object ending in an
+// io.EOF after which Stats holds that object's work.
 type ResultStream struct {
-	cs     *rpc.ClientStream
-	schema *types.Schema
-	stats  objstore.WorkStats
-	bytes  int64
-	decode time.Duration
-	done   bool
+	cs      *rpc.ClientStream
+	schema  *types.Schema
+	objects int // the objects the request listed
+	ended   int // the objects whose end has been read
+	stats   objstore.WorkStats
+	bytes   int64
+	decode  time.Duration
+	done    bool
 }
 
 // ExecuteStream marshals the plan, ships it to OCS as the request payload
-// and returns the result stream. The caller must drain it to io.EOF or
-// Close it. Opening the stream — up to and including the schema chunk — is
-// retried on transient failure; once the schema has landed, failures
-// surface to the caller, who decides between retry and fallback.
+// and returns the result stream. The caller must drain it to its last
+// object's io.EOF or Close it. Opening the stream — up to and including
+// the schema chunk — is retried on transient failure; once the schema has
+// landed, failures surface to the caller, who decides between retry and
+// fallback.
 func (c *Client) ExecuteStream(ctx context.Context, plan *substrait.Plan) (*ResultStream, error) {
 	payload, err := substrait.Marshal(plan)
 	if err != nil {
 		return nil, err
 	}
+	objects := len(readRel(plan).Objects)
 	var rs *ResultStream
 	err = c.retry.Do(ctx, func() error {
 		cs, err := c.rpc.Stream(ctx, MethodExecute, payload)
@@ -120,7 +124,7 @@ func (c *Client) ExecuteStream(ctx context.Context, plan *substrait.Plan) (*Resu
 			cs.Close()
 			return retry.Permanent(err)
 		}
-		rs = &ResultStream{cs: cs, schema: schema, bytes: int64(len(first))}
+		rs = &ResultStream{cs: cs, schema: schema, objects: objects, bytes: int64(len(first))}
 		return nil
 	})
 	if err != nil {
@@ -132,29 +136,56 @@ func (c *Client) ExecuteStream(ctx context.Context, plan *substrait.Plan) (*Resu
 // Schema returns the result schema (available immediately).
 func (rs *ResultStream) Schema() *types.Schema { return rs.schema }
 
-// Next returns the next result page, or io.EOF once the stream ends
-// cleanly, at which point Stats and ArrowBytes are final.
+// Next returns the next page of the current object, or io.EOF once that
+// object has ended — at its object-end chunk, or at the end frame for the
+// last object listed — at which point Stats holds its work. The call after
+// an io.EOF reads the next object; once the last one has ended, every
+// call returns io.EOF and ArrowBytes is final.
 func (rs *ResultStream) Next() (*column.Page, error) {
 	if rs.done {
 		return nil, io.EOF
 	}
 	chunk, err := rs.cs.Recv()
 	if err == io.EOF {
-		rs.done = true
-		if terr := rs.decodeTrailer(); terr != nil {
-			return nil, terr
-		}
-		return nil, io.EOF
+		return nil, rs.endObject(rs.cs.Trailer(), false)
 	}
 	if err != nil {
 		rs.done = true
 		return nil, err
 	}
 	rs.bytes += int64(len(chunk))
+	if isObjectEnd(chunk) {
+		return nil, rs.endObject(chunk, true)
+	}
 	start := time.Now()
 	page, err := arrowlite.DecodeBatchMsg(chunk, rs.schema)
 	rs.decode += time.Since(start)
 	return page, err
+}
+
+// endObject retires the current object at its end — an object-end chunk,
+// or the trailer — and returns io.EOF, or the error that the end is not
+// where the request's object list puts it or does not decode.
+func (rs *ResultStream) endObject(b []byte, chunk bool) error {
+	var err error
+	switch {
+	case chunk && rs.ended+1 >= rs.objects:
+		err = fmt.Errorf("ocs: object-end chunk after the request's %d objects", rs.objects)
+	case !chunk && rs.ended+1 != rs.objects:
+		err = fmt.Errorf("ocs: result stream ended after %d of %d objects", rs.ended+1, rs.objects)
+	case chunk:
+		rs.stats, err = decodeObjectEnd(b)
+	default:
+		rs.stats, err = decodeWorkTrailer(b)
+	}
+	if err != nil {
+		rs.done = true
+		rs.cs.Close()
+		return err
+	}
+	rs.ended++
+	rs.done = !chunk
+	return io.EOF
 }
 
 // DecodeTime is the cumulative wall time spent deserializing Arrow batch
@@ -162,55 +193,40 @@ func (rs *ResultStream) Next() (*column.Page, error) {
 // it as the arrow_deserialize stage of the scan span.
 func (rs *ResultStream) DecodeTime() time.Duration { return rs.decode }
 
-// decodeTrailer reads the end-frame trailer: the node's WorkStats message
-// in field 1.
-func (rs *ResultStream) decodeTrailer() error {
-	d := protowire.NewDecoder(rs.cs.Trailer())
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return err
-		}
-		if f != 1 {
-			if err := d.Skip(ty); err != nil {
-				return err
-			}
-			continue
-		}
-		msg, err := d.Bytes()
-		if err != nil {
-			return err
-		}
-		if rs.stats, err = objstore.DecodeStats(msg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Stats returns the storage-side work stats; final after Next returned
-// io.EOF.
+// Stats returns the work of the object that ended last; final for an
+// object once Next returned its io.EOF.
 func (rs *ResultStream) Stats() objstore.WorkStats { return rs.stats }
 
 // ArrowBytes returns the Arrow payload bytes received so far.
 func (rs *ResultStream) ArrowBytes() int64 { return rs.bytes }
 
-// TryDrain consumes the remainder of the stream within the given budget
-// so the trailer — and with it the storage-side Stats — becomes final
-// even when the caller stops early (a LIMIT satisfied mid-stream). It
-// reports whether the clean end of stream was reached; drained chunk
-// bytes count toward ArrowBytes since they did cross the network.
+// TryDrain consumes the remainder of the current object within the given
+// budget so its end — and with it the storage-side Stats — is read even
+// when the caller stops early (a LIMIT satisfied mid-stream). It reports
+// whether the object's end was reached, leaving the stream at the next
+// object; otherwise the stream is closed. Drained chunk bytes count
+// toward ArrowBytes since they did cross the network.
 func (rs *ResultStream) TryDrain(maxChunks int, timeout time.Duration) bool {
 	if rs.done {
 		return true
 	}
-	n, ok := rs.cs.TryDrain(maxChunks, timeout)
+	var endErr error
+	n, ok := rs.cs.TryDrain(maxChunks, timeout, func(chunk []byte) bool {
+		if !isObjectEnd(chunk) {
+			return false
+		}
+		endErr = rs.endObject(chunk, true)
+		return true
+	})
 	rs.bytes += n
 	if !ok {
+		rs.done = true
 		return false
 	}
-	rs.done = true
-	return rs.decodeTrailer() == nil
+	if endErr == nil {
+		endErr = rs.endObject(rs.cs.Trailer(), false)
+	}
+	return endErr == io.EOF
 }
 
 // Close releases the stream; if it has not been drained the underlying
@@ -220,9 +236,10 @@ func (rs *ResultStream) Close() error {
 	return rs.cs.Close()
 }
 
-// Execute runs a plan and buffers the whole result, draining the stream.
-// Kept for callers that want the materialized form; the connector's page
-// source consumes ExecuteStream directly.
+// Execute runs a plan and buffers the whole result, draining the stream;
+// Stats sums the work of every object. Kept for callers that want the
+// materialized form; the connector's page source consumes ExecuteStream
+// directly.
 func (c *Client) Execute(ctx context.Context, plan *substrait.Plan) (*Result, error) {
 	rs, err := c.ExecuteStream(ctx, plan)
 	if err != nil {
@@ -230,17 +247,19 @@ func (c *Client) Execute(ctx context.Context, plan *substrait.Plan) (*Result, er
 	}
 	defer rs.Close()
 	var pages []*column.Page
-	for {
+	var stats objstore.WorkStats
+	for !rs.done {
 		page, err := rs.Next()
 		if err == io.EOF {
-			break
+			stats.Add(rs.Stats())
+			continue
 		}
 		if err != nil {
 			return nil, err
 		}
 		pages = append(pages, page)
 	}
-	return &Result{Schema: rs.Schema(), Pages: pages, Stats: rs.Stats(), ArrowBytes: rs.ArrowBytes()}, nil
+	return &Result{Schema: rs.Schema(), Pages: pages, Stats: stats, ArrowBytes: rs.ArrowBytes()}, nil
 }
 
 // Cluster bundles an in-process OCS deployment: storage nodes plus a

@@ -31,6 +31,10 @@ import (
 // and the plan. The zero value is the in-process default: uncached, no
 // telemetry, cost-model scan pool, an ephemeral scheduler.
 type openOpts struct {
+	// object is the one object, of those the plan's ReadRel lists, that
+	// this execution scans.
+	object string
+
 	// scanPool sizes the row-group scan pool; <= 0 selects the cost-model
 	// storage-node core count, 1 forces the sequential scanner.
 	scanPool int
@@ -220,16 +224,16 @@ func compileRel(store *objstore.Store, rel substrait.Rel, env *execEnv) (exec.Op
 // scan pool larger than one and several surviving row groups, the source
 // scans row groups concurrently with an order-preserving merge.
 func compileRead(store *objstore.Store, read *substrait.ReadRel, pruneWith expr.Expr, env *execEnv) (exec.Operator, error) {
-	data, ver, err := store.GetVersioned(read.Bucket, read.Object)
+	data, ver, err := store.GetVersioned(read.Bucket, env.object)
 	if err != nil {
 		return nil, err // the store's lookup errors carry rpc.CodeNotFound
 	}
 	// The object key embeds the store generation, so footers and pages
 	// cached for an earlier version of a re-put object can never be hit.
-	objKey := cache.ObjectKey(read.Bucket, read.Object, ver)
+	objKey := cache.ObjectKey(read.Bucket, env.object, ver)
 	r, err := env.caches.Footer().Open(objKey, data)
 	if err != nil {
-		return nil, fmt.Errorf("ocsserver: %s/%s: %w", read.Bucket, read.Object, err)
+		return nil, fmt.Errorf("ocsserver: %s/%s: %w", read.Bucket, env.object, err)
 	}
 	fileSchema := r.Schema()
 	outSchema, err := read.OutputSchema()
@@ -268,7 +272,7 @@ func compileRead(store *objstore.Store, read *substrait.ReadRel, pruneWith expr.
 			if ranges := expr.AnalyzeRanges(remapped); ranges.Constrained() {
 				keep, pruned, skipped := r.PruneRowGroupsRanges(ranges, cols)
 				if len(pruned) > 0 {
-					recordPrune(env, read.Object, pruned, skipped)
+					recordPrune(env, env.object, pruned, skipped)
 					groups = keep
 					twoTouch = 2*len(pruned) >= len(r.Meta().RowGroups)
 				}
@@ -364,30 +368,30 @@ func recordPrune(env *execEnv, object string, pruned []int, bytesSkipped int64) 
 	sp.End()
 }
 
-// LocalStream is one local plan execution, pulled page by page: the
-// storage node's RPC handler streams it to the wire, the connector's
-// local replay overlaps residual execution with it exactly like the raw
-// no-pushdown path does, and ExecuteLocalCached drains it. The final nil
+// LocalStream is one local plan execution over one object, pulled page
+// by page: the storage node's RPC handler streams one per listed object
+// to the wire, the connector's local replay overlaps residual execution
+// with it exactly like the raw no-pushdown path does, and
+// ExecuteLocalCached drains one per listed object. The final nil
 // page (or Close, when the consumer abandons the stream) tears down the
 // scan workers and, when the stream owns it, the ephemeral scheduler;
 // Work is valid after either.
 type LocalStream struct {
-	op         exec.Operator
-	env        *execEnv
-	planSchema *types.Schema
-	done       bool
-	work       *objstore.WorkStats
+	op   exec.Operator
+	env  *execEnv
+	done bool
+	work *objstore.WorkStats
 }
 
 // open is the single way a plan is run against a local store: it
-// validates the plan, builds the execution env and compiles the pipeline.
-// A plan that fails validation is reported with rpc.CodeInvalid.
+// validates the plan, builds the execution env and compiles the pipeline
+// over o.object. A plan that fails validation is reported with
+// rpc.CodeInvalid.
 func open(store *objstore.Store, plan *substrait.Plan, o openOpts) (*LocalStream, error) {
-	planSchema, err := plan.Validate()
-	if err != nil {
+	if _, err := plan.Validate(); err != nil {
 		return nil, rpc.WithCode(err, rpc.CodeInvalid)
 	}
-	s := &LocalStream{env: newExecEnv(o), planSchema: planSchema}
+	s := &LocalStream{env: newExecEnv(o)}
 	op, err := compilePlan(store, plan, s.env)
 	if err != nil {
 		s.teardown()
@@ -397,12 +401,12 @@ func open(store *objstore.Store, plan *substrait.Plan, o openOpts) (*LocalStream
 	return s, nil
 }
 
-// ExecuteLocalStream opens a plan against a local store fully uncached —
-// the connector's replay paths depend on this to bypass (never corrupt)
-// node caches they have no view of. pool <= 0 selects the cost-model
-// default.
-func ExecuteLocalStream(store *objstore.Store, plan *substrait.Plan, pool int) (*LocalStream, error) {
-	return open(store, plan, openOpts{scanPool: pool})
+// ExecuteLocalStream opens a plan over one object against a local store
+// fully uncached — the connector's replay paths depend on this to bypass
+// (never corrupt) node caches they have no view of. pool <= 0 selects the
+// cost-model default.
+func ExecuteLocalStream(store *objstore.Store, plan *substrait.Plan, object string, pool int) (*LocalStream, error) {
+	return open(store, plan, openOpts{object: object, scanPool: pool})
 }
 
 // ExecuteLocalCached runs a plan to completion with an explicit cache
@@ -413,17 +417,40 @@ func ExecuteLocalCached(store *objstore.Store, plan *substrait.Plan, pool int, c
 	return execute(store, plan, openOpts{scanPool: pool, caches: caches})
 }
 
-// execute is open + drain.
+// execute runs open + drain over each object the plan lists, in order,
+// and returns the pages in that order with the work summed.
 func execute(store *objstore.Store, plan *substrait.Plan, o openOpts) ([]*column.Page, *objstore.WorkStats, error) {
-	s, err := open(store, plan, o)
-	if err != nil {
-		return nil, nil, err
+	if _, err := plan.Validate(); err != nil {
+		return nil, nil, rpc.WithCode(err, rpc.CodeInvalid)
 	}
-	pages, err := exec.Drain(s)
-	if err != nil {
-		return nil, nil, err
+	var pages []*column.Page
+	var work objstore.WorkStats
+	for _, object := range readRel(plan).Objects {
+		o.object = object
+		s, err := open(store, plan, o)
+		if err != nil {
+			return nil, nil, err
+		}
+		got, err := exec.Drain(s)
+		if err != nil {
+			return nil, nil, err
+		}
+		pages = append(pages, got...)
+		work.Add(*s.Work())
 	}
-	return pages, s.Work(), nil
+	return pages, &work, nil
+}
+
+// readRel returns the plan's ReadRel (nil when it has none, which a
+// decoded plan never lacks).
+func readRel(plan *substrait.Plan) *substrait.ReadRel {
+	var read *substrait.ReadRel
+	substrait.WalkRels(plan.Root, func(r substrait.Rel) {
+		if rd, ok := r.(*substrait.ReadRel); ok {
+			read = rd
+		}
+	})
+	return read
 }
 
 // Schema implements exec.Operator.

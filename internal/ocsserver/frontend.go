@@ -96,23 +96,53 @@ func (f *Frontend) nodeFor(bucket, key string) int {
 	return int(h.Sum32() % uint32(len(f.nodes)))
 }
 
-// handleExecute validates the plan and forwards it to the node holding
-// the object named by its ReadRel.
+// handleExecute validates the plan and forwards it to the nodes holding
+// the objects its ReadRel lists. When one node holds them all, the payload
+// goes to it unchanged. Otherwise each in-order run of objects that share
+// a node goes to that node as the same plan listing just the run, one run
+// after the other, and the relayed streams are spliced into one: the
+// first run's schema chunk stands for every run's, and each run's trailer
+// but the last becomes the object-end chunk of the run's last object.
 func (f *Frontend) handleExecute(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
 	plan, err := substrait.Unmarshal(payload)
 	if err != nil {
 		return nil, rpc.WithCode(fmt.Errorf("ocs: rejecting plan: %w", err), rpc.CodeInvalid)
 	}
-	var read *substrait.ReadRel
-	substrait.WalkRels(plan.Root, func(r substrait.Rel) {
-		if rd, ok := r.(*substrait.ReadRel); ok {
-			read = rd
-		}
-	})
+	read := readRel(plan)
 	if read == nil {
 		return nil, rpc.WithCode(fmt.Errorf("ocs: plan has no read relation"), rpc.CodeInvalid)
 	}
-	return f.forward(ctx, f.nodeFor(read.Bucket, read.Object), NodeMethodExecute, payload, send)
+	objects := read.Objects
+	var runs []int // the index in objects at which each run starts
+	for i, o := range objects {
+		if i == 0 || f.nodeFor(read.Bucket, o) != f.nodeFor(read.Bucket, objects[i-1]) {
+			runs = append(runs, i)
+		}
+	}
+	if len(runs) == 1 {
+		return f.forward(ctx, f.nodeFor(read.Bucket, objects[0]), NodeMethodExecute, payload, send, false)
+	}
+	var trailer []byte
+	for r, from := range runs {
+		to := len(objects)
+		if r+1 < len(runs) {
+			to = runs[r+1]
+		}
+		read.Objects = objects[from:to]
+		run, err := substrait.Marshal(plan)
+		if err != nil {
+			return nil, err
+		}
+		if trailer, err = f.forward(ctx, f.nodeFor(read.Bucket, objects[from]), NodeMethodExecute, run, send, r > 0); err != nil {
+			return nil, err
+		}
+		if to < len(objects) {
+			if err := send(objectEndChunk(nil, trailer)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return trailer, nil
 }
 
 // route is the handler of a keyed object method (Put, Get, Delete): the
@@ -125,18 +155,19 @@ func (f *Frontend) route(method string) rpc.StreamHandler {
 		if err != nil {
 			return nil, err
 		}
-		return f.forward(ctx, f.nodeFor(ref.Bucket, ref.Key), method, payload, send)
+		return f.forward(ctx, f.nodeFor(ref.Bucket, ref.Key), method, payload, send, false)
 	}
 }
 
 // forward makes one call to a node and relays its answer: chunks through
 // send as they arrive — the frontend never buffers more than one, so bytes
 // reach the engine while the node is still scanning — and the trailer as
-// the return value. Failures are retried under the fan-out policy until
-// the first chunk has been relayed; after that the call cannot be
+// the return value; with skipFirst the call's first chunk is dropped
+// instead of relayed. Failures are retried under the fan-out policy until
+// a chunk of this call has been relayed; after that the call cannot be
 // transparently restarted, so the error propagates and the client (or the
 // connector's fallback) takes over.
-func (f *Frontend) forward(ctx context.Context, node int, method string, payload []byte, send func([]byte) error) ([]byte, error) {
+func (f *Frontend) forward(ctx context.Context, node int, method string, payload []byte, send func([]byte) error, skipFirst bool) ([]byte, error) {
 	ctx, span := telemetry.StartSpan(ctx, "frontend.forward")
 	defer span.End()
 	span.SetAttr("node", fmt.Sprintf("node%d", node))
@@ -148,7 +179,7 @@ func (f *Frontend) forward(ctx context.Context, node int, method string, payload
 		}
 		defer st.Close()
 		forwarded := false
-		for {
+		for skip := skipFirst; ; skip = false {
 			chunk, err := st.Recv()
 			if err == io.EOF {
 				trailer = st.Trailer()
@@ -161,6 +192,9 @@ func (f *Frontend) forward(ctx context.Context, node int, method string, payload
 					return retry.Permanent(err)
 				}
 				return err
+			}
+			if skip {
+				continue
 			}
 			if err := send(chunk); err != nil {
 				// Our own downstream died; nothing to retry.

@@ -1,0 +1,389 @@
+package ocsserver
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"prestocs/internal/arrowlite"
+	"prestocs/internal/column"
+	"prestocs/internal/compress"
+	"prestocs/internal/objstore"
+	"prestocs/internal/parquetlite"
+	"prestocs/internal/rpc"
+	"prestocs/internal/substrait"
+	"prestocs/internal/types"
+)
+
+// offsetMeshObject is meshObject with every vertex_id and e shifted by
+// offset, so each object's rows are its own.
+func offsetMeshObject(t *testing.T, offset int) []byte {
+	t.Helper()
+	p := column.NewPage(meshSchema())
+	for i := 0; i < 200; i++ {
+		p.AppendRow(
+			types.IntValue(int64(offset+i%10)),
+			types.FloatValue(float64(i)/100),
+			types.FloatValue(float64(offset+i)),
+		)
+	}
+	data, err := parquetlite.WritePages(meshSchema(), parquetlite.WriterOptions{Codec: compress.Snappy, RowGroupSize: 64}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// groupedPlan is filterPlan over several objects.
+func groupedPlan(t *testing.T, objects []string) *substrait.Plan {
+	t.Helper()
+	p := filterPlan(t, "b", "o")
+	substrait.WalkRels(p.Root, func(r substrait.Rel) {
+		if rd, ok := r.(*substrait.ReadRel); ok {
+			rd.Objects = objects
+		}
+	})
+	return p
+}
+
+// objectsOnNodes names objects of bucket "b" whose placement on a
+// nodes-node frontend follows want, in order.
+func objectsOnNodes(t *testing.T, f *Frontend, want []int) []string {
+	t.Helper()
+	var out []string
+	for i := 0; len(out) < len(want); i++ {
+		name := fmt.Sprintf("o%d", i)
+		if f.nodeFor("b", name) == want[len(out)] {
+			out = append(out, name)
+		}
+		if i > 10000 {
+			t.Fatalf("no placement found for %v", want)
+		}
+	}
+	return out
+}
+
+// readObjects executes a grouped plan and returns, per object, the Arrow
+// bytes of its batches and its work stats.
+func readObjects(t *testing.T, cli *Client, plan *substrait.Plan, objects int) ([][]byte, []objstore.WorkStats) {
+	t.Helper()
+	rs, err := cli.ExecuteStream(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	out := make([][]byte, objects)
+	stats := make([]objstore.WorkStats, objects)
+	for k := 0; k < objects; k++ {
+		for {
+			page, err := rs.Next()
+			if err == io.EOF {
+				stats[k] = rs.Stats()
+				break
+			}
+			if err != nil {
+				t.Fatalf("object %d: %v", k, err)
+			}
+			if out[k], err = arrowlite.AppendBatch(out[k], page); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := rs.Next(); err != io.EOF {
+		t.Fatalf("after the last object: %v, want io.EOF", err)
+	}
+	return out, stats
+}
+
+// recordPayloads wraps a node's execute handler so the test sees every
+// request payload the node is sent.
+func recordPayloads(n *StorageNode) func() [][]byte {
+	var mu sync.Mutex
+	var got [][]byte
+	n.rpc.RegisterStream(NodeMethodExecute, func(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
+		mu.Lock()
+		got = append(got, bytes.Clone(payload))
+		mu.Unlock()
+		return n.handleExecute(ctx, payload, send)
+	})
+	return func() [][]byte {
+		mu.Lock()
+		defer mu.Unlock()
+		return got
+	}
+}
+
+// TestGroupedRequestAcrossNodes sends one request over objects held by all
+// three nodes of a cluster, in runs 0,0,1,2,2,0,1: the frontend forwards
+// each in-order run to its node, so every object's batches and work
+// stats come back in list order, byte-identical to a one-node cluster's.
+// A request whose objects all sit on one node reaches that node as the
+// very payload the client sent.
+func TestGroupedRequestAcrossNodes(t *testing.T) {
+	three, err := StartCluster(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer three.Shutdown()
+	one, err := StartCluster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Shutdown()
+	placement := []int{0, 0, 1, 2, 2, 0, 1}
+	objects := objectsOnNodes(t, three.Front, placement)
+	cli3, cli1 := NewClient(three.Addr), NewClient(one.Addr)
+	defer cli3.Close()
+	defer cli1.Close()
+	for i, o := range objects {
+		img := offsetMeshObject(t, 1000*i)
+		if err := cli3.Put(context.Background(), "b", o, img); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli1.Put(context.Background(), "b", o, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n, node := range three.Nodes {
+		for i, o := range objects {
+			if _, err := node.Store().Get("b", o); (err == nil) != (placement[i] == n) {
+				t.Fatalf("object %s on node %d: %v, placement says node %d", o, n, err, placement[i])
+			}
+		}
+	}
+	payloads := recordPayloads(three.Nodes[1])
+
+	plan := groupedPlan(t, objects)
+	got, gotStats := readObjects(t, cli3, plan, len(objects))
+	want, wantStats := readObjects(t, cli1, plan, len(objects))
+	for k := range objects {
+		if len(want[k]) == 0 {
+			t.Fatalf("object %d returned no rows", k)
+		}
+		if !bytes.Equal(got[k], want[k]) {
+			t.Errorf("object %d: 3-node batches differ from the 1-node cluster's", k)
+		}
+		if gotStats[k] != wantStats[k] {
+			t.Errorf("object %d: 3-node stats %+v, 1-node %+v", k, gotStats[k], wantStats[k])
+		}
+	}
+	// Node 1 holds two runs of one object each: it got two one-object
+	// plans, in list order.
+	if len(payloads()) != 2 {
+		t.Fatalf("node 1 was sent %d plans, want one per run it holds (2)", len(payloads()))
+	}
+	for i, p := range payloads() {
+		sub, err := substrait.Unmarshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{objects[2], objects[6]}[i]; readRel(sub).Objects[0] != want || len(readRel(sub).Objects) != 1 {
+			t.Errorf("node 1 run %d lists %v, want [%s]", i, readRel(sub).Objects, want)
+		}
+	}
+
+	// All on node 2: forwarded byte for byte.
+	payloads = recordPayloads(three.Nodes[2])
+	sameNode := []string{objects[3], objects[4]}
+	sent, err := substrait.Marshal(groupedPlan(t, sameNode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readObjects(t, cli3, groupedPlan(t, sameNode), len(sameNode))
+	if p := payloads(); len(p) != 1 || !bytes.Equal(p[0], sent) {
+		t.Errorf("one-node request reached the node as %d payloads, want the client's bytes once", len(p))
+	}
+}
+
+// TestGroupedRequestRetryOnlyUntilRunRelays: the frontend restarts a
+// run's node call only while nothing of that call has reached the client.
+// A later run's schema chunk is dropped, not relayed, so a node that fails
+// after sending only its schema is retried and the answer is whole; one
+// that fails after its first batch was relayed is not, and the client
+// sees the failure.
+func TestGroupedRequestRetryOnlyUntilRunRelays(t *testing.T) {
+	c, err := StartCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	objects := objectsOnNodes(t, c.Front, []int{0, 1})
+	cli := NewClient(c.Addr)
+	defer cli.Close()
+	for i, o := range objects {
+		if err := cli.Put(context.Background(), "b", o, offsetMeshObject(t, 1000*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _ := readObjects(t, cli, groupedPlan(t, objects), len(objects))
+
+	for _, tc := range []struct {
+		name      string
+		failAfter int // chunks the node's first call sends before failing
+		wantCalls int64
+	}{
+		{"after-schema", 1, 2},
+		{"after-first-batch", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node := c.Nodes[1]
+			var calls atomic.Int64
+			node.rpc.RegisterStream(NodeMethodExecute, func(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
+				if calls.Add(1) > 1 {
+					return node.handleExecute(ctx, payload, send)
+				}
+				sent := 0
+				return node.handleExecute(ctx, payload, func(chunk []byte) error {
+					if sent == tc.failAfter {
+						return rpc.WithCode(errors.New("injected node failure"), rpc.CodeUnavailable)
+					}
+					sent++
+					return send(chunk)
+				})
+			})
+			defer node.rpc.RegisterStream(NodeMethodExecute, node.handleExecute)
+			res, err := cli.Execute(context.Background(), groupedPlan(t, objects))
+			if calls.Load() != tc.wantCalls {
+				t.Errorf("node calls = %d, want %d", calls.Load(), tc.wantCalls)
+			}
+			if tc.wantCalls == 1 {
+				if !errors.Is(err, rpc.ErrUnavailable) {
+					t.Fatalf("error = %v, want the node's failure relayed", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []byte
+			for _, p := range res.Pages {
+				if got, err = arrowlite.AppendBatch(got, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(got, append(bytes.Clone(want[0]), want[1]...)) {
+				t.Error("retried run's answer differs from the unfaulted one")
+			}
+		})
+	}
+}
+
+// scriptedFrontend answers every ocs.Execute with the given chunks and
+// trailer, whatever the plan.
+func scriptedFrontend(t *testing.T, chunks [][]byte, trailer []byte) *Client {
+	t.Helper()
+	srv := rpc.NewServer()
+	srv.RegisterStream(MethodExecute, func(_ context.Context, _ []byte, send func([]byte) error) ([]byte, error) {
+		for _, c := range chunks {
+			if err := send(c); err != nil {
+				return nil, err
+			}
+		}
+		return trailer, nil
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewClient(addr)
+	t.Cleanup(func() {
+		cli.Close()
+		srv.Close()
+	})
+	return cli
+}
+
+// TestResultStreamRejectsBadObjectEnds: the client holds a grouped
+// stream's object ends to the request's object list — an object-end chunk
+// that does not decode, one that arrives once the listed objects are used
+// up, and an end frame that arrives before them are each an error, never
+// a silently shifted or truncated result.
+func TestResultStreamRejectsBadObjectEnds(t *testing.T) {
+	schema, err := arrowlite.AppendSchema(nil, meshSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := objectEndChunk(nil, workTrailer(objstore.WorkStats{RowsProcessed: 7}))
+	trailer := workTrailer(objstore.WorkStats{RowsProcessed: 9})
+	for _, tc := range []struct {
+		name    string
+		objects []string
+		chunks  [][]byte
+		trailer []byte
+		want    string
+	}{
+		{"well-formed", []string{"a", "b"}, [][]byte{schema, end}, trailer, ""},
+		{"malformed end chunk", []string{"a", "b"}, [][]byte{schema, append(bytes.Clone(objectEndMarker[:]), 0x0a, 0x7f)}, trailer, "truncated"},
+		{"end chunk past the objects", []string{"a"}, [][]byte{schema, end}, trailer, "after the request's 1 objects"},
+		{"two ends for two objects", []string{"a", "b"}, [][]byte{schema, end, end}, trailer, "after the request's 2 objects"},
+		{"stream ends early", []string{"a", "b", "c"}, [][]byte{schema, end}, trailer, "ended after 2 of 3 objects"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cli := scriptedFrontend(t, tc.chunks, tc.trailer)
+			res, err := cli.Execute(context.Background(), groupedPlan(t, tc.objects))
+			if tc.want == "" {
+				if err != nil || res.Stats.RowsProcessed != 16 {
+					t.Fatalf("well-formed stream: %v, stats %+v", err, res)
+				}
+				return
+			}
+			if err == nil || !bytes.Contains([]byte(err.Error()), []byte(tc.want)) {
+				t.Fatalf("error = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestReadRelObjectListIsInvalidWhenEmpty: a ReadRel that lists no object,
+// or an empty object name, is refused as an invalid plan before any node
+// is asked.
+func TestReadRelObjectListIsInvalidWhenEmpty(t *testing.T) {
+	c, err := StartCluster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	cli := NewClient(c.Addr)
+	defer cli.Close()
+	if err := cli.Put(context.Background(), "b", "o", offsetMeshObject(t, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, objects := range [][]string{nil, {""}, {"o", ""}} {
+		_, err := cli.Execute(context.Background(), groupedPlan(t, objects))
+		if !errors.Is(err, rpc.ErrInvalid) {
+			t.Errorf("objects %q: error = %v, want an invalid plan", objects, err)
+		}
+	}
+}
+
+// FuzzDecodeObjectEnd: an object-end chunk comes off the wire, so its
+// decoder may reject any input but must never panic.
+func FuzzDecodeObjectEnd(f *testing.F) {
+	f.Add(objectEndChunk(nil, workTrailer(objstore.WorkStats{BytesRead: 1 << 20, BytesDecompressed: 3 << 20, CPUUnits: 12.5, RowsProcessed: 4096})))
+	f.Add(objectEndChunk(nil, nil))
+	f.Add(append(bytes.Clone(objectEndMarker[:]), 0x0a, 0xff, 0xff, 0xff, 0xff, 0x0f))
+	f.Add(append(bytes.Clone(objectEndMarker[:]), 0x12, 0x01, 0x00))
+	f.Add([]byte{0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, chunk []byte) {
+		st, err := decodeObjectEnd(chunk)
+		if err != nil {
+			return
+		}
+		// What decodes re-encodes to a chunk that decodes the same.
+		again, err := decodeObjectEnd(objectEndChunk(nil, workTrailer(st)))
+		if err != nil || !sameStats(again, st) {
+			t.Fatalf("re-encoded stats %+v decode as %+v, %v", st, again, err)
+		}
+	})
+}
+
+// sameStats compares work stats, NaN CPU units included.
+func sameStats(a, b objstore.WorkStats) bool {
+	return a.BytesRead == b.BytesRead && a.BytesDecompressed == b.BytesDecompressed &&
+		a.RowsProcessed == b.RowsProcessed && (a.CPUUnits == b.CPUUnits || a.CPUUnits != a.CPUUnits && b.CPUUnits != b.CPUUnits)
+}

@@ -61,7 +61,7 @@ func TestSlowClientBoundedNodeMemory(t *testing.T) {
 	if err := cli.Put(context.Background(), "b", "o", bigMeshObject(t, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
 	rs, err := cli.ExecuteStream(context.Background(), substrait.NewPlan(read))
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestKilledClientMidStreamReleasesScanSlots(t *testing.T) {
 	if err := cli.Put(context.Background(), "b", "o", bigMeshObject(t, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
 	rs, err := cli.ExecuteStream(context.Background(), substrait.NewPlan(read))
 	if err != nil {
 		t.Fatal(err)

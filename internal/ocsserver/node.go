@@ -3,6 +3,7 @@ package ocsserver
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"prestocs/internal/arrowlite"
@@ -158,13 +159,17 @@ func (n *StorageNode) checkBloomSize(plan *substrait.Plan) error {
 	return reject
 }
 
-// handleExecute parses a Substrait plan, runs it locally and streams the
-// result: chunk 0 is an arrowlite schema message, every further chunk is
-// one arrowlite record-batch message, and the end-frame trailer carries
-// the work stats. Batches leave the node as the executor produces them,
-// so the engine consumes row group 1 while row group N is still being
-// scanned. Errors after the first chunk surface as mid-stream error
-// frames, which the client turns into query errors.
+// handleExecute parses a Substrait plan, runs it locally over each object
+// its ReadRel lists, in turn, and streams the results: chunk 0 is an
+// arrowlite schema message; then, per object, one arrowlite record-batch
+// message per page and an object-end chunk carrying that object's work
+// stats, except that the last object's stats ride in the end-frame
+// trailer instead — so a one-object stream is exactly the one-object wire
+// shape. Batches leave the node as the executor produces them, so the
+// engine consumes row group 1 while row group N (or object k+1) is still
+// being scanned. Each object is its own pipeline: nothing is merged
+// across objects. Errors after the first chunk surface as mid-stream
+// error frames, which the client turns into query errors.
 func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
 	if fault := n.executeFault(); fault != nil {
 		return nil, rpc.WithCode(fmt.Errorf("node %d: %w", n.ID, fault), rpc.CodeUnavailable)
@@ -181,72 +186,153 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 	if err := n.checkBloomSize(plan); err != nil {
 		return nil, err
 	}
-	ls, err := open(n.store, plan, openOpts{scanPool: n.ScanPool, sched: n.sched, caches: n.Caches, ctx: ctx})
+	planSchema, err := plan.Validate()
 	if err != nil {
-		return nil, fmt.Errorf("node %d: %w", n.ID, err)
+		return nil, rpc.WithCode(fmt.Errorf("node %d: invalid plan: %w", n.ID, err), rpc.CodeInvalid)
 	}
-	defer ls.Close()
+	objects := readRel(plan).Objects
+	span.SetAttr("objects", strconv.Itoa(len(objects)))
 
 	buf := arrowlite.GetBuf()
 	defer arrowlite.PutBuf(buf)
+	emit := func(msg []byte) error {
+		*buf = msg
+		chunksSent.Inc()
+		chunkBytes.Add(int64(len(msg)))
+		return send(msg)
+	}
 	sentSchema := false
+	// The schema goes out ahead of the stream's first chunk of any kind.
+	// Partial aggregation changes the output schema (it is still keys +
+	// one column per measure, same names/kinds for our function set), so
+	// the first page's schema is authoritative once a page exists; the
+	// validated plan schema covers an object that ends before any page.
 	sendSchema := func(schema *types.Schema) error {
+		if sentSchema {
+			return nil
+		}
+		sentSchema = true
 		msg, err := arrowlite.AppendSchema((*buf)[:0], schema)
 		if err != nil {
 			return err
 		}
-		*buf = msg
-		sentSchema = true
-		chunksSent.Inc()
-		chunkBytes.Add(int64(len(msg)))
-		return send(msg)
+		return emit(msg)
 	}
 	sendBatch := func(page *column.Page) error {
+		if err := sendSchema(page.Schema); err != nil {
+			return err
+		}
 		msg, err := arrowlite.AppendBatch((*buf)[:0], page)
 		if err != nil {
 			return err
 		}
-		*buf = msg
-		chunksSent.Inc()
-		chunkBytes.Add(int64(len(msg)))
-		return send(msg)
+		return emit(msg)
 	}
+	var total objstore.WorkStats
+	var trailer []byte
+	for k, object := range objects {
+		st, err := n.streamObject(ctx, plan, object, sendBatch)
+		if err != nil {
+			return nil, err
+		}
+		if err := sendSchema(planSchema); err != nil {
+			return nil, err
+		}
+		total.Add(st)
+		trailer = workTrailer(st)
+		if k < len(objects)-1 {
+			if err := emit(objectEndChunk((*buf)[:0], trailer)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	span.SetAttr("bytes_read", fmt.Sprint(total.BytesRead))
+	span.SetAttr("rows_processed", fmt.Sprint(total.RowsProcessed))
+	return trailer, nil
+}
 
+// streamObject runs the plan over one object, handing each page to send
+// as it comes, and returns the object's work.
+func (n *StorageNode) streamObject(ctx context.Context, plan *substrait.Plan, object string, send func(*column.Page) error) (objstore.WorkStats, error) {
+	ls, err := open(n.store, plan, openOpts{object: object, scanPool: n.ScanPool, sched: n.sched, caches: n.Caches, ctx: ctx})
+	if err != nil {
+		return objstore.WorkStats{}, fmt.Errorf("node %d: %w", n.ID, err)
+	}
+	defer ls.Close()
 	for {
 		// A cancelled caller stops the scan between pages; the stream
 		// error frame carries the context verdict back.
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("node %d: %w", n.ID, err)
+			return objstore.WorkStats{}, fmt.Errorf("node %d: %w", n.ID, err)
 		}
 		page, err := ls.Next()
 		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", n.ID, err)
+			return objstore.WorkStats{}, fmt.Errorf("node %d: %w", n.ID, err)
 		}
 		if page == nil {
-			break
+			return *ls.Work(), nil
 		}
-		if !sentSchema {
-			if err := sendSchema(page.Schema); err != nil {
-				return nil, err
-			}
-		}
-		if err := sendBatch(page); err != nil {
-			return nil, err
+		if err := send(page); err != nil {
+			return objstore.WorkStats{}, err
 		}
 	}
-	// Partial aggregation changes the output schema (it is still keys +
-	// one column per measure, same names/kinds for our function set), so
-	// the first page's schema is authoritative once a page exists; the
-	// validated plan schema covers the zero-page case.
-	if !sentSchema {
-		if err := sendSchema(ls.planSchema); err != nil {
-			return nil, err
-		}
-	}
-	st := ls.Work()
-	span.SetAttr("bytes_read", fmt.Sprint(st.BytesRead))
-	span.SetAttr("rows_processed", fmt.Sprint(st.RowsProcessed))
+}
+
+// objectEndMarker opens an object-end chunk. A record batch message
+// starts with its row count, and no page reaches 2^32 − 1 rows, so the
+// four bytes tell the two chunk kinds apart.
+var objectEndMarker = [4]byte{0xff, 0xff, 0xff, 0xff}
+
+// workTrailer encodes an object's work stats as the end-frame trailer:
+// the WorkStats message in field 1.
+func workTrailer(st objstore.WorkStats) []byte {
 	e := protowire.NewEncoder()
-	e.Bytes(1, objstore.EncodeStats(*st))
-	return e.Encoded(), nil
+	e.Bytes(1, objstore.EncodeStats(st))
+	return e.Encoded()
+}
+
+// objectEndChunk appends to dst the object-end chunk that carries what
+// would otherwise be the trailer: the marker, then the trailer's bytes.
+func objectEndChunk(dst, trailer []byte) []byte {
+	return append(append(dst, objectEndMarker[:]...), trailer...)
+}
+
+// isObjectEnd reports whether a result chunk is an object-end chunk.
+func isObjectEnd(chunk []byte) bool {
+	return len(chunk) >= len(objectEndMarker) && [4]byte(chunk[:4]) == objectEndMarker
+}
+
+// decodeObjectEnd reads an object-end chunk's work stats.
+func decodeObjectEnd(chunk []byte) (objstore.WorkStats, error) {
+	if !isObjectEnd(chunk) {
+		return objstore.WorkStats{}, fmt.Errorf("ocs: malformed object-end chunk")
+	}
+	return decodeWorkTrailer(chunk[len(objectEndMarker):])
+}
+
+// decodeWorkTrailer reads a trailer (or an object-end chunk's body): the
+// WorkStats message in field 1; unknown fields are skipped.
+func decodeWorkTrailer(b []byte) (objstore.WorkStats, error) {
+	var st objstore.WorkStats
+	d := protowire.NewDecoder(b)
+	for !d.Done() {
+		f, ty, err := d.Next()
+		if err != nil {
+			return st, err
+		}
+		if f != 1 {
+			if err := d.Skip(ty); err != nil {
+				return st, err
+			}
+			continue
+		}
+		msg, err := d.Bytes()
+		if err != nil {
+			return st, err
+		}
+		if st, err = objstore.DecodeStats(msg); err != nil {
+			return st, err
+		}
+	}
+	return st, nil
 }

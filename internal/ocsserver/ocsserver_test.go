@@ -48,7 +48,7 @@ func meshObject(t *testing.T, codec compress.Codec) []byte {
 
 func filterPlan(t *testing.T, bucket, object string) *substrait.Plan {
 	t.Helper()
-	read := &substrait.ReadRel{Bucket: bucket, Object: object, BaseSchema: meshSchema()}
+	read := &substrait.ReadRel{Bucket: bucket, Objects: []string{object}, BaseSchema: meshSchema()}
 	cond, err := expr.NewBetween(expr.Col(1, "x", types.Float64),
 		expr.Lit(types.FloatValue(0.5)), expr.Lit(types.FloatValue(1.0)))
 	if err != nil {
@@ -87,7 +87,7 @@ func TestExecuteLocalRowGroupPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An always-true filter reads everything.
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
 	cond, _ := expr.NewCompare(expr.Ge, expr.Col(1, "x", types.Float64), expr.Lit(types.FloatValue(-1)))
 	_, statsFull, err := ExecuteLocalCached(store, substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond}), 0, nil)
 	if err != nil {
@@ -101,7 +101,7 @@ func TestExecuteLocalRowGroupPruning(t *testing.T) {
 func TestExecuteLocalAggregatePartial(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "o", meshObject(t, compress.Snappy))
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
 	agg := &substrait.AggregateRel{
 		Input:     read,
 		GroupKeys: []int{0},
@@ -131,7 +131,7 @@ func TestExecuteLocalAggregatePartial(t *testing.T) {
 func TestExecuteLocalTopNAndProject(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "o", meshObject(t, compress.None))
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
 	mod, err := expr.NewArith(expr.Mod, expr.Col(0, "vertex_id", types.Int64), expr.Lit(types.IntValue(3)))
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestExecuteLocalTopNAndProject(t *testing.T) {
 func TestExecuteLocalBareFetch(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "o", meshObject(t, compress.None))
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
 	pages, _, err := ExecuteLocalCached(store, substrait.NewPlan(&substrait.FetchRel{Input: read, Count: 7}), 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestExecuteLocalErrors(t *testing.T) {
 	// Schema mismatch between plan and object.
 	store.Put("b", "o", meshObject(t, compress.None))
 	wrongSchema := types.NewSchema(types.Column{Name: "other", Type: types.Int64})
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: wrongSchema}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: wrongSchema}
 	cond, _ := expr.NewCompare(expr.Gt, expr.Col(0, "other", types.Int64), expr.Lit(types.IntValue(0)))
 	if _, _, err := ExecuteLocalCached(store, substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond}), 0, nil); err == nil {
 		t.Error("schema mismatch accepted")
@@ -398,7 +398,7 @@ func TestNodeRPCEqualsExecuteLocalCached(t *testing.T) {
 	if err := cli.Put(context.Background(), "b", "o", meshObject(t, compress.Gzip)); err != nil {
 		t.Fatal(err)
 	}
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
 	plans := []*substrait.Plan{
 		filterPlan(t, "b", "o"),
 		substrait.NewPlan(&substrait.AggregateRel{

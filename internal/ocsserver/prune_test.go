@@ -166,7 +166,7 @@ func TestPruneDifferentialProperty(t *testing.T) {
 	schema := pruneSchema()
 	for trial := 0; trial < 250; trial++ {
 		pred := randPrunePredicate(rng, 3)
-		read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: schema}
+		read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: schema}
 		plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: pred})
 		// Pool 1 is the sequential scanner; every 5th trial also runs the
 		// parallel scanner, whose merge must preserve file order.
@@ -200,7 +200,7 @@ func TestPruneDifferentialWithProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: pruneSchema(), Projection: []int{1, 0}}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: pruneSchema(), Projection: []int{1, 0}}
 	plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})
 	pruned, _, err := execute(store, plan, openOpts{scanPool: 1})
 	if err != nil {
@@ -245,7 +245,7 @@ func TestPruneCountersAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: pruneSchema()}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: pruneSchema()}
 	plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})
 	if _, _, err := execute(store, plan, openOpts{scanPool: 1, ctx: ctx}); err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func TestExecuteStreamIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Full scan: 200 rows in 4 row groups of 64.
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
 	rs, err := cli.ExecuteStream(context.Background(), substrait.NewPlan(read))
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestExecuteStreamAbandonReleasesCleanly(t *testing.T) {
 	if err := cli.Put(context.Background(), "b", "o", meshObject(t, compress.None)); err != nil {
 		t.Fatal(err)
 	}
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
 	rs, err := cli.ExecuteStream(context.Background(), substrait.NewPlan(read))
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func rowsOf(pages []*column.Page) []string {
 // of the sequential scanner.
 func TestParallelScanMatchesSequential(t *testing.T) {
 	baseRead := func() *substrait.ReadRel {
-		return &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
+		return &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
 	}
 	between := func(t *testing.T) expr.Expr {
 		cond, err := expr.NewBetween(expr.Col(1, "x", types.Float64),
@@ -342,7 +342,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 func TestParallelScanStatsComplete(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "o", meshObject(t, compress.Snappy))
-	read := &substrait.ReadRel{Bucket: "b", Object: "o", BaseSchema: meshSchema()}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
 	_, seqStats, err := ExecuteLocalCached(store, substrait.NewPlan(read), 1, nil)
 	if err != nil {
 		t.Fatal(err)

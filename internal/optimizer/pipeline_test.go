@@ -3,6 +3,7 @@ package optimizer_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"prestocs/internal/bloom"
@@ -144,7 +145,9 @@ func FuzzPlanPipeline(f *testing.F) {
 // FuzzSubstraitUnmarshal feeds the plan decoder — which on a storage node
 // reads bytes from any client — the wire form of every pushdown the golden
 // table produces, each join's probe scan once more with a build-side bloom
-// filter attached, and what the fuzzer makes of them. The decoder may
+// filter attached — each over one object and over a list of several, as a
+// leaf worker's grouped request carries — and what the fuzzer makes of
+// them. The decoder may
 // reject its input; it must not panic, and a plan it accepts is backed by
 // its input (re-encoding it takes no more than a small multiple of the
 // bytes it came from — nothing was sized from a length field) and
@@ -152,16 +155,18 @@ func FuzzPlanPipeline(f *testing.F) {
 func FuzzSubstraitUnmarshal(f *testing.F) {
 	fx := newPlanFixture(f)
 	seed := func(h *ocs.Handle) {
-		ir, err := ocs.BuildSubstrait(h, h.Table.Objects[0])
-		if err != nil {
-			f.Fatal(err)
+		for _, objects := range [][]string{h.Table.Objects[:1], append(slices.Clone(h.Table.Objects), "part-next")} {
+			ir, err := ocs.BuildSubstrait(h, objects...)
+			if err != nil {
+				f.Fatal(err)
+			}
+			wire, err := substrait.Marshal(ir)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(wire)
+			f.Add(wire[:len(wire)/2])
 		}
-		wire, err := substrait.Marshal(ir)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(wire)
-		f.Add(wire[:len(wire)/2])
 	}
 	keys := column.NewVector(types.Int64)
 	for k := int64(0); k < 64; k++ {

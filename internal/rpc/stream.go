@@ -359,12 +359,14 @@ func (st *ClientStream) Trailer() []byte { return st.trailer }
 // given budget so the trailer (and its stats) are not lost on early
 // stop. It reads at most maxChunks further chunk frames and spends at
 // most timeout blocked on the socket, returning the chunk payload bytes
-// it consumed and whether the stream reached its clean end; on false the
-// stream is closed and the connection discarded. The common early-stop
-// case — a pushed-down LIMIT where the storage node finished right after
-// the client stopped reading — completes in one or two reads because the
-// end frame is already in the socket buffer.
-func (st *ClientStream) TryDrain(maxChunks int, timeout time.Duration) (int64, bool) {
+// it consumed and whether it reached its stop: the clean end of stream,
+// or — when last is non-nil — a chunk for which last reports true, which
+// is consumed too and leaves the stream open for the chunks after it. On
+// false the stream is closed and the connection discarded. The common
+// early-stop case — a pushed-down LIMIT where the storage node finished
+// right after the client stopped reading — completes in one or two reads
+// because the end frame is already in the socket buffer.
+func (st *ClientStream) TryDrain(maxChunks int, timeout time.Duration, last func(chunk []byte) bool) (int64, bool) {
 	if st.done {
 		return 0, st.err == nil
 	}
@@ -372,8 +374,10 @@ func (st *ClientStream) TryDrain(maxChunks int, timeout time.Duration) (int64, b
 		return 0, false
 	}
 	// Bound the whole drain; the deadline is cleared when the conn is
-	// pooled again (getConn resets deadlines on reuse as well).
-	st.conn.SetReadDeadline(time.Now().Add(timeout))
+	// pooled again (getConn resets deadlines on reuse as well), or below
+	// when the stream stays open past last's chunk.
+	conn := st.conn
+	conn.SetReadDeadline(time.Now().Add(timeout))
 	var drained int64
 	for i := 0; i <= maxChunks; i++ {
 		chunk, err := st.Recv()
@@ -384,6 +388,15 @@ func (st *ClientStream) TryDrain(maxChunks int, timeout time.Duration) (int64, b
 			return drained, false
 		}
 		drained += int64(len(chunk))
+		if last != nil && last(chunk) {
+			conn.SetReadDeadline(time.Time{})
+			if st.ctx.Err() != nil {
+				// The watchdog may have fired before the deadline was
+				// lifted: put its verdict back.
+				conn.SetDeadline(time.Unix(1, 0))
+			}
+			return drained, true
+		}
 	}
 	st.Close()
 	return drained, false

@@ -13,7 +13,7 @@ func benchPlan() *Plan {
 		types.Column{Name: "x", Type: types.Float64},
 		types.Column{Name: "e", Type: types.Float64},
 	)
-	read := &ReadRel{Bucket: "b", Object: "o", BaseSchema: schema}
+	read := &ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: schema}
 	cond, _ := expr.NewBetween(expr.Col(1, "x", types.Float64),
 		expr.Lit(types.FloatValue(0.8)), expr.Lit(types.FloatValue(3.2)))
 	agg := &AggregateRel{

@@ -364,7 +364,9 @@ func encodeRel(m *protowire.Encoder, r Rel) error {
 	case *ReadRel:
 		m.Uint64(1, relRead)
 		m.String(2, t.Bucket)
-		m.String(3, t.Object)
+		for _, o := range t.Objects {
+			m.String(3, o)
+		}
 		encodeSchema(m, 4, t.BaseSchema)
 		for _, p := range t.Projection {
 			m.Int64(5, int64(p))
@@ -451,7 +453,7 @@ func decodeRel(d *protowire.Decoder) (Rel, error) {
 	var (
 		kind       uint64
 		bucket     string
-		object     string
+		objects    []string
 		schema     = types.NewSchema()
 		projection []int
 		hasProj    bool
@@ -479,7 +481,9 @@ func decodeRel(d *protowire.Decoder) (Rel, error) {
 		case 2:
 			bucket, err = d.String()
 		case 3:
-			object, err = d.String()
+			var o string
+			o, err = d.String()
+			objects = append(objects, o)
 		case 4:
 			var m *protowire.Decoder
 			m, err = d.Message()
@@ -561,7 +565,7 @@ func decodeRel(d *protowire.Decoder) (Rel, error) {
 	}
 	switch kind {
 	case relRead:
-		r := &ReadRel{Bucket: bucket, Object: object, BaseSchema: schema}
+		r := &ReadRel{Bucket: bucket, Objects: objects, BaseSchema: schema}
 		if hasProj {
 			if projection == nil {
 				projection = []int{}

@@ -13,6 +13,7 @@ package substrait
 
 import (
 	"fmt"
+	"strings"
 
 	"prestocs/internal/expr"
 	"prestocs/internal/types"
@@ -91,10 +92,14 @@ type Rel interface {
 	isRel()
 }
 
-// ReadRel scans a stored object (named table in real Substrait).
+// ReadRel scans stored objects (a named table in real Substrait): each
+// listed object in turn, the rest of the plan run over each one on its own
+// (a storage node never merges rows across objects).
 type ReadRel struct {
 	Bucket string
-	Object string
+	// Objects names the objects to scan, in order; at least one, none
+	// empty.
+	Objects []string
 	// BaseSchema is the full object schema.
 	BaseSchema *types.Schema
 	// Projection selects column ordinals to emit; nil means all columns.
@@ -107,6 +112,14 @@ func (r *ReadRel) isRel() {}
 func (r *ReadRel) OutputSchema() (*types.Schema, error) {
 	if r.BaseSchema == nil {
 		return nil, fmt.Errorf("substrait: read without base schema")
+	}
+	if len(r.Objects) == 0 {
+		return nil, fmt.Errorf("substrait: read lists no objects")
+	}
+	for _, o := range r.Objects {
+		if o == "" {
+			return nil, fmt.Errorf("substrait: read lists an empty object name")
+		}
 	}
 	if r.Projection == nil {
 		return r.BaseSchema, nil
@@ -335,7 +348,7 @@ func (p *Plan) String() string {
 	WalkRels(p.Root, func(r Rel) {
 		switch t := r.(type) {
 		case *ReadRel:
-			parts = append(parts, fmt.Sprintf("Read(%s/%s)", t.Bucket, t.Object))
+			parts = append(parts, fmt.Sprintf("Read(%s/%s)", t.Bucket, strings.Join(t.Objects, ",")))
 		case *FilterRel:
 			parts = append(parts, "Filter")
 		case *BloomFilterRel:

@@ -26,7 +26,7 @@ func baseSchema() *types.Schema {
 // mirroring the paper's Laghos query shape.
 func laghosLikePlan(t *testing.T) *Plan {
 	t.Helper()
-	read := &ReadRel{Bucket: "lanl", Object: "part-000.pql", BaseSchema: baseSchema()}
+	read := &ReadRel{Bucket: "lanl", Objects: []string{"part-000.pql"}, BaseSchema: baseSchema()}
 	cond, err := expr.NewBetween(
 		expr.Col(1, "x", types.Float64),
 		expr.Lit(types.FloatValue(0.8)),
@@ -63,7 +63,7 @@ func TestOutputSchemas(t *testing.T) {
 }
 
 func TestReadProjection(t *testing.T) {
-	r := &ReadRel{Bucket: "b", Object: "o", BaseSchema: baseSchema(), Projection: []int{4, 0}}
+	r := &ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: baseSchema(), Projection: []int{4, 0}}
 	s, err := r.OutputSchema()
 	if err != nil {
 		t.Fatal(err)
@@ -71,14 +71,14 @@ func TestReadProjection(t *testing.T) {
 	if s.Len() != 2 || s.Columns[0].Name != "tag" {
 		t.Errorf("projected schema = %v", s)
 	}
-	bad := &ReadRel{Bucket: "b", Object: "o", BaseSchema: baseSchema(), Projection: []int{99}}
+	bad := &ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: baseSchema(), Projection: []int{99}}
 	if _, err := bad.OutputSchema(); err == nil {
 		t.Error("out-of-range projection accepted")
 	}
 }
 
 func TestValidationErrors(t *testing.T) {
-	read := &ReadRel{Bucket: "b", Object: "o", BaseSchema: baseSchema()}
+	read := &ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: baseSchema()}
 	cases := map[string]Rel{
 		"filter non-bool": &FilterRel{Input: read, Condition: expr.Col(0, "vertex_id", types.Int64)},
 		"filter nil cond": &FilterRel{Input: read},
@@ -168,13 +168,13 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("filter = %+v", agg.Input)
 	}
 	read, ok := filter.Input.(*ReadRel)
-	if !ok || read.Bucket != "lanl" || read.Object != "part-000.pql" {
+	if !ok || read.Bucket != "lanl" || len(read.Objects) != 1 || read.Objects[0] != "part-000.pql" {
 		t.Fatalf("read = %+v", filter.Input)
 	}
 }
 
 func TestMarshalBloomFilterRoundTrip(t *testing.T) {
-	read := &ReadRel{Bucket: "b", Object: "o", BaseSchema: baseSchema()}
+	read := &ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: baseSchema()}
 	cond, err := expr.NewCompare(expr.Gt,
 		expr.Col(1, "x", types.Float64), expr.Lit(types.FloatValue(0.5)))
 	if err != nil {
@@ -226,7 +226,7 @@ func TestMarshalBloomFilterRoundTrip(t *testing.T) {
 }
 
 func TestMarshalProjectAndAllExprKinds(t *testing.T) {
-	read := &ReadRel{Bucket: "b", Object: "o", BaseSchema: baseSchema(), Projection: []int{0, 1, 3}}
+	read := &ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: baseSchema(), Projection: []int{0, 1, 3}}
 	// Build an expression exercising every node kind.
 	add, _ := expr.NewArith(expr.Add, expr.Col(1, "x", types.Float64), expr.Lit(types.FloatValue(1)))
 	mod, _ := expr.NewArith(expr.Mod, expr.Col(0, "vertex_id", types.Int64), expr.Lit(types.IntValue(500)))
@@ -333,7 +333,7 @@ func TestValidAggFunc(t *testing.T) {
 // schemas.
 func TestQuickPlanRoundTrip(t *testing.T) {
 	f := func(threshold float64, count uint16, desc bool, keyPick uint8) bool {
-		read := &ReadRel{Bucket: "b", Object: "o", BaseSchema: baseSchema()}
+		read := &ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: baseSchema()}
 		cond, err := expr.NewCompare(expr.Gt, expr.Col(1, "x", types.Float64), expr.Lit(types.FloatValue(threshold)))
 		if err != nil {
 			return false
