@@ -68,6 +68,13 @@ func (h *Handle) WithProjection(cols []int) plan.TableHandle {
 	return &Handle{Table: h.Table, Projection: cols, Filter: h.Filter, UseSelect: h.UseSelect}
 }
 
+// SplitDisjoint implements plan.DisjointHandle from the table's zone
+// maps (metastore.Table.SplitDisjoint); a split is one object.
+func (h *Handle) SplitDisjoint(col int) bool {
+	schema := h.ScanSchema()
+	return col >= 0 && col < schema.Len() && h.Table.SplitDisjoint(schema.Columns[col].Name)
+}
+
 // PushedOperators implements engine.PushdownReporter.
 func (h *Handle) PushedOperators() []string {
 	var ops []string

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"prestocs/internal/expr"
+	"prestocs/internal/metastore"
 	"prestocs/internal/plan"
 	"prestocs/internal/substrait"
 	"prestocs/internal/types"
@@ -199,7 +200,14 @@ func TestPrefixPerMode(t *testing.T) {
 // takes the TopN.
 func TestAbsorbFinalPerMode(t *testing.T) {
 	table := statsTable()
-	table.DisjointKeys = []string{"G"} // declared names match case-insensitively
+	// g's zone maps do not overlap across the two objects, so the table
+	// derives it split-disjoint; v is a Float64, which never is.
+	g := func(min, max int64) map[string]metastore.ColumnStats {
+		return map[string]metastore.ColumnStats{"g": {ZoneMap: expr.ZoneMap{
+			Min: types.IntValue(min), Max: types.IntValue(max), NumValues: 5000}}}
+	}
+	table.Objects = []string{"part-0", "part-1"}
+	table.ObjectStats = map[string]map[string]metastore.ColumnStats{"part-0": g(0, 49), "part-1": g(50, 99)}
 	const withFinal = "filter+aggregation+final-project+topn"
 	cases := []struct {
 		name  string
@@ -229,7 +237,7 @@ func TestAbsorbFinalPerMode(t *testing.T) {
 			mode, _ := ParseMode(name)
 			a := &selectivityAnalyzer{table: table, mode: mode, threshold: 0.5}
 			n, _ := a.prefix(f.seq)
-			push := materialise(table, f.seq[:n], 0)
+			push := materialise(&Handle{Table: table}, f.seq[:n], 0)
 			kept := above
 			if n == len(f.seq) {
 				kept = a.absorbFinal(above, push)

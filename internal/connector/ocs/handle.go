@@ -15,7 +15,6 @@ package ocs
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"prestocs/internal/bloom"
@@ -295,15 +294,29 @@ func (h *Handle) String() string {
 	return "ocs:" + strings.Join(parts, ", ")
 }
 
-// keysSplitDisjoint reports whether every aggregation key column is
-// declared split-disjoint in the table metadata (its values never span
-// objects), which makes per-split aggregation complete.
-func keysSplitDisjoint(table *metastore.Table, schema *types.Schema, keys []int) bool {
+// SplitDisjoint implements plan.DisjointHandle from the pinned table's
+// zone maps (metastore.Table.SplitDisjoint). It answers for a scan that
+// pushes nothing, the one the global optimizer plans over.
+func (h *Handle) SplitDisjoint(col int) bool {
+	schema := h.ScanSchema()
+	return h.Push.Empty() && col >= 0 && col < schema.Len() && h.Table.SplitDisjoint(schema.Columns[col].Name)
+}
+
+// keysSplitDisjoint reports whether per-split aggregation on keys is
+// complete over the scan of h. below is the pushed sequence under the
+// aggregate, whose output the keys address. It takes one key that traces,
+// through the column references of a pushed projection, to a scan column
+// the table's zone maps prove split-disjoint: rows that agree on every key
+// agree on that one, so they share a split.
+func keysSplitDisjoint(h *Handle, below []candidate, keys []int) bool {
+	nodes := make([]plan.Node, len(below)) // root first
+	for i, c := range below {
+		nodes[len(below)-1-i] = c.node
+	}
 	for _, k := range keys {
-		declared := func(name string) bool { return strings.EqualFold(name, schema.Columns[k].Name) }
-		if k < 0 || k >= schema.Len() || !slices.ContainsFunc(table.DisjointKeys, declared) {
-			return false
+		if h.SplitDisjoint(plan.SourceColumn(nodes, k)) {
+			return true
 		}
 	}
-	return len(keys) > 0 // global aggregates always need a final merge
+	return false
 }

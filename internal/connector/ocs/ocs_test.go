@@ -3,6 +3,7 @@ package ocs
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"testing"
@@ -17,9 +18,9 @@ import (
 	"prestocs/internal/types"
 )
 
-// fixture: a Laghos-like table of 4 objects × 60 rows. vertex_id is
-// split-disjoint (each object owns its own id range), enabling full
-// pushdown.
+// fixture: a Laghos-like table of 4 objects × 60 rows. Each object owns
+// its own vertex_id range, so the zone maps prove vertex_id
+// split-disjoint, enabling full pushdown.
 func setup(t *testing.T) (*engine.Engine, *Connector) {
 	t.Helper()
 	schema := types.NewSchema(
@@ -69,7 +70,6 @@ func setup(t *testing.T) (*engine.Engine, *Connector) {
 
 	tbl, err := ingest.AssembleTable(ingest.TableSpec{
 		Schema: "ocs", Name: "mesh", Bucket: "lanl", Columns: schema, Codec: compress.None,
-		DisjointKeys: []string{"vertex_id"},
 	}, keys, objs, map[string]int64{"vertex_id": 80, "x": 100, "e": 240, "rowid": 240})
 	if err != nil {
 		t.Fatal(err)
@@ -199,17 +199,27 @@ func TestAggWithoutProjectCannotSkip(t *testing.T) {
 	}
 }
 
-func TestTopNRequiresDisjointKeys(t *testing.T) {
+func TestTopNRequiresDisjointZoneMaps(t *testing.T) {
 	e, conn := setup(t)
-	// Rebuild the table without disjoint keys: full pushdown must refuse
-	// topN (keeping results exact) and keep the final aggregation.
+	// Re-register the table with the last object's vertex_id zone map
+	// widened to overlap the first's — still a true bound, but no longer
+	// a proof of disjointness: full pushdown must refuse topN (keeping
+	// results exact) and keep the final aggregation.
 	tbl, err := conn.meta.Get("ocs", "mesh")
 	if err != nil {
 		t.Fatal(err)
 	}
 	clone := *tbl
 	clone.Name = "mesh2"
-	clone.DisjointKeys = nil
+	last := tbl.Objects[len(tbl.Objects)-1]
+	clone.ObjectStats = maps.Clone(tbl.ObjectStats)
+	clone.ObjectStats[last] = maps.Clone(tbl.ObjectStats[last])
+	widened := clone.ObjectStats[last]["vertex_id"]
+	widened.Min = tbl.ObjectStats[tbl.Objects[0]]["vertex_id"].Max
+	clone.ObjectStats[last]["vertex_id"] = widened
+	if clone.SplitDisjoint("vertex_id") || !tbl.SplitDisjoint("vertex_id") {
+		t.Fatal("the widened zone map should make vertex_id overlap, and only in the clone")
+	}
 	if err := conn.meta.Register(&clone); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +230,7 @@ func TestTopNRequiresDisjointKeys(t *testing.T) {
 	}
 	for _, op := range res.Stats.PushedDown {
 		if op == "topn" {
-			t.Error("topn pushed despite non-disjoint keys")
+			t.Error("topn pushed despite overlapping zone maps")
 		}
 	}
 	// Results still match the baseline.

@@ -21,8 +21,10 @@ type localOptimizer struct {
 }
 
 // Optimize runs the Operator Extractor over every scan-rooted branch of
-// the plan. A join's inputs are each an [Exchange, Filter…, Scan] branch,
-// so their filters push into their own scan handles. Each scan's schema —
+// the plan. A join's inputs are [Filter…, Scan] on the probe side, which
+// runs in the leaf workers under the Exchange above the join, and
+// [Exchange, Filter…, Scan] on the build side, so their filters push into
+// their own scan handles. Each scan's schema —
 // already projected by the global optimizer to what the plan reads, the
 // join keys included — is preserved, and the join-key ordinals with it,
 // because a filter-only leaf never triggers output narrowing: a column
@@ -59,27 +61,28 @@ func parseThreshold(s string) (float64, error) {
 
 // extract absorbs one branch's pushdown-eligible operators into a modified
 // scan handle — §3.4 step (1) — in three steps over the leaf stage (what
-// lies below the branch's Exchange): candidates lists what storage could
-// run, prefix decides how much of it is pushed, materialise writes that
-// into the Pushdown. chain is the branch's spine, root first.
+// lies below the branch's Exchange; all of a join's probe branch, which
+// has none): candidates lists what storage could run, prefix decides how
+// much of it is pushed, materialise writes that into the Pushdown. chain
+// is the branch's spine, root first.
 func extract(branch plan.Node, mode Mode, threshold float64) (plan.Node, error) {
 	chain, end := plan.Spine(branch)
 	scan := end.(*plan.TableScan)
 	handle, ours := scan.Handle.(*Handle)
-	exchange := slices.IndexFunc(chain, func(n plan.Node) bool { _, ok := n.(*plan.Exchange); return ok })
-	if !ours || exchange < 0 {
-		return branch, nil // a foreign scan, or no leaf stage to extract from
+	if !ours {
+		return branch, nil // a foreign scan
 	}
+	exchange := slices.IndexFunc(chain, func(n plan.Node) bool { _, ok := n.(*plan.Exchange); return ok })
 	analyzer := &selectivityAnalyzer{table: handle.Table, mode: mode, threshold: threshold}
 	stage, base := chain[exchange+1:], handle.baseScanSchema()
 	seq := candidates(stage, base)
 	n, est := analyzer.prefix(seq)
-	push := materialise(handle.Table, seq[:n], est)
+	push := materialise(handle, seq[:n], est)
 
 	// What stays in the engine: everything down to the Exchange, and the
 	// part of the leaf stage the prefix did not reach.
 	above, leaf := chain[:exchange+1], stage[:len(stage)-n]
-	if len(leaf) == 0 {
+	if len(leaf) == 0 && exchange >= 0 {
 		above = analyzer.absorbFinal(above, push)
 	}
 	if push.Empty() {
@@ -229,9 +232,9 @@ func (m Mode) allows(n plan.Node) bool {
 }
 
 // materialise writes the chosen prefix and its estimate into the spec.
-func materialise(table *metastore.Table, prefix []candidate, est float64) *Pushdown {
+func materialise(h *Handle, prefix []candidate, est float64) *Pushdown {
 	push := &Pushdown{EstSelectivity: est}
-	for _, c := range prefix {
+	for i, c := range prefix {
 		switch t := c.node.(type) {
 		case *plan.Filter:
 			push.Filter = t.Condition
@@ -241,7 +244,7 @@ func materialise(table *metastore.Table, prefix []candidate, est float64) *Pushd
 			push.Agg = &AggSpec{
 				Keys:     t.Keys,
 				Measures: t.Measures,
-				Complete: keysSplitDisjoint(table, c.input, t.Keys),
+				Complete: keysSplitDisjoint(h, prefix[:i], t.Keys),
 			}
 		case *plan.Limit:
 			push.Limit = t.Count

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -259,100 +260,122 @@ type PushdownReporter interface {
 	PushedOperators() []string
 }
 
-// run executes an optimized plan with the one stage sequence: a leaf
-// stage per split on the worker pool, the final stage on the coordinator,
-// pipelined through a channel. The final stage's spine ends at an
-// Exchange or at a Join; a Join first runs its build stage and hands back
-// its probe branch as the leaf stage to start, with the probe as a hook
-// every leaf worker runs on top of its pipeline.
+// run executes an optimized plan in its one form: what lies above the
+// spine's first Exchange is the final chain, run on the coordinator over
+// the exchange's output; below it is the leaf chain, compiled per split
+// on the worker pool over its scan's page sources. A leaf chain that
+// passes through a Join runs on down the probe side to the probe scan,
+// and the join's build side — a leaf stage of its own — is drained into
+// the hash table every worker probes before the first probe split starts.
 func (e *Engine) run(ctx context.Context, root plan.Node, session *Session, stats *QueryStats) (*column.Page, *types.Schema, error) {
-	final, end := plan.Spine(root)
-	var branch plan.Node
-	for i, n := range final {
-		if _, ok := n.(*plan.Exchange); ok {
-			final, branch = final[:i], n
-			break
-		}
-	}
-	var probe leafHook
-	join, _ := end.(*plan.Join)
-	if branch == nil {
-		if join == nil {
-			return nil, nil, fmt.Errorf("engine: plan has no exchange")
-		}
-		var err error
-		if probe, err = e.buildJoin(ctx, join, session, stats); err != nil {
-			return nil, nil, err
-		}
-		branch = join.Probe
-	}
-	stage, exchangeSchema, err := e.startLeafStage(ctx, branch, stats, probe)
+	final, leaf, err := stages(root)
 	if err != nil {
 		return nil, nil, err
 	}
-	if probe != nil {
-		exchangeSchema = join.OutputSchema() // workers ship joined rows
+	if leaf.join != nil {
+		if err := e.buildJoin(ctx, leaf, session, stats); err != nil {
+			return nil, nil, err
+		}
 	}
-	return e.finishFinalStage(stage, exchangeSchema, final, stats)
+	stage, err := e.startLeafStage(ctx, leaf, stats)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.finishFinalStage(stage, leaf.schema, final, stats)
 }
 
-// leafHook wraps a leaf worker's compiled pipeline; the hash join's probe
-// is the one hook.
-type leafHook func(exec.Operator, *exec.Meter) (exec.Operator, error)
+// leafChain is what runs below an Exchange: chain, root first, compiled
+// per split over the page sources of scan, feeding the Exchange pages of
+// schema. Through a Join the chain continues down the probe side; table
+// is the join's hash table once buildJoin has drained the build side.
+type leafChain struct {
+	schema *types.Schema
+	chain  []plan.Node
+	scan   *plan.TableScan
+	join   *plan.Join
+	table  *exec.JoinTable
+}
 
-// buildJoin runs the build branch as its own leaf stage and drains it
-// into a hash table on the coordinator, pushes — when the join has a
-// single key and the probe branch is filter-only over a BloomJoinHandle —
-// a bloom filter over the build keys into the probe scan so storage drops
-// non-matching rows before they cross the network, and returns the probe
-// for the leaf workers. The table is read-only once built, so every
-// worker probes the same one: nothing is copied per worker.
-func (e *Engine) buildJoin(ctx context.Context, join *plan.Join, session *Session, stats *QueryStats) (leafHook, error) {
+// stages takes a plan apart at its spine's first Exchange: the final
+// chain above it (root first) and the leaf chain below it.
+func stages(root plan.Node) ([]plan.Node, *leafChain, error) {
+	spine, end := plan.Spine(root)
+	at := slices.IndexFunc(spine, func(n plan.Node) bool { _, ok := n.(*plan.Exchange); return ok })
+	if at < 0 {
+		return nil, nil, fmt.Errorf("engine: plan has no exchange")
+	}
+	leaf := &leafChain{schema: spine[at].OutputSchema(), chain: spine[at+1:]}
+	if join, ok := end.(*plan.Join); ok {
+		probe, probeEnd := plan.Spine(join.Probe)
+		leaf.chain = append(append(slices.Clone(leaf.chain), join), probe...)
+		leaf.join, end = join, probeEnd
+	}
+	scan, ok := end.(*plan.TableScan)
+	if !ok {
+		return nil, nil, fmt.Errorf("engine: leaf stage must end on a scan, not %T", end)
+	}
+	leaf.scan = scan
+	return spine[:at], leaf, nil
+}
+
+// buildJoin runs the build side of the leaf chain's join as its own leaf
+// stage and drains it into a hash table on the coordinator, pushes — when
+// the join has a single key and the probe side is filter-only over a
+// BloomJoinHandle — a bloom filter over the build keys into the probe
+// scan so storage drops non-matching rows before they cross the network,
+// and hands the table to the leaf chain. The table is read-only once
+// built, so every worker probes the same one: nothing is copied per
+// worker. The build is the join's work, below the Exchange, so it is
+// metered with the leaf stage.
+func (e *Engine) buildJoin(ctx context.Context, leaf *leafChain, session *Session, stats *QueryStats) error {
+	join := leaf.join
+	_, build, err := stages(join.Build) // an Exchange over filters over a scan
+	if err != nil {
+		return err
+	}
 	// BuildJoinTable returns a truncated table without error when workers
 	// failed, so the stage error wins.
-	buildStage, buildSchema, err := e.startLeafStage(ctx, join.Build, stats, nil)
+	buildStage, err := e.startLeafStage(ctx, build, stats)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	buildSrc := exec.NewFuncSource(buildSchema, buildStage.Next)
-	table, err := exec.BuildJoinTable(buildSrc, join.BuildKeys, &stats.FinalMeter)
-	buildStage.Drain()
+	var meter exec.Meter
+	table, err := exec.BuildJoinTable(exec.NewFuncSource(build.schema, buildStage.Next), join.BuildKeys, &meter)
+	buildStage.Drain() // every build worker has exited past this point
+	stats.LeafMeter.Add(meter)
 	if werr := buildStage.Err(); werr != nil {
-		return nil, werr
+		return werr
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	stats.Join = true
 	stats.JoinBuildRows = int64(table.Rows())
+	leaf.table = table
 
-	// Bloom pushdown into the probe scan. A filter-only probe branch
-	// passes the scan's schema through — projected to what the plan reads
+	// Bloom pushdown into the probe scan. A filter-only probe side passes
+	// the scan's schema through — projected to what the plan reads
 	// (plan.NarrowJoin), keys included — so ProbeKeys[0] is the key's
 	// ordinal over the handle's ScanSchema.
-	_, probeLeaf, probeScan, err := leafBranch(join.Probe)
-	if err != nil {
-		return nil, err
-	}
-	filterOnly := true
-	for _, n := range probeLeaf {
+	probe := leaf.chain[slices.Index(leaf.chain, plan.Node(join))+1:]
+	for _, n := range probe {
 		if _, ok := n.(*plan.Filter); !ok {
-			filterOnly = false
+			return nil
 		}
 	}
-	if bh, ok := probeScan.Handle.(plan.BloomJoinHandle); ok && filterOnly && len(join.BuildKeys) == 1 && session.Get(SessionJoinBloom) != "off" {
-		if f, err := table.BuildBloom(bloom.DefaultBitsPerKey); err == nil {
-			if nh, ok := bh.WithJoinBloom(join.ProbeKeys[0], f, int64(table.Rows())); ok {
-				probeScan.Handle = nh
-				if ph, ok := nh.(PushdownReporter); ok {
-					stats.PushedDown = ph.PushedOperators()
-				}
+	bh, ok := leaf.scan.Handle.(plan.BloomJoinHandle)
+	if !ok || len(join.BuildKeys) != 1 || session.Get(SessionJoinBloom) == "off" {
+		return nil
+	}
+	if f, err := table.BuildBloom(bloom.DefaultBitsPerKey); err == nil {
+		if nh, ok := bh.WithJoinBloom(join.ProbeKeys[0], f, int64(table.Rows())); ok {
+			leaf.scan = &plan.TableScan{Catalog: leaf.scan.Catalog, Table: leaf.scan.Table, Handle: nh}
+			if ph, ok := nh.(PushdownReporter); ok {
+				stats.PushedDown = ph.PushedOperators()
 			}
 		}
 	}
-	return func(op exec.Operator, meter *exec.Meter) (exec.Operator, error) {
-		return exec.NewHashJoinProbe(op, table, join.ProbeKeys, meter)
-	}, nil
+	return nil
 }
 
 // leafStage is one scan's distributed fan-out in flight, consumed in
@@ -404,35 +427,17 @@ func (ls *leafStage) Drain() {
 // 2 × workers × splitQueuePages pages.
 const splitQueuePages = 2
 
-// leafBranch takes an Exchange-rooted branch apart: the Exchange, the
-// leaf-stage nodes below it (root first) and the scan they end on.
-func leafBranch(branch plan.Node) (*plan.Exchange, []plan.Node, *plan.TableScan, error) {
-	spine, end := plan.Spine(branch)
-	if scan, ok := end.(*plan.TableScan); ok && len(spine) > 0 {
-		if exchange, ok := spine[0].(*plan.Exchange); ok {
-			return exchange, spine[1:], scan, nil
-		}
-	}
-	return nil, nil, nil, fmt.Errorf("engine: leaf stage must be an exchange over a scan, not %T over %T", branch, end)
-}
-
-// startLeafStage launches the worker pool over the splits of an
-// Exchange-rooted branch's scan, compiling the branch's leaf nodes onto
-// each split's page source, and returns the stage with the schema of the
-// pages it feeds the exchange. Worker w of W takes splits w, w+W, … in
-// that order and opens them with one CreatePageSources call, so a
-// connector can serve a worker's share as one request. wrap, when set, is
-// applied per split on top of the compiled pipeline — the hash join
-// probes inside the workers this way. Worker operator time lands in
+// startLeafStage launches the worker pool over the splits of the leaf
+// chain's scan, compiling the chain onto each split's page source, and
+// returns the stage. Worker w of W takes splits w, w+W, … in that order
+// and opens them with one CreatePageSources call, so a connector can
+// serve a worker's share as one request. Worker operator time lands in
 // stats.LeafMeter and the split count adds to stats.Splits.
-func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *QueryStats, wrap leafHook) (*leafStage, *types.Schema, error) {
-	exchange, chain, scan, err := leafBranch(branch)
-	if err != nil {
-		return nil, nil, err
-	}
+func (e *Engine) startLeafStage(ctx context.Context, leaf *leafChain, stats *QueryStats) (*leafStage, error) {
+	scan := leaf.scan
 	conn, err := e.connector(scan.Handle.ConnectorName())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var splits []Split
 	if ss, ok := conn.(SplitSource); ok {
@@ -441,7 +446,7 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 		splits, err = conn.Splits(scan.Handle)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	stats.Splits += len(splits)
 
@@ -501,16 +506,10 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 			runSplit := func(i int, source exec.Operator) bool {
 				defer close(queues[i])
 				defer exec.Close(source)
-				pipeline, err := compileChain(chain, source, &meter)
+				pipeline, err := compileChain(leaf.chain, source, leaf.table, &meter)
 				if err != nil {
 					fail(err)
 					return false
-				}
-				if wrap != nil {
-					if pipeline, err = wrap(pipeline, &meter); err != nil {
-						fail(err)
-						return false
-					}
 				}
 				for {
 					page, err := pipeline.Next()
@@ -581,14 +580,14 @@ func (e *Engine) startLeafStage(ctx context.Context, branch plan.Node, stats *Qu
 		drained: drained,
 		done:    done,
 		errFn:   func() error { return workerErr },
-	}, exchange.OutputSchema(), nil
+	}, nil
 }
 
 // finishFinalStage consumes a leaf stage's exchange output through the
 // final chain (root first) on the coordinator.
 func (e *Engine) finishFinalStage(stage *leafStage, exchangeSchema *types.Schema, finalChain []plan.Node, stats *QueryStats) (*column.Page, *types.Schema, error) {
 	source := exec.NewFuncSource(exchangeSchema, stage.Next)
-	finalOp, err := compileChain(finalChain, source, &stats.FinalMeter)
+	finalOp, err := compileChain(finalChain, source, nil, &stats.FinalMeter)
 	if err != nil {
 		// Drain workers before returning so goroutines do not leak.
 		stage.Drain()
@@ -605,8 +604,10 @@ func (e *Engine) finishFinalStage(stage *leafStage, exchangeSchema *types.Schema
 	return result, result.Schema, nil
 }
 
-// compileChain lowers a root-first node chain onto a source operator.
-func compileChain(chain []plan.Node, source exec.Operator, meter *exec.Meter) (exec.Operator, error) {
+// compileChain lowers a root-first node chain onto a source operator. A
+// Join in the chain probes table, the hash table of its drained build
+// side.
+func compileChain(chain []plan.Node, source exec.Operator, table *exec.JoinTable, meter *exec.Meter) (exec.Operator, error) {
 	op := source
 	var err error
 	for i := len(chain) - 1; i >= 0; i-- {
@@ -630,6 +631,8 @@ func compileChain(chain []plan.Node, source exec.Operator, meter *exec.Meter) (e
 			op, err = exec.NewTopN(op, t.Keys, t.Count, meter)
 		case *plan.Limit:
 			op = exec.NewLimit(op, t.Count)
+		case *plan.Join:
+			op, err = exec.NewHashJoinProbe(op, table, t.ProbeKeys, meter)
 		case *plan.Output:
 			op = &rename{input: op, schema: t.OutputSchema()}
 		default:

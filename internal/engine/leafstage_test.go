@@ -74,7 +74,10 @@ func testLeafStageWindow(t *testing.T, workers, splits, pagesPerSplit int) {
 	e := New()
 	e.Workers = workers
 	e.AddConnector(conn)
-	branch := &plan.Exchange{Input: &plan.TableScan{Catalog: "mem", Table: "t", Handle: &memHandle{conn: conn}}}
+	_, leaf, err := stages(&plan.Exchange{Input: &plan.TableScan{Catalog: "mem", Table: "t", Handle: &memHandle{conn: conn}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := runtime.NumGoroutine()
 
 	// consume runs fn against the deadline a deadlocked stage would miss.
@@ -93,7 +96,7 @@ func testLeafStageWindow(t *testing.T, workers, splits, pagesPerSplit int) {
 		}
 	}
 
-	stage, _, err := e.startLeafStage(context.Background(), branch, &QueryStats{}, nil)
+	stage, err := e.startLeafStage(context.Background(), leaf, &QueryStats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +125,7 @@ func testLeafStageWindow(t *testing.T, workers, splits, pagesPerSplit int) {
 	}
 
 	// Early close: the consumer takes one page and drains.
-	stage, _, err = e.startLeafStage(context.Background(), branch, &QueryStats{}, nil)
+	stage, err = e.startLeafStage(context.Background(), leaf, &QueryStats{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,8 +55,6 @@ func BuildJoinTable(input Operator, keys []int, meter *Meter) (*JoinTable, error
 		rows:   column.NewPage(schema),
 		index:  newKeyTable(kinds),
 	}
-	var scratch keyScratch
-	var rowKeys []int32 // key id of every indexed build row
 	var live []int
 	for {
 		page, err := input.Next()
@@ -100,10 +98,13 @@ func BuildJoinTable(input Operator, keys []int, meter *Meter) (*JoinTable, error
 		}
 
 		t.rows.AppendPage(dense)
-		base := len(rowKeys)
-		rowKeys = append(rowKeys, make([]int32, dense.NumRows())...)
-		t.index.assign(&scratch, dense, keys, nil, rowKeys[base:])
 	}
+	// Index the drained rows in one pass over a table sized for them
+	// once: no rehash, no arena growth while the keys go in.
+	rowKeys := make([]int32, t.rows.NumRows()) // key id of every indexed build row
+	t.index.reserve(len(rowKeys))
+	var scratch keyScratch
+	t.index.assign(&scratch, t.rows, keys, nil, rowKeys)
 	// Chain each key's rows back to front, so that walking a chain from
 	// its head yields them in insertion order.
 	t.head = make([]int32, t.index.len())

@@ -209,6 +209,17 @@ func newKeyTable(kinds []types.Kind) *keyTable {
 	}
 }
 
+// reserve sizes an empty table for up to n keys, so that adding them
+// never grows the slots or the arena.
+func (t *keyTable) reserve(n int) {
+	slots := keyTableMinSlots
+	for slots < 2*n {
+		slots *= 2
+	}
+	t.index = slotIndex{slots: make([]uint64, slots), shift: uint(64 - bits.TrailingZeros(uint(slots)))}
+	t.words = make([]uint64, 0, n*t.width)
+}
+
 // len returns the number of distinct keys.
 func (t *keyTable) len() int { return t.index.n }
 

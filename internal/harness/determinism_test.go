@@ -133,12 +133,109 @@ func (s joinShape) reference(line, ords [][]types.Value) []string {
 	return out
 }
 
-// TestJoinDifferentialAcrossConfigurations runs Q3 and the join shapes
-// over ocs. under every pushdown mode × bloom on/off, and over hive., each
-// at one leaf worker and at four (every worker probes the one shared
-// table), and compares each answer with the row-at-a-time reference — the
-// shapes row for row in order, Q3 (whose order is its ORDER BY) as
-// rendered rows.
+// aggProbe is a probe table for a Q3-shaped aggregate over the join: k
+// joins orders' orderkey and is the group key, v is summed. Each of its
+// four objects holds 24 keys, four rows each, interleaved, with v from a
+// small set of fractions so that sums depend on their order and tie.
+// disjoint gives each object a key range of its own, which the zone maps
+// prove split-disjoint; otherwise every object spans the same keys.
+type aggProbe struct {
+	name     string
+	disjoint bool
+	rows     [][]types.Value
+	objects  int
+}
+
+const aggProbeQuery = `SELECT p.k AS k, o.orderdate AS d, SUM(p.v) AS s ` +
+	`FROM %[1]s.%[2]s AS p JOIN %[1]s.orders AS o ON p.k = o.orderkey ` +
+	`WHERE o.orderdate < DATE '1994-01-01' GROUP BY p.k, o.orderdate ORDER BY s DESC LIMIT 10`
+
+func loadAggProbe(t *testing.T, c *Cluster, name string, disjoint bool) *aggProbe {
+	t.Helper()
+	schema := types.NewSchema(
+		types.Column{Name: "k", Type: types.Int64},
+		types.Column{Name: "v", Type: types.Float64},
+	)
+	probe := &aggProbe{name: name, disjoint: disjoint, objects: 4}
+	var pages []*column.Page
+	for f := 0; f < probe.objects; f++ {
+		page := column.NewPage(schema)
+		for r := 0; r < 96; r++ {
+			k := int64(r*5%24) * 3 // 24 keys, each on every 24th row
+			if disjoint {
+				k += int64(f) * 400
+			} else {
+				k += int64(f % 2) // neighbouring objects share most keys
+			}
+			seq := len(probe.rows)
+			row := []types.Value{types.IntValue(k), types.FloatValue(float64(seq*7%10) / 10)}
+			page.AppendRow(row...)
+			probe.rows = append(probe.rows, row)
+		}
+		pages = append(pages, page)
+	}
+	d := sealDataset(t, ingest.TableSpec{Schema: CatalogOCS, Name: name, Bucket: name, Columns: schema}, 32, pages)
+	if d.Table.SplitDisjoint("k") != disjoint {
+		t.Fatalf("%s: zone maps derive k split-disjoint = %v, want %v", name, !disjoint, disjoint)
+	}
+	if err := c.Load(d); err != nil {
+		t.Fatal(err)
+	}
+	return probe
+}
+
+// reference is the aggregate the slow, obvious way: groups in order of
+// first appearance over the probe rows in table order, each summed in row
+// order, then stably sorted by the sum — ties keep that order, which is
+// (split, row ordinal) — and cut at the limit.
+func (p *aggProbe) reference(t *testing.T, ords [][]types.Value) []string {
+	cutoff, err := types.DateFromString("1994-01-01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dates := map[int64]types.Value{}
+	for _, o := range ords {
+		if o[oOrderdate].I < cutoff.I {
+			dates[o[oOrderkey].I] = o[oOrderdate]
+		}
+	}
+	type group struct {
+		k, d types.Value
+		s    float64
+	}
+	var groups []group
+	at := map[int64]int{}
+	for _, row := range p.rows {
+		d, ok := dates[row[0].I]
+		if !ok {
+			continue
+		}
+		g, seen := at[row[0].I]
+		if !seen {
+			g = len(groups)
+			at[row[0].I] = g
+			groups = append(groups, group{k: row[0], d: d})
+		}
+		groups[g].s += row[1].F
+	}
+	sort.SliceStable(groups, func(i, j int) bool { return groups[i].s > groups[j].s })
+	var out []string
+	for _, g := range groups[:min(10, len(groups))] {
+		out = append(out, renderRow([]types.Value{g.k, g.d, types.FloatValue(g.s)}))
+	}
+	return out
+}
+
+// TestJoinDifferentialAcrossConfigurations runs Q3, the join shapes and
+// an aggregate over each aggProbe table over ocs. under every pushdown
+// mode × bloom on/off, and over hive., each at one leaf worker and at four
+// (every worker probes the one shared table), and compares each answer
+// with the row-at-a-time reference — the shapes and the aggregates row for
+// row in order, Q3 (whose order is its ORDER BY) as rendered rows. Over
+// the disjoint probe the aggregate runs to completion in the leaf
+// workers, a partial Top-N below the Exchange, and the final stage sees
+// at most the limit's rows per split; over the overlapping probe it stays
+// in the final stage.
 // Both scans are projected to what each plan reads (plan.NarrowJoin), so
 // this is also the proof that narrowing changes no answer.
 func TestJoinDifferentialAcrossConfigurations(t *testing.T) {
@@ -150,6 +247,7 @@ func TestJoinDifferentialAcrossConfigurations(t *testing.T) {
 		}
 	}
 	lineRows, ordRows := readRows(t, line), readRows(t, ords)
+	probes := []*aggProbe{loadAggProbe(t, c, "dprobe", true), loadAggProbe(t, c, "oprobe", false)}
 	q3 := strings.Replace(workload.TPCHQ3Query, "FROM lineitem AS l JOIN orders AS o", "FROM %[1]s.lineitem AS l JOIN %[1]s.orders AS o", 1)
 	q3Want := q3Reference(t, line, ords)
 
@@ -187,6 +285,18 @@ func TestJoinDifferentialAcrossConfigurations(t *testing.T) {
 		}
 		res, label := run("q3", q3)
 		assertRowsEqual(t, label, rowMultisetPage(res.Page), q3Want)
+		for _, p := range probes {
+			res, label := run(p.name, strings.ReplaceAll(aggProbeQuery, "%[2]s", p.name))
+			assertRowsEqual(t, label, orderedRows(res.Page), p.reference(t, ordRows))
+			plan := res.Stats.PlanText
+			exchange, partial := strings.Index(plan, "Exchange"), strings.Index(plan, "TopN(PARTIAL)")
+			if fired := partial > exchange && exchange >= 0; fired != p.disjoint {
+				t.Errorf("%s: aggregate moved below the exchange = %v, want %v:\n%s", label, fired, p.disjoint, plan)
+			}
+			if limit := int64(10 * p.objects); p.disjoint && res.Stats.FinalMeter.Rows > limit {
+				t.Errorf("%s: the final stage read %d rows, want at most %d", label, res.Stats.FinalMeter.Rows, limit)
+			}
+		}
 	}
 }
 

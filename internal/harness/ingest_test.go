@@ -85,8 +85,9 @@ func insertSQL(table string, rows [][]types.Value) string {
 }
 
 // ingestSpec shapes an ingest-path table after a generated dataset,
-// without registering the dataset's own objects. DisjointKeys are
-// dropped: ingest-order objects make no disjointness promise.
+// without registering the dataset's own objects. Whether a key is
+// split-disjoint is derived from the per-object zone maps the ingest
+// path records, as for any table: nothing is carried over.
 func ingestSpec(d *workload.Dataset) ingest.TableSpec {
 	return ingest.TableSpec{
 		Schema:  CatalogOCS,

@@ -16,8 +16,10 @@ import (
 	"prestocs/internal/workload"
 )
 
-// randomDataset builds a table with a split-disjoint key plus mixed-type
-// columns, uploaded to OCS and the object store under both catalogs.
+// randomDataset builds a table with a split-disjoint key — file f holds k
+// in [10f, 10f+9], so the metastore derives it from the zone maps — plus
+// mixed-type columns, uploaded to OCS and the object store under both
+// catalogs.
 func randomDataset(t *testing.T, c *Cluster, rnd *rand.Rand) *metastore.Table {
 	t.Helper()
 	schema := types.NewSchema(
@@ -46,7 +48,7 @@ func randomDataset(t *testing.T, c *Cluster, rnd *rand.Rand) *metastore.Table {
 		pages = append(pages, page)
 	}
 	return putTable(t, c, ingest.TableSpec{
-		Schema: CatalogOCS, Name: "randtbl", Bucket: "rand", Columns: schema, DisjointKeys: []string{"k"},
+		Schema: CatalogOCS, Name: "randtbl", Bucket: "rand", Columns: schema,
 	}, 64, pages)
 }
 

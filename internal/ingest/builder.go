@@ -147,12 +147,11 @@ func rawSize(v types.Value) int64 {
 // TableSpec names and shapes a table being assembled from sealed
 // objects.
 type TableSpec struct {
-	Schema       string
-	Name         string
-	Bucket       string
-	Columns      *types.Schema
-	Codec        compress.Codec
-	DisjointKeys []string
+	Schema  string
+	Name    string
+	Bucket  string
+	Columns *types.Schema
+	Codec   compress.Codec
 }
 
 // AssembleTable builds a registerable catalog entry from sealed
@@ -168,13 +167,12 @@ func AssembleTable(spec TableSpec, keys []string, objs []SealedObject, exactNDV 
 		return nil, fmt.Errorf("ingest: %d keys for %d sealed objects", len(keys), len(objs))
 	}
 	empty := &metastore.Table{
-		Schema:       spec.Schema,
-		Name:         spec.Name,
-		Columns:      spec.Columns,
-		Bucket:       spec.Bucket,
-		Codec:        spec.Codec,
-		DisjointKeys: spec.DisjointKeys,
-		ColumnStats:  make(map[string]metastore.ColumnStats, spec.Columns.Len()),
+		Schema:      spec.Schema,
+		Name:        spec.Name,
+		Columns:     spec.Columns,
+		Bucket:      spec.Bucket,
+		Codec:       spec.Codec,
+		ColumnStats: make(map[string]metastore.ColumnStats, spec.Columns.Len()),
 	}
 	for _, c := range spec.Columns.Columns {
 		empty.ColumnStats[c.Name] = metastore.ColumnStats{ZoneMap: expr.ZoneMap{Min: types.NullValue(c.Type), Max: types.NullValue(c.Type)}}

@@ -35,8 +35,7 @@ type CompactorOptions struct {
 	// MaxMerge caps source objects folded per run (default 16).
 	MaxMerge int
 	// ClusterBy names the column the merged object is re-sorted on to
-	// sharpen its zone map. Empty picks the table's first disjoint key,
-	// else the first column.
+	// sharpen its zone map. Empty picks the table's first column.
 	ClusterBy string
 	// Telemetry, when set, receives compaction counters and the
 	// snapshot-pins gauge.
@@ -219,14 +218,10 @@ func (c *Compactor) readSources(ctx context.Context, t *metastore.Table, cands [
 // their zone maps cover a tight range instead of the union of their
 // sources.
 func (c *Compactor) clusterColumn(t *metastore.Table) string {
-	switch {
-	case c.opts.ClusterBy != "":
+	if c.opts.ClusterBy != "" {
 		return c.opts.ClusterBy
-	case len(t.DisjointKeys) > 0:
-		return t.DisjointKeys[0]
-	default:
-		return t.Columns.Columns[0].Name
 	}
+	return t.Columns.Columns[0].Name
 }
 
 // sortEntry is one non-NULL row of the cluster column: a 64-bit key whose

@@ -70,11 +70,6 @@ type Table struct {
 	// uses to keep TotalBytes exact across removals. Optional for legacy
 	// catalogs; the ingest path always records it.
 	ObjectBytes map[string]int64 `json:"object_bytes,omitempty"`
-	// DisjointKeys lists columns whose values never span objects (e.g.
-	// mesh subdomain ids in simulation outputs). Grouping by such columns
-	// makes per-object aggregation complete, which the OCS connector
-	// requires before pushing post-aggregation operators.
-	DisjointKeys []string `json:"disjoint_keys,omitempty"`
 }
 
 // QualifiedName returns "schema.name".
@@ -84,6 +79,49 @@ func (t *Table) QualifiedName() string { return t.Schema + "." + t.Name }
 func (t *Table) Stats(column string) (ColumnStats, bool) {
 	cs, ok := t.ColumnStats[column]
 	return cs, ok
+}
+
+// SplitDisjoint reports whether no value of the column occurs in two of
+// the table's objects — so every group of a GROUP BY on it lives in one
+// split, and per-split aggregation is complete. It is derived from the
+// per-object zone maps, nothing is declared: every object records one
+// for the column, the non-NULL [Min, Max] intervals sorted by Min
+// strictly increase under types.Compare (a Max equal to the next Min is
+// an overlap), and NULLs, which group together, occur in at most one
+// object. A Float64 column never qualifies: NaN and ±0 make an interval
+// no proof of which values group together.
+func (t *Table) SplitDisjoint(column string) bool {
+	col := t.Columns.IndexOf(column)
+	if col < 0 || t.Columns.Columns[col].Type == types.Float64 {
+		return false
+	}
+	intervals := make([]expr.ZoneMap, 0, len(t.Objects))
+	nullObjects := 0
+	for _, obj := range t.Objects {
+		z, ok := t.ObjectStats[obj][column]
+		if !ok || z.NumValues == 0 {
+			return false // no zone map, or one that does not count its rows
+		}
+		if z.NullCount > 0 {
+			nullObjects++
+		}
+		if z.NumValues > z.NullCount {
+			if z.Min.Null || z.Max.Null {
+				return false
+			}
+			intervals = append(intervals, z.ZoneMap)
+		}
+	}
+	if nullObjects > 1 {
+		return false
+	}
+	sort.Slice(intervals, func(i, j int) bool { return types.Compare(intervals[i].Min, intervals[j].Min) < 0 })
+	for i := 1; i < len(intervals); i++ {
+		if types.Compare(intervals[i-1].Max, intervals[i].Min) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Metastore is a thread-safe catalog.

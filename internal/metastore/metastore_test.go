@@ -109,17 +109,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCatalogFormatIsPinned: testdata/catalog.json is a catalog as Save
-// writes it, with every column-stats field and the per-object stats and
-// sizes set. It loads to the table it describes and saves back byte for
-// byte, so a JSON key renamed, dropped or reordered by a change to the
-// stats types fails here, not against a catalog already on disk.
-func TestCatalogFormatIsPinned(t *testing.T) {
-	stats := func(min, max types.Value, nulls, ndv, values int64) ColumnStats {
-		return ColumnStats{ZoneMap: expr.ZoneMap{Min: min, Max: max, NullCount: nulls, NumValues: values}, NDV: ndv}
-	}
+// zone is a column's statistics as a catalog records them.
+func zone(min, max types.Value, nulls, ndv, values int64) ColumnStats {
+	return ColumnStats{ZoneMap: expr.ZoneMap{Min: min, Max: max, NullCount: nulls, NumValues: values}, NDV: ndv}
+}
+
+// pinnedEvents is the table testdata/catalog.json describes.
+func pinnedEvents() *Table {
 	noTag := types.NullValue(types.String)
-	want := &Table{
+	return &Table{
 		Schema: "ocs", Name: "events",
 		Columns: types.NewSchema(
 			types.Column{Name: "id", Type: types.Int64},
@@ -128,22 +126,30 @@ func TestCatalogFormatIsPinned(t *testing.T) {
 		Bucket: "ev", Objects: []string{"ev-000001.pql", "ev-000002.pql"},
 		Codec: compress.Snappy, RowCount: 7, TotalBytes: 900,
 		ColumnStats: map[string]ColumnStats{
-			"id":  stats(types.IntValue(-3), types.IntValue(40), 1, 6, 7),
-			"tag": stats(types.StringValue("a"), types.StringValue("z"), 2, 3, 7),
+			"id":  zone(types.IntValue(-3), types.IntValue(40), 1, 6, 7),
+			"tag": zone(types.StringValue("a"), types.StringValue("z"), 2, 3, 7),
 		},
 		ObjectStats: map[string]map[string]ColumnStats{
 			"ev-000001.pql": {
-				"id":  stats(types.IntValue(-3), types.IntValue(9), 1, 3, 4),
-				"tag": stats(types.StringValue("a"), types.StringValue("m"), 2, 2, 4),
+				"id":  zone(types.IntValue(-3), types.IntValue(9), 1, 3, 4),
+				"tag": zone(types.StringValue("a"), types.StringValue("m"), 2, 2, 4),
 			},
 			"ev-000002.pql": {
-				"id":  stats(types.IntValue(12), types.IntValue(40), 0, 3, 3),
-				"tag": stats(noTag, noTag, 3, 0, 3),
+				"id":  zone(types.IntValue(12), types.IntValue(40), 0, 3, 3),
+				"tag": zone(noTag, noTag, 3, 0, 3),
 			},
 		},
-		ObjectBytes:  map[string]int64{"ev-000001.pql": 500, "ev-000002.pql": 400},
-		DisjointKeys: []string{"id"},
+		ObjectBytes: map[string]int64{"ev-000001.pql": 500, "ev-000002.pql": 400},
 	}
+}
+
+// TestCatalogFormatIsPinned: testdata/catalog.json is a catalog as Save
+// writes it, with every column-stats field and the per-object stats and
+// sizes set. It loads to the table it describes and saves back byte for
+// byte, so a JSON key renamed, dropped or reordered by a change to the
+// stats types fails here, not against a catalog already on disk.
+func TestCatalogFormatIsPinned(t *testing.T) {
+	want := pinnedEvents()
 	const pinned = "testdata/catalog.json"
 	m, err := Load(pinned)
 	if err != nil {
@@ -166,6 +172,28 @@ func TestCatalogFormatIsPinned(t *testing.T) {
 	}
 	if orig, err := os.ReadFile(pinned); err != nil || !bytes.Equal(saved, orig) {
 		t.Errorf("Save wrote\n%s\nwant %s (err %v)", saved, pinned, err)
+	}
+}
+
+// TestLoadCatalogWithDeclaredKeys: catalogs saved before split-disjointness
+// was derived from zone maps carry a "disjoint_keys" list per table
+// (testdata/catalog_disjoint_keys.json is testdata/catalog.json as it
+// was then). They still load, to the same table, the list ignored: the
+// zone maps say the same thing about id and more about tag.
+func TestLoadCatalogWithDeclaredKeys(t *testing.T) {
+	m, err := Load("testdata/catalog_disjoint_keys.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Get("ocs", "events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := pinnedEvents(); !reflect.DeepEqual(got, want) {
+		t.Errorf("loaded %+v\nwant %+v", got, want)
+	}
+	if !got.SplitDisjoint("id") || got.SplitDisjoint("tag") {
+		t.Errorf("derived disjointness: id %v, tag %v; want true, false", got.SplitDisjoint("id"), got.SplitDisjoint("tag"))
 	}
 }
 

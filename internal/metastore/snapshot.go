@@ -184,15 +184,14 @@ func NextTable(old *Table, adds []ObjectAdd, removes []string) *Table {
 		removed[r] = true
 	}
 	next := &Table{
-		Schema:       old.Schema,
-		Name:         old.Name,
-		Columns:      old.Columns,
-		Bucket:       old.Bucket,
-		Codec:        old.Codec,
-		DisjointKeys: old.DisjointKeys,
-		ObjectStats:  make(map[string]map[string]ColumnStats, len(old.ObjectStats)+len(adds)),
-		ObjectBytes:  make(map[string]int64, len(old.ObjectBytes)+len(adds)),
-		ColumnStats:  make(map[string]ColumnStats, len(old.ColumnStats)),
+		Schema:      old.Schema,
+		Name:        old.Name,
+		Columns:     old.Columns,
+		Bucket:      old.Bucket,
+		Codec:       old.Codec,
+		ObjectStats: make(map[string]map[string]ColumnStats, len(old.ObjectStats)+len(adds)),
+		ObjectBytes: make(map[string]int64, len(old.ObjectBytes)+len(adds)),
+		ColumnStats: make(map[string]ColumnStats, len(old.ColumnStats)),
 	}
 	for _, o := range old.Objects {
 		if removed[o] {

@@ -186,7 +186,10 @@ func describePlan(root plan.Node) (string, error) {
 // projected to what the plan reads of them (PR 21: cols=N, the scan
 // schemas, the ordinals above the join, the Substrait digests). The ocs
 // scan lines have since lost their adaptive=… flag: with no per-split
-// policy, an auto plan carries its whole decision.
+// policy, an auto plan carries its whole decision. In the join rows
+// alone, the probe's Exchange has since moved above the join, and in
+// Q3's above its aggregate, which the zone maps prove complete per split,
+// with a TopN(PARTIAL) below it.
 func TestGoldenPlans(t *testing.T) {
 	f := newPlanFixture(t)
 	var sb strings.Builder

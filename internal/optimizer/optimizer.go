@@ -9,9 +9,17 @@
 //     storage reads only referenced columns (object storage's selective
 //     column retrieval, §2.2).
 //  4. AddExchange: decompose the plan into a distributed leaf stage (per
-//     split, on workers) and a final stage (coordinator) — Aggregate
-//     splits into partial+final, TopN and Limit replicate, Sort stays
-//     final. The connector's local optimizer then runs on the leaf stage.
+//     split, on workers) and a final stage (coordinator) at one Exchange
+//     on the root spine. Filters and projections above a scan, or above a
+//     join, run per split; a join's probe runs in the leaf workers and its
+//     build side is a leaf stage of its own, under its own Exchange. The
+//     next node up is split across the Exchange when it can be: an
+//     Aggregate over a scan into partial+final; an Aggregate over a join
+//     moves whole into the leaf stage, with the projections above it,
+//     when it is complete per split (a group key traces to a probe-scan
+//     column the zone maps prove split-disjoint); TopN and Limit
+//     replicate. Sort and Output stay final. The connector's local
+//     optimizer then runs on the leaf stage.
 package optimizer
 
 import (
@@ -21,13 +29,8 @@ import (
 )
 
 // Optimize applies the global rules in order: FuseSortLimit and NarrowJoin
-// to the tree, then PruneColumns and AddExchange to every scan-rooted
-// branch. A join is not a separate path: each of its inputs is a branch,
-// so both scans sit under an Exchange — the probe side is the distributed
-// stage the connector pushes filters (and later the build side's bloom)
-// into, the build side runs as a leaf stage too and is drained into the
-// hash table before any probe split — and everything above the join
-// (cross-side filters, aggregation, ordering) stays on the final stage.
+// to the tree, PruneColumns to every scan-rooted branch (the whole tree,
+// or each input of a join), then AddExchange to the tree.
 func Optimize(root plan.Node) (plan.Node, error) {
 	root, err := fuseSortLimit(root)
 	if err != nil {
@@ -36,13 +39,10 @@ func Optimize(root plan.Node) (plan.Node, error) {
 	if root, err = narrowJoin(root); err != nil {
 		return nil, err
 	}
-	return plan.MapBranches(root, func(branch plan.Node) (plan.Node, error) {
-		branch, err := pruneColumns(branch)
-		if err != nil {
-			return nil, err
-		}
-		return addExchange(branch)
-	})
+	if root, err = plan.MapBranches(root, pruneColumns); err != nil {
+		return nil, err
+	}
+	return addExchange(root)
 }
 
 // fuseSortLimit rewrites Limit(Sort(x)) into TopN(x). Sort and Limit only
@@ -98,22 +98,29 @@ func pruneColumns(branch plan.Node) (plan.Node, error) {
 	return plan.Stack(spine, &plan.TableScan{Catalog: scan.Catalog, Table: scan.Table, Handle: projectable.WithProjection(cols)})
 }
 
-// addExchange splits the branch into leaf and final stages.
-func addExchange(branch plan.Node) (plan.Node, error) {
-	spine, scan := plan.Spine(branch)
-	// Filters and projections above the scan run per split.
-	cut := len(spine)
-	for ; cut > 0; cut-- {
-		switch spine[cut-1].(type) {
-		case *plan.Filter, *plan.Project:
-			continue
+// addExchange splits the plan into leaf and final stages.
+func addExchange(root plan.Node) (plan.Node, error) {
+	spine, end := plan.Spine(root)
+	join, _ := end.(*plan.Join)
+	if join != nil {
+		// The build side is drained before any probe split starts: a leaf
+		// stage of its own.
+		end = &plan.Join{Probe: join.Probe, Build: &plan.Exchange{Input: join.Build}, ProbeKeys: join.ProbeKeys, BuildKeys: join.BuildKeys}
+	}
+	// Filters and projections above the scan or the join run per split,
+	// and so does an aggregate over a join that is complete per split,
+	// with the filters and projections above it.
+	cut := rowwiseCut(spine, len(spine))
+	if join != nil && cut > 0 {
+		if agg, ok := spine[cut-1].(*plan.Aggregate); ok && agg.Step == plan.AggSingle && disjointKey(agg.Keys, spine[cut:], join) {
+			cut = rowwiseCut(spine, cut-1)
 		}
-		break
 	}
 	above, leaf := spine[:cut], spine[cut:]
 	// The next node up runs on both sides when it can be split: one half
 	// per split, the other re-merging the union right above the exchange.
-	// Anything else (Sort, Output) runs in the final stage only.
+	// Anything else (Sort, Output, an aggregate over a join that is not
+	// complete per split) runs in the final stage only.
 	boundary := []plan.Node{&plan.Exchange{}}
 	split := func(finalHalf, leafHalf plan.Node) {
 		above, boundary = spine[:cut-1], []plan.Node{finalHalf, &plan.Exchange{}, leafHalf}
@@ -123,6 +130,9 @@ func addExchange(branch plan.Node) (plan.Node, error) {
 		case *plan.Aggregate:
 			if t.Step != plan.AggSingle {
 				return nil, fmt.Errorf("optimizer: unexpected %s aggregate before exchange insertion", t.Step)
+			}
+			if join != nil {
+				break
 			}
 			finalKeys := make([]int, len(t.Keys))
 			for j := range t.Keys {
@@ -137,5 +147,43 @@ func addExchange(branch plan.Node) (plan.Node, error) {
 		}
 	}
 	staged := append(append(append([]plan.Node(nil), above...), boundary...), leaf...)
-	return plan.Stack(staged, scan)
+	return plan.Stack(staged, end)
+}
+
+// rowwiseCut moves cut up the spine past the filters and projections
+// directly above it: they run per split, row by row.
+func rowwiseCut(spine []plan.Node, cut int) int {
+	for ; cut > 0; cut-- {
+		switch spine[cut-1].(type) {
+		case *plan.Filter, *plan.Project:
+			continue
+		}
+		break
+	}
+	return cut
+}
+
+// disjointKey reports whether an aggregate over the join is complete per
+// probe split: whether one of its keys — ordinals over the output of
+// below, the root-first run of filters and projections between it and
+// the join — traces through column references to a probe-scan column
+// whose handle proves it split-disjoint. One key is enough: rows that
+// agree on every key agree on that one, so they share a split.
+func disjointKey(keys []int, below []plan.Node, join *plan.Join) bool {
+	probe, end := plan.Spine(join.Probe)
+	scan, _ := end.(*plan.TableScan)
+	if scan == nil {
+		return false
+	}
+	handle, ok := scan.Handle.(plan.DisjointHandle)
+	if !ok {
+		return false
+	}
+	width := join.Probe.OutputSchema().Len()
+	for _, k := range keys {
+		if col := plan.SourceColumn(below, k); col >= 0 && col < width && handle.SplitDisjoint(plan.SourceColumn(probe, col)) {
+			return true
+		}
+	}
+	return false
 }

@@ -17,7 +17,9 @@ import (
 
 // checkPlan asserts what every optimized plan must satisfy whatever the
 // query and the pushdown mode: each TableScan sits under exactly one
-// Exchange, every Join's keys address columns of its inputs' schemas that
+// Exchange of its own stage — a Join's build input is a stage of its own,
+// under its own Exchange, while its probe runs in the stage the Join is
+// in —, every Join's keys address columns of its inputs' schemas that
 // pair up in kind, the result schema is the analyzed plan's, and taking a
 // spine apart and stacking it again gives the same tree.
 func checkPlan(analyzed, optimized plan.Node) error {
@@ -53,7 +55,10 @@ func checkPlan(analyzed, optimized plan.Node) error {
 		if plan.Format(again) != plan.Format(n) {
 			return fmt.Errorf("Stack(Spine(n)) differs from n:\n%s\nvs\n%s", plan.Format(again), plan.Format(n))
 		}
-		for _, c := range n.Children() {
+		for i, c := range n.Children() {
+			if _, ok := n.(*plan.Join); ok && i == 1 {
+				exchanges = 0 // the build side starts its own stage
+			}
 			if err := walk(c, exchanges); err != nil {
 				return err
 			}

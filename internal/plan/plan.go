@@ -52,6 +52,16 @@ type BloomJoinHandle interface {
 	WithJoinBloom(column int, filter *bloom.Filter, buildKeys int64) (h TableHandle, ok bool)
 }
 
+// DisjointHandle is implemented by handles that know, from the table
+// snapshot they read, which scan columns never hold one value in two
+// splits. SplitDisjoint reports it for the ScanSchema ordinal col:
+// grouping on such a column keeps every group within one split, so an
+// aggregate run per split over it is complete.
+type DisjointHandle interface {
+	TableHandle
+	SplitDisjoint(col int) bool
+}
+
 // Node is a logical plan node.
 type Node interface {
 	// OutputSchema is the node's result schema.

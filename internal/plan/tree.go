@@ -62,6 +62,28 @@ func MapBranches(root Node, fn func(branch Node) (Node, error)) (Node, error) {
 	return Stack(spine, end)
 }
 
+// SourceColumn traces output ordinal col of nodes — a root-first run of
+// single-input nodes — down to the input ordinal whose values it carries
+// unchanged: a Filter keeps ordinals, a Project maps a column reference
+// to the column it reads. It returns -1 when col is computed (any other
+// projected expression) or crosses any other node.
+func SourceColumn(nodes []Node, col int) int {
+	for _, n := range nodes {
+		switch t := n.(type) {
+		case *Filter:
+		case *Project:
+			ref, ok := t.Expressions[col].(*expr.ColumnRef)
+			if !ok {
+				return -1
+			}
+			col = ref.Index
+		default:
+			return -1
+		}
+	}
+	return col
+}
+
 // withChildren returns a structural copy of parent over new inputs.
 func withChildren(parent Node, kids ...Node) (Node, error) {
 	if len(kids) != len(parent.Children()) || len(kids) == 0 {

@@ -274,3 +274,26 @@ func TestNarrowJoin(t *testing.T) {
 		}
 	}
 }
+
+func TestSourceColumn(t *testing.T) {
+	sum, _ := expr.NewArith(expr.Add, expr.Col(0, "a", types.Int64), expr.Col(1, "b", types.Int64))
+	project := &Project{Expressions: []expr.Expr{expr.Col(1, "b", types.Int64), sum}, Names: []string{"b", "s"}}
+	filter := &Filter{Condition: gtZero(0, "b")}
+	cases := []struct {
+		name  string
+		nodes []Node
+		col   int
+		want  int
+	}{
+		{"no nodes", nil, 2, 2},
+		{"a filter keeps the ordinal", []Node{filter}, 1, 1},
+		{"a column reference maps to what it reads", []Node{filter, project}, 0, 1},
+		{"a computed column has no source", []Node{project}, 1, -1},
+		{"an aggregate ends the trace", []Node{&Aggregate{Keys: []int{0}}}, 0, -1},
+	}
+	for _, tc := range cases {
+		if got := SourceColumn(tc.nodes, tc.col); got != tc.want {
+			t.Errorf("%s: SourceColumn = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

@@ -6,9 +6,11 @@
 // sizes are scaled down).
 //
 // Every generator is deterministic in its seed, computes exact column
-// statistics (including NDV) for the metastore, and marks split-disjoint
-// key columns (vertex_id for Laghos, timestep for Deep Water) that make
-// per-object aggregation complete.
+// statistics (including NDV) and per-object zone maps for the metastore.
+// Nothing is declared about how keys fall across objects: the metastore
+// derives split-disjointness from the per-object zone maps (vertex_id for
+// Laghos, timestep for Deep Water, orderkey for TPC-H), and that is what
+// makes per-object aggregation complete.
 package workload
 
 import (
@@ -93,7 +95,7 @@ func (d *Dataset) Upload(ctx context.Context, w ingest.ObjectWriter) error {
 // and assembles the dataset with exact table-level NDV from the merged
 // per-file distinct sets.
 func build(name, bucket string, cfg Config, schema *types.Schema,
-	genFile func(file int, p *column.Page), disjoint []string, query string) (*Dataset, error) {
+	genFile func(file int, p *column.Page), query string) (*Dataset, error) {
 
 	d := &Dataset{
 		Name:    name,
@@ -129,12 +131,11 @@ func build(name, bucket string, cfg Config, schema *types.Schema,
 		exactNDV[col.Name] = ndv.Count(c)
 	}
 	t, err := ingest.AssembleTable(ingest.TableSpec{
-		Schema:       "default",
-		Name:         name,
-		Bucket:       bucket,
-		Columns:      schema,
-		Codec:        cfg.Codec,
-		DisjointKeys: disjoint,
+		Schema:  "default",
+		Name:    name,
+		Bucket:  bucket,
+		Columns: schema,
+		Codec:   cfg.Codec,
 	}, keys, sealed, exactNDV)
 	if err != nil {
 		return nil, err
@@ -150,8 +151,9 @@ const LaghosQuery = `SELECT min(vertex_id) AS VID, min(x) AS mx, min(y) AS my, m
 	`GROUP BY vertex_id ORDER BY E LIMIT 100`
 
 // Laghos generates the fluid-dynamics mesh dataset: 10 columns, vertex
-// ids partitioned across files (each file is a mesh subdomain, so
-// vertex_id is split-disjoint), coordinates uniform in [0,4)³ and
+// ids partitioned across files (each file is a mesh subdomain, so the
+// per-object zone maps of vertex_id do not overlap and the metastore
+// derives it split-disjoint), coordinates uniform in [0,4)³ and
 // state fields correlated with position. Default scale: 32 files ×
 // 16384 rows (paper: 256 × 4.19M).
 func Laghos(cfg Config) (*Dataset, error) {
@@ -207,7 +209,7 @@ func Laghos(cfg Config) (*Dataset, error) {
 			)
 		}
 	}
-	return build("laghos", "lanl", cfg, schema, gen, []string{"vertex_id"}, LaghosQuery)
+	return build("laghos", "lanl", cfg, schema, gen, LaghosQuery)
 }
 
 // DeepWaterQuery is the paper's Deep Water Impact query (Table 2).
@@ -215,7 +217,8 @@ const DeepWaterQuery = `SELECT MAX((rowid % 250000) / 500) AS m, timestep ` +
 	`FROM deepwater WHERE v02 > 0.1 GROUP BY timestep`
 
 // DeepWater generates the asteroid-impact dataset: 4 columns, one
-// timestep per file (timestep is split-disjoint, giving the paper's
+// timestep per file (each object's timestep zone map is one value, so the
+// metastore derives timestep split-disjoint, giving the paper's
 // one-group-per-file aggregation), v02 distributed so the paper's filter
 // keeps ≈18% of rows. Default scale: 16 files × 65536 rows (paper: 64 ×
 // 27M).
@@ -248,7 +251,7 @@ func DeepWater(cfg Config) (*Dataset, error) {
 			)
 		}
 	}
-	return build("deepwater", "lanl", cfg, schema, gen, []string{"timestep"}, DeepWaterQuery)
+	return build("deepwater", "lanl", cfg, schema, gen, DeepWaterQuery)
 }
 
 // TPCHQuery is TPC-H Q1 over the generated lineitem table.
@@ -303,7 +306,7 @@ func TPCHOrders(cfg Config) (*Dataset, error) {
 			)
 		}
 	}
-	return build("orders", "tpch", cfg, schema, gen, nil, TPCHQ3Query)
+	return build("orders", "tpch", cfg, schema, gen, TPCHQ3Query)
 }
 
 func TPCH(cfg Config) (*Dataset, error) {
@@ -356,5 +359,5 @@ func TPCH(cfg Config) (*Dataset, error) {
 			)
 		}
 	}
-	return build("lineitem", "tpch", cfg, schema, gen, nil, TPCHQuery)
+	return build("lineitem", "tpch", cfg, schema, gen, TPCHQuery)
 }

@@ -33,8 +33,8 @@ func TestLaghosShape(t *testing.T) {
 	if !ok || cs.NDV != 4*512/8 {
 		t.Errorf("vertex_id NDV = %d, want %d", cs.NDV, 4*512/8)
 	}
-	if len(d.Table.DisjointKeys) != 1 || d.Table.DisjointKeys[0] != "vertex_id" {
-		t.Errorf("disjoint keys = %v", d.Table.DisjointKeys)
+	if !d.Table.SplitDisjoint("vertex_id") {
+		t.Error("vertex_id zone maps overlap across objects")
 	}
 	// Coordinates span [0,4).
 	xs, _ := d.Table.Stats("x")
@@ -165,8 +165,10 @@ func TestTPCHShape(t *testing.T) {
 	if rate < 0.93 || rate > 1.0 {
 		t.Errorf("shipdate filter keep rate = %v, want ~0.97", rate)
 	}
-	if len(d.Table.DisjointKeys) != 0 {
-		t.Error("lineitem must not declare disjoint keys")
+	// orderkey is a per-file range; returnflag repeats in every file.
+	if !d.Table.SplitDisjoint("orderkey") || d.Table.SplitDisjoint("returnflag") {
+		t.Errorf("derived disjointness: orderkey %v, returnflag %v; want true, false",
+			d.Table.SplitDisjoint("orderkey"), d.Table.SplitDisjoint("returnflag"))
 	}
 }
 
