@@ -78,20 +78,22 @@ faults-ingest:
 
 # determinism repeats, at one, two and four cores, the tests that hold an
 # answer to be a function of the snapshot alone — the same bytes, rows in
-# the same order — across runs, worker counts, pushdown modes, bloom
-# on/off and catalog: random queries against no pushdown, every join
-# shape against a row-at-a-time reference, ORDER BY … LIMIT over keys
-# that tie across splits, and string grouping, predicates and joins over
-# dictionary-encoded chunks that number their strings differently
-# against hive.'s plain strings, caches cold and warm. The final stage folds
-# leaf output in split order (DESIGN.md §9), so none of them carries a
-# tolerance; a failure here is an arrival-order dependence. The same rule
-# holds for the write path: the writer encodes whole row groups on
-# GOMAXPROCS workers (DESIGN.md §10), and the writer, builder and
-# compaction differentials must produce the row-wise reference's bytes at
-# every core count.
+# the same order — across runs. The query matrix (internal/harness,
+# matrix_test.go) runs one test per family of queries — seeded random
+# queries, the paper's queries under each codec, the join shapes, Q3 and
+# aggregates over a join, ORDER BY … LIMIT over keys that tie across
+# splits, dictionary-encoded strings and a schema-drift case that must
+# fail — in every cell of its configuration axes (catalog, pushdown mode,
+# bloom on/off, leaf workers, storage nodes, caches cold and warm), each
+# byte for byte against one reference cell. The final stage folds leaf
+# output in split order (DESIGN.md §9), so no cell carries a tolerance;
+# a failure here is an arrival-order dependence. The same rule holds for
+# the write path: the writer encodes whole row groups on GOMAXPROCS
+# workers (DESIGN.md §10), and the writer, builder and compaction
+# differentials must produce the row-wise reference's bytes at every
+# core count.
 determinism:
-	$(GO) test -cpu 1,2,4 -count=3 -run 'TestQuickPushdownSoundness|TestJoinDifferentialAcrossConfigurations|TestTopNTieOrderAcrossSplits|TestDictionaryVectorsDifferential' ./internal/harness/
+	$(GO) test -cpu 1,2,4 -count=3 -run 'TestQuickPushdownSoundness|TestSoundnessAcrossCodecs|TestJoinDifferentialAcrossConfigurations|TestTopNTieOrderAcrossSplits|TestDictionaryVectorsDifferential|TestSchemaDriftFailsQuery' ./internal/harness/
 	$(GO) test -cpu 1,2,4 -count=3 -run 'TestWriterMatchesRowWiseReference|TestBuilderMatchesRowWiseReference|TestCompactMatchesBoxedStableSort' ./internal/parquetlite/ ./internal/ingest/
 
 # fuzz-smoke runs each native fuzz target for ten seconds: the decoders

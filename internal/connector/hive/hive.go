@@ -23,10 +23,6 @@ import (
 	"prestocs/internal/types"
 )
 
-// SessionSelectPushdown toggles the S3 Select path ("true"/"false",
-// default true). With it off, every split is a whole-object GET.
-const SessionSelectPushdown = "hive.select_pushdown"
-
 // Connector is the Hive-like connector instance for one catalog.
 type Connector struct {
 	catalog string
@@ -48,8 +44,6 @@ type Handle struct {
 	Table      *metastore.Table
 	Projection []int     // base-schema ordinals; nil = all
 	Filter     expr.Expr // over the projected scan schema
-	// UseSelect records whether the S3 Select path is active.
-	UseSelect bool
 }
 
 // ConnectorName implements plan.TableHandle.
@@ -65,7 +59,7 @@ func (h *Handle) ScanSchema() *types.Schema {
 
 // WithProjection implements plan.ProjectableHandle.
 func (h *Handle) WithProjection(cols []int) plan.TableHandle {
-	return &Handle{Table: h.Table, Projection: cols, Filter: h.Filter, UseSelect: h.UseSelect}
+	return &Handle{Table: h.Table, Projection: cols, Filter: h.Filter}
 }
 
 // SplitDisjoint implements plan.DisjointHandle from the table's zone
@@ -128,12 +122,9 @@ func (c *Connector) PlanOptimizer() engine.ConnectorPlanOptimizer { return &loca
 type localOptimizer struct{}
 
 // Optimize absorbs, in every scan-rooted branch, the Filter directly above
-// the scan into the handle when the session enables select pushdown. Both
-// sides of a join qualify: each filters its own objects.
-func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan.Node, error) {
-	if session.Get(SessionSelectPushdown) == "false" {
-		return root, nil
-	}
+// the scan into the handle. Both sides of a join qualify: each filters
+// its own objects.
+func (o *localOptimizer) Optimize(root plan.Node, _ *engine.Session) (plan.Node, error) {
 	return plan.MapBranches(root, func(branch plan.Node) (plan.Node, error) {
 		spine, end := plan.Spine(branch)
 		scan := end.(*plan.TableScan)
@@ -145,7 +136,7 @@ func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan
 		if !ok {
 			return branch, nil
 		}
-		newHandle := &Handle{Table: h.Table, Projection: h.Projection, Filter: filter.Condition, UseSelect: true}
+		newHandle := &Handle{Table: h.Table, Projection: h.Projection, Filter: filter.Condition}
 		return plan.Stack(spine[:len(spine)-1], &plan.TableScan{Catalog: scan.Catalog, Table: scan.Table, Handle: newHandle})
 	})
 }
@@ -157,20 +148,20 @@ func (c *Connector) CreatePageSources(ctx context.Context, handle plan.TableHand
 }
 
 // openSplit opens one split: an S3 Select-like request when the handle
-// filters or narrows, else the whole-object GET.
+// filters, else the whole-object GET.
 func (c *Connector) openSplit(ctx context.Context, handle plan.TableHandle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
 	h, ok := handle.(*Handle)
 	if !ok {
 		return nil, fmt.Errorf("hive: foreign handle %T", handle)
 	}
-	if h.Filter != nil || (h.UseSelect && h.Projection != nil) {
+	if h.Filter != nil {
 		return c.selectSource(ctx, h, split, stats)
 	}
 	return engine.ScanWholeObject(ctx, c.client, h.Table.Bucket, split.Object, h.Table.Columns, h.Projection, stats)
 }
 
-// selectSource uses the S3 Select-like path: storage-side filter +
-// projection, CSV transfer, compute-side parse.
+// selectSource uses the S3 Select-like path for a filtering handle:
+// storage-side filter + projection, CSV transfer, compute-side parse.
 func (c *Connector) selectSource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats) (exec.Operator, error) {
 	scanSchema := h.ScanSchema()
 	cols := make([]string, scanSchema.Len())
@@ -179,20 +170,17 @@ func (c *Connector) selectSource(ctx context.Context, h *Handle, split engine.Sp
 	}
 	// The handle's filter references scan-schema ordinals; the Select API
 	// wants full-schema ordinals.
-	var pred expr.Expr
-	if h.Filter != nil {
-		pred = h.Filter
-		if h.Projection != nil {
-			mapping := make(map[int]int, len(h.Projection))
-			for scanIdx, fullIdx := range h.Projection {
-				mapping[scanIdx] = fullIdx
-			}
-			remapped, err := expr.Remap(h.Filter, mapping)
-			if err != nil {
-				return nil, err
-			}
-			pred = remapped
+	pred := h.Filter
+	if h.Projection != nil {
+		mapping := make(map[int]int, len(h.Projection))
+		for scanIdx, fullIdx := range h.Projection {
+			mapping[scanIdx] = fullIdx
 		}
+		remapped, err := expr.Remap(h.Filter, mapping)
+		if err != nil {
+			return nil, err
+		}
+		pred = remapped
 	}
 	start := time.Now()
 	csvData, work, err := c.client.Select(ctx, h.Table.Bucket, split.Object, cols, pred)

@@ -3,7 +3,7 @@ package hive
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"testing"
 
 	"prestocs/internal/column"
@@ -100,78 +100,54 @@ func TestFilterPushdownViaSelect(t *testing.T) {
 	}
 }
 
-func TestNoPushdownFullTransfer(t *testing.T) {
-	e, _ := setup(t)
-	session := engine.NewSession().Set(SessionSelectPushdown, "false")
-	res, err := execute(context.Background(), e, "SELECT id, v FROM t WHERE id >= 190", session)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Page.NumRows() != 10 {
-		t.Fatalf("rows = %d", res.Page.NumRows())
-	}
-	if contains(res.Stats.PushedDown, "filter") {
-		t.Error("filter pushed despite session off")
-	}
-	// Full objects were transferred.
-	moved := res.Stats.Scan.Snapshot().BytesMoved
-	if moved < 4000 {
-		t.Errorf("bytes moved = %d, expected full objects", moved)
-	}
-}
-
-// rowMultiset renders each row as a string and sorts them.
-func rowMultiset(p *column.Page) []string {
-	out := make([]string, p.NumRows())
-	for i := range out {
-		row := p.Row(i)
-		s := ""
-		for _, v := range row {
-			s += v.String() + "|"
-		}
-		out[i] = s
-	}
-	sort.Strings(out)
-	return out
-}
-
-func contains(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
+// TestPushdownEqualsNoPushdown holds the S3 Select path to the
+// whole-object scan: a scan under a filter reads the CSV results of the
+// pushed filter, a scan with none reads whole objects. Each pushed query
+// must return, in order, the rows of its whole-object counterpart that
+// keep keeps (keep nil: the WHERE keeps every row).
 func TestPushdownEqualsNoPushdown(t *testing.T) {
 	e, _ := setup(t)
-	queries := []string{
-		"SELECT id, v, g FROM t WHERE v BETWEEN 10.0 AND 20.0",
-		"SELECT g, count(*) AS c, sum(v) AS s FROM t GROUP BY g ORDER BY g",
-		"SELECT id FROM t WHERE g = 'x' ORDER BY id DESC LIMIT 7",
-		"SELECT count(*) AS c FROM t WHERE id < 0",
+	cases := []struct {
+		pushed, whole string
+		keep          func(row []types.Value) bool
+	}{
+		{"SELECT id, v, g FROM t WHERE v BETWEEN 10.0 AND 20.0", "SELECT id, v, g FROM t",
+			func(r []types.Value) bool { return r[1].F >= 10 && r[1].F <= 20 }},
+		{"SELECT g, count(*) AS c, sum(v) AS s FROM t WHERE id >= 0 GROUP BY g ORDER BY g",
+			"SELECT g, count(*) AS c, sum(v) AS s FROM t GROUP BY g ORDER BY g", nil},
+		{"SELECT id, g FROM t WHERE g = 'x' ORDER BY id DESC", "SELECT id, g FROM t ORDER BY id DESC",
+			func(r []types.Value) bool { return r[1].S == "x" }},
+		{"SELECT id, v FROM t WHERE id < 0", "SELECT id, v FROM t",
+			func(r []types.Value) bool { return r[0].I < 0 }},
 	}
-	off := engine.NewSession().Set(SessionSelectPushdown, "false")
-	for _, q := range queries {
-		with, err := execute(context.Background(), e, q, nil)
+	for _, tc := range cases {
+		pushed, err := execute(context.Background(), e, tc.pushed, nil)
 		if err != nil {
-			t.Fatalf("%s (pushdown): %v", q, err)
+			t.Fatalf("%s: %v", tc.pushed, err)
 		}
-		without, err := execute(context.Background(), e, q, off)
+		whole, err := execute(context.Background(), e, tc.whole, nil)
 		if err != nil {
-			t.Fatalf("%s (no pushdown): %v", q, err)
+			t.Fatalf("%s: %v", tc.whole, err)
 		}
-		// Unordered queries may return rows in any order (parallel
-		// splits); compare as multisets of rendered rows.
-		a := rowMultiset(with.Page)
-		b := rowMultiset(without.Page)
-		if len(a) != len(b) {
-			t.Fatalf("%s: rows %d vs %d", q, len(a), len(b))
+		if !slices.Contains(pushed.Stats.PushedDown, "filter") || slices.Contains(whole.Stats.PushedDown, "filter") {
+			t.Fatalf("%s: pushed %v, its whole-object counterpart %v", tc.pushed, pushed.Stats.PushedDown, whole.Stats.PushedDown)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("%s row %d: %q vs %q", q, i, a[i], b[i])
+		var want []string
+		for i := range whole.Page.NumRows() {
+			if row := whole.Page.Row(i); tc.keep == nil || tc.keep(row) {
+				want = append(want, fmt.Sprint(row))
+			}
+		}
+		var got []string
+		for i := range pushed.Page.NumRows() {
+			got = append(got, fmt.Sprint(pushed.Page.Row(i)))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: rows %d, want %d", tc.pushed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s row %d: %q, want %q", tc.pushed, i, got[i], want[i])
 			}
 		}
 	}

@@ -177,7 +177,7 @@ func TestPrefixPerMode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := &selectivityAnalyzer{table: statsTable(), mode: mode, threshold: 0.5}
+			a := &selectivityAnalyzer{table: statsTable(), mode: mode}
 			n, est := a.prefix(seq)
 			if n != tc.want[i] {
 				t.Errorf("%s [%s]: prefix = %d of %d candidates, want %d", tc.name, name, n, len(seq), tc.want[i])
@@ -235,7 +235,7 @@ func TestAbsorbFinalPerMode(t *testing.T) {
 		}
 		for i, name := range sixModes {
 			mode, _ := ParseMode(name)
-			a := &selectivityAnalyzer{table: table, mode: mode, threshold: 0.5}
+			a := &selectivityAnalyzer{table: table, mode: mode}
 			n, _ := a.prefix(f.seq)
 			push := materialise(&Handle{Table: table}, f.seq[:n], 0)
 			kept := above

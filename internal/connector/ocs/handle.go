@@ -25,17 +25,10 @@ import (
 	"prestocs/internal/types"
 )
 
-// Session property keys.
-const (
-	// SessionPushdown selects the pushdown mode: "none", "filter",
-	// "filter_project", "filter_agg", "filter_project_agg", "all" or
-	// "auto" (Selectivity Analyzer decides). Default "all".
-	SessionPushdown = "ocs.pushdown"
-	// SessionSelectivityThreshold is the minimum estimated data-reduction
-	// ratio (0..1) an operator must achieve for "auto" pushdown. Default
-	// 0.5.
-	SessionSelectivityThreshold = "ocs.selectivity_threshold"
-)
+// SessionPushdown is the session property selecting the pushdown mode:
+// "none", "filter", "filter_project", "filter_agg", "filter_project_agg",
+// "all" or "auto" (Selectivity Analyzer decides). Default "all".
+const SessionPushdown = "ocs.pushdown"
 
 // Mode is a parsed pushdown configuration.
 type Mode struct {

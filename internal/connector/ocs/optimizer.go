@@ -1,10 +1,8 @@
 package ocs
 
 import (
-	"fmt"
 	"math"
 	"slices"
-	"strconv"
 
 	"prestocs/internal/engine"
 	"prestocs/internal/expr"
@@ -37,26 +35,9 @@ func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan
 	if err != nil {
 		return nil, err
 	}
-	threshold, err := parseThreshold(session.Get(SessionSelectivityThreshold))
-	if err != nil {
-		return nil, err
-	}
 	return plan.MapBranches(root, func(branch plan.Node) (plan.Node, error) {
-		return extract(branch, mode, threshold)
+		return extract(branch, mode)
 	})
-}
-
-// parseThreshold interprets the SessionSelectivityThreshold property: a
-// data-reduction ratio in [0, 1], 0.5 when unset.
-func parseThreshold(s string) (float64, error) {
-	if s == "" {
-		return 0.5, nil
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || !(f >= 0 && f <= 1) {
-		return 0, fmt.Errorf("ocs: %s must be a number in [0, 1], got %q", SessionSelectivityThreshold, s)
-	}
-	return f, nil
 }
 
 // extract absorbs one branch's pushdown-eligible operators into a modified
@@ -65,7 +46,7 @@ func parseThreshold(s string) (float64, error) {
 // has none): candidates lists what storage could run, prefix decides how
 // much of it is pushed, materialise writes that into the Pushdown. chain
 // is the branch's spine, root first.
-func extract(branch plan.Node, mode Mode, threshold float64) (plan.Node, error) {
+func extract(branch plan.Node, mode Mode) (plan.Node, error) {
 	chain, end := plan.Spine(branch)
 	scan := end.(*plan.TableScan)
 	handle, ours := scan.Handle.(*Handle)
@@ -73,7 +54,7 @@ func extract(branch plan.Node, mode Mode, threshold float64) (plan.Node, error) 
 		return branch, nil // a foreign scan
 	}
 	exchange := slices.IndexFunc(chain, func(n plan.Node) bool { _, ok := n.(*plan.Exchange); return ok })
-	analyzer := &selectivityAnalyzer{table: handle.Table, mode: mode, threshold: threshold}
+	analyzer := &selectivityAnalyzer{table: handle.Table, mode: mode}
 	stage, base := chain[exchange+1:], handle.baseScanSchema()
 	seq := candidates(stage, base)
 	n, est := analyzer.prefix(seq)
@@ -210,7 +191,7 @@ func (a *selectivityAnalyzer) judge(c candidate, est float64) (verdict, float64)
 	case *plan.TopN:
 		est = float64(t.Count) // the explicit LIMIT is the output cardinality
 	}
-	if rows := float64(a.table.RowCount); rows > 0 && 1-est/rows >= a.threshold {
+	if rows := float64(a.table.RowCount); rows > 0 && 1-est/rows >= autoThreshold {
 		return cut, est
 	}
 	return carry, est
@@ -295,14 +276,17 @@ func (a *selectivityAnalyzer) absorbFinal(above []plan.Node, push *Pushdown) []p
 // selectivityAnalyzer implements the paper's §4 estimation rules over
 // metastore statistics, and the pushdown verdicts built on them.
 type selectivityAnalyzer struct {
-	table     *metastore.Table
-	mode      Mode
-	threshold float64 // minimum data-reduction ratio to push (auto mode)
+	table *metastore.Table
+	mode  Mode
 }
 
-// projectCostCap is the most expression cost (expr.Cost units) auto mode
-// pushes in one projection.
-const projectCostCap = 25
+// autoThreshold is the least estimated data-reduction ratio auto mode
+// pushes for, inclusive; projectCostCap is the most expression cost
+// (expr.Cost units) it pushes in one projection.
+const (
+	autoThreshold  = 0.5
+	projectCostCap = 25
+)
 
 // EstimateFilterSelectivity returns the estimated fraction of rows a
 // predicate keeps, assuming normally distributed values between the
@@ -402,7 +386,7 @@ func (a *selectivityAnalyzer) ShouldPushProject(exprs []expr.Expr, schema *types
 	if widthIn == 0 {
 		return false
 	}
-	return 1-widthOut/widthIn >= a.threshold
+	return 1-widthOut/widthIn >= autoThreshold
 }
 
 // EstimateGroups multiplies key NDVs (capped at the row count).

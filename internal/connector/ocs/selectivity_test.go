@@ -1,9 +1,7 @@
 package ocs
 
 import (
-	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"prestocs/internal/expr"
@@ -30,7 +28,7 @@ func statsTable() *metastore.Table {
 
 func analyzerFor(t *testing.T) (*selectivityAnalyzer, *types.Schema) {
 	t.Helper()
-	return &selectivityAnalyzer{table: statsTable(), mode: Mode{Auto: true}, threshold: 0.5}, statsTable().Columns
+	return &selectivityAnalyzer{table: statsTable(), mode: Mode{Auto: true}}, statsTable().Columns
 }
 
 func TestRangeSelectivityNormalApproximation(t *testing.T) {
@@ -139,10 +137,10 @@ func TestGroupAndTopNEstimates(t *testing.T) {
 	if v, _ := a.judge(agg(0), rows); v != cut {
 		t.Error("50% reduction should clear the inclusive 0.5 threshold")
 	}
-	// A stricter threshold rejects it — carried, never a stop in auto mode.
-	strict := &selectivityAnalyzer{table: statsTable(), mode: Mode{Auto: true}, threshold: 0.9}
-	if v, _ := strict.judge(agg(0), rows); v != carry {
-		t.Errorf("50%% reduction against a 0.9 threshold = %v, want carry", v)
+	// 5000 × 100 groups, capped at the row count: no reduction — carried,
+	// never a stop in auto mode.
+	if v, _ := a.judge(agg(0, 1), rows); v != carry {
+		t.Errorf("aggregation with no reduction = %v, want carry", v)
 	}
 	// Fewer rows reaching the aggregate than it has groups: the estimate
 	// does not grow.
@@ -157,24 +155,6 @@ func TestGroupAndTopNEstimates(t *testing.T) {
 	}
 	if v, _ := a.judge(topN(9000), 0); v != carry {
 		t.Error("top-9000 of 10000 should not be pushed")
-	}
-}
-
-func TestThresholdSessionOverrides(t *testing.T) {
-	for v, want := range map[string]float64{"": 0.5, "0.95": 0.95, "0": 0, "1": 1} {
-		if got, err := parseThreshold(v); err != nil || got != want {
-			t.Errorf("threshold %q = %v, %v; want %v", v, got, err, want)
-		}
-	}
-	// An invalid value fails the query, naming the property, as a bad
-	// ocs.pushdown does.
-	e, _ := setup(t)
-	for _, bad := range []string{"nope", "-0.1", "1.5", "NaN"} {
-		s := session("auto").Set(SessionSelectivityThreshold, bad)
-		_, err := execute(context.Background(), e, laghosQuery, s)
-		if err == nil || !strings.Contains(err.Error(), SessionSelectivityThreshold) {
-			t.Errorf("threshold %q: error = %v, want one naming %s", bad, err, SessionSelectivityThreshold)
-		}
 	}
 }
 

@@ -2,13 +2,10 @@ package harness
 
 import (
 	"context"
-	"sort"
 	"strings"
 	"testing"
 
-	"prestocs/internal/column"
 	"prestocs/internal/compress"
-	"prestocs/internal/connector/hive"
 	ocsconn "prestocs/internal/connector/ocs"
 	"prestocs/internal/engine"
 	"prestocs/internal/workload"
@@ -87,36 +84,14 @@ func TestDeadStorageNodeFailsQuery(t *testing.T) {
 	}
 }
 
-func TestSchemaDriftFailsQuery(t *testing.T) {
-	// Catalog says one schema, object stores another: every scan path —
-	// the OCS embedded engine and the engine-side whole-object scan alike
-	// — must fail the query instead of misinterpreting columns.
-	c := testCluster(t)
-	d := smallDeepWater(t, compress.None)
-	if err := c.Load(d); err != nil {
-		t.Fatal(err)
-	}
-	other := smallLaghos(t, compress.None)
-	// Replace a deepwater object with a laghos object (different schema)
-	// in both stores.
-	ctx, img := context.Background(), other.Objects[other.Table.Objects[0]]
-	if err := c.OCSCli.Put(ctx, d.Table.Bucket, d.Table.Objects[0], img); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ObjCli.Put(ctx, d.Table.Bucket, d.Table.Objects[0], img); err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []string{"none", "filter", "all", "auto"} {
-		if _, err := c.Run(mode, d.Query, engine.NewSession().Set(ocsconn.SessionPushdown, mode)); err == nil {
-			t.Errorf("ocs pushdown %s: schema drift went undetected", mode)
-		}
-	}
-	q := strings.Replace(d.Query, "FROM deepwater", "FROM hive.deepwater", 1)
-	if _, err := c.Run("hive", q, engine.NewSession().Set(hive.SessionSelectPushdown, "false")); err == nil {
-		t.Error("hive whole-object scan: schema drift went undetected")
-	}
-}
+// TestSchemaDriftFailsQuery runs driftFamily: the catalog says one
+// schema, an object holds another, and every cell must fail the query
+// instead of misinterpreting columns.
+func TestSchemaDriftFailsQuery(t *testing.T) { queryMatrix(t, driftFamily) }
 
+// TestMultiNodeCluster spreads a table over three storage nodes and runs
+// its query with full pushdown and with none. The query matrix runs every
+// family on three nodes too; placement is held here.
 func TestMultiNodeCluster(t *testing.T) {
 	c, err := StartCluster(3)
 	if err != nil {
@@ -149,19 +124,5 @@ func TestMultiNodeCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := rowMultisetPage(baseline.Page), rowMultisetPage(full.Page)
-	if len(a) != len(b) {
-		t.Fatalf("rows %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("row %d: %q vs %q", i, a[i], b[i])
-		}
-	}
-}
-
-func rowMultisetPage(p *column.Page) []string {
-	out := orderedRows(p)
-	sort.Strings(out)
-	return out
+	assertRowsEqual(t, "all against none", orderedRows(full.Page), orderedRows(baseline.Page))
 }
