@@ -35,7 +35,9 @@ loc:
 # path's steps (one commit's rows,
 # the same batch as a page, one 16-object compaction, the compaction's
 # cluster sort over three key kinds, and the writer encoding 16 whole
-# row groups on every core; allocs/op included), and prints
+# row groups on every core; allocs/op included), the rpc transport (a
+# unary call, and 64 × 16 KiB chunks over one stream, direct and through a
+# relay hop), and prints
 # `go test -bench` output: numbers to read while
 # working on one layer, archived nowhere. The repo's benchmark
 # — calibrated, end to end and per layer, gated by BENCHMARK.json — is
@@ -47,6 +49,7 @@ bench:
 	$(GO) test -bench='TracingOverhead|MixedTraffic|JoinBloomSweep|IngestThroughput' -benchmem -run '^$$' ./internal/harness/
 	$(GO) test -bench='BuilderAppendRows|BuilderAppendPage|CompactMerge|ClusterOrder' -benchmem -run '^$$' ./internal/ingest/
 	$(GO) test -bench='WritePage' -benchmem -run '^$$' ./internal/parquetlite/
+	$(GO) test -bench='UnaryCall|StreamChunks' -benchmem -run '^$$' ./internal/rpc/
 
 # bench-paper regenerates the paper-evaluation benchmarks (full in-process
 # topology per iteration; slow).

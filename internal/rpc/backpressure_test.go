@@ -1,8 +1,11 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"sync/atomic"
 	"testing"
@@ -11,36 +14,75 @@ import (
 	"prestocs/internal/telemetry"
 )
 
-// startWindowServer registers a "flood" stream method that sends
-// payload[0] chunks, counting successful sends in sent, and returns a
-// client wired to a metrics registry.
-func startWindowServer(t *testing.T, window int, sent *atomic.Int64) (*Server, *Client, *telemetry.Registry) {
-	t.Helper()
-	checkGoroutines(t)
-	reg := telemetry.NewRegistry()
+// chunksRequest asks a "chunks" method for count chunks of size bytes.
+func chunksRequest(count, size int) []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, uint32(count)), uint32(size))
+}
+
+// startChunkServer serves "chunks" (see chunksRequest) with the given
+// credit window and a metrics registry, chunk i filled with byte i, and
+// returns the server and its address. sent, when non-nil, counts the sends
+// that returned.
+func startChunkServer(tb testing.TB, window int, sent *atomic.Int64) (*Server, string) {
+	tb.Helper()
 	s := NewServer()
 	s.StreamWindow = window
-	s.Metrics = reg
-	s.RegisterStream("flood", func(_ context.Context, p []byte, send func([]byte) error) ([]byte, error) {
-		n := int(p[0])
-		for i := 0; i < n; i++ {
-			if err := send(make([]byte, 64)); err != nil {
+	s.Metrics = telemetry.NewRegistry()
+	s.RegisterStream("chunks", func(_ context.Context, p []byte, send func([]byte) error) ([]byte, error) {
+		count, size := binary.LittleEndian.Uint32(p), binary.LittleEndian.Uint32(p[4:])
+		for i := range count {
+			if err := send(bytes.Repeat([]byte{byte(i)}, int(size))); err != nil {
 				return nil, err
 			}
-			sent.Add(1)
+			if sent != nil {
+				sent.Add(1)
+			}
 		}
 		return []byte("done"), nil
 	})
+	return s, listen(tb, s)
+}
+
+// startRelay serves "chunks" by forwarding each call to the server at
+// upstream and relaying its chunks one by one, as the OCS frontend's
+// forward does, under its own credit window.
+func startRelay(tb testing.TB, window int, upstream string) string {
+	tb.Helper()
+	up := Dial(upstream)
+	tb.Cleanup(func() { up.Close() })
+	s := NewServer()
+	s.StreamWindow = window
+	s.RegisterStream("chunks", func(ctx context.Context, p []byte, send func([]byte) error) ([]byte, error) {
+		st, err := up.Stream(ctx, "chunks", p)
+		if err != nil {
+			return nil, err
+		}
+		defer st.Close()
+		for {
+			chunk, err := st.Recv()
+			if err == io.EOF {
+				return st.Trailer(), nil
+			}
+			if err != nil {
+				return nil, err
+			}
+			if err := send(chunk); err != nil {
+				return nil, err
+			}
+		}
+	})
+	return listen(tb, s)
+}
+
+// listen starts s on an ephemeral port, closed when the test ends.
+func listen(tb testing.TB, s *Server) string {
+	tb.Helper()
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	c := Dial(addr)
-	t.Cleanup(func() {
-		c.Close()
-		s.Close()
-	})
-	return s, c, reg
+	tb.Cleanup(func() { s.Close() })
+	return addr
 }
 
 // TestStreamBackpressureWindow verifies the credit window: a producer
@@ -48,10 +90,14 @@ func startWindowServer(t *testing.T, window int, sent *atomic.Int64) (*Server, *
 // most StreamWindow chunks ahead, and catches up as Recv issues credits.
 func TestStreamBackpressureWindow(t *testing.T) {
 	const window, chunks = 2, 32
+	checkGoroutines(t)
 	var sent atomic.Int64
-	_, c, reg := startWindowServer(t, window, &sent)
+	s, addr := startChunkServer(t, window, &sent)
+	reg := s.Metrics
+	c := Dial(addr)
+	defer c.Close()
 
-	st, err := c.Stream(context.Background(), "flood", []byte{chunks})
+	st, err := c.Stream(context.Background(), "chunks", chunksRequest(chunks, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +234,69 @@ func TestStreamCreditReadDeadline(t *testing.T) {
 		t.Fatal("producer still waiting for a credit 5s past the deadline")
 	}
 	waitUntil(t, time.Second, func() bool { return s.Meter.Calls() == 1 })
+}
+
+// TestStreamBackpressureDeferredCredits: the client holds the credits it
+// owes until a read could block, and that never deadlocks the window. For
+// windows 1, 2 and 8, chunks of 1 byte, just under and just over the read
+// buffer, and three buffers' worth, read by a consumer that sleeps between
+// Recvs and by one that does not, straight from the producer and through a
+// relay, every chunk arrives in order and the producer never runs further
+// ahead than the credit windows between it and the consumer allow.
+func TestStreamBackpressureDeferredCredits(t *testing.T) {
+	checkGoroutines(t)
+	for _, window := range []int{1, 2, 8} {
+		for _, size := range []int{1, readBufferSize - 16, readBufferSize + 16, 3 * readBufferSize} {
+			for _, relay := range []bool{false, true} {
+				for _, pause := range []time.Duration{0, time.Millisecond} {
+					name := fmt.Sprintf("window=%d/size=%d/relay=%t/pause=%s", window, size, relay, pause)
+					t.Run(name, func(t *testing.T) {
+						var sent atomic.Int64
+						_, addr := startChunkServer(t, window, &sent)
+						// Credits go out only for chunks a Recv has handed
+						// over, so the producer runs at most a window ahead
+						// per hop of what the consumer has been handed.
+						ahead := int64(window)
+						if relay {
+							addr = startRelay(t, window, addr)
+							ahead = int64(2 * window)
+						}
+						c := Dial(addr)
+						defer c.Close()
+						ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+						defer cancel()
+						count := 4*window + 3
+						st, err := c.Stream(ctx, "chunks", chunksRequest(count, size))
+						if err != nil {
+							t.Fatal(err)
+						}
+						for got := 0; ; got++ {
+							chunk, err := st.Recv()
+							if err == io.EOF {
+								if got != count {
+									t.Fatalf("%d chunks before EOF, want %d", got, count)
+								}
+								break
+							}
+							if err != nil {
+								t.Fatalf("chunk %d: %v", got, err)
+							}
+							if len(chunk) != size || chunk[0] != byte(got) || chunk[size-1] != byte(got) {
+								t.Fatalf("chunk %d: %d bytes of %d, want %d of %d", got, len(chunk), chunk[0], size, byte(got))
+							}
+							if n := sent.Load(); n > int64(got)+ahead {
+								t.Fatalf("producer sent %d chunks with %d handed over before chunk %d; at most %d may be ahead", n, got, got, ahead)
+							}
+							time.Sleep(pause)
+						}
+						if string(st.Trailer()) != "done" {
+							t.Fatalf("trailer = %q", st.Trailer())
+						}
+					})
+				}
+			}
+		}
+	}
 }
 
 // TestOverloadedCodeRoundTrip checks the new stable code crosses the wire

@@ -20,15 +20,23 @@
 // There is one call type: a request frame answered by any number of chunk
 // frames and then one terminal frame — an end frame, or an error frame,
 // which is valid mid-stream. A unary call is a call whose handler sends no
-// chunks; its reply is the end frame's trailer. The client answers every
-// chunk with a credit frame, and the server's producer keeps at most
-// StreamWindow chunks unacknowledged: with the window full, its send reads
-// the credits off the connection itself. Calls on one connection are
-// sequential, so each connection is served on one goroutine that owns
-// every read and write on it. The client pools connections for
-// concurrency; a call that ended in a terminal frame returns its
-// connection to the pool. Every frame is metered individually, so the
-// harness sees streamed bytes as they flow.
+// chunks; its reply is the end frame's trailer. The client owes one credit
+// frame for every chunk Recv hands over, and the server's producer keeps
+// at most StreamWindow chunks uncredited: with the window full, its send
+// reads the credits off the connection itself. The client sends what it
+// owes in one write, as back-to-back credit frames, just before a read
+// that could block — one its reader does not already hold a whole frame
+// for — so a reader that stops calling Recv stalls the producer at the
+// window, and credits still owed at the end frame are never sent. Calls on
+// one connection are sequential, so each connection is served on one
+// goroutine that owns every read and write on it. Each connection has one
+// buffered reader, owned with the connection — by that goroutine on the
+// server, by the pool entry on the client — so a frame, its body and any
+// credits queued behind it arrive in one read; a frame goes out in one
+// vectored write. The client pools connections for concurrency; a call
+// that ended in a terminal frame returns its connection to the pool when
+// its reader holds no unread byte. Every frame is metered individually, so
+// the harness sees streamed bytes as they flow.
 //
 // Cancellation: Call and Stream take a context. While a call is in
 // flight a watchdog goroutine waits on ctx.Done and poisons the
@@ -38,6 +46,7 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -57,10 +66,10 @@ const (
 	frameChunk   = 3
 	frameEnd     = 4
 	// frameCredit flows client -> server during a call: one empty credit
-	// frame per chunk frame consumed. The server holds at most
-	// StreamWindow unacknowledged chunks in flight, so a slow Recv caller
-	// pauses the producer instead of ballooning socket buffers and
-	// storage-node memory.
+	// frame per chunk frame consumed, those owed batched into one write.
+	// The server holds at most StreamWindow unacknowledged chunks in
+	// flight, so a slow Recv caller pauses the producer instead of
+	// ballooning socket buffers and storage-node memory.
 	frameCredit   = 5
 	maxFrameBytes = 1 << 30
 
@@ -113,6 +122,39 @@ func (m *Meter) Reset() {
 	m.calls.Store(0)
 }
 
+// wire is one end of a connection as its single owner uses it: every read
+// goes through r, the connection's one buffered reader, and every write
+// goes out through the embedded frameWriter to the raw conn.
+type wire struct {
+	conn net.Conn
+	r    *bufio.Reader
+	frameWriter
+}
+
+// readBufferSize sizes each connection's reader, bufio's default: a frame
+// header, a small frame's body and the credits queued behind it fit one
+// read, and a larger frame is read past the buffer into its own
+// allocation. Every open connection holds one, at both ends.
+const readBufferSize = 4096
+
+// newWire gives conn its reader and its frame writer.
+func newWire(conn net.Conn) *wire {
+	return &wire{conn: conn, r: bufio.NewReaderSize(conn, readBufferSize), frameWriter: frameWriter{w: conn}}
+}
+
+// frameWriter ships frames to w, each in one write: the header is built in
+// a scratch buffer reused from frame to frame, and header and payload go
+// out together through net.Buffers, which is one writev when w is the raw
+// *net.TCPConn — a wrapper type hides writev, and net.Buffers then falls
+// back to one write per buffer. Its owner writes from one goroutine at a
+// time.
+type frameWriter struct {
+	w    io.Writer
+	hdr  []byte
+	vec  net.Buffers
+	pair [2][]byte
+}
+
 // writeFrame ships one frame. head — a request's header — rides in the
 // frame-header buffer, so the payload goes out
 // uncopied. Oversized frames are rejected before any byte hits the wire —
@@ -121,38 +163,48 @@ func (m *Meter) Reset() {
 // error happens on the sending side and the connection stays usable. On a
 // partial write the bytes actually written are still returned, so
 // transport meters never undercount.
-func writeFrame(w io.Writer, kind byte, method string, head, payload []byte) (int64, error) {
+func (fw *frameWriter) writeFrame(kind byte, method string, head, payload []byte) (int64, error) {
 	frameLen := 1 + 4 + len(method) + len(head) + len(payload)
 	if uint64(frameLen) > uint64(maxFrameLimit.Load()) {
 		return 0, oversizeError(frameLen)
 	}
-	hdr := make([]byte, 0, 9+len(method)+len(head))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(frameLen))
+	hdr := binary.LittleEndian.AppendUint32(fw.hdr[:0], uint32(frameLen))
 	hdr = append(hdr, kind)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(method)))
 	hdr = append(hdr, method...)
 	hdr = append(hdr, head...)
-	n, err := w.Write(hdr)
-	if err != nil || len(payload) == 0 {
-		return int64(n), err
-	}
-	pn, err := w.Write(payload)
-	return int64(n + pn), err
+	fw.hdr = hdr
+	fw.pair = [2][]byte{hdr, payload}
+	fw.vec = fw.pair[:]
+	n, err := fw.vec.WriteTo(fw.w)
+	fw.pair[1] = nil // the payload is the caller's
+	return n, err
 }
 
 // writeRequest sends a request frame whose payload is prefixed with the
 // caller's deadline and trace context so the server can honor both on
 // its side of the wire.
-func writeRequest(w io.Writer, method string, deadline time.Time, trace telemetry.TraceID, parent telemetry.SpanID, payload []byte) (int64, error) {
+func (fw *frameWriter) writeRequest(method string, deadline time.Time, trace telemetry.TraceID, parent telemetry.SpanID, payload []byte) (int64, error) {
 	var micros uint64
 	if !deadline.IsZero() {
 		micros = uint64(deadline.UnixMicro())
 	}
-	head := make([]byte, 0, reqHeaderSize)
-	head = binary.LittleEndian.AppendUint64(head, micros)
-	head = binary.LittleEndian.AppendUint64(head, uint64(trace))
-	head = binary.LittleEndian.AppendUint64(head, uint64(parent))
-	return writeFrame(w, frameRequest, method, head, payload)
+	var head [reqHeaderSize]byte
+	binary.LittleEndian.PutUint64(head[0:], micros)
+	binary.LittleEndian.PutUint64(head[8:], uint64(trace))
+	binary.LittleEndian.PutUint64(head[16:], uint64(parent))
+	return fw.writeFrame(frameRequest, method, head[:], payload)
+}
+
+// writeCredits sends n credits in one write, as n credit frames back to
+// back.
+func (fw *frameWriter) writeCredits(n int) (int64, error) {
+	fw.hdr = fw.hdr[:0]
+	for range n {
+		fw.hdr = append(fw.hdr, creditFrame...)
+	}
+	wn, err := fw.w.Write(fw.hdr)
+	return int64(wn), err
 }
 
 // splitRequest strips the deadline + trace prefix from a request payload.
@@ -177,6 +229,18 @@ func splitRequest(payload []byte) (time.Time, telemetry.TraceID, telemetry.SpanI
 // received (plus this). Frames up to the step — the result chunks and
 // whole objects of ordinary traffic — are read into one exact allocation.
 const frameReadStep = 1 << 20
+
+// holdsFrame reports whether r already holds one whole frame, so reading
+// it cannot block. It looks at Buffered before it peeks: a Peek on an
+// empty buffer would itself wait on the connection.
+func holdsFrame(r *bufio.Reader) bool {
+	n := r.Buffered()
+	if n < 4 {
+		return false
+	}
+	prefix, _ := r.Peek(4)
+	return uint64(n-4) >= uint64(binary.LittleEndian.Uint32(prefix))
+}
 
 // readFrame reads one frame. total reports bytes consumed from r even on
 // error, so callers can keep their meters truthful and distinguish "the
@@ -320,20 +384,21 @@ func (s *Server) requestContext(deadline time.Time) (context.Context, context.Ca
 	return context.WithCancel(s.baseCtx)
 }
 
-// serveConn serves one connection's calls, in order, on this goroutine:
-// it reads a request, runs its handler — whose send reads the client's
-// credits off the connection when the window is full — and writes the
-// terminal frame, then reads the next request. Credits that arrive after a
-// call's terminal frame (in flight when it crossed them on the wire) are
-// skipped.
+// serveConn serves one connection's calls, in order, on this goroutine,
+// which owns the connection's reader: it reads a request, runs its handler
+// — whose send reads the client's credits off the connection when the
+// window is full — and writes the terminal frame, then reads the next
+// request. Credits that arrive after a call's terminal frame (in flight
+// when it crossed them on the wire) are skipped.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	if !s.trackConn(conn, true) {
 		return // server already closed
 	}
 	defer s.trackConn(conn, false)
+	w := newWire(conn)
 	for {
-		kind, method, payload, n, err := readFrame(conn)
+		kind, method, payload, n, err := readFrame(w.r)
 		s.Meter.received.Add(n)
 		if err != nil {
 			return
@@ -342,14 +407,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		s.Metrics.Counter(telemetry.MetricRPCServerRecvBytes, "method", method).Add(n)
-		if kind != frameRequest || !s.serve(conn, method, payload) {
+		if kind != frameRequest || !s.serve(w, method, payload) {
 			return
 		}
 	}
 }
 
 // serve runs one call and reports whether conn can carry the next.
-func (s *Server) serve(conn net.Conn, method string, payload []byte) bool {
+func (s *Server) serve(w *wire, method string, payload []byte) bool {
 	deadline, trace, parent, body, err := splitRequest(payload)
 	if err != nil {
 		return false
@@ -365,7 +430,7 @@ func (s *Server) serve(conn net.Conn, method string, payload []byte) bool {
 		ctx = telemetry.WithRegistry(ctx, s.Metrics)
 	}
 	defer s.observe(method, time.Now())
-	call := s.newCall(conn, method, deadline)
+	call := s.newCall(w, method, deadline)
 	s.mu.RLock()
 	h, ok := s.methods[method]
 	s.mu.RUnlock()
@@ -418,9 +483,11 @@ type Client struct {
 	// counts plus pool dial/discard/redial counters. Set before use.
 	Metrics *telemetry.Registry
 
-	addr   string
-	mu     sync.Mutex
-	idle   []net.Conn
+	addr string
+	mu   sync.Mutex
+	// idle holds pooled connections, each with the reader that owns its
+	// inbound bytes: the two are never split.
+	idle   []*wire
 	closed bool
 }
 
@@ -440,19 +507,19 @@ func (c *Client) Addr() string { return c.addr }
 // pool). Fresh conns bypass any poisoned deadline; pooled ones have
 // theirs cleared here, since a bounded drain may have left a read
 // deadline behind.
-func (c *Client) getConn(ctx context.Context, fresh bool) (conn net.Conn, pooled bool, err error) {
+func (c *Client) getConn(ctx context.Context, fresh bool) (w *wire, pooled bool, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, false, ErrShutdown
 	}
 	if n := len(c.idle); n > 0 && !fresh {
-		conn = c.idle[n-1]
+		w = c.idle[n-1]
 		c.idle = c.idle[:n-1]
 		c.gaugeIdleLocked()
 		c.mu.Unlock()
-		conn.SetDeadline(time.Time{})
-		return conn, true, nil
+		w.conn.SetDeadline(time.Time{})
+		return w, true, nil
 	}
 	c.mu.Unlock()
 	d := net.Dialer{Timeout: c.DialTimeout}
@@ -465,7 +532,7 @@ func (c *Client) getConn(ctx context.Context, fresh bool) (conn net.Conn, pooled
 	}
 	c.Metrics.Counter(telemetry.MetricRPCPoolDials).Inc()
 	conn.SetDeadline(time.Time{})
-	return conn, false, nil
+	return newWire(conn), false, nil
 }
 
 // gaugeIdleLocked publishes the pool depth; callers hold c.mu.
@@ -473,21 +540,22 @@ func (c *Client) gaugeIdleLocked() {
 	c.Metrics.Gauge(telemetry.MetricRPCPoolIdle).Set(int64(len(c.idle)))
 }
 
-func (c *Client) putConn(conn net.Conn) {
+func (c *Client) putConn(w *wire) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		conn.Close()
+		w.conn.Close()
 		return
 	}
-	c.idle = append(c.idle, conn)
+	c.idle = append(c.idle, w)
 	c.gaugeIdleLocked()
 }
 
 // discard closes a connection that must not rejoin the pool (poisoned
-// deadline, failed mid-call, half-drained stream) and counts it.
-func (c *Client) discard(conn net.Conn) {
-	conn.Close()
+// deadline, failed mid-call, half-drained stream, unread bytes behind a
+// terminal frame) and counts it.
+func (c *Client) discard(w *wire) {
+	w.conn.Close()
 	c.Metrics.Counter(telemetry.MetricRPCPoolDiscards).Inc()
 }
 
@@ -564,8 +632,8 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
-	for _, conn := range c.idle {
-		conn.Close()
+	for _, w := range c.idle {
+		w.conn.Close()
 	}
 	c.idle = nil
 	return nil

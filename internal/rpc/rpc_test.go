@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"prestocs/internal/telemetry"
 )
 
 // checkGoroutines fails the test unless, once its cleanups have closed
@@ -36,6 +39,7 @@ func startEcho(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	checkGoroutines(t)
 	s := NewServer()
+	s.Metrics = telemetry.NewRegistry()
 	s.Register("echo", func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
 	s.Register("fail", func(_ context.Context, p []byte) ([]byte, error) { return nil, errors.New("boom") })
 	s.Register("double", func(_ context.Context, p []byte) ([]byte, error) { return append(p, p...), nil })
@@ -237,5 +241,38 @@ func BenchmarkUnaryCall(b *testing.B) {
 		if _, err := c.Call(context.Background(), "echo", payload); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStreamChunks streams 64 chunks of 16 KiB over one stream under
+// the default credit window, straight from the producer and through one
+// relay hop shaped like the OCS frontend's forward.
+func BenchmarkStreamChunks(b *testing.B) {
+	const chunks, size = 64, 16 << 10
+	for _, relay := range []bool{false, true} {
+		b.Run(map[bool]string{false: "direct", true: "relay"}[relay], func(b *testing.B) {
+			_, addr := startChunkServer(b, 0, nil)
+			if relay {
+				addr = startRelay(b, 0, addr)
+			}
+			c := Dial(addr)
+			defer c.Close()
+			req := chunksRequest(chunks, size)
+			b.SetBytes(chunks * size)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := c.Stream(context.Background(), "chunks", req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					if _, err := st.Recv(); err == io.EOF {
+						break
+					} else if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

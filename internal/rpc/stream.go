@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"time"
 
@@ -37,10 +36,10 @@ func (s *Server) RegisterStream(method string, h StreamHandler) {
 // serverCall is the send side of the call a connection is serving and its
 // credit window. It lives on the connection's goroutine,
 // which owns every read on the connection, so send may read credits off
-// it directly.
+// its reader directly.
 type serverCall struct {
 	s        *Server
-	conn     net.Conn
+	w        *wire
 	deadline time.Time // the request deadline; zero = none
 	window   int
 	inflight int  // chunks sent and not yet credited
@@ -51,13 +50,13 @@ type serverCall struct {
 	stalls        *telemetry.Counter
 }
 
-func (s *Server) newCall(conn net.Conn, method string, deadline time.Time) *serverCall {
+func (s *Server) newCall(w *wire, method string, deadline time.Time) *serverCall {
 	window := s.StreamWindow
 	if window <= 0 {
 		window = DefaultStreamWindow
 	}
 	return &serverCall{
-		s: s, conn: conn, deadline: deadline, window: window,
+		s: s, w: w, deadline: deadline, window: window,
 		sentBytes:     s.Metrics.Counter(telemetry.MetricRPCServerSentBytes, "method", method),
 		inflightGauge: s.Metrics.Gauge(telemetry.MetricRPCStreamInflight),
 		stalls:        s.Metrics.Counter(telemetry.MetricRPCStreamStalls),
@@ -89,16 +88,18 @@ func (c *serverCall) send(chunk []byte) error {
 }
 
 // awaitCredit reads the credit the full window waits for, bounded by the
-// request deadline. A deadline that expires before any byte of the frame
-// arrives leaves the connection clean and is reported as
-// context.DeadlineExceeded; any other failure breaks the flow.
+// request deadline. The client batches its credits, so the rest of a
+// batch is usually already in the reader and costs no read. A deadline
+// that expires before any byte of the frame arrives leaves the connection
+// clean and is reported as context.DeadlineExceeded; any other failure
+// breaks the flow.
 func (c *serverCall) awaitCredit() error {
 	c.stalls.Inc()
 	if !c.deadline.IsZero() {
-		c.conn.SetReadDeadline(c.deadline)
-		defer c.conn.SetReadDeadline(time.Time{})
+		c.w.conn.SetReadDeadline(c.deadline)
+		defer c.w.conn.SetReadDeadline(time.Time{})
 	}
-	kind, _, _, n, err := readFrame(c.conn)
+	kind, _, _, n, err := readFrame(c.w.r)
 	c.s.Meter.received.Add(n)
 	if err != nil && n == 0 && errors.Is(err, os.ErrDeadlineExceeded) {
 		return context.DeadlineExceeded
@@ -116,7 +117,7 @@ func (c *serverCall) awaitCredit() error {
 // wire and leaves the connection usable; any other write failure breaks
 // it.
 func (c *serverCall) write(kind byte, payload []byte) error {
-	n, err := writeFrame(c.conn, kind, "", nil, payload)
+	n, err := c.w.writeFrame(kind, "", nil, payload)
 	c.s.Meter.sent.Add(n)
 	c.sentBytes.Add(n)
 	if errors.Is(err, ErrFrameTooLarge) {
@@ -160,14 +161,16 @@ type ClientStream struct {
 	c       *Client
 	ctx     context.Context
 	release func() error
-	conn    net.Conn
+	w       *wire
 	method  string
 	payload []byte // the request payload, kept for one stale-pool replay
 	span    *telemetry.Span
 	start   time.Time
 	trailer []byte
-	// replayable: conn came from the idle pool and no response byte has
-	// arrived on it, so a failure may be a stale connection.
+	// owed counts the chunks Recv has handed over and not yet credited.
+	owed int
+	// replayable: the connection came from the idle pool and no response
+	// byte has arrived on it, so a failure may be a stale connection.
 	replayable bool
 	done       bool
 	err        error
@@ -226,14 +229,14 @@ func (st *ClientStream) redial(err error) error {
 // send takes a connection and ships the request frame on it.
 func (st *ClientStream) send(fresh bool) error {
 	c := st.c
-	conn, pooled, err := c.getConn(st.ctx, fresh)
+	w, pooled, err := c.getConn(st.ctx, fresh)
 	if err != nil {
 		return err
 	}
-	release := watchConn(st.ctx, conn)
+	release := watchConn(st.ctx, w.conn)
 	deadline, _ := st.ctx.Deadline()
 	trace, parent := telemetry.Inject(st.ctx)
-	sent, err := writeRequest(conn, st.method, deadline, trace, parent, st.payload)
+	sent, err := w.writeRequest(st.method, deadline, trace, parent, st.payload)
 	c.Meter.sent.Add(sent)
 	c.Metrics.Counter(telemetry.MetricRPCClientSentBytes, "method", st.method).Add(sent)
 	if err != nil {
@@ -241,17 +244,17 @@ func (st *ClientStream) send(fresh bool) error {
 		if errors.Is(err, ErrFrameTooLarge) {
 			// Rejected before any byte hit the wire: the conn is clean.
 			c.Metrics.Counter(telemetry.MetricRPCOversizeFrames).Inc()
-			c.putConn(conn)
+			c.putConn(w)
 			return err
 		}
-		c.discard(conn)
+		c.discard(w)
 		err = callError(st.ctx, st.method, "send", err)
 		if pooled && st.ctx.Err() == nil {
 			return &redialableError{err: err}
 		}
 		return err
 	}
-	st.conn, st.release, st.replayable = conn, release, pooled
+	st.w, st.release, st.replayable = w, release, pooled
 	return nil
 }
 
@@ -271,7 +274,10 @@ func (st *ClientStream) Recv() ([]byte, error) {
 		}
 		return nil, io.EOF
 	}
-	k, _, payload, n, err := readFrame(st.conn)
+	if st.owed > 0 && !holdsFrame(st.w.r) {
+		st.sendCredits()
+	}
+	k, _, payload, n, err := readFrame(st.w.r)
 	st.c.Meter.received.Add(n)
 	st.c.Metrics.Counter(telemetry.MetricRPCClientRecvBytes, "method", st.method).Add(n)
 	if err != nil {
@@ -280,8 +286,8 @@ func (st *ClientStream) Recv() ([]byte, error) {
 			// The peer hung up without a single response byte: the
 			// request never ran.
 			st.release()
-			st.c.discard(st.conn)
-			st.conn = nil
+			st.c.discard(st.w)
+			st.w = nil
 			if err = st.redial(&redialableError{err: err}); err == nil {
 				return st.Recv()
 			}
@@ -303,38 +309,47 @@ func (st *ClientStream) Recv() ([]byte, error) {
 		st.end(nil)
 		return nil, io.EOF
 	}
-	// Flow-control credit: acknowledge the chunk only once it is in hand,
-	// which is what makes a slow Recv caller slow the producer. A failed
-	// credit write means the conn is dying; the chunk is still good and
-	// the next Recv surfaces the failure.
-	cn, _ := st.conn.Write(creditFrame)
-	st.c.Meter.sent.Add(int64(cn))
-	st.c.Metrics.Counter(telemetry.MetricRPCClientSentBytes, "method", st.method).Add(int64(cn))
+	// Flow-control credit: the chunk is owed one only once it is in hand,
+	// which is what makes a slow Recv caller slow the producer.
+	st.owed++
 	return payload, nil
+}
+
+// sendCredits writes the credits owed in one write. Recv calls it just
+// before a read that could block, so the reader never waits on the
+// producer while the producer may be waiting on it. A failed write means
+// the conn is dying; the read that follows surfaces the failure.
+func (st *ClientStream) sendCredits() {
+	cn, _ := st.w.writeCredits(st.owed)
+	st.owed = 0
+	st.c.Meter.sent.Add(cn)
+	st.c.Metrics.Counter(telemetry.MetricRPCClientSentBytes, "method", st.method).Add(cn)
 }
 
 // end retires the call at its terminal frame, an end frame (err == nil)
 // or an error frame: the connection is in step again, so it rejoins the
-// pool unless the context fired meanwhile and may have poisoned its
-// deadline.
+// pool — unless the context fired meanwhile and may have poisoned its
+// deadline, or its reader holds bytes past the terminal frame, which no
+// call on it could own. Credits still owed are never sent: the server
+// skips late credits anyway.
 func (st *ClientStream) end(err error) {
 	st.c.Meter.calls.Add(1)
-	if st.release() != nil {
-		st.c.discard(st.conn)
+	if st.release() != nil || st.w.r.Buffered() > 0 {
+		st.c.discard(st.w)
 	} else {
-		st.c.putConn(st.conn)
+		st.c.putConn(st.w)
 	}
-	st.conn = nil
+	st.w = nil
 	st.finish(err)
 }
 
 // fail retires the call on a failure that leaves the connection out of
 // step, discarding it.
 func (st *ClientStream) fail(err error) {
-	if st.conn != nil {
+	if st.w != nil {
 		st.release()
-		st.c.discard(st.conn)
-		st.conn = nil
+		st.c.discard(st.w)
+		st.w = nil
 	}
 	st.finish(err)
 }
@@ -370,13 +385,13 @@ func (st *ClientStream) TryDrain(maxChunks int, timeout time.Duration, last func
 	if st.done {
 		return 0, st.err == nil
 	}
-	if st.conn == nil {
+	if st.w == nil {
 		return 0, false
 	}
 	// Bound the whole drain; the deadline is cleared when the conn is
 	// pooled again (getConn resets deadlines on reuse as well), or below
 	// when the stream stays open past last's chunk.
-	conn := st.conn
+	conn := st.w.conn
 	conn.SetReadDeadline(time.Now().Add(timeout))
 	var drained int64
 	for i := 0; i <= maxChunks; i++ {
@@ -406,10 +421,10 @@ func (st *ClientStream) TryDrain(maxChunks int, timeout time.Duration, last func
 // connection is discarded rather than pooled, since unread chunk frames
 // may still be in flight.
 func (st *ClientStream) Close() error {
-	if st.conn != nil {
+	if st.w != nil {
 		st.release()
-		st.c.discard(st.conn)
-		st.conn = nil
+		st.c.discard(st.w)
+		st.w = nil
 		st.span.Event("closed-early", "")
 	}
 	if !st.done {

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -9,7 +10,9 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"prestocs/internal/telemetry"
 )
@@ -352,7 +355,7 @@ func fakeStreamServer(t *testing.T, raw func(conn net.Conn)) string {
 
 func TestStreamPeerDiesMidStream(t *testing.T) {
 	addr := fakeStreamServer(t, func(conn net.Conn) {
-		writeFrame(conn, frameChunk, "", nil, []byte("only-chunk"))
+		(&frameWriter{w: conn}).writeFrame(frameChunk, "", nil, []byte("only-chunk"))
 		// Close without end frame: the peer died mid-stream.
 	})
 	c := Dial(addr)
@@ -392,7 +395,7 @@ func TestStreamTruncatedChunkFrame(t *testing.T) {
 
 func TestStreamGarbageFrameKind(t *testing.T) {
 	addr := fakeStreamServer(t, func(conn net.Conn) {
-		writeFrame(conn, 9, "", nil, []byte("wat"))
+		(&frameWriter{w: conn}).writeFrame(9, "", nil, []byte("wat"))
 	})
 	c := Dial(addr)
 	defer c.Close()
@@ -437,5 +440,163 @@ func TestServeStreamHandlerSendAfterClientGone(t *testing.T) {
 	c.Close()
 	if err := <-sent; err == nil {
 		t.Error("handler send to dead client should error")
+	}
+}
+
+// TestPoolDiscardsConnWithUnreadBytes: a connection whose reader holds
+// bytes past the call's terminal frame — here a stray end frame the peer
+// wrote behind the reply, in the same write — is discarded, not pooled, so
+// the next call cannot take the stray frame for its own reply.
+func TestPoolDiscardsConnWithUnreadBytes(t *testing.T) {
+	checkGoroutines(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		served.Wait()
+	})
+	var calls atomic.Int64
+	served.Add(1)
+	go func() {
+		defer served.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			served.Add(1)
+			go func() {
+				defer served.Done()
+				defer conn.Close()
+				r := bufio.NewReader(conn)
+				for {
+					if _, _, _, _, err := readFrame(r); err != nil {
+						return
+					}
+					var reply bytes.Buffer
+					fw := &frameWriter{w: &reply}
+					n := calls.Add(1)
+					fw.writeFrame(frameEnd, "", nil, fmt.Appendf(nil, "reply-%d", n))
+					if n == 1 {
+						fw.writeFrame(frameEnd, "", nil, []byte("stray"))
+					}
+					conn.Write(reply.Bytes())
+				}
+			}()
+		}
+	}()
+	c := Dial(ln.Addr().String())
+	c.Metrics = telemetry.NewRegistry()
+	defer c.Close()
+	for i := 1; i <= 2; i++ {
+		got, err := c.Call(context.Background(), "any", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("reply-%d", i); string(got) != want {
+			t.Fatalf("call %d answered %q, want %q", i, got, want)
+		}
+	}
+	if n := c.Metrics.CounterValue(telemetry.MetricRPCPoolDiscards); n != 1 {
+		t.Errorf("%d discards, want 1: the connection with a stray frame buffered", n)
+	}
+	if n := c.IdleConns(); n != 1 {
+		t.Errorf("idle = %d, want 1: the clean connection of the second call", n)
+	}
+}
+
+// serverConns reads how many connections s tracks.
+func serverConns(s *Server) int {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	return len(s.conns)
+}
+
+// TestOpenConnectionCounts: after a stream ends cleanly, fails with an
+// error frame, is cancelled or is closed before EOF, the client pools
+// exactly the connections that ending allows, and the server tracks
+// exactly the connections the client still holds — over repeated calls,
+// so a leak shows as a count that grows.
+func TestOpenConnectionCounts(t *testing.T) {
+	recvAll := func(st *ClientStream) error {
+		for {
+			if _, err := st.Recv(); err != nil {
+				return err
+			}
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(*Client) error // nil = ended as it should
+		idle int
+	}{
+		{"clean", func(c *Client) error {
+			st, err := c.Stream(context.Background(), "count", []byte{3})
+			if err != nil {
+				return err
+			}
+			if err := recvAll(st); err != io.EOF {
+				return err
+			}
+			return nil
+		}, 1},
+		{"failed", func(c *Client) error {
+			st, err := c.Stream(context.Background(), "midfail", nil)
+			if err != nil {
+				return err
+			}
+			var remote *RemoteError
+			if err := recvAll(st); !errors.As(err, &remote) {
+				return fmt.Errorf("err = %v, want a RemoteError", err)
+			}
+			return nil
+		}, 1},
+		{"cancelled", func(c *Client) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			st, err := c.Stream(ctx, "count", []byte{200})
+			if err != nil {
+				cancel()
+				return err
+			}
+			if _, err := st.Recv(); err != nil {
+				cancel()
+				return err
+			}
+			cancel()
+			// The chunks already read may carry the stream to its end
+			// frame before the watchdog fires; the connection is
+			// discarded either way.
+			if err := recvAll(st); err != io.EOF && !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("err = %v, want context.Canceled or io.EOF", err)
+			}
+			return nil
+		}, 0},
+		{"closed early", func(c *Client) error {
+			st, err := c.Stream(context.Background(), "count", []byte{200})
+			if err != nil {
+				return err
+			}
+			if _, err := st.Recv(); err != nil {
+				return err
+			}
+			return st.Close()
+		}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, c := startStreamServer(t)
+			for i := 0; i < 3; i++ {
+				if err := tc.run(c); err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
+				if n := c.IdleConns(); n != tc.idle {
+					t.Fatalf("call %d: idle = %d, want %d", i, n, tc.idle)
+				}
+				waitUntil(t, 2*time.Second, func() bool { return serverConns(s) == tc.idle })
+			}
+		})
 	}
 }

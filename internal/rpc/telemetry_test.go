@@ -133,7 +133,6 @@ func TestOversizeRequestRejectedSendSide(t *testing.T) {
 func TestOversizeResponseBecomesRemoteError(t *testing.T) {
 	setFrameLimit(t, 256)
 	s, c := startEcho(t)
-	s.Metrics = telemetry.NewRegistry()
 	_, err := c.Call(context.Background(), "double", bytes.Repeat([]byte{2}, 200))
 	if err == nil {
 		t.Fatal("oversize response succeeded")
