@@ -18,12 +18,18 @@ test:
 # outside bench/, Go tests outside bench/, and everything under bench/;
 # then the exported top-level funcs, methods and types in non-test Go
 # outside bench/ (a declaration starting a line, `func` or `type`, whose
-# name is capitalised).
+# name is capitalised); then the session properties (`Session*` string
+# constants), the `vet-*` gates `make gates` runs, the `// vet-*:allow`
+# annotations that exempt a line from one, and the native fuzz targets.
 loc:
 	@echo "non-test: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "bench:    $$(find ./bench -name '*.go' | xargs cat | wc -l)"
 	@echo "exported: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | grep -cE '^func (\([^)]*\) )?[A-Z]|^type [A-Z]')"
+	@echo "sessions: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | grep -cE '^(const |[[:space:]]+)Session[A-Z][A-Za-z]* += "')"
+	@echo "gates:    $$(grep -E '^gates:' Makefile | tr ' ' '\n' | grep -c '^vet-')"
+	@echo "allows:   $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | grep -cE '// vet-[a-z]+:allow')"
+	@echo "fuzz:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | grep -cE '^func Fuzz[A-Z]')"
 
 # bench runs the kernel/operator microbenchmarks (vectorized expression
 # kernels, filter selectivity sweep, hash aggregation — string keys

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"prestocs/internal/engine"
 	"prestocs/internal/expr"
 	"prestocs/internal/metastore"
+	"prestocs/internal/optimizer"
 	"prestocs/internal/plan"
 	"prestocs/internal/substrait"
 	"prestocs/internal/types"
@@ -193,11 +195,14 @@ func TestPrefixPerMode(t *testing.T) {
 	}
 }
 
-// TestAbsorbFinalPerMode materialises a wholly pushed leaf stage and asks
-// for the final-stage absorption: AggFinal → Project → TopN collapses into
-// the scan only when per-split aggregation is complete (split-disjoint
-// keys) and the mode — its flag, or in auto the TopN's own reduction —
-// takes the TopN.
+// TestAbsorbFinalPerMode gives the extractor the leaf stage the global
+// optimizer produces for a filtered GROUP BY … ORDER BY … LIMIT and asks
+// what each mode pushes. Over a split-disjoint key the optimizer places
+// the aggregate, the projection above it and a partial Top-N below the
+// Exchange, and the extractor absorbs as much of that as the mode — its
+// flags, or in auto the estimates — takes; over any other key the leaf
+// stage ends at a partial aggregate. Either way the final stage comes
+// back exactly as the optimizer left it.
 func TestAbsorbFinalPerMode(t *testing.T) {
 	table := statsTable()
 	// g's zone maps do not overlap across the two objects, so the table
@@ -211,7 +216,7 @@ func TestAbsorbFinalPerMode(t *testing.T) {
 	const withFinal = "filter+aggregation+final-project+topn"
 	cases := []struct {
 		name  string
-		key   int // the partial aggregate's group key
+		key   int // the aggregate's group key, a scan ordinal
 		count int64
 		want  [6]string // pushed operators per mode, in sixModes order
 	}{
@@ -219,48 +224,60 @@ func TestAbsorbFinalPerMode(t *testing.T) {
 			[6]string{"", "filter", "filter", "filter+aggregation", withFinal, withFinal}},
 		{"keys not split-disjoint", 0, 100,
 			[6]string{"", "filter", "filter", "filter+aggregation", "filter+aggregation", "filter+aggregation"}},
+		// A partial Top-N never adds rows: auto takes it with the
+		// aggregate's cut whatever its count.
 		{"disjoint keys, TopN keeps most rows", 1, 9000,
-			[6]string{"", "filter", "filter", "filter+aggregation", withFinal, "filter+aggregation"}},
+			[6]string{"", "filter", "filter", "filter+aggregation", withFinal, withFinal}},
 	}
+	cond, err := expr.NewCompare(expr.Lt, expr.Col(0, "v", types.Float64), expr.Lit(types.FloatValue(20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	measures := []substrait.Measure{{Func: substrait.AggCountStar, Arg: -1, Name: "n"}}
 	for _, tc := range cases {
-		f := newExtractorFixture(t).filterBelow(20).aggBy(tc.key)
-		keys := []plan.SortKey{{Column: 0}}
-		avg := []expr.Expr{expr.Col(0, "g", types.Int64)}
-		above := []plan.Node{
-			&plan.Output{Names: []string{"g"}},
-			&plan.TopN{Keys: keys, Count: tc.count},
-			&plan.Project{Expressions: avg, Names: []string{"g"}},
-			&plan.Aggregate{Keys: []int{0}, Step: plan.AggFinal},
-			&plan.Exchange{},
+		key := table.Columns.Columns[tc.key]
+		analyzed, err := plan.Stack([]plan.Node{
+			&plan.Output{Names: []string{key.Name, "n"}},
+			&plan.TopN{Keys: []plan.SortKey{{Column: 1, Descending: true}}, Count: tc.count},
+			&plan.Project{Expressions: []expr.Expr{expr.Col(0, key.Name, key.Type), expr.Col(1, "n", types.Int64)}, Names: []string{key.Name, "n"}},
+			&plan.Aggregate{Keys: []int{tc.key}, Measures: measures, Step: plan.AggSingle},
+			&plan.Filter{Condition: cond},
+		}, &plan.TableScan{Catalog: "ocs", Table: "t", Handle: &Handle{Table: table}})
+		if err != nil {
+			t.Fatal(err)
 		}
+		optimized, err := optimizer.Optimize(analyzed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := finalStage(optimized)
 		for i, name := range sixModes {
-			mode, _ := ParseMode(name)
-			a := &selectivityAnalyzer{table: table, mode: mode}
-			n, _ := a.prefix(f.seq)
-			push := materialise(&Handle{Table: table}, f.seq[:n], 0)
-			kept := above
-			if n == len(f.seq) {
-				kept = a.absorbFinal(above, push)
+			pushed, err := (&localOptimizer{}).Optimize(optimized, engine.NewSession().Set(SessionPushdown, name))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := strings.Join(push.Operators(), "+"); got != tc.want[i] {
+			if got := strings.Join(plan.FindScan(pushed).Handle.(*Handle).PushedOperators(), "+"); got != tc.want[i] {
 				t.Errorf("%s [%s]: pushed %q, want %q", tc.name, name, got, tc.want[i])
 			}
-			if push.TopN == nil {
-				if len(kept) != len(above) {
-					t.Errorf("%s [%s]: final stage rewritten with nothing absorbed", tc.name, name)
-				}
-				continue
-			}
-			// Output, then the residual re-merge TopN, then the Exchange.
-			residual, ok := kept[1].(*plan.TopN)
-			if len(kept) != 3 || !ok || residual.Partial || residual.Count != tc.count {
-				t.Errorf("%s [%s]: residual final stage = %v", tc.name, name, kept)
-			}
-			if _, ok := kept[2].(*plan.Exchange); !ok || len(above) != 5 {
-				t.Errorf("%s [%s]: exchange lost or input chain mutated: %v", tc.name, name, kept)
+			if got := finalStage(pushed); got != final {
+				t.Errorf("%s [%s]: final stage %s, the optimizer planned %s", tc.name, name, got, final)
 			}
 		}
 	}
+}
+
+// finalStage describes the root spine down to and including its first
+// Exchange.
+func finalStage(root plan.Node) string {
+	spine, _ := plan.Spine(root)
+	var parts []string
+	for _, n := range spine {
+		parts = append(parts, n.Describe())
+		if _, ok := n.(*plan.Exchange); ok {
+			break
+		}
+	}
+	return strings.Join(parts, " → ")
 }
 
 // TestCandidatesFollowPipelineOrder pins the structural walk: candidates
@@ -287,9 +304,13 @@ func TestCandidatesFollowPipelineOrder(t *testing.T) {
 	}{
 		{"filter project aggregate", stack(partial, project, filter), 3},
 		{"second filter stays in the engine", stack(filter, filter), 1},
-		{"projection above the aggregate", stack(project, partial, filter), 2},
+		{"projection above the aggregate", stack(project, partial, filter), 3},
+		{"second projection above the aggregate", stack(project, project, partial, filter), 3},
+		{"complete aggregate, its projection and a partial top-n",
+			stack(&plan.TopN{Count: 3, Partial: true}, project, &plan.Aggregate{Keys: []int{0}, Step: plan.AggSingle}, filter), 4},
 		{"final aggregate is not a leaf operator", stack(&plan.Aggregate{Keys: []int{0}, Step: plan.AggFinal}, filter), 1},
-		{"partial top-n ends the walk", stack(&plan.TopN{Count: 3, Partial: true}, filter), 1},
+		{"partial top-n over plain rows ends the walk", stack(&plan.TopN{Count: 3, Partial: true}, filter), 1},
+		{"final top-n is not a leaf operator", stack(&plan.TopN{Count: 3}, partial, filter), 2},
 		{"limit above a projection", stack(&plan.Limit{Count: 5}, project), 2},
 		{"nothing above a limit", stack(project, &plan.Limit{Count: 5}), 1},
 	}

@@ -71,10 +71,6 @@ type ProjectSpec struct {
 type AggSpec struct {
 	Keys     []int
 	Measures []substrait.Measure
-	// Complete records that group keys are split-disjoint, so per-split
-	// aggregation produces final (not partial) values — the precondition
-	// for pushing post-aggregation operators (DESIGN.md §4).
-	Complete bool
 }
 
 // TopNSpec is an extracted top-N.
@@ -109,8 +105,8 @@ type Pushdown struct {
 	// Project is the pre-aggregation expression projection.
 	Project *ProjectSpec
 	Agg     *AggSpec
-	// FinalProject is the post-aggregation projection (avg division);
-	// only pushable when Agg.Complete.
+	// FinalProject is the post-aggregation projection (avg division).
+	// Only an aggregate complete per split has one in the leaf stage.
 	FinalProject *ProjectSpec
 	TopN         *TopNSpec
 	// Limit is a bare LIMIT (no ordering) pushed per split: each storage
@@ -218,7 +214,8 @@ func (h *Handle) ScanSchema() *types.Schema {
 		schema = plan.ProjectSchema(h.Push.Project.Expressions, h.Push.Project.Names)
 	}
 	if h.Push.Agg != nil {
-		// Storage nodes always produce partial aggregates.
+		// Storage nodes run every aggregate as PARTIAL: a SINGLE one
+		// pushed here has keys, so its rows and schema are the same.
 		schema = plan.AggregateSchema(schema, h.Push.Agg.Keys, h.Push.Agg.Measures, plan.AggPartial)
 	}
 	if h.Push.FinalProject != nil {
@@ -293,23 +290,4 @@ func (h *Handle) String() string {
 func (h *Handle) SplitDisjoint(col int) bool {
 	schema := h.ScanSchema()
 	return h.Push.Empty() && col >= 0 && col < schema.Len() && h.Table.SplitDisjoint(schema.Columns[col].Name)
-}
-
-// keysSplitDisjoint reports whether per-split aggregation on keys is
-// complete over the scan of h. below is the pushed sequence under the
-// aggregate, whose output the keys address. It takes one key that traces,
-// through the column references of a pushed projection, to a scan column
-// the table's zone maps prove split-disjoint: rows that agree on every key
-// agree on that one, so they share a split.
-func keysSplitDisjoint(h *Handle, below []candidate, keys []int) bool {
-	nodes := make([]plan.Node, len(below)) // root first
-	for i, c := range below {
-		nodes[len(below)-1-i] = c.node
-	}
-	for _, k := range keys {
-		if h.SplitDisjoint(plan.SourceColumn(nodes, k)) {
-			return true
-		}
-	}
-	return false
 }

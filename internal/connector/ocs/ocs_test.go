@@ -174,13 +174,14 @@ func TestPushedOperatorsPerMode(t *testing.T) {
 			t.Errorf("mode %s pushed %q, want %q", mode, got, strings.Join(want, ","))
 		}
 	}
-	// Deep-water-like query has a pre-aggregation projection.
+	// Deep-water-like query has a pre-aggregation projection, and — its
+	// timestep key split-disjoint — the one after its complete aggregate.
 	res, err := execute(context.Background(), e, deepWaterQuery, session("filter_project_agg"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := strings.Join(res.Stats.PushedDown, ",")
-	if got != "filter,project,aggregation" {
+	if got != "filter,project,aggregation,final-project" {
 		t.Errorf("deepwater pushed %q", got)
 	}
 }

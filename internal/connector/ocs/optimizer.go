@@ -19,7 +19,9 @@ type localOptimizer struct {
 }
 
 // Optimize runs the Operator Extractor over every scan-rooted branch of
-// the plan. A join's inputs are [Filter…, Scan] on the probe side, which
+// the plan, on the leaf stage alone: the final stage — everything above a
+// branch's Exchange — is the global optimizer's and stays as it is. A
+// join's inputs are [Filter…, Scan] on the probe side, which
 // runs in the leaf workers under the Exchange above the join, and
 // [Exchange, Filter…, Scan] on the build side, so their filters push into
 // their own scan handles. Each scan's schema —
@@ -45,7 +47,8 @@ func (o *localOptimizer) Optimize(root plan.Node, session *engine.Session) (plan
 // lies below the branch's Exchange; all of a join's probe branch, which
 // has none): candidates lists what storage could run, prefix decides how
 // much of it is pushed, materialise writes that into the Pushdown. chain
-// is the branch's spine, root first.
+// is the branch's spine, root first; what lies above the Exchange is kept
+// unread.
 func extract(branch plan.Node, mode Mode) (plan.Node, error) {
 	chain, end := plan.Spine(branch)
 	scan := end.(*plan.TableScan)
@@ -58,14 +61,11 @@ func extract(branch plan.Node, mode Mode) (plan.Node, error) {
 	stage, base := chain[exchange+1:], handle.baseScanSchema()
 	seq := candidates(stage, base)
 	n, est := analyzer.prefix(seq)
-	push := materialise(handle, seq[:n], est)
+	push := materialise(seq[:n], est)
 
 	// What stays in the engine: everything down to the Exchange, and the
 	// part of the leaf stage the prefix did not reach.
 	above, leaf := chain[:exchange+1], stage[:len(stage)-n]
-	if len(leaf) == 0 && exchange >= 0 {
-		above = analyzer.absorbFinal(above, push)
-	}
 	if push.Empty() {
 		return branch, nil
 	}
@@ -95,14 +95,15 @@ type candidate struct {
 
 // candidates is the structural walk: bottom-up from the scan (whose schema
 // is input), stage's nodes for as long as they come in the order
-// BuildSubstrait runs them — a filter, a projection, a partial aggregate, a
-// bare limit, each at most once. What is pushed is a prefix of this
-// sequence: each operator executes on its predecessor's output in storage.
+// BuildSubstrait runs them — a filter, a projection, an aggregate, the
+// projection after it, a partial top-N, a bare limit, each at most once.
+// What is pushed is a prefix of this sequence: each operator executes on
+// its predecessor's output in storage.
 func candidates(stage []plan.Node, input *types.Schema) []candidate {
 	var seq []candidate
 	last := 0
 	for i := len(stage) - 1; i >= 0; i-- {
-		order := pipelineOrder(stage[i])
+		order := pipelineOrder(stage[i], last)
 		if order <= last {
 			break
 		}
@@ -112,22 +113,38 @@ func candidates(stage []plan.Node, input *types.Schema) []candidate {
 	return seq
 }
 
-// pipelineOrder is a node's position in the pushed pipeline, 0 for a node
-// storage does not run in the leaf stage. The replicated leaf-side Limit
-// (no ordering) comes last: each split may return at most Count rows, so
-// pushing it is always sound; the residual final Limit truncates the union.
-func pipelineOrder(n plan.Node) int {
+// pipelineOrder is a node's position in the pushed pipeline, given the
+// position of the candidate below it (last); 0 for a node storage does not
+// run in the leaf stage. The aggregate is PARTIAL, or SINGLE when the
+// global optimizer proved it complete per split: storage runs both as a
+// partial hash aggregate, which over a SINGLE one's keys is the complete
+// answer for their groups. A projection over an aggregate is the
+// post-aggregation one. A partial top-N is taken only over an aggregate's
+// groups: over plain rows it would cost the pipeline the order
+// determinism a mid-stream replay needs (Pushdown.OrderDeterministic).
+// The replicated leaf-side Limit (no ordering) comes last: each split may
+// return at most Count rows, so pushing it is always sound; the residual
+// final Limit truncates the union.
+func pipelineOrder(n plan.Node, last int) int {
+	const agg = 3
 	switch t := n.(type) {
 	case *plan.Filter:
 		return 1
 	case *plan.Project:
+		if last >= agg {
+			return 4
+		}
 		return 2
 	case *plan.Aggregate:
-		if t.Step == plan.AggPartial {
-			return 3
+		if t.Step == plan.AggPartial || t.Step == plan.AggSingle {
+			return agg
+		}
+	case *plan.TopN:
+		if t.Partial && last >= agg {
+			return 5
 		}
 	case *plan.Limit:
-		return 4
+		return 6
 	}
 	return 0
 }
@@ -163,13 +180,15 @@ func (a *selectivityAnalyzer) prefix(seq []candidate) (n int, estSelectivity flo
 	return n, estSelectivity
 }
 
-// judge is the one verdict function, asked of every candidate and of the
-// final stage's TopN. A static mode cuts where its flag allows the operator
-// and stops at the first it does not. Auto mode never stops: it cuts where
-// the cumulative estimate — est rows reach the candidate, the returned
-// count leaves it — clears the reduction threshold, inclusively, and
-// carries the rest: a projection is a cut only on its own merits
-// (ShouldPushProject) but rides along when a later aggregate cuts.
+// judge is the one verdict function, asked of every candidate. A static
+// mode cuts where its flag allows the operator and stops at the first it
+// does not. Auto mode never stops: it cuts where the cumulative estimate
+// — est rows reach the candidate, the returned count leaves it — clears
+// the reduction threshold, inclusively, and carries the rest: a
+// projection is a cut only on its own merits (ShouldPushProject) but
+// rides along when a later aggregate cuts. A partial top-N keeps the
+// estimate that reaches it: it keeps Count rows per split, which the
+// analyzer cannot total without the split count.
 func (a *selectivityAnalyzer) judge(c candidate, est float64) (verdict, float64) {
 	if !a.mode.Auto {
 		if a.mode.allows(c.node) {
@@ -188,8 +207,6 @@ func (a *selectivityAnalyzer) judge(c candidate, est float64) (verdict, float64)
 		est = math.Min(est, a.EstimateGroups(t.Keys, c.input))
 	case *plan.Limit:
 		est = math.Min(est, float64(t.Count))
-	case *plan.TopN:
-		est = float64(t.Count) // the explicit LIMIT is the output cardinality
 	}
 	if rows := float64(a.table.RowCount); rows > 0 && 1-est/rows >= autoThreshold {
 		return cut, est
@@ -197,7 +214,8 @@ func (a *selectivityAnalyzer) judge(c candidate, est float64) (verdict, float64)
 	return carry, est
 }
 
-// allows reports whether a static mode pushes the node's kind.
+// allows reports whether a static mode pushes the node's kind: the project
+// flag covers the projections on either side of an aggregate.
 func (m Mode) allows(n plan.Node) bool {
 	switch n.(type) {
 	case *plan.Filter:
@@ -213,64 +231,28 @@ func (m Mode) allows(n plan.Node) bool {
 }
 
 // materialise writes the chosen prefix and its estimate into the spec.
-func materialise(h *Handle, prefix []candidate, est float64) *Pushdown {
+func materialise(prefix []candidate, est float64) *Pushdown {
 	push := &Pushdown{EstSelectivity: est}
-	for i, c := range prefix {
+	for _, c := range prefix {
 		switch t := c.node.(type) {
 		case *plan.Filter:
 			push.Filter = t.Condition
 		case *plan.Project:
-			push.Project = &ProjectSpec{Expressions: t.Expressions, Names: t.Names}
-		case *plan.Aggregate:
-			push.Agg = &AggSpec{
-				Keys:     t.Keys,
-				Measures: t.Measures,
-				Complete: keysSplitDisjoint(h, prefix[:i], t.Keys),
+			spec := &ProjectSpec{Expressions: t.Expressions, Names: t.Names}
+			if push.Agg == nil {
+				push.Project = spec
+			} else {
+				push.FinalProject = spec
 			}
+		case *plan.Aggregate:
+			push.Agg = &AggSpec{Keys: t.Keys, Measures: t.Measures}
+		case *plan.TopN:
+			push.TopN = &TopNSpec{Keys: t.Keys, Count: t.Count}
 		case *plan.Limit:
 			push.Limit = t.Count
 		}
 	}
 	return push
-}
-
-// absorbFinal is the optional absorption above the exchange: when the
-// pushed aggregate is complete per split, AggFinal [→ Project] → TopN
-// collapses into the scan and only a residual re-merge TopN stays in its
-// place. above is the chain down to and including the Exchange; it comes
-// back rewritten, or as it was.
-func (a *selectivityAnalyzer) absorbFinal(above []plan.Node, push *Pushdown) []plan.Node {
-	if push.Agg == nil || !push.Agg.Complete {
-		return above
-	}
-	at := func(i int) plan.Node {
-		if i < 0 {
-			return nil
-		}
-		return above[i]
-	}
-	i := len(above) - 2 // directly above the Exchange
-	if final, ok := at(i).(*plan.Aggregate); !ok || final.Step != plan.AggFinal {
-		return above
-	}
-	i--
-	project, _ := at(i).(*plan.Project)
-	if project != nil {
-		i--
-	}
-	topn, ok := at(i).(*plan.TopN)
-	if !ok || topn.Partial {
-		return above
-	}
-	if v, _ := a.judge(candidate{node: topn}, 0); v != cut {
-		return above
-	}
-	if project != nil {
-		push.FinalProject = &ProjectSpec{Expressions: project.Expressions, Names: project.Names}
-	}
-	push.TopN = &TopNSpec{Keys: topn.Keys, Count: topn.Count}
-	residual := &plan.TopN{Keys: topn.Keys, Count: topn.Count}
-	return append(append([]plan.Node(nil), above[:i]...), residual, above[len(above)-1])
 }
 
 // selectivityAnalyzer implements the paper's §4 estimation rules over

@@ -120,7 +120,7 @@ func TestUnknownStatsFallBack(t *testing.T) {
 }
 
 // TestGroupAndTopNEstimates holds the auto-mode verdicts on an aggregate
-// and on the final-stage TopN: judge returns the rows that leave the
+// and on the partial TopN over it: judge returns the rows that leave the
 // candidate and cuts where the reduction clears the threshold.
 func TestGroupAndTopNEstimates(t *testing.T) {
 	a, schema := analyzerFor(t)
@@ -128,7 +128,7 @@ func TestGroupAndTopNEstimates(t *testing.T) {
 	agg := func(keys ...int) candidate {
 		return candidate{node: &plan.Aggregate{Keys: keys, Step: plan.AggPartial}, input: schema}
 	}
-	topN := func(count int64) candidate { return candidate{node: &plan.TopN{Count: count}} }
+	topN := func(count int64) candidate { return candidate{node: &plan.TopN{Count: count, Partial: true}} }
 	// 100 groups out of 10000 rows: 99% reduction → push.
 	if v, est := a.judge(agg(1), rows); v != cut || est != 100 {
 		t.Errorf("aggregation with 100 NDV = (%v, %v), want a cut at 100 rows", v, est)
@@ -150,11 +150,14 @@ func TestGroupAndTopNEstimates(t *testing.T) {
 	if g := a.EstimateGroups([]int{0, 1}, schema); g != rows {
 		t.Errorf("group product must cap at row count: %v", g)
 	}
-	if v, _ := a.judge(topN(100), 0); v != cut {
-		t.Error("top-100 of 10000 should be pushed")
+	// A partial top-N keeps Count rows per split, a bound the analyzer
+	// cannot total without the split count: it keeps the estimate that
+	// reaches it, so it cuts with the aggregate below it, and never alone.
+	if v, est := a.judge(topN(9000), 100); v != cut || est != 100 {
+		t.Errorf("top-9000 over 100 groups = (%v, %v), want a cut at 100 rows", v, est)
 	}
-	if v, _ := a.judge(topN(9000), 0); v != carry {
-		t.Error("top-9000 of 10000 should not be pushed")
+	if v, est := a.judge(topN(100), rows); v != carry || est != rows {
+		t.Errorf("top-100 over every row = (%v, %v), want carried at %d rows", v, est, rows)
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 )
 
 // DefaultQueryMemory is the per-query memory reservation assumed when a
-// submission carries no WithMemoryBudget and the admission config sets no
-// default: roughly the working set of a leaf-stage worker pool plus the
-// coordinator-side final stage over our benchmark tables.
+// submission carries no WithMemoryBudget: roughly the working set of a
+// leaf-stage worker pool plus the coordinator-side final stage over our
+// benchmark tables.
 const DefaultQueryMemory = 64 << 20
 
 // AdmissionConfig bounds concurrent query execution. The zero value is
@@ -33,9 +33,6 @@ type AdmissionConfig struct {
 	// reservations; 0 = unlimited. A query whose own reservation exceeds
 	// the budget is shed outright (waiting cannot help it).
 	MemoryBudget int64
-	// DefaultQueryMemory is the reservation assumed for submissions
-	// without WithMemoryBudget; 0 selects the package default.
-	DefaultQueryMemory int64
 }
 
 // ProcessList is the engine's live-query registry (the go-mysql-server
@@ -88,10 +85,7 @@ func (pl *ProcessList) admit(q *Query) error {
 	defer pl.mu.Unlock()
 	cfg := pl.cfg
 	if q.memory <= 0 {
-		q.memory = cfg.DefaultQueryMemory
-		if q.memory <= 0 {
-			q.memory = DefaultQueryMemory
-		}
+		q.memory = DefaultQueryMemory
 	}
 	if cfg.MemoryBudget > 0 && q.memory > cfg.MemoryBudget {
 		m.Counter(telemetry.MetricAdmissionRejected).Inc()

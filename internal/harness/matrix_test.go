@@ -322,13 +322,16 @@ func randomFamily(t *testing.T) ([]*workload.Dataset, []matrixQuery) {
 		{name: "select count of nothing", sql: "SELECT count(*) AS c FROM %[1]s.randtbl WHERE k < 0"},
 	}
 	for i := range 25 {
-		queries = append(queries, matrixQuery{name: fmt.Sprintf("random %02d", i), sql: randomQuery(rnd)})
+		q := randomQuery(rnd)
+		q.name = fmt.Sprintf("random %02d", i)
+		queries = append(queries, q)
 	}
 	return []*workload.Dataset{d}, queries
 }
 
-// randomQuery composes a random-but-valid SQL query over randtbl.
-func randomQuery(rnd *rand.Rand) string {
+// randomQuery composes a random-but-valid SQL query over randtbl; a
+// grouped one comes with aggregateCheck.
+func randomQuery(rnd *rand.Rand) matrixQuery {
 	var where string
 	switch rnd.Intn(4) {
 	case 0:
@@ -344,34 +347,72 @@ func randomQuery(rnd *rand.Rand) string {
 		if rnd.Intn(2) == 0 {
 			q += fmt.Sprintf(" ORDER BY %d LIMIT %d", 1+rnd.Intn(3), 1+rnd.Intn(20))
 		}
-		return q
+		return matrixQuery{sql: q}
 	case 1: // grouped on the disjoint key (full pushdown eligible)
 		q := "SELECT k, sum(b) AS sb, count(*) AS n, avg(b) AS ab, min(a) AS mn, max(a) AS mx FROM %[1]s.randtbl " +
 			where + " GROUP BY k"
+		limit := 0
 		if rnd.Intn(2) == 0 {
-			q += fmt.Sprintf(" ORDER BY sb DESC LIMIT %d", 1+rnd.Intn(10))
+			limit = 1 + rnd.Intn(10)
+			q += fmt.Sprintf(" ORDER BY sb DESC LIMIT %d", limit)
 		}
-		return q
+		return matrixQuery{sql: q, check: aggregateCheck(true, limit, 3)}
 	default: // grouped on a key that is not disjoint
-		return "SELECT s, sum(a) AS sa, count(a) AS ca, avg(b) AS ab FROM %[1]s.randtbl " + where + " GROUP BY s ORDER BY s"
+		return matrixQuery{sql: "SELECT s, sum(a) AS sa, count(a) AS ca, avg(b) AS ab FROM %[1]s.randtbl " + where + " GROUP BY s ORDER BY s",
+			check: aggregateCheck(false, 0, 3)}
+	}
+}
+
+// aggregateCheck holds a cell's plan to the one rule for complete
+// aggregates: the aggregate — and, under a LIMIT, a partial Top-N — sits
+// below the root spine's Exchange, run by the leaf workers or pushed into
+// the scan, exactly when its key is split-disjoint; and then the final
+// stage reads at most limit rows from each of the scan's objects splits.
+// limit 0 is a query without one.
+func aggregateCheck(disjoint bool, limit, objects int) func(*testing.T, string, *engine.Result) {
+	return func(t *testing.T, label string, res *engine.Result) {
+		final, leaf, _ := strings.Cut(res.Stats.PlanText, "Exchange")
+		if complete := !strings.Contains(final, "Aggregate"); complete != disjoint {
+			t.Errorf("%s: aggregate below the exchange = %v, want %v:\n%s", label, complete, disjoint, res.Stats.PlanText)
+		}
+		if limit == 0 {
+			return
+		}
+		if partial := strings.Contains(leaf, "TopN(PARTIAL)") || strings.Contains(leaf, "topn"); partial != disjoint {
+			t.Errorf("%s: partial top-n below the exchange = %v, want %v:\n%s", label, partial, disjoint, res.Stats.PlanText)
+		}
+		if disjoint && res.Stats.FinalMeter.Rows > int64(limit*objects) {
+			t.Errorf("%s: the final stage read %d rows, want at most %d", label, res.Stats.FinalMeter.Rows, limit*objects)
+		}
 	}
 }
 
 // paperFamily is the paper's Laghos and Deep Water queries (Table 2) over
-// tables stored under each codec.
+// tables stored under each codec. Each groups by a key its generator
+// keeps split-disjoint (key), so each aggregate completes below the
+// Exchange; Laghos's LIMIT 100 (limit) bounds what the final stage reads.
 func paperFamily(t *testing.T) ([]*workload.Dataset, []matrixQuery) {
+	const files = 2
 	var datasets []*workload.Dataset
 	var queries []matrixQuery
 	for _, codec := range []compress.Codec{compress.None, compress.Snappy, compress.Zstd} {
-		for _, gen := range []func(workload.Config) (*workload.Dataset, error){workload.Laghos, workload.DeepWater} {
-			d, err := gen(workload.Config{Files: 2, RowsPerFile: 1024, Seed: 5, Codec: codec})
+		for _, paper := range []struct {
+			gen   func(workload.Config) (*workload.Dataset, error)
+			key   string
+			limit int
+		}{{workload.Laghos, "vertex_id", 100}, {workload.DeepWater, "timestep", 0}} {
+			d, err := paper.gen(workload.Config{Files: files, RowsPerFile: 1024, Seed: 5, Codec: codec})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !d.Table.SplitDisjoint(paper.key) {
+				t.Fatalf("%s: zone maps do not derive %s split-disjoint", d.Name, paper.key)
 			}
 			name := d.Name + "_" + codec.String()
 			d.Table.Name, d.Table.Bucket = name, name
 			sql := strings.Replace(strings.ReplaceAll(d.Query, "%", "%%"), "FROM "+d.Name, "FROM %[1]s."+name, 1)
-			datasets, queries = append(datasets, d), append(queries, matrixQuery{name: name, sql: sql})
+			datasets = append(datasets, d)
+			queries = append(queries, matrixQuery{name: name, sql: sql, check: aggregateCheck(true, paper.limit, files)})
 		}
 	}
 	return datasets, queries
@@ -455,7 +496,7 @@ func joinFamily(t *testing.T) ([]*workload.Dataset, []matrixQuery) {
 // of its own, which the zone maps prove split-disjoint, so the aggregate
 // and a partial Top-N run below the Exchange and the final stage reads at
 // most the limit's rows per split; in oprobe neighbouring objects share
-// most keys and the aggregate stays in the final stage.
+// most keys and the aggregate stays in the final stage (aggregateCheck).
 func aggProbe(t *testing.T, disjoint bool, ords [][]types.Value) (*workload.Dataset, matrixQuery) {
 	name := map[bool]string{true: "dprobe", false: "oprobe"}[disjoint]
 	const objects = 4
@@ -507,16 +548,7 @@ func aggProbe(t *testing.T, disjoint bool, ords [][]types.Value) (*workload.Data
 	return d, matrixQuery{name: name, want: want,
 		sql: `SELECT p.k AS k, o.orderdate AS d, SUM(p.v) AS s FROM %[1]s.` + name + ` AS p JOIN %[1]s.orders AS o ON p.k = o.orderkey ` +
 			`WHERE o.orderdate < DATE '1994-01-01' GROUP BY p.k, o.orderdate ORDER BY s DESC LIMIT 10`,
-		check: func(t *testing.T, label string, res *engine.Result) {
-			plan := res.Stats.PlanText
-			exchange, partial := strings.Index(plan, "Exchange"), strings.Index(plan, "TopN(PARTIAL)")
-			if fired := partial > exchange && exchange >= 0; fired != disjoint {
-				t.Errorf("%s: aggregate moved below the exchange = %v, want %v:\n%s", label, fired, disjoint, plan)
-			}
-			if disjoint && res.Stats.FinalMeter.Rows > 10*objects {
-				t.Errorf("%s: the final stage read %d rows, want at most %d", label, res.Stats.FinalMeter.Rows, 10*objects)
-			}
-		}}
+		check: aggregateCheck(disjoint, 10, objects)}
 }
 
 // tieFamily is tietbl — four objects of three row groups each, seq the

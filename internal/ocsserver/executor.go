@@ -192,7 +192,8 @@ func compileRel(store *objstore.Store, rel substrait.Rel, env *execEnv) (exec.Op
 			return nil, err
 		}
 		// Storage nodes always produce partial aggregates; the engine
-		// merges them (DESIGN.md §4).
+		// merges them, unless the group keys are split-disjoint and the
+		// partial is already complete (DESIGN.md §4).
 		return exec.NewHashAggregate(input, t.GroupKeys, t.Measures, exec.AggPartial, &env.meter)
 	case *substrait.SortRel:
 		input, err := compileRel(store, t.Input, env)
@@ -207,13 +208,13 @@ func compileRel(store *objstore.Store, rel substrait.Rel, env *execEnv) (exec.Op
 			if err != nil {
 				return nil, err
 			}
-			return exec.NewTopN(input, sortRel.Keys, t.Offset+t.Count, &env.meter)
+			return exec.NewTopN(input, sortRel.Keys, t.Count, &env.meter)
 		}
 		input, err := compileRel(store, t.Input, env)
 		if err != nil {
 			return nil, err
 		}
-		return exec.NewLimit(input, t.Offset+t.Count), nil
+		return exec.NewLimit(input, t.Count), nil
 	default:
 		return nil, fmt.Errorf("ocsserver: unsupported relation %T", rel)
 	}

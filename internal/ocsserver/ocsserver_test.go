@@ -363,6 +363,29 @@ func TestInStorageEqualsLocalExecution(t *testing.T) {
 	}
 }
 
+// TestNodeRejectsFetchOffset sends a top-N plan with a nonzero
+// FetchRel.Offset through the codec to a node: no executor skips rows, so
+// the node must refuse the plan as invalid rather than return the first
+// Offset+Count rows.
+func TestNodeRejectsFetchOffset(t *testing.T) {
+	_, cli := startCluster(t, 1)
+	ctx := context.Background()
+	if err := cli.Put(ctx, "b", "o", meshObject(t, compress.None)); err != nil {
+		t.Fatal(err)
+	}
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
+	sorted := &substrait.SortRel{Input: read, Keys: []substrait.SortKey{{Column: 2, Descending: true}}}
+	for _, rel := range []substrait.Rel{
+		&substrait.FetchRel{Input: sorted, Offset: 5, Count: 3},
+		&substrait.FetchRel{Input: read, Offset: 5, Count: 3},
+	} {
+		_, err := cli.Execute(ctx, substrait.NewPlan(rel))
+		if rpc.ErrorCode(err) != rpc.CodeInvalid {
+			t.Errorf("%s: error %v, want a CodeInvalid rejection", substrait.NewPlan(rel), err)
+		}
+	}
+}
+
 func TestFrontendRejectsGarbagePlan(t *testing.T) {
 	cluster, err := StartCluster(1)
 	if err != nil {

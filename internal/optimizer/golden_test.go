@@ -189,7 +189,10 @@ func describePlan(root plan.Node) (string, error) {
 // policy, an auto plan carries its whole decision. In the join rows
 // alone, the probe's Exchange has since moved above the join, and in
 // Q3's above its aggregate, which the zone maps prove complete per split,
-// with a TopN(PARTIAL) below it.
+// with a TopN(PARTIAL) below it. The same rule now holds over a scan: in
+// the laghos and deepwater rows alone, every mode plans the aggregate
+// complete below the Exchange (laghos [all] and [auto] as before, the
+// connector no longer rewriting the final stage to get there).
 func TestGoldenPlans(t *testing.T) {
 	f := newPlanFixture(t)
 	var sb strings.Builder

@@ -12,14 +12,16 @@
 //     split, on workers) and a final stage (coordinator) at one Exchange
 //     on the root spine. Filters and projections above a scan, or above a
 //     join, run per split; a join's probe runs in the leaf workers and its
-//     build side is a leaf stage of its own, under its own Exchange. The
-//     next node up is split across the Exchange when it can be: an
-//     Aggregate over a scan into partial+final; an Aggregate over a join
-//     moves whole into the leaf stage, with the projections above it,
-//     when it is complete per split (a group key traces to a probe-scan
-//     column the zone maps prove split-disjoint); TopN and Limit
-//     replicate. Sort and Output stay final. The connector's local
-//     optimizer then runs on the leaf stage.
+//     build side is a leaf stage of its own, under its own Exchange. An
+//     Aggregate that is complete per split — a group key traces to a
+//     column of the leaf chain's scan (a join's probe scan) that the zone
+//     maps prove split-disjoint — moves whole into the leaf stage, with
+//     the filters and projections above it. The next node up is split
+//     across the Exchange when it can be: an Aggregate over a scan that is
+//     not complete into partial+final; TopN into partial+final; Limit
+//     replicates. Sort, Output and an incomplete aggregate over a join
+//     stay final. The connector's local optimizer then runs on the leaf
+//     stage and leaves the final stage as it is.
 package optimizer
 
 import (
@@ -108,11 +110,11 @@ func addExchange(root plan.Node) (plan.Node, error) {
 		end = &plan.Join{Probe: join.Probe, Build: &plan.Exchange{Input: join.Build}, ProbeKeys: join.ProbeKeys, BuildKeys: join.BuildKeys}
 	}
 	// Filters and projections above the scan or the join run per split,
-	// and so does an aggregate over a join that is complete per split,
-	// with the filters and projections above it.
+	// and so does an aggregate that is complete per split, with the
+	// filters and projections above it.
 	cut := rowwiseCut(spine, len(spine))
-	if join != nil && cut > 0 {
-		if agg, ok := spine[cut-1].(*plan.Aggregate); ok && agg.Step == plan.AggSingle && disjointKey(agg.Keys, spine[cut:], join) {
+	if cut > 0 {
+		if agg, ok := spine[cut-1].(*plan.Aggregate); ok && agg.Step == plan.AggSingle && disjointKey(agg.Keys, spine[cut:], end) {
 			cut = rowwiseCut(spine, cut-1)
 		}
 	}
@@ -163,14 +165,20 @@ func rowwiseCut(spine []plan.Node, cut int) int {
 	return cut
 }
 
-// disjointKey reports whether an aggregate over the join is complete per
-// probe split: whether one of its keys — ordinals over the output of
-// below, the root-first run of filters and projections between it and
-// the join — traces through column references to a probe-scan column
-// whose handle proves it split-disjoint. One key is enough: rows that
-// agree on every key agree on that one, so they share a split.
-func disjointKey(keys []int, below []plan.Node, join *plan.Join) bool {
-	probe, end := plan.Spine(join.Probe)
+// disjointKey reports whether an aggregate over end — the leaf chain's
+// scan, or a join — is complete per split: whether one of its keys —
+// ordinals over the output of below, the root-first run of filters and
+// projections between it and end — traces through column references to
+// a column of the leaf chain's scan (of a join, the probe scan) whose
+// handle proves it split-disjoint. One key is enough: rows that agree on
+// every key agree on that one, so they share a split.
+func disjointKey(keys []int, below []plan.Node, end plan.Node) bool {
+	width := end.OutputSchema().Len()
+	var probe []plan.Node
+	if join, ok := end.(*plan.Join); ok {
+		width = join.Probe.OutputSchema().Len() // the probe's columns lead the join's output
+		probe, end = plan.Spine(join.Probe)
+	}
 	scan, _ := end.(*plan.TableScan)
 	if scan == nil {
 		return false
@@ -179,7 +187,6 @@ func disjointKey(keys []int, below []plan.Node, join *plan.Join) bool {
 	if !ok {
 		return false
 	}
-	width := join.Probe.OutputSchema().Len()
 	for _, k := range keys {
 		if col := plan.SourceColumn(below, k); col >= 0 && col < width && handle.SplitDisjoint(plan.SourceColumn(probe, col)) {
 			return true

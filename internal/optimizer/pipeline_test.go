@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"prestocs/internal/bloom"
@@ -20,9 +21,12 @@ import (
 // Exchange of its own stage — a Join's build input is a stage of its own,
 // under its own Exchange, while its probe runs in the stage the Join is
 // in —, every Join's keys address columns of its inputs' schemas that
-// pair up in kind, the result schema is the analyzed plan's, and taking a
-// spine apart and stacking it again gives the same tree.
-func checkPlan(analyzed, optimized plan.Node) error {
+// pair up in kind, the result schema is the analyzed plan's, taking a
+// spine apart and stacking it again gives the same tree, and the final
+// stage — the root spine down to its first Exchange — is the one the
+// global optimizer planned, the same in every pushdown mode as in none:
+// the connector absorbs leaf-stage operators only.
+func checkPlan(analyzed, optimized, none plan.Node) error {
 	var walk func(n plan.Node, exchanges int) error
 	walk = func(n plan.Node, exchanges int) error {
 		switch t := n.(type) {
@@ -71,7 +75,24 @@ func checkPlan(analyzed, optimized plan.Node) error {
 	if got, want := optimized.OutputSchema(), analyzed.OutputSchema(); !got.Equal(want) {
 		return fmt.Errorf("result schema %s, analyzed %s", got, want)
 	}
+	if got, want := finalStage(optimized), finalStage(none); got != want {
+		return fmt.Errorf("final stage %s, mode none plans %s", got, want)
+	}
 	return nil
+}
+
+// finalStage describes the root spine down to and including its first
+// Exchange.
+func finalStage(root plan.Node) string {
+	spine, _ := plan.Spine(root)
+	var parts []string
+	for _, n := range spine {
+		parts = append(parts, n.Describe())
+		if _, ok := n.(*plan.Exchange); ok {
+			break
+		}
+	}
+	return strings.Join(parts, " → ")
 }
 
 // hiveJoins are the join shapes over the hive catalog (the golden table
@@ -96,19 +117,31 @@ var analyzerShapes = []string{
 	`SELECT sum(e) / sum(e) + max(x * 2) - max(x * 2) AS r FROM laghos WHERE x < 2.0`,
 }
 
+// disjointShapes seed FuzzPlanPipeline with GROUP BYs on a split-disjoint
+// key (laghos's vertex_id), one under ORDER BY … LIMIT and one without:
+// the aggregate completes below the Exchange in every mode.
+var disjointShapes = []string{
+	`SELECT vertex_id, sum(e) AS s, count(*) AS n FROM laghos WHERE x > 1.0 GROUP BY vertex_id ORDER BY s DESC LIMIT 7`,
+	`SELECT vertex_id, max(e) - min(e) AS r FROM laghos GROUP BY vertex_id`,
+}
+
 func TestOptimizedPlanInvariants(t *testing.T) {
 	f := newPlanFixture(t)
-	sqls := append([]string(nil), hiveJoins...)
+	sqls := slices.Concat(hiveJoins, disjointShapes)
 	for _, q := range planQueries {
 		sqls = append(sqls, q.sql)
 	}
 	for _, sql := range sqls {
-		for _, mode := range planModes {
+		var none plan.Node
+		for _, mode := range planModes { // none first
 			analyzed, optimized, err := f.planFor(sql, mode)
 			if err != nil {
 				t.Fatalf("%s [%s]: %v", sql, mode, err)
 			}
-			if err := checkPlan(analyzed, optimized); err != nil {
+			if none == nil {
+				none = optimized
+			}
+			if err := checkPlan(analyzed, optimized, none); err != nil {
 				t.Errorf("%s [%s]: %v\n%s", sql, mode, err, plan.Format(optimized))
 			}
 		}
@@ -124,11 +157,12 @@ func FuzzPlanPipeline(f *testing.F) {
 	for _, q := range planQueries {
 		f.Add(q.sql)
 	}
-	for _, sql := range append(hiveJoins, analyzerShapes...) {
+	for _, sql := range slices.Concat(hiveJoins, analyzerShapes, disjointShapes) {
 		f.Add(sql)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
-		for _, mode := range planModes {
+		var none plan.Node
+		for _, mode := range planModes { // none first
 			analyzed, optimized, err := fx.planFor(sql, mode)
 			if analyzed != nil {
 				for _, scan := range plan.FindScans(analyzed) {
@@ -140,7 +174,10 @@ func FuzzPlanPipeline(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if err := checkPlan(analyzed, optimized); err != nil {
+			if none == nil {
+				none = optimized
+			}
+			if err := checkPlan(analyzed, optimized, none); err != nil {
 				t.Fatalf("%q [%s]: %v", sql, mode, err)
 			}
 		}

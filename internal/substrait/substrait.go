@@ -284,8 +284,9 @@ func (r *SortRel) OutputSchema() (*types.Schema, error) {
 	return in, nil
 }
 
-// FetchRel limits output to Count rows after Offset. Together with a
-// SortRel input it expresses top-N.
+// FetchRel limits output to its first Count rows. Together with a SortRel
+// input it expresses top-N. Offset keeps its place on the wire, but no
+// executor skips rows, so a plan is valid only with Offset 0.
 type FetchRel struct {
 	Input  Rel
 	Offset int64
@@ -296,8 +297,11 @@ func (r *FetchRel) isRel() {}
 
 // OutputSchema passes the input schema through.
 func (r *FetchRel) OutputSchema() (*types.Schema, error) {
-	if r.Count < 0 || r.Offset < 0 {
-		return nil, fmt.Errorf("substrait: negative fetch bounds")
+	if r.Count < 0 {
+		return nil, fmt.Errorf("substrait: negative fetch count")
+	}
+	if r.Offset != 0 {
+		return nil, fmt.Errorf("substrait: fetch offset %d unsupported", r.Offset)
 	}
 	return r.Input.OutputSchema()
 }

@@ -93,6 +93,7 @@ func TestValidationErrors(t *testing.T) {
 		"sort no keys":    &SortRel{Input: read},
 		"sort bad key":    &SortRel{Input: read, Keys: []SortKey{{Column: 42}}},
 		"fetch negative":  &FetchRel{Input: read, Count: -1},
+		"fetch offset":    &FetchRel{Input: read, Offset: 5, Count: 3},
 	}
 	for name, rel := range cases {
 		if _, err := NewPlan(rel).Validate(); err == nil {
