@@ -2,7 +2,9 @@ package arrowlite
 
 import (
 	"bytes"
-	"io"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -131,55 +133,60 @@ func TestEmptyBatchAndEmptyStream(t *testing.T) {
 	}
 }
 
+// TestStreamingReaderWriter: Serialize emits exactly the result stream's
+// messages — AppendSchema's bytes, then each page's AppendBatch bytes, in
+// order — each behind its u32 length, and Deserialize hands the pages
+// back one by one.
 func TestStreamingReaderWriter(t *testing.T) {
 	p := samplePage()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, p.Schema)
+	empty := column.NewPage(p.Schema)
+	pages := []*column.Page{p, empty, p}
+	data, err := Serialize(p.Schema, pages)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteBatch(p); err != nil {
+	schemaMsg, err := AppendSchema(nil, p.Schema)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	want := [][]byte{schemaMsg}
+	for _, page := range pages {
+		msg, err := AppendBatch(nil, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, msg)
 	}
-	if w.BytesWritten() != int64(buf.Len()) {
-		t.Errorf("BytesWritten = %d, buffer = %d", w.BytesWritten(), buf.Len())
+	rest := data
+	for i, msg := range want {
+		if len(rest) < 4 || binary.LittleEndian.Uint32(rest) != uint32(len(msg)) {
+			t.Fatalf("message %d: length prefix missing or not %d", i, len(msg))
+		}
+		if !bytes.Equal(rest[4:4+len(msg)], msg) {
+			t.Fatalf("message %d: bytes differ from the wire message", i)
+		}
+		rest = rest[4+len(msg):]
 	}
-	// Double close is a no-op.
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteBatch(p); err == nil {
-		t.Error("write after close must fail")
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes after the last message", len(rest))
 	}
 
-	r, err := NewReader(&buf)
+	schema, got, err := Deserialize(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
+	if !schema.Equal(p.Schema) || len(got) != len(pages) {
+		t.Fatalf("got %v and %d pages, want %v and %d", schema, len(got), p.Schema, len(pages))
 	}
-	pagesEqual(t, p, got)
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Error("Next after EOF must keep returning EOF")
+	for i := range pages {
+		pagesEqual(t, pages[i], got[i])
 	}
 }
 
 func TestSchemaArityMismatch(t *testing.T) {
 	p := samplePage()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, types.NewSchema(types.Column{Name: "only", Type: types.Int64}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteBatch(p); err == nil {
+	narrow := types.NewSchema(types.Column{Name: "only", Type: types.Int64})
+	if _, err := Serialize(narrow, []*column.Page{p}); err == nil {
 		t.Error("arity mismatch must fail")
 	}
 }
@@ -187,25 +194,70 @@ func TestSchemaArityMismatch(t *testing.T) {
 func TestCorruptStreams(t *testing.T) {
 	p := samplePage()
 	data, _ := Serialize(p.Schema, []*column.Page{p})
+	batch, _ := AppendBatch(nil, p)
+	batchAt := bytes.Index(data, batch) - 4 // the batch's length prefix
 
 	if _, _, err := Deserialize([]byte("XXXX")); err == nil {
-		t.Error("bad magic accepted")
+		t.Error("bad length prefix accepted")
 	}
 	if _, _, err := Deserialize(data[:3]); err == nil {
-		t.Error("truncated magic accepted")
+		t.Error("truncated length prefix accepted")
 	}
-	// Truncations at every boundary must error, not panic.
+	// Truncations must error, not panic. A cut between two messages is a
+	// shorter stream: the length prefixes are the only framing.
 	for cut := 4; cut < len(data)-1; cut += 7 {
+		if cut == batchAt {
+			continue
+		}
 		if _, _, err := Deserialize(data[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
-	// Flip a byte inside the schema block.
+	// Flip a byte inside the schema message.
 	bad := append([]byte(nil), data...)
 	bad[8] = 0xFF
 	if _, _, err := Deserialize(bad); err == nil {
 		t.Error("corrupt schema accepted")
 	}
+
+	// Hostile length prefixes — one where the schema's should be, and a
+	// batch's after a valid schema message — claim 2 GiB that the input
+	// does not hold. They are rejected, allocating no more than the input's
+	// size beyond what decoding the valid messages before them costs.
+	for _, prefix := range [][]byte{nil, data[:batchAt]} {
+		in := append(append(append([]byte(nil), prefix...), 0xff, 0xff, 0xff, 0x7f), 1, 2, 3)
+		if _, _, err := Deserialize(in); err == nil {
+			t.Fatalf("2 GiB length prefix after %d bytes accepted", len(prefix))
+		}
+		got := leastAlloc(func() { _, _, _ = Deserialize(in) })
+		base := leastAlloc(func() { _, _, _ = Deserialize(prefix) })
+		if got > base+uint64(len(in)) {
+			t.Errorf("2 GiB length prefix after %d bytes: %d bytes allocated, %d for the messages before it, input %d bytes",
+				len(prefix), got, base, len(in))
+		}
+	}
+	// A schema message claiming 16M columns in four bytes.
+	count := []byte{0xff, 0xff, 0xff, 0x00}
+	if _, err := DecodeSchemaMsg(count); err == nil {
+		t.Fatal("16M-column schema of 4 bytes accepted")
+	}
+	if got := leastAlloc(func() { _, _ = DecodeSchemaMsg(count) }); got > uint64(len(count)) {
+		t.Errorf("16M-column schema of 4 bytes: %d bytes allocated", got)
+	}
+}
+
+// leastAlloc is the fewest heap bytes f allocated over three runs (the
+// fewest, so another goroutine's allocation does not count).
+func leastAlloc(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 func TestUnsupportedKind(t *testing.T) {

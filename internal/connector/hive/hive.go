@@ -102,8 +102,9 @@ func (c *Connector) TableHandle(schema, table string) (plan.TableHandle, error) 
 	return &Handle{Table: t}, nil
 }
 
-// Splits implements engine.Connector: one split per object.
-func (c *Connector) Splits(handle plan.TableHandle) ([]engine.Split, error) {
+// SplitsWithStats implements engine.Connector: one split per object (the
+// Hive connector keeps no statistics to prune with).
+func (c *Connector) SplitsWithStats(handle plan.TableHandle, _ *engine.ScanStats) ([]engine.Split, error) {
 	h, ok := handle.(*Handle)
 	if !ok {
 		return nil, fmt.Errorf("hive: foreign handle %T", handle)

@@ -54,12 +54,6 @@ func (c *Connector) TableHandle(schema, table string) (plan.TableHandle, error) 
 	return &Handle{Table: t, pin: pin}, nil
 }
 
-// Splits implements engine.Connector. The engine asks SplitsWithStats
-// (splitprune.go), which this is without the pruning counter.
-func (c *Connector) Splits(handle plan.TableHandle) ([]engine.Split, error) {
-	return c.SplitsWithStats(handle, nil)
-}
-
 // PlanOptimizer implements engine.Connector.
 func (c *Connector) PlanOptimizer() engine.ConnectorPlanOptimizer {
 	return &localOptimizer{conn: c}
@@ -111,9 +105,6 @@ type requestGroup struct {
 	schema *types.Schema
 	splits []engine.Split
 	stats  *engine.ScanStats
-	// probe is the join filter storage refused, re-applied engine-side to
-	// every object served after the refusal (nil otherwise).
-	probe *BloomSpec
 
 	rs         *ocsserver.ResultStream // the open request, or nil
 	at         int                     // the split rs's current object is
@@ -149,14 +140,14 @@ func (g *requestGroup) open(ctx context.Context, k int, span *telemetry.Span) er
 	}
 	if g.h.Push.Bloom != nil && ctx.Err() == nil && errors.Is(err, rpc.ErrOverLimit) {
 		// The node refused the filter (its size cap), not the plan: reopen
-		// without the bloom and re-apply it engine-side, so the join still
-		// probes a pre-filtered stream. Any other refusal — an invalid
-		// plan is a connector bug — must not retry.
+		// without the bloom. Nothing re-applies it engine-side: the leaf's
+		// hash join is the exact filter the bloom approximates. Any other
+		// refusal — an invalid plan is a connector bug — must not retry.
 		span.Event("bloom-rejected", err.Error())
 		for range objects {
 			g.stats.AddJoinBloomRejected()
 		}
-		g.probe, g.h = g.h.Push.Bloom, g.h.withBloom(nil)
+		g.h = g.h.withBloom(nil)
 		return g.open(ctx, k, span)
 	}
 	return err
@@ -219,8 +210,7 @@ func present(page *column.Page, schema *types.Schema) (*column.Page, error) {
 // consumed in order, have left at object k; with no stream open it opens
 // one for splits k onward. When that request cannot be opened for a
 // transient reason even after the client's retries, it serves the
-// object's local replay instead, recorded as a fallback. After a bloom
-// refusal, what it serves passes through the engine-side probe.
+// object's local replay instead, recorded as a fallback.
 type objectSource struct {
 	g      *requestGroup
 	k      int
@@ -261,14 +251,6 @@ func (o *objectSource) start() error {
 			g.stats.AddJoinBloomSplit()
 		}
 		src = &streamPart{g: g, k: o.k, ctx: ctx, span: span}
-	}
-	if g.probe != nil {
-		probe, err := exec.NewBloomProbe(src, g.probe.Column, g.probe.Filter, nil, nil)
-		if err != nil {
-			exec.Close(src)
-			return err
-		}
-		src = probe
 	}
 	o.src = src
 	return nil

@@ -8,7 +8,7 @@ import (
 	"prestocs/internal/plan"
 )
 
-// SplitsWithStats implements engine.SplitSource: one split per object,
+// SplitsWithStats implements engine.Connector: one split per object,
 // with zone-map pruning. When the handle carries a pushed-down filter and
 // the metastore recorded per-object column statistics, objects whose stats
 // prove the filter false are dropped before they are ever scheduled —
@@ -41,7 +41,7 @@ func (c *Connector) SplitsWithStats(handle plan.TableHandle, stats *engine.ScanS
 			splits = append(splits, engine.Split{Object: obj, Index: i})
 		}
 	}
-	if pruned := len(h.Table.Objects) - len(splits); pruned > 0 && stats != nil {
+	if pruned := len(h.Table.Objects) - len(splits); pruned > 0 {
 		stats.AddSplitsPruned(int64(pruned))
 	}
 	return splits, nil

@@ -439,12 +439,7 @@ func (e *Engine) startLeafStage(ctx context.Context, leaf *leafChain, stats *Que
 	if err != nil {
 		return nil, err
 	}
-	var splits []Split
-	if ss, ok := conn.(SplitSource); ok {
-		splits, err = ss.SplitsWithStats(scan.Handle, &stats.Scan)
-	} else {
-		splits, err = conn.Splits(scan.Handle)
-	}
+	splits, err := conn.SplitsWithStats(scan.Handle, &stats.Scan)
 	if err != nil {
 		return nil, err
 	}

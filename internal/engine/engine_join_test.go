@@ -54,7 +54,7 @@ func (c *joinConnector) TableHandle(schema, table string) (plan.TableHandle, err
 	}
 	return &joinTestHandle{conn: c, table: table}, nil
 }
-func (c *joinConnector) Splits(handle plan.TableHandle) ([]Split, error) {
+func (c *joinConnector) SplitsWithStats(handle plan.TableHandle, _ *ScanStats) ([]Split, error) {
 	h := handle.(*joinTestHandle)
 	t := c.tables[h.table]
 	out := make([]Split, len(t.splits))

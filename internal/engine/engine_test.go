@@ -54,7 +54,7 @@ func (c *memConnector) TableHandle(schema, table string) (plan.TableHandle, erro
 	}
 	return &memHandle{conn: c}, nil
 }
-func (c *memConnector) Splits(handle plan.TableHandle) ([]Split, error) {
+func (c *memConnector) SplitsWithStats(handle plan.TableHandle, _ *ScanStats) ([]Split, error) {
 	var out []Split
 	i := 0
 	// Deterministic order.

@@ -60,7 +60,7 @@ type ScanStats struct {
 	// JoinBloomSplits counts probe splits that shipped a join build-side
 	// bloom filter into storage; JoinBloomRejected counts splits where
 	// the node refused the filter (size cap) and the scan retried without
-	// it, re-applying the filter engine-side.
+	// it; the join above the scan filters those rows exactly.
 	JoinBloomSplits   int64
 	JoinBloomRejected int64
 }
@@ -240,8 +240,11 @@ type Connector interface {
 	Name() string
 	// TableHandle resolves a table to an opaque scan handle.
 	TableHandle(schema, table string) (plan.TableHandle, error)
-	// Splits enumerates the scan units for a handle.
-	Splits(handle plan.TableHandle) ([]Split, error)
+	// SplitsWithStats enumerates the scan units for a handle. A connector
+	// that keeps table statistics drops the splits they prove cannot
+	// match the handle's pushed-down filter, and records the count via
+	// stats.AddSplitsPruned.
+	SplitsWithStats(handle plan.TableHandle, stats *ScanStats) ([]Split, error)
 	// PlanOptimizer returns the connector's local optimizer (nil for
 	// connectors without pushdown logic beyond projection).
 	PlanOptimizer() ConnectorPlanOptimizer
@@ -316,17 +319,6 @@ func (s *lazySource) Close() error {
 	}
 	s.closed = true
 	return exec.Close(s.src)
-}
-
-// SplitSource is an optional Connector extension: connectors that can
-// prune splits with table statistics implement it, and the engine
-// prefers it over plain Splits so the pruning decision is recorded in
-// the query's ScanStats.
-type SplitSource interface {
-	// SplitsWithStats enumerates the scan units for a handle, dropping
-	// splits whose object statistics prove the handle's pushed-down
-	// filter false, and records the count via stats.AddSplitsPruned.
-	SplitsWithStats(handle plan.TableHandle, stats *ScanStats) ([]Split, error)
 }
 
 // QueryStats is the engine's per-query report; the harness and Table 3

@@ -69,10 +69,6 @@ func (b *BloomProbe) NextSel() (*column.Page, []int, error) {
 	}
 }
 
-// Close releases the input when it holds resources (e.g. the connector
-// wrapping a result stream after a storage-side bloom rejection).
-func (b *BloomProbe) Close() error { return Close(b.input) }
-
 // Next implements Operator, materializing the selection.
 func (b *BloomProbe) Next() (*column.Page, error) {
 	page, sel, err := b.NextSel()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"prestocs/internal/column"
 	"prestocs/internal/compress"
 	"prestocs/internal/substrait"
 	"prestocs/internal/workload"
@@ -76,11 +77,23 @@ func BenchmarkStreamingVsBuffered(b *testing.B) {
 		b.Run("buffered", func(b *testing.B) {
 			// Full materialization before the first page is available.
 			for i := 0; i < b.N; i++ {
-				res, err := c.OCSCli.Execute(context.Background(), plan)
+				rs, err := c.OCSCli.ExecuteStream(context.Background(), plan)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Pages) == 0 || res.Pages[0].NumRows() == 0 {
+				var pages []*column.Page
+				for {
+					page, err := rs.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					pages = append(pages, page)
+				}
+				rs.Close()
+				if len(pages) == 0 || pages[0].NumRows() == 0 {
 					b.Fatal("empty result")
 				}
 			}

@@ -213,6 +213,10 @@ func TestFig6Shape(t *testing.T) {
 	}
 }
 
+// TestTable3Breakdown: the pushdown overhead (connector plan analysis plus
+// Substrait generation) is a small share of the query. One wall-clock
+// sample is at the mercy of the scheduler, so the bound holds the median
+// share over several runs.
 func TestTable3Breakdown(t *testing.T) {
 	c := testCluster(t)
 	d, err := workload.Laghos(workload.Config{Files: 1, RowsPerFile: 4096, Seed: 13})
@@ -222,21 +226,25 @@ func TestTable3Breakdown(t *testing.T) {
 	if err := c.Load(d); err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.RunTable3(d)
-	if err != nil {
-		t.Fatal(err)
+	const runs = 7
+	shares := make([]float64, runs)
+	for i := range shares {
+		b, err := c.RunTable3(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Total <= 0 {
+			t.Fatal("no total time")
+		}
+		if b.Transfer <= 0 {
+			t.Error("transfer stage empty")
+		}
+		shares[i] = float64(b.PlanAnalysis+b.SubstraitGen) / float64(b.Total)
 	}
-	if b.Total <= 0 {
-		t.Fatal("no total time")
-	}
-	planShare := float64(b.PlanAnalysis) / float64(b.Total)
-	irShare := float64(b.SubstraitGen) / float64(b.Total)
-	if planShare+irShare > 0.10 {
-		t.Errorf("pushdown overhead share = %.1f%%, paper says <3%%",
-			100*(planShare+irShare))
-	}
-	if b.Transfer <= 0 {
-		t.Error("transfer stage empty")
+	sort.Float64s(shares)
+	if median := shares[runs/2]; median > 0.10 {
+		t.Errorf("median pushdown overhead share = %.1f%% over %d runs (%.1f%%…%.1f%%), paper says <3%%",
+			100*median, runs, 100*shares[0], 100*shares[runs-1])
 	}
 }
 

@@ -216,8 +216,9 @@ func TestJoinHiveMatchesOCS(t *testing.T) {
 
 // TestJoinBloomRejectedFallbackEngineSide caps the storage nodes' bloom
 // budget below any real filter: every probe split's pushdown is rejected
-// with CodeOverLimit, the connector retries the split without the bloom and
-// applies it engine-side, and the answer is still exactly the reference.
+// with CodeOverLimit, the connector retries the split without the bloom,
+// the leaf's hash join alone filters the probe rows engine-side, and the
+// answer is still exactly the reference.
 func TestJoinBloomRejectedFallbackEngineSide(t *testing.T) {
 	c, err := StartClusterWith(1, Config{Telemetry: true, MaxBloomBytes: 8})
 	if err != nil {

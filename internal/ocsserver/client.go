@@ -66,16 +66,6 @@ func NewClient(addr string, opts ...Option) *Client {
 // cancelled streams discard rather than pool their connection.
 func (c *Client) IdleConns() int { return c.rpc.IdleConns() }
 
-// Result is a decoded in-storage execution result.
-type Result struct {
-	Schema *types.Schema
-	Pages  []*column.Page
-	// Stats is the storage-side work the query performed.
-	Stats objstore.WorkStats
-	// ArrowBytes is the size of the serialized Arrow stream received.
-	ArrowBytes int64
-}
-
 // ResultStream is an incremental in-storage execution result over the
 // objects the plan lists: the schema is available as soon as the first
 // chunk lands, then each object's pages arrive one Next call at a time
@@ -234,32 +224,6 @@ func (rs *ResultStream) TryDrain(maxChunks int, timeout time.Duration) bool {
 func (rs *ResultStream) Close() error {
 	rs.done = true
 	return rs.cs.Close()
-}
-
-// Execute runs a plan and buffers the whole result, draining the stream;
-// Stats sums the work of every object. Kept for callers that want the
-// materialized form; the connector's page source consumes ExecuteStream
-// directly.
-func (c *Client) Execute(ctx context.Context, plan *substrait.Plan) (*Result, error) {
-	rs, err := c.ExecuteStream(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
-	defer rs.Close()
-	var pages []*column.Page
-	var stats objstore.WorkStats
-	for !rs.done {
-		page, err := rs.Next()
-		if err == io.EOF {
-			stats.Add(rs.Stats())
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		pages = append(pages, page)
-	}
-	return &Result{Schema: rs.Schema(), Pages: pages, Stats: stats, ArrowBytes: rs.ArrowBytes()}, nil
 }
 
 // Cluster bundles an in-process OCS deployment: storage nodes plus a

@@ -46,7 +46,7 @@ func TestExecuteRetriesThroughKilledConnection(t *testing.T) {
 	// the connection before the schema lands, the retry dials fresh and
 	// the disarmed proxy lets it through.
 	proxy.KillOnce(1)
-	res, err := cli.Execute(ctx, filterPlan(t, "b", "o"))
+	res, err := drain(ctx, cli, filterPlan(t, "b", "o"))
 	if err != nil {
 		t.Fatalf("execute with one-shot kill = %v", err)
 	}
@@ -76,7 +76,7 @@ func TestExecuteWithoutRetryFailsOnKill(t *testing.T) {
 	fresh := NewClient(proxy.Addr(), WithRetryPolicy(retry.None()))
 	defer fresh.Close()
 	proxy.KillOnce(1)
-	if _, err := fresh.Execute(ctx, filterPlan(t, "b", "o")); err == nil {
+	if _, err := drain(ctx, fresh, filterPlan(t, "b", "o")); err == nil {
 		t.Fatal("retry.None client survived a killed stream open on a fresh connection")
 	}
 }
@@ -93,7 +93,7 @@ func TestStreamRedialHealsPooledKillWithoutRetryPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	proxy.KillOnce(1)
-	res, err := cli.Execute(ctx, filterPlan(t, "b", "o"))
+	res, err := drain(ctx, cli, filterPlan(t, "b", "o"))
 	if err != nil {
 		t.Fatalf("execute over killed pooled conn = %v", err)
 	}
@@ -158,7 +158,7 @@ func TestDeadlineExceededThroughBlackhole(t *testing.T) {
 	qctx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := cli.Execute(qctx, filterPlan(t, "b", "o"))
+	_, err := drain(qctx, cli, filterPlan(t, "b", "o"))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("black-holed execute error = %v", err)
@@ -178,7 +178,7 @@ func TestExecuteFaultIsUnavailableButDataPathHealthy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster.Nodes[0].SetExecuteFault(errors.New("compute unit offline"))
-	_, err := cli.Execute(ctx, filterPlan(t, "b", "o"))
+	_, err := drain(ctx, cli, filterPlan(t, "b", "o"))
 	if !errors.Is(err, rpc.ErrUnavailable) {
 		t.Fatalf("faulted execute error = %v", err)
 	}
@@ -189,7 +189,7 @@ func TestExecuteFaultIsUnavailableButDataPathHealthy(t *testing.T) {
 	}
 	// Clearing the fault restores pushdown.
 	cluster.Nodes[0].SetExecuteFault(nil)
-	if _, err := cli.Execute(ctx, filterPlan(t, "b", "o")); err != nil {
+	if _, err := drain(ctx, cli, filterPlan(t, "b", "o")); err != nil {
 		t.Fatalf("execute after clearing fault = %v", err)
 	}
 }
@@ -226,7 +226,7 @@ func TestFrontendRetriesNodeStreamOpen(t *testing.T) {
 	}
 	proxy.KillOnce(1)
 	// The client does not retry; recovery must come from the frontend.
-	res, err := cli.Execute(ctx, filterPlan(t, "b", "o"))
+	res, err := drain(ctx, cli, filterPlan(t, "b", "o"))
 	if err != nil {
 		t.Fatalf("execute with killed node conn = %v", err)
 	}

@@ -100,6 +100,38 @@ func readObjects(t *testing.T, cli *Client, plan *substrait.Plan, objects int) (
 	return out, stats
 }
 
+// drained is a whole in-storage execution result.
+type drained struct {
+	Schema *types.Schema
+	Pages  []*column.Page
+	// Stats sums the work of every object.
+	Stats      objstore.WorkStats
+	ArrowBytes int64
+}
+
+// drain runs a plan through ExecuteStream and reads the stream to its end.
+func drain(ctx context.Context, cli *Client, plan *substrait.Plan) (*drained, error) {
+	rs, err := cli.ExecuteStream(ctx, plan)
+	if err != nil {
+		return nil, err
+	}
+	defer rs.Close()
+	res := &drained{Schema: rs.Schema()}
+	for !rs.done {
+		page, err := rs.Next()
+		if err == io.EOF {
+			res.Stats.Add(rs.Stats())
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		res.Pages = append(res.Pages, page)
+	}
+	res.ArrowBytes = rs.ArrowBytes()
+	return res, nil
+}
+
 // recordPayloads wraps a node's execute handler so the test sees every
 // request payload the node is sent.
 func recordPayloads(n *StorageNode) func() [][]byte {
@@ -247,7 +279,7 @@ func TestGroupedRequestRetryOnlyUntilRunRelays(t *testing.T) {
 				})
 			})
 			defer node.rpc.RegisterStream(NodeMethodExecute, node.handleExecute)
-			res, err := cli.Execute(context.Background(), groupedPlan(t, objects))
+			res, err := drain(context.Background(), cli, groupedPlan(t, objects))
 			if calls.Load() != tc.wantCalls {
 				t.Errorf("node calls = %d, want %d", calls.Load(), tc.wantCalls)
 			}
@@ -325,7 +357,7 @@ func TestResultStreamRejectsBadObjectEnds(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cli := scriptedFrontend(t, tc.chunks, tc.trailer)
-			res, err := cli.Execute(context.Background(), groupedPlan(t, tc.objects))
+			res, err := drain(context.Background(), cli, groupedPlan(t, tc.objects))
 			if tc.want == "" {
 				if err != nil || res.Stats.RowsProcessed != 16 {
 					t.Fatalf("well-formed stream: %v, stats %+v", err, res)
@@ -354,7 +386,7 @@ func TestReadRelObjectListIsInvalidWhenEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, objects := range [][]string{nil, {""}, {"o", ""}} {
-		_, err := cli.Execute(context.Background(), groupedPlan(t, objects))
+		_, err := drain(context.Background(), cli, groupedPlan(t, objects))
 		if !errors.Is(err, rpc.ErrInvalid) {
 			t.Errorf("objects %q: error = %v, want an invalid plan", objects, err)
 		}

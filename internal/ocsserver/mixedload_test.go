@@ -124,7 +124,7 @@ func TestKilledClientMidStreamReleasesScanSlots(t *testing.T) {
 
 	// The node must serve the next query from its (still shared)
 	// scheduler without leftover tasks in the way.
-	res, err := cli.Execute(context.Background(), filterPlan(t, "b", "o"))
+	res, err := drain(context.Background(), cli, filterPlan(t, "b", "o"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"prestocs/internal/rpc"
 	"prestocs/internal/substrait"
 	"prestocs/internal/telemetry"
-	"prestocs/internal/types"
 )
 
 // NodeMethodExecute is the one method a storage node adds to the object
@@ -160,16 +159,17 @@ func (n *StorageNode) checkBloomSize(plan *substrait.Plan) error {
 }
 
 // handleExecute parses a Substrait plan, runs it locally over each object
-// its ReadRel lists, in turn, and streams the results: chunk 0 is an
-// arrowlite schema message; then, per object, one arrowlite record-batch
-// message per page and an object-end chunk carrying that object's work
-// stats, except that the last object's stats ride in the end-frame
-// trailer instead — so a one-object stream is exactly the one-object wire
-// shape. Batches leave the node as the executor produces them, so the
-// engine consumes row group 1 while row group N (or object k+1) is still
-// being scanned. Each object is its own pipeline: nothing is merged
-// across objects. Errors after the first chunk surface as mid-stream
-// error frames, which the client turns into query errors.
+// its ReadRel lists, in turn, and streams the results: chunk 0 is the
+// validated plan's arrowlite schema message; then, per object, one
+// arrowlite record-batch message per page and an object-end chunk
+// carrying that object's work stats, except that the last object's stats
+// ride in the end-frame trailer instead — so a one-object stream is
+// exactly the one-object wire shape. Batches leave the node as the
+// executor produces them, so the engine consumes row group 1 while row
+// group N (or object k+1) is still being scanned. Each object is its own
+// pipeline: nothing is merged across objects. Errors after the first
+// chunk surface as mid-stream error frames, which the client turns into
+// query errors.
 func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
 	if fault := n.executeFault(); fault != nil {
 		return nil, rpc.WithCode(fmt.Errorf("node %d: %w", n.ID, fault), rpc.CodeUnavailable)
@@ -201,25 +201,27 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 		chunkBytes.Add(int64(len(msg)))
 		return send(msg)
 	}
+	// Chunk 0 is the validated plan's schema; every page must carry it,
+	// or the client would decode the batch against the wrong kinds. It
+	// leaves right ahead of the stream's first other chunk, or its end, so
+	// a small result reaches the client in one burst rather than two.
 	sentSchema := false
-	// The schema goes out ahead of the stream's first chunk of any kind.
-	// Partial aggregation changes the output schema (it is still keys +
-	// one column per measure, same names/kinds for our function set), so
-	// the first page's schema is authoritative once a page exists; the
-	// validated plan schema covers an object that ends before any page.
-	sendSchema := func(schema *types.Schema) error {
+	sendSchema := func() error {
 		if sentSchema {
 			return nil
 		}
 		sentSchema = true
-		msg, err := arrowlite.AppendSchema((*buf)[:0], schema)
+		msg, err := arrowlite.AppendSchema((*buf)[:0], planSchema)
 		if err != nil {
 			return err
 		}
 		return emit(msg)
 	}
 	sendBatch := func(page *column.Page) error {
-		if err := sendSchema(page.Schema); err != nil {
+		if !page.Schema.Equal(planSchema) {
+			return fmt.Errorf("node %d: page schema %s, plan schema %s", n.ID, page.Schema, planSchema)
+		}
+		if err := sendSchema(); err != nil {
 			return err
 		}
 		msg, err := arrowlite.AppendBatch((*buf)[:0], page)
@@ -235,7 +237,7 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 		if err != nil {
 			return nil, err
 		}
-		if err := sendSchema(planSchema); err != nil {
+		if err := sendSchema(); err != nil {
 			return nil, err
 		}
 		total.Add(st)

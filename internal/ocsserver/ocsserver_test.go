@@ -216,7 +216,7 @@ func TestClusterExecute(t *testing.T) {
 	if err := cli.Put(context.Background(), "b", "o", meshObject(t, compress.None)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cli.Execute(context.Background(), filterPlan(t, "b", "o"))
+	res, err := drain(context.Background(), cli, filterPlan(t, "b", "o"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestClusterMultiNodePlacement(t *testing.T) {
 		t.Errorf("placement not spread: %d/3 nodes hold objects", nonEmpty)
 	}
 	// Execute against an object on whichever node holds it.
-	res, err := cli.Execute(context.Background(), filterPlan(t, "lanl", "part-007.pql"))
+	res, err := drain(context.Background(), cli, filterPlan(t, "lanl", "part-007.pql"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestShardedListOfSparseBucket(t *testing.T) {
 
 func TestClusterExecuteErrors(t *testing.T) {
 	_, cli := startCluster(t, 1)
-	if _, err := cli.Execute(context.Background(), filterPlan(t, "b", "missing")); err == nil {
+	if _, err := drain(context.Background(), cli, filterPlan(t, "b", "missing")); err == nil {
 		t.Error("execute against missing object succeeded")
 	}
 	// Plan with no read rel is rejected by the frontend... cannot build
@@ -319,7 +319,7 @@ func TestInStorageEqualsLocalExecution(t *testing.T) {
 	}
 
 	plan := filterPlan(t, "b", "o")
-	res, err := cli.Execute(context.Background(), plan)
+	res, err := drain(context.Background(), cli, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestNodeRejectsFetchOffset(t *testing.T) {
 		&substrait.FetchRel{Input: sorted, Offset: 5, Count: 3},
 		&substrait.FetchRel{Input: read, Offset: 5, Count: 3},
 	} {
-		_, err := cli.Execute(ctx, substrait.NewPlan(rel))
+		_, err := drain(ctx, cli, substrait.NewPlan(rel))
 		if rpc.ErrorCode(err) != rpc.CodeInvalid {
 			t.Errorf("%s: error %v, want a CodeInvalid rejection", substrait.NewPlan(rel), err)
 		}
@@ -434,7 +434,7 @@ func TestNodeRPCEqualsExecuteLocalCached(t *testing.T) {
 	caches := cache.NewStorage(cache.DefaultFooterCacheBytes, cache.DefaultPageCacheBytes)
 	for _, plan := range plans {
 		name := plan.String()
-		res, err := cli.Execute(context.Background(), plan)
+		res, err := drain(context.Background(), cli, plan)
 		if err != nil {
 			t.Fatalf("%s: rpc: %v", name, err)
 		}

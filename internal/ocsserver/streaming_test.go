@@ -72,7 +72,7 @@ func TestExecuteStreamAbandonReleasesCleanly(t *testing.T) {
 	}
 	rs.Close() // abandon after one page
 	// The client must remain usable on a fresh connection.
-	res, err := cli.Execute(context.Background(), filterPlan(t, "b", "o"))
+	res, err := drain(context.Background(), cli, filterPlan(t, "b", "o"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestStreamErrorFrameAfterBatches(t *testing.T) {
 		return nil, fmt.Errorf("disk on fire")
 	})
 	cli := frontendFor(t, addr)
-	_, err := cli.Execute(context.Background(), filterPlan(t, "b", "o"))
+	_, err := drain(context.Background(), cli, filterPlan(t, "b", "o"))
 	if err == nil || !strings.Contains(err.Error(), "disk on fire") {
 		t.Fatalf("mid-stream node failure = %v", err)
 	}
@@ -210,7 +210,7 @@ func TestStreamCorruptChunkPayload(t *testing.T) {
 		return nil, nil
 	})
 	cli := frontendFor(t, addr)
-	if _, err := cli.Execute(context.Background(), filterPlan(t, "b", "o")); err == nil {
+	if _, err := drain(context.Background(), cli, filterPlan(t, "b", "o")); err == nil {
 		t.Fatal("corrupt schema chunk accepted")
 	}
 }
@@ -222,7 +222,7 @@ func TestStreamEmptyStreamNoSchema(t *testing.T) {
 		return nil, nil
 	})
 	cli := frontendFor(t, addr)
-	if _, err := cli.Execute(context.Background(), filterPlan(t, "b", "o")); err == nil {
+	if _, err := drain(context.Background(), cli, filterPlan(t, "b", "o")); err == nil {
 		t.Fatal("schema-less stream accepted")
 	}
 }
