@@ -1,12 +1,13 @@
 GO ?= go
 # COVER_MIN is the floor for `make cover` over the pruning-critical and
-# write-path packages (expr, parquetlite, ocsserver, ingest, metastore).
+# write-path packages (expr, parquetlite, scan, ocsserver, ingest,
+# metastore).
 # Measured combined coverage is ~81%; the floor leaves headroom for small
 # refactors but fails the gate if tests are deleted wholesale.
 COVER_MIN ?= 80.0
 
 .PHONY: build test loc bench bench-build bench-paper faults faults-ingest fuzz-smoke determinism check \
-	gates vet-telemetry vet-pruning vet-cache vet-concurrency vet-join vet-ingest ci-fast ci-race ci cover
+	gates vet-telemetry vet-scan vet-concurrency vet-join vet-ingest ci-fast ci-race ci cover
 
 build:
 	$(GO) build ./...
@@ -135,10 +136,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeObjectEnd$$' -fuzztime 10s ./internal/ocsserver/
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectionKernels$$' -fuzztime 10s ./internal/expr/
 
-# gates is the one list of the grep guards (telemetry manifest, pruning,
-# caching, shared scheduler, join hot path, ingest single writer): check
-# and ci-fast both depend on it, so adding or retiring a gate is one edit.
-gates: vet-telemetry vet-pruning vet-cache vet-concurrency vet-join vet-ingest
+# gates is the one list of the static guards (telemetry manifest, the one
+# storage read, shared scheduler, join hot path, ingest single writer):
+# check and ci-fast both depend on it, so adding or retiring a gate is one
+# edit.
+gates: vet-telemetry vet-scan vet-concurrency vet-join vet-ingest
 
 # vet-telemetry keeps the metric-name manifest honest: every Metric* const
 # declared in internal/telemetry/names.go must have a registration site in
@@ -157,42 +159,23 @@ vet-telemetry:
 	fi
 	@echo "vet-telemetry: every manifest metric has a registration site"
 
-# vet-pruning guards the zone-map invariant: scan paths in the storage
-# executor and the OCS connector must decode only row groups that
-# survived statistics pruning. It forbids calls to the two whole-row-group
-# decoders, `ReadAll(` and `ReadRowGroup(`, in the non-test files of
-# internal/ocsserver and internal/connector/ocs, unless the line carries
-# `// vet-pruning:allow <reason>` (none does today). The per-chunk
-# `ReadColumn` the scan paths call over the post-prune keep list is not
-# matched. The no-pushdown whole-object scan is engine.ScanWholeObject,
-# outside both packages.
-vet-pruning:
-	@bad=$$(grep -n 'ReadAll(\|ReadRowGroup(' internal/ocsserver/*.go internal/connector/ocs/*.go 2>/dev/null \
-		| grep -v '_test.go' | grep -v 'vet-pruning:allow'); \
+# vet-scan holds every storage read to one package (DESIGN.md §4c): the
+# only module packages whose non-test code imports internal/parquetlite
+# are cache (decoded footers), scan (the read: footer, schema check,
+# pruning, page cache, I/O), ingest (the writer and the compactor) and
+# workload (datagen). Every other package opens objects with scan.Open,
+# whose Object exposes only the row groups pruning kept and opens the
+# footer through the footer cache.
+vet-scan:
+	@importers=$$($(GO) list -f '{{range .Imports}}{{if eq . "prestocs/internal/parquetlite"}}{{$$.ImportPath}}{{"\n"}}{{end}}{{end}}' ./...) || exit 1; \
+	bad=$$(echo "$$importers" | grep -vxE 'prestocs/internal/(cache|scan|ingest|workload)|'); \
 	if [ -n "$$bad" ]; then \
-		echo "vet-pruning: full row-group decode without a prune justification"; \
-		echo "(annotate // vet-pruning:allow <reason> only for paths that cannot prune):"; \
+		echo "vet-scan: packages outside cache, scan, ingest and workload import internal/parquetlite"; \
+		echo "(read objects through scan.Open):"; \
 		echo "$$bad"; \
 		exit 1; \
 	fi
-	@echo "vet-pruning: storage scan paths decode only post-prune row groups"
-
-# vet-cache guards the storage node's footer cache: the storage executor
-# and the OCS connector must open objects through cache.FooterCache.Open,
-# never with a direct parquetlite.NewReader footer decode, unless the line
-# carries `// vet-cache:allow <reason>` (none does today). The engine-side
-# whole-object scan, engine.ScanWholeObject, has no node cache in reach
-# and lives outside both packages.
-vet-cache:
-	@bad=$$(grep -n 'parquetlite\.NewReader(' internal/ocsserver/*.go internal/connector/ocs/*.go 2>/dev/null \
-		| grep -v '_test.go' | grep -v 'vet-cache:allow'); \
-	if [ -n "$$bad" ]; then \
-		echo "vet-cache: direct footer decode on a per-query path (route through cache.FooterCache.Open"; \
-		echo "or annotate // vet-cache:allow <reason>):"; \
-		echo "$$bad"; \
-		exit 1; \
-	fi
-	@echo "vet-cache: storage-side footer decodes go through the footer cache"
+	@echo "vet-scan: every storage read goes through internal/scan"
 
 # vet-concurrency guards the shared-scheduler invariant (DESIGN.md §7):
 # storage-node scan work must flow through the node-wide fair scheduler.
@@ -304,7 +287,7 @@ ci: ci-fast ci-race faults fuzz-smoke determinism bench-build cover
 # that implement statistics pruning and the write path; see COVER_MIN
 # above.
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/expr/ ./internal/parquetlite/ ./internal/ocsserver/ ./internal/ingest/ ./internal/metastore/
+	$(GO) test -coverprofile=cover.out ./internal/expr/ ./internal/parquetlite/ ./internal/scan/ ./internal/ocsserver/ ./internal/ingest/ ./internal/metastore/
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ { gsub("%","",$$3); print $$3 }'); \
 	echo "combined coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 < min+0) }' || { \

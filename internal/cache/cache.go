@@ -4,7 +4,7 @@
 //
 //   - FooterCache: storage-node decoded parquetlite footers (FileMeta,
 //     including the chunk statistics zone-map pruning consumes), keyed by
-//     object version so compileRead prunes without re-decoding.
+//     object version so scan.Open prunes without re-decoding.
 //   - PageCache: storage-node decoded column chunks keyed by
 //     (object version, row group, column) with byte-budget LRU eviction
 //     and two-touch admission on pruning-heavy scans.

@@ -15,8 +15,8 @@ import (
 	"prestocs/internal/column"
 	"prestocs/internal/exec"
 	"prestocs/internal/objstore"
-	"prestocs/internal/parquetlite"
 	"prestocs/internal/plan"
+	"prestocs/internal/scan"
 	"prestocs/internal/telemetry"
 	"prestocs/internal/types"
 )
@@ -159,11 +159,11 @@ func (s *ScanStats) Snapshot() ScanStats {
 
 // ScanWholeObject is the no-pushdown scan of one split, the same for every
 // connector: the whole object crosses the network in one GET and is decoded
-// here, a row group per page, with nothing to prune by. columns is the
-// table's schema, which the object's stored schema must equal, and
-// projection the ordinals to read (nil = all). The GET is charged as
-// transfer, bytes moved and storage work; the local parquet decode and
-// page building as 1.5 ingest units per cell.
+// here through scan.Open, a row group per page, with nothing to prune by
+// and no cache. columns is the table's schema, which the object's stored
+// schema must equal, and projection the ordinals to read (nil = all). The
+// GET is charged as transfer, bytes moved and storage work; the local
+// parquet decode and page building as 1.5 ingest units per cell.
 func ScanWholeObject(ctx context.Context, client *objstore.Client, bucket, object string, columns *types.Schema, projection []int, stats *ScanStats) (exec.Operator, error) {
 	start := time.Now()
 	getCtx, sp := telemetry.StartSpan(ctx, "connector.raw_get")
@@ -177,33 +177,22 @@ func ScanWholeObject(ctx context.Context, client *objstore.Client, bucket, objec
 	stats.AddBytesMoved(int64(len(data)))
 	stats.AddStorageWork(work)
 
-	reader, err := parquetlite.NewReader(data)
+	obj, err := scan.Open(nil, "", data, columns, projection, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("engine: %s/%s: %w", bucket, object, err)
 	}
-	if !reader.Schema().Equal(columns) {
-		return nil, fmt.Errorf("engine: %s/%s: object schema %s does not match table schema %s", bucket, object, reader.Schema(), columns)
-	}
-	schema, cols := columns, projection
-	if cols != nil {
-		schema = columns.Project(cols)
-	} else {
-		cols = make([]int, columns.Len())
-		for i := range cols {
-			cols[i] = i
-		}
-	}
+	cells := float64(obj.Schema().Len())
 	rg := 0
-	return exec.NewFuncSource(schema, func() (*column.Page, error) {
-		if rg >= len(reader.Meta().RowGroups) {
+	return exec.NewFuncSource(obj.Schema(), func() (*column.Page, error) {
+		if rg >= obj.Len() {
 			return nil, nil
 		}
-		page, err := reader.ReadRowGroup(rg, cols)
+		page, err := obj.Read(rg)
 		rg++
 		if err != nil {
 			return nil, err
 		}
-		stats.AddDeserialize(float64(page.NumRows())*float64(len(cols))*1.5, int64(page.NumRows()))
+		stats.AddDeserialize(float64(page.NumRows())*cells*1.5, int64(page.NumRows()))
 		return page, nil
 	}), nil
 }

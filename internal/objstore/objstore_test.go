@@ -2,6 +2,9 @@ package objstore
 
 import (
 	"context"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -9,6 +12,7 @@ import (
 	"prestocs/internal/compress"
 	"prestocs/internal/expr"
 	"prestocs/internal/parquetlite"
+	"prestocs/internal/protowire"
 	"prestocs/internal/types"
 )
 
@@ -301,4 +305,88 @@ func TestSelectDoubleSupport(t *testing.T) {
 	if page.Row(0)[0].F != 3.141592653589793 {
 		t.Errorf("double precision lost: %v", page.Row(0)[0].F)
 	}
+}
+
+// withRowCount rewrites an image's footer so that the file and each of
+// its row groups claim rows rows; every other footer field and every
+// chunk is copied as it was.
+func withRowCount(t *testing.T, img []byte, rows int64) []byte {
+	t.Helper()
+	footerEnd := len(img) - len(parquetlite.Magic) - 4
+	footerStart := footerEnd - int(binary.LittleEndian.Uint32(img[footerEnd:]))
+	copyFields := func(d *protowire.Decoder, e *protowire.Encoder, rowsField int, inner func(*protowire.Decoder, *protowire.Encoder)) {
+		for !d.Done() {
+			f, ty, err := d.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case f == rowsField:
+				_, err = d.Int64()
+				e.Int64(f, rows)
+			case ty == protowire.BytesType:
+				var b []byte
+				if b, err = d.Bytes(); err == nil && f == 4 && inner != nil {
+					e.Message(f, func(m *protowire.Encoder) { inner(protowire.NewDecoder(b), m) })
+				} else {
+					e.Bytes(f, b)
+				}
+			default:
+				var v uint64
+				v, err = d.Uint64()
+				e.Uint64(f, v)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	footer := protowire.NewEncoder()
+	// The file's row count is field 3; a row group (field 4) holds its
+	// row count in field 1.
+	copyFields(protowire.NewDecoder(img[footerStart:footerEnd]), footer, 3, func(d *protowire.Decoder, e *protowire.Encoder) {
+		copyFields(d, e, 1, nil)
+	})
+	out := append(append([]byte(nil), img[:footerStart]...), footer.Encoded()...)
+	return append(binary.LittleEndian.AppendUint32(out, uint32(footer.Len())), parquetlite.Magic...)
+}
+
+// TestSelectLyingRowCount: an object whose footer claims 4M rows per row
+// group is rejected by the first chunk Select decodes, and the rejection
+// allocates no more than its input supports: nothing is sized from the
+// footer's row count. The Select asks for the last column, so a read that
+// filled the columns it skips would size two 4M-row vectors first.
+func TestSelectLyingRowCount(t *testing.T) {
+	img := withRowCount(t, tableObject(t, compress.None), 4<<20)
+	if r, err := parquetlite.NewReader(img); err != nil || r.Meta().RowGroups[0].NumRows != 4<<20 {
+		t.Fatalf("rewritten footer: %v", err)
+	}
+	_, cli := startServer(t)
+	if err := cli.Put(context.Background(), "data", "lying.pql", img); err != nil {
+		t.Fatal(err)
+	}
+	sel := func() error {
+		_, _, err := cli.Select(context.Background(), "data", "lying.pql", []string{"name"}, nil)
+		return err
+	}
+	if err := sel(); err == nil {
+		t.Fatal("select over a footer claiming 4M rows per group succeeded")
+	}
+	if got := leastAlloc(func() { _ = sel() }); got > 1<<20 {
+		t.Errorf("select over a %d-byte object allocated %d bytes", len(img), got)
+	}
+}
+
+// leastAlloc is the fewest heap bytes f allocated over three runs (the
+// fewest, so another goroutine's allocation does not count).
+func leastAlloc(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -6,15 +6,12 @@ import (
 	"encoding/csv"
 	"fmt"
 
-	"prestocs/internal/column"
-	"prestocs/internal/compress"
 	"prestocs/internal/expr"
-	"prestocs/internal/parquetlite"
 	"prestocs/internal/protowire"
 	"prestocs/internal/rpc"
+	"prestocs/internal/scan"
 	"prestocs/internal/substrait"
 	"prestocs/internal/telemetry"
-	"prestocs/internal/types"
 )
 
 // Server exposes a Store over RPC.
@@ -88,60 +85,62 @@ func (s *Server) handleSelect(_ context.Context, payload []byte) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	r, err := parquetlite.NewReader(data)
+	// The column names resolve against the stored schema; the read is then
+	// the projection plus the predicate's other columns, with the
+	// predicate remapped from full-schema ordinals to their positions in
+	// the read.
+	stored, err := scan.Open(nil, "", data, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	schema := r.Schema()
-	colIdx := make([]int, len(columns))
+	schema := stored.Schema()
+	if len(columns) == 0 {
+		columns = schema.Names()
+	}
+	cols := make([]int, len(columns))
 	for i, name := range columns {
-		idx := schema.IndexOf(name)
-		if idx < 0 {
+		if cols[i] = schema.IndexOf(name); cols[i] < 0 {
 			return nil, fmt.Errorf("objstore: select references unknown column %q", name)
 		}
-		colIdx[i] = idx
 	}
-	if len(colIdx) == 0 {
-		for i := range schema.Columns {
-			colIdx = append(colIdx, i)
-		}
-	}
-	// Columns needed: projection plus predicate references (full-schema
-	// ordinals).
-	needed := map[int]bool{}
-	for _, c := range colIdx {
-		needed[c] = true
-	}
+	read := cols
 	if pred != nil {
+		at := make(map[int]int, len(cols))
+		for i := len(cols) - 1; i >= 0; i-- {
+			at[cols[i]] = i
+		}
+		read = append([]int(nil), cols...)
 		for _, c := range expr.ReferencedColumns(pred) {
 			if c < 0 || c >= schema.Len() {
 				return nil, fmt.Errorf("objstore: predicate ordinal %d out of range", c)
 			}
-			needed[c] = true
+			if _, ok := at[c]; !ok {
+				at[c] = len(read)
+				read = append(read, c)
+			}
 		}
+		if pred, err = expr.Remap(pred, at); err != nil {
+			return nil, err
+		}
+	}
+	obj, err := scan.Open(nil, "", data, nil, read, pred)
+	if err != nil {
+		return nil, err
 	}
 
 	var st WorkStats
 	var buf bytes.Buffer
 	w := csv.NewWriter(&buf)
-	header := make([]string, len(colIdx))
-	for i, c := range colIdx {
-		header[i] = schema.Columns[c].Name
-	}
-	if err := w.Write(header); err != nil {
+	if err := w.Write(columns); err != nil {
 		return nil, err
 	}
-
-	keep, _, _ := r.PruneRowGroupsRanges(expr.AnalyzeRanges(pred), nil)
-	for _, rg := range keep {
-		// Materialize the needed columns in full-schema positions so
-		// predicate ordinals resolve; untouched columns stay nil and are
-		// never read from media.
-		page, err := readSparse(r, rg, schema, needed)
+	record := make([]string, len(cols))
+	for g := 0; g < obj.Len(); g++ {
+		page, err := obj.Read(g)
 		if err != nil {
 			return nil, err
 		}
-		n := r.Meta().RowGroups[rg].NumRows
+		n := page.NumRows()
 		// Vectorized predicate evaluation into a selection vector of the
 		// surviving rows (kernels in internal/expr); only those rows are
 		// formatted.
@@ -158,51 +157,25 @@ func (s *Server) handleSelect(_ context.Context, payload []byte) ([]byte, error)
 			}
 			st.CPUUnits += pred.Cost() * float64(n)
 		}
-		st.RowsProcessed += n
-		record := make([]string, len(colIdx))
+		st.RowsProcessed += int64(n)
 		for _, row := range sel {
-			for i, c := range colIdx {
-				record[i] = page.Vectors[c].Value(row).String()
+			for i := range cols {
+				record[i] = page.Vectors[i].Value(row).String()
 			}
 			if err := w.Write(record); err != nil {
 				return nil, err
 			}
 			// CSV formatting cost: ~1 unit per cell.
-			st.CPUUnits += float64(len(colIdx))
+			st.CPUUnits += float64(len(cols))
 		}
 	}
 	w.Flush()
 	if err := w.Error(); err != nil {
 		return nil, err
 	}
-	st.BytesRead = r.BytesRead
-	st.BytesDecompressed = r.BytesDecompressed
-	st.CPUUnits += float64(r.BytesDecompressed) * compress.DecompressCostPerByte(r.Meta().Codec)
+	io := obj.IO()
+	st.BytesRead, st.BytesDecompressed = io.BytesRead, io.BytesDecompressed
+	st.CPUUnits += io.CPUUnits
 
 	return EncodeDataStats(buf.Bytes(), st), nil
-}
-
-// readSparse materializes only the needed columns of a row group, placing
-// them at their full-schema ordinals. Unneeded columns are filled with
-// all-NULL vectors (never read from media) so page invariants hold for
-// predicate evaluation, which only touches referenced ordinals.
-func readSparse(r *parquetlite.Reader, rg int, schema *types.Schema, needed map[int]bool) (*column.Page, error) {
-	n := int(r.Meta().RowGroups[rg].NumRows)
-	page := &column.Page{Schema: schema, Vectors: make([]*column.Vector, schema.Len())}
-	for c, col := range schema.Columns {
-		if !needed[c] {
-			vec := column.NewVector(col.Type)
-			for i := 0; i < n; i++ {
-				vec.Append(types.NullValue(col.Type))
-			}
-			page.Vectors[c] = vec
-			continue
-		}
-		vec, err := r.ReadColumn(rg, c)
-		if err != nil {
-			return nil, err
-		}
-		page.Vectors[c] = vec
-	}
-	return page, nil
 }

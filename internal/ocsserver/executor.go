@@ -10,18 +10,16 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"prestocs/internal/bloom"
 	"prestocs/internal/cache"
 	"prestocs/internal/column"
-	"prestocs/internal/compress"
 	"prestocs/internal/costmodel"
 	"prestocs/internal/exec"
 	"prestocs/internal/expr"
 	"prestocs/internal/objstore"
-	"prestocs/internal/parquetlite"
 	"prestocs/internal/rpc"
+	"prestocs/internal/scan"
 	"prestocs/internal/substrait"
 	"prestocs/internal/telemetry"
 	"prestocs/internal/types"
@@ -61,15 +59,13 @@ type openOpts struct {
 }
 
 // execEnv carries the shared state of one local plan execution: its
-// inputs, the operator meter, the work-stats sink (guarded by mu because
-// the parallel scanner merges reader I/O from several goroutines) and the
-// cleanup hooks that stop scanner workers when the pipeline is drained or
-// abandoned.
+// inputs, the operator meter, the object read (whose I/O the work stats
+// report) and the cleanup hooks that stop scanner workers when the
+// pipeline is drained or abandoned.
 type execEnv struct {
 	openOpts
 	meter   exec.Meter
-	mu      sync.Mutex
-	stats   objstore.WorkStats
+	obj     *scan.Object
 	closers []func()
 
 	// ownSched marks an ephemeral scheduler the stream's teardown closes.
@@ -96,15 +92,6 @@ func newExecEnv(o openOpts) *execEnv {
 	return env
 }
 
-// addStatsDelta merges one row group's reader I/O into the shared sink.
-func (env *execEnv) addStatsDelta(bytesRead, bytesDecompressed int64, cpuUnits float64) {
-	env.mu.Lock()
-	env.stats.BytesRead += bytesRead
-	env.stats.BytesDecompressed += bytesDecompressed
-	env.stats.CPUUnits += cpuUnits
-	env.mu.Unlock()
-}
-
 // close stops scanner workers and waits for them to exit. Safe to call
 // more than once.
 func (env *execEnv) close() {
@@ -114,21 +101,22 @@ func (env *execEnv) close() {
 	env.closers = nil
 }
 
-// finish folds the operator meter into the stats snapshot and returns it.
-// Call after the pipeline has been drained and closed.
+// finish folds the object read's I/O and the operator meter into the
+// execution's work stats. Call after the pipeline has been drained and
+// closed, so no scan task is still reading.
 func (env *execEnv) finish() *objstore.WorkStats {
-	env.mu.Lock()
-	defer env.mu.Unlock()
-	st := env.stats
-	st.RowsProcessed = env.meter.Rows
-	st.CPUUnits += env.meter.Units
+	st := objstore.WorkStats{RowsProcessed: env.meter.Rows, CPUUnits: env.meter.Units}
+	if env.obj != nil {
+		io := env.obj.IO()
+		st.BytesRead, st.BytesDecompressed = io.BytesRead, io.BytesDecompressed
+		st.CPUUnits += io.CPUUnits
+	}
 	return &st
 }
 
 // compilePlan lowers a validated Substrait plan into an exec pipeline over
 // the local store. The env's meter accumulates storage-side CPU work;
-// reader I/O is merged into env.stats incrementally as row groups are
-// read.
+// the object read counts its own I/O as row groups are read.
 //
 // Row-group pruning: when a FilterRel sits directly on the ReadRel, the
 // filter condition is remapped to full-schema ordinals and used to prune
@@ -220,8 +208,8 @@ func compileRel(store *objstore.Store, rel substrait.Rel, env *execEnv) (exec.Op
 	}
 }
 
-// compileRead builds a page source over the object, applying column
-// projection and (when pruneWith is non-nil) row-group pruning. With a
+// compileRead builds a page source over the object through scan.Open,
+// which projects and (when pruneWith is non-nil) prunes row groups. With a
 // scan pool larger than one and several surviving row groups, the source
 // scans row groups concurrently with an order-preserving merge.
 func compileRead(store *objstore.Store, read *substrait.ReadRel, pruneWith expr.Expr, env *execEnv) (exec.Operator, error) {
@@ -229,56 +217,19 @@ func compileRead(store *objstore.Store, read *substrait.ReadRel, pruneWith expr.
 	if err != nil {
 		return nil, err // the store's lookup errors carry rpc.CodeNotFound
 	}
+	if env.noPrune {
+		pruneWith = nil
+	}
 	// The object key embeds the store generation, so footers and pages
 	// cached for an earlier version of a re-put object can never be hit.
 	objKey := cache.ObjectKey(read.Bucket, env.object, ver)
-	r, err := env.caches.Footer().Open(objKey, data)
+	obj, err := scan.Open(env.caches, objKey, data, read.BaseSchema, read.Projection, pruneWith)
 	if err != nil {
 		return nil, fmt.Errorf("ocsserver: %s/%s: %w", read.Bucket, env.object, err)
 	}
-	fileSchema := r.Schema()
-	outSchema, err := read.OutputSchema()
-	if err != nil {
-		return nil, err
-	}
-	// The plan's base schema must agree with the stored object.
-	if !read.BaseSchema.Equal(fileSchema) {
-		return nil, fmt.Errorf("ocsserver: plan schema %s does not match object schema %s", read.BaseSchema, fileSchema)
-	}
-	cols := read.Projection
-	if cols == nil {
-		cols = make([]int, fileSchema.Len())
-		for i := range cols {
-			cols[i] = i
-		}
-	}
-
-	// Remap the predicate from read-output ordinals to full-schema
-	// ordinals for pruning; skip pruning when the mapping is partial.
-	// Pruning-heavy scans (at least half the groups skipped) switch the
-	// page cache to two-touch admission: a highly selective workload
-	// rarely re-reads the same surviving chunks, so first sightings go to
-	// the ghost list instead of evicting genuinely hot pages.
-	groups := make([]int, len(r.Meta().RowGroups))
-	for i := range groups {
-		groups[i] = i
-	}
-	twoTouch := false
-	if pruneWith != nil && !env.noPrune {
-		mapping := make(map[int]int, len(cols))
-		for outIdx, fullIdx := range cols {
-			mapping[outIdx] = fullIdx
-		}
-		if remapped, err := expr.Remap(pruneWith, mapping); err == nil {
-			if ranges := expr.AnalyzeRanges(remapped); ranges.Constrained() {
-				keep, pruned, skipped := r.PruneRowGroupsRanges(ranges, cols)
-				if len(pruned) > 0 {
-					recordPrune(env, env.object, pruned, skipped)
-					groups = keep
-					twoTouch = 2*len(pruned) >= len(r.Meta().RowGroups)
-				}
-			}
-		}
+	env.obj = obj
+	if pruned, skipped := obj.Pruned(); len(pruned) > 0 {
+		recordPrune(env, env.object, pruned, skipped)
 	}
 
 	// Multi-group scans on a node's shared scheduler always go through it —
@@ -288,67 +239,30 @@ func compileRead(store *objstore.Store, read *substrait.ReadRel, pruneWith expr.
 	// scheduler (in-process entry points, the connector's replay paths) has
 	// no such concern, so it only pays the per-task handoff when it buys
 	// real parallelism.
-	if len(groups) > 1 && (!env.ownSched || env.scanPool > 1) {
-		return parallelScan(env, data, r.Meta(), objKey, groups, cols, twoTouch, outSchema), nil
+	if obj.Len() > 1 && (!env.ownSched || env.scanPool > 1) {
+		return parallelScan(env, obj), nil
 	}
 
 	idx := 0
-	projSchema := r.Meta().Schema.Project(cols)
 	scanned := telemetry.RegistryFrom(env.context()).Counter(telemetry.MetricScanPoolRowGroups)
-	return exec.NewFuncSource(outSchema, func() (*column.Page, error) {
-		if idx >= len(groups) {
+	return exec.NewFuncSource(obj.Schema(), func() (*column.Page, error) {
+		if idx >= obj.Len() {
 			return nil, nil
 		}
-		rg := groups[idx]
+		page, err := readGroup(env, obj, idx)
 		idx++
-		_, sp := telemetry.StartSpan(env.context(), "scan.rowgroup")
-		sp.SetAttr("group", strconv.Itoa(rg))
-		page, err := env.readGroup(r, objKey, rg, cols, projSchema, twoTouch)
-		sp.End()
 		scanned.Inc()
-		if err != nil {
-			return nil, err
-		}
-		return page, nil
+		return page, err
 	}), nil
 }
 
-// readGroup materializes one row group's projected columns, serving
-// individual chunks from the node's hot-page cache when possible. It is
-// the single post-prune decode site: every rg comes from a keep list.
-// Cache hits cost no storage I/O or decompression, so only the chunks
-// actually decoded are merged into the work stats — which is exactly the
-// bytes-decoded drop BenchmarkHotCache measures.
-func (env *execEnv) readGroup(r *parquetlite.Reader, objKey string, rg int, cols []int, schema *types.Schema, twoTouch bool) (*column.Page, error) {
-	pc := env.caches.Pages()
-	prevRead, prevDec := r.BytesRead, r.BytesDecompressed
-	page := &column.Page{Schema: schema, Vectors: make([]*column.Vector, len(cols))}
-	for i, c := range cols {
-		var key string
-		if pc != nil {
-			key = cache.PageKey(objKey, rg, c)
-			if vec, ok := pc.Get(key); ok {
-				page.Vectors[i] = vec
-				continue
-			}
-		}
-		vec, err := r.ReadColumn(rg, c)
-		if err != nil {
-			return nil, err
-		}
-		if pc != nil {
-			pc.Put(key, vec, twoTouch)
-		}
-		page.Vectors[i] = vec
-	}
-	// Merge reader I/O counters incrementally so stats stay correct even
-	// if the pipeline stops early (e.g. under a Limit) and when several
-	// reads share one stats sink.
-	if deltaDec := r.BytesDecompressed - prevDec; deltaDec > 0 || r.BytesRead > prevRead {
-		env.addStatsDelta(r.BytesRead-prevRead, deltaDec,
-			float64(deltaDec)*compress.DecompressCostPerByte(r.Meta().Codec))
-	}
-	return page, nil
+// readGroup reads the i-th surviving row group of obj under a
+// scan.rowgroup span naming its file ordinal.
+func readGroup(env *execEnv, obj *scan.Object, i int) (*column.Page, error) {
+	_, sp := telemetry.StartSpan(env.context(), "scan.rowgroup")
+	sp.SetAttr("group", strconv.Itoa(obj.Group(i)))
+	defer sp.End()
+	return obj.Read(i)
 }
 
 // recordPrune publishes one object's row-group pruning decision: the

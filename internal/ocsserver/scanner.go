@@ -1,13 +1,10 @@
 package ocsserver
 
 import (
-	"strconv"
-
 	"prestocs/internal/column"
 	"prestocs/internal/exec"
-	"prestocs/internal/parquetlite"
+	"prestocs/internal/scan"
 	"prestocs/internal/telemetry"
-	"prestocs/internal/types"
 )
 
 // scanSlot is one row group's outcome, delivered to its ordered slot.
@@ -35,28 +32,24 @@ type scanSlot struct {
 //     it consumes, so a slow consumer (or a backpressured stream) does
 //     not force the whole object into memory — and does not flood the
 //     shared scheduler with row groups it is not ready for.
-//   - Every task opens its own parquetlite.Reader over the shared file
-//     image (with the already-decoded footer injected, so nothing is
-//     re-parsed); readers carry per-instance I/O counters, so sharing one
-//     across workers would race. Deltas merge into env.stats per row
-//     group, keeping partial stats correct on early stop.
+//   - Every task reads through the one scan.Object, which is safe for
+//     concurrent reads and counts its I/O per chunk, keeping partial
+//     stats correct on early stop.
 //   - env.close() (run by the LocalStream teardown after the drain)
 //     closes the queue: pending tasks are dropped and in-flight ones
 //     waited out, bounding wasted work after abandonment to at most the
 //     scheduler's worker count.
 //
-// Reads go through env.readGroup, so chunks land in (and are served
-// from) the node's hot-page cache; objKey and twoTouch carry the cache
-// key and the admission mode compileRead derived from prune selectivity.
-func parallelScan(env *execEnv, data []byte, meta *parquetlite.FileMeta, objKey string, groups, cols []int, twoTouch bool, outSchema *types.Schema) exec.Operator {
-	slots := make([]chan scanSlot, len(groups))
+// Reads go through obj, so chunks land in (and are served from) the
+// node's hot-page cache under the admission mode scan.Open derived from
+// prune selectivity.
+func parallelScan(env *execEnv, obj *scan.Object) exec.Operator {
+	groups := obj.Len()
+	slots := make([]chan scanSlot, groups)
 	for i := range slots {
 		slots[i] = make(chan scanSlot, 1)
 	}
-	lookahead := 2 * env.scanPool
-	if lookahead > len(groups) {
-		lookahead = len(groups)
-	}
+	lookahead := min(2*env.scanPool, groups)
 
 	// Scan observability: queued counts row groups submitted but not yet
 	// claimed by a worker, active counts row groups being read right now,
@@ -68,11 +61,9 @@ func parallelScan(env *execEnv, data []byte, meta *parquetlite.FileMeta, objKey 
 	scanned := reg.Counter(telemetry.MetricScanPoolRowGroups)
 
 	q := env.sched.register(env.scanPool, reg.Gauge(telemetry.MetricScanSchedQueries))
-	projSchema := meta.Schema.Project(cols)
 
 	submit := func(idx int) {
 		slot := slots[idx]
-		rg := groups[idx]
 		task := scanTask{
 			run: func() {
 				queued.Add(-1)
@@ -82,18 +73,8 @@ func parallelScan(env *execEnv, data []byte, meta *parquetlite.FileMeta, objKey 
 					slot <- scanSlot{err: errSchedulerClosed}
 					return
 				}
-				r, err := parquetlite.NewReaderWithMeta(data, meta)
-				if err != nil {
-					// The image parsed once already in compileRead, so this
-					// is near-impossible; settle the slot with the error.
-					slot <- scanSlot{err: err}
-					return
-				}
 				active.Add(1)
-				_, sp := telemetry.StartSpan(env.context(), "scan.rowgroup")
-				sp.SetAttr("group", strconv.Itoa(rg))
-				page, err := env.readGroup(r, objKey, rg, cols, projSchema, twoTouch)
-				sp.End()
+				page, err := readGroup(env, obj, idx)
 				active.Add(-1)
 				scanned.Inc()
 				slot <- scanSlot{page: page, err: err}
@@ -112,7 +93,7 @@ func parallelScan(env *execEnv, data []byte, meta *parquetlite.FileMeta, objKey 
 	env.closers = append(env.closers, func() {
 		// Pending tasks are dropped (their slots stay empty, but the
 		// consumer is gone too); in-flight ones are waited out so their
-		// stats deltas land before env.finish runs.
+		// reads are counted before env.finish runs.
 		dropped := q.close()
 		queued.Add(int64(-dropped))
 	})
@@ -123,8 +104,8 @@ func parallelScan(env *execEnv, data []byte, meta *parquetlite.FileMeta, objKey 
 		submitted++
 	}
 	next := 0
-	return exec.NewFuncSource(outSchema, func() (*column.Page, error) {
-		if next >= len(groups) {
+	return exec.NewFuncSource(obj.Schema(), func() (*column.Page, error) {
+		if next >= groups {
 			return nil, nil
 		}
 		s := <-slots[next]
@@ -134,7 +115,7 @@ func parallelScan(env *execEnv, data []byte, meta *parquetlite.FileMeta, objKey 
 		}
 		// Keep the lookahead window full: one new submission per page
 		// consumed replaces the token pool the private-worker design used.
-		if submitted < len(groups) {
+		if submitted < groups {
 			submit(submitted)
 			submitted++
 		}

@@ -91,8 +91,10 @@ func BenchmarkPrunedRead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, _ := NewReader(data)
 		for _, rg := range keepGroups(r, pred) {
-			if _, err := r.ReadRowGroup(rg, []int{0, 1}); err != nil {
-				b.Fatal(err)
+			for _, c := range []int{0, 1} {
+				if _, err := r.ReadColumn(rg, c); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -27,11 +28,38 @@ func sameVector(t *testing.T, a, b *column.Vector) {
 	}
 }
 
+// decodeAllocBound is the most heap decoding an n-byte chunk body may
+// allocate. A validity byte flags at most 8 rows, and a row decodes to at
+// most 9 bytes: an 8-byte value and a 1-byte NULL flag. (A string row's
+// 16-byte header costs the body at least a 4-byte offset or code, a
+// dictionary entry's a 4-byte length, and a bool row a second bit.) That
+// is 72 bytes per body byte; the allocator rounds a size up to its class
+// by at most 1/8, giving 81, and the vector, the page and an error take a
+// fixed 4 KiB besides.
+func decodeAllocBound(n int64) uint64 { return uint64(81*n + 4<<10) }
+
+// leastAlloc is the fewest heap bytes f allocated over three runs (the
+// fewest, so another goroutine's allocation and the scratch pool's first
+// fill do not count).
+func leastAlloc(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
 // FuzzNewReader feeds whole file images, seeded from writer output, to
 // the reader: the footer and every chunk may be rejected but nothing may
 // panic, no chunk may decode to more rows than its validity bitmap's
-// bytes can flag, and an image that reads completely must read the same
-// after its pages went through the writer again.
+// bytes can flag, a row group that reads allocates within
+// decodeAllocBound of its chunks' decompressed bytes, and an image that
+// reads completely must read the same after its pages went through the
+// writer again.
 func FuzzNewReader(f *testing.F) {
 	rnd := rand.New(rand.NewSource(1))
 	for _, codec := range []compress.Codec{compress.None, compress.Snappy} {
@@ -69,9 +97,23 @@ func FuzzNewReader(f *testing.F) {
 			if decoded += len(cols) * int(group.NumRows); decoded > 1<<22 {
 				return // many groups may share one chunk; enough is read
 			}
-			p, err := r.ReadRowGroup(rg, cols)
-			if err != nil {
+			p := &column.Page{Schema: r.Schema(), Vectors: make([]*column.Vector, len(cols))}
+			readGroup := func() {
+				for _, c := range cols {
+					if p.Vectors[c], err = r.ReadColumn(rg, c); err != nil {
+						return
+					}
+				}
+			}
+			if readGroup(); err != nil {
 				return
+			}
+			var bound uint64
+			for _, ch := range group.Chunks {
+				bound += decodeAllocBound(ch.UncompressedSize)
+			}
+			if got := leastAlloc(readGroup); got > bound {
+				t.Fatalf("row group %d: decoding %d chunks allocated %d bytes, bound %d", rg, len(cols), got, bound)
 			}
 			for c, vec := range p.Vectors {
 				if limit := 8 * group.Chunks[c].UncompressedSize; int64(vec.Len()) > limit {
@@ -127,8 +169,8 @@ func dictRowStrings(body []byte) []string {
 // FuzzReadColumn feeds one chunk body, seeded from the writer's chunk
 // bodies of every kind and encoding, through ReadColumn behind an honest
 // footer: a body may be rejected, but never by a panic and never after
-// sizing an allocation from a count its bytes cannot back (the 8-byte
-// seed asks for a 4-billion-entry dictionary), and a body that decodes
+// allocating more than decodeAllocBound of its bytes (the 8-byte seed
+// asks for a 4-billion-entry dictionary), and a body that decodes
 // must encode and decode to the same vector again. A Dict body decodes to
 // a vector in dictionary form whose every code indexes its Dict and whose
 // rows materialize to the strings a row-at-a-time decode gives.
@@ -170,6 +212,9 @@ func FuzzReadColumn(f *testing.F) {
 			t.Fatalf("honest footer rejected: %v", err)
 		}
 		vec, err := r.ReadColumn(0, 0)
+		if got, bound := leastAlloc(func() { _, _ = r.ReadColumn(0, 0) }), decodeAllocBound(int64(len(body))); got > bound {
+			t.Fatalf("a %d-byte chunk allocated %d bytes to decode, bound %d (err %v)", len(body), got, bound, err)
+		}
 		if err != nil {
 			return
 		}

@@ -23,17 +23,12 @@ var decodeBufPool = sync.Pool{
 }
 
 // Reader provides random access to a parquetlite file image: footer
-// metadata, selective column-chunk reads and row-group pruning. It also
-// meters the bytes it touches (compressed reads and decompressed output)
-// so the cost model can price storage I/O and decompression.
+// metadata, selective column-chunk reads and row-group pruning. It is
+// immutable once opened, so one reader serves concurrent reads; the
+// bytes a read costs are in the footer's chunk sizes.
 type Reader struct {
 	data []byte
 	meta *FileMeta
-
-	// BytesRead accumulates compressed chunk bytes actually read.
-	BytesRead int64
-	// BytesDecompressed accumulates post-decompression chunk bytes.
-	BytesDecompressed int64
 }
 
 // NewReader parses the footer of a file image.
@@ -107,7 +102,6 @@ func (r *Reader) ReadColumn(rowGroup, col int) (*column.Vector, error) {
 	}
 	ch := rg.Chunks[col]
 	comp := r.data[ch.Offset : ch.Offset+ch.CompressedSize]
-	r.BytesRead += ch.CompressedSize
 	var raw []byte
 	var scratch *[]byte
 	if r.meta.Codec == compress.None {
@@ -123,7 +117,6 @@ func (r *Reader) ReadColumn(rowGroup, col int) (*column.Vector, error) {
 			return nil, fmt.Errorf("parquetlite: chunk rg=%d col=%d: %w", rowGroup, col, err)
 		}
 	}
-	r.BytesDecompressed += int64(len(raw))
 	// A chunk that decompresses to another length than the footer records
 	// is not the chunk the footer describes.
 	var vec *column.Vector
@@ -146,42 +139,32 @@ func (r *Reader) ReadColumn(rowGroup, col int) (*column.Vector, error) {
 	return vec, nil
 }
 
-// ReadRowGroup materializes the given columns of one row group as a page.
-// cols is a list of schema ordinals; the resulting page's schema is the
+// ReadAll materializes the given columns of every row group, a page per
+// group. cols is a list of schema ordinals; each page's schema is the
 // projection in that order.
-func (r *Reader) ReadRowGroup(rowGroup int, cols []int) (*column.Page, error) {
-	schema := r.meta.Schema.Project(cols)
-	page := &column.Page{Schema: schema, Vectors: make([]*column.Vector, len(cols))}
-	for i, c := range cols {
-		vec, err := r.ReadColumn(rowGroup, c)
-		if err != nil {
-			return nil, err
-		}
-		page.Vectors[i] = vec
-	}
-	return page, nil
-}
-
-// ReadAll materializes the given columns of every row group.
 func (r *Reader) ReadAll(cols []int) ([]*column.Page, error) {
-	pages := make([]*column.Page, 0, len(r.meta.RowGroups))
-	for rg := range r.meta.RowGroups {
-		p, err := r.ReadRowGroup(rg, cols)
-		if err != nil {
-			return nil, err
+	schema := r.meta.Schema.Project(cols)
+	pages := make([]*column.Page, len(r.meta.RowGroups))
+	for rg := range pages {
+		page := &column.Page{Schema: schema, Vectors: make([]*column.Vector, len(cols))}
+		for i, c := range cols {
+			vec, err := r.ReadColumn(rg, c)
+			if err != nil {
+				return nil, err
+			}
+			page.Vectors[i] = vec
 		}
-		pages = append(pages, p)
+		pages[rg] = page
 	}
 	return pages, nil
 }
 
 // PruneRowGroupsRanges prunes with a precomputed range analysis, so one
 // analysis can be shared across files and row groups. cols lists the
-// schema ordinals the scan would decode (nil means every column); it is
-// used only to account the compressed bytes a pruned group would have
-// read. Returns the surviving group ordinals (in file order, preserving
-// the deterministic merge order of the parallel scanner), the pruned
-// ordinals, and the bytes skipped.
+// schema ordinals the scan would decode; it is used only to account the
+// compressed bytes a pruned group would have read. Returns the surviving
+// group ordinals (in file order, preserving the deterministic merge order
+// of the parallel scanner), the pruned ordinals, and the bytes skipped.
 func (r *Reader) PruneRowGroupsRanges(ranges expr.Ranges, cols []int) (keep, pruned []int, bytesSkipped int64) {
 	keep = make([]int, 0, len(r.meta.RowGroups))
 	for i, group := range r.meta.RowGroups {
@@ -198,28 +181,13 @@ func (r *Reader) PruneRowGroupsRanges(ranges expr.Ranges, cols []int) (keep, pru
 			continue
 		}
 		pruned = append(pruned, i)
-		bytesSkipped += r.rowGroupBytes(i, cols)
+		for _, c := range cols {
+			if c >= 0 && c < len(group.Chunks) {
+				bytesSkipped += group.Chunks[c].CompressedSize
+			}
+		}
 	}
 	return keep, pruned, bytesSkipped
-}
-
-// rowGroupBytes sums the compressed size of the projected chunks of one
-// row group (nil cols means all chunks).
-func (r *Reader) rowGroupBytes(rg int, cols []int) int64 {
-	group := r.meta.RowGroups[rg]
-	var n int64
-	if cols == nil {
-		for _, ch := range group.Chunks {
-			n += ch.CompressedSize
-		}
-		return n
-	}
-	for _, c := range cols {
-		if c >= 0 && c < len(group.Chunks) {
-			n += group.Chunks[c].CompressedSize
-		}
-	}
-	return n
 }
 
 // ColumnStats merges the chunk zone maps of one column across all row
