@@ -161,16 +161,16 @@ vet-telemetry:
 
 # vet-scan holds every storage read to one package (DESIGN.md §4c): the
 # only module packages whose non-test code imports internal/parquetlite
-# are cache (decoded footers), scan (the read: footer, schema check,
-# pruning, page cache, I/O), ingest (the writer and the compactor) and
-# workload (datagen). Every other package opens objects with scan.Open,
-# whose Object exposes only the row groups pruning kept and opens the
-# footer through the footer cache.
+# are scan (the read: footer and page caches, schema check, pruning,
+# I/O), ingest (the writer; the compactor reads its sources through
+# scan.Open) and workload (datagen). Every other package opens objects
+# with scan.Open, whose Object exposes only the row groups pruning kept
+# and opens the footer through the footer cache.
 vet-scan:
 	@importers=$$($(GO) list -f '{{range .Imports}}{{if eq . "prestocs/internal/parquetlite"}}{{$$.ImportPath}}{{"\n"}}{{end}}{{end}}' ./...) || exit 1; \
-	bad=$$(echo "$$importers" | grep -vxE 'prestocs/internal/(cache|scan|ingest|workload)|'); \
+	bad=$$(echo "$$importers" | grep -vxE 'prestocs/internal/(scan|ingest|workload)|'); \
 	if [ -n "$$bad" ]; then \
-		echo "vet-scan: packages outside cache, scan, ingest and workload import internal/parquetlite"; \
+		echo "vet-scan: packages outside scan, ingest and workload import internal/parquetlite"; \
 		echo "(read objects through scan.Open):"; \
 		echo "$$bad"; \
 		exit 1; \

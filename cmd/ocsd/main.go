@@ -21,8 +21,8 @@ import (
 	"os/signal"
 	"syscall"
 
-	"prestocs/internal/cache"
 	"prestocs/internal/ocsserver"
+	"prestocs/internal/scan"
 	"prestocs/internal/telemetry"
 )
 
@@ -31,8 +31,8 @@ func main() {
 	nodes := flag.Int("nodes", 1, "storage node count")
 	nodeListen := flag.String("node-listen", "127.0.0.1:0", "storage node listen address pattern (port 0 = ephemeral)")
 	metricsListen := flag.String("metrics-listen", "", "debug HTTP address for /metrics and /debug/traces (empty = disabled)")
-	footerCacheBytes := flag.Int64("footer-cache-bytes", cache.DefaultFooterCacheBytes, "per-node decoded-footer cache budget (0 disables)")
-	pageCacheBytes := flag.Int64("page-cache-bytes", cache.DefaultPageCacheBytes, "per-node hot-page cache budget (0 disables)")
+	footerCacheBytes := flag.Int64("footer-cache-bytes", scan.DefaultFooterCacheBytes, "per-node decoded-footer cache budget (0 disables)")
+	pageCacheBytes := flag.Int64("page-cache-bytes", scan.DefaultPageCacheBytes, "per-node hot-page cache budget (0 disables)")
 	scanPool := flag.Int("scan-pool", 0, "per-node scan-scheduler workers (0 = storage-node core count)")
 	streamWindow := flag.Int("stream-window", 0, "per-stream credit window in chunks (0 = default)")
 	flag.Parse()
@@ -49,7 +49,7 @@ func main() {
 	var storageNodes []*ocsserver.StorageNode
 	for i := 0; i < *nodes; i++ {
 		node := ocsserver.NewStorageNode(i)
-		node.Caches = cache.NewStorage(*footerCacheBytes, *pageCacheBytes)
+		node.Caches = scan.NewCaches(*footerCacheBytes, *pageCacheBytes)
 		node.ScanPool = *scanPool
 		node.StreamWindow = *streamWindow
 		if reg != nil {

@@ -17,8 +17,11 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 )
 
 // Codec identifies a compression algorithm.
@@ -113,56 +116,39 @@ func EncodeAppend(c Codec, dst, src []byte) ([]byte, error) {
 }
 
 // Decode decompresses src with the codec.
-func Decode(c Codec, src []byte) ([]byte, error) {
-	switch c {
-	case None:
-		out := make([]byte, len(src))
-		copy(out, src)
-		return out, nil
-	case Snappy:
-		return snappyDecode(nil, src)
-	case Gzip:
-		r, err := gzip.NewReader(bytes.NewReader(src))
-		if err != nil {
-			return nil, fmt.Errorf("compress: gzip: %w", err)
-		}
-		defer r.Close()
-		out, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("compress: gzip: %w", err)
-		}
-		return out, nil
-	case Zstd:
-		r := flate.NewReader(bytes.NewReader(src))
-		defer r.Close()
-		out, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("compress: zstd-sim: %w", err)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("compress: unknown codec %d", c)
-	}
-}
+func Decode(c Codec, src []byte) ([]byte, error) { return DecodeAppend(c, src, nil, math.MaxInt) }
+
+// errTooLarge rejects a stream that decompresses to more than its limit.
+var errTooLarge = errors.New("compress: output exceeds its declared size")
 
 // DecodeAppend decompresses src and appends the output to dst, returning
 // the extended slice. Passing a pooled dst with spare capacity lets hot
 // decode paths (parquetlite page reads) avoid a fresh allocation per
 // chunk: every codec, Snappy included, decodes straight into that
 // capacity and allocates only when the output does not fit.
-func DecodeAppend(c Codec, src, dst []byte) ([]byte, error) {
+//
+// limit is the most bytes the output may hold (parquetlite passes the
+// chunk's recorded uncompressed size). A stream that would decode to more
+// fails: Snappy rejects a larger header before it allocates, and the
+// DEFLATE codecs stop one byte past limit, so a small chunk that inflates
+// without bound costs at most limit bytes.
+func DecodeAppend(c Codec, src, dst []byte, limit int) ([]byte, error) {
+	limit = max(limit, 0)
 	switch c {
 	case None:
+		if len(src) > limit {
+			return nil, errTooLarge
+		}
 		return append(dst, src...), nil
 	case Snappy:
-		return snappyDecode(dst, src)
+		return snappyDecode(dst, src, limit)
 	case Gzip:
 		r, err := gzip.NewReader(bytes.NewReader(src))
 		if err != nil {
 			return nil, fmt.Errorf("compress: gzip: %w", err)
 		}
 		defer r.Close()
-		out, err := readAppend(r, dst)
+		out, err := readAppend(r, dst, limit)
 		if err != nil {
 			return nil, fmt.Errorf("compress: gzip: %w", err)
 		}
@@ -170,7 +156,7 @@ func DecodeAppend(c Codec, src, dst []byte) ([]byte, error) {
 	case Zstd:
 		r := flate.NewReader(bytes.NewReader(src))
 		defer r.Close()
-		out, err := readAppend(r, dst)
+		out, err := readAppend(r, dst, limit)
 		if err != nil {
 			return nil, fmt.Errorf("compress: zstd-sim: %w", err)
 		}
@@ -181,18 +167,28 @@ func DecodeAppend(c Codec, src, dst []byte) ([]byte, error) {
 }
 
 // readAppend reads r to EOF, appending into dst's spare capacity first
-// and growing only when needed (io.ReadAll always allocates fresh).
-func readAppend(r io.Reader, dst []byte) ([]byte, error) {
+// and growing only when needed (io.ReadAll always allocates fresh): by
+// what it has read so far and at least 4 KiB, but never to more than one
+// byte past limit. It fails if that byte arrives.
+func readAppend(r io.Reader, dst []byte, limit int) ([]byte, error) {
+	base := len(dst)
 	for {
+		rest := limit - (len(dst) - base) // bytes the output may still take
 		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
+			dst = slices.Grow(dst, min(max(len(dst)-base, 4<<10), rest)+1)
 		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
+		end := cap(dst)
+		if rest < end-len(dst) {
+			end = len(dst) + rest + 1
+		}
+		n, err := r.Read(dst[len(dst):end])
 		dst = dst[:len(dst)+n]
-		if err == io.EOF {
+		switch {
+		case len(dst)-base > limit:
+			return nil, errTooLarge
+		case err == io.EOF:
 			return dst, nil
-		}
-		if err != nil {
+		case err != nil:
 			return nil, err
 		}
 	}

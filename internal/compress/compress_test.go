@@ -103,7 +103,7 @@ func TestSnappyCorruptInputs(t *testing.T) {
 		}
 		// The append form must fail the same way and leave dst's bytes alone.
 		dst := []byte("keep")
-		if _, err := DecodeAppend(Snappy, c, dst[:4:4]); err == nil {
+		if _, err := DecodeAppend(Snappy, c, dst[:4:4], math.MaxInt); err == nil {
 			t.Errorf("case %d: corrupt input appended without error", i)
 		}
 		if string(dst) != "keep" {
@@ -121,6 +121,24 @@ func TestSnappyCorruptInputs(t *testing.T) {
 	}
 }
 
+// TestDecodeAppendLimit: every codec decodes an output of exactly limit
+// bytes and rejects one of limit+1.
+func TestDecodeAppendLimit(t *testing.T) {
+	src := bytes.Repeat([]byte("limit"), 200)
+	for _, c := range Codecs() {
+		enc, err := Encode(c, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeAppend(c, enc, nil, len(src)); err != nil || !bytes.Equal(got, src) {
+			t.Errorf("%s: output of exactly limit bytes: err %v", c, err)
+		}
+		if _, err := DecodeAppend(c, enc, nil, len(src)-1); err == nil {
+			t.Errorf("%s: output one byte past limit accepted", c)
+		}
+	}
+}
+
 // TestSnappyDecodeAppend: the append form decodes into dst's spare
 // capacity when the output fits, keeps what dst already holds, and grows
 // exactly once when it does not fit.
@@ -129,7 +147,7 @@ func TestSnappyDecodeAppend(t *testing.T) {
 		enc, _ := Encode(Snappy, data)
 		roomy := make([]byte, 3, 3+len(data))
 		copy(roomy, "pre")
-		got, err := DecodeAppend(Snappy, enc, roomy)
+		got, err := DecodeAppend(Snappy, enc, roomy, math.MaxInt)
 		if err != nil || !bytes.Equal(got, append([]byte("pre"), data...)) {
 			t.Fatalf("%s: append into spare capacity: %v", name, err)
 		}
@@ -137,7 +155,7 @@ func TestSnappyDecodeAppend(t *testing.T) {
 			t.Errorf("%s: output fit dst's capacity but was reallocated", name)
 		}
 		tight := []byte("pre")
-		got, err = DecodeAppend(Snappy, enc, tight[:3:3])
+		got, err = DecodeAppend(Snappy, enc, tight[:3:3], math.MaxInt)
 		if err != nil || !bytes.Equal(got, append([]byte("pre"), data...)) {
 			t.Fatalf("%s: append with no spare capacity: %v", name, err)
 		}
@@ -291,7 +309,7 @@ func FuzzSnappyDecode(f *testing.F) {
 			if len(out) > snappyMaxExpansion*len(in) {
 				t.Fatalf("%d input bytes decoded to %d", len(in), len(out))
 			}
-			app, err := DecodeAppend(Snappy, in, []byte{'x'})
+			app, err := DecodeAppend(Snappy, in, []byte{'x'}, math.MaxInt)
 			if err != nil || !bytes.Equal(app[1:], out) || app[0] != 'x' {
 				t.Fatalf("DecodeAppend disagrees with Decode: %v", err)
 			}
@@ -390,7 +408,7 @@ func BenchmarkSnappyDecode(b *testing.B) {
 			b.SetBytes(int64(len(in.data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := DecodeAppend(Snappy, enc, buf); err != nil {
+				if _, err := DecodeAppend(Snappy, enc, buf, math.MaxInt); err != nil {
 					b.Fatal(err)
 				}
 			}

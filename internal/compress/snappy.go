@@ -158,14 +158,15 @@ const snappyMaxExpansion = 22
 // output region is sized once from the block header (into dst's spare
 // capacity when it fits) and written by index: literals and
 // non-overlapping matches are one copy each, overlapping matches
-// (offset < length) replicate their pattern by doubling.
-func snappyDecode(dst, src []byte) ([]byte, error) {
+// (offset < length) replicate their pattern by doubling. A header that
+// declares more than limit bytes is rejected before anything is allocated.
+func snappyDecode(dst, src []byte, limit int) ([]byte, error) {
 	uLen, n := binary.Uvarint(src)
 	if n <= 0 {
 		return nil, ErrCorrupt
 	}
 	src = src[n:]
-	if uLen > snappyMaxExpansion*uint64(len(src)) {
+	if uLen > snappyMaxExpansion*uint64(len(src)) || uLen > uint64(limit) {
 		return nil, ErrCorrupt
 	}
 	base := len(dst)

@@ -14,6 +14,7 @@ import (
 	"prestocs/internal/metastore"
 	"prestocs/internal/objstore"
 	"prestocs/internal/parquetlite"
+	"prestocs/internal/scan"
 	"prestocs/internal/telemetry"
 	"prestocs/internal/types"
 )
@@ -180,12 +181,11 @@ func (c *Compactor) merge(ctx context.Context, t *metastore.Table, cands []strin
 
 // readSources fetches and decodes the candidates concurrently, one
 // goroutine each (at most MaxMerge), and returns each one's pages in
-// candidate order. The first failure in candidate order is returned.
+// candidate order. Each is read through scan.Open against the table's
+// schema, so a source whose stored schema drifted fails the run instead
+// of being merged under the table's names. The first failure in
+// candidate order is returned.
 func (c *Compactor) readSources(ctx context.Context, t *metastore.Table, cands []string) ([][]*column.Page, error) {
-	allCols := make([]int, t.Columns.Len())
-	for i := range allCols {
-		allCols[i] = i
-	}
 	sources := make([][]*column.Page, len(cands))
 	errs := make([]error, len(cands))
 	var wg sync.WaitGroup
@@ -193,16 +193,10 @@ func (c *Compactor) readSources(ctx context.Context, t *metastore.Table, cands [
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			img, _, err := c.store.Get(ctx, t.Bucket, key)
-			if err != nil {
+			var err error
+			if sources[i], err = c.readSource(ctx, t, key); err != nil {
 				errs[i] = fmt.Errorf("ingest: compaction read %s/%s: %w", t.Bucket, key, err)
-				return
 			}
-			r, err := parquetlite.NewReader(img)
-			if err == nil {
-				sources[i], err = r.ReadAll(allCols)
-			}
-			errs[i] = err
 		}()
 	}
 	wg.Wait()
@@ -212,6 +206,25 @@ func (c *Compactor) readSources(ctx context.Context, t *metastore.Table, cands [
 		}
 	}
 	return sources, nil
+}
+
+// readSource reads every row group of one candidate.
+func (c *Compactor) readSource(ctx context.Context, t *metastore.Table, key string) ([]*column.Page, error) {
+	img, _, err := c.store.Get(ctx, t.Bucket, key)
+	if err != nil {
+		return nil, err
+	}
+	obj, err := scan.Open(nil, "", img, t.Columns, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	pages := make([]*column.Page, obj.Len())
+	for i := range pages {
+		if pages[i], err = obj.Read(i); err != nil {
+			return nil, err
+		}
+	}
+	return pages, nil
 }
 
 // clusterColumn names the column merged objects are sorted on, so that

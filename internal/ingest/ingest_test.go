@@ -3,12 +3,14 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"maps"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"prestocs/internal/column"
 	"prestocs/internal/metastore"
 	"prestocs/internal/objstore"
 	"prestocs/internal/parquetlite"
@@ -473,6 +475,61 @@ func TestCompactUnknownClusterColumnFails(t *testing.T) {
 	}
 	if store.count() != before || tableVersion(t, ms) != version {
 		t.Errorf("failed run changed the store (%d objects, want %d) or the catalog", store.count(), before)
+	}
+}
+
+// A source object whose stored schema drifted from the table's — a
+// column fewer, a column of another kind, a renamed column — fails the
+// compaction with an error naming it, before anything is written,
+// committed or deleted.
+func TestCompactDriftedSourceFails(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		schema *types.Schema
+		row    []types.Value
+	}{
+		{"column fewer", types.NewSchema(types.Column{Name: "id", Type: types.Int64}),
+			[]types.Value{types.IntValue(9)}},
+		{"kind changed", types.NewSchema(types.Column{Name: "id", Type: types.Int64}, types.Column{Name: "name", Type: types.Float64}),
+			[]types.Value{types.IntValue(9), types.FloatValue(0.5)}},
+		{"renamed", types.NewSchema(types.Column{Name: "id", Type: types.Int64}, types.Column{Name: "label", Type: types.String}),
+			[]types.Value{types.IntValue(9), types.StringValue("z")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ing, ms, store := newTestIngester(t, 2)
+			ctx := context.Background()
+			if _, err := ing.Append(ctx, "default", "events", [][]types.Value{
+				intRow(1, "a"), intRow(2, "b"), intRow(3, "c"), intRow(4, "d"),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			tbl, _ := ms.Get("default", "events")
+			drifted := tbl.Objects[1]
+			page := column.NewPage(tc.schema)
+			page.AppendRow(tc.row...)
+			img, err := parquetlite.WritePages(tc.schema, parquetlite.WriterOptions{}, page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Put(ctx, tbl.Bucket, drifted, img); err != nil {
+				t.Fatal(err)
+			}
+			store.mu.Lock()
+			before := maps.Clone(store.objects)
+			store.mu.Unlock()
+			version := tableVersion(t, ms)
+
+			_, err = NewCompactor(ms, store, CompactorOptions{}).RunOnce(ctx, "default", "events")
+			if err == nil || !strings.Contains(err.Error(), drifted) {
+				t.Fatalf("RunOnce = %v, want an error naming %s", err, drifted)
+			}
+			store.mu.Lock()
+			after := maps.Clone(store.objects)
+			store.mu.Unlock()
+			if !reflect.DeepEqual(after, before) || tableVersion(t, ms) != version {
+				t.Errorf("failed run changed the store (%d objects, want %d) or the catalog", len(after), len(before))
+			}
+		})
 	}
 }
 

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"testing"
 
-	"prestocs/internal/cache"
 	"prestocs/internal/column"
 	"prestocs/internal/compress"
 	"prestocs/internal/expr"
 	"prestocs/internal/objstore"
 	"prestocs/internal/parquetlite"
+	"prestocs/internal/scan"
 	"prestocs/internal/substrait"
 	"prestocs/internal/types"
 )
@@ -143,7 +143,7 @@ func BenchmarkHotCache(b *testing.B) {
 	})
 
 	b.Run("hot", func(b *testing.B) {
-		caches := cache.NewStorage(cache.DefaultFooterCacheBytes, cache.DefaultPageCacheBytes)
+		caches := scan.NewCaches(scan.DefaultFooterCacheBytes, scan.DefaultPageCacheBytes)
 		// Warm outside the timed region: one cold pass populates footer
 		// and page entries for every row group.
 		if _, _, err := ExecuteLocalCached(store, newPlan(), 1, caches); err != nil {

@@ -4,11 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"prestocs/internal/cache"
 	"prestocs/internal/column"
 	"prestocs/internal/expr"
 	"prestocs/internal/objstore"
 	"prestocs/internal/parquetlite"
+	"prestocs/internal/scan"
 	"prestocs/internal/substrait"
 	"prestocs/internal/telemetry"
 	"prestocs/internal/types"
@@ -39,7 +39,7 @@ func TestCacheDifferentialExecution(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	store := objstore.NewStore()
 	store.Put("b", "o", pruneObject(t, rng))
-	caches := cache.NewStorage(1<<20, 8<<20)
+	caches := scan.NewCaches(1<<20, 8<<20)
 	reg := telemetry.NewRegistry()
 	caches.Instrument(reg, "node", "test")
 
@@ -85,7 +85,7 @@ func TestCacheDifferentialExecution(t *testing.T) {
 func TestCacheInvalidationOnRePut(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "o", constObject(t, 1, 64))
-	caches := cache.NewStorage(1<<20, 8<<20)
+	caches := scan.NewCaches(1<<20, 8<<20)
 
 	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: types.NewSchema(types.Column{Name: "x", Type: types.Int64})}
 	cond, err := expr.NewCompare(expr.Ge, expr.Col(0, "x", types.Int64), expr.Lit(types.IntValue(0)))

@@ -12,7 +12,6 @@ import (
 	"strconv"
 
 	"prestocs/internal/bloom"
-	"prestocs/internal/cache"
 	"prestocs/internal/column"
 	"prestocs/internal/costmodel"
 	"prestocs/internal/exec"
@@ -50,7 +49,7 @@ type openOpts struct {
 	// caches holds the node's footer and hot-page caches; nil runs fully
 	// uncached (in-process callers and the connector's replay, which must
 	// not touch node caches it cannot see).
-	caches *cache.Storage
+	caches *scan.Caches
 
 	// ctx carries the ambient tracer, span and metrics registry of the
 	// request this execution serves; nil means no telemetry (in-process
@@ -222,7 +221,7 @@ func compileRead(store *objstore.Store, read *substrait.ReadRel, pruneWith expr.
 	}
 	// The object key embeds the store generation, so footers and pages
 	// cached for an earlier version of a re-put object can never be hit.
-	objKey := cache.ObjectKey(read.Bucket, env.object, ver)
+	objKey := scan.ObjectKey(read.Bucket, env.object, ver)
 	obj, err := scan.Open(env.caches, objKey, data, read.BaseSchema, read.Projection, pruneWith)
 	if err != nil {
 		return nil, fmt.Errorf("ocsserver: %s/%s: %w", read.Bucket, env.object, err)
@@ -328,7 +327,7 @@ func ExecuteLocalStream(store *objstore.Store, plan *substrait.Plan, object stri
 // bundle and returns the result pages plus storage-side work stats: the
 // entry point for in-process callers (tests, the layer benchmarks); a nil
 // bundle is the uncached path, pool as for ExecuteLocalStream.
-func ExecuteLocalCached(store *objstore.Store, plan *substrait.Plan, pool int, caches *cache.Storage) ([]*column.Page, *objstore.WorkStats, error) {
+func ExecuteLocalCached(store *objstore.Store, plan *substrait.Plan, pool int, caches *scan.Caches) ([]*column.Page, *objstore.WorkStats, error) {
 	return execute(store, plan, openOpts{scanPool: pool, caches: caches})
 }
 

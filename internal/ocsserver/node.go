@@ -7,11 +7,11 @@ import (
 	"sync"
 
 	"prestocs/internal/arrowlite"
-	"prestocs/internal/cache"
 	"prestocs/internal/column"
 	"prestocs/internal/objstore"
 	"prestocs/internal/protowire"
 	"prestocs/internal/rpc"
+	"prestocs/internal/scan"
 	"prestocs/internal/substrait"
 	"prestocs/internal/telemetry"
 )
@@ -51,7 +51,7 @@ type StorageNode struct {
 	// NewStorageNode installs defaults; replace (or nil out) before the
 	// first query to resize or disable. Listen binds its counters to
 	// Metrics under this node's label.
-	Caches *cache.Storage
+	Caches *scan.Caches
 
 	// MaxBloomBytes caps the bloom-filter bit arrays a pushed plan may
 	// attach (per BloomFilterRel). Oversize filters are refused with an
@@ -94,7 +94,7 @@ func NewStorageNode(id int) *StorageNode {
 		ID:     id,
 		store:  objstore.NewStore(),
 		rpc:    rpc.NewServer(),
-		Caches: cache.NewStorage(cache.DefaultFooterCacheBytes, cache.DefaultPageCacheBytes),
+		Caches: scan.NewCaches(scan.DefaultFooterCacheBytes, scan.DefaultPageCacheBytes),
 		sched:  newScanScheduler(), // vet-concurrency:allow the node-wide scheduler, shared by every query
 	}
 	n.rpc.RegisterStream(NodeMethodExecute, n.handleExecute)

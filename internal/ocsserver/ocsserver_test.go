@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"prestocs/internal/cache"
 	"prestocs/internal/column"
 	"prestocs/internal/compress"
 	"prestocs/internal/exec"
@@ -15,6 +14,7 @@ import (
 	"prestocs/internal/objstore"
 	"prestocs/internal/parquetlite"
 	"prestocs/internal/rpc"
+	"prestocs/internal/scan"
 	"prestocs/internal/substrait"
 	"prestocs/internal/types"
 )
@@ -431,7 +431,7 @@ func TestNodeRPCEqualsExecuteLocalCached(t *testing.T) {
 		}),
 	}
 	node := cluster.Nodes[0]
-	caches := cache.NewStorage(cache.DefaultFooterCacheBytes, cache.DefaultPageCacheBytes)
+	caches := scan.NewCaches(scan.DefaultFooterCacheBytes, scan.DefaultPageCacheBytes)
 	for _, plan := range plans {
 		name := plan.String()
 		res, err := drain(context.Background(), cli, plan)

@@ -2,6 +2,7 @@ package parquetlite
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -349,6 +350,43 @@ func TestChunkLengthMustMatchFooter(t *testing.T) {
 		}
 		if _, err := r2.ReadColumn(0, 0); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: decoded length disagrees with the footer, got %v", codec, err)
+		}
+	}
+}
+
+// TestChunkInflationBoundedByFooter: a chunk that inflates far past the
+// uncompressed size its footer records — 1 MiB of zeros in about 1 KiB of
+// DEFLATE behind a footer claiming 64 bytes — fails without inflating more
+// than the footer allows.
+func TestChunkInflationBoundedByFooter(t *testing.T) {
+	for _, codec := range []compress.Codec{compress.Gzip, compress.Zstd} {
+		body, err := compress.Encode(codec, make([]byte, 1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta := FileMeta{
+			Schema:  types.NewSchema(types.Column{Name: "c", Type: types.Int64}),
+			Codec:   codec,
+			NumRows: 8,
+			RowGroups: []RowGroupMeta{{NumRows: 8, Chunks: []ChunkMeta{{
+				Offset: int64(len(Magic)), CompressedSize: int64(len(body)), UncompressedSize: 64,
+			}}}},
+		}
+		footer, err := encodeFooter(&meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := append(append(append([]byte(nil), Magic...), body...), footer...)
+		img = append(binary.LittleEndian.AppendUint32(img, uint32(len(footer))), Magic...)
+		r, err := NewReader(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ReadColumn(0, 0); err == nil {
+			t.Fatalf("%s: a %d-byte chunk inflating to 1 MiB decoded under a 64-byte footer", codec, len(body))
+		}
+		if got := leastAlloc(func() { _, _ = r.ReadColumn(0, 0) }); got > 64<<10 {
+			t.Errorf("%s: a %d-byte chunk the footer sizes at 64 bytes allocated %d bytes", codec, len(body), got)
 		}
 	}
 }

@@ -14,13 +14,10 @@ import (
 // decodeBufPool recycles scratch buffers for decompressing column chunks.
 // decodeChunk copies every value out of the raw buffer (ints into vector
 // storage, strings via string()), so the buffer can be recycled as soon
-// as the chunk is decoded.
-var decodeBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 1<<16)
-		return &b
-	},
-}
+// as the chunk is decoded. A fresh buffer is empty: DecodeAppend grows it
+// to the chunk, never past the footer's UncompressedSize, so a chunk read
+// on an emptied pool allocates what it decodes and no fixed amount more.
+var decodeBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Reader provides random access to a parquetlite file image: footer
 // metadata, selective column-chunk reads and row-group pruning. It is
@@ -111,7 +108,7 @@ func (r *Reader) ReadColumn(rowGroup, col int) (*column.Vector, error) {
 	} else {
 		scratch = decodeBufPool.Get().(*[]byte)
 		var err error
-		raw, err = compress.DecodeAppend(r.meta.Codec, comp, (*scratch)[:0])
+		raw, err = compress.DecodeAppend(r.meta.Codec, comp, (*scratch)[:0], int(ch.UncompressedSize))
 		if err != nil {
 			decodeBufPool.Put(scratch)
 			return nil, fmt.Errorf("parquetlite: chunk rg=%d col=%d: %w", rowGroup, col, err)

@@ -1,23 +1,24 @@
 // Package scan is the one storage read of a parquetlite object, under
 // every entry point: the storage node's pushdown scan (ocsserver), the
-// S3 Select baseline (objstore) and the no-pushdown whole-object scan
-// (engine). Open decodes the footer (through the node's footer cache when
-// one is given), checks the stored schema, prunes row groups by their
-// zone maps and returns an Object that exposes only the survivors; Read
-// decodes one survivor's column subset (through the hot-page cache when
-// one is given) and charges the chunks it decoded to the Object's I/O.
+// S3 Select baseline (objstore), the no-pushdown whole-object scan
+// (engine) and compaction's read of its sources (ingest). Open decodes
+// the footer (through the node's footer cache when one is given), checks
+// the stored schema, prunes row groups by their zone maps and returns an
+// Object that exposes only the survivors; Read decodes one survivor's
+// column subset (through the hot-page cache when one is given) and
+// charges the chunks it decoded to the Object's I/O. The two caches
+// (cache.go) are filled and read nowhere else.
 //
 // A pruned row group cannot be decoded: Read indexes the keep-list, not
-// the file. This package, cache, ingest and workload are the only ones
-// that import internal/parquetlite (make vet-scan checks it), so no other
-// read can go around the pruning step.
+// the file. This package, ingest and workload are the only ones that
+// import internal/parquetlite (make vet-scan checks it), so no other read
+// can go around the pruning step.
 package scan
 
 import (
 	"fmt"
 	"sync/atomic"
 
-	"prestocs/internal/cache"
 	"prestocs/internal/column"
 	"prestocs/internal/compress"
 	"prestocs/internal/expr"
@@ -30,7 +31,7 @@ import (
 // concurrent Read calls; the parquetlite reader under it is immutable.
 type Object struct {
 	r        *parquetlite.Reader
-	pages    *cache.PageCache
+	pages    *level
 	key      string
 	cols     []int
 	schema   *types.Schema
@@ -56,14 +57,14 @@ type IO struct {
 // (full-schema ordinals, in output order; nil reads every column).
 //
 // caches is the node's cache bundle (nil reads uncached) and key the
-// object version's cache key (cache.ObjectKey). want, when not nil, must
+// object version's cache key (ObjectKey). want, when not nil, must
 // equal the stored schema. pred, when not nil, is a predicate over the
 // read's output ordinals: Open remaps it to full-schema ordinals and
 // drops the row groups whose zone maps prove it false. A scan that
 // prunes at least half the groups switches the page cache to two-touch
-// admission (cache.PageCache.Put).
-func Open(caches *cache.Storage, key string, data []byte, want *types.Schema, cols []int, pred expr.Expr) (*Object, error) {
-	r, err := caches.Footer().Open(key, data)
+// admission (level.put).
+func Open(caches *Caches, key string, data []byte, want *types.Schema, cols []int, pred expr.Expr) (*Object, error) {
+	r, err := caches.openFooter(key, data)
 	if err != nil {
 		return nil, err
 	}
@@ -134,9 +135,9 @@ func (o *Object) Read(i int) (*column.Page, error) {
 	for j, c := range o.cols {
 		var key string
 		if o.pages != nil {
-			key = cache.PageKey(o.key, rg, c)
-			if vec, ok := o.pages.Get(key); ok {
-				page.Vectors[j] = vec
+			key = pageKey(o.key, rg, c)
+			if vec, ok := o.pages.get(key); ok {
+				page.Vectors[j] = vec.(*column.Vector)
 				continue
 			}
 		}
@@ -146,7 +147,11 @@ func (o *Object) Read(i int) (*column.Page, error) {
 		}
 		o.bytesRead.Add(chunks[c].CompressedSize)
 		o.bytesDecompressed.Add(chunks[c].UncompressedSize)
-		o.pages.Put(key, vec, o.twoTouch)
+		if o.pages != nil {
+			// ByteSize walks a string chunk's values: an uncached read
+			// does not pay it.
+			o.pages.put(key, vec, vec.ByteSize()+int64(len(key)), o.twoTouch)
+		}
 		page.Vectors[j] = vec
 	}
 	return page, nil

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"prestocs/internal/cache"
 	"prestocs/internal/column"
 	"prestocs/internal/compress"
 	"prestocs/internal/expr"
@@ -95,8 +94,8 @@ func TestChargesFooterChunkSizes(t *testing.T) {
 // version is served from the page cache and charges no bytes.
 func TestPageCacheHitChargesNothing(t *testing.T) {
 	data := testObject(t, compress.Snappy)
-	caches := cache.NewStorage(1<<20, 1<<20)
-	key := cache.ObjectKey("b", "o", 1)
+	caches := NewCaches(1<<20, 1<<20)
+	key := ObjectKey("b", "o", 1)
 	cold, err := Open(caches, key, data, testSchema(), []int{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +169,7 @@ func TestConcurrentReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := readAll(t, seq)
-	o, err := Open(cache.NewStorage(1<<20, 1<<20), cache.ObjectKey("b", "o", 1), data, nil, nil, nil)
+	o, err := Open(NewCaches(1<<20, 1<<20), ObjectKey("b", "o", 1), data, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
