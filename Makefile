@@ -67,9 +67,9 @@ bench-paper:
 # killed connections, black-holed links, dead compute units, cancelled
 # and deadline-bounded queries, cache-invalidation races, the
 # mixed-traffic load scenarios (starvation, slow readers, killed clients
-# mid-stream), the connector's refusal handling (the bloom cap's one
-# retry) and its mid-stream resume on the local replay, plain and with a
-# pushed bloom filter, and the write-path scenarios (killed ingest,
+# mid-stream), the connector's fallback and its mid-stream resume on the
+# local replay, plain and with a pushed bloom filter, and the write-path
+# scenarios (killed ingest,
 # compaction racing queries, snapshot-pinned scans) (DESIGN.md §5b, §7,
 # §10).
 faults:

@@ -319,7 +319,7 @@ func (a *analysis) measureRef(measures *[]measure, fn substrait.AggFunc, arg exp
 		i = len(*measures)
 		*measures = append(*measures, m)
 	}
-	kind, _ := fn.ResultKind(inKind) // Unknown on error, as in plan.AggregateSchema
+	kind, _ := fn.ResultKind(inKind) // every caller has checked fn over arg
 	return expr.Col(len(a.base)+i, fmt.Sprintf("$agg%d", i), kind)
 }
 

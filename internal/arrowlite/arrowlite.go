@@ -2,9 +2,9 @@
 // a schema message and record batch messages, each batch encoded as
 // validity bitmaps plus typed little-endian value buffers (offsets + data
 // for strings). OCS returns query results in this form — the storage node
-// sends the schema message as a result stream's chunk 0 and one record
-// batch message per page after it — and the Presto-OCS connector's
-// PageSourceProvider decodes them back into engine pages, mirroring the
+// sends one record batch message per page, and the Presto-OCS
+// connector's PageSourceProvider decodes them back into engine pages
+// against the schema both sides derive from the plan — mirroring the
 // paper's Arrow result path.
 //
 // Message layout:
@@ -66,10 +66,9 @@ func codeKind(c uint8) (types.Kind, error) {
 	}
 }
 
-// AppendSchema appends an encoded schema message to dst and returns the
-// extended slice. It is the allocation-free form of the schema encoder,
-// usable with GetBuf for streaming one message per RPC chunk.
-func AppendSchema(dst []byte, s *types.Schema) ([]byte, error) {
+// appendSchema appends an encoded schema message to dst and returns the
+// extended slice.
+func appendSchema(dst []byte, s *types.Schema) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Len()))
 	for _, c := range s.Columns {
 		code, err := kindCode(c.Type)
@@ -83,9 +82,9 @@ func AppendSchema(dst []byte, s *types.Schema) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeSchemaMsg decodes one schema message (the payload of the first
-// stream chunk in the OCS result protocol).
-func DecodeSchemaMsg(b []byte) (*types.Schema, error) {
+// decodeSchemaMsg decodes one schema message (the first message of a
+// Serialize buffer).
+func decodeSchemaMsg(b []byte) (*types.Schema, error) {
 	if len(b) < 4 {
 		return nil, ErrCorrupt
 	}
@@ -326,7 +325,7 @@ func zeroNulls[T any](vals []T, nulls []bool) {
 // Serialize encodes pages into one buffer: the schema message, then each
 // page's batch message, each behind its u32 length.
 func Serialize(schema *types.Schema, pages []*column.Page) ([]byte, error) {
-	out, err := AppendSchema(make([]byte, 4), schema)
+	out, err := appendSchema(make([]byte, 4), schema)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +350,7 @@ func Deserialize(data []byte) (*types.Schema, []*column.Page, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	schema, err := DecodeSchemaMsg(msg)
+	schema, err := decodeSchemaMsg(msg)
 	if err != nil {
 		return nil, nil, err
 	}

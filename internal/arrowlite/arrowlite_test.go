@@ -134,7 +134,7 @@ func TestEmptyBatchAndEmptyStream(t *testing.T) {
 }
 
 // TestStreamingReaderWriter: Serialize emits exactly the result stream's
-// messages — AppendSchema's bytes, then each page's AppendBatch bytes, in
+// messages — appendSchema's bytes, then each page's AppendBatch bytes, in
 // order — each behind its u32 length, and Deserialize hands the pages
 // back one by one.
 func TestStreamingReaderWriter(t *testing.T) {
@@ -145,7 +145,7 @@ func TestStreamingReaderWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schemaMsg, err := AppendSchema(nil, p.Schema)
+	schemaMsg, err := appendSchema(nil, p.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +238,10 @@ func TestCorruptStreams(t *testing.T) {
 	}
 	// A schema message claiming 16M columns in four bytes.
 	count := []byte{0xff, 0xff, 0xff, 0x00}
-	if _, err := DecodeSchemaMsg(count); err == nil {
+	if _, err := decodeSchemaMsg(count); err == nil {
 		t.Fatal("16M-column schema of 4 bytes accepted")
 	}
-	if got := leastAlloc(func() { _, _ = DecodeSchemaMsg(count) }); got > uint64(len(count)) {
+	if got := leastAlloc(func() { _, _ = decodeSchemaMsg(count) }); got > uint64(len(count)) {
 		t.Errorf("16M-column schema of 4 bytes: %d bytes allocated", got)
 	}
 }

@@ -30,46 +30,60 @@ type Filter struct {
 	m    uint64 // number of bits, a whole number of 64-bit words
 }
 
-// DefaultBitsPerKey (10 bits/key, ~1% false positives at k=7) matches
-// the sizing used by LSM block filters.
+// DefaultBitsPerKey (10 bits/key, k=6, ~1% false positives) matches the
+// sizing used by LSM block filters.
 const DefaultBitsPerKey = 10
 
-// New sizes a filter for the expected number of distinct keys. Zero
-// expected keys still allocates one word so an empty build side rejects
-// every probe row.
+// MaxBytes is the largest bit array a filter has: New never allocates
+// more, and CheckShape — so FromBits and the Substrait plan decoder —
+// refuses more. 256 KiB holds ~210k keys at DefaultBitsPerKey; a larger
+// build side gets fewer bits per key, so more false positives, and never
+// a larger filter on the wire to every probe split.
+const MaxBytes = 256 << 10
+
+// New sizes a filter for the expected number of distinct keys, at most
+// MaxBytes. Zero expected keys still allocates one word so an empty build
+// side rejects every probe row.
 func New(expectedKeys, bitsPerKey int) *Filter {
 	if bitsPerKey <= 0 {
 		bitsPerKey = DefaultBitsPerKey
 	}
 	nbits := uint64(expectedKeys) * uint64(bitsPerKey)
-	if nbits < 64 {
-		nbits = 64
-	}
+	nbits = min(max(nbits, 64), MaxBytes*8)
 	nbits = (nbits + 63) &^ 63
-	// k = ln2 * bits-per-key is the optimal hash count.
-	k := int(float64(bitsPerKey) * 0.69)
-	if k < 1 {
-		k = 1
+	// k = ln2 * bits-per-key is the optimal hash count, taken from the
+	// bits allocated when the cap cut them below bitsPerKey.
+	perKey := float64(bitsPerKey)
+	if expectedKeys > 0 {
+		perKey = min(perKey, float64(nbits)/float64(expectedKeys))
 	}
-	if k > 8 {
-		k = 8
-	}
+	k := min(max(int(perKey*0.69), 1), 8)
 	return &Filter{bits: make([]byte, nbits/8), k: k, m: nbits}
+}
+
+// CheckShape is the one rule for a filter's wire form: a bit array of
+// whole 64-bit words, at least one and at most MaxBytes, and 1 to 16 hash
+// probes. New only ever produces such filters.
+func CheckShape(nbytes, numHash int) error {
+	switch {
+	case nbytes == 0:
+		return fmt.Errorf("bloom: empty bit array")
+	case nbytes%8 != 0:
+		return fmt.Errorf("bloom: bit array of %d bytes is not a whole number of words", nbytes)
+	case nbytes > MaxBytes:
+		return fmt.Errorf("bloom: bit array of %d bytes exceeds the %d-byte cap", nbytes, MaxBytes)
+	case numHash < 1 || numHash > 16:
+		return fmt.Errorf("bloom: bad hash count %d", numHash)
+	}
+	return nil
 }
 
 // FromBits reconstructs a filter from its wire form (the storage-node
 // side of the pushdown) over bits itself — nothing is copied or sized from
-// the input. New only ever produces whole 64-bit words, so anything else
-// did not come from it.
+// the input.
 func FromBits(bits []byte, numHash int) (*Filter, error) {
-	if len(bits) == 0 {
-		return nil, fmt.Errorf("bloom: empty bit array")
-	}
-	if len(bits)%8 != 0 {
-		return nil, fmt.Errorf("bloom: bit array of %d bytes is not a whole number of words", len(bits))
-	}
-	if numHash < 1 || numHash > 16 {
-		return nil, fmt.Errorf("bloom: bad hash count %d", numHash)
+	if err := CheckShape(len(bits), numHash); err != nil {
+		return nil, err
 	}
 	return &Filter{bits: bits, k: numHash, m: uint64(len(bits)) * 8}, nil
 }

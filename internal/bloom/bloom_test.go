@@ -266,3 +266,28 @@ func TestNilSelectionIsEveryRow(t *testing.T) {
 		}
 	}
 }
+
+// TestNewStaysUnderTheCap: however large the build side, New allocates at
+// most MaxBytes, with the hash count taken from the bits per key it could
+// afford; below the cap it sizes at bitsPerKey as before. CheckShape —
+// and so FromBits — takes a MaxBytes array and refuses one word more.
+func TestNewStaysUnderTheCap(t *testing.T) {
+	big := New(1_000_000, DefaultBitsPerKey)
+	if big.SizeBytes() > MaxBytes {
+		t.Errorf("New(1M) is %d bytes, cap %d", big.SizeBytes(), MaxBytes)
+	}
+	// 2.10 bits per key: k = ln2 · 2.10 rounds down to 1.
+	if big.NumHash() != 1 {
+		t.Errorf("New(1M) probes %d times, want 1 for %.2f bits per key", big.NumHash(), float64(MaxBytes*8)/1_000_000)
+	}
+	small := New(38_000, DefaultBitsPerKey)
+	if small.SizeBytes() != (38_000*DefaultBitsPerKey+63)/64*8 || small.NumHash() != 6 {
+		t.Errorf("New(38k) is %d bytes, k=%d; want %d bits per key and k=6", small.SizeBytes(), small.NumHash(), DefaultBitsPerKey)
+	}
+	if _, err := FromBits(make([]byte, MaxBytes), 4); err != nil {
+		t.Errorf("a cap-sized array is refused: %v", err)
+	}
+	if _, err := FromBits(make([]byte, MaxBytes+8), 4); err == nil {
+		t.Error("an array one word over the cap is accepted")
+	}
+}

@@ -2,7 +2,6 @@ package ocs
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -18,7 +17,6 @@ import (
 	"prestocs/internal/ocsserver"
 	"prestocs/internal/plan"
 	"prestocs/internal/retry"
-	"prestocs/internal/rpc"
 	"prestocs/internal/substrait"
 	"prestocs/internal/telemetry"
 	"prestocs/internal/types"
@@ -101,7 +99,7 @@ func (c *Connector) CreatePageSources(ctx context.Context, handle plan.TableHand
 type requestGroup struct {
 	ctx    context.Context
 	conn   *Connector
-	h      *Handle // without its bloom once storage refused the filter
+	h      *Handle
 	schema *types.Schema
 	splits []engine.Split
 	stats  *engine.ScanStats
@@ -112,11 +110,9 @@ type requestGroup struct {
 	prevDecode time.Duration
 }
 
-// open starts the request for splits k onward, under split k's scan span.
-// A refusal of the join filter (the node's size cap) reopens without it;
-// any other failure is returned, and the caller decides between the
-// replay and the query error.
-func (g *requestGroup) open(ctx context.Context, k int, span *telemetry.Span) error {
+// open starts the request for splits k onward. A failure is returned,
+// and the caller decides between the replay and the query error.
+func (g *requestGroup) open(ctx context.Context, k int) error {
 	objects := make([]string, len(g.splits)-k)
 	for i, split := range g.splits[k:] {
 		objects[i] = split.Object
@@ -133,24 +129,12 @@ func (g *requestGroup) open(ctx context.Context, k int, span *telemetry.Span) er
 	openSpan.SetAttr("objects", strconv.Itoa(len(objects)))
 	rs, err := g.conn.client.ExecuteStream(openCtx, irPlan)
 	openSpan.End()
-	if err == nil {
-		g.stats.AddTransfer(time.Since(start))
-		g.rs, g.at, g.prevBytes, g.prevDecode = rs, k, 0, 0
-		return nil
+	if err != nil {
+		return err
 	}
-	if g.h.Push.Bloom != nil && ctx.Err() == nil && errors.Is(err, rpc.ErrOverLimit) {
-		// The node refused the filter (its size cap), not the plan: reopen
-		// without the bloom. Nothing re-applies it engine-side: the leaf's
-		// hash join is the exact filter the bloom approximates. Any other
-		// refusal — an invalid plan is a connector bug — must not retry.
-		span.Event("bloom-rejected", err.Error())
-		for range objects {
-			g.stats.AddJoinBloomRejected()
-		}
-		g.h = g.h.withBloom(nil)
-		return g.open(ctx, k, span)
-	}
-	return err
+	g.stats.AddTransfer(time.Since(start))
+	g.rs, g.at, g.prevBytes, g.prevDecode = rs, k, 0, 0
+	return nil
 }
 
 // ended retires the stream's current object; the stream is released once
@@ -179,7 +163,7 @@ func (g *requestGroup) accountBytes() {
 }
 
 // generatePlan translates the extracted operators into Substrait IR over
-// the given objects and validates it (timed for Table 3).
+// the given objects (timed for Table 3); ExecuteStream validates it.
 func generatePlan(ctx context.Context, h *Handle, objects []string, stats *engine.ScanStats) (*substrait.Plan, error) {
 	start := time.Now()
 	_, span := telemetry.StartSpan(ctx, "connector.substrait_gen")
@@ -187,9 +171,6 @@ func generatePlan(ctx context.Context, h *Handle, objects []string, stats *engin
 	irPlan, err := BuildSubstrait(h, objects...)
 	if err != nil {
 		return nil, err
-	}
-	if _, err := irPlan.Validate(); err != nil {
-		return nil, fmt.Errorf("ocs: generated invalid Substrait plan: %w", err)
 	}
 	stats.AddSubstraitGen(time.Since(start))
 	return irPlan, nil
@@ -232,7 +213,7 @@ func (o *objectSource) start() error {
 	span.SetAttr("object", split.Object)
 	var src exec.Operator
 	if g.rs == nil {
-		if err := g.open(ctx, o.k, span); err != nil {
+		if err := g.open(ctx, o.k); err != nil {
 			if ctx.Err() != nil || !retry.Transient(err) {
 				span.End()
 				return fmt.Errorf("ocs: executing pushdown for %s: %w", split.Object, err)

@@ -16,8 +16,8 @@ import (
 )
 
 // refusingFrontend stands in for an OCS frontend that answers the first
-// plan it is sent with refusal and every later one — a retry — as invalid,
-// and counts them.
+// plan it is sent with refusal and every later one as invalid, and counts
+// them.
 func refusingFrontend(t *testing.T, refusal error) (*ocsserver.Client, *atomic.Int64) {
 	t.Helper()
 	plans := new(atomic.Int64)
@@ -59,37 +59,24 @@ func bloomedHandle(t *testing.T) *Handle {
 	return h.(*Handle)
 }
 
-// TestBloomRetryOnlyOnTheCapRefusal: the split is retried without its
-// bloom filter when the node refuses the filter for its size
-// (rpc.CodeOverLimit), and on no other refusal — in particular not on an
-// invalid-plan error whose text happens to mention a bloom filter: errors
-// are classified by code, never by message.
+// TestBloomRetryOnlyOnTheCapRefusal: a plan carrying a bloom filter is
+// sent once. The filter fits every node by construction (bloom.MaxBytes),
+// so no refusal reopens the split without it — in particular not an
+// invalid-plan error whose text happens to mention a bloom filter — and
+// none degrades the split to the local replay.
 func TestBloomRetryOnlyOnTheCapRefusal(t *testing.T) {
-	cases := []struct {
-		name        string
-		refusal     error
-		wantRetries int64
-	}{
-		{"size cap", rpc.WithCode(errors.New("node 0: bloom filter 64 bytes exceeds cap 8"), rpc.CodeOverLimit), 1},
-		{"invalid plan naming the filter", rpc.WithCode(errors.New("ocsserver: bad bloom filter: 0 hash functions"), rpc.CodeInvalid), 0},
+	refusal := rpc.WithCode(errors.New("ocsserver: bad bloom filter: 0 hash functions"), rpc.CodeInvalid)
+	client, plans := refusingFrontend(t, refusal)
+	conn := New("ocs", metastore.New(), client)
+	var stats engine.ScanStats
+	_, err := conn.CreatePageSources(context.Background(), bloomedHandle(t), []engine.Split{{Object: "obj"}}, &stats)
+	if !errors.Is(err, rpc.ErrInvalid) {
+		t.Errorf("error = %v, want the invalid-plan refusal surfaced", err)
 	}
-	for _, tc := range cases {
-		client, plans := refusingFrontend(t, tc.refusal)
-		conn := New("ocs", metastore.New(), client)
-		var stats engine.ScanStats
-		_, err := conn.CreatePageSources(context.Background(), bloomedHandle(t), []engine.Split{{Object: "obj"}}, &stats)
-		// Either way the stub serves nothing, so the split fails — as an
-		// invalid plan, never degraded to the local replay.
-		if !errors.Is(err, rpc.ErrInvalid) {
-			t.Errorf("%s: error = %v, want the invalid-plan refusal surfaced", tc.name, err)
-		}
-		if plans.Load() != 1+tc.wantRetries {
-			t.Errorf("%s: %d plans sent, want the first and %d retries", tc.name, plans.Load(), tc.wantRetries)
-		}
-		snap := stats.Snapshot()
-		if snap.JoinBloomRejected != tc.wantRetries || snap.FallbackSplits != 0 {
-			t.Errorf("%s: rejected = %d, fallbacks = %d, want %d and 0",
-				tc.name, snap.JoinBloomRejected, snap.FallbackSplits, tc.wantRetries)
-		}
+	if plans.Load() != 1 {
+		t.Errorf("%d plans sent, want 1", plans.Load())
+	}
+	if snap := stats.Snapshot(); snap.FallbackSplits != 0 {
+		t.Errorf("fallbacks = %d, want 0", snap.FallbackSplits)
 	}
 }

@@ -62,5 +62,4 @@ func (e *Engine) observeQuery(qspan *telemetry.Span, stats *QueryStats, err erro
 		reg.Counter(telemetry.MetricJoinBuildRows).Add(stats.JoinBuildRows)
 	}
 	reg.Counter(telemetry.MetricJoinBloomPushdown).Add(scan.JoinBloomSplits)
-	reg.Counter(telemetry.MetricJoinBloomRejected).Add(scan.JoinBloomRejected)
 }

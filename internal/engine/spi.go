@@ -58,11 +58,8 @@ type ScanStats struct {
 	// false for the whole object (zone-map split pruning).
 	SplitsPruned int64
 	// JoinBloomSplits counts probe splits that shipped a join build-side
-	// bloom filter into storage; JoinBloomRejected counts splits where
-	// the node refused the filter (size cap) and the scan retried without
-	// it; the join above the scan filters those rows exactly.
-	JoinBloomSplits   int64
-	JoinBloomRejected int64
+	// bloom filter into storage.
+	JoinBloomSplits int64
 }
 
 // AddBytesMoved records network payload bytes.
@@ -131,29 +128,20 @@ func (s *ScanStats) AddJoinBloomSplit() {
 	s.JoinBloomSplits++
 }
 
-// AddJoinBloomRejected records one storage-side bloom refusal (the scan
-// retried without the filter).
-func (s *ScanStats) AddJoinBloomRejected() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.JoinBloomRejected++
-}
-
 // Snapshot returns a copy for reporting.
 func (s *ScanStats) Snapshot() ScanStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return ScanStats{
-		BytesMoved:        s.BytesMoved,
-		StorageWork:       s.StorageWork,
-		SubstraitGen:      s.SubstraitGen,
-		Transfer:          s.Transfer,
-		DeserializeUnits:  s.DeserializeUnits,
-		ResultRows:        s.ResultRows,
-		FallbackSplits:    s.FallbackSplits,
-		SplitsPruned:      s.SplitsPruned,
-		JoinBloomSplits:   s.JoinBloomSplits,
-		JoinBloomRejected: s.JoinBloomRejected,
+		BytesMoved:       s.BytesMoved,
+		StorageWork:      s.StorageWork,
+		SubstraitGen:     s.SubstraitGen,
+		Transfer:         s.Transfer,
+		DeserializeUnits: s.DeserializeUnits,
+		ResultRows:       s.ResultRows,
+		FallbackSplits:   s.FallbackSplits,
+		SplitsPruned:     s.SplitsPruned,
+		JoinBloomSplits:  s.JoinBloomSplits,
 	}
 }
 

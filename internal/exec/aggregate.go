@@ -47,55 +47,19 @@ type HashAggregate struct {
 	done     bool
 }
 
-// NewHashAggregate validates measures against the input schema.
+// NewHashAggregate validates keys and measures against the input schema
+// under the Substrait aggregate-output rule.
 func NewHashAggregate(input Operator, keys []int, measures []substrait.Measure, mode AggMode, meter *Meter) (*HashAggregate, error) {
-	in := input.Schema()
-	var cols []types.Column
-	for _, k := range keys {
-		if k < 0 || k >= in.Len() {
-			return nil, fmt.Errorf("exec: group key ordinal %d out of range", k)
-		}
-		cols = append(cols, in.Columns[k])
-	}
-	for i, m := range measures {
-		if !substrait.ValidAggFunc(m.Func) {
-			return nil, fmt.Errorf("exec: unknown aggregate %q", m.Func)
-		}
-		inKind := types.Int64
-		if mode == AggFinal {
-			// Partial-state column: keys first, then measure i.
-			stateCol := len(keys) + i
-			if stateCol >= in.Len() {
-				return nil, fmt.Errorf("exec: final aggregate input missing state column %d", stateCol)
-			}
-			inKind = in.Columns[stateCol].Type
-		} else if m.Func != substrait.AggCountStar {
-			if m.Arg < 0 || m.Arg >= in.Len() {
-				return nil, fmt.Errorf("exec: measure arg ordinal %d out of range", m.Arg)
-			}
-			inKind = in.Columns[m.Arg].Type
-		}
-		outKind, err := m.Func.ResultKind(inKind)
-		if err != nil {
-			return nil, err
-		}
-		if mode == AggFinal && (m.Func == substrait.AggCount || m.Func == substrait.AggCountStar) {
-			// Partial counts merge by integer summation.
-			if inKind != types.Int64 {
-				return nil, fmt.Errorf("exec: final %s over a %s state column", m.Func, inKind)
-			}
-		}
-		cols = append(cols, types.Column{Name: m.Name, Type: outKind})
-	}
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("exec: aggregate with no keys or measures")
+	schema, err := substrait.AggregateSchema(input.Schema(), keys, measures, mode == AggFinal)
+	if err != nil {
+		return nil, err
 	}
 	return &HashAggregate{
 		input:    input,
 		keys:     keys,
 		measures: measures,
 		mode:     mode,
-		schema:   types.NewSchema(cols...),
+		schema:   schema,
 		meter:    meter,
 	}, nil
 }

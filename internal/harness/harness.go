@@ -58,9 +58,6 @@ type Config struct {
 	// Admission installs engine admission budgets (zero value keeps the
 	// engine fully permissive).
 	Admission engine.AdmissionConfig
-	// MaxBloomBytes caps pushed join bloom filters on the storage nodes
-	// (0 = ocsserver.DefaultMaxBloomBytes, negative disables).
-	MaxBloomBytes int
 }
 
 // StartCluster launches the topology with the given storage-node count.
@@ -77,7 +74,6 @@ func StartClusterWith(storageNodes int, cfg Config) (*Cluster, error) {
 		c.Metrics = telemetry.NewRegistry()
 		ocsCfg = ocsserver.ClusterConfig{Metrics: c.Metrics, Tracing: true}
 	}
-	ocsCfg.MaxBloomBytes = cfg.MaxBloomBytes
 	ocsCluster, err := ocsserver.StartClusterWith(storageNodes, ocsCfg)
 	if err != nil {
 		return nil, err

@@ -138,9 +138,6 @@ func TestJoinQ3DifferentialAcrossModes(t *testing.T) {
 	if int(onScan.JoinBloomSplits) != q3Config.Files {
 		t.Errorf("bloom splits = %d, want %d", onScan.JoinBloomSplits, q3Config.Files)
 	}
-	if onScan.JoinBloomRejected != 0 {
-		t.Errorf("bloom rejected = %d, want 0", onScan.JoinBloomRejected)
-	}
 	if onScan.ResultRows >= offScan.ResultRows {
 		t.Errorf("bloom-on storage rows = %d, not below bloom-off %d",
 			onScan.ResultRows, offScan.ResultRows)
@@ -211,43 +208,6 @@ func TestJoinHiveMatchesOCS(t *testing.T) {
 			rows[catalog] = orderedRows(res.Page)
 		}
 		assertRowsEqual(t, name, rows[CatalogHive], rows[CatalogOCS])
-	}
-}
-
-// TestJoinBloomRejectedFallbackEngineSide caps the storage nodes' bloom
-// budget below any real filter: every probe split's pushdown is rejected
-// with CodeOverLimit, the connector retries the split without the bloom,
-// the leaf's hash join alone filters the probe rows engine-side, and the
-// answer is still exactly the reference.
-func TestJoinBloomRejectedFallbackEngineSide(t *testing.T) {
-	c, err := StartClusterWith(1, Config{Telemetry: true, MaxBloomBytes: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	line, ords := q3Datasets(t)
-	for _, d := range []*workload.Dataset{line, ords} {
-		if err := c.Load(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	res, err := execute(context.Background(), c.Engine, workload.TPCHQ3Query, engine.NewSession())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRowsEqual(t, "bloom-capped", rowMultisetPage(res.Page), q3Reference(t, line, ords))
-
-	scan := res.Stats.Scan.Snapshot()
-	if int(scan.JoinBloomRejected) != q3Config.Files {
-		t.Errorf("bloom rejected = %d, want %d (every probe split)",
-			scan.JoinBloomRejected, q3Config.Files)
-	}
-	if scan.JoinBloomSplits != 0 {
-		t.Errorf("bloom splits = %d, want 0 under an 8-byte cap", scan.JoinBloomSplits)
-	}
-	if n := c.Metrics.CounterValue(telemetry.MetricJoinBloomRejected); int(n) != q3Config.Files {
-		t.Errorf("%s = %d, want %d", telemetry.MetricJoinBloomRejected, n, q3Config.Files)
 	}
 }
 

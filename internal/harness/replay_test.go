@@ -144,8 +144,13 @@ func TestKilledPushdownStreamResumesOnReplay(t *testing.T) {
 
 	// A fresh cluster, with the kill armed before any query so that no
 	// pooled connection is already past the threshold (the proxy counts
-	// response bytes from birth).
-	d = smallLaghos(t, compress.None)
+	// response bytes from birth). Small row groups again: the client
+	// retries a request until its first chunk, so the kill must land after
+	// it — a first chunk of a whole 8192-row group would absorb it.
+	d, err = workload.Laghos(workload.Config{Files: 4, RowsPerFile: 8192, RowGroupSize: 512, Seed: 11, Codec: compress.None})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, proxy = killableCluster(t)
 	if err := c.Load(d); err != nil {
 		t.Fatal(err)

@@ -67,28 +67,34 @@ func NewClient(addr string, opts ...Option) *Client {
 func (c *Client) IdleConns() int { return c.rpc.IdleConns() }
 
 // ResultStream is an incremental in-storage execution result over the
-// objects the plan lists: the schema is available as soon as the first
-// chunk lands, then each object's pages arrive one Next call at a time
-// while the storage node is still scanning, each object ending in an
-// io.EOF after which Stats holds that object's work.
+// objects the plan lists: the schema is the plan's own, then each object's
+// pages arrive one Next call at a time while the storage node is still
+// scanning, each object ending in an io.EOF after which Stats holds that
+// object's work.
 type ResultStream struct {
 	cs      *rpc.ClientStream
 	schema  *types.Schema
-	objects int // the objects the request listed
-	ended   int // the objects whose end has been read
+	first   []byte // the chunk ExecuteStream read, until Next takes it
+	objects int    // the objects the request listed
+	ended   int    // the objects whose end has been read
 	stats   objstore.WorkStats
 	bytes   int64
 	decode  time.Duration
 	done    bool
 }
 
-// ExecuteStream marshals the plan, ships it to OCS as the request payload
-// and returns the result stream. The caller must drain it to its last
-// object's io.EOF or Close it. Opening the stream — up to and including
-// the schema chunk — is retried on transient failure; once the schema has
-// landed, failures surface to the caller, who decides between retry and
-// fallback.
+// ExecuteStream validates the plan, ships it to OCS as the request payload
+// and returns the result stream, whose schema is the one Validate derives
+// — the storage node's own derivation, against which it checks every page
+// it sends. The caller must drain the stream to its last object's io.EOF
+// or Close it. Opening the stream — up to and including its first chunk —
+// is retried on transient failure; once a chunk has landed, failures
+// surface to the caller, who decides between retry and fallback.
 func (c *Client) ExecuteStream(ctx context.Context, plan *substrait.Plan) (*ResultStream, error) {
+	schema, err := plan.Validate()
+	if err != nil {
+		return nil, rpc.WithCode(fmt.Errorf("ocs: invalid plan: %w", err), rpc.CodeInvalid)
+	}
 	payload, err := substrait.Marshal(plan)
 	if err != nil {
 		return nil, err
@@ -100,21 +106,17 @@ func (c *Client) ExecuteStream(ctx context.Context, plan *substrait.Plan) (*Resu
 		if err != nil {
 			return err
 		}
-		// Chunk 0 is always the schema message.
+		// Every listed object ends in a chunk of its own, so a stream
+		// without one broke the protocol.
 		first, err := cs.Recv()
 		if err != nil {
 			cs.Close()
 			if err == io.EOF {
-				return retry.Permanent(fmt.Errorf("ocs: result stream ended before schema"))
+				return retry.Permanent(fmt.Errorf("ocs: result stream ended before its first chunk"))
 			}
 			return err
 		}
-		schema, err := arrowlite.DecodeSchemaMsg(first)
-		if err != nil {
-			cs.Close()
-			return retry.Permanent(err)
-		}
-		rs = &ResultStream{cs: cs, schema: schema, objects: objects, bytes: int64(len(first))}
+		rs = &ResultStream{cs: cs, schema: schema, first: first, objects: objects, bytes: int64(len(first))}
 		return nil
 	})
 	if err != nil {
@@ -126,26 +128,29 @@ func (c *Client) ExecuteStream(ctx context.Context, plan *substrait.Plan) (*Resu
 // Schema returns the result schema (available immediately).
 func (rs *ResultStream) Schema() *types.Schema { return rs.schema }
 
-// Next returns the next page of the current object, or io.EOF once that
-// object has ended — at its object-end chunk, or at the end frame for the
-// last object listed — at which point Stats holds its work. The call after
+// Next returns the next page of the current object, or io.EOF at that
+// object's end chunk, at which point Stats holds its work. The call after
 // an io.EOF reads the next object; once the last one has ended, every
 // call returns io.EOF and ArrowBytes is final.
 func (rs *ResultStream) Next() (*column.Page, error) {
 	if rs.done {
 		return nil, io.EOF
 	}
-	chunk, err := rs.cs.Recv()
-	if err == io.EOF {
-		return nil, rs.endObject(rs.cs.Trailer(), false)
+	chunk := rs.first
+	rs.first = nil
+	if chunk == nil {
+		var err error
+		if chunk, err = rs.cs.Recv(); err != nil {
+			rs.done = true
+			if err == io.EOF {
+				return nil, fmt.Errorf("ocs: result stream ended after %d of %d objects", rs.ended, rs.objects)
+			}
+			return nil, err
+		}
+		rs.bytes += int64(len(chunk))
 	}
-	if err != nil {
-		rs.done = true
-		return nil, err
-	}
-	rs.bytes += int64(len(chunk))
 	if isObjectEnd(chunk) {
-		return nil, rs.endObject(chunk, true)
+		return nil, rs.endObject(chunk)
 	}
 	start := time.Now()
 	page, err := arrowlite.DecodeBatchMsg(chunk, rs.schema)
@@ -153,29 +158,39 @@ func (rs *ResultStream) Next() (*column.Page, error) {
 	return page, err
 }
 
-// endObject retires the current object at its end — an object-end chunk,
-// or the trailer — and returns io.EOF, or the error that the end is not
-// where the request's object list puts it or does not decode.
-func (rs *ResultStream) endObject(b []byte, chunk bool) error {
+// endObject retires the current object at its object-end chunk and
+// returns io.EOF. The last object's end is the last chunk, so endObject
+// then reads the end frame, which returns the connection to the pool. A
+// chunk that does not decode, or one past the last object's end, is an
+// error, and the stream is closed.
+func (rs *ResultStream) endObject(chunk []byte) error {
 	var err error
-	switch {
-	case chunk && rs.ended+1 >= rs.objects:
-		err = fmt.Errorf("ocs: object-end chunk after the request's %d objects", rs.objects)
-	case !chunk && rs.ended+1 != rs.objects:
-		err = fmt.Errorf("ocs: result stream ended after %d of %d objects", rs.ended+1, rs.objects)
-	case chunk:
-		rs.stats, err = decodeObjectEnd(b)
-	default:
-		rs.stats, err = decodeWorkTrailer(b)
+	if rs.stats, err = decodeObjectEnd(chunk); err == nil {
+		rs.ended++
+		if rs.ended < rs.objects {
+			return io.EOF
+		}
+		err = rs.readEnd()
 	}
+	rs.done = true
 	if err != nil {
-		rs.done = true
 		rs.cs.Close()
 		return err
 	}
-	rs.ended++
-	rs.done = !chunk
 	return io.EOF
+}
+
+// readEnd reads the end frame that must follow the last object's end.
+func (rs *ResultStream) readEnd() error {
+	chunk, err := rs.cs.Recv()
+	if err == io.EOF {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	rs.bytes += int64(len(chunk))
+	return fmt.Errorf("ocs: chunk after the request's %d objects", rs.objects)
 }
 
 // DecodeTime is the cumulative wall time spent deserializing Arrow batch
@@ -200,21 +215,25 @@ func (rs *ResultStream) TryDrain(maxChunks int, timeout time.Duration) bool {
 	if rs.done {
 		return true
 	}
+	if first := rs.first; first != nil {
+		rs.first = nil
+		if isObjectEnd(first) {
+			return rs.endObject(first) == io.EOF
+		}
+	}
 	var endErr error
 	n, ok := rs.cs.TryDrain(maxChunks, timeout, func(chunk []byte) bool {
 		if !isObjectEnd(chunk) {
 			return false
 		}
-		endErr = rs.endObject(chunk, true)
+		endErr = rs.endObject(chunk)
 		return true
 	})
 	rs.bytes += n
-	if !ok {
-		rs.done = true
+	if !ok || endErr == nil {
+		// Out of budget, or the stream ended without this object's end.
+		rs.Close()
 		return false
-	}
-	if endErr == nil {
-		endErr = rs.endObject(rs.cs.Trailer(), false)
 	}
 	return endErr == io.EOF
 }
@@ -257,9 +276,6 @@ type ClusterConfig struct {
 	// StreamWindow sets the per-stream credit window on every node and
 	// the frontend (0 = rpc.DefaultStreamWindow).
 	StreamWindow int
-	// MaxBloomBytes caps pushed bloom-filter sizes on every node
-	// (0 = DefaultMaxBloomBytes, negative disables the cap).
-	MaxBloomBytes int
 }
 
 // StartCluster launches n storage nodes and a frontend on loopback.
@@ -277,7 +293,6 @@ func StartClusterWith(n int, cfg ClusterConfig) (*Cluster, error) {
 		node.Metrics = cfg.Metrics
 		node.ScanPool = cfg.ScanPool
 		node.StreamWindow = cfg.StreamWindow
-		node.MaxBloomBytes = cfg.MaxBloomBytes
 		if cfg.Tracing {
 			node.Tracer = telemetry.NewTracer(0)
 			c.Tracers[node.nodeLabel()] = node.Tracer

@@ -297,14 +297,10 @@ type LocalStream struct {
 	work *objstore.WorkStats
 }
 
-// open is the single way a plan is run against a local store: it
-// validates the plan, builds the execution env and compiles the pipeline
-// over o.object. A plan that fails validation is reported with
-// rpc.CodeInvalid.
+// open is the single way a plan is run against a local store: it builds
+// the execution env and compiles the pipeline over o.object. The plan has
+// been validated, once, by the entry point that calls it.
 func open(store *objstore.Store, plan *substrait.Plan, o openOpts) (*LocalStream, error) {
-	if _, err := plan.Validate(); err != nil {
-		return nil, rpc.WithCode(err, rpc.CodeInvalid)
-	}
 	s := &LocalStream{env: newExecEnv(o)}
 	op, err := compilePlan(store, plan, s.env)
 	if err != nil {
@@ -318,8 +314,12 @@ func open(store *objstore.Store, plan *substrait.Plan, o openOpts) (*LocalStream
 // ExecuteLocalStream opens a plan over one object against a local store
 // fully uncached — the connector's replay paths depend on this to bypass
 // (never corrupt) node caches they have no view of. pool <= 0 selects the
-// cost-model default.
+// cost-model default. A plan that fails validation is reported with
+// rpc.CodeInvalid.
 func ExecuteLocalStream(store *objstore.Store, plan *substrait.Plan, object string, pool int) (*LocalStream, error) {
+	if _, err := plan.Validate(); err != nil {
+		return nil, rpc.WithCode(err, rpc.CodeInvalid)
+	}
 	return open(store, plan, openOpts{object: object, scanPool: pool})
 }
 

@@ -114,7 +114,7 @@ func TestCancelMidStreamReleasesConnection(t *testing.T) {
 	// pins the stream genuinely mid-flight, so the cancel cannot race a
 	// fully buffered result.
 	addr := fakeNode(t, func(ctx context.Context, p []byte, send func([]byte) error) ([]byte, error) {
-		send(schemaMsg(t))
+		send(batchMsg(t, 3))
 		send(batchMsg(t, 3))
 		<-ctx.Done()
 		return nil, ctx.Err()

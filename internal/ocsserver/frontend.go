@@ -100,9 +100,9 @@ func (f *Frontend) nodeFor(bucket, key string) int {
 // the objects its ReadRel lists. When one node holds them all, the payload
 // goes to it unchanged. Otherwise each in-order run of objects that share
 // a node goes to that node as the same plan listing just the run, one run
-// after the other, and the relayed streams are spliced into one: the
-// first run's schema chunk stands for every run's, and each run's trailer
-// but the last becomes the object-end chunk of the run's last object.
+// after the other, and each run's chunks are relayed as they arrive: every
+// object ends in its own object-end chunk, so the runs concatenate into
+// the one answer the request asked for.
 func (f *Frontend) handleExecute(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
 	plan, err := substrait.Unmarshal(payload)
 	if err != nil {
@@ -120,9 +120,8 @@ func (f *Frontend) handleExecute(ctx context.Context, payload []byte, send func(
 		}
 	}
 	if len(runs) == 1 {
-		return f.forward(ctx, f.nodeFor(read.Bucket, objects[0]), NodeMethodExecute, payload, send, false)
+		return f.forward(ctx, f.nodeFor(read.Bucket, objects[0]), NodeMethodExecute, payload, send)
 	}
-	var trailer []byte
 	for r, from := range runs {
 		to := len(objects)
 		if r+1 < len(runs) {
@@ -133,16 +132,11 @@ func (f *Frontend) handleExecute(ctx context.Context, payload []byte, send func(
 		if err != nil {
 			return nil, err
 		}
-		if trailer, err = f.forward(ctx, f.nodeFor(read.Bucket, objects[from]), NodeMethodExecute, run, send, r > 0); err != nil {
+		if _, err := f.forward(ctx, f.nodeFor(read.Bucket, objects[from]), NodeMethodExecute, run, send); err != nil {
 			return nil, err
 		}
-		if to < len(objects) {
-			if err := send(objectEndChunk(nil, trailer)); err != nil {
-				return nil, err
-			}
-		}
 	}
-	return trailer, nil
+	return nil, nil
 }
 
 // route is the handler of a keyed object method (Put, Get, Delete): the
@@ -155,19 +149,18 @@ func (f *Frontend) route(method string) rpc.StreamHandler {
 		if err != nil {
 			return nil, err
 		}
-		return f.forward(ctx, f.nodeFor(ref.Bucket, ref.Key), method, payload, send, false)
+		return f.forward(ctx, f.nodeFor(ref.Bucket, ref.Key), method, payload, send)
 	}
 }
 
 // forward makes one call to a node and relays its answer: chunks through
 // send as they arrive — the frontend never buffers more than one, so bytes
 // reach the engine while the node is still scanning — and the trailer as
-// the return value; with skipFirst the call's first chunk is dropped
-// instead of relayed. Failures are retried under the fan-out policy until
-// a chunk of this call has been relayed; after that the call cannot be
+// the return value. Failures are retried under the fan-out policy until a
+// chunk of this call has been relayed; after that the call cannot be
 // transparently restarted, so the error propagates and the client (or the
 // connector's fallback) takes over.
-func (f *Frontend) forward(ctx context.Context, node int, method string, payload []byte, send func([]byte) error, skipFirst bool) ([]byte, error) {
+func (f *Frontend) forward(ctx context.Context, node int, method string, payload []byte, send func([]byte) error) ([]byte, error) {
 	ctx, span := telemetry.StartSpan(ctx, "frontend.forward")
 	defer span.End()
 	span.SetAttr("node", fmt.Sprintf("node%d", node))
@@ -179,7 +172,7 @@ func (f *Frontend) forward(ctx context.Context, node int, method string, payload
 		}
 		defer st.Close()
 		forwarded := false
-		for skip := skipFirst; ; skip = false {
+		for {
 			chunk, err := st.Recv()
 			if err == io.EOF {
 				trailer = st.Trailer()
@@ -192,9 +185,6 @@ func (f *Frontend) forward(ctx context.Context, node int, method string, payload
 					return retry.Permanent(err)
 				}
 				return err
-			}
-			if skip {
-				continue
 			}
 			if err := send(chunk); err != nil {
 				// Our own downstream died; nothing to retry.

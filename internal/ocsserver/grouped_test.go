@@ -6,9 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"prestocs/internal/arrowlite"
 	"prestocs/internal/column"
@@ -234,9 +237,8 @@ func TestGroupedRequestAcrossNodes(t *testing.T) {
 
 // TestGroupedRequestRetryOnlyUntilRunRelays: the frontend restarts a
 // run's node call only while nothing of that call has reached the client.
-// A later run's schema chunk is dropped, not relayed, so a node that fails
-// after sending only its schema is retried and the answer is whole; one
-// that fails after its first batch was relayed is not, and the client
+// A node that fails before any chunk is retried and the answer is whole;
+// one that fails after its first batch was relayed is not, and the client
 // sees the failure.
 func TestGroupedRequestRetryOnlyUntilRunRelays(t *testing.T) {
 	c, err := StartCluster(2)
@@ -259,8 +261,8 @@ func TestGroupedRequestRetryOnlyUntilRunRelays(t *testing.T) {
 		failAfter int // chunks the node's first call sends before failing
 		wantCalls int64
 	}{
-		{"after-schema", 1, 2},
-		{"after-first-batch", 2, 1},
+		{"before-any-chunk", 0, 2},
+		{"after-first-batch", 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			node := c.Nodes[1]
@@ -305,9 +307,9 @@ func TestGroupedRequestRetryOnlyUntilRunRelays(t *testing.T) {
 	}
 }
 
-// scriptedFrontend answers every ocs.Execute with the given chunks and
-// trailer, whatever the plan.
-func scriptedFrontend(t *testing.T, chunks [][]byte, trailer []byte) *Client {
+// scriptedFrontend answers every ocs.Execute with the given chunks and an
+// empty trailer, whatever the plan.
+func scriptedFrontend(t *testing.T, chunks [][]byte) *Client {
 	t.Helper()
 	srv := rpc.NewServer()
 	srv.RegisterStream(MethodExecute, func(_ context.Context, _ []byte, send func([]byte) error) ([]byte, error) {
@@ -316,7 +318,7 @@ func scriptedFrontend(t *testing.T, chunks [][]byte, trailer []byte) *Client {
 				return nil, err
 			}
 		}
-		return trailer, nil
+		return nil, nil
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -332,35 +334,34 @@ func scriptedFrontend(t *testing.T, chunks [][]byte, trailer []byte) *Client {
 
 // TestResultStreamRejectsBadObjectEnds: the client holds a grouped
 // stream's object ends to the request's object list — an object-end chunk
-// that does not decode, one that arrives once the listed objects are used
-// up, and an end frame that arrives before them are each an error, never
-// a silently shifted or truncated result.
+// that does not decode, a chunk once the listed objects are used up, and
+// an end frame that arrives before them are each an error, never a
+// silently shifted or truncated result.
 func TestResultStreamRejectsBadObjectEnds(t *testing.T) {
-	schema, err := arrowlite.AppendSchema(nil, meshSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	end := objectEndChunk(nil, workTrailer(objstore.WorkStats{RowsProcessed: 7}))
-	trailer := workTrailer(objstore.WorkStats{RowsProcessed: 9})
+	end := appendObjectEnd(nil, objstore.WorkStats{RowsProcessed: 7})
+	batch := batchMsg(t, 3)
 	for _, tc := range []struct {
 		name    string
 		objects []string
 		chunks  [][]byte
-		trailer []byte
 		want    string
 	}{
-		{"well-formed", []string{"a", "b"}, [][]byte{schema, end}, trailer, ""},
-		{"malformed end chunk", []string{"a", "b"}, [][]byte{schema, append(bytes.Clone(objectEndMarker[:]), 0x0a, 0x7f)}, trailer, "truncated"},
-		{"end chunk past the objects", []string{"a"}, [][]byte{schema, end}, trailer, "after the request's 1 objects"},
-		{"two ends for two objects", []string{"a", "b"}, [][]byte{schema, end, end}, trailer, "after the request's 2 objects"},
-		{"stream ends early", []string{"a", "b", "c"}, [][]byte{schema, end}, trailer, "ended after 2 of 3 objects"},
+		{"well-formed", []string{"a", "b"}, [][]byte{batch, end, end}, ""},
+		{"malformed end chunk", []string{"a", "b"}, [][]byte{append(bytes.Clone(objectEndMarker[:]), 0x08, 0xff), end}, "truncated"},
+		{"end chunk past the objects", []string{"a"}, [][]byte{end, end}, "after the request's 1 objects"},
+		{"three ends for two objects", []string{"a", "b"}, [][]byte{batch, end, end, end}, "after the request's 2 objects"},
+		{"batch past the objects", []string{"a", "b"}, [][]byte{end, end, batch}, "after the request's 2 objects"},
+		{"stream ends early", []string{"a", "b", "c"}, [][]byte{batch, end, end}, "ended after 2 of 3 objects"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cli := scriptedFrontend(t, tc.chunks, tc.trailer)
+			cli := scriptedFrontend(t, tc.chunks)
 			res, err := drain(context.Background(), cli, groupedPlan(t, tc.objects))
 			if tc.want == "" {
-				if err != nil || res.Stats.RowsProcessed != 16 {
-					t.Fatalf("well-formed stream: %v, stats %+v", err, res)
+				if err != nil || res.Stats.RowsProcessed != 14 || len(res.Pages) != 1 {
+					t.Fatalf("well-formed stream: %v, %+v", err, res)
+				}
+				if cli.IdleConns() != 1 {
+					t.Errorf("%d idle connections after the last object's end, want the stream's one pooled", cli.IdleConns())
 				}
 				return
 			}
@@ -368,6 +369,163 @@ func TestResultStreamRejectsBadObjectEnds(t *testing.T) {
 				t.Fatalf("error = %v, want one naming %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestResultStreamTryDrainReachesObjectEnds: a reader that stops early
+// drains the rest of the current object to its end chunk — held first
+// chunk included — and gets its stats; the next object still reads whole,
+// and draining the last object reads the end frame too, so the
+// connection is pooled again.
+func TestResultStreamTryDrainReachesObjectEnds(t *testing.T) {
+	_, cli := startCluster(t, 1)
+	objects := []string{"o0", "o1"}
+	for i, o := range objects {
+		if err := cli.Put(context.Background(), "b", o, offsetMeshObject(t, 1000*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := groupedPlan(t, objects)
+	want, wantStats := readObjects(t, cli, plan, len(objects))
+	rs, err := cli.ExecuteStream(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	if !rs.TryDrain(32, time.Second) || rs.Stats() != wantStats[0] {
+		t.Fatalf("draining object 0 before any Next: stats %+v, want %+v", rs.Stats(), wantStats[0])
+	}
+	var got []byte
+	for {
+		page, err := rs.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err = arrowlite.AppendBatch(got, page); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) > 0 {
+			break // stop early in the last object
+		}
+	}
+	if !bytes.HasPrefix(want[1], got) || len(got) == 0 {
+		t.Fatal("object 1's first batch differs from a whole read's")
+	}
+	if !rs.TryDrain(32, time.Second) || rs.Stats() != wantStats[1] {
+		t.Fatalf("draining object 1: stats %+v, want %+v", rs.Stats(), wantStats[1])
+	}
+	if _, err := rs.Next(); err != io.EOF {
+		t.Fatalf("after the last object: %v, want io.EOF", err)
+	}
+	if cli.IdleConns() != 1 {
+		t.Errorf("%d idle connections after draining the last object, want the stream's one pooled", cli.IdleConns())
+	}
+}
+
+// collect makes one raw call and returns its chunks and trailer.
+func collect(t *testing.T, addr, method string, plan *substrait.Plan) ([][]byte, []byte) {
+	t.Helper()
+	payload, err := substrait.Marshal(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := rpc.Dial(addr)
+	defer cli.Close()
+	st, err := cli.Stream(context.Background(), method, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var chunks [][]byte
+	for {
+		chunk, err := st.Recv()
+		if err == io.EOF {
+			return chunks, st.Trailer()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks = append(chunks, bytes.Clone(chunk))
+	}
+}
+
+// TestExecuteWireShape: an ocs.Execute answer is, per listed object, that
+// object's batches and then one object-end chunk — no schema chunk, the
+// last object's end included — and an empty trailer. Through a two-node
+// frontend, a request whose objects sit on nodes 0, 1, 0 comes back as
+// the three per-node runs' chunks, in order and unmodified.
+func TestExecuteWireShape(t *testing.T) {
+	c, err := StartCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	placement := []int{0, 1, 0}
+	objects := objectsOnNodes(t, c.Front, placement)
+	cli := NewClient(c.Addr)
+	defer cli.Close()
+	for i, o := range objects {
+		if err := cli.Put(context.Background(), "b", o, offsetMeshObject(t, 1000*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush := func() {
+		for _, n := range c.Nodes {
+			n.Caches.Flush()
+		}
+	}
+	for _, listed := range [][]string{objects[:1], objects} {
+		plan := groupedPlan(t, listed)
+		schema, err := plan.Validate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		flush()
+		chunks, trailer := collect(t, c.Addr, MethodExecute, plan)
+		if len(trailer) != 0 {
+			t.Errorf("%d objects: trailer of %d bytes, want none", len(listed), len(trailer))
+		}
+		ends := 0
+		for i, chunk := range chunks {
+			if isObjectEnd(chunk) {
+				if _, err := decodeObjectEnd(chunk); err != nil {
+					t.Fatalf("%d objects: chunk %d: %v", len(listed), i, err)
+				}
+				ends++
+				continue
+			}
+			if _, err := arrowlite.DecodeBatchMsg(chunk, schema); err != nil {
+				t.Fatalf("%d objects: chunk %d is neither a batch of the plan's schema nor an object end: %v", len(listed), i, err)
+			}
+		}
+		if ends != len(listed) || len(chunks) == 0 || !isObjectEnd(chunks[len(chunks)-1]) {
+			t.Fatalf("%d objects: %d object-end chunks of %d chunks, want one per object, the last chunk among them", len(listed), ends, len(chunks))
+		}
+		if len(listed) == 1 {
+			continue
+		}
+		// Each object is its own run here; the node's answer to the run's
+		// plan is what the frontend relayed for it.
+		var runs [][]byte
+		for i, o := range listed {
+			flush()
+			part, trailer := collect(t, c.NodeAddr[placement[i]], NodeMethodExecute, groupedPlan(t, []string{o}))
+			if len(trailer) != 0 {
+				t.Errorf("node run %d: trailer of %d bytes, want none", i, len(trailer))
+			}
+			runs = append(runs, part...)
+		}
+		if len(runs) != len(chunks) {
+			t.Fatalf("frontend relayed %d chunks, the runs sent %d", len(chunks), len(runs))
+		}
+		for i := range runs {
+			if !bytes.Equal(runs[i], chunks[i]) {
+				t.Errorf("chunk %d differs from the node's", i)
+			}
+		}
 	}
 }
 
@@ -394,24 +552,47 @@ func TestReadRelObjectListIsInvalidWhenEmpty(t *testing.T) {
 }
 
 // FuzzDecodeObjectEnd: an object-end chunk comes off the wire, so its
-// decoder may reject any input but must never panic.
+// decoder may reject any input but must never panic, and never allocates
+// more than the fixed cost of its result and an error (a length field it
+// reads sizes nothing).
 func FuzzDecodeObjectEnd(f *testing.F) {
-	f.Add(objectEndChunk(nil, workTrailer(objstore.WorkStats{BytesRead: 1 << 20, BytesDecompressed: 3 << 20, CPUUnits: 12.5, RowsProcessed: 4096})))
-	f.Add(objectEndChunk(nil, nil))
-	f.Add(append(bytes.Clone(objectEndMarker[:]), 0x0a, 0xff, 0xff, 0xff, 0xff, 0x0f))
+	f.Add(appendObjectEnd(nil, objstore.WorkStats{BytesRead: 1 << 20, BytesDecompressed: 3 << 20, CPUUnits: 12.5, RowsProcessed: 4096}))
+	f.Add(appendObjectEnd(nil, objstore.WorkStats{}))
+	f.Add(append(bytes.Clone(objectEndMarker[:]), 0x2a, 0xff, 0xff, 0xff, 0xff, 0x0f))
 	f.Add(append(bytes.Clone(objectEndMarker[:]), 0x12, 0x01, 0x00))
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, chunk []byte) {
 		st, err := decodeObjectEnd(chunk)
+		if got := leastAlloc(func() { _, _ = decodeObjectEnd(chunk) }); got > objectEndAllocBound {
+			t.Fatalf("a %d-byte chunk allocated %d bytes to decode, bound %d (err %v)", len(chunk), got, objectEndAllocBound, err)
+		}
 		if err != nil {
 			return
 		}
 		// What decodes re-encodes to a chunk that decodes the same.
-		again, err := decodeObjectEnd(objectEndChunk(nil, workTrailer(st)))
+		again, err := decodeObjectEnd(appendObjectEnd(nil, st))
 		if err != nil || !sameStats(again, st) {
 			t.Fatalf("re-encoded stats %+v decode as %+v, %v", st, again, err)
 		}
 	})
+}
+
+// objectEndAllocBound is the most heap an object-end chunk's decode may
+// take, whatever its length: the decoder's state and one error.
+const objectEndAllocBound = 512
+
+// leastAlloc is the fewest heap bytes f allocated over three runs (the
+// fewest, so another goroutine's allocation does not count).
+func leastAlloc(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // sameStats compares work stats, NaN CPU units included.

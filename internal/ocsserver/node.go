@@ -9,7 +9,6 @@ import (
 	"prestocs/internal/arrowlite"
 	"prestocs/internal/column"
 	"prestocs/internal/objstore"
-	"prestocs/internal/protowire"
 	"prestocs/internal/rpc"
 	"prestocs/internal/scan"
 	"prestocs/internal/substrait"
@@ -52,13 +51,6 @@ type StorageNode struct {
 	// first query to resize or disable. Listen binds its counters to
 	// Metrics under this node's label.
 	Caches *scan.Caches
-
-	// MaxBloomBytes caps the bloom-filter bit arrays a pushed plan may
-	// attach (per BloomFilterRel). Oversize filters are refused with an
-	// invalid-plan error — the engine strips the filter and retries rather
-	// than shipping megabytes of bits to every split. 0 selects
-	// DefaultMaxBloomBytes; negative disables the cap. Set before Listen.
-	MaxBloomBytes int
 
 	// sched is the node-wide fair-share scan scheduler: one worker pool
 	// (sized by the first query's resolved ScanPool) round-robining
@@ -130,46 +122,17 @@ func (n *StorageNode) Close() error {
 	return err
 }
 
-// DefaultMaxBloomBytes is the bloom bit-array cap applied when
-// MaxBloomBytes is zero: 256 KiB holds ~200k build keys at the default
-// 10 bits/key while keeping a degenerate plan from shipping an
-// arbitrarily large array per split.
-const DefaultMaxBloomBytes = 256 << 10
-
-// checkBloomSize enforces MaxBloomBytes on every BloomFilterRel in the
-// plan. The error is CodeOverLimit — not transient, and not the plan's
-// fault — so the connector retries without the filter instead of falling
-// back off pushdown entirely. Only the RPC path enforces the cap: local replay
-// (ExecuteLocalStream) runs whatever the engine already committed to.
-func (n *StorageNode) checkBloomSize(plan *substrait.Plan) error {
-	limit := n.MaxBloomBytes
-	if limit == 0 {
-		limit = DefaultMaxBloomBytes
-	}
-	if limit < 0 {
-		return nil
-	}
-	var reject error
-	substrait.WalkRels(plan.Root, func(r substrait.Rel) {
-		if b, ok := r.(*substrait.BloomFilterRel); ok && len(b.Bits) > limit && reject == nil {
-			reject = rpc.WithCode(fmt.Errorf("node %d: bloom filter %d bytes exceeds cap %d", n.ID, len(b.Bits), limit), rpc.CodeOverLimit)
-		}
-	})
-	return reject
-}
-
 // handleExecute parses a Substrait plan, runs it locally over each object
-// its ReadRel lists, in turn, and streams the results: chunk 0 is the
-// validated plan's arrowlite schema message; then, per object, one
-// arrowlite record-batch message per page and an object-end chunk
-// carrying that object's work stats, except that the last object's stats
-// ride in the end-frame trailer instead — so a one-object stream is
-// exactly the one-object wire shape. Batches leave the node as the
-// executor produces them, so the engine consumes row group 1 while row
-// group N (or object k+1) is still being scanned. Each object is its own
-// pipeline: nothing is merged across objects. Errors after the first
-// chunk surface as mid-stream error frames, which the client turns into
-// query errors.
+// its ReadRel lists, in turn, and streams the results: per object, one
+// arrowlite record-batch message per page, then an object-end chunk
+// carrying that object's work stats; the end frame's trailer is empty.
+// The client derives the result schema from the plan it sent, as this
+// handler does, and every page is checked against it here. Batches leave
+// the node as the executor produces them, so the engine consumes row
+// group 1 while row group N (or object k+1) is still being scanned. Each
+// object is its own pipeline: nothing is merged across objects. Errors
+// after the first chunk surface as mid-stream error frames, which the
+// client turns into query errors.
 func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
 	if fault := n.executeFault(); fault != nil {
 		return nil, rpc.WithCode(fmt.Errorf("node %d: %w", n.ID, fault), rpc.CodeUnavailable)
@@ -182,9 +145,6 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 	plan, err := substrait.Unmarshal(payload)
 	if err != nil {
 		return nil, rpc.WithCode(fmt.Errorf("node %d: invalid plan: %w", n.ID, err), rpc.CodeInvalid)
-	}
-	if err := n.checkBloomSize(plan); err != nil {
-		return nil, err
 	}
 	planSchema, err := plan.Validate()
 	if err != nil {
@@ -201,28 +161,9 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 		chunkBytes.Add(int64(len(msg)))
 		return send(msg)
 	}
-	// Chunk 0 is the validated plan's schema; every page must carry it,
-	// or the client would decode the batch against the wrong kinds. It
-	// leaves right ahead of the stream's first other chunk, or its end, so
-	// a small result reaches the client in one burst rather than two.
-	sentSchema := false
-	sendSchema := func() error {
-		if sentSchema {
-			return nil
-		}
-		sentSchema = true
-		msg, err := arrowlite.AppendSchema((*buf)[:0], planSchema)
-		if err != nil {
-			return err
-		}
-		return emit(msg)
-	}
 	sendBatch := func(page *column.Page) error {
 		if !page.Schema.Equal(planSchema) {
 			return fmt.Errorf("node %d: page schema %s, plan schema %s", n.ID, page.Schema, planSchema)
-		}
-		if err := sendSchema(); err != nil {
-			return err
 		}
 		msg, err := arrowlite.AppendBatch((*buf)[:0], page)
 		if err != nil {
@@ -231,26 +172,19 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 		return emit(msg)
 	}
 	var total objstore.WorkStats
-	var trailer []byte
-	for k, object := range objects {
+	for _, object := range objects {
 		st, err := n.streamObject(ctx, plan, object, sendBatch)
 		if err != nil {
 			return nil, err
 		}
-		if err := sendSchema(); err != nil {
-			return nil, err
-		}
 		total.Add(st)
-		trailer = workTrailer(st)
-		if k < len(objects)-1 {
-			if err := emit(objectEndChunk((*buf)[:0], trailer)); err != nil {
-				return nil, err
-			}
+		if err := emit(appendObjectEnd((*buf)[:0], st)); err != nil {
+			return nil, err
 		}
 	}
 	span.SetAttr("bytes_read", fmt.Sprint(total.BytesRead))
 	span.SetAttr("rows_processed", fmt.Sprint(total.RowsProcessed))
-	return trailer, nil
+	return nil, nil
 }
 
 // streamObject runs the plan over one object, handing each page to send
@@ -285,18 +219,10 @@ func (n *StorageNode) streamObject(ctx context.Context, plan *substrait.Plan, ob
 // four bytes tell the two chunk kinds apart.
 var objectEndMarker = [4]byte{0xff, 0xff, 0xff, 0xff}
 
-// workTrailer encodes an object's work stats as the end-frame trailer:
-// the WorkStats message in field 1.
-func workTrailer(st objstore.WorkStats) []byte {
-	e := protowire.NewEncoder()
-	e.Bytes(1, objstore.EncodeStats(st))
-	return e.Encoded()
-}
-
-// objectEndChunk appends to dst the object-end chunk that carries what
-// would otherwise be the trailer: the marker, then the trailer's bytes.
-func objectEndChunk(dst, trailer []byte) []byte {
-	return append(append(dst, objectEndMarker[:]...), trailer...)
+// appendObjectEnd appends to dst the object-end chunk of an object whose
+// work was st: the marker, then the WorkStats message.
+func appendObjectEnd(dst []byte, st objstore.WorkStats) []byte {
+	return append(append(dst, objectEndMarker[:]...), objstore.EncodeStats(st)...)
 }
 
 // isObjectEnd reports whether a result chunk is an object-end chunk.
@@ -304,37 +230,11 @@ func isObjectEnd(chunk []byte) bool {
 	return len(chunk) >= len(objectEndMarker) && [4]byte(chunk[:4]) == objectEndMarker
 }
 
-// decodeObjectEnd reads an object-end chunk's work stats.
+// decodeObjectEnd reads an object-end chunk's work stats; unknown fields
+// of the WorkStats message are skipped.
 func decodeObjectEnd(chunk []byte) (objstore.WorkStats, error) {
 	if !isObjectEnd(chunk) {
 		return objstore.WorkStats{}, fmt.Errorf("ocs: malformed object-end chunk")
 	}
-	return decodeWorkTrailer(chunk[len(objectEndMarker):])
-}
-
-// decodeWorkTrailer reads a trailer (or an object-end chunk's body): the
-// WorkStats message in field 1; unknown fields are skipped.
-func decodeWorkTrailer(b []byte) (objstore.WorkStats, error) {
-	var st objstore.WorkStats
-	d := protowire.NewDecoder(b)
-	for !d.Done() {
-		f, ty, err := d.Next()
-		if err != nil {
-			return st, err
-		}
-		if f != 1 {
-			if err := d.Skip(ty); err != nil {
-				return st, err
-			}
-			continue
-		}
-		msg, err := d.Bytes()
-		if err != nil {
-			return st, err
-		}
-		if st, err = objstore.DecodeStats(msg); err != nil {
-			return st, err
-		}
-	}
-	return st, nil
+	return objstore.DecodeStats(chunk[len(objectEndMarker):])
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"prestocs/internal/bloom"
 	"prestocs/internal/column"
 	"prestocs/internal/compress"
 	"prestocs/internal/exec"
@@ -448,5 +449,75 @@ func TestNodeRPCEqualsExecuteLocalCached(t *testing.T) {
 		if res.Stats != *work {
 			t.Errorf("%s: rpc work %+v, in-process work %+v", name, res.Stats, *work)
 		}
+	}
+}
+
+// TestInvalidPlansRefusedAtTheFrontend: a plan whose filter reads a column
+// the scan does not have, or reads one as the wrong kind, and one whose
+// bloom filter is a word over bloom.MaxBytes, each fail validation, so the
+// frontend refuses them as invalid before any node is asked. A cap-sized
+// filter is valid and runs.
+func TestInvalidPlansRefusedAtTheFrontend(t *testing.T) {
+	c, cli := startCluster(t, 1)
+	if err := cli.Put(context.Background(), "b", "o", meshObject(t, compress.None)); err != nil {
+		t.Fatal(err)
+	}
+	payloads := recordPayloads(c.Nodes[0])
+	read := func() *substrait.ReadRel {
+		return &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
+	}
+	filterOn := func(col *expr.ColumnRef, lit types.Value) *substrait.Plan {
+		cond, err := expr.NewCompare(expr.Eq, col, expr.Lit(lit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return substrait.NewPlan(&substrait.FilterRel{Input: read(), Condition: cond})
+	}
+	bloomed := func(bytes int) *substrait.Plan {
+		bits := make([]byte, bytes)
+		for i := range bits {
+			bits[i] = 0xff
+		}
+		return substrait.NewPlan(&substrait.BloomFilterRel{Input: filterPlan(t, "b", "o").Root, Column: 0, NumHash: 3, Bits: bits})
+	}
+	front := rpc.Dial(c.Addr)
+	defer front.Close()
+	for name, plan := range map[string]*substrait.Plan{
+		"column 7 of 3":      filterOn(expr.Col(7, "x", types.Float64), types.FloatValue(0.5)),
+		"DOUBLE as VARCHAR":  filterOn(expr.Col(1, "x", types.String), types.StringValue("a")),
+		"bloom over the cap": bloomed(bloom.MaxBytes + 8),
+	} {
+		if _, err := plan.Validate(); err == nil {
+			t.Errorf("%s: Validate accepts the plan", name)
+		}
+		payload, err := substrait.Marshal(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := front.Call(context.Background(), MethodExecute, payload); !errors.Is(err, rpc.ErrInvalid) {
+			t.Errorf("%s: frontend answered %v, want an invalid plan", name, err)
+		}
+		if _, err := drain(context.Background(), cli, plan); !errors.Is(err, rpc.ErrInvalid) {
+			t.Errorf("%s: client answered %v, want an invalid plan", name, err)
+		}
+	}
+	if n := len(payloads()); n != 0 {
+		t.Errorf("the node was sent %d invalid plans", n)
+	}
+
+	plan := bloomed(bloom.MaxBytes)
+	if _, err := plan.Validate(); err != nil {
+		t.Fatalf("cap-sized bloom: %v", err)
+	}
+	res, err := drain(context.Background(), cli, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, p := range res.Pages {
+		rows += p.NumRows()
+	}
+	if rows != 51 {
+		t.Errorf("an all-ones cap-sized bloom kept %d of the filter's 51 rows", rows)
 	}
 }

@@ -125,15 +125,6 @@ func frontendFor(t *testing.T, nodeAddr string) *Client {
 	return cli
 }
 
-func schemaMsg(t *testing.T) []byte {
-	t.Helper()
-	msg, err := arrowlite.AppendSchema(nil, meshSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return msg
-}
-
 func batchMsg(t *testing.T, rows int) []byte {
 	t.Helper()
 	p := column.NewPage(meshSchema())
@@ -148,10 +139,9 @@ func batchMsg(t *testing.T, rows int) []byte {
 }
 
 func TestStreamErrorFrameAfterBatches(t *testing.T) {
-	// The node streams a schema and two good batches, then fails: the
-	// query must surface the error, not hang or return a short result.
+	// The node streams two good batches, then fails: the query must
+	// surface the error, not hang or return a short result.
 	addr := fakeNode(t, func(_ context.Context, p []byte, send func([]byte) error) ([]byte, error) {
-		send(schemaMsg(t))
 		send(batchMsg(t, 3))
 		send(batchMsg(t, 3))
 		return nil, fmt.Errorf("disk on fire")
@@ -164,12 +154,11 @@ func TestStreamErrorFrameAfterBatches(t *testing.T) {
 }
 
 func TestStreamNodeDiesMidStream(t *testing.T) {
-	// The node sends the schema and one batch, then its process dies
-	// (connection drops with no end frame). The client must get an error.
+	// The node sends one batch, then its process dies (connection drops
+	// with no end frame). The client must get an error.
 	nodeSrv := rpc.NewServer()
 	proceed := make(chan struct{})
 	nodeSrv.RegisterStream(NodeMethodExecute, func(_ context.Context, p []byte, send func([]byte) error) ([]byte, error) {
-		send(schemaMsg(t))
 		send(batchMsg(t, 3))
 		<-proceed // hold the stream open until the server is torn down
 		return nil, fmt.Errorf("unreachable")
@@ -203,27 +192,28 @@ func TestStreamNodeDiesMidStream(t *testing.T) {
 }
 
 func TestStreamCorruptChunkPayload(t *testing.T) {
-	// A node that emits garbage instead of a schema message must produce
-	// a decode error at the client, not a hang.
+	// A node that emits garbage instead of a batch or an object end must
+	// produce a decode error at the client, not a hang.
 	addr := fakeNode(t, func(_ context.Context, p []byte, send func([]byte) error) ([]byte, error) {
 		send([]byte{0xde, 0xad})
 		return nil, nil
 	})
 	cli := frontendFor(t, addr)
 	if _, err := drain(context.Background(), cli, filterPlan(t, "b", "o")); err == nil {
-		t.Fatal("corrupt schema chunk accepted")
+		t.Fatal("corrupt chunk accepted")
 	}
 }
 
 func TestStreamEmptyStreamNoSchema(t *testing.T) {
-	// A node that ends the stream without any chunk violates the result
-	// protocol; the client must reject it.
+	// A node that ends the stream without any chunk — not even its one
+	// object's end — violates the result protocol; the client must reject
+	// it.
 	addr := fakeNode(t, func(_ context.Context, p []byte, send func([]byte) error) ([]byte, error) {
 		return nil, nil
 	})
 	cli := frontendFor(t, addr)
 	if _, err := drain(context.Background(), cli, filterPlan(t, "b", "o")); err == nil {
-		t.Fatal("schema-less stream accepted")
+		t.Fatal("chunk-less stream accepted")
 	}
 }
 

@@ -3,6 +3,8 @@ package optimizer_test
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"prestocs/internal/column"
 	"prestocs/internal/connector/ocs"
 	"prestocs/internal/engine"
+	"prestocs/internal/expr"
 	"prestocs/internal/plan"
 	"prestocs/internal/substrait"
 	"prestocs/internal/types"
@@ -188,12 +191,13 @@ func FuzzPlanPipeline(f *testing.F) {
 // reads bytes from any client — the wire form of every pushdown the golden
 // table produces, each join's probe scan once more with a build-side bloom
 // filter attached — each over one object and over a list of several, as a
-// leaf worker's grouped request carries — and what the fuzzer makes of
-// them. The decoder may
-// reject its input; it must not panic, and a plan it accepts is backed by
-// its input (re-encoding it takes no more than a small multiple of the
-// bytes it came from — nothing was sized from a length field) and
-// re-encodes to a fixed point.
+// leaf worker's grouped request carries —, two plans it must refuse (a
+// bloom filter over bloom.MaxBytes, a column read as the wrong kind) and
+// what the fuzzer makes of them. The decoder may reject its input; it must
+// not panic, it allocates within unmarshalAllocBound of its input whatever
+// the verdict, and a plan it accepts is backed by its input (re-encoding
+// it takes no more than a small multiple of the bytes it came from —
+// nothing was sized from a length field) and re-encodes to a fixed point.
 func FuzzSubstraitUnmarshal(f *testing.F) {
 	fx := newPlanFixture(f)
 	seed := func(h *ocs.Handle) {
@@ -238,8 +242,32 @@ func FuzzSubstraitUnmarshal(f *testing.F) {
 			}
 		}
 	}
+	// Two plans the decoder must refuse, whose bytes are otherwise well
+	// formed: a bloom filter one word over the cap, and a filter that reads
+	// a DOUBLE column as VARCHAR.
+	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: types.NewSchema(types.Column{Name: "x", Type: types.Float64})}
+	misTyped, err := expr.NewCompare(expr.Eq, expr.Col(0, "x", types.String), expr.Lit(types.StringValue("a")))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rel := range []substrait.Rel{
+		&substrait.BloomFilterRel{Input: read, Column: 0, NumHash: 3, Bits: make([]byte, bloom.MaxBytes+8)},
+		&substrait.FilterRel{Input: read, Condition: misTyped},
+	} {
+		wire, err := substrait.Marshal(substrait.NewPlan(rel))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := substrait.Unmarshal(wire); err == nil {
+			f.Fatalf("the decoder accepts %s", substrait.NewPlan(rel))
+		}
+		f.Add(wire)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		p, err := substrait.Unmarshal(in)
+		if got, bound := leastAlloc(func() { _, _ = substrait.Unmarshal(in) }), unmarshalAllocBound(len(in)); got > bound {
+			t.Fatalf("%d input bytes allocated %d bytes to decode, bound %d (err %v)", len(in), got, bound, err)
+		}
 		if err != nil {
 			return
 		}
@@ -258,4 +286,27 @@ func FuzzSubstraitUnmarshal(f *testing.F) {
 			t.Fatalf("re-encoding %s is not a fixed point (%v)", p, err)
 		}
 	})
+}
+
+// unmarshalAllocBound is the most heap decoding and validating an n-byte
+// plan may allocate: nothing is sized from a length field, so what a plan
+// takes grows with its bytes. The costliest bytes measured are a ReadRel's
+// empty schema-column messages, 73 heap bytes a byte (each two-byte
+// message costs a nested decoder and a column slot, with the slice's
+// doubling); the seeds and the fuzzer's inputs stay under 12. 96 a byte
+// covers them, and 16 KiB the decoder's fixed cost and one error.
+func unmarshalAllocBound(n int) uint64 { return uint64(96*n + 16<<10) }
+
+// leastAlloc is the fewest heap bytes f allocated over three runs (the
+// fewest, so another goroutine's allocation does not count).
+func leastAlloc(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -164,27 +164,14 @@ func (n *Aggregate) OutputSchema() *types.Schema {
 }
 
 // AggregateSchema is the schema an aggregation over in produces: keys
-// then measures. A final step reads its measures' kinds off the partial
-// state columns.
+// then measures, by substrait.AggregateSchema. The analyzer builds only
+// aggregates that rule accepts; one it refuses has the empty schema.
 func AggregateSchema(in *types.Schema, keys []int, measures []substrait.Measure, step AggStep) *types.Schema {
-	var cols []types.Column
-	for _, k := range keys {
-		cols = append(cols, in.Columns[k])
+	schema, err := substrait.AggregateSchema(in, keys, measures, step == AggFinal)
+	if err != nil {
+		return types.NewSchema()
 	}
-	for i, m := range measures {
-		inKind := types.Int64
-		if step == AggFinal {
-			inKind = in.Columns[len(keys)+i].Type
-		} else if m.Func != substrait.AggCountStar {
-			inKind = in.Columns[m.Arg].Type
-		}
-		outKind, err := m.Func.ResultKind(inKind)
-		if err != nil {
-			outKind = types.Unknown
-		}
-		cols = append(cols, types.Column{Name: m.Name, Type: outKind})
-	}
-	return types.NewSchema(cols...)
+	return schema
 }
 
 // Children implements Node.

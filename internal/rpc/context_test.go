@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -188,8 +187,6 @@ func TestErrorCodeClassification(t *testing.T) {
 		{nil, CodeUnknown},
 		{errors.New("plain"), CodeUnknown},
 		{WithCode(errors.New("x"), CodeInvalid), CodeInvalid},
-		{WithCode(errors.New("x"), CodeOverLimit), CodeOverLimit},
-		{fmt.Errorf("wrapped: %w", ErrOverLimit), CodeOverLimit},
 		{&RemoteError{Code: CodeUnavailable}, CodeUnavailable},
 		{&TransportError{Op: "recv", Err: io.EOF}, CodeUnavailable},
 		{context.Canceled, CodeCanceled},
@@ -199,16 +196,6 @@ func TestErrorCodeClassification(t *testing.T) {
 		if got := ErrorCode(tc.err); got != tc.want {
 			t.Errorf("ErrorCode(%v) = %v, want %v", tc.err, got, tc.want)
 		}
-	}
-}
-
-// TestOverLimitSurvivesTheWire: the size-cap refusal keeps its identity
-// across an error frame, and is not mistaken for an invalid request.
-func TestOverLimitSurvivesTheWire(t *testing.T) {
-	sent := WithCode(errors.New("filter 64 bytes exceeds cap 8"), CodeOverLimit)
-	got := decodeRemoteError("m", errorPayload(sent))
-	if !errors.Is(got, ErrOverLimit) || errors.Is(got, ErrInvalid) || got.Code.String() != "over-limit" {
-		t.Errorf("decoded = %+v", got)
 	}
 }
 

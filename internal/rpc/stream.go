@@ -376,7 +376,8 @@ func (st *ClientStream) Trailer() []byte { return st.trailer }
 // most timeout blocked on the socket, returning the chunk payload bytes
 // it consumed and whether it reached its stop: the clean end of stream,
 // or — when last is non-nil — a chunk for which last reports true, which
-// is consumed too and leaves the stream open for the chunks after it. On
+// is consumed too and leaves the stream open for the chunks after it
+// (unless last read on to the stream's end, within the same budget). On
 // false the stream is closed and the connection discarded. The common
 // early-stop case — a pushed-down LIMIT where the storage node finished
 // right after the client stopped reading — completes in one or two reads
@@ -404,6 +405,10 @@ func (st *ClientStream) TryDrain(maxChunks int, timeout time.Duration, last func
 		}
 		drained += int64(len(chunk))
 		if last != nil && last(chunk) {
+			if st.done {
+				// last read on to the end of the stream itself.
+				return drained, st.err == nil
+			}
 			conn.SetReadDeadline(time.Time{})
 			if st.ctx.Err() != nil {
 				// The watchdog may have fired before the deadline was

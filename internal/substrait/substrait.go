@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strings"
 
+	"prestocs/internal/bloom"
 	"prestocs/internal/expr"
 	"prestocs/internal/types"
 )
@@ -148,7 +149,36 @@ func (r *FilterRel) OutputSchema() (*types.Schema, error) {
 	if r.Condition.Type() != types.Bool {
 		return nil, fmt.Errorf("substrait: filter condition has type %s", r.Condition.Type())
 	}
-	return r.Input.OutputSchema()
+	in, err := r.Input.OutputSchema()
+	if err != nil {
+		return nil, err
+	}
+	if err := checkRefs(r.Condition, in); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// checkRefs holds every column reference in e to the input it reads: its
+// ordinal in range, its kind that column's, and its name that column's up
+// to case (SQL identifiers are case-insensitive).
+func checkRefs(e expr.Expr, in *types.Schema) error {
+	var err error
+	expr.Walk(e, func(x expr.Expr) {
+		c, ok := x.(*expr.ColumnRef)
+		if !ok || err != nil {
+			return
+		}
+		switch {
+		case c.Index < 0 || c.Index >= in.Len():
+			err = fmt.Errorf("substrait: column %s ordinal %d out of range (%d cols)", c.Name, c.Index, in.Len())
+		case c.Kind != in.Columns[c.Index].Type:
+			err = fmt.Errorf("substrait: column %s read as %s, input column %d is %s", c.Name, c.Kind, c.Index, in.Columns[c.Index].Type)
+		case !strings.EqualFold(c.Name, in.Columns[c.Index].Name):
+			err = fmt.Errorf("substrait: column %s at ordinal %d, input column is %s", c.Name, c.Index, in.Columns[c.Index].Name)
+		}
+	})
+	return err
 }
 
 // ProjectRel computes expressions over the input.
@@ -168,11 +198,15 @@ func (r *ProjectRel) OutputSchema() (*types.Schema, error) {
 	if len(r.Names) != len(r.Expressions) {
 		return nil, fmt.Errorf("substrait: project has %d names for %d expressions", len(r.Names), len(r.Expressions))
 	}
-	if _, err := r.Input.OutputSchema(); err != nil {
+	in, err := r.Input.OutputSchema()
+	if err != nil {
 		return nil, err
 	}
 	cols := make([]types.Column, len(r.Expressions))
 	for i, e := range r.Expressions {
+		if err := checkRefs(e, in); err != nil {
+			return nil, err
+		}
 		cols[i] = types.Column{Name: r.Names[i], Type: e.Type()}
 	}
 	return types.NewSchema(cols...), nil
@@ -194,19 +228,39 @@ func (r *AggregateRel) OutputSchema() (*types.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
+	return AggregateSchema(in, r.GroupKeys, r.Measures, false)
+}
+
+// AggregateSchema is the one rule for an aggregation's output over in: the
+// group keys, in order, then one column per measure of its result kind.
+// A final aggregation reads partial states — the keys, then one state
+// column per measure, in measure order — so a measure's input kind is its
+// state column's, and a count's state, which merges by summation, must be
+// BIGINT.
+func AggregateSchema(in *types.Schema, keys []int, measures []Measure, final bool) (*types.Schema, error) {
 	var cols []types.Column
-	for _, k := range r.GroupKeys {
+	for _, k := range keys {
 		if k < 0 || k >= in.Len() {
 			return nil, fmt.Errorf("substrait: group key ordinal %d out of range", k)
 		}
 		cols = append(cols, in.Columns[k])
 	}
-	for _, m := range r.Measures {
+	for i, m := range measures {
 		if !ValidAggFunc(m.Func) {
 			return nil, fmt.Errorf("substrait: unknown aggregate %q", m.Func)
 		}
 		inKind := types.Int64
-		if m.Func != AggCountStar {
+		switch {
+		case final:
+			state := len(keys) + i
+			if state >= in.Len() {
+				return nil, fmt.Errorf("substrait: final aggregate input missing state column %d", state)
+			}
+			inKind = in.Columns[state].Type
+			if (m.Func == AggCount || m.Func == AggCountStar) && inKind != types.Int64 {
+				return nil, fmt.Errorf("substrait: final %s over a %s state column", m.Func, inKind)
+			}
+		case m.Func != AggCountStar:
 			if m.Arg < 0 || m.Arg >= in.Len() {
 				return nil, fmt.Errorf("substrait: measure arg ordinal %d out of range", m.Arg)
 			}
@@ -250,11 +304,8 @@ func (r *BloomFilterRel) OutputSchema() (*types.Schema, error) {
 	if r.Column < 0 || r.Column >= in.Len() {
 		return nil, fmt.Errorf("substrait: bloom filter column ordinal %d out of range", r.Column)
 	}
-	if r.NumHash < 1 || r.NumHash > 16 {
-		return nil, fmt.Errorf("substrait: bloom filter hash count %d out of range", r.NumHash)
-	}
-	if len(r.Bits) == 0 {
-		return nil, fmt.Errorf("substrait: bloom filter without bits")
+	if err := bloom.CheckShape(len(r.Bits), r.NumHash); err != nil {
+		return nil, fmt.Errorf("substrait: %w", err)
 	}
 	return in, nil
 }

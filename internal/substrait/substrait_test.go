@@ -185,7 +185,7 @@ func TestMarshalBloomFilterRoundTrip(t *testing.T) {
 		Input:   &FilterRel{Input: read, Condition: cond},
 		Column:  0,
 		NumHash: 7,
-		Bits:    []byte{0x01, 0x80, 0xFF, 0x00, 0x42},
+		Bits:    []byte{0x01, 0x80, 0xFF, 0x00, 0x42, 0x00, 0x00, 0x00},
 	}
 	p := NewPlan(bloomRel)
 	if _, err := p.Validate(); err != nil {
@@ -209,7 +209,7 @@ func TestMarshalBloomFilterRoundTrip(t *testing.T) {
 	if _, ok := b.Input.(*FilterRel); !ok {
 		t.Fatalf("bloom input = %T, want FilterRel", b.Input)
 	}
-	if !strings.Contains(got.String(), "BloomFilter[c0, 5B]") {
+	if !strings.Contains(got.String(), "BloomFilter[c0, 8B]") {
 		t.Errorf("plan summary %q missing bloom stage", got.String())
 	}
 

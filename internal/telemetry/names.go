@@ -90,10 +90,8 @@ const (
 	MetricQueryJoins    = "engine_join_queries_total"
 	MetricJoinBuildRows = "engine_join_build_rows_total"
 	// Bloom pushdown accounting: probe splits that carried a build-side
-	// bloom filter into storage, and splits where the node rejected the
-	// filter (size cap) and the scan retried without it.
+	// bloom filter into storage.
 	MetricJoinBloomPushdown = "engine_join_bloom_splits_total"
-	MetricJoinBloomRejected = "engine_join_bloom_rejected_total"
 
 	// Storage-node decoded-footer cache (labels: node). Hit ratios are
 	// lifetime percentages (0-100).
