@@ -110,9 +110,10 @@ determinism:
 # of bytes this program did not produce (Snappy blocks and parquetlite
 # footers and chunks off disk, rpc frames, protowire messages, Arrow
 # batches, object-end chunks and Substrait plans — the bloom filter's
-# carrier — off the wire, object-protocol requests from any client and responses from any
-# server) may reject their input but must never panic or size an
-# allocation from a length the input cannot back; SQL text from any
+# carrier — off the wire, object-protocol requests from any client, the
+# S3 Select request among them, and responses from any server) may reject
+# their input but must never panic or size an allocation from a length the
+# input cannot back; SQL text from any
 # client goes through parse, analyze and both optimizers in every pushdown
 # mode, where each step may reject it, none may panic, and a plan that
 # comes out keeps the structural invariants; and the comparison kernels
@@ -127,6 +128,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRef$$' -fuzztime 10s ./internal/objstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDataStats$$' -fuzztime 10s ./internal/objstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKeys$$' -fuzztime 10s ./internal/objstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSelect$$' -fuzztime 10s ./internal/objstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzNewReader$$' -fuzztime 10s ./internal/parquetlite/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadColumn$$' -fuzztime 10s ./internal/parquetlite/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanPipeline$$' -fuzztime 10s ./internal/optimizer/

@@ -1,7 +1,7 @@
 // Package prestocs's root benchmarks regenerate the paper's evaluation
 // artifacts under `go test -bench`: one benchmark per table and figure
 // (DESIGN.md §5). Each iteration runs a full query through the real
-// topology (engine + OCS + object store over loopback TCP); reported
+// topology (engine + OCS frontend and storage nodes over loopback TCP); reported
 // custom metrics are the cost-model outputs:
 //
 //	modeled-ms/op   modeled execution time on the paper's testbed

@@ -1,9 +1,11 @@
 // Command datagen generates the evaluation datasets and loads them into a
-// running ocsd (and optionally objstored) deployment, writing the catalog
-// JSON that prestolite consumes.
+// running ocsd deployment, writing the catalog JSON that prestolite
+// consumes. Each dataset is uploaded once and registered under both
+// catalogs: ocs. (in-storage execution) and hive. (the S3 Select baseline
+// over the same objects).
 //
 //	datagen -dataset laghos|deepwater|tpch|orders|all -ocs <frontend-addr>
-//	        [-objstore <addr>] [-files N] [-rows N] [-codec none|snappy|gzip|zstd]
+//	        [-files N] [-rows N] [-codec none|snappy|gzip|zstd]
 //	        [-catalog catalog.json] [-seed 42]
 package main
 
@@ -15,7 +17,6 @@ import (
 
 	"prestocs/internal/compress"
 	"prestocs/internal/metastore"
-	"prestocs/internal/objstore"
 	"prestocs/internal/ocsserver"
 	"prestocs/internal/workload"
 )
@@ -23,7 +24,6 @@ import (
 func main() {
 	dataset := flag.String("dataset", "all", "laghos, deepwater, tpch, orders or all")
 	ocsAddr := flag.String("ocs", "", "OCS frontend address (required)")
-	objAddr := flag.String("objstore", "", "plain object store address (optional)")
 	files := flag.Int("files", 0, "files per dataset (0 = dataset default)")
 	rows := flag.Int("rows", 0, "rows per file (0 = dataset default)")
 	codecName := flag.String("codec", "none", "column-chunk codec")
@@ -58,11 +58,6 @@ func main() {
 
 	ocsCli := ocsserver.NewClient(*ocsAddr)
 	defer ocsCli.Close()
-	var objCli *objstore.Client
-	if *objAddr != "" {
-		objCli = objstore.NewClient(*objAddr)
-		defer objCli.Close()
-	}
 
 	ms := metastore.New()
 	for _, name := range names {
@@ -73,14 +68,8 @@ func main() {
 		if err := d.Upload(context.Background(), ocsCli); err != nil {
 			log.Fatalf("datagen: uploading %s to OCS: %v", name, err)
 		}
-		if err := d.Register(ms, "ocs"); err != nil {
-			log.Fatal(err)
-		}
-		if objCli != nil {
-			if err := d.Upload(context.Background(), objCli); err != nil {
-				log.Fatalf("datagen: uploading %s to object store: %v", name, err)
-			}
-			if err := d.Register(ms, "hive"); err != nil {
+		for _, catalog := range []string{"ocs", "hive"} {
+			if err := d.Register(ms, catalog); err != nil {
 				log.Fatal(err)
 			}
 		}

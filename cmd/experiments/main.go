@@ -10,7 +10,7 @@
 //	            [-files N] [-rows N] [-nodes N] [-v]
 //
 // Each experiment stands up the full topology in-process (engine, OCS
-// frontend + storage nodes, object store over loopback TCP), generates
+// frontend + storage nodes over loopback TCP), generates
 // the dataset, runs the sweep and prints paper-style rows with both
 // modeled time (Table 1 hardware, see internal/costmodel) and measured
 // data movement.

@@ -1,8 +1,10 @@
 // Command prestolite is the SQL CLI: a single-process coordinator+worker
-// engine wired to an OCS frontend (ocs catalog) and optionally a plain
-// object store (hive catalog), using the catalog JSON datagen wrote.
+// engine wired to an OCS frontend, using the catalog JSON datagen wrote.
+// The ocs catalog runs pushdown plans through ocs.Execute; the hive
+// catalog reads the same objects through the frontend's object methods,
+// the S3 Select baseline.
 //
-//	prestolite -catalog catalog.json -ocs <frontend-addr> [-objstore <addr>]
+//	prestolite -catalog catalog.json -ocs <frontend-addr>
 //	           [-pushdown always|never|filter|...|auto] [-explain] [-profile]
 //	           [-metrics-listen :9280]
 //	           [-max-queries N] [-queue N] [-memory-budget BYTES]
@@ -47,7 +49,6 @@ import (
 	"prestocs/internal/engine"
 	"prestocs/internal/ingest"
 	"prestocs/internal/metastore"
-	"prestocs/internal/objstore"
 	"prestocs/internal/ocsserver"
 	"prestocs/internal/telemetry"
 )
@@ -55,7 +56,6 @@ import (
 func main() {
 	catalogPath := flag.String("catalog", "catalog.json", "catalog JSON written by datagen")
 	ocsAddr := flag.String("ocs", "", "OCS frontend address (required)")
-	objAddr := flag.String("objstore", "", "plain object store address (optional, enables hive catalog)")
 	pushdown := flag.String("pushdown", "all", "ocs pushdown mode: always/all, never/none, filter, ..., or auto (the Selectivity Analyzer decides at plan time from table statistics)")
 	explain := flag.Bool("explain", false, "print the optimized plan before results")
 	profile := flag.Bool("profile", false, "print a per-query trace profile after each statement")
@@ -104,6 +104,7 @@ func main() {
 	defer ocsCli.Close()
 	conn := ocsconn.New("ocs", ms, ocsCli)
 	eng.AddConnector(conn)
+	eng.AddConnector(hive.New("hive", ms, ocsCli.Client))
 	if *ingestMode {
 		ing := ingest.NewIngester(ms, ocsCli, ingest.Options{
 			FlushRows: *flushRows,
@@ -128,11 +129,6 @@ func main() {
 			}
 			defer comp.Stop()
 		}
-	}
-	if *objAddr != "" {
-		objCli := objstore.NewClient(*objAddr)
-		defer objCli.Close()
-		eng.AddConnector(hive.New("hive", ms, objCli))
 	}
 	if *metricsListen != "" {
 		tracers := map[string]*telemetry.Tracer{"engine": eng.Tracer}

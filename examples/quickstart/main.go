@@ -17,8 +17,7 @@ import (
 )
 
 func main() {
-	// One OCS storage node + frontend + object store + engine, all over
-	// loopback TCP.
+	// One OCS storage node + frontend + engine, all over loopback TCP.
 	cluster, err := harness.StartCluster(1)
 	if err != nil {
 		log.Fatal(err)

@@ -30,7 +30,9 @@ type Connector struct {
 	client  *objstore.Client
 }
 
-// New creates a connector bound to a metastore and object store endpoint.
+// New creates a connector bound to a metastore and an object-protocol
+// client: a storage node's or the OCS frontend's (ocsserver.Client
+// embeds one).
 func New(catalog string, meta *metastore.Metastore, client *objstore.Client) *Connector {
 	return &Connector{catalog: catalog, meta: meta, client: client}
 }

@@ -13,6 +13,7 @@ import (
 	"prestocs/internal/metastore"
 	"prestocs/internal/objstore"
 	"prestocs/internal/parquetlite"
+	"prestocs/internal/rpc"
 	"prestocs/internal/types"
 )
 
@@ -24,7 +25,8 @@ func setup(t *testing.T) (*engine.Engine, *objstore.Client) {
 		types.Column{Name: "v", Type: types.Float64},
 		types.Column{Name: "g", Type: types.String},
 	)
-	srv := objstore.NewServer(objstore.NewStore())
+	srv := rpc.NewServer()
+	objstore.Mount(srv, objstore.NewStore(), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

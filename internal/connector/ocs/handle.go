@@ -253,20 +253,13 @@ func (h *Handle) WithJoinBloom(column int, filter *bloom.Filter, _ int64) (plan.
 		h.Push.FinalProject != nil || h.Push.TopN != nil || h.Push.Limit > 0) {
 		return nil, false
 	}
-	return h.withBloom(&BloomSpec{Column: column, Filter: filter}), true
-}
-
-// withBloom returns a copy of the handle whose pushdown carries spec in
-// place of the bloom filter it had; nil strips it — the retry shape after
-// a storage node refuses the filter.
-func (h *Handle) withBloom(spec *BloomSpec) *Handle {
 	c := h.clone()
 	c.Push = &Pushdown{}
 	if h.Push != nil {
 		*c.Push = *h.Push
 	}
-	c.Push.Bloom = spec
-	return c
+	c.Push.Bloom = &BloomSpec{Column: column, Filter: filter}
+	return c, true
 }
 
 // PushedOperators implements engine.PushdownReporter.

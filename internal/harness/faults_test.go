@@ -12,7 +12,6 @@ import (
 	"prestocs/internal/engine"
 	"prestocs/internal/faultnet"
 	"prestocs/internal/metastore"
-	"prestocs/internal/objstore"
 	"prestocs/internal/ocsserver"
 )
 
@@ -81,12 +80,6 @@ func clusterAround(t *testing.T, ocsCluster *ocsserver.Cluster, dialAddr string)
 	t.Helper()
 	c := &Cluster{Meta: metastore.New(), OCS: ocsCluster}
 	c.OCSCli = ocsserver.NewClient(dialAddr)
-	c.ObjSrv = objstore.NewServer(objstore.NewStore())
-	objAddr, err := c.ObjSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.ObjCli = objstore.NewClient(objAddr)
 	c.Engine = engine.New()
 	c.Engine.DefaultCatalog = CatalogOCS
 	c.OCSConn = ocsconn.New(CatalogOCS, c.Meta, c.OCSCli)

@@ -1,7 +1,8 @@
 // Package harness stands up the full reproduction topology in-process —
-// engine (coordinator + workers), OCS cluster (frontend + storage nodes)
-// and a plain object store, all over loopback TCP — loads generated
-// datasets into both storage systems, runs (query, pushdown-config,
+// engine (coordinator + workers) and OCS cluster (frontend + storage
+// nodes), over loopback TCP — loads generated datasets once and registers
+// them under both catalogs (ocs., the OCS pushdown path, and hive., the
+// S3 Select baseline over the same objects), runs (query, pushdown-config,
 // codec) cells and prices each execution with the cost model. Both
 // cmd/experiments and the repository benchmarks drive it; every table and
 // figure in the paper maps to one of its Run* helpers (DESIGN.md §5).
@@ -18,7 +19,6 @@ import (
 	"prestocs/internal/engine"
 	"prestocs/internal/ingest"
 	"prestocs/internal/metastore"
-	"prestocs/internal/objstore"
 	"prestocs/internal/ocsserver"
 	"prestocs/internal/telemetry"
 	"prestocs/internal/workload"
@@ -36,8 +36,6 @@ type Cluster struct {
 	Meta    *metastore.Metastore
 	OCS     *ocsserver.Cluster
 	OCSCli  *ocsserver.Client
-	ObjSrv  *objstore.Server
-	ObjCli  *objstore.Client
 	OCSConn *ocsconn.Connector
 
 	// Metrics is the shared registry every layer writes into, and Tracers
@@ -85,21 +83,12 @@ func StartClusterWith(storageNodes int, cfg Config) (*Cluster, error) {
 	}
 	c.OCSCli = ocsserver.NewClient(ocsCluster.Addr, cliOpts...)
 
-	c.ObjSrv = objstore.NewServer(objstore.NewStore())
-	c.ObjSrv.Metrics = c.Metrics
-	objAddr, err := c.ObjSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.ObjCli = objstore.NewClient(objAddr)
-
 	c.Engine = engine.New()
 	c.Engine.DefaultCatalog = CatalogOCS
 	c.Engine.SetAdmission(cfg.Admission)
 	c.OCSConn = ocsconn.New(CatalogOCS, c.Meta, c.OCSCli)
 	c.Engine.AddConnector(c.OCSConn)
-	c.Engine.AddConnector(hive.New(CatalogHive, c.Meta, c.ObjCli))
+	c.Engine.AddConnector(hive.New(CatalogHive, c.Meta, c.OCSCli.Client))
 	if cfg.Telemetry {
 		c.Engine.Metrics = c.Metrics
 		c.Engine.Tracer = telemetry.NewTracer(0)
@@ -151,22 +140,13 @@ func (c *Cluster) Close() {
 	if c.OCS != nil {
 		c.OCS.Shutdown()
 	}
-	if c.ObjCli != nil {
-		c.ObjCli.Close()
-	}
-	if c.ObjSrv != nil {
-		c.ObjSrv.Close()
-	}
 }
 
-// Load uploads a dataset to both storage systems and registers it under
-// both catalogs.
+// Load uploads a dataset's objects once, through the OCS frontend, and
+// registers them under both catalogs: ocs. and hive. read the same
+// objects, through ocs.Execute and through obj.Get/obj.Select.
 func (c *Cluster) Load(d *workload.Dataset) error {
-	ctx := context.Background()
-	if err := d.Upload(ctx, c.OCSCli); err != nil {
-		return err
-	}
-	if err := d.Upload(ctx, c.ObjCli); err != nil {
+	if err := d.Upload(context.Background(), c.OCSCli); err != nil {
 		return err
 	}
 	if err := d.Register(c.Meta, CatalogOCS); err != nil {

@@ -378,6 +378,61 @@ func TestSnapshotPinnedScanSurvivesIngestAndCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionSparesObjectsHiveReads: Load registers one upload under
+// both catalogs, so compacting ocs.orders tombstones objects hive.orders
+// still lists. Reaping leaves them in storage — the compaction reclaims
+// nothing, however often it runs — and hive.orders returns its
+// pre-compaction rows, as ocs.orders returns the same rows from the
+// compacted object.
+func TestCompactionSparesObjectsHiveReads(t *testing.T) {
+	c := testCluster(t)
+	d, err := workload.TPCHOrders(workload.Config{Files: 4, RowsPerFile: 256, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Load(d); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const query = "SELECT orderkey, orderdate, orderpriority FROM %s.orders ORDER BY orderkey"
+	read := func(catalog string) []string {
+		t.Helper()
+		res, err := execute(ctx, c.Engine, fmt.Sprintf(query, catalog), nil)
+		if err != nil {
+			t.Fatalf("%s.orders: %v", catalog, err)
+		}
+		return orderedRows(res.Page)
+	}
+	want := read(CatalogHive)
+	if len(want) != 4*256 {
+		t.Fatalf("hive.orders read %d rows before compaction", len(want))
+	}
+
+	comp := c.NewCompactor(ingest.CompactorOptions{ClusterBy: "orderkey"})
+	for run := 0; run < 2; run++ {
+		res, err := comp.RunOnce(ctx, CatalogOCS, "orders")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 && len(res.Merged) != len(d.Table.Objects) {
+			t.Fatalf("compaction merged %v, want every loaded object", res.Merged)
+		}
+		if res.Reclaimed != 0 {
+			t.Errorf("run %d reclaimed %d objects that hive.orders lists", run, res.Reclaimed)
+		}
+	}
+	if n := c.Meta.TombstoneCount(CatalogOCS, "orders"); n != len(d.Table.Objects) {
+		t.Errorf("%d tombstones kept, want one per merged object", n)
+	}
+	for _, key := range d.Table.Objects {
+		if _, _, err := c.OCSCli.Get(ctx, d.Table.Bucket, key); err != nil {
+			t.Errorf("object %s hive.orders lists: %v", key, err)
+		}
+	}
+	assertRowsEqual(t, "hive.orders after compaction", read(CatalogHive), want)
+	assertRowsEqual(t, "ocs.orders after compaction", read(CatalogOCS), want)
+}
+
 // TestIngestKilledConnectionFault drives the ingest flush over a fault
 // proxy. A connection killed mid-Put is absorbed by the client's retry —
 // the flush still commits exactly once. A blackholed store fails the

@@ -12,6 +12,8 @@ import (
 	ocsconn "prestocs/internal/connector/ocs"
 	"prestocs/internal/engine"
 	"prestocs/internal/expr"
+	"prestocs/internal/objstore"
+	"prestocs/internal/ocsserver"
 	"prestocs/internal/parquetlite"
 	"prestocs/internal/telemetry"
 	"prestocs/internal/types"
@@ -163,12 +165,14 @@ func TestJoinQ3DifferentialAcrossModes(t *testing.T) {
 }
 
 // TestJoinHiveMatchesOCS runs the join shapes and Q3 over hive. and over
-// ocs. and holds each catalog to its own path — hive.'s bytes come from
-// the object store, ocs.'s from the OCS frontend, none from the other —
-// so that the query matrix's catalog axis compares two paths, not one
-// path twice. Both must give the same rows in the same order.
+// ocs. — one copy of the objects, one frontend — and holds each catalog to
+// its own methods: ocs. reads through ocs.Execute (and obj.Get for a scan
+// with nothing to push), never obj.Select; hive. through obj.Select (and
+// obj.Get for a scan with no filter), never ocs.Execute. So the query
+// matrix's catalog axis compares two paths, not one path twice. Both must
+// give the same rows in the same order.
 func TestJoinHiveMatchesOCS(t *testing.T) {
-	c, err := StartCluster(1)
+	c, err := StartClusterWith(1, Config{Telemetry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +190,17 @@ func TestJoinHiveMatchesOCS(t *testing.T) {
 		"both conjuncts": "SELECT l.orderkey AS k, l.quantity AS q, o.orderdate AS d " + from + "WHERE l.quantity < 10 AND o.orderdate < DATE '1993-01-01'",
 		"q3":             strings.Replace(workload.TPCHQ3Query, "FROM lineitem AS l JOIN orders AS o ON l.orderkey = o.orderkey ", from, 1),
 	}
+	// own and foreign name, per catalog, the method its path must read
+	// through and the one it must never call.
+	own := map[string]string{CatalogOCS: ocsserver.MethodExecute, CatalogHive: objstore.MethodSelect}
+	foreign := map[string]string{CatalogOCS: objstore.MethodSelect, CatalogHive: ocsserver.MethodExecute}
+	recv := func(method string) int64 {
+		return c.Metrics.CounterValue(telemetry.MetricRPCClientRecvBytes, "method", method)
+	}
 	for name, sql := range shapes {
 		rows := map[string][]string{}
 		for _, catalog := range []string{CatalogOCS, CatalogHive} {
-			ocsBefore, objBefore := c.OCSCli.Meter().Received(), c.ObjCli.Meter().Received()
+			ownBefore, foreignBefore := recv(own[catalog]), recv(foreign[catalog])
 			res, err := execute(context.Background(), c.Engine, fmt.Sprintf(sql, catalog), nil)
 			if err != nil {
 				t.Fatalf("%s over %s: %v", name, catalog, err)
@@ -197,13 +208,9 @@ func TestJoinHiveMatchesOCS(t *testing.T) {
 			if res.Page.NumRows() == 0 {
 				t.Fatalf("%s over %s: no rows", name, catalog)
 			}
-			fromOCS, fromObj := c.OCSCli.Meter().Received()-ocsBefore, c.ObjCli.Meter().Received()-objBefore
-			own, other := fromOCS, fromObj
-			if catalog == CatalogHive {
-				own, other = fromObj, fromOCS
-			}
-			if own == 0 || other != 0 {
-				t.Errorf("%s over %s: %d bytes from the OCS frontend, %d from the object store", name, catalog, fromOCS, fromObj)
+			ownBytes, foreignBytes := recv(own[catalog])-ownBefore, recv(foreign[catalog])-foreignBefore
+			if ownBytes == 0 || foreignBytes != 0 {
+				t.Errorf("%s over %s: %d bytes from %s, %d from %s", name, catalog, ownBytes, own[catalog], foreignBytes, foreign[catalog])
 			}
 			rows[catalog] = orderedRows(res.Page)
 		}

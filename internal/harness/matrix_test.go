@@ -113,7 +113,7 @@ func runMatrix(t *testing.T, c *Cluster, q matrixQuery, ref *[]string) {
 		}
 		objects += len(tbl.Objects)
 	}
-	received := func() int64 { return c.OCSCli.Meter().Received() + c.ObjCli.Meter().Received() }
+	received := c.OCSCli.Meter().Received
 	runCell := func(label, sql, planned string, session *engine.Session) {
 		before := received()
 		res, err := execute(context.Background(), c.Engine, sql, session)

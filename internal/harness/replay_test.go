@@ -142,22 +142,42 @@ func TestKilledPushdownStreamResumesOnReplay(t *testing.T) {
 	got, fallbacks := readSplit(t, c, proxy, h, split, true)
 	requireResumed(t, proxy, got, want, fallbacks)
 
-	// A fresh cluster, with the kill armed before any query so that no
-	// pooled connection is already past the threshold (the proxy counts
-	// response bytes from birth). Small row groups again: the client
-	// retries a request until its first chunk, so the kill must land after
-	// it — a first chunk of a whole 8192-row group would absorb it.
+	// The query's kill is placed by a measured unfaulted run: half the
+	// mean ocs.Execute stream, in response bytes. The client retries a
+	// request until its first chunk, so the kill must land after it and
+	// before the stream's end; with small row groups (one chunk each) a
+	// first chunk is a sixteenth of an object.
 	d, err = workload.Laghos(workload.Config{Files: 4, RowsPerFile: 8192, RowGroupSize: 512, Seed: 11, Codec: compress.None})
 	if err != nil {
 		t.Fatal(err)
 	}
+	selective := `SELECT vertex_id, e FROM laghos WHERE x < 1.5`
+	auto := engine.NewSession().Set(ocsconn.SessionPushdown, "auto")
+	c, _ = killableCluster(t)
+	if err := c.Load(d); err != nil {
+		t.Fatal(err)
+	}
+	meter := c.OCSCli.Meter()
+	received, calls := meter.Received(), meter.Calls()
+	unfaulted, err := c.Run("unfaulted", selective, auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := meter.Calls() - calls
+	if streams == 0 || unfaulted.Stats.Scan.Snapshot().FallbackSplits != 0 {
+		t.Fatalf("unfaulted run: %d streams, %d fallbacks; want streams and no fallback", streams, unfaulted.Stats.Scan.Snapshot().FallbackSplits)
+	}
+	cut := (meter.Received() - received) / streams / 2
+	t.Logf("%d streams, %d response bytes in all: kill at %d", streams, meter.Received()-received, cut)
+
+	// A fresh cluster, with the kill armed before any query so that no
+	// pooled connection is already past the cut (the proxy counts response
+	// bytes from a connection's birth; Load's Put answers are a few bytes).
 	c, proxy = killableCluster(t)
 	if err := c.Load(d); err != nil {
 		t.Fatal(err)
 	}
-	selective := `SELECT vertex_id, e FROM laghos WHERE x < 1.5`
-	auto := engine.NewSession().Set(ocsconn.SessionPushdown, "auto")
-	proxy.KillOnce(16384)
+	proxy.KillOnce(cut)
 	cell, err := c.Run("killed", selective, auto)
 	if err != nil {
 		t.Fatalf("auto query with killed connection = %v", err)

@@ -16,6 +16,7 @@ package metastore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -265,18 +266,21 @@ func objectRows(t *Table, key string) int64 {
 
 // ReapTombstones passes to del, in key order, every tombstone of the
 // table that no outstanding pin can still reference — i.e. whose
-// RemovedAt version is at or below every pinned version — and drops those
-// del returned nil for. A tombstone whose physical delete fails stays and
-// is offered again by the next call, so no object is leaked by one failed
-// delete. del runs without the metastore's lock held. Returns the number
-// dropped.
+// RemovedAt version is at or below every pinned version — and that no
+// other registered table of the same bucket still lists (the ocs. and
+// hive. catalogs register the same objects), and drops those del returned
+// nil for. A tombstone whose physical delete fails, or whose object
+// another table still lists, stays and is offered again by the next call,
+// so no object is leaked by one failed delete and none is deleted under a
+// table that reads it. del runs without the metastore's lock held.
+// Returns the number dropped.
 func (m *Metastore) ReapTombstones(schema, name string, del func(Tombstone) error) int {
 	key := strings.ToLower(schema + "." + name)
 	m.mu.RLock()
 	minPinned, pinned := m.minPinnedLocked(key)
 	var reap []Tombstone
 	for _, ts := range m.tombstones[key] {
-		if !pinned || ts.RemovedAt <= minPinned {
+		if (!pinned || ts.RemovedAt <= minPinned) && !m.listedElsewhereLocked(key, ts) {
 			reap = append(reap, ts)
 		}
 	}
@@ -305,6 +309,17 @@ func (m *Metastore) ReapTombstones(schema, name string, del func(Tombstone) erro
 		m.tombstones[key] = keep
 	}
 	return len(gone)
+}
+
+// listedElsewhereLocked reports whether a registered table other than key
+// lists the tombstone's object live. Caller holds m.mu.
+func (m *Metastore) listedElsewhereLocked(key string, ts Tombstone) bool {
+	for k, t := range m.tables {
+		if k != key && t.Bucket == ts.Bucket && slices.Contains(t.Objects, ts.Key) {
+			return true
+		}
+	}
+	return false
 }
 
 // TombstoneCount reports how many objects of the table await physical

@@ -240,6 +240,50 @@ func TestSnapshotReapKeepsTombstoneWhoseDeleteFailed(t *testing.T) {
 	}
 }
 
+// TestSnapshotReapSparesObjectsAnotherTableLists: two catalogs register
+// the same objects (ocs. and hive. over one upload). A compaction of one
+// tombstones objects the other still reads; reaping must not hand them to
+// del, and offers each again once no other table of the bucket lists it.
+// A table in another bucket that lists the same key does not hold it.
+func TestSnapshotReapSparesObjectsAnotherTableLists(t *testing.T) {
+	m := New()
+	shared := snapshotTable()
+	shared.Schema = "hive"
+	elsewhere := snapshotTable()
+	elsewhere.Name, elsewhere.Bucket = "elsewhere", "other-bucket"
+	for _, tbl := range []*Table{snapshotTable(), shared, elsewhere} {
+		if err := m.Register(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.CommitObjects("default", "events",
+		[]ObjectAdd{addFor("events-compact-000002.pql", 0, 199, 200, 7000)},
+		[]string{"events-part-000.pql", "events-part-001.pql"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := reapAll(m); len(got) != 0 {
+		t.Fatalf("reap offered %v, which hive.events still lists", got)
+	}
+	if n := m.TombstoneCount("default", "events"); n != 2 {
+		t.Fatalf("%d tombstones left, want both kept", n)
+	}
+	shared = snapshotTable()
+	shared.Schema, shared.Objects = "hive", shared.Objects[:1]
+	if err := m.Register(shared); err != nil {
+		t.Fatal(err)
+	}
+	if got := reapAll(m); len(got) != 1 || got[0].Key != "events-part-001.pql" {
+		t.Fatalf("reap offered %v, want only the object hive.events no longer lists", got)
+	}
+	m.Drop("hive", "events")
+	if got := reapAll(m); len(got) != 1 || got[0].Key != "events-part-000.pql" {
+		t.Fatalf("reap offered %v, want the last tombstone once no other table lists it", got)
+	}
+	if n := m.TombstoneCount("default", "events"); n != 0 {
+		t.Errorf("%d tombstones left, want none", n)
+	}
+}
+
 func TestSnapshotPinAfterRemovalReaps(t *testing.T) {
 	m := New()
 	if err := m.Register(snapshotTable()); err != nil {

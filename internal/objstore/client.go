@@ -16,9 +16,9 @@ import (
 )
 
 // Client is the one client of the object protocol. It speaks to anything
-// that mounts the object methods — a Server, an OCS storage node or the OCS
-// frontend (ocsserver.Client embeds it). Put, Get, List and Delete are
-// idempotent end to end, so every call runs under the retry policy:
+// that serves the object methods — an OCS storage node or the OCS frontend
+// (ocsserver.Client embeds it). Every object method is idempotent end to
+// end, so every call runs under the retry policy:
 // transient transport failures (peer unreachable, connection killed
 // mid-call) are retried, everything else surfaces at once.
 type Client struct {
@@ -26,7 +26,8 @@ type Client struct {
 	retry retry.Policy
 }
 
-// NewClient dials an object server with the default retry policy.
+// NewClient dials an object server (a storage node or the frontend) with
+// the default retry policy.
 func NewClient(addr string) *Client { return NewClientOver(rpc.Dial(addr), retry.Default()) }
 
 // NewClientOver builds a client on an existing connection pool and retry
@@ -74,6 +75,19 @@ func (c *Client) List(ctx context.Context, bucket, prefix string) ([]string, err
 // all) and filter by pred (ordinals over the object's full schema; nil =
 // no filter). It returns the raw CSV payload plus storage work stats.
 func (c *Client) Select(ctx context.Context, bucket, key string, columns []string, pred expr.Expr) ([]byte, WorkStats, error) {
+	req, err := encodeSelect(bucket, key, columns, pred)
+	if err != nil {
+		return nil, WorkStats{}, err
+	}
+	resp, err := c.retry.Call(ctx, c.rpc, MethodSelect, req)
+	if err != nil {
+		return nil, WorkStats{}, err
+	}
+	return DecodeDataStats(resp)
+}
+
+// encodeSelect marshals a Select request (see selectRequest).
+func encodeSelect(bucket, key string, columns []string, pred expr.Expr) ([]byte, error) {
 	e := protowire.NewEncoder()
 	e.String(1, bucket)
 	e.String(2, key)
@@ -82,14 +96,10 @@ func (c *Client) Select(ctx context.Context, bucket, key string, columns []strin
 	}
 	if pred != nil {
 		if err := substrait.EncodeExpr(e, 4, pred); err != nil {
-			return nil, WorkStats{}, err
+			return nil, err
 		}
 	}
-	resp, err := c.retry.Call(ctx, c.rpc, MethodSelect, e.Encoded())
-	if err != nil {
-		return nil, WorkStats{}, err
-	}
-	return DecodeDataStats(resp)
+	return e.Encoded(), nil
 }
 
 // ParseSelectCSV converts a Select response body into a columnar page.

@@ -7,11 +7,12 @@
 // the row-oriented result format is kept because its parse cost is part
 // of what the paper's OCS/Arrow path improves on.)
 //
-// The server runs over internal/rpc, so all traffic is metered. Every
-// response carries a WorkStats trailer describing the storage-side work
-// performed (bytes read from media, bytes after decompression, CPU
-// units), which the cost model prices with the storage node's hardware
-// profile.
+// Mount serves a Store over internal/rpc — the OCS storage node mounts
+// its store, and the frontend routes the same methods — so all traffic is
+// metered. Get and Select responses carry a WorkStats message describing
+// the storage-side work performed (bytes read from media, bytes after
+// decompression, CPU units), which the cost model prices with the storage
+// node's hardware profile.
 package objstore
 
 import (
@@ -23,7 +24,7 @@ import (
 	"prestocs/internal/rpc"
 )
 
-// Store is the in-memory bucket/object map shared by server methods.
+// Store is the in-memory bucket/object map the object methods serve.
 // Objects are immutable once put (like S3); Put overwrites atomically.
 type Store struct {
 	mu      sync.RWMutex

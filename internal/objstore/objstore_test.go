@@ -3,8 +3,11 @@ package objstore
 import (
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +16,7 @@ import (
 	"prestocs/internal/expr"
 	"prestocs/internal/parquetlite"
 	"prestocs/internal/protowire"
+	"prestocs/internal/rpc"
 	"prestocs/internal/types"
 )
 
@@ -95,9 +99,12 @@ func tableObject(t *testing.T, codec compress.Codec) []byte {
 	return data
 }
 
-func startServer(t *testing.T) (*Server, *Client) {
+// startServer serves an empty store with the object methods over
+// loopback and returns a client of it.
+func startServer(t *testing.T) *Client {
 	t.Helper()
-	srv := NewServer(NewStore())
+	srv := rpc.NewServer()
+	Mount(srv, NewStore(), nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -107,11 +114,11 @@ func startServer(t *testing.T) (*Server, *Client) {
 		cli.Close()
 		srv.Close()
 	})
-	return srv, cli
+	return cli
 }
 
 func TestClientPutGetListDelete(t *testing.T) {
-	_, cli := startServer(t)
+	cli := startServer(t)
 	if err := cli.Put(context.Background(), "bkt", "obj1", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +154,7 @@ func TestClientPutGetListDelete(t *testing.T) {
 }
 
 func TestSelectFullScan(t *testing.T) {
-	_, cli := startServer(t)
+	cli := startServer(t)
 	if err := cli.Put(context.Background(), "data", "t.pql", tableObject(t, compress.None)); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +175,7 @@ func TestSelectFullScan(t *testing.T) {
 }
 
 func TestSelectFilterAndProjection(t *testing.T) {
-	_, cli := startServer(t)
+	cli := startServer(t)
 	if err := cli.Put(context.Background(), "data", "t.pql", tableObject(t, compress.Snappy)); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +208,7 @@ func TestSelectFilterAndProjection(t *testing.T) {
 }
 
 func TestSelectProjectionReducesBytes(t *testing.T) {
-	_, cli := startServer(t)
+	cli := startServer(t)
 	if err := cli.Put(context.Background(), "data", "t.pql", tableObject(t, compress.None)); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +228,7 @@ func TestSelectProjectionReducesBytes(t *testing.T) {
 }
 
 func TestSelectErrors(t *testing.T) {
-	_, cli := startServer(t)
+	cli := startServer(t)
 	if err := cli.Put(context.Background(), "data", "bad.pql", []byte("not a parquet file")); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +271,7 @@ func TestSelectCSVStringQuoting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cli := startServer(t)
+	cli := startServer(t)
 	if err := cli.Put(context.Background(), "d", "q.pql", data); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +297,7 @@ func TestSelectDoubleSupport(t *testing.T) {
 	p := column.NewPage(schema)
 	p.AppendRow(types.FloatValue(3.141592653589793))
 	data, _ := parquetlite.WritePages(schema, parquetlite.WriterOptions{}, p)
-	_, cli := startServer(t)
+	cli := startServer(t)
 	if err := cli.Put(context.Background(), "d", "f.pql", data); err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +368,7 @@ func TestSelectLyingRowCount(t *testing.T) {
 	if r, err := parquetlite.NewReader(img); err != nil || r.Meta().RowGroups[0].NumRows != 4<<20 {
 		t.Fatalf("rewritten footer: %v", err)
 	}
-	_, cli := startServer(t)
+	cli := startServer(t)
 	if err := cli.Put(context.Background(), "data", "lying.pql", img); err != nil {
 		t.Fatal(err)
 	}
@@ -376,6 +383,74 @@ func TestSelectLyingRowCount(t *testing.T) {
 		t.Errorf("select over a %d-byte object allocated %d bytes", len(img), got)
 	}
 }
+
+// FuzzDecodeSelect: a Select request reads bytes from any client. The
+// decoder may refuse them — always as CodeInvalid — but must not panic,
+// allocates within selectAllocBound of its input whatever the verdict, and
+// what it accepts is backed by the payload and survives a re-encode.
+func FuzzDecodeSelect(f *testing.F) {
+	id := expr.Col(0, "id", types.Int64)
+	ge, _ := expr.NewCompare(expr.Ge, id, expr.Lit(types.IntValue(90)))
+	asString, _ := expr.NewCompare(expr.Eq, expr.Col(1, "x", types.String), expr.Lit(types.StringValue("0.5")))
+	and, _ := expr.NewLogic(expr.And, ge, asString)
+	for _, req := range []struct {
+		bucket, key string
+		columns     []string
+		pred        expr.Expr
+	}{
+		{"data", "t.pql", nil, nil},
+		{"data", "t.pql", []string{"name", "id"}, ge},
+		{"data", "t.pql", []string{"x"}, and},
+		{"data", "t.pql", []string{"", "nosuch"}, asString},
+		{"", "t.pql", nil, ge},
+		{"data", "", []string{"id"}, nil},
+	} {
+		in, err := encodeSelect(req.bucket, req.key, req.columns, req.pred)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(in)
+		f.Add(in[:len(in)-1])
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r, err := decodeSelect(in)
+		if got, bound := leastAlloc(func() { _, _ = decodeSelect(in) }), selectAllocBound(len(in)); got > bound {
+			t.Fatalf("%d input bytes allocated %d bytes to decode, bound %d (err %v)", len(in), got, bound, err)
+		}
+		if err != nil {
+			if !errors.Is(err, rpc.ErrInvalid) {
+				t.Fatalf("rejection is not CodeInvalid: %v", err)
+			}
+			return
+		}
+		if r.Bucket == "" || r.Key == "" {
+			t.Fatalf("accepted a request for %q/%q", r.Bucket, r.Key)
+		}
+		named := len(r.Bucket) + len(r.Key)
+		for _, c := range r.columns {
+			named += len(c)
+		}
+		if named > len(in) {
+			t.Fatalf("%d input bytes decoded to %d bytes of names", len(in), named)
+		}
+		wire, err := encodeSelect(r.Bucket, r.Key, r.columns, r.pred)
+		if err != nil {
+			t.Fatalf("re-encode of an accepted request: %v", err)
+		}
+		again, err := decodeSelect(wire)
+		if err != nil || again.Bucket != r.Bucket || again.Key != r.Key || !slices.Equal(again.columns, r.columns) || fmt.Sprint(again.pred) != fmt.Sprint(r.pred) {
+			t.Fatalf("re-encode of %+v decoded to %+v, %v", r, again, err)
+		}
+	})
+}
+
+// selectAllocBound is the most heap decoding an n-byte Select request may
+// take: its names are copied out as strings, each column costs a slice
+// slot, and its predicate decodes through Substrait's expression decoder,
+// whose plans FuzzSubstraitUnmarshal holds to the same bound. The costliest
+// bytes measured are empty column names, 33 heap bytes a byte (as List's
+// empty keys); repeated predicates take 9.2.
+func selectAllocBound(n int) uint64 { return 96*uint64(n) + 16<<10 }
 
 // leastAlloc is the fewest heap bytes f allocated over three runs (the
 // fewest, so another goroutine's allocation does not count).

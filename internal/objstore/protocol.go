@@ -9,9 +9,9 @@ import (
 )
 
 // Method names of the object protocol. Every server that holds or routes
-// objects registers these four — Server, ocsserver.StorageNode and
-// ocsserver.Frontend — so one Client speaks to all of them. MethodSelect
-// is the S3 Select baseline and exists on Server only.
+// objects serves these five — ocsserver.StorageNode mounts them (Mount)
+// and ocsserver.Frontend routes them — so one Client speaks to both.
+// MethodSelect is the S3 Select baseline: filter-only, CSV out.
 const (
 	MethodGet    = "obj.Get"
 	MethodPut    = "obj.Put"
@@ -20,9 +20,10 @@ const (
 	MethodSelect = "obj.Select"
 )
 
-// Ref is the request message of all four object methods: bucket (field 1),
-// key — the prefix for List — (field 2) and, for Put, the object image
-// (field 3).
+// Ref is the request message of Put, Get, List and Delete: bucket (field
+// 1), key — the prefix for List — (field 2) and, for Put, the object image
+// (field 3). A Select request carries its bucket and key in the same two
+// fields, so DecodeRef places a Select as it places a Get.
 type Ref struct {
 	Bucket, Key string
 	Data        []byte
@@ -41,8 +42,8 @@ func EncodeRef(r Ref) []byte {
 
 // DecodeRef unmarshals and validates a request; Data aliases payload. The
 // one validation rule of the protocol lives here: a request that does not
-// parse, names no bucket, or (needKey: Put, Get, Delete) names no key is
-// rpc.CodeInvalid.
+// parse, names no bucket, or (needKey: Put, Get, Delete, Select) names no
+// key is rpc.CodeInvalid.
 func DecodeRef(payload []byte, needKey bool) (Ref, error) {
 	var r Ref
 	d := protowire.NewDecoder(payload)
@@ -61,16 +62,30 @@ func DecodeRef(payload []byte, needKey bool) (Ref, error) {
 			}
 		}
 		if err != nil {
-			return Ref{}, rpc.WithCode(fmt.Errorf("objstore: malformed request: %w", err), rpc.CodeInvalid)
+			return Ref{}, malformed(err)
 		}
 	}
-	if r.Bucket == "" {
-		return Ref{}, rpc.WithCode(fmt.Errorf("objstore: request names no bucket"), rpc.CodeInvalid)
-	}
-	if needKey && r.Key == "" {
-		return Ref{}, rpc.WithCode(fmt.Errorf("objstore: request names no key"), rpc.CodeInvalid)
+	if err := r.check(needKey); err != nil {
+		return Ref{}, err
 	}
 	return r, nil
+}
+
+// malformed is the rejection of a request that does not parse.
+func malformed(err error) error {
+	return rpc.WithCode(fmt.Errorf("objstore: malformed request: %w", err), rpc.CodeInvalid)
+}
+
+// check is the rule a parsed request must meet: it names a bucket and,
+// with needKey, a key.
+func (r Ref) check(needKey bool) error {
+	if r.Bucket == "" {
+		return rpc.WithCode(fmt.Errorf("objstore: request names no bucket"), rpc.CodeInvalid)
+	}
+	if needKey && r.Key == "" {
+		return rpc.WithCode(fmt.Errorf("objstore: request names no key"), rpc.CodeInvalid)
+	}
+	return nil
 }
 
 // EncodeStats marshals a WorkStats message.
@@ -182,13 +197,13 @@ func DecodeKeys(resp []byte) ([]string, error) {
 	return keys, nil
 }
 
-// Mount registers the handlers of the four object methods on srv, serving
+// Mount registers the handlers of the five object methods on srv, serving
 // store. They are the only implementation of the protocol's server side: a
 // missing bucket or object is rpc.CodeNotFound (the Store's own errors
 // carry the code), Delete of an absent key succeeds (so a retry after a
 // killed connection is safe), and mutated, when non-nil, runs after every
 // Put and Delete has been applied — the storage node drops the object's
-// cached footers and pages there.
+// cached footers and pages there. Select reads around those caches.
 func Mount(srv *rpc.Server, store *Store, mutated func(bucket, key string)) {
 	if mutated == nil {
 		mutated = func(string, string) {}
@@ -232,5 +247,8 @@ func Mount(srv *rpc.Server, store *Store, mutated func(bucket, key string)) {
 		store.Delete(r.Bucket, r.Key)
 		mutated(r.Bucket, r.Key)
 		return nil, nil
+	})
+	srv.Register(MethodSelect, func(_ context.Context, payload []byte) ([]byte, error) {
+		return handleSelect(store, payload)
 	})
 }

@@ -29,18 +29,11 @@ type objectServer struct {
 	reg   *telemetry.Registry
 }
 
-// objectServers starts the three servers that mount the object methods: a
-// bare objstore.Server, one StorageNode addressed directly, and a Frontend
-// sharding over three nodes.
+// objectServers starts the two servers of the object methods: one
+// StorageNode addressed directly (it mounts them), and a Frontend sharding
+// over three nodes (it routes them).
 func objectServers(t *testing.T) []objectServer {
 	t.Helper()
-	srv := objstore.NewServer(objstore.NewStore())
-	srvAddr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
 	nodeReg := telemetry.NewRegistry()
 	node := ocsserver.NewStorageNode(0)
 	node.Metrics = nodeReg
@@ -58,7 +51,6 @@ func objectServers(t *testing.T) []objectServer {
 	t.Cleanup(cluster.Shutdown)
 
 	return []objectServer{
-		{name: "objstore.Server", addr: srvAddr},
 		{name: "StorageNode", addr: nodeAddr, nodes: []*ocsserver.StorageNode{node}, reg: nodeReg},
 		{name: "Frontend3Nodes", addr: cluster.Addr, nodes: cluster.Nodes, reg: clusterReg},
 	}
@@ -77,6 +69,38 @@ var objects = map[string][]byte{
 	"a/1": []byte("one"),
 	"b/2": {},
 	"c/3": bytes.Repeat([]byte{0x00, 0xff, 0x7f, 0x80}, 1024),
+}
+
+// tableKey holds, for the Select steps, a parquetlite image of four rows
+// of (id BIGINT, x DOUBLE, name VARCHAR): (i, i/2, "a"+i) for i = 0..3.
+const tableKey = "t/table.pql"
+
+var (
+	tableSchema = types.NewSchema(
+		types.Column{Name: "id", Type: types.Int64},
+		types.Column{Name: "x", Type: types.Float64},
+		types.Column{Name: "name", Type: types.String},
+	)
+	table = func() []byte {
+		page := column.NewPage(tableSchema)
+		for i := range 4 {
+			page.AppendRow(types.IntValue(int64(i)), types.FloatValue(float64(i)/2), types.StringValue(fmt.Sprint("a", i)))
+		}
+		img, err := parquetlite.WritePages(tableSchema, parquetlite.WriterOptions{RowGroupSize: 2}, page)
+		if err != nil {
+			panic(err)
+		}
+		return img
+	}()
+)
+
+// compare builds `col op lit`, panicking on a comparison NewCompare refuses.
+func compare(op expr.CmpOp, col expr.Expr, lit types.Value) expr.Expr {
+	e, err := expr.NewCompare(op, col, expr.Lit(lit))
+	if err != nil {
+		panic(err)
+	}
+	return e
 }
 
 // step is one call of the conformance sequence and what it must answer:
@@ -115,6 +139,21 @@ func del(b, k string) func(context.Context, *objstore.Client) (any, error) {
 	return func(ctx context.Context, c *objstore.Client) (any, error) { return nil, c.Delete(ctx, b, k) }
 }
 
+// sel answers the Select's CSV as a string, after checking the work
+// stats count the rows it scanned.
+func sel(b, k string, columns []string, pred expr.Expr) func(context.Context, *objstore.Client) (any, error) {
+	return func(ctx context.Context, c *objstore.Client) (any, error) {
+		data, st, err := c.Select(ctx, b, k, columns, pred)
+		if err != nil {
+			return nil, err
+		}
+		if st.RowsProcessed == 0 || st.BytesRead == 0 {
+			return nil, fmt.Errorf("select work stats %+v count no scan", st)
+		}
+		return string(data), nil
+	}
+}
+
 // conformance is run in order against a fresh server; later steps see the
 // state earlier ones left.
 var conformance = []step{
@@ -145,12 +184,21 @@ var conformance = []step{
 	{name: "get without key", call: get(bucket, ""), wantErr: rpc.ErrInvalid},
 	{name: "delete without key", call: del(bucket, ""), wantErr: rpc.ErrInvalid},
 	{name: "rejected calls changed nothing", call: list(bucket, ""), want: []string{"a/0", "b/2", "c/3"}},
+	{name: "put a table", call: put(bucket, tableKey, table)},
+	{name: "select columns", call: sel(bucket, tableKey, []string{"id"}, nil), want: "id\n0\n1\n2\n3\n"},
+	{name: "select columns where", call: sel(bucket, tableKey, []string{"name", "id"},
+		compare(expr.Ge, expr.Col(0, "id", types.Int64), types.IntValue(2))), want: "name,id\na2,2\na3,3\n"},
+	{name: "select where on a column not returned", call: sel(bucket, tableKey, []string{"name"},
+		compare(expr.Lt, expr.Col(1, "x", types.Float64), types.FloatValue(0.5))), want: "name\na0\n"},
+	{name: "select a missing object", call: sel(bucket, "t/none.pql", nil, nil), wantErr: rpc.ErrNotFound},
+	{name: "select from a bucket never seen", call: sel(missing, tableKey, nil, nil), wantErr: rpc.ErrNotFound},
+	{name: "delete the table", call: del(bucket, tableKey)},
 }
 
 // TestObjectProtocolConformance runs the one client against every server of
 // the object protocol: the same calls must give the same answers and the
-// same error codes whether the server is the plain object store, a storage
-// node or the sharding frontend.
+// same error codes whether the server is a storage node or the sharding
+// frontend.
 func TestObjectProtocolConformance(t *testing.T) {
 	ctx := context.Background()
 	for _, srv := range objectServers(t) {
@@ -175,7 +223,7 @@ func TestObjectProtocolConformance(t *testing.T) {
 			// by every method, and the server goes on serving.
 			raw := rpc.Dial(srv.addr)
 			defer raw.Close()
-			for _, method := range []string{objstore.MethodPut, objstore.MethodGet, objstore.MethodList, objstore.MethodDelete} {
+			for _, method := range []string{objstore.MethodPut, objstore.MethodGet, objstore.MethodList, objstore.MethodDelete, objstore.MethodSelect} {
 				for _, payload := range malformedRequests {
 					if _, err := raw.Call(ctx, method, payload); !errors.Is(err, rpc.ErrInvalid) {
 						t.Errorf("%s(% x): error %v, want %v", method, payload, err, rpc.ErrInvalid)
@@ -186,8 +234,62 @@ func TestObjectProtocolConformance(t *testing.T) {
 				t.Errorf("list after malformed requests = %v, %v", keys, err)
 			}
 
-			if srv.nodes != nil {
-				testMutationDropsNodeCaches(t, srv, cli)
+			testMutationDropsNodeCaches(t, srv, cli)
+		})
+	}
+}
+
+// TestSelectBadRequestsAreInvalid holds Select to the protocol's one
+// validation rule on a storage node and through the frontend: a request
+// that does not parse, names no bucket or no key, names a column the
+// object lacks, or carries a predicate that is not a valid filter over the
+// stored schema is rpc.CodeInvalid, while every node's execute path is
+// down: Select is an object method, and a well-formed one is still
+// answered.
+func TestSelectBadRequestsAreInvalid(t *testing.T) {
+	ctx := context.Background()
+	request := func(b, k string, columns []string, pred expr.Expr) []byte {
+		req, err := objstore.EncodeSelect(b, k, columns, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	wellFormed := request(bucket, tableKey, []string{"id"}, compare(expr.Gt, expr.Col(0, "id", types.Int64), types.IntValue(0)))
+	cases := []struct {
+		name    string
+		payload []byte
+	}{
+		{"truncated request", wellFormed[:len(wellFormed)-3]},
+		{"no bucket", request("", tableKey, nil, nil)},
+		{"no key", request(bucket, "", nil, nil)},
+		{"unknown column", request(bucket, tableKey, []string{"id", "nosuch"}, nil)},
+		{"predicate ordinal out of range", request(bucket, tableKey, nil, compare(expr.Gt, expr.Col(7, "id", types.Int64), types.IntValue(0)))},
+		{"predicate reads DOUBLE x as VARCHAR", request(bucket, tableKey, nil, compare(expr.Eq, expr.Col(1, "x", types.String), types.StringValue("0.5")))},
+	}
+	for _, srv := range objectServers(t) {
+		t.Run(srv.name, func(t *testing.T) {
+			cli := objstore.NewClient(srv.addr)
+			defer cli.Close()
+			if err := cli.Put(ctx, bucket, tableKey, table); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range srv.nodes {
+				n.SetExecuteFault(errors.New("compute unit offline"))
+			}
+			raw := rpc.Dial(srv.addr)
+			defer raw.Close()
+			for _, tc := range cases {
+				if _, err := raw.Call(ctx, objstore.MethodSelect, tc.payload); !errors.Is(err, rpc.ErrInvalid) {
+					t.Errorf("%s: error %v, want %v", tc.name, err, rpc.ErrInvalid)
+				}
+			}
+			resp, err := raw.Call(ctx, objstore.MethodSelect, wellFormed)
+			if err != nil {
+				t.Fatalf("well-formed select while execute fails: %v", err)
+			}
+			if data, _, err := objstore.DecodeDataStats(resp); err != nil || string(data) != "id\n1\n2\n3\n" {
+				t.Errorf("well-formed select = %q, %v", data, err)
 			}
 		})
 	}
@@ -303,7 +405,8 @@ func fuzzSeeds() [][]byte {
 }
 
 // FuzzDecodeRef: a request decoder reads bytes from any client. It may
-// refuse them — always as CodeInvalid — but must not panic, and what it
+// refuse them — always as CodeInvalid — but must not panic, allocates
+// within refAllocBound of its input whatever the verdict, and what it
 // accepts is backed by the payload and survives a re-encode.
 func FuzzDecodeRef(f *testing.F) {
 	for _, s := range fuzzSeeds() {
@@ -312,6 +415,9 @@ func FuzzDecodeRef(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in []byte, needKey bool) {
 		r, err := objstore.DecodeRef(in, needKey)
+		if got, bound := objstore.LeastAlloc(func() { _, _ = objstore.DecodeRef(in, needKey) }), refAllocBound(len(in)); got > bound {
+			t.Fatalf("%d input bytes allocated %d bytes to decode, bound %d (err %v)", len(in), got, bound, err)
+		}
 		if err != nil {
 			if !errors.Is(err, rpc.ErrInvalid) {
 				t.Fatalf("rejection is not CodeInvalid: %v", err)
@@ -331,13 +437,18 @@ func FuzzDecodeRef(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDataStats: the Get response decoder reads bytes from a server.
+// FuzzDecodeDataStats: the Get response decoder reads bytes from a server;
+// the payload aliases them, so it allocates no more than
+// dataStatsAllocBound whatever their length.
 func FuzzDecodeDataStats(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		data, st, err := objstore.DecodeDataStats(in)
+		if got := objstore.LeastAlloc(func() { _, _, _ = objstore.DecodeDataStats(in) }); got > dataStatsAllocBound {
+			t.Fatalf("%d input bytes allocated %d bytes to decode, bound %d (err %v)", len(in), got, dataStatsAllocBound, err)
+		}
 		if err != nil {
 			return
 		}
@@ -353,13 +464,17 @@ func FuzzDecodeDataStats(f *testing.F) {
 }
 
 // FuzzDecodeKeys: the List response decoder reads bytes from a server (the
-// frontend reads them from every node).
+// frontend reads them from every node), and allocates within
+// keysAllocBound of them.
 func FuzzDecodeKeys(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		keys, err := objstore.DecodeKeys(in)
+		if got, bound := objstore.LeastAlloc(func() { _, _ = objstore.DecodeKeys(in) }), keysAllocBound(len(in)); got > bound {
+			t.Fatalf("%d input bytes allocated %d bytes to decode, bound %d (err %v)", len(in), got, bound, err)
+		}
 		if err != nil {
 			return
 		}
@@ -373,3 +488,26 @@ func FuzzDecodeKeys(f *testing.F) {
 		}
 	})
 }
+
+// The allocation bounds of the object protocol's decoders: nothing is
+// sized from a length field, so what a message takes grows with its bytes.
+// LeastAlloc's fewest-of-three reading keeps another goroutine's
+// allocation out of the measurement.
+const (
+	// dataStatsAllocBound: the payload aliases the response and the
+	// stats are values, so only the decoders and an error remain.
+	dataStatsAllocBound = 512
+	// allocSlack covers the decoder and an error message.
+	allocSlack = 512
+)
+
+// refAllocBound: a request's bucket and key are copied out of it as
+// strings, each repeat of the field afresh, and its object image aliases
+// it. The costliest bytes measured are repeated 9-byte buckets, 1.46 heap
+// bytes a byte (an 11-byte field fills a 16-byte size class).
+func refAllocBound(n int) uint64 { return 2*uint64(n) + allocSlack }
+
+// keysAllocBound: every key costs its bytes plus a 16-byte slot of a
+// slice that grows by doubling, then by a quarter. The costliest bytes
+// measured are empty keys, two bytes each: 33 heap bytes a byte.
+func keysAllocBound(n int) uint64 { return 48*uint64(n) + allocSlack }

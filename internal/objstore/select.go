@@ -2,7 +2,6 @@ package objstore
 
 import (
 	"bytes"
-	"context"
 	"encoding/csv"
 	"fmt"
 
@@ -11,77 +10,65 @@ import (
 	"prestocs/internal/rpc"
 	"prestocs/internal/scan"
 	"prestocs/internal/substrait"
-	"prestocs/internal/telemetry"
 )
 
-// Server exposes a Store over RPC.
-type Server struct {
-	store *Store
-	rpc   *rpc.Server
-
-	// Metrics and Tracer feed the transport's telemetry; optional, set
-	// before Listen.
-	Metrics *telemetry.Registry
-	Tracer  *telemetry.Tracer
+// selectRequest is an obj.Select request: the object, in the fields of a
+// Ref (bucket 1, key 2), the columns to return by name (field 3, repeated;
+// none = all) and the filter over the object's full schema (field 4; nil =
+// none).
+type selectRequest struct {
+	Ref
+	columns []string
+	pred    expr.Expr
 }
 
-// NewServer wraps a store.
-func NewServer(store *Store) *Server {
-	s := &Server{store: store, rpc: rpc.NewServer()}
-	Mount(s.rpc, store, nil)
-	s.rpc.Register(MethodSelect, s.handleSelect)
-	return s
-}
-
-// Listen binds and serves; returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	s.rpc.Metrics = s.Metrics
-	s.rpc.Tracer = s.Tracer
-	return s.rpc.Listen(addr)
-}
-
-// Close shuts the server down.
-func (s *Server) Close() error { return s.rpc.Close() }
-
-// Meter exposes the transport meter.
-func (s *Server) Meter() *rpc.Meter { return &s.rpc.Meter }
-
-// handleSelect implements the S3 Select-like path: WHERE + projection over
-// one parquetlite object, CSV out. Predicate column ordinals reference the
-// object's full schema.
-func (s *Server) handleSelect(_ context.Context, payload []byte) ([]byte, error) {
+// decodeSelect unmarshals and validates a Select request under DecodeRef's
+// rule: a request that does not parse, or names no bucket or no key, is
+// rpc.CodeInvalid.
+func decodeSelect(payload []byte) (selectRequest, error) {
+	var r selectRequest
 	d := protowire.NewDecoder(payload)
-	var bucket, key string
-	var columns []string
-	var pred expr.Expr
 	for !d.Done() {
 		f, ty, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		switch f {
-		case 1:
-			bucket, err = d.String()
-		case 2:
-			key, err = d.String()
-		case 3:
-			var c string
-			c, err = d.String()
-			columns = append(columns, c)
-		case 4:
-			var m *protowire.Decoder
-			m, err = d.Message()
-			if err == nil {
-				pred, err = substrait.DecodeExpr(m)
+		if err == nil {
+			switch f {
+			case 1:
+				r.Bucket, err = d.String()
+			case 2:
+				r.Key, err = d.String()
+			case 3:
+				var c string
+				if c, err = d.String(); err == nil {
+					r.columns = append(r.columns, c)
+				}
+			case 4:
+				var m *protowire.Decoder
+				if m, err = d.Message(); err == nil {
+					r.pred, err = substrait.DecodeExpr(m)
+				}
+			default:
+				err = d.Skip(ty)
 			}
-		default:
-			err = d.Skip(ty)
 		}
 		if err != nil {
-			return nil, err
+			return selectRequest{}, malformed(err)
 		}
 	}
-	data, err := s.store.Get(bucket, key)
+	return r, r.check(true)
+}
+
+// handleSelect implements the S3 Select-like path over one parquetlite
+// object of store: WHERE + projection, CSV out, read uncached. The request
+// is checked against the stored schema — every column name must exist, and
+// the predicate must be a valid filter over the full schema (substrait's
+// FilterRel rule) — before any row group is read; a request that fails is
+// rpc.CodeInvalid.
+func handleSelect(store *Store, payload []byte) ([]byte, error) {
+	req, err := decodeSelect(payload)
+	if err != nil {
+		return nil, err
+	}
+	data, err := store.Get(req.Bucket, req.Key)
 	if err != nil {
 		return nil, err
 	}
@@ -94,26 +81,28 @@ func (s *Server) handleSelect(_ context.Context, payload []byte) ([]byte, error)
 		return nil, err
 	}
 	schema := stored.Schema()
+	columns := req.columns
 	if len(columns) == 0 {
 		columns = schema.Names()
 	}
 	cols := make([]int, len(columns))
 	for i, name := range columns {
 		if cols[i] = schema.IndexOf(name); cols[i] < 0 {
-			return nil, fmt.Errorf("objstore: select references unknown column %q", name)
+			return nil, rpc.WithCode(fmt.Errorf("objstore: select references unknown column %q", name), rpc.CodeInvalid)
 		}
 	}
-	read := cols
+	read, pred := cols, req.pred
 	if pred != nil {
+		filter := &substrait.FilterRel{Input: &substrait.ReadRel{Bucket: req.Bucket, Objects: []string{req.Key}, BaseSchema: schema}, Condition: pred}
+		if _, err := filter.OutputSchema(); err != nil {
+			return nil, rpc.WithCode(fmt.Errorf("objstore: select predicate: %w", err), rpc.CodeInvalid)
+		}
 		at := make(map[int]int, len(cols))
 		for i := len(cols) - 1; i >= 0; i-- {
 			at[cols[i]] = i
 		}
 		read = append([]int(nil), cols...)
 		for _, c := range expr.ReferencedColumns(pred) {
-			if c < 0 || c >= schema.Len() {
-				return nil, fmt.Errorf("objstore: predicate ordinal %d out of range", c)
-			}
 			if _, ok := at[c]; !ok {
 				at[c] = len(read)
 				read = append(read, c)

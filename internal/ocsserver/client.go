@@ -26,8 +26,8 @@ import (
 //
 // The object operations (Put, Get, List, Delete, and Close and Meter) are
 // those of the embedded object client, built over this client's connection
-// pool and retry policy: the frontend serves the object protocol like any
-// object server. (It does not serve obj.Select; Select answers NotFound.)
+// pool and retry policy: the frontend routes the object protocol, the S3
+// Select baseline (Select) included, to the node that holds each object.
 type Client struct {
 	*objstore.Client
 	rpc   *rpc.Client

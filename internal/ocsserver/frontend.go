@@ -23,8 +23,8 @@ const MethodExecute = "ocs.Execute"
 // Frontend is the OCS entry point: it accepts Substrait plans, resolves
 // which storage node holds the target object and forwards the plan for
 // in-storage execution; results stream back in Arrow format. It also
-// routes the object protocol (PUT/GET/LIST/DELETE) so applications see
-// one endpoint, as in the paper's hierarchical design: it adds placement
+// routes the object protocol (PUT/GET/LIST/DELETE and the S3 Select
+// baseline, SELECT) so applications see one endpoint, as in the paper's hierarchical design: it adds placement
 // and nothing else — request bytes reach the owning node unchanged and
 // the node's response comes back unchanged. Node calls inherit
 // the caller's context deadline and are retried on transient failure
@@ -34,8 +34,8 @@ type Frontend struct {
 	rpc   *rpc.Server
 	nodes []*rpc.Client
 
-	// Retry governs node fan-out retries; set before Listen.
-	Retry retry.Policy
+	// retry governs node fan-out retries.
+	retry retry.Policy
 
 	// StreamWindow bounds unacknowledged chunks per proxied stream toward
 	// the application (0 = rpc.DefaultStreamWindow).
@@ -58,12 +58,12 @@ func NewFrontend(nodeAddrs []string) (*Frontend, error) {
 	if len(nodeAddrs) == 0 {
 		return nil, fmt.Errorf("ocs: frontend requires at least one storage node")
 	}
-	f := &Frontend{rpc: rpc.NewServer(), Retry: retry.Default()}
+	f := &Frontend{rpc: rpc.NewServer(), retry: retry.Default()}
 	for _, addr := range nodeAddrs {
 		f.nodes = append(f.nodes, rpc.Dial(addr))
 	}
 	f.rpc.RegisterStream(MethodExecute, f.handleExecute)
-	for _, method := range []string{objstore.MethodPut, objstore.MethodGet, objstore.MethodDelete} {
+	for _, method := range []string{objstore.MethodPut, objstore.MethodGet, objstore.MethodDelete, objstore.MethodSelect} {
 		f.rpc.RegisterStream(method, f.route(method))
 	}
 	f.rpc.Register(objstore.MethodList, f.handleList)
@@ -139,10 +139,12 @@ func (f *Frontend) handleExecute(ctx context.Context, payload []byte, send func(
 	return nil, nil
 }
 
-// route is the handler of a keyed object method (Put, Get, Delete): the
-// request goes, unchanged, to the node its bucket/key hashes to. Every
-// object method is idempotent (Put overwrites, Delete of a missing key
-// succeeds), so a call whose connection died mid-flight is safe to repeat.
+// route is the handler of a keyed object method (Put, Get, Delete,
+// Select): the request goes, unchanged, to the node its bucket/key hashes
+// to — a Select request carries them in Ref's fields, so DecodeRef places
+// it. Every object method is idempotent (Put overwrites, Delete of a
+// missing key succeeds, Get and Select only read), so a call whose
+// connection died mid-flight is safe to repeat.
 func (f *Frontend) route(method string) rpc.StreamHandler {
 	return func(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
 		ref, err := objstore.DecodeRef(payload, true)
@@ -165,7 +167,7 @@ func (f *Frontend) forward(ctx context.Context, node int, method string, payload
 	defer span.End()
 	span.SetAttr("node", fmt.Sprintf("node%d", node))
 	var trailer []byte
-	err := f.Retry.Do(ctx, func() error {
+	err := f.retry.Do(ctx, func() error {
 		st, err := f.nodes[node].Stream(ctx, method, payload)
 		if err != nil {
 			return err
@@ -208,7 +210,7 @@ func (f *Frontend) handleList(ctx context.Context, payload []byte) ([]byte, erro
 	var keys []string
 	found := false
 	for _, n := range f.nodes {
-		resp, err := f.Retry.Call(ctx, n, objstore.MethodList, payload)
+		resp, err := f.retry.Call(ctx, n, objstore.MethodList, payload)
 		if errors.Is(err, rpc.ErrNotFound) {
 			continue
 		}

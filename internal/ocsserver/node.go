@@ -19,7 +19,8 @@ import (
 // protocol (objstore.Method*), which it serves with objstore's handlers.
 const NodeMethodExecute = "ocsnode.Execute"
 
-// StorageNode is an object store that can also execute a Substrait plan
+// StorageNode is an object store — it serves the whole object protocol,
+// the S3 Select baseline included — that can also execute a Substrait plan
 // over an object it holds, with the embedded SQL engine, and that caches
 // the footers and pages those plans read. In the paper this is the
 // resource-constrained 16-core node; the cost model prices the WorkStats
@@ -64,9 +65,9 @@ type StorageNode struct {
 
 // SetExecuteFault injects err as the outcome of every subsequent Execute
 // call until cleared with nil. It simulates the computational unit of an
-// OCS node being down while the object path (Put/Get/List) stays healthy
-// — the degradation scenario where the engine must fall back to the
-// paper's no-pushdown configuration.
+// OCS node being down while the object path (Put/Get/List/Select) stays
+// healthy — the degradation scenario where the engine must fall back to
+// the paper's no-pushdown configuration.
 func (n *StorageNode) SetExecuteFault(err error) {
 	n.faultMu.Lock()
 	n.execFault = err

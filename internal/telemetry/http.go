@@ -10,7 +10,7 @@ import (
 )
 
 // NewMux builds the debug HTTP handler served by cmd/ocsd and
-// cmd/objstored on their -metrics-listen port:
+// cmd/prestolite on their -metrics-listen port:
 //
 //	/metrics       — the registry in Prometheus-style text exposition
 //	/debug/traces  — recent traces, one line per trace with span count

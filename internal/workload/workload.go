@@ -78,8 +78,8 @@ func (d *Dataset) Register(ms *metastore.Metastore, catalog string) error {
 	return ms.Register(&t)
 }
 
-// Upload stores every object through w: the OCS frontend, a plain object
-// store, or anything else that takes a Put.
+// Upload stores every object through w: the OCS frontend, a storage node,
+// or anything else that takes a Put.
 func (d *Dataset) Upload(ctx context.Context, w ingest.ObjectWriter) error {
 	for _, key := range d.Table.Objects {
 		if err := w.Put(ctx, d.Table.Bucket, key, d.Objects[key]); err != nil {
