@@ -7,7 +7,7 @@ GO ?= go
 COVER_MIN ?= 80.0
 
 .PHONY: build test loc bench bench-build bench-paper faults faults-ingest fuzz-smoke determinism check \
-	gates vet-telemetry vet-scan vet-concurrency vet-join vet-ingest ci-fast ci-race ci cover
+	gates vet-telemetry vet-scan vet-join vet-ingest ci-fast ci-race ci cover
 
 build:
 	$(GO) build ./...
@@ -139,10 +139,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectionKernels$$' -fuzztime 10s ./internal/expr/
 
 # gates is the one list of the static guards (telemetry manifest, the one
-# storage read, shared scheduler, join hot path, ingest single writer):
+# storage read, join hot path, ingest single writer):
 # check and ci-fast both depend on it, so adding or retiring a gate is one
 # edit.
-gates: vet-telemetry vet-scan vet-concurrency vet-join vet-ingest
+gates: vet-telemetry vet-scan vet-join vet-ingest
 
 # vet-telemetry keeps the metric-name manifest honest: every Metric* const
 # declared in internal/telemetry/names.go must have a registration site in
@@ -178,31 +178,6 @@ vet-scan:
 		exit 1; \
 	fi
 	@echo "vet-scan: every storage read goes through internal/scan"
-
-# vet-concurrency guards the shared-scheduler invariant (DESIGN.md §7):
-# storage-node scan work must flow through the node-wide fair scheduler.
-# Constructing a scheduler (the old per-query worker-pool shape) anywhere
-# in internal/ocsserver needs an explicit `// vet-concurrency:allow
-# <reason>` annotation, reserved for the node-wide instance and the
-# in-process entry point; and the scanner itself must stay free of ad-hoc
-# goroutines — its parallelism budget belongs to the scheduler.
-vet-concurrency:
-	@bad=$$(grep -n 'newScanScheduler(' internal/ocsserver/*.go 2>/dev/null \
-		| grep -v '_test.go' | grep -v 'scheduler.go' | grep -v 'vet-concurrency:allow'); \
-	if [ -n "$$bad" ]; then \
-		echo "vet-concurrency: per-query scheduler construction in ocsserver (share the"; \
-		echo "node-wide scheduler or annotate // vet-concurrency:allow <reason>):"; \
-		echo "$$bad"; \
-		exit 1; \
-	fi
-	@bad=$$(grep -n 'go func' internal/ocsserver/scanner.go 2>/dev/null); \
-	if [ -n "$$bad" ]; then \
-		echo "vet-concurrency: ad-hoc goroutine in the scanner; submit scanTasks to the"; \
-		echo "shared scheduler instead:"; \
-		echo "$$bad"; \
-		exit 1; \
-	fi
-	@echo "vet-concurrency: scan work flows through the shared node-wide scheduler"
 
 # vet-join guards the vectorized join hot path: the hash-join probe, the
 # engine-side bloom probe and the bloom membership kernels must stay

@@ -33,7 +33,7 @@ func main() {
 	metricsListen := flag.String("metrics-listen", "", "debug HTTP address for /metrics and /debug/traces (empty = disabled)")
 	footerCacheBytes := flag.Int64("footer-cache-bytes", scan.DefaultFooterCacheBytes, "per-node decoded-footer cache budget (0 disables)")
 	pageCacheBytes := flag.Int64("page-cache-bytes", scan.DefaultPageCacheBytes, "per-node hot-page cache budget (0 disables)")
-	scanPool := flag.Int("scan-pool", 0, "per-node scan-scheduler workers (0 = storage-node core count)")
+	scanPool := flag.Int("scan-pool", 0, "per-node scan pool: row-group reads run at once across all queries (0 = storage-node core count)")
 	streamWindow := flag.Int("stream-window", 0, "per-stream credit window in chunks (0 = default)")
 	flag.Parse()
 

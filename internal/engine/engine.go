@@ -25,7 +25,6 @@ import (
 type Engine struct {
 	mu         sync.RWMutex
 	connectors map[string]Connector
-	listeners  []EventListener
 
 	// DefaultCatalog resolves unqualified table names.
 	DefaultCatalog string
@@ -66,13 +65,6 @@ func (e *Engine) AddConnector(c Connector) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.connectors[c.Name()] = c
-}
-
-// AddEventListener registers a query-completion listener.
-func (e *Engine) AddEventListener(l EventListener) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.listeners = append(e.listeners, l)
 }
 
 func (e *Engine) connector(name string) (Connector, error) {
@@ -242,13 +234,6 @@ func (e *Engine) runQuery(q *Query) (*Result, error) {
 	}
 	e.observeQuery(qspan, stats, err)
 
-	event := QueryEvent{SQL: sql, Catalog: scan.Catalog, Table: scan.Table, Stats: stats, Err: err}
-	e.mu.RLock()
-	listeners := append([]EventListener(nil), e.listeners...)
-	e.mu.RUnlock()
-	for _, l := range listeners {
-		l.QueryCompleted(event)
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -267,38 +267,6 @@ func TestErrorsPropagate(t *testing.T) {
 	}
 }
 
-type recordingListener struct {
-	mu     sync.Mutex
-	events []QueryEvent
-}
-
-func (l *recordingListener) QueryCompleted(ev QueryEvent) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, ev)
-}
-
-func TestEventListener(t *testing.T) {
-	e, _ := newTestEngine(1, 5)
-	l := &recordingListener{}
-	e.AddEventListener(l)
-	if _, err := execute(context.Background(), e, "SELECT id FROM t", nil); err != nil {
-		t.Fatal(err)
-	}
-	execute(context.Background(), e, "SELECT id FROM t WHERE id / 0 = 1", nil) // runtime error event
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.events) != 2 {
-		t.Fatalf("events = %d", len(l.events))
-	}
-	if l.events[0].Err != nil || l.events[0].Table != "t" {
-		t.Errorf("event 0 = %+v", l.events[0])
-	}
-	if l.events[1].Err == nil {
-		t.Error("error event missing error")
-	}
-}
-
 func TestSessionProperties(t *testing.T) {
 	s := NewSession().Set("a", "1").Set("b", "2")
 	if s.Get("a") != "1" || s.Get("b") != "2" || s.Get("zz") != "" {

@@ -330,18 +330,3 @@ type QueryStats struct {
 	// (zero otherwise); prestolite's -profile flag renders it.
 	TraceID telemetry.TraceID
 }
-
-// QueryEvent is delivered to event listeners after each query (the
-// connector's monitoring hook, §4 "Pushdown Monitoring").
-type QueryEvent struct {
-	SQL     string
-	Catalog string
-	Table   string
-	Stats   *QueryStats
-	Err     error
-}
-
-// EventListener observes completed queries.
-type EventListener interface {
-	QueryCompleted(QueryEvent)
-}

@@ -15,10 +15,31 @@ import (
 	"prestocs/internal/workload"
 )
 
+// mixedCase is one mixed-traffic scenario: the pushdown mode of the heavy
+// queries and the shape of the small table.
+type mixedCase struct {
+	name      string
+	heavyMode string
+	small     workload.Config
+}
+
+var mixedCases = []mixedCase{
+	// The heavy queries read whole objects with GETs, so none of their row
+	// groups enters the node's scan pool, and the small table is one row
+	// group, read inline: this case measures engine admission and CPU
+	// contention.
+	{"none", "none", workload.Config{Files: 1, RowsPerFile: 512, Seed: 12, Codec: compress.None}},
+	// The heavy queries push their filter, so every one of their row
+	// groups takes a slot of the node's scan pool, and so does each of the
+	// small table's four: this case measures how long a small scan waits
+	// behind heavy ones for the pool.
+	{"filter", "filter", workload.Config{Files: 1, RowsPerFile: 1024, RowGroupSize: 256, Seed: 12, Codec: compress.None}},
+}
+
 // mixedCluster stands up the mixed-traffic topology: admission bounded
-// well above the load (so nothing sheds), a small shared scan pool so
-// heavy and small queries genuinely contend for the same node workers.
-func mixedCluster(t testing.TB) (*Cluster, *workload.Dataset, *workload.Dataset) {
+// well above the load (so nothing sheds), the default scan pool of the
+// node, which heavy and small queries share.
+func mixedCluster(t testing.TB, mc mixedCase) (*Cluster, *workload.Dataset, *workload.Dataset) {
 	t.Helper()
 	c, err := StartClusterWith(1, Config{
 		Telemetry: true,
@@ -28,13 +49,13 @@ func mixedCluster(t testing.TB) (*Cluster, *workload.Dataset, *workload.Dataset)
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	// Small row groups keep the scheduler's fairness quantum fine: a
-	// small query's task never waits behind a multi-thousand-row scan.
+	// Small row groups keep a pool slot's hold short: a small query's row
+	// group never waits behind a multi-thousand-row read.
 	heavy, err := workload.Laghos(workload.Config{Files: 8, RowsPerFile: 8192, RowGroupSize: 512, Seed: 11, Codec: compress.None})
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := workload.DeepWater(workload.Config{Files: 1, RowsPerFile: 512, Seed: 12, Codec: compress.None})
+	small, err := workload.DeepWater(mc.small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +95,10 @@ func percentile(durs []time.Duration, p float64) time.Duration {
 	return sorted[idx]
 }
 
-// mixedTrafficSmallLatencies drives 4 heavy full-transfer scans and the
-// small selective queries concurrently and returns the small queries'
-// latencies.
-func mixedTrafficSmallLatencies(t testing.TB, c *Cluster, heavy, small *workload.Dataset) []time.Duration {
+// mixedTrafficSmallLatencies drives 4 heavy scans, in the case's pushdown
+// mode, and the small selective queries concurrently and returns the
+// small queries' latencies.
+func mixedTrafficSmallLatencies(t testing.TB, c *Cluster, heavyMode string, heavy, small *workload.Dataset) []time.Duration {
 	t.Helper()
 	const heavyQueries = 4
 	var wg sync.WaitGroup
@@ -85,9 +106,7 @@ func mixedTrafficSmallLatencies(t testing.TB, c *Cluster, heavy, small *workload
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// No pushdown: the heavy query transfers every row and runs
-			// the aggregation compute-side.
-			submitWait(t, c, heavy.Query, "none")
+			submitWait(t, c, heavy.Query, heavyMode)
 		}()
 	}
 	lat := smallLatencies(t, c, small)
@@ -140,20 +159,24 @@ func smallLatencies(t testing.TB, c *Cluster, small *workload.Dataset) []time.Du
 	return latencies
 }
 
-// TestMixedTrafficNoStarvation: 4 heavy no-pushdown queries must not
-// starve 64 small selective ones. The small-query p99 under load must stay
-// within 3x its solo p99 or within starvationRatio x its p99 under pure
-// CPU contention. One remeasure is allowed to absorb scheduler noise on
-// loaded CI machines. The heavy queries run `ocs.pushdown=none`, so they
-// read whole objects with GETs and none of their row groups enters the
-// node's fair scan scheduler (scanScheduler): what this scenario measures
-// is engine admission and CPU contention, not the scheduler's fairness
-// between scans.
+// TestMixedTrafficNoStarvation: 4 heavy queries must not starve 64 small
+// selective ones. The small-query p99 under load must stay within 3x its
+// solo p99 or within starvationRatio x its p99 under pure CPU contention.
+// One remeasure is allowed to absorb scheduler noise on loaded CI
+// machines. Each of mixedCases runs on a cluster of its own: in "none"
+// no row group enters the node's scan pool, in "filter" the heavy and the
+// small queries' row groups all queue for it.
 func TestMixedTrafficNoStarvation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mixed-traffic load test")
 	}
-	c, heavy, small := mixedCluster(t)
+	for _, mc := range mixedCases {
+		t.Run(mc.name, func(t *testing.T) { noStarvation(t, mc) })
+	}
+}
+
+func noStarvation(t *testing.T, mc mixedCase) {
+	c, heavy, small := mixedCluster(t, mc)
 
 	// Solo baseline: the small query alone on an idle cluster.
 	var solo []time.Duration
@@ -162,20 +185,22 @@ func TestMixedTrafficNoStarvation(t *testing.T) {
 	}
 	soloP99 := percentile(solo, 0.99)
 
-	// On a machine with a couple of cores the heavy queries' compute-side
-	// aggregation saturates the CPU outright, and every query — however
-	// fairly scheduled — inflates by the run-queue depth; that is CPU
-	// contention, not scan-scheduler starvation. The contention baseline
-	// measures that inflation on this machine, under this build (-race
-	// included), instead of assuming a wall-clock constant. Starvation
-	// under the old per-query pools showed up as multi-second tails, well
-	// above it.
+	// On a machine with a couple of cores the heavy queries' work
+	// saturates the CPU outright, and every query — however fairly
+	// scheduled — inflates by the run-queue depth; that is CPU
+	// contention, not starvation. The contention baseline measures that
+	// inflation on this machine, under this build (-race included),
+	// instead of assuming a wall-clock constant. Starvation under the old
+	// per-query pools, whose scans queued whole objects, showed up as
+	// multi-second tails, well above it.
 	const starvationRatio = 4
 	for attempt := 0; ; attempt++ {
-		contendedP99 := percentile(contendedSmallLatencies(t, c, small), 0.99)
-		lat := mixedTrafficSmallLatencies(t, c, heavy, small)
+		contended := contendedSmallLatencies(t, c, small)
+		contendedP99 := percentile(contended, 0.99)
+		lat := mixedTrafficSmallLatencies(t, c, mc.heavyMode, heavy, small)
 		p50, p99 := percentile(lat, 0.50), percentile(lat, 0.99)
-		t.Logf("small query latency: solo p99 %v; contended p99 %v; mixed p50 %v p99 %v", soloP99, contendedP99, p50, p99)
+		t.Logf("small query latency: solo p50 %v p99 %v; contended p50 %v p99 %v; mixed p50 %v p99 %v",
+			percentile(solo, 0.50), soloP99, percentile(contended, 0.50), contendedP99, p50, p99)
 		if p99 <= 3*soloP99 || p99 <= starvationRatio*contendedP99 {
 			return
 		}
@@ -187,16 +212,20 @@ func TestMixedTrafficNoStarvation(t *testing.T) {
 	}
 }
 
-// BenchmarkMixedTraffic reports the mixed-traffic latency profile:
-// small-query p50/p99 while 4 heavy no-pushdown scans run concurrently,
-// as custom metrics alongside ns/op.
+// BenchmarkMixedTraffic reports the mixed-traffic latency profile of each
+// of mixedCases: small-query p50/p99 while 4 heavy scans run
+// concurrently, as custom metrics alongside ns/op.
 func BenchmarkMixedTraffic(b *testing.B) {
-	c, heavy, small := mixedCluster(b)
-	b.ResetTimer()
-	var all []time.Duration
-	for i := 0; i < b.N; i++ {
-		all = append(all, mixedTrafficSmallLatencies(b, c, heavy, small)...)
+	for _, mc := range mixedCases {
+		b.Run(mc.name, func(b *testing.B) {
+			c, heavy, small := mixedCluster(b, mc)
+			b.ResetTimer()
+			var all []time.Duration
+			for i := 0; i < b.N; i++ {
+				all = append(all, mixedTrafficSmallLatencies(b, c, mc.heavyMode, heavy, small)...)
+			}
+			b.ReportMetric(float64(percentile(all, 0.50).Microseconds())/1000, "small-p50-ms")
+			b.ReportMetric(float64(percentile(all, 0.99).Microseconds())/1000, "small-p99-ms")
+		})
 	}
-	b.ReportMetric(float64(percentile(all, 0.50).Microseconds())/1000, "small-p50-ms")
-	b.ReportMetric(float64(percentile(all, 0.99).Microseconds())/1000, "small-p99-ms")
 }

@@ -73,7 +73,7 @@ func BenchmarkPruneSweep(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					read := &substrait.ReadRel{Bucket: "b", Objects: []string{"sweep"}, BaseSchema: sweepSchema()}
 					plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})
-					pages, _, err := execute(store, plan, openOpts{scanPool: 1, noPrune: mode.noPrune})
+					pages, _, err := execute(store, plan, openOpts{pool: newScanPool(1), noPrune: mode.noPrune})
 					if err != nil {
 						b.Fatal(err)
 					}

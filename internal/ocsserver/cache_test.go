@@ -34,7 +34,7 @@ func constObject(t testing.TB, v int64, rows int) []byte {
 // caching tier: cached execution (cold, then warm from the footer and
 // page caches) must return byte-identical pages to uncached execution —
 // NULLs, NaNs and page boundaries included — for randomized predicates,
-// on both the sequential and the parallel scanner.
+// reading one row group at a time and four at once.
 func TestCacheDifferentialExecution(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	store := objstore.NewStore()

@@ -270,8 +270,8 @@ type ClusterConfig struct {
 	// Tracing gives every component its own tracer so a query's trace
 	// connects across the frontend and all storage nodes.
 	Tracing bool
-	// ScanPool sizes each node's scan-scheduler worker pool (0 = the
-	// cost-model storage-node core count).
+	// ScanPool sizes each node's scan pool (0 = the cost-model
+	// storage-node core count).
 	ScanPool int
 	// StreamWindow sets the per-stream credit window on every node and
 	// the frontend (0 = rpc.DefaultStreamWindow).

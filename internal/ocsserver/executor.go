@@ -13,7 +13,6 @@ import (
 
 	"prestocs/internal/bloom"
 	"prestocs/internal/column"
-	"prestocs/internal/costmodel"
 	"prestocs/internal/exec"
 	"prestocs/internal/expr"
 	"prestocs/internal/objstore"
@@ -26,21 +25,16 @@ import (
 
 // openOpts are the inputs of one local plan execution beyond the store
 // and the plan. The zero value is the in-process default: uncached, no
-// telemetry, cost-model scan pool, an ephemeral scheduler.
+// telemetry, a scan pool of the execution's own at the cost-model size.
 type openOpts struct {
 	// object is the one object, of those the plan's ReadRel lists, that
 	// this execution scans.
 	object string
 
-	// scanPool sizes the row-group scan pool; <= 0 selects the cost-model
-	// storage-node core count, 1 forces the sequential scanner.
-	scanPool int
-
-	// sched is the fair-share scan scheduler the execution submits its
-	// row-group tasks to: the node's shared scheduler for RPC queries. Nil
-	// gives the execution an ephemeral one that its LocalStream owns and
-	// closes (in-process callers have no node to share one with).
-	sched *scanScheduler
+	// pool bounds the row-group reads running at once (newScanPool): the
+	// node's pool for RPC queries. Nil gives the execution a pool of its
+	// own at the cost-model size.
+	pool chan struct{}
 
 	// noPrune disables statistics-driven row-group pruning; the
 	// differential property tests compare pruned runs against it.
@@ -59,16 +53,13 @@ type openOpts struct {
 
 // execEnv carries the shared state of one local plan execution: its
 // inputs, the operator meter, the object read (whose I/O the work stats
-// report) and the cleanup hooks that stop scanner workers when the
-// pipeline is drained or abandoned.
+// report) and the cleanup hooks that stop scan tasks when the pipeline is
+// drained or abandoned.
 type execEnv struct {
 	openOpts
 	meter   exec.Meter
 	obj     *scan.Object
 	closers []func()
-
-	// ownSched marks an ephemeral scheduler the stream's teardown closes.
-	ownSched bool
 }
 
 // context returns the env's request context, never nil.
@@ -81,18 +72,14 @@ func (env *execEnv) context() context.Context {
 
 func newExecEnv(o openOpts) *execEnv {
 	env := &execEnv{openOpts: o}
-	if env.scanPool <= 0 {
-		env.scanPool = costmodel.StorageScanParallelism()
-	}
-	if env.sched == nil {
-		env.sched = newScanScheduler() // vet-concurrency:allow in-process entry point; no node-wide scheduler exists to share
-		env.ownSched = true
+	if env.pool == nil {
+		env.pool = newScanPool(0)
 	}
 	return env
 }
 
-// close stops scanner workers and waits for them to exit. Safe to call
-// more than once.
+// close stops scan tasks and waits for them to exit. Safe to call more
+// than once.
 func (env *execEnv) close() {
 	for _, fn := range env.closers {
 		fn()
@@ -208,9 +195,9 @@ func compileRel(store *objstore.Store, rel substrait.Rel, env *execEnv) (exec.Op
 }
 
 // compileRead builds a page source over the object through scan.Open,
-// which projects and (when pruneWith is non-nil) prunes row groups. With a
-// scan pool larger than one and several surviving row groups, the source
-// scans row groups concurrently with an order-preserving merge.
+// which projects and (when pruneWith is non-nil) prunes row groups. With
+// several surviving row groups, the source reads them through the scan
+// pool with an order-preserving merge; a single row group is read inline.
 func compileRead(store *objstore.Store, read *substrait.ReadRel, pruneWith expr.Expr, env *execEnv) (exec.Operator, error) {
 	data, ver, err := store.GetVersioned(read.Bucket, env.object)
 	if err != nil {
@@ -231,14 +218,10 @@ func compileRead(store *objstore.Store, read *substrait.ReadRel, pruneWith expr.
 		recordPrune(env, env.object, pruned, skipped)
 	}
 
-	// Multi-group scans on a node's shared scheduler always go through it —
-	// even at ScanPool=1, where there is no intra-scan parallelism, the
-	// scheduler is what round-robins concurrent queries fairly, and an
-	// inline scan would be invisible to it. An env that owns an ephemeral
-	// scheduler (in-process entry points, the connector's replay paths) has
-	// no such concern, so it only pays the per-task handoff when it buys
-	// real parallelism.
-	if obj.Len() > 1 && (!env.ownSched || env.scanPool > 1) {
+	// Multi-group scans always go through the pool — even at one slot,
+	// where there is no intra-scan parallelism, the pool is what bounds
+	// the node's scan work across concurrent queries.
+	if obj.Len() > 1 {
 		return parallelScan(env, obj), nil
 	}
 
@@ -288,8 +271,7 @@ func recordPrune(env *execEnv, object string, pruned []int, bytesSkipped int64) 
 // with it exactly like the raw no-pushdown path does, and
 // ExecuteLocalCached drains one per listed object. The final nil
 // page (or Close, when the consumer abandons the stream) tears down the
-// scan workers and, when the stream owns it, the ephemeral scheduler;
-// Work is valid after either.
+// scan tasks; Work is valid after either.
 type LocalStream struct {
 	op   exec.Operator
 	env  *execEnv
@@ -320,7 +302,7 @@ func ExecuteLocalStream(store *objstore.Store, plan *substrait.Plan, object stri
 	if _, err := plan.Validate(); err != nil {
 		return nil, rpc.WithCode(err, rpc.CodeInvalid)
 	}
-	return open(store, plan, openOpts{object: object, scanPool: pool})
+	return open(store, plan, openOpts{object: object, pool: newScanPool(pool)})
 }
 
 // ExecuteLocalCached runs a plan to completion with an explicit cache
@@ -328,7 +310,7 @@ func ExecuteLocalStream(store *objstore.Store, plan *substrait.Plan, object stri
 // entry point for in-process callers (tests, the layer benchmarks); a nil
 // bundle is the uncached path, pool as for ExecuteLocalStream.
 func ExecuteLocalCached(store *objstore.Store, plan *substrait.Plan, pool int, caches *scan.Caches) ([]*column.Page, *objstore.WorkStats, error) {
-	return execute(store, plan, openOpts{scanPool: pool, caches: caches})
+	return execute(store, plan, openOpts{pool: newScanPool(pool), caches: caches})
 }
 
 // execute runs open + drain over each object the plan lists, in order,
@@ -371,7 +353,7 @@ func readRel(plan *substrait.Plan) *substrait.ReadRel {
 func (s *LocalStream) Schema() *types.Schema { return s.op.Schema() }
 
 // Next implements exec.Operator; exhaustion and errors release the
-// execution's workers.
+// execution's scan tasks.
 func (s *LocalStream) Next() (*column.Page, error) {
 	if s.done {
 		return nil, nil
@@ -401,8 +383,5 @@ func (s *LocalStream) teardown() {
 	}
 	s.done = true
 	s.env.close()
-	if s.env.ownSched {
-		s.env.sched.close()
-	}
 	s.work = s.env.finish()
 }

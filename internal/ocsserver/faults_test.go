@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"prestocs/internal/faultnet"
 	"prestocs/internal/retry"
 	"prestocs/internal/rpc"
+	"prestocs/internal/substrait"
 	"prestocs/internal/telemetry"
 )
 
@@ -145,6 +147,50 @@ func TestCancelMidStreamReleasesConnection(t *testing.T) {
 	rs.Close()
 	if idle := cli.IdleConns(); idle != 0 {
 		t.Errorf("cancelled stream pooled its connection, idle=%d", idle)
+	}
+}
+
+// TestKilledClientMidScanLeaksNoGoroutines kills the client's connection
+// while the node is still scanning: the frontend's relay, the node's
+// handler and every row-group task of the abandoned scan must exit, so
+// once a follow-up query has replaced the killed connections the
+// process's goroutine count is back to what it was before the kill.
+func TestKilledClientMidScanLeaksNoGoroutines(t *testing.T) {
+	_, proxy, cli := proxiedCluster(t)
+	ctx := context.Background()
+	if err := cli.Put(ctx, "b", "o", bigMeshObject(t, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	plan := substrait.NewPlan(&substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()})
+	// A whole query first, so the connections the next one uses exist.
+	if _, err := drain(ctx, cli, plan); err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+
+	rs, err := cli.ExecuteStream(ctx, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Next(); err != nil {
+		t.Fatal(err)
+	}
+	proxy.KillActive()
+	rs.Close()
+	// The kill closed the connections the baseline counted; a query that
+	// completes dials their replacements.
+	if _, err := drain(ctx, cli, plan); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines 5s after the kill, %d before the query:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestSlowClientBoundedNodeMemory(t *testing.T) {
 // TestKilledClientMidStreamReleasesScanSlots kills the application
 // connection after one chunk and checks the whole chain unwinds: the
 // frontend's producer dies on the broken pipe, the node's stream is torn
-// down, queued row-group tasks leave the shared scheduler, and the next
+// down, its queued row groups leave the node's scan pool, and the next
 // query runs normally.
 func TestKilledClientMidStreamReleasesScanSlots(t *testing.T) {
 	_, cli, reg := windowedCluster(t, 1)
@@ -120,10 +120,9 @@ func TestKilledClientMidStreamReleasesScanSlots(t *testing.T) {
 	waitGaugeZero(t, reg, telemetry.MetricRPCStreamInflight)
 	waitGaugeZero(t, reg, telemetry.MetricScanPoolQueued)
 	waitGaugeZero(t, reg, telemetry.MetricScanPoolActive)
-	waitGaugeZero(t, reg, telemetry.MetricScanSchedQueries)
 
-	// The node must serve the next query from its (still shared)
-	// scheduler without leftover tasks in the way.
+	// The node must serve the next query from its (still shared) pool
+	// without leftover tasks in the way.
 	res, err := drain(context.Background(), cli, filterPlan(t, "b", "o"))
 	if err != nil {
 		t.Fatal(err)

@@ -30,9 +30,9 @@ type StorageNode struct {
 	store *objstore.Store
 	rpc   *rpc.Server
 
-	// ScanPool sizes the row-group scan worker pool; 0 selects the
-	// cost-model storage-node core count, 1 forces sequential scans.
-	// Set before the first query.
+	// ScanPool bounds the row-group reads the node runs at once, across
+	// all its queries; 0 selects the cost-model storage-node core count.
+	// Set before Listen.
 	ScanPool int
 	// StreamWindow bounds unacknowledged stream chunks per query (the
 	// credit window): a slow reader stalls the producer after this many
@@ -53,11 +53,9 @@ type StorageNode struct {
 	// Metrics under this node's label.
 	Caches *scan.Caches
 
-	// sched is the node-wide fair-share scan scheduler: one worker pool
-	// (sized by the first query's resolved ScanPool) round-robining
-	// row-group tasks across all active queries, so a heavy scan cannot
-	// starve small selective ones.
-	sched *scanScheduler
+	// pool is the node's scan pool (newScanPool), built by Listen from
+	// ScanPool and shared by every query's row-group reads.
+	pool chan struct{}
 
 	faultMu   sync.Mutex
 	execFault error
@@ -88,7 +86,6 @@ func NewStorageNode(id int) *StorageNode {
 		store:  objstore.NewStore(),
 		rpc:    rpc.NewServer(),
 		Caches: scan.NewCaches(scan.DefaultFooterCacheBytes, scan.DefaultPageCacheBytes),
-		sched:  newScanScheduler(), // vet-concurrency:allow the node-wide scheduler, shared by every query
 	}
 	n.rpc.RegisterStream(NodeMethodExecute, n.handleExecute)
 	// An overwritten or deleted object releases its cached footers and
@@ -102,8 +99,9 @@ func NewStorageNode(id int) *StorageNode {
 // Store exposes the node's local store (for in-process setup in tests).
 func (n *StorageNode) Store() *objstore.Store { return n.store }
 
-// Listen binds the node's RPC server.
+// Listen builds the node's scan pool and binds its RPC server.
 func (n *StorageNode) Listen(addr string) (string, error) {
+	n.pool = newScanPool(n.ScanPool)
 	n.rpc.Metrics = n.Metrics
 	n.rpc.Tracer = n.Tracer
 	n.rpc.StreamWindow = n.StreamWindow
@@ -114,14 +112,10 @@ func (n *StorageNode) Listen(addr string) (string, error) {
 // nodeLabel is the metric label value identifying this node.
 func (n *StorageNode) nodeLabel() string { return fmt.Sprintf("node%d", n.ID) }
 
-// Close shuts the node down: the RPC server first (draining in-flight
-// handlers, whose scan queues empty through the scheduler), then the
-// scan workers.
-func (n *StorageNode) Close() error {
-	err := n.rpc.Close()
-	n.sched.close()
-	return err
-}
+// Close shuts the node down: the RPC server drains its in-flight
+// handlers, and each handler's teardown settles its scan's pending row
+// groups and waits for its in-flight reads.
+func (n *StorageNode) Close() error { return n.rpc.Close() }
 
 // handleExecute parses a Substrait plan, runs it locally over each object
 // its ReadRel lists, in turn, and streams the results: per object, one
@@ -191,7 +185,7 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 // streamObject runs the plan over one object, handing each page to send
 // as it comes, and returns the object's work.
 func (n *StorageNode) streamObject(ctx context.Context, plan *substrait.Plan, object string, send func(*column.Page) error) (objstore.WorkStats, error) {
-	ls, err := open(n.store, plan, openOpts{object: object, scanPool: n.ScanPool, sched: n.sched, caches: n.Caches, ctx: ctx})
+	ls, err := open(n.store, plan, openOpts{object: object, pool: n.pool, caches: n.Caches, ctx: ctx})
 	if err != nil {
 		return objstore.WorkStats{}, fmt.Errorf("node %d: %w", n.ID, err)
 	}

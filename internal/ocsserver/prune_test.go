@@ -168,14 +168,14 @@ func TestPruneDifferentialProperty(t *testing.T) {
 		pred := randPrunePredicate(rng, 3)
 		read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: schema}
 		plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: pred})
-		// Pool 1 is the sequential scanner; every 5th trial also runs the
-		// parallel scanner, whose merge must preserve file order.
+		// Pool 1 reads one row group at a time; every 5th trial reads
+		// four at once, and the merge must preserve file order.
 		pool := 1
 		if trial%5 == 0 {
 			pool = 4
 		}
-		pruned, _, errP := execute(store, plan, openOpts{scanPool: pool})
-		full, _, errF := execute(store, plan, openOpts{scanPool: pool, noPrune: true})
+		pruned, _, errP := execute(store, plan, openOpts{pool: newScanPool(pool)})
+		full, _, errF := execute(store, plan, openOpts{pool: newScanPool(pool), noPrune: true})
 		if (errP == nil) != (errF == nil) {
 			t.Fatalf("trial %d (%s): pruned err=%v full err=%v", trial, pred.String(), errP, errF)
 		}
@@ -202,11 +202,11 @@ func TestPruneDifferentialWithProjection(t *testing.T) {
 	}
 	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: pruneSchema(), Projection: []int{1, 0}}
 	plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})
-	pruned, _, err := execute(store, plan, openOpts{scanPool: 1})
+	pruned, _, err := execute(store, plan, openOpts{pool: newScanPool(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := execute(store, plan, openOpts{scanPool: 1, noPrune: true})
+	full, _, err := execute(store, plan, openOpts{pool: newScanPool(1), noPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestPruneCountersAndTrace(t *testing.T) {
 	}
 	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: pruneSchema()}
 	plan := substrait.NewPlan(&substrait.FilterRel{Input: read, Condition: cond})
-	if _, _, err := execute(store, plan, openOpts{scanPool: 1, ctx: ctx}); err != nil {
+	if _, _, err := execute(store, plan, openOpts{pool: newScanPool(1), ctx: ctx}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

@@ -1,11 +1,29 @@
 package ocsserver
 
 import (
+	"errors"
+	"sync"
+
 	"prestocs/internal/column"
+	"prestocs/internal/costmodel"
 	"prestocs/internal/exec"
 	"prestocs/internal/scan"
 	"prestocs/internal/telemetry"
 )
+
+// errScanClosed settles the slot of a row group whose scan was closed
+// before the group was read.
+var errScanClosed = errors.New("ocsserver: scan closed")
+
+// newScanPool returns a scan pool of n slots: a counting semaphore that
+// bounds the row-group reads running at once (DESIGN.md §7). n <= 0
+// selects the cost-model storage-node core count.
+func newScanPool(n int) chan struct{} {
+	if n <= 0 {
+		n = costmodel.StorageScanParallelism()
+	}
+	return make(chan struct{}, n)
+}
 
 // scanSlot is one row group's outcome, delivered to its ordered slot.
 type scanSlot struct {
@@ -13,32 +31,31 @@ type scanSlot struct {
 	err  error
 }
 
-// parallelScan scans the given row groups through the node-wide fair
-// scheduler and merges results back in row-group order, so downstream
-// operators see the exact page sequence the sequential scanner would
-// produce.
+// parallelScan scans the given row groups through the env's scan pool and
+// merges results back in row-group order, so downstream operators see the
+// exact page sequence a sequential read would produce.
 //
 // Concurrency design:
-//   - The scan spawns no goroutines of its own (the vet-concurrency gate
-//     enforces this): it registers a task queue on env.sched and submits
-//     one task per row group. The scheduler's workers round-robin across
-//     all live queues, so this scan competes fairly with every other
-//     query on the node instead of owning a private pool.
+//   - Each row group is one goroutine: it takes a pool slot, reads, frees
+//     the slot and fills its ordered slot. The pool is the node's, shared
+//     by every scan on it. Go hands a freed slot to the longest-waiting
+//     sender, so a scan waits behind at most the lookahead of each other
+//     active scan, never behind a whole object.
 //   - Each slot channel has capacity 1 and exactly one producer, so a
 //     task can always deliver without blocking — abandoning the source
-//     mid-stream (leaf Limit) can never wedge a worker.
+//     mid-stream (leaf Limit) can never wedge a task.
 //   - Submission is lookahead-bounded: min(2 x pool, len(groups)) tasks
 //     are outstanding at first and the consumer submits one more per page
 //     it consumes, so a slow consumer (or a backpressured stream) does
-//     not force the whole object into memory — and does not flood the
-//     shared scheduler with row groups it is not ready for.
+//     not force the whole object into memory — and one heavy scan never
+//     queues more than its lookahead for the node's slots.
 //   - Every task reads through the one scan.Object, which is safe for
 //     concurrent reads and counts its I/O per chunk, keeping partial
 //     stats correct on early stop.
 //   - env.close() (run by the LocalStream teardown after the drain)
-//     closes the queue: pending tasks are dropped and in-flight ones
-//     waited out, bounding wasted work after abandonment to at most the
-//     scheduler's worker count.
+//     closes done and waits for the tasks: a task still waiting for a slot
+//     settles with errScanClosed instead of reading, and an in-flight read
+//     finishes, so its I/O is counted before env.finish runs.
 //
 // Reads go through obj, so chunks land in (and are served from) the
 // node's hot-page cache under the admission mode scan.Open derived from
@@ -49,53 +66,51 @@ func parallelScan(env *execEnv, obj *scan.Object) exec.Operator {
 	for i := range slots {
 		slots[i] = make(chan scanSlot, 1)
 	}
-	lookahead := min(2*env.scanPool, groups)
+	lookahead := min(2*cap(env.pool), groups)
 
-	// Scan observability: queued counts row groups submitted but not yet
-	// claimed by a worker, active counts row groups being read right now,
-	// scanned is the lifetime row-group total. Gauges are shared across
-	// concurrent queries, so all updates are deltas.
+	// Scan observability: queued counts row groups submitted but still
+	// waiting for a pool slot, active counts row groups being read right
+	// now, scanned is the lifetime row-group total. Gauges are shared
+	// across concurrent queries, so all updates are deltas.
 	reg := telemetry.RegistryFrom(env.context())
 	queued := reg.Gauge(telemetry.MetricScanPoolQueued)
 	active := reg.Gauge(telemetry.MetricScanPoolActive)
 	scanned := reg.Counter(telemetry.MetricScanPoolRowGroups)
 
-	q := env.sched.register(env.scanPool, reg.Gauge(telemetry.MetricScanSchedQueries))
-
-	submit := func(idx int) {
-		slot := slots[idx]
-		task := scanTask{
-			run: func() {
-				queued.Add(-1)
-				if q.stopped() {
-					// The query was abandoned or killed; skip the read and
-					// still settle the slot so nothing ever dangles.
-					slot <- scanSlot{err: errSchedulerClosed}
-					return
-				}
-				active.Add(1)
-				page, err := readGroup(env, obj, idx)
-				active.Add(-1)
-				scanned.Inc()
-				slot <- scanSlot{page: page, err: err}
-			},
-			abort: func(err error) {
-				queued.Add(-1)
-				slot <- scanSlot{err: err}
-			},
+	done := make(chan struct{})
+	var tasks sync.WaitGroup
+	read := func(idx int) scanSlot {
+		select {
+		case env.pool <- struct{}{}:
+		case <-done:
+			queued.Add(-1)
+			return scanSlot{err: errScanClosed}
 		}
-		queued.Add(1)
-		if !q.submit(task) {
-			task.abort(errSchedulerClosed)
+		queued.Add(-1)
+		defer func() { <-env.pool }()
+		select {
+		case <-done:
+			// Closed while waiting: the freed slot may have won the select.
+			return scanSlot{err: errScanClosed}
+		default:
 		}
+		active.Add(1)
+		page, err := readGroup(env, obj, idx)
+		active.Add(-1)
+		scanned.Inc()
+		return scanSlot{page: page, err: err}
 	}
-
+	submit := func(idx int) {
+		queued.Add(1)
+		tasks.Add(1)
+		go func() {
+			defer tasks.Done()
+			slots[idx] <- read(idx)
+		}()
+	}
 	env.closers = append(env.closers, func() {
-		// Pending tasks are dropped (their slots stay empty, but the
-		// consumer is gone too); in-flight ones are waited out so their
-		// reads are counted before env.finish runs.
-		dropped := q.close()
-		queued.Add(int64(-dropped))
+		close(done)
+		tasks.Wait()
 	})
 
 	submitted := 0
@@ -114,7 +129,7 @@ func parallelScan(env *execEnv, obj *scan.Object) exec.Operator {
 			return nil, s.err
 		}
 		// Keep the lookahead window full: one new submission per page
-		// consumed replaces the token pool the private-worker design used.
+		// consumed.
 		if submitted < groups {
 			submit(submitted)
 			submitted++

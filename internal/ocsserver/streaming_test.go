@@ -230,9 +230,9 @@ func rowsOf(pages []*column.Page) []string {
 }
 
 // TestParallelScanMatchesSequential is the pushdown-soundness property
-// test: for every pushdown configuration and codec, the parallel
-// row-group scanner must return exactly the rows, in exactly the order,
-// of the sequential scanner.
+// test: for every pushdown configuration and codec, a scan reading eight
+// row groups at once must return exactly the rows, in exactly the order,
+// of one reading a row group at a time.
 func TestParallelScanMatchesSequential(t *testing.T) {
 	baseRead := func() *substrait.ReadRel {
 		return &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: meshSchema()}
@@ -327,8 +327,9 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelScanStatsComplete checks that a fully drained parallel scan
-// reports the same I/O totals as the sequential scan.
+// TestParallelScanStatsComplete checks that a fully drained scan reading
+// four row groups at once reports the same I/O totals as one reading a
+// row group at a time.
 func TestParallelScanStatsComplete(t *testing.T) {
 	store := objstore.NewStore()
 	store.Put("b", "o", meshObject(t, compress.Snappy))

@@ -2,6 +2,8 @@ package protowire
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -64,12 +66,58 @@ func walkMessage(t *testing.T, d *Decoder, enc *Encoder, input int) (subs int, o
 	return subs, true
 }
 
+// decodeAll reads every field of a message as walkMessage does — a
+// length-delimited field tried as a nested message too — and keeps
+// nothing, so what it allocates is the decoder's own cost.
+func decodeAll(d *Decoder) {
+	for !d.Done() {
+		_, typ, err := d.Next()
+		if err != nil {
+			return
+		}
+		if typ == BytesType {
+			sub := *d
+			if nested, err := sub.Message(); err == nil {
+				decodeAll(nested)
+			}
+		}
+		if d.Skip(typ) != nil {
+			return
+		}
+	}
+}
+
+// decodeAllocBound is the most heap decodeAll may take over n bytes of
+// input. A nested message costs a 48-byte sub-decoder for at least two
+// bytes (its tag and its length), 24 heap bytes a byte; one that fails
+// on an unsupported wire type adds its error, 112 bytes for three bytes
+// of input, 37.3 heap bytes a byte, the costliest input measured. Under
+// the race detector fmt's buffer pool drops entries at random, and the
+// same input measured 56 to 59 a byte; the bound leaves room for every
+// formatted error to miss the pool.
+func decodeAllocBound(n int) uint64 { return 128*uint64(n) + 1<<10 }
+
+// leastAlloc is the fewest heap bytes f allocated over three runs (the
+// fewest, so another goroutine's allocation does not count).
+func leastAlloc(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
 // FuzzDecoder walks arbitrary bytes as a message: the decoder may stop
 // with an error, but it never panics, never moves backwards or past the
 // end, never hands out more bytes than came in, creates at most one
 // sub-decoder per two bytes of input (a nested message costs its tag and
-// its length), and a message it reads to the end, written back field by
-// field, reads the same again.
+// its length), allocates within decodeAllocBound of its input, and a
+// message it reads to the end, written back field by field, reads the
+// same again.
 func FuzzDecoder(f *testing.F) {
 	e := NewEncoder()
 	e.Uint64(1, 300)
@@ -88,7 +136,12 @@ func FuzzDecoder(f *testing.F) {
 	f.Add([]byte{0x00})                                                             // field number 0
 	f.Add([]byte{0x0b})                                                             // wire type 3
 	f.Add(bytes.Repeat([]byte{0x0a, 0x7f}, 40))                                     // lengths that overrun
+	f.Add(bytes.Repeat([]byte{0x0a, 0x00}, 512))                                    // empty nested messages
+	f.Add(bytes.Repeat([]byte{0x0a, 0x01, 0x0b}, 512))                              // nested, each a wire-type error
 	f.Fuzz(func(t *testing.T, in []byte) {
+		if got, bound := leastAlloc(func() { decodeAll(NewDecoder(in)) }), decodeAllocBound(len(in)); got > bound {
+			t.Fatalf("%d input bytes allocated %d bytes to decode, bound %d", len(in), got, bound)
+		}
 		enc := NewEncoder()
 		subs, ok := walkMessage(t, NewDecoder(in), enc, len(in))
 		if subs > len(in)/2 {

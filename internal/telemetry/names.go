@@ -47,9 +47,6 @@ const (
 	MetricScanPoolActive    = "ocs_scan_pool_active_workers"
 	MetricScanPoolQueued    = "ocs_scan_pool_queued_groups"
 	MetricScanPoolRowGroups = "ocs_scan_rowgroups_total"
-	// MetricScanSchedQueries gauges the queries with a registered queue
-	// on the node-wide fair-share scan scheduler.
-	MetricScanSchedQueries = "ocs_scan_sched_active_queries"
 	// Zone-map pruning on the storage node: row groups skipped because
 	// footer stats proved the filter false, and the compressed bytes
 	// those groups would have read.
