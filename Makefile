@@ -120,7 +120,9 @@ determinism:
 # answer as the test oracle (the row-at-a-time evaluator in
 # internal/expr/oracle_test.go) does, in a predicate and in value
 # context, on any column, literal or computed operand, operator and
-# selection.
+# selection; and the key table's direct mode assigns and finds the ids its
+# hash mode does, on any stream of integer-led keys, within its
+# allocation bound.
 # `go test -fuzz` takes one target and one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnappyDecode$$' -fuzztime 10s ./internal/compress/
@@ -137,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeObjectEnd$$' -fuzztime 10s ./internal/ocsserver/
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectionKernels$$' -fuzztime 10s ./internal/expr/
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyTableModes$$' -fuzztime 10s ./internal/exec/
 
 # gates is the one list of the static guards (telemetry manifest, the one
 # storage read, join hot path, ingest single writer):

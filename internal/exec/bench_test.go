@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"prestocs/internal/column"
@@ -152,41 +153,80 @@ func BenchmarkTopNOneLargePage(b *testing.B) {
 
 // q3Pages is the join/aggregate input at Q3's shape: rows (orderkey Int64,
 // orderdate Date, revenue Float64) in 4096-row pages, every orderkey
-// appearing `repeat` times, not clustered.
-func q3Pages(keys, repeat int) (*types.Schema, []*column.Page) {
-	schema := types.NewSchema(
-		types.Column{Name: "orderkey", Type: types.Int64},
-		types.Column{Name: "orderdate", Type: types.Date},
-		types.Column{Name: "revenue", Type: types.Float64},
-	)
+// appearing `repeat` times, permuted: no workload delivers keys in this
+// order (splitOrderedPages is the order they arrive in).
+func q3Pages(keys, repeat int) []*column.Page {
 	var pages []*column.Page
-	page := column.NewPage(schema)
+	page := column.NewPage(q3Schema)
 	for r := 0; r < keys*repeat; r++ {
 		k := (r * 7919) % keys
 		page.AppendRow(types.IntValue(int64(k)), types.DateValue(int64(8000+k%2400)), types.FloatValue(float64(r)))
 		if page.NumRows() == 4096 {
 			pages = append(pages, page)
-			page = column.NewPage(schema)
+			page = column.NewPage(q3Schema)
 		}
 	}
 	if page.NumRows() > 0 {
 		pages = append(pages, page)
 	}
-	return schema, pages
+	return pages
 }
 
-// BenchmarkHashAggregateHighCardinality is Q3's final aggregate: ~38k
-// groups keyed by (Int64, Date), about three rows each.
-func BenchmarkHashAggregateHighCardinality(b *testing.B) {
-	schema, pages := q3Pages(38000, 3)
-	measures := []substrait.Measure{{Func: substrait.AggSum, Arg: 2, Name: "revenue"}}
-	b.SetBytes(38000 * 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg, _ := NewHashAggregate(NewPageSource(schema, pages), []int{0, 1}, measures, AggSingle, nil)
-		if _, err := Drain(agg); err != nil {
-			b.Fatal(err)
+// sparseKeys returns the pages with every orderkey k made k<<24, so that
+// the keys span 2^40 and a key table hashes them from its first chunk.
+func sparseKeys(pages []*column.Page) []*column.Page {
+	out := make([]*column.Page, len(pages))
+	for i, p := range pages {
+		keys := make([]int64, len(p.Vectors[0].Ints))
+		for r, k := range p.Vectors[0].Ints {
+			keys[r] = k << 24
 		}
+		vecs := slices.Clone(p.Vectors)
+		vecs[0] = &column.Vector{Kind: types.Int64, Ints: keys}
+		out[i] = &column.Page{Schema: p.Schema, Vectors: vecs}
+	}
+	return out
+}
+
+// Split orders of the split-ordered cases: a leaf worker drains its
+// splits in whatever order the scheduler hands them out.
+var (
+	buildSplits = []int{3, 6, 0, 5, 2, 7, 1, 4}
+	probeSplits = []int{5, 1, 6, 2, 7, 3, 0, 4}
+)
+
+// BenchmarkHashAggregateHighCardinality is Q3's aggregate: ~38k groups
+// keyed by (Int64, Date), three rows each. permuted spreads the keys over
+// the pages; split-ordered delivers them as Q3's leaf aggregate receives
+// them, split by split with ascending keys, 29 % of each split's keys
+// kept; sparse is permuted with keys spanning 2^40, which the key table
+// hashes.
+func BenchmarkHashAggregateHighCardinality(b *testing.B) {
+	permuted := q3Pages(38000, 3)
+	cases := []struct {
+		name  string
+		pages []*column.Page
+	}{
+		{"permuted", permuted},
+		{"split-ordered", splitOrderedPages(buildSplits, 16384, 29, 3)},
+		{"sparse", sparseKeys(permuted)},
+	}
+	measures := []substrait.Measure{{Func: substrait.AggSum, Arg: 2, Name: "revenue"}}
+	for _, c := range cases {
+		rows := 0
+		for _, p := range c.pages {
+			rows += p.NumRows()
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(rows))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				agg, _ := NewHashAggregate(NewPageSource(q3Schema, c.pages), []int{0, 1}, measures, AggSingle, nil)
+				if _, err := Drain(agg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -237,22 +277,37 @@ func BenchmarkHashAggregateStringKeys(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinBuildProbe is Q3's join: build 16k unique Int64 keys, probe
-// 64k rows of which a quarter find a match.
+// BenchmarkJoinBuildProbe is Q3's join: build ~16k unique Int64 keys,
+// probe 64k rows of which a quarter find a match. permuted spreads the
+// keys over the pages; split-ordered delivers both sides split by split
+// with ascending keys, as Q3's orders and lineitem splits arrive, the
+// build keeping 25 % of each split's keys; sparse is permuted with keys
+// spanning 2^40, which the key table hashes.
 func BenchmarkJoinBuildProbe(b *testing.B) {
-	schema, build := q3Pages(16384, 1)
-	_, probe := q3Pages(65536, 1)
-	b.SetBytes(16384 + 65536)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		table, err := BuildJoinTable(NewPageSource(schema, build), []int{0}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		j, _ := NewHashJoinProbe(NewPageSource(schema, probe), table, []int{0}, nil)
-		if _, err := Drain(j); err != nil {
-			b.Fatal(err)
-		}
+	build, probe := q3Pages(16384, 1), q3Pages(65536, 1)
+	cases := []struct {
+		name         string
+		build, probe []*column.Page
+	}{
+		{"permuted", build, probe},
+		{"split-ordered", splitOrderedPages(buildSplits, 8192, 25, 1), splitOrderedPages(probeSplits, 8192, 100, 1)},
+		{"sparse", sparseKeys(build), sparseKeys(probe)},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(16384 + 65536)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				table, err := BuildJoinTable(NewPageSource(q3Schema, c.build), []int{0}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				j, _ := NewHashJoinProbe(NewPageSource(q3Schema, c.probe), table, []int{0}, nil)
+				if _, err := Drain(j); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

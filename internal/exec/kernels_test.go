@@ -449,6 +449,11 @@ func TestJoinTableConcurrentProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The Int64 key's table is direct and the String-led one hashed,
+		// so both key-table modes are probed concurrently.
+		if table.index.hashed != (keys[0] == 1) {
+			t.Fatalf("keys=%v: hashed %v", keys, table.index.hashed)
+		}
 		run := func(probe []*column.Page) (*column.Page, error) {
 			j, err := NewHashJoinProbe(NewPageSource(schema, probe), table, keys, nil)
 			if err != nil {

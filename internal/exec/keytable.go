@@ -11,7 +11,7 @@ import (
 )
 
 // keyTable assigns dense ids to distinct multi-column keys, in order of
-// first appearance. It is the one hash table of the operator library: the
+// first appearance. It is the one key index of the operator library: the
 // hash aggregate maps rows to group ids with it and the hash join maps
 // build and probe rows to key ids.
 //
@@ -32,16 +32,49 @@ import (
 // word is one array read. Codes themselves are never compared, since two
 // Dicts number the same string differently.
 //
-// Lookup is open addressing with linear probing. A table that is no
-// longer written to (a finished join build side) may be searched from
-// several goroutines at once: find touches only the table's arrays and
-// the caller's own keyScratch, and looks strings up without interning.
+// The table finds a key's id in one of two modes. A table whose first
+// key column is Int64 or Date starts direct: dir[k−lo] holds id+1 for
+// the key whose first word is k, so a key is placed and found with one
+// bounds check and one array read, its other words compared against the
+// arena, and nothing is hashed. Integer keys here are mostly dense (order
+// keys, vertex ids), and the span is taken from the keys themselves, a
+// page at a time before its rows are assigned: dir at least doubles
+// each time it grows, in either direction, while the keys' span stays
+// at most max(directFloor, directFactor × max(keys seen, reserve hint))
+// entries. Any surprise converts the table, once and for good, to the
+// hash index rebuilt from the arena: a key beyond that rule, a NULL
+// first column, or a second key with the same first word. Every other
+// table, and a converted one, is hashed: open addressing with linear
+// probing. Ids are in first-appearance order in both modes, so the mode
+// never shows in a result.
+//
+// A table that is no longer written to (a finished join build side) may
+// be searched from several goroutines at once, in either mode: find
+// touches only the table's arrays and the caller's own keyScratch, and
+// looks strings up without interning.
 type keyTable struct {
 	width int      // words per key
+	lead  int      // the first key column's word within a key
 	words []uint64 // key id is words[id*width : (id+1)*width]
-	index slotIndex
-	strs  stringInterner
+	// hashed is set once the table indexes keys by hash; until then dir
+	// holds id+1 at the first word's offset from lo, 0 where no key is.
+	hashed bool
+	dir    []int32
+	lo     int64
+	// kmin and kmax are the least and greatest first words in dir.
+	kmin, kmax int64
+	hint       int // reserve's key count, for the span rule and the hash index
+	index      slotIndex
+	strs       stringInterner
 }
+
+// The direct span rule: a direct table may span up to directFloor
+// entries (1 MiB of int32) whatever its size, or directFactor entries a
+// key beyond that.
+const (
+	directFloor  = 1 << 18
+	directFactor = 8
+)
 
 // slotIndex is the open-addressing array behind keyTable and its string
 // interner, a power of two long and at most half full. An entry is id+1
@@ -57,8 +90,13 @@ type slotIndex struct {
 
 const keyTableMinSlots = 64
 
-func newSlotIndex() slotIndex {
-	return slotIndex{slots: make([]uint64, keyTableMinSlots), shift: uint(64 - bits.TrailingZeros(keyTableMinSlots))}
+// newSlotIndex returns an index that holds n ids without growing.
+func newSlotIndex(n int) slotIndex {
+	slots := keyTableMinSlots
+	for slots < 2*n {
+		slots *= 2
+	}
+	return slotIndex{slots: make([]uint64, slots), shift: uint(64 - bits.TrailingZeros(uint(slots)))}
 }
 
 // add places the next id under hash h, doubling the array first when it
@@ -152,9 +190,9 @@ func (in *stringInterner) word(s string, intern bool) uint64 {
 }
 
 // keyScratch holds one chunk of a page's keys in the table's layout, plus
-// their hashes and the remaps of the Dicts it has met. It belongs to the
-// caller so that concurrent finds share nothing writable; reusing it
-// makes key loading allocation-free.
+// their hashes when the table is hashed and the remaps of the Dicts it
+// has met. It belongs to the caller so that concurrent finds share
+// nothing writable; reusing it makes key loading allocation-free.
 type keyScratch struct {
 	words  []uint64
 	hashes []uint64
@@ -201,27 +239,51 @@ func hashMix(h, x uint64) uint64 {
 }
 
 func newKeyTable(kinds []types.Kind) *keyTable {
-	return &keyTable{
+	t := &keyTable{
 		// NULL-mask words with a bit per column, then a word per column.
 		width: len(kinds)/64 + 1 + len(kinds),
-		index: newSlotIndex(),
-		strs:  stringInterner{index: newSlotIndex()},
+		lead:  len(kinds)/64 + 1,
+		strs:  stringInterner{index: newSlotIndex(0)},
 	}
+	if len(kinds) == 0 || (kinds[0] != types.Int64 && kinds[0] != types.Date) {
+		t.toHash()
+	}
+	return t
 }
 
 // reserve sizes an empty table for up to n keys, so that adding them
-// never grows the slots or the arena.
+// never grows the arena, nor the hash index of a hashed table.
 func (t *keyTable) reserve(n int) {
-	slots := keyTableMinSlots
-	for slots < 2*n {
-		slots *= 2
-	}
-	t.index = slotIndex{slots: make([]uint64, slots), shift: uint(64 - bits.TrailingZeros(uint(slots)))}
+	t.hint = n
 	t.words = make([]uint64, 0, n*t.width)
+	if t.hashed {
+		t.index = newSlotIndex(n)
+	}
 }
 
 // len returns the number of distinct keys.
-func (t *keyTable) len() int { return t.index.n }
+func (t *keyTable) len() int { return len(t.words) / t.width }
+
+// toHash puts the table in hash mode for good: it drops the direct
+// array and indexes every key of the arena by its hash, under its id.
+func (t *keyTable) toHash() {
+	n := t.len()
+	t.hashed, t.dir = true, nil
+	t.index = newSlotIndex(max(n, t.hint))
+	w := t.width
+	for id := 0; id < n; id++ {
+		t.index.add(hashKey(t.words[id*w : (id+1)*w]))
+	}
+}
+
+// hashKey hashes one key's words.
+func hashKey(words []uint64) uint64 {
+	h := keySeed
+	for _, x := range words {
+		h = hashMix(h, x)
+	}
+	return h
+}
 
 // keyChunk is how many rows are loaded into the scratch at a time: small
 // enough that their keys and hashes are still in L1 when they are looked
@@ -234,22 +296,141 @@ const keyChunk = 256
 // the page rows that added a key.
 func (t *keyTable) assign(sc *keyScratch, page *column.Page, cols []int, sel []int, ids []int32) {
 	sc.fresh = sc.fresh[:0]
+	if !t.hashed && !t.cover(page.Vectors[cols[0]], sel, len(ids)) {
+		t.toHash()
+	}
 	for from := 0; from < len(ids); from += keyChunk {
 		to := min(from+keyChunk, len(ids))
 		t.load(sc, page, cols, sel, from, to, true)
-		for i := range ids[from:to] {
+		chunk := ids[from:to]
+		i := 0
+		if !t.hashed {
+			if i = t.assignDirect(sc, sel, from, chunk); i == len(chunk) {
+				continue
+			}
+			t.toHash()
+			t.hashChunk(sc)
+		}
+		for ; i < len(chunk); i++ {
 			id := t.lookup(sc, i)
 			if id < 0 {
 				id = t.insert(sc, i)
-				row := from + i
-				if sel != nil {
-					row = sel[row]
-				}
-				sc.fresh = append(sc.fresh, row)
+				sc.fresh = append(sc.fresh, selRow(sel, from+i))
 			}
-			ids[from+i] = id
+			chunk[i] = id
 		}
 	}
+}
+
+// assignDirect is assign's loop over a loaded chunk for a direct table
+// that covers the chunk's first words. It returns how many of the
+// chunk's rows it assigned: all of them, or fewer when the rest starts
+// with a surprise, and then the table must convert.
+func (t *keyTable) assignDirect(sc *keyScratch, sel []int, from int, ids []int32) int {
+	w, lo := t.width, uint64(t.lo)
+	for i := range ids {
+		off := sc.words[i*w+t.lead] - lo
+		if e := t.dir[off]; e != 0 {
+			// A second key with this first word is a surprise. A
+			// one-column key (width 2) is its first word: cover saw no
+			// NULL.
+			if w > 2 && !t.equal(sc, i, int(e-1)) {
+				return i
+			}
+			ids[i] = e - 1
+			continue
+		}
+		id := t.insert(sc, i)
+		t.dir[off] = id + 1
+		sc.fresh = append(sc.fresh, selRow(sel, from+i))
+		ids[i] = id
+	}
+	return len(ids)
+}
+
+// cover grows dir to span the values of vec, the first key column, in
+// rows sel (nil: rows [0, n)), before they are assigned: a page is
+// covered once, in one step. It reports false, leaving dir as it is,
+// when one of them is NULL or the span rule refuses the span.
+func (t *keyTable) cover(vec *column.Vector, sel []int, n int) bool {
+	if n == 0 {
+		return true
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	if sel != nil {
+		for _, row := range sel {
+			if vec.Nulls != nil && vec.Nulls[row] {
+				return false
+			}
+			k := vec.Ints[row]
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	} else {
+		if vec.Nulls != nil && slices.Contains(vec.Nulls[:n], true) {
+			return false
+		}
+		for _, k := range vec.Ints[:n] {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	}
+	grewDown := len(t.dir) > 0 && lo < t.kmin
+	if len(t.dir) > 0 {
+		if lo >= t.lo && uint64(hi)-uint64(t.lo) < uint64(len(t.dir)) {
+			t.kmin, t.kmax = min(lo, t.kmin), max(hi, t.kmax)
+			return true
+		}
+		lo, hi = min(lo, t.kmin), max(hi, t.kmax)
+	}
+	// Offsets are taken in uint64, so MinInt64 and MaxInt64 cannot
+	// overflow them; span is the entry count less one. The span is the
+	// keys', not the array's: room left unused by an earlier growth
+	// does not count against the rule.
+	span := uint64(hi) - uint64(lo)
+	limit := uint64(max(directFloor, directFactor*max(t.len()+n, t.hint)))
+	if span >= limit {
+		return false
+	}
+	// The array at least doubles each time it grows, so keys that leave
+	// it on alternate sides cannot make it regrow at one size, up to a
+	// cap of twice the rule's span. The room beyond the keys goes the way
+	// they grew — below them when they grew down, above them otherwise —
+	// except at the cap, where it is split evenly, so that the keys must
+	// move the span on by half the cap's room before the next regrowth:
+	// after two, the span has passed the rule. Never past the ends of
+	// int64.
+	size := max(span+1, 2*uint64(len(t.dir)), keyTableMinSlots)
+	atCap := size >= 2*limit
+	if atCap {
+		size = 2 * limit
+	}
+	extra := size - (span + 1)
+	var down uint64
+	switch {
+	case atCap:
+		down = min(extra/2, uint64(lo)^1<<63) // the values below lo
+	case grewDown:
+		down = min(extra, uint64(lo)^1<<63)
+	}
+	if above := uint64(math.MaxInt64) - uint64(hi); extra-down > above {
+		down = extra - above
+	}
+	base := int64(uint64(lo) - down)
+	dir := make([]int32, size)
+	if len(t.dir) > 0 {
+		used := t.dir[uint64(t.kmin)-uint64(t.lo) : uint64(t.kmax)-uint64(t.lo)+1]
+		copy(dir[uint64(t.kmin)-uint64(base):], used)
+	}
+	t.dir, t.lo, t.kmin, t.kmax = dir, base, lo, hi
+	return true
+}
+
+// selRow is the page row of position i of sel, or i itself when sel is
+// nil.
+func selRow(sel []int, i int) int {
+	if sel != nil {
+		return sel[i]
+	}
+	return i
 }
 
 // find sets ids[i] to the id of row i's key, or -1 when the table does
@@ -258,8 +439,28 @@ func (t *keyTable) find(sc *keyScratch, page *column.Page, cols []int, ids []int
 	for from := 0; from < len(ids); from += keyChunk {
 		to := min(from+keyChunk, len(ids))
 		t.load(sc, page, cols, nil, from, to, false)
+		if !t.hashed {
+			t.findDirect(sc, ids[from:to])
+			continue
+		}
 		for i := range ids[from:to] {
 			ids[from+i] = t.lookup(sc, i)
+		}
+	}
+}
+
+// findDirect is find's loop over a loaded chunk for a direct table. A
+// direct table holds no key with a NULL first column.
+func (t *keyTable) findDirect(sc *keyScratch, ids []int32) {
+	w, lo, n := t.width, uint64(t.lo), uint64(len(t.dir))
+	for i := range ids {
+		ids[i] = -1
+		off := sc.words[i*w+t.lead] - lo
+		if sc.words[i*w]&1 != 0 || off >= n {
+			continue
+		}
+		if e := t.dir[off]; e != 0 && (w == 2 || t.equal(sc, i, int(e-1))) {
+			ids[i] = e - 1
 		}
 	}
 }
@@ -290,28 +491,33 @@ func (t *keyTable) equal(sc *keyScratch, i, id int) bool {
 	return true
 }
 
-// insert copies row i's key into the arena under the next id.
+// insert copies row i's key into the arena under the next id, and
+// indexes it by hash when the table is hashed.
 func (t *keyTable) insert(sc *keyScratch, i int) int32 {
 	w := t.width
 	if len(t.words)+w > cap(t.words) {
-		// Grow to what the slots index once they next double, in one
-		// step, instead of leaving it to append's smaller increments.
-		t.words = slices.Grow(t.words, len(t.index.slots)*w-len(t.words))
+		// Double in one step, instead of leaving it to append's smaller
+		// increments. (Fourfold steps, as the arena took when it followed
+		// the hash index's slots, allocate more per benchmark cycle: most
+		// tables are small.)
+		t.words = slices.Grow(t.words, max(len(t.words), keyTableMinSlots*w))
 	}
 	t.words = append(t.words, sc.words[i*w:(i+1)*w]...)
-	return t.index.add(sc.hashes[i])
+	if t.hashed {
+		t.index.add(sc.hashes[i])
+	}
+	return int32(len(t.words)/w - 1)
 }
 
 // load writes the keys of positions [from, to) — rows sel[from:to], or
 // rows [from, to) themselves when sel is nil — into sc in the table's
-// layout and hashes them, interning the strings it meets when intern is
-// set. The words are filled a column at a time, so the kind dispatch
-// happens once per column per chunk.
+// layout, and hashes them when the table is hashed, interning the
+// strings it meets when intern is set. The words are filled a column at
+// a time, so the kind dispatch happens once per column per chunk.
 func (t *keyTable) load(sc *keyScratch, page *column.Page, cols []int, sel []int, from, to int, intern bool) {
 	n := to - from
 	w := t.width
 	nullWords := w - len(cols)
-	sc.hashes = resize(sc.hashes, n)
 	sc.words = resize(sc.words, n*w)
 	words := sc.words
 	for i := 0; i < len(words); i += w {
@@ -374,12 +580,17 @@ func (t *keyTable) load(sc *keyScratch, page *column.Page, cols []int, sel []int
 			}
 		}
 	}
+	if t.hashed {
+		t.hashChunk(sc)
+	}
+}
+
+// hashChunk hashes the keys loaded into sc.
+func (t *keyTable) hashChunk(sc *keyScratch) {
+	w := t.width
+	sc.hashes = resize(sc.hashes, len(sc.words)/w)
 	for i := range sc.hashes {
-		h := keySeed
-		for _, x := range words[i*w : (i+1)*w] {
-			h = hashMix(h, x)
-		}
-		sc.hashes[i] = h
+		sc.hashes[i] = hashKey(sc.words[i*w : (i+1)*w])
 	}
 }
 

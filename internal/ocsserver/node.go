@@ -137,11 +137,7 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 	span.SetAttr("node", n.nodeLabel())
 	chunksSent := n.Metrics.Counter(telemetry.MetricNodeChunksSent, "node", n.nodeLabel())
 	chunkBytes := n.Metrics.Counter(telemetry.MetricNodeChunkBytes, "node", n.nodeLabel())
-	plan, err := substrait.Unmarshal(payload)
-	if err != nil {
-		return nil, rpc.WithCode(fmt.Errorf("node %d: invalid plan: %w", n.ID, err), rpc.CodeInvalid)
-	}
-	planSchema, err := plan.Validate()
+	plan, planSchema, err := substrait.Decode(payload)
 	if err != nil {
 		return nil, rpc.WithCode(fmt.Errorf("node %d: invalid plan: %w", n.ID, err), rpc.CodeInvalid)
 	}

@@ -53,12 +53,20 @@ func Marshal(p *Plan) ([]byte, error) {
 
 // Unmarshal deserializes and re-type-checks a plan.
 func Unmarshal(data []byte) (*Plan, error) {
+	p, _, err := Decode(data)
+	return p, err
+}
+
+// Decode deserializes and re-type-checks a plan, and returns it with its
+// validated output schema (Plan.Validate's), so that a reader that needs
+// both checks the plan once.
+func Decode(data []byte) (*Plan, *types.Schema, error) {
 	d := protowire.NewDecoder(data)
 	p := &Plan{}
 	for !d.Done() {
 		f, ty, err := d.Next()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		switch f {
 		case 1:
@@ -73,13 +81,14 @@ func Unmarshal(data []byte) (*Plan, error) {
 			err = d.Skip(ty)
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	if _, err := p.Validate(); err != nil {
-		return nil, err
+	schema, err := p.Validate()
+	if err != nil {
+		return nil, nil, err
 	}
-	return p, nil
+	return p, schema, nil
 }
 
 func encodeSchema(e *protowire.Encoder, field int, s *types.Schema) {

@@ -148,6 +148,14 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if !s1.Equal(s2) {
 		t.Errorf("schemas differ: %v vs %v", s1, s2)
 	}
+	// Decode hands out the schema Validate derives, with the same plan.
+	decoded, s3, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s3.Equal(s1) || decoded.String() != got.String() {
+		t.Errorf("Decode = %q with %v, Unmarshal %q with %v", decoded, s3, got, s1)
+	}
 	if p.String() != got.String() {
 		t.Errorf("plan summaries differ: %q vs %q", p.String(), got.String())
 	}
