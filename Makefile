@@ -108,7 +108,8 @@ determinism:
 
 # fuzz-smoke runs each native fuzz target for ten seconds: the decoders
 # of bytes this program did not produce (Snappy blocks and parquetlite
-# footers and chunks off disk, rpc frames, protowire messages, Arrow
+# footers and chunks off disk, column sketches in a catalog file, rpc
+# frames, protowire messages, Arrow
 # batches, object-end chunks and Substrait plans — the bloom filter's
 # carrier — off the wire, object-protocol requests from any client, the
 # S3 Select request among them, and responses from any server) may reject
@@ -140,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeObjectEnd$$' -fuzztime 10s ./internal/ocsserver/
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectionKernels$$' -fuzztime 10s ./internal/expr/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyTableModes$$' -fuzztime 10s ./internal/exec/
+	$(GO) test -run '^$$' -fuzz '^FuzzColumnSketch$$' -fuzztime 10s ./internal/metastore/
 
 # gates is the one list of the static guards (telemetry manifest, the one
 # storage read, join hot path, ingest single writer):

@@ -169,9 +169,14 @@ func HashBool(v bool) uint64 {
 }
 
 // AddVector hashes every non-null value of a key vector into the
-// filter, vectorized per kind. A vector in dictionary form adds each Dict
-// entry that a non-null row uses, once.
-func (f *Filter) AddVector(vec *column.Vector) error {
+// filter.
+func (f *Filter) AddVector(vec *column.Vector) error { return EachHash(vec, f.AddHash) }
+
+// EachHash passes add the hash of every non-null value of vec, vectorized
+// per kind: the one value hash of the join filter and of the metastore's
+// NDV sketches. A vector in dictionary form passes each Dict entry that a
+// non-null row uses, once.
+func EachHash(vec *column.Vector, add func(uint64)) error {
 	nulls := vec.Nulls
 	if vec.Dict != nil {
 		used := make([]bool, len(vec.Dict))
@@ -182,7 +187,7 @@ func (f *Filter) AddVector(vec *column.Vector) error {
 		}
 		for c, s := range vec.Dict {
 			if used[c] {
-				f.AddHash(HashString(s))
+				add(HashString(s))
 			}
 		}
 		return nil
@@ -191,25 +196,25 @@ func (f *Filter) AddVector(vec *column.Vector) error {
 	case types.Int64, types.Date:
 		for i, v := range vec.Ints {
 			if nulls == nil || !nulls[i] {
-				f.AddHash(HashInt64(v))
+				add(HashInt64(v))
 			}
 		}
 	case types.Float64:
 		for i, v := range vec.Floats {
 			if nulls == nil || !nulls[i] {
-				f.AddHash(HashFloat64(v))
+				add(HashFloat64(v))
 			}
 		}
 	case types.String:
 		for i, v := range vec.Strings {
 			if nulls == nil || !nulls[i] {
-				f.AddHash(HashString(v))
+				add(HashString(v))
 			}
 		}
 	case types.Bool:
 		for i, v := range vec.Bools {
 			if nulls == nil || !nulls[i] {
-				f.AddHash(HashBool(v))
+				add(HashBool(v))
 			}
 		}
 	default:

@@ -67,7 +67,7 @@ func setup(t *testing.T) (*engine.Engine, *objstore.Client) {
 
 	tbl, err := ingest.AssembleTable(ingest.TableSpec{
 		Schema: "hive", Name: "t", Bucket: "data", Columns: schema, Codec: compress.Snappy,
-	}, keys, objs, map[string]int64{"id": 100, "v": 100, "g": 100})
+	}, keys, objs)
 	if err != nil {
 		t.Fatal(err)
 	}

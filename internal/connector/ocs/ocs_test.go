@@ -70,7 +70,7 @@ func setup(t *testing.T) (*engine.Engine, *Connector) {
 
 	tbl, err := ingest.AssembleTable(ingest.TableSpec{
 		Schema: "ocs", Name: "mesh", Bucket: "lanl", Columns: schema, Codec: compress.None,
-	}, keys, objs, map[string]int64{"vertex_id": 80, "x": 100, "e": 240, "rowid": 240})
+	}, keys, objs)
 	if err != nil {
 		t.Fatal(err)
 	}

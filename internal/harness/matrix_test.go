@@ -254,12 +254,11 @@ func assertRowsEqual(t *testing.T, label string, got, want []string) {
 
 // rowTable seals objects × perObject rows, row(seq) the row at seq in
 // table order, as the fixture table name, rowGroup rows to a row group,
-// with exact NDV — the path the workload generators take — and returns
-// it, ready for Cluster.Load, with its rows.
+// and assembles them as the workload generators do; it returns the
+// dataset, ready for Cluster.Load, with its rows.
 func rowTable(t *testing.T, name string, cols []types.Column, objects, perObject, rowGroup int, row func(seq int) []types.Value) (*workload.Dataset, [][]types.Value) {
 	t.Helper()
 	spec := ingest.TableSpec{Schema: CatalogOCS, Name: name, Bucket: name, Columns: types.NewSchema(cols...)}
-	distinct := ingest.NewDistinctSets(spec.Columns)
 	d := &workload.Dataset{Name: name, Objects: map[string][]byte{}}
 	var rows [][]types.Value
 	var keys []string
@@ -275,7 +274,6 @@ func rowTable(t *testing.T, name string, cols []types.Column, objects, perObject
 		if err := b.AppendPage(page); err != nil {
 			t.Fatal(err)
 		}
-		b.MergeDistinctInto(distinct)
 		sealed, err := b.Seal()
 		if err != nil {
 			t.Fatal(err)
@@ -284,12 +282,8 @@ func rowTable(t *testing.T, name string, cols []types.Column, objects, perObject
 		d.Objects[key] = sealed.Image
 		keys, objs = append(keys, key), append(objs, sealed)
 	}
-	ndv := make(map[string]int64, len(cols))
-	for i, col := range cols {
-		ndv[col.Name] = distinct.Count(i)
-	}
 	var err error
-	if d.Table, err = ingest.AssembleTable(spec, keys, objs, ndv); err != nil {
+	if d.Table, err = ingest.AssembleTable(spec, keys, objs); err != nil {
 		t.Fatal(err)
 	}
 	return d, rows

@@ -142,7 +142,7 @@ func BenchmarkCompactMerge(b *testing.B) {
 		}
 		keys, objs = append(keys, key), append(objs, sealed)
 	}
-	tbl, err := AssembleTable(spec, keys, objs, nil)
+	tbl, err := AssembleTable(spec, keys, objs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -22,8 +22,8 @@ import (
 // ObjectBuilder accumulates rows into one parquetlite object while
 // tracking everything the metastore needs to make the object prunable
 // the moment it is registered: per-column min/max and null counts come
-// from the file footer, and exact distinct-value counts come from the
-// builder's own typed sets (footers do not carry NDV). A row is
+// from the file footer, and distinct-value counts from one
+// metastore.Sketch per column (footers do not carry NDV). A row is
 // transposed once, into the writer's pending row group; a page is taken
 // column at a time and never boxed into rows. This is the single writer
 // implementation: engine ingest, the compactor and the workload
@@ -33,16 +33,20 @@ type ObjectBuilder struct {
 	w        *parquetlite.Writer
 	rows     int64
 	raw      int64
-	distinct DistinctSets
+	sketches []metastore.Sketch // per column
 }
 
 // NewObjectBuilder starts an object with the given schema.
 func NewObjectBuilder(schema *types.Schema, opts parquetlite.WriterOptions) *ObjectBuilder {
-	return &ObjectBuilder{
+	b := &ObjectBuilder{
 		schema:   schema,
 		w:        parquetlite.NewWriter(schema, opts),
-		distinct: NewDistinctSets(schema),
+		sketches: make([]metastore.Sketch, schema.Len()),
 	}
+	for i := range b.sketches {
+		b.sketches[i] = metastore.NewSketch()
+	}
+	return b
 }
 
 // AppendRow buffers one row; the row that fills a row group has the
@@ -51,33 +55,25 @@ func (b *ObjectBuilder) AppendRow(vals ...types.Value) error {
 	if len(vals) != b.schema.Len() {
 		return fmt.Errorf("ingest: row has %d values, schema has %d columns", len(vals), b.schema.Len())
 	}
-	for _, v := range vals {
+	for i, v := range vals {
 		b.raw += rawSize(v)
+		b.sketches[i].Add(v)
 	}
-	b.distinct.addRow(vals)
 	b.rows++
 	return b.w.WriteRow(vals...)
 }
 
-// AppendPage appends all rows of a page. The distinct values are counted
-// on a goroutine of their own while the writer encodes: both only read
-// the page, and nothing else is shared.
+// AppendPage appends all rows of a page.
 func (b *ObjectBuilder) AppendPage(p *column.Page) error {
 	if err := parquetlite.CheckPage(b.schema, p); err != nil {
 		return err
 	}
-	counted := make(chan struct{})
-	go func() {
-		defer close(counted)
-		b.distinct.addPage(p)
-	}()
-	err := b.w.WritePage(p)
-	<-counted
-	if err != nil {
+	if err := b.w.WritePage(p); err != nil {
 		return err
 	}
 	b.rows += int64(p.NumRows())
-	for _, vec := range p.Vectors {
+	for c, vec := range p.Vectors {
+		b.sketches[c].AddVector(vec)
 		b.raw += 8 * int64(vec.Len())
 		for i, s := range vec.StringSlice() {
 			if !vec.IsNull(i) {
@@ -88,36 +84,19 @@ func (b *ObjectBuilder) AppendPage(p *column.Page) error {
 	return nil
 }
 
-// Rows reports the buffered row count.
-func (b *ObjectBuilder) Rows() int64 { return b.rows }
-
-// RawBytes reports the approximate uncompressed volume buffered so far
-// (for flush thresholds and reporting).
-func (b *ObjectBuilder) RawBytes() int64 { return b.raw }
-
-// MergeDistinctInto folds this object's distinct-value sets, which count
-// every row appended so far, into table-wide sets, so callers building
-// many objects (the workload generators) can compute exact table-level
-// NDV.
-func (b *ObjectBuilder) MergeDistinctInto(global DistinctSets) {
-	for i := range b.distinct {
-		global[i].merge(&b.distinct[i])
-	}
-}
-
 // SealedObject is a finished object image plus the bookkeeping the
 // metastore commit needs.
 type SealedObject struct {
 	Image []byte
 	Rows  int64
 	Bytes int64
-	// Stats is the per-column zone map, with exact NDV for the rows in
-	// this object.
+	// Stats is the per-column zone map, with the sketch of this
+	// object's values and its NDV estimate.
 	Stats map[string]metastore.ColumnStats
 }
 
 // Seal finishes the file and computes its zone map from the footer it
-// just wrote (one source of truth) plus the tracked distinct counts.
+// just wrote (one source of truth) plus the column sketches.
 // The builder must not be reused afterwards.
 func (b *ObjectBuilder) Seal() (SealedObject, error) {
 	img, err := b.w.Finish()
@@ -130,7 +109,7 @@ func (b *ObjectBuilder) Seal() (SealedObject, error) {
 	}
 	stats := make(map[string]metastore.ColumnStats, b.schema.Len())
 	for ci, c := range b.schema.Columns {
-		stats[c.Name] = metastore.ColumnStats{ZoneMap: r.ColumnStats(ci), NDV: b.distinct.Count(ci)}
+		stats[c.Name] = metastore.ColumnStats{ZoneMap: r.ColumnStats(ci), NDV: b.sketches[ci].Estimate(), Sketch: b.sketches[ci]}
 	}
 	return SealedObject{Image: img, Rows: b.rows, Bytes: int64(len(img)), Stats: stats}, nil
 }
@@ -157,12 +136,9 @@ type TableSpec struct {
 // AssembleTable builds a registerable catalog entry from sealed
 // objects: metastore.NextTable adds them to an empty table, exactly as
 // CommitObjects would, so a table assembled here and one committed
-// object by object carry the same totals and statistics. exactNDV
-// overrides the table NDV per column (the generators track distincts
-// across all objects); without it NDV is the sum of per-object NDVs
-// capped at the value count — an overestimate when values span objects,
-// but safe for selectivity purposes. keys and objs are parallel.
-func AssembleTable(spec TableSpec, keys []string, objs []SealedObject, exactNDV map[string]int64) (*metastore.Table, error) {
+// object by object carry the same totals and statistics, the NDV of
+// their merged sketches among them. keys and objs are parallel.
+func AssembleTable(spec TableSpec, keys []string, objs []SealedObject) (*metastore.Table, error) {
 	if len(keys) != len(objs) {
 		return nil, fmt.Errorf("ingest: %d keys for %d sealed objects", len(keys), len(objs))
 	}
@@ -181,12 +157,5 @@ func AssembleTable(spec TableSpec, keys []string, objs []SealedObject, exactNDV 
 	for i, o := range objs {
 		adds[i] = metastore.ObjectAdd{Key: keys[i], Bytes: o.Bytes, Rows: o.Rows, Stats: o.Stats}
 	}
-	t := metastore.NextTable(empty, adds, nil)
-	for name, n := range exactNDV {
-		if cs, ok := t.ColumnStats[name]; ok {
-			cs.NDV = min(n, cs.NumValues)
-			t.ColumnStats[name] = cs
-		}
-	}
-	return t, nil
+	return metastore.NextTable(empty, adds, nil), nil
 }

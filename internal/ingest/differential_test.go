@@ -149,8 +149,9 @@ func pageOf(schema *types.Schema, rows [][]types.Value) *column.Page {
 	return p
 }
 
-// sameSealed compares everything a commit records about an object. Float
-// bounds are compared by bit pattern: a NaN bound must be the same NaN.
+// sameSealed compares everything a commit records about an object: NDV
+// within the sketch's error, the rest exactly. Float bounds are compared
+// by bit pattern: a NaN bound must be the same NaN.
 func sameSealed(t *testing.T, what string, got, want SealedObject) {
 	t.Helper()
 	if !bytes.Equal(got.Image, want.Image) {
@@ -165,7 +166,7 @@ func sameSealed(t *testing.T, what string, got, want SealedObject) {
 		bound := func(v types.Value) string {
 			return fmt.Sprintf("%v %v %d %x %q %v", v.Kind, v.Null, v.I, math.Float64bits(v.F), v.S, v.B)
 		}
-		if g.NDV != w.NDV || g.NullCount != w.NullCount || g.NumValues != w.NumValues ||
+		if !withinSketchError(g.NDV, w.NDV) || g.NullCount != w.NullCount || g.NumValues != w.NumValues ||
 			bound(g.Min) != bound(w.Min) || bound(g.Max) != bound(w.Max) {
 			t.Fatalf("%s: column %s stats = %+v, want %+v", what, name, g, w)
 		}
@@ -174,7 +175,8 @@ func sameSealed(t *testing.T, what string, got, want SealedObject) {
 
 // TestBuilderMatchesRowWiseReference: rows fed through AppendRow, through
 // AppendPage and through a mix of both seal to the reference's image,
-// statistics (NDV included), row count, size and RawBytes.
+// statistics (NDV within the sketch's error), row count, size and raw
+// bytes, and to one set of sketches.
 func TestBuilderMatchesRowWiseReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(18))
 	const group = 64
@@ -195,6 +197,7 @@ func TestBuilderMatchesRowWiseReference(t *testing.T) {
 			"page":  {0, len(rows)},
 			"mixed": {rnd.Intn(len(rows) + 1), rnd.Intn(len(rows) + 1)},
 		}
+		var sketches map[string]metastore.Sketch
 		for what, cut := range cuts {
 			sort.Ints(cut)
 			b := NewObjectBuilder(allKinds, opts)
@@ -211,14 +214,25 @@ func TestBuilderMatchesRowWiseReference(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if b.RawBytes() != ref.raw || b.Rows() != want.Rows {
-				t.Fatalf("trial %d %s: RawBytes/Rows = %d/%d, want %d/%d", trial, what, b.RawBytes(), b.Rows(), ref.raw, want.Rows)
+			if b.raw != ref.raw || b.rows != want.Rows {
+				t.Fatalf("trial %d %s: raw bytes/rows = %d/%d, want %d/%d", trial, what, b.raw, b.rows, ref.raw, want.Rows)
 			}
 			got, err := b.Seal()
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameSealed(t, fmt.Sprintf("trial %d %s", trial, what), got, want)
+			if sketches == nil {
+				sketches = make(map[string]metastore.Sketch)
+				for name, cs := range got.Stats {
+					sketches[name] = cs.Sketch
+				}
+			}
+			for name, cs := range got.Stats {
+				if !bytes.Equal(cs.Sketch, sketches[name]) {
+					t.Fatalf("trial %d %s: column %s's sketch differs between cuts", trial, what, name)
+				}
+			}
 		}
 	}
 }

@@ -534,7 +534,7 @@ func TestCompactDriftedSourceFails(t *testing.T) {
 }
 
 func TestIngestAssembleTableRejectsMismatch(t *testing.T) {
-	if _, err := AssembleTable(eventSpec(), []string{"a"}, nil, nil); err == nil {
+	if _, err := AssembleTable(eventSpec(), []string{"a"}, nil); err == nil {
 		t.Error("key/object mismatch accepted")
 	}
 }
@@ -608,29 +608,33 @@ func TestIngestBuilderRawBytesAndDistinctMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// id (8) + string (len 2 + 8).
-	if got := a.RawBytes(); got != 18 {
-		t.Errorf("RawBytes = %d, want 18", got)
+	if a.raw != 18 {
+		t.Errorf("raw bytes = %d, want 18", a.raw)
 	}
-	// Both rows are still in their writer's pending row group:
-	// MergeDistinctInto counts rows that no group has taken yet.
-	global := NewDistinctSets(eventSchema())
-	a.MergeDistinctInto(global)
-	b.MergeDistinctInto(global)
-	// Both rows share id=1; names differ.
-	if global.Count(0) != 1 || global.Count(1) != 2 {
-		t.Errorf("merged distincts = %d, %d", global.Count(0), global.Count(1))
+	// Both rows are still in their writer's pending row group when Seal
+	// reads the sketches, which have counted them already.
+	var objs []SealedObject
+	for _, bb := range []*ObjectBuilder{a, b} {
+		sealed, err := bb.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, sealed)
 	}
-	// Merging again after Seal changes nothing.
-	if _, err := a.Seal(); err != nil {
+	tbl, err := AssembleTable(eventSpec(), []string{"a.pql", "b.pql"}, objs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	a.MergeDistinctInto(global)
-	if global.Count(0) != 1 || global.Count(1) != 2 {
-		t.Errorf("after Seal: merged distincts = %d, %d", global.Count(0), global.Count(1))
+	// Both rows share id=1; names differ.
+	if id, name := tbl.ColumnStats["id"].NDV, tbl.ColumnStats["name"].NDV; id != 1 || name != 2 {
+		t.Errorf("merged NDV = %d, %d; want 1, 2", id, name)
 	}
 }
 
-func TestIngestAssembleTableExactNDVOverride(t *testing.T) {
+// TestIngestAssembleTableCountsSharedValuesOnce: two objects holding the
+// same four ids and one name make a table of four ids and one name, not
+// of the sum of the objects' counts.
+func TestIngestAssembleTableCountsSharedValuesOnce(t *testing.T) {
 	a := NewObjectBuilder(eventSchema(), parquetlite.WriterOptions{})
 	b := NewObjectBuilder(eventSchema(), parquetlite.WriterOptions{})
 	for i := int64(0); i < 4; i++ {
@@ -649,19 +653,15 @@ func TestIngestAssembleTableExactNDVOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := AssembleTable(eventSpec(), []string{"x-000.pql", "x-001.pql"},
-		[]SealedObject{sa, sb}, map[string]int64{"id": 4})
+	tbl, err := AssembleTable(eventSpec(), []string{"x-000.pql", "x-001.pql"}, []SealedObject{sa, sb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Without the override the summed per-object NDV (8) double-counts
-	// the shared ids; the exact override records 4.
 	if got := tbl.ColumnStats["id"].NDV; got != 4 {
-		t.Errorf("exact NDV = %d, want 4", got)
+		t.Errorf("id NDV = %d, want 4", got)
 	}
-	// No override for name → per-object sum capped at the value count.
-	if got := tbl.ColumnStats["name"].NDV; got != 2 {
-		t.Errorf("summed NDV = %d, want 2", got)
+	if got := tbl.ColumnStats["name"].NDV; got != 1 {
+		t.Errorf("name NDV = %d, want 1", got)
 	}
 	if tbl.RowCount != 8 || len(tbl.Objects) != 2 {
 		t.Errorf("assembled table = %d rows, %d objects", tbl.RowCount, len(tbl.Objects))
@@ -698,7 +698,7 @@ func TestAssembledTableMatchesCommittedTable(t *testing.T) {
 		keys, objs = append(keys, key), append(objs, sealed)
 		adds = append(adds, metastore.ObjectAdd{Key: key, Bytes: sealed.Bytes, Rows: sealed.Rows, Stats: sealed.Stats})
 	}
-	want, err := AssembleTable(eventSpec(), keys, objs, nil)
+	want, err := AssembleTable(eventSpec(), keys, objs)
 	if err != nil {
 		t.Fatal(err)
 	}

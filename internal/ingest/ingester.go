@@ -69,7 +69,7 @@ func (ing *Ingester) CreateTable(spec TableSpec) error {
 	if spec.Bucket == "" {
 		return fmt.Errorf("ingest: table %s.%s needs a bucket", spec.Schema, spec.Name)
 	}
-	t, err := AssembleTable(spec, nil, nil, nil)
+	t, err := AssembleTable(spec, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -103,7 +103,7 @@ func (ing *Ingester) Append(ctx context.Context, schema, name string, rows [][]t
 			return accepted, err
 		}
 		accepted++
-		if buf.builder.Rows() >= int64(ing.opts.FlushRows) {
+		if buf.builder.rows >= int64(ing.opts.FlushRows) {
 			if err := ing.flushLocked(ctx, buf); err != nil {
 				return accepted, err
 			}
@@ -118,7 +118,7 @@ func (ing *Ingester) Flush(ctx context.Context, schema, name string) error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	buf := ing.bufs[schema+"."+name]
-	if buf == nil || buf.builder == nil || buf.builder.Rows() == 0 {
+	if buf == nil || buf.builder == nil || buf.builder.rows == 0 {
 		return nil
 	}
 	return ing.flushLocked(ctx, buf)
@@ -129,7 +129,7 @@ func (ing *Ingester) FlushAll(ctx context.Context) error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	for _, buf := range ing.bufs {
-		if buf.builder == nil || buf.builder.Rows() == 0 {
+		if buf.builder == nil || buf.builder.rows == 0 {
 			continue
 		}
 		if err := ing.flushLocked(ctx, buf); err != nil {
@@ -148,7 +148,7 @@ func (ing *Ingester) BufferedRows(schema, name string) int64 {
 	if buf == nil || buf.builder == nil {
 		return 0
 	}
-	return buf.builder.Rows()
+	return buf.builder.rows
 }
 
 func (ing *Ingester) newBuilder(t *metastore.Table) *ObjectBuilder {

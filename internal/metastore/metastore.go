@@ -3,7 +3,8 @@
 // column statistics (min/max, NDV, null count, row count). The Presto-OCS
 // connector's Selectivity Analyzer consumes these statistics exactly as
 // the paper describes (§4: min/max for range-filter selectivity, NDV for
-// aggregation cardinality, row count for reduction ratios).
+// aggregation cardinality, row count for reduction ratios). A table's NDV
+// is the estimate of its objects' merged HyperLogLog sketches (Sketch).
 package metastore
 
 import (
@@ -24,9 +25,13 @@ import (
 // held in Table.ObjectStats): its zone map plus a distinct-value count.
 type ColumnStats struct {
 	expr.ZoneMap
-	// NDV is the number of distinct values (exact when computed by the
-	// generator, else an estimate).
+	// NDV is the estimated number of distinct non-NULL values, capped at
+	// the value count in a table's stats.
 	NDV int64 `json:"ndv"`
+	// Sketch is what NDV estimates from: a sealed object's or a table's
+	// (the object entries of Table.ObjectStats keep none). Nil in a table
+	// saved before sketches or registered by hand: NDV stays as registered.
+	Sketch Sketch `json:"sketch,omitempty"`
 }
 
 // MarshalJSON keeps the catalog's key order, ndv between null_count and
@@ -39,7 +44,8 @@ func (cs ColumnStats) MarshalJSON() ([]byte, error) {
 		NullCount int64       `json:"null_count"`
 		NDV       int64       `json:"ndv"`
 		NumValues int64       `json:"num_values,omitempty"`
-	}{cs.Min, cs.Max, cs.NullCount, cs.NDV, cs.NumValues})
+		Sketch    Sketch      `json:"sketch,omitempty"`
+	}{cs.Min, cs.Max, cs.NullCount, cs.NDV, cs.NumValues, cs.Sketch})
 }
 
 // Table is a catalog entry.
@@ -259,8 +265,8 @@ func Load(path string) (*Metastore, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tables []*Table
-	if err := json.Unmarshal(data, &tables); err != nil {
+	tables, err := decodeCatalog(data)
+	if err != nil {
 		return nil, fmt.Errorf("metastore: parsing %s: %w", path, err)
 	}
 	m := New()
@@ -270,4 +276,27 @@ func Load(path string) (*Metastore, error) {
 		}
 	}
 	return m, nil
+}
+
+// decodeCatalog parses a catalog's bytes, rejecting any table sketch that
+// Sketch cannot have produced, so that no merge or estimate reads one.
+func decodeCatalog(data []byte) ([]*Table, error) {
+	var tables []*Table
+	if err := json.Unmarshal(data, &tables); err != nil {
+		return nil, err
+	}
+	for _, t := range tables {
+		if t == nil {
+			return nil, fmt.Errorf("null table entry")
+		}
+		for name, cs := range t.ColumnStats {
+			if cs.Sketch == nil {
+				continue
+			}
+			if err := cs.Sketch.check(); err != nil {
+				return nil, fmt.Errorf("table %s, column %s: %w", t.QualifiedName(), name, err)
+			}
+		}
+	}
+	return tables, nil
 }

@@ -114,8 +114,27 @@ func zone(min, max types.Value, nulls, ndv, values int64) ColumnStats {
 	return ColumnStats{ZoneMap: expr.ZoneMap{Min: min, Max: max, NullCount: nulls, NumValues: values}, NDV: ndv}
 }
 
-// pinnedEvents is the table testdata/catalog.json describes.
+// pinnedEvents is the table testdata/catalog.json describes: each column
+// of its table stats carries the sketch of the values behind its NDV.
 func pinnedEvents() *Table {
+	t := eventsBeforeSketches()
+	for name, vals := range map[string][]types.Value{
+		"id":  {types.IntValue(-3), types.IntValue(0), types.IntValue(9), types.IntValue(12), types.IntValue(20), types.IntValue(40)},
+		"tag": {types.StringValue("a"), types.StringValue("m"), types.StringValue("z")},
+	} {
+		cs := t.ColumnStats[name]
+		cs.Sketch = NewSketch()
+		for _, v := range vals {
+			cs.Sketch.Add(v)
+		}
+		t.ColumnStats[name] = cs
+	}
+	return t
+}
+
+// eventsBeforeSketches is pinnedEvents as catalogs saved before table
+// sketches describe it.
+func eventsBeforeSketches() *Table {
 	noTag := types.NullValue(types.String)
 	return &Table{
 		Schema: "ocs", Name: "events",
@@ -162,6 +181,11 @@ func TestCatalogFormatIsPinned(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("loaded %+v\nwant %+v", got, want)
 	}
+	for name, cs := range got.ColumnStats {
+		if n := cs.Sketch.Estimate(); n != cs.NDV {
+			t.Errorf("%s: sketch estimates %d, NDV %d", name, n, cs.NDV)
+		}
+	}
 	path := filepath.Join(t.TempDir(), "catalog.json")
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
@@ -189,11 +213,40 @@ func TestLoadCatalogWithDeclaredKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := pinnedEvents(); !reflect.DeepEqual(got, want) {
+	if want := eventsBeforeSketches(); !reflect.DeepEqual(got, want) {
 		t.Errorf("loaded %+v\nwant %+v", got, want)
 	}
 	if !got.SplitDisjoint("id") || got.SplitDisjoint("tag") {
 		t.Errorf("derived disjointness: id %v, tag %v; want true, false", got.SplitDisjoint("id"), got.SplitDisjoint("tag"))
+	}
+}
+
+// TestLoadCatalogWithExactNDV: catalogs saved before table sketches
+// (testdata/catalog_exact_ndv.json is testdata/catalog.json as it was
+// then) still load, with the NDVs they stored and no sketch; a commit to
+// such a table keeps its NDV, since the union of its objects' values is
+// unknown.
+func TestLoadCatalogWithExactNDV(t *testing.T) {
+	m, err := Load("testdata/catalog_exact_ndv.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Get("ocs", "events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := eventsBeforeSketches(); !reflect.DeepEqual(got, want) {
+		t.Errorf("loaded %+v\nwant %+v", got, want)
+	}
+	id, tag := zone(types.IntValue(50), types.IntValue(51), 0, 2, 2), zone(types.StringValue("q"), types.StringValue("q"), 0, 1, 2)
+	id.Sketch, tag.Sketch = NewSketch(), NewSketch() // sealed objects carry sketches
+	add := ObjectAdd{Key: "ev-000003.pql", Bytes: 300, Rows: 2, Stats: map[string]ColumnStats{"id": id, "tag": tag}}
+	next, err := m.CommitObjects("ocs", "events", []ObjectAdd{add}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, tag := next.ColumnStats["id"], next.ColumnStats["tag"]; id.NDV != 6 || tag.NDV != 3 || id.Sketch != nil || tag.Sketch != nil {
+		t.Errorf("after an append: id NDV %d sketch %v, tag NDV %d sketch %v; want 6 and 3, no sketches", id.NDV, id.Sketch != nil, tag.NDV, tag.Sketch != nil)
 	}
 }
 

@@ -28,9 +28,9 @@ type ObjectAdd struct {
 	Bytes int64
 	Rows  int64
 	// Stats is the per-column zone map for the object (min/max, nulls,
-	// value counts, and an NDV estimate from the writer's distinct
-	// tracking). Required: the ingest path exists so split pruning keeps
-	// working on fresh data.
+	// value counts) with its NDV and the sketch that estimates it.
+	// Required: the ingest path exists so split pruning keeps working on
+	// fresh data.
 	Stats map[string]ColumnStats
 }
 
@@ -179,6 +179,12 @@ func (m *Metastore) CommitObjects(schema, name string, adds []ObjectAdd, removes
 // is the one place a table's objects, rows, bytes and column statistics
 // are derived: CommitObjects applies it to the live table, and
 // ingest.AssembleTable to an empty one.
+//
+// A column's table sketch is old's merged with the added objects', and
+// its NDV that sketch's estimate capped at the value count. Removed
+// objects never leave the union: only the compactor removes objects, and
+// its output holds exactly their rows. So a commit costs O(added
+// objects), not O(live objects).
 func NextTable(old *Table, adds []ObjectAdd, removes []string) *Table {
 	removed := make(map[string]bool, len(removes))
 	for _, r := range removes {
@@ -208,7 +214,12 @@ func NextTable(old *Table, adds []ObjectAdd, removes []string) *Table {
 	}
 	for _, a := range adds {
 		next.Objects = append(next.Objects, a.Key)
-		next.ObjectStats[a.Key] = a.Stats
+		st := make(map[string]ColumnStats, len(a.Stats))
+		for name, cs := range a.Stats {
+			cs.Sketch = nil // the table's sketch holds it
+			st[name] = cs
+		}
+		next.ObjectStats[a.Key] = st
 		next.ObjectBytes[a.Key] = a.Bytes
 	}
 
@@ -226,13 +237,9 @@ func NextTable(old *Table, adds []ObjectAdd, removes []string) *Table {
 	}
 
 	// Table-level column stats: min/max/nulls/value counts re-merge
-	// exactly from the surviving zone maps. NDV cannot be re-derived from
-	// per-object estimates without double counting values that span
-	// objects, so: pure appends grow it by the new objects' NDV (capped
-	// at the value count), while rewrites (compaction) keep it — merging
-	// objects does not change the value distribution.
+	// exactly from the surviving zone maps.
 	for name, oldCS := range old.ColumnStats {
-		merged := ColumnStats{NDV: oldCS.NDV}
+		merged := ColumnStats{NDV: oldCS.NDV, Sketch: tableSketch(oldCS.Sketch, len(old.Objects) > 0, adds, name)}
 		merged.Min, merged.Max = oldCS.Min, oldCS.Max
 		merged.Min.Null, merged.Max.Null = true, true
 		for _, key := range next.Objects {
@@ -240,17 +247,34 @@ func NextTable(old *Table, adds []ObjectAdd, removes []string) *Table {
 				merged.Merge(st.ZoneMap)
 			}
 		}
-		if len(removes) == 0 {
-			for _, a := range adds {
-				merged.NDV += a.Stats[name].NDV
-			}
+		if merged.Sketch != nil {
+			merged.NDV = merged.Sketch.Estimate()
 		}
-		if merged.NDV > merged.NumValues {
-			merged.NDV = merged.NumValues
-		}
+		merged.NDV = min(merged.NDV, merged.NumValues)
 		next.ColumnStats[name] = merged
 	}
 	return next
+}
+
+// tableSketch merges old, a table's sketch of column name, with the added
+// objects'. It returns nil, and NDV stays as it was, when the union is
+// unknown: the table lists objects but has no sketch (a catalog saved
+// before sketches, a table registered by hand), or an added object
+// carries none.
+func tableSketch(old Sketch, listsObjects bool, adds []ObjectAdd, name string) Sketch {
+	if len(adds) == 0 || old == nil && listsObjects {
+		return old
+	}
+	s := NewSketch()
+	s.merge(old)
+	for _, a := range adds {
+		add := a.Stats[name].Sketch
+		if add == nil {
+			return nil
+		}
+		s.merge(add)
+	}
+	return s
 }
 
 // objectRows reports the row count of one object from its zone map

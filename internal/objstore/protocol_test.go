@@ -496,9 +496,9 @@ func FuzzDecodeKeys(f *testing.F) {
 const (
 	// dataStatsAllocBound: the payload aliases the response and the
 	// stats are values, so only the decoders and an error remain.
-	dataStatsAllocBound = 512
+	dataStatsAllocBound = 512 + raceAllocSlack
 	// allocSlack covers the decoder and an error message.
-	allocSlack = 512
+	allocSlack = 512 + raceAllocSlack
 )
 
 // refAllocBound: a request's bucket and key are copied out of it as

@@ -5,8 +5,8 @@
 // per-operator reduction ratios and group cardinalities match; absolute
 // sizes are scaled down).
 //
-// Every generator is deterministic in its seed, computes exact column
-// statistics (including NDV) and per-object zone maps for the metastore.
+// Every generator is deterministic in its seed, and computes exact zone
+// maps per object and per table and a sketched NDV for the metastore.
 // Nothing is declared about how keys fall across objects: the metastore
 // derives split-disjointness from the per-object zone maps (vertex_id for
 // Laghos, timestep for Deep Water, orderkey for TPC-H), and that is what
@@ -91,9 +91,8 @@ func (d *Dataset) Upload(ctx context.Context, w ingest.ObjectWriter) error {
 
 // build writes pages per file through the ingest writer path (one
 // writer implementation for generators, INSERT and compaction: object
-// images, footer stats and zone maps all come from ingest.ObjectBuilder)
-// and assembles the dataset with exact table-level NDV from the merged
-// per-file distinct sets.
+// images, footer stats, zone maps and NDV sketches all come from
+// ingest.ObjectBuilder) and assembles the dataset's table from them.
 func build(name, bucket string, cfg Config, schema *types.Schema,
 	genFile func(file int, p *column.Page), query string) (*Dataset, error) {
 
@@ -102,7 +101,6 @@ func build(name, bucket string, cfg Config, schema *types.Schema,
 		Objects: make(map[string][]byte, cfg.Files),
 		Query:   query,
 	}
-	ndv := ingest.NewDistinctSets(schema)
 	var keys []string
 	var sealed []ingest.SealedObject
 	for f := 0; f < cfg.Files; f++ {
@@ -116,7 +114,6 @@ func build(name, bucket string, cfg Config, schema *types.Schema,
 		if err := b.AppendPage(page); err != nil {
 			return nil, err
 		}
-		b.MergeDistinctInto(ndv)
 		obj, err := b.Seal()
 		if err != nil {
 			return nil, err
@@ -126,17 +123,13 @@ func build(name, bucket string, cfg Config, schema *types.Schema,
 		keys = append(keys, key)
 		sealed = append(sealed, obj)
 	}
-	exactNDV := make(map[string]int64, schema.Len())
-	for c, col := range schema.Columns {
-		exactNDV[col.Name] = ndv.Count(c)
-	}
 	t, err := ingest.AssembleTable(ingest.TableSpec{
 		Schema:  "default",
 		Name:    name,
 		Bucket:  bucket,
 		Columns: schema,
 		Codec:   cfg.Codec,
-	}, keys, sealed, exactNDV)
+	}, keys, sealed)
 	if err != nil {
 		return nil, err
 	}
