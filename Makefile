@@ -21,7 +21,9 @@ test:
 # outside bench/ (a declaration starting a line, `func` or `type`, whose
 # name is capitalised); then the session properties (`Session*` string
 # constants), the `vet-*` gates `make gates` runs, the `// vet-*:allow`
-# annotations that exempt a line from one, and the native fuzz targets.
+# annotations that exempt a line from one, the native fuzz targets, and
+# the command-line flags the binaries under cmd/ define (`flag.Int(`,
+# `flag.StringVar(` and the like, in non-test Go).
 loc:
 	@echo "non-test: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
@@ -31,6 +33,7 @@ loc:
 	@echo "gates:    $$(grep -E '^gates:' Makefile | tr ' ' '\n' | grep -c '^vet-')"
 	@echo "allows:   $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | grep -cE '// vet-[a-z]+:allow')"
 	@echo "fuzz:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | grep -cE '^func Fuzz[A-Z]')"
+	@echo "flags:    $$(find ./cmd -name '*.go' -not -name '*_test.go' | xargs cat | grep -oE 'flag\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?\(' | wc -l)"
 
 # bench runs the kernel/operator microbenchmarks (vectorized expression
 # kernels, filter selectivity sweep, hash aggregation — string keys

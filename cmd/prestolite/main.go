@@ -7,7 +7,7 @@
 //	prestolite -catalog catalog.json -ocs <frontend-addr>
 //	           [-pushdown always|never|filter|...|auto] [-explain] [-profile]
 //	           [-metrics-listen :9280]
-//	           [-max-queries N] [-queue N] [-memory-budget BYTES]
+//	           [-max-queries N] [-queue N]
 //	           [-ingest [-ingest-flush-rows N] [-compact-interval 30s]]
 //	           "SELECT ..."
 //
@@ -65,7 +65,6 @@ func main() {
 	compactEvery := flag.Duration("compact-interval", 0, "ingest: background compaction interval over ocs tables (0 disables)")
 	maxQueries := flag.Int("max-queries", 0, "admission: max concurrently executing queries (0 = unlimited)")
 	maxQueued := flag.Int("queue", 0, "admission: max queries queued once saturated (0 = shed immediately)")
-	memBudget := flag.Int64("memory-budget", 0, "admission: total query-memory budget in bytes (0 = unlimited)")
 	queriesAt := flag.String("queries", "", "client mode: list queries at a running prestolite's debug address and exit")
 	killID := flag.String("kill", "", "client mode: kill the given query id at -debug and exit")
 	debugAddr := flag.String("debug", "localhost:9280", "debug address -kill targets")
@@ -92,7 +91,6 @@ func main() {
 	eng.SetAdmission(engine.AdmissionConfig{
 		MaxConcurrent: *maxQueries,
 		MaxQueued:     *maxQueued,
-		MemoryBudget:  *memBudget,
 	})
 	var ocsOpts []ocsserver.Option
 	if *profile || *metricsListen != "" {

@@ -121,7 +121,6 @@ func (e *Engine) Submit(ctx context.Context, sql string, opts ...SubmitOption) (
 	q := &Query{
 		sql:      sql,
 		session:  o.session,
-		memory:   o.memory,
 		eng:      e,
 		submit:   time.Now(),
 		stats:    &QueryStats{},

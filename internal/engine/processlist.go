@@ -13,44 +13,33 @@ import (
 	"prestocs/internal/telemetry"
 )
 
-// DefaultQueryMemory is the per-query memory reservation assumed when a
-// submission carries no WithMemoryBudget: roughly the working set of a
-// leaf-stage worker pool plus the coordinator-side final stage over our
-// benchmark tables.
-const DefaultQueryMemory = 64 << 20
-
 // AdmissionConfig bounds concurrent query execution. The zero value is
 // fully permissive (every query is admitted immediately), so embedding
 // callers and existing tests keep their behavior until they opt in.
 type AdmissionConfig struct {
 	// MaxConcurrent caps queries executing at once; 0 = unlimited.
 	MaxConcurrent int
-	// MaxQueued caps queries waiting for a slot once MaxConcurrent (or
-	// the memory budget) is saturated; beyond it submissions are shed
-	// with ErrOverloaded. 0 sheds as soon as execution is saturated.
+	// MaxQueued caps queries waiting for a slot once MaxConcurrent is
+	// saturated; beyond it submissions are shed with ErrOverloaded. 0
+	// sheds as soon as execution is saturated.
 	MaxQueued int
-	// MemoryBudget caps the sum of admitted queries' memory
-	// reservations; 0 = unlimited. A query whose own reservation exceeds
-	// the budget is shed outright (waiting cannot help it).
-	MemoryBudget int64
 }
 
 // ProcessList is the engine's live-query registry (the go-mysql-server
 // ProcessList shape): every submitted query is visible here from
 // admission to completion, with state, progress counters and a kill
 // hook, and admission control queues or sheds past the configured
-// budgets.
+// concurrency.
 type ProcessList struct {
 	eng *Engine
 
-	mu         sync.Mutex
-	cfg        AdmissionConfig
-	nextID     int64
-	all        map[string]*Query // queued + admitted, until finish
-	running    map[string]*Query
-	waiting    []*Query // FIFO
-	memoryUsed int64
-	recent     []QueryInfo // ring of the last finished queries
+	mu      sync.Mutex
+	cfg     AdmissionConfig
+	nextID  int64
+	all     map[string]*Query // queued + admitted, until finish
+	running map[string]*Query
+	waiting []*Query    // FIFO
+	recent  []QueryInfo // ring of the last finished queries
 }
 
 // recentKeep bounds the finished-query ring /debug/queries shows.
@@ -64,7 +53,7 @@ func newProcessList(e *Engine) *ProcessList {
 	}
 }
 
-// SetAdmission installs the admission budgets. Safe to call between
+// SetAdmission installs the admission bounds. Safe to call between
 // queries; in-flight admissions are unaffected.
 func (pl *ProcessList) SetAdmission(cfg AdmissionConfig) {
 	pl.mu.Lock()
@@ -83,22 +72,16 @@ func (pl *ProcessList) admit(q *Query) error {
 	m := pl.eng.Metrics
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	cfg := pl.cfg
-	if q.memory <= 0 {
-		q.memory = DefaultQueryMemory
-	}
-	if cfg.MemoryBudget > 0 && q.memory > cfg.MemoryBudget {
-		m.Counter(telemetry.MetricAdmissionRejected).Inc()
-		return overloaded("query reservation %d bytes exceeds engine budget %d", q.memory, cfg.MemoryBudget)
-	}
 	pl.nextID++
 	q.id = "q-" + strconv.FormatInt(pl.nextID, 10)
-	if pl.canStartLocked(q) {
+	// A query never jumps ahead of a waiter, so the queue drains in
+	// arrival order.
+	if len(pl.waiting) == 0 && pl.hasSlotLocked() {
 		pl.all[q.id] = q
 		pl.startLocked(q)
 		return nil
 	}
-	if len(pl.waiting) >= cfg.MaxQueued {
+	if len(pl.waiting) >= pl.cfg.MaxQueued {
 		m.Counter(telemetry.MetricAdmissionRejected).Inc()
 		return overloaded("admission queue full (%d running, %d queued)", len(pl.running), len(pl.waiting))
 	}
@@ -108,29 +91,16 @@ func (pl *ProcessList) admit(q *Query) error {
 	return nil
 }
 
-// canStartLocked reports whether q fits the budgets right now. A query
-// never jumps ahead of a waiter, so the queue drains in arrival order.
-func (pl *ProcessList) canStartLocked(q *Query) bool {
-	cfg := pl.cfg
-	if cfg.MaxConcurrent > 0 && len(pl.running) >= cfg.MaxConcurrent {
-		return false
-	}
-	if cfg.MemoryBudget > 0 && pl.memoryUsed+q.memory > cfg.MemoryBudget {
-		return false
-	}
-	if len(pl.waiting) > 0 {
-		return false
-	}
-	return true
+// hasSlotLocked reports whether one more query may execute now. Caller
+// holds pl.mu.
+func (pl *ProcessList) hasSlotLocked() bool {
+	return pl.cfg.MaxConcurrent <= 0 || len(pl.running) < pl.cfg.MaxConcurrent
 }
 
 // startLocked grants q its slot. Caller holds pl.mu.
 func (pl *ProcessList) startLocked(q *Query) {
 	pl.running[q.id] = q
-	pl.memoryUsed += q.memory
-	m := pl.eng.Metrics
-	m.Gauge(telemetry.MetricQueriesActive).Add(1)
-	m.Gauge(telemetry.MetricQueryMemReserved).Add(q.memory)
+	pl.eng.Metrics.Gauge(telemetry.MetricQueriesActive).Add(1)
 	close(q.admitted)
 }
 
@@ -143,18 +113,9 @@ func (pl *ProcessList) release(q *Query) {
 		return
 	}
 	delete(pl.running, q.id)
-	pl.memoryUsed -= q.memory
 	m.Gauge(telemetry.MetricQueriesActive).Add(-1)
-	m.Gauge(telemetry.MetricQueryMemReserved).Add(-q.memory)
-	for len(pl.waiting) > 0 {
+	for len(pl.waiting) > 0 && pl.hasSlotLocked() {
 		head := pl.waiting[0]
-		cfg := pl.cfg
-		if cfg.MaxConcurrent > 0 && len(pl.running) >= cfg.MaxConcurrent {
-			break
-		}
-		if cfg.MemoryBudget > 0 && pl.memoryUsed+head.memory > cfg.MemoryBudget {
-			break
-		}
 		pl.waiting = pl.waiting[1:]
 		m.Gauge(telemetry.MetricAdmissionQueued).Add(-1)
 		pl.startLocked(head)

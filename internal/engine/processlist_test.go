@@ -115,28 +115,6 @@ func TestAdmissionQueuesThenSheds(t *testing.T) {
 	if g := e.Metrics.GaugeValue(telemetry.MetricQueriesActive); g != 0 {
 		t.Errorf("active gauge = %d after drain, want 0", g)
 	}
-	if g := e.Metrics.GaugeValue(telemetry.MetricQueryMemReserved); g != 0 {
-		t.Errorf("reserved-memory gauge = %d after drain, want 0", g)
-	}
-}
-
-func TestAdmissionMemoryBudgetSheds(t *testing.T) {
-	e, _ := newTestEngine(2, 10)
-	e.SetAdmission(AdmissionConfig{MemoryBudget: 128 << 20})
-	// A reservation larger than the whole budget can never be satisfied:
-	// shed outright rather than queue forever.
-	_, err := e.Submit(context.Background(), "SELECT id FROM t", WithMemoryBudget(256<<20))
-	if !errors.Is(err, rpc.ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
-	}
-	// Within budget runs fine.
-	q, err := e.Submit(context.Background(), "SELECT id FROM t", WithMemoryBudget(64<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Result(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestKillRunningQueryCancels(t *testing.T) {

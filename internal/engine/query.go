@@ -13,7 +13,7 @@ type QueryState int32
 
 const (
 	// StateQueued: admitted to the process list but waiting for an
-	// admission slot (concurrency or memory budget).
+	// admission slot (MaxConcurrent queries are executing).
 	StateQueued QueryState = iota
 	// StatePlanning: parse, analyze and optimization stages.
 	StatePlanning
@@ -47,20 +47,11 @@ type SubmitOption func(*submitOpts)
 
 type submitOpts struct {
 	session *Session
-	memory  int64
 }
 
 // WithSession attaches a session (nil keeps the default session).
 func WithSession(s *Session) SubmitOption {
 	return func(o *submitOpts) { o.session = s }
-}
-
-// WithMemoryBudget reserves the given bytes against the engine's memory
-// budget for the query's lifetime; 0 uses the admission config's
-// per-query default. A reservation that alone exceeds the engine budget
-// is shed immediately.
-func WithMemoryBudget(bytes int64) SubmitOption {
-	return func(o *submitOpts) { o.memory = bytes }
 }
 
 // Query is a handle to one submitted query. It is safe for concurrent
@@ -70,7 +61,6 @@ type Query struct {
 	id      string
 	sql     string
 	session *Session
-	memory  int64
 
 	eng    *Engine
 	ctx    context.Context
@@ -121,15 +111,14 @@ func (q *Query) Kill() {
 // these (ProcessList.Recent) is the paper's "pushdown history": Pushed,
 // FallbackSplits and SplitsPruned are filled once the query is done.
 type QueryInfo struct {
-	ID          string    `json:"id"`
-	SQL         string    `json:"sql"`
-	State       string    `json:"state"`
-	MemoryBytes int64     `json:"memory_bytes"`
-	Submitted   time.Time `json:"submitted"`
-	Elapsed     float64   `json:"elapsed_ms"`
-	Rows        int64     `json:"rows"`
-	BytesMoved  int64     `json:"bytes_moved"`
-	Error       string    `json:"error,omitempty"`
+	ID         string    `json:"id"`
+	SQL        string    `json:"sql"`
+	State      string    `json:"state"`
+	Submitted  time.Time `json:"submitted"`
+	Elapsed    float64   `json:"elapsed_ms"`
+	Rows       int64     `json:"rows"`
+	BytesMoved int64     `json:"bytes_moved"`
+	Error      string    `json:"error,omitempty"`
 	// Pushed lists the operator kinds the connector absorbed.
 	Pushed []string `json:"pushed,omitempty"`
 	// FallbackSplits counts splits that degraded from pushdown to the
@@ -146,14 +135,13 @@ type QueryInfo struct {
 func (q *Query) Status() QueryInfo {
 	rows, bytes := q.stats.Scan.LiveCounters()
 	info := QueryInfo{
-		ID:          q.id,
-		SQL:         q.sql,
-		State:       q.State().String(),
-		MemoryBytes: q.memory,
-		Submitted:   q.submit,
-		Elapsed:     float64(time.Since(q.submit).Microseconds()) / 1000,
-		Rows:        rows,
-		BytesMoved:  bytes,
+		ID:         q.id,
+		SQL:        q.sql,
+		State:      q.State().String(),
+		Submitted:  q.submit,
+		Elapsed:    float64(time.Since(q.submit).Microseconds()) / 1000,
+		Rows:       rows,
+		BytesMoved: bytes,
 	}
 	if q.State() == StateDone {
 		info.Elapsed = float64(q.stats.Total.Microseconds()) / 1000

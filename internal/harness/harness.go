@@ -53,9 +53,6 @@ type Config struct {
 	// and the connector, so a query produces a single connected trace and
 	// every layer counts into the same /metrics series.
 	Telemetry bool
-	// Admission installs engine admission budgets (zero value keeps the
-	// engine fully permissive).
-	Admission engine.AdmissionConfig
 }
 
 // StartCluster launches the topology with the given storage-node count.
@@ -85,7 +82,6 @@ func StartClusterWith(storageNodes int, cfg Config) (*Cluster, error) {
 
 	c.Engine = engine.New()
 	c.Engine.DefaultCatalog = CatalogOCS
-	c.Engine.SetAdmission(cfg.Admission)
 	c.OCSConn = ocsconn.New(CatalogOCS, c.Meta, c.OCSCli)
 	c.Engine.AddConnector(c.OCSConn)
 	c.Engine.AddConnector(hive.New(CatalogHive, c.Meta, c.OCSCli.Client))

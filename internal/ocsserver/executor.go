@@ -195,9 +195,9 @@ func compileRel(store *objstore.Store, rel substrait.Rel, env *execEnv) (exec.Op
 }
 
 // compileRead builds a page source over the object through scan.Open,
-// which projects and (when pruneWith is non-nil) prunes row groups. With
-// several surviving row groups, the source reads them through the scan
-// pool with an order-preserving merge; a single row group is read inline.
+// which projects and (when pruneWith is non-nil) prunes row groups. The
+// source reads the surviving row groups through the node's scan pool with
+// an order-preserving merge.
 func compileRead(store *objstore.Store, read *substrait.ReadRel, pruneWith expr.Expr, env *execEnv) (exec.Operator, error) {
 	data, ver, err := store.GetVersioned(read.Bucket, env.object)
 	if err != nil {
@@ -218,24 +218,10 @@ func compileRead(store *objstore.Store, read *substrait.ReadRel, pruneWith expr.
 		recordPrune(env, env.object, pruned, skipped)
 	}
 
-	// Multi-group scans always go through the pool — even at one slot,
-	// where there is no intra-scan parallelism, the pool is what bounds
-	// the node's scan work across concurrent queries.
-	if obj.Len() > 1 {
-		return parallelScan(env, obj), nil
-	}
-
-	idx := 0
-	scanned := telemetry.RegistryFrom(env.context()).Counter(telemetry.MetricScanPoolRowGroups)
-	return exec.NewFuncSource(obj.Schema(), func() (*column.Page, error) {
-		if idx >= obj.Len() {
-			return nil, nil
-		}
-		page, err := readGroup(env, obj, idx)
-		idx++
-		scanned.Inc()
-		return page, err
-	}), nil
+	// Every read goes through the pool — even a one-group object and even
+	// at one slot, where there is no intra-scan parallelism, the pool is
+	// what bounds the node's scan work across concurrent queries.
+	return parallelScan(env, obj), nil
 }
 
 // readGroup reads the i-th surviving row group of obj under a

@@ -58,8 +58,7 @@ type scanSlot struct {
 //     finishes, so its I/O is counted before env.finish runs.
 //
 // Reads go through obj, so chunks land in (and are served from) the
-// node's hot-page cache under the admission mode scan.Open derived from
-// prune selectivity.
+// node's hot-page cache.
 func parallelScan(env *execEnv, obj *scan.Object) exec.Operator {
 	groups := obj.Len()
 	slots := make([]chan scanSlot, groups)

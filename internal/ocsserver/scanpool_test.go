@@ -85,6 +85,47 @@ func TestScanPoolQueuesScansInArrivalOrder(t *testing.T) {
 	}
 }
 
+// TestOneGroupReadTakesPoolSlot: an object of one row group is read
+// through the pool like any other, so with the pool's one slot held its
+// scan waits, and it finishes once the slot is released.
+func TestOneGroupReadTakesPoolSlot(t *testing.T) {
+	store := objstore.NewStore()
+	store.Put("b", "one", bigMeshObject(t, 64))
+	pool := make(chan struct{}, 1)
+	pool <- struct{}{}
+	ls := openWhole(t, store, "one", openOpts{pool: pool})
+	if n := ls.env.obj.Len(); n != 1 {
+		t.Fatalf("object has %d row groups, want 1", n)
+	}
+	type drained struct {
+		rows int
+		err  error
+	}
+	done := make(chan drained, 1)
+	go func() {
+		pages, err := exec.Drain(ls)
+		rows := 0
+		for _, p := range pages {
+			rows += p.NumRows()
+		}
+		done <- drained{rows, err}
+	}()
+	select {
+	case <-done:
+		t.Fatal("a one-group read finished while the pool's only slot was held")
+	case <-time.After(50 * time.Millisecond):
+	}
+	<-pool
+	select {
+	case d := <-done:
+		if d.err != nil || d.rows != 64 {
+			t.Fatalf("read %d rows, err %v; want 64 rows", d.rows, d.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("one-group read still waiting 5s after the slot was released")
+	}
+}
+
 // gatedCtx blocks every Value call once armed, until gate closes: a read
 // looks up its tracer through it, so an armed context parks an in-flight
 // read while it holds its pool slot.

@@ -18,10 +18,11 @@ import (
 //     including the chunk statistics zone-map pruning consumes), keyed by
 //     object version, so Open prunes without re-decoding;
 //   - the page level holds decoded column chunks keyed by (object
-//     version, row group, column), with two-touch admission on
-//     pruning-heavy scans.
+//     version, row group, column).
 //
 // Both are one level type: a byte-budget LRU with its counters and gauges.
+// Every decoded value that fits the budget enters its level on first put;
+// recency alone decides what stays.
 //
 // Shared-value safety: cached *parquetlite.FileMeta and *column.Vector
 // values are immutable by convention — the exec operator library never
@@ -59,10 +60,6 @@ func objectPrefix(bucket, object string) string {
 	return bucket + "/" + object + "@"
 }
 
-// ghostEntries bounds the two-touch ghost list: keys seen once but not yet
-// admitted. Entries are just strings, so the bound is generous.
-const ghostEntries = 8192
-
 // level is one cache level: a thread-safe LRU map bounded by a byte budget
 // rather than an entry count, so one level can hold values of very
 // different sizes (a 2 KiB footer next to a 1 MiB column chunk) without
@@ -73,14 +70,10 @@ type level struct {
 	used   int64
 	ll     *list.List               // front = most recently used
 	items  map[string]*list.Element // element value is *entry
-	// ghost and ghostLL are the two-touch admission list: a FIFO of keys
-	// seen once, front = newest.
-	ghost   map[string]*list.Element
-	ghostLL *list.List
 
-	nHits, nMisses                    atomic.Int64
-	hits, misses, evictions, rejected *telemetry.Counter
-	bytesG, hitRatio                  *telemetry.Gauge
+	nHits, nMisses          atomic.Int64
+	hits, misses, evictions *telemetry.Counter
+	bytesG, hitRatio        *telemetry.Gauge
 }
 
 type entry struct {
@@ -96,11 +89,9 @@ func newLevel(budget int64) *level {
 		return nil
 	}
 	return &level{
-		budget:  budget,
-		ll:      list.New(),
-		items:   make(map[string]*list.Element),
-		ghost:   make(map[string]*list.Element),
-		ghostLL: list.New(),
+		budget: budget,
+		ll:     list.New(),
+		items:  make(map[string]*list.Element),
 	}
 }
 
@@ -152,20 +143,12 @@ func (l *level) setRatio() {
 
 // put inserts or refreshes an entry, evicting from the cold end until the
 // budget holds. A value larger than the entire budget is rejected instead
-// of flushing the whole level for one entry. With twoTouch set (a
-// pruning-heavy scan) a new key is admitted only if it is already in the
-// ghost list — the second time the workload decoded it — so chunks a
-// selective workload never re-reads do not evict genuinely hot pages.
-func (l *level) put(key string, val any, size int64, twoTouch bool) bool {
+// of flushing the whole level for one entry.
+func (l *level) put(key string, val any, size int64) bool {
 	if l == nil || size > l.budget {
 		return false
 	}
 	l.mu.Lock()
-	if twoTouch && !l.secondTouch(key) {
-		l.mu.Unlock()
-		l.rejected.Inc()
-		return false
-	}
 	if el, ok := l.items[key]; ok {
 		e := el.Value.(*entry)
 		l.used += size - e.size
@@ -192,23 +175,6 @@ func (l *level) put(key string, val any, size int64, twoTouch bool) bool {
 	return true
 }
 
-// secondTouch reports whether key was seen before, recording it when not.
-// Called with mu held.
-func (l *level) secondTouch(key string) bool {
-	if el, ok := l.ghost[key]; ok {
-		l.ghostLL.Remove(el)
-		delete(l.ghost, key)
-		return true
-	}
-	l.ghost[key] = l.ghostLL.PushFront(key)
-	for l.ghostLL.Len() > ghostEntries {
-		el := l.ghostLL.Back()
-		l.ghostLL.Remove(el)
-		delete(l.ghost, el.Value.(string))
-	}
-	return false
-}
-
 // invalidatePrefix drops every entry whose key starts with prefix (used
 // to release all versions of one object early; version-embedded keys
 // already guarantee stale entries can never be hit).
@@ -228,7 +194,7 @@ func (l *level) invalidatePrefix(prefix string) {
 	l.bytesG.Set(l.used)
 }
 
-// purge drops every entry and the ghost list. It is an explicit flush,
+// purge drops every entry. It is an explicit flush,
 // not capacity pressure, so nothing counts as evicted; lifetime hit and
 // miss counts are kept.
 func (l *level) purge() {
@@ -239,8 +205,6 @@ func (l *level) purge() {
 	defer l.mu.Unlock()
 	l.ll.Init()
 	l.items = make(map[string]*list.Element)
-	l.ghostLL.Init()
-	l.ghost = make(map[string]*list.Element)
 	l.used = 0
 	l.bytesG.Set(0)
 }
@@ -294,9 +258,6 @@ func (c *Caches) Instrument(reg *telemetry.Registry, labels ...string) {
 		telemetry.MetricFooterCacheEvictions, telemetry.MetricFooterCacheBytes, telemetry.MetricFooterCacheHitRatio)
 	c.pages.instrument(reg, labels, telemetry.MetricPageCacheHits, telemetry.MetricPageCacheMisses,
 		telemetry.MetricPageCacheEvictions, telemetry.MetricPageCacheBytes, telemetry.MetricPageCacheHitRatio)
-	if c.pages != nil {
-		c.pages.rejected = reg.Counter(telemetry.MetricPageCacheRejected, labels...)
-	}
 }
 
 // openFooter returns a reader over data, serving the decoded footer from
@@ -315,7 +276,7 @@ func (c *Caches) openFooter(key string, data []byte) (*parquetlite.Reader, error
 	if err != nil {
 		return nil, err
 	}
-	l.put(key, r.Meta(), footerSize(r.Meta()), false)
+	l.put(key, r.Meta(), footerSize(r.Meta()))
 	return r, nil
 }
 
@@ -329,7 +290,7 @@ func footerSize(meta *parquetlite.FileMeta) int64 {
 	return n
 }
 
-// Flush empties both levels and the admission ghost list; lifetime
+// Flush empties both levels; lifetime
 // hit/miss counters are preserved. The harness flushes node caches
 // before each measured experiment cell so paper-figure reproductions
 // keep their cold-scan semantics.

@@ -31,14 +31,14 @@ func testLevel(budget int64) (*level, *telemetry.Registry) {
 
 func TestByteLRUEvictsColdEnd(t *testing.T) {
 	c, reg := testLevel(30)
-	c.put("a", 1, 10, false)
-	c.put("b", 2, 10, false)
-	c.put("c", 3, 10, false)
+	c.put("a", 1, 10)
+	c.put("b", 2, 10)
+	c.put("c", 3, 10)
 	// Touch "a" so "b" is the cold end, then push it out.
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a missing")
 	}
-	c.put("d", 4, 10, false)
+	c.put("d", 4, 10)
 	if _, ok := c.get("b"); ok || reg.CounterValue(telemetry.MetricFooterCacheEvictions, "node", "n0") != 1 {
 		t.Fatal("evicted something other than exactly [b]")
 	}
@@ -52,8 +52,8 @@ func TestByteLRUEvictsColdEnd(t *testing.T) {
 
 func TestByteLRURejectsOversized(t *testing.T) {
 	c := newLevel(10)
-	c.put("small", 1, 5, false)
-	if ok := c.put("huge", 2, 11, false); ok {
+	c.put("small", 1, 5)
+	if ok := c.put("huge", 2, 11); ok {
 		t.Fatal("value larger than the whole budget was admitted")
 	}
 	if _, ok := c.get("small"); !ok {
@@ -63,8 +63,8 @@ func TestByteLRURejectsOversized(t *testing.T) {
 
 func TestByteLRUUpdateResizes(t *testing.T) {
 	c := newLevel(100)
-	c.put("k", 1, 40, false)
-	c.put("k", 2, 60, false)
+	c.put("k", 1, 40)
+	c.put("k", 2, 60)
 	if c.Bytes() != 60 || c.entries() != 1 {
 		t.Fatalf("bytes=%d entries=%d after update, want 60/1", c.Bytes(), c.entries())
 	}
@@ -75,10 +75,10 @@ func TestByteLRUUpdateResizes(t *testing.T) {
 
 func TestByteLRUInvalidatePrefixAndPurge(t *testing.T) {
 	c := newLevel(100)
-	c.put("b/o@1#0:0", 1, 10, false)
-	c.put("b/o@1#0:1", 2, 10, false)
-	c.put("b/o@2#0:0", 3, 10, false)
-	c.put("b/other@1#0:0", 4, 10, false)
+	c.put("b/o@1#0:0", 1, 10)
+	c.put("b/o@1#0:1", 2, 10)
+	c.put("b/o@2#0:0", 3, 10)
+	c.put("b/other@1#0:0", 4, 10)
 	c.invalidatePrefix("b/o@")
 	if c.entries() != 1 {
 		t.Fatalf("entries after prefix invalidation = %d, want 1", c.entries())
@@ -160,30 +160,19 @@ func intVector(n int) *column.Vector {
 	return v
 }
 
-func TestPageCacheTwoTouchAdmission(t *testing.T) {
-	reg := telemetry.NewRegistry()
+// TestPageCacheAdmitsOnFirstPut: the page level has one admission rule,
+// recency — a chunk enters on its first put, counted in the level's bytes.
+func TestPageCacheAdmitsOnFirstPut(t *testing.T) {
 	c := NewCaches(0, 1<<20)
-	c.Instrument(reg, "node", "n0")
+	c.Instrument(telemetry.NewRegistry(), "node", "n0")
 	p := c.Pages()
 	vec := intVector(16)
 
-	// First sighting under two-touch: rejected into the ghost list.
-	p.put("k1", vec, vec.ByteSize(), true)
-	if _, ok := p.get("k1"); ok {
-		t.Fatal("chunk admitted on first touch despite twoTouch")
-	}
-	if rej := reg.CounterValue(telemetry.MetricPageCacheRejected, "node", "n0"); rej != 1 {
-		t.Errorf("rejected = %d, want 1", rej)
-	}
-	// Second sighting: admitted.
-	p.put("k1", vec, vec.ByteSize(), true)
-	if _, ok := p.get("k1"); !ok {
-		t.Fatal("chunk not admitted on second touch")
-	}
-	// Without twoTouch admission is immediate.
-	p.put("k2", vec, vec.ByteSize(), false)
-	if _, ok := p.get("k2"); !ok {
-		t.Fatal("chunk not admitted without twoTouch")
+	for _, key := range []string{"k1", "k2"} {
+		p.put(key, vec, vec.ByteSize())
+		if _, ok := p.get(key); !ok {
+			t.Fatalf("chunk %s not admitted on its first put", key)
+		}
 	}
 	if p.entries() != 2 {
 		t.Errorf("entries = %d, want 2", p.entries())
@@ -194,7 +183,7 @@ func TestPageCacheTwoTouchAdmission(t *testing.T) {
 
 	// Nil cache is a no-op.
 	var nilP *level
-	nilP.put("k", vec, vec.ByteSize(), false)
+	nilP.put("k", vec, vec.ByteSize())
 	if _, ok := nilP.get("k"); ok {
 		t.Error("nil cache returned a value")
 	}
@@ -207,8 +196,8 @@ func TestStorageFlushAndInvalidate(t *testing.T) {
 	if _, err := s.openFooter(ObjectKey("b", "o", 1), img); err != nil {
 		t.Fatal(err)
 	}
-	s.Pages().put(pageKey(ObjectKey("b", "o", 1), 0, 0), intVector(8), 64, false)
-	s.Pages().put(pageKey(ObjectKey("b", "other", 1), 0, 0), intVector(8), 64, false)
+	s.Pages().put(pageKey(ObjectKey("b", "o", 1), 0, 0), intVector(8), 64)
+	s.Pages().put(pageKey(ObjectKey("b", "other", 1), 0, 0), intVector(8), 64)
 
 	s.InvalidateObject("b", "o")
 	if _, ok := s.Pages().get(pageKey(ObjectKey("b", "o", 1), 0, 0)); ok {
@@ -255,7 +244,6 @@ func TestMetricNamesInManifest(t *testing.T) {
 		telemetry.MetricPageCacheEvictions,
 		telemetry.MetricPageCacheBytes,
 		telemetry.MetricPageCacheHitRatio,
-		telemetry.MetricPageCacheRejected,
 	} {
 		if !strings.Contains(manifest, `"`+name+`"`) {
 			t.Errorf("metric %q is registered by the cache tier but not declared in telemetry/names.go", name)

@@ -30,13 +30,12 @@ import (
 // read decodes and the row groups that survived pruning. It is safe for
 // concurrent Read calls; the parquetlite reader under it is immutable.
 type Object struct {
-	r        *parquetlite.Reader
-	pages    *level
-	key      string
-	cols     []int
-	schema   *types.Schema
-	groups   []int
-	twoTouch bool
+	r      *parquetlite.Reader
+	pages  *level
+	key    string
+	cols   []int
+	schema *types.Schema
+	groups []int
 
 	pruned       []int
 	bytesSkipped int64
@@ -60,9 +59,7 @@ type IO struct {
 // object version's cache key (ObjectKey). want, when not nil, must
 // equal the stored schema. pred, when not nil, is a predicate over the
 // read's output ordinals: Open remaps it to full-schema ordinals and
-// drops the row groups whose zone maps prove it false. A scan that
-// prunes at least half the groups switches the page cache to two-touch
-// admission (level.put).
+// drops the row groups whose zone maps prove it false.
 func Open(caches *Caches, key string, data []byte, want *types.Schema, cols []int, pred expr.Expr) (*Object, error) {
 	r, err := caches.openFooter(key, data)
 	if err != nil {
@@ -84,8 +81,7 @@ func Open(caches *Caches, key string, data []byte, want *types.Schema, cols []in
 		}
 	}
 	o := &Object{r: r, pages: caches.Pages(), key: key, cols: cols, schema: stored.Project(cols)}
-	all := len(r.Meta().RowGroups)
-	o.groups = make([]int, all)
+	o.groups = make([]int, len(r.Meta().RowGroups))
 	for i := range o.groups {
 		o.groups[i] = i
 	}
@@ -106,7 +102,6 @@ func Open(caches *Caches, key string, data []byte, want *types.Schema, cols []in
 		keep, pruned, skipped := r.PruneRowGroupsRanges(ranges, cols)
 		if len(pruned) > 0 {
 			o.groups, o.pruned, o.bytesSkipped = keep, pruned, skipped
-			o.twoTouch = 2*len(pruned) >= all
 		}
 	}
 	return o, nil
@@ -150,7 +145,7 @@ func (o *Object) Read(i int) (*column.Page, error) {
 		if o.pages != nil {
 			// ByteSize walks a string chunk's values: an uncached read
 			// does not pay it.
-			o.pages.put(key, vec, vec.ByteSize()+int64(len(key)), o.twoTouch)
+			o.pages.put(key, vec, vec.ByteSize()+int64(len(key)))
 		}
 		page.Vectors[j] = vec
 	}

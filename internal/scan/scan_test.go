@@ -121,6 +121,44 @@ func TestPageCacheHitChargesNothing(t *testing.T) {
 	}
 }
 
+// TestPrunedScanAdmitsOnFirstRead: a scan that prunes most of an
+// object's row groups still puts the chunks it decodes into the page
+// cache, so the same selective read served again decodes nothing.
+func TestPrunedScanAdmitsOnFirstRead(t *testing.T) {
+	data := testObject(t, compress.Snappy)
+	pred, err := expr.NewCompare(expr.Lt, expr.Col(0, "id", types.Int64), expr.Lit(types.IntValue(32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	caches := NewCaches(1<<20, 1<<20)
+	key := ObjectKey("b", "o", 1)
+	open := func() *Object {
+		o, err := Open(caches, key, data, testSchema(), []int{0, 1}, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pruned, _ := o.Pruned(); o.Len() != 1 || len(pruned) != 3 {
+			t.Fatalf("kept %d groups, pruned %v; want 1 and 3", o.Len(), pruned)
+		}
+		return o
+	}
+	cold := open()
+	want := readAll(t, cold)[0]
+	if cold.IO().BytesRead == 0 {
+		t.Fatal("cold read charged nothing")
+	}
+	hot := open()
+	got := readAll(t, hot)[0]
+	if io := hot.IO(); io != (IO{}) {
+		t.Errorf("second selective read charged %+v; its chunks were not admitted on the first", io)
+	}
+	for c := range want.Vectors {
+		if got.Vectors[c] != want.Vectors[c] {
+			t.Fatalf("column %d was not served from the cache", c)
+		}
+	}
+}
+
 // TestPrunedGroupsAreNotExposed: pruning with a predicate over the read's
 // output ordinals leaves only the surviving groups to Read, and the
 // skipped bytes are those of the read's columns.

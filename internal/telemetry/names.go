@@ -62,12 +62,11 @@ const (
 	// Queued gauges queries waiting for an admission slot; rejected
 	// counts synchronous sheds (ErrOverloaded); wait is the queue time of
 	// admitted queries; active gauges queries past admission and not yet
-	// done; memory gauges the sum of admitted queries' reservations.
+	// done.
 	MetricAdmissionQueued   = "engine_admission_queued_queries"
 	MetricAdmissionRejected = "engine_admission_rejected_total"
 	MetricAdmissionWait     = "engine_admission_wait_us"
 	MetricQueriesActive     = "engine_queries_active"
-	MetricQueryMemReserved  = "engine_query_memory_reserved_bytes"
 
 	// Engine query stage metrics (one observation per query).
 	MetricQueryTotal        = "engine_queries_total"
@@ -99,14 +98,11 @@ const (
 	MetricFooterCacheHitRatio  = "ocs_cache_footer_hit_ratio_pct"
 
 	// Storage-node hot-page (decoded column chunk) cache (labels: node).
-	// Rejected counts chunks the two-touch admission policy declined to
-	// cache on their first sighting during pruning-heavy scans.
 	MetricPageCacheHits      = "ocs_cache_page_hits_total"
 	MetricPageCacheMisses    = "ocs_cache_page_misses_total"
 	MetricPageCacheEvictions = "ocs_cache_page_evictions_total"
 	MetricPageCacheBytes     = "ocs_cache_page_bytes"
 	MetricPageCacheHitRatio  = "ocs_cache_page_hit_ratio_pct"
-	MetricPageCacheRejected  = "ocs_cache_page_admission_rejected_total"
 
 	// Write path: streaming ingestion (labels: table). Rows/objects/bytes
 	// count committed data — a killed ingest that never reached its
