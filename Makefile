@@ -81,10 +81,11 @@ faults:
 		./internal/ocsserver/... ./internal/harness/... ./internal/engine/... \
 		./internal/connector/... ./internal/ingest/... ./internal/metastore/...
 
-# faults-ingest is the CI ingest lane: only the write-path scenarios —
-# streaming ingestion (killed connections, dropped batches), background
-# compaction (mid-run kills, GC-vs-pin races) and snapshot consistency —
-# twice under the race detector.
+# faults-ingest is a local shortcut to the write-path scenarios of
+# `faults` — streaming ingestion (killed connections, dropped batches),
+# background compaction (mid-run kills, GC-vs-pin races) and snapshot
+# consistency — twice under the race detector. Its packages and pattern
+# are a subset of `faults`, so neither CI nor `make ci` runs it again.
 faults-ingest:
 	$(GO) test -race -count=2 -run 'Ingest|Compact|Snapshot' \
 		./internal/ingest/... ./internal/metastore/... ./internal/harness/...

@@ -97,11 +97,27 @@ func (f *Filter) NumHash() int { return f.k }
 // SizeBytes returns the wire size of the bit array.
 func (f *Filter) SizeBytes() int { return len(f.bits) }
 
+// zeroHash stands in for the hash 0 when probes are derived. 0 is mix's
+// fixed point — Int64 and Date 0, Float64 +0.0 and Bool false all hash to
+// it — and from h1 = 0, h2 = 1 all k probes would land on bit 0, so a
+// filter without such a value would pass it whenever bit 0 is set.
+const zeroHash = 0x9e3779b97f4a7c15
+
+// probes returns the double-hashing start and step of a value hash; the
+// step is forced odd so the probes cover the array. Every hash but 0 is
+// its own start.
+func probes(h uint64) (h1, h2 uint64) {
+	if h == 0 {
+		h = zeroHash
+	}
+	return h, h>>33 | h<<31 | 1
+}
+
 // AddHash sets the k bits derived from a value hash. A probe's bit is
 // the high word of h1·m, which lies in [0, m) like h1 mod m without a
 // division.
 func (f *Filter) AddHash(h uint64) {
-	h1, h2 := h, h>>33|h<<31|1 // h2 forced odd so probes cover the array
+	h1, h2 := probes(h)
 	for i := 0; i < f.k; i++ {
 		bit, _ := bits.Mul64(h1, f.m)
 		f.bits[bit>>3] |= 1 << (bit & 7)
@@ -111,7 +127,7 @@ func (f *Filter) AddHash(h uint64) {
 
 // TestHash reports whether all k bits for a value hash are set.
 func (f *Filter) TestHash(h uint64) bool {
-	h1, h2 := h, h>>33|h<<31|1
+	h1, h2 := probes(h)
 	for i := 0; i < f.k; i++ {
 		bit, _ := bits.Mul64(h1, f.m)
 		if f.bits[bit>>3]&(1<<(bit&7)) == 0 {

@@ -236,18 +236,6 @@ func (v *Vector) AppendVector(src *Vector) {
 	}
 }
 
-// Filter returns a vector containing the rows where keep[i] is true. When
-// every row is kept the input vector is returned unchanged (vectors are
-// immutable by convention, so sharing is safe); otherwise the output is
-// preallocated from the keep count and copied with typed loops.
-func (v *Vector) Filter(keep []bool) *Vector {
-	n := CountKeep(keep)
-	if n == len(keep) && n == v.Len() {
-		return v
-	}
-	return v.Gather(KeepToSel(keep, nil))
-}
-
 // Gather returns a new vector with rows picked by index (may repeat). The
 // output is preallocated to len(indices) and copied with typed loops —
 // no per-row boxing through types.Value.
@@ -406,16 +394,6 @@ func (p *Page) AppendPage(src *Page) {
 	for i := range p.Vectors {
 		p.Vectors[i].AppendVector(src.Vectors[i])
 	}
-}
-
-// Filter returns a page keeping the rows where keep[i] is true. When every
-// row is kept the input page is returned unchanged; otherwise output
-// vectors are preallocated from the keep count.
-func (p *Page) Filter(keep []bool) *Page {
-	if CountKeep(keep) == p.NumRows() {
-		return p
-	}
-	return p.Gather(KeepToSel(keep, nil))
 }
 
 // FilterSel returns a page keeping only the rows named by the selection

@@ -85,10 +85,6 @@ func TestVectorAppendVector(t *testing.T) {
 
 func TestVectorFilterGatherSlice(t *testing.T) {
 	v := intVec(10, 20, 30, 40)
-	f := v.Filter([]bool{true, false, true, false})
-	if f.Len() != 2 || f.Ints[0] != 10 || f.Ints[1] != 30 {
-		t.Errorf("Filter = %v", f.Ints)
-	}
 	g := v.Gather([]int{3, 3, 0})
 	if g.Len() != 3 || g.Ints[0] != 40 || g.Ints[2] != 10 {
 		t.Errorf("Gather = %v", g.Ints)
@@ -155,10 +151,6 @@ func TestPageAppendRowArityPanics(t *testing.T) {
 
 func TestPageFilterGatherSliceProject(t *testing.T) {
 	p := testPage()
-	f := p.Filter([]bool{false, true, true})
-	if f.NumRows() != 2 || f.Row(0)[2].S != "b" {
-		t.Errorf("Filter wrong")
-	}
 	g := p.Gather([]int{2, 0})
 	if g.NumRows() != 2 || g.Row(0)[0].I != 3 {
 		t.Errorf("Gather wrong")
@@ -181,19 +173,19 @@ func TestPageAppendPage(t *testing.T) {
 	}
 }
 
-// Property: Filter keeps exactly the marked rows, in order.
+// Property: FilterSel keeps exactly the selected rows, in order.
 func TestQuickFilterPreservesOrder(t *testing.T) {
 	f := func(vals []int64, seed uint16) bool {
-		v := intVec(vals...)
-		keep := make([]bool, len(vals))
+		p := &Page{Schema: types.NewSchema(types.Column{Name: "i", Type: types.Int64}), Vectors: []*Vector{intVec(vals...)}}
+		var sel []int
 		var want []int64
-		for i := range keep {
-			keep[i] = (uint(seed)>>(uint(i)%16))&1 == 1
-			if keep[i] {
+		for i := range vals {
+			if (uint(seed)>>(uint(i)%16))&1 == 1 {
+				sel = append(sel, i)
 				want = append(want, vals[i])
 			}
 		}
-		got := v.Filter(keep)
+		got := p.FilterSel(sel).Vectors[0]
 		if got.Len() != len(want) {
 			return false
 		}
@@ -253,8 +245,8 @@ func rowsOf(v *Vector) []string {
 }
 
 // TestDictVector holds the dictionary form to the plain form's rows
-// through every operation that moves codes (Gather, Filter, Window,
-// Slice, AppendVector from the same Dict) and every one that has to
+// through every operation that moves codes (Gather, Window, Slice,
+// AppendVector from the same Dict) and every one that has to
 // materialize (StringSlice, Append, AppendVector from another Dict or a
 // plain vector), and checks which form each one leaves behind.
 func TestDictVector(t *testing.T) {
@@ -273,7 +265,6 @@ func TestDictVector(t *testing.T) {
 		t.Errorf("StringSlice = %q: NULL rows must read as the empty string", got)
 	}
 	same("Gather", v.Gather([]int{4, 1, 0, 0}), true, "c", "NULL", "b", "b")
-	same("Filter", v.Filter([]bool{true, false, true, false, true}), true, "b", "a", "c")
 	same("Window", v.Window(1, 4), true, "NULL", "a", "b")
 	same("Slice", v.Slice(2, 5), true, "a", "b", "c")
 	if g := v.Gather([]int{0}); !SameDict(g.Dict, v.Dict) {

@@ -10,38 +10,6 @@ import "prestocs/internal/types"
 // rows that are still alive. A nil selection conventionally means "all
 // rows"; helpers here treat it as such where documented.
 
-// CountKeep returns the number of true entries in a keep mask.
-func CountKeep(keep []bool) int {
-	n := 0
-	for _, k := range keep {
-		if k {
-			n++
-		}
-	}
-	return n
-}
-
-// KeepToSel converts a keep mask into a selection vector. When base is
-// non-nil, keep is interpreted relative to base: keep[i] refers to row
-// base[i], so the result stays in page-row coordinates.
-func KeepToSel(keep []bool, base []int) []int {
-	sel := make([]int, 0, CountKeep(keep))
-	if base != nil {
-		for i, k := range keep {
-			if k {
-				sel = append(sel, base[i])
-			}
-		}
-		return sel
-	}
-	for i, k := range keep {
-		if k {
-			sel = append(sel, i)
-		}
-	}
-	return sel
-}
-
 // MergeSel merges two sorted selection vectors into one sorted vector.
 // The inputs must be disjoint (as produced by OR short-circuiting, where
 // the right side is only evaluated over rows the left side rejected).

@@ -24,36 +24,6 @@ func selTestPage(n int) *Page {
 	return p
 }
 
-func TestKeepSelRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 50; iter++ {
-		n := 1 + r.Intn(100)
-		keep := make([]bool, n)
-		for i := range keep {
-			keep[i] = r.Intn(2) == 0
-		}
-		sel := KeepToSel(keep, nil)
-		if len(sel) != CountKeep(keep) {
-			t.Fatalf("len(sel) = %d, CountKeep = %d", len(sel), CountKeep(keep))
-		}
-		back := make([]bool, n)
-		for _, i := range sel {
-			back[i] = true
-		}
-		if !reflect.DeepEqual(back, keep) {
-			t.Fatalf("round trip mismatch: %v -> %v -> %v", keep, sel, back)
-		}
-	}
-}
-
-func TestKeepToSelWithBase(t *testing.T) {
-	base := []int{2, 5, 9}
-	keep := []bool{true, false, true}
-	if got := KeepToSel(keep, base); !reflect.DeepEqual(got, []int{2, 9}) {
-		t.Errorf("KeepToSel with base = %v", got)
-	}
-}
-
 func TestMergeAndSubtractSel(t *testing.T) {
 	from := []int{0, 1, 3, 4, 7, 9}
 	left := []int{1, 4, 9}
@@ -74,20 +44,10 @@ func TestMergeAndSubtractSel(t *testing.T) {
 }
 
 // TestFilterAllKeptReturnsSamePage: the fast path must hand the input back
-// untouched (same *Page, same *Vector buffers) when nothing is dropped.
+// untouched (same *Page, same *Vector buffers) when nothing is dropped: a
+// full identity selection is zero-copy.
 func TestFilterAllKeptReturnsSamePage(t *testing.T) {
 	p := selTestPage(10)
-	keep := make([]bool, 10)
-	for i := range keep {
-		keep[i] = true
-	}
-	if got := p.Filter(keep); got != p {
-		t.Error("Page.Filter with all-true mask must return the page itself")
-	}
-	if got := p.Vectors[0].Filter(keep); got != p.Vectors[0] {
-		t.Error("Vector.Filter with all-true mask must return the vector itself")
-	}
-	// FilterSel: a full identity selection is also zero-copy.
 	sel := make([]int, 10)
 	for i := range sel {
 		sel[i] = i
@@ -97,23 +57,26 @@ func TestFilterAllKeptReturnsSamePage(t *testing.T) {
 	}
 }
 
+// TestFilterSelMatchesFilter: FilterSel keeps the selected rows, each
+// value and NULL as the input row has it.
 func TestFilterSelMatchesFilter(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 30; iter++ {
 		n := 1 + r.Intn(60)
 		p := selTestPage(n)
-		keep := make([]bool, n)
-		for i := range keep {
-			keep[i] = r.Intn(2) == 0
+		var sel []int
+		for i := 0; i < n; i++ {
+			if r.Intn(2) == 0 {
+				sel = append(sel, i)
+			}
 		}
-		a := p.Filter(keep)
-		b := p.FilterSel(KeepToSel(keep, nil))
-		if a.NumRows() != b.NumRows() {
-			t.Fatalf("Filter %d rows, FilterSel %d rows", a.NumRows(), b.NumRows())
+		b := p.FilterSel(sel)
+		if b.NumRows() != len(sel) {
+			t.Fatalf("FilterSel kept %d rows of a %d-row selection", b.NumRows(), len(sel))
 		}
-		for i := 0; i < a.NumRows(); i++ {
-			for c := range a.Vectors {
-				av, bv := a.Vectors[c].Value(i), b.Vectors[c].Value(i)
+		for i, row := range sel {
+			for c := range p.Vectors {
+				av, bv := p.Vectors[c].Value(row), b.Vectors[c].Value(i)
 				if av.Null != bv.Null || (!av.Null && types.Compare(av, bv) != 0) {
 					t.Fatalf("row %d col %d: %s vs %s", i, c, av, bv)
 				}

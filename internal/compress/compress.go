@@ -212,21 +212,3 @@ func DecompressCostPerByte(c Codec) float64 {
 		return 0.05
 	}
 }
-
-// CompressCostPerByte returns the CPU cost of compressing one byte, used
-// when writing datasets (not on the query path). Strong codecs compress
-// slowly.
-func CompressCostPerByte(c Codec) float64 {
-	switch c {
-	case None:
-		return 0
-	case Snappy:
-		return 0.04
-	case Gzip:
-		return 0.25
-	case Zstd:
-		return 0.50
-	default:
-		return 0.1
-	}
-}

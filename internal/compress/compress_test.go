@@ -267,13 +267,10 @@ func TestCostModelsOrdering(t *testing.T) {
 		DecompressCostPerByte(Zstd) < DecompressCostPerByte(Gzip)) {
 		t.Error("decompress cost ordering must be snappy < zstd < gzip")
 	}
-	if DecompressCostPerByte(None) != 0 || CompressCostPerByte(None) != 0 {
+	if DecompressCostPerByte(None) != 0 {
 		t.Error("None codec must be free")
 	}
-	if CompressCostPerByte(Gzip) <= CompressCostPerByte(Snappy) {
-		t.Error("gzip compression must cost more than snappy")
-	}
-	if DecompressCostPerByte(Codec(99)) <= 0 || CompressCostPerByte(Codec(99)) <= 0 {
+	if DecompressCostPerByte(Codec(99)) <= 0 {
 		t.Error("unknown codec cost default wrong")
 	}
 }

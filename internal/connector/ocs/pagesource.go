@@ -63,8 +63,8 @@ func (c *Connector) PlanOptimizer() engine.ConnectorPlanOptimizer {
 // configuration (whole-object GET, local scan), opened one by one; with
 // one, the extracted operators go to OCS as one Substrait plan listing
 // every split's object, and one Arrow result stream comes back, cut into
-// one source per object at the object's end (requestGroup). Either way
-// the first split opens now.
+// one source per object at the object's end (requestGroup, splitSource).
+// Either way the first split opens now.
 func (c *Connector) CreatePageSources(ctx context.Context, handle plan.TableHandle, splits []engine.Split, stats *engine.ScanStats) ([]exec.Operator, error) {
 	h, ok := handle.(*Handle)
 	if !ok {
@@ -78,10 +78,10 @@ func (c *Connector) CreatePageSources(ctx context.Context, handle plan.TableHand
 	g := &requestGroup{ctx: ctx, conn: c, h: h, schema: h.ScanSchema(), splits: splits, stats: stats}
 	sources := make([]exec.Operator, len(splits))
 	for k := range splits {
-		sources[k] = &objectSource{g: g, k: k}
+		sources[k] = &splitSource{g: g, k: k}
 	}
 	if len(sources) > 0 {
-		if err := sources[0].(*objectSource).start(); err != nil {
+		if err := sources[0].(*splitSource).start(); err != nil {
 			return nil, err
 		}
 	}
@@ -91,11 +91,12 @@ func (c *Connector) CreatePageSources(ctx context.Context, handle plan.TableHand
 // requestGroup is one leaf worker's share of a pushdown scan, served by
 // one ocs.Execute request whose plan lists every split's object in order:
 // one plan encode, one bloom filter on the wire, one stream. Its sources
-// read the stream one after the other, each up to its object's end. When
-// the stream breaks in object k, object k replays locally (streamPart.
-// resume) and the objects after it reopen one request, lazily, once the
-// next of them starts; an early Close drains object k to its end within a
-// small budget or abandons the stream in the same way.
+// (splitSource) read the stream one after the other, each up to its
+// object's end. When the stream breaks in object k, object k replays
+// locally (splitSource.fallBack) and the objects after it reopen one
+// request, lazily, once the next of them starts; an early Close drains
+// object k to its end within a small budget or abandons the stream in the
+// same way.
 type requestGroup struct {
 	ctx    context.Context
 	conn   *Connector
@@ -176,8 +177,9 @@ func generatePlan(ctx context.Context, h *Handle, objects []string, stats *engin
 	return irPlan, nil
 }
 
-// present re-labels a result page under the handle's scan schema (names
-// may differ in case only) after checking that its width is that schema's.
+// present re-labels a result page, streamed or replayed, under the
+// handle's scan schema (names may differ in case only) after checking
+// that its width is that schema's.
 func present(page *column.Page, schema *types.Schema) (*column.Page, error) {
 	if page.NumCols() != schema.Len() {
 		return nil, fmt.Errorf("ocs: result has %d columns, scan schema %s", page.NumCols(), schema)
@@ -185,120 +187,90 @@ func present(page *column.Page, schema *types.Schema) (*column.Page, error) {
 	return &column.Page{Schema: schema, Vectors: page.Vectors}, nil
 }
 
-// objectSource is split k of a requestGroup; it starts on its first Next
-// (split 0 at once). Under its own connector.scan span it serves its
-// object's slice of the group's stream, which the sources before it,
-// consumed in order, have left at object k; with no stream open it opens
-// one for splits k onward. When that request cannot be opened for a
-// transient reason even after the client's retries, it serves the
-// object's local replay instead, recorded as a fallback.
-type objectSource struct {
-	g      *requestGroup
-	k      int
-	src    exec.Operator
-	closed bool
+// splitState is where a splitSource is in its life. It only moves
+// forward, notStarted → streaming → replaying → done, and a split that
+// needs no replay skips that state.
+type splitState uint8
+
+const (
+	notStarted splitState = iota
+	streaming             // its object's slice of the group's stream
+	replaying             // its object's local replay
+	done
+)
+
+// splitSource is split k of a requestGroup, the one page source of a
+// pushdown split. It starts on its first Next (split 0 at once) under its
+// own connector.scan span, which ends when the split ends, whichever path
+// it took. Started, it serves its object's slice of the group's stream,
+// which the sources before it, consumed in order, have left at object k;
+// with no stream open it opens one for splits k onward. When the request
+// cannot be opened, or the stream breaks mid-object, fallBack decides
+// whether the object replays locally.
+type splitSource struct {
+	g     *requestGroup
+	k     int
+	state splitState
+	ctx   context.Context
+	span  *telemetry.Span
+
+	delivered int64 // rows the stream has delivered for this object
+
+	// While replaying: the local execution, its connector.fallback_scan
+	// span, and the delivered rows it has still to skip.
+	replay     *ocsserver.LocalStream
+	replaySpan *telemetry.Span
+	skip       int64
 }
 
-func (o *objectSource) Schema() *types.Schema { return o.g.schema }
+func (s *splitSource) Schema() *types.Schema { return s.g.schema }
 
-func (o *objectSource) start() error {
-	g := o.g
-	split := g.splits[o.k]
-	// The scan span covers this split's whole pushdown lifetime; its
-	// children are the Table-3 stages of a request the split opens
-	// (Substrait generation, stream open) and its accumulated durations
-	// the split's transfer waits and Arrow deserialize time. It passes to
-	// the streamPart, which ends it at the object's end or on Close.
-	ctx, span := telemetry.StartSpan(g.ctx, "connector.scan")
-	span.SetAttr("object", split.Object)
-	var src exec.Operator
+// start opens the split's scan span and, with no stream open, the request
+// for splits k onward. The span's children are the Table-3 stages of a
+// request the split opens (Substrait generation, stream open), and its
+// accumulated durations the split's transfer waits and Arrow deserialize
+// time.
+func (s *splitSource) start() error {
+	g := s.g
+	s.ctx, s.span = telemetry.StartSpan(g.ctx, "connector.scan")
+	s.span.SetAttr("object", g.splits[s.k].Object)
+	s.state = streaming
 	if g.rs == nil {
-		if err := g.open(ctx, o.k); err != nil {
-			if ctx.Err() != nil || !retry.Transient(err) {
-				span.End()
-				return fmt.Errorf("ocs: executing pushdown for %s: %w", split.Object, err)
-			}
-			span.Event("pushdown-fallback", err.Error())
-			fb, err := g.conn.replaySource(ctx, g.h, split, g.stats, 0)
-			span.End()
-			if err != nil {
-				return err
-			}
-			src = fb
+		if err := g.open(s.ctx, s.k); err != nil {
+			return s.fallBack(err)
 		}
 	}
-	if src == nil {
-		if g.h.Push.Bloom != nil {
-			g.stats.AddJoinBloomSplit()
-		}
-		src = &streamPart{g: g, k: o.k, ctx: ctx, span: span}
+	if g.h.Push.Bloom != nil {
+		g.stats.AddJoinBloomSplit()
 	}
-	o.src = src
 	return nil
 }
 
-func (o *objectSource) Next() (*column.Page, error) {
-	if o.closed {
-		return nil, nil
-	}
-	if o.src == nil {
-		if err := o.start(); err != nil {
-			o.closed = true
-			return nil, err
+func (s *splitSource) Next() (*column.Page, error) {
+	for {
+		var page *column.Page
+		var err error
+		switch s.state {
+		case notStarted:
+			err = s.start()
+		case streaming:
+			page, err = s.streamed()
+		case replaying:
+			page, err = s.replayed()
+		case done:
+			return nil, nil
+		}
+		if page != nil || err != nil {
+			return page, err
 		}
 	}
-	return o.src.Next()
 }
 
-// Close releases what the source serves. A source closed before it
-// started belongs to a worker that is quitting, so the rest of the
-// group's stream is not wanted either.
-func (o *objectSource) Close() error {
-	if o.closed {
-		return nil
-	}
-	o.closed = true
-	if o.src == nil {
-		o.g.abandon()
-		return nil
-	}
-	return exec.Close(o.src)
-}
-
-// streamPart is one object's slice of its group's result stream, adapted
-// to an exec.Operator: pages up to the object's end. It accounts bytes
-// moved, transfer-blocked time, deserialize work and storage-side stats
-// incrementally as chunks land, and implements Close so the engine can
-// release the object when a pipeline stops early. When the stream dies
-// transiently mid-object it degrades to the raw-scan fallback, replaying
-// the pushed operators over this object locally and skipping the rows
-// already delivered (sound only while the pushed pipeline is
-// order-deterministic).
-type streamPart struct {
-	g    *requestGroup
-	k    int
-	ctx  context.Context
-	span *telemetry.Span
-
-	rowsDelivered int64
-	fb            exec.Operator
-	done          bool
-}
-
-func (p *streamPart) Schema() *types.Schema { return p.g.schema }
-
-func (p *streamPart) Next() (*column.Page, error) {
-	if p.fb != nil {
-		page, err := p.fb.Next()
-		if page == nil {
-			p.span.End()
-		}
-		return page, err
-	}
-	if p.done {
-		return nil, nil
-	}
-	g := p.g
+// streamed reads the stream's next page of this object. It accounts bytes
+// moved, transfer-blocked time, deserialize work and, at the object's end,
+// the storage-side stats as chunks land.
+func (s *splitSource) streamed() (*column.Page, error) {
+	g := s.g
 	start := time.Now()
 	page, err := g.rs.Next()
 	wall := time.Since(start)
@@ -308,64 +280,98 @@ func (p *streamPart) Next() (*column.Page, error) {
 	// semantics), the span separates the deserialize share.
 	decode := g.rs.DecodeTime() - g.prevDecode
 	g.prevDecode = g.rs.DecodeTime()
-	p.span.AddDuration("transfer_wait", wall-decode)
-	p.span.AddDuration("arrow_deserialize", decode)
+	s.span.AddDuration("transfer_wait", wall-decode)
+	s.span.AddDuration("arrow_deserialize", decode)
 	g.accountBytes()
 	if err == io.EOF {
-		p.done = true
 		g.ended()
-		p.span.End()
-		return nil, nil
+		return nil, s.end(nil)
 	}
 	if err != nil {
-		if p.canFallBack(err) && p.resume(err) {
-			return p.Next()
-		}
-		p.done = true
-		g.abandon()
-		p.span.Event("error", err.Error())
-		p.span.End()
-		return nil, fmt.Errorf("ocs: pushdown stream for %s: %w", g.splits[p.k].Object, err)
+		return nil, s.fallBack(err)
 	}
 	if page, err = present(page, g.schema); err != nil {
-		p.done = true
 		g.abandon()
-		p.span.End()
-		return nil, err
+		return nil, s.end(err)
 	}
 	// Arrow deserialization into engine pages: columnar buffer adoption
 	// plus validity expansion (1.5 ingest units/cell, half the CSV text
 	// parse cost).
 	rows := int64(page.NumRows())
 	g.stats.AddDeserialize(float64(rows)*float64(g.schema.Len())*1.5, rows)
-	p.rowsDelivered += rows
+	s.delivered += rows
 	return page, nil
 }
 
-// canFallBack decides whether a mid-stream failure can be absorbed by the
-// local replay: the failure is transient (not a plan error, not our own
-// cancellation) and either no rows of this object have been delivered yet
-// or the pushed pipeline is order-deterministic, so the replay can skip
-// exactly the rows the engine already consumed.
-func (p *streamPart) canFallBack(cause error) bool {
-	return p.ctx.Err() == nil && retry.Transient(cause) &&
-		(p.rowsDelivered == 0 || p.g.h.Push.OrderDeterministic())
+// fallBack answers a failed request for this object — one that could not
+// be opened, even after the client's retries, or that broke mid-object —
+// with one rule: the object replays locally when the query is still live,
+// the failure is transient (not a plan error, not our own cancellation),
+// and either the stream has delivered none of the object's rows or the
+// pushed pipeline is order-deterministic, so the replay can skip exactly
+// the rows the engine already consumed. The stream is released either
+// way; the objects after this one reopen a request once the next of them
+// starts. fallBack returns nil once the split replays, and otherwise ends
+// the split with the error.
+func (s *splitSource) fallBack(cause error) error {
+	g := s.g
+	g.abandon()
+	object := g.splits[s.k].Object
+	if s.ctx.Err() != nil || !retry.Transient(cause) || (s.delivered > 0 && !g.h.Push.OrderDeterministic()) {
+		return s.end(fmt.Errorf("ocs: pushdown for %s: %w", object, cause))
+	}
+	s.span.Event("pushdown-fallback", cause.Error())
+	ls, span, err := g.replay(s.ctx, object)
+	if err != nil {
+		return s.end(fmt.Errorf("ocs: pushdown for %s: %w; %w", object, cause, err))
+	}
+	s.state, s.replay, s.replaySpan, s.skip = replaying, ls, span, s.delivered
+	return nil
 }
 
-// resume abandons the stream after cause for the local replay of this
-// object, which skips the rows already delivered, and records the
-// fallback on the scan span; the objects after this one reopen a request.
-// The replay is built before the stream is released: when it cannot be,
-// nothing has changed and the caller returns the stream's error.
-func (p *streamPart) resume(cause error) bool {
-	fb, err := p.g.conn.replaySource(p.ctx, p.g.h, p.g.splits[p.k], p.g.stats, p.rowsDelivered)
+// replayed reads the replay's next page, dropping the rows the stream
+// delivered before it broke. A page that is all skipped comes back nil
+// with the split still replaying.
+func (s *splitSource) replayed() (*column.Page, error) {
+	page, err := s.replay.Next()
 	if err != nil {
-		return false
+		return nil, s.end(fmt.Errorf("ocs: fallback scan %s: %w", s.g.splits[s.k].Object, err))
 	}
-	p.span.Event("pushdown-fallback", cause.Error())
-	p.g.abandon()
-	p.done, p.fb = true, fb
-	return true
+	if page == nil {
+		return nil, s.end(nil)
+	}
+	rows := int64(page.NumRows())
+	if s.skip >= rows {
+		s.skip -= rows
+		return nil, nil
+	}
+	if s.skip > 0 {
+		page = page.Slice(int(s.skip), page.NumRows())
+		s.skip = 0
+	}
+	if page, err = present(page, s.g.schema); err != nil {
+		return nil, s.end(err)
+	}
+	s.g.stats.AddDeserialize(0, int64(page.NumRows()))
+	return page, nil
+}
+
+// end retires a started split: it closes the replay if one runs, records
+// err on the scan span and ends the span. It returns err.
+func (s *splitSource) end(err error) error {
+	if s.state == replaying {
+		s.replay.Close()
+		// The replay ran on engine cores, not in storage: charge its CPU
+		// as compute-side work.
+		s.g.stats.AddDeserialize(s.replay.Work().CPUUnits, 0)
+		s.replaySpan.End()
+	}
+	if err != nil {
+		s.span.Event("error", err.Error())
+	}
+	s.span.End()
+	s.state = done
+	return err
 }
 
 // Bounds for the early-stop drain in Close: enough to consume a few
@@ -377,147 +383,79 @@ const (
 	closeDrainTimeout = 50 * time.Millisecond
 )
 
-// Close releases the object when a pipeline stops early (a satisfied
-// LIMIT). An active fallback operator is closed in place of the — then
-// already abandoned — stream. Otherwise Close first attempts a bounded
-// drain to the object's end, so its storage-side stats are flushed into
-// the scan stats instead of silently dropped and the stream stays usable
-// for the next object; failing that it abandons the stream. Either way it
-// accounts the bytes received, keeping the movement meters truthful.
-func (p *streamPart) Close() error {
-	defer p.span.End()
-	if p.fb != nil {
-		fb := p.fb
-		p.fb = nil
-		return exec.Close(fb)
-	}
-	if p.done {
-		return nil
-	}
-	p.done = true
-	g := p.g
-	drained := g.rs.TryDrain(closeDrainChunks, closeDrainTimeout)
-	g.accountBytes()
-	if !drained {
+// Close ends the split by its state, once. A source closed before it
+// started belongs to a worker that is quitting, so the rest of the
+// group's stream is not wanted either: Close abandons it. A replaying
+// source closes its replay. A streaming one, stopped early (a satisfied
+// LIMIT), first drains its object to the end within a small budget, so
+// the object's storage-side stats reach the scan stats instead of being
+// dropped and the stream stays usable for the next object; failing that
+// it abandons the stream. Either way it accounts the bytes received,
+// keeping the movement meters truthful.
+func (s *splitSource) Close() error {
+	g := s.g
+	switch s.state {
+	case notStarted:
 		g.abandon()
-		return nil
+		s.state = done
+	case streaming:
+		drained := g.rs.TryDrain(closeDrainChunks, closeDrainTimeout)
+		g.accountBytes()
+		if drained {
+			s.span.Event("drained-on-close", "")
+			g.ended()
+		} else {
+			g.abandon()
+		}
+		s.end(nil)
+	case replaying:
+		s.end(nil)
 	}
-	p.span.Event("drained-on-close", "")
-	g.ended()
 	return nil
 }
 
-// replaySource is the fallback for a split whose pushdown execution failed
-// after retries, at stream open or mid-stream: the connector fetches the
-// whole object (the GET path is served even when a node's computational
-// unit is down) and replays the pushed operators locally with the storage
-// node's own compiler (ocsserver.ExecuteLocalStream), producing bit-identical
-// pages. The replay streams — the residual plan pulls pages as the local
-// scan produces them, the same overlap the raw no-pushdown path gets,
-// instead of materializing the whole split before the first page — and
-// its span stays open until the stream is exhausted or closed, so traces
-// attribute the scan and not just the GET. skipRows drops rows a dead
-// stream already delivered; callers only pass a nonzero skip when the
-// pushed pipeline is order-deterministic. The split is recorded as a
-// fallback so the overhead breakdown still adds up: the full object counts
-// as bytes moved, and the local replay's CPU is charged as compute-side
-// deserialize work.
-func (c *Connector) replaySource(ctx context.Context, h *Handle, split engine.Split, stats *engine.ScanStats, skipRows int64) (src exec.Operator, err error) {
+// replay opens the fallback for an object whose pushdown request failed
+// after retries, at open or mid-stream: the connector fetches the whole
+// object (the GET path is served even when a node's computational unit is
+// down) and replays the pushed operators over it locally with the storage
+// node's own compiler (ocsserver.ExecuteLocalStream), producing
+// bit-identical pages. The replay streams — the residual plan pulls pages
+// as the local scan produces them, the same overlap the raw no-pushdown
+// path gets — and the connector.fallback_scan span it returns stays open
+// until the split ends, so traces attribute the scan and not just the GET.
+// The split is recorded as a fallback so the overhead breakdown still adds
+// up: the whole object counts as bytes moved, and the replay's CPU is
+// charged as compute-side deserialize work when it ends.
+func (g *requestGroup) replay(ctx context.Context, object string) (_ *ocsserver.LocalStream, _ *telemetry.Span, err error) {
 	start := time.Now()
 	ctx, sp := telemetry.StartSpan(ctx, "connector.fallback_scan")
-	// On success the span passes to the stream, which ends it.
 	defer func() {
 		if err != nil {
 			sp.End()
 		}
 	}()
-	sp.SetAttr("object", split.Object)
-	data, work, err := c.client.Get(ctx, h.Table.Bucket, split.Object)
+	sp.SetAttr("object", object)
+	bucket := g.h.Table.Bucket
+	data, work, err := g.conn.client.Get(ctx, bucket, object)
 	if err != nil {
-		return nil, fmt.Errorf("ocs: fallback get %s/%s: %w", h.Table.Bucket, split.Object, err)
+		return nil, nil, fmt.Errorf("ocs: fallback get %s/%s: %w", bucket, object, err)
 	}
-	stats.AddTransfer(time.Since(start))
-	stats.AddBytesMoved(int64(len(data)))
-	stats.AddStorageWork(work)
-	stats.AddFallback()
+	g.stats.AddTransfer(time.Since(start))
+	g.stats.AddBytesMoved(int64(len(data)))
+	g.stats.AddStorageWork(work)
+	g.stats.AddFallback()
 
-	irPlan, err := BuildSubstrait(h, split.Object)
+	irPlan, err := BuildSubstrait(g.h, object)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	local := objstore.NewStore()
-	local.Put(h.Table.Bucket, split.Object, data)
-	ls, err := ocsserver.ExecuteLocalStream(local, irPlan, split.Object, 0)
+	local.Put(bucket, object, data)
+	ls, err := ocsserver.ExecuteLocalStream(local, irPlan, object, 0)
 	if err != nil {
-		return nil, fmt.Errorf("ocs: fallback scan %s/%s: %w", h.Table.Bucket, split.Object, err)
+		return nil, nil, fmt.Errorf("ocs: fallback scan %s/%s: %w", bucket, object, err)
 	}
-	return &replayStream{
-		schema: h.ScanSchema(), ls: ls, span: sp,
-		stats: stats, skipRows: skipRows, object: split.Object,
-	}, nil
-}
-
-// replayStream adapts a lazily-drained local execution to the page-source
-// contract: per-page skip accounting for mid-stream resume, schema
-// normalization, and the end-of-stream bookkeeping — replay CPU charged as
-// compute-side work.
-type replayStream struct {
-	schema   *types.Schema
-	ls       *ocsserver.LocalStream
-	span     *telemetry.Span
-	stats    *engine.ScanStats
-	object   string
-	skipRows int64
-	finished bool
-}
-
-func (r *replayStream) Schema() *types.Schema { return r.schema }
-
-func (r *replayStream) Next() (*column.Page, error) {
-	for {
-		page, err := r.ls.Next()
-		if err != nil {
-			r.finish()
-			return nil, fmt.Errorf("ocs: fallback scan %s: %w", r.object, err)
-		}
-		if page == nil {
-			r.finish()
-			return nil, nil
-		}
-		rows := int64(page.NumRows())
-		if r.skipRows >= rows {
-			r.skipRows -= rows
-			continue
-		}
-		if r.skipRows > 0 {
-			page = page.Slice(int(r.skipRows), page.NumRows())
-			r.skipRows = 0
-		}
-		if page.NumCols() != r.schema.Len() {
-			r.finish()
-			return nil, fmt.Errorf("ocs: fallback result has %d columns, scan schema %s", page.NumCols(), r.schema)
-		}
-		r.stats.AddDeserialize(0, int64(page.NumRows()))
-		return &column.Page{Schema: r.schema, Vectors: page.Vectors}, nil
-	}
-}
-
-// Close releases the local execution when the pipeline stops early.
-func (r *replayStream) Close() error {
-	r.finish()
-	return nil
-}
-
-func (r *replayStream) finish() {
-	if r.finished {
-		return
-	}
-	r.finished = true
-	r.ls.Close()
-	// The replay ran on engine cores, not in storage: charge its CPU as
-	// compute-side work.
-	r.stats.AddDeserialize(r.ls.Work().CPUUnits, 0)
-	r.span.End()
+	return ls, sp, nil
 }
 
 // BuildSubstrait reconstructs the handle's pushdown spec as a Substrait
