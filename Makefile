@@ -67,16 +67,17 @@ bench-paper:
 	$(GO) test -bench=. -benchmem ./...
 
 # faults runs the failure-injection matrix twice under the race detector:
-# killed connections, black-holed links, dead compute units, cancelled
-# and deadline-bounded queries, cache-invalidation races, the
-# mixed-traffic load scenarios (starvation, slow readers, killed clients
-# mid-stream), the connector's fallback and its mid-stream resume on the
-# local replay, plain and with a pushed bloom filter, and the write-path
-# scenarios (killed ingest,
-# compaction racing queries, snapshot-pinned scans) (DESIGN.md §5b, §7,
-# §10).
+# the one retry loop (the edge client's — internal/retry's tests, the
+# frontend relaying each node call once, the transport's stale-pool
+# redial), killed connections, refused and black-holed links, dead
+# compute units, cancelled and deadline-bounded queries,
+# cache-invalidation races, the mixed-traffic load scenarios (starvation,
+# slow readers, killed clients mid-stream), the connector's fallback and
+# its mid-stream resume on the local replay, plain and with a pushed bloom
+# filter, and the write-path scenarios (killed ingest, compaction racing
+# queries, snapshot-pinned scans) (DESIGN.md §5b, §7, §10).
 faults:
-	$(GO) test -race -count=2 -run 'Fault|Kill|Cancel|Retry|Fallback|Deadline|Blackhole|ComputeUnit|CacheInvalidation|Starvation|SlowClient|Backpressure|Overloaded|Ingest|Compact|Snapshot' \
+	$(GO) test -race -count=2 -run 'Fault|Kill|Cancel|Retr|Redial|Transient|^TestDo|^TestDelay|Fallback|Deadline|Blackhole|ComputeUnit|CacheInvalidation|Starvation|SlowClient|Backpressure|Overloaded|Ingest|Compact|Snapshot' \
 		./internal/rpc/... ./internal/retry/... ./internal/faultnet/... \
 		./internal/ocsserver/... ./internal/harness/... ./internal/engine/... \
 		./internal/connector/... ./internal/ingest/... ./internal/metastore/...

@@ -5,7 +5,7 @@
 // the S3 Select baseline.
 //
 //	prestolite -catalog catalog.json -ocs <frontend-addr>
-//	           [-pushdown always|never|filter|...|auto] [-explain] [-profile]
+//	           [-pushdown all|none|filter|...|auto] [-explain] [-profile]
 //	           [-metrics-listen :9280]
 //	           [-max-queries N] [-queue N]
 //	           [-ingest [-ingest-flush-rows N] [-compact-interval 30s]]
@@ -56,7 +56,7 @@ import (
 func main() {
 	catalogPath := flag.String("catalog", "catalog.json", "catalog JSON written by datagen")
 	ocsAddr := flag.String("ocs", "", "OCS frontend address (required)")
-	pushdown := flag.String("pushdown", "all", "ocs pushdown mode: always/all, never/none, filter, ..., or auto (the Selectivity Analyzer decides at plan time from table statistics)")
+	pushdown := flag.String("pushdown", "all", "ocs pushdown mode: all, none, filter, ..., or auto (the Selectivity Analyzer decides at plan time from table statistics)")
 	explain := flag.Bool("explain", false, "print the optimized plan before results")
 	profile := flag.Bool("profile", false, "print a per-query trace profile after each statement")
 	metricsListen := flag.String("metrics-listen", "", "serve /metrics, /debug/traces and /debug/queries on this address")

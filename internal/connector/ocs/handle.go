@@ -42,9 +42,9 @@ type Mode struct {
 // ParseMode interprets the SessionPushdown property.
 func ParseMode(s string) (Mode, error) {
 	switch s {
-	case "", "all", "always":
+	case "", "all":
 		return Mode{Filter: true, Project: true, Agg: true, TopN: true}, nil
-	case "none", "never":
+	case "none":
 		return Mode{}, nil
 	case "filter":
 		return Mode{Filter: true}, nil

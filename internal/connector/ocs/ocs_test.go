@@ -315,8 +315,10 @@ func TestRecentCarriesPushdownHistory(t *testing.T) {
 }
 
 func TestParseModeErrors(t *testing.T) {
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Error("bogus mode accepted")
+	for _, bad := range []string{"bogus", "always", "never"} {
+		if _, err := ParseMode(bad); err == nil {
+			t.Errorf("mode %q accepted", bad)
+		}
 	}
 	m, err := ParseMode("")
 	if err != nil || !m.Filter || !m.TopN {

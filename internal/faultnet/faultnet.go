@@ -171,7 +171,8 @@ func (p *Proxy) acceptLoop() {
 }
 
 func (p *Proxy) serve(cli net.Conn) {
-	srv, err := net.DialTimeout("tcp", p.target, 5*time.Second)
+	d := net.Dialer{Timeout: 5 * time.Second}
+	srv, err := d.Dial("tcp", p.target)
 	if err != nil {
 		cli.Close()
 		return

@@ -182,7 +182,7 @@ func TestKilledPushdownStreamResumesOnReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("auto query with killed connection = %v", err)
 	}
-	baseline, err := c.Run("baseline", selective, engine.NewSession().Set(ocsconn.SessionPushdown, "never"))
+	baseline, err := c.Run("baseline", selective, engine.NewSession().Set(ocsconn.SessionPushdown, "none"))
 	if err != nil {
 		t.Fatal(err)
 	}

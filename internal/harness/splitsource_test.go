@@ -348,3 +348,62 @@ func TestKilledStreamResumesMidPage(t *testing.T) {
 		t.Errorf("fallback splits = %d, want 1", got)
 	}
 }
+
+// TestGroupedShareRunFaultFallsBackPerObject reads a two-object share
+// whose objects sit on different storage nodes, so the frontend forwards
+// it as two runs, and the second node's execute path is down: the second
+// run fails before its first chunk, after the first run's object arrived
+// whole. The frontend calls each node once and the client does not retry
+// a request that already delivered chunks, so the second object alone is
+// replayed — the share returns the unfaulted rows, with one fallback.
+func TestGroupedShareRunFaultFallsBackPerObject(t *testing.T) {
+	d, err := workload.Laghos(workload.Config{Files: 4, RowsPerFile: 2048, RowGroupSize: 512, Seed: 13, Codec: compress.None})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := StartClusterWith(2, Config{Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.Load(d); err != nil {
+		t.Fatal(err)
+	}
+	// The first object on node 0, then the first on node 1.
+	var splits []engine.Split
+	for n, node := range c.OCS.Nodes {
+		for i, o := range d.Table.Objects {
+			if _, err := node.Store().Get(d.Table.Bucket, o); err == nil {
+				splits = append(splits, engine.Split{Object: o, Index: i})
+				break
+			}
+		}
+		if len(splits) != n+1 {
+			t.Fatalf("no object of the table is on node %d", n)
+		}
+	}
+	h := laghosFilterHandle(t, c, 9)
+	ref := openRun(t, c, c.OCS.Addr, h, splits)
+	want := [2][]string{ref.read(0, -1), ref.read(1, -1)}
+	if len(want[0]) == 0 || len(want[1]) == 0 {
+		t.Fatalf("unfaulted objects return %d and %d rows", len(want[0]), len(want[1]))
+	}
+	nodeCalls := func() int64 {
+		return c.Metrics.HistogramCount(telemetry.MetricRPCClientLatency, "method", ocsserver.NodeMethodExecute)
+	}
+
+	c.OCS.Nodes[1].SetExecuteFault(errors.New("compute unit offline"))
+	calls := nodeCalls()
+	r := openRun(t, c, c.OCS.Addr, h, splits)
+	assertRowsEqual(t, "object on node 0", r.read(0, -1), want[0])
+	assertRowsEqual(t, "object on node 1, replayed", r.read(1, -1), want[1])
+	if got := r.streams(); got != 1 {
+		t.Errorf("ocs.Execute streams = %d, want 1", got)
+	}
+	if got := nodeCalls() - calls; got != 2 {
+		t.Errorf("node execute calls = %d, want one per run (2)", got)
+	}
+	if got := r.stats.Snapshot().FallbackSplits; got != 1 {
+		t.Errorf("fallback splits = %d, want 1", got)
+	}
+}

@@ -18,21 +18,19 @@ import (
 // Client is the one client of the object protocol. It speaks to anything
 // that serves the object methods — an OCS storage node or the OCS frontend
 // (ocsserver.Client embeds it). Every object method is idempotent end to
-// end, so every call runs under the retry policy:
-// transient transport failures (peer unreachable, connection killed
-// mid-call) are retried, everything else surfaces at once.
+// end, so every call runs under retry.Do: transient transport failures
+// (peer unreachable, connection killed mid-call) are retried, everything
+// else surfaces at once.
 type Client struct {
-	rpc   *rpc.Client
-	retry retry.Policy
+	rpc *rpc.Client
 }
 
-// NewClient dials an object server (a storage node or the frontend) with
-// the default retry policy.
-func NewClient(addr string) *Client { return NewClientOver(rpc.Dial(addr), retry.Default()) }
+// NewClient dials an object server (a storage node or the frontend).
+func NewClient(addr string) *Client { return NewClientOver(rpc.Dial(addr)) }
 
-// NewClientOver builds a client on an existing connection pool and retry
-// policy, for callers that share both with other methods of the same peer.
-func NewClientOver(c *rpc.Client, p retry.Policy) *Client { return &Client{rpc: c, retry: p} }
+// NewClientOver builds a client on an existing connection pool, for
+// callers that share it with other methods of the same peer.
+func NewClientOver(c *rpc.Client) *Client { return &Client{rpc: c} }
 
 // Close releases connections.
 func (c *Client) Close() error { return c.rpc.Close() }
@@ -40,16 +38,27 @@ func (c *Client) Close() error { return c.rpc.Close() }
 // Meter exposes the transport meter (data-movement accounting).
 func (c *Client) Meter() *rpc.Meter { return &c.rpc.Meter }
 
+// call makes one unary call under retry.Do.
+func (c *Client) call(ctx context.Context, method string, payload []byte) ([]byte, error) {
+	var resp []byte
+	err := retry.Do(ctx, func() error {
+		var err error
+		resp, err = c.rpc.Call(ctx, method, payload)
+		return err
+	})
+	return resp, err
+}
+
 // Put uploads an object, overwriting any previous image.
 func (c *Client) Put(ctx context.Context, bucket, key string, data []byte) error {
-	_, err := c.retry.Call(ctx, c.rpc, MethodPut, EncodeRef(Ref{Bucket: bucket, Key: key, Data: data}))
+	_, err := c.call(ctx, MethodPut, EncodeRef(Ref{Bucket: bucket, Key: key, Data: data}))
 	return err
 }
 
 // Get downloads a whole object, returning the data and storage-side work
 // stats.
 func (c *Client) Get(ctx context.Context, bucket, key string) ([]byte, WorkStats, error) {
-	resp, err := c.retry.Call(ctx, c.rpc, MethodGet, EncodeRef(Ref{Bucket: bucket, Key: key}))
+	resp, err := c.call(ctx, MethodGet, EncodeRef(Ref{Bucket: bucket, Key: key}))
 	if err != nil {
 		return nil, WorkStats{}, err
 	}
@@ -58,13 +67,13 @@ func (c *Client) Get(ctx context.Context, bucket, key string) ([]byte, WorkStats
 
 // Delete removes an object; deleting a missing key succeeds.
 func (c *Client) Delete(ctx context.Context, bucket, key string) error {
-	_, err := c.retry.Call(ctx, c.rpc, MethodDelete, EncodeRef(Ref{Bucket: bucket, Key: key}))
+	_, err := c.call(ctx, MethodDelete, EncodeRef(Ref{Bucket: bucket, Key: key}))
 	return err
 }
 
 // List returns the sorted keys of a bucket that start with prefix.
 func (c *Client) List(ctx context.Context, bucket, prefix string) ([]string, error) {
-	resp, err := c.retry.Call(ctx, c.rpc, MethodList, EncodeRef(Ref{Bucket: bucket, Key: prefix}))
+	resp, err := c.call(ctx, MethodList, EncodeRef(Ref{Bucket: bucket, Key: prefix}))
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +88,7 @@ func (c *Client) Select(ctx context.Context, bucket, key string, columns []strin
 	if err != nil {
 		return nil, WorkStats{}, err
 	}
-	resp, err := c.retry.Call(ctx, c.rpc, MethodSelect, req)
+	resp, err := c.call(ctx, MethodSelect, req)
 	if err != nil {
 		return nil, WorkStats{}, err
 	}

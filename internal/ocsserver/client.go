@@ -21,27 +21,21 @@ import (
 // calls take a context: its deadline travels to the frontend (and on to
 // the storage node) in the RPC frame header, and cancelling it abandons
 // in-flight work and discards the connection. Transient failures —
-// unreachable frontend, connection killed before the first result chunk
-// — are retried under the client's retry policy.
+// unreachable frontend or node, connection killed before the first result
+// chunk — are retried here, under retry.Do: the frontend relays each call
+// once, so this is the one retry loop on the path.
 //
 // The object operations (Put, Get, List, Delete, and Close and Meter) are
 // those of the embedded object client, built over this client's connection
-// pool and retry policy: the frontend routes the object protocol, the S3
-// Select baseline (Select) included, to the node that holds each object.
+// pool: the frontend routes the object protocol, the S3 Select baseline
+// (Select) included, to the node that holds each object.
 type Client struct {
 	*objstore.Client
-	rpc   *rpc.Client
-	retry retry.Policy
+	rpc *rpc.Client
 }
 
 // Option configures a Client.
 type Option func(*Client)
-
-// WithRetryPolicy replaces the default transient-failure retry policy.
-// retry.None() disables retries.
-func WithRetryPolicy(p retry.Policy) Option {
-	return func(c *Client) { c.retry = p }
-}
 
 // WithMetrics attaches a metrics registry to the client's transport, so
 // per-method RPC latency, byte and pool counters are recorded. Tracing
@@ -51,14 +45,13 @@ func WithMetrics(reg *telemetry.Registry) Option {
 	return func(c *Client) { c.rpc.Metrics = reg }
 }
 
-// NewClient dials an OCS frontend. With no options it behaves like the
-// historical client plus a default retry policy.
+// NewClient dials an OCS frontend.
 func NewClient(addr string, opts ...Option) *Client {
-	c := &Client{rpc: rpc.Dial(addr), retry: retry.Default()}
+	c := &Client{rpc: rpc.Dial(addr)}
 	for _, opt := range opts {
 		opt(c)
 	}
-	c.Client = objstore.NewClientOver(c.rpc, c.retry)
+	c.Client = objstore.NewClientOver(c.rpc)
 	return c
 }
 
@@ -101,18 +94,18 @@ func (c *Client) ExecuteStream(ctx context.Context, plan *substrait.Plan) (*Resu
 	}
 	objects := len(readRel(plan).Objects)
 	var rs *ResultStream
-	err = c.retry.Do(ctx, func() error {
+	err = retry.Do(ctx, func() error {
 		cs, err := c.rpc.Stream(ctx, MethodExecute, payload)
 		if err != nil {
 			return err
 		}
 		// Every listed object ends in a chunk of its own, so a stream
-		// without one broke the protocol.
+		// without one broke the protocol, which no retry heals.
 		first, err := cs.Recv()
 		if err != nil {
 			cs.Close()
 			if err == io.EOF {
-				return retry.Permanent(fmt.Errorf("ocs: result stream ended before its first chunk"))
+				return fmt.Errorf("ocs: result stream ended before its first chunk")
 			}
 			return err
 		}

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"prestocs/internal/compress"
 	"prestocs/internal/faultnet"
-	"prestocs/internal/retry"
 	"prestocs/internal/rpc"
 	"prestocs/internal/substrait"
 	"prestocs/internal/telemetry"
@@ -38,17 +38,26 @@ func proxiedCluster(t *testing.T, opts ...Option) (*Cluster, *faultnet.Proxy, *C
 	return cluster, proxy, cli
 }
 
+// TestExecuteRetriesThroughKilledConnection: a stream killed at open on
+// a connection's first use is not the transport's to replay — the server
+// may have seen the request — so the client's retry loop heals it: one
+// retry, no redial.
 func TestExecuteRetriesThroughKilledConnection(t *testing.T) {
 	_, proxy, cli := proxiedCluster(t)
 	ctx := context.Background()
 	if err := cli.Put(ctx, "b", "o", meshObject(t, compress.None)); err != nil {
 		t.Fatal(err)
 	}
-	// Arm a one-shot kill: the next Execute's first response bytes sever
-	// the connection before the schema lands, the retry dials fresh and
+	// The Put pooled cli's connection; a fresh client opens the stream on
+	// a first-use connection.
+	reg := telemetry.NewRegistry()
+	fresh := NewClient(proxy.Addr(), WithMetrics(reg))
+	defer fresh.Close()
+	// Arm a one-shot kill: the Execute's first response bytes sever the
+	// connection before the first chunk lands, the retry dials fresh and
 	// the disarmed proxy lets it through.
 	proxy.KillOnce(1)
-	res, err := drain(ctx, cli, filterPlan(t, "b", "o"))
+	res, err := drain(telemetry.WithRegistry(ctx, reg), fresh, filterPlan(t, "b", "o"))
 	if err != nil {
 		t.Fatalf("execute with one-shot kill = %v", err)
 	}
@@ -62,35 +71,21 @@ func TestExecuteRetriesThroughKilledConnection(t *testing.T) {
 	if proxy.Killed() != 1 {
 		t.Errorf("killed = %d", proxy.Killed())
 	}
-}
-
-func TestExecuteWithoutRetryFailsOnKill(t *testing.T) {
-	_, proxy, cli := proxiedCluster(t, WithRetryPolicy(retry.None()))
-	ctx := context.Background()
-	if err := cli.Put(ctx, "b", "o", meshObject(t, compress.None)); err != nil {
-		t.Fatal(err)
+	if n := reg.CounterValue(telemetry.MetricRetryAttempts); n != 1 {
+		t.Errorf("retry attempts = %d, want 1", n)
 	}
-	// The Put pooled a connection; an Execute on it that dies before any
-	// response bytes would be healed by the transport's stale-pool redial
-	// regardless of the retry policy. Use a fresh client so the stream
-	// opens on a first-use connection, where the redial rule does not
-	// apply and the kill must surface.
-	fresh := NewClient(proxy.Addr(), WithRetryPolicy(retry.None()))
-	defer fresh.Close()
-	proxy.KillOnce(1)
-	if _, err := drain(ctx, fresh, filterPlan(t, "b", "o")); err == nil {
-		t.Fatal("retry.None client survived a killed stream open on a fresh connection")
+	if n := reg.CounterValue(telemetry.MetricRPCPoolRedials); n != 0 {
+		t.Errorf("pool redials = %d, want 0", n)
 	}
 }
 
-func TestStreamRedialHealsPooledKillWithoutRetryPolicy(t *testing.T) {
-	// Counterpart to the test above: on a pooled connection the transport
-	// itself redials once when the failure precedes any response bytes,
-	// so even a retry.None client survives a one-shot kill at stream
-	// open. This is the satellite stale-pool fix observable end to end.
+// TestStreamRedialHealsPooledKill is the counterpart: on a pooled
+// connection the transport itself redials once when the failure precedes
+// any response bytes, so the request never reaches the retry loop.
+func TestStreamRedialHealsPooledKill(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	_, proxy, cli := proxiedCluster(t, WithRetryPolicy(retry.None()), WithMetrics(reg))
-	ctx := context.Background()
+	_, proxy, cli := proxiedCluster(t, WithMetrics(reg))
+	ctx := telemetry.WithRegistry(context.Background(), reg)
 	if err := cli.Put(ctx, "b", "o", meshObject(t, compress.None)); err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +103,9 @@ func TestStreamRedialHealsPooledKillWithoutRetryPolicy(t *testing.T) {
 	}
 	if n := reg.CounterValue(telemetry.MetricRPCPoolRedials); n != 1 {
 		t.Errorf("pool redials = %d, want 1", n)
+	}
+	if n := reg.CounterValue(telemetry.MetricRetryAttempts); n != 0 {
+		t.Errorf("retry attempts = %d, want 0", n)
 	}
 }
 
@@ -217,16 +215,29 @@ func TestDeadlineExceededThroughBlackhole(t *testing.T) {
 	}
 }
 
+// TestExecuteFaultIsUnavailableButDataPathHealthy: a node whose execute
+// path is down answers Unavailable, and is called once per attempt of the
+// client's one retry loop — three calls for one ExecuteStream — while its
+// object path still serves.
 func TestExecuteFaultIsUnavailableButDataPathHealthy(t *testing.T) {
 	cluster, cli := startCluster(t, 1)
 	ctx := context.Background()
 	if err := cli.Put(ctx, "b", "o", meshObject(t, compress.None)); err != nil {
 		t.Fatal(err)
 	}
-	cluster.Nodes[0].SetExecuteFault(errors.New("compute unit offline"))
+	node := cluster.Nodes[0]
+	var calls atomic.Int64
+	node.rpc.RegisterStream(NodeMethodExecute, func(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
+		calls.Add(1)
+		return node.handleExecute(ctx, payload, send)
+	})
+	node.SetExecuteFault(errors.New("compute unit offline"))
 	_, err := drain(ctx, cli, filterPlan(t, "b", "o"))
 	if !errors.Is(err, rpc.ErrUnavailable) {
 		t.Fatalf("faulted execute error = %v", err)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Errorf("node execute calls = %d, want 3", n)
 	}
 	// The storage path is still healthy: the raw-scan fallback can GET.
 	data, _, err := cli.Get(ctx, "b", "o")
@@ -234,44 +245,54 @@ func TestExecuteFaultIsUnavailableButDataPathHealthy(t *testing.T) {
 		t.Fatalf("Get during execute fault = %d bytes, %v", len(data), err)
 	}
 	// Clearing the fault restores pushdown.
-	cluster.Nodes[0].SetExecuteFault(nil)
+	node.SetExecuteFault(nil)
 	if _, err := drain(ctx, cli, filterPlan(t, "b", "o")); err != nil {
 		t.Fatalf("execute after clearing fault = %v", err)
 	}
 }
 
-func TestFrontendRetriesNodeStreamOpen(t *testing.T) {
-	// Node behind a fault proxy; the frontend's fan-out retry re-opens the
-	// node stream when the first attempt dies before any chunk flows.
+// nodeBehindProxy starts one storage node behind a fault proxy and a
+// frontend over the proxy, reporting into reg, and returns the proxy and
+// a client of the frontend.
+func nodeBehindProxy(t *testing.T, reg *telemetry.Registry) (*faultnet.Proxy, *Client) {
+	t.Helper()
 	node := NewStorageNode(0)
 	nodeAddr, err := node.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.Close()
+	t.Cleanup(func() { node.Close() })
 	proxy, err := faultnet.New(nodeAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer proxy.Close()
+	t.Cleanup(func() { proxy.Close() })
 	front, err := NewFrontend([]string{proxy.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	front.Metrics = reg
 	addr, err := front.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer front.Close()
-	cli := NewClient(addr, WithRetryPolicy(retry.None()))
-	defer cli.Close()
+	t.Cleanup(func() { front.Close() })
+	cli := NewClient(addr, WithMetrics(reg))
+	t.Cleanup(func() { cli.Close() })
+	return proxy, cli
+}
 
-	ctx := context.Background()
+// TestFrontendRetriesNodeStreamOpen: the frontend relays each call once,
+// and its pooled node connection, killed before any chunk flows, is
+// redialed by the transport — so the request succeeds without a retry.
+func TestFrontendRetriesNodeStreamOpen(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	proxy, cli := nodeBehindProxy(t, reg)
+	ctx := telemetry.WithRegistry(context.Background(), reg)
 	if err := cli.Put(ctx, "b", "o", meshObject(t, compress.None)); err != nil {
 		t.Fatal(err)
 	}
 	proxy.KillOnce(1)
-	// The client does not retry; recovery must come from the frontend.
 	res, err := drain(ctx, cli, filterPlan(t, "b", "o"))
 	if err != nil {
 		t.Fatalf("execute with killed node conn = %v", err)
@@ -285,5 +306,35 @@ func TestFrontendRetriesNodeStreamOpen(t *testing.T) {
 	}
 	if proxy.Killed() != 1 {
 		t.Errorf("killed = %d", proxy.Killed())
+	}
+	if n := reg.CounterValue(telemetry.MetricRPCPoolRedials); n != 1 {
+		t.Errorf("pool redials = %d, want the frontend's one", n)
+	}
+	if n := reg.CounterValue(telemetry.MetricRetryAttempts); n != 0 {
+		t.Errorf("retry attempts = %d, want 0", n)
+	}
+}
+
+// TestRefusedNodeLinkFaultDialedOncePerClientAttempt: a frontend whose
+// link to the node refuses every connection tries it once per attempt of
+// the client's retry loop — three connections per Get and per List.
+func TestRefusedNodeLinkFaultDialedOncePerClientAttempt(t *testing.T) {
+	proxy, cli := nodeBehindProxy(t, nil)
+	proxy.SetRefuseNew(true)
+	ctx := context.Background()
+	for _, op := range []struct {
+		name string
+		call func() error
+	}{
+		{"get", func() error { _, _, err := cli.Get(ctx, "b", "o"); return err }},
+		{"list", func() error { _, err := cli.List(ctx, "b", ""); return err }},
+	} {
+		before := proxy.Accepted()
+		if err := op.call(); !errors.Is(err, rpc.ErrUnavailable) {
+			t.Fatalf("%s over a refused node link = %v", op.name, err)
+		}
+		if n := proxy.Accepted() - before; n != 3 {
+			t.Errorf("%s: %d node connections, want 3", op.name, n)
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"prestocs/internal/objstore"
-	"prestocs/internal/retry"
 	"prestocs/internal/rpc"
 	"prestocs/internal/substrait"
 	"prestocs/internal/telemetry"
@@ -26,16 +25,14 @@ const MethodExecute = "ocs.Execute"
 // routes the object protocol (PUT/GET/LIST/DELETE and the S3 Select
 // baseline, SELECT) so applications see one endpoint, as in the paper's hierarchical design: it adds placement
 // and nothing else — request bytes reach the owning node unchanged and
-// the node's response comes back unchanged. Node calls inherit
-// the caller's context deadline and are retried on transient failure
-// until the first chunk has been forwarded, since the client cannot be
-// handed a restarted stream mid-flight.
+// the node's response comes back unchanged. Node calls inherit the
+// caller's context deadline and are made once: a node that cannot be
+// reached, or answers Unavailable, reaches the client as CodeUnavailable,
+// and the client's retry loop (or the connector's fallback, once chunks
+// have arrived) takes over.
 type Frontend struct {
 	rpc   *rpc.Server
 	nodes []*rpc.Client
-
-	// retry governs node fan-out retries.
-	retry retry.Policy
 
 	// StreamWindow bounds unacknowledged chunks per proxied stream toward
 	// the application (0 = rpc.DefaultStreamWindow).
@@ -58,7 +55,7 @@ func NewFrontend(nodeAddrs []string) (*Frontend, error) {
 	if len(nodeAddrs) == 0 {
 		return nil, fmt.Errorf("ocs: frontend requires at least one storage node")
 	}
-	f := &Frontend{rpc: rpc.NewServer(), retry: retry.Default()}
+	f := &Frontend{rpc: rpc.NewServer()}
 	for _, addr := range nodeAddrs {
 		f.nodes = append(f.nodes, rpc.Dial(addr))
 	}
@@ -102,7 +99,9 @@ func (f *Frontend) nodeFor(bucket, key string) int {
 // a node goes to that node as the same plan listing just the run, one run
 // after the other, and each run's chunks are relayed as they arrive: every
 // object ends in its own object-end chunk, so the runs concatenate into
-// the one answer the request asked for.
+// the one answer the request asked for. A run that fails, before its first
+// chunk or after, fails the request there; the connector replays each
+// object whose answer did not arrive whole.
 func (f *Frontend) handleExecute(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
 	plan, err := substrait.Unmarshal(payload)
 	if err != nil {
@@ -158,44 +157,30 @@ func (f *Frontend) route(method string) rpc.StreamHandler {
 // forward makes one call to a node and relays its answer: chunks through
 // send as they arrive — the frontend never buffers more than one, so bytes
 // reach the engine while the node is still scanning — and the trailer as
-// the return value. Failures are retried under the fan-out policy until a
-// chunk of this call has been relayed; after that the call cannot be
-// transparently restarted, so the error propagates and the client (or the
-// connector's fallback) takes over.
+// the return value. A failure, before or after the first chunk, is
+// returned as it is: the client retries a call that relayed nothing, and
+// the connector replays an object whose stream broke.
 func (f *Frontend) forward(ctx context.Context, node int, method string, payload []byte, send func([]byte) error) ([]byte, error) {
 	ctx, span := telemetry.StartSpan(ctx, "frontend.forward")
 	defer span.End()
 	span.SetAttr("node", fmt.Sprintf("node%d", node))
-	var trailer []byte
-	err := f.retry.Do(ctx, func() error {
-		st, err := f.nodes[node].Stream(ctx, method, payload)
+	st, err := f.nodes[node].Stream(ctx, method, payload)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	for {
+		chunk, err := st.Recv()
+		if err == io.EOF {
+			return st.Trailer(), nil
+		}
 		if err != nil {
-			return err
+			return nil, err
 		}
-		defer st.Close()
-		forwarded := false
-		for {
-			chunk, err := st.Recv()
-			if err == io.EOF {
-				trailer = st.Trailer()
-				return nil
-			}
-			if err != nil {
-				if forwarded {
-					// The client has already seen part of this call;
-					// restarting would duplicate chunks.
-					return retry.Permanent(err)
-				}
-				return err
-			}
-			if err := send(chunk); err != nil {
-				// Our own downstream died; nothing to retry.
-				return retry.Permanent(err)
-			}
-			forwarded = true
+		if err := send(chunk); err != nil {
+			return nil, err
 		}
-	})
-	return trailer, err
+	}
 }
 
 // handleList merges the listings of every node. A bucket exists on a node
@@ -210,7 +195,7 @@ func (f *Frontend) handleList(ctx context.Context, payload []byte) ([]byte, erro
 	var keys []string
 	found := false
 	for _, n := range f.nodes {
-		resp, err := f.retry.Call(ctx, n, objstore.MethodList, payload)
+		resp, err := n.Call(ctx, objstore.MethodList, payload)
 		if errors.Is(err, rpc.ErrNotFound) {
 			continue
 		}

@@ -235,12 +235,12 @@ func TestGroupedRequestAcrossNodes(t *testing.T) {
 	}
 }
 
-// TestGroupedRequestRetryOnlyUntilRunRelays: the frontend restarts a
-// run's node call only while nothing of that call has reached the client.
-// A node that fails before any chunk is retried and the answer is whole;
-// one that fails after its first batch was relayed is not, and the client
-// sees the failure.
-func TestGroupedRequestRetryOnlyUntilRunRelays(t *testing.T) {
+// TestGroupedRequestFaultRelaysEachRunOnce: the frontend calls each run's
+// node once. A run that fails — before any chunk of its own or after its
+// first batch — fails the request after the chunks already relayed: the
+// client, which holds run 1's first chunk, does not retry, and sees run
+// 1's object whole and then the node's failure.
+func TestGroupedRequestFaultRelaysEachRunOnce(t *testing.T) {
 	c, err := StartCluster(2)
 	if err != nil {
 		t.Fatal(err)
@@ -259,10 +259,9 @@ func TestGroupedRequestRetryOnlyUntilRunRelays(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		failAfter int // chunks the node's first call sends before failing
-		wantCalls int64
 	}{
-		{"before-any-chunk", 0, 2},
-		{"after-first-batch", 1, 1},
+		{"before-any-chunk", 0},
+		{"after-first-batch", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			node := c.Nodes[1]
@@ -281,27 +280,37 @@ func TestGroupedRequestRetryOnlyUntilRunRelays(t *testing.T) {
 				})
 			})
 			defer node.rpc.RegisterStream(NodeMethodExecute, node.handleExecute)
-			res, err := drain(context.Background(), cli, groupedPlan(t, objects))
-			if calls.Load() != tc.wantCalls {
-				t.Errorf("node calls = %d, want %d", calls.Load(), tc.wantCalls)
-			}
-			if tc.wantCalls == 1 {
-				if !errors.Is(err, rpc.ErrUnavailable) {
-					t.Fatalf("error = %v, want the node's failure relayed", err)
-				}
-				return
-			}
+			rs, err := cli.ExecuteStream(context.Background(), groupedPlan(t, objects))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got []byte
-			for _, p := range res.Pages {
-				if got, err = arrowlite.AppendBatch(got, p); err != nil {
-					t.Fatal(err)
+			defer rs.Close()
+			var got [2][]byte
+			for k := range got {
+				for {
+					page, err := rs.Next()
+					if err == io.EOF && k == 0 {
+						break
+					}
+					if err != nil {
+						if k == 0 || !errors.Is(err, rpc.ErrUnavailable) {
+							t.Fatalf("object %d: %v, want object 0 whole and then the node's failure", k, err)
+						}
+						break
+					}
+					if got[k], err = arrowlite.AppendBatch(got[k], page); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-			if !bytes.Equal(got, append(bytes.Clone(want[0]), want[1]...)) {
-				t.Error("retried run's answer differs from the unfaulted one")
+			if calls.Load() != 1 {
+				t.Errorf("node calls = %d, want 1", calls.Load())
+			}
+			if !bytes.Equal(got[0], want[0]) {
+				t.Error("run 1's object differs from the unfaulted one")
+			}
+			if (len(got[1]) > 0) != (tc.failAfter > 0) || !bytes.HasPrefix(want[1], got[1]) {
+				t.Errorf("run 2 relayed %d bytes before failing, want its first %d batches of the unfaulted answer", len(got[1]), tc.failAfter)
 			}
 		})
 	}

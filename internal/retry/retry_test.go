@@ -9,14 +9,14 @@ import (
 	"time"
 
 	"prestocs/internal/rpc"
+	"prestocs/internal/telemetry"
 )
 
 func TestDoSucceedsAfterTransientFailures(t *testing.T) {
-	p := Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
-	attempts := 0
-	err := p.Do(context.Background(), func() error {
-		attempts++
-		if attempts < 3 {
+	calls := 0
+	err := Do(context.Background(), func() error {
+		calls++
+		if calls < attempts {
 			return &rpc.TransportError{Op: "recv", Err: io.EOF}
 		}
 		return nil
@@ -24,77 +24,70 @@ func TestDoSucceedsAfterTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if attempts != 3 {
-		t.Errorf("attempts = %d", attempts)
+	if calls != attempts {
+		t.Errorf("calls = %d, want %d", calls, attempts)
 	}
 }
 
+// TestDoExhaustsBudget: a failure that never heals is tried three times,
+// two retries and one giveup counted in the context's registry.
 func TestDoExhaustsBudget(t *testing.T) {
-	p := Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}
-	attempts := 0
+	reg := telemetry.NewRegistry()
+	calls := 0
 	boom := &rpc.TransportError{Op: "dial", Err: syscall.ECONNREFUSED}
-	err := p.Do(context.Background(), func() error {
-		attempts++
+	err := Do(telemetry.WithRegistry(context.Background(), reg), func() error {
+		calls++
 		return boom
 	})
 	if !errors.Is(err, rpc.ErrUnavailable) {
 		t.Fatalf("exhausted error = %v", err)
 	}
-	if attempts != 3 {
-		t.Errorf("attempts = %d", attempts)
+	if calls != 3 {
+		t.Errorf("calls = %d, want 3", calls)
+	}
+	if n := reg.CounterValue(telemetry.MetricRetryAttempts); n != 2 {
+		t.Errorf("retry attempts = %d, want 2", n)
+	}
+	if n := reg.CounterValue(telemetry.MetricRetryGiveups); n != 1 {
+		t.Errorf("retry giveups = %d, want 1", n)
 	}
 }
 
+// TestDoStopsOnNonTransient: a remote verdict, and a plain error such as
+// a stream that ended before its first chunk, are returned as they are
+// after one call.
 func TestDoStopsOnNonTransient(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Millisecond}
-	attempts := 0
-	err := p.Do(context.Background(), func() error {
-		attempts++
-		return &rpc.RemoteError{Method: "Execute", Code: rpc.CodeInvalid, Message: "bad plan"}
-	})
-	if attempts != 1 {
-		t.Errorf("non-transient error retried: attempts = %d", attempts)
-	}
-	if !errors.Is(err, rpc.ErrInvalid) {
-		t.Errorf("error = %v", err)
-	}
-}
-
-func TestDoPermanentUnwraps(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Millisecond}
-	inner := errors.New("short stream")
-	attempts := 0
-	err := p.Do(context.Background(), func() error {
-		attempts++
-		return Permanent(inner)
-	})
-	if attempts != 1 {
-		t.Errorf("Permanent retried: attempts = %d", attempts)
-	}
-	if err != inner {
-		t.Errorf("Permanent must return the inner error, got %v", err)
-	}
-	if Permanent(nil) != nil {
-		t.Error("Permanent(nil) must be nil")
+	for _, fail := range []error{
+		&rpc.RemoteError{Method: "Execute", Code: rpc.CodeInvalid, Message: "bad plan"},
+		errors.New("ocs: result stream ended before its first chunk"),
+	} {
+		calls := 0
+		err := Do(context.Background(), func() error {
+			calls++
+			return fail
+		})
+		if calls != 1 {
+			t.Errorf("%v retried: calls = %d", fail, calls)
+		}
+		if err != fail {
+			t.Errorf("error = %v, want %v", err, fail)
+		}
 	}
 }
 
 func TestDoContextCancelDuringBackoff(t *testing.T) {
-	p := Policy{MaxAttempts: 10, BaseDelay: time.Hour}
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
+	calls := 0
+	err := Do(ctx, func() error {
+		calls++
 		cancel()
-	}()
-	start := time.Now()
-	err := p.Do(ctx, func() error {
 		return &rpc.TransportError{Op: "recv", Err: io.ErrUnexpectedEOF}
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v", err)
 	}
-	if time.Since(start) > 2*time.Second {
-		t.Error("backoff sleep was not interrupted by cancel")
+	if calls != 1 {
+		t.Errorf("calls = %d after a cancel during the first backoff, want 1", calls)
 	}
 }
 
@@ -102,40 +95,35 @@ func TestDoPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	called := false
-	err := Default().Do(ctx, func() error { called = true; return nil })
+	err := Do(ctx, func() error { called = true; return nil })
 	if !errors.Is(err, context.Canceled) || called {
 		t.Errorf("err = %v, called = %v", err, called)
 	}
 }
 
+// TestDelayGrowsAndCaps: the backoff starts at 5 ms, doubles, and stops
+// growing at 250 ms, each value within ±20 %.
 func TestDelayGrowsAndCaps(t *testing.T) {
-	p := Policy{MaxAttempts: 10, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Multiplier: 2}
-	want := []time.Duration{10, 20, 40, 80, 80, 80}
+	want := []time.Duration{5, 10, 20, 40, 80, 160, 250, 250, 250}
 	for i, w := range want {
-		if got := p.Delay(i); got != w*time.Millisecond {
-			t.Errorf("Delay(%d) = %v, want %v", i, got, w*time.Millisecond)
+		w *= time.Millisecond
+		for range 50 {
+			if got := delay(i); got < w*8/10 || got > w*12/10 {
+				t.Fatalf("delay(%d) = %v, want %v ± 20%%", i, got, w)
+			}
 		}
 	}
 }
 
+// TestDelayJitterBounded: the jitter spreads the delays of one attempt,
+// so simultaneous failures do not retry in lockstep.
 func TestDelayJitterBounded(t *testing.T) {
-	p := Policy{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second, Jitter: 0.5}
-	for i := 0; i < 200; i++ {
-		d := p.Delay(0)
-		if d < 50*time.Millisecond || d > 150*time.Millisecond {
-			t.Fatalf("jittered delay %v outside [50ms, 150ms]", d)
-		}
+	seen := map[time.Duration]bool{}
+	for range 200 {
+		seen[delay(0)] = true
 	}
-}
-
-func TestNonePolicySingleAttempt(t *testing.T) {
-	attempts := 0
-	None().Do(context.Background(), func() error {
-		attempts++
-		return &rpc.TransportError{Op: "recv", Err: io.EOF}
-	})
-	if attempts != 1 {
-		t.Errorf("None retried: attempts = %d", attempts)
+	if len(seen) < 10 {
+		t.Errorf("200 jittered delays took %d distinct values", len(seen))
 	}
 }
 

@@ -72,7 +72,7 @@ var (
 
 // ErrFrameTooLarge marks a frame rejected on the send side for exceeding
 // the transport's frame-length limit. It carries CodeInvalid (the
-// payload will not shrink on retry), so retry policies and the pushdown
+// payload will not shrink on retry), so the retry loop and the pushdown
 // fallback classify it as permanent.
 var ErrFrameTooLarge = errors.New("rpc: frame exceeds size limit")
 
@@ -163,7 +163,7 @@ func ErrorCode(err error) Code {
 
 // TransportError wraps a local connection failure (dial refused, peer
 // died mid-call, truncated frame). It matches ErrUnavailable under
-// errors.Is, which is what retry policies classify on.
+// errors.Is, which is what the retry loop classifies on.
 type TransportError struct {
 	Method string // RPC method in flight ("" for dial)
 	Op     string // "dial", "send" or "recv"

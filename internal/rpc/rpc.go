@@ -475,10 +475,6 @@ func (s *Server) Close() error {
 type Client struct {
 	Meter Meter
 
-	// DialTimeout bounds connection establishment; zero means the
-	// context deadline (if any) is the only bound.
-	DialTimeout time.Duration
-
 	// Metrics, when set, receives per-method call latency and byte
 	// counts plus pool dial/discard/redial counters. Set before use.
 	Metrics *telemetry.Registry
@@ -522,7 +518,7 @@ func (c *Client) getConn(ctx context.Context, fresh bool) (w *wire, pooled bool,
 		return w, true, nil
 	}
 	c.mu.Unlock()
-	d := net.Dialer{Timeout: c.DialTimeout}
+	var d net.Dialer // bounded by ctx alone
 	conn, derr := d.DialContext(ctx, "tcp", c.addr)
 	if derr != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {

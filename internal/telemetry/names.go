@@ -3,7 +3,7 @@ package telemetry
 // Canonical metric names. Every instrument the system registers is
 // declared here, and `make vet-telemetry` fails the build when a name in
 // this manifest has no registration site outside this package — so an
-// rpc method, retry policy or fallback path cannot be added (or its
+// rpc method, retry loop or fallback path cannot be added (or its
 // instrumentation deleted) without the gate noticing.
 //
 // Naming convention: <component>_<what>_<unit-or-total>. Histograms are
