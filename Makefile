@@ -38,7 +38,8 @@ loc:
 # bench runs the kernel/operator microbenchmarks (vectorized expression
 # kernels, filter selectivity sweep, hash aggregation — string keys
 # plain and in dictionary form among it —, sort/top-N, and
-# Laghos's and Q1's whole leaf pipelines over resident pages), the
+# Laghos's, Q1's and Deep Water's whole leaf pipelines over resident
+# pages), the
 # zone-map pruning selectivity sweep, the hot-page cache comparison, the
 # tracing-overhead comparison, the mixed-traffic latency profile, the
 # join bloom-pushdown sweep, the ingest-throughput sweep and the write
@@ -126,7 +127,12 @@ determinism:
 # answer as the test oracle (the row-at-a-time evaluator in
 # internal/expr/oracle_test.go) does, in a predicate and in value
 # context, on any column, literal or computed operand, operator and
-# selection; and the key table's direct mode assigns and finds the ids its
+# selection; a projection list — arithmetic with / and %, casts,
+# comparisons and logic in value context, repeated subtrees — evaluated
+# at a selection's rows through one Projection over pages of different
+# lengths answers as that oracle does on every selected row, fails
+# exactly when a selected row fails, and keeps what it returned under no
+# selection intact; and the key table's direct mode assigns and finds the ids its
 # hash mode does, on any stream of integer-led keys, within its
 # allocation bound.
 # `go test -fuzz` takes one target and one package per run.
@@ -145,6 +151,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeObjectEnd$$' -fuzztime 10s ./internal/ocsserver/
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectionKernels$$' -fuzztime 10s ./internal/expr/
+	$(GO) test -run '^$$' -fuzz '^FuzzProjectionUnderSelection$$' -fuzztime 10s ./internal/expr/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyTableModes$$' -fuzztime 10s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnSketch$$' -fuzztime 10s ./internal/metastore/
 

@@ -349,12 +349,14 @@ func mustExpr[T expr.Expr](e T, err error) expr.Expr {
 	return e
 }
 
-// BenchmarkLeafPipeline is the suite's two heaviest leaf pipelines —
-// filter → partial aggregate for Laghos, filter → project → partial
-// aggregate for TPC-H Q1 — over resident pages of the generated tables at
-// a quarter of the benchmark's scale: the plans of plans.golden's
-// `laghos [all]` and `tpch_q1 [all]` below the exchange, which is the code
-// a storage node runs under ocs.pushdown=all and the engine under none.
+// BenchmarkLeafPipeline is the suite's heaviest leaf pipelines — filter →
+// partial aggregate for Laghos, filter → project → partial aggregate for
+// TPC-H Q1 and for Deep Water — over resident pages of the generated
+// tables at a quarter of the benchmark's scale: the plans of
+// plans.golden's `laghos [all]`, `tpch_q1 [all]` and `deepwater [all]`
+// below the exchange, which is the code a storage node runs under
+// ocs.pushdown=all and the engine under none. Deep Water's filter keeps
+// 18 % of the rows, the sparse case for a projection's computed columns.
 func BenchmarkLeafPipeline(b *testing.B) {
 	lit := func(f float64) expr.Expr { return expr.Lit(types.FloatValue(f)) }
 
@@ -424,6 +426,36 @@ func BenchmarkLeafPipeline(b *testing.B) {
 				b.Fatal(err)
 			}
 			agg, err := NewHashAggregate(p, []int{0, 1}, measures, AggPartial, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Drain(agg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("deepwater", func(b *testing.B) {
+		d, err := workload.DeepWater(workload.Config{Files: 4, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		schema, pages := residentPages(b, d, []int{0, 1, 3}) // rowid, v02, timestep
+		col := func(i int) expr.Expr { return expr.Col(i, schema.Columns[i].Name, schema.Columns[i].Type) }
+		pred := mustExpr(expr.NewCompare(expr.Gt, col(1), lit(0.1)))
+		mod := mustExpr(expr.NewArith(expr.Mod, col(0), expr.Lit(types.IntValue(250000))))
+		exprs := []expr.Expr{col(2), mustExpr(expr.NewArith(expr.Div, mod, expr.Lit(types.IntValue(500))))}
+		measures := []substrait.Measure{{Func: substrait.AggMax, Arg: 1, Name: "$agg0"}}
+		b.SetBytes(int64(len(pages) * 4096))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f, _ := NewFilter(NewPageSource(schema, pages), pred, nil)
+			p, err := NewProject(f, exprs, []string{"timestep", "$arg0"}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			agg, err := NewHashAggregate(p, []int{0}, measures, AggPartial, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

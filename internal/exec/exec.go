@@ -103,12 +103,12 @@ func (s *FuncSource) Schema() *types.Schema { return s.schema }
 func (s *FuncSource) Next() (*column.Page, error) { return s.fn() }
 
 // SelSource is an Operator that can hand pages over with a pending
-// selection vector instead of materializing the surviving rows. Filter and
-// BloomProbe implement it; the consumers that read through a selection (a
-// chained Filter or BloomProbe, Project, HashAggregate) detect it, so
-// between a scan and its group-by no filtered page is ever built. Dense
-// pages are materialized only at an operator boundary that needs them
-// (sort, top-N, join, the network).
+// selection vector instead of materializing the surviving rows. Filter,
+// BloomProbe and Project implement it; the consumers that read through a
+// selection (a chained Filter or BloomProbe, Project, HashAggregate)
+// detect it, so between a scan and its group-by no filtered page is ever
+// built. Dense pages are materialized only at an operator boundary that
+// needs them (sort, top-N, join, the network).
 type SelSource interface {
 	Operator
 	// NextSel returns the next page plus the selection of live rows.
@@ -116,7 +116,11 @@ type SelSource interface {
 	// selection are never returned; exhaustion is (nil, nil, nil).
 	// The selection is valid until the next call only — a source may reuse
 	// its buffer — so a consumer reads it before it pulls again and never
-	// keeps it.
+	// keeps it. So is a page handed over with a non-nil selection: it is
+	// lent, its vectors may be buffers the source rewrites on the next
+	// call (Project's computed columns are), and only its selected rows
+	// hold values. A page with a nil selection is the consumer's to keep,
+	// which is why Filter and BloomProbe may forward such a page as it is.
 	NextSel() (*column.Page, []int, error)
 }
 
@@ -205,11 +209,13 @@ func (f *Filter) Next() (*column.Page, error) {
 	return page.FilterSel(sel), nil
 }
 
-// Project evaluates expressions into a new schema. When the input is a
-// SelSource (a Filter), expressions are evaluated only over the surviving
-// rows — the filtered page is never materialized: each column the list
-// reads is gathered once, and a subexpression the list repeats is
-// evaluated once (expr.Projection).
+// Project evaluates expressions into a new schema. It is a SelSource: it
+// hands on its input's selection with one vector per expression, indexed
+// by the input page's rows (expr.Projection) — a column reference is the
+// input's vector itself, and a computed expression is evaluated only at
+// the selected rows (a subexpression the list repeats, once) into buffers
+// the Project rewrites on the next pull. Under a nil selection the
+// vectors are new and the consumer keeps them.
 type Project struct {
 	input  Operator
 	proj   *expr.Projection
@@ -248,18 +254,32 @@ func NewProject(input Operator, exprs []expr.Expr, names []string, meter *Meter)
 // Schema implements Operator.
 func (p *Project) Schema() *types.Schema { return p.schema }
 
-// Next implements Operator.
-func (p *Project) Next() (*column.Page, error) {
+// NextSel implements SelSource.
+func (p *Project) NextSel() (*column.Page, []int, error) {
 	page, sel, err := nextSel(p.input)
 	if err != nil || page == nil {
-		return nil, err
+		return nil, nil, err
 	}
-	vecs, err := p.proj.Eval(page, sel)
+	if len(sel) == page.NumRows() {
+		// Every row live: the vectors are the consumer's to keep, so
+		// Filter and BloomProbe may forward the page as it is.
+		sel = nil
+	}
+	vecs, err := p.proj.EvalRows(page, sel)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.meter.charge(liveRows(page, sel), p.cost)
-	return &column.Page{Schema: p.schema, Vectors: vecs}, nil
+	return &column.Page{Schema: p.schema, Vectors: vecs}, sel, nil
+}
+
+// Next implements Operator, materializing the selection.
+func (p *Project) Next() (*column.Page, error) {
+	page, sel, err := p.NextSel()
+	if err != nil || page == nil || sel == nil {
+		return page, err
+	}
+	return page.FilterSel(sel), nil
 }
 
 // Limit stops after n rows.

@@ -160,14 +160,17 @@ func TestHashAggregateThroughSelectionMatchesMaterialized(t *testing.T) {
 }
 
 // scribblingSource is a SelSource as hostile as the contract allows: the
-// selection it hands out lives in one buffer, and the next call fills that
-// buffer with rows of the next page before anything else — so a consumer
-// that kept a selection across a pull reads another page's rows.
+// selection it hands out lives in one buffer, and so does the page it
+// hands out with it — a copy of the next page — and the next call
+// overwrites both before anything else, so a consumer that kept a
+// selection, or a lent page's vectors, across a pull reads garbage. A page
+// whose selection is nil is handed over to keep, and left alone.
 type scribblingSource struct {
 	pages []*column.Page
-	sels  [][]int
+	sels  [][]int // nil: every row live
 	pos   int
 	buf   []int
+	lent  *column.Page
 }
 
 func (s *scribblingSource) Schema() *types.Schema { return selTestSchema }
@@ -176,28 +179,64 @@ func (s *scribblingSource) NextSel() (*column.Page, []int, error) {
 	for i := range s.buf {
 		s.buf[i] = 0
 	}
+	if s.lent != nil {
+		scribble(s.lent)
+		s.lent = nil
+	}
 	if s.pos == len(s.pages) {
 		return nil, nil, nil
 	}
 	page, sel := s.pages[s.pos], s.sels[s.pos]
 	s.pos++
+	if sel == nil {
+		return page, nil, nil
+	}
+	s.lent = page.Slice(0, page.NumRows())
 	s.buf = append(s.buf[:0], sel...)
-	return page, s.buf, nil
+	return s.lent, s.buf, nil
 }
 
 func (s *scribblingSource) Next() (*column.Page, error) {
 	page, sel, err := s.NextSel()
-	if err != nil || page == nil {
-		return nil, err
+	if err != nil || page == nil || sel == nil {
+		return page, err
 	}
 	return page.Gather(sel), nil
 }
 
+// scribble overwrites every row of a page the caller owns: values, codes
+// (with another valid one) and null masks.
+func scribble(page *column.Page) {
+	for _, v := range page.Vectors {
+		for i := range v.Nulls {
+			v.Nulls[i] = !v.Nulls[i]
+		}
+		for i := range v.Ints {
+			v.Ints[i] = math.MinInt64 + int64(i)
+		}
+		for i := range v.Floats {
+			v.Floats[i] = math.NaN()
+		}
+		for i := range v.Strings {
+			v.Strings[i] = "scribbled"
+		}
+		for i := range v.Codes {
+			v.Codes[i] = int32(len(v.Dict) - 1)
+		}
+		for i := range v.Bools {
+			v.Bools[i] = !v.Bools[i]
+		}
+	}
+}
+
 func TestSelectionConsumersDoNotRetainSelections(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
-	pages := randomKeyPages(rnd, selTestSchema, 6, 50, 50, 50, 50)
+	pages := randomKeyPages(rnd, selTestSchema, 6, 50, 50, 50, 50, 50)
 	sels := make([][]int, len(pages))
 	for p := range pages {
+		if p == 2 {
+			continue // every row live
+		}
 		for row := 0; row < pages[p].NumRows(); row++ {
 			if rnd.Intn(3) > 0 {
 				sels[p] = append(sels[p], row)
@@ -212,14 +251,40 @@ func TestSelectionConsumersDoNotRetainSelections(t *testing.T) {
 	}
 	keep, _ := expr.NewCompare(expr.Ge, expr.Col(5, "ord", types.Int64), expr.Lit(types.IntValue(20)))
 	sum, _ := expr.NewArith(expr.Add, expr.Col(0, "i", types.Int64), expr.Col(5, "ord", types.Int64))
+	half, _ := expr.NewArith(expr.Div, expr.Col(1, "f", types.Float64), expr.Lit(types.FloatValue(2)))
+	// project lists computed columns (a shared sum among them) beside
+	// column references; the operators above it read the computed ones.
+	project := func(in Operator) (Operator, error) {
+		return NewProject(in, []expr.Expr{sum, expr.Col(2, "s", types.String), half, sum, expr.Col(5, "ord", types.Int64)},
+			[]string{"a", "s", "h", "b", "ord"}, nil)
+	}
+	above := func(next func(Operator) (Operator, error)) func(Operator) (Operator, error) {
+		return func(in Operator) (Operator, error) {
+			p, err := project(in)
+			if err != nil {
+				return nil, err
+			}
+			return next(p)
+		}
+	}
+	bigA, _ := expr.NewCompare(expr.Ge, expr.Col(0, "a", types.Int64), expr.Lit(types.IntValue(30)))
+	byA := []SortSpec{{Column: 0, Descending: true}, {Column: 2}, {Column: 4}}
 	for name, build := range map[string]func(in Operator) (Operator, error){
 		"aggregate": func(in Operator) (Operator, error) {
 			return NewHashAggregate(in, []int{0, 2}, measures, AggSingle, nil)
 		},
-		"project": func(in Operator) (Operator, error) {
-			return NewProject(in, []expr.Expr{sum, expr.Col(2, "s", types.String), sum}, []string{"a", "s", "b"}, nil)
-		},
-		"filter": func(in Operator) (Operator, error) { return NewFilter(in, keep, nil) },
+		"project": project,
+		"filter":  func(in Operator) (Operator, error) { return NewFilter(in, keep, nil) },
+		"project → aggregate": above(func(p Operator) (Operator, error) {
+			return NewHashAggregate(p, []int{0, 1}, []substrait.Measure{
+				{Func: substrait.AggSum, Arg: 2, Name: "sum"},
+				{Func: substrait.AggMax, Arg: 3, Name: "max"},
+				{Func: substrait.AggCount, Arg: 2, Name: "n"},
+			}, AggPartial, nil)
+		}),
+		"project → filter": above(func(p Operator) (Operator, error) { return NewFilter(p, bigA, nil) }),
+		"project → top-n":  above(func(p Operator) (Operator, error) { return NewTopN(p, byA, 17, nil) }),
+		"project → sort":   above(func(p Operator) (Operator, error) { return NewSort(p, byA, nil) }),
 	} {
 		through, err := build(source())
 		if err != nil {
@@ -237,7 +302,7 @@ func TestSelectionConsumersDoNotRetainSelections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameBuffers(t, name+" over a source that reuses its selection buffer", got, want)
+		requireSameBuffers(t, name+" over a source that reuses its buffers", got, want)
 	}
 }
 

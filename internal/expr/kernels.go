@@ -6,7 +6,7 @@ package expr
 // propagation. There is no row-at-a-time path; the interpreter the tests
 // hold these kernels to lives in oracle_test.go.
 //
-// An expression is evaluated in one of two contexts. In value context
+// An expression is evaluated in one of three contexts. In value context
 // (evalVec) the result is a dense vector aligned with the selection. In
 // a predicate (evalSel) the result is the selection's rows where the
 // predicate is TRUE, so AND evaluates its right side only over rows the
@@ -17,6 +17,12 @@ package expr
 // incoming selection; otherwise the operands are evaluated densely, and
 // the kernel's kept positions become the TRUE entries of a bool vector
 // (value context) or, through it, the rows of the selection (predicate).
+// In a projection (Projection, projection.go) the result is indexed by
+// the page's rows, like the page's own columns, and written only at the
+// rows the selection names: arithmetic, casts that cannot fail and
+// literals loop under the selection (forRows) into buffers the
+// Projection keeps, and value context is the case of those same loops
+// with no selection over dense operands.
 //
 // Selections obey two rules every producer and consumer relies on: nil
 // means every row of the page, so a predicate that rejects every row
@@ -32,6 +38,8 @@ package expr
 //   - IS [NOT] NULL: never NULL.
 // Value buffers at NULL positions hold unspecified data; consumers must
 // check the null bitmap first (types.Value extraction already does).
+// A division's result holds 0 under a NULL row, since its divisor is
+// never read there.
 
 import (
 	"fmt"
@@ -226,7 +234,7 @@ func compareVec(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
 		}
 		ops[i] = o
 		if o.scalarNull() {
-			nulls = allNullVec(types.Bool, n).Nulls
+			nulls = broadcastAt(nil, types.NullValue(types.Bool), n, nil).Nulls
 		} else {
 			nulls = orNulls(nulls, o.nulls(), n)
 		}
@@ -263,7 +271,7 @@ func evalVec(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
 		}
 		return v.Gather(sel), nil
 	case *Literal:
-		return broadcast(t.Value, n), nil
+		return broadcastAt(nil, t.Value, n, nil), nil
 	case *Arith:
 		l, err := evalOperand(t.L, page, sel)
 		if err != nil {
@@ -273,7 +281,7 @@ func evalVec(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
 		if err != nil {
 			return nil, err
 		}
-		return kernelArith(t, l, r, n)
+		return kernelArith(t, l, r, n, nil, nil)
 	case *Compare, *Between:
 		return compareVec(e, page, sel)
 	case *Logic:
@@ -303,7 +311,7 @@ func evalVec(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
 		return out, nil
 	case *IsNull:
 		if lit, ok := t.E.(*Literal); ok {
-			return broadcast(types.BoolValue(lit.Value.Null != t.Negate), n), nil
+			return broadcastAt(nil, types.BoolValue(lit.Value.Null != t.Negate), n, nil), nil
 		}
 		v, err := evalVec(t.E, page, sel)
 		if err != nil {
@@ -329,7 +337,7 @@ func evalVec(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
 			return nil, err
 		}
 		if castCannotFail(t.E.Type(), t.To) {
-			return castVec(v, t.To, n), nil
+			return castAt(nil, v, t.To, nil), nil
 		}
 		// A cast that can fail converts row by row; only the selected rows
 		// are in v, so only they can fail.
@@ -365,25 +373,30 @@ func castCannotFail(from, to types.Kind) bool {
 	return false
 }
 
-// castVec converts v, n rows of a kind castCannotFail accepts, to kind to.
-// NULL stays NULL; whole buffers are shared where the representation is
-// the same.
-func castVec(v *column.Vector, to types.Kind, n int) *column.Vector {
+// castAt converts v, a vector of a kind castCannotFail accepts, to kind
+// to at the rows sel names (nil: every row), into s (see store). NULL
+// stays NULL; a representation that does not change is shared, not
+// copied.
+func castAt(s *store, v *column.Vector, to types.Kind, sel []int) *column.Vector {
 	if v.Kind == to {
 		return v
 	}
-	out := &column.Vector{Kind: to, Nulls: v.Nulls}
+	n := v.Len()
+	var out *column.Vector
 	switch {
 	case to == types.Float64:
-		out.Floats = floatsOf(v)
+		out = s.vector(to, n)
+		xs, fs := v.Ints, out.Floats
+		forRows(sel, n, func(i int) { fs[i] = float64(xs[i]) })
 	case v.Kind == types.Float64:
-		out.Ints = make([]int64, n)
-		for i, f := range v.Floats {
-			out.Ints[i] = int64(f)
-		}
+		out = s.vector(to, n)
+		fs, xs := v.Floats, out.Ints
+		forRows(sel, n, func(i int) { xs[i] = int64(fs[i]) })
 	default: // Int64 and Date are both day or plain counts in Ints
+		out = s.vector(to, 0)
 		out.Ints = v.Ints
 	}
+	out.Nulls = v.Nulls
 	return out
 }
 
@@ -398,52 +411,107 @@ func evalOperand(e Expr, page *column.Page, sel []int) (operand, error) {
 	return operand{vec: v}, nil
 }
 
-// broadcast materializes a scalar as an n-row vector.
-func broadcast(v types.Value, n int) *column.Vector {
-	out := column.NewVector(v.Kind)
-	if v.Null {
-		return allNullVec(v.Kind, n)
+// forRows calls f on each row sel names, or on the rows 0..n-1 when sel
+// is nil: the loop every kernel of a projection runs. It and the literal
+// passed as f are inlined, so the loop body is the literal's.
+func forRows(sel []int, n int, f func(i int)) {
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
 	}
-	switch v.Kind {
+	for _, i := range sel {
+		f(i)
+	}
+}
+
+// rowsIn is the number of rows forRows visits.
+func rowsIn(sel []int, n int) int {
+	if sel != nil {
+		return len(sel)
+	}
+	return n
+}
+
+// store is where a kernel writes the result of one node of a
+// Projection: page-length buffers, kept at their largest, that each pull
+// rewrites at the rows it selects, so that once they have grown to the
+// page nothing is allocated or cleared. A nil *store stands for fresh,
+// zeroed storage that the result's receiver keeps.
+type store struct {
+	buf column.Vector // the storage: one slice per kind, and a null mask
+	vec column.Vector // the result handed out, cut from buf
+}
+
+// sized returns s cut to n entries, or new storage when s cannot hold
+// them; what s held is left in place.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// vector returns an n-row result of kind k, with no null mask.
+func (s *store) vector(k types.Kind, n int) *column.Vector {
+	var out, buf *column.Vector
+	if s != nil {
+		s.vec = column.Vector{Kind: k}
+		out, buf = &s.vec, &s.buf
+	} else {
+		out = &column.Vector{Kind: k}
+		buf = out
+	}
+	switch k {
 	case types.Int64, types.Date:
-		out.Ints = make([]int64, n)
-		for i := range out.Ints {
-			out.Ints[i] = v.I
-		}
+		buf.Ints = sized(buf.Ints, n)
+		out.Ints = buf.Ints
 	case types.Float64:
-		out.Floats = make([]float64, n)
-		for i := range out.Floats {
-			out.Floats[i] = v.F
-		}
+		buf.Floats = sized(buf.Floats, n)
+		out.Floats = buf.Floats
 	case types.String:
-		out.Strings = make([]string, n)
-		for i := range out.Strings {
-			out.Strings[i] = v.S
-		}
+		buf.Strings = sized(buf.Strings, n)
+		out.Strings = buf.Strings
 	case types.Bool:
-		out.Bools = make([]bool, n)
-		for i := range out.Bools {
-			out.Bools[i] = v.B
-		}
+		buf.Bools = sized(buf.Bools, n)
+		out.Bools = buf.Bools
 	}
 	return out
 }
 
-func allNullVec(k types.Kind, n int) *column.Vector {
-	out := column.NewVector(k)
-	out.Nulls = make([]bool, n)
-	for i := range out.Nulls {
-		out.Nulls[i] = true
+// nullMask returns n entries for a result's null mask.
+func (s *store) nullMask(n int) []bool {
+	if s == nil {
+		return make([]bool, n)
 	}
-	switch k {
+	s.buf.Nulls = sized(s.buf.Nulls, n)
+	return s.buf.Nulls
+}
+
+// broadcastAt writes the scalar v at the rows sel names (nil: every row)
+// of an n-row result in s. A NULL scalar writes NULL with a zero payload.
+func broadcastAt(s *store, v types.Value, n int, sel []int) *column.Vector {
+	out := s.vector(v.Kind, n)
+	if v.Null {
+		out.Nulls = s.nullMask(n)
+		nulls := out.Nulls
+		forRows(sel, n, func(i int) { nulls[i] = true })
+		v = types.Value{Kind: v.Kind}
+	}
+	switch v.Kind {
 	case types.Int64, types.Date:
-		out.Ints = make([]int64, n)
+		xs, x := out.Ints, v.I
+		forRows(sel, n, func(i int) { xs[i] = x })
 	case types.Float64:
-		out.Floats = make([]float64, n)
+		fs, f := out.Floats, v.F
+		forRows(sel, n, func(i int) { fs[i] = f })
 	case types.String:
-		out.Strings = make([]string, n)
+		ss, str := out.Strings, v.S
+		forRows(sel, n, func(i int) { ss[i] = str })
 	case types.Bool:
-		out.Bools = make([]bool, n)
+		bs, b := out.Bools, v.B
+		forRows(sel, n, func(i int) { bs[i] = b })
 	}
 	return out
 }
@@ -454,17 +522,22 @@ func orNulls(a, b []bool, n int) []bool {
 		return nil
 	}
 	out := make([]bool, n)
-	if a != nil {
-		copy(out, a)
-	}
-	if b != nil {
-		for i, isNull := range b {
-			if isNull {
-				out[i] = true
-			}
-		}
-	}
+	orNullsAt(out, a, b, nil)
 	return out
+}
+
+// orNullsAt writes a OR b (a nil mask has no NULL) into dst at the rows
+// sel names (nil: every row of dst).
+func orNullsAt(dst, a, b []bool, sel []int) {
+	n := len(dst)
+	switch {
+	case a == nil:
+		forRows(sel, n, func(i int) { dst[i] = b[i] })
+	case b == nil:
+		forRows(sel, n, func(i int) { dst[i] = a[i] })
+	default:
+		forRows(sel, n, func(i int) { dst[i] = a[i] || b[i] })
+	}
 }
 
 func isIntKind(k types.Kind) bool { return k == types.Int64 || k == types.Date }
@@ -487,190 +560,210 @@ type number interface{ ~int64 | ~float64 }
 var errDivZero = fmt.Errorf("expr: division by zero")
 var errModZero = fmt.Errorf("expr: modulo by zero")
 
-// arithVS computes xs op s. Division by zero is an error unless the row
-// is NULL (SQL checks nulls before the divisor).
-func arithVS[T number](op ArithOp, xs []T, s T, out []T, nulls []bool) error {
+// The arithmetic loops write x op y into out, converted to out's type, at
+// the rows sel names (nil: every row of out); a vector operand is read at
+// the same rows. A division by zero is an error unless the row is NULL
+// (SQL checks nulls before the divisor), and a NULL row's quotient is 0.
+
+// arithVS computes xs op s.
+func arithVS[X, T number](op ArithOp, xs []X, s T, out []T, nulls []bool, sel []int) error {
+	n := len(out)
 	switch op {
 	case Add:
-		for i, x := range xs {
-			out[i] = x + s
-		}
+		forRows(sel, n, func(i int) { out[i] = T(xs[i]) + s })
 	case Sub:
-		for i, x := range xs {
-			out[i] = x - s
-		}
+		forRows(sel, n, func(i int) { out[i] = T(xs[i]) - s })
 	case Mul:
-		for i, x := range xs {
-			out[i] = x * s
-		}
+		forRows(sel, n, func(i int) { out[i] = T(xs[i]) * s })
 	case Div:
 		if s == 0 {
-			return firstNonNullErr(len(xs), nulls, errDivZero)
+			return nonNullRowErr(nulls, sel, n, errDivZero)
 		}
-		for i, x := range xs {
-			out[i] = x / s
-		}
+		forRows(sel, n, func(i int) { out[i] = T(xs[i]) / s })
 	}
 	return nil
 }
 
-// arithSV computes s op xs (for the non-commutative shapes).
-func arithSV[T number](op ArithOp, s T, xs []T, out []T, nulls []bool) error {
+// arithSV computes s op ys (for the non-commutative shapes).
+func arithSV[Y, T number](op ArithOp, s T, ys []Y, out []T, nulls []bool, sel []int) error {
+	n := len(out)
 	switch op {
 	case Add:
-		for i, x := range xs {
-			out[i] = s + x
-		}
+		forRows(sel, n, func(i int) { out[i] = s + T(ys[i]) })
 	case Sub:
-		for i, x := range xs {
-			out[i] = s - x
-		}
+		forRows(sel, n, func(i int) { out[i] = s - T(ys[i]) })
 	case Mul:
-		for i, x := range xs {
-			out[i] = s * x
-		}
+		forRows(sel, n, func(i int) { out[i] = s * T(ys[i]) })
 	case Div:
-		for i, x := range xs {
-			if nulls != nil && nulls[i] {
-				continue
+		zero := false
+		forRows(sel, n, func(i int) {
+			switch {
+			case nulls != nil && nulls[i]:
+				out[i] = 0
+			case ys[i] == 0:
+				zero = true
+			default:
+				out[i] = s / T(ys[i])
 			}
-			if x == 0 {
-				return errDivZero
-			}
-			out[i] = s / x
+		})
+		if zero {
+			return errDivZero
 		}
 	}
 	return nil
 }
 
-func arithVV[T number](op ArithOp, xs, ys, out []T, nulls []bool) error {
+// arithVV computes xs op ys.
+func arithVV[X, Y, T number](op ArithOp, xs []X, ys []Y, out []T, nulls []bool, sel []int) error {
+	n := len(out)
 	switch op {
 	case Add:
-		for i, x := range xs {
-			out[i] = x + ys[i]
-		}
+		forRows(sel, n, func(i int) { out[i] = T(xs[i]) + T(ys[i]) })
 	case Sub:
-		for i, x := range xs {
-			out[i] = x - ys[i]
-		}
+		forRows(sel, n, func(i int) { out[i] = T(xs[i]) - T(ys[i]) })
 	case Mul:
-		for i, x := range xs {
-			out[i] = x * ys[i]
-		}
+		forRows(sel, n, func(i int) { out[i] = T(xs[i]) * T(ys[i]) })
 	case Div:
-		for i, x := range xs {
-			if nulls != nil && nulls[i] {
-				continue
+		zero := false
+		forRows(sel, n, func(i int) {
+			switch {
+			case nulls != nil && nulls[i]:
+				out[i] = 0
+			case ys[i] == 0:
+				zero = true
+			default:
+				out[i] = T(xs[i]) / T(ys[i])
 			}
-			if ys[i] == 0 {
-				return errDivZero
-			}
-			out[i] = x / ys[i]
+		})
+		if zero {
+			return errDivZero
 		}
 	}
 	return nil
 }
 
-// firstNonNullErr returns err if any of the n rows is non-NULL (a NULL
-// row never evaluates its divisor).
-func firstNonNullErr(n int, nulls []bool, err error) error {
+// nonNullRowErr returns err if any row sel names (nil: 0..n-1) is
+// non-NULL: a NULL row never evaluates its divisor.
+func nonNullRowErr(nulls []bool, sel []int, n int, err error) error {
+	live := false
 	if nulls == nil {
-		if n > 0 {
-			return err
-		}
-		return nil
+		live = rowsIn(sel, n) > 0
+	} else {
+		forRows(sel, n, func(i int) { live = live || !nulls[i] })
 	}
-	for i := 0; i < n; i++ {
-		if !nulls[i] {
-			return err
-		}
+	if live {
+		return err
 	}
 	return nil
 }
 
 // Mod is integer-only, so it gets dedicated loops.
-func modVS(xs []int64, s int64, out []int64, nulls []bool) error {
+func modVS(xs []int64, s int64, out []int64, nulls []bool, sel []int) error {
+	n := len(out)
 	if s == 0 {
-		return firstNonNullErr(len(xs), nulls, errModZero)
+		return nonNullRowErr(nulls, sel, n, errModZero)
 	}
-	for i, x := range xs {
-		out[i] = x % s
+	forRows(sel, n, func(i int) { out[i] = xs[i] % s })
+	return nil
+}
+
+// modVV computes xs % ys, or s % ys when xs is nil.
+func modVV(xs []int64, s int64, ys, out []int64, nulls []bool, sel []int) error {
+	zero := false
+	forRows(sel, len(out), func(i int) {
+		switch {
+		case nulls != nil && nulls[i]:
+			out[i] = 0
+		case ys[i] == 0:
+			zero = true
+		case xs == nil:
+			out[i] = s % ys[i]
+		default:
+			out[i] = xs[i] % ys[i]
+		}
+	})
+	if zero {
+		return errModZero
 	}
 	return nil
 }
 
-func modSV(s int64, xs []int64, out []int64, nulls []bool) error {
-	for i, x := range xs {
-		if nulls != nil && nulls[i] {
-			continue
-		}
-		if x == 0 {
-			return errModZero
-		}
-		out[i] = s % x
-	}
-	return nil
-}
-
-func modVV(xs, ys, out []int64, nulls []bool) error {
-	for i, x := range xs {
-		if nulls != nil && nulls[i] {
-			continue
-		}
-		if ys[i] == 0 {
-			return errModZero
-		}
-		out[i] = x % ys[i]
-	}
-	return nil
-}
-
-func kernelArith(t *Arith, l, r operand, n int) (*column.Vector, error) {
+// kernelArith evaluates t over its operands, vectors of n rows or
+// scalars, at the rows sel names (nil: every row), into s (see store).
+func kernelArith(t *Arith, l, r operand, n int, sel []int, s *store) (*column.Vector, error) {
 	if l.scalarNull() || r.scalarNull() {
-		return allNullVec(t.kind, n), nil
+		return broadcastAt(s, types.NullValue(t.kind), n, sel), nil
 	}
 	if l.isScalar() && r.isScalar() {
+		if rowsIn(sel, n) == 0 {
+			return s.vector(t.kind, n), nil
+		}
 		v, err := evalArith(t, l.val, r.val)
 		if err != nil {
 			return nil, err
 		}
-		return broadcast(v, n), nil
+		return broadcastAt(s, v, n, sel), nil
 	}
-	out := column.NewVector(t.kind)
-	nulls := orNulls(l.nulls(), r.nulls(), n)
+	out := s.vector(t.kind, n)
+	if ln, rn := l.nulls(), r.nulls(); ln != nil || rn != nil {
+		out.Nulls = s.nullMask(n)
+		orNullsAt(out.Nulls, ln, rn, sel)
+	}
 	var err error
 	if t.kind == types.Float64 {
-		out.Floats = make([]float64, n)
-		switch {
-		case l.isScalar():
-			err = arithSV(t.Op, l.val.AsFloat(), floatsOf(r.vec), out.Floats, nulls)
-		case r.isScalar():
-			err = arithVS(t.Op, floatsOf(l.vec), r.val.AsFloat(), out.Floats, nulls)
-		default:
-			err = arithVV(t.Op, floatsOf(l.vec), floatsOf(r.vec), out.Floats, nulls)
-		}
+		err = floatArith(t.Op, l, r, out.Floats, out.Nulls, sel)
 	} else {
-		out.Ints = make([]int64, n)
-		switch {
-		case t.Op == Mod && l.isScalar():
-			err = modSV(l.val.I, r.vec.Ints, out.Ints, nulls)
-		case t.Op == Mod && r.isScalar():
-			err = modVS(l.vec.Ints, r.val.I, out.Ints, nulls)
-		case t.Op == Mod:
-			err = modVV(l.vec.Ints, r.vec.Ints, out.Ints, nulls)
-		case l.isScalar():
-			err = arithSV(t.Op, l.val.I, r.vec.Ints, out.Ints, nulls)
-		case r.isScalar():
-			err = arithVS(t.Op, l.vec.Ints, r.val.I, out.Ints, nulls)
-		default:
-			err = arithVV(t.Op, l.vec.Ints, r.vec.Ints, out.Ints, nulls)
-		}
+		err = intArith(t.Op, l, r, out.Ints, out.Nulls, sel)
 	}
 	if err != nil {
 		return nil, err
 	}
-	out.Nulls = nulls
 	return out, nil
+}
+
+// floatArith is kernelArith's DOUBLE result: an integer operand is read
+// as a float row by row, never converted whole.
+func floatArith(op ArithOp, l, r operand, out []float64, nulls []bool, sel []int) error {
+	switch {
+	case l.isScalar():
+		if r.vec.Kind == types.Float64 {
+			return arithSV(op, l.val.AsFloat(), r.vec.Floats, out, nulls, sel)
+		}
+		return arithSV(op, l.val.AsFloat(), r.vec.Ints, out, nulls, sel)
+	case r.isScalar():
+		if l.vec.Kind == types.Float64 {
+			return arithVS(op, l.vec.Floats, r.val.AsFloat(), out, nulls, sel)
+		}
+		return arithVS(op, l.vec.Ints, r.val.AsFloat(), out, nulls, sel)
+	}
+	switch lf, rf := l.vec.Kind == types.Float64, r.vec.Kind == types.Float64; {
+	case lf && rf:
+		return arithVV(op, l.vec.Floats, r.vec.Floats, out, nulls, sel)
+	case lf:
+		return arithVV(op, l.vec.Floats, r.vec.Ints, out, nulls, sel)
+	case rf:
+		return arithVV(op, l.vec.Ints, r.vec.Floats, out, nulls, sel)
+	default:
+		return arithVV(op, l.vec.Ints, r.vec.Ints, out, nulls, sel)
+	}
+}
+
+// intArith is kernelArith's BIGINT result.
+func intArith(op ArithOp, l, r operand, out []int64, nulls []bool, sel []int) error {
+	switch {
+	case op == Mod && l.isScalar():
+		return modVV(nil, l.val.I, r.vec.Ints, out, nulls, sel)
+	case op == Mod && r.isScalar():
+		return modVS(l.vec.Ints, r.val.I, out, nulls, sel)
+	case op == Mod:
+		return modVV(l.vec.Ints, 0, r.vec.Ints, out, nulls, sel)
+	case l.isScalar():
+		return arithSV(op, l.val.I, r.vec.Ints, out, nulls, sel)
+	case r.isScalar():
+		return arithVS(op, l.vec.Ints, r.val.I, out, nulls, sel)
+	default:
+		return arithVV(op, l.vec.Ints, r.vec.Ints, out, nulls, sel)
+	}
 }
 
 // kernelLogic implements SQL three-valued AND/OR over bool vectors.

@@ -3,7 +3,6 @@ package expr
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 
 	"prestocs/internal/column"
@@ -11,155 +10,196 @@ import (
 )
 
 // Projection is a list of expressions prepared for evaluation together,
-// page after page, over the rows of a selection. It does two things
-// evaluating each expression on its own cannot:
+// page after page, at the rows of a selection. Its results are indexed by
+// the input page's rows, like the page's own columns:
 //
-//   - each input column the list reads is gathered through the selection
-//     once per page, into a dense page every expression is then evaluated
-//     over, instead of once per reference;
-//   - a subtree that occurs more than once in the list — a whole entry or
-//     part of one, such as TPC-H Q1's extendedprice * (1 - discount) — is
-//     evaluated at its first occurrence, kept as one more column of the
-//     dense page, and read from there by the others.
+//   - an entry that is a column reference is the input's vector itself;
+//   - every computed node — a whole entry or part of one — is a step,
+//     evaluated once per page at the rows the selection names, and a
+//     subtree that occurs more than once in the list, such as TPC-H Q1's
+//     extendedprice * (1 - discount), is one step read by all of them;
+//   - under a selection, each step writes into page-length buffers the
+//     Projection keeps and rewrites on the next call, so that once they
+//     have grown to the page nothing is allocated for it. The rows the
+//     selection skips hold whatever the buffers held.
 //
-// Only identical subtrees are merged and nothing is moved out from under
-// a conditional (in a value context both sides of AND and OR are
-// evaluated anyway), so the rows that can raise an error — a division by
-// zero — are, as before, exactly the selected ones.
+// Arithmetic, casts that cannot fail and literals loop under the
+// selection (kernels.go); any other node is evaluated densely over the
+// selection and scattered to its rows. Only identical subtrees are merged
+// and nothing is moved out from under a conditional (in a value context
+// both sides of AND and OR are evaluated anyway), so the rows that can
+// raise an error — a division by zero — are exactly the selected ones.
+// A Projection serves one caller at a time.
 type Projection struct {
-	exprs []Expr // as given; evaluated directly when no column is read
-	refs  []int  // input ordinals read, ascending: the dense page's first columns
-	// steps run in order over the dense page.
-	steps  []projStep
-	schema *types.Schema // of the dense page once every step has run
+	width int        // input columns read: one past the largest ordinal
+	steps []projStep // each after the steps it reads
+	outs  []int      // per entry: an input ordinal, or width + a step's index
+	// cols is, during a call, the input's first width columns, then each
+	// step's result; ext is cols as a page, for the steps evaluated
+	// densely.
+	cols []*column.Vector
+	ext  column.Page
 }
 
-// projStep is one evaluation over the dense page: of output out, or, when
-// out is negative, of a shared subtree whose result is appended to the
-// dense page as its next column.
+// projStep is one computed node whose children are literals or column
+// references into Projection.cols, and the storage of its result.
 type projStep struct {
 	e   Expr
-	out int
+	res store
 }
 
 // NewProjection prepares exprs, which are resolved against schema in.
 func NewProjection(exprs []Expr, in *types.Schema) (*Projection, error) {
-	p := &Projection{exprs: exprs}
-	seen := map[int]bool{}
+	p := &Projection{}
 	for _, e := range exprs {
 		for _, c := range ReferencedColumns(e) {
 			if c < 0 || c >= in.Len() {
 				return nil, fmt.Errorf("expr: column ordinal %d out of range (%d cols)", c, in.Len())
 			}
-			if !seen[c] {
-				seen[c] = true
-				p.refs = append(p.refs, c)
-			}
+			p.width = max(p.width, c+1)
 		}
 	}
-	if len(p.refs) == 0 {
-		// Nothing to gather, and a page without columns has no row count
-		// to broadcast a literal to: Eval goes over the input page.
-		return p, nil
-	}
-	slices.Sort(p.refs)
-	dense := make(map[int]int, len(p.refs))
-	cols := make([]types.Column, len(p.refs))
-	for i, c := range p.refs {
-		dense[c] = i
-		cols[i] = in.Columns[c]
-	}
-
-	// Count each subtree once per place it would be evaluated: below a
-	// repeat nothing is counted again, so what lies inside a shared
-	// subtree is shared with it, not a second time by itself.
-	remapped := make([]Expr, len(exprs))
-	count := map[string]int{}
-	var tally func(e Expr)
-	tally = func(e Expr) {
-		if k := shareKey(e); k != "" {
-			if count[k]++; count[k] > 1 {
-				return
-			}
-		}
-		for _, c := range children(e) {
-			tally(c)
-		}
-	}
-	for i, e := range exprs {
-		r, err := Remap(e, dense)
-		if err != nil {
-			return nil, err
-		}
-		remapped[i] = r
-		tally(r)
-	}
-
-	// Rewrite in list order, children first, so a shared subtree is
-	// evaluated where its first occurrence was.
+	// Lower each entry children first, in list order, so a subtree is
+	// evaluated where it first occurs; a repeat reads that step.
 	shared := map[string]*ColumnRef{}
-	var rewrite func(e Expr) Expr
-	rewrite = func(e Expr) Expr {
+	step := func(e Expr) *ColumnRef {
+		ref := Col(p.width+len(p.steps), fmt.Sprintf("$step%d", len(p.steps)), e.Type())
+		p.steps = append(p.steps, projStep{e: e})
+		return ref
+	}
+	var lower func(e Expr) Expr
+	lower = func(e Expr) Expr {
+		switch e.(type) {
+		case *ColumnRef, *Literal:
+			return e
+		}
 		k := shareKey(e)
 		if ref := shared[k]; ref != nil {
 			return ref
 		}
-		e = mapChildren(e, rewrite)
-		if k == "" || count[k] < 2 {
-			return e
+		ref := step(mapChildren(e, lower))
+		if k != "" {
+			shared[k] = ref
 		}
-		ref := Col(len(cols), fmt.Sprintf("$shared%d", len(cols)-len(p.refs)), e.Type())
-		cols = append(cols, types.Column{Name: ref.Name, Type: ref.Kind})
-		p.steps = append(p.steps, projStep{e: e, out: -1})
-		shared[k] = ref
 		return ref
 	}
-	for i, r := range remapped {
-		p.steps = append(p.steps, projStep{e: rewrite(r), out: i})
+	for _, e := range exprs {
+		ref, ok := lower(e).(*ColumnRef)
+		if !ok { // a literal entry: broadcast to the selected rows
+			ref = step(e)
+		}
+		p.outs = append(p.outs, ref.Index)
 	}
-	p.schema = types.NewSchema(cols...)
+	p.cols = make([]*column.Vector, p.width+len(p.steps))
+	p.ext.Vectors = p.cols
 	return p, nil
 }
 
-// Eval evaluates the list over the rows of page named by sel (nil: every
-// row) and returns one dense vector per expression, aligned with the
-// selection. Vectors may share buffers with the page and
-// with each other.
-func (p *Projection) Eval(page *column.Page, sel []int) ([]*column.Vector, error) {
-	out := make([]*column.Vector, len(p.exprs))
-	if len(p.refs) == 0 {
-		for i, e := range p.exprs {
-			v, err := evalVec(e, page, sel)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
+// EvalRows evaluates the list at the rows of page that sel names (nil:
+// every row) and returns one vector per expression, indexed by page's
+// rows. Under a nil selection the vectors are new, or page's own, and the
+// caller's to keep. Under a selection they are lent: a computed one is
+// the Projection's storage, valid until the next call, and only its
+// selected rows hold values.
+func (p *Projection) EvalRows(page *column.Page, sel []int) ([]*column.Vector, error) {
+	if page.NumCols() < p.width {
+		return nil, fmt.Errorf("expr: column ordinal %d out of range (%d cols)", p.width-1, page.NumCols())
 	}
-	dense := &column.Page{Schema: p.schema, Vectors: make([]*column.Vector, len(p.refs), p.schema.Len())}
-	for i, c := range p.refs {
-		if c >= page.NumCols() {
-			return nil, fmt.Errorf("expr: column ordinal %d out of range (%d cols)", c, page.NumCols())
-		}
-		v := page.Vectors[c]
-		if sel != nil {
-			v = v.Gather(sel)
-		}
-		dense.Vectors[i] = v
-	}
-	for _, st := range p.steps {
-		v, err := evalVec(st.e, dense, nil)
+	n := page.NumRows()
+	copy(p.cols, page.Vectors[:p.width])
+	for i := range p.steps {
+		v, err := p.eval(&p.steps[i], n, sel)
 		if err != nil {
 			return nil, err
 		}
-		if st.out < 0 {
-			dense.Vectors = append(dense.Vectors, v)
-		} else {
-			out[st.out] = v
-		}
+		p.cols[p.width+i] = v
+	}
+	out := make([]*column.Vector, len(p.outs))
+	for i, c := range p.outs {
+		out[i] = p.cols[c]
 	}
 	return out, nil
+}
+
+// Eval is EvalRows for a caller that keeps the vectors: under a selection
+// each is gathered through it, so they are dense, aligned with the
+// selection, and share no storage the Projection rewrites.
+func (p *Projection) Eval(page *column.Page, sel []int) ([]*column.Vector, error) {
+	vecs, err := p.EvalRows(page, sel)
+	if err != nil || sel == nil {
+		return vecs, err
+	}
+	for i, v := range vecs {
+		vecs[i] = v.Gather(sel)
+	}
+	return vecs, nil
+}
+
+// eval runs one step over n rows.
+func (p *Projection) eval(st *projStep, n int, sel []int) (*column.Vector, error) {
+	s := &st.res
+	if sel == nil {
+		s = nil
+	}
+	switch t := st.e.(type) {
+	case *Literal:
+		return broadcastAt(s, t.Value, n, sel), nil
+	case *Arith:
+		return kernelArith(t, p.operand(t.L), p.operand(t.R), n, sel, s)
+	case *Cast:
+		if c, ok := t.E.(*ColumnRef); ok && castCannotFail(c.Kind, t.To) {
+			return castAt(s, p.cols[c.Index], t.To, sel), nil
+		}
+	}
+	rows := sel
+	if rows == nil && p.width == 0 {
+		// ext has no input column to take the page's length from.
+		rows = identitySel(n)
+	}
+	v, err := evalVec(st.e, &p.ext, rows)
+	if err != nil || sel == nil {
+		return v, err
+	}
+	return scatter(s, v, n, sel), nil
+}
+
+// operand is a step's child as a kernel reads it.
+func (p *Projection) operand(e Expr) operand {
+	if lit, ok := e.(*Literal); ok {
+		return operand{val: lit.Value}
+	}
+	return operand{vec: p.cols[e.(*ColumnRef).Index]}
+}
+
+// scatter writes v, dense and aligned with sel, to the rows sel names of
+// an n-row result in s.
+func scatter(s *store, v *column.Vector, n int, sel []int) *column.Vector {
+	out := s.vector(v.Kind, n)
+	if v.Nulls != nil {
+		out.Nulls = s.nullMask(n)
+		for k, i := range sel {
+			out.Nulls[i] = v.Nulls[k]
+		}
+	}
+	switch v.Kind {
+	case types.Int64, types.Date:
+		for k, i := range sel {
+			out.Ints[i] = v.Ints[k]
+		}
+	case types.Float64:
+		for k, i := range sel {
+			out.Floats[i] = v.Floats[k]
+		}
+	case types.String:
+		for k, str := range v.StringSlice() {
+			out.Strings[sel[k]] = str
+		}
+	case types.Bool:
+		for k, i := range sel {
+			out.Bools[i] = v.Bools[k]
+		}
+	}
+	return out
 }
 
 // shareKey spells an expression so that two subtrees have the same key

@@ -119,10 +119,11 @@ func compileRel(store *objstore.Store, rel substrait.Rel, env *execEnv) (exec.Op
 		if read, ok := t.Input.(*substrait.ReadRel); ok {
 			// Fuse filter into the scan so pruning can use the predicate.
 			// The filter evaluates through the vectorized selection path
-			// over the scanner's row-group pages; when a Project or a
-			// second Filter sits above it, the selection is handed over
-			// unmaterialized (exec.SelSource) and dense pages are only
-			// built at the stream/aggregate boundary.
+			// over the scanner's row-group pages and hands the selection
+			// on unmaterialized (exec.SelSource): a Project above it
+			// passes it on with its columns indexed by the page's rows, and
+			// the aggregate reads through it, so a dense page is built
+			// only where the stream pulls Next.
 			src, err := compileRead(store, read, t.Condition, env)
 			if err != nil {
 				return nil, err
