@@ -133,8 +133,9 @@ determinism:
 # lengths answers as that oracle does on every selected row, fails
 # exactly when a selected row fails, and keeps what it returned under no
 # selection intact; and the key table's direct mode assigns and finds the ids its
-# hash mode does, on any stream of integer-led keys, within its
-# allocation bound.
+# hash mode does, on any stream of integer-led keys, and so does its
+# dictionary code cache on any stream of dictionary-led string keys,
+# within its allocation bound.
 # `go test -fuzz` takes one target and one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnappyDecode$$' -fuzztime 10s ./internal/compress/

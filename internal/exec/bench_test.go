@@ -236,7 +236,10 @@ func BenchmarkHashAggregateHighCardinality(b *testing.B) {
 // eight entries; groups=64 is the first size where a map has to hash. The
 // dict/ cases hold the same pages with both key columns in dictionary
 // form, each page numbering its strings in its own order, as pages
-// decoded from Dict chunks arrive at a storage node's aggregate.
+// decoded from Dict chunks arrive at a storage node's aggregate; the
+// dict-nulls/ cases make every seventh flag and every eleventh status
+// NULL. groups=256 is 16 × 16 strings, whose Dicts combine in more ways
+// than the key table's code cache takes.
 func BenchmarkHashAggregateStringKeys(b *testing.B) {
 	schema := types.NewSchema(
 		types.Column{Name: "returnflag", Type: types.String},
@@ -247,27 +250,37 @@ func BenchmarkHashAggregateStringKeys(b *testing.B) {
 		{Func: substrait.AggSum, Arg: 2, Name: "sum_qty"},
 		{Func: substrait.AggCountStar, Arg: -1, Name: "count_order"},
 	}
-	for _, groups := range []int{4, 64} {
-		flags := []string{"A", "N", "R", "B", "C", "D", "E", "G"}
-		pages := make([]*column.Page, 16)
-		for p := range pages {
-			page := column.NewPage(schema)
-			for r := 0; r < 4096; r++ {
-				g := (r*31 + p) % groups
-				page.AppendRow(types.StringValue(flags[g%8]), types.StringValue(flags[g/8]), types.FloatValue(float64(r%50)))
-			}
-			pages[p] = page
+	flags := []string{"A", "N", "R", "B", "C", "D", "E", "G", "H", "I", "J", "K", "L", "M", "O", "P"}
+	for _, groups := range []int{4, 64, 256} {
+		width := 8
+		if groups > 64 {
+			width = 16
 		}
-		for _, dict := range []bool{false, true} {
-			name, in := fmt.Sprintf("groups=%d", groups), pages
-			if dict {
-				name, in = "dict/"+name, dictPages(pages)
+		for _, form := range []string{"", "dict/", "dict-nulls/"} {
+			pages := make([]*column.Page, 16)
+			for p := range pages {
+				page := column.NewPage(schema)
+				for r := 0; r < 4096; r++ {
+					g := (r*31 + p) % groups
+					flag, status := types.StringValue(flags[g%width]), types.StringValue(flags[g/width])
+					if form == "dict-nulls/" && r%7 == 3 {
+						flag = types.NullValue(types.String)
+					}
+					if form == "dict-nulls/" && r%11 == 5 {
+						status = types.NullValue(types.String)
+					}
+					page.AppendRow(flag, status, types.FloatValue(float64(r%50)))
+				}
+				pages[p] = page
 			}
-			b.Run(name, func(b *testing.B) {
+			if form != "" {
+				pages = dictPages(pages)
+			}
+			b.Run(fmt.Sprintf("%sgroups=%d", form, groups), func(b *testing.B) {
 				b.SetBytes(16 * 4096)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					agg, _ := NewHashAggregate(NewPageSource(schema, in), []int{0, 1}, measures, AggSingle, nil)
+					agg, _ := NewHashAggregate(NewPageSource(schema, pages), []int{0, 1}, measures, AggSingle, nil)
 					if _, err := Drain(agg); err != nil {
 						b.Fatal(err)
 					}

@@ -27,10 +27,19 @@ import (
 // sort order's float comparison).
 //
 // A string column in dictionary form is keyed through its Dict: each
-// entry is interned once and the code→id remap is cached in the caller's
-// keyScratch while pages keep arriving with the same Dict, so a row's
-// word is one array read. Codes themselves are never compared, since two
-// Dicts number the same string differently.
+// entry is interned once and the code→word remap is cached in the
+// caller's keyScratch while pages keep arriving with the same Dict, so a
+// row's word is one array read. When every key column of a page is in
+// dictionary form and their codes combine in at most keyChunk ways (Q1's
+// returnflag and linestatus: 4 × 3, NULL counted), assign goes further
+// and skips the words: a row's codes, one mixed-radix digit per column
+// with NULL as the digit len(Dict), name a slot of a code→id array, also
+// in the keyScratch and cleared only when one of the Dicts changes, so a
+// row costs a digit per column and one array read, and nothing is
+// hashed. A slot's first row goes through the table as any row does, so
+// ids and the rows that added keys are what they would be without it.
+// Codes are never compared across Dicts, since two Dicts number the same
+// string differently.
 //
 // The table finds a key's id in one of two modes. A table whose first
 // key column is Int64 or Date starts direct: dir[k−lo] holds id+1 for
@@ -190,13 +199,19 @@ func (in *stringInterner) word(s string, intern bool) uint64 {
 }
 
 // keyScratch holds one chunk of a page's keys in the table's layout, plus
-// their hashes when the table is hashed and the remaps of the Dicts it
-// has met. It belongs to the caller so that concurrent finds share
-// nothing writable; reusing it makes key loading allocation-free.
+// their hashes when the table is hashed, the remaps of the Dicts it has
+// met and assign's code cache. It belongs to the caller so that
+// concurrent finds share nothing writable, and serves one table, whose
+// ids and words it caches; reusing it makes key loading allocation-free.
 type keyScratch struct {
 	words  []uint64
 	hashes []uint64
 	remaps []dictRemap // per key column
+	// codeIDs holds, at a page's combined code, id+1 of the key that
+	// code names, 0 until a row has named it, for as long as the key
+	// columns keep the Dicts in codeDicts (assignCodes).
+	codeIDs   []int32
+	codeDicts [][]string
 	// fresh lists, after assign, the rows that introduced a new key, in
 	// id order.
 	fresh []int
@@ -296,6 +311,9 @@ const keyChunk = 256
 // the page rows that added a key.
 func (t *keyTable) assign(sc *keyScratch, page *column.Page, cols []int, sel []int, ids []int32) {
 	sc.fresh = sc.fresh[:0]
+	if t.assignCodes(sc, page, cols, sel, ids) {
+		return
+	}
 	if !t.hashed && !t.cover(page.Vectors[cols[0]], sel, len(ids)) {
 		t.toHash()
 	}
@@ -318,6 +336,87 @@ func (t *keyTable) assign(sc *keyScratch, page *column.Page, cols []int, sel []i
 				sc.fresh = append(sc.fresh, selRow(sel, from+i))
 			}
 			chunk[i] = id
+		}
+	}
+}
+
+// assignCodes is assign for a page whose key columns are all in
+// dictionary form and whose codes combine in at most keyChunk ways; it
+// reports false, having done nothing, for any other page. A row's
+// combined code is mixed-radix, a digit per key column — its code, or
+// len(Dict) under NULL — and sc.codeIDs maps it to the key's id. A row
+// whose combined code has no id yet goes alone, in row order, through
+// load, lookup and insert, and its id is recorded, so the table stays
+// the one authority on ids. The table is hashed: its first key column
+// is a String.
+func (t *keyTable) assignCodes(sc *keyScratch, page *column.Page, cols []int, sel []int, ids []int32) bool {
+	combos := 1
+	for _, col := range cols {
+		dict := page.Vectors[col].Dict
+		if dict == nil {
+			return false
+		}
+		if combos *= len(dict) + 1; combos > keyChunk {
+			return false
+		}
+	}
+	reset := len(sc.codeDicts) != len(cols)
+	if reset {
+		sc.codeDicts = make([][]string, len(cols))
+	}
+	for c, col := range cols {
+		if dict := page.Vectors[col].Dict; !column.SameDict(sc.codeDicts[c], dict) {
+			sc.codeDicts[c], reset = dict, true
+		}
+	}
+	if reset {
+		sc.codeIDs = resize(sc.codeIDs, combos)
+		clear(sc.codeIDs)
+	}
+
+	clear(ids)
+	radix := int32(1)
+	for _, col := range cols {
+		vec := page.Vectors[col]
+		addDigits(ids, vec, sel, radix)
+		radix *= int32(len(vec.Dict) + 1)
+	}
+	for i, code := range ids {
+		if e := sc.codeIDs[code]; e != 0 {
+			ids[i] = e - 1
+			continue
+		}
+		t.load(sc, page, cols, sel, i, i+1, true)
+		id := t.lookup(sc, 0)
+		if id < 0 {
+			id = t.insert(sc, 0)
+			sc.fresh = append(sc.fresh, selRow(sel, i))
+		}
+		sc.codeIDs[code] = id + 1
+		ids[i] = id
+	}
+	return true
+}
+
+// addDigits adds radix × the digit of each row of sel (nil: of rows
+// [0, len(codes))) in vec, a vector in dictionary form, to codes: the
+// row's code, or len(Dict) under NULL.
+func addDigits(codes []int32, vec *column.Vector, sel []int, radix int32) {
+	if sel != nil {
+		for i, row := range sel {
+			codes[i] += vec.Codes[row] * radix
+		}
+	} else {
+		for i, code := range vec.Codes[:len(codes)] {
+			codes[i] += code * radix
+		}
+	}
+	if vec.Nulls != nil {
+		null := int32(len(vec.Dict))
+		for i := range codes {
+			if row := selRow(sel, i); vec.Nulls[row] {
+				codes[i] += (null - vec.Codes[row]) * radix
+			}
 		}
 	}
 }

@@ -153,13 +153,119 @@ func TestKeyTableStaysDirect(t *testing.T) {
 	}
 }
 
+// TestKeyTableQ1Codes pins Q1's key shape, returnflag and linestatus in
+// dictionary form over 3 and 2 entries: once a page has named its
+// groups, a page carrying the same two Dicts assigns them through the
+// code cache with no allocation, loading no key and leaving the hash
+// index and the string interner as they were. At the cap, one Dict of
+// 255 entries (256 combined codes, NULL's among them) and two of 15 take
+// the cache; one of 256 and two of 16 take the row path.
+func TestKeyTableQ1Codes(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "returnflag", Type: types.String}, types.Column{Name: "linestatus", Type: types.String})
+	flags, statuses := []string{"A", "N", "R"}, []string{"F", "O"}
+	page := func(flagDict, statusDict []string, n int) *column.Page {
+		f := &column.Vector{Kind: types.String, Dict: flagDict, Codes: make([]int32, n)}
+		s := &column.Vector{Kind: types.String, Dict: statusDict, Codes: make([]int32, n)}
+		for r := range n {
+			f.Codes[r], s.Codes[r] = int32(r*7%len(flagDict)), int32(r*3%len(statusDict))
+		}
+		return &column.Page{Schema: schema, Vectors: []*column.Vector{f, s}}
+	}
+	cols := []int{0, 1}
+	table := newKeyTable([]types.Kind{types.String, types.String})
+	var sc keyScratch
+	first := make([]int32, 4096)
+	table.assign(&sc, page(flags, statuses, 4096), cols, nil, first)
+	if table.len() != 6 || len(sc.fresh) != 6 {
+		t.Fatalf("the first page opened %d groups (%d fresh rows), want 6", table.len(), len(sc.fresh))
+	}
+
+	second := page(flags, statuses, 4096)
+	sel := make([]int, 0, 2048)
+	for r := 0; r < 4096; r += 2 {
+		sel = append(sel, r)
+	}
+	slots, strs, strSlots := slices.Clone(table.index.slots), slices.Clone(table.strs.strs), slices.Clone(table.strs.index.slots)
+	ids := make([]int32, len(sel))
+	sc.words = nil // a row loaded into the scratch would remake it
+	if allocs := testing.AllocsPerRun(20, func() { table.assign(&sc, second, cols, sel, ids) }); allocs != 0 {
+		t.Errorf("a page over the same Dicts allocated %v times per assign, want 0", allocs)
+	}
+	if sc.words != nil {
+		t.Errorf("a page of known keys was loaded into the scratch")
+	}
+	for i, row := range sel {
+		if ids[i] != first[row] {
+			t.Fatalf("row %d: id %d, the first page gave its key %d", row, ids[i], first[row])
+		}
+	}
+	if len(sc.fresh) != 0 || table.len() != 6 {
+		t.Errorf("a page of known keys opened %d groups, the table holds %d", len(sc.fresh), table.len())
+	}
+	if !slices.Equal(table.index.slots, slots) || !slices.Equal(table.strs.strs, strs) || !slices.Equal(table.strs.index.slots, strSlots) {
+		t.Errorf("a page of known keys touched the hash index or the string interner")
+	}
+
+	// The cap: combined codes over keyChunk take the row path, which
+	// leaves a new scratch's code cache unmade.
+	entries := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("entry %d", i)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		dicts  [][]string
+		cached bool
+	}{
+		{[][]string{entries(255)}, true},
+		{[][]string{entries(256)}, false},
+		{[][]string{entries(15), entries(15)}, true},
+		{[][]string{entries(16), entries(16)}, false},
+	} {
+		p := page(c.dicts[0], c.dicts[len(c.dicts)-1], 600)
+		p.Vectors = p.Vectors[:len(c.dicts)]
+		kinds := make([]types.Kind, len(c.dicts))
+		for i := range kinds {
+			kinds[i] = types.String
+			p.Vectors[i].Nulls = make([]bool, 600)
+			p.Vectors[i].Nulls[599-i] = true
+		}
+		table := newKeyTable(kinds)
+		var sc keyScratch
+		ids := make([]int32, 600)
+		table.assign(&sc, p, cols[:len(c.dicts)], nil, ids)
+		if cached := sc.codeIDs != nil; cached != c.cached {
+			t.Errorf("Dicts of %d and %d entries: code cache used %v, want %v", len(c.dicts[0]), len(c.dicts[len(c.dicts)-1]), cached, c.cached)
+		}
+	}
+}
+
 // keyStream is a fuzzed stream of key pages: the key columns are the
-// page's columns, in order, each page with an optional selection.
+// page's columns, in order, each page with an optional selection. plain
+// holds the same pages with every String column in plain form.
 type keyStream struct {
 	kinds []types.Kind
 	pages []*column.Page
+	plain []*column.Page
 	sels  [][]int
 }
+
+// dictEntry is entry i of the dictionaries a key stream's String columns
+// draw from: six strings, under, at and over eight bytes, "" among them,
+// each repeated every sixth entry, so that a Dict of seven entries or
+// more numbers one string twice.
+func dictEntry(i int) string {
+	return []string{"", "s1", "1234567", "12345678", "a string of eight bytes or more, #0", "a string of eight bytes or more, #1"}[i%6]
+}
+
+// A dictionary stream's codes: under 8 in a shared Dict of 8 entries,
+// under 32 in a page's own Dict.
+const (
+	sharedDictLen = 8
+	pageDictCodes = 32
+)
 
 // First-column operations of a key stream, one byte each: the low three
 // bits pick the operation, the rest is its argument a.
@@ -173,11 +279,19 @@ const (
 
 // decodeKeyStream reads a key stream. Byte 0 picks the columns: bit 0
 // the first's kind, Int64 or Date; bits 1–2 how many follow it, up to
-// two; and bits 3–4 and 5–6 their kinds, Date, Int64 or String. Then
-// each page starts with a header byte h — 1 + 4×(h>>1) rows, a selection
-// when h is odd — and each row is one operation byte for the first
-// column and one value byte for each other column (255 is NULL). A page
-// ends early where the input does.
+// two; and bits 3–4 and 5–6 their kinds, Date, Int64, String or plain
+// String. Bit 7 makes it a dictionary stream: the first column is a
+// String, and every String column but a plain String is in dictionary
+// form — with, when bit 0 is set, one Dict of sharedDictLen entries per
+// column shared by the pages, except that column c has a Dict of its own
+// on page p when (p+c)%3 is 2, and otherwise a Dict per page and column,
+// as long as its greatest code needs. A page's own Dict numbers the
+// entries from an offset of its own, so one code names different strings
+// on different pages. Then each page starts with a header byte h —
+// 1 + 4×(h>>1) rows, a selection when h is odd — and each row is one
+// byte per column: an operation byte for an integer first column, and a
+// value byte for every other (255 is NULL, whose code is 0). A page ends
+// early where the input does.
 func decodeKeyStream(in []byte) keyStream {
 	var s keyStream
 	if len(in) == 0 {
@@ -185,62 +299,100 @@ func decodeKeyStream(in []byte) keyStream {
 	}
 	cfg := in[0]
 	in = in[1:]
+	dict := cfg&128 != 0
+	shared := dict && cfg&1 != 0
 	s.kinds = []types.Kind{types.Int64}
-	if cfg&1 != 0 {
+	encoded := []bool{dict}
+	switch {
+	case dict:
+		s.kinds[0] = types.String
+	case cfg&1 != 0:
 		s.kinds[0] = types.Date
 	}
 	for c := 1; c < 1+int(cfg>>1&3)%3; c++ {
-		s.kinds = append(s.kinds, []types.Kind{types.Date, types.Int64, types.String}[int(cfg>>(1+2*c)&3)%3])
+		k := int(cfg >> (1 + 2*c) & 3)
+		s.kinds = append(s.kinds, []types.Kind{types.Date, types.Int64, types.String, types.String}[k])
+		encoded = append(encoded, dict && k == 2)
 	}
 	cols := make([]types.Column, len(s.kinds))
 	for c, k := range s.kinds {
 		cols[c] = types.Column{Name: fmt.Sprintf("k%d", c), Type: k}
 	}
 	schema := types.NewSchema(cols...)
+	sharedDicts := make([][]string, len(s.kinds))
+	for c := range sharedDicts {
+		for j := range sharedDictLen {
+			sharedDicts[c] = append(sharedDicts[c], dictEntry(j))
+		}
+	}
 	var prev int64
 	for len(in) > 0 {
 		h := in[0]
 		in = in[1:]
+		p := len(s.pages)
+		// offsets number the page's own Dicts; 0 is a shared one's.
+		offsets := make([]int, len(s.kinds))
+		for c := range offsets {
+			if !shared || (p+c)%3 == 2 {
+				offsets[c] = 1 + p
+			}
+		}
 		page := column.NewPage(schema)
+		codes := make([][]int32, len(s.kinds))
 		row := make([]types.Value, len(s.kinds))
+		// value is column c's value for value byte v, and its code.
+		value := func(c int, v byte) (types.Value, int32) {
+			switch {
+			case v == 255:
+				return types.NullValue(s.kinds[c]), 0
+			case encoded[c]:
+				code := int(v) % pageDictCodes
+				if shared {
+					code = int(v) % sharedDictLen
+				}
+				return types.StringValue(dictEntry(code + offsets[c])), int32(code)
+			case s.kinds[c] == types.String && v&4 != 0:
+				return types.StringValue(fmt.Sprintf("a string of eight bytes or more, #%d", v%4)), 0
+			case s.kinds[c] == types.String:
+				return types.StringValue(fmt.Sprintf("s%d", v%4)), 0
+			default:
+				return types.Value{Kind: s.kinds[c], I: int64(v % 4)}, 0
+			}
+		}
 	rows:
 		for n := 1 + 4*int(h>>1); n > 0 && len(in) >= len(s.kinds); n-- {
-			op, a := in[0]&7, int64(in[0]>>3)
-			in = in[1:]
-			switch {
-			case op == opNull:
-				row[0] = types.NullValue(s.kinds[0])
-			case op == opRaw:
-				if len(in) < 8+len(s.kinds)-1 {
-					break rows
-				}
-				prev = int64(binary.LittleEndian.Uint64(in))
-				in = in[8:]
-			case op == opDown:
-				prev -= a
-			case op == opExtreme && a%2 == 0:
-				prev = math.MinInt64 + a/2
-			case op == opExtreme:
-				prev = math.MaxInt64 - a/2
-			default:
-				prev += a
-			}
-			if op != opNull {
-				row[0] = types.Value{Kind: s.kinds[0], I: prev}
-			}
-			for c := 1; c < len(s.kinds); c++ {
-				v := in[0]
+			first := 0
+			if !dict {
+				first = 1
+				op, a := in[0]&7, int64(in[0]>>3)
 				in = in[1:]
 				switch {
-				case v == 255:
-					row[c] = types.NullValue(s.kinds[c])
-				case s.kinds[c] == types.String && v&4 != 0:
-					row[c] = types.StringValue(fmt.Sprintf("a string of eight bytes or more, #%d", v%4))
-				case s.kinds[c] == types.String:
-					row[c] = types.StringValue(fmt.Sprintf("s%d", v%4))
+				case op == opNull:
+					row[0] = types.NullValue(s.kinds[0])
+				case op == opRaw:
+					if len(in) < 8+len(s.kinds)-1 {
+						break rows
+					}
+					prev = int64(binary.LittleEndian.Uint64(in))
+					in = in[8:]
+				case op == opDown:
+					prev -= a
+				case op == opExtreme && a%2 == 0:
+					prev = math.MinInt64 + a/2
+				case op == opExtreme:
+					prev = math.MaxInt64 - a/2
 				default:
-					row[c] = types.Value{Kind: s.kinds[c], I: int64(v % 4)}
+					prev += a
 				}
+				if op != opNull {
+					row[0] = types.Value{Kind: s.kinds[0], I: prev}
+				}
+			}
+			for c := first; c < len(s.kinds); c++ {
+				var code int32
+				row[c], code = value(c, in[0])
+				codes[c] = append(codes[c], code)
+				in = in[1:]
 			}
 			page.AppendRow(row...)
 		}
@@ -253,24 +405,56 @@ func decodeKeyStream(in []byte) keyStream {
 				}
 			}
 		}
-		s.pages = append(s.pages, page)
+		s.plain = append(s.plain, page)
+		s.pages = append(s.pages, dictPage(page, encoded, codes, sharedDicts, offsets))
 		s.sels = append(s.sels, sel)
 	}
 	return s
 }
 
-// run sends the stream through t: before each page is assigned, its
-// keys are found, then assigned; ids and fresh collect each call's ids,
-// and the rows that added a key after each assign.
-func (s keyStream) run(t *keyTable, sc *keyScratch, ids [][]int32, fresh [][]int) {
+// dictPage is page with each encoded column c in dictionary form, its
+// rows' codes given: under the shared Dict when offsets[c] is 0, else
+// under a Dict of its own, as long as the greatest code needs, numbered
+// from offsets[c].
+func dictPage(page *column.Page, encoded []bool, codes [][]int32, shared [][]string, offsets []int) *column.Page {
+	if !slices.Contains(encoded, true) {
+		return page
+	}
+	out := &column.Page{Schema: page.Schema, Vectors: slices.Clone(page.Vectors)}
+	for c, enc := range encoded {
+		if !enc {
+			continue
+		}
+		dict := shared[c]
+		if offsets[c] != 0 {
+			n := 1
+			for _, code := range codes[c] {
+				n = max(n, int(code)+1)
+			}
+			dict = make([]string, n)
+			for j := range dict {
+				dict[j] = dictEntry(j + offsets[c])
+			}
+		}
+		out.Vectors[c] = &column.Vector{Kind: types.String, Nulls: page.Vectors[c].Nulls, Codes: codes[c], Dict: dict}
+	}
+	return out
+}
+
+// run sends pages, the stream's pages in one form or the other, through
+// t with a scratch of its own: before each page is assigned, its keys
+// are found, then assigned; ids and fresh collect each call's ids, and
+// the rows that added a key after each assign.
+func (s keyStream) run(t *keyTable, pages []*column.Page, ids [][]int32, fresh [][]int) {
 	cols := make([]int, len(s.kinds))
 	for c := range cols {
 		cols[c] = c
 	}
-	for p, page := range s.pages {
+	var sc keyScratch
+	for p, page := range pages {
 		found, assigned := ids[2*p], ids[2*p+1]
-		t.find(sc, page, cols, found)
-		t.assign(sc, page, cols, s.sels[p], assigned)
+		t.find(&sc, page, cols, found)
+		t.assign(&sc, page, cols, s.sels[p], assigned)
 		fresh[p] = append(fresh[p][:0], sc.fresh...)
 	}
 }
@@ -343,15 +527,21 @@ func repeatRows(n int, rows ...[]byte) [][]byte {
 	return out
 }
 
-// FuzzKeyTableModes holds the direct mode to the hash mode it converts
-// to: a table left to choose its mode and one forced to hash from the
-// start find and assign the same ids, and report the same rows as adding
-// keys, for any key stream of one to three columns with an Int64 or Date
+// FuzzKeyTableModes holds the direct mode and the dictionary codes to
+// the hash mode over plain strings: a table left to choose its mode and
+// fed the stream as decoded, and one forced to hash from the start and
+// fed every string in plain form, find and assign the same ids, and
+// report the same rows as adding keys, for any key stream of one to
+// three columns with an Int64 or Date first, or a dictionary-form String
 // first; and the table that chooses allocates within keyTableAllocBound.
 // The seeds break the dense ascending keys at row 0, mid-chunk and at a
 // chunk boundary, with each surprise: a far outlier, a negative key,
 // MinInt64, MaxInt64, a NULL first key, a repeated first word with a new
-// second word and descending keys.
+// second word and descending keys. The dictionary seeds give each page
+// Dicts of its own, or share Dicts across pages with a page of its own
+// between, with NULL rows (whose code is 0) and selections, a plain
+// column beside the dictionary ones, and codes that combine in more ways
+// than keyChunk.
 func FuzzKeyTableModes(f *testing.F) {
 	up, down, same := []byte{opUp | 1<<3}, []byte{opDown | 1<<3}, []byte{opUp}
 	raw := func(k int64) []byte { return binary.LittleEndian.AppendUint64([]byte{opRaw}, uint64(k)) }
@@ -395,6 +585,38 @@ func FuzzKeyTableModes(f *testing.F) {
 	// Three columns, Date, String, Int64, NULLs behind the first.
 	f.Add(slices.Concat([]byte{1 | 2<<1 | 2<<3 | 1<<5}, keyPage(false, []byte{opUp, 1, 0}, repeatRows(60, []byte{opUp | 1<<3, 4, 255}, []byte{opDown | 2<<3, 1, 0})...)))
 
+	// Dictionary streams: byte 0 is dictStream | bit 0 for shared Dicts |
+	// the other columns, and a row is one value byte per column.
+	const dictStream, oneMore, twoMore = 1 << 7, 1 << 1, 2 << 1
+	const encoded, plainInt, plainString = 2, 1, 3
+	q1 := repeatRows(6, []byte{0, 1}, []byte{1, 0}, []byte{2, 1}, []byte{255, 0}, []byte{0, 0}, []byte{0, 255}, []byte{255, 255})
+	wide := repeatRows(4, []byte{0, 1}, []byte{7, 1}, []byte{13, 0}, []byte{20, 255}, []byte{6, 2})
+	over := repeatRows(4, []byte{31, 0}, []byte{3, 31}, []byte{255, 9}, []byte{30, 1})
+	pad := []byte{0, 0}
+	// A Dict per page, Q1's shape: one code names another string on the
+	// next page; then codes 6 apart name one string, and codes over the
+	// cap are declined between pages under it.
+	f.Add(slices.Concat([]byte{dictStream | oneMore | encoded<<3}, keyPage(false, pad, q1...), keyPage(true, pad, q1...),
+		keyPage(false, pad, wide...), keyPage(true, pad, over...), keyPage(false, pad, q1...)))
+	// Shared Dicts, but for the second column's own on the second and
+	// fifth pages and the first column's own on the third: the cache is
+	// kept, reset when either column's Dict changes, and reset again
+	// when both are shared once more.
+	f.Add(slices.Concat([]byte{dictStream | 1 | oneMore | encoded<<3}, keyPage(false, pad, q1...), keyPage(true, pad, wide...),
+		keyPage(false, pad, q1...), keyPage(false, pad, wide...), keyPage(true, pad, over...)))
+	// Three Dicts, two shared and the third column's own on the first
+	// page, combine in 9 × 9 × 7 ways, over the cap.
+	f.Add(slices.Concat([]byte{dictStream | 1 | twoMore | encoded<<3 | encoded<<5},
+		keyPage(false, []byte{0, 0, 0}, repeatRows(30, []byte{1, 2, 3}, []byte{7, 255, 0}, []byte{1, 2, 3}, []byte{255, 6, 5})...)))
+	// A dictionary column beside a plain Int64, and two beside a plain
+	// String.
+	f.Add(slices.Concat([]byte{dictStream | oneMore | plainInt<<3}, keyPage(true, pad, q1...), keyPage(false, pad, wide...)))
+	f.Add(slices.Concat([]byte{dictStream | 1 | twoMore | encoded<<3 | plainString<<5},
+		keyPage(false, []byte{0, 0, 0}, repeatRows(30, []byte{1, 2, 5}, []byte{7, 255, 0}, []byte{255, 2, 255})...)))
+	// One dictionary column over more than a chunk of rows.
+	f.Add(slices.Concat([]byte{dictStream}, keyPage(false, []byte{0}, repeatRows(80, []byte{3}, []byte{255}, []byte{9}, []byte{0})...),
+		keyPage(true, []byte{0}, repeatRows(80, []byte{3}, []byte{255}, []byte{9}, []byte{30})...)))
+
 	f.Fuzz(func(t *testing.T, in []byte) {
 		s := decodeKeyStream(in)
 		if len(s.pages) == 0 {
@@ -403,14 +625,13 @@ func FuzzKeyTableModes(f *testing.F) {
 		hashIDs, hashFresh, rows := s.results()
 		hashed := newKeyTable(s.kinds)
 		hashed.toHash()
-		var sc keyScratch
-		s.run(hashed, &sc, hashIDs, hashFresh)
+		s.run(hashed, s.plain, hashIDs, hashFresh)
 
 		ids, fresh, _ := s.results()
 		var table *keyTable
 		got := leastAlloc(func() {
 			table = newKeyTable(s.kinds)
-			s.run(table, &sc, ids, fresh)
+			s.run(table, s.pages, ids, fresh)
 		})
 		for i := range ids {
 			if !slices.Equal(ids[i], hashIDs[i]) {

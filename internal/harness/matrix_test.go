@@ -602,6 +602,8 @@ const (
 	dictRowGroup = 64
 	dFlag        = 1
 	dStatus      = 2
+	dName        = 3
+	dQty         = 4
 )
 
 // dictFamily is string grouping, every string predicate shape and a join
@@ -643,9 +645,63 @@ func dictFamily(t *testing.T) ([]*workload.Dataset, []matrixQuery) {
 		return []types.Value{flag, types.StringValue(fmt.Sprintf("label-%d", i)), types.IntValue(int64(i))}
 	})
 
+	// A grouping's answer, row at a time: a group per distinct value of
+	// the key columns, NULL a value of its own, ordered by the keys as
+	// ORDER BY orders them, each group's row its keys and then what agg
+	// makes of its rows.
+	grouped := func(keys []int, agg func(group [][]types.Value) []types.Value) []string {
+		at := map[string]int{}
+		var groups [][][]types.Value
+		for _, r := range rows {
+			var key strings.Builder
+			for _, c := range keys {
+				fmt.Fprintf(&key, "%t%q", r[c].Null, r[c].S)
+			}
+			g, ok := at[key.String()]
+			if !ok {
+				g, at[key.String()] = len(groups), len(groups)
+				groups = append(groups, nil)
+			}
+			groups[g] = append(groups[g], r)
+		}
+		sort.Slice(groups, func(i, j int) bool {
+			for _, c := range keys {
+				if cmp := types.Compare(groups[i][0][c], groups[j][0][c]); cmp != 0 {
+					return cmp < 0
+				}
+			}
+			return false
+		})
+		var want []string
+		for _, g := range groups {
+			var out []types.Value
+			for _, c := range keys {
+				out = append(out, g[0][c])
+			}
+			want = append(want, renderRow(append(out, agg(g)...)))
+		}
+		return want
+	}
+	countSum := func(g [][]types.Value) []types.Value {
+		q := 0.0
+		for _, r := range g {
+			q += r[dQty].F
+		}
+		return []types.Value{types.IntValue(int64(len(g))), types.FloatValue(q)}
+	}
+	countMinMax := func(g [][]types.Value) []types.Value {
+		lo, hi := g[0][dName], g[0][dName]
+		for _, r := range g {
+			lo.S, hi.S = min(lo.S, r[dName].S), max(hi.S, r[dName].S)
+		}
+		return []types.Value{types.IntValue(int64(len(g))), lo, hi}
+	}
+
 	queries := []matrixQuery{
-		{name: "group by one string key", sql: "SELECT flag, count(*) AS n, sum(qty) AS q FROM %[1]s.dicttbl WHERE seq >= 0 GROUP BY flag ORDER BY flag"},
-		{name: "group by two string keys", sql: "SELECT flag, status, count(*) AS n, min(name) AS lo, max(name) AS hi FROM %[1]s.dicttbl WHERE seq >= 0 GROUP BY flag, status ORDER BY flag, status"},
+		{name: "group by one string key", want: grouped([]int{dFlag}, countSum),
+			sql: "SELECT flag, count(*) AS n, sum(qty) AS q FROM %[1]s.dicttbl WHERE seq >= 0 GROUP BY flag ORDER BY flag"},
+		{name: "group by two string keys", want: grouped([]int{dFlag, dStatus}, countMinMax),
+			sql: "SELECT flag, status, count(*) AS n, min(name) AS lo, max(name) AS hi FROM %[1]s.dicttbl WHERE seq >= 0 GROUP BY flag, status ORDER BY flag, status"},
 		{name: "join on a string key", sql: "SELECT d.seq AS seq, d.flag AS flag, m.label AS label FROM %[1]s.dicttbl AS d JOIN %[1]s.dictdim AS m ON d.flag = m.flag WHERE d.seq >= 0 AND m.rank >= 0 ORDER BY seq, label"},
 	}
 	// A predicate's answer is the rows a row-at-a-time filter keeps.
