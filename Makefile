@@ -56,6 +56,7 @@ loc:
 # bench-paper.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./internal/exec/
+	$(GO) test -bench=. -benchmem -run '^$$' ./internal/bloom/
 	$(GO) test -bench='PruneSweep|HotCache' -benchmem -run '^$$' ./internal/ocsserver/
 	$(GO) test -bench='TracingOverhead|MixedTraffic|JoinBloomSweep|IngestThroughput' -benchmem -run '^$$' ./internal/harness/
 	$(GO) test -bench='BuilderAppendRows|BuilderAppendPage|CompactMerge|ClusterOrder' -benchmem -run '^$$' ./internal/ingest/
@@ -135,8 +136,14 @@ determinism:
 # selection intact; and the key table's direct mode assigns and finds the ids its
 # hash mode does, on any stream of integer-led keys, and so does its
 # dictionary code cache on any stream of dictionary-led string keys,
-# within its allocation bound.
+# within its allocation bound; and the join's bloom filter, built over any
+# integer build keys and sent through the Substrait round trip, takes the
+# direct form exactly when the span rule says so, never rejects a build
+# key, and in the direct form passes exactly the build keys.
 # `go test -fuzz` takes one target and one package per run.
+# FuzzJoinFilterForms shrinks each new input for at most 200 runs: under
+# the default, 60 s, shrinking its first input took most of the ten
+# seconds (tens of runs, where it now makes ~35,000).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnappyDecode$$' -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/arrowlite/
@@ -154,6 +161,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectionKernels$$' -fuzztime 10s ./internal/expr/
 	$(GO) test -run '^$$' -fuzz '^FuzzProjectionUnderSelection$$' -fuzztime 10s ./internal/expr/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyTableModes$$' -fuzztime 10s ./internal/exec/
+	$(GO) test -run '^$$' -fuzz '^FuzzJoinFilterForms$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnSketch$$' -fuzztime 10s ./internal/metastore/
 
 # gates is the one list of the static guards (telemetry manifest, the one

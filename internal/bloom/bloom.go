@@ -11,23 +11,37 @@
 // exactly the value-equality rules of the exec hash join's key encoding
 // (NaN canonicalized, -0.0 distinct from +0.0, strings hashed by raw
 // bytes).
+//
+// A filter has one of two forms. The hashed form (New) sets k bits per
+// key by double hashing and serves every key kind. The direct form
+// (NewDirect) serves BIGINT and DATE keys lying in a known [lo, hi]: a
+// bloom filter with one probe and the identity hash over v − lo, so bit
+// v − lo is set for every key and nothing else is. It is exact — a key
+// passes only if it was added — and a key costs one subtraction, one
+// bounds check and one load to test, with no hash. k = 0 marks it on the
+// wire, where lo travels beside the bits. The join picks it when the
+// span hi − lo + 1 is no more bits than New would allocate for its keys
+// (SizeBits), so it is never the larger of the two.
 package bloom
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"prestocs/internal/column"
 	"prestocs/internal/types"
 )
 
-// Filter is a standard bloom filter with double hashing. The zero value
-// is not usable; construct with New or FromBits.
+// Filter is a standard bloom filter with double hashing, or its direct
+// form (k = 0). The zero value is not usable; construct with New,
+// NewDirect or FromBits.
 type Filter struct {
 	bits []byte
-	k    int
+	k    int    // probes per key; 0 is the direct form
 	m    uint64 // number of bits, a whole number of 64-bit words
+	lo   int64  // the direct form's least key: bit v − lo stands for v
 }
 
 // DefaultBitsPerKey (10 bits/key, k=6, ~1% false positives) matches the
@@ -48,9 +62,7 @@ func New(expectedKeys, bitsPerKey int) *Filter {
 	if bitsPerKey <= 0 {
 		bitsPerKey = DefaultBitsPerKey
 	}
-	nbits := uint64(expectedKeys) * uint64(bitsPerKey)
-	nbits = min(max(nbits, 64), MaxBytes*8)
-	nbits = (nbits + 63) &^ 63
+	nbits := SizeBits(expectedKeys, bitsPerKey)
 	// k = ln2 * bits-per-key is the optimal hash count, taken from the
 	// bits allocated when the cap cut them below bitsPerKey.
 	perKey := float64(bitsPerKey)
@@ -61,9 +73,34 @@ func New(expectedKeys, bitsPerKey int) *Filter {
 	return &Filter{bits: make([]byte, nbits/8), k: k, m: nbits}
 }
 
+// SizeBits is the number of bits New allocates for expectedKeys keys:
+// bitsPerKey (DefaultBitsPerKey if not positive) for each, at least one
+// word and at most MaxBytes, rounded up to whole 64-bit words.
+func SizeBits(expectedKeys, bitsPerKey int) uint64 {
+	if bitsPerKey <= 0 {
+		bitsPerKey = DefaultBitsPerKey
+	}
+	nbits := uint64(max(expectedKeys, 0)) * uint64(bitsPerKey)
+	nbits = min(max(nbits, 64), MaxBytes*8)
+	return (nbits + 63) &^ 63
+}
+
+// NewDirect is an empty direct filter for keys in [lo, hi]: bit v − lo
+// stands for key v, over hi − lo + 1 bits rounded up to whole words. The
+// span must be at most MaxBytes·8 bits, as any span within SizeBits is.
+func NewDirect(lo, hi int64) *Filter {
+	span := uint64(hi) - uint64(lo) // the bit count less one
+	if hi < lo || span >= MaxBytes*8 {
+		panic(fmt.Sprintf("bloom: direct filter over [%d, %d] exceeds the %d-byte cap", lo, hi, MaxBytes))
+	}
+	nbits := (span + 64) &^ 63
+	return &Filter{bits: make([]byte, nbits/8), k: 0, m: nbits, lo: lo}
+}
+
 // CheckShape is the one rule for a filter's wire form: a bit array of
 // whole 64-bit words, at least one and at most MaxBytes, and 1 to 16 hash
-// probes. New only ever produces such filters.
+// probes, or 0 for the direct form. New and NewDirect only ever produce
+// such filters.
 func CheckShape(nbytes, numHash int) error {
 	switch {
 	case nbytes == 0:
@@ -72,7 +109,7 @@ func CheckShape(nbytes, numHash int) error {
 		return fmt.Errorf("bloom: bit array of %d bytes is not a whole number of words", nbytes)
 	case nbytes > MaxBytes:
 		return fmt.Errorf("bloom: bit array of %d bytes exceeds the %d-byte cap", nbytes, MaxBytes)
-	case numHash < 1 || numHash > 16:
+	case numHash < 0 || numHash > 16:
 		return fmt.Errorf("bloom: bad hash count %d", numHash)
 	}
 	return nil
@@ -80,19 +117,26 @@ func CheckShape(nbytes, numHash int) error {
 
 // FromBits reconstructs a filter from its wire form (the storage-node
 // side of the pushdown) over bits itself — nothing is copied or sized from
-// the input.
-func FromBits(bits []byte, numHash int) (*Filter, error) {
+// the input. lo is the direct form's least key (numHash 0); the hashed
+// form ignores it.
+func FromBits(bits []byte, numHash int, lo int64) (*Filter, error) {
 	if err := CheckShape(len(bits), numHash); err != nil {
 		return nil, err
 	}
-	return &Filter{bits: bits, k: numHash, m: uint64(len(bits)) * 8}, nil
+	if numHash != 0 {
+		lo = 0
+	}
+	return &Filter{bits: bits, k: numHash, m: uint64(len(bits)) * 8, lo: lo}, nil
 }
 
 // Bits returns the backing bit array (not a copy; wire encoding).
 func (f *Filter) Bits() []byte { return f.bits }
 
-// NumHash returns the double-hashing probe count.
+// NumHash returns the double-hashing probe count: 0 for the direct form.
 func (f *Filter) NumHash() int { return f.k }
+
+// Lo returns the direct form's least key (0 for the hashed form).
+func (f *Filter) Lo() int64 { return f.lo }
 
 // SizeBytes returns the wire size of the bit array.
 func (f *Filter) SizeBytes() int { return len(f.bits) }
@@ -115,7 +159,7 @@ func probes(h uint64) (h1, h2 uint64) {
 
 // AddHash sets the k bits derived from a value hash. A probe's bit is
 // the high word of h1·m, which lies in [0, m) like h1 mod m without a
-// division.
+// division. AddHash and TestHash serve the hashed form only.
 func (f *Filter) AddHash(h uint64) {
 	h1, h2 := probes(h)
 	for i := 0; i < f.k; i++ {
@@ -184,9 +228,30 @@ func HashBool(v bool) uint64 {
 	return mix(0)
 }
 
-// AddVector hashes every non-null value of a key vector into the
-// filter.
-func (f *Filter) AddVector(vec *column.Vector) error { return EachHash(vec, f.AddHash) }
+// AddVector adds every non-null value of a key vector to the filter:
+// hashed into the hashed form, or, in the direct form, as bit v − lo of
+// each BIGINT or DATE key v, every one of which must lie in the filter's
+// range.
+func (f *Filter) AddVector(vec *column.Vector) error {
+	if f.k != 0 {
+		return EachHash(vec, f.AddHash)
+	}
+	if vec.Kind != types.Int64 && vec.Kind != types.Date {
+		return fmt.Errorf("bloom: direct filter over %s keys", vec.Kind)
+	}
+	lo := uint64(f.lo)
+	for i, v := range vec.Ints {
+		if vec.Nulls != nil && vec.Nulls[i] {
+			continue
+		}
+		off := uint64(v) - lo
+		if off >= f.m {
+			return fmt.Errorf("bloom: key %d outside the direct filter from %d over %d bits", v, f.lo, f.m)
+		}
+		f.bits[off>>3] |= 1 << (off & 7)
+	}
+	return nil
+}
 
 // EachHash passes add the hash of every non-null value of vec, vectorized
 // per kind: the one value hash of the join filter and of the metastore's
@@ -245,7 +310,9 @@ func EachHash(vec *column.Vector, add func(uint64)) error {
 // dispatch is hoisted out of the row loop (one kernel per kind); what is
 // left in it, beside the hashing, is the choice between a position and
 // the selection's row at it. A vector in dictionary form tests each Dict
-// entry once and its rows by code.
+// entry once and its rows by code. The direct form serves BIGINT and
+// DATE keys only: a key passes when its offset from lo, taken in uint64
+// so that no key can wrap into range, names a set bit.
 func (f *Filter) TestVector(vec *column.Vector, sel []int, out []int) ([]int, error) {
 	nulls := vec.Nulls
 	n := vec.Len()
@@ -257,6 +324,29 @@ func (f *Filter) TestVector(vec *column.Vector, sel []int, out []int) ([]int, er
 			return sel[i]
 		}
 		return i
+	}
+	if f.k == 0 {
+		if vec.Kind != types.Int64 && vec.Kind != types.Date {
+			return nil, fmt.Errorf("bloom: direct filter over %s keys", vec.Kind)
+		}
+		// Every row is written and the count advanced by its bit, so
+		// that whether a key passes costs no branch.
+		lo, m := uint64(f.lo), f.m
+		k := len(out)
+		out = slices.Grow(out, n)[:k+n]
+		for i := 0; i < n; i++ {
+			row := rowAt(i)
+			hit := 0
+			if off := uint64(vec.Ints[row]) - lo; off < m {
+				hit = int(f.bits[off>>3]>>(off&7)) & 1
+			}
+			if nulls != nil && nulls[row] {
+				hit = 0
+			}
+			out[k] = row
+			k += hit
+		}
+		return out[:k], nil
 	}
 	switch vec.Kind {
 	case types.Int64, types.Date:

@@ -3,6 +3,8 @@ package bloom
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"prestocs/internal/column"
@@ -76,7 +78,7 @@ func TestEngineAndStorageSidesAgree(t *testing.T) {
 		if err := engine.AddVector(vec); err != nil {
 			t.Fatalf("%s: %v", vec.Kind, err)
 		}
-		storage, err := FromBits(engine.Bits(), engine.NumHash())
+		storage, err := FromBits(engine.Bits(), engine.NumHash(), engine.Lo())
 		if err != nil {
 			t.Fatalf("%s: %v", vec.Kind, err)
 		}
@@ -178,8 +180,9 @@ func TestEmptyBuildSideRejectsEverything(t *testing.T) {
 }
 
 // TestFromBitsValidatesWithoutCopying: the storage node builds its filter
-// over the bytes that came off the wire. Shapes New cannot have produced
-// are rejected, and an accepted one allocates the Filter header only.
+// over the bytes that came off the wire. Shapes neither New nor NewDirect
+// can have produced are rejected, and an accepted one allocates the
+// Filter header only.
 func TestFromBitsValidatesWithoutCopying(t *testing.T) {
 	word := make([]byte, 8)
 	for name, tc := range map[string]struct {
@@ -188,13 +191,12 @@ func TestFromBitsValidatesWithoutCopying(t *testing.T) {
 	}{
 		"nil bits":       {nil, 4},
 		"empty bits":     {[]byte{}, 4},
-		"zero hashes":    {word, 0},
 		"negative":       {word, -1},
 		"too many":       {word, 17},
 		"half a word":    {make([]byte, 4), 4},
 		"word and a bit": {make([]byte, 9), 4},
 	} {
-		if f, err := FromBits(tc.bits, tc.k); err == nil {
+		if f, err := FromBits(tc.bits, tc.k, 0); err == nil {
 			t.Errorf("%s: accepted (%d bytes, k=%d) as %+v", name, len(tc.bits), tc.k, f)
 		}
 	}
@@ -204,8 +206,15 @@ func TestFromBitsValidatesWithoutCopying(t *testing.T) {
 		}
 	}
 
+	if f, err := FromBits(word, 0, -5); err != nil || f.NumHash() != 0 || f.Lo() != -5 {
+		t.Errorf("a one-word direct filter from -5 is refused or misread: %v, %+v", err, f)
+	}
+	if f, err := FromBits(word, 3, -5); err != nil || f.Lo() != 0 {
+		t.Errorf("the hashed form keeps a lo: %v, %+v", err, f)
+	}
+
 	bits := make([]byte, 1<<16)
-	f, err := FromBits(bits, 7)
+	f, err := FromBits(bits, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +222,7 @@ func TestFromBitsValidatesWithoutCopying(t *testing.T) {
 		t.Error("FromBits must wrap the input bytes, not copy them")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := FromBits(bits, 7); err != nil {
+		if _, err := FromBits(bits, 7, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -284,10 +293,10 @@ func TestNewStaysUnderTheCap(t *testing.T) {
 	if small.SizeBytes() != (38_000*DefaultBitsPerKey+63)/64*8 || small.NumHash() != 6 {
 		t.Errorf("New(38k) is %d bytes, k=%d; want %d bits per key and k=6", small.SizeBytes(), small.NumHash(), DefaultBitsPerKey)
 	}
-	if _, err := FromBits(make([]byte, MaxBytes), 4); err != nil {
+	if _, err := FromBits(make([]byte, MaxBytes), 4, 0); err != nil {
 		t.Errorf("a cap-sized array is refused: %v", err)
 	}
-	if _, err := FromBits(make([]byte, MaxBytes+8), 4); err == nil {
+	if _, err := FromBits(make([]byte, MaxBytes+8), 4, 0); err == nil {
 		t.Error("an array one word over the cap is accepted")
 	}
 }
@@ -343,5 +352,109 @@ func TestNonzeroHashesKeepTheirBits(t *testing.T) {
 	}
 	if want := uint64(0x77ea9709f68f1047); sum != want {
 		t.Errorf("bit array checksum = %#x, want %#x", sum, want)
+	}
+}
+
+// TestDirectFormIsExact: a direct filter passes exactly the keys added to
+// it, through the wire form, under every selection; a NULL never passes;
+// offsets are taken in uint64, so keys on the far side of int64 from lo
+// miss rather than wrap into range; it refuses keys outside its range and
+// kinds it cannot serve; and it is as large as its span, in whole words.
+func TestDirectFormIsExact(t *testing.T) {
+	for _, lo := range []int64{-40, 0, math.MaxInt64 - 99, math.MinInt64} {
+		engine := NewDirect(lo, lo+99)
+		if engine.NumHash() != 0 || engine.Lo() != lo || engine.SizeBytes() != 16 {
+			t.Fatalf("NewDirect(%d, %d): k=%d lo=%d %d bytes, want k=0 from lo over two words", lo, lo+99, engine.NumHash(), engine.Lo(), engine.SizeBytes())
+		}
+		keys, probe := column.NewVector(types.Int64), column.NewVector(types.Int64)
+		for off := int64(0); off < 100; off += 3 {
+			keys.Append(types.IntValue(lo + off))
+		}
+		keys.Append(types.NullValue(types.Int64))
+		if err := engine.AddVector(keys); err != nil {
+			t.Fatal(err)
+		}
+		storage, err := FromBits(engine.Bits(), engine.NumHash(), engine.Lo())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int
+		for _, v := range []int64{lo - 1, lo, lo + 1, lo + 99, lo + 100, lo + 127, lo + 128, math.MinInt64, math.MaxInt64, 0} {
+			if off := uint64(v) - uint64(lo); off < 100 && off%3 == 0 {
+				want = append(want, probe.Len())
+			}
+			probe.Append(types.IntValue(v))
+		}
+		probe.Append(types.NullValue(types.Int64))
+		for _, sel := range [][]int{nil, {}, {0, 1, 3, 8, 10}} {
+			got, err := storage.TestVector(probe, sel, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var selected []int
+			for _, row := range want {
+				if sel == nil || slices.Contains(sel, row) {
+					selected = append(selected, row)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(selected) {
+				t.Errorf("lo %d, selection %v: kept rows %v, the members are at %v", lo, sel, got, selected)
+			}
+		}
+		outside := column.NewVector(types.Int64)
+		outside.Append(types.IntValue(lo + 128))
+		if err := engine.AddVector(outside); err == nil {
+			t.Errorf("lo %d: a key past the range is added", lo)
+		}
+	}
+	f := NewDirect(0, 63)
+	for _, vec := range keyVectors()[2:] { // DOUBLE and VARCHAR
+		if err := f.AddVector(vec); err == nil {
+			t.Errorf("a direct filter adds %s keys", vec.Kind)
+		}
+		if _, err := f.TestVector(vec, nil, nil); err == nil {
+			t.Errorf("a direct filter tests %s keys", vec.Kind)
+		}
+	}
+	for _, n := range []int{0, 7, 38_000, 1_000_000} {
+		if got, want := SizeBits(n, DefaultBitsPerKey), uint64(New(n, DefaultBitsPerKey).SizeBytes())*8; got != want {
+			t.Errorf("SizeBits(%d) = %d, New allocates %d bits", n, got, want)
+		}
+	}
+}
+
+// BenchmarkTestVector tests one page of Q3's probe shape against each
+// form of the filter: 16,384 BIGINT keys drawn over a span of 131,072,
+// of which a build side holds 29 % (orders before the date cut).
+func BenchmarkTestVector(b *testing.B) {
+	const span, page = 131_072, 16_384
+	rnd := rand.New(rand.NewSource(1))
+	build := column.NewVector(types.Int64)
+	for k := int64(1); k <= span; k++ {
+		if rnd.Intn(100) < 29 {
+			build.Append(types.IntValue(k))
+		}
+	}
+	probe := column.NewVector(types.Int64)
+	for range page {
+		probe.Append(types.IntValue(1 + rnd.Int63n(span)))
+	}
+	for _, tc := range []struct {
+		name   string
+		filter *Filter
+	}{
+		{"hashed", New(build.Len(), DefaultBitsPerKey)},
+		{"direct", NewDirect(1, span)},
+	} {
+		if err := tc.filter.AddVector(build); err != nil {
+			b.Fatal(err)
+		}
+		out := make([]int, 0, page)
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, _ = tc.filter.TestVector(probe, nil, out[:0])
+			}
+			b.ReportMetric(float64(len(out))/page, "kept/row")
+		})
 	}
 }

@@ -80,10 +80,11 @@ type TopNSpec struct {
 }
 
 // BloomSpec is a join build side's membership filter attached to the
-// probe scan: storage hashes each scanned row's key column against the
-// bits and drops proven non-members before they cross the network. The
-// filter is conservative (false positives only), so the engine's hash
-// join stays the correctness authority.
+// probe scan: storage tests each scanned row's key column against the
+// bits, hashed or direct (bloom.Filter's two forms), and drops proven
+// non-members before they cross the network. The filter is conservative
+// (false positives only), so the engine's hash join stays the
+// correctness authority.
 type BloomSpec struct {
 	// Column is the join-key ordinal over the scan output schema (the
 	// projected one: the join's ProbeKeys[0]).

@@ -488,6 +488,7 @@ func BuildSubstrait(h *Handle, objects ...string) (*substrait.Plan, error) {
 			Column:  column,
 			NumHash: p.Bloom.Filter.NumHash(),
 			Bits:    p.Bloom.Filter.Bits(),
+			Lo:      p.Bloom.Filter.Lo(),
 		}
 	}
 	if p.narrows() {

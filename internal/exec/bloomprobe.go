@@ -55,8 +55,9 @@ func (b *BloomProbe) NextSel() (*column.Page, []int, error) {
 			return nil, nil, err
 		}
 		b.selBuf = out
-		// One hash chain per row plus the membership probes.
-		b.meter.charge(tested, float64(b.filter.NumHash()))
+		// A row costs its membership probes: k in the hashed form, one
+		// in the direct form.
+		b.meter.charge(tested, float64(max(b.filter.NumHash(), 1)))
 		if b.observe != nil {
 			b.observe(tested, len(out))
 		}

@@ -13,6 +13,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"prestocs/internal/bloom"
 	"prestocs/internal/column"
@@ -128,14 +129,42 @@ func (t *JoinTable) Rows() int { return t.rows.NumRows() }
 
 // BuildBloom constructs a bloom filter over the first key column's
 // values — the filter the engine pushes into the probe-side OCS scan.
-// Exact key count is known here, so sizing needs no estimate. Returns an
-// error for key kinds the storage-side kernels cannot hash.
+// Exact key count is known here, so sizing needs no estimate. BIGINT and
+// DATE keys whose span hi − lo + 1 is no more bits than the hashed
+// filter would take get the direct form, exact and cheaper to test; any
+// other keys the hashed form. Returns an error for key kinds the
+// storage-side kernels cannot hash.
 func (t *JoinTable) BuildBloom(bitsPerKey int) (*bloom.Filter, error) {
-	f := bloom.New(t.rows.NumRows(), bitsPerKey)
+	n := t.rows.NumRows()
+	var f *bloom.Filter
+	if lo, hi, ok := t.keyBounds(); ok && uint64(hi)-uint64(lo) < bloom.SizeBits(n, bitsPerKey) {
+		f = bloom.NewDirect(lo, hi)
+	} else {
+		f = bloom.New(n, bitsPerKey)
+	}
 	if err := f.AddVector(t.rows.Vectors[t.keys[0]]); err != nil {
 		return nil, err
 	}
 	return f, nil
+}
+
+// keyBounds is the least and greatest value of the first key column, a
+// BIGINT or DATE one, over the indexed rows (none of which has a NULL
+// key): the direct key table's bounds when it has them, one pass over
+// the column otherwise. ok is false for another kind or no rows.
+func (t *JoinTable) keyBounds() (lo, hi int64, ok bool) {
+	keys := t.rows.Vectors[t.keys[0]]
+	if t.rows.NumRows() == 0 || (keys.Kind != types.Int64 && keys.Kind != types.Date) {
+		return 0, 0, false
+	}
+	if ix := t.index; !ix.hashed && len(ix.dir) > 0 {
+		return ix.kmin, ix.kmax, true
+	}
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, v := range keys.Ints {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return lo, hi, true
 }
 
 // HashJoinProbe streams probe pages against a built JoinTable, emitting

@@ -189,6 +189,9 @@ func TestBloomProbeOperator(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildBloom: %v", err)
 	}
+	if f.NumHash() != 0 || f.Lo() != 1 {
+		t.Fatalf("keys 1 and 3 built a filter with k=%d from %d, want the direct form from 1", f.NumHash(), f.Lo())
+	}
 	input := makePage([][3]interface{}{{1, 1.0, "p1"}, {2, 2.0, "p2"}, {nil, 9.0, "pn"}, {3, 3.0, "p3"}})
 	var tested, keptRows int
 	var m Meter
@@ -212,8 +215,8 @@ func TestBloomProbeOperator(t *testing.T) {
 	if tested != 4 || keptRows != 2 {
 		t.Errorf("observer saw tested=%d kept=%d, want 4/2", tested, keptRows)
 	}
-	if m.Rows != 4 {
-		t.Errorf("meter charged %d rows, want 4", m.Rows)
+	if m.Rows != 4 || m.Units != 4 {
+		t.Errorf("meter charged %d rows and %v units, want 4 rows at one probe each", m.Rows, m.Units)
 	}
 }
 
@@ -244,7 +247,7 @@ func TestBloomFromBitsRoundTrip(t *testing.T) {
 	for i := int64(0); i < 100; i += 2 {
 		f.AddHash(bloom.HashInt64(i))
 	}
-	g, err := bloom.FromBits(f.Bits(), f.NumHash())
+	g, err := bloom.FromBits(f.Bits(), f.NumHash(), f.Lo())
 	if err != nil {
 		t.Fatalf("FromBits: %v", err)
 	}
@@ -253,10 +256,10 @@ func TestBloomFromBitsRoundTrip(t *testing.T) {
 			t.Fatalf("round-tripped filter lost key %d", i)
 		}
 	}
-	if _, err := bloom.FromBits(nil, 4); err == nil {
+	if _, err := bloom.FromBits(nil, 4, 0); err == nil {
 		t.Error("empty bits accepted")
 	}
-	if _, err := bloom.FromBits([]byte{1}, 0); err == nil {
-		t.Error("zero hash count accepted")
+	if _, err := bloom.FromBits(make([]byte, 8), -1, 0); err == nil {
+		t.Error("negative hash count accepted")
 	}
 }

@@ -3,8 +3,11 @@ package harness
 import (
 	"context"
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"prestocs/internal/bloom"
@@ -15,6 +18,8 @@ import (
 	"prestocs/internal/objstore"
 	"prestocs/internal/ocsserver"
 	"prestocs/internal/parquetlite"
+	"prestocs/internal/rpc"
+	"prestocs/internal/substrait"
 	"prestocs/internal/telemetry"
 	"prestocs/internal/types"
 	"prestocs/internal/workload"
@@ -161,6 +166,100 @@ func TestJoinQ3DifferentialAcrossModes(t *testing.T) {
 	}
 	if n := c.Metrics.CounterValue(telemetry.MetricStorageBloomRowsFiltered); n == 0 {
 		t.Errorf("%s = 0, want > 0", telemetry.MetricStorageBloomRowsFiltered)
+	}
+}
+
+// TestJoinBloomFormOnTheWire reads the probe requests of two of the join
+// family's queries off the wire, through a relay in front of the OCS
+// frontend: Q3's build side (orders before 1994, ≈ 29 % of the dense
+// orderkeys) ships the bloom's direct form, and "join sparse build"'s
+// (≈ 1 % of orders, spread over the whole span, so the span is more bits
+// than the hashed filter) the hashed form.
+func TestJoinBloomFormOnTheWire(t *testing.T) {
+	datasets, queries := joinFamily(t)
+	c := testCluster(t)
+	for _, d := range datasets {
+		if err := c.Load(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var (
+		mu     sync.Mutex
+		blooms []string // the plan text of every request carrying a bloom
+	)
+	up := rpc.Dial(c.OCS.Addr)
+	t.Cleanup(func() { up.Close() })
+	relay := rpc.NewServer()
+	forward := func(method string) rpc.StreamHandler {
+		return func(ctx context.Context, payload []byte, send func([]byte) error) ([]byte, error) {
+			if method == ocsserver.MethodExecute {
+				if p, err := substrait.Unmarshal(payload); err == nil && strings.Contains(p.String(), "BloomFilter[") {
+					mu.Lock()
+					blooms = append(blooms, p.String())
+					mu.Unlock()
+				}
+			}
+			st, err := up.Stream(ctx, method, payload)
+			if err != nil {
+				return nil, err
+			}
+			defer st.Close()
+			for {
+				chunk, err := st.Recv()
+				if err == io.EOF {
+					return st.Trailer(), nil
+				}
+				if err != nil {
+					return nil, err
+				}
+				if err := send(chunk); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	for _, method := range []string{ocsserver.MethodExecute, objstore.MethodGet, objstore.MethodSelect} {
+		relay.RegisterStream(method, forward(method))
+	}
+	relay.Register(objstore.MethodList, func(ctx context.Context, payload []byte) ([]byte, error) {
+		return up.Call(ctx, objstore.MethodList, payload)
+	})
+	addr, err := relay.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { relay.Close() })
+	cli := ocsserver.NewClient(addr)
+	t.Cleanup(func() { cli.Close() })
+	eng := engine.New()
+	eng.DefaultCatalog = CatalogOCS
+	eng.AddConnector(ocsconn.New(CatalogOCS, c.Meta, cli))
+
+	for _, tc := range []struct{ query, form string }{
+		{"join sparse build", "hashed k="},
+		{"tpch q3", "direct lo="},
+	} {
+		i := slices.IndexFunc(queries, func(q matrixQuery) bool { return q.name == tc.query })
+		for _, mode := range []string{"none", "all"} {
+			mu.Lock()
+			blooms = nil
+			mu.Unlock()
+			session := engine.NewSession().Set(ocsconn.SessionPushdown, mode)
+			if _, err := execute(context.Background(), eng, fmt.Sprintf(queries[i].sql, CatalogOCS), session); err != nil {
+				t.Fatalf("%s [%s]: %v", tc.query, mode, err)
+			}
+			mu.Lock()
+			seen := blooms
+			mu.Unlock()
+			if len(seen) == 0 {
+				t.Fatalf("%s [%s]: no request carried a bloom filter", tc.query, mode)
+			}
+			for _, text := range seen {
+				if !strings.Contains(text, "BloomFilter[c0, ") || !strings.Contains(text, tc.form) {
+					t.Errorf("%s [%s]: probe request %s, want the %s form", tc.query, mode, text, strings.Fields(tc.form)[0])
+				}
+			}
+		}
 	}
 }
 

@@ -412,13 +412,20 @@ func paperFamily(t *testing.T) ([]*workload.Dataset, []matrixQuery) {
 	return datasets, queries
 }
 
-// joinFamily is lineitem ⋈ orders — four join shapes, each answered
+// joinFamily is lineitem ⋈ orders — five join shapes, each answered
 // row-at-a-time, and Q3 — Q1 over lineitem, and the aggregate over a join
-// with each aggProbe table.
+// with each aggProbe table. Every build side but one keys dense orderkeys
+// and ships the bloom's direct form; "join sparse build" keeps ≈ 1 % of
+// orders over the whole span and ships the hashed form
+// (TestJoinBloomFormOnTheWire).
 func joinFamily(t *testing.T) ([]*workload.Dataset, []matrixQuery) {
 	line, ords := q3Datasets(t)
 	lineRows, ordRows := readRows(t, line), readRows(t, ords)
 	cutoff, err := types.DateFromString("1993-01-01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparseCutoff, err := types.DateFromString("1992-02-01")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,6 +468,8 @@ func joinFamily(t *testing.T) ([]*workload.Dataset, []matrixQuery) {
 			want: kqd(func(l, o []types.Value) bool { return early(o) })},
 		{name: "join both conjuncts", sql: kqdSelect + "WHERE l.quantity < 10 AND o.orderdate < DATE '1993-01-01'",
 			want: kqd(func(l, o []types.Value) bool { return small(l) && early(o) })},
+		{name: "join sparse build", sql: kqdSelect + "WHERE o.orderdate < DATE '1992-02-01'",
+			want: kqd(func(l, o []types.Value) bool { return o[oOrderdate].I < sparseCutoff.I })},
 		// The residual reads a column of each side that the select list
 		// does not: narrowing must keep both, and only for the filter.
 		{name: "join cross residual", sql: "SELECT l.orderkey AS k, o.orderpriority AS p " + from + "WHERE l.shipdate > o.orderdate AND l.quantity < 25",

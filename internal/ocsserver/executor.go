@@ -136,15 +136,15 @@ func compileRel(store *objstore.Store, rel substrait.Rel, env *execEnv) (exec.Op
 		}
 		return exec.NewFilter(input, t.Condition, &env.meter)
 	case *substrait.BloomFilterRel:
-		// Join semi-filter pushed from the engine: hash each probe row's
-		// key against the build side's bloom bits and drop proven misses
-		// before they reach the wire. Sits above FilterRel by IR contract,
+		// Join semi-filter pushed from the engine: test each probe row's
+		// key against the build side's bloom bits, hashed or direct, and
+		// drop proven misses before they reach the wire. Sits above FilterRel by IR contract,
 		// so filter-on-read fusion (row-group pruning) still fires below.
 		input, err := compileRel(store, t.Input, env)
 		if err != nil {
 			return nil, err
 		}
-		f, err := bloom.FromBits(t.Bits, t.NumHash)
+		f, err := bloom.FromBits(t.Bits, t.NumHash, t.Lo)
 		if err != nil {
 			return nil, rpc.WithCode(fmt.Errorf("ocsserver: bad bloom filter: %w", err), rpc.CodeInvalid)
 		}

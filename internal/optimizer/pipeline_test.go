@@ -191,13 +191,16 @@ func FuzzPlanPipeline(f *testing.F) {
 // reads bytes from any client — the wire form of every pushdown the golden
 // table produces, each join's probe scan once more with a build-side bloom
 // filter attached — each over one object and over a list of several, as a
-// leaf worker's grouped request carries —, two plans it must refuse (a
-// bloom filter over bloom.MaxBytes, a column read as the wrong kind) and
-// what the fuzzer makes of them. The decoder may reject its input; it must
-// not panic, it allocates within unmarshalAllocBound of its input whatever
-// the verdict, and a plan it accepts is backed by its input (re-encoding
-// it takes no more than a small multiple of the bytes it came from —
-// nothing was sized from a length field) and re-encodes to a fixed point.
+// leaf worker's grouped request carries —, three plans it must refuse (a
+// bloom filter over bloom.MaxBytes, a direct filter over a DOUBLE column, a
+// column read as the wrong kind), direct filters whose lo lies near either
+// end of int64, and what the fuzzer makes of them. The decoder may reject
+// its input; it must not panic, it allocates within unmarshalAllocBound of
+// its input whatever the verdict, and a plan it accepts is backed by its
+// input (re-encoding it takes no more than a small multiple of the bytes it
+// came from — nothing was sized from a length field), re-encodes to a
+// fixed point, and its bloom filter tests BIGINT and DATE keys at and
+// around the ends of int64 and its own lo without a panic.
 func FuzzSubstraitUnmarshal(f *testing.F) {
 	fx := newPlanFixture(f)
 	seed := func(h *ocs.Handle) {
@@ -242,9 +245,24 @@ func FuzzSubstraitUnmarshal(f *testing.F) {
 			}
 		}
 	}
-	// Two plans the decoder must refuse, whose bytes are otherwise well
-	// formed: a bloom filter one word over the cap, and a filter that reads
-	// a DOUBLE column as VARCHAR.
+	// Direct filters (k = 0) from near either end of int64, one word each
+	// with every bit set: offsets are taken in uint64, so the one from near
+	// MaxInt64 covers MinInt64's first values too, which a storage node may
+	// pass but must not index past its bits for.
+	ints := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: types.NewSchema(types.Column{Name: "k", Type: types.Int64})}
+	for _, lo := range []int64{math.MaxInt64 - 10, math.MinInt64, math.MinInt64 + 1} {
+		wire, err := substrait.Marshal(substrait.NewPlan(&substrait.BloomFilterRel{Input: ints, NumHash: 0, Bits: bytes.Repeat([]byte{0xff}, 8), Lo: lo}))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := substrait.Unmarshal(wire); err != nil {
+			f.Fatalf("the decoder refuses a direct filter from %d: %v", lo, err)
+		}
+		f.Add(wire)
+	}
+	// Three plans the decoder must refuse, whose bytes are otherwise well
+	// formed: a bloom filter one word over the cap, a direct filter over a
+	// DOUBLE column, and a filter that reads a DOUBLE column as VARCHAR.
 	read := &substrait.ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: types.NewSchema(types.Column{Name: "x", Type: types.Float64})}
 	misTyped, err := expr.NewCompare(expr.Eq, expr.Col(0, "x", types.String), expr.Lit(types.StringValue("a")))
 	if err != nil {
@@ -252,6 +270,7 @@ func FuzzSubstraitUnmarshal(f *testing.F) {
 	}
 	for _, rel := range []substrait.Rel{
 		&substrait.BloomFilterRel{Input: read, Column: 0, NumHash: 3, Bits: make([]byte, bloom.MaxBytes+8)},
+		&substrait.BloomFilterRel{Input: read, Column: 0, NumHash: 0, Bits: make([]byte, 8)},
 		&substrait.FilterRel{Input: read, Condition: misTyped},
 	} {
 		wire, err := substrait.Marshal(substrait.NewPlan(rel))
@@ -285,7 +304,37 @@ func FuzzSubstraitUnmarshal(f *testing.F) {
 		if third, err := substrait.Marshal(q); err != nil || !bytes.Equal(third, again) {
 			t.Fatalf("re-encoding %s is not a fixed point (%v)", p, err)
 		}
+		substrait.WalkRels(p.Root, func(r substrait.Rel) {
+			if b, ok := r.(*substrait.BloomFilterRel); ok {
+				testExtremeKeys(t, b)
+			}
+		})
 	})
+}
+
+// testExtremeKeys runs an accepted bloom filter over BIGINT or DATE keys
+// at and around the ends of int64 and its own lo, as a storage node would:
+// it may keep any of them, but must not fail or panic.
+func testExtremeKeys(t *testing.T, b *substrait.BloomFilterRel) {
+	in, err := b.Input.OutputSchema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind := in.Columns[b.Column].Type
+	if kind != types.Int64 && kind != types.Date {
+		return
+	}
+	f, err := bloom.FromBits(b.Bits, b.NumHash, b.Lo)
+	if err != nil {
+		t.Fatalf("an accepted plan's bloom filter is refused: %v", err)
+	}
+	keys := column.NewVector(kind)
+	for _, v := range []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, b.Lo - 1, b.Lo, b.Lo + 1, b.Lo + int64(len(b.Bits))*8, math.MaxInt64 - 1, math.MaxInt64} {
+		keys.Append(types.Value{Kind: kind, I: v})
+	}
+	if _, err := f.TestVector(keys, nil, nil); err != nil {
+		t.Fatalf("an accepted plan's bloom filter cannot test %s keys: %v", kind, err)
+	}
 }
 
 // unmarshalAllocBound is the most heap decoding and validating an n-byte

@@ -425,6 +425,9 @@ func encodeRel(m *protowire.Encoder, r Rel) error {
 		m.Int64(17, int64(t.Column))
 		m.Int64(18, int64(t.NumHash))
 		m.Bytes(19, t.Bits)
+		if t.NumHash == 0 {
+			m.Int64(20, t.Lo)
+		}
 	case *SortRel:
 		m.Uint64(1, relSort)
 		if err := encodeRelField(m, 7, t.Input); err != nil {
@@ -478,6 +481,7 @@ func decodeRel(d *protowire.Decoder) (Rel, error) {
 		bloomCol   int64
 		bloomHash  int64
 		bloomBits  []byte
+		bloomLo    int64
 	)
 	for !d.Done() {
 		f, ty, err := d.Next()
@@ -565,6 +569,8 @@ func decodeRel(d *protowire.Decoder) (Rel, error) {
 			bloomHash, err = d.Int64()
 		case 19:
 			bloomBits, err = d.Bytes()
+		case 20:
+			bloomLo, err = d.Int64()
 		default:
 			err = d.Skip(ty)
 		}
@@ -601,7 +607,7 @@ func decodeRel(d *protowire.Decoder) (Rel, error) {
 		if input == nil {
 			return nil, fmt.Errorf("substrait: bloom filter missing input")
 		}
-		return &BloomFilterRel{Input: input, Column: int(bloomCol), NumHash: int(bloomHash), Bits: bloomBits}, nil
+		return &BloomFilterRel{Input: input, Column: int(bloomCol), NumHash: int(bloomHash), Bits: bloomBits, Lo: bloomLo}, nil
 	case relSort:
 		if input == nil {
 			return nil, fmt.Errorf("substrait: sort missing input")

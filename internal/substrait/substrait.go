@@ -281,21 +281,24 @@ func AggregateSchema(in *types.Schema, keys []int, measures []Measure, final boo
 // BloomFilterRel keeps input rows whose Column value may be a member of
 // the attached bloom filter — the wire form of a join's build-side
 // semi-filter pushed into the probe-side scan. Bits is the raw bit
-// array; NumHash the double-hashing probe count. The hash functions are
-// fixed by the IR contract (see internal/bloom), so engine and storage
-// node agree bit-for-bit. It always sits above any FilterRel so the
-// filter-on-read row-group pruning fusion stays intact.
+// array; NumHash the double-hashing probe count, or 0 for the direct
+// form, whose bit v − Lo stands for the BIGINT or DATE key v (Lo is
+// meaningless in the hashed form). The hash functions are fixed by the
+// IR contract (see internal/bloom), so engine and storage node agree
+// bit-for-bit. It always sits above any FilterRel so the filter-on-read
+// row-group pruning fusion stays intact.
 type BloomFilterRel struct {
 	Input   Rel
 	Column  int
 	NumHash int
 	Bits    []byte
+	Lo      int64
 }
 
 func (r *BloomFilterRel) isRel() {}
 
 // OutputSchema passes the input schema through after validating the
-// filter shape.
+// filter shape; a direct filter must key a BIGINT or DATE column.
 func (r *BloomFilterRel) OutputSchema() (*types.Schema, error) {
 	in, err := r.Input.OutputSchema()
 	if err != nil {
@@ -306,6 +309,9 @@ func (r *BloomFilterRel) OutputSchema() (*types.Schema, error) {
 	}
 	if err := bloom.CheckShape(len(r.Bits), r.NumHash); err != nil {
 		return nil, fmt.Errorf("substrait: %w", err)
+	}
+	if kind := in.Columns[r.Column].Type; r.NumHash == 0 && kind != types.Int64 && kind != types.Date {
+		return nil, fmt.Errorf("substrait: direct bloom filter over %s column %d", kind, r.Column)
 	}
 	return in, nil
 }
@@ -407,7 +413,11 @@ func (p *Plan) String() string {
 		case *FilterRel:
 			parts = append(parts, "Filter")
 		case *BloomFilterRel:
-			parts = append(parts, fmt.Sprintf("BloomFilter[c%d, %dB]", t.Column, len(t.Bits)))
+			form := fmt.Sprintf("hashed k=%d", t.NumHash)
+			if t.NumHash == 0 {
+				form = fmt.Sprintf("direct lo=%d", t.Lo)
+			}
+			parts = append(parts, fmt.Sprintf("BloomFilter[c%d, %dB, %s]", t.Column, len(t.Bits), form))
 		case *ProjectRel:
 			parts = append(parts, fmt.Sprintf("Project[%d]", len(t.Expressions)))
 		case *AggregateRel:

@@ -217,7 +217,7 @@ func TestMarshalBloomFilterRoundTrip(t *testing.T) {
 	if _, ok := b.Input.(*FilterRel); !ok {
 		t.Fatalf("bloom input = %T, want FilterRel", b.Input)
 	}
-	if !strings.Contains(got.String(), "BloomFilter[c0, 8B]") {
+	if !strings.Contains(got.String(), "BloomFilter[c0, 8B, hashed k=7]") {
 		t.Errorf("plan summary %q missing bloom stage", got.String())
 	}
 
@@ -231,6 +231,40 @@ func TestMarshalBloomFilterRoundTrip(t *testing.T) {
 		if _, err := NewPlan(rel).Validate(); err == nil {
 			t.Errorf("bad bloom rel %d accepted", i)
 		}
+	}
+}
+
+// TestMarshalDirectBloomFilter: the direct form (k = 0) carries its lo
+// as field 20 and names it in the plan text; the hashed form sends no lo,
+// so one set on it does not survive; and a direct filter over a column
+// that is neither BIGINT nor DATE is refused.
+func TestMarshalDirectBloomFilter(t *testing.T) {
+	read := &ReadRel{Bucket: "b", Objects: []string{"o"}, BaseSchema: baseSchema()}
+	roundTrip := func(rel *BloomFilterRel) (*BloomFilterRel, string) {
+		t.Helper()
+		data, err := Marshal(NewPlan(rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Unmarshal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got.Root.(*BloomFilterRel), got.String()
+	}
+	bits := []byte{0x01, 0x80, 0xFF, 0x00, 0x42, 0x00, 0x00, 0x00}
+	direct, text := roundTrip(&BloomFilterRel{Input: read, Column: 0, NumHash: 0, Bits: bits, Lo: -5})
+	if direct.NumHash != 0 || direct.Lo != -5 || string(direct.Bits) != string(bits) {
+		t.Errorf("direct filter round trip: %+v", direct)
+	}
+	if !strings.Contains(text, "BloomFilter[c0, 8B, direct lo=-5]") {
+		t.Errorf("plan summary %q does not name the direct form", text)
+	}
+	if hashed, _ := roundTrip(&BloomFilterRel{Input: read, Column: 0, NumHash: 3, Bits: bits, Lo: 9}); hashed.Lo != 0 {
+		t.Errorf("the hashed form carried lo %d over the wire", hashed.Lo)
+	}
+	if _, err := NewPlan(&BloomFilterRel{Input: read, Column: 1, NumHash: 0, Bits: bits}).Validate(); err == nil {
+		t.Error("a direct filter over a DOUBLE column is accepted")
 	}
 }
 
