@@ -59,9 +59,7 @@ const MaxBytes = 256 << 10
 // MaxBytes. Zero expected keys still allocates one word so an empty build
 // side rejects every probe row.
 func New(expectedKeys, bitsPerKey int) *Filter {
-	if bitsPerKey <= 0 {
-		bitsPerKey = DefaultBitsPerKey
-	}
+	bitsPerKey = orDefault(bitsPerKey)
 	nbits := SizeBits(expectedKeys, bitsPerKey)
 	// k = ln2 * bits-per-key is the optimal hash count, taken from the
 	// bits allocated when the cap cut them below bitsPerKey.
@@ -77,12 +75,17 @@ func New(expectedKeys, bitsPerKey int) *Filter {
 // bitsPerKey (DefaultBitsPerKey if not positive) for each, at least one
 // word and at most MaxBytes, rounded up to whole 64-bit words.
 func SizeBits(expectedKeys, bitsPerKey int) uint64 {
-	if bitsPerKey <= 0 {
-		bitsPerKey = DefaultBitsPerKey
-	}
-	nbits := uint64(max(expectedKeys, 0)) * uint64(bitsPerKey)
+	nbits := uint64(max(expectedKeys, 0)) * uint64(orDefault(bitsPerKey))
 	nbits = min(max(nbits, 64), MaxBytes*8)
 	return (nbits + 63) &^ 63
+}
+
+// orDefault is bitsPerKey, or DefaultBitsPerKey if it is not positive.
+func orDefault(bitsPerKey int) int {
+	if bitsPerKey <= 0 {
+		return DefaultBitsPerKey
+	}
+	return bitsPerKey
 }
 
 // NewDirect is an empty direct filter for keys in [lo, hi]: bit v − lo
@@ -118,13 +121,10 @@ func CheckShape(nbytes, numHash int) error {
 // FromBits reconstructs a filter from its wire form (the storage-node
 // side of the pushdown) over bits itself — nothing is copied or sized from
 // the input. lo is the direct form's least key (numHash 0); the hashed
-// form ignores it.
+// form never reads it.
 func FromBits(bits []byte, numHash int, lo int64) (*Filter, error) {
 	if err := CheckShape(len(bits), numHash); err != nil {
 		return nil, err
-	}
-	if numHash != 0 {
-		lo = 0
 	}
 	return &Filter{bits: bits, k: numHash, m: uint64(len(bits)) * 8, lo: lo}, nil
 }
@@ -135,7 +135,7 @@ func (f *Filter) Bits() []byte { return f.bits }
 // NumHash returns the double-hashing probe count: 0 for the direct form.
 func (f *Filter) NumHash() int { return f.k }
 
-// Lo returns the direct form's least key (0 for the hashed form).
+// Lo returns the direct form's least key; New leaves it 0.
 func (f *Filter) Lo() int64 { return f.lo }
 
 // SizeBytes returns the wire size of the bit array.

@@ -209,9 +209,6 @@ func TestFromBitsValidatesWithoutCopying(t *testing.T) {
 	if f, err := FromBits(word, 0, -5); err != nil || f.NumHash() != 0 || f.Lo() != -5 {
 		t.Errorf("a one-word direct filter from -5 is refused or misread: %v, %+v", err, f)
 	}
-	if f, err := FromBits(word, 3, -5); err != nil || f.Lo() != 0 {
-		t.Errorf("the hashed form keeps a lo: %v, %+v", err, f)
-	}
 
 	bits := make([]byte, 1<<16)
 	f, err := FromBits(bits, 7, 0)

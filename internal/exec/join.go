@@ -150,15 +150,11 @@ func (t *JoinTable) BuildBloom(bitsPerKey int) (*bloom.Filter, error) {
 
 // keyBounds is the least and greatest value of the first key column, a
 // BIGINT or DATE one, over the indexed rows (none of which has a NULL
-// key): the direct key table's bounds when it has them, one pass over
-// the column otherwise. ok is false for another kind or no rows.
+// key). ok is false for another kind or no rows.
 func (t *JoinTable) keyBounds() (lo, hi int64, ok bool) {
 	keys := t.rows.Vectors[t.keys[0]]
 	if t.rows.NumRows() == 0 || (keys.Kind != types.Int64 && keys.Kind != types.Date) {
 		return 0, 0, false
-	}
-	if ix := t.index; !ix.hashed && len(ix.dir) > 0 {
-		return ix.kmin, ix.kmax, true
 	}
 	lo, hi = math.MaxInt64, math.MinInt64
 	for _, v := range keys.Ints {
