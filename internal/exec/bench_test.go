@@ -67,6 +67,49 @@ func BenchmarkFilterSelectivity(b *testing.B) {
 	}
 }
 
+// BenchmarkFilterComputedOperand measures a predicate with a computed
+// operand, r < pct AND r + v > 100, where r is the row number mod 100, so
+// the left side keeps pct% of every page's rows: the sum is evaluated at
+// those rows only, into a page-length vector however few they are. It
+// pulls selections (NextSel) and materializes no page.
+func BenchmarkFilterComputedOperand(b *testing.B) {
+	schema := types.NewSchema(
+		types.Column{Name: "r", Type: types.Int64},
+		types.Column{Name: "v", Type: types.Float64},
+	)
+	pages := make([]*column.Page, 16)
+	for p := range pages {
+		pages[p] = column.NewPage(schema)
+		for i := 0; i < 4096; i++ {
+			n := p*4096 + i
+			pages[p].AppendRow(types.IntValue(int64(n%100)), types.FloatValue(float64(n%1000)))
+		}
+	}
+	r, v := expr.Col(0, "r", types.Int64), expr.Col(1, "v", types.Float64)
+	sum, _ := expr.NewArith(expr.Add, r, v)
+	right, _ := expr.NewCompare(expr.Gt, sum, expr.Lit(types.FloatValue(100)))
+	for _, pct := range []int{1, 25, 100} {
+		left, _ := expr.NewCompare(expr.Lt, r, expr.Lit(types.IntValue(int64(pct))))
+		pred, _ := expr.NewLogic(expr.And, left, right)
+		b.Run(fmt.Sprintf("pct=%d", pct), func(b *testing.B) {
+			b.SetBytes(int64(16 * 4096))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, _ := NewFilter(NewPageSource(schema, pages), pred, nil)
+				for {
+					page, _, err := f.NextSel()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if page == nil {
+						break
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFilterProject measures the selection handover: Project pulls
 // (page, selection) pairs from Filter and evaluates its expressions over
 // surviving rows only, never materializing the filtered page.

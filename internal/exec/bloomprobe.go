@@ -71,13 +71,4 @@ func (b *BloomProbe) NextSel() (*column.Page, []int, error) {
 }
 
 // Next implements Operator, materializing the selection.
-func (b *BloomProbe) Next() (*column.Page, error) {
-	page, sel, err := b.NextSel()
-	if err != nil || page == nil {
-		return nil, err
-	}
-	if sel == nil {
-		return page, nil
-	}
-	return page.FilterSel(sel), nil
-}
+func (b *BloomProbe) Next() (*column.Page, error) { return materialize(b) }

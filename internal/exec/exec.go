@@ -134,6 +134,16 @@ func nextSel(in Operator) (*column.Page, []int, error) {
 	return page, nil, err
 }
 
+// materialize is Next for a SelSource: its next page with the selection
+// applied, or the page itself when every row is live.
+func materialize(src SelSource) (*column.Page, error) {
+	page, sel, err := src.NextSel()
+	if err != nil || page == nil || sel == nil {
+		return page, err
+	}
+	return page.FilterSel(sel), nil
+}
+
 // liveRows is the number of rows of page that sel (nil: all) names.
 func liveRows(page *column.Page, sel []int) int {
 	if sel != nil {
@@ -196,18 +206,8 @@ func (f *Filter) NextSel() (*column.Page, []int, error) {
 	}
 }
 
-// Next implements Operator, materializing the selection (the input page
-// is returned unchanged when every row survives).
-func (f *Filter) Next() (*column.Page, error) {
-	page, sel, err := f.NextSel()
-	if err != nil || page == nil {
-		return nil, err
-	}
-	if sel == nil {
-		return page, nil
-	}
-	return page.FilterSel(sel), nil
-}
+// Next implements Operator, materializing the selection.
+func (f *Filter) Next() (*column.Page, error) { return materialize(f) }
 
 // Project evaluates expressions into a new schema. It is a SelSource: it
 // hands on its input's selection with one vector per expression, indexed
@@ -274,13 +274,7 @@ func (p *Project) NextSel() (*column.Page, []int, error) {
 }
 
 // Next implements Operator, materializing the selection.
-func (p *Project) Next() (*column.Page, error) {
-	page, sel, err := p.NextSel()
-	if err != nil || page == nil || sel == nil {
-		return page, err
-	}
-	return page.FilterSel(sel), nil
-}
+func (p *Project) Next() (*column.Page, error) { return materialize(p) }
 
 // Limit stops after n rows.
 type Limit struct {

@@ -375,11 +375,11 @@ func TestProjectUnderSelectionMatchesPerExpression(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vecs, err := one.Eval(page, sel)
+			vecs, err := one.EvalRows(page, sel)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.Vectors[c] = vecs[0]
+			want.Vectors[c] = vecs[0].Gather(sel)
 		}
 		got, err := proj.Next()
 		if err != nil {

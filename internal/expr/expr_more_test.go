@@ -77,32 +77,32 @@ func TestEvalErrorPropagation(t *testing.T) {
 
 	div := mustArith(t, Div, Col(0, "a", types.Int64), Lit(types.IntValue(0)))
 	nested := mustCmp(t, Gt, div, Lit(types.IntValue(0)))
-	if _, err := evalVec(nested, p, nil); err == nil {
+	if _, err := evalAt(nested, p, p.NumRows(), nil, nil); err == nil {
 		t.Error("error inside comparison not propagated")
 	}
 	logic, _ := NewLogic(And, nested, Lit(types.BoolValue(true)))
-	if _, err := evalVec(logic, p, nil); err == nil {
+	if _, err := evalAt(logic, p, p.NumRows(), nil, nil); err == nil {
 		t.Error("error inside AND not propagated")
 	}
 	btw, _ := NewBetween(div, Lit(types.IntValue(0)), Lit(types.IntValue(1)))
-	if _, err := evalVec(btw, p, nil); err == nil {
+	if _, err := evalAt(btw, p, p.NumRows(), nil, nil); err == nil {
 		t.Error("error inside BETWEEN not propagated")
 	}
 	cast := &Cast{E: div, To: types.Float64}
-	if _, err := evalVec(cast, p, nil); err == nil {
+	if _, err := evalAt(cast, p, p.NumRows(), nil, nil); err == nil {
 		t.Error("error inside CAST not propagated")
 	}
 	not, _ := NewNot(nested)
-	if _, err := evalVec(not, p, nil); err == nil {
+	if _, err := evalAt(not, p, p.NumRows(), nil, nil); err == nil {
 		t.Error("error inside NOT not propagated")
 	}
 	isn := &IsNull{E: div}
-	if _, err := evalVec(isn, p, nil); err == nil {
+	if _, err := evalAt(isn, p, p.NumRows(), nil, nil); err == nil {
 		t.Error("error inside IS NULL not propagated")
 	}
 	// Out-of-range column ordinal.
 	bad := Col(7, "zz", types.Int64)
-	if _, err := evalVec(bad, p, nil); err == nil {
+	if _, err := evalAt(bad, p, p.NumRows(), nil, nil); err == nil {
 		t.Error("out-of-range ordinal accepted")
 	}
 	if _, err := keepMask(Col(0, "a", types.Int64), p); err == nil {
@@ -117,7 +117,7 @@ func TestEvalRowMatchesEval(t *testing.T) {
 		p.AppendRow(types.IntValue(int64(i)))
 	}
 	e := mustArith(t, Mul, Col(0, "a", types.Int64), Lit(types.IntValue(3)))
-	vec, err := evalVec(e, p, nil)
+	vec, err := evalAt(e, p, p.NumRows(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestArithCrossTypePromotion(t *testing.T) {
 	if sub.Type() != types.Int64 {
 		t.Fatalf("date - int type = %v", sub.Type())
 	}
-	v, err := evalVec(sub, p, nil)
+	v, err := evalAt(sub, p, p.NumRows(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

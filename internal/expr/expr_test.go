@@ -64,7 +64,7 @@ func TestArithEval(t *testing.T) {
 	if sum.Type() != types.Float64 {
 		t.Fatalf("type = %v", sum.Type())
 	}
-	v, err := evalVec(sum, p, nil)
+	v, err := evalAt(sum, p, p.NumRows(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestArithEval(t *testing.T) {
 	}
 
 	mod := mustArith(t, Mod, a, Lit(types.IntValue(2)))
-	mv, err := evalVec(mod, p, nil)
+	mv, err := evalAt(mod, p, p.NumRows(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +97,15 @@ func TestArithTypeErrors(t *testing.T) {
 func TestDivisionByZero(t *testing.T) {
 	p := page2(t)
 	d := mustArith(t, Div, Col(0, "a", types.Int64), Lit(types.IntValue(0)))
-	if _, err := evalVec(d, p, nil); err == nil {
+	if _, err := evalAt(d, p, p.NumRows(), nil, nil); err == nil {
 		t.Error("int division by zero must error")
 	}
 	fd := mustArith(t, Div, Col(1, "x", types.Float64), Lit(types.FloatValue(0)))
-	if _, err := evalVec(fd, p, nil); err == nil {
+	if _, err := evalAt(fd, p, p.NumRows(), nil, nil); err == nil {
 		t.Error("float division by zero must error")
 	}
 	m := mustArith(t, Mod, Col(0, "a", types.Int64), Lit(types.IntValue(0)))
-	if _, err := evalVec(m, p, nil); err == nil {
+	if _, err := evalAt(m, p, p.NumRows(), nil, nil); err == nil {
 		t.Error("modulo by zero must error")
 	}
 }
@@ -125,7 +125,7 @@ func TestCompareEvalAndNulls(t *testing.T) {
 	}
 	// Cross-type numeric comparison.
 	cx := mustCmp(t, Lt, Col(0, "a", types.Int64), Col(1, "x", types.Float64))
-	if _, err := evalVec(cx, p, nil); err != nil {
+	if _, err := evalAt(cx, p, p.NumRows(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewCompare(Eq, Col(2, "s", types.String), Lit(types.IntValue(1))); err == nil {
@@ -157,7 +157,7 @@ func TestLogicThreeValued(t *testing.T) {
 func TestNotAndIsNull(t *testing.T) {
 	p := page2(t)
 	isn := &IsNull{E: Col(0, "a", types.Int64)}
-	v, err := evalVec(isn, p, nil)
+	v, err := evalAt(isn, p, p.NumRows(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestNotAndIsNull(t *testing.T) {
 		t.Errorf("IS NULL = %v", v.Bools)
 	}
 	notNull := &IsNull{E: Col(0, "a", types.Int64), Negate: true}
-	v2, _ := evalVec(notNull, p, nil)
+	v2, _ := evalAt(notNull, p, p.NumRows(), nil, nil)
 	if !v2.Bools[0] || v2.Bools[3] {
 		t.Errorf("IS NOT NULL = %v", v2.Bools)
 	}
@@ -173,7 +173,7 @@ func TestNotAndIsNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3, _ := evalVec(n, p, nil)
+	v3, _ := evalAt(n, p, p.NumRows(), nil, nil)
 	if !v3.Bools[0] {
 		t.Error("NOT (a IS NULL) wrong")
 	}
@@ -206,7 +206,7 @@ func TestBetween(t *testing.T) {
 func TestCast(t *testing.T) {
 	p := page2(t)
 	c := &Cast{E: Col(1, "x", types.Float64), To: types.Int64}
-	v, err := evalVec(c, p, nil)
+	v, err := evalAt(c, p, p.NumRows(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,23 +6,21 @@ package expr
 // propagation. There is no row-at-a-time path; the interpreter the tests
 // hold these kernels to lives in oracle_test.go.
 //
-// An expression is evaluated in one of three contexts. In value context
-// (evalVec) the result is a dense vector aligned with the selection. In
-// a predicate (evalSel) the result is the selection's rows where the
-// predicate is TRUE, so AND evaluates its right side only over rows the
-// left side kept and OR only over rows the left side rejected. Every
-// comparison and BETWEEN, in either context, runs one kernel family
-// (selkernels.go): in a predicate whose operands are columns and
-// literals, the kernel reads the columns where they lie, under the
-// incoming selection; otherwise the operands are evaluated densely, and
-// the kernel's kept positions become the TRUE entries of a bool vector
-// (value context) or, through it, the rows of the selection (predicate).
-// In a projection (Projection, projection.go) the result is indexed by
-// the page's rows, like the page's own columns, and written only at the
-// rows the selection names: arithmetic, casts that cannot fail and
-// literals loop under the selection (forRows) into buffers the
-// Projection keeps, and value context is the case of those same loops
-// with no selection over dense operands.
+// Every vector the evaluator computes is indexed by the page's rows, like
+// the page's own columns, and written only at the rows of a selection
+// (nil: every row); the rows the selection skips hold unspecified data.
+// An expression is evaluated in one of two contexts. In value context
+// (evalAt) a column reference is the page's own vector and a computed
+// node loops under the selection (forRows) into storage of its own, or
+// into a store a Projection keeps (projection.go). In a predicate
+// (evalSel) the result is the selection's rows where the predicate is
+// TRUE, so AND evaluates its right side only over rows the left side
+// kept and OR only over rows the left side rejected. Every comparison and
+// BETWEEN, in either context, runs one kernel family (selkernels.go)
+// under the incoming selection, over its operands as they lie — columns
+// and computed vectors read at the selected rows, literals as scalars:
+// its kept rows are the predicate's result, or the TRUE rows of a bool
+// vector in value context.
 //
 // Selections obey two rules every producer and consumer relies on: nil
 // means every row of the page, so a predicate that rejects every row
@@ -48,9 +46,8 @@ import (
 	"prestocs/internal/types"
 )
 
-// operand is a kernel input: a vector or a scalar (from a Literal). A
-// vector is either dense, aligned with the active selection, or a page
-// column read in place, indexed by the selection's rows.
+// operand is a kernel input: a vector indexed by the page's rows, or a
+// scalar (from a Literal).
 type operand struct {
 	vec *column.Vector // nil when scalar
 	val types.Value
@@ -93,22 +90,15 @@ func EvalSelectionInto(e Expr, page *column.Page, sel, buf []int) ([]int, error)
 	return evalSel(e, page, sel, buf)
 }
 
-// EvalConst evaluates a column-free expression (a VALUES item) as evalVec
-// does, over a page without columns and a selection of one row; a column
-// reference is an error, there being no column to read it from.
+// EvalConst evaluates a column-free expression (a VALUES item) in value
+// context, over the one row of a page without columns; a column reference
+// is an error, there being no column to read it from.
 func EvalConst(e Expr) (types.Value, error) {
-	v, err := evalVec(e, column.NewPage(types.NewSchema()), []int{0})
+	v, err := evalAt(e, column.NewPage(types.NewSchema()), 1, nil, nil)
 	if err != nil {
 		return types.Value{}, err
 	}
 	return v.Value(0), nil
-}
-
-func selLen(page *column.Page, sel []int) int {
-	if sel != nil {
-		return len(sel)
-	}
-	return page.NumRows()
 }
 
 func identitySel(n int) []int {
@@ -129,41 +119,17 @@ func selBuf(buf []int, n int) []int {
 	return make([]int, n)
 }
 
-// inPlace returns e as an operand a kernel reads where it lies — a column
-// of the page or a literal's value — and false for anything else,
-// including a column the page does not have.
-func inPlace(e Expr, page *column.Page) (operand, bool) {
-	switch t := e.(type) {
-	case *Literal:
-		return operand{val: t.Value}, true
-	case *ColumnRef:
-		if t.Index >= 0 && t.Index < page.NumCols() {
-			return operand{vec: page.Vectors[t.Index]}, true
-		}
-	}
-	return operand{}, false
-}
-
 // evalSel evaluates a predicate into the subset of sel where it holds.
 // The result is written over buf when it fits there, else allocated; buf
 // may be sel itself — every loop that narrows a selection writes entry k
 // only after it has read entry i >= k — which is how the right side of an
 // AND narrows what the left side produced, where it lies.
 func evalSel(e Expr, page *column.Page, sel, buf []int) ([]int, error) {
+	n := page.NumRows()
 	switch t := e.(type) {
-	case *Compare:
-		l, okL := inPlace(t.L, page)
-		r, okR := inPlace(t.R, page)
-		if okL && okR {
-			return selCompare(t.Op, l, r, page.NumRows(), sel, buf)
-		}
-	case *Between:
-		v, okV := inPlace(t.E, page)
-		lo, okLo := inPlace(t.Lo, page)
-		hi, okHi := inPlace(t.Hi, page)
-		if okV && okLo && okHi {
-			return selBetween(v, lo, hi, page.NumRows(), sel, buf)
-		}
+	case *Compare, *Between:
+		kept, _, err := compareSel(e, page, n, sel, buf)
+		return kept, err
 	case *Logic:
 		if t.Op == And {
 			left, err := evalSel(t.L, page, sel, buf)
@@ -182,7 +148,7 @@ func evalSel(e Expr, page *column.Page, sel, buf []int) ([]int, error) {
 		}
 		base := sel
 		if base == nil {
-			base = identitySel(page.NumRows())
+			base = identitySel(n)
 		}
 		rest := column.SubtractSel(base, left)
 		if len(rest) == 0 {
@@ -194,166 +160,166 @@ func evalSel(e Expr, page *column.Page, sel, buf []int) ([]int, error) {
 		}
 		return column.MergeSel(left, right), nil
 	}
-	// Anything else, a comparison with a computed operand included, is
-	// evaluated in value context, densely over sel, and its TRUE positions
-	// are mapped back to the rows of sel they stand for.
-	v, err := evalVec(e, page, sel)
+	// Anything else is evaluated in value context, and its TRUE rows kept.
+	v, err := evalAt(e, page, n, sel, nil)
 	if err != nil {
 		return nil, err
 	}
-	n := v.Len()
-	out := selBuf(buf, n)[:0]
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if v.Bools[i] && (v.Nulls == nil || !v.Nulls[i]) {
-				out = append(out, i)
-			}
+	out := selBuf(buf, rowsIn(sel, n))[:0]
+	bs, nulls := v.Bools, v.Nulls
+	forRows(sel, n, func(i int) {
+		if bs[i] && (nulls == nil || !nulls[i]) {
+			out = append(out, i)
 		}
-		return out, nil
-	}
-	for i, row := range sel {
-		if v.Bools[i] && (v.Nulls == nil || !v.Nulls[i]) {
-			out = append(out, row)
-		}
-	}
+	})
 	return out, nil
 }
 
-// compareVec is a Compare or Between in value context: its operands are
-// evaluated densely over sel, and the comparison kernel runs over their
-// positions. The result is TRUE where the kernel keeps a position, NULL
-// where an operand is NULL, and FALSE elsewhere.
-func compareVec(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
-	n := selLen(page, sel)
+// operands evaluates the children of an Arith, Compare or Between for a
+// kernel: a literal as a scalar, anything else through evalAt at the rows
+// sel names, into new storage. They sit in an array, not a slice, so that
+// reading columns and literals allocates nothing.
+func operands(e Expr, page *column.Page, n int, sel []int) ([3]operand, error) {
+	var kids [3]Expr
+	switch t := e.(type) {
+	case *Arith:
+		kids = [3]Expr{t.L, t.R}
+	case *Compare:
+		kids = [3]Expr{t.L, t.R}
+	case *Between:
+		kids = [3]Expr{t.E, t.Lo, t.Hi}
+	}
 	var ops [3]operand
-	var nulls []bool
-	for i, c := range children(e) {
-		o, err := evalOperand(c, page, sel)
-		if err != nil {
-			return nil, err
+	for i, c := range kids {
+		switch c := c.(type) {
+		case nil:
+		case *Literal:
+			ops[i] = operand{val: c.Value}
+		default:
+			v, err := evalAt(c, page, n, sel, nil)
+			if err != nil {
+				return ops, err
+			}
+			ops[i] = operand{vec: v}
 		}
-		ops[i] = o
-		if o.scalarNull() {
-			nulls = broadcastAt(nil, types.NullValue(types.Bool), n, nil).Nulls
-		} else {
-			nulls = orNulls(nulls, o.nulls(), n)
-		}
 	}
-	var pos []int
-	var err error
-	if c, ok := e.(*Compare); ok {
-		pos, err = selCompare(c.Op, ops[0], ops[1], n, nil, nil)
-	} else {
-		pos, err = selBetween(ops[0], ops[1], ops[2], n, nil, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := &column.Vector{Kind: types.Bool, Bools: make([]bool, n), Nulls: nulls}
-	for _, p := range pos {
-		out.Bools[p] = true
-	}
-	return out, nil
+	return ops, nil
 }
 
-// evalVec is the batch evaluator: a dense result vector aligned with sel.
-func evalVec(e Expr, page *column.Page, sel []int) (*column.Vector, error) {
-	n := selLen(page, sel)
+// evalAt evaluates e in value context at the rows sel names (nil: the
+// rows 0..n-1) of page, which has n rows. The result is indexed by the
+// page's rows: a column reference is the page's own vector, and a computed
+// node writes its value at the selected rows of storage from s (see
+// store), leaving the others as they were. A computed child is evaluated
+// into new storage.
+func evalAt(e Expr, page *column.Page, n int, sel []int, s *store) (*column.Vector, error) {
 	switch t := e.(type) {
 	case *ColumnRef:
 		if t.Index < 0 || t.Index >= page.NumCols() {
 			return nil, fmt.Errorf("expr: column ordinal %d out of range (%d cols)", t.Index, page.NumCols())
 		}
-		v := page.Vectors[t.Index]
-		if sel == nil {
-			// Zero copy: vectors are immutable by convention.
-			return v, nil
-		}
-		return v.Gather(sel), nil
+		// Zero copy: vectors are immutable by convention.
+		return page.Vectors[t.Index], nil
 	case *Literal:
-		return broadcastAt(nil, t.Value, n, nil), nil
+		return broadcastAt(s, t.Value, n, sel), nil
 	case *Arith:
-		l, err := evalOperand(t.L, page, sel)
+		ops, err := operands(e, page, n, sel)
 		if err != nil {
 			return nil, err
 		}
-		r, err := evalOperand(t.R, page, sel)
-		if err != nil {
-			return nil, err
-		}
-		return kernelArith(t, l, r, n, nil, nil)
+		return kernelArith(t, ops[0], ops[1], n, sel, s)
 	case *Compare, *Between:
-		return compareVec(e, page, sel)
+		return compareAt(e, page, n, sel, s)
 	case *Logic:
 		// Value context evaluates both sides (errors on either side
 		// surface exactly as in the oracle); only the selection path
 		// short-circuits.
-		l, err := evalVec(t.L, page, sel)
+		l, err := evalAt(t.L, page, n, sel, nil)
 		if err != nil {
 			return nil, err
 		}
-		r, err := evalVec(t.R, page, sel)
+		r, err := evalAt(t.R, page, n, sel, nil)
 		if err != nil {
 			return nil, err
 		}
-		return kernelLogic(t.Op, l, r, n), nil
+		return kernelLogic(t.Op, l, r, n, sel, s), nil
 	case *Not:
-		v, err := evalVec(t.E, page, sel)
+		v, err := evalAt(t.E, page, n, sel, nil)
 		if err != nil {
 			return nil, err
 		}
-		out := column.NewVector(types.Bool)
-		out.Bools = make([]bool, n)
-		for i, b := range v.Bools {
-			out.Bools[i] = !b
-		}
+		out := s.vector(types.Bool, n)
+		bs, vb := out.Bools, v.Bools
+		forRows(sel, n, func(i int) { bs[i] = !vb[i] })
 		out.Nulls = v.Nulls
 		return out, nil
 	case *IsNull:
-		if lit, ok := t.E.(*Literal); ok {
-			return broadcastAt(nil, types.BoolValue(lit.Value.Null != t.Negate), n, nil), nil
-		}
-		v, err := evalVec(t.E, page, sel)
+		v, err := evalAt(t.E, page, n, sel, nil)
 		if err != nil {
 			return nil, err
 		}
-		out := column.NewVector(types.Bool)
-		out.Bools = make([]bool, n)
-		if v.Nulls == nil {
-			if t.Negate {
-				for i := range out.Bools {
-					out.Bools[i] = true
-				}
-			}
-			return out, nil
-		}
-		for i, isNull := range v.Nulls {
-			out.Bools[i] = isNull != t.Negate
+		out := s.vector(types.Bool, n)
+		bs, nulls, negate := out.Bools, v.Nulls, t.Negate
+		if nulls == nil {
+			forRows(sel, n, func(i int) { bs[i] = negate })
+		} else {
+			forRows(sel, n, func(i int) { bs[i] = nulls[i] != negate })
 		}
 		return out, nil
 	case *Cast:
-		v, err := evalVec(t.E, page, sel)
+		v, err := evalAt(t.E, page, n, sel, nil)
 		if err != nil {
 			return nil, err
 		}
 		if castCannotFail(t.E.Type(), t.To) {
-			return castAt(nil, v, t.To, nil), nil
+			return castAt(s, v, t.To, sel), nil
 		}
-		// A cast that can fail converts row by row; only the selected rows
-		// are in v, so only they can fail.
-		out := column.NewVector(t.To)
-		out.Reserve(n)
-		for i := 0; i < n; i++ {
-			c, err := types.Coerce(v.Value(i), t.To)
-			if err != nil {
-				return nil, err
-			}
-			out.Append(c)
-		}
-		return out, nil
+		return coerceAt(s, v, t.To, n, sel)
 	default:
 		return nil, fmt.Errorf("expr: eval: unknown node %T", e)
 	}
+}
+
+// compareSel runs the kernel of a Compare or Between over its operands,
+// under sel (nil: the rows 0..n-1), and returns the rows it keeps,
+// written over buf when they fit, with the operands.
+func compareSel(e Expr, page *column.Page, n int, sel, buf []int) ([]int, [3]operand, error) {
+	ops, err := operands(e, page, n, sel)
+	if err != nil {
+		return nil, ops, err
+	}
+	var kept []int
+	if c, ok := e.(*Compare); ok {
+		kept, err = selCompare(c.Op, ops[0], ops[1], n, sel, buf)
+	} else {
+		kept, err = selBetween(ops[0], ops[1], ops[2], n, sel, buf)
+	}
+	return kept, ops, err
+}
+
+// compareAt is a Compare or Between in value context: the rows its kernel
+// keeps read TRUE; the other selected rows read NULL where an operand is
+// NULL, FALSE elsewhere.
+func compareAt(e Expr, page *column.Page, n int, sel []int, s *store) (*column.Vector, error) {
+	kept, ops, err := compareSel(e, page, n, sel, nil)
+	if err != nil {
+		return nil, err
+	}
+	var masks [3][]bool
+	for i, o := range ops {
+		if o.scalarNull() {
+			return broadcastAt(s, types.NullValue(types.Bool), n, sel), nil
+		}
+		masks[i] = o.nulls()
+	}
+	out := s.vector(types.Bool, n)
+	bs := out.Bools
+	forRows(sel, n, func(i int) { bs[i] = false })
+	for _, i := range kept {
+		bs[i] = true
+	}
+	out.Nulls = nullsAt(s, masks, n, sel)
+	return out, nil
 }
 
 // castCannotFail reports whether types.Coerce converts every value of
@@ -400,19 +366,39 @@ func castAt(s *store, v *column.Vector, to types.Kind, sel []int) *column.Vector
 	return out
 }
 
-func evalOperand(e Expr, page *column.Page, sel []int) (operand, error) {
-	if lit, ok := e.(*Literal); ok {
-		return operand{val: lit.Value}, nil
-	}
-	v, err := evalVec(e, page, sel)
+// coerceAt is a cast castCannotFail refuses: each row sel names converts
+// through types.Coerce, so a row that does not convert — a selected one,
+// never another — fails the cast.
+func coerceAt(s *store, v *column.Vector, to types.Kind, n int, sel []int) (*column.Vector, error) {
+	out := s.vector(to, n)
+	out.Nulls = s.nullMask(n)
+	var err error
+	forRows(sel, n, func(i int) {
+		c, cerr := types.Coerce(v.Value(i), to)
+		if cerr != nil {
+			err = cerr
+			return
+		}
+		out.Nulls[i] = c.Null
+		switch to {
+		case types.Int64, types.Date:
+			out.Ints[i] = c.I
+		case types.Float64:
+			out.Floats[i] = c.F
+		case types.String:
+			out.Strings[i] = c.S
+		case types.Bool:
+			out.Bools[i] = c.B
+		}
+	})
 	if err != nil {
-		return operand{}, err
+		return nil, err
 	}
-	return operand{vec: v}, nil
+	return out, nil
 }
 
 // forRows calls f on each row sel names, or on the rows 0..n-1 when sel
-// is nil: the loop every kernel of a projection runs. It and the literal
+// is nil: the loop every kernel runs. It and the literal
 // passed as f are inlined, so the loop body is the literal's.
 func forRows(sel []int, n int, f func(i int)) {
 	if sel == nil {
@@ -437,7 +423,7 @@ func rowsIn(sel []int, n int) int {
 // store is where a kernel writes the result of one node of a
 // Projection: page-length buffers, kept at their largest, that each pull
 // rewrites at the rows it selects, so that once they have grown to the
-// page nothing is allocated or cleared. A nil *store stands for fresh,
+// page nothing is allocated or cleared. A nil *store stands for new,
 // zeroed storage that the result's receiver keeps.
 type store struct {
 	buf column.Vector // the storage: one slice per kind, and a null mask
@@ -516,28 +502,22 @@ func broadcastAt(s *store, v types.Value, n int, sel []int) *column.Vector {
 	return out
 }
 
-// orNulls combines two null bitmaps; nil when neither side has nulls.
-func orNulls(a, b []bool, n int) []bool {
-	if a == nil && b == nil {
-		return nil
+// nullsAt returns the null mask of an n-row result in s that is NULL
+// wherever one of masks is (a nil mask has no NULL), written at the rows
+// sel names (nil: every row); nil when every mask is nil.
+func nullsAt(s *store, masks [3][]bool, n int, sel []int) []bool {
+	var out []bool
+	for _, m := range masks {
+		switch {
+		case m == nil:
+		case out == nil:
+			out = s.nullMask(n)
+			forRows(sel, n, func(i int) { out[i] = m[i] })
+		default:
+			forRows(sel, n, func(i int) { out[i] = out[i] || m[i] })
+		}
 	}
-	out := make([]bool, n)
-	orNullsAt(out, a, b, nil)
 	return out
-}
-
-// orNullsAt writes a OR b (a nil mask has no NULL) into dst at the rows
-// sel names (nil: every row of dst).
-func orNullsAt(dst, a, b []bool, sel []int) {
-	n := len(dst)
-	switch {
-	case a == nil:
-		forRows(sel, n, func(i int) { dst[i] = b[i] })
-	case b == nil:
-		forRows(sel, n, func(i int) { dst[i] = a[i] })
-	default:
-		forRows(sel, n, func(i int) { dst[i] = a[i] || b[i] })
-	}
 }
 
 func isIntKind(k types.Kind) bool { return k == types.Int64 || k == types.Date }
@@ -705,10 +685,7 @@ func kernelArith(t *Arith, l, r operand, n int, sel []int, s *store) (*column.Ve
 		return broadcastAt(s, v, n, sel), nil
 	}
 	out := s.vector(t.kind, n)
-	if ln, rn := l.nulls(), r.nulls(); ln != nil || rn != nil {
-		out.Nulls = s.nullMask(n)
-		orNullsAt(out.Nulls, ln, rn, sel)
-	}
+	out.Nulls = nullsAt(s, [3][]bool{l.nulls(), r.nulls()}, n, sel)
 	var err error
 	if t.kind == types.Float64 {
 		err = floatArith(t.Op, l, r, out.Floats, out.Nulls, sel)
@@ -766,50 +743,33 @@ func intArith(op ArithOp, l, r operand, out []int64, nulls []bool, sel []int) er
 	}
 }
 
-// kernelLogic implements SQL three-valued AND/OR over bool vectors.
-func kernelLogic(op LogicOp, l, r *column.Vector, n int) *column.Vector {
-	out := column.NewVector(types.Bool)
-	out.Bools = make([]bool, n)
-	lb, rb := l.Bools, r.Bools
+// kernelLogic implements SQL three-valued AND/OR over bool vectors at the
+// rows sel names (nil: the rows 0..n-1), into s (see store).
+func kernelLogic(op LogicOp, l, r *column.Vector, n int, sel []int, s *store) *column.Vector {
+	out := s.vector(types.Bool, n)
+	bs, lb, rb := out.Bools, l.Bools, r.Bools
 	ln, rn := l.Nulls, r.Nulls
 	if ln == nil && rn == nil {
 		if op == And {
-			for i, b := range lb {
-				out.Bools[i] = b && rb[i]
-			}
+			forRows(sel, n, func(i int) { bs[i] = lb[i] && rb[i] })
 		} else {
-			for i, b := range lb {
-				out.Bools[i] = b || rb[i]
-			}
+			forRows(sel, n, func(i int) { bs[i] = lb[i] || rb[i] })
 		}
 		return out
 	}
-	nulls := make([]bool, n)
-	if op == And {
-		for i := 0; i < n; i++ {
-			lNull := ln != nil && ln[i]
-			rNull := rn != nil && rn[i]
-			switch {
-			case (!lNull && !lb[i]) || (!rNull && !rb[i]):
-				// definitively false
-			case lNull || rNull:
-				nulls[i] = true
-			default:
-				out.Bools[i] = true
-			}
+	out.Nulls = s.nullMask(n)
+	nulls := out.Nulls
+	decides := op == Or // a side that is not NULL and reads this decides
+	forRows(sel, n, func(i int) {
+		lNull, rNull := ln != nil && ln[i], rn != nil && rn[i]
+		switch {
+		case (!lNull && lb[i] == decides) || (!rNull && rb[i] == decides):
+			bs[i], nulls[i] = decides, false
+		case lNull || rNull:
+			bs[i], nulls[i] = false, true
+		default:
+			bs[i], nulls[i] = !decides, false
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			lNull := ln != nil && ln[i]
-			rNull := rn != nil && rn[i]
-			switch {
-			case (!lNull && lb[i]) || (!rNull && rb[i]):
-				out.Bools[i] = true
-			case lNull || rNull:
-				nulls[i] = true
-			}
-		}
-	}
-	out.Nulls = nulls
+	})
 	return out
 }

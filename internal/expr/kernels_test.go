@@ -214,16 +214,16 @@ func rowWise(t *testing.T, e Expr, page *column.Page) []types.Value {
 func checkEvalDifferential(t *testing.T, e Expr, page *column.Page) {
 	t.Helper()
 	want := rowWise(t, e, page)
-	vec, err := evalVec(e, page, nil)
+	vec, err := evalAt(e, page, page.NumRows(), nil, nil)
 	if err != nil {
-		t.Fatalf("evalVec(%s): %v", e, err)
+		t.Fatalf("evalAt(%s): %v", e, err)
 	}
 	if vec.Len() != page.NumRows() {
-		t.Fatalf("evalVec(%s): %d rows, want %d", e, vec.Len(), page.NumRows())
+		t.Fatalf("evalAt(%s): %d rows, want %d", e, vec.Len(), page.NumRows())
 	}
 	for i, w := range want {
 		if got := vec.Value(i); !sameValue(got, w) {
-			t.Fatalf("evalVec(%s) row %d: vectorized %s, row-wise %s", e, i, got, w)
+			t.Fatalf("evalAt(%s) row %d: vectorized %s, row-wise %s", e, i, got, w)
 		}
 	}
 }
@@ -299,26 +299,23 @@ func TestVectorizedArithmeticMatchesRowWise(t *testing.T) {
 		}
 		checkEvalDifferential(t, e, page)
 
-		// evalVec must compact to exactly the selected rows (a nil
-		// selection means every row).
+		// evalAt under a selection must hold the oracle's value at every
+		// selected row of the page (a nil selection means every row).
 		want := rowWise(t, e, page)
 		sel := randomSel(r, page.NumRows())
-		vec, err := evalVec(e, page, sel)
+		vec, err := evalAt(e, page, page.NumRows(), sel, nil)
 		if err != nil {
-			t.Fatalf("evalVec(%s): %v", e, err)
+			t.Fatalf("evalAt(%s): %v", e, err)
 		}
 		if sel == nil {
-			sel = make([]int, page.NumRows())
-			for i := range sel {
-				sel[i] = i
-			}
+			sel = identitySel(page.NumRows())
 		}
-		if vec.Len() != len(sel) {
-			t.Fatalf("evalVec(%s): %d rows, want %d", e, vec.Len(), len(sel))
+		if vec.Len() != page.NumRows() {
+			t.Fatalf("evalAt(%s): %d rows, want %d", e, vec.Len(), page.NumRows())
 		}
-		for j, i := range sel {
-			if got := vec.Value(j); !sameValue(got, want[i]) {
-				t.Fatalf("evalVec(%s) slot %d (row %d): %s, row-wise %s", e, j, i, got, want[i])
+		for _, i := range sel {
+			if got := vec.Value(i); !sameValue(got, want[i]) {
+				t.Fatalf("evalAt(%s) row %d: %s, row-wise %s", e, i, got, want[i])
 			}
 		}
 	}
@@ -376,7 +373,7 @@ func TestCompareNullSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := evalVec(cmp, page, nil)
+	v, err := evalAt(cmp, page, page.NumRows(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +387,7 @@ func TestCompareNullSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err = evalVec(bt, page, nil)
+	v, err = evalAt(bt, page, page.NumRows(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +427,7 @@ func TestSelectionShortCircuitSkipsRightErrors(t *testing.T) {
 	if len(sel) != 0 {
 		t.Fatalf("sel = %v, want empty", sel)
 	}
-	if _, err := evalVec(pred, page, nil); err == nil {
+	if _, err := evalAt(pred, page, page.NumRows(), nil, nil); err == nil {
 		t.Fatal("value context must still surface the division by zero")
 	}
 }
@@ -449,20 +446,20 @@ func TestCastKernelsMatchRowWise(t *testing.T) {
 			}
 			checkEvalDifferential(t, cast, page)
 			sel := randomSel(r, page.NumRows())
-			vec, err := evalVec(cast, page, sel)
+			vec, err := evalAt(cast, page, page.NumRows(), sel, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if vec.Kind != to || vec.Len() != len(sel) {
-				t.Fatalf("%s over a selection: %d rows of %s, want %d of %s", cast, vec.Len(), vec.Kind, len(sel), to)
+			if vec.Kind != to || vec.Len() != page.NumRows() {
+				t.Fatalf("%s over a selection: %d rows of %s, want %d of %s", cast, vec.Len(), vec.Kind, page.NumRows(), to)
 			}
-			for j, i := range sel {
+			for _, i := range sel {
 				w, err := evalRow(cast, page, i)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := vec.Value(j); !sameValue(got, w) {
-					t.Fatalf("%s slot %d: %s, want %s", cast, j, got, w)
+				if got := vec.Value(i); !sameValue(got, w) {
+					t.Fatalf("%s row %d: %s, want %s", cast, i, got, w)
 				}
 			}
 		}
@@ -476,7 +473,7 @@ func TestCastKernelsMatchRowWise(t *testing.T) {
 	checkEvalDifferential(t, avg, page)
 }
 
-// TestFallbackCast covers a cast that can fail, which evalVec converts row
+// TestFallbackCast covers a cast that can fail, which evalAt converts row
 // by row over its child's vector: parsing a string as a date reports the
 // row that does not parse, and only when that row is selected.
 func TestFallbackCast(t *testing.T) {
@@ -485,15 +482,15 @@ func TestFallbackCast(t *testing.T) {
 	dates.AppendRow(types.StringValue("not a date"))
 	dates.AppendRow(types.NullValue(types.String))
 	parse := &Cast{E: Col(0, "s", types.String), To: types.Date}
-	if _, err := evalVec(parse, dates, nil); err == nil {
+	if _, err := evalAt(parse, dates, dates.NumRows(), nil, nil); err == nil {
 		t.Error("casting 'not a date' to DATE must fail")
 	}
-	vec, err := evalVec(parse, dates, []int{0, 2})
+	vec, err := evalAt(parse, dates, dates.NumRows(), []int{0, 2}, nil)
 	if err != nil {
 		t.Fatalf("the row that does not parse is not selected: %v", err)
 	}
-	if want, _ := types.DateFromString("1995-03-04"); vec.Value(0) != want || !vec.IsNull(1) {
-		t.Errorf("parsed %s, %s; want %s, NULL", vec.Value(0), vec.Value(1), want)
+	if want, _ := types.DateFromString("1995-03-04"); vec.Value(0) != want || !vec.IsNull(2) {
+		t.Errorf("parsed %s, %s; want %s, NULL", vec.Value(0), vec.Value(2), want)
 	}
 }
 
@@ -508,8 +505,8 @@ func (unknownNode) Cost() float64    { return 0 }
 // error in both contexts, not a panic and not a silent answer.
 func TestUnknownNodeErrors(t *testing.T) {
 	page := randomKernelPage(rand.New(rand.NewSource(5)), 4)
-	if _, err := evalVec(unknownNode{}, page, nil); err == nil {
-		t.Error("evalVec of an unknown node must fail")
+	if _, err := evalAt(unknownNode{}, page, page.NumRows(), nil, nil); err == nil {
+		t.Error("evalAt of an unknown node must fail")
 	}
 	if _, err := EvalSelection(unknownNode{}, page); err == nil {
 		t.Error("EvalSelection of an unknown node must fail")

@@ -23,20 +23,18 @@ import (
 //     have grown to the page nothing is allocated for it. The rows the
 //     selection skips hold whatever the buffers held.
 //
-// Arithmetic, casts that cannot fail and literals loop under the
-// selection (kernels.go); any other node is evaluated densely over the
-// selection and scattered to its rows. Only identical subtrees are merged
-// and nothing is moved out from under a conditional (in a value context
-// both sides of AND and OR are evaluated anyway), so the rows that can
-// raise an error — a division by zero — are exactly the selected ones.
+// A step is one evalAt (kernels.go), which loops under the selection
+// whatever the node's kind. Only identical subtrees are merged and
+// nothing is moved out from under a conditional (in a value context both
+// sides of AND and OR are evaluated anyway), so the rows that can raise
+// an error — a division by zero — are exactly the selected ones.
 // A Projection serves one caller at a time.
 type Projection struct {
 	width int        // input columns read: one past the largest ordinal
 	steps []projStep // each after the steps it reads
 	outs  []int      // per entry: an input ordinal, or width + a step's index
 	// cols is, during a call, the input's first width columns, then each
-	// step's result; ext is cols as a page, for the steps evaluated
-	// densely.
+	// step's result; ext is cols as a page, which the steps read.
 	cols []*column.Vector
 	ext  column.Page
 }
@@ -108,7 +106,13 @@ func (p *Projection) EvalRows(page *column.Page, sel []int) ([]*column.Vector, e
 	n := page.NumRows()
 	copy(p.cols, page.Vectors[:p.width])
 	for i := range p.steps {
-		v, err := p.eval(&p.steps[i], n, sel)
+		// Under a selection a step writes into its own storage; under none,
+		// into new storage the caller keeps.
+		s := &p.steps[i].res
+		if sel == nil {
+			s = nil
+		}
+		v, err := evalAt(p.steps[i].e, &p.ext, n, sel, s)
 		if err != nil {
 			return nil, err
 		}
@@ -119,87 +123,6 @@ func (p *Projection) EvalRows(page *column.Page, sel []int) ([]*column.Vector, e
 		out[i] = p.cols[c]
 	}
 	return out, nil
-}
-
-// Eval is EvalRows for a caller that keeps the vectors: under a selection
-// each is gathered through it, so they are dense, aligned with the
-// selection, and share no storage the Projection rewrites.
-func (p *Projection) Eval(page *column.Page, sel []int) ([]*column.Vector, error) {
-	vecs, err := p.EvalRows(page, sel)
-	if err != nil || sel == nil {
-		return vecs, err
-	}
-	for i, v := range vecs {
-		vecs[i] = v.Gather(sel)
-	}
-	return vecs, nil
-}
-
-// eval runs one step over n rows.
-func (p *Projection) eval(st *projStep, n int, sel []int) (*column.Vector, error) {
-	s := &st.res
-	if sel == nil {
-		s = nil
-	}
-	switch t := st.e.(type) {
-	case *Literal:
-		return broadcastAt(s, t.Value, n, sel), nil
-	case *Arith:
-		return kernelArith(t, p.operand(t.L), p.operand(t.R), n, sel, s)
-	case *Cast:
-		if c, ok := t.E.(*ColumnRef); ok && castCannotFail(c.Kind, t.To) {
-			return castAt(s, p.cols[c.Index], t.To, sel), nil
-		}
-	}
-	rows := sel
-	if rows == nil && p.width == 0 {
-		// ext has no input column to take the page's length from.
-		rows = identitySel(n)
-	}
-	v, err := evalVec(st.e, &p.ext, rows)
-	if err != nil || sel == nil {
-		return v, err
-	}
-	return scatter(s, v, n, sel), nil
-}
-
-// operand is a step's child as a kernel reads it.
-func (p *Projection) operand(e Expr) operand {
-	if lit, ok := e.(*Literal); ok {
-		return operand{val: lit.Value}
-	}
-	return operand{vec: p.cols[e.(*ColumnRef).Index]}
-}
-
-// scatter writes v, dense and aligned with sel, to the rows sel names of
-// an n-row result in s.
-func scatter(s *store, v *column.Vector, n int, sel []int) *column.Vector {
-	out := s.vector(v.Kind, n)
-	if v.Nulls != nil {
-		out.Nulls = s.nullMask(n)
-		for k, i := range sel {
-			out.Nulls[i] = v.Nulls[k]
-		}
-	}
-	switch v.Kind {
-	case types.Int64, types.Date:
-		for k, i := range sel {
-			out.Ints[i] = v.Ints[k]
-		}
-	case types.Float64:
-		for k, i := range sel {
-			out.Floats[i] = v.Floats[k]
-		}
-	case types.String:
-		for k, str := range v.StringSlice() {
-			out.Strings[sel[k]] = str
-		}
-	case types.Bool:
-		for k, i := range sel {
-			out.Bools[i] = v.Bools[k]
-		}
-	}
-	return out
 }
 
 // shareKey spells an expression so that two subtrees have the same key

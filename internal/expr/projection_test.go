@@ -41,24 +41,29 @@ func (p *Projection) sharedSteps() int {
 	return n
 }
 
-// checkProjection holds Eval to one evalVec per expression.
+// checkProjection holds EvalRows to one evalAt per expression, at every
+// row sel names (nil: every row).
 func checkProjection(t *testing.T, exprs []Expr, page *column.Page, sel []int) {
 	t.Helper()
-	got, err := mustProjection(t, exprs, page.Schema).Eval(page, sel)
+	got, err := mustProjection(t, exprs, page.Schema).EvalRows(page, sel)
 	if err != nil {
-		t.Fatalf("Eval(%s): %v", Format(exprs), err)
+		t.Fatalf("EvalRows(%s): %v", Format(exprs), err)
+	}
+	rows := sel
+	if sel == nil {
+		rows = identitySel(page.NumRows())
 	}
 	for i, e := range exprs {
-		want, err := evalVec(e, page, sel)
+		want, err := evalAt(e, page, page.NumRows(), sel, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got[i].Kind != want.Kind || got[i].Len() != want.Len() {
 			t.Fatalf("%s: %d rows of %s, want %d of %s", e, got[i].Len(), got[i].Kind, want.Len(), want.Kind)
 		}
-		for row := 0; row < want.Len(); row++ {
+		for _, row := range rows {
 			if g, w := got[i].Value(row), want.Value(row); !sameValue(g, w) {
-				t.Fatalf("%s slot %d: %s, want %s", e, row, g, w)
+				t.Fatalf("%s row %d: %s, want %s", e, row, g, w)
 			}
 		}
 	}
@@ -168,6 +173,60 @@ func TestProjectionSharesQ1(t *testing.T) {
 	}
 }
 
+// TestProjectionLogicStepsAllocate: a comparison, a BETWEEN, a NOT, an
+// IS NULL and an OR loop under the selection into the Projection's
+// buffers, as arithmetic does. Once the buffers have grown to the page,
+// the next page under a sparse selection allocates the slice of results,
+// and for each comparison the selection its kernel keeps; the rows it
+// selects hold the oracle's values, whatever the buffers held before.
+func TestProjectionLogicStepsAllocate(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	pages := []*column.Page{randomKernelPage(r, 1024), randomKernelPage(r, 1024)}
+	var sel []int
+	for row := 3; row < 1024; row += 37 {
+		sel = append(sel, row)
+	}
+	i, f, b := Col(0, "i", types.Int64), Col(1, "f", types.Float64), Col(3, "b", types.Bool)
+	between, err := NewBetween(i, Lit(types.IntValue(-2)), Lit(types.IntValue(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	not, err := NewNot(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	or, err := NewLogic(Or, b, mustCmp(t, Lt, i, Lit(types.IntValue(0))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		e      Expr
+		allocs float64
+	}{
+		{mustCmp(t, Gt, f, Lit(types.FloatValue(0.5))), 2},
+		{between, 2},
+		{not, 1},
+		{&IsNull{E: i}, 1},
+		{or, 2},
+	} {
+		exprs := []Expr{c.e}
+		p := mustProjection(t, exprs, kernelSchema)
+		if _, err := p.EvalRows(pages[0], sel); err != nil {
+			t.Fatal(err)
+		}
+		var got []*column.Vector
+		allocs := testing.AllocsPerRun(20, func() {
+			if got, err = p.EvalRows(pages[1], sel); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.allocs {
+			t.Errorf("%s: %v allocations per page with warm buffers, want at most %v", c.e, allocs, c.allocs)
+		}
+		checkRows(t, c.e.String(), exprs, pages[1], sel, got)
+	}
+}
+
 // TestProjectionErrorsOnlyOnSelectedRows: a shared subtree is evaluated
 // over the selected rows and no others, so a division by zero on a row
 // the filter dropped stays unseen, and one on a row it kept is reported.
@@ -185,10 +244,10 @@ func TestProjectionErrorsOnlyOnSelectedRows(t *testing.T) {
 		t.Fatalf("%d shared subtrees, want 1", p.sharedSteps())
 	}
 	checkProjection(t, exprs, page, []int{0, 2})
-	if _, err := p.Eval(page, []int{0, 1}); err == nil {
+	if _, err := p.EvalRows(page, []int{0, 1}); err == nil {
 		t.Error("10 / i with i = 0 on a selected row must fail")
 	}
-	if _, err := p.Eval(page, nil); err == nil {
+	if _, err := p.EvalRows(page, nil); err == nil {
 		t.Error("10 / i with i = 0 and every row selected must fail")
 	}
 }

@@ -10,11 +10,11 @@ package expr
 // form tested against literals is tested once per Dict entry, and its rows
 // are kept by code (selCodes).
 //
-// In a predicate over columns and literals the vectors are page columns
-// read where they lie, sel holding page rows; nothing is gathered and no
-// bool vector is built. Otherwise the operands are dense, evaluated over
-// the caller's selection, and the kernel runs with sel nil over their
-// positions (compareVec turns them into a bool vector).
+// A vector operand is indexed by the page's rows, like sel: a page column
+// read where it lies, or a computed operand evaluated at the selected rows
+// (evalAt), so nothing is gathered. In a predicate the kept rows are the
+// result; in value context compareAt makes them the TRUE rows of a bool
+// vector.
 //
 // The vector-vs-scalar loops are branch-free: every row is stored at
 // out[k] and k advances by the comparison's 0 or 1, so a predicate that

@@ -18,7 +18,7 @@ import (
 // read in place and through a computed operand, under a nil, a sparse, an
 // empty and a full selection — the selection evalSel returns is, row for
 // row, the rows of the incoming one where the oracle says TRUE, and the
-// vector evalVec returns is the oracle's value at each selected row.
+// vector evalAt returns is the oracle's value at each selected row.
 
 // selKernelSchema has two columns of every kind (the second for
 // column-vs-column), plus one-valued columns without a null mask.
@@ -116,8 +116,9 @@ func edgeLiterals(k types.Kind) []types.Value {
 	return append(out, types.NullValue(k))
 }
 
-// computed is an operand evalSel cannot read in place: a cast of ref — to
-// DOUBLE for an integer, to BIGINT for a date, to its own kind otherwise.
+// computed is an operand that is neither a column nor a literal: a cast of
+// ref — to DOUBLE for an integer, to BIGINT for a date, to its own kind
+// otherwise.
 func computed(ref *ColumnRef) Expr {
 	switch ref.Kind {
 	case types.Int64:
@@ -184,7 +185,7 @@ func testSelections(rows int) map[string][]int {
 // checkSelection holds evalSel's answer for e under sel to the oracle's,
 // and holds it to the selection contract: never nil, the incoming
 // selection untouched, and the same answer when it is written into a
-// caller's buffer. It holds evalVec's value-context vector over sel to
+// caller's buffer. It holds evalAt's value-context vector under sel to
 // the oracle too, value and NULL at every selected row.
 func checkSelection(t *testing.T, e Expr, page *column.Page, name string, sel []int) {
 	t.Helper()
@@ -193,14 +194,14 @@ func checkSelection(t *testing.T, e Expr, page *column.Page, name string, sel []
 	if sel == nil {
 		rows = testSelections(page.NumRows())["full"]
 	}
-	vec, err := evalVec(e, page, sel)
+	vec, err := evalAt(e, page, page.NumRows(), sel, nil)
 	if err != nil {
-		t.Fatalf("evalVec(%s) under %s selection: %v", e, name, err)
+		t.Fatalf("evalAt(%s) under %s selection: %v", e, name, err)
 	}
-	if vec.Len() != len(rows) {
-		t.Fatalf("evalVec(%s) under %s selection: %d rows, want %d", e, name, vec.Len(), len(rows))
+	if vec.Len() != page.NumRows() {
+		t.Fatalf("evalAt(%s) under %s selection: %d rows, want %d", e, name, vec.Len(), page.NumRows())
 	}
-	for k, row := range rows {
+	for _, row := range rows {
 		v, err := evalRow(e, page, row)
 		if err != nil {
 			t.Fatalf("evalRow(%s, row %d): %v", e, row, err)
@@ -208,8 +209,8 @@ func checkSelection(t *testing.T, e Expr, page *column.Page, name string, sel []
 		if !v.Null && v.B {
 			want = append(want, row)
 		}
-		if got := vec.Value(k); !sameValue(got, v) {
-			t.Fatalf("evalVec(%s) under %s selection, row %d: %s, oracle %s", e, name, row, got, v)
+		if got := vec.Value(row); !sameValue(got, v) {
+			t.Fatalf("evalAt(%s) under %s selection, row %d: %s, oracle %s", e, name, row, got, v)
 		}
 	}
 	before := slices.Clone(sel)
@@ -236,40 +237,15 @@ func checkSelection(t *testing.T, e Expr, page *column.Page, name string, sel []
 	}
 }
 
-// servedInPlace reports whether evalSel runs e's kernel over page columns
-// and literals where they lie, with no dense evaluation.
-func servedInPlace(e Expr, page *column.Page) bool {
-	switch e.(type) {
-	case *Compare, *Between:
-	default:
-		return false
-	}
-	for _, c := range children(e) {
-		if _, ok := inPlace(c, page); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 func TestSelectionKernelsMatchRowWise(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	page := selKernelPage(r, 96)
 	preds := selKernelPredicates(t)
 	sels := testSelections(page.NumRows())
-	inPlaceCount := 0
 	for _, e := range preds {
-		if servedInPlace(e, page) {
-			inPlaceCount++
-		}
 		for name, sel := range sels {
 			checkSelection(t, e, page, name, sel)
 		}
-	}
-	// The grid is there for the kernels that read columns where they lie:
-	// most of it must be served that way.
-	if inPlaceCount*2 < len(preds) {
-		t.Errorf("%d of %d predicates are served in place", inPlaceCount, len(preds))
 	}
 
 	// AND, OR and NOT nests of them: AND narrows the left side's selection
@@ -425,7 +401,7 @@ func TestSelectionKernelsOnDictionaryColumns(t *testing.T) {
 }
 
 // FuzzSelectionKernels builds a column, a predicate over it and a
-// selection from the input bytes and holds evalSel and evalVec to the
+// selection from the input bytes and holds evalSel and evalAt to the
 // oracle.
 func FuzzSelectionKernels(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})

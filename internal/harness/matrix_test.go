@@ -740,6 +740,25 @@ func dictFamily(t *testing.T) ([]*workload.Dataset, []matrixQuery) {
 	predicate("flag > 'A' AND status <> 'OPEN'", func(r []types.Value) bool {
 		return stringCmp(r[dFlag], ">", "A") && stringCmp(r[dStatus], "<>", "OPEN")
 	})
+	// Value context on the storage node: a comparison, IS NULL and NOT
+	// as projected columns, evaluated under a pushed filter's selection;
+	// and a pushed predicate with a computed operand.
+	var values, computed []string
+	for _, r := range rows {
+		lt := types.NullValue(types.Bool)
+		if !r[dFlag].Null {
+			lt = types.BoolValue(r[dFlag].S < r[dStatus].S)
+		}
+		values = append(values, renderRow([]types.Value{r[0], lt, types.BoolValue(r[dFlag].Null), types.BoolValue(!(r[dQty].F > 1))}))
+		if r[dQty].F*2 > 3 {
+			computed = append(computed, renderRow(r[:1]))
+		}
+	}
+	queries = append(queries,
+		matrixQuery{name: "comparisons as values", want: values,
+			sql: "SELECT seq, flag < status AS lt, flag IS NULL AS fn, NOT (qty > 1.0) AS nq FROM %[1]s.dicttbl WHERE seq >= 0 ORDER BY seq"},
+		matrixQuery{name: "qty * 2.0 > 3.0", want: computed,
+			sql: "SELECT seq FROM %[1]s.dicttbl WHERE qty * 2.0 > 3.0 ORDER BY seq"})
 	return []*workload.Dataset{tbl, dim}, queries
 }
 
