@@ -39,7 +39,8 @@ loc:
 # kernels, filter selectivity sweep, hash aggregation — string keys
 # plain and in dictionary form among it —, sort/top-N, and
 # Laghos's, Q1's and Deep Water's whole leaf pipelines over resident
-# pages), the
+# pages, and Q3's engine-side leaf chain, join probe to partial top-N,
+# grouped by the join's key ids and through a key table), the
 # zone-map pruning selectivity sweep, the hot-page cache comparison, the
 # tracing-overhead comparison, the mixed-traffic latency profile, the
 # join bloom-pushdown sweep, the ingest-throughput sweep and the write
@@ -139,7 +140,11 @@ determinism:
 # within its allocation bound; and the join's bloom filter, built over any
 # integer build keys and sent through the Substrait round trip, takes the
 # direct form exactly when the span rule says so, never rejects a build
-# key, and in the direct form passes exactly the build keys.
+# key, and in the direct form passes exactly the build keys; and a join over
+# any unique build side of BIGINT, DOUBLE or VARCHAR keys, NULLs, both zeros
+# and NaN payloads among them, lends the rows a nested loop finds, and the
+# aggregate above it gives the same bytes grouped by the join's key ids as
+# through a key table.
 # `go test -fuzz` takes one target and one package per run.
 # FuzzJoinFilterForms shrinks each new input for at most 200 runs: under
 # the default, 60 s, shrinking its first input took most of the ten
@@ -162,6 +167,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProjectionUnderSelection$$' -fuzztime 10s ./internal/expr/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyTableModes$$' -fuzztime 10s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinFilterForms$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/exec/
+	$(GO) test -run '^$$' -fuzz '^FuzzGroupJoin$$' -fuzztime 10s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnSketch$$' -fuzztime 10s ./internal/metastore/
 
 # gates is the one list of the static guards (telemetry manifest, the one
@@ -207,8 +213,9 @@ vet-scan:
 
 # vet-join guards the vectorized join hot path: the hash-join probe, the
 # engine-side bloom probe and the bloom membership kernels must stay
-# columnar — gather-list construction and vector batch tests, never a
-# per-row Value/Row accessor loop. A call site that genuinely needs a
+# columnar — typed loops over key ids and column buffers (gather lists,
+# lent build columns) and vector batch tests, never a per-row Value/Row
+# accessor loop. A call site that genuinely needs a
 # scalar accessor takes an explicit `// vet-join:allow <reason>`.
 vet-join:
 	@bad=$$(grep -n '\.Row(\|\.Value(' internal/exec/join.go internal/exec/bloomprobe.go internal/bloom/*.go 2>/dev/null \

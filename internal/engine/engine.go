@@ -271,13 +271,16 @@ func (e *Engine) run(ctx context.Context, root plan.Node, session *Session, stat
 // leafChain is what runs below an Exchange: chain, root first, compiled
 // per split over the page sources of scan, feeding the Exchange pages of
 // schema. Through a Join the chain continues down the probe side; table
-// is the join's hash table once buildJoin has drained the build side.
+// is the join's hash table once buildJoin has drained the build side, and
+// groupBy the aggregate above the join that groups by the table's key
+// ids (groupJoin), if any.
 type leafChain struct {
-	schema *types.Schema
-	chain  []plan.Node
-	scan   *plan.TableScan
-	join   *plan.Join
-	table  *exec.JoinTable
+	schema  *types.Schema
+	chain   []plan.Node
+	scan    *plan.TableScan
+	join    *plan.Join
+	table   *exec.JoinTable
+	groupBy *plan.Aggregate
 }
 
 // stages takes a plan apart at its spine's first Exchange: the final
@@ -336,6 +339,8 @@ func (e *Engine) buildJoin(ctx context.Context, leaf *leafChain, session *Sessio
 	stats.Join = true
 	stats.JoinBuildRows = int64(table.Rows())
 	leaf.table = table
+	leaf.groupBy = groupJoin(leaf.chain, join, table)
+	stats.JoinGroupedByBuild = leaf.groupBy != nil
 
 	// Bloom pushdown into the probe scan. A filter-only probe side passes
 	// the scan's schema through — projected to what the plan reads
@@ -485,7 +490,7 @@ func (e *Engine) startLeafStage(ctx context.Context, leaf *leafChain, stats *Que
 			runSplit := func(i int, source exec.Operator) bool {
 				defer close(queues[i])
 				defer exec.Close(source)
-				pipeline, err := compileChain(leaf.chain, source, leaf.table, &meter)
+				pipeline, err := compileChain(leaf.chain, source, leaf.table, leaf.groupBy, &meter)
 				if err != nil {
 					fail(err)
 					return false
@@ -566,7 +571,7 @@ func (e *Engine) startLeafStage(ctx context.Context, leaf *leafChain, stats *Que
 // final chain (root first) on the coordinator.
 func (e *Engine) finishFinalStage(stage *leafStage, exchangeSchema *types.Schema, finalChain []plan.Node, stats *QueryStats) (*column.Page, *types.Schema, error) {
 	source := exec.NewFuncSource(exchangeSchema, stage.Next)
-	finalOp, err := compileChain(finalChain, source, nil, &stats.FinalMeter)
+	finalOp, err := compileChain(finalChain, source, nil, nil, &stats.FinalMeter)
 	if err != nil {
 		// Drain workers before returning so goroutines do not leak.
 		stage.Drain()
@@ -583,11 +588,65 @@ func (e *Engine) finishFinalStage(stage *leafStage, exchangeSchema *types.Schema
 	return result, result.Schema, nil
 }
 
+// groupJoin returns the aggregate of a leaf chain (root first) that may
+// number its groups by join's key ids (exec.HashAggregate.GroupByJoin),
+// or nil. It must be the first node above the join that is not a Filter
+// or a Project, table must be unique, and each of its keys must resolve,
+// through Projects that pass it on as a column reference and through the
+// Filters, to one of the join's keys, on either side, or to a build
+// column — with every join key among them.
+func groupJoin(chain []plan.Node, join *plan.Join, table *exec.JoinTable) *plan.Aggregate {
+	if !table.Unique() {
+		return nil
+	}
+	at := slices.Index(chain, plan.Node(join))
+	above := at - 1
+	for ; above >= 0; above-- {
+		switch chain[above].(type) {
+		case *plan.Filter, *plan.Project:
+			continue
+		}
+		break
+	}
+	if above < 0 {
+		return nil
+	}
+	agg, ok := chain[above].(*plan.Aggregate)
+	if !ok || len(agg.Keys) == 0 {
+		return nil
+	}
+	probeWidth := join.Probe.OutputSchema().Len()
+	covered := make([]bool, len(join.ProbeKeys))
+	for _, k := range agg.Keys {
+		// An ordinal of the join's output: the probe's columns, then the
+		// build's.
+		col := plan.SourceColumn(chain[above+1:at], k)
+		if col < 0 {
+			return nil
+		}
+		isKey := false
+		for i, pk := range join.ProbeKeys {
+			if col == pk || col == probeWidth+join.BuildKeys[i] {
+				covered[i], isKey = true, true
+			}
+		}
+		if !isKey && col < probeWidth {
+			return nil
+		}
+	}
+	if slices.Contains(covered, false) {
+		return nil
+	}
+	return agg
+}
+
 // compileChain lowers a root-first node chain onto a source operator. A
 // Join in the chain probes table, the hash table of its drained build
-// side.
-func compileChain(chain []plan.Node, source exec.Operator, table *exec.JoinTable, meter *exec.Meter) (exec.Operator, error) {
+// side, and groupBy, when not nil, is the aggregate above it that groups
+// by the table's key ids.
+func compileChain(chain []plan.Node, source exec.Operator, table *exec.JoinTable, groupBy *plan.Aggregate, meter *exec.Meter) (exec.Operator, error) {
 	op := source
+	var probe *exec.HashJoinProbe
 	var err error
 	for i := len(chain) - 1; i >= 0; i-- {
 		switch t := chain[i].(type) {
@@ -603,7 +662,11 @@ func compileChain(chain []plan.Node, source exec.Operator, table *exec.JoinTable
 			case plan.AggFinal:
 				mode = exec.AggFinal
 			}
-			op, err = exec.NewHashAggregate(op, t.Keys, t.Measures, mode, meter)
+			var agg *exec.HashAggregate
+			if agg, err = exec.NewHashAggregate(op, t.Keys, t.Measures, mode, meter); err == nil && t == groupBy {
+				err = agg.GroupByJoin(probe)
+			}
+			op = agg
 		case *plan.Sort:
 			op, err = exec.NewSort(op, t.Keys, meter)
 		case *plan.TopN:
@@ -611,7 +674,8 @@ func compileChain(chain []plan.Node, source exec.Operator, table *exec.JoinTable
 		case *plan.Limit:
 			op = exec.NewLimit(op, t.Count)
 		case *plan.Join:
-			op, err = exec.NewHashJoinProbe(op, table, t.ProbeKeys, meter)
+			probe, err = exec.NewHashJoinProbe(op, table, t.ProbeKeys, meter)
+			op = probe
 		case *plan.Output:
 			op = &rename{input: op, schema: t.OutputSchema()}
 		default:

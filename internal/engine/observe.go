@@ -35,6 +35,7 @@ func (e *Engine) observeQuery(qspan *telemetry.Span, stats *QueryStats, err erro
 		}
 		if stats.Join {
 			qspan.SetAttr("join_build_rows", fmt.Sprint(stats.JoinBuildRows))
+			qspan.SetAttr("join_grouped_by_build", fmt.Sprint(stats.JoinGroupedByBuild))
 		}
 		if err != nil {
 			qspan.Event("error", err.Error())

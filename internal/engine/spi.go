@@ -322,9 +322,12 @@ type QueryStats struct {
 
 	// Join execution (zero values for single-table queries): Join marks
 	// a query that built a join table, JoinBuildRows the rows indexed
-	// from its build side.
-	Join          bool
-	JoinBuildRows int64
+	// from its build side, and JoinGroupedByBuild one whose aggregate
+	// above the join numbered its groups by the build rows' key ids —
+	// a unique build side, grouped by the join key and build columns.
+	Join               bool
+	JoinBuildRows      int64
+	JoinGroupedByBuild bool
 
 	// TraceID identifies the query's trace when the engine has a tracer
 	// (zero otherwise); prestolite's -profile flag renders it.

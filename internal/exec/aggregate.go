@@ -37,6 +37,9 @@ const (
 // hoisted out of the row loop. Under a SelSource (Filter, BloomProbe) the
 // key table and the accumulators read the input page's columns through
 // the selection: the page of surviving rows is never built.
+//
+// Over a join whose build side is unique, a group may be a join key id
+// (GroupByJoin): then no key table is built at all.
 type HashAggregate struct {
 	input    Operator
 	keys     []int
@@ -45,6 +48,8 @@ type HashAggregate struct {
 	schema   *types.Schema
 	meter    *Meter
 	done     bool
+	// join, when set, numbers the groups by its key ids.
+	join *HashJoinProbe
 }
 
 // NewHashAggregate validates keys and measures against the input schema
@@ -66,6 +71,30 @@ func NewHashAggregate(input Operator, keys []int, measures []substrait.Measure, 
 
 // Schema implements Operator.
 func (a *HashAggregate) Schema() *types.Schema { return a.schema }
+
+// GroupByJoin makes the aggregate number its groups by the key ids of
+// probe, a join over a unique build side: the Moerkotte–Neumann
+// groupjoin. A row's group is then its join key's, through one array of
+// the table's key count, with groups opened in order of first
+// appearance, so every result byte is what the key table would give. The
+// caller vouches for two things the aggregate cannot see:
+//   - between probe and the aggregate lie only Filters and Projects,
+//     which hand on the probe page's rows as they are (SelSources), so a
+//     page row here is a probe page row;
+//   - the keys are the join's keys, from either side, and build columns:
+//     every join key among them, and no other probe column. On a unique
+//     build two matched rows then agree on every key exactly when they
+//     have the same key id.
+func (a *HashAggregate) GroupByJoin(probe *HashJoinProbe) error {
+	if !probe.table.unique {
+		return fmt.Errorf("exec: group by join keys over a build side with repeated keys")
+	}
+	if len(a.keys) == 0 {
+		return fmt.Errorf("exec: group by join keys with no keys")
+	}
+	a.join = probe
+	return nil
+}
 
 // accumulator holds one measure's per-group state as flat arrays indexed
 // by dense group id.
@@ -310,7 +339,14 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 		keyKinds[ki] = in.Columns[k].Type
 		keyVecs[ki] = column.NewVector(keyKinds[ki])
 	}
-	groups := newKeyTable(keyKinds)
+	var groups *keyTable
+	var joinGroups []int32 // under GroupByJoin: at key id, group id+1
+	switch {
+	case a.join != nil:
+		joinGroups = make([]int32, a.join.table.index.len())
+	case len(a.keys) > 0:
+		groups = newKeyTable(keyKinds)
+	}
 	accs := make([]*accumulator, len(a.measures))
 	for mi, m := range a.measures {
 		acc := &accumulator{fn: m.Func, col: m.Arg}
@@ -340,7 +376,8 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 		n := liveRows(page, sel)
 		a.meter.charge(n, float64(len(a.keys))+2*float64(len(a.measures)))
 		groupIDs = resize(groupIDs, n)
-		if len(a.keys) == 0 {
+		switch {
+		case len(a.keys) == 0:
 			// Global aggregation: one implicit group.
 			if n > 0 && numGroups == 0 {
 				numGroups = 1
@@ -348,14 +385,18 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 			for i := range groupIDs {
 				groupIDs[i] = 0
 			}
-		} else {
+		case a.join != nil:
+			if numGroups, err = a.joinGroups(joinGroups, &scratch, page, sel, groupIDs, numGroups); err != nil {
+				return nil, err
+			}
+		default:
 			groups.assign(&scratch, page, a.keys, sel, groupIDs)
 			numGroups = groups.len()
-			if len(scratch.fresh) > 0 {
-				// The rows that opened a group carry its key values.
-				for ki, k := range a.keys {
-					keyVecs[ki].AppendVector(page.Vectors[k].Gather(scratch.fresh))
-				}
+		}
+		if len(scratch.fresh) > 0 {
+			// The rows that opened a group carry its key values.
+			for ki, k := range a.keys {
+				keyVecs[ki].AppendVector(page.Vectors[k].Gather(scratch.fresh))
 			}
 		}
 		for _, acc := range accs {
@@ -395,6 +436,35 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 		out.Vectors[len(a.keys)+mi] = accs[mi].emit(a.schema.Columns[len(a.keys)+mi].Type, numGroups, mergedCount)
 	}
 	return out, nil
+}
+
+// joinGroups is the key table's assign under GroupByJoin, over n groups
+// so far: it sets ids[i] to the group of the i-th row of sel (nil: of row
+// i), the group of the row's join key id, which groups maps to id+1. A
+// key id with no group yet opens the next one, and its row goes on
+// sc.fresh. It returns the new group count.
+func (a *HashAggregate) joinGroups(groups []int32, sc *keyScratch, page *column.Page, sel []int, ids []int32, n int) (int, error) {
+	keyIDs := a.join.keyIDs
+	if page.NumRows() != len(keyIDs) {
+		return n, fmt.Errorf("exec: group by join keys: a page of %d rows over a probe page of %d", page.NumRows(), len(keyIDs))
+	}
+	sc.fresh = sc.fresh[:0]
+	for i := range ids {
+		row := selRow(sel, i)
+		k := keyIDs[row]
+		if k < 0 {
+			return n, fmt.Errorf("exec: group by join keys: row %d matched no build row", row)
+		}
+		g := groups[k]
+		if g == 0 {
+			n++
+			g = int32(n)
+			groups[k] = g
+			sc.fresh = append(sc.fresh, row)
+		}
+		ids[i] = g - 1
+	}
+	return n, nil
 }
 
 // mergeFunc maps an original aggregate to the function that merges its

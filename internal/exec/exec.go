@@ -104,11 +104,12 @@ func (s *FuncSource) Next() (*column.Page, error) { return s.fn() }
 
 // SelSource is an Operator that can hand pages over with a pending
 // selection vector instead of materializing the surviving rows. Filter,
-// BloomProbe and Project implement it; the consumers that read through a
-// selection (a chained Filter or BloomProbe, Project, HashAggregate)
-// detect it, so between a scan and its group-by no filtered page is ever
+// BloomProbe, Project and HashJoinProbe (over a unique build side)
+// implement it; the consumers that read through a selection (a chained
+// Filter or BloomProbe, Project, HashAggregate) detect it, so between a
+// scan, or a join's probe, and its group-by no filtered page is ever
 // built. Dense pages are materialized only at an operator boundary that
-// needs them (sort, top-N, join, the network).
+// needs them (sort, top-N, a join's probe input, the network).
 type SelSource interface {
 	Operator
 	// NextSel returns the next page plus the selection of live rows.
@@ -118,9 +119,10 @@ type SelSource interface {
 	// its buffer — so a consumer reads it before it pulls again and never
 	// keeps it. So is a page handed over with a non-nil selection: it is
 	// lent, its vectors may be buffers the source rewrites on the next
-	// call (Project's computed columns are), and only its selected rows
-	// hold values. A page with a nil selection is the consumer's to keep,
-	// which is why Filter and BloomProbe may forward such a page as it is.
+	// call (Project's computed columns and a join's build columns are),
+	// and only its selected rows hold values. A page with a nil selection
+	// is the consumer's to keep, which is why Filter and BloomProbe may
+	// forward such a page as it is.
 	NextSel() (*column.Page, []int, error)
 }
 
@@ -153,12 +155,14 @@ func liveRows(page *column.Page, sel []int) int {
 }
 
 // Filter drops rows not satisfying the predicate. It evaluates the
-// predicate through the vectorized selection path (expr.EvalSelection):
+// predicate through the vectorized selection path (expr.Predicate):
 // typed kernels over whole column buffers, with AND/OR short-circuiting
-// over surviving rows only.
+// over surviving rows only, and a computed operand evaluated into storage
+// the predicate keeps from page to page.
 type Filter struct {
 	input Operator
-	pred  expr.Expr
+	pred  *expr.Predicate
+	cost  float64
 	meter *Meter
 	// selBuf holds the selection NextSel hands out, one page after the
 	// other: it is the consumer's until the next call, as SelSource says.
@@ -167,10 +171,11 @@ type Filter struct {
 
 // NewFilter validates the predicate against the input schema.
 func NewFilter(input Operator, pred expr.Expr, meter *Meter) (*Filter, error) {
-	if pred.Type() != types.Bool {
-		return nil, fmt.Errorf("exec: filter predicate has type %s", pred.Type())
+	p, err := expr.NewPredicate(pred)
+	if err != nil {
+		return nil, fmt.Errorf("exec: filter: %w", err)
 	}
-	return &Filter{input: input, pred: pred, meter: meter}, nil
+	return &Filter{input: input, pred: p, cost: pred.Cost(), meter: meter}, nil
 }
 
 // Schema implements Operator.
@@ -188,11 +193,11 @@ func (f *Filter) NextSel() (*column.Page, []int, error) {
 		if cap(f.selBuf) < live {
 			f.selBuf = make([]int, live)
 		}
-		out, err := expr.EvalSelectionInto(f.pred, page, sel, f.selBuf)
+		out, err := f.pred.SelectInto(page, sel, f.selBuf)
 		if err != nil {
 			return nil, nil, err
 		}
-		f.meter.charge(live, f.pred.Cost())
+		f.meter.charge(live, f.cost)
 		if len(out) == page.NumRows() {
 			// Every row survived: report "all live" so downstream
 			// evaluation stays zero-copy.

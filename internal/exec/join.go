@@ -5,10 +5,18 @@
 // NULL probe key is a key no indexed row has, so lookups miss without a
 // special case.
 //
+// The probe takes one of two forms, by what the build held. Over a unique
+// build — every key on one build row, TPC-H Q3's orders — it lends: the
+// probe page goes on untouched with its matched rows as the selection,
+// and each build column is written beside it at those rows (a SelSource,
+// as Filter and Project are). Over a build with repeated keys a probe row
+// may match several build rows, so the probe builds gather lists — one
+// (probe row, build row) pair per match — and gathers both sides into a
+// new page.
+//
 // The probe path is guarded by `make vet-join`: no per-row value
-// accessors, no scalar expression evaluation — matching is gather-list
-// construction over the key index followed by columnar Gather of both
-// sides.
+// accessors, no scalar expression evaluation — matching is typed loops
+// over the key index's ids and the columns' buffers.
 package exec
 
 import (
@@ -28,11 +36,13 @@ type JoinTable struct {
 	schema *types.Schema
 	keys   []int
 	rows   *column.Page
-	// index maps a key to its id; the build rows holding key id are
-	// head[id], next[head[id]], … until -1, in insertion order.
-	index *keyTable
-	head  []int32
-	next  []int32
+	// index maps a key to its id. In a unique table key id is build row
+	// id, and head and next are nil. Otherwise the build rows holding key
+	// id are head[id], next[head[id]], … until -1, in insertion order.
+	index  *keyTable
+	unique bool
+	head   []int32
+	next   []int32
 }
 
 // BuildJoinTable drains input and indexes it by the key columns.
@@ -106,6 +116,11 @@ func BuildJoinTable(input Operator, keys []int, meter *Meter) (*JoinTable, error
 	t.index.reserve(len(rowKeys))
 	var scratch keyScratch
 	t.index.assign(&scratch, t.rows, keys, nil, rowKeys)
+	// Ids go in order of first appearance, so when every row brought a
+	// key of its own, row r holds key id r and there is nothing to chain.
+	if t.unique = t.index.len() == len(rowKeys); t.unique {
+		return t, nil
+	}
 	// Chain each key's rows back to front, so that walking a chain from
 	// its head yields them in insertion order.
 	t.head = make([]int32, t.index.len())
@@ -126,6 +141,11 @@ func (t *JoinTable) Schema() *types.Schema { return t.schema }
 
 // Rows returns the indexed (non-NULL-key) row count.
 func (t *JoinTable) Rows() int { return t.rows.NumRows() }
+
+// Unique reports whether every key is held by exactly one build row: then
+// the probe lends its columns, and an aggregate above it may number its
+// groups by the join's key ids (HashAggregate.GroupByJoin).
+func (t *JoinTable) Unique() bool { return t.unique }
 
 // BuildBloom constructs a bloom filter over the first key column's
 // values — the filter the engine pushes into the probe-side OCS scan.
@@ -167,6 +187,14 @@ func (t *JoinTable) keyBounds() (lo, hi int64, ok bool) {
 // probe columns followed by build columns for every match. Probe rows
 // with multiple build matches repeat once per match (inner-join
 // multiplicity).
+//
+// Over a unique table it is a SelSource that lends: NextSel hands on the
+// probe page's vectors with the matched rows as the selection, and each
+// build column indexed by the page's rows, written at the matched rows
+// only. Under a selection the build columns are buffers the probe
+// rewrites on the next pull; when every row matched (nil selection) they
+// are new, and the consumer keeps the page. Over any other table NextSel
+// is Next: a gathered page with a nil selection.
 type HashJoinProbe struct {
 	input  Operator
 	table  *JoinTable
@@ -174,10 +202,18 @@ type HashJoinProbe struct {
 	schema *types.Schema
 	meter  *Meter
 
+	// keyIDs holds the key id of each row of the last probe page, -1
+	// where the row matched nothing: what GroupByJoin reads.
+	keyIDs  []int32
+	scratch keyScratch
+	// The lend path's selection, and the page it lends under one: the
+	// probe's vectors, then the build columns in lent.
+	selBuf []int
+	page   column.Page
+	lent   []column.Vector
+	// The gather path's lists: one (probe row, build row) pair per match.
 	probeIdx []int
 	buildIdx []int
-	keyIDs   []int32
-	scratch  keyScratch
 }
 
 // NewHashJoinProbe validates key arity/types and builds the combined
@@ -211,16 +247,69 @@ func NewHashJoinProbe(input Operator, table *JoinTable, probeKeys []int, meter *
 // Schema implements Operator.
 func (j *HashJoinProbe) Schema() *types.Schema { return j.schema }
 
-// Next implements Operator: it pulls probe pages until one produces
-// matches, then emits the gathered probe⊕build page.
+// Next implements Operator: the next page of matches, materialized.
 func (j *HashJoinProbe) Next() (*column.Page, error) {
+	if !j.table.unique {
+		return j.gather()
+	}
+	return materialize(j)
+}
+
+// NextSel implements SelSource.
+func (j *HashJoinProbe) NextSel() (*column.Page, []int, error) {
+	if !j.table.unique {
+		page, err := j.gather()
+		return page, nil, err
+	}
+	for {
+		page, err := j.probe()
+		if err != nil || page == nil {
+			return nil, nil, err
+		}
+		sel := j.selBuf[:0]
+		for row, id := range j.keyIDs {
+			if id >= 0 {
+				sel = append(sel, row)
+			}
+		}
+		j.selBuf = sel
+		if len(sel) == 0 {
+			continue
+		}
+		build := j.table.rows.Vectors
+		if len(sel) == len(j.keyIDs) {
+			// Every row matched: the page and its vectors are new, the
+			// consumer's to keep.
+			out := &column.Page{Schema: j.schema, Vectors: make([]*column.Vector, 0, len(page.Vectors)+len(build))}
+			out.Vectors = append(out.Vectors, page.Vectors...)
+			for _, src := range build {
+				dst := &column.Vector{}
+				lendBuild(dst, src, j.keyIDs, nil)
+				out.Vectors = append(out.Vectors, dst)
+			}
+			return out, nil, nil
+		}
+		if j.lent == nil {
+			j.lent = make([]column.Vector, len(build))
+			j.page.Schema = j.schema
+		}
+		j.page.Vectors = append(j.page.Vectors[:0], page.Vectors...)
+		for c, src := range build {
+			lendBuild(&j.lent[c], src, j.keyIDs, sel)
+			j.page.Vectors = append(j.page.Vectors, &j.lent[c])
+		}
+		return &j.page, sel, nil
+	}
+}
+
+// probe pulls the next probe page that can match and looks its keys up
+// into keyIDs, one per row; it returns the page, or nil once the input is
+// exhausted.
+func (j *HashJoinProbe) probe() (*column.Page, error) {
 	for {
 		page, err := j.input.Next()
-		if err != nil {
+		if err != nil || page == nil {
 			return nil, err
-		}
-		if page == nil {
-			return nil, nil
 		}
 		n := page.NumRows()
 		if n == 0 || j.table.index.len() == 0 {
@@ -230,13 +319,22 @@ func (j *HashJoinProbe) Next() (*column.Page, error) {
 			continue
 		}
 		j.meter.charge(n, float64(len(j.keys))+2)
-
-		// Build the match gather lists: one (probe row, build row) pair
-		// per join match.
-		j.probeIdx = j.probeIdx[:0]
-		j.buildIdx = j.buildIdx[:0]
 		j.keyIDs = resize(j.keyIDs, n)
 		j.table.index.find(&j.scratch, page, j.keys, j.keyIDs)
+		return page, nil
+	}
+}
+
+// gather is Next over a table with repeated keys: it pulls probe pages
+// until one produces matches, then emits the gathered probe⊕build page.
+func (j *HashJoinProbe) gather() (*column.Page, error) {
+	for {
+		page, err := j.probe()
+		if err != nil || page == nil {
+			return nil, err
+		}
+		j.probeIdx = j.probeIdx[:0]
+		j.buildIdx = j.buildIdx[:0]
 		for row, id := range j.keyIDs {
 			if id < 0 {
 				continue
@@ -255,5 +353,50 @@ func (j *HashJoinProbe) Next() (*column.Page, error) {
 		vecs = append(vecs, probeOut.Vectors...)
 		vecs = append(vecs, buildOut.Vectors...)
 		return &column.Page{Schema: j.schema, Vectors: vecs}, nil
+	}
+}
+
+// lendBuild writes build column src into dst, indexed by the probe
+// page's rows: at each row sel names (nil: every row of ids), the value
+// of the build row ids[row] — in a unique table, key id is build row. dst
+// keeps its buffers where they are large enough, and takes src's Dict, so
+// a column in dictionary form is lent as codes.
+func lendBuild(dst, src *column.Vector, ids []int32, sel []int) {
+	n := len(ids)
+	dst.Kind, dst.Dict = src.Kind, src.Dict
+	if src.Nulls != nil {
+		dst.Nulls = resize(dst.Nulls, n)
+		pickAt(dst.Nulls, src.Nulls, ids, sel)
+	}
+	switch {
+	case src.Dict != nil:
+		dst.Codes = resize(dst.Codes, n)
+		pickAt(dst.Codes, src.Codes, ids, sel)
+	case src.Kind == types.Int64 || src.Kind == types.Date:
+		dst.Ints = resize(dst.Ints, n)
+		pickAt(dst.Ints, src.Ints, ids, sel)
+	case src.Kind == types.Float64:
+		dst.Floats = resize(dst.Floats, n)
+		pickAt(dst.Floats, src.Floats, ids, sel)
+	case src.Kind == types.String:
+		dst.Strings = resize(dst.Strings, n)
+		pickAt(dst.Strings, src.Strings, ids, sel)
+	case src.Kind == types.Bool:
+		dst.Bools = resize(dst.Bools, n)
+		pickAt(dst.Bools, src.Bools, ids, sel)
+	}
+}
+
+// pickAt sets dst[row] = src[ids[row]] at each row sel names (nil: every
+// row of ids).
+func pickAt[T any](dst, src []T, ids []int32, sel []int) {
+	if sel == nil {
+		for row, id := range ids {
+			dst[row] = src[id]
+		}
+		return
+	}
+	for _, row := range sel {
+		dst[row] = src[ids[row]]
 	}
 }

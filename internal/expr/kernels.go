@@ -12,7 +12,7 @@ package expr
 // An expression is evaluated in one of two contexts. In value context
 // (evalAt) a column reference is the page's own vector and a computed
 // node loops under the selection (forRows) into storage of its own, or
-// into a store a Projection keeps (projection.go). In a predicate
+// into a store a Projection or a Predicate keeps. In a predicate
 // (evalSel) the result is the selection's rows where the predicate is
 // TRUE, so AND evaluates its right side only over rows the left side
 // kept and OR only over rows the left side rejected. Every comparison and
@@ -26,7 +26,7 @@ package expr
 // means every row of the page, so a predicate that rejects every row
 // returns an empty selection that is not nil; and the selection a caller
 // passes in is only read — the result is new storage, or the buffer the
-// caller gave for it (EvalSelectionInto).
+// caller gave for it (Predicate.SelectInto).
 //
 // Null propagation rules (SQL's, and the oracle's):
 //   - arithmetic and comparison: NULL if either operand is NULL;
@@ -74,20 +74,41 @@ func (o operand) nulls() []bool {
 // the rows where it is true (SQL WHERE semantics: NULL counts as false).
 // AND/OR short-circuit through selections as described above.
 func EvalSelection(e Expr, page *column.Page) ([]int, error) {
-	return EvalSelectionInto(e, page, nil, nil)
+	p, err := NewPredicate(e)
+	if err != nil {
+		return nil, err
+	}
+	return p.SelectInto(page, nil, nil)
 }
 
-// EvalSelectionInto is EvalSelection restricted to a base selection sel
-// (nil: every row), whose subsequence it returns, with storage for the
-// result: it is written over buf when buf has the capacity for it, which
-// lets a caller that is done with one page's selection before it asks
-// for the next keep one buffer for all of them. buf's contents and length
-// are ignored; it may not overlap sel, which is only read.
-func EvalSelectionInto(e Expr, page *column.Page, sel, buf []int) ([]int, error) {
+// Predicate is a boolean expression prepared for evaluation page after
+// page. It keeps a store for each computed node of its tree — an operand
+// such as a + b in a + b > c, a value-context child — which each call
+// rewrites at the rows it evaluates, so that once the stores have grown
+// to the page nothing is allocated for them. A Predicate serves one
+// caller at a time.
+type Predicate struct {
+	e     Expr
+	store store
+}
+
+// NewPredicate prepares e, which must be boolean.
+func NewPredicate(e Expr) (*Predicate, error) {
 	if e.Type() != types.Bool {
 		return nil, fmt.Errorf("expr: predicate has type %s", e.Type())
 	}
-	return evalSel(e, page, sel, buf)
+	return &Predicate{e: e}, nil
+}
+
+// SelectInto evaluates the predicate over the rows of page that sel names
+// (nil: every row), and returns the subsequence of them where it holds,
+// with storage for the result: it is written over buf when buf has the
+// capacity for it, which lets a caller that is done with one page's
+// selection before it asks for the next keep one buffer for all of them.
+// buf's contents and length are ignored; it may not overlap sel, which is
+// only read.
+func (p *Predicate) SelectInto(page *column.Page, sel, buf []int) ([]int, error) {
+	return evalSel(p.e, page, sel, buf, &p.store)
 }
 
 // EvalConst evaluates a column-free expression (a VALUES item) in value
@@ -123,26 +144,28 @@ func selBuf(buf []int, n int) []int {
 // The result is written over buf when it fits there, else allocated; buf
 // may be sel itself — every loop that narrows a selection writes entry k
 // only after it has read entry i >= k — which is how the right side of an
-// AND narrows what the left side produced, where it lies.
-func evalSel(e Expr, page *column.Page, sel, buf []int) ([]int, error) {
+// AND narrows what the left side produced, where it lies. s is e's store
+// (see store): it holds e's value in value context, and its kids the
+// storage of e's children.
+func evalSel(e Expr, page *column.Page, sel, buf []int, s *store) ([]int, error) {
 	n := page.NumRows()
 	switch t := e.(type) {
 	case *Compare, *Between:
-		kept, _, err := compareSel(e, page, n, sel, buf)
+		kept, _, err := compareSel(e, page, n, sel, buf, s)
 		return kept, err
 	case *Logic:
 		if t.Op == And {
-			left, err := evalSel(t.L, page, sel, buf)
+			left, err := evalSel(t.L, page, sel, buf, s.kid(0))
 			if err != nil || len(left) == 0 {
 				return left, err
 			}
-			return evalSel(t.R, page, left, left)
+			return evalSel(t.R, page, left, left, s.kid(1))
 		}
 		// OR: the right side only needs to run over rows the left side
 		// rejected; merged output stays sorted. sel is read again once the
 		// left side is known, and buf may be sel, so the left side gets
 		// storage of its own.
-		left, err := evalSel(t.L, page, sel, nil)
+		left, err := evalSel(t.L, page, sel, nil, s.kid(0))
 		if err != nil {
 			return nil, err
 		}
@@ -154,14 +177,14 @@ func evalSel(e Expr, page *column.Page, sel, buf []int) ([]int, error) {
 		if len(rest) == 0 {
 			return left, nil
 		}
-		right, err := evalSel(t.R, page, rest, rest)
+		right, err := evalSel(t.R, page, rest, rest, s.kid(1))
 		if err != nil {
 			return nil, err
 		}
 		return column.MergeSel(left, right), nil
 	}
 	// Anything else is evaluated in value context, and its TRUE rows kept.
-	v, err := evalAt(e, page, n, sel, nil)
+	v, err := evalAt(e, page, n, sel, s)
 	if err != nil {
 		return nil, err
 	}
@@ -177,9 +200,9 @@ func evalSel(e Expr, page *column.Page, sel, buf []int) ([]int, error) {
 
 // operands evaluates the children of an Arith, Compare or Between for a
 // kernel: a literal as a scalar, anything else through evalAt at the rows
-// sel names, into new storage. They sit in an array, not a slice, so that
-// reading columns and literals allocates nothing.
-func operands(e Expr, page *column.Page, n int, sel []int) ([3]operand, error) {
+// sel names, the i-th child into s.kid(i). They sit in an array, not a
+// slice, so that reading columns and literals allocates nothing.
+func operands(e Expr, page *column.Page, n int, sel []int, s *store) ([3]operand, error) {
 	var kids [3]Expr
 	switch t := e.(type) {
 	case *Arith:
@@ -196,7 +219,7 @@ func operands(e Expr, page *column.Page, n int, sel []int) ([3]operand, error) {
 		case *Literal:
 			ops[i] = operand{val: c.Value}
 		default:
-			v, err := evalAt(c, page, n, sel, nil)
+			v, err := evalAt(c, page, n, sel, s.kid(i))
 			if err != nil {
 				return ops, err
 			}
@@ -210,8 +233,8 @@ func operands(e Expr, page *column.Page, n int, sel []int) ([3]operand, error) {
 // rows 0..n-1) of page, which has n rows. The result is indexed by the
 // page's rows: a column reference is the page's own vector, and a computed
 // node writes its value at the selected rows of storage from s (see
-// store), leaving the others as they were. A computed child is evaluated
-// into new storage.
+// store), leaving the others as they were. Its i-th child is evaluated
+// into s.kid(i).
 func evalAt(e Expr, page *column.Page, n int, sel []int, s *store) (*column.Vector, error) {
 	switch t := e.(type) {
 	case *ColumnRef:
@@ -223,7 +246,7 @@ func evalAt(e Expr, page *column.Page, n int, sel []int, s *store) (*column.Vect
 	case *Literal:
 		return broadcastAt(s, t.Value, n, sel), nil
 	case *Arith:
-		ops, err := operands(e, page, n, sel)
+		ops, err := operands(e, page, n, sel, s)
 		if err != nil {
 			return nil, err
 		}
@@ -234,17 +257,17 @@ func evalAt(e Expr, page *column.Page, n int, sel []int, s *store) (*column.Vect
 		// Value context evaluates both sides (errors on either side
 		// surface exactly as in the oracle); only the selection path
 		// short-circuits.
-		l, err := evalAt(t.L, page, n, sel, nil)
+		l, err := evalAt(t.L, page, n, sel, s.kid(0))
 		if err != nil {
 			return nil, err
 		}
-		r, err := evalAt(t.R, page, n, sel, nil)
+		r, err := evalAt(t.R, page, n, sel, s.kid(1))
 		if err != nil {
 			return nil, err
 		}
 		return kernelLogic(t.Op, l, r, n, sel, s), nil
 	case *Not:
-		v, err := evalAt(t.E, page, n, sel, nil)
+		v, err := evalAt(t.E, page, n, sel, s.kid(0))
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +277,7 @@ func evalAt(e Expr, page *column.Page, n int, sel []int, s *store) (*column.Vect
 		out.Nulls = v.Nulls
 		return out, nil
 	case *IsNull:
-		v, err := evalAt(t.E, page, n, sel, nil)
+		v, err := evalAt(t.E, page, n, sel, s.kid(0))
 		if err != nil {
 			return nil, err
 		}
@@ -267,7 +290,7 @@ func evalAt(e Expr, page *column.Page, n int, sel []int, s *store) (*column.Vect
 		}
 		return out, nil
 	case *Cast:
-		v, err := evalAt(t.E, page, n, sel, nil)
+		v, err := evalAt(t.E, page, n, sel, s.kid(0))
 		if err != nil {
 			return nil, err
 		}
@@ -281,10 +304,10 @@ func evalAt(e Expr, page *column.Page, n int, sel []int, s *store) (*column.Vect
 }
 
 // compareSel runs the kernel of a Compare or Between over its operands,
-// under sel (nil: the rows 0..n-1), and returns the rows it keeps,
-// written over buf when they fit, with the operands.
-func compareSel(e Expr, page *column.Page, n int, sel, buf []int) ([]int, [3]operand, error) {
-	ops, err := operands(e, page, n, sel)
+// evaluated into s's kids, under sel (nil: the rows 0..n-1), and returns
+// the rows it keeps, written over buf when they fit, with the operands.
+func compareSel(e Expr, page *column.Page, n int, sel, buf []int, s *store) ([]int, [3]operand, error) {
+	ops, err := operands(e, page, n, sel, s)
 	if err != nil {
 		return nil, ops, err
 	}
@@ -301,7 +324,7 @@ func compareSel(e Expr, page *column.Page, n int, sel, buf []int) ([]int, [3]ope
 // keeps read TRUE; the other selected rows read NULL where an operand is
 // NULL, FALSE elsewhere.
 func compareAt(e Expr, page *column.Page, n int, sel []int, s *store) (*column.Vector, error) {
-	kept, ops, err := compareSel(e, page, n, sel, nil)
+	kept, ops, err := compareSel(e, page, n, sel, nil, s)
 	if err != nil {
 		return nil, err
 	}
@@ -420,14 +443,31 @@ func rowsIn(sel []int, n int) int {
 	return n
 }
 
-// store is where a kernel writes the result of one node of a
-// Projection: page-length buffers, kept at their largest, that each pull
-// rewrites at the rows it selects, so that once they have grown to the
-// page nothing is allocated or cleared. A nil *store stands for new,
-// zeroed storage that the result's receiver keeps.
+// store is where a kernel writes the result of one node of a Projection
+// or a Predicate: page-length buffers, kept at their largest, that each
+// pull rewrites at the rows it selects, so that once they have grown to
+// the page nothing is allocated or cleared. A nil *store stands for new,
+// zeroed storage that the result's receiver keeps. A node's children
+// write into its store's kids, so one store holds a whole tree's storage,
+// a node's apart from every other's: a kernel never writes where it
+// reads.
 type store struct {
-	buf column.Vector // the storage: one slice per kind, and a null mask
-	vec column.Vector // the result handed out, cut from buf
+	buf  column.Vector // the storage: one slice per kind, and a null mask
+	vec  column.Vector // the result handed out, cut from buf
+	kids [3]*store     // per child, made on first use
+}
+
+// kid returns the store of the node's i-th child: nil under a nil store,
+// so that a node evaluated into new storage evaluates its children so
+// too.
+func (s *store) kid(i int) *store {
+	if s == nil {
+		return nil
+	}
+	if s.kids[i] == nil {
+		s.kids[i] = new(store)
+	}
+	return s.kids[i]
 }
 
 // sized returns s cut to n entries, or new storage when s cannot hold

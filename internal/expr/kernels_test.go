@@ -257,12 +257,12 @@ func checkSelectionDifferential(t *testing.T, r *rand.Rand, e Expr, page *column
 			expectOver = append(expectOver, i)
 		}
 	}
-	over, err := EvalSelectionInto(e, page, base, nil)
+	over, err := mustPredicate(t, e).SelectInto(page, base, nil)
 	if err != nil {
-		t.Fatalf("EvalSelectionInto(%s): %v", e, err)
+		t.Fatalf("SelectInto(%s): %v", e, err)
 	}
 	if fmt.Sprint(over) != fmt.Sprint(expectOver) {
-		t.Fatalf("EvalSelectionInto(%s, %v) = %v, row-wise %v", e, base, over, expectOver)
+		t.Fatalf("SelectInto(%s, %v) = %v, row-wise %v", e, base, over, expectOver)
 	}
 }
 
@@ -516,7 +516,9 @@ func TestUnknownNodeErrors(t *testing.T) {
 // TestInPlaceKernelsAllocateNothing: a comparison or BETWEEN of a column
 // against literals of its class, read in place under a selection and
 // written into a caller's buffer, allocates nothing — the shape of every
-// pushed-down and residual filter.
+// pushed-down and residual filter. Nor does one with computed operands
+// (i + f > 1.5, a nested sum under AND) once the Predicate's stores have
+// grown to the page (AllocsPerRun's warm-up call).
 func TestInPlaceKernelsAllocateNothing(t *testing.T) {
 	page := randomKernelPage(rand.New(rand.NewSource(6)), 256)
 	sel := randomSel(rand.New(rand.NewSource(7)), page.NumRows())
@@ -539,10 +541,15 @@ func TestInPlaceKernelsAllocateNothing(t *testing.T) {
 		}
 		preds = append(preds, bt)
 	}
+	sum := mustArith(t, Add, i, f)
+	preds = append(preds,
+		mustCmp(t, Gt, sum, Lit(types.FloatValue(1.5))),
+		AndAll([]Expr{mustCmp(t, Lt, i, Lit(types.IntValue(3))), mustCmp(t, Le, mustArith(t, Mul, sum, f), Lit(types.FloatValue(2)))}))
 	for _, e := range preds {
+		p := mustPredicate(t, e)
 		for _, base := range [][]int{nil, sel} {
 			allocs := testing.AllocsPerRun(20, func() {
-				if _, err := EvalSelectionInto(e, page, base, buf); err != nil {
+				if _, err := p.SelectInto(page, base, buf); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -182,13 +182,16 @@ func testSelections(rows int) map[string][]int {
 	return map[string][]int{"nil": nil, "sparse": sparse, "empty": {}, "full": full}
 }
 
-// checkSelection holds evalSel's answer for e under sel to the oracle's,
-// and holds it to the selection contract: never nil, the incoming
-// selection untouched, and the same answer when it is written into a
-// caller's buffer. It holds evalAt's value-context vector under sel to
-// the oracle too, value and NULL at every selected row.
-func checkSelection(t *testing.T, e Expr, page *column.Page, name string, sel []int) {
+// checkSelection holds evalSel's answer for p's expression under sel to
+// the oracle's, and holds it to the selection contract: never nil, the
+// incoming selection untouched, and the same answer when it is written
+// into a caller's buffer by p, whose stores the caller reuses across
+// calls — so what an earlier call left at the rows sel skips must not
+// show. It holds evalAt's value-context vector under sel to the oracle
+// too, value and NULL at every selected row.
+func checkSelection(t *testing.T, p *Predicate, page *column.Page, name string, sel []int) {
 	t.Helper()
+	e := p.e
 	want := []int{}
 	rows := sel
 	if sel == nil {
@@ -214,26 +217,26 @@ func checkSelection(t *testing.T, e Expr, page *column.Page, name string, sel []
 		}
 	}
 	before := slices.Clone(sel)
-	got, err := EvalSelectionInto(e, page, sel, nil)
+	got, err := mustPredicate(t, e).SelectInto(page, sel, nil)
 	if err != nil {
-		t.Fatalf("EvalSelectionInto(%s) under %s selection: %v", e, name, err)
+		t.Fatalf("SelectInto(%s) under %s selection: %v", e, name, err)
 	}
 	if got == nil {
-		t.Fatalf("EvalSelectionInto(%s) under %s selection is nil, which means every row; want %v", e, name, want)
+		t.Fatalf("SelectInto(%s) under %s selection is nil, which means every row; want %v", e, name, want)
 	}
 	if !slices.Equal(got, want) {
-		t.Fatalf("EvalSelectionInto(%s) under %s selection = %v, oracle %v", e, name, got, want)
+		t.Fatalf("SelectInto(%s) under %s selection = %v, oracle %v", e, name, got, want)
 	}
 	buf := make([]int, page.NumRows())
-	into, err := EvalSelectionInto(e, page, sel, buf)
+	into, err := p.SelectInto(page, sel, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if into == nil || !slices.Equal(into, want) {
-		t.Fatalf("EvalSelectionInto(%s) under %s selection = %v, oracle %v", e, name, into, want)
+		t.Fatalf("SelectInto(%s) under %s selection, stores reused = %v, oracle %v", e, name, into, want)
 	}
 	if !slices.Equal(sel, before) {
-		t.Fatalf("EvalSelectionInto(%s) wrote to the %s selection it was given: %v, was %v", e, name, sel, before)
+		t.Fatalf("SelectInto(%s) wrote to the %s selection it was given: %v, was %v", e, name, sel, before)
 	}
 }
 
@@ -243,8 +246,9 @@ func TestSelectionKernelsMatchRowWise(t *testing.T) {
 	preds := selKernelPredicates(t)
 	sels := testSelections(page.NumRows())
 	for _, e := range preds {
+		p := mustPredicate(t, e)
 		for name, sel := range sels {
-			checkSelection(t, e, page, name, sel)
+			checkSelection(t, p, page, name, sel)
 		}
 	}
 
@@ -269,9 +273,9 @@ func TestSelectionKernelsMatchRowWise(t *testing.T) {
 		}
 	}
 	for iter := 0; iter < 1500; iter++ {
-		e := nest(1 + r.Intn(3))
+		p := mustPredicate(t, nest(1+r.Intn(3)))
 		for name, sel := range sels {
-			checkSelection(t, e, page, name, sel)
+			checkSelection(t, p, page, name, sel)
 		}
 	}
 }
@@ -394,15 +398,17 @@ func TestSelectionKernelsOnDictionaryColumns(t *testing.T) {
 		}
 	}
 	for _, e := range preds {
+		p := mustPredicate(t, e)
 		for name, sel := range testSelections(page.NumRows()) {
-			checkSelection(t, e, page, name, sel)
+			checkSelection(t, p, page, name, sel)
 		}
 	}
 }
 
 // FuzzSelectionKernels builds a column, a predicate over it and a
 // selection from the input bytes and holds evalSel and evalAt to the
-// oracle.
+// oracle, under every row and then, through the same Predicate, under the
+// selection.
 func FuzzSelectionKernels(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 5, 6, 9, 0xff, 0xf0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 3, 3, 3})
@@ -424,8 +430,19 @@ func FuzzSelectionKernels(f *testing.F) {
 		if e == nil {
 			return
 		}
-		checkSelection(t, e, page, fmt.Sprint(sel), sel)
+		p := mustPredicate(t, e)
+		checkSelection(t, p, page, "nil", nil)
+		checkSelection(t, p, page, fmt.Sprint(sel), sel)
 	})
+}
+
+func mustPredicate(t *testing.T, e Expr) *Predicate {
+	t.Helper()
+	p, err := NewPredicate(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // fuzzSelectionCase reads, in order: the column's kind and the predicate's

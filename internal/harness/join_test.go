@@ -263,6 +263,66 @@ func TestJoinBloomFormOnTheWire(t *testing.T) {
 	}
 }
 
+// TestJoinAggregateGroupsByBuildRows reads from QueryStats which
+// aggregates over a join number their groups by the build side's key ids
+// (exec.HashAggregate.GroupByJoin), in every pushdown mode over both
+// catalogs: Q3 and the join family's aggregates over a unique build,
+// grouped by the join key and build columns, do; an aggregate over a
+// build side with repeated keys does not, nor one grouped by a probe
+// column beside the join key — both run below the Exchange, where the
+// join is, so it is the rule and not the plan that turns them away — nor
+// one in the final stage.
+func TestJoinAggregateGroupsByBuildRows(t *testing.T) {
+	datasets, queries := joinFamily(t)
+	c := testCluster(t)
+	for _, d := range datasets {
+		if err := c.Load(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sqlOf := func(name string) string {
+		i := slices.IndexFunc(queries, func(q matrixQuery) bool { return q.name == name })
+		if i < 0 {
+			t.Fatalf("no query %q in the join family", name)
+		}
+		return queries[i].sql
+	}
+	const probeColumn = "SELECT l.orderkey AS k, l.shipdate AS s, o.orderdate AS d, SUM(l.quantity) AS q " +
+		"FROM %[1]s.lineitem AS l JOIN %[1]s.orders AS o ON l.orderkey = o.orderkey GROUP BY l.orderkey, l.shipdate, o.orderdate"
+	for _, tc := range []struct {
+		name, sql  string
+		leaf, want bool // the aggregate below the Exchange; grouped by build rows
+	}{
+		{"tpch q3", sqlOf("tpch q3"), true, true},
+		{"join residual before the aggregate", sqlOf("join residual before the aggregate"), true, true},
+		{"join on a VARCHAR key", sqlOf("join on a VARCHAR key"), true, true},
+		{"join on a DOUBLE key", sqlOf("join on a DOUBLE key"), true, true},
+		{"join NULL probe keys", sqlOf("join NULL probe keys"), true, true},
+		{"dprobe", sqlOf("dprobe"), true, true},
+		{"join duplicate build keys", sqlOf("join duplicate build keys"), true, false},
+		{"grouped by a probe column", probeColumn, true, false},
+		{"join group by build column", sqlOf("join group by build column"), false, false},
+		{"oprobe", sqlOf("oprobe"), false, false},
+	} {
+		for _, catalog := range matrixCatalogs {
+			for _, mode := range matrixModes {
+				label := fmt.Sprintf("%s [%s, %s]", tc.name, catalog, mode)
+				res, err := execute(context.Background(), c.Engine, fmt.Sprintf(tc.sql, catalog), engine.NewSession().Set(ocsconn.SessionPushdown, mode))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				final, _, _ := strings.Cut(res.Stats.PlanText, "Exchange")
+				if leaf := !strings.Contains(final, "Aggregate"); leaf != tc.leaf {
+					t.Fatalf("%s: aggregate below the exchange = %v, want %v:\n%s", label, leaf, tc.leaf, res.Stats.PlanText)
+				}
+				if got := res.Stats.JoinGroupedByBuild; got != tc.want {
+					t.Errorf("%s: grouped by build rows = %v, want %v", label, got, tc.want)
+				}
+			}
+		}
+	}
+}
+
 // TestJoinHiveMatchesOCS runs the join shapes and Q3 over hive. and over
 // ocs. — one copy of the objects, one frontend — and holds each catalog to
 // its own methods: ocs. reads through ocs.Execute (and obj.Get for a scan

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"regexp"
 	"slices"
@@ -488,7 +489,212 @@ func joinFamily(t *testing.T) ([]*workload.Dataset, []matrixQuery) {
 		d, q := aggProbe(t, disjoint, ordRows)
 		datasets, queries = append(datasets, d), append(queries, q)
 	}
-	return datasets, queries
+	d, q := groupJoinQueries(t, lineRows, ordRows)
+	return append(datasets, d...), append(queries, q...)
+}
+
+// Float keys of the group-join tables: the probe holds two NaN payloads,
+// the build a third, so an emitted key shows which side it came from.
+// probeNaN is Go's own NaN, the value "NaN" parses to, so that the S3
+// Select path's text round trip keeps it.
+var (
+	probeNaN, probeNaN2, buildNaN = math.NaN(), math.Float64frombits(0x7ff8000000000003), math.Float64frombits(0x7ff8000000000002)
+	negZero                       = math.Copysign(0, -1)
+)
+
+// groupJoinQueries are aggregates over a join — grouped by the join key
+// and build columns, the grouping the engine numbers by the build's key
+// ids when the build side is unique, or not — each answered
+// row-at-a-time: over a build side with repeated keys, grouped by a build
+// column alone, with a residual filter between the join and the
+// aggregate, on a VARCHAR key, on a DOUBLE key holding −0.0, +0.0 and NaN
+// payloads (beside a BIGINT one), and with NULL probe keys. gjprobe is
+// their probe side: k BIGINT, s VARCHAR and f DOUBLE keys, NULL in
+// places, and v, summed, in quarters, so that every sum is exact in any
+// order. Each object holds k and s values of its own, and only the last
+// has NULLs there, so the zone maps prove both split-disjoint and an
+// aggregate grouped by either runs below the Exchange, where the join is.
+func groupJoinQueries(t *testing.T, lineRows, ordRows [][]types.Value) ([]*workload.Dataset, []matrixQuery) {
+	strs := [][]string{{"a longer string key", "ab"}, {"cd", "missing"}, {"xylophone keys", "zz-top-priority"}}
+	floats := []float64{negZero, 0, probeNaN, probeNaN2, 1.5, 3.5}
+	probe, probeRows := rowTable(t, "gjprobe", []types.Column{{Name: "k", Type: types.Int64}, {Name: "s", Type: types.String},
+		{Name: "f", Type: types.Float64}, {Name: "v", Type: types.Float64}}, 3, 24, 8, func(seq int) []types.Value {
+		obj := seq / 24
+		row := []types.Value{types.IntValue(int64(obj*5 + seq%5 - 1)), types.StringValue(strs[obj][seq%2]),
+			types.FloatValue(floats[seq/5%6]), types.FloatValue(float64(seq%7) / 4)}
+		if obj == 2 && seq%7 == 3 {
+			row[0] = types.NullValue(types.Int64)
+		}
+		if obj == 2 && seq%4 == 1 {
+			row[1] = types.NullValue(types.String)
+		}
+		if seq%9 == 4 {
+			row[2] = types.NullValue(types.Float64)
+		}
+		return row
+	})
+	dup, dupRows := rowTable(t, "gjdup", []types.Column{{Name: "k", Type: types.Int64}, {Name: "tag", Type: types.String}}, 2, 10, 8,
+		func(seq int) []types.Value {
+			return []types.Value{types.IntValue(int64(seq % 10)), types.StringValue([]string{"first", "second"}[seq/10])}
+		})
+	str, strRows := rowTable(t, "gjstr", []types.Column{{Name: "s", Type: types.String}, {Name: "grade", Type: types.Int64}}, 1, 4, 8,
+		func(seq int) []types.Value {
+			return []types.Value{types.StringValue([]string{"ab", "a longer string key", "zz-top-priority", "never probed"}[seq]), types.IntValue(int64(seq * 10))}
+		})
+	dbl, dblRows := rowTable(t, "gjdbl", []types.Column{{Name: "k", Type: types.Int64}, {Name: "f", Type: types.Float64}, {Name: "label", Type: types.String}}, 1, 7, 8,
+		func(seq int) []types.Value {
+			return []types.Value{types.IntValue([]int64{0, 0, 0, 5, 5, 9, 12}[seq]), types.FloatValue([]float64{negZero, 0, buildNaN, negZero, buildNaN, 0, 2.5}[seq]),
+				types.StringValue([]string{"neg zero", "pos zero", "nan", "neg zero", "nan", "pos zero", "never probed"}[seq])}
+		})
+
+	col := func(c int) func([]types.Value) types.Value {
+		return func(row []types.Value) types.Value { return row[c] }
+	}
+	cols := func(cs ...int) []func([]types.Value) types.Value {
+		var out []func([]types.Value) types.Value
+		for _, c := range cs {
+			out = append(out, col(c))
+		}
+		return out
+	}
+	on := func(pairs ...[2]int) func(p, b []types.Value) bool {
+		return func(p, b []types.Value) bool {
+			for _, pair := range pairs {
+				if !sameJoinKey(p[pair[0]], b[pair[1]]) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	const sums = " COUNT(*) AS n, SUM(p.v) AS t FROM %[1]s.gjprobe AS p JOIN "
+	return []*workload.Dataset{probe, dup, str, dbl}, []matrixQuery{
+		{name: "join duplicate build keys",
+			sql: "SELECT l.orderkey AS k, d.tag AS tag, COUNT(*) AS n, SUM(l.quantity) AS q FROM %[1]s.lineitem AS l JOIN %[1]s.gjdup AS d ON l.orderkey = d.k " +
+				"GROUP BY l.orderkey, d.tag ORDER BY k, tag",
+			want: joinAggregate(lineRows, dupRows, on([2]int{lOrderkey, 0}), cols(lOrderkey), cols(1), col(lQuantity))},
+		{name: "join group by build column",
+			sql: "SELECT o.orderpriority AS p, COUNT(*) AS n, SUM(l.quantity) AS q FROM %[1]s.lineitem AS l JOIN %[1]s.orders AS o ON l.orderkey = o.orderkey " +
+				"WHERE l.quantity < 25 GROUP BY o.orderpriority ORDER BY p",
+			want: joinAggregate(lineRows, ordRows, func(l, o []types.Value) bool { return on([2]int{lOrderkey, oOrderkey})(l, o) && l[lQuantity].F < 25 },
+				nil, cols(oPriority), col(lQuantity))},
+		{name: "join residual before the aggregate",
+			sql: "SELECT l.orderkey AS k, o.orderdate AS d, COUNT(*) AS n, SUM(l.quantity) AS q FROM %[1]s.lineitem AS l JOIN %[1]s.orders AS o ON l.orderkey = o.orderkey " +
+				"WHERE l.shipdate > o.orderdate GROUP BY l.orderkey, o.orderdate ORDER BY k",
+			want: joinAggregate(lineRows, ordRows, func(l, o []types.Value) bool {
+				return on([2]int{lOrderkey, oOrderkey})(l, o) && l[lShipdate].I > o[oOrderdate].I
+			},
+				cols(lOrderkey), cols(oOrderdate), col(lQuantity))},
+		{name: "join on a VARCHAR key",
+			sql:  "SELECT p.s AS s, g.grade AS g," + sums + "%[1]s.gjstr AS g ON p.s = g.s GROUP BY p.s, g.grade ORDER BY s",
+			want: joinAggregate(probeRows, strRows, on([2]int{1, 0}), cols(1), cols(1), col(3))},
+		{name: "join on a DOUBLE key",
+			sql: "SELECT p.k AS k, p.f AS f, b.label AS label," + sums + "%[1]s.gjdbl AS b ON p.k = b.k AND p.f = b.f " +
+				"GROUP BY p.k, p.f, b.label ORDER BY k, f, label",
+			want:  joinAggregate(probeRows, dblRows, on([2]int{0, 0}, [2]int{2, 1}), cols(0, 2), cols(2), col(3)),
+			check: probeNaNKept},
+		{name: "join NULL probe keys",
+			sql:  "SELECT p.k AS k, o.orderdate AS d," + sums + "%[1]s.orders AS o ON p.k = o.orderkey GROUP BY p.k, o.orderdate ORDER BY k",
+			want: joinAggregate(probeRows, ordRows, on([2]int{0, oOrderkey}), cols(0), cols(oOrderdate), col(3))},
+	}
+}
+
+// sameJoinKey reports whether two join key values match as the engine's
+// key table has them: NULL matches nothing, and floats match by bit
+// pattern with every NaN one key, so −0.0 does not match +0.0.
+func sameJoinKey(a, b types.Value) bool {
+	return !a.Null && !b.Null && keyWord(a) == keyWord(b)
+}
+
+// keyWord spells a key value so that two values are one key exactly when
+// their words are equal, NULL being a key of its own.
+func keyWord(v types.Value) string {
+	switch {
+	case v.Null:
+		return "null"
+	case v.Kind == types.Float64 && v.F != v.F:
+		return "NaN"
+	case v.Kind == types.Float64:
+		return fmt.Sprint(math.Float64bits(v.F))
+	}
+	return v.String()
+}
+
+// probeNaNKept checks the NaN group of "join on a DOUBLE key": its key,
+// grouped by the probe's column, carries a probe payload, never the
+// build's.
+func probeNaNKept(t *testing.T, label string, res *engine.Result) {
+	keys := res.Page.Vectors[0]
+	for row, f := range keys.Floats {
+		if keys.IsNull(row) || f == f {
+			continue
+		}
+		if bits := math.Float64bits(f); bits != math.Float64bits(probeNaN) && bits != math.Float64bits(probeNaN2) {
+			t.Errorf("%s: the NaN group's key is %#x, not one of the probe's payloads", label, bits)
+		}
+	}
+}
+
+// joinAggregate answers SELECT <probe keys>, <build keys>, COUNT(*),
+// SUM(<val>) FROM probe JOIN build ON <on> GROUP BY those keys ORDER BY
+// them the slow, obvious way: every pair of rows, in table order, that on
+// holds for (the join's condition and any WHERE). Group keys are equal
+// as keyWord spells them.
+func joinAggregate(probe, build [][]types.Value, on func(p, b []types.Value) bool,
+	probeKeys, buildKeys []func([]types.Value) types.Value, val func([]types.Value) types.Value) []string {
+	type group struct {
+		keys []types.Value
+		n    int64
+		sum  float64
+		seen bool // a non-NULL value summed
+	}
+	var groups []*group
+	at := map[string]*group{}
+	for _, p := range probe {
+		for _, b := range build {
+			if !on(p, b) {
+				continue
+			}
+			var keys []types.Value
+			for _, k := range probeKeys {
+				keys = append(keys, k(p))
+			}
+			for _, k := range buildKeys {
+				keys = append(keys, k(b))
+			}
+			id := ""
+			for _, k := range keys {
+				id += keyWord(k) + "|"
+			}
+			g := at[id]
+			if g == nil {
+				g = &group{keys: keys}
+				at[id] = g
+				groups = append(groups, g)
+			}
+			g.n++
+			if v := val(p); !v.Null {
+				g.sum, g.seen = g.sum+v.F, true
+			}
+		}
+	}
+	sort.SliceStable(groups, func(i, j int) bool {
+		for k := range groups[i].keys {
+			if c := types.Compare(groups[i].keys[k], groups[j].keys[k]); c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	var out []string
+	for _, g := range groups {
+		sum := types.FloatValue(g.sum)
+		if !g.seen {
+			sum = types.NullValue(types.Float64)
+		}
+		out = append(out, renderRow(append(g.keys, types.IntValue(g.n), sum)))
+	}
+	return out
 }
 
 // aggProbe is a probe table for a Q3-shaped aggregate over the join — k
