@@ -39,8 +39,10 @@ loc:
 # kernels, filter selectivity sweep, hash aggregation — string keys
 # plain and in dictionary form among it —, sort/top-N, and
 # Laghos's, Q1's and Deep Water's whole leaf pipelines over resident
-# pages, and Q3's engine-side leaf chain, join probe to partial top-N,
-# grouped by the join's key ids and through a key table), the
+# pages — Q1 also with a NULL mask on a column it sums and counts, the
+# aggregate's NULL-count path —, and Q3's engine-side leaf chain, join
+# probe to partial top-N, grouped by the join's key ids and through a key
+# table), the
 # zone-map pruning selectivity sweep, the hot-page cache comparison, the
 # tracing-overhead comparison, the mixed-traffic latency profile, the
 # join bloom-pushdown sweep, the ingest-throughput sweep and the write
@@ -144,11 +146,15 @@ determinism:
 # any unique build side of BIGINT, DOUBLE or VARCHAR keys, NULLs, both zeros
 # and NaN payloads among them, lends the rows a nested loop finds, and the
 # aggregate above it gives the same bytes grouped by the join's key ids as
-# through a key table.
+# through a key table; and any list of COUNT(*), COUNT, SUM, MIN and MAX
+# measures over columns whose NULL mask comes and goes from page to page,
+# under any selection, in Single mode and as Partial through Final, gives
+# the bytes a row-at-a-time aggregate does.
 # `go test -fuzz` takes one target and one package per run.
-# FuzzJoinFilterForms shrinks each new input for at most 200 runs: under
-# the default, 60 s, shrinking its first input took most of the ten
-# seconds (tens of runs, where it now makes ~35,000).
+# FuzzJoinFilterForms and FuzzAggregateMeasures shrink each new input for
+# at most 200 runs: under the default, 60 s, shrinking its first input
+# took most of the ten seconds (tens of runs, where it now makes ~35,000;
+# FuzzAggregateMeasures stalled after 9 s).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnappyDecode$$' -fuzztime 10s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/arrowlite/
@@ -168,6 +174,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyTableModes$$' -fuzztime 10s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzJoinFilterForms$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupJoin$$' -fuzztime 10s ./internal/exec/
+	$(GO) test -run '^$$' -fuzz '^FuzzAggregateMeasures$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/exec/
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnSketch$$' -fuzztime 10s ./internal/metastore/
 
 # gates is the one list of the static guards (telemetry manifest, the one

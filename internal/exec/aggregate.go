@@ -3,6 +3,8 @@ package exec
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"prestocs/internal/column"
@@ -34,9 +36,12 @@ const (
 // The implementation is columnar: a keyTable maps each page's key columns
 // to dense group ids (first appearance = lowest id); measures accumulate
 // into flat per-group arrays with the per-measure function/type dispatch
-// hoisted out of the row loop. Under a SelSource (Filter, BloomProbe) the
-// key table and the accumulators read the input page's columns through
-// the selection: the page of surviving rows is never built.
+// hoisted out of the row loop. Rows are counted once per group, not per
+// measure, and only while a COUNT or a SUM reads the count (rowCount); a
+// COUNT or SUM keeps only the NULLs it has seen, on pages whose vector
+// carries a mask. Under a SelSource (Filter, BloomProbe) the key table and
+// the accumulators read the input page's columns through the selection:
+// the page of surviving rows is never built.
 //
 // Over a join whose build side is unique, a group may be a join key id
 // (GroupByJoin): then no key table is built at all.
@@ -97,15 +102,15 @@ func (a *HashAggregate) GroupByJoin(probe *HashJoinProbe) error {
 }
 
 // accumulator holds one measure's per-group state as flat arrays indexed
-// by dense group id.
+// by dense group id; rows are counted by the aggregate (rowCount).
 type accumulator struct {
 	fn   substrait.AggFunc // resolved for the mode (merge fn when final)
 	col  int               // input ordinal (state column when final)
 	kind types.Kind        // input column kind (min/max reconstruction)
 
-	counts []int64
-	isums  []int64
-	fsums  []float64
+	nulls []int64 // a COUNT's or SUM's NULL count: nil until its vector has a mask
+	isums []int64
+	fsums []float64
 
 	// min/max state: mmSet marks groups with a non-NULL value; exactly
 	// one typed slice is populated, selected by kind.
@@ -116,33 +121,14 @@ type accumulator struct {
 	mmBools   []bool
 }
 
-// grow extends the per-group arrays this measure uses to n groups: counts
-// always except for min/max, one sum array by kind, one min/max array by
-// kind.
-func (acc *accumulator) grow(n int) {
-	switch acc.fn {
-	case substrait.AggMin, substrait.AggMax:
-		acc.mmSet = growTo(acc.mmSet, n)
-		switch acc.kind {
-		case types.Int64, types.Date:
-			acc.mmInts = growTo(acc.mmInts, n)
-		case types.Float64:
-			acc.mmFloats = growTo(acc.mmFloats, n)
-		case types.String:
-			acc.mmStrings = growTo(acc.mmStrings, n)
-		case types.Bool:
-			acc.mmBools = growTo(acc.mmBools, n)
-		}
-	case substrait.AggSum:
-		acc.counts = growTo(acc.counts, n)
-		if acc.kind == types.Int64 {
-			acc.isums = growTo(acc.isums, n)
-		} else {
-			acc.fsums = growTo(acc.fsums, n)
-		}
-	default:
-		acc.counts = growTo(acc.counts, n)
-	}
+// rowCount is an aggregate's one row count per group, taken (on) from
+// its first page if it has a COUNT, else from the first page where a
+// SUM's vector has a mask. The groups opened before that (from) had a
+// value in every SUM, so only later ones can be NULL; for those rows is exact.
+type rowCount struct {
+	rows     []int64
+	on, lent bool // lent: rows is an output vector's buffer
+	from     int
 }
 
 // growTo extends s with zero values to length n.
@@ -154,95 +140,108 @@ func growTo[T any](s []T, n int) []T {
 }
 
 // accumulate folds the rows of page that sel names (nil: every row) into
-// the state; groupIDs[i] is the dense group id of the i-th of them. The
-// function/kind dispatch happens once per page, not per row; the inner
-// loops touch raw column buffers only, and come in two forms — over every
-// row, and through a selection — so that neither pays for the other.
-func (acc *accumulator) accumulate(page *column.Page, sel []int, groupIDs []int32) error {
+// the state of n groups; groupIDs[i] is the group of the i-th of them.
+// rows is the row count while no walk over this page has taken it: the
+// first SUM over a vector with no mask counts it in its walk and returns
+// nil, any other measure returns rows. A COUNT or SUM counts NULLs only
+// where its vector has a mask: a COUNT over a column with none is free.
+func (acc *accumulator) accumulate(page *column.Page, sel []int, groupIDs []int32, n int, rows []int64) ([]int64, error) {
 	switch acc.fn {
 	case substrait.AggCountStar:
-		for _, g := range groupIDs {
-			acc.counts[g]++
-		}
 	case substrait.AggCount:
-		nulls := page.Vectors[acc.col].Nulls
-		switch {
-		case nulls == nil:
-			for _, g := range groupIDs {
-				acc.counts[g]++
-			}
-		case sel == nil:
+		if nulls := page.Vectors[acc.col].Nulls; nulls != nil {
+			acc.nulls = growTo(acc.nulls, n)
 			for i, g := range groupIDs {
-				if !nulls[i] {
-					acc.counts[g]++
-				}
-			}
-		default:
-			for i, g := range groupIDs {
-				if !nulls[sel[i]] {
-					acc.counts[g]++
+				if nulls[selRow(sel, i)] {
+					acc.nulls[g]++
 				}
 			}
 		}
 	case substrait.AggSum:
 		vec := page.Vectors[acc.col]
+		var counts []int64 // the row count riding in this walk, or the NULL count
+		if vec.Nulls == nil {
+			counts, rows = rows, nil
+		} else {
+			acc.nulls = growTo(acc.nulls, n)
+			counts = acc.nulls
+		}
 		switch vec.Kind {
 		case types.Int64:
-			sumInto(acc.isums, acc.counts, vec.Ints, vec.Nulls, sel, groupIDs)
+			acc.isums = growTo(acc.isums, n)
+			sumInto(acc.isums, counts, vec.Ints, vec.Nulls, sel, groupIDs)
 		case types.Float64:
-			sumInto(acc.fsums, acc.counts, vec.Floats, vec.Nulls, sel, groupIDs)
+			acc.fsums = growTo(acc.fsums, n)
+			sumInto(acc.fsums, counts, vec.Floats, vec.Nulls, sel, groupIDs)
 		default:
-			return fmt.Errorf("exec: SUM over %s", vec.Kind)
+			return rows, fmt.Errorf("exec: SUM over %s", vec.Kind)
 		}
 	case substrait.AggMin, substrait.AggMax:
 		vec := page.Vectors[acc.col]
 		isMin := acc.fn == substrait.AggMin
+		acc.mmSet = growTo(acc.mmSet, n)
 		switch vec.Kind {
 		case types.Int64, types.Date:
+			acc.mmInts = growTo(acc.mmInts, n)
 			minMaxInto(acc.mmInts, acc.mmSet, vec.Ints, vec.Nulls, sel, groupIDs, isMin)
 		case types.Float64:
+			acc.mmFloats = growTo(acc.mmFloats, n)
 			minMaxInto(acc.mmFloats, acc.mmSet, vec.Floats, vec.Nulls, sel, groupIDs, isMin)
 		case types.String:
+			acc.mmStrings = growTo(acc.mmStrings, n)
 			minMaxInto(acc.mmStrings, acc.mmSet, vec.StringSlice(), vec.Nulls, sel, groupIDs, isMin)
 		case types.Bool:
+			acc.mmBools = growTo(acc.mmBools, n)
 			for i, g := range groupIDs {
-				row := i
-				if sel != nil {
-					row = sel[i]
-				}
+				row := selRow(sel, i)
 				if vec.Nulls != nil && vec.Nulls[row] {
 					continue
 				}
 				v := vec.Bools[row]
 				if !acc.mmSet[g] || (isMin && !v && acc.mmBools[g]) || (!isMin && v && !acc.mmBools[g]) {
-					acc.mmBools[g] = v
-					acc.mmSet[g] = true
+					acc.mmBools[g], acc.mmSet[g] = v, true
 				}
 			}
 		}
 	default:
-		return fmt.Errorf("exec: unsupported aggregate %q", acc.fn)
+		return rows, fmt.Errorf("exec: unsupported aggregate %q", acc.fn)
 	}
-	return nil
+	return rows, nil
 }
 
-// sumInto adds vals' non-NULL entries under sel (nil: all of them) to
-// their groups' sums and counts; ids[i] is the group of the i-th.
+// sumInto adds vals under sel (nil: every row) to their groups' sums; ids[i]
+// is the group of the i-th. Under a mask (nulls) the NULLs are skipped and
+// counted in counts; with none, counts (nil: no count) gains one per row.
+// The dense loops come in two forms, over every row and through a
+// selection, so that neither pays for the other.
 func sumInto[T int64 | float64](sums []T, counts []int64, vals []T, nulls []bool, sel []int, ids []int32) {
-	add := func(g int32, row int) {
-		if nulls == nil || !nulls[row] {
-			sums[g] += vals[row]
+	switch {
+	case nulls != nil:
+		for i, g := range ids {
+			if row := selRow(sel, i); nulls[row] {
+				counts[g]++
+			} else {
+				sums[g] += vals[row]
+			}
+		}
+	case counts == nil && sel == nil:
+		for i, g := range ids {
+			sums[g] += vals[i]
+		}
+	case counts == nil:
+		for i, g := range ids {
+			sums[g] += vals[sel[i]]
+		}
+	case sel == nil:
+		for i, g := range ids {
+			sums[g] += vals[i]
 			counts[g]++
 		}
-	}
-	if sel == nil {
+	default:
 		for i, g := range ids {
-			add(g, i)
+			sums[g] += vals[sel[i]]
+			counts[g]++
 		}
-		return
-	}
-	for i, g := range ids {
-		add(g, sel[i])
 	}
 }
 
@@ -276,47 +275,61 @@ func minMaxInto[T cmp.Ordered](best []T, set []bool, vals []T, nulls []bool, sel
 }
 
 // emit turns the state of the first n groups into the measure's output
-// column, of kind outKind: the per-group arrays become the column's
-// buffer as they are, and a group that saw no value is NULL — or 0 when
-// zeroIfEmpty, which is how merged partial counts come out.
-func (acc *accumulator) emit(outKind types.Kind, n int, zeroIfEmpty bool) *column.Vector {
+// column, of kind outKind: the per-group arrays become its buffer as they
+// are. A COUNT is rc's rows less its NULLs, written over its NULL count,
+// or with no NULLs rc's rows, which the first such COUNT owns. A SUM's
+// group is NULL when its NULLs equal its rows, so a SUM that saw no mask
+// (a merged count among them) has none; a MIN's or MAX's when it saw none.
+func (acc *accumulator) emit(outKind types.Kind, n int, rc *rowCount) *column.Vector {
 	vec := column.NewVector(outKind)
 	switch acc.fn {
 	case substrait.AggCount, substrait.AggCountStar:
-		vec.Ints = acc.counts[:n]
+		switch {
+		case acc.nulls != nil:
+			vec.Ints = growTo(acc.nulls, n)
+			for g, nulls := range vec.Ints {
+				vec.Ints[g] = rc.rows[g] - nulls
+			}
+		case rc.lent:
+			vec.Ints = slices.Clone(rc.rows[:n])
+		default:
+			vec.Ints, rc.lent = rc.rows[:n], true
+		}
 	case substrait.AggSum:
 		if acc.kind == types.Int64 {
-			vec.Ints = acc.isums[:n]
+			vec.Ints = growTo(acc.isums, n)
 		} else {
-			vec.Floats = acc.fsums[:n]
+			vec.Floats = growTo(acc.fsums, n)
 		}
-		if !zeroIfEmpty {
-			vec.Nulls = nullsWhere(acc.counts[:n], 0)
+		if acc.nulls != nil {
+			nulls := growTo(acc.nulls, n)
+			vec.Nulls = nullsWhere(n, func(g int) bool { return g >= rc.from && nulls[g] == rc.rows[g] })
 		}
 	default: // min, max
 		switch acc.kind {
 		case types.Int64, types.Date:
-			vec.Ints = acc.mmInts[:n]
+			vec.Ints = growTo(acc.mmInts, n)
 		case types.Float64:
-			vec.Floats = acc.mmFloats[:n]
+			vec.Floats = growTo(acc.mmFloats, n)
 		case types.String:
-			vec.Strings = acc.mmStrings[:n]
+			vec.Strings = growTo(acc.mmStrings, n)
 		case types.Bool:
-			vec.Bools = acc.mmBools[:n]
+			vec.Bools = growTo(acc.mmBools, n)
 		}
-		vec.Nulls = nullsWhere(acc.mmSet[:n], false)
+		set := growTo(acc.mmSet, n)
+		vec.Nulls = nullsWhere(n, func(g int) bool { return !set[g] })
 	}
 	return vec
 }
 
-// nullsWhere returns the null mask that marks the entries of state equal
-// to empty, or nil when there is none.
-func nullsWhere[T comparable](state []T, empty T) []bool {
+// nullsWhere returns the null mask over n groups that marks those empty
+// names, or nil when there is none.
+func nullsWhere(n int, empty func(g int) bool) []bool {
 	var nulls []bool
-	for g, s := range state {
-		if s == empty {
+	for g := range n {
+		if empty(g) {
 			if nulls == nil {
-				nulls = make([]bool, len(state))
+				nulls = make([]bool, n)
 			}
 			nulls[g] = true
 		}
@@ -348,16 +361,20 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 		groups = newKeyTable(keyKinds)
 	}
 	accs := make([]*accumulator, len(a.measures))
+	var rc rowCount
 	for mi, m := range a.measures {
 		acc := &accumulator{fn: m.Func, col: m.Arg}
 		if a.mode == AggFinal {
-			acc.fn = mergeFunc(m.Func)
 			acc.col = len(a.keys) + mi
+			if m.Func == substrait.AggCount || m.Func == substrait.AggCountStar {
+				acc.fn = substrait.AggSum // partial counts merge by summation
+			}
 		}
 		if acc.col >= 0 && acc.col < in.Len() {
 			acc.kind = in.Columns[acc.col].Type
 		}
 		accs[mi] = acc
+		rc.on = rc.on || acc.fn == substrait.AggCount || acc.fn == substrait.AggCountStar
 	}
 
 	var scratch keyScratch
@@ -376,15 +393,14 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 		n := liveRows(page, sel)
 		a.meter.charge(n, float64(len(a.keys))+2*float64(len(a.measures)))
 		groupIDs = resize(groupIDs, n)
+		opened := numGroups
 		switch {
 		case len(a.keys) == 0:
 			// Global aggregation: one implicit group.
 			if n > 0 && numGroups == 0 {
 				numGroups = 1
 			}
-			for i := range groupIDs {
-				groupIDs[i] = 0
-			}
+			clear(groupIDs)
 		case a.join != nil:
 			if numGroups, err = a.joinGroups(joinGroups, &scratch, page, sel, groupIDs, numGroups); err != nil {
 				return nil, err
@@ -399,41 +415,46 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 				keyVecs[ki].AppendVector(page.Vectors[k].Gather(scratch.fresh))
 			}
 		}
+		if !rc.on && slices.ContainsFunc(accs, func(acc *accumulator) bool {
+			return acc.fn == substrait.AggSum && page.Vectors[acc.col].Nulls != nil
+		}) {
+			rc.on, rc.from = true, opened
+		}
+		var rows []int64 // until a walk over this page takes the row count
+		if rc.on {
+			rc.rows = growTo(rc.rows, numGroups)
+			rows = rc.rows
+		}
 		for _, acc := range accs {
-			acc.grow(numGroups)
-			if err := acc.accumulate(page, sel, groupIDs); err != nil {
+			if rows, err = acc.accumulate(page, sel, groupIDs, numGroups, rows); err != nil {
 				return nil, err
+			}
+		}
+		if rows != nil { // no SUM walk over a mask-free vector carried it
+			for _, g := range groupIDs {
+				rows[g]++
 			}
 		}
 	}
 
 	// SQL semantics: a global aggregation (no GROUP BY) over empty input
-	// yields one row — count 0, other aggregates NULL. Partial mode emits
-	// nothing instead; the final stage synthesizes the default row.
+	// is one group of no rows: counts 0, other aggregates NULL (NULLs =
+	// rows). Partial mode emits nothing; the final stage makes that row.
 	if numGroups == 0 && len(a.keys) == 0 && a.mode != AggPartial {
-		out := column.NewPage(a.schema)
-		row := make([]types.Value, 0, a.schema.Len())
-		for mi, m := range a.measures {
-			switch m.Func {
-			case substrait.AggCount, substrait.AggCountStar:
-				row = append(row, types.IntValue(0))
-			default:
-				row = append(row, types.NullValue(a.schema.Columns[mi].Type))
+		numGroups, rc.rows = 1, make([]int64, 1)
+		for mi, acc := range accs {
+			if f := a.measures[mi].Func; f != substrait.AggCount && f != substrait.AggCountStar {
+				acc.nulls = make([]int64, 1)
 			}
 		}
-		out.AppendRow(row...)
-		return out, nil
 	}
 
 	out := column.NewPage(a.schema)
 	for ki := range a.keys {
 		out.Vectors[ki] = keyVecs[ki]
 	}
-	for mi, m := range a.measures {
-		// SQL: SUM over a group with no value is NULL; a COUNT merged from
-		// partial counts is 0.
-		mergedCount := a.mode == AggFinal && (m.Func == substrait.AggCount || m.Func == substrait.AggCountStar)
-		out.Vectors[len(a.keys)+mi] = accs[mi].emit(a.schema.Columns[len(a.keys)+mi].Type, numGroups, mergedCount)
+	for mi, acc := range accs {
+		out.Vectors[len(a.keys)+mi] = acc.emit(a.schema.Columns[len(a.keys)+mi].Type, numGroups, &rc)
 	}
 	return out, nil
 }
@@ -465,18 +486,6 @@ func (a *HashAggregate) joinGroups(groups []int32, sc *keyScratch, page *column.
 		ids[i] = g - 1
 	}
 	return n, nil
-}
-
-// mergeFunc maps an original aggregate to the function that merges its
-// partial states: counts merge by summation, sums by summation, min/max
-// by min/max.
-func mergeFunc(f substrait.AggFunc) substrait.AggFunc {
-	switch f {
-	case substrait.AggCount, substrait.AggCountStar:
-		return substrait.AggSum
-	default:
-		return f
-	}
 }
 
 // SortSpec orders rows by column ordinal: the plan's and the Substrait
@@ -530,6 +539,16 @@ func (s *sortKeyCols) compare(a, b int) int {
 		}
 	}
 	return 0
+}
+
+// order returns the rows 0 to n−1 stably sorted under the key list.
+func (s *sortKeyCols) order(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return s.compare(idx[a], idx[b]) < 0 })
+	return idx
 }
 
 func (c *sortKeyCol) cmp(a, b int) int {
@@ -611,25 +630,14 @@ func (s *Sort) Next() (*column.Page, error) {
 		return nil, err
 	}
 	n := all.NumRows()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	kc := newSortKeyCols(all, s.keys)
-	sort.SliceStable(idx, func(a, b int) bool {
-		return kc.compare(idx[a], idx[b]) < 0
-	})
+	idx := newSortKeyCols(all, s.keys).order(n)
 	// n log n comparisons, each costing ~#keys units.
 	s.meter.charge(n, log2ish(n)*float64(len(s.keys)))
 	return all.Gather(idx), nil
 }
 
 func log2ish(n int) float64 {
-	bits := 0
-	for v := n; v > 1; v >>= 1 {
-		bits++
-	}
-	return float64(bits + 1)
+	return float64(max(bits.Len(uint(n)), 1))
 }
 
 // TopN keeps the n smallest rows under the sort keys, emitting them in
@@ -675,15 +683,7 @@ func (t *TopN) Next() (*column.Page, error) {
 	// Bounded buffer: accumulate up to 2n rows, then cut back to n.
 	buf := column.NewPage(t.input.Schema())
 	cut := func() {
-		n := buf.NumRows()
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		kc := newSortKeyCols(buf, t.keys)
-		sort.SliceStable(idx, func(a, b int) bool {
-			return kc.compare(idx[a], idx[b]) < 0
-		})
+		idx := newSortKeyCols(buf, t.keys).order(buf.NumRows())
 		if int64(len(idx)) > t.n {
 			idx = idx[:t.n]
 		}

@@ -414,6 +414,9 @@ func mustExpr[T expr.Expr](e T, err error) expr.Expr {
 // below the exchange, which is the code a storage node runs under
 // ocs.pushdown=all and the engine under none. Deep Water's filter keeps
 // 18 % of the rows, the sparse case for a projection's computed columns.
+// q1-nulls is Q1 with quantity, which it sums and counts, NULL on every
+// eighth row: a mask on every page, so those two measures keep NULL
+// counts and the group row count rides in the next SUM.
 func BenchmarkLeafPipeline(b *testing.B) {
 	lit := func(f float64) expr.Expr { return expr.Lit(types.FloatValue(f)) }
 
@@ -451,46 +454,9 @@ func BenchmarkLeafPipeline(b *testing.B) {
 		}
 	})
 
-	b.Run("q1", func(b *testing.B) {
-		d, err := workload.TPCH(workload.Config{Files: 2, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// quantity, extendedprice, discount, tax, returnflag, linestatus, shipdate
-		schema, pages := residentPages(b, d, []int{1, 2, 3, 4, 5, 6, 7})
-		col := func(i int) expr.Expr { return expr.Col(i, schema.Columns[i].Name, schema.Columns[i].Type) }
-		pred := mustExpr(expr.NewCompare(expr.Le, col(6), expr.Lit(types.DateValue(10471))))
-		one := expr.Lit(types.IntValue(1))
-		discPrice := func() expr.Expr {
-			return mustExpr(expr.NewArith(expr.Mul, col(1), mustExpr(expr.NewArith(expr.Sub, one, col(2)))))
-		}
-		charge := mustExpr(expr.NewArith(expr.Mul, discPrice(), mustExpr(expr.NewArith(expr.Add, one, col(3)))))
-		exprs := []expr.Expr{col(4), col(5), col(0), col(1), discPrice(), charge, col(0), col(1), col(2), col(2)}
-		names := []string{"returnflag", "linestatus", "$arg0", "$arg1", "$arg2", "$arg3", "$arg4", "$arg5", "$arg6", "$arg7"}
-		var measures []substrait.Measure
-		for i, fn := range []substrait.AggFunc{substrait.AggSum, substrait.AggSum, substrait.AggSum, substrait.AggSum,
-			substrait.AggCount, substrait.AggCount, substrait.AggSum, substrait.AggCount} {
-			measures = append(measures, substrait.Measure{Func: fn, Arg: 2 + i, Name: fmt.Sprintf("$agg%d", i)})
-		}
-		measures = append(measures, substrait.Measure{Func: substrait.AggCountStar, Arg: -1, Name: "$agg8"})
-		b.SetBytes(int64(len(pages) * 4096))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f, _ := NewFilter(NewPageSource(schema, pages), pred, nil)
-			p, err := NewProject(f, exprs, names, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			agg, err := NewHashAggregate(p, []int{0, 1}, measures, AggPartial, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := Drain(agg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	for _, name := range []string{"q1", "q1-nulls"} {
+		b.Run(name, func(b *testing.B) { benchmarkQ1Leaf(b, name == "q1-nulls") })
+	}
 
 	b.Run("deepwater", func(b *testing.B) {
 		d, err := workload.DeepWater(workload.Config{Files: 4, Seed: 1})
@@ -521,6 +487,61 @@ func BenchmarkLeafPipeline(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchmarkQ1Leaf is BenchmarkLeafPipeline's Q1 chain; with nulls,
+// quantity (column 0) is NULL on every eighth row of every page.
+func benchmarkQ1Leaf(b *testing.B, nulls bool) {
+	d, err := workload.TPCH(workload.Config{Files: 2, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// quantity, extendedprice, discount, tax, returnflag, linestatus, shipdate
+	schema, pages := residentPages(b, d, []int{1, 2, 3, 4, 5, 6, 7})
+	if nulls {
+		for i, p := range pages {
+			vecs := slices.Clone(p.Vectors)
+			qty := *vecs[0]
+			qty.Nulls = make([]bool, qty.Len())
+			for r := 3; r < len(qty.Nulls); r += 8 {
+				qty.Nulls[r] = true
+			}
+			vecs[0] = &qty
+			pages[i] = &column.Page{Schema: p.Schema, Vectors: vecs}
+		}
+	}
+	col := func(i int) expr.Expr { return expr.Col(i, schema.Columns[i].Name, schema.Columns[i].Type) }
+	pred := mustExpr(expr.NewCompare(expr.Le, col(6), expr.Lit(types.DateValue(10471))))
+	one := expr.Lit(types.IntValue(1))
+	discPrice := func() expr.Expr {
+		return mustExpr(expr.NewArith(expr.Mul, col(1), mustExpr(expr.NewArith(expr.Sub, one, col(2)))))
+	}
+	charge := mustExpr(expr.NewArith(expr.Mul, discPrice(), mustExpr(expr.NewArith(expr.Add, one, col(3)))))
+	exprs := []expr.Expr{col(4), col(5), col(0), col(1), discPrice(), charge, col(0), col(1), col(2), col(2)}
+	names := []string{"returnflag", "linestatus", "$arg0", "$arg1", "$arg2", "$arg3", "$arg4", "$arg5", "$arg6", "$arg7"}
+	var measures []substrait.Measure
+	for i, fn := range []substrait.AggFunc{substrait.AggSum, substrait.AggSum, substrait.AggSum, substrait.AggSum,
+		substrait.AggCount, substrait.AggCount, substrait.AggSum, substrait.AggCount} {
+		measures = append(measures, substrait.Measure{Func: fn, Arg: 2 + i, Name: fmt.Sprintf("$agg%d", i)})
+	}
+	measures = append(measures, substrait.Measure{Func: substrait.AggCountStar, Arg: -1, Name: "$agg8"})
+	b.SetBytes(int64(len(pages) * 4096))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, _ := NewFilter(NewPageSource(schema, pages), pred, nil)
+		p, err := NewProject(f, exprs, names, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		agg, err := NewHashAggregate(p, []int{0, 1}, measures, AggPartial, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Drain(agg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkJoinAggregate is Q3's leaf chain in the engine — join probe →

@@ -294,7 +294,8 @@ func rowTable(t *testing.T, name string, cols []types.Column, objects, perObject
 // [10f, 10f+9], which the zone maps prove), mixed types and NULLs — with
 // 25 seeded random queries over it, and the queries the hive. select path
 // and whole-object scan must answer alike: a filter, grouping with no
-// WHERE, a filtered Top-N and a count over nothing.
+// WHERE, a filtered Top-N and a count over nothing; and nulltbl's
+// aggregates over NULLs (nullFamily).
 func randomFamily(t *testing.T) ([]*workload.Dataset, []matrixQuery) {
 	rnd := rand.New(rand.NewSource(2025))
 	d, _ := rowTable(t, "randtbl", []types.Column{{Name: "k", Type: types.Int64}, {Name: "a", Type: types.Int64},
@@ -321,7 +322,68 @@ func randomFamily(t *testing.T) ([]*workload.Dataset, []matrixQuery) {
 		q.name = fmt.Sprintf("random %02d", i)
 		queries = append(queries, q)
 	}
-	return []*workload.Dataset{d}, queries
+	nulls, nullQueries := nullFamily(t)
+	return []*workload.Dataset{d, nulls}, append(queries, nullQueries...)
+}
+
+// nullFamily is nulltbl — groups g = 0 and 1 in every row group, so an
+// aggregate over them runs as partial and final wherever it is pushed; v
+// is NULL on every row of group 0 and on every third of group 1, and
+// between 5 and 15 elsewhere — with MIN, MAX, SUM, COUNT(v) and COUNT(*)
+// over it, grouped, filtered and global, each answered row at a time. A
+// NULL that an aggregate let through would read as 0 (decoders zero a
+// NULL's slot), below every value v holds.
+func nullFamily(t *testing.T) (*workload.Dataset, []matrixQuery) {
+	d, rows := rowTable(t, "nulltbl", []types.Column{{Name: "seq", Type: types.Int64}, {Name: "g", Type: types.Int64},
+		{Name: "v", Type: types.Int64}}, 3, 48, 16, func(seq int) []types.Value {
+		v := types.IntValue(int64(5 + seq*7%11))
+		if seq%2 == 0 || seq%3 == 0 {
+			v = types.NullValue(types.Int64)
+		}
+		return []types.Value{types.IntValue(int64(seq)), types.IntValue(int64(seq % 2)), v}
+	})
+	// answer is min, max, sum, count(v) and count(*) over the rows of
+	// group g from seq from on.
+	answer := func(g, from int64) []types.Value {
+		mn, mx, sum := types.NullValue(types.Int64), types.NullValue(types.Int64), types.NullValue(types.Int64)
+		var cv, n int64
+		for _, r := range rows {
+			if r[1].I != g || r[0].I < from {
+				continue
+			}
+			n++
+			if v := r[2]; !v.Null {
+				cv++
+				if mn.Null || v.I < mn.I {
+					mn = v
+				}
+				if mx.Null || v.I > mx.I {
+					mx = v
+				}
+				if sum.Null {
+					sum = types.IntValue(0)
+				}
+				sum.I += v.I
+			}
+		}
+		return []types.Value{mn, mx, sum, types.IntValue(cv), types.IntValue(n)}
+	}
+	grouped := func(from int64) []string {
+		var want []string
+		for g := range int64(2) {
+			want = append(want, renderRow(append([]types.Value{types.IntValue(g)}, answer(g, from)...)))
+		}
+		return want
+	}
+	const measures = "min(v) AS mn, max(v) AS mx, sum(v) AS sv, count(v) AS cv, count(*) AS n FROM %[1]s.nulltbl"
+	return d, []matrixQuery{
+		{name: "nulls grouped", want: grouped(0), check: aggregateCheck(false, 0, 3),
+			sql: "SELECT g, " + measures + " GROUP BY g ORDER BY g"},
+		{name: "nulls grouped and filtered", want: grouped(7), check: aggregateCheck(false, 0, 3),
+			sql: "SELECT g, " + measures + " WHERE seq >= 7 GROUP BY g ORDER BY g"},
+		{name: "nulls global", want: []string{renderRow(answer(0, 0))}, check: aggregateCheck(false, 0, 3),
+			sql: "SELECT " + measures + " WHERE g = 0"},
+	}
 }
 
 // randomQuery composes a random-but-valid SQL query over randtbl; a
