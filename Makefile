@@ -46,8 +46,9 @@ loc:
 # zone-map pruning selectivity sweep, the hot-page cache comparison, the
 # tracing-overhead comparison, the mixed-traffic latency profile, the
 # join bloom-pushdown sweep, the ingest-throughput sweep and the write
-# path's steps (one commit's rows,
-# the same batch as a page, one 16-object compaction, the compaction's
+# path's steps (one commit through the ingester, append to flush; its
+# rows through the builder, and the same batch as a page; one 16-object
+# compaction, the compaction's
 # cluster sort over three key kinds, and the writer encoding 16 whole
 # row groups on every core; allocs/op included), the rpc transport (a
 # unary call, and 64 × 16 KiB chunks over one stream, direct and through a
@@ -62,7 +63,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./internal/bloom/
 	$(GO) test -bench='PruneSweep|HotCache' -benchmem -run '^$$' ./internal/ocsserver/
 	$(GO) test -bench='TracingOverhead|MixedTraffic|JoinBloomSweep|IngestThroughput' -benchmem -run '^$$' ./internal/harness/
-	$(GO) test -bench='BuilderAppendRows|BuilderAppendPage|CompactMerge|ClusterOrder' -benchmem -run '^$$' ./internal/ingest/
+	$(GO) test -bench='IngesterCommit|BuilderAppendRows|BuilderAppendPage|CompactMerge|ClusterOrder' -benchmem -run '^$$' ./internal/ingest/
 	$(GO) test -bench='WritePage' -benchmem -run '^$$' ./internal/parquetlite/
 	$(GO) test -bench='UnaryCall|StreamChunks' -benchmem -run '^$$' ./internal/rpc/
 
@@ -149,7 +150,9 @@ determinism:
 # through a key table; and any list of COUNT(*), COUNT, SUM, MIN and MAX
 # measures over columns whose NULL mask comes and goes from page to page,
 # under any selection, in Single mode and as Partial through Final, gives
-# the bytes a row-at-a-time aggregate does.
+# the bytes a row-at-a-time aggregate does; and a String chunk in
+# dictionary form, any Dict and codes and NULL rows over any code,
+# encodes to the bytes and statistics of its flattened twin.
 # `go test -fuzz` takes one target and one package per run.
 # FuzzJoinFilterForms and FuzzAggregateMeasures shrink each new input for
 # at most 200 runs: under the default, 60 s, shrinking its first input
@@ -164,6 +167,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSelect$$' -fuzztime 10s ./internal/objstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzNewReader$$' -fuzztime 10s ./internal/parquetlite/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadColumn$$' -fuzztime 10s ./internal/parquetlite/
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDictForm$$' -fuzztime 10s ./internal/parquetlite/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanPipeline$$' -fuzztime 10s ./internal/optimizer/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubstraitUnmarshal$$' -fuzztime 10s ./internal/optimizer/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime 10s ./internal/protowire/

@@ -86,6 +86,34 @@ func BenchmarkBuilderAppendPage(b *testing.B) {
 	}
 }
 
+// BenchmarkIngesterCommit is one commit as the repository benchmark's
+// commit_ms_lo times it: a 4096-row batch through Ingester.Append, which
+// seals, stores and commits it as one object at FlushRows, then Flush.
+// Each iteration starts, untimed, from an empty table over an empty
+// store.
+func BenchmarkIngesterCommit(b *testing.B) {
+	ctx := context.Background()
+	rows := benchBatch(0)
+	spec := TableSpec{Schema: "default", Name: "events", Bucket: "events", Columns: benchSchema, Codec: compress.Snappy}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ing := NewIngester(metastore.New(), newFakeStore(), Options{FlushRows: benchBatchRows})
+		if err := ing.CreateTable(spec); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		n, err := ing.Append(ctx, "default", "events", rows)
+		if err == nil {
+			err = ing.Flush(ctx, "default", "events")
+		}
+		if err != nil || n != benchBatchRows {
+			b.Fatalf("accepted %d of %d rows: %v", n, benchBatchRows, err)
+		}
+	}
+}
+
 var benchOrder []int
 
 // BenchmarkClusterOrder is one compaction's sort: 65,536 rows keyed by an

@@ -74,14 +74,29 @@ func (b *ObjectBuilder) AppendPage(p *column.Page) error {
 	b.rows += int64(p.NumRows())
 	for c, vec := range p.Vectors {
 		b.sketches[c].AddVector(vec)
-		b.raw += 8 * int64(vec.Len())
-		for i, s := range vec.StringSlice() {
-			if !vec.IsNull(i) {
-				b.raw += int64(len(s))
-			}
-		}
+		b.raw += 8*int64(vec.Len()) + stringBytes(vec)
 	}
 	return nil
+}
+
+// stringBytes sums the lengths of a vector's non-NULL strings, reading a
+// dictionary-form vector's through its Dict.
+func stringBytes(vec *column.Vector) int64 {
+	var n int64
+	if vec.Dict != nil {
+		for i, c := range vec.Codes {
+			if !vec.IsNull(i) {
+				n += int64(len(vec.Dict[c]))
+			}
+		}
+		return n
+	}
+	for i, s := range vec.Strings {
+		if !vec.IsNull(i) {
+			n += int64(len(s))
+		}
+	}
+	return n
 }
 
 // SealedObject is a finished object image plus the bookkeeping the

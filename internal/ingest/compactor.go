@@ -137,27 +137,14 @@ func (c *Compactor) candidates(t *metastore.Table) []string {
 // merge reads the candidate objects, re-sorts their union by column ci,
 // writes the merged object under a fresh key and commits the swap.
 func (c *Compactor) merge(ctx context.Context, t *metastore.Table, cands []string, ci int, schema, name string) (string, int64, error) {
-	sources, err := c.readSources(ctx, t, cands)
+	page, err := c.mergedPage(ctx, t, cands, ci)
 	if err != nil {
 		return "", 0, err
 	}
-	rows := 0
-	for _, pages := range sources {
-		for _, p := range pages {
-			rows += p.NumRows()
-		}
-	}
-	page := column.NewPage(t.Columns)
-	page.Reserve(rows)
-	for _, pages := range sources {
-		for _, p := range pages {
-			page.AppendPage(p)
-		}
-	}
-	// The sorted page is gathered whole, so the writer sees every output
-	// row group at once and encodes them on all cores.
+	// The sorted page is whole, so the writer sees every output row group
+	// at once and encodes them on all cores.
 	builder := NewObjectBuilder(t.Columns, parquetlite.WriterOptions{Codec: t.Codec, RowGroupSize: 4096})
-	if err := builder.AppendPage(page.Gather(clusterOrder(page, ci))); err != nil {
+	if err := builder.AppendPage(page); err != nil {
 		return "", 0, err
 	}
 	sealed, err := builder.Seal()
@@ -177,6 +164,96 @@ func (c *Compactor) merge(ctx context.Context, t *metastore.Table, cands []strin
 		return "", 0, err
 	}
 	return out, sealed.Bytes, nil
+}
+
+// mergedPage reads the candidate objects and returns their rows as one
+// page sorted by column ci: the page merge writes.
+func (c *Compactor) mergedPage(ctx context.Context, t *metastore.Table, cands []string, ci int) (*column.Page, error) {
+	sources, err := c.readSources(ctx, t, cands)
+	if err != nil {
+		return nil, err
+	}
+	var pages []*column.Page
+	for _, ps := range sources {
+		pages = append(pages, ps...)
+	}
+	page := concat(t.Columns, pages)
+	return page.Gather(clusterOrder(page, ci)), nil
+}
+
+// concat joins pages of the schema, in order, into one page. A String
+// column whose every source vector is in dictionary form stays in it
+// (unionDicts); any other column is appended as Page.AppendPage appends
+// it, into a vector reserved for all the rows.
+func concat(schema *types.Schema, pages []*column.Page) *column.Page {
+	rows := 0
+	for _, p := range pages {
+		rows += p.NumRows()
+	}
+	out := &column.Page{Schema: schema, Vectors: make([]*column.Vector, schema.Len())}
+	srcs := make([]*column.Vector, len(pages))
+	for c, col := range schema.Columns {
+		for i, p := range pages {
+			srcs[i] = p.Vectors[c]
+		}
+		if vec := unionDicts(srcs, rows); vec != nil {
+			out.Vectors[c] = vec
+			continue
+		}
+		vec := column.NewVector(col.Type)
+		vec.Reserve(rows)
+		for _, src := range srcs {
+			vec.AppendVector(src)
+		}
+		out.Vectors[c] = vec
+	}
+	return out
+}
+
+// unionDicts concatenates vectors in dictionary form into one whose Dict
+// is the union of theirs, in first-seen order: one map lookup per
+// dictionary entry, and each source's codes remapped through an array.
+// It returns nil unless every vector is in dictionary form.
+func unionDicts(srcs []*column.Vector, rows int) *column.Vector {
+	if len(srcs) == 0 {
+		return nil
+	}
+	withNulls := false
+	for _, src := range srcs {
+		if src.Dict == nil {
+			return nil
+		}
+		withNulls = withNulls || src.Nulls != nil
+	}
+	out := &column.Vector{Kind: types.String, Codes: make([]int32, 0, rows)}
+	if withNulls {
+		out.Nulls = make([]bool, 0, rows)
+	}
+	index := make(map[string]int32)
+	var remap []int32
+	for _, src := range srcs {
+		remap = remap[:0]
+		for _, s := range src.Dict {
+			code, ok := index[s]
+			if !ok {
+				code = int32(len(out.Dict))
+				index[s] = code
+				out.Dict = append(out.Dict, s)
+			}
+			remap = append(remap, code)
+		}
+		for _, code := range src.Codes {
+			out.Codes = append(out.Codes, remap[code])
+		}
+		if withNulls {
+			if src.Nulls == nil {
+				out.Nulls = append(out.Nulls, make([]bool, len(src.Codes))...)
+			} else {
+				out.Nulls = append(out.Nulls, src.Nulls...)
+			}
+		}
+	}
+	return out
 }
 
 // readSources fetches and decodes the candidates concurrently, one

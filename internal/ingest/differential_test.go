@@ -173,10 +173,52 @@ func sameSealed(t *testing.T, what string, got, want SealedObject) {
 	}
 }
 
+// inDictForm returns the page with its String columns in dictionary form.
+// Each Dict holds the column's strings shuffled, the first of them twice,
+// and two entries no row uses, one sorting before every string and one
+// after; a non-NULL row reads through either entry of a repeated string,
+// and a NULL row lies over a random nonzero code.
+func inDictForm(rnd *rand.Rand, p *column.Page) *column.Page {
+	out := &column.Page{Schema: p.Schema, Vectors: slices.Clone(p.Vectors)}
+	for c, vec := range p.Vectors {
+		if vec.Kind != types.String {
+			continue
+		}
+		dict := []string{"", "~unused"} // unused unless a row reads ""
+		codes := map[string][]int32{}
+		for i, s := range vec.Strings {
+			if _, ok := codes[s]; !ok && !vec.IsNull(i) {
+				codes[s] = nil
+				dict = append(dict, s)
+				if len(codes) == 1 {
+					dict = append(dict, s)
+				}
+			}
+		}
+		rnd.Shuffle(len(dict), func(i, j int) { dict[i], dict[j] = dict[j], dict[i] })
+		for code, s := range dict {
+			if _, ok := codes[s]; ok {
+				codes[s] = append(codes[s], int32(code))
+			}
+		}
+		dv := &column.Vector{Kind: types.String, Dict: dict, Nulls: vec.Nulls, Codes: make([]int32, len(vec.Strings))}
+		for i, s := range vec.Strings {
+			if vec.IsNull(i) {
+				dv.Codes[i] = int32(1 + rnd.Intn(len(dict)-1))
+				continue
+			}
+			dv.Codes[i] = codes[s][rnd.Intn(len(codes[s]))]
+		}
+		out.Vectors[c] = dv
+	}
+	return out
+}
+
 // TestBuilderMatchesRowWiseReference: rows fed through AppendRow, through
 // AppendPage and through a mix of both seal to the reference's image,
 // statistics (NDV within the sketch's error), row count, size and raw
-// bytes, and to one set of sketches.
+// bytes, and to one set of sketches. In the dict cut the pages' String
+// columns arrive in dictionary form (inDictForm).
 func TestBuilderMatchesRowWiseReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(18))
 	const group = 64
@@ -191,11 +233,13 @@ func TestBuilderMatchesRowWiseReference(t *testing.T) {
 		want := ref.seal(t)
 
 		// Where the input is cut into AppendPage calls; rows in between go
-		// through AppendRow.
+		// through AppendRow. The dict cut draws from a source of its own.
+		dictRnd := rand.New(rand.NewSource(int64(trial)))
 		cuts := map[string][]int{
 			"rows":  nil,
 			"page":  {0, len(rows)},
 			"mixed": {rnd.Intn(len(rows) + 1), rnd.Intn(len(rows) + 1)},
+			"dict":  {dictRnd.Intn(len(rows) + 1), dictRnd.Intn(len(rows) + 1)},
 		}
 		var sketches map[string]metastore.Sketch
 		for what, cut := range cuts {
@@ -204,7 +248,11 @@ func TestBuilderMatchesRowWiseReference(t *testing.T) {
 			for i := 0; i < len(rows); {
 				var err error
 				if cut != nil && i == cut[0] && cut[1] > i {
-					err = b.AppendPage(pageOf(allKinds, rows[i:cut[1]]))
+					page := pageOf(allKinds, rows[i:cut[1]])
+					if what == "dict" {
+						page = inDictForm(dictRnd, page)
+					}
+					err = b.AppendPage(page)
 					i = cut[1]
 				} else {
 					err = b.AppendRow(rows[i]...)
@@ -317,5 +365,118 @@ func TestCompactMatchesBoxedStableSort(t *testing.T) {
 			sameSealed(t, "committed stats of "+col.Name, SealedObject{Image: got, Rows: tbl.RowCount, Bytes: tbl.ObjectBytes[res.Output],
 				Stats: tbl.ObjectStats[res.Output]}, want)
 		}
+	}
+}
+
+// TestCompactKeepsDictionaries: sources whose tag chunks number the same
+// tags in different orders, a NULL tag and "" among them, compact to the
+// image and statistics of the flattened merge — every source's strings
+// decoded, appended as plain strings and sorted by the boxed stable sort
+// — and the page the builder gets keeps its tag column in dictionary
+// form. With one source whose tag chunk is plain, the column is merged
+// plain, to the same image as its flattened merge.
+func TestCompactKeepsDictionaries(t *testing.T) {
+	ctx := context.Background()
+	const rows, group = 300, 128
+	tagsOf := [][]string{
+		{"ok", "warn", "fault"},
+		{"fault", "", "ok"},
+		{"warn", "idle", "ok", "calib"},
+	}
+	for _, withPlain := range []bool{false, true} {
+		store := newFakeStore()
+		spec := TableSpec{Schema: "default", Name: "events", Bucket: "events", Columns: benchSchema, Codec: compress.Snappy}
+		var keys []string
+		var objs []SealedObject
+		for src := 0; src < 4; src++ {
+			rnd := rand.New(rand.NewSource(int64(src)))
+			page := column.NewPage(benchSchema)
+			for i := 0; i < rows; i++ {
+				// Source 3 has a NULL tag every seventh row, and the tags of
+				// source 0 or, withPlain, too many for a dictionary.
+				var tag types.Value
+				switch tags := tagsOf[src%3]; {
+				case src == 3 && i%7 == 0:
+					tag = types.NullValue(types.String)
+				case src == 3 && withPlain:
+					tag = types.StringValue(fmt.Sprintf("tag-%d", i))
+				default:
+					tag = types.StringValue(tags[rnd.Intn(len(tags))])
+				}
+				page.AppendRow(types.IntValue(int64(src*rows+i)), types.IntValue(rnd.Int63n(64)),
+					types.FloatValue(rnd.Float64()), tag)
+			}
+			b := NewObjectBuilder(benchSchema, parquetlite.WriterOptions{Codec: compress.Snappy, RowGroupSize: group})
+			if err := b.AppendPage(page); err != nil {
+				t.Fatal(err)
+			}
+			sealed, err := b.Seal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := fmt.Sprintf("events-ingest-%d.pql", src)
+			if err := store.Put(ctx, spec.Bucket, key, sealed.Image); err != nil {
+				t.Fatal(err)
+			}
+			keys, objs = append(keys, key), append(objs, sealed)
+		}
+		tbl, err := AssembleTable(spec, keys, objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The flattened merge, over the sources in the order the compactor
+		// takes them.
+		flat := column.NewPage(benchSchema)
+		for _, key := range tbl.Objects {
+			img, _, _ := store.Get(ctx, spec.Bucket, key)
+			r, err := parquetlite.NewReader(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pages, err := r.ReadAll([]int{0, 1, 2, 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pages {
+				for _, vec := range p.Vectors {
+					if vec.Dict != nil {
+						vec.Strings, vec.Codes, vec.Dict = vec.StringSlice(), nil, nil
+					}
+				}
+				flat.AppendPage(p)
+			}
+		}
+		ref := NewObjectBuilder(benchSchema, parquetlite.WriterOptions{Codec: compress.Snappy, RowGroupSize: 4096})
+		if err := ref.AppendPage(refResort(flat, 1)); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		ms := metastore.New()
+		if err := ms.Register(tbl); err != nil {
+			t.Fatal(err)
+		}
+		comp := NewCompactor(ms, store, CompactorOptions{ClusterBy: "sensor"})
+		merged, err := comp.mergedPage(ctx, tbl, tbl.Objects, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tag := merged.Vectors[3]; (tag.Dict != nil) == withPlain {
+			t.Fatalf("with a plain source %v: the merged tag column is in dictionary form %v", withPlain, tag.Dict != nil)
+		}
+		res, err := comp.RunOnce(ctx, "default", "events")
+		if err != nil || len(res.Merged) != 4 {
+			t.Fatalf("compaction merged %v: %v", res.Merged, err)
+		}
+		got, _, err := store.Get(ctx, spec.Bucket, res.Output)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, _ := ms.Get("default", "events")
+		sameSealed(t, fmt.Sprintf("with a plain source %v", withPlain), SealedObject{Image: got, Rows: after.RowCount,
+			Bytes: after.ObjectBytes[res.Output], Stats: after.ObjectStats[res.Output]}, want)
 	}
 }

@@ -157,6 +157,43 @@ func TestIngestBuilderArity(t *testing.T) {
 	}
 }
 
+// TestAppendRejectsWrongKindValue: a VARCHAR value in a BIGINT column is
+// an error naming the column and both kinds, not a panic, and the rows
+// before it are accepted: one object flushed at FlushRows, one row
+// buffered. A DATE value in the BIGINT column and a BIGINT NULL in the
+// VARCHAR one fit, as Vector.Append takes them.
+func TestAppendRejectsWrongKindValue(t *testing.T) {
+	ing, ms, _ := newTestIngester(t, 2)
+	ctx := context.Background()
+	rows := [][]types.Value{
+		intRow(1, "a"),
+		{types.DateValue(2), types.NullValue(types.Int64)},
+		intRow(3, "c"),
+		{types.StringValue("4"), types.StringValue("d")},
+		intRow(5, "e"),
+	}
+	n, err := ing.Append(ctx, "default", "events", rows)
+	if err == nil || n != 3 {
+		t.Fatalf("Append = %d, %v; want 3 rows and an error", n, err)
+	}
+	for _, want := range []string{"id", "BIGINT", "VARCHAR"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if got := ing.BufferedRows("default", "events"); got != 1 {
+		t.Errorf("buffered = %d, want 1", got)
+	}
+	if err := ing.Flush(ctx, "default", "events"); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := ms.Get("default", "events")
+	id, name := tbl.ColumnStats["id"], tbl.ColumnStats["name"]
+	if len(tbl.Objects) != 2 || tbl.RowCount != 3 || id.Max.I != 3 || name.NullCount != 1 {
+		t.Errorf("table = %d objects, %d rows, id %+v, name %+v", len(tbl.Objects), tbl.RowCount, id, name)
+	}
+}
+
 func TestIngestFlushThreshold(t *testing.T) {
 	ing, ms, store := newTestIngester(t, 4)
 	ctx := context.Background()

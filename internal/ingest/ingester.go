@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"prestocs/internal/column"
 	"prestocs/internal/metastore"
 	"prestocs/internal/parquetlite"
 	"prestocs/internal/telemetry"
@@ -77,9 +78,13 @@ func (ing *Ingester) CreateTable(spec TableSpec) error {
 }
 
 // Append buffers rows for the table, sealing and committing an object
-// every FlushRows rows. Rows must already match the table schema in
-// arity and kind (the analyzer coerces INSERT literals before they get
-// here). Returns the number of rows accepted.
+// every FlushRows rows. Rows must match the table schema in arity and
+// kind (the analyzer coerces INSERT literals before they get here): a
+// NULL of any kind fits any column, and BIGINT and DATE values fit
+// either's column. Each stretch of rows up to the next flush point is
+// transposed into one typed page for ObjectBuilder.AppendPage. A row that
+// does not fit is an error, not a panic; the rows before it are
+// accepted. Returns the number of rows accepted.
 func (ing *Ingester) Append(ctx context.Context, schema, name string, rows [][]types.Value) (int64, error) {
 	t, err := ing.meta.Get(schema, name)
 	if err != nil {
@@ -94,15 +99,26 @@ func (ing *Ingester) Append(ctx context.Context, schema, name string, rows [][]t
 		ing.bufs[key] = buf
 	}
 	var accepted int64
-	for _, row := range rows {
+	for len(rows) > 0 {
 		// flushLocked spends the builder; start a fresh object lazily.
 		if buf.builder == nil {
 			buf.builder = ing.newBuilder(t)
 		}
-		if err := buf.builder.AppendRow(row...); err != nil {
-			return accepted, err
+		// A builder whose flush failed may be full; it takes a row at a
+		// time, as it did before, and each retries the flush.
+		room := max(int64(ing.opts.FlushRows)-buf.builder.rows, 1)
+		stretch := rows[:min(int64(len(rows)), room)]
+		rows = rows[len(stretch):]
+		page, good, bad := pageOfRows(t.Columns, stretch)
+		if good > 0 {
+			if err := buf.builder.AppendPage(page); err != nil {
+				return accepted, err
+			}
+			accepted += int64(good)
 		}
-		accepted++
+		if bad != nil {
+			return accepted, bad
+		}
 		if buf.builder.rows >= int64(ing.opts.FlushRows) {
 			if err := ing.flushLocked(ctx, buf); err != nil {
 				return accepted, err
@@ -111,6 +127,84 @@ func (ing *Ingester) Append(ctx context.Context, schema, name string, rows [][]t
 	}
 	return accepted, nil
 }
+
+// pageOfRows transposes rows into one page of the schema, one typed loop
+// per column, with a NULL mask only for a column that holds a NULL. It
+// stops at the first row that does not fit the schema: the page holds the
+// good rows before it, and err says why it does not fit.
+func pageOfRows(schema *types.Schema, rows [][]types.Value) (page *column.Page, good int, err error) {
+	good = len(rows)
+	for r, row := range rows {
+		if err = fits(schema, row); err != nil {
+			good = r
+			break
+		}
+	}
+	rows = rows[:good]
+	page = &column.Page{Schema: schema, Vectors: make([]*column.Vector, schema.Len())}
+	for c, col := range schema.Columns {
+		vec := &column.Vector{Kind: col.Type}
+		for r, row := range rows {
+			if row[c].Null {
+				if vec.Nulls == nil {
+					vec.Nulls = make([]bool, good)
+				}
+				vec.Nulls[r] = true
+			}
+		}
+		// NULL rows keep the zero value, as Vector.Append leaves them.
+		switch col.Type {
+		case types.Int64, types.Date:
+			vec.Ints = make([]int64, good)
+			for r, row := range rows {
+				if !row[c].Null {
+					vec.Ints[r] = row[c].I
+				}
+			}
+		case types.Float64:
+			vec.Floats = make([]float64, good)
+			for r, row := range rows {
+				if !row[c].Null {
+					vec.Floats[r] = row[c].F
+				}
+			}
+		case types.String:
+			vec.Strings = make([]string, good)
+			for r, row := range rows {
+				if !row[c].Null {
+					vec.Strings[r] = row[c].S
+				}
+			}
+		case types.Bool:
+			vec.Bools = make([]bool, good)
+			for r, row := range rows {
+				if !row[c].Null {
+					vec.Bools[r] = row[c].B
+				}
+			}
+		}
+		page.Vectors[c] = vec
+	}
+	return page, good, err
+}
+
+// fits returns an error unless row fits the schema as Vector.Append
+// accepts a value: one value per column, each NULL or of the column's
+// kind, BIGINT and DATE standing for each other.
+func fits(schema *types.Schema, row []types.Value) error {
+	if len(row) != schema.Len() {
+		return fmt.Errorf("ingest: row has %d values, schema has %d columns", len(row), schema.Len())
+	}
+	for c, col := range schema.Columns {
+		v := row[c]
+		if !v.Null && v.Kind != col.Type && !(isInteger(v.Kind) && isInteger(col.Type)) {
+			return fmt.Errorf("ingest: column %s is %s, value is %s", col.Name, col.Type, v.Kind)
+		}
+	}
+	return nil
+}
+
+func isInteger(k types.Kind) bool { return k == types.Int64 || k == types.Date }
 
 // Flush seals and commits any buffered rows for the table, making them
 // queryable. No-op when the buffer is empty.

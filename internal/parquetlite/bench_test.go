@@ -116,7 +116,7 @@ func BenchmarkDecodeChunk(b *testing.B) {
 		name string
 		vec  *column.Vector
 	}{{"plain_float64", floats}, {"rle_int64", runs}} {
-		enc, _, body := encodeChunk(nil, c.vec)
+		enc, _, body := new(groupEncoder).encodeChunk(c.vec)
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(8 * n)
 			for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"prestocs/internal/column"
 	"prestocs/internal/expr"
@@ -49,11 +50,11 @@ func minMax[T cmp.Ordered](vals []T, nulls []bool) (lo, hi T, nullCount int64) {
 }
 
 // buildDict numbers the distinct strings in first-seen order (NULL slots
-// count with the string they hold). It returns nil when there are more
-// than n/4+1 of them, where a dictionary stops paying.
-func buildDict(strs []string) (dict []string, ids []uint32) {
-	index := make(map[string]uint32)
-	ids = make([]uint32, len(strs))
+// count with the string they hold), into the encoder's scratch. It
+// returns nil when there are more than n/4+1 of them, where a dictionary
+// stops paying. An empty dictionary, a chunk of no rows', is not used.
+func (e *groupEncoder) buildDict(strs []string) (dict []string, ids []uint32) {
+	index, dict, ids := e.dictScratch(len(strs))
 	for i, s := range strs {
 		id, ok := index[s]
 		if !ok {
@@ -66,20 +67,86 @@ func buildDict(strs []string) (dict []string, ids []uint32) {
 		}
 		ids[i] = id
 	}
+	e.dict = dict
 	return dict, ids
 }
 
-// encodeChunk serializes the vector into dst[:0] (the writer's scratch,
-// sized by the chunks before) — the pre-compression chunk body — and
-// returns it with the encoding it chose and the chunk's statistics, all
-// from typed loops over the vector's payload slice: dictionary for
-// strings with few distinct values, RLE for integer columns with long
-// runs, plain otherwise. Min and max are the first least and first
-// greatest value under types.Compare's order.
-func encodeChunk(dst []byte, vec *column.Vector) (Encoding, expr.ZoneMap, []byte) {
+// numberCodes is buildDict for a dictionary-form vector: it numbers the
+// strings its rows read as — a NULL row as "", whatever code lies under
+// it — in first-seen order, and stops at the same n/4+1 cutoff, so the
+// result is buildDict's over the flattened rows, for a Dict with repeated
+// or unused entries too. It looks a string up only where its code is
+// first seen; byCode, indexed by code with one more slot for the NULL
+// rows, holds the id from then on. It also returns the least and the
+// greatest string a non-NULL row reads as, and the NULL rows' count.
+func (e *groupEncoder) numberCodes(vec *column.Vector) (dict []string, ids []uint32, lo, hi string, nulls int64) {
+	n, nullCode := len(vec.Codes), len(vec.Dict)
+	index, dict, ids := e.dictScratch(n)
+	e.byCode = slices.Grow(e.byCode[:0], nullCode+1)[:nullCode+1]
+	for i := range e.byCode {
+		e.byCode[i] = -1
+	}
+	seen := false
+	for i, c := range vec.Codes {
+		k := int(c)
+		if vec.Nulls != nil && vec.Nulls[i] {
+			k, nulls = nullCode, nulls+1
+		}
+		if e.byCode[k] < 0 {
+			s := ""
+			if k != nullCode {
+				switch s = vec.Dict[k]; {
+				case !seen:
+					lo, hi, seen = s, s, true
+				case s < lo:
+					lo = s
+				case s > hi:
+					hi = s
+				}
+			}
+			id, ok := index[s]
+			if !ok {
+				if len(dict) > n/4 {
+					return nil, nil, "", "", 0
+				}
+				id = uint32(len(dict))
+				index[s] = id
+				dict = append(dict, s)
+			}
+			e.byCode[k] = int32(id)
+		}
+		ids[i] = uint32(e.byCode[k])
+	}
+	e.dict = dict
+	return dict, ids, lo, hi, nulls
+}
+
+// dictScratch returns the encoder's string index, emptied, its dictionary
+// buffer, emptied, and its id buffer sized for n rows.
+func (e *groupEncoder) dictScratch(n int) (map[string]uint32, []string, []uint32) {
+	if e.index == nil {
+		e.index = make(map[string]uint32)
+	}
+	clear(e.index)
+	e.ids = slices.Grow(e.ids[:0], n)[:n]
+	return e.index, e.dict[:0], e.ids
+}
+
+// encodeChunk serializes the vector into the encoder's scratch — the
+// pre-compression chunk body — and returns it with the encoding it chose
+// and the chunk's statistics, all from typed loops over the vector's
+// payload slice: dictionary for strings with few distinct values, RLE for
+// integer columns with long runs, plain otherwise. Min and max are the
+// first least and first greatest value under types.Compare's order. A
+// String vector in dictionary form is numbered by its codes and gives the
+// bytes and statistics of its flattened rows.
+func (e *groupEncoder) encodeChunk(vec *column.Vector) (Encoding, expr.ZoneMap, []byte) {
 	n := vec.Len()
 	st := expr.ZoneMap{Min: types.NullValue(vec.Kind), Max: types.NullValue(vec.Kind), NumValues: int64(n)}
-	buf := appendValidity(binary.LittleEndian.AppendUint32(dst[:0], uint32(n)), vec.Nulls, n)
+	// Room for an 8-byte-wide body at once: grown by appends, the first
+	// chunk's scratch was copied a dozen times on its way to 32 KiB.
+	buf := slices.Grow(e.scratch[:0], 4+(n+7)/8+8*n)
+	buf = appendValidity(binary.LittleEndian.AppendUint32(buf, uint32(n)), vec.Nulls, n)
 	enc := Plain
 	switch vec.Kind {
 	case types.Int64, types.Date:
@@ -151,12 +218,25 @@ func encodeChunk(dst []byte, vec *column.Vector) (Encoding, expr.ZoneMap, []byte
 			st.Min, st.Max = types.BoolValue(!anyFalse), types.BoolValue(anyTrue)
 		}
 	case types.String:
-		strs := vec.StringSlice()
-		lo, hi, nulls := minMax(strs, vec.Nulls)
+		var strs, dict []string
+		var ids []uint32
+		var lo, hi string
+		var nulls int64
+		if vec.Dict != nil {
+			dict, ids, lo, hi, nulls = e.numberCodes(vec)
+		}
+		if len(dict) == 0 {
+			// Plain strings, or a dictionary-form chunk past the cutoff.
+			strs = vec.StringSlice()
+			lo, hi, nulls = minMax(strs, vec.Nulls)
+			if vec.Dict == nil {
+				dict, ids = e.buildDict(strs)
+			}
+		}
 		if st.NullCount = nulls; nulls < int64(n) {
 			st.Min, st.Max = types.StringValue(lo), types.StringValue(hi)
 		}
-		if dict, ids := buildDict(strs); dict != nil {
+		if len(dict) > 0 {
 			// The dictionary, then a u32 index per row.
 			enc = Dict
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dict)))

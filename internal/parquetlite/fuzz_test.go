@@ -1,11 +1,13 @@
 package parquetlite
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"prestocs/internal/column"
@@ -178,7 +180,7 @@ func FuzzReadColumn(f *testing.F) {
 	page := randomPage(rand.New(rand.NewSource(2)), 90)
 	for _, vec := range page.Vectors {
 		for _, rows := range []int{90, 40} { // long runs and few strings, then not
-			_, _, body := encodeChunk(nil, vec.Window(0, rows))
+			_, _, body := new(groupEncoder).encodeChunk(vec.Window(0, rows))
 			for _, enc := range []Encoding{Plain, Dict, RLE} {
 				f.Add(body, uint8(vec.Kind), uint8(enc))
 				f.Add(body[:len(body)/2], uint8(vec.Kind), uint8(enc))
@@ -234,11 +236,71 @@ func FuzzReadColumn(f *testing.F) {
 				t.Fatalf("dictionary vector materializes to %q, row-at-a-time decode %q", got, want)
 			}
 		}
-		enc, _, again := encodeChunk(nil, vec)
+		enc, _, again := new(groupEncoder).encodeChunk(vec)
 		back, err := decodeChunk(again, k, enc)
 		if err != nil {
 			t.Fatalf("re-encoded chunk rejected: %v", err)
 		}
 		sameVector(t, vec, back)
+	})
+}
+
+// FuzzEncodeDictForm holds encodeChunk on a String vector in dictionary
+// form to its flattened twin, the same rows as plain strings ("" under a
+// NULL row) over the same NULL mask: the same encoding, statistics and
+// bytes, whatever the Dict holds (repeated and unused entries, "" or
+// not), whatever code lies under a NULL row, and on either side of the
+// n/4+1 distinct values past which a chunk is written plain; and the body
+// decodes to the twin's rows. The Dict is entries split at commas, row
+// i's code is codes[i] modulo its length, and row i is NULL when bit i of
+// nulls, repeated for as long as there are rows, is set.
+func FuzzEncodeDictForm(f *testing.F) {
+	rows := func(n int, codes ...byte) []byte { // codes repeated over n rows
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = codes[i%len(codes)]
+		}
+		return out
+	}
+	// 16 rows may hold 5 distinct values in a dictionary, not 6; 15 rows 4,
+	// not 5.
+	f.Add("a,b,c,d,e,f", rows(16, 0, 1, 2, 3, 4), []byte(nil))
+	f.Add("a,b,c,d,e,f", rows(16, 0, 1, 2, 3, 4, 5), []byte(nil))
+	f.Add("a,b,c,d,e,f", rows(15, 0, 1, 2, 3), []byte(nil))
+	f.Add("a,b,c,d,e,f", rows(15, 0, 1, 2, 3, 4), []byte(nil))
+	// A NULL row over "a", which no other row uses: it reads as "", which
+	// is the dictionary's first entry, and "a" is not in it.
+	f.Add("a,b,c", append([]byte{0}, rows(15, 1, 2)...), []byte{0x01, 0x00})
+	// NULL rows over "", and "" as a value: one entry.
+	f.Add(",x,y", rows(16, 0, 1, 0, 2), []byte{0x11, 0x00})
+	// Repeated entries, and unused ones that sort first and last.
+	f.Add("0,m,k,m,z", rows(16, 1, 2, 3), []byte(nil))
+	f.Add("0,m,k,m,z,k", rows(16, 1, 2, 3, 5), []byte{0x80})
+	// The strings of a NULL row only: no bounds.
+	f.Add("a,b", rows(8, 1), []byte{0xff})
+	f.Add("a", []byte(nil), []byte(nil))
+	f.Fuzz(func(t *testing.T, entries string, codes, nulls []byte) {
+		vec := &column.Vector{Kind: types.String, Dict: strings.Split(entries, ","), Codes: make([]int32, len(codes))}
+		for i, c := range codes {
+			vec.Codes[i] = int32(int(c) % len(vec.Dict))
+		}
+		if len(nulls) > 0 {
+			vec.Nulls = make([]bool, len(codes))
+			for i := range vec.Nulls {
+				vec.Nulls[i] = nulls[i/8%len(nulls)]&(1<<(i%8)) != 0
+			}
+		}
+		twin := &column.Vector{Kind: types.String, Strings: vec.StringSlice(), Nulls: vec.Nulls}
+		enc, st, body := new(groupEncoder).encodeChunk(vec)
+		wantEnc, wantSt, want := new(groupEncoder).encodeChunk(twin)
+		if enc != wantEnc || st != wantSt || !bytes.Equal(body, want) {
+			t.Fatalf("dictionary form encodes as %v %+v (%d bytes), its flattened twin as %v %+v (%d bytes)",
+				enc, st, len(body), wantEnc, wantSt, len(want))
+		}
+		back, err := decodeChunk(body, types.String, enc)
+		if err != nil {
+			t.Fatalf("dictionary-form chunk rejected: %v", err)
+		}
+		sameVector(t, twin, back)
 	})
 }

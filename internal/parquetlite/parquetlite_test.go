@@ -174,7 +174,7 @@ func TestEncodingSelection(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		iv.Append(types.IntValue(int64(i / 250)))
 	}
-	if got, _, _ := encodeChunk(nil, iv); got != RLE {
+	if got, _, _ := new(groupEncoder).encodeChunk(iv); got != RLE {
 		t.Errorf("run-heavy ints encoding = %v, want rle", got)
 	}
 	// Few distinct strings -> Dict.
@@ -182,7 +182,7 @@ func TestEncodingSelection(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sv.Append(types.StringValue([]string{"x", "y"}[i%2]))
 	}
-	if got, _, _ := encodeChunk(nil, sv); got != Dict {
+	if got, _, _ := new(groupEncoder).encodeChunk(sv); got != Dict {
 		t.Errorf("low-cardinality strings encoding = %v, want dict", got)
 	}
 	// Mostly-unique ints -> Plain.
@@ -190,7 +190,7 @@ func TestEncodingSelection(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		uv.Append(types.IntValue(int64(i)))
 	}
-	if got, _, _ := encodeChunk(nil, uv); got != Plain {
+	if got, _, _ := new(groupEncoder).encodeChunk(uv); got != Plain {
 		t.Errorf("unique ints encoding = %v, want plain", got)
 	}
 }
@@ -208,7 +208,7 @@ func TestDictChunkDecodesToCodes(t *testing.T) {
 		}
 		sv.Append(v)
 	}
-	enc, _, body := encodeChunk(nil, sv)
+	enc, _, body := new(groupEncoder).encodeChunk(sv)
 	vec, err := decodeChunk(body, types.String, enc)
 	if err != nil {
 		t.Fatal(err)
@@ -219,14 +219,14 @@ func TestDictChunkDecodesToCodes(t *testing.T) {
 	if !slices.Equal(vec.StringSlice(), sv.Strings) || !slices.Equal(vec.Nulls, sv.Nulls) {
 		t.Fatal("dictionary vector does not read as the written rows")
 	}
-	if _, _, again := encodeChunk(nil, vec); !bytes.Equal(again, body) {
+	if _, _, again := new(groupEncoder).encodeChunk(vec); !bytes.Equal(again, body) {
 		t.Fatal("a decoded dictionary vector re-encodes to other bytes")
 	}
 	unique := column.NewVector(types.String)
 	for i := 0; i < 100; i++ {
 		unique.Append(types.StringValue(fmt.Sprint(i)))
 	}
-	enc, _, body = encodeChunk(nil, unique)
+	enc, _, body = new(groupEncoder).encodeChunk(unique)
 	if vec, err = decodeChunk(body, types.String, enc); err != nil || enc != Plain || vec.Dict != nil {
 		t.Fatalf("unique strings: encoding %v, dictionary form %v, %v", enc, vec.Dict != nil, err)
 	}
@@ -508,7 +508,7 @@ func TestQuickPruningSound(t *testing.T) {
 func TestValidityBitmapScan(t *testing.T) {
 	decode := func(vec *column.Vector) *column.Vector {
 		t.Helper()
-		enc, _, body := encodeChunk(nil, vec)
+		enc, _, body := new(groupEncoder).encodeChunk(vec)
 		out, err := decodeChunk(body, vec.Kind, enc)
 		if err != nil {
 			t.Fatal(err)

@@ -204,11 +204,16 @@ func (w *Writer) writeGroups(p *column.Page, from, groups int) error {
 	return nil
 }
 
-// groupEncoder encodes row groups, reusing one chunk-body buffer from
-// chunk to chunk.
+// groupEncoder encodes row groups, reusing from chunk to chunk one
+// chunk-body buffer and what numbering a dictionary takes.
 type groupEncoder struct {
 	codec   compress.Codec
 	scratch []byte
+
+	index  map[string]uint32 // a chunk's distinct strings → their ids
+	dict   []string          // those strings by id
+	ids    []uint32          // one id per row
+	byCode []int32           // a dictionary-form chunk's ids by code, -1 until seen
 }
 
 // encode appends rows [from, to) of p to dst as one row group's chunks.
@@ -217,7 +222,7 @@ type groupEncoder struct {
 func (e *groupEncoder) encode(dst []byte, p *column.Page, from, to int) ([]byte, RowGroupMeta, error) {
 	rg := RowGroupMeta{NumRows: int64(to - from), Chunks: make([]ChunkMeta, len(p.Vectors))}
 	for i, vec := range p.Vectors {
-		enc, stats, raw := encodeChunk(e.scratch, vec.Window(from, to))
+		enc, stats, raw := e.encodeChunk(vec.Window(from, to))
 		e.scratch = raw
 		at := len(dst)
 		var err error
