@@ -119,11 +119,16 @@ func decodeSchemaMsg(b []byte) (*types.Schema, error) {
 }
 
 // AppendBatch appends one encoded record batch message to dst and returns
-// the extended slice. Bitmaps are packed directly into dst with no
-// intermediate slices, so pairing this with GetBuf/PutBuf makes the
-// per-chunk serialize path allocation-free in steady state.
-func AppendBatch(dst []byte, page *column.Page) ([]byte, error) {
+// the extended slice. sel, when given, names the rows of page to encode
+// (sorted, non-repeating); none encodes every row. The message is the one
+// a page of just those rows would give. Bitmaps are packed directly into
+// dst with no intermediate slices, so pairing this with GetBuf/PutBuf
+// makes the per-chunk serialize path allocation-free in steady state.
+func AppendBatch(dst []byte, page *column.Page, sel ...int) ([]byte, error) {
 	n := page.NumRows()
+	if sel != nil {
+		n = len(sel)
+	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	for _, v := range page.Vectors {
 		// Validity bitmap: 1 = valid, packed LSB-first straight into dst.
@@ -134,28 +139,27 @@ func AppendBatch(dst []byte, page *column.Page) ([]byte, error) {
 			dst = append(dst, 0)
 		}
 		for i := 0; i < n; i++ {
-			if !v.IsNull(i) {
+			if !v.IsNull(column.SelRow(sel, i)) {
 				dst[base+i/8] |= 1 << (uint(i) % 8)
 			}
 		}
 
 		switch v.Kind {
 		case types.Int64, types.Date:
-			for _, x := range v.Ints {
-				dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
+			for i := 0; i < n; i++ {
+				dst = binary.LittleEndian.AppendUint64(dst, uint64(v.Ints[column.SelRow(sel, i)]))
 			}
 		case types.Float64:
-			for _, x := range v.Floats {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+			for i := 0; i < n; i++ {
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Floats[column.SelRow(sel, i)]))
 			}
 		case types.Bool:
-			bb := (len(v.Bools) + 7) / 8
 			base := len(dst)
-			for i := 0; i < bb; i++ {
+			for i := 0; i < bmLen; i++ {
 				dst = append(dst, 0)
 			}
-			for i, b := range v.Bools {
-				if b {
+			for i := 0; i < n; i++ {
+				if v.Bools[column.SelRow(sel, i)] {
 					dst[base+i/8] |= 1 << (uint(i) % 8)
 				}
 			}
@@ -166,25 +170,25 @@ func AppendBatch(dst []byte, page *column.Page) ([]byte, error) {
 			if v.Dict != nil {
 				// Straight from the codes, the bytes a plain vector would
 				// send: a NULL row's string is empty.
-				for i, c := range v.Codes {
-					if !v.IsNull(i) {
-						off += uint32(len(v.Dict[c]))
+				for i := 0; i < n; i++ {
+					if row := column.SelRow(sel, i); !v.IsNull(row) {
+						off += uint32(len(v.Dict[v.Codes[row]]))
 					}
 					dst = binary.LittleEndian.AppendUint32(dst, off)
 				}
-				for i, c := range v.Codes {
-					if !v.IsNull(i) {
-						dst = append(dst, v.Dict[c]...)
+				for i := 0; i < n; i++ {
+					if row := column.SelRow(sel, i); !v.IsNull(row) {
+						dst = append(dst, v.Dict[v.Codes[row]]...)
 					}
 				}
 				break
 			}
-			for _, s := range v.Strings {
-				off += uint32(len(s))
+			for i := 0; i < n; i++ {
+				off += uint32(len(v.Strings[column.SelRow(sel, i)]))
 				dst = binary.LittleEndian.AppendUint32(dst, off)
 			}
-			for _, s := range v.Strings {
-				dst = append(dst, s...)
+			for i := 0; i < n; i++ {
+				dst = append(dst, v.Strings[column.SelRow(sel, i)]...)
 			}
 		default:
 			return nil, fmt.Errorf("arrowlite: unsupported vector kind %v", v.Kind)

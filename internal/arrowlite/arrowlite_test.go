@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -275,7 +276,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		types.Column{Name: "b", Type: types.Float64},
 		types.Column{Name: "c", Type: types.String},
 	)
-	f := func(ints []int64, floats []float64, strs []string, nullMask uint32) bool {
+	f := func(ints []int64, floats []float64, strs []string, nullMask, selMask uint32) bool {
 		n := len(ints)
 		if len(floats) < n {
 			n = len(floats)
@@ -291,7 +292,41 @@ func TestQuickRoundTrip(t *testing.T) {
 			if nullMask>>(uint(i)%32)&1 == 1 {
 				iv = types.NullValue(types.Int64)
 			}
+			if nullMask>>(uint(i+7)%32)&1 == 1 {
+				sv = types.NullValue(types.String)
+			}
 			p.AppendRow(iv, fv, sv)
+		}
+		// The same page with its strings in dictionary form, and a random
+		// selection over it: a selected encode is the dense encode of the
+		// selected rows, byte for byte.
+		dict := &column.Page{Schema: schema, Vectors: slices.Clone(p.Vectors)}
+		codes := map[string]int32{}
+		dv := &column.Vector{Kind: types.String, Nulls: p.Vectors[2].Nulls, Codes: []int32{}}
+		for _, s := range p.Vectors[2].Strings {
+			c, ok := codes[s]
+			if !ok {
+				c, codes[s] = int32(len(dv.Dict)), int32(len(dv.Dict))
+				dv.Dict = append(dv.Dict, s)
+			}
+			dv.Codes = append(dv.Codes, c)
+		}
+		dict.Vectors[2] = dv
+		sel := []int{}
+		for i := 0; i < n; i++ {
+			if selMask>>(uint(i)%32)&1 == 1 {
+				sel = append(sel, i)
+			}
+		}
+		for _, page := range []*column.Page{p, dict} {
+			got, err := AppendBatch(nil, page, sel...)
+			if err != nil {
+				return false
+			}
+			want, err := AppendBatch(nil, page.FilterSel(sel))
+			if err != nil || !bytes.Equal(got, want) {
+				return false
+			}
 		}
 		data, err := Serialize(schema, []*column.Page{p})
 		if err != nil {

@@ -7,6 +7,7 @@ package column
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"prestocs/internal/types"
@@ -49,21 +50,23 @@ func (v *Vector) StringSlice() []string {
 	if v.Dict == nil {
 		return v.Strings
 	}
-	return v.appendDecoded(nil)
+	return v.appendDecoded(nil, nil)
 }
 
-// appendDecoded appends the rows of a vector in dictionary form to dst as
-// strings, "" under NULL rows.
-func (v *Vector) appendDecoded(dst []string) []string {
-	at := len(dst)
-	dst = slices.Grow(dst, len(v.Codes))[:at+len(v.Codes)]
-	out := dst[at:]
-	for i, c := range v.Codes {
-		out[i] = v.Dict[c]
+// appendDecoded appends the rows that sel names (nil: every row) of a
+// vector in dictionary form to dst as strings, "" under NULL rows.
+func (v *Vector) appendDecoded(dst []string, sel []int) []string {
+	n := len(v.Codes)
+	if sel != nil {
+		n = len(sel)
 	}
-	for i, isNull := range v.Nulls {
-		if isNull {
-			out[i] = ""
+	at := len(dst)
+	dst = slices.Grow(dst, n)[:at+n]
+	for i := range n {
+		if row := SelRow(sel, i); v.IsNull(row) {
+			dst[at+i] = ""
+		} else {
+			dst[at+i] = v.Dict[v.Codes[row]]
 		}
 	}
 	return dst
@@ -192,15 +195,18 @@ func (v *Vector) extendNulls(isNull bool) {
 	}
 }
 
-// AppendVector appends all rows of src (same kind) to v. Codes are
-// appended as codes when v shares src's Dict, or is empty and was not
-// reserved for strings; otherwise v is materialized, once, and src's
-// rows are appended as strings.
-func (v *Vector) AppendVector(src *Vector) {
+// AppendVector appends the rows of src (same kind) that sel names (nil:
+// every row) to v. Codes are appended as codes when v shares src's Dict,
+// or is empty and was not reserved for strings; otherwise v is
+// materialized, once, and src's rows are appended as strings.
+func (v *Vector) AppendVector(src *Vector, sel []int) {
 	if src.Kind != v.Kind {
 		panic(fmt.Sprintf("column: append %s vector to %s vector", src.Kind, v.Kind))
 	}
 	n := src.Len()
+	if sel != nil {
+		n = len(sel)
+	}
 	switch {
 	case src.Dict != nil && v.Len() == 0 && cap(v.Strings) == 0:
 		v.Strings, v.Dict = nil, src.Dict
@@ -212,79 +218,62 @@ func (v *Vector) AppendVector(src *Vector) {
 			v.Nulls = make([]bool, v.Len())
 		}
 		if src.Nulls != nil {
-			v.Nulls = append(v.Nulls, src.Nulls...)
+			v.Nulls = appendSel(v.Nulls, src.Nulls, sel)
 		} else {
 			v.Nulls = append(v.Nulls, make([]bool, n)...)
 		}
 	}
 	switch v.Kind {
 	case types.Int64, types.Date:
-		v.Ints = append(v.Ints, src.Ints...)
+		v.Ints = appendSel(v.Ints, src.Ints, sel)
 	case types.Float64:
-		v.Floats = append(v.Floats, src.Floats...)
+		v.Floats = appendSel(v.Floats, src.Floats, sel)
 	case types.String:
 		switch {
 		case v.Dict != nil:
-			v.Codes = append(v.Codes, src.Codes...)
+			v.Codes = appendSel(v.Codes, src.Codes, sel)
 		case src.Dict != nil:
-			v.Strings = src.appendDecoded(v.Strings)
+			v.Strings = src.appendDecoded(v.Strings, sel)
 		default:
-			v.Strings = append(v.Strings, src.Strings...)
+			v.Strings = appendSel(v.Strings, src.Strings, sel)
 		}
 	case types.Bool:
-		v.Bools = append(v.Bools, src.Bools...)
+		v.Bools = appendSel(v.Bools, src.Bools, sel)
 	}
 }
 
-// Gather returns a new vector with rows picked by index (may repeat). The
-// output is preallocated to len(indices) and copied with typed loops —
-// no per-row boxing through types.Value.
+// appendSel appends to dst the entries of src that sel names (nil: all),
+// into a buffer of exactly their number when dst has none.
+func appendSel[T any](dst, src []T, sel []int) []T {
+	if sel == nil {
+		return append(dst, src...)
+	}
+	if dst == nil {
+		dst = make([]T, 0, len(sel))
+	}
+	at := len(dst)
+	dst = slices.Grow(dst, len(sel))[:at+len(sel)]
+	for i, row := range sel {
+		dst[at+i] = src[row]
+	}
+	return dst
+}
+
+// Gather returns a new vector with rows picked by index (may repeat),
+// each buffer allocated once to len(indices).
 func (v *Vector) Gather(indices []int) *Vector {
-	n := len(indices)
+	if indices == nil {
+		indices = []int{} // no row, where AppendVector would read every row
+	}
 	out := NewVector(v.Kind)
-	if v.Nulls != nil {
-		out.Nulls = make([]bool, n)
-		for o, i := range indices {
-			out.Nulls[o] = v.Nulls[i]
-		}
-	}
-	switch v.Kind {
-	case types.Int64, types.Date:
-		out.Ints = make([]int64, n)
-		for o, i := range indices {
-			out.Ints[o] = v.Ints[i]
-		}
-	case types.Float64:
-		out.Floats = make([]float64, n)
-		for o, i := range indices {
-			out.Floats[o] = v.Floats[i]
-		}
-	case types.String:
-		if v.Dict != nil {
-			out.Dict = v.Dict
-			out.Codes = make([]int32, n)
-			for o, i := range indices {
-				out.Codes[o] = v.Codes[i]
-			}
-			break
-		}
-		out.Strings = make([]string, n)
-		for o, i := range indices {
-			out.Strings[o] = v.Strings[i]
-		}
-	case types.Bool:
-		out.Bools = make([]bool, n)
-		for o, i := range indices {
-			out.Bools[o] = v.Bools[i]
-		}
-	}
+	out.AppendVector(v, indices)
 	return out
 }
 
 // Slice returns rows [from, to) as a new vector sharing no storage.
 func (v *Vector) Slice(from, to int) *Vector {
 	out := NewVector(v.Kind)
-	out.AppendVector(v.Window(from, to))
+	out.AppendVector(v.Window(from, to), nil)
 	return out
 }
 
@@ -311,6 +300,28 @@ func (v *Vector) Window(from, to int) *Vector {
 		out.Bools = v.Bools[from:to:to]
 	}
 	return out
+}
+
+// Scribble overwrites every row of v in place with garbage, its shared
+// Dict aside: under test, a producer scribbles over what it lent, so that
+// a consumer that held it past the next pull fails loudly.
+func (v *Vector) Scribble() {
+	for i := range v.Nulls {
+		v.Nulls[i] = !v.Nulls[i]
+	}
+	for i := range v.Bools {
+		v.Bools[i] = !v.Bools[i]
+	}
+	fill(v.Ints, math.MinInt64)
+	fill(v.Floats, math.NaN())
+	fill(v.Strings, "scribbled")
+	fill(v.Codes, int32(len(v.Dict)-1)) // another valid code
+}
+
+func fill[T any](s []T, x T) {
+	for i := range s {
+		s[i] = x
+	}
 }
 
 // ByteSize estimates the in-memory footprint of the vector's data, used
@@ -345,6 +356,10 @@ func (v *Vector) ByteSize() int64 {
 type Page struct {
 	Schema  *types.Schema
 	Vectors []*Vector
+	// Reused marks a page that its producer rewrites on its next pull (a
+	// projection's computed columns, a join's lent build columns): a
+	// consumer that holds its rows copies them even when it takes all.
+	Reused bool
 }
 
 // NewPage allocates an empty page matching the schema.
@@ -386,14 +401,28 @@ func (p *Page) Row(i int) []types.Value {
 	return row
 }
 
-// AppendPage appends all rows of src (same schema arity/kinds).
-func (p *Page) AppendPage(src *Page) {
+// AppendPage appends the rows of src (same schema arity/kinds) that sel
+// names (nil: every row).
+func (p *Page) AppendPage(src *Page, sel []int) {
 	if len(src.Vectors) != len(p.Vectors) {
 		panic("column: AppendPage with mismatched column count")
 	}
 	for i := range p.Vectors {
-		p.Vectors[i].AppendVector(src.Vectors[i])
+		p.Vectors[i].AppendVector(src.Vectors[i], sel)
 	}
+}
+
+// Keep returns the rows of p that sel names (nil: every row) as a page
+// the caller may hold past the producer's next pull: p itself when sel is
+// nil and p is not Reused, else a copy.
+func (p *Page) Keep(sel []int) *Page {
+	switch {
+	case sel != nil:
+		return p.Gather(sel)
+	case p.Reused:
+		return p.Slice(0, p.NumRows())
+	}
+	return p
 }
 
 // FilterSel returns a page keeping only the rows named by the selection

@@ -70,14 +70,14 @@ func TestVectorAppendVector(t *testing.T) {
 	a := intVec(1, 2)
 	b := intVec(3)
 	b.Append(types.NullValue(types.Int64))
-	a.AppendVector(b)
+	a.AppendVector(b, nil)
 	if a.Len() != 4 || a.Value(2).I != 3 || !a.IsNull(3) {
 		t.Errorf("AppendVector wrong: %v nulls=%v", a.Ints, a.Nulls)
 	}
 	// Appending a null-free vector onto a vector with nulls must extend
 	// the validity slice.
 	c := intVec(9)
-	a.AppendVector(c)
+	a.AppendVector(c, nil)
 	if a.IsNull(4) || len(a.Nulls) != 5 {
 		t.Error("validity slice not extended")
 	}
@@ -167,7 +167,7 @@ func TestPageFilterGatherSliceProject(t *testing.T) {
 
 func TestPageAppendPage(t *testing.T) {
 	a, b := testPage(), testPage()
-	a.AppendPage(b)
+	a.AppendPage(b, nil)
 	if a.NumRows() != 6 || a.Row(5)[0].I != 3 {
 		t.Errorf("AppendPage wrong: %d rows", a.NumRows())
 	}
@@ -272,26 +272,26 @@ func TestDictVector(t *testing.T) {
 	}
 
 	shared := NewVector(types.String)
-	shared.AppendVector(v.Window(0, 2))
-	shared.AppendVector(v.Gather([]int{4}))
+	shared.AppendVector(v.Window(0, 2), nil)
+	shared.AppendVector(v.Gather([]int{4}), nil)
 	same("AppendVector, one Dict", shared, true, "b", "NULL", "c")
 
 	other := dictVec()
 	other.Dict = []string{"q", "r", "s", "t"} // same codes, other strings
 	mixed := NewVector(types.String)
-	mixed.AppendVector(v.Window(0, 2))
-	mixed.AppendVector(other)
+	mixed.AppendVector(v.Window(0, 2), nil)
+	mixed.AppendVector(other, nil)
 	same("AppendVector, two Dicts", mixed, false, "b", "NULL", "q", "NULL", "s", "q", "t")
-	mixed.AppendVector(v.Window(2, 3))
+	mixed.AppendVector(v.Window(2, 3), nil)
 	same("AppendVector after materializing", mixed, false, "b", "NULL", "q", "NULL", "s", "q", "t", "a")
 
 	plain := NewVector(types.String)
 	plain.Append(types.StringValue("p"))
-	plain.AppendVector(v.Window(3, 5))
+	plain.AppendVector(v.Window(3, 5), nil)
 	same("AppendVector onto plain", plain, false, "p", "b", "c")
 	reserved := NewVector(types.String)
 	reserved.Reserve(8)
-	reserved.AppendVector(v.Window(0, 1))
+	reserved.AppendVector(v.Window(0, 1), nil)
 	same("AppendVector onto a reserved vector", reserved, false, "b")
 
 	appended := v.Slice(0, 2)

@@ -1,6 +1,10 @@
 package column
 
-import "prestocs/internal/types"
+import (
+	"slices"
+
+	"prestocs/internal/types"
+)
 
 // Selection vectors are sorted, non-repeating row-index slices ([]int)
 // identifying the surviving rows of a page. The vectorized expression
@@ -9,6 +13,15 @@ import "prestocs/internal/types"
 // right side of an AND, a projection expression, a gather — only touches
 // rows that are still alive. A nil selection conventionally means "all
 // rows"; helpers here treat it as such where documented.
+
+// SelRow is the page row of the i-th entry of selection sel: sel[i], or
+// i itself when sel is nil (every row).
+func SelRow(sel []int, i int) int {
+	if sel != nil {
+		return sel[i]
+	}
+	return i
+}
 
 // MergeSel merges two sorted selection vectors into one sorted vector.
 // The inputs must be disjoint (as produced by OR short-circuiting, where
@@ -55,39 +68,23 @@ func SubtractSel(from, sel []int) []int {
 
 // Reserve grows the vector's backing buffers to hold at least n more rows
 // without reallocation. It is a batch-append helper for producers that
-// know their output size (readers, gathers, aggregate output builders).
+// know their output size.
 func (v *Vector) Reserve(n int) {
 	if v.Nulls != nil {
-		v.Nulls = growCap(v.Nulls, n)
+		v.Nulls = slices.Grow(v.Nulls, n)
 	}
 	switch v.Kind {
 	case types.Int64, types.Date:
-		v.Ints = growCap(v.Ints, n)
+		v.Ints = slices.Grow(v.Ints, n)
 	case types.Float64:
-		v.Floats = growCap(v.Floats, n)
+		v.Floats = slices.Grow(v.Floats, n)
 	case types.String:
 		if v.Dict != nil {
-			v.Codes = growCap(v.Codes, n)
+			v.Codes = slices.Grow(v.Codes, n)
 			break
 		}
-		v.Strings = growCap(v.Strings, n)
+		v.Strings = slices.Grow(v.Strings, n)
 	case types.Bool:
-		v.Bools = growCap(v.Bools, n)
+		v.Bools = slices.Grow(v.Bools, n)
 	}
-}
-
-// Reserve preallocates every vector of the page for n more rows.
-func (p *Page) Reserve(n int) {
-	for _, v := range p.Vectors {
-		v.Reserve(n)
-	}
-}
-
-func growCap[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	out := make([]T, len(s), len(s)+n)
-	copy(out, s)
-	return out
 }

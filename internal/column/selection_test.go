@@ -112,7 +112,7 @@ func TestGatherPreallocates(t *testing.T) {
 
 func TestReserveAvoidsRegrowth(t *testing.T) {
 	p := NewPage(types.NewSchema(types.Column{Name: "i", Type: types.Int64}))
-	p.Reserve(1000)
+	p.Vectors[0].Reserve(1000)
 	base := &p.Vectors[0].Ints
 	p.Vectors[0].Reserve(500) // already covered: must not shrink or move
 	if cap(*base) < 1000 {

@@ -184,7 +184,7 @@ func present(page *column.Page, schema *types.Schema) (*column.Page, error) {
 	if page.NumCols() != schema.Len() {
 		return nil, fmt.Errorf("ocs: result has %d columns, scan schema %s", page.NumCols(), schema)
 	}
-	return &column.Page{Schema: schema, Vectors: page.Vectors}, nil
+	return &column.Page{Schema: schema, Vectors: page.Vectors, Reused: page.Reused}, nil
 }
 
 // splitState is where a splitSource is in its life. It only moves
@@ -246,9 +246,10 @@ func (s *splitSource) start() error {
 	return nil
 }
 
-func (s *splitSource) Next() (*column.Page, error) {
+func (s *splitSource) Next() (*column.Page, []int, error) {
 	for {
 		var page *column.Page
+		var sel []int
 		var err error
 		switch s.state {
 		case notStarted:
@@ -256,12 +257,12 @@ func (s *splitSource) Next() (*column.Page, error) {
 		case streaming:
 			page, err = s.streamed()
 		case replaying:
-			page, err = s.replayed()
+			page, sel, err = s.replayed()
 		case done:
-			return nil, nil
+			return nil, nil, nil
 		}
 		if page != nil || err != nil {
-			return page, err
+			return page, sel, err
 		}
 	}
 }
@@ -329,31 +330,35 @@ func (s *splitSource) fallBack(cause error) error {
 	return nil
 }
 
-// replayed reads the replay's next page, dropping the rows the stream
-// delivered before it broke. A page that is all skipped comes back nil
-// with the split still replaying.
-func (s *splitSource) replayed() (*column.Page, error) {
-	page, err := s.replay.Next()
+// replayed reads the replay's next page and its selection, dropping the
+// rows the stream delivered before it broke. A page that is all skipped
+// comes back nil with the split still replaying.
+func (s *splitSource) replayed() (*column.Page, []int, error) {
+	page, sel, err := s.replay.Next()
 	if err != nil {
-		return nil, s.end(fmt.Errorf("ocs: fallback scan %s: %w", s.g.splits[s.k].Object, err))
+		return nil, nil, s.end(fmt.Errorf("ocs: fallback scan %s: %w", s.g.splits[s.k].Object, err))
 	}
 	if page == nil {
-		return nil, s.end(nil)
+		return nil, nil, s.end(nil)
 	}
 	rows := int64(page.NumRows())
+	if sel != nil {
+		rows = int64(len(sel))
+	}
 	if s.skip >= rows {
 		s.skip -= rows
-		return nil, nil
+		return nil, nil, nil
 	}
 	if s.skip > 0 {
-		page = page.Slice(int(s.skip), page.NumRows())
-		s.skip = 0
+		// Once a replay: the rest of the page the stream broke in.
+		page, sel = page.Keep(sel).Slice(int(s.skip), int(rows)), nil
+		rows, s.skip = rows-s.skip, 0
 	}
 	if page, err = present(page, s.g.schema); err != nil {
-		return nil, s.end(err)
+		return nil, nil, s.end(err)
 	}
-	s.g.stats.AddDeserialize(0, int64(page.NumRows()))
-	return page, nil
+	s.g.stats.AddDeserialize(0, rows)
+	return page, sel, nil
 }
 
 // end retires a started split: it closes the replay if one runs, records

@@ -496,7 +496,7 @@ func (e *Engine) startLeafStage(ctx context.Context, leaf *leafChain, stats *Que
 					return false
 				}
 				for {
-					page, err := pipeline.Next()
+					page, sel, err := pipeline.Next()
 					if err != nil {
 						fail(err)
 						return false
@@ -509,8 +509,11 @@ func (e *Engine) startLeafStage(ctx context.Context, leaf *leafChain, stats *Que
 					if failed.Load() {
 						return false
 					}
+					// The exchange holds the page past the next pull: it
+					// keeps the live rows, copied unless the page is whole
+					// and stays as it is.
 					select {
-					case queues[i] <- page:
+					case queues[i] <- page.Keep(sel):
 					case <-ctx.Done():
 						fail(ctx.Err())
 						return false
@@ -696,10 +699,10 @@ type rename struct {
 
 func (r *rename) Schema() *types.Schema { return r.schema }
 
-func (r *rename) Next() (*column.Page, error) {
-	page, err := r.input.Next()
+func (r *rename) Next() (*column.Page, []int, error) {
+	page, sel, err := r.input.Next()
 	if err != nil || page == nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &column.Page{Schema: r.schema, Vectors: page.Vectors}, nil
+	return &column.Page{Schema: r.schema, Vectors: page.Vectors, Reused: page.Reused}, sel, nil
 }

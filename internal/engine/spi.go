@@ -278,13 +278,13 @@ func (s *lazySource) start() error {
 	return nil
 }
 
-func (s *lazySource) Next() (*column.Page, error) {
+func (s *lazySource) Next() (*column.Page, []int, error) {
 	if s.closed {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if s.src == nil {
 		if err := s.start(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	return s.src.Next()

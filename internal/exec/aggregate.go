@@ -39,9 +39,9 @@ const (
 // hoisted out of the row loop. Rows are counted once per group, not per
 // measure, and only while a COUNT or a SUM reads the count (rowCount); a
 // COUNT or SUM keeps only the NULLs it has seen, on pages whose vector
-// carries a mask. Under a SelSource (Filter, BloomProbe) the key table and
-// the accumulators read the input page's columns through the selection:
-// the page of surviving rows is never built.
+// carries a mask. The key table and the accumulators read the input
+// page's columns through its selection: the page of surviving rows is
+// never built.
 //
 // Over a join whose build side is unique, a group may be a join key id
 // (GroupByJoin): then no key table is built at all.
@@ -84,8 +84,8 @@ func (a *HashAggregate) Schema() *types.Schema { return a.schema }
 // appearance, so every result byte is what the key table would give. The
 // caller vouches for two things the aggregate cannot see:
 //   - between probe and the aggregate lie only Filters and Projects,
-//     which hand on the probe page's rows as they are (SelSources), so a
-//     page row here is a probe page row;
+//     which hand on the probe page's rows as they are, so a page row here
+//     is a probe page row;
 //   - the keys are the join's keys, from either side, and build columns:
 //     every join key among them, and no other probe column. On a unique
 //     build two matched rows then agree on every key exactly when they
@@ -152,7 +152,7 @@ func (acc *accumulator) accumulate(page *column.Page, sel []int, groupIDs []int3
 		if nulls := page.Vectors[acc.col].Nulls; nulls != nil {
 			acc.nulls = growTo(acc.nulls, n)
 			for i, g := range groupIDs {
-				if nulls[selRow(sel, i)] {
+				if nulls[column.SelRow(sel, i)] {
 					acc.nulls[g]++
 				}
 			}
@@ -193,7 +193,7 @@ func (acc *accumulator) accumulate(page *column.Page, sel []int, groupIDs []int3
 		case types.Bool:
 			acc.mmBools = growTo(acc.mmBools, n)
 			for i, g := range groupIDs {
-				row := selRow(sel, i)
+				row := column.SelRow(sel, i)
 				if vec.Nulls != nil && vec.Nulls[row] {
 					continue
 				}
@@ -218,7 +218,7 @@ func sumInto[T int64 | float64](sums []T, counts []int64, vals []T, nulls []bool
 	switch {
 	case nulls != nil:
 		for i, g := range ids {
-			if row := selRow(sel, i); nulls[row] {
+			if row := column.SelRow(sel, i); nulls[row] {
 				counts[g]++
 			} else {
 				sums[g] += vals[row]
@@ -339,9 +339,9 @@ func nullsWhere(n int, empty func(g int) bool) []bool {
 
 // Next implements Operator: it drains the input on first call and emits
 // the grouped result as one page.
-func (a *HashAggregate) Next() (*column.Page, error) {
+func (a *HashAggregate) Next() (*column.Page, []int, error) {
 	if a.done {
-		return nil, nil
+		return nil, nil, nil
 	}
 	a.done = true
 
@@ -381,11 +381,11 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 	var groupIDs []int32
 	numGroups := 0
 	for {
-		// sel is the source's until the next pull: it is read here and in
-		// the calls below, and not kept.
-		page, sel, err := nextSel(a.input)
+		// page and sel are the input's until the next pull: they are read
+		// here and in the calls below, and not kept.
+		page, sel, err := a.input.Next()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if page == nil {
 			break
@@ -403,7 +403,7 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 			clear(groupIDs)
 		case a.join != nil:
 			if numGroups, err = a.joinGroups(joinGroups, &scratch, page, sel, groupIDs, numGroups); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		default:
 			groups.assign(&scratch, page, a.keys, sel, groupIDs)
@@ -412,7 +412,7 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 		if len(scratch.fresh) > 0 {
 			// The rows that opened a group carry its key values.
 			for ki, k := range a.keys {
-				keyVecs[ki].AppendVector(page.Vectors[k].Gather(scratch.fresh))
+				keyVecs[ki].AppendVector(page.Vectors[k], scratch.fresh)
 			}
 		}
 		if !rc.on && slices.ContainsFunc(accs, func(acc *accumulator) bool {
@@ -427,7 +427,7 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 		}
 		for _, acc := range accs {
 			if rows, err = acc.accumulate(page, sel, groupIDs, numGroups, rows); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		if rows != nil { // no SUM walk over a mask-free vector carried it
@@ -456,7 +456,7 @@ func (a *HashAggregate) Next() (*column.Page, error) {
 	for mi, acc := range accs {
 		out.Vectors[len(a.keys)+mi] = acc.emit(a.schema.Columns[len(a.keys)+mi].Type, numGroups, &rc)
 	}
-	return out, nil
+	return out, nil, nil
 }
 
 // joinGroups is the key table's assign under GroupByJoin, over n groups
@@ -471,7 +471,7 @@ func (a *HashAggregate) joinGroups(groups []int32, sc *keyScratch, page *column.
 	}
 	sc.fresh = sc.fresh[:0]
 	for i := range ids {
-		row := selRow(sel, i)
+		row := column.SelRow(sel, i)
 		k := keyIDs[row]
 		if k < 0 {
 			return n, fmt.Errorf("exec: group by join keys: row %d matched no build row", row)
@@ -620,20 +620,20 @@ func NewSort(input Operator, keys []SortSpec, meter *Meter) (*Sort, error) {
 func (s *Sort) Schema() *types.Schema { return s.input.Schema() }
 
 // Next implements Operator.
-func (s *Sort) Next() (*column.Page, error) {
+func (s *Sort) Next() (*column.Page, []int, error) {
 	if s.done {
-		return nil, nil
+		return nil, nil, nil
 	}
 	s.done = true
 	all, err := DrainToPage(s.input)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := all.NumRows()
 	idx := newSortKeyCols(all, s.keys).order(n)
 	// n log n comparisons, each costing ~#keys units.
 	s.meter.charge(n, log2ish(n)*float64(len(s.keys)))
-	return all.Gather(idx), nil
+	return all.Gather(idx), nil, nil
 }
 
 func log2ish(n int) float64 {
@@ -671,13 +671,13 @@ func NewTopN(input Operator, keys []SortSpec, n int64, meter *Meter) (*TopN, err
 func (t *TopN) Schema() *types.Schema { return t.input.Schema() }
 
 // Next implements Operator.
-func (t *TopN) Next() (*column.Page, error) {
+func (t *TopN) Next() (*column.Page, []int, error) {
 	if t.done {
-		return nil, nil
+		return nil, nil, nil
 	}
 	t.done = true
 	if t.n == 0 {
-		return column.NewPage(t.input.Schema()), nil
+		return column.NewPage(t.input.Schema()), nil, nil
 	}
 
 	// Bounded buffer: accumulate up to 2n rows, then cut back to n.
@@ -690,37 +690,39 @@ func (t *TopN) Next() (*column.Page, error) {
 		buf = buf.Gather(idx)
 	}
 	for {
-		page, err := t.input.Next()
+		page, sel, err := t.input.Next()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if page == nil {
 			break
 		}
-		t.meter.charge(page.NumRows(), log2ish(int(t.n))*float64(len(t.keys)))
-		if int64(page.NumRows()) > t.n {
+		live := liveRows(page, sel)
+		t.meter.charge(live, log2ish(int(t.n))*float64(len(t.keys)))
+		if int64(live) > t.n {
 			// Only the page's own n smallest can reach the output. They go
 			// into the buffer in row order, so buffer position still means
 			// arrival order and the stable cut breaks ties as before.
-			page = page.Gather(smallestRows(newSortKeyCols(page, t.keys), page.NumRows(), int(t.n)))
+			sel = smallestRows(newSortKeyCols(page, t.keys), sel, live, int(t.n))
 		}
-		buf.AppendPage(page)
+		buf.AppendPage(page, sel)
 		if int64(buf.NumRows()) >= 2*t.n {
 			cut()
 		}
 	}
 	cut()
-	return buf, nil
+	return buf, nil, nil
 }
 
-// smallestRows returns, in ascending order, the n rows (n < rows) that
-// come first under the total order (sort keys, row ordinal). It streams
-// the rows through a max-heap of the n best so far: a row that does not
-// beat the heap's worst costs one comparison, one that does costs about
-// log n (the hole left by the evicted worst sinks to a leaf along the
-// larger children, then the new row rises from there — it usually stays
-// near the bottom).
-func smallestRows(kc *sortKeyCols, rows, n int) []int {
+// smallestRows returns, in ascending order, the n rows of the live ones
+// (the rows sel names, nil: rows [0, live); n < live) that come first
+// under the total order (sort keys, row ordinal). It streams the rows
+// through a max-heap of the n best so far: a row that does not beat the
+// heap's worst costs one comparison, one that does costs about log n (the
+// hole left by the evicted worst sinks to a leaf along the larger
+// children, then the new row rises from there — it usually stays near
+// the bottom).
+func smallestRows(kc *sortKeyCols, sel []int, live, n int) []int {
 	// after reports whether row a sorts after row b.
 	after := func(a, b int) bool {
 		c := kc.compare(a, b)
@@ -739,7 +741,8 @@ func smallestRows(kc *sortKeyCols, rows, n int) []int {
 		}
 		heap[i] = row
 	}
-	for row := 0; row < rows; row++ {
+	for i := range live {
+		row := column.SelRow(sel, i)
 		if len(heap) < n {
 			heap = append(heap, row)
 			rise(len(heap)-1, row)

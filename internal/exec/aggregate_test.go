@@ -123,14 +123,14 @@ func decodeMeasures(in []byte) *measureCase {
 		if head>>4&3 == 0 {
 			sel = nil
 		} else if len(sel) == 0 {
-			continue // a SelSource hands over no page with no live row
+			continue // an operator hands over no page with no live row
 		}
 		c.pages, c.sels = append(c.pages, page), append(c.sels, sel)
 	}
 	return c
 }
 
-// selPages is a SelSource over fixed pages and their selections.
+// selPages is an Operator over fixed pages and their selections.
 type selPages struct {
 	pages []*column.Page
 	sels  [][]int
@@ -138,7 +138,7 @@ type selPages struct {
 
 func (s *selPages) Schema() *types.Schema { return measureSchema }
 
-func (s *selPages) NextSel() (*column.Page, []int, error) {
+func (s *selPages) Next() (*column.Page, []int, error) {
 	if len(s.pages) == 0 {
 		return nil, nil, nil
 	}
@@ -146,8 +146,6 @@ func (s *selPages) NextSel() (*column.Page, []int, error) {
 	s.pages, s.sels = s.pages[1:], s.sels[1:]
 	return page, sel, nil
 }
-
-func (s *selPages) Next() (*column.Page, error) { return materialize(s) }
 
 // liveRowsOf lists the live rows of the pages, row at a time.
 func liveRowsOf(pages []*column.Page, sels [][]int) [][]types.Value {

@@ -72,7 +72,7 @@ func BenchmarkFilterSelectivity(b *testing.B) {
 // operand, r < pct AND r + v > 100, where r is the row number mod 100, so
 // the left side keeps pct% of every page's rows: the sum is evaluated at
 // those rows only, into a page-length vector however few they are. It
-// pulls selections (NextSel) and materializes no page.
+// pulls selections and materializes no page.
 func BenchmarkFilterComputedOperand(b *testing.B) {
 	schema := types.NewSchema(
 		types.Column{Name: "r", Type: types.Int64},
@@ -98,7 +98,7 @@ func BenchmarkFilterComputedOperand(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				f, _ := NewFilter(NewPageSource(schema, pages), pred, nil)
 				for {
-					page, _, err := f.NextSel()
+					page, _, err := f.Next()
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -10,9 +10,8 @@ import (
 
 // BloomProbe drops rows whose key column cannot be in a bloom filter —
 // the storage-node evaluation of a pushed-down join semi-filter. Like
-// Filter it is a SelSource: the page is handed over untouched with the
-// filter folded into the selection vector, so a downstream projection
-// or aggregate materializes survivors only once.
+// Filter it hands the page on untouched with the filter folded into its
+// selection.
 type BloomProbe struct {
 	input  Operator
 	filter *bloom.Filter
@@ -42,10 +41,10 @@ func NewBloomProbe(input Operator, col int, filter *bloom.Filter, meter *Meter, 
 // Schema implements Operator.
 func (b *BloomProbe) Schema() *types.Schema { return b.input.Schema() }
 
-// NextSel implements SelSource.
-func (b *BloomProbe) NextSel() (*column.Page, []int, error) {
+// Next implements Operator.
+func (b *BloomProbe) Next() (*column.Page, []int, error) {
 	for {
-		page, sel, err := nextSel(b.input)
+		page, sel, err := b.input.Next()
 		if err != nil || page == nil {
 			return nil, nil, err
 		}
@@ -69,6 +68,3 @@ func (b *BloomProbe) NextSel() (*column.Page, []int, error) {
 		}
 	}
 }
-
-// Next implements Operator, materializing the selection.
-func (b *BloomProbe) Next() (*column.Page, error) { return materialize(b) }

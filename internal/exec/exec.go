@@ -3,11 +3,13 @@
 // engine (internal/ocsserver): scan sources, filter, project, hash
 // aggregation (single/partial/final), sort, top-N and limit.
 //
-// Operators form pull-based pipelines: Next returns the next page or nil
-// when exhausted. Every operator meters the rows it processes and the
-// abstract CPU units it spends into a shared Meter, which the cost model
-// later prices using the hardware profile of whichever node ran the
-// pipeline (this is how the paper's "weak storage CPU" effect emerges).
+// Operators form pull-based pipelines with one pull (Operator.Next): rows
+// move between operators as selections over the page where they lie, and
+// only an operator that holds rows past the next pull copies them. Every
+// operator meters the rows it processes and the abstract CPU units it
+// spends into a shared Meter, which the cost model later prices using the
+// hardware profile of whichever node ran the pipeline (this is how the
+// paper's "weak storage CPU" effect emerges).
 package exec
 
 import (
@@ -45,8 +47,13 @@ func (m *Meter) charge(rows int, unitsPerRow float64) {
 type Operator interface {
 	// Schema describes the pages produced.
 	Schema() *types.Schema
-	// Next returns the next page, or nil when the operator is exhausted.
-	Next() (*column.Page, error)
+	// Next returns the next page and the selection of its live rows
+	// (sorted; nil means every row, and an empty one is never returned),
+	// or a nil page once the operator is exhausted. Both are lent until
+	// the next pull, and only the selected rows hold values. A consumer
+	// that holds rows past that pull (Sort, TopN, a join's build, Drain,
+	// the engine's exchange) copies them: column.Page.Keep.
+	Next() (*column.Page, []int, error)
 }
 
 // Close releases an operator that holds external resources. Operators are
@@ -76,16 +83,17 @@ func NewPageSource(schema *types.Schema, pages []*column.Page) *PageSource {
 func (s *PageSource) Schema() *types.Schema { return s.schema }
 
 // Next implements Operator.
-func (s *PageSource) Next() (*column.Page, error) {
+func (s *PageSource) Next() (*column.Page, []int, error) {
 	if s.pos >= len(s.pages) {
-		return nil, nil
+		return nil, nil, nil
 	}
 	p := s.pages[s.pos]
 	s.pos++
-	return p, nil
+	return p, nil, nil
 }
 
-// FuncSource pulls pages from a callback until it returns nil.
+// FuncSource pulls pages from a callback until it returns nil: each page
+// with every row live.
 type FuncSource struct {
 	schema *types.Schema
 	fn     func() (*column.Page, error)
@@ -100,50 +108,9 @@ func NewFuncSource(schema *types.Schema, fn func() (*column.Page, error)) *FuncS
 func (s *FuncSource) Schema() *types.Schema { return s.schema }
 
 // Next implements Operator.
-func (s *FuncSource) Next() (*column.Page, error) { return s.fn() }
-
-// SelSource is an Operator that can hand pages over with a pending
-// selection vector instead of materializing the surviving rows. Filter,
-// BloomProbe, Project and HashJoinProbe (over a unique build side)
-// implement it; the consumers that read through a selection (a chained
-// Filter or BloomProbe, Project, HashAggregate) detect it, so between a
-// scan, or a join's probe, and its group-by no filtered page is ever
-// built. Dense pages are materialized only at an operator boundary that
-// needs them (sort, top-N, a join's probe input, the network).
-type SelSource interface {
-	Operator
-	// NextSel returns the next page plus the selection of live rows.
-	// A nil selection means every row is live. Pages with an empty
-	// selection are never returned; exhaustion is (nil, nil, nil).
-	// The selection is valid until the next call only — a source may reuse
-	// its buffer — so a consumer reads it before it pulls again and never
-	// keeps it. So is a page handed over with a non-nil selection: it is
-	// lent, its vectors may be buffers the source rewrites on the next
-	// call (Project's computed columns and a join's build columns are),
-	// and only its selected rows hold values. A page with a nil selection
-	// is the consumer's to keep, which is why Filter and BloomProbe may
-	// forward such a page as it is.
-	NextSel() (*column.Page, []int, error)
-}
-
-// nextSel pulls the next page and its selection from in: through NextSel
-// when in is a SelSource, else a page with every row live.
-func nextSel(in Operator) (*column.Page, []int, error) {
-	if sel, ok := in.(SelSource); ok {
-		return sel.NextSel()
-	}
-	page, err := in.Next()
+func (s *FuncSource) Next() (*column.Page, []int, error) {
+	page, err := s.fn()
 	return page, nil, err
-}
-
-// materialize is Next for a SelSource: its next page with the selection
-// applied, or the page itself when every row is live.
-func materialize(src SelSource) (*column.Page, error) {
-	page, sel, err := src.NextSel()
-	if err != nil || page == nil || sel == nil {
-		return page, err
-	}
-	return page.FilterSel(sel), nil
 }
 
 // liveRows is the number of rows of page that sel (nil: all) names.
@@ -154,18 +121,24 @@ func liveRows(page *column.Page, sel []int) int {
 	return page.NumRows()
 }
 
+// poison, when set (the package's tests set it), makes Project and the
+// lending HashJoinProbe scribble over the buffers they lent before every
+// pull, so that a consumer that holds a lent page past its next pull
+// reads garbage and fails loudly.
+var poison bool
+
 // Filter drops rows not satisfying the predicate. It evaluates the
 // predicate through the vectorized selection path (expr.Predicate):
 // typed kernels over whole column buffers, with AND/OR short-circuiting
 // over surviving rows only, and a computed operand evaluated into storage
-// the predicate keeps from page to page.
+// the predicate keeps from page to page. The input page goes on untouched
+// with the predicate folded into its selection.
 type Filter struct {
 	input Operator
 	pred  *expr.Predicate
 	cost  float64
 	meter *Meter
-	// selBuf holds the selection NextSel hands out, one page after the
-	// other: it is the consumer's until the next call, as SelSource says.
+	// selBuf holds the selection Next hands out, one page after the other.
 	selBuf []int
 }
 
@@ -181,11 +154,10 @@ func NewFilter(input Operator, pred expr.Expr, meter *Meter) (*Filter, error) {
 // Schema implements Operator.
 func (f *Filter) Schema() *types.Schema { return f.input.Schema() }
 
-// NextSel implements SelSource: the input page is returned untouched with
-// the predicate folded into the selection vector.
-func (f *Filter) NextSel() (*column.Page, []int, error) {
+// Next implements Operator.
+func (f *Filter) Next() (*column.Page, []int, error) {
 	for {
-		page, sel, err := nextSel(f.input)
+		page, sel, err := f.input.Next()
 		if err != nil || page == nil {
 			return nil, nil, err
 		}
@@ -199,8 +171,6 @@ func (f *Filter) NextSel() (*column.Page, []int, error) {
 		}
 		f.meter.charge(live, f.cost)
 		if len(out) == page.NumRows() {
-			// Every row survived: report "all live" so downstream
-			// evaluation stays zero-copy.
 			return page, nil, nil
 		}
 		if len(out) > 0 {
@@ -211,22 +181,23 @@ func (f *Filter) NextSel() (*column.Page, []int, error) {
 	}
 }
 
-// Next implements Operator, materializing the selection.
-func (f *Filter) Next() (*column.Page, error) { return materialize(f) }
-
-// Project evaluates expressions into a new schema. It is a SelSource: it
-// hands on its input's selection with one vector per expression, indexed
-// by the input page's rows (expr.Projection) — a column reference is the
-// input's vector itself, and a computed expression is evaluated only at
-// the selected rows (a subexpression the list repeats, once) into buffers
-// the Project rewrites on the next pull. Under a nil selection the
-// vectors are new and the consumer keeps them.
+// Project evaluates expressions into a new schema. It hands on its
+// input's selection with one vector per expression, indexed by the input
+// page's rows (expr.Projection): a column reference is the input's vector
+// itself, and a computed expression is evaluated only at the selected
+// rows (a subexpression the list repeats, once) into buffers the Project
+// rewrites on the next pull, so its page is Reused. A Project of column
+// references only is Reused exactly when its input's page is.
 type Project struct {
 	input  Operator
 	proj   *expr.Projection
 	schema *types.Schema
 	meter  *Meter
 	cost   float64
+	// computes is whether any expression is not a column reference; page
+	// is the page handed out while Reused.
+	computes bool
+	page     column.Page
 }
 
 // NewProject validates expressions and names.
@@ -239,49 +210,56 @@ func NewProject(input Operator, exprs []expr.Expr, names []string, meter *Meter)
 	}
 	cols := make([]types.Column, len(exprs))
 	var cost float64
+	computes := false
 	for i, e := range exprs {
 		cols[i] = types.Column{Name: names[i], Type: e.Type()}
 		cost += e.Cost()
+		if _, ok := e.(*expr.ColumnRef); !ok {
+			computes = true
+		}
 	}
 	proj, err := expr.NewProjection(exprs, input.Schema())
 	if err != nil {
 		return nil, err
 	}
+	schema := types.NewSchema(cols...)
 	return &Project{
-		input:  input,
-		proj:   proj,
-		schema: types.NewSchema(cols...),
-		meter:  meter,
-		cost:   cost,
+		input:    input,
+		proj:     proj,
+		schema:   schema,
+		meter:    meter,
+		cost:     cost,
+		computes: computes,
+		page:     column.Page{Schema: schema, Vectors: make([]*column.Vector, len(exprs)), Reused: true},
 	}, nil
 }
 
 // Schema implements Operator.
 func (p *Project) Schema() *types.Schema { return p.schema }
 
-// NextSel implements SelSource.
-func (p *Project) NextSel() (*column.Page, []int, error) {
-	page, sel, err := nextSel(p.input)
+// Next implements Operator.
+func (p *Project) Next() (*column.Page, []int, error) {
+	if poison {
+		p.proj.Scribble()
+	}
+	page, sel, err := p.input.Next()
 	if err != nil || page == nil {
 		return nil, nil, err
 	}
-	if len(sel) == page.NumRows() {
-		// Every row live: the vectors are the consumer's to keep, so
-		// Filter and BloomProbe may forward the page as it is.
-		sel = nil
+	out := &p.page
+	if !p.computes && !page.Reused {
+		// Input columns that stay as they are: a page a consumer may keep.
+		out = &column.Page{Schema: p.schema, Vectors: make([]*column.Vector, len(p.page.Vectors))}
 	}
-	vecs, err := p.proj.EvalRows(page, sel)
-	if err != nil {
+	if err := p.proj.Eval(out.Vectors, page, sel); err != nil {
 		return nil, nil, err
 	}
 	p.meter.charge(liveRows(page, sel), p.cost)
-	return &column.Page{Schema: p.schema, Vectors: vecs}, sel, nil
+	return out, sel, nil
 }
 
-// Next implements Operator, materializing the selection.
-func (p *Project) Next() (*column.Page, error) { return materialize(p) }
-
-// Limit stops after n rows.
+// Limit stops after n rows: it cuts the selection of the page that
+// reaches the n-th row.
 type Limit struct {
 	input     Operator
 	remaining int64
@@ -296,51 +274,56 @@ func NewLimit(input Operator, n int64) *Limit {
 func (l *Limit) Schema() *types.Schema { return l.input.Schema() }
 
 // Next implements Operator.
-func (l *Limit) Next() (*column.Page, error) {
+func (l *Limit) Next() (*column.Page, []int, error) {
 	if l.remaining <= 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
-	page, err := l.input.Next()
+	page, sel, err := l.input.Next()
 	if err != nil || page == nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if int64(page.NumRows()) > l.remaining {
-		page = page.Slice(0, int(l.remaining))
+	switch {
+	case int64(liveRows(page, sel)) <= l.remaining:
+	case sel != nil:
+		sel = sel[:l.remaining]
+	default:
+		sel = make([]int, l.remaining)
+		for i := range sel {
+			sel[i] = i
+		}
 	}
-	l.remaining -= int64(page.NumRows())
-	return page, nil
+	l.remaining -= int64(liveRows(page, sel))
+	return page, sel, nil
 }
 
-// Drain pulls an operator to exhaustion, returning all pages.
+// Drain pulls an operator to exhaustion, returning all pages, each one
+// the caller keeps (column.Page.Keep).
 func Drain(op Operator) ([]*column.Page, error) {
 	var out []*column.Page
 	for {
-		p, err := op.Next()
+		p, sel, err := op.Next()
 		if err != nil {
 			return nil, err
 		}
 		if p == nil {
 			return out, nil
 		}
-		out = append(out, p)
+		out = append(out, p.Keep(sel))
 	}
 }
 
-// DrainToPage pulls an operator to exhaustion and concatenates the result
-// into a single page (empty page when no rows).
+// DrainToPage pulls an operator to exhaustion and appends the live rows
+// of every page into a single page (empty page when no rows).
 func DrainToPage(op Operator) (*column.Page, error) {
-	pages, err := Drain(op)
-	if err != nil {
-		return nil, err
-	}
 	out := column.NewPage(op.Schema())
-	total := 0
-	for _, p := range pages {
-		total += p.NumRows()
+	for {
+		p, sel, err := op.Next()
+		if err != nil {
+			return nil, err
+		}
+		if p == nil {
+			return out, nil
+		}
+		out.AppendPage(p, sel)
 	}
-	out.Reserve(total)
-	for _, p := range pages {
-		out.AppendPage(p)
-	}
-	return out, nil
 }

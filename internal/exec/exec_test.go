@@ -55,7 +55,7 @@ func TestPageSourceAndDrain(t *testing.T) {
 		t.Fatalf("Drain = %d pages, %v", len(pages), err)
 	}
 	// Drained source keeps returning nil.
-	p, err := src.Next()
+	p, _, err := src.Next()
 	if p != nil || err != nil {
 		t.Error("exhausted source misbehaves")
 	}

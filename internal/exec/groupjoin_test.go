@@ -12,7 +12,7 @@ import (
 )
 
 // Tests of the join over a unique build side: the probe lends its pages
-// (HashJoinProbe.NextSel) and an aggregate above it numbers its groups by
+// (HashJoinProbe.Next) and an aggregate above it numbers its groups by
 // the join's key ids (HashAggregate.GroupByJoin).
 
 // groupJoinKey maps one fuzz byte to a join key of kind: NULL, or one of
@@ -202,7 +202,7 @@ func FuzzGroupJoin(f *testing.F) {
 		}
 		got, want := column.NewPage(j.Schema()), column.NewPage(j.Schema())
 		for _, p := range joined {
-			got.AppendPage(p)
+			got.AppendPage(p, nil)
 		}
 		for _, pp := range c.probe {
 			for pr := 0; pr < pp.NumRows(); pr++ {
@@ -253,11 +253,12 @@ func (c *groupJoinCase) probeSchema() *types.Schema {
 }
 
 // TestJoinLendsWithoutAllocating pins the lend path's storage: once a
-// probe page of 1,024 rows has been pulled, pulling it again under a
-// sparse selection — a third of its rows match — allocates nothing: the
-// build columns, NULL mask and dictionary codes among them, are written
-// into the buffers of the page before, and so are the page and its
-// selection.
+// probe page of 1,024 rows has been pulled, pulling it again allocates
+// nothing, under a sparse selection — a third of its rows match — and
+// under none, when every row matched: the build columns, NULL mask and
+// dictionary codes among them, are written into the buffers of the page
+// before, and so are the page and its selection. Nor does a Project of a
+// computed column above the join, over a page on which every row matched.
 func TestJoinLendsWithoutAllocating(t *testing.T) {
 	buildSchema := types.NewSchema(types.Column{Name: "k", Type: types.Int64}, types.Column{Name: "d", Type: types.Date},
 		types.Column{Name: "s", Type: types.String})
@@ -275,20 +276,41 @@ func TestJoinLendsWithoutAllocating(t *testing.T) {
 		t.Fatalf("build: %v, unique %v", err, table.Unique())
 	}
 	probeSchema := types.NewSchema(types.Column{Name: "k", Type: types.Int64}, types.Column{Name: "v", Type: types.Float64})
-	probe := column.NewPage(probeSchema)
-	for r := 0; r < 1024; r++ {
-		probe.AppendRow(types.IntValue(int64(r)), types.FloatValue(float64(r)))
+	probeOf := func(step int) *column.Page {
+		probe := column.NewPage(probeSchema)
+		for r := 0; r < 1024; r += step {
+			probe.AppendRow(types.IntValue(int64(r)), types.FloatValue(float64(r)))
+		}
+		return probe
 	}
-	j, err := NewHashJoinProbe(NewFuncSource(probeSchema, func() (*column.Page, error) { return probe, nil }), table, []int{0}, nil)
+	joinOver := func(probe *column.Page) *HashJoinProbe {
+		j, err := NewHashJoinProbe(NewFuncSource(probeSchema, func() (*column.Page, error) { return probe, nil }), table, []int{0}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	warmAllocs := func(what string, op Operator) {
+		t.Helper()
+		if _, _, err := op.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := op.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: %.0f allocations on a warm page, want 0", what, allocs)
+		}
+	}
+
+	j := joinOver(probeOf(1))
+	page, sel, err := j.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	page, sel, err := j.NextSel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) != build.NumRows() || page.Vectors[3].Nulls == nil || page.Vectors[4].Dict == nil {
-		t.Fatalf("%d rows selected, want %d; build columns lent as %+v", len(sel), build.NumRows(), page.Vectors[3:])
+	if len(sel) != build.NumRows() || page.Vectors[3].Nulls == nil || page.Vectors[4].Dict == nil || !page.Reused {
+		t.Fatalf("%d rows selected, want %d; build columns lent as %+v; Reused %v", len(sel), build.NumRows(), page.Vectors[3:], page.Reused)
 	}
 	for _, row := range sel {
 		if page.Vectors[3].Value(row) != build.Vectors[1].Value(row/3) || page.Vectors[4].Value(row) != build.Vectors[2].Value(row/3) {
@@ -296,11 +318,24 @@ func TestJoinLendsWithoutAllocating(t *testing.T) {
 				build.Vectors[1].Value(row/3), build.Vectors[2].Value(row/3))
 		}
 	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := j.NextSel(); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("a warm probe page under a sparse selection: %.0f allocations, want 0", allocs)
+	warmAllocs("a probe page under a sparse selection", j)
+
+	dense := probeOf(3)
+	j = joinOver(dense)
+	if page, sel, err = j.Next(); err != nil || sel != nil || !page.Reused {
+		t.Fatalf("every row matched: selection %v, Reused %v, %v; want nil, true", sel, page.Reused, err)
 	}
+	for row := range dense.NumRows() {
+		if page.Vectors[3].Value(row) != build.Vectors[1].Value(row) || page.Vectors[4].Value(row) != build.Vectors[2].Value(row) {
+			t.Fatalf("row %d: build columns %v %v, want %v %v", row, page.Vectors[3].Value(row), page.Vectors[4].Value(row),
+				build.Vectors[1].Value(row), build.Vectors[2].Value(row))
+		}
+	}
+	warmAllocs("a probe page on which every row matched", j)
+	twice := mustExpr(expr.NewArith(expr.Mul, expr.Col(1, "v", types.Float64), expr.Lit(types.FloatValue(2))))
+	proj, err := NewProject(joinOver(dense), []expr.Expr{expr.Col(0, "k", types.Int64), twice}, []string{"k", "v2"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmAllocs("a computed column over a join on which every row matched", proj)
 }

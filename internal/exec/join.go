@@ -5,14 +5,15 @@
 // NULL probe key is a key no indexed row has, so lookups miss without a
 // special case.
 //
-// The probe takes one of two forms, by what the build held. Over a unique
-// build — every key on one build row, TPC-H Q3's orders — it lends: the
-// probe page goes on untouched with its matched rows as the selection,
-// and each build column is written beside it at those rows (a SelSource,
-// as Filter and Project are). Over a build with repeated keys a probe row
-// may match several build rows, so the probe builds gather lists — one
-// (probe row, build row) pair per match — and gathers both sides into a
-// new page.
+// The probe looks up only its input's selected rows, and takes one of two
+// forms, by what the build held. Over a unique build — every key on one
+// build row, TPC-H Q3's orders — it lends: the probe page goes on
+// untouched with its matched rows as the selection, and each build column
+// is written beside it at those rows into buffers the probe rewrites on
+// the next pull, as Filter and Project hand their input's page on. Over a
+// build with repeated keys a probe row may match several build rows, so
+// the probe builds gather lists — one (probe row, build row) pair per
+// match — and gathers both sides into a new page.
 //
 // The probe path is guarded by `make vet-join`: no per-row value
 // accessors, no scalar expression evaluation — matching is typed loops
@@ -22,6 +23,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"prestocs/internal/bloom"
 	"prestocs/internal/column"
@@ -68,14 +70,14 @@ func BuildJoinTable(input Operator, keys []int, meter *Meter) (*JoinTable, error
 	}
 	var live []int
 	for {
-		page, err := input.Next()
+		page, sel, err := input.Next()
 		if err != nil {
 			return nil, err
 		}
 		if page == nil {
 			break
 		}
-		n := page.NumRows()
+		n := liveRows(page, sel)
 		if n == 0 {
 			continue
 		}
@@ -83,18 +85,11 @@ func BuildJoinTable(input Operator, keys []int, meter *Meter) (*JoinTable, error
 
 		// Columnar NULL-key rejection: a row with any NULL key cannot
 		// match an inner join, so it never enters the dense table.
-		dense := page
-		anyNull := false
-		for _, k := range keys {
-			if page.Vectors[k].Nulls != nil {
-				anyNull = true
-				break
-			}
-		}
-		if anyNull {
+		if slices.ContainsFunc(keys, func(k int) bool { return page.Vectors[k].Nulls != nil }) {
 			live = live[:0]
 		rows:
-			for row := 0; row < n; row++ {
+			for i := range n {
+				row := column.SelRow(sel, i)
 				for _, k := range keys {
 					if nulls := page.Vectors[k].Nulls; nulls != nil && nulls[row] {
 						continue rows
@@ -105,10 +100,11 @@ func BuildJoinTable(input Operator, keys []int, meter *Meter) (*JoinTable, error
 			if len(live) == 0 {
 				continue
 			}
-			dense = page.FilterSel(live)
+			if len(live) < n {
+				sel = live
+			}
 		}
-
-		t.rows.AppendPage(dense)
+		t.rows.AppendPage(page, sel)
 	}
 	// Index the drained rows in one pass over a table sized for them
 	// once: no rehash, no arena growth while the keys go in.
@@ -188,13 +184,12 @@ func (t *JoinTable) keyBounds() (lo, hi int64, ok bool) {
 // with multiple build matches repeat once per match (inner-join
 // multiplicity).
 //
-// Over a unique table it is a SelSource that lends: NextSel hands on the
-// probe page's vectors with the matched rows as the selection, and each
-// build column indexed by the page's rows, written at the matched rows
-// only. Under a selection the build columns are buffers the probe
-// rewrites on the next pull; when every row matched (nil selection) they
-// are new, and the consumer keeps the page. Over any other table NextSel
-// is Next: a gathered page with a nil selection.
+// Over a unique table it lends: Next hands on the probe page's vectors
+// with the matched rows as the selection (nil when every row matched),
+// and each build column indexed by the page's rows, written at the
+// matched rows only into buffers the probe rewrites on the next pull, so
+// the page is Reused. Over any other table Next returns a gathered page
+// with a nil selection.
 type HashJoinProbe struct {
 	input  Operator
 	table  *JoinTable
@@ -203,8 +198,10 @@ type HashJoinProbe struct {
 	meter  *Meter
 
 	// keyIDs holds the key id of each row of the last probe page, -1
-	// where the row matched nothing: what GroupByJoin reads.
+	// where the row is not live or matched nothing: what GroupByJoin
+	// reads. found is the key ids of a page's live rows under a selection.
 	keyIDs  []int32
+	found   []int32
 	scratch keyScratch
 	// The lend path's selection, and the page it lends under one: the
 	// probe's vectors, then the build columns in lent.
@@ -247,19 +244,16 @@ func NewHashJoinProbe(input Operator, table *JoinTable, probeKeys []int, meter *
 // Schema implements Operator.
 func (j *HashJoinProbe) Schema() *types.Schema { return j.schema }
 
-// Next implements Operator: the next page of matches, materialized.
-func (j *HashJoinProbe) Next() (*column.Page, error) {
-	if !j.table.unique {
-		return j.gather()
-	}
-	return materialize(j)
-}
-
-// NextSel implements SelSource.
-func (j *HashJoinProbe) NextSel() (*column.Page, []int, error) {
+// Next implements Operator.
+func (j *HashJoinProbe) Next() (*column.Page, []int, error) {
 	if !j.table.unique {
 		page, err := j.gather()
 		return page, nil, err
+	}
+	if poison {
+		for c := range j.lent {
+			j.lent[c].Scribble()
+		}
 	}
 	for {
 		page, err := j.probe()
@@ -276,22 +270,13 @@ func (j *HashJoinProbe) NextSel() (*column.Page, []int, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		build := j.table.rows.Vectors
 		if len(sel) == len(j.keyIDs) {
-			// Every row matched: the page and its vectors are new, the
-			// consumer's to keep.
-			out := &column.Page{Schema: j.schema, Vectors: make([]*column.Vector, 0, len(page.Vectors)+len(build))}
-			out.Vectors = append(out.Vectors, page.Vectors...)
-			for _, src := range build {
-				dst := &column.Vector{}
-				lendBuild(dst, src, j.keyIDs, nil)
-				out.Vectors = append(out.Vectors, dst)
-			}
-			return out, nil, nil
+			sel = nil
 		}
+		build := j.table.rows.Vectors
 		if j.lent == nil {
 			j.lent = make([]column.Vector, len(build))
-			j.page.Schema = j.schema
+			j.page = column.Page{Schema: j.schema, Reused: true}
 		}
 		j.page.Vectors = append(j.page.Vectors[:0], page.Vectors...)
 		for c, src := range build {
@@ -302,16 +287,16 @@ func (j *HashJoinProbe) NextSel() (*column.Page, []int, error) {
 	}
 }
 
-// probe pulls the next probe page that can match and looks its keys up
-// into keyIDs, one per row; it returns the page, or nil once the input is
-// exhausted.
+// probe pulls the next probe page that can match and looks the keys of
+// its live rows up into keyIDs, one per page row; it returns the page,
+// or nil once the input is exhausted.
 func (j *HashJoinProbe) probe() (*column.Page, error) {
 	for {
-		page, err := j.input.Next()
+		page, sel, err := j.input.Next()
 		if err != nil || page == nil {
 			return nil, err
 		}
-		n := page.NumRows()
+		n := liveRows(page, sel)
 		if n == 0 || j.table.index.len() == 0 {
 			if n > 0 {
 				j.meter.charge(n, float64(len(j.keys)))
@@ -319,8 +304,19 @@ func (j *HashJoinProbe) probe() (*column.Page, error) {
 			continue
 		}
 		j.meter.charge(n, float64(len(j.keys))+2)
-		j.keyIDs = resize(j.keyIDs, n)
-		j.table.index.find(&j.scratch, page, j.keys, j.keyIDs)
+		j.keyIDs = resize(j.keyIDs, page.NumRows())
+		if sel == nil {
+			j.table.index.find(&j.scratch, page, j.keys, nil, j.keyIDs)
+			return page, nil
+		}
+		j.found = resize(j.found, n)
+		j.table.index.find(&j.scratch, page, j.keys, sel, j.found)
+		for row := range j.keyIDs {
+			j.keyIDs[row] = -1
+		}
+		for i, row := range sel {
+			j.keyIDs[row] = j.found[i]
+		}
 		return page, nil
 	}
 }

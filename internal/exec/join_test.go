@@ -233,9 +233,9 @@ func TestBloomProbeSelHandover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewBloomProbe: %v", err)
 	}
-	page, sel, err := bp.NextSel()
+	page, sel, err := bp.Next()
 	if err != nil || page != input || sel != nil {
-		t.Fatalf("NextSel = (%p, %v, %v), want input page with nil sel", page, sel, err)
+		t.Fatalf("Next = (%p, %v, %v), want input page with nil sel", page, sel, err)
 	}
 	if _, err := NewBloomProbe(sourceOf(input), 9, f, nil, nil); err == nil {
 		t.Error("out-of-range bloom column accepted")

@@ -282,7 +282,7 @@ func checkKeyTable(t *testing.T, name string, schema *types.Schema, cols []int, 
 	// find on the finished table: same ids, -1 for keys never added.
 	for _, p := range probes {
 		ids := make([]int32, p.NumRows())
-		table.find(&sc, p, cols, ids)
+		table.find(&sc, p, cols, nil, ids)
 		for row, id := range ids {
 			buf = encodeGroupKey(buf[:0], p, cols, row)
 			want, ok := ref[string(buf)]
@@ -317,7 +317,7 @@ func TestKeyTableDictRemapAfterFind(t *testing.T) {
 	if want := []int32{0, 1, 0}; !slices.Equal(ids[:3], want) {
 		t.Fatalf("assign = %v, want %v", ids[:3], want)
 	}
-	table.find(&sc, b, []int{0}, ids)
+	table.find(&sc, b, []int{0}, nil, ids)
 	if want := []int32{1, -1, -1, -1}; !slices.Equal(ids, want) {
 		t.Fatalf("find = %v, want %v", ids, want)
 	}

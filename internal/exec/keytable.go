@@ -333,7 +333,7 @@ func (t *keyTable) assign(sc *keyScratch, page *column.Page, cols []int, sel []i
 			id := t.lookup(sc, i)
 			if id < 0 {
 				id = t.insert(sc, i)
-				sc.fresh = append(sc.fresh, selRow(sel, from+i))
+				sc.fresh = append(sc.fresh, column.SelRow(sel, from+i))
 			}
 			chunk[i] = id
 		}
@@ -390,7 +390,7 @@ func (t *keyTable) assignCodes(sc *keyScratch, page *column.Page, cols []int, se
 		id := t.lookup(sc, 0)
 		if id < 0 {
 			id = t.insert(sc, 0)
-			sc.fresh = append(sc.fresh, selRow(sel, i))
+			sc.fresh = append(sc.fresh, column.SelRow(sel, i))
 		}
 		sc.codeIDs[code] = id + 1
 		ids[i] = id
@@ -414,7 +414,7 @@ func addDigits(codes []int32, vec *column.Vector, sel []int, radix int32) {
 	if vec.Nulls != nil {
 		null := int32(len(vec.Dict))
 		for i := range codes {
-			if row := selRow(sel, i); vec.Nulls[row] {
+			if row := column.SelRow(sel, i); vec.Nulls[row] {
 				codes[i] += (null - vec.Codes[row]) * radix
 			}
 		}
@@ -441,7 +441,7 @@ func (t *keyTable) assignDirect(sc *keyScratch, sel []int, from int, ids []int32
 		}
 		id := t.insert(sc, i)
 		t.dir[off] = id + 1
-		sc.fresh = append(sc.fresh, selRow(sel, from+i))
+		sc.fresh = append(sc.fresh, column.SelRow(sel, from+i))
 		ids[i] = id
 	}
 	return len(ids)
@@ -523,21 +523,13 @@ func (t *keyTable) cover(vec *column.Vector, sel []int, n int) bool {
 	return true
 }
 
-// selRow is the page row of position i of sel, or i itself when sel is
-// nil.
-func selRow(sel []int, i int) int {
-	if sel != nil {
-		return sel[i]
-	}
-	return i
-}
-
-// find sets ids[i] to the id of row i's key, or -1 when the table does
-// not hold it. It does not modify the table.
-func (t *keyTable) find(sc *keyScratch, page *column.Page, cols []int, ids []int32) {
+// find sets ids[i] to the id of the key of the i-th row of sel (nil: of
+// row i), or -1 when the table does not hold it. It does not modify the
+// table.
+func (t *keyTable) find(sc *keyScratch, page *column.Page, cols []int, sel []int, ids []int32) {
 	for from := 0; from < len(ids); from += keyChunk {
 		to := min(from+keyChunk, len(ids))
-		t.load(sc, page, cols, nil, from, to, false)
+		t.load(sc, page, cols, sel, from, to, false)
 		if !t.hashed {
 			t.findDirect(sc, ids[from:to])
 			continue

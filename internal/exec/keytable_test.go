@@ -453,7 +453,7 @@ func (s keyStream) run(t *keyTable, pages []*column.Page, ids [][]int32, fresh [
 	var sc keyScratch
 	for p, page := range pages {
 		found, assigned := ids[2*p], ids[2*p+1]
-		t.find(&sc, page, cols, found)
+		t.find(&sc, page, cols, nil, found)
 		t.assign(&sc, page, cols, s.sels[p], assigned)
 		fresh[p] = append(fresh[p][:0], sc.fresh...)
 	}

@@ -54,7 +54,7 @@ var selTestSchema = types.NewSchema(
 )
 
 // selSources lists, by name, ways to put a selection under an operator:
-// each builds the SelSource chain anew over pages.
+// each builds the operator chain anew over pages.
 func selSources(t *testing.T, pages []*column.Page) map[string]func() Operator {
 	t.Helper()
 	src := func() Operator { return NewPageSource(selTestSchema, pages) }
@@ -96,8 +96,8 @@ func selSources(t *testing.T, pages []*column.Page) map[string]func() Operator {
 	}
 }
 
-// materialized drains a SelSource chain through Next, which builds the
-// dense page of survivors, and replays those pages.
+// materialized drains an operator chain through Drain, which copies the
+// live rows of each page, and replays those pages.
 func materialized(t *testing.T, op Operator) Operator {
 	t.Helper()
 	pages, err := Drain(op)
@@ -159,12 +159,12 @@ func TestHashAggregateThroughSelectionMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// scribblingSource is a SelSource as hostile as the contract allows: the
+// scribblingSource is an Operator as hostile as the contract allows: the
 // selection it hands out lives in one buffer, and so does the page it
-// hands out with it — a copy of the next page — and the next call
-// overwrites both before anything else, so a consumer that kept a
-// selection, or a lent page's vectors, across a pull reads garbage. A page
-// whose selection is nil is handed over to keep, and left alone.
+// hands out with it — a copy of the next page, marked Reused — and the
+// next call overwrites both before anything else, so a consumer that kept
+// a selection, or a lent page's vectors, across a pull reads garbage,
+// whether or not the page came with a selection.
 type scribblingSource struct {
 	pages []*column.Page
 	sels  [][]int // nil: every row live
@@ -175,12 +175,14 @@ type scribblingSource struct {
 
 func (s *scribblingSource) Schema() *types.Schema { return selTestSchema }
 
-func (s *scribblingSource) NextSel() (*column.Page, []int, error) {
+func (s *scribblingSource) Next() (*column.Page, []int, error) {
 	for i := range s.buf {
 		s.buf[i] = 0
 	}
 	if s.lent != nil {
-		scribble(s.lent)
+		for _, v := range s.lent.Vectors {
+			v.Scribble()
+		}
 		s.lent = nil
 	}
 	if s.pos == len(s.pages) {
@@ -188,45 +190,13 @@ func (s *scribblingSource) NextSel() (*column.Page, []int, error) {
 	}
 	page, sel := s.pages[s.pos], s.sels[s.pos]
 	s.pos++
-	if sel == nil {
-		return page, nil, nil
-	}
 	s.lent = page.Slice(0, page.NumRows())
+	s.lent.Reused = true
+	if sel == nil {
+		return s.lent, nil, nil
+	}
 	s.buf = append(s.buf[:0], sel...)
 	return s.lent, s.buf, nil
-}
-
-func (s *scribblingSource) Next() (*column.Page, error) {
-	page, sel, err := s.NextSel()
-	if err != nil || page == nil || sel == nil {
-		return page, err
-	}
-	return page.Gather(sel), nil
-}
-
-// scribble overwrites every row of a page the caller owns: values, codes
-// (with another valid one) and null masks.
-func scribble(page *column.Page) {
-	for _, v := range page.Vectors {
-		for i := range v.Nulls {
-			v.Nulls[i] = !v.Nulls[i]
-		}
-		for i := range v.Ints {
-			v.Ints[i] = math.MinInt64 + int64(i)
-		}
-		for i := range v.Floats {
-			v.Floats[i] = math.NaN()
-		}
-		for i := range v.Strings {
-			v.Strings[i] = "scribbled"
-		}
-		for i := range v.Codes {
-			v.Codes[i] = int32(len(v.Dict) - 1)
-		}
-		for i := range v.Bools {
-			v.Bools[i] = !v.Bools[i]
-		}
-	}
 }
 
 func TestSelectionConsumersDoNotRetainSelections(t *testing.T) {
@@ -318,7 +288,7 @@ func TestFilterSelectionValidUntilNextCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		page, sel, err := f.NextSel()
+		page, sel, err := f.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,17 +345,17 @@ func TestProjectUnderSelectionMatchesPerExpression(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vecs, err := one.EvalRows(page, sel)
-			if err != nil {
+			vecs := make([]*column.Vector, 1)
+			if err := one.Eval(vecs, page, sel); err != nil {
 				t.Fatal(err)
 			}
 			want.Vectors[c] = vecs[0].Gather(sel)
 		}
-		got, err := proj.Next()
+		got, gotSel, err := proj.Next()
 		if err != nil {
 			t.Fatalf("no selected row divides by zero: %v", err)
 		}
-		requireIdentical(t, "project under a selection", got, want)
+		requireIdentical(t, "project under a selection", got.Keep(gotSel), want)
 	}
 
 	anyRow, _ := expr.NewCompare(expr.Ge, ord, expr.Lit(types.IntValue(0)))

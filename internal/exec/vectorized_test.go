@@ -35,7 +35,7 @@ func TestHashAggregateAdversarialKeys(t *testing.T) {
 		p.AppendRow(r[0], r[1])
 	}
 	// Append the whole set twice so every group has count exactly 2.
-	p.AppendPage(p)
+	p.AppendPage(p, nil)
 
 	agg, err := NewHashAggregate(NewPageSource(s, []*column.Page{p}), []int{0, 1},
 		[]substrait.Measure{{Func: substrait.AggCountStar, Arg: -1, Name: "n"}}, AggSingle, nil)
@@ -105,17 +105,17 @@ func TestFilterAllPassZeroCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := f.Next()
+	out, sel, err := f.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != page {
+	if out != page || sel != nil {
 		t.Error("all-pass filter must return the input page unchanged")
 	}
 }
 
-// TestChainedFiltersSelection: stacked Filters compose through the
-// SelSource path (the middle page is never materialized) and must produce
+// TestChainedFiltersSelection: stacked Filters compose through their
+// selections (the middle page is never materialized) and must produce
 // the same rows as the equivalent single AND predicate.
 func TestChainedFiltersSelection(t *testing.T) {
 	page := makePage([][3]interface{}{
@@ -132,8 +132,14 @@ func TestChainedFiltersSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := Operator(f1).(SelSource); !ok {
-		t.Fatal("a filter must be a SelSource for the filter above it to pull selections from")
+	if got, sel, err := f1.Next(); err != nil || got != page || len(sel) != 3 {
+		t.Fatalf("a filter hands on its input page under a selection: got %p (input %p), selection %v, %v", got, page, sel, err)
+	}
+	if f1, err = NewFilter(sourceOf(page), idGt1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if f2, err = NewFilter(f1, vLt3, nil); err != nil {
+		t.Fatal(err)
 	}
 	out, err := DrainToPage(f2)
 	if err != nil {

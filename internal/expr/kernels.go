@@ -470,6 +470,17 @@ func (s *store) kid(i int) *store {
 	return s.kids[i]
 }
 
+// scribble overwrites the storage of s and of its children's stores.
+func (s *store) scribble() {
+	if s == nil {
+		return
+	}
+	s.buf.Scribble()
+	for _, k := range s.kids {
+		k.scribble()
+	}
+}
+
 // sized returns s cut to n entries, or new storage when s cannot hold
 // them; what s held is left in place.
 func sized[T any](s []T, n int) []T {

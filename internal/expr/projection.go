@@ -18,10 +18,10 @@ import (
 //     evaluated once per page at the rows the selection names, and a
 //     subtree that occurs more than once in the list, such as TPC-H Q1's
 //     extendedprice * (1 - discount), is one step read by all of them;
-//   - under a selection, each step writes into page-length buffers the
-//     Projection keeps and rewrites on the next call, so that once they
-//     have grown to the page nothing is allocated for it. The rows the
-//     selection skips hold whatever the buffers held.
+//   - each step writes into page-length buffers the Projection keeps and
+//     rewrites on the next call, so that once they have grown to the page
+//     nothing is allocated for it. The rows the selection skips hold
+//     whatever the buffers held.
 //
 // A step is one evalAt (kernels.go), which loops under the selection
 // whatever the node's kind. Only identical subtrees are merged and
@@ -93,36 +93,35 @@ func NewProjection(exprs []Expr, in *types.Schema) (*Projection, error) {
 	return p, nil
 }
 
-// EvalRows evaluates the list at the rows of page that sel names (nil:
-// every row) and returns one vector per expression, indexed by page's
-// rows. Under a nil selection the vectors are new, or page's own, and the
-// caller's to keep. Under a selection they are lent: a computed one is
-// the Projection's storage, valid until the next call, and only its
-// selected rows hold values.
-func (p *Projection) EvalRows(page *column.Page, sel []int) ([]*column.Vector, error) {
+// Eval evaluates the list at the rows of page that sel names (nil: every
+// row) into dst, one vector per expression, indexed by page's rows. The
+// vectors are lent: a computed one is the Projection's storage, rewritten
+// on the next call, and only its selected rows hold values.
+func (p *Projection) Eval(dst []*column.Vector, page *column.Page, sel []int) error {
 	if page.NumCols() < p.width {
-		return nil, fmt.Errorf("expr: column ordinal %d out of range (%d cols)", p.width-1, page.NumCols())
+		return fmt.Errorf("expr: column ordinal %d out of range (%d cols)", p.width-1, page.NumCols())
 	}
 	n := page.NumRows()
 	copy(p.cols, page.Vectors[:p.width])
 	for i := range p.steps {
-		// Under a selection a step writes into its own storage; under none,
-		// into new storage the caller keeps.
-		s := &p.steps[i].res
-		if sel == nil {
-			s = nil
-		}
-		v, err := evalAt(p.steps[i].e, &p.ext, n, sel, s)
+		v, err := evalAt(p.steps[i].e, &p.ext, n, sel, &p.steps[i].res)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		p.cols[p.width+i] = v
 	}
-	out := make([]*column.Vector, len(p.outs))
 	for i, c := range p.outs {
-		out[i] = p.cols[c]
+		dst[i] = p.cols[c]
 	}
-	return out, nil
+	return nil
+}
+
+// Scribble overwrites the storage of every step with garbage (the exec
+// package's poison, under test).
+func (p *Projection) Scribble() {
+	for i := range p.steps {
+		p.steps[i].res.scribble()
+	}
 }
 
 // shareKey spells an expression so that two subtrees have the same key

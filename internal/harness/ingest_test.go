@@ -136,13 +136,14 @@ func scanPinnedHandle(t *testing.T, c *Cluster, h *ocsconn.Handle) []string {
 			t.Fatalf("open pinned split %s: %v", key, err)
 		}
 		for {
-			page, err := src.Next()
+			page, sel, err := src.Next()
 			if err != nil {
 				t.Fatalf("pinned scan %s: %v", key, err)
 			}
 			if page == nil {
 				break
 			}
+			page = page.Keep(sel)
 			for r := 0; r < page.NumRows(); r++ {
 				s := ""
 				for _, v := range page.Row(r) {

@@ -87,14 +87,14 @@ func readSplit(t *testing.T, c *Cluster, proxy *faultnet.Proxy, h *ocsconn.Handl
 		if kill && page == 1 {
 			proxy.KillOnce(1)
 		}
-		p, err := src.Next()
+		p, sel, err := src.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p == nil {
 			return rows, stats.Snapshot().FallbackSplits
 		}
-		rows = collectColumn(t, p, rows)
+		rows = collectColumn(t, p.Keep(sel), rows)
 	}
 }
 
@@ -240,7 +240,7 @@ func TestReplaySpanCoversTheReplay(t *testing.T) {
 		if got := finished(); got != i {
 			t.Fatalf("%s: %d replay spans finished when the opener returned, want %d", end, got, i)
 		}
-		page, err := src.Next()
+		page, _, err := src.Next()
 		if err != nil || page == nil {
 			t.Fatalf("%s: first page = %v, %v", end, page, err)
 		}
@@ -249,7 +249,7 @@ func TestReplaySpanCoversTheReplay(t *testing.T) {
 		}
 		if end == "exhaust" {
 			for page != nil {
-				if page, err = src.Next(); err != nil {
+				if page, _, err = src.Next(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -325,13 +325,14 @@ func readGrouped(t *testing.T, c *Cluster, addr string, h *ocsconn.Handle, split
 			if cut < 0 && !keep(k, pages) {
 				cut = reg.CounterValue(telemetry.MetricRPCClientRecvBytes, "method", ocsserver.MethodExecute)
 			}
-			p, err := src.Next()
+			p, sel, err := src.Next()
 			if err != nil {
 				t.Fatalf("source %d: %v", k, err)
 			}
 			if p == nil {
 				break
 			}
+			p = p.Keep(sel)
 			for r := 0; r < p.NumRows(); r++ {
 				rows = append(rows, fmt.Sprint(p.Row(r)))
 			}

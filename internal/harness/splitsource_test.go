@@ -58,7 +58,7 @@ func (r *splitRun) read(k, n int) []string {
 	r.t.Helper()
 	var rows []string
 	for ; n != 0; n-- {
-		p, err := r.srcs[k].Next()
+		p, sel, err := r.srcs[k].Next()
 		if err != nil {
 			r.t.Fatalf("split %d: %v", k, err)
 		}
@@ -68,6 +68,7 @@ func (r *splitRun) read(k, n int) []string {
 			}
 			break
 		}
+		p = p.Keep(sel)
 		rows = appendRows(rows, p)
 	}
 	return rows
@@ -181,7 +182,7 @@ func TestEverySplitExitLeaksNothingAfterCloseCancelOrKill(t *testing.T) {
 			r.read(0, 1)
 			r.cancel()
 			for {
-				p, err := r.srcs[0].Next()
+				p, _, err := r.srcs[0].Next()
 				if err != nil {
 					if !errors.Is(err, context.Canceled) {
 						t.Fatalf("split 0 after cancel: %v", err)
@@ -192,11 +193,11 @@ func TestEverySplitExitLeaksNothingAfterCloseCancelOrKill(t *testing.T) {
 					t.Fatal("split 0 ended without the cancellation")
 				}
 			}
-			if _, err := r.srcs[1].Next(); !errors.Is(err, context.Canceled) {
+			if _, _, err := r.srcs[1].Next(); !errors.Is(err, context.Canceled) {
 				t.Fatalf("split 1 started after cancel: %v", err)
 			}
 			for k := range r.srcs {
-				if p, err := r.srcs[k].Next(); p != nil || err != nil {
+				if p, _, err := r.srcs[k].Next(); p != nil || err != nil {
 					t.Fatalf("split %d after its failure = %v, %v; want its end", k, p, err)
 				}
 			}
@@ -259,13 +260,13 @@ func TestKilledStreamWithoutReplayFailsTheSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exec.Close(src)
-	if p, err := src.Next(); p == nil || err != nil {
+	if p, _, err := src.Next(); p == nil || err != nil {
 		t.Fatalf("first page = %v, %v", p, err)
 	}
 	c.OCS.Nodes[0].Store().Delete(d.Table.Bucket, split.Object)
 	proxy.KillOnce(1)
 	for {
-		p, err := src.Next()
+		p, _, err := src.Next()
 		if err != nil {
 			if !errors.Is(err, rpc.ErrUnavailable) || !errors.Is(err, rpc.ErrNotFound) {
 				t.Errorf("split error = %v; want the kill and the missing object", err)
@@ -282,7 +283,7 @@ func TestKilledStreamWithoutReplayFailsTheSplit(t *testing.T) {
 	if got := stats.Snapshot().FallbackSplits; got != 0 {
 		t.Errorf("fallback splits = %d, want 0", got)
 	}
-	if p, err := src.Next(); p != nil || err != nil {
+	if p, _, err := src.Next(); p != nil || err != nil {
 		t.Errorf("split after its failure = %v, %v; want its end", p, err)
 	}
 }
@@ -319,10 +320,11 @@ func TestKilledStreamResumesMidPage(t *testing.T) {
 			return nil, err
 		}
 		defer ls.Close()
-		page, err := ls.Next()
+		page, sel, err := ls.Next()
 		if page == nil || err != nil {
 			return nil, fmt.Errorf("stub: first page = %v, %v", page, err)
 		}
+		page = page.Keep(sel)
 		msg, err := arrowlite.AppendBatch(nil, page.Slice(0, page.NumRows()/2))
 		if err != nil {
 			return nil, err

@@ -32,7 +32,6 @@ type ObjectBuilder struct {
 	schema   *types.Schema
 	w        *parquetlite.Writer
 	rows     int64
-	raw      int64
 	sketches []metastore.Sketch // per column
 }
 
@@ -56,7 +55,6 @@ func (b *ObjectBuilder) AppendRow(vals ...types.Value) error {
 		return fmt.Errorf("ingest: row has %d values, schema has %d columns", len(vals), b.schema.Len())
 	}
 	for i, v := range vals {
-		b.raw += rawSize(v)
 		b.sketches[i].Add(v)
 	}
 	b.rows++
@@ -74,29 +72,8 @@ func (b *ObjectBuilder) AppendPage(p *column.Page) error {
 	b.rows += int64(p.NumRows())
 	for c, vec := range p.Vectors {
 		b.sketches[c].AddVector(vec)
-		b.raw += 8*int64(vec.Len()) + stringBytes(vec)
 	}
 	return nil
-}
-
-// stringBytes sums the lengths of a vector's non-NULL strings, reading a
-// dictionary-form vector's through its Dict.
-func stringBytes(vec *column.Vector) int64 {
-	var n int64
-	if vec.Dict != nil {
-		for i, c := range vec.Codes {
-			if !vec.IsNull(i) {
-				n += int64(len(vec.Dict[c]))
-			}
-		}
-		return n
-	}
-	for i, s := range vec.Strings {
-		if !vec.IsNull(i) {
-			n += int64(len(s))
-		}
-	}
-	return n
 }
 
 // SealedObject is a finished object image plus the bookkeeping the
@@ -127,15 +104,6 @@ func (b *ObjectBuilder) Seal() (SealedObject, error) {
 		stats[c.Name] = metastore.ColumnStats{ZoneMap: r.ColumnStats(ci), NDV: b.sketches[ci].Estimate(), Sketch: b.sketches[ci]}
 	}
 	return SealedObject{Image: img, Rows: b.rows, Bytes: int64(len(img)), Stats: stats}, nil
-}
-
-// rawSize approximates the in-memory width of one value, mirroring
-// column.Vector accounting closely enough for flush thresholds.
-func rawSize(v types.Value) int64 {
-	if v.Kind == types.String {
-		return int64(len(v.S)) + 8
-	}
-	return 8
 }
 
 // TableSpec names and shapes a table being assembled from sealed

@@ -203,7 +203,7 @@ func concat(schema *types.Schema, pages []*column.Page) *column.Page {
 		vec := column.NewVector(col.Type)
 		vec.Reserve(rows)
 		for _, src := range srcs {
-			vec.AppendVector(src)
+			vec.AppendVector(src, nil)
 		}
 		out.Vectors[c] = vec
 	}

@@ -118,12 +118,10 @@ func compileRel(store *objstore.Store, rel substrait.Rel, env *execEnv) (exec.Op
 	case *substrait.FilterRel:
 		if read, ok := t.Input.(*substrait.ReadRel); ok {
 			// Fuse filter into the scan so pruning can use the predicate.
-			// The filter evaluates through the vectorized selection path
-			// over the scanner's row-group pages and hands the selection
-			// on unmaterialized (exec.SelSource): a Project above it
-			// passes it on with its columns indexed by the page's rows, and
-			// the aggregate reads through it, so a dense page is built
-			// only where the stream pulls Next.
+			// The filter hands each row-group page on under its selection:
+			// a Project above it passes the selection on, the aggregate
+			// reads through it and the stream encodes only its rows, so
+			// no dense page of the survivors is ever built.
 			src, err := compileRead(store, read, t.Condition, env)
 			if err != nil {
 				return nil, err
@@ -341,16 +339,16 @@ func (s *LocalStream) Schema() *types.Schema { return s.op.Schema() }
 
 // Next implements exec.Operator; exhaustion and errors release the
 // execution's scan tasks.
-func (s *LocalStream) Next() (*column.Page, error) {
+func (s *LocalStream) Next() (*column.Page, []int, error) {
 	if s.done {
-		return nil, nil
+		return nil, nil, nil
 	}
-	page, err := s.op.Next()
+	page, sel, err := s.op.Next()
 	if err != nil || page == nil {
 		s.teardown()
-		return nil, err
+		return nil, nil, err
 	}
-	return page, nil
+	return page, sel, nil
 }
 
 // Close releases the execution when the consumer abandons the stream

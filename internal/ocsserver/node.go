@@ -152,11 +152,11 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 		chunkBytes.Add(int64(len(msg)))
 		return send(msg)
 	}
-	sendBatch := func(page *column.Page) error {
+	sendBatch := func(page *column.Page, sel []int) error {
 		if !page.Schema.Equal(planSchema) {
 			return fmt.Errorf("node %d: page schema %s, plan schema %s", n.ID, page.Schema, planSchema)
 		}
-		msg, err := arrowlite.AppendBatch((*buf)[:0], page)
+		msg, err := arrowlite.AppendBatch((*buf)[:0], page, sel...)
 		if err != nil {
 			return err
 		}
@@ -178,9 +178,9 @@ func (n *StorageNode) handleExecute(ctx context.Context, payload []byte, send fu
 	return nil, nil
 }
 
-// streamObject runs the plan over one object, handing each page to send
-// as it comes, and returns the object's work.
-func (n *StorageNode) streamObject(ctx context.Context, plan *substrait.Plan, object string, send func(*column.Page) error) (objstore.WorkStats, error) {
+// streamObject runs the plan over one object, handing each page and its
+// selection to send as they come, and returns the object's work.
+func (n *StorageNode) streamObject(ctx context.Context, plan *substrait.Plan, object string, send func(*column.Page, []int) error) (objstore.WorkStats, error) {
 	ls, err := open(n.store, plan, openOpts{object: object, pool: n.pool, caches: n.Caches, ctx: ctx})
 	if err != nil {
 		return objstore.WorkStats{}, fmt.Errorf("node %d: %w", n.ID, err)
@@ -192,14 +192,14 @@ func (n *StorageNode) streamObject(ctx context.Context, plan *substrait.Plan, ob
 		if err := ctx.Err(); err != nil {
 			return objstore.WorkStats{}, fmt.Errorf("node %d: %w", n.ID, err)
 		}
-		page, err := ls.Next()
+		page, sel, err := ls.Next()
 		if err != nil {
 			return objstore.WorkStats{}, fmt.Errorf("node %d: %w", n.ID, err)
 		}
 		if page == nil {
 			return *ls.Work(), nil
 		}
-		if err := send(page); err != nil {
+		if err := send(page, sel); err != nil {
 			return objstore.WorkStats{}, err
 		}
 	}

@@ -152,7 +152,7 @@ func TestExecuteLocalTopNAndProject(t *testing.T) {
 	}
 	out := column.NewPage(pages[0].Schema)
 	for _, p := range pages {
-		out.AppendPage(p)
+		out.AppendPage(p, nil)
 	}
 	if out.NumRows() != 5 {
 		t.Fatalf("topN rows = %d", out.NumRows())
@@ -326,7 +326,7 @@ func TestInStorageEqualsLocalExecution(t *testing.T) {
 	}
 	got := column.NewPage(res.Schema)
 	for _, p := range res.Pages {
-		got.AppendPage(p)
+		got.AppendPage(p, nil)
 	}
 
 	// Compute-side: full GET + local scan + same filter.

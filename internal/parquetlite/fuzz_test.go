@@ -122,7 +122,7 @@ func FuzzNewReader(f *testing.F) {
 					t.Fatalf("a %d-byte chunk decoded to %d rows", group.Chunks[c].UncompressedSize, vec.Len())
 				}
 			}
-			read.AppendPage(p)
+			read.AppendPage(p, nil)
 		}
 		again, err := WritePages(r.Schema(), WriterOptions{Codec: r.Meta().Codec}, read)
 		if err != nil {
@@ -138,7 +138,7 @@ func FuzzNewReader(f *testing.F) {
 			t.Fatalf("rewritten image unreadable: %v", err)
 		}
 		for _, p := range pages {
-			back.AppendPage(p)
+			back.AppendPage(p, nil)
 		}
 		for c := range cols {
 			sameVector(t, read.Vectors[c], back.Vectors[c])

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"prestocs/internal/column"
 	"prestocs/internal/compress"
@@ -106,7 +105,7 @@ func (w *Writer) hold(p *column.Page, from, to int) error {
 		return nil
 	}
 	for i, vec := range p.Vectors {
-		w.pending.Vectors[i].AppendVector(vec.Window(from, to))
+		w.pending.Vectors[i].AppendVector(vec.Window(from, to), nil)
 	}
 	if w.pending.NumRows() == w.opts.RowGroupSize {
 		return w.flushPending()
@@ -123,9 +122,10 @@ func (w *Writer) flushPending() error {
 	return w.writeGroup(p, 0, p.NumRows())
 }
 
-// writeGroup encodes rows [from, to) of p as one row group, inline.
+// writeGroup encodes rows [from, to) of p as one row group, inline, into
+// the image reserved for it once.
 func (w *Writer) writeGroup(p *column.Page, from, to int) error {
-	buf, rg, err := w.enc.encode(w.buf, p, from, to)
+	buf, rg, err := w.enc.encode(slices.Grow(w.buf, groupBytes(p, from, to)), p, from, to)
 	if err != nil {
 		return err
 	}
@@ -141,10 +141,11 @@ func (w *Writer) addGroup(rg RowGroupMeta) {
 
 // writeGroups encodes the given number of whole row groups of p that
 // start at row from. A single group (every commit's) is encoded inline.
-// More are handed out one at a time to min(GOMAXPROCS, groups) workers,
-// each encoding into its own buffer with its own scratch; the groups are
-// then appended to the image in row order, so the image is the same
-// whichever worker encoded which group.
+// More are split into min(GOMAXPROCS, groups) runs of consecutive groups,
+// one per worker, each encoding into its own buffer, reserved once for
+// its run, with its own scratch; the groups are then appended to the
+// image in row order, so the image is the same whichever worker encoded
+// which group.
 func (w *Writer) writeGroups(p *column.Page, from, groups int) error {
 	size := w.opts.RowGroupSize
 	workers := min(runtime.GOMAXPROCS(0), groups)
@@ -162,16 +163,18 @@ func (w *Writer) writeGroups(p *column.Page, from, groups int) error {
 		start, end int // the group's bytes in bufs[worker]
 	}
 	done := make([]encoded, groups)
+	per := (groups + workers - 1) / workers
 	bufs := make([][]byte, workers)
 	errs := make([]error, workers)
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	for k := range bufs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			lo, hi := min(k*per, groups), min((k+1)*per, groups)
+			bufs[k] = make([]byte, 0, groupBytes(p, from+lo*size, from+hi*size))
 			enc := groupEncoder{codec: w.opts.Codec}
-			for g := int(next.Add(1) - 1); g < groups; g = int(next.Add(1) - 1) {
+			for g := lo; g < hi; g++ {
 				d := &done[g]
 				d.worker, d.start = k, len(bufs[k])
 				bufs[k], d.rg, errs[k] = enc.encode(bufs[k], p, from+g*size, from+(g+1)*size)
@@ -202,6 +205,16 @@ func (w *Writer) writeGroups(p *column.Page, from, groups int) error {
 		w.addGroup(d.rg)
 	}
 	return nil
+}
+
+// groupBytes is the room reserved for rows [from, to) of p encoded: their
+// in-memory size, which encoded, compressed chunks seldom pass.
+func groupBytes(p *column.Page, from, to int) int {
+	n := int64(0)
+	for _, v := range p.Vectors {
+		n += v.Window(from, to).ByteSize()
+	}
+	return int(n)
 }
 
 // groupEncoder encodes row groups, reusing from chunk to chunk one
